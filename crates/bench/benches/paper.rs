@@ -198,15 +198,12 @@ fn sched_throughput(c: &mut Criterion) {
     timing.dram_random_latency = 480;
     let mut g = c.benchmark_group("sched_throughput");
     // The partially-fused kernel keeps the historical `sweep`/`event`
-    // bench ids; the fully-fused kernel (one large graph, long chains —
-    // the compiled backend's target regime) gets a `fused_` prefix.
+    // bench ids; the fully-fused kernel (one large graph, long chains)
+    // gets a `fused_` prefix.
+    let schedulers = [("sweep", Scheduler::Sweep), ("event", Scheduler::Event)];
     for (wname, fusion) in [("", Fusion::Partial), ("fused_", Fusion::Full)] {
         let compiled = compile(&m.program, &m.schedule(fusion)).unwrap();
-        for (sname, sched) in [
-            ("sweep", Scheduler::Sweep),
-            ("event", Scheduler::Event),
-            ("compiled", Scheduler::Compiled),
-        ] {
+        for (sname, sched) in schedulers {
             let cfg =
                 SimConfig { timing: timing.clone(), scheduler: sched, ..SimConfig::default() };
             g.bench_function(format!("{wname}{sname}"), |b| {
@@ -216,49 +213,30 @@ fn sched_throughput(c: &mut Criterion) {
     }
     // The deep activation pipeline on a near memory (low latency, deep
     // outstanding-request queue) keeps every chain member busy each cycle
-    // — the throughput regime where the compiled backend's fused-chain
-    // step dominates simulator wall-clock.
+    // — the ready-set-bound regime with almost no idle cycles to skip.
     let m = map_stack(48, 32, 0.5, 9);
     let mut near = TimingConfig::comal();
     near.dram_stream_latency = 2;
     near.dram_random_latency = 8;
     near.outstanding = 64;
     let compiled = compile(&m.program, &m.schedule(Fusion::Full)).unwrap();
-    for (sname, sched) in [
-        ("sweep", Scheduler::Sweep),
-        ("event", Scheduler::Event),
-        ("compiled", Scheduler::Compiled),
-    ] {
+    for (sname, sched) in schedulers {
         let cfg = SimConfig { timing: near.clone(), scheduler: sched, ..SimConfig::default() };
         g.bench_function(format!("chain_{sname}"), |b| {
             b.iter(|| run(&m.program, &compiled, &m.inputs, &cfg).unwrap().stats.cycles)
         });
     }
-    // The spatially partitioned executor (`SimConfig::partitions`) is
-    // measured on the same stack compiled fully on-chip: with no DRAM
-    // endpoint in more than one region the memory-order gate is vacuous
-    // and each region boundary is one rate-balanced cut channel, so the
-    // k pipelined event-scheduler regions decouple into
-    // ~channel-capacity-sized strides instead of lockstepping. Cycle
-    // counts are bit-identical to `chipstack_event`
-    // (`crates/sim/tests/determinism.rs`); the wall-clock delta against
-    // that row is the multi-core payoff (threads = partitions, so the
-    // win needs as many physical cores).
+    // The same stack compiled fully on-chip: no DRAM endpoint at all.
     let chip = compile_at(&m.program, &m.schedule(Fusion::Full), fuseflow_sam::MemLocation::OnChip)
         .unwrap();
     g.bench_function("chipstack_event", |b| {
         b.iter(|| run(&m.program, &chip, &m.inputs, &sim()).unwrap().stats.cycles)
     });
-    for parts in [2usize, 4] {
-        let cfg = sim().with_partitions(parts).with_threads(parts);
-        g.bench_function(format!("chipstack_part{parts}"), |b| {
-            b.iter(|| run(&m.program, &chip, &m.inputs, &cfg).unwrap().stats.cycles)
-        });
-    }
     g.finish();
 }
 
-/// Ablation: factored vs global iteration style (DESIGN.md §3.2).
+/// Ablation: factored vs global iteration style (ARCHITECTURE.md,
+/// "Substitutions": the prior-compiler baselines).
 fn ablation_iteration_style(c: &mut Criterion) {
     let m = gcn(&tiny_graph(), 8, 4, 9);
     let mut g = c.benchmark_group("ablation_iteration_style");

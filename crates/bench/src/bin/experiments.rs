@@ -43,50 +43,25 @@ struct Opts {
 type Points = Vec<(String, u64)>;
 
 /// One scheduler measurement row (the `sched` experiment): the same
-/// workload under the legacy sweep, the event-driven scheduler, the
-/// compiled chain-fused backend, and (for workloads that opt in) the
-/// spatially partitioned executor.
+/// workload under the legacy sweep and the event-driven scheduler.
 struct SchedRow {
     workload: String,
     cycles: u64,
-    /// Simulated cycles under `Scheduler::Compiled`. Always equals
-    /// `cycles` (bit-identity is asserted before the row is recorded);
-    /// kept as a separate column so CI's drift gate checks it
-    /// independently.
-    cycles_compiled: u64,
     sweep_wall_s: f64,
     event_wall_s: f64,
-    compiled_wall_s: f64,
     sweep_events: u64,
     event_events: u64,
-    compiled_events: u64,
     cycles_skipped: u64,
     peak_ready: u64,
-    fused_chains: u64,
-    fused_chain_nodes: u64,
-    /// Spatial regions used for the partitioned measurement (0 = not
-    /// measured for this workload). The run uses as many worker threads
-    /// as regions.
-    partitions: u64,
-    /// Simulated cycles under the partitioned executor — asserted equal
-    /// to `cycles` before the row is recorded, tracked separately so the
-    /// drift gate guards the partitioned engine independently.
-    cycles_part: u64,
-    part_wall_s: f64,
-    bridge_tokens: u64,
-    frontier_stalls: u64,
 }
 
 /// One figure entry of the machine-readable report: its deterministic
-/// cycle points plus the pool/simulator configuration that produced them.
+/// cycle points plus the pool configuration that produced them.
 struct FigEntry {
     id: String,
     wall_s: f64,
     /// Worker threads the figure's sweep pool ran with.
     threads: usize,
-    /// Spatial partitions (`SimConfig::partitions`) the figure's
-    /// simulations used (max across its runs; 1 = unpartitioned).
-    partitions: usize,
     points: Points,
 }
 
@@ -114,12 +89,7 @@ impl Report {
             println!("  ({id}: no cycle points — figure omitted from BENCH_sim.json)");
             return;
         }
-        let partitions = if id == "sched" {
-            self.sched.iter().map(|r| r.partitions as usize).max().unwrap_or(1).max(1)
-        } else {
-            1
-        };
-        self.figures.push(FigEntry { id: id.to_string(), wall_s, threads, partitions, points });
+        self.figures.push(FigEntry { id: id.to_string(), wall_s, threads, points });
     }
 
     fn to_json(&self, o: Opts, wall_s_total: f64) -> String {
@@ -134,7 +104,6 @@ impl Report {
             let _ = writeln!(j, "      \"id\": \"{}\",", json_escape(&fig.id));
             let _ = writeln!(j, "      \"wall_s\": {:.3},", fig.wall_s);
             let _ = writeln!(j, "      \"threads\": {},", fig.threads);
-            let _ = writeln!(j, "      \"partitions\": {},", fig.partitions);
             let _ = writeln!(j, "      \"points\": [");
             for (pi, (label, cycles)) in fig.points.iter().enumerate() {
                 let comma = if pi + 1 < fig.points.len() { "," } else { "" };
@@ -153,41 +122,21 @@ impl Report {
         for (ri, r) in self.sched.iter().enumerate() {
             let comma = if ri + 1 < self.sched.len() { "," } else { "" };
             let speedup = r.sweep_wall_s / r.event_wall_s.max(1e-9);
-            let speedup_compiled = r.event_wall_s / r.compiled_wall_s.max(1e-9);
-            let speedup_part =
-                if r.partitions > 0 { r.event_wall_s / r.part_wall_s.max(1e-9) } else { 0.0 };
             let _ = writeln!(
                 j,
-                "    {{\"workload\": \"{}\", \"cycles\": {}, \"cycles_compiled\": {}, \
-                 \"sweep_wall_s\": {:.4}, \"event_wall_s\": {:.4}, \"compiled_wall_s\": {:.4}, \
-                 \"speedup\": {:.2}, \"speedup_compiled_vs_event\": {:.2}, \
-                 \"sweep_events\": {}, \"event_events\": {}, \"compiled_events\": {}, \
-                 \"cycles_skipped\": {}, \"peak_ready\": {}, \
-                 \"fused_chains\": {}, \"fused_chain_nodes\": {}, \
-                 \"partitions\": {}, \"cycles_part\": {}, \"part_wall_s\": {:.4}, \
-                 \"speedup_part_vs_event\": {:.2}, \"bridge_tokens\": {}, \
-                 \"frontier_stalls\": {}}}{comma}",
+                "    {{\"workload\": \"{}\", \"cycles\": {}, \
+                 \"sweep_wall_s\": {:.4}, \"event_wall_s\": {:.4}, \"speedup\": {:.2}, \
+                 \"sweep_events\": {}, \"event_events\": {}, \
+                 \"cycles_skipped\": {}, \"peak_ready\": {}}}{comma}",
                 json_escape(&r.workload),
                 r.cycles,
-                r.cycles_compiled,
                 r.sweep_wall_s,
                 r.event_wall_s,
-                r.compiled_wall_s,
                 speedup,
-                speedup_compiled,
                 r.sweep_events,
                 r.event_events,
-                r.compiled_events,
                 r.cycles_skipped,
-                r.peak_ready,
-                r.fused_chains,
-                r.fused_chain_nodes,
-                r.partitions,
-                r.cycles_part,
-                r.part_wall_s,
-                speedup_part,
-                r.bridge_tokens,
-                r.frontier_stalls
+                r.peak_ready
             );
         }
         let _ = writeln!(j, "  ]");
@@ -221,7 +170,7 @@ fn save(name: &str, content: &str) {
 }
 
 /// Fig 1: roofline-model GPU utilization for GCN inference (substitution:
-/// analytical RTX-5090-class device; DESIGN.md §4).
+/// analytical RTX-5090-class device; ARCHITECTURE.md "Substitutions").
 fn fig1(o: Opts) -> Points {
     println!("\n== Fig 1: GPU SM/DRAM utilization for GCN inference (roofline model) ==");
     let mut csv = String::from("dataset,sm_util_pct,mem_util_pct\n");
@@ -768,26 +717,20 @@ fn table4(o: Opts) -> Points {
 }
 
 /// Scheduler comparison: the same workloads simulated under the legacy
-/// dense per-cycle sweep, the event-driven calendar-queue scheduler, and
-/// the compiled chain-fused backend. Semantic results are asserted
-/// bit-identical across all three; what differs is simulator wall-clock,
-/// which this experiment records (with the event/compiled engine counters)
-/// into `BENCH_sim.json`.
+/// dense per-cycle sweep and the event-driven calendar-queue scheduler.
+/// Semantic results are asserted bit-identical; what differs is simulator
+/// wall-clock, which this experiment records (with the event engine's
+/// counters) into `BENCH_sim.json`.
 fn sched(o: Opts, rep: &mut Report) -> Points {
-    println!("\n== Sched: sweep vs event vs compiled vs partitioned (wall-clock) ==");
-    /// One sched workload: a compiled model plus the simulator
-    /// configuration to measure it under. `partitions > 0` additionally
-    /// measures the spatially partitioned executor with that many regions
-    /// and as many worker threads (only worthwhile for fused
-    /// single-component graphs with enough compute between cut channels —
-    /// DRAM-resident workloads serialize on the memory-order gate).
+    println!("\n== Sched: sweep vs event (wall-clock) ==");
+    /// One sched workload: a model, its schedule, where its tensors live,
+    /// and the simulator configuration to measure it under.
     struct Workload {
         name: &'static str,
         m: ModelInstance,
         sched: Schedule,
         cfg: SimConfig,
         on_chip: bool,
-        partitions: usize,
     }
     let ds = GraphDataset {
         name: "karate",
@@ -812,7 +755,6 @@ fn sched(o: Opts, rep: &mut Report) -> Points {
         sched,
         cfg,
         on_chip: false,
-        partitions: 0,
     };
     let mut workloads: Vec<Workload> = vec![
         wl("gcn_dram", gcn(&ds, 8, 4, 3), Schedule::unfused(), sim()),
@@ -830,20 +772,14 @@ fn sched(o: Opts, rep: &mut Report) -> Points {
             SimConfig { timing: far, ..sim() },
         ),
         // The same fused GCN pinned in on-chip memory (the paper's
-        // BRAM-resident regime): no DRAM nodes means the partitioned
-        // executor's memory-order gate is vacuous, so regions pipeline
-        // freely — the headline workload for `SimConfig::partitions`.
+        // BRAM-resident regime): no DRAM nodes at all.
         Workload {
-            name: "gcn_fused_chip",
-            m: gcn(&ds, 8, 4, 3),
-            sched: Schedule::full(),
-            cfg: sim(),
             on_chip: true,
-            partitions: 4,
+            ..wl("gcn_fused_chip", gcn(&ds, 8, 4, 3), Schedule::full(), sim())
         },
         // Deep elementwise pipelines (matmul -> bias -> nonlinearity,
-        // twice): the fully-fused schedules produce the long
-        // producer-consumer chains the compiled backend targets.
+        // twice): the fully-fused schedules produce long producer-consumer
+        // chains.
         {
             let m = if o.quick {
                 sae("sae", 24, 12, 8, 0.5, 7)
@@ -857,50 +793,35 @@ fn sched(o: Opts, rep: &mut Report) -> Points {
             wl("gpt_fused", m, Schedule::full(), sim())
         },
         // A pure activation pipeline: the fully-fused schedule is one long
-        // single-reader/single-writer chain (the compiled backend's target
-        // regime; see fuseflow_models::map_stack). Simulated against a
-        // near memory (low latency, deep outstanding-request queue) so the
-        // source sustains ~1 token/cycle and the whole chain stays busy:
-        // under the default DRAM timing the random-gather source caps the
-        // pipe at ~outstanding/latency tokens per cycle and the comparison
-        // degenerates into a memory-model benchmark all three schedulers
-        // pay identically. The busy chain also splits well spatially, so
-        // this workload opts into the partitioned column.
+        // single-reader/single-writer chain (see
+        // fuseflow_models::map_stack). Simulated against a near memory (low
+        // latency, deep outstanding-request queue) so the source sustains
+        // ~1 token/cycle and the whole chain stays busy: under the default
+        // DRAM timing the random-gather source caps the pipe at
+        // ~outstanding/latency tokens per cycle and the comparison
+        // degenerates into a memory-model benchmark both schedulers pay
+        // identically.
         {
             let m = if o.quick { map_stack(48, 24, 0.5, 9) } else { map_stack(96, 48, 0.5, 9) };
             let mut near = TimingConfig::comal();
             near.dram_stream_latency = 2;
             near.dram_random_latency = 8;
             near.outstanding = 64;
-            let mut w = wl("stack_fused", m, Schedule::full(), SimConfig { timing: near, ..sim() });
-            w.partitions = 4;
-            w
+            wl("stack_fused", m, Schedule::full(), SimConfig { timing: near, ..sim() })
         },
-        // The same activation pipeline pinned on-chip and scaled up: with
-        // no DRAM endpoints the memory-order gate is vacuous, and the
-        // stack's cut channels are one-per-boundary and rate-balanced, so
-        // each region runs ~channel_capacity cycles ahead per round — the
-        // decoupled regime where the partitioned executor's pipeline
-        // parallelism pays off (`stack_fused` above, by contrast, is
-        // serialized by its DRAM source and sink).
-        Workload {
-            name: "stack_fused_chip",
-            m: if o.quick { map_stack(128, 24, 0.5, 9) } else { map_stack(256, 32, 0.5, 9) },
-            sched: Schedule::full(),
-            cfg: sim(),
-            on_chip: true,
-            partitions: 4,
+        // The same activation pipeline pinned on-chip and scaled up: every
+        // node busy every cycle, nothing for the event engine to skip.
+        {
+            let m = if o.quick { map_stack(128, 24, 0.5, 9) } else { map_stack(256, 32, 0.5, 9) };
+            Workload { on_chip: true, ..wl("stack_fused_chip", m, Schedule::full(), sim()) }
         },
     ];
     if !o.quick {
         workloads.push(wl("graphsage_fused", graphsage(&ds, 8, 4, 5), Schedule::full(), sim()));
     }
     let mut csv = String::from(
-        "workload,cycles,cycles_compiled,sweep_wall_s,event_wall_s,compiled_wall_s,\
-         speedup,speedup_compiled_vs_event,sweep_events,event_events,compiled_events,\
-         cycles_skipped,peak_ready,fused_chains,fused_chain_nodes,\
-         partitions,cycles_part,part_wall_s,speedup_part_vs_event,bridge_tokens,\
-         frontier_stalls\n",
+        "workload,cycles,sweep_wall_s,event_wall_s,speedup,sweep_events,event_events,\
+         cycles_skipped,peak_ready\n",
     );
     let mut points = Points::new();
     let reps = if o.quick { 2 } else { 3 };
@@ -924,95 +845,41 @@ fn sched(o: Opts, rep: &mut Report) -> Points {
         };
         let (ev, event_wall) = timed(cfg);
         let (sw, sweep_wall) = timed(&cfg.clone().with_scheduler(Scheduler::Sweep));
-        let (co, compiled_wall) = timed(&cfg.clone().with_scheduler(Scheduler::Compiled));
         assert_eq!(
             ev.semantic(),
             sw.semantic(),
             "{name}: event vs sweep diverged (this is a simulator bug)"
         );
-        assert_eq!(
-            ev.semantic(),
-            co.semantic(),
-            "{name}: event vs compiled diverged (this is a simulator bug)"
-        );
-        let (pa, part_wall) = if w.partitions > 0 {
-            let part_cfg = cfg.clone().with_partitions(w.partitions).with_threads(w.partitions);
-            let (pa, wall) = timed(&part_cfg);
-            assert_eq!(
-                ev.semantic(),
-                pa.semantic(),
-                "{name}: event vs partitioned diverged (this is a simulator bug)"
-            );
-            (Some(pa), wall)
-        } else {
-            (None, 0.0)
-        };
         let speedup = sweep_wall / event_wall.max(1e-9);
-        let speedup_compiled = event_wall / compiled_wall.max(1e-9);
-        let speedup_part = event_wall / part_wall.max(1e-9);
-        let part_note = pa.as_ref().map_or(String::new(), |p| {
-            format!(
-                "  part{}x {part_wall:.4}s {speedup_part:.2}x (bridged {}, stalls {})",
-                w.partitions, p.sched.bridge_tokens, p.sched.frontier_stalls
-            )
-        });
         println!(
-            "  {name:14} {:>10} cycles  sweep {:.4}s  event {:.4}s  compiled {:.4}s  \
-             {speedup:.2}x / {speedup_compiled:.2}x  \
-             (events {} -> {} -> {}, skipped {}, peak ready {}, chains {}/{} nodes){part_note}",
+            "  {name:16} {:>10} cycles  sweep {sweep_wall:.4}s  event {event_wall:.4}s  \
+             {speedup:.2}x  (events {} -> {}, skipped {}, peak ready {})",
             ev.cycles,
-            sweep_wall,
-            event_wall,
-            compiled_wall,
             sw.sched.events,
             ev.sched.events,
-            co.sched.events,
             ev.sched.cycles_skipped,
             ev.sched.peak_ready,
-            co.sched.fused_chains,
-            co.sched.fused_chain_nodes
         );
         writeln!(
             csv,
-            "{name},{},{},{sweep_wall:.4},{event_wall:.4},{compiled_wall:.4},\
-             {speedup:.3},{speedup_compiled:.3},{},{},{},{},{},{},{},\
-             {},{},{part_wall:.4},{:.3},{},{}",
+            "{name},{},{sweep_wall:.4},{event_wall:.4},{speedup:.3},{},{},{},{}",
             ev.cycles,
-            co.cycles,
             sw.sched.events,
             ev.sched.events,
-            co.sched.events,
             ev.sched.cycles_skipped,
             ev.sched.peak_ready,
-            co.sched.fused_chains,
-            co.sched.fused_chain_nodes,
-            w.partitions,
-            pa.as_ref().map_or(0, |p| p.cycles),
-            if pa.is_some() { speedup_part } else { 0.0 },
-            pa.as_ref().map_or(0, |p| p.sched.bridge_tokens),
-            pa.as_ref().map_or(0, |p| p.sched.frontier_stalls),
         )
         .unwrap();
         points.push((name.to_string(), ev.cycles));
         rep.sched.push(SchedRow {
             workload: name.to_string(),
             cycles: ev.cycles,
-            cycles_compiled: co.cycles,
             sweep_wall_s: sweep_wall,
             event_wall_s: event_wall,
-            compiled_wall_s: compiled_wall,
             sweep_events: sw.sched.events,
             event_events: ev.sched.events,
-            compiled_events: co.sched.events,
             cycles_skipped: ev.sched.cycles_skipped,
             peak_ready: ev.sched.peak_ready,
-            fused_chains: co.sched.fused_chains,
-            fused_chain_nodes: co.sched.fused_chain_nodes,
-            partitions: w.partitions as u64,
-            cycles_part: pa.as_ref().map_or(0, |p| p.cycles),
-            part_wall_s: part_wall,
-            bridge_tokens: pa.as_ref().map_or(0, |p| p.sched.bridge_tokens),
-            frontier_stalls: pa.as_ref().map_or(0, |p| p.sched.frontier_stalls),
         });
     }
     save("sched", &csv);

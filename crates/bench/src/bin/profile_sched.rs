@@ -1,12 +1,12 @@
 //! Profiling helper: runs one scheduler on a fused kernel in a tight loop
 //! so `perf`/`gprofng` see only that scheduler's hot path.
 //!
-//! Usage: `profile_sched <sweep|event|compiled> [reps] [stack]`
+//! Usage: `profile_sched <sweep|event> [reps] [stack]`
 //!
 //! Default workload is the latency-dominated fused GCN (high-latency
 //! DRAM, most nodes idle — the event scheduler's target regime); `stack`
 //! selects the deep activation pipeline on a near memory (every chain
-//! member busy — the compiled backend's direct-push segment regime).
+//! member busy — the ready-set-bound regime).
 
 use fuseflow_core::pipeline::{compile, run};
 use fuseflow_models::{gcn, map_stack, Fusion, GraphDataset};
@@ -17,7 +17,6 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let sched = match args.get(1).map(|s| s.as_str()) {
         Some("sweep") => Scheduler::Sweep,
-        Some("compiled") => Scheduler::Compiled,
         _ => Scheduler::Event,
     };
     let reps: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(20);

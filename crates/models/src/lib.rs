@@ -5,7 +5,8 @@
 //! its unfused / partially fused / fully fused schedules (Appendix C).
 //!
 //! Datasets are synthetic stand-ins matched to Table 2's shapes, sparsity
-//! levels and structure, scaled for simulation feasibility (`DESIGN.md` §4).
+//! levels and structure, scaled for simulation feasibility (ARCHITECTURE.md,
+//! "Substitutions").
 
 use fuseflow_core::ir::Program;
 use fuseflow_core::schedule::Schedule;

@@ -5,7 +5,8 @@
 //! *methodology* with two independently calibrated timing models of the same
 //! dataflow semantics: the Comal backend (HBM-class memory, single-cycle
 //! primitives) and an FPGA backend (BRAM-resident tensors, deeper
-//! initiation intervals, slower effective memory). See `DESIGN.md` §4.
+//! initiation intervals, slower effective memory). See ARCHITECTURE.md,
+//! "Substitutions".
 
 use fuseflow_sam::NodeKind;
 

@@ -11,7 +11,8 @@
 //! * a **random-access latency** for value gathers (row-buffer miss-ish).
 //!
 //! Requests are granted in arrival order; the model returns the cycle at
-//! which the data is available. Substitution rationale: `DESIGN.md` §4.
+//! which the data is available. Substitution rationale: ARCHITECTURE.md,
+//! "Substitutions".
 //!
 //! Channel occupancy is tracked in integer **millibytes served** rather
 //! than a floating-point `busy_until` cycle: `busy_until: f64` accumulated

@@ -37,9 +37,7 @@
 //! shard order, the global cycle count is the max over shard clocks, and
 //! errors are reported for the lowest-indexed failing shard).
 
-use crate::compile::{plan_units, ChanEnds};
 use crate::dram::{AccessKind, Dram};
-use crate::partition::{plan_regions, reaches_writer, step_cost};
 use crate::pool::parallel_map;
 use crate::rebuild::assemble_output;
 use crate::sched::{ReadySet, WakeQueue};
@@ -51,14 +49,12 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Which shard execution loop [`simulate`] runs.
 ///
-/// All three schedulers are **bit-identical** on every graph: the
+/// The two schedulers are **bit-identical** on every graph: the
 /// event-driven engine performs exactly the effective (state-changing)
 /// steps of the sweep, in the same relative order, at the same simulated
-/// cycle — it only skips steps that are provably no-ops — and the compiled
-/// engine additionally fuses chains of adjacent nodes into units whose
-/// extra member steps are no-ops too (see `compile.rs` and
-/// [`Shard::run_compiled`]). The sweep is retained as the
-/// differential-testing oracle (`crates/sim/tests/determinism.rs`).
+/// cycle — it only skips steps that are provably no-ops. The sweep is
+/// retained as the differential-testing oracle
+/// (`crates/sim/tests/determinism.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
     /// Event-driven ready-set + calendar wake queue (the default): only
@@ -67,11 +63,6 @@ pub enum Scheduler {
     Event,
     /// Legacy dense per-cycle sweep: every node steps every cycle.
     Sweep,
-    /// Ahead-of-time compiled: producer-consumer chains are fused into
-    /// units scheduled as a whole, chain-internal channels bypass the
-    /// wake machinery entirely, and each node steps through a flat
-    /// per-rank step-function table instead of generic dispatch.
-    Compiled,
 }
 
 /// Simulation parameters.
@@ -89,14 +80,6 @@ pub struct SimConfig {
     pub threads: usize,
     /// Shard execution loop; `Scheduler::Sweep` is the legacy oracle.
     pub scheduler: Scheduler,
-    /// Spatial regions to split each shard into (`1` = no partitioning).
-    /// With `partitions > 1` the Event and Compiled schedulers run each
-    /// shard as up to this many rank-contiguous regions, pipelined across
-    /// the worker pool when the graph is a single component, with results
-    /// bit-identical to the unpartitioned Event engine (see
-    /// [`Shard::run_partitioned`]). `Scheduler::Sweep` ignores the knob:
-    /// it is the plain differential oracle.
-    pub partitions: usize,
 }
 
 impl Default for SimConfig {
@@ -107,7 +90,6 @@ impl Default for SimConfig {
             max_cycles: 400_000_000,
             threads: 1,
             scheduler: Scheduler::Event,
-            partitions: 1,
         }
     }
 }
@@ -122,12 +104,6 @@ impl SimConfig {
     /// Returns the config with the given shard execution loop.
     pub fn with_scheduler(mut self, scheduler: Scheduler) -> Self {
         self.scheduler = scheduler;
-        self
-    }
-
-    /// Returns the config with the per-shard spatial region count set.
-    pub fn with_partitions(mut self, partitions: usize) -> Self {
-        self.partitions = partitions.max(1);
         self
     }
 }
@@ -174,6 +150,9 @@ impl<S: Into<String>> FromIterator<(S, SparseTensor)> for TensorEnv {
 /// Errors produced by [`simulate`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
+    /// The configuration cannot describe a machine (zero-capacity channels,
+    /// non-positive DRAM bandwidth).
+    Config(String),
     /// The graph failed validation.
     Validation(GraphError),
     /// A tensor slot had no binding in the environment.
@@ -196,6 +175,7 @@ pub enum SimError {
 impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            SimError::Config(m) => write!(f, "invalid simulation config: {m}"),
             SimError::Validation(e) => write!(f, "graph validation failed: {e}"),
             SimError::MissingTensor(n) => write!(f, "no binding for tensor '{n}'"),
             SimError::Deadlock { cycle, detail } => {
@@ -226,11 +206,6 @@ pub struct SimResult {
 /// Sentinel for a channel endpoint with no node attached (test harness
 /// channels that are pre-seeded or captured externally).
 const NO_NODE: u32 = u32::MAX;
-
-/// Bit position splitting a compiled-backend wake target: unit index in
-/// the low bits, member index (< `compile::MAX_UNIT` = 64) above. Encoded
-/// targets stay below `1 << 30`, so they never collide with [`NO_NODE`].
-const MEMBER_SHIFT: u32 = 24;
 
 #[derive(Debug)]
 struct Chan {
@@ -384,37 +359,6 @@ enum StepOutcome {
     Finished,
 }
 
-/// One entry of the compiled backend's flat per-rank step program.
-type StepFn = for<'a, 'b, 'c> fn(&'a mut Rt, &'b mut Ctx<'c>) -> Result<StepOutcome, SimError>;
-
-/// Lowers a node to its step function, specializing on two statically
-/// known properties:
-///
-/// * kinds that never touch `pending_mem` skip the memory-retire phase
-///   and its outcome classification (`step_light*`);
-/// * nodes whose output ports all have fan-out <= 1 use a flush that
-///   moves tokens instead of cloning them and touches each channel once
-///   (`*_fo1`).
-///
-/// Every variant is behaviourally identical to the generic [`Rt::step`]
-/// for the nodes it is selected for.
-fn step_fn(node: &Rt) -> StepFn {
-    let mem = matches!(
-        node.kind,
-        NodeKind::LevelScanner { .. }
-            | NodeKind::Array { .. }
-            | NodeKind::CrdWriter { .. }
-            | NodeKind::ValWriter { .. }
-    );
-    let fo1 = node.out_chans.iter().all(|cs| cs.len() <= 1);
-    match (mem, fo1) {
-        (true, true) => Rt::step_mem_fo1,
-        (true, false) => Rt::step,
-        (false, true) => Rt::step_light_fo1,
-        (false, false) => Rt::step_light,
-    }
-}
-
 impl Rt {
     fn finished(&self) -> bool {
         self.done && self.out_q.iter().all(|q| q.is_empty()) && self.pending_mem.is_empty()
@@ -475,7 +419,9 @@ impl Rt {
     // -- the per-cycle step ------------------------------------------------
 
     /// Phase 1: flush one queued token per output port. Returns
-    /// `(progress, flush_blocked)`.
+    /// `(progress, flush_blocked)`. The token is cloned into all but the
+    /// last fan-out channel and moved into the last, so the common
+    /// fan-out-1 port never clones.
     #[inline]
     fn flush_phase(&mut self, ctx: &mut Ctx) -> (bool, bool) {
         let mut progress = false;
@@ -484,58 +430,23 @@ impl Rt {
             if self.out_q[port].is_empty() {
                 continue;
             }
-            if self.out_chans[port].is_empty() {
+            let Some((&last, rest)) = self.out_chans[port].split_last() else {
                 // Unconnected port: discard.
                 self.out_q[port].clear();
                 continue;
-            }
+            };
             if self.can_flush(ctx, port) {
                 let tok = self.out_q[port].pop_front().expect("nonempty");
                 if tok.is_elem() {
                     self.elems += 1;
                 }
-                for &c in &self.out_chans[port] {
+                for &c in rest {
                     ctx.push_chan(c, tok.clone());
                 }
+                ctx.push_chan(last, tok);
                 progress = true;
             } else {
                 flush_blocked = true;
-            }
-        }
-        (progress, flush_blocked)
-    }
-
-    /// [`Rt::flush_phase`] specialized for nodes whose ports all have
-    /// fan-out <= 1 (selected by [`step_fn`]): each channel is looked up
-    /// once and the token is moved, not cloned. Discarding unconnected
-    /// ports matches the generic path.
-    #[inline]
-    fn flush_phase_fo1(&mut self, ctx: &mut Ctx) -> (bool, bool) {
-        let mut progress = false;
-        let mut flush_blocked = false;
-        for port in 0..self.out_q.len() {
-            if self.out_q[port].is_empty() {
-                continue;
-            }
-            match self.out_chans[port].first() {
-                None => self.out_q[port].clear(),
-                Some(&c) => {
-                    let ch = &mut ctx.chans[c];
-                    if ch.buf.len() < ch.cap {
-                        let tok = self.out_q[port].pop_front().expect("nonempty");
-                        if tok.is_elem() {
-                            self.elems += 1;
-                        }
-                        let reader = ch.reader;
-                        ch.buf.push_back(tok);
-                        if reader != NO_NODE {
-                            ctx.wakes.push(reader);
-                        }
-                        progress = true;
-                    } else {
-                        flush_blocked = true;
-                    }
-                }
             }
         }
         (progress, flush_blocked)
@@ -559,23 +470,8 @@ impl Rt {
 
     fn step(&mut self, ctx: &mut Ctx) -> Result<StepOutcome, SimError> {
         // Phase 1: flush one queued token per output port.
-        let flush = self.flush_phase(ctx);
-        self.step_mem_body(ctx, flush)
-    }
+        let (mut progress, flush_blocked) = self.flush_phase(ctx);
 
-    /// [`Rt::step`] with the fan-out-1 flush (see [`step_fn`]).
-    fn step_mem_fo1(&mut self, ctx: &mut Ctx) -> Result<StepOutcome, SimError> {
-        let flush = self.flush_phase_fo1(ctx);
-        self.step_mem_body(ctx, flush)
-    }
-
-    /// Phases 2-4 of the full step: retire memory, act, classify.
-    #[inline(always)]
-    fn step_mem_body(
-        &mut self,
-        ctx: &mut Ctx,
-        (mut progress, flush_blocked): (bool, bool),
-    ) -> Result<StepOutcome, SimError> {
         // Phase 2: retire completed memory requests into the output queues
         // (or drop them, for writers).
         while let Some((_, ready, _)) = self.pending_mem.front() {
@@ -608,45 +504,6 @@ impl Rt {
         // so `next_wake` is exact here.
         if let Some(t) = self.next_wake(ctx.now) {
             return Ok(StepOutcome::SleepingUntil(t));
-        }
-        Ok(if flush_blocked { StepOutcome::BlockedOutput } else { StepOutcome::BlockedInput })
-    }
-
-    /// [`Rt::step`] specialized for node kinds that never touch
-    /// `pending_mem` (everything except scanners, arrays and writers):
-    /// phase 2 is skipped and the outcome classification collapses to the
-    /// `busy_until` check. Behaviourally identical to `step` for those
-    /// kinds — `pending_mem` is empty for their whole lifetime, so phase 2
-    /// is a no-op and `finished()` / `next_wake()` reduce to the forms
-    /// below.
-    fn step_light(&mut self, ctx: &mut Ctx) -> Result<StepOutcome, SimError> {
-        let flush = self.flush_phase(ctx);
-        self.step_light_body(ctx, flush)
-    }
-
-    /// [`Rt::step_light`] with the fan-out-1 flush (see [`step_fn`]).
-    fn step_light_fo1(&mut self, ctx: &mut Ctx) -> Result<StepOutcome, SimError> {
-        let flush = self.flush_phase_fo1(ctx);
-        self.step_light_body(ctx, flush)
-    }
-
-    /// Act-and-classify tail shared by the `step_light*` variants.
-    #[inline(always)]
-    fn step_light_body(
-        &mut self,
-        ctx: &mut Ctx,
-        (mut progress, flush_blocked): (bool, bool),
-    ) -> Result<StepOutcome, SimError> {
-        debug_assert!(self.pending_mem.is_empty());
-        progress |= self.act_phase(ctx)?;
-        if progress {
-            return Ok(StepOutcome::Progressed);
-        }
-        if self.done && self.out_q.iter().all(|q| q.is_empty()) {
-            return Ok(StepOutcome::Finished);
-        }
-        if self.busy_until > ctx.now {
-            return Ok(StepOutcome::SleepingUntil(self.busy_until));
         }
         Ok(if flush_blocked { StepOutcome::BlockedOutput } else { StepOutcome::BlockedInput })
     }
@@ -1553,224 +1410,6 @@ fn alu_unary(ctx: &mut Ctx, op: AluOp, a: Payload) -> Payload {
 }
 
 // ---------------------------------------------------------------------------
-// Direct-push ALU segments (compiled backend)
-// ---------------------------------------------------------------------------
-
-/// One member of a direct-push segment: a unary, zero-latency ALU with a
-/// single connected input (port 0) and a fan-out-1 output.
-struct SegMember {
-    /// Shard-local node index.
-    node: usize,
-    /// The single connected input channel.
-    in_chan: usize,
-    /// The single output channel.
-    out_chan: usize,
-    op: AluOp,
-}
-
-/// A maximal run (>= 2 members) of direct-push-eligible consecutive chain
-/// members, executed by [`run_alu_segment`] as one monomorphized program.
-struct Segment {
-    /// Member index (rank - unit base) of the first member.
-    s: usize,
-    /// The members' bits in the owning unit's readiness mask.
-    bits: u64,
-    /// In ascending rank order; executed in descending order.
-    members: Vec<SegMember>,
-    /// Same-cycle arm for the tail's flush when its output channel is
-    /// chain-internal: the reader's member bit (it is always the member
-    /// right after the run). Zero when the output is a boundary channel.
-    tail_succ_bit: u64,
-}
-
-/// Executes one activation of a direct-push segment. Returns the number of
-/// member steps taken (for the non-semantic `events` counter).
-///
-/// **Semantics.** Every member except the tail runs in a *merged*
-/// representation: the one-slot `out_q` of the two-phase step is folded
-/// into its output channel, so an action pushes straight into the channel
-/// and the flush phase disappears. The merged channel holds up to
-/// `cap + 1` tokens (channel plus the folded queue slot). Members run in
-/// *descending* rank order so a consumer observes only start-of-cycle
-/// state — tokens its producer pushes this cycle land after the consumer
-/// ran, exactly like the generic path where an acted token becomes
-/// visible only after next cycle's flush.
-///
-/// **Equivalence with the two-phase engine**, per interior channel with
-/// capacity `C` (merged in-flight `I` = channel length here, = channel
-/// length + out_q length there):
-///
-/// * *Act gate.* The generic member acts iff its out_q is empty after the
-///   flush phase, i.e. iff `I_start <= C` (out_q empty: `I = P <= C`
-///   trivially; out_q full: flush succeeds iff `P < C` iff `I = P + 1 <=
-///   C`). The merged gate tests `len + popped_downstream <= C`, where
-///   `popped_downstream` reconstructs the start-of-cycle length after the
-///   consumer (processed earlier, descending) popped.
-/// * *Arrival.* A generic act at `t` lands in the channel at `t + 1`
-///   (flush) and the reader — one rank above — is woken at `t + 1`. The
-///   merged push happens at `t` and arms the consumer's bit for `t + 1`:
-///   same first-visible cycle. Head availability also matches: the
-///   consumer's head exists iff `P_t + flushed_t >= 1` iff `I_t >= 1`
-///   (the only extra merged token is the folded out_q slot at the tail of
-///   the queue, never the head).
-/// * *Input pops.* A member's act fires at the same cycles as the generic
-///   path (same gate, same head availability), so its *input* channel
-///   sees pops at identical cycles — upstream backpressure timing is
-///   unchanged. The first member's input is not segment-internal, so its
-///   pops keep the exact pop-from-full writer wake; interior pops instead
-///   set a `downstream_popped` flag that re-arms a blocked producer
-///   (subsuming the generic pop-from-full wake).
-/// * *Arming parity.* A generic push progresses twice — act at `t`, flush
-///   at `t + 1` — so the member is armed at `t + 1` and `t + 2` even if
-///   no further act happens. The merged path arms `t + 1` directly and
-///   records a `lag` bit whose next no-act visit re-arms once more
-///   ("phantom flush"), keeping the set of cycles with a nonempty ready
-///   set — and hence the deadlock / `MaxCycles` cycle — identical.
-/// * *Stats.* `elems` is counted at channel entry in both models (flush
-///   there, push here); FLOPs come from the same `alu_unary` calls at the
-///   same cycles. Totals agree whenever the stream drains (a chain member
-///   retains queued tokens only if its consumer stops consuming, in which
-///   case the run does not terminate normally anyway).
-///
-/// The tail keeps the generic out_q + flush semantics because its
-/// consumer is a generic step (processed later in ascending order) and
-/// must not observe same-cycle pushes; its flush raises the usual wake
-/// (boundary) or same-cycle successor arm (internal).
-fn run_alu_segment(
-    seg: &Segment,
-    armed: u64,
-    nodes: &mut [Rt],
-    ctx: &mut Ctx,
-    pending: &mut u64,
-    next_mask: &mut u64,
-    lag: &mut u64,
-) -> u64 {
-    let mlen = seg.members.len();
-    // Only armed members are visited (an unarmed member has no fired wake
-    // condition, where a step is a pure no-op — the event engine's own
-    // invariant). Descending bit order; the `last_*` pair reconstructs
-    // the adjacent consumer's same-cycle pop for the producer's gate.
-    let mut a = armed;
-    let mut last_mb = usize::MAX;
-    let mut last_popped = false;
-    while a != 0 {
-        let mb = 63 - a.leading_zeros() as usize;
-        a &= !(1u64 << mb);
-        let i = mb - seg.s;
-        let sm = &seg.members[i];
-        let downstream_popped = last_popped && last_mb == mb + 1;
-        let mbit = 1u64 << mb;
-        let node = &mut nodes[sm.node];
-        let mut popped_in = false;
-        if i + 1 == mlen {
-            // Tail: unchanged two-phase semantics.
-            let mut progressed = false;
-            if !node.out_q[0].is_empty() {
-                let ch = &mut ctx.chans[sm.out_chan];
-                if ch.buf.len() < ch.cap {
-                    let tok = node.out_q[0].pop_front().expect("nonempty");
-                    if tok.is_elem() {
-                        node.elems += 1;
-                    }
-                    let reader = ch.reader;
-                    ch.buf.push_back(tok);
-                    if reader != NO_NODE {
-                        ctx.wakes.push(reader);
-                    } else {
-                        *pending |= seg.tail_succ_bit;
-                    }
-                    progressed = true;
-                }
-            }
-            if node.out_q[0].is_empty() && !node.done {
-                if let Some(tok) = ctx.chans[sm.in_chan].buf.pop_front() {
-                    popped_in = true;
-                    let out = match tok {
-                        Token::Elem(p) => Token::Elem(alu_unary(ctx, sm.op, p)),
-                        Token::Stop(k) => Token::Stop(k),
-                        Token::Done => {
-                            node.done = true;
-                            Token::Done
-                        }
-                    };
-                    node.out_q[0].push_back(out);
-                    progressed = true;
-                }
-            }
-            if progressed {
-                *next_mask |= mbit;
-            }
-        } else {
-            // Interior (or first) member: merged direct push.
-            let mut acted = false;
-            if !node.done {
-                let out_ok = {
-                    let ch = &ctx.chans[sm.out_chan];
-                    ch.buf.len() + downstream_popped as usize <= ch.cap
-                };
-                if out_ok {
-                    let (tok, wake) = {
-                        let ch = &mut ctx.chans[sm.in_chan];
-                        if i == 0 {
-                            // External input: exact pop-from-full wake.
-                            let was_full = ch.buf.len() >= ch.cap;
-                            let tok = ch.buf.pop_front();
-                            let wake = tok.is_some() && was_full && ch.writer != NO_NODE;
-                            let writer = ch.writer;
-                            (tok, wake.then_some(writer))
-                        } else {
-                            (ch.buf.pop_front(), None)
-                        }
-                    };
-                    if let Some(w) = wake {
-                        ctx.wakes.push(w);
-                    }
-                    if let Some(tok) = tok {
-                        popped_in = true;
-                        let out = match tok {
-                            Token::Elem(p) => Token::Elem(alu_unary(ctx, sm.op, p)),
-                            Token::Stop(k) => Token::Stop(k),
-                            Token::Done => {
-                                node.done = true;
-                                Token::Done
-                            }
-                        };
-                        // The direct push *is* the channel entry; the
-                        // generic path counts elems at flush time.
-                        if out.is_elem() {
-                            node.elems += 1;
-                        }
-                        ctx.chans[sm.out_chan].buf.push_back(out);
-                        acted = true;
-                    }
-                }
-            }
-            if acted {
-                // Self re-arm, plus the consumer's arm for next cycle
-                // (when the generic flush would land this token).
-                *next_mask |= mbit | (mbit << 1);
-                *lag |= mbit;
-            } else if *lag & mbit != 0 {
-                // Phantom flush: last cycle's push flushes this cycle in
-                // the two-phase model, which progresses and re-arms once.
-                *lag &= !mbit;
-                *next_mask |= mbit;
-            }
-        }
-        // A pop frees producer space: arm the producer for next cycle (a
-        // superset of the generic pop-from-full writer wake; the producer
-        // no-ops if it was not actually flush-blocked). The first
-        // member's producer is external and woken via `ctx.wakes` above.
-        if popped_in && i > 0 {
-            *next_mask |= mbit >> 1;
-        }
-        last_mb = mb;
-        last_popped = popped_in;
-    }
-    armed.count_ones() as u64
-}
-
-// ---------------------------------------------------------------------------
 // Shards
 // ---------------------------------------------------------------------------
 
@@ -1817,22 +1456,10 @@ fn make_ctx<'a>(
 
 impl Shard {
     /// Runs this shard to completion (all writers finished) or to an error.
-    ///
-    /// `region_workers` is the thread budget for *intra-shard* region
-    /// parallelism; [`simulate`] passes `cfg.threads` for single-shard
-    /// graphs and `1` when the pool is already spent on shard-level
-    /// parallelism. With `cfg.partitions > 1` the Event and Compiled
-    /// loops are replaced by the spatially partitioned executor (which
-    /// falls back to `run_event`, byte-for-byte, when the plan degenerates
-    /// to one region); the Sweep oracle always runs unpartitioned.
-    fn run(&mut self, shared: &Shared<'_>, region_workers: usize) -> Result<(), SimError> {
-        if shared.cfg.partitions > 1 && shared.cfg.scheduler != Scheduler::Sweep {
-            return self.run_partitioned(shared, region_workers);
-        }
+    fn run(&mut self, shared: &Shared<'_>) -> Result<(), SimError> {
         match shared.cfg.scheduler {
             Scheduler::Event => self.run_event(shared),
             Scheduler::Sweep => self.run_sweep(shared),
-            Scheduler::Compiled => self.run_compiled(shared),
         }
     }
 
@@ -1956,392 +1583,6 @@ impl Shard {
         res
     }
 
-    /// The compiled execution loop: chain fusion + flat step programs on
-    /// top of the event scheduler's ready set and calendar queue.
-    ///
-    /// A one-shot compile pass ([`crate::compile::plan_units`]) groups
-    /// maximal producer-consumer chains occupying *consecutive scheduling
-    /// ranks* into units; the loop below is [`Shard::run_event`] at unit
-    /// granularity. Each rank is lowered to an entry in a flat
-    /// step-function table ([`step_fn`]) — `step_light` for kinds that
-    /// never use `pending_mem`, the full `step` otherwise — and channel
-    /// back-pointers are rewritten once: chain-internal channels become
-    /// wake-free, boundary channels point at unit indices.
-    ///
-    /// Within a unit, per-member readiness is a `u64` bitmask (member =
-    /// rank − unit start; units are capped at 64 ranks by the planner), so
-    /// an activation only steps members with a fired wake condition.
-    /// Boundary channel back-pointers encode `(unit, member)` in one `u32`
-    /// ([`MEMBER_SHIFT`]); internal channels drop their *reader*
-    /// back-pointer — push wakes, the overwhelming share of wake traffic,
-    /// are reconstructed from member outcomes instead: a member that
-    /// progresses arms its chain successor in the *same* activation (all
-    /// pushes happen inside a `Progressed` step) and itself for the next
-    /// cycle. The *writer* back-pointer stays (encoded), because pop wakes
-    /// only fire on a pop from a *full* channel — rare enough to record
-    /// exactly. Member timers live in a per-rank `member_wake` table; the
-    /// unit registers the min with the calendar queue.
-    ///
-    /// **Bit-identity with the event engine** (and hence the sweep):
-    ///
-    /// * *Order.* Units are contiguous ascending rank ranges and the drain
-    ///   visits units in ascending index, stepping members in ascending
-    ///   rank, so all steps happen in global ascending-rank order — the
-    ///   sweep's order exactly.
-    /// * *Coverage.* Every wake the event engine would deliver arms the
-    ///   owning member's mask bit. Boundary channels and internal pops
-    ///   carry explicit `(unit, member)` targets through `ctx.wakes`,
-    ///   drained after every member step. An internal channel connects
-    ///   *adjacent* members only (the chain predicate forbids intra-unit
-    ///   skip edges), and every push happens inside a step that reports
-    ///   `Progressed` (actions fill `out_q`; only `flush_phase` pushes,
-    ///   and a push sets `progress`), so the successor-arming rule
-    ///   strictly over-approximates internal push wakes. Same-cycle vs
-    ///   next-cycle routing mirrors the event engine's rank comparison:
-    ///   member index within this unit, unit index across units (units
-    ///   are contiguous rank ranges, so the comparisons agree).
-    ///   `member_wake` is set exactly when the event engine would arm a
-    ///   node timer, deduped to the earliest (like `WakeQueue::timer_at`),
-    ///   and consumed when due, so the calendar queues hold equivalent
-    ///   earliest wakes and the clock trajectory (and the deadlock /
-    ///   `MaxCycles` cycle) coincides.
-    /// * *No extra effects.* A unit activation may step members the event
-    ///   engine would have skipped (the over-approximation above); each
-    ///   such step is in a state with no wake condition fired, where
-    ///   `Rt::step` is a pure no-op (the sweep-equivalence invariant). So
-    ///   effective steps, channel traffic, termination, and failure cycles
-    ///   all coincide; only the non-semantic [`SchedCounters`] differ.
-    ///
-    /// Interior channels still buffer tokens (they are pipeline registers:
-    /// action-to-flush latency and backpressure are part of the timing
-    /// model), so "eliminating" them means eliminating their scheduler
-    /// cost, not their cycle-level semantics; see ARCHITECTURE.md.
-    ///
-    /// On top of the unit machinery, maximal runs of unary zero-latency
-    /// ALU members inside a chain are further lowered to **direct-push
-    /// segments** ([`Segment`], detected below): their two-phase step is
-    /// replaced by a merged single-push program, executed bit-identically
-    /// by [`run_alu_segment`] (equivalence argument on that function).
-    fn run_compiled(&mut self, shared: &Shared<'_>) -> Result<(), SimError> {
-        // ---- compile pass: fuse chains, lower steps, rewrite wakes ----
-        let ins: Vec<Vec<usize>> =
-            self.nodes.iter().map(|n| n.in_chans.iter().flatten().copied().collect()).collect();
-        let outs: Vec<Vec<usize>> =
-            self.nodes.iter().map(|n| n.out_chans.iter().flatten().copied().collect()).collect();
-        let ends: Vec<ChanEnds> =
-            self.chans.iter().map(|c| ChanEnds { writer: c.writer, reader: c.reader }).collect();
-        let plan = plan_units(&self.order, &ins, &outs, &ends);
-        let n = self.order.len();
-        let mut rank_of = vec![0u32; n];
-        for (rank, &node) in self.order.iter().enumerate() {
-            rank_of[node] = rank as u32;
-        }
-        assert!(plan.units.len() < (1 << MEMBER_SHIFT) as usize, "unit index overflow");
-        // Encodes a node as a boundary wake target: unit index in the low
-        // bits, member index (rank - unit start) above MEMBER_SHIFT.
-        let encode = |node: u32| -> u32 {
-            let unit = plan.unit_of_node[node as usize];
-            let member = rank_of[node as usize] - plan.units[unit as usize].start;
-            unit | (member << MEMBER_SHIFT)
-        };
-        for (c, ch) in self.chans.iter_mut().enumerate() {
-            if plan.internal[c] {
-                // Chain-internal: push wakes (one per token) are covered by
-                // the successor-arming rule, so the reader back-pointer is
-                // dropped and pushes bypass the scheduler entirely. Pop
-                // wakes only fire on a pop *from a full channel* — rare
-                // enough that recording them stays cheap, and keeping them
-                // exact avoids re-stepping the producer every cycle.
-                ch.reader = NO_NODE;
-                ch.writer = encode(ch.writer);
-            } else {
-                // Boundary: route wakes straight to the owning member.
-                if ch.reader != NO_NODE {
-                    ch.reader = encode(ch.reader);
-                }
-                if ch.writer != NO_NODE {
-                    ch.writer = encode(ch.writer);
-                }
-            }
-        }
-        let steps: Vec<StepFn> =
-            self.order.iter().map(|&node| step_fn(&self.nodes[node])).collect();
-
-        // ---- direct-push ALU segments ---------------------------------
-        // Within each unit, find maximal runs (>= 2) of consecutive chain
-        // members that are unary zero-latency ALUs with one input and a
-        // fan-out-1 output read by the next run member. Each run executes
-        // as one monomorphized block per activation (`run_alu_segment`):
-        // the interior out_q hop is folded into the channel, so a token
-        // costs one pop + one push instead of a full dispatched two-phase
-        // step. See the equivalence note on `run_alu_segment`.
-        let eligible = |rank: usize| -> Option<SegMember> {
-            let node = self.order[rank];
-            let nd = &self.nodes[node];
-            let NodeKind::Alu { op } = nd.kind else { return None };
-            if op.arity() != 1 || nd.ii_extra != 0 {
-                return None;
-            }
-            if nd.out_chans.len() != 1 || nd.out_chans[0].len() != 1 {
-                return None;
-            }
-            let mut ins = nd.in_chans.iter().enumerate().filter_map(|(p, c)| c.map(|c| (p, c)));
-            match (ins.next(), ins.next()) {
-                (Some((0, in_chan)), None) => {
-                    Some(SegMember { node, in_chan, out_chan: nd.out_chans[0][0], op })
-                }
-                _ => None,
-            }
-        };
-        let mut seg_at = vec![u32::MAX; n];
-        let mut segs: Vec<Segment> = Vec::new();
-        for ur in &plan.units {
-            let (us, ue) = (ur.start as usize, ur.end as usize);
-            let mut r = us;
-            while r < ue {
-                let Some(first) = eligible(r) else {
-                    r += 1;
-                    continue;
-                };
-                let mut members = vec![first];
-                while r + members.len() < ue {
-                    let prev = members.last().expect("nonempty");
-                    // Extend only over channels internal to the chain and
-                    // wired to the next rank's node (within a unit, every
-                    // internal channel connects adjacent members).
-                    if !plan.internal[prev.out_chan] {
-                        break;
-                    }
-                    let Some(nxt) = eligible(r + members.len()) else { break };
-                    if ends[prev.out_chan].reader != nxt.node as u32 {
-                        break;
-                    }
-                    members.push(nxt);
-                }
-                let took = members.len();
-                if took >= 2 {
-                    let s = r - us;
-                    let tail_succ_bit = if plan.internal[members[took - 1].out_chan] {
-                        1u64 << (s + took)
-                    } else {
-                        0
-                    };
-                    let bits = if took == 64 { !0u64 } else { ((1u64 << took) - 1) << s };
-                    seg_at[r..r + took].fill(segs.len() as u32);
-                    segs.push(Segment { s, bits, members, tail_succ_bit });
-                }
-                r += took;
-            }
-        }
-        // Per-segment pending "phantom flush" bits (see `run_alu_segment`).
-        let mut seg_lag = vec![0u64; segs.len()];
-
-        let is_writer: Vec<bool> = self
-            .nodes
-            .iter()
-            .map(|n| matches!(n.kind, NodeKind::CrdWriter { .. } | NodeKind::ValWriter { .. }))
-            .collect();
-        let mut writer_live: Vec<bool> =
-            self.nodes.iter().zip(&is_writer).map(|(n, &w)| w && !n.finished()).collect();
-        let mut live_writers = writer_live.iter().filter(|&&w| w).count();
-
-        let nu = plan.units.len();
-        let mut cur = ReadySet::new(nu);
-        let mut next = ReadySet::new(nu);
-        // Per-unit member readiness for the current / next cycle, and the
-        // per-rank earliest pending timer (`u64::MAX` = none), mirroring
-        // the event engine's `WakeQueue::timer_at` dedup at member level.
-        let mut mask_cur = vec![0u64; nu];
-        let mut mask_next = vec![0u64; nu];
-        let mut member_wake = vec![u64::MAX; n];
-        // Invariant: `unit_wake[u]` == min of `member_wake` over u's
-        // members, so the common no-timer activation skips both member
-        // timer scans with one comparison.
-        let mut unit_wake = vec![u64::MAX; nu];
-        let full_mask = |unit: usize| -> u64 {
-            let r = &plan.units[unit];
-            let len = (r.end - r.start) as u64;
-            if len >= 64 {
-                !0
-            } else {
-                (1 << len) - 1
-            }
-        };
-        for (unit, m) in mask_cur.iter_mut().enumerate() {
-            cur.insert(unit);
-            *m = full_mask(unit);
-        }
-        let mut wakes = WakeQueue::new(nu);
-        let mut counters = SchedCounters {
-            fused_chains: plan.fused_chains,
-            fused_chain_nodes: plan.fused_chain_nodes,
-            ..SchedCounters::default()
-        };
-
-        let order = std::mem::take(&mut self.order);
-        let nodes = &mut self.nodes;
-        let mut ctx = make_ctx(&mut self.chans, &mut self.dram, shared, self.now);
-        let res = 'run: loop {
-            // Drain this cycle's ready units in ascending index; member
-            // steps run in ascending rank (= global sweep order).
-            let mut stepped = 0u64;
-            let mut pos = 0;
-            while let Some(unit) = cur.pop_ge(pos) {
-                pos = unit;
-                let range = plan.units[unit].clone();
-                let base = range.start as usize;
-                let len = (range.end - range.start) as usize;
-                let mut mask = std::mem::take(&mut mask_cur[unit]);
-                // Arm members whose timer is due at this activation; the
-                // `unit_wake` min makes the scan one comparison unless a
-                // timer actually fired.
-                let mut timers_dirty = false;
-                if unit_wake[unit] <= ctx.now {
-                    for m in 0..len {
-                        if member_wake[base + m] <= ctx.now {
-                            member_wake[base + m] = u64::MAX;
-                            mask |= 1 << m;
-                        }
-                    }
-                    timers_dirty = true;
-                }
-                let mut next_mask = 0u64;
-                // Drain set bits in ascending member order (= rank order).
-                let mut pending = mask;
-                while pending != 0 {
-                    let m = pending.trailing_zeros() as usize;
-                    let bit = pending & pending.wrapping_neg();
-                    let rank = base + m;
-                    let si = seg_at[rank];
-                    if si != u32::MAX {
-                        // Direct-push segment: run all members as one
-                        // monomorphized block (idle members no-op cheaply).
-                        let seg = &segs[si as usize];
-                        let armed = pending & seg.bits;
-                        pending &= !seg.bits;
-                        stepped += run_alu_segment(
-                            seg,
-                            armed,
-                            nodes,
-                            &mut ctx,
-                            &mut pending,
-                            &mut next_mask,
-                            &mut seg_lag[si as usize],
-                        );
-                        // Wakes the segment raised (first-member pops,
-                        // tail boundary flushes) target lower same-unit
-                        // members or other units; the shared drain below
-                        // routes them correctly against `bit`.
-                    } else {
-                        pending &= pending - 1;
-                        let node = order[rank];
-                        let outcome = match steps[rank](&mut nodes[node], &mut ctx) {
-                            Ok(o) => o,
-                            Err(e) => break 'run Err(e),
-                        };
-                        stepped += 1;
-                        match outcome {
-                            StepOutcome::Progressed => {
-                                // Step again next cycle; a push may have
-                                // woken the successor (same cycle: higher
-                                // rank). Pop wakes arrive through
-                                // `ctx.wakes` below.
-                                next_mask |= bit;
-                                if m + 1 < len {
-                                    pending |= bit << 1;
-                                }
-                            }
-                            StepOutcome::SleepingUntil(t) => {
-                                let w = &mut member_wake[rank];
-                                *w = (*w).min(t);
-                                timers_dirty = true;
-                            }
-                            StepOutcome::BlockedInput
-                            | StepOutcome::BlockedOutput
-                            | StepOutcome::Finished => {}
-                        }
-                        if writer_live[node] && nodes[node].finished() {
-                            writer_live[node] = false;
-                            live_writers -= 1;
-                        }
-                    }
-                    // Route the wakes this step raised (boundary pushes and
-                    // pops, internal pops-from-full); targets carry encoded
-                    // (unit, member). The event engine's rank comparison
-                    // becomes a member comparison in this unit and a unit
-                    // comparison elsewhere (units are contiguous).
-                    if !ctx.wakes.is_empty() {
-                        for k in 0..ctx.wakes.len() {
-                            let w = ctx.wakes[k];
-                            let u = (w & ((1 << MEMBER_SHIFT) - 1)) as usize;
-                            let wbit = 1u64 << (w >> MEMBER_SHIFT);
-                            if u == unit {
-                                if wbit > bit {
-                                    pending |= wbit;
-                                } else {
-                                    next_mask |= wbit;
-                                }
-                            } else if u > unit {
-                                cur.insert(u);
-                                mask_cur[u] |= wbit;
-                            } else {
-                                next.insert(u);
-                                mask_next[u] |= wbit;
-                            }
-                        }
-                        ctx.wakes.clear();
-                    }
-                }
-                if next_mask != 0 {
-                    next.insert(unit);
-                    mask_next[unit] |= next_mask;
-                }
-                // The unit's calendar timer is the min pending member
-                // timer; recompute only when timers were consumed or armed
-                // this activation (the queue's per-unit dedup keeps the
-                // earliest, so an unchanged future timer stays queued).
-                if timers_dirty {
-                    let sleep =
-                        member_wake[base..base + len].iter().copied().min().unwrap_or(u64::MAX);
-                    unit_wake[unit] = sleep;
-                    if sleep != u64::MAX {
-                        wakes.schedule(ctx.now, sleep, unit as u32);
-                    }
-                }
-            }
-            counters.events += stepped;
-            counters.peak_ready = counters.peak_ready.max(stepped);
-            if live_writers == 0 {
-                ctx.now += 1;
-                break 'run Ok(());
-            }
-            let t_next = if !next.is_empty() {
-                ctx.now + 1
-            } else {
-                match wakes.next_time(ctx.now) {
-                    Some(t) => t,
-                    None => {
-                        let detail = deadlock_detail(nodes, ctx.chans);
-                        break 'run Err(SimError::Deadlock { cycle: ctx.now, detail });
-                    }
-                }
-            };
-            counters.cycles_skipped += t_next - ctx.now - 1;
-            ctx.now = t_next;
-            if ctx.now > ctx.cfg.max_cycles {
-                break 'run Err(SimError::MaxCycles(ctx.cfg.max_cycles));
-            }
-            std::mem::swap(&mut cur, &mut next);
-            std::mem::swap(&mut mask_cur, &mut mask_next);
-            wakes.drain_at(ctx.now, &mut cur);
-        };
-        self.now = ctx.now;
-        self.flops += ctx.flops;
-        self.order = order;
-        self.sched.merge(&counters);
-        res
-    }
-
     /// The legacy dense sweep: every node steps at every visited cycle.
     /// Kept as the differential-testing oracle for the event scheduler
     /// ([`Scheduler::Sweep`]).
@@ -2423,1075 +1664,13 @@ impl Shard {
         self.flops += ctx.flops;
         res
     }
-
-    /// The spatially partitioned execution loop (`cfg.partitions > 1`).
-    ///
-    /// A compile-time pass ([`plan_regions`]) splits the shard's rank
-    /// order into up to `cfg.partitions` balanced contiguous regions; each
-    /// region runs [`Region::burst`] — `run_event`'s loop over its own
-    /// ready sets, calendar queue, and clock — under conservative bounds
-    /// recomputed every round by [`region_exchange`]. Cut channels become
-    /// time-bridged SPSC queues: pushes replay into the reader's region at
-    /// their recorded cycle, pops flow back as credits that replay the
-    /// pop-from-full writer wake at its exact cycle. With
-    /// `region_workers > 1` the rounds run on persistent scoped workers
-    /// separated by two barriers (bursts in parallel, exchange
-    /// serialized on worker 0).
-    ///
-    /// **Bit-identity with `run_event`** (and hence the sweep): regions
-    /// drain whole cycles in ascending local rank, and rank-contiguity
-    /// makes region order = rank order, so the union of all drains
-    /// replays the single-threaded steps in (cycle, rank) order. The
-    /// exchange bounds enforce the three interleaving hazards away:
-    ///
-    /// * a region drains cycle `t` past an upstream bridge's flush
-    ///   frontier only while the bridge channel holds at least
-    ///   [`BRIDGE_LOOKAHEAD`] visible tokens — no node examines an input
-    ///   channel deeper than that in one step, so undelivered in-flight
-    ///   pushes (which all carry cycles at or past the frontier, and
-    ///   append *behind* the visible tokens on arrival) cannot change any
-    ///   step outcome. Below the frontier, arrivals materialize before
-    ///   the drain — exactly when the lower-ranked writer's push would
-    ///   land. Reader pops flow back as `(cycle, pops)` credits that the
-    ///   writer's region consumes lazily as its own clock passes them,
-    ///   keeping the occupancy mirror and the pop-from-full writer wake
-    ///   exact at the writer's local time;
-    /// * a region never drains past the *termination license*, a sound
-    ///   lower bound on the single-threaded completion cycle, so no
-    ///   region executes a cycle the single-threaded engine would not
-    ///   (licensed regions are those that still gate a writer's `Done`);
-    /// * regions holding DRAM-capable unfinished nodes serialize through
-    ///   the frontier-ordered DRAM gate, so shared-channel requests issue
-    ///   in global (cycle, rank) order — the single-threaded arrival
-    ///   order.
-    ///
-    /// Stall classification reproduces `run_event`'s endings exactly: all
-    /// writers finished stops at `max(region clock) + 1`; a global stall
-    /// with no pending event anywhere is the deadlock at `max(region
-    /// clock)` with the same diagnostic (inboxes are provably drained
-    /// then, so reader-side channel lengths equal the single-threaded
-    /// residuals); pending events beyond the budget are `MaxCycles`.
-    /// Under `Scheduler::Compiled` the regions still run event-granularity
-    /// steps (chain fusion is a per-shard whole-graph pass), so the
-    /// compiled-only `fused_*` counters stay zero — a non-semantic
-    /// difference by construction.
-    fn run_partitioned(
-        &mut self,
-        shared: &Shared<'_>,
-        region_workers: usize,
-    ) -> Result<(), SimError> {
-        let n = self.order.len();
-        let mut rank_of = vec![0u32; self.nodes.len()];
-        for (rank, &node) in self.order.iter().enumerate() {
-            rank_of[node] = rank as u32;
-        }
-        let mut edges = Vec::new();
-        for ch in &self.chans {
-            if ch.writer != NO_NODE && ch.reader != NO_NODE {
-                edges.push((
-                    rank_of[ch.writer as usize] as usize,
-                    rank_of[ch.reader as usize] as usize,
-                ));
-            }
-        }
-        let costs: Vec<u64> =
-            self.order.iter().map(|&nd| step_cost(&self.nodes[nd].kind)).collect();
-        let spans = plan_regions(&costs, &edges, shared.cfg.partitions);
-        if spans.len() <= 1 {
-            // Degenerate plan (single-node shard): the stock loops *are*
-            // the partitioned schedule.
-            return match shared.cfg.scheduler {
-                Scheduler::Compiled => self.run_compiled(shared),
-                _ => self.run_event(shared),
-            };
-        }
-        let is_writer_rank: Vec<bool> = self
-            .order
-            .iter()
-            .map(|&nd| {
-                matches!(
-                    self.nodes[nd].kind,
-                    NodeKind::CrdWriter { .. } | NodeKind::ValWriter { .. }
-                )
-            })
-            .collect();
-        let reach = reaches_writer(n, &edges, &is_writer_rank);
-        let mut region_of_rank = vec![0usize; n];
-        for (ri, span) in spans.iter().enumerate() {
-            for rank in span.clone() {
-                region_of_rank[rank] = ri;
-            }
-        }
-
-        let n_chans = self.chans.len();
-        let node_count = self.nodes.len();
-        let orig_endpoints: Vec<(u32, u32)> =
-            self.chans.iter().map(|c| (c.writer, c.reader)).collect();
-        let mut chan_slots: Vec<Option<Chan>> = self.chans.drain(..).map(Some).collect();
-        let mut node_slots: Vec<Option<Rt>> = self.nodes.drain(..).map(Some).collect();
-
-        let mut regions: Vec<Region> = spans
-            .iter()
-            .map(|span| {
-                let len = span.len();
-                let mut cur = ReadySet::new(len);
-                for r in 0..len {
-                    cur.insert(r);
-                }
-                Region {
-                    nodes: Vec::with_capacity(len),
-                    chans: Vec::new(),
-                    orig_node: Vec::with_capacity(len),
-                    orig_ports: Vec::with_capacity(len),
-                    orig_chan: Vec::new(),
-                    in_bridges: Vec::new(),
-                    out_bridges: Vec::new(),
-                    dram_nodes: Vec::new(),
-                    cur,
-                    next: ReadySet::new(len),
-                    wakes: WakeQueue::new(len),
-                    now: 0,
-                    cur_pending: true,
-                    writer_live: Vec::with_capacity(len),
-                    live_writers: 0,
-                    flops: 0,
-                    counters: SchedCounters::default(),
-                    allowed: 0,
-                    license: 0,
-                    use_shared_dram: false,
-                }
-            })
-            .collect();
-
-        // Distribute channels: internal ones move whole; a cut channel
-        // becomes the channel proper on the reader side plus an occupancy
-        // mirror on the writer side, linked by a bridge record.
-        let mut reader_local = vec![usize::MAX; n_chans];
-        let mut writer_local = vec![usize::MAX; n_chans];
-        for (cid, slot) in chan_slots.iter_mut().enumerate() {
-            let ch = slot.take().expect("channel moved twice");
-            debug_assert!(
-                ch.writer != NO_NODE && ch.reader != NO_NODE,
-                "graph channels have both endpoints"
-            );
-            let w_rank = rank_of[ch.writer as usize] as usize;
-            let r_rank = rank_of[ch.reader as usize] as usize;
-            let (wr, rr) = (region_of_rank[w_rank], region_of_rank[r_rank]);
-            let w_local = (w_rank - spans[wr].start) as u32;
-            let r_local = (r_rank - spans[rr].start) as u32;
-            if wr == rr {
-                let r = &mut regions[wr];
-                let id = r.chans.len();
-                r.chans.push(Chan { buf: ch.buf, cap: ch.cap, reader: r_local, writer: w_local });
-                r.orig_chan.push(Some(cid));
-                reader_local[cid] = id;
-                writer_local[cid] = id;
-            } else {
-                debug_assert!(wr < rr, "cut channels must flow forward in rank order");
-                debug_assert!(ch.buf.is_empty(), "fresh shard channels start empty");
-                let rin = regions[rr].chans.len();
-                regions[rr].chans.push(Chan {
-                    buf: VecDeque::new(),
-                    cap: ch.cap,
-                    reader: r_local,
-                    writer: NO_NODE,
-                });
-                regions[rr].orig_chan.push(Some(cid));
-                reader_local[cid] = rin;
-                let rout = regions[wr].chans.len();
-                regions[wr].chans.push(Chan {
-                    buf: ch.buf,
-                    cap: ch.cap,
-                    reader: NO_NODE,
-                    writer: w_local,
-                });
-                regions[wr].orig_chan.push(None);
-                writer_local[cid] = rout;
-                let in_idx = regions[rr].in_bridges.len();
-                let out_idx = regions[wr].out_bridges.len();
-                regions[rr].in_bridges.push(InBridge {
-                    chan: rin,
-                    inbox: VecDeque::new(),
-                    len_at_start: 0,
-                    credits: Vec::new(),
-                    src_region: wr,
-                    src_out: out_idx,
-                    flushed_src: 0,
-                });
-                regions[wr].out_bridges.push(OutBridge {
-                    chan: rout,
-                    outbox: Vec::new(),
-                    seen_len: 0,
-                    push_cycles: VecDeque::new(),
-                    acks: VecDeque::new(),
-                    done_sent: false,
-                    feeds_writer: reach[r_rank],
-                    dst_region: rr,
-                    dst_in: in_idx,
-                    dst_done_to: 0,
-                });
-            }
-        }
-
-        // Move nodes into regions in rank order (local node id = local
-        // rank), ports remapped to region-local channel ids.
-        for (ri, span) in spans.iter().enumerate() {
-            for rank in span.clone() {
-                let nd = self.order[rank];
-                let mut rt = node_slots[nd].take().expect("node moved twice");
-                let orig_in = rt.in_chans.clone();
-                let orig_out = rt.out_chans.clone();
-                for id in rt.in_chans.iter_mut().flatten() {
-                    *id = reader_local[*id];
-                }
-                for port in rt.out_chans.iter_mut() {
-                    for id in port.iter_mut() {
-                        *id = writer_local[*id];
-                    }
-                }
-                let r = &mut regions[ri];
-                let live = is_writer_rank[rank] && !rt.finished();
-                r.writer_live.push(live);
-                if live {
-                    r.live_writers += 1;
-                }
-                if dram_capable(&rt.kind, shared) {
-                    r.dram_nodes.push(r.nodes.len());
-                }
-                r.orig_node.push(nd);
-                r.orig_ports.push((orig_in, orig_out));
-                r.nodes.push(rt);
-            }
-        }
-
-        // Round loop: exchange, then one burst per region, repeat.
-        let mut control = PartControl { stop: None, fail: None, bridge_tokens: 0 };
-        let workers = region_workers.clamp(1, regions.len());
-        if workers == 1 {
-            let mut dummy = Dram::new(1.0, 0, 0);
-            let mut refs: Vec<&mut Region> = regions.iter_mut().collect();
-            loop {
-                region_exchange(&mut refs, &mut control, shared.cfg);
-                if control.stop.is_some() {
-                    break;
-                }
-                for (ri, r) in refs.iter_mut().enumerate() {
-                    let res = if r.use_shared_dram {
-                        r.burst(shared, &mut self.dram)
-                    } else {
-                        let res = r.burst(shared, &mut dummy);
-                        debug_assert_eq!(
-                            dummy.read_bytes() + dummy.write_bytes(),
-                            0,
-                            "non-DRAM region issued a memory request"
-                        );
-                        res
-                    };
-                    if let Err(e) = res {
-                        if control.fail.is_none() {
-                            control.fail = Some((ri, e));
-                        }
-                    }
-                }
-            }
-        } else {
-            let shard_dram =
-                std::sync::Mutex::new(std::mem::replace(&mut self.dram, Dram::new(1.0, 0, 0)));
-            let mutexes: Vec<std::sync::Mutex<Region>> =
-                regions.into_iter().map(std::sync::Mutex::new).collect();
-            let controlm = std::sync::Mutex::new(control);
-            let stop_flag = std::sync::atomic::AtomicBool::new(false);
-            let barrier = SpinBarrier::new(workers);
-            std::thread::scope(|s| {
-                for w in 0..workers {
-                    let (mutexes, controlm, barrier, shard_dram, stop_flag) =
-                        (&mutexes, &controlm, &barrier, &shard_dram, &stop_flag);
-                    s.spawn(move || {
-                        let mut dummy = Dram::new(1.0, 0, 0);
-                        loop {
-                            if w == 0 {
-                                let mut guards: Vec<_> =
-                                    mutexes.iter().map(|m| m.lock().unwrap()).collect();
-                                let mut refs: Vec<&mut Region> =
-                                    guards.iter_mut().map(|g| &mut **g).collect();
-                                let mut ctl = controlm.lock().unwrap();
-                                region_exchange(&mut refs, &mut ctl, shared.cfg);
-                                if ctl.stop.is_some() {
-                                    stop_flag.store(true, std::sync::atomic::Ordering::Release);
-                                }
-                            }
-                            barrier.wait();
-                            if stop_flag.load(std::sync::atomic::Ordering::Acquire) {
-                                break;
-                            }
-                            for ri in (w..mutexes.len()).step_by(workers) {
-                                let mut r = mutexes[ri].lock().unwrap();
-                                let res = if r.use_shared_dram {
-                                    // Uncontended by the DRAM-order gate:
-                                    // at most one region per round.
-                                    let mut d = shard_dram.lock().unwrap();
-                                    r.burst(shared, &mut d)
-                                } else {
-                                    let res = r.burst(shared, &mut dummy);
-                                    debug_assert_eq!(
-                                        dummy.read_bytes() + dummy.write_bytes(),
-                                        0,
-                                        "non-DRAM region issued a memory request"
-                                    );
-                                    res
-                                };
-                                if let Err(e) = res {
-                                    let mut ctl = controlm.lock().unwrap();
-                                    match &ctl.fail {
-                                        Some((i, _)) if *i <= ri => {}
-                                        _ => ctl.fail = Some((ri, e)),
-                                    }
-                                }
-                            }
-                            barrier.wait();
-                        }
-                    });
-                }
-            });
-            regions = mutexes.into_iter().map(|m| m.into_inner().unwrap()).collect();
-            self.dram = shard_dram.into_inner().unwrap();
-            control = controlm.into_inner().unwrap();
-        }
-
-        // Write regions back into the shard: nodes at their original
-        // indices with original port tables, channels at their original
-        // ids (reader side of each bridge) with original back-pointers.
-        let stop = control.stop.take().expect("round loop exits only on a stop");
-        let max_now = regions.iter().map(|r| r.now).max().unwrap_or(0);
-        self.sched.partition_regions += regions.len() as u64;
-        self.sched.bridge_tokens += control.bridge_tokens;
-        let mut nodes_back: Vec<Option<Rt>> = (0..node_count).map(|_| None).collect();
-        let mut chans_back: Vec<Option<Chan>> = (0..n_chans).map(|_| None).collect();
-        for r in regions {
-            self.flops += r.flops;
-            self.sched.merge(&r.counters);
-            for ((mut rt, orig), (in_c, out_c)) in
-                r.nodes.into_iter().zip(r.orig_node).zip(r.orig_ports)
-            {
-                rt.in_chans = in_c;
-                rt.out_chans = out_c;
-                nodes_back[orig] = Some(rt);
-            }
-            for (mut ch, orig) in r.chans.into_iter().zip(r.orig_chan) {
-                if let Some(cid) = orig {
-                    (ch.writer, ch.reader) = orig_endpoints[cid];
-                    chans_back[cid] = Some(ch);
-                }
-            }
-        }
-        self.nodes = nodes_back.into_iter().map(|s| s.expect("every node restored")).collect();
-        self.chans = chans_back.into_iter().map(|s| s.expect("every channel restored")).collect();
-
-        match stop {
-            PartStop::AllWritersDone => {
-                self.now = max_now + 1;
-                Ok(())
-            }
-            PartStop::Deadlock => {
-                self.now = max_now;
-                let detail = deadlock_detail(&self.nodes, &self.chans);
-                Err(SimError::Deadlock { cycle: max_now, detail })
-            }
-            PartStop::Budget => {
-                self.now = max_now;
-                Err(SimError::MaxCycles(shared.cfg.max_cycles))
-            }
-            PartStop::Fail(e) => Err(e),
-        }
-    }
 }
 
-// ---------------------------------------------------------------------------
-// Partitioned executor (SimConfig::partitions)
-// ---------------------------------------------------------------------------
-
-/// The deepest look a single node step can take into one input channel:
-/// `act_repeat` peeks (and pops) up to two tokens from its base port;
-/// every other action examines only the front token. A reader region may
-/// therefore drain a cycle past an upstream flush frontier whenever this
-/// many tokens are visible on the bridge channel — any in-flight push
-/// would append behind them and cannot change the step's outcome.
-const BRIDGE_LOOKAHEAD: usize = 2;
-
-/// Reader-side endpoint of a time-bridged cut channel. The region-local
-/// channel (`chan`) plays the single-threaded channel's role for the
-/// reader: tokens at or below the upstream flush frontier are materialized
-/// into it at exactly the cycle the writer pushed them; beyond the
-/// frontier the reader keeps draining off buffered tokens (see
-/// [`BRIDGE_LOOKAHEAD`]) and late arrivals simply append. Pops are
-/// reported back to the writer's region as `(cycle, pops)` credits.
-struct InBridge {
-    /// Region-local channel id (writer back-pointer is [`NO_NODE`]).
-    chan: usize,
-    /// Delivered but not yet materialized `(push cycle, token)` entries.
-    inbox: VecDeque<(u64, Token)>,
-    /// Channel length right after materialization this cycle (credit base).
-    len_at_start: usize,
-    /// Pops recorded this burst: `(cycle, pops)`.
-    credits: Vec<(u64, u32)>,
-    /// Owning region of the writer endpoint.
-    src_region: usize,
-    /// Index of the peer [`OutBridge`] in that region.
-    src_out: usize,
-    /// Exchange-set flush frontier of the writer's region (exclusive):
-    /// cycles `< flushed_src` have every upstream push delivered; draining
-    /// at or past it requires [`BRIDGE_LOOKAHEAD`] visible tokens.
-    flushed_src: u64,
-}
-
-/// Writer-side endpoint of a time-bridged cut channel. The region-local
-/// channel retains pushed tokens for occupancy (backpressure) until the
-/// reader's credits pop them; pushes are recorded with their cycle and
-/// shipped to the reader's inbox at the next exchange.
-struct OutBridge {
-    /// Region-local channel id (reader back-pointer is [`NO_NODE`]).
-    chan: usize,
-    /// Pushes not yet shipped: `(push cycle, token)`.
-    outbox: Vec<(u64, Token)>,
-    /// Channel length at the last bookkeeping point (push detection).
-    seen_len: usize,
-    /// Push cycle of every token still in the occupancy mirror (parallel
-    /// to the mirror channel's buffer, FIFO).
-    push_cycles: VecDeque<u64>,
-    /// Received reader credits not yet consumed: `(pop cycle, pops)`,
-    /// strictly increasing in cycle. A credit is consumed only once this
-    /// region's clock passes its pop cycle, so the mirror's occupancy (and
-    /// the pop-from-full writer wake, recomputed here from `push_cycles`)
-    /// stays exact at the writer's local time even when the reader has
-    /// drained far ahead off buffered tokens.
-    acks: VecDeque<(u64, u32)>,
-    /// Whether the stream-terminating [`Token::Done`] has been pushed.
-    done_sent: bool,
-    /// Whether any writer node is statically reachable from the reader
-    /// (termination-license term; see [`Shard::run_partitioned`]).
-    feeds_writer: bool,
-    /// Owning region of the reader endpoint.
-    dst_region: usize,
-    /// Index of the peer [`InBridge`] in that region.
-    dst_in: usize,
-    /// Exchange snapshot of the reader region's flush frontier: every
-    /// reader pop below it is already credited, and future pops land at
-    /// or past it. While the mirror channel is at capacity, the writer
-    /// may only drain cycles `<=` this (its occupancy view is exact
-    /// through it).
-    dst_done_to: u64,
-}
-
-/// A node's original `(in_chans, out_chans)` port tables, restored on
-/// write-back.
-type PortTables = (Vec<Option<usize>>, Vec<Vec<usize>>);
-
-/// One rank-contiguous span of a shard running as its own event-scheduler
-/// instance: private ready sets, calendar queue, and clock. Local node ids
-/// equal local ranks (nodes are stored in rank order).
-struct Region {
-    nodes: Vec<Rt>,
-    chans: Vec<Chan>,
-    /// Local node id -> original shard node id (write-back map).
-    orig_node: Vec<usize>,
-    /// Local node id -> original `(in_chans, out_chans)` (restored on
-    /// write-back so shard-level diagnostics see original channel ids).
-    orig_ports: Vec<PortTables>,
-    /// Local chan id -> original shard chan id; `None` for the writer-side
-    /// mirror of a cut channel (the reader side owns the original id).
-    orig_chan: Vec<Option<usize>>,
-    in_bridges: Vec<InBridge>,
-    out_bridges: Vec<OutBridge>,
-    /// Local node ids that can issue DRAM requests (static; see
-    /// [`dram_capable`]).
-    dram_nodes: Vec<usize>,
-    cur: ReadySet,
-    next: ReadySet,
-    wakes: WakeQueue,
-    /// Last cycle whose ready set was (or is being) drained.
-    now: u64,
-    /// True while `cur` holds cycle `now` not yet drained.
-    cur_pending: bool,
-    writer_live: Vec<bool>,
-    live_writers: usize,
-    flops: u64,
-    counters: SchedCounters,
-    /// Exchange-computed bound (exclusive): the next burst may only drain
-    /// cycles `< allowed` (folds upstream flush frontiers, the DRAM-order
-    /// gate, and `max_cycles`).
-    allowed: u64,
-    /// Exchange-computed termination license, exclusive (see the protocol
-    /// notes in [`region_exchange`]).
-    license: u64,
-    /// Whether this burst must use the shard's real DRAM channel.
-    use_shared_dram: bool,
-}
-
-/// Whether a node kind can ever call `Dram::request`, given the location
-/// tables. This mirrors the request sites in `act_scan` (compressed level
-/// of a DRAM-resident tensor), `act_array` (DRAM-resident tensor), and
-/// `act_writer` (DRAM-resident output) exactly.
-fn dram_capable(kind: &NodeKind, shared: &Shared<'_>) -> bool {
-    match kind {
-        NodeKind::LevelScanner { tensor, level } => {
-            shared.tensor_locs[*tensor] == MemLocation::Dram
-                && matches!(shared.tensors[*tensor].level(*level), Level::Compressed { .. })
-        }
-        NodeKind::Array { tensor } => shared.tensor_locs[*tensor] == MemLocation::Dram,
-        NodeKind::CrdWriter { output, .. } => shared.output_locs[*output] == MemLocation::Dram,
-        NodeKind::ValWriter { output } => shared.output_locs[*output] == MemLocation::Dram,
-        _ => false,
-    }
-}
-
-/// Why the partitioned round loop stopped.
-enum PartStop {
-    /// Every writer finished: the clean termination `run_event` reaches.
-    AllWritersDone,
-    /// No region holds any pending event (deadlock at `max(region now)`).
-    Deadlock,
-    /// Every pending event lies beyond `cfg.max_cycles`.
-    Budget,
-    /// A node step failed (lowest region index wins, deterministically).
-    Fail(SimError),
-}
-
-/// A sense-reversing barrier that spins briefly and then yields instead
-/// of parking on a condvar. Partitioned rounds are short (tens of
-/// microseconds of burst work between two barrier crossings), so the
-/// hundreds-of-microseconds wake latency of `std::sync::Barrier`'s
-/// condvar dominates wall-clock; spinning costs nanoseconds when a core
-/// is free and degrades to `yield_now` timeslice handoff when
-/// oversubscribed.
-struct SpinBarrier {
-    arrived: std::sync::atomic::AtomicUsize,
-    generation: std::sync::atomic::AtomicUsize,
-    n: usize,
-}
-
-impl SpinBarrier {
-    fn new(n: usize) -> Self {
-        SpinBarrier {
-            arrived: std::sync::atomic::AtomicUsize::new(0),
-            generation: std::sync::atomic::AtomicUsize::new(0),
-            n,
-        }
-    }
-
-    /// Blocks until all `n` threads have called `wait` for this
-    /// generation. Release/acquire pairs on both counters make every
-    /// write before any thread's `wait` visible to every thread after.
-    fn wait(&self) {
-        use std::sync::atomic::Ordering;
-        let gen = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
-            self.arrived.store(0, Ordering::Release);
-            self.generation.store(gen.wrapping_add(1), Ordering::Release);
-        } else {
-            let mut spins = 0u32;
-            while self.generation.load(Ordering::Acquire) == gen {
-                spins += 1;
-                if spins < 128 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-}
-
-/// Cross-round coordination state (guarded by one mutex when threaded).
-struct PartControl {
-    stop: Option<PartStop>,
-    fail: Option<(usize, SimError)>,
-    bridge_tokens: u64,
-}
-
-impl Region {
-    /// The next cycle this region has local work for: the pending ready
-    /// set, next-cycle ready set, earliest calendar wake, earliest
-    /// unmaterialized bridge arrival, or earliest pending pop-from-full
-    /// writer wake held in an out-bridge's credit queue. `u64::MAX` =
-    /// idle.
-    fn next_event(&self) -> u64 {
-        if self.cur_pending {
-            return self.now;
-        }
-        let mut t = u64::MAX;
-        if !self.next.is_empty() {
-            t = self.now + 1;
-        }
-        if let Some(w) = self.wakes.next_time(self.now) {
-            t = t.min(w);
-        }
-        for ib in &self.in_bridges {
-            if let Some(&(c, _)) = ib.inbox.front() {
-                t = t.min(c);
-            }
-        }
-        for ob in &self.out_bridges {
-            if let Some(w) = self.ack_wake_time(ob) {
-                t = t.min(w);
-            }
-        }
-        t
-    }
-
-    /// Earliest pop-from-full writer wake among `ob`'s unconsumed credits:
-    /// replays the credit consumption prospectively (in order, without
-    /// mutating) and returns `pop cycle + 1` for the first pop that found
-    /// the true channel at capacity — the channel held `cap` tokens all
-    /// pushed at or before the pop cycle.
-    fn ack_wake_time(&self, ob: &OutBridge) -> Option<u64> {
-        let cap = self.chans[ob.chan].cap;
-        let mut consumed = 0usize;
-        for &(p, pops) in &ob.acks {
-            let unacked = ob.push_cycles.len() - consumed;
-            if unacked < cap {
-                // `consumed` only grows along the scan, so occupancy can
-                // never climb back to capacity: no later ack qualifies.
-                break;
-            }
-            if ob.push_cycles[consumed + cap - 1] <= p {
-                return Some(p + 1);
-            }
-            consumed += pops as usize;
-        }
-        None
-    }
-
-    /// Consumes every credit whose pop cycle the region clock has passed:
-    /// pops the occupancy mirror (the reader really held those tokens
-    /// before this clock cycle) and replays the single-threaded
-    /// pop-from-full writer wake. A full pop at cycle `p` always wakes the
-    /// writer at `p + 1 == now` with the cycle still pending — the burst
-    /// gate never lets a writer run past a frontier that could owe it a
-    /// wake — so the wake is a plain ready-set insert.
-    fn consume_acks(&mut self) {
-        for ob in self.out_bridges.iter_mut() {
-            while let Some(&(p, pops)) = ob.acks.front() {
-                if p + 1 > self.now {
-                    break;
-                }
-                let ch = &mut self.chans[ob.chan];
-                let was_full = ob.push_cycles.len() >= ch.cap && ob.push_cycles[ch.cap - 1] <= p;
-                ob.acks.pop_front();
-                for _ in 0..pops {
-                    let popped = ch.buf.pop_front();
-                    debug_assert!(popped.is_some(), "credit for a token the mirror never held");
-                    ob.push_cycles.pop_front();
-                }
-                debug_assert_eq!(ob.push_cycles.len(), ch.buf.len(), "mirror ledgers in sync");
-                ob.seen_len = ch.buf.len();
-                if was_full {
-                    debug_assert!(
-                        p + 1 == self.now && self.cur_pending,
-                        "pop-from-full wake for an already-drained writer cycle"
-                    );
-                    self.cur.insert(ch.writer as usize);
-                }
-            }
-        }
-    }
-
-    /// Whether the region currently holds its own termination-license
-    /// term: a live local writer, or an unterminated out-bridge whose
-    /// reader can reach a writer. Such a region is licensed to its own
-    /// frontier and may run ahead without a fresh global license.
-    fn self_licensed(&self) -> bool {
-        self.live_writers > 0 || self.out_bridges.iter().any(|ob| ob.feeds_writer && !ob.done_sent)
-    }
-
-    /// Whether the region can issue DRAM requests right now.
-    fn dram_active(&self) -> bool {
-        self.dram_nodes.iter().any(|&i| !self.nodes[i].done)
-    }
-
-    /// Runs this region's event loop as far as the exchange-computed
-    /// bounds permit. Each drained cycle replays exactly the steps the
-    /// unpartitioned engine performs for these ranks at that cycle: bridge
-    /// arrivals are materialized into the local channel at their recorded
-    /// push cycle (before the drain, matching the single-threaded order in
-    /// which the lower-ranked writer pushes before the reader steps), and
-    /// the drain itself is `run_event`'s inner loop verbatim.
-    fn burst(&mut self, shared: &Shared<'_>, dram: &mut Dram) -> Result<(), SimError> {
-        loop {
-            // The next cycle to drain, and the gates that may forbid it.
-            let target = if self.cur_pending { self.now } else { self.next_event() };
-            if target == u64::MAX {
-                return Ok(()); // idle: nothing queued anywhere
-            }
-            let mut bound = self.allowed;
-            if !self.self_licensed() {
-                bound = bound.min(self.license);
-            }
-            for ob in &self.out_bridges {
-                let ch = &self.chans[ob.chan];
-                if ch.buf.len() >= ch.cap {
-                    // Full occupancy mirror: the reader's earliest
-                    // unreported future pop is at or after its flush
-                    // frontier, freeing space one cycle later — so a
-                    // blocked push outcome is only certain for cycles up
-                    // to that frontier.
-                    bound = bound.min(ob.dst_done_to.saturating_add(1));
-                }
-            }
-            let mut stalled = target >= bound;
-            if !stalled {
-                for ib in &self.in_bridges {
-                    if target < ib.flushed_src {
-                        continue; // every push for `target` is delivered
-                    }
-                    // Past the upstream frontier, in-flight pushes may
-                    // exist — but they all carry cycles >= the frontier
-                    // and append behind the visible tokens, so draining
-                    // stays exact while a step's deepest possible look
-                    // into the channel is covered by what is visible now
-                    // (buffered plus inbox entries due by `target`).
-                    let mut avail = self.chans[ib.chan].buf.len();
-                    for &(c, _) in ib.inbox.iter() {
-                        if c > target || avail >= BRIDGE_LOOKAHEAD {
-                            break;
-                        }
-                        avail += 1;
-                    }
-                    if avail < BRIDGE_LOOKAHEAD {
-                        stalled = true;
-                        break;
-                    }
-                }
-            }
-            if stalled {
-                self.counters.frontier_stalls += 1;
-                return Ok(());
-            }
-
-            if !self.cur_pending {
-                self.counters.cycles_skipped += target - self.now - 1;
-                self.now = target;
-                std::mem::swap(&mut self.cur, &mut self.next);
-                self.wakes.drain_at(self.now, &mut self.cur);
-                self.cur_pending = true;
-                self.consume_acks();
-            }
-
-            // Materialize bridge arrivals for this cycle: a direct buffer
-            // push (the token was already counted by its producer's flush)
-            // plus the reader wake every push raises.
-            for ib in self.in_bridges.iter_mut() {
-                while let Some(&(c, _)) = ib.inbox.front() {
-                    debug_assert!(c >= self.now, "bridge arrival for an already-drained cycle");
-                    if c > self.now {
-                        break;
-                    }
-                    let (_, tok) = ib.inbox.pop_front().expect("peeked entry");
-                    let ch = &mut self.chans[ib.chan];
-                    ch.buf.push_back(tok);
-                    self.cur.insert(ch.reader as usize);
-                }
-                ib.len_at_start = self.chans[ib.chan].buf.len();
-            }
-
-            // Drain the cycle in ascending local rank (local node id =
-            // local rank), mirroring `run_event`.
-            let mut ctx = make_ctx(&mut self.chans, dram, shared, self.now);
-            let mut stepped = 0u64;
-            let mut pos = 0;
-            let mut res = Ok(());
-            while let Some(rank) = self.cur.pop_ge(pos) {
-                pos = rank;
-                let outcome = match self.nodes[rank].step(&mut ctx) {
-                    Ok(o) => o,
-                    Err(e) => {
-                        res = Err(e);
-                        break;
-                    }
-                };
-                stepped += 1;
-                for k in 0..ctx.wakes.len() {
-                    let w = ctx.wakes[k] as usize;
-                    if w > rank {
-                        self.cur.insert(w);
-                    } else {
-                        self.next.insert(w);
-                    }
-                }
-                ctx.wakes.clear();
-                match outcome {
-                    StepOutcome::Progressed => self.next.insert(rank),
-                    StepOutcome::SleepingUntil(t) => self.wakes.schedule(ctx.now, t, rank as u32),
-                    StepOutcome::BlockedInput
-                    | StepOutcome::BlockedOutput
-                    | StepOutcome::Finished => {}
-                }
-                if self.writer_live[rank] && self.nodes[rank].finished() {
-                    self.writer_live[rank] = false;
-                    self.live_writers -= 1;
-                }
-            }
-            self.flops += ctx.flops;
-            res?;
-            self.counters.events += stepped;
-            self.counters.peak_ready = self.counters.peak_ready.max(stepped);
-            self.cur_pending = false;
-
-            // Bridge bookkeeping for the drained cycle: reader pops become
-            // credits, writer pushes (at most one per channel per cycle)
-            // are recorded for delivery.
-            for ib in self.in_bridges.iter_mut() {
-                let ch = &self.chans[ib.chan];
-                if ch.buf.len() < ib.len_at_start {
-                    let pops = (ib.len_at_start - ch.buf.len()) as u32;
-                    ib.credits.push((self.now, pops));
-                }
-            }
-            for ob in self.out_bridges.iter_mut() {
-                let ch = &self.chans[ob.chan];
-                if ch.buf.len() > ob.seen_len {
-                    debug_assert_eq!(ch.buf.len(), ob.seen_len + 1, "one push per chan per cycle");
-                    let tok = ch.buf.back().expect("non-empty after push").clone();
-                    if matches!(tok, Token::Done) {
-                        ob.done_sent = true;
-                    }
-                    ob.outbox.push((self.now, tok));
-                    ob.push_cycles.push_back(self.now);
-                    ob.seen_len = ch.buf.len();
-                }
-            }
-        }
-    }
-}
-
-/// Delivers outboxes and credits, recomputes every region's flush
-/// frontier (one forward pass over the region DAG), refreshes the
-/// per-region burst bounds, and classifies a global stall. Runs with
-/// exclusive access to every region (worker 0 between barriers, or the
-/// plain sequential loop).
-fn region_exchange(regions: &mut [&mut Region], control: &mut PartControl, cfg: &SimConfig) {
-    if let Some((_, e)) = control.fail.take() {
-        control.stop = Some(PartStop::Fail(e));
-        return;
-    }
-    let k = regions.len();
-
-    // Ship outboxes to inboxes and queue reader credits on the writer-side
-    // bridges. Arrivals for cycles the reader already drained (it ran
-    // ahead off buffered tokens) materialize immediately — append-only,
-    // matching where they would sit behind the tokens the reader saw;
-    // arrivals for the still-pending cycle wake the reader like any push.
-    // Credits are consumed lazily by [`Region::consume_acks`] as the
-    // writer's clock passes each pop cycle; the prefix already behind the
-    // clock is consumed here so burst gates and `next_event` see one
-    // consistent mirror state.
-    // (dst_region, dst_in_bridge, records) / (src_region, src_out_bridge,
-    // credits) taken from every bridge before redistribution.
-    type Deliveries = Vec<(usize, usize, Vec<(u64, Token)>)>;
-    type CreditLists = Vec<(usize, usize, Vec<(u64, u32)>)>;
-    let mut deliveries: Deliveries = Vec::new();
-    let mut credit_lists: CreditLists = Vec::new();
-    for r in regions.iter_mut() {
-        for ob in r.out_bridges.iter_mut() {
-            if !ob.outbox.is_empty() {
-                deliveries.push((ob.dst_region, ob.dst_in, std::mem::take(&mut ob.outbox)));
-            }
-        }
-        for ib in r.in_bridges.iter_mut() {
-            if !ib.credits.is_empty() {
-                credit_lists.push((ib.src_region, ib.src_out, std::mem::take(&mut ib.credits)));
-            }
-        }
-    }
-    for (dr, di, msgs) in deliveries {
-        control.bridge_tokens += msgs.len() as u64;
-        let r = &mut *regions[dr];
-        let ib = &mut r.in_bridges[di];
-        ib.inbox.extend(msgs);
-        while let Some(&(c, _)) = ib.inbox.front() {
-            if c > r.now || (c == r.now && r.cur_pending) {
-                break; // burst materializes these at their cycle
-            }
-            let (_, tok) = ib.inbox.pop_front().expect("peeked entry");
-            r.chans[ib.chan].buf.push_back(tok);
-        }
-    }
-    for (sr, so, credits) in credit_lists {
-        let r = &mut *regions[sr];
-        r.out_bridges[so].acks.extend(credits);
-        r.consume_acks();
-    }
-
-    // Flush frontiers. `flushed[r]` (exclusive) = region r has simulated
-    // every cycle `< flushed[r]`, its pushes for those cycles are already
-    // delivered (or in this exchange), and every cycle it will simulate in
-    // the future is `>= flushed[r]`. Future simulation is bounded by the
-    // region's own next event, by events that future bridge arrivals can
-    // create (at or past each upstream frontier), and — when one of its
-    // out-bridge mirrors is at capacity — by the pop-from-full writer
-    // wake a future reader pop can create, at or past the reader's
-    // frontier plus one. (The reader's *next event* is not a sound pop
-    // bound here: a cascade from one of its other in-bridges can wake
-    // the reader below it.) The mirror term points backward, so this is
-    // a decreasing fixpoint rather than one forward pass.
-    //
-    // Every term is additionally clamped from below by the region's own
-    // clock: a region's simulation time is monotone (late bridge
-    // arrivals append to the channel without creating steps in the
-    // past), so no future simulated cycle — and hence no future push,
-    // pop, or DRAM request — can land below the cycle it is currently
-    // draining. Without this floor the in-bridge and mirror terms chase
-    // each other in a circle (writer full-gated on the reader's
-    // frontier, the reader's frontier dragged back down to the writer's
-    // by its arrival term), pinning every frontier to the *trailing*
-    // clock and collapsing a backpressured pipeline into cycle-sized
-    // lockstep rounds; the clock floor is what lets a region that has
-    // already drained far ahead advertise that fact.
-    //
-    // Note the frontier does NOT gate how far a *reader* drains:
-    // readers drain past it off buffered tokens (the
-    // [`BRIDGE_LOOKAHEAD`] relaxation), and only the delivery-exactness
-    // of cycles below it is promised here.
-    let fcap = cfg.max_cycles.saturating_add(2);
-    let te: Vec<u64> = regions.iter().map(|r| r.next_event()).collect();
-    let floor: Vec<u64> =
-        regions.iter().map(|r| if r.cur_pending { r.now } else { r.now + 1 }).collect();
-    let mut flushed: Vec<u64> = te.iter().map(|&t| t.min(fcap)).collect();
-    loop {
-        let mut changed = false;
-        for ri in 0..k {
-            let mut v = flushed[ri];
-            for ib in &regions[ri].in_bridges {
-                v = v.min(flushed[ib.src_region]);
-            }
-            for ob in &regions[ri].out_bridges {
-                let ch = &regions[ri].chans[ob.chan];
-                if ch.buf.len() >= ch.cap {
-                    v = v.min(flushed[ob.dst_region].saturating_add(1));
-                }
-            }
-            let v = v.max(floor[ri]);
-            if v < flushed[ri] {
-                flushed[ri] = v;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Termination license: the single-threaded run keeps executing at
-    // least until every writer finishes, and a writer cannot finish before
-    // (a) its own region's flush frontier, or (b) the frontier of any
-    // bridge that still owes it a `Done` (every node forwards `Done` only
-    // at-or-after consuming its inputs' `Done`s, and a future `Done` push
-    // happens at a cycle at or past its sender's frontier). Bound (b)
-    // needs no dynamic liveness: if all reachable writers had finished,
-    // the `Done` would already have crossed the bridge. Exclusive form:
-    // cycles up to and including the max licensed frontier are provably at
-    // or below the termination cycle.
-    let mut license = 0u64;
-    for (ri, r) in regions.iter().enumerate() {
-        if r.self_licensed() {
-            license = license.max(flushed[ri].saturating_add(1));
-        }
-    }
-
-    // Per-region burst bounds (exclusive). Upstream-delivery gating is
-    // per-bridge and dynamic (strict below the frontier, buffered-token
-    // relaxation past it — see the burst gate), so `allowed` folds only
-    // the global terms.
-    let dram_active: Vec<bool> = regions.iter().map(|r| r.dram_active()).collect();
-    for ri in 0..k {
-        let mut a = cfg.max_cycles.saturating_add(1);
-        if dram_active[ri] {
-            // The shard's DRAM channel serializes requests in arrival
-            // order = global (cycle, rank) order. Let only the region
-            // whose frontier trails issue: against a lower-ranked DRAM
-            // region t < flushed (its same-cycle requests go first),
-            // against a higher-ranked one t <= flushed. The (frontier,
-            // index) tie-break means at most one DRAM-active region
-            // clears both per round.
-            for rj in 0..k {
-                if rj != ri && dram_active[rj] {
-                    a = a.min(if rj < ri { flushed[rj] } else { flushed[rj].saturating_add(1) });
-                }
-            }
-        }
-        let r = &mut *regions[ri];
-        r.allowed = a;
-        r.license = license;
-        r.use_shared_dram = dram_active[ri];
-        for ob in r.out_bridges.iter_mut() {
-            ob.dst_done_to = flushed[ob.dst_region];
-        }
-        for ib in r.in_bridges.iter_mut() {
-            ib.flushed_src = flushed[ib.src_region];
-        }
-    }
-
-    // Global stall classification: if no region can drain a cycle under
-    // the refreshed bounds, the round loop is finished. This replicates
-    // the burst gate exactly (a burst's first target is its next event).
-    let mut any_runnable = false;
-    'regions: for (ri, r) in regions.iter().enumerate() {
-        if te[ri] == u64::MAX {
-            continue;
-        }
-        let mut bound = r.allowed;
-        if !r.self_licensed() {
-            bound = bound.min(license);
-        }
-        for ob in &r.out_bridges {
-            let ch = &r.chans[ob.chan];
-            if ch.buf.len() >= ch.cap {
-                bound = bound.min(ob.dst_done_to.saturating_add(1));
-            }
-        }
-        if te[ri] >= bound {
-            continue;
-        }
-        for ib in &r.in_bridges {
-            if te[ri] < ib.flushed_src {
-                continue;
-            }
-            let mut avail = r.chans[ib.chan].buf.len();
-            for &(c, _) in ib.inbox.iter() {
-                if c > te[ri] || avail >= BRIDGE_LOOKAHEAD {
-                    break;
-                }
-                avail += 1;
-            }
-            if avail < BRIDGE_LOOKAHEAD {
-                continue 'regions;
-            }
-        }
-        any_runnable = true;
-        break;
-    }
-    if !any_runnable {
-        let live: usize = regions.iter().map(|r| r.live_writers).sum();
-        control.stop = Some(if live == 0 {
-            PartStop::AllWritersDone
-        } else if te.iter().all(|&t| t == u64::MAX) {
-            PartStop::Deadlock
-        } else {
-            debug_assert!(
-                te.iter().filter(|&&t| t != u64::MAX).all(|&t| t > cfg.max_cycles),
-                "partitioned executor stalled with runnable events below the budget"
-            );
-            PartStop::Budget
-        });
-    }
-}
-
-/// Names a channel peer by graph label when the id is a plain local node
-/// index (compiled-backend wake targets are encoded and out of range).
+/// Names a channel peer by graph label ([`NO_NODE`] is a harness endpoint).
 fn peer_name(nodes: &[Rt], id: u32) -> String {
     match nodes.get(id as usize) {
         Some(n) => format!("{}#{id}", n.label),
-        None if id == NO_NODE => "ext".into(),
-        None => format!("#{id}"),
+        None => "ext".into(),
     }
 }
 
@@ -3636,9 +1815,17 @@ fn shard_assignment(graph: &SamGraph) -> (Vec<usize>, usize) {
 ///
 /// # Errors
 ///
-/// See [`SimError`]; notably graphs must validate, every tensor slot must be
-/// bound, and the run must finish within `cfg.max_cycles`.
+/// See [`SimError`]; notably the config and the graph must validate, every
+/// tensor slot must be bound, and the run must finish within
+/// `cfg.max_cycles`.
 pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<SimResult, SimError> {
+    if cfg.channel_capacity == 0 {
+        return Err(SimError::Config("channel_capacity must be at least 1".into()));
+    }
+    let bw = cfg.timing.dram_bytes_per_cycle;
+    if bw.is_nan() || bw <= 0.0 {
+        return Err(SimError::Config(format!("dram_bytes_per_cycle must be positive, got {bw}")));
+    }
     graph.validate().map_err(SimError::Validation)?;
     let tensors: Vec<&SparseTensor> = graph
         .tensors()
@@ -3748,10 +1935,8 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
         Shared { tensors: &tensors, tensor_locs: &tensor_locs, output_locs: &output_locs, cfg };
     if cfg.threads > 1 && shards.len() > 1 {
         let shared_ref = &shared;
-        // The pool is spent on shard-level parallelism; regions (if any)
-        // run sequentially inside each shard worker.
         let ran = parallel_map(cfg.threads, shards, |mut shard| {
-            let res = shard.run(shared_ref, 1);
+            let res = shard.run(shared_ref);
             (shard, res)
         });
         let mut first_err = Ok(());
@@ -3769,7 +1954,7 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
         first_err?;
     } else {
         for shard in &mut shards {
-            shard.run(&shared, cfg.threads)?;
+            shard.run(&shared)?;
         }
     }
 

@@ -10,13 +10,10 @@
 //! Graphs are partitioned into weakly-connected *shards* which can run on a
 //! scoped worker pool ([`SimConfig::threads`]) with results bit-identical
 //! to the sequential schedule; the same [`parallel_map`] pool drives the
-//! sweep harnesses in `fuseflow-bench`. Within a single shard — the common
-//! case for fused programs, which are one connected component —
-//! [`SimConfig::partitions`] additionally splits the node graph into
-//! rank-contiguous spatial regions executed as pipelined event-scheduler
-//! instances with time-bridged cut channels, again bit-identical to the
-//! sequential schedule. See `crates/sim/src/engine.rs` and
-//! `crates/sim/src/partition.rs` for the determinism arguments.
+//! sweep harnesses in `fuseflow-bench`. Each shard runs one event-driven
+//! loop ([`Scheduler::Event`]); a dense per-cycle sweep
+//! ([`Scheduler::Sweep`]) is kept only as its differential-testing oracle.
+//! See `crates/sim/src/engine.rs` for the determinism arguments.
 //!
 //! Two timing backends implement the paper's §8.2 validation methodology:
 //! [`TimingConfig::comal`] (HBM-class, fully pipelined) and
@@ -36,10 +33,8 @@
 //! ```
 
 mod backend;
-mod compile;
 mod dram;
 mod engine;
-mod partition;
 mod pool;
 mod rebuild;
 mod sched;

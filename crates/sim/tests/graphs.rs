@@ -342,3 +342,23 @@ fn missing_tensor_is_reported() {
     let err = simulate(&g, &env, &SimConfig::default()).unwrap_err();
     assert!(matches!(err, fuseflow_sim::SimError::MissingTensor(_)));
 }
+
+/// Configs that cannot describe a machine are rejected up front with a
+/// typed error, not an `assert!` in `Dram::new` or a cycle-0 deadlock.
+#[test]
+fn invalid_config_is_reported() {
+    let mut g = SamGraph::new();
+    build_spmv(&mut g);
+    // Rejected before tensor binding: an empty environment is enough.
+    let env = TensorEnv::new();
+    for bw in [0.0, -1.0, f64::NAN] {
+        let mut timing = fuseflow_sim::TimingConfig::comal();
+        timing.dram_bytes_per_cycle = bw;
+        let cfg = SimConfig { timing, ..SimConfig::default() };
+        let err = simulate(&g, &env, &cfg).unwrap_err();
+        assert!(matches!(err, fuseflow_sim::SimError::Config(_)), "bandwidth {bw}: {err}");
+    }
+    let cfg = SimConfig { channel_capacity: 0, ..SimConfig::default() };
+    let err = simulate(&g, &env, &cfg).unwrap_err();
+    assert!(matches!(err, fuseflow_sim::SimError::Config(_)), "zero capacity: {err}");
+}

@@ -4,7 +4,8 @@
 //! preserves the property the evaluation depends on: sparsity level,
 //! sparsity *structure* (uniform / power-law / block-diagonal / BigBird
 //! mask), and tensor shape (optionally scaled for simulation feasibility).
-//! The substitution rationale is recorded in `DESIGN.md` §4.
+//! The substitution rationale is recorded in ARCHITECTURE.md,
+//! "Substitutions".
 
 use crate::{CooEntry, Crd, DenseTensor, Format, SparseTensor};
 use rand::rngs::StdRng;

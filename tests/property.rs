@@ -93,9 +93,9 @@ proptest! {
     }
 
     /// Random small programs simulate to bit-identical outputs and
-    /// semantic `Stats` under the event-driven scheduler, the legacy
-    /// sweep, and the compiled chain-fused backend, at every thread count
-    /// (the cross-scheduler / cross-parallelism determinism invariant).
+    /// semantic `Stats` under the event-driven scheduler and the legacy
+    /// sweep, at every thread count (the cross-scheduler /
+    /// cross-parallelism determinism invariant).
     #[test]
     fn schedulers_and_thread_counts_agree_on_random_graphs(
         a_entries in coo_matrix(7, 7),
@@ -116,7 +116,7 @@ proptest! {
         let compiled = compile(&p, &sched).unwrap();
 
         let base = run(&p, &compiled, &inputs, &SimConfig::default()).unwrap();
-        for scheduler in [Scheduler::Event, Scheduler::Sweep, Scheduler::Compiled] {
+        for scheduler in [Scheduler::Event, Scheduler::Sweep] {
             for threads in [1usize, 2, 4] {
                 let cfg = SimConfig::default().with_scheduler(scheduler).with_threads(threads);
                 let other = run(&p, &compiled, &inputs, &cfg).unwrap();

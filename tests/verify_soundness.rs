@@ -3,8 +3,8 @@
 //!
 //! * *Certified* is a guarantee: a graph whose reconvergent regions are
 //!   all certified deadlock-free at capacity `C` must never hit
-//!   [`SimError::Deadlock`] at that capacity — under any scheduler,
-//!   thread count, or partitioning.
+//!   [`SimError::Deadlock`] at that capacity — under any scheduler or
+//!   thread count.
 //! * *GuaranteedDeadlock* (SA012) is also a guarantee: a flagged graph
 //!   must actually deadlock, and the reported minimum safe capacity must
 //!   be exact for the hand-built reconvergent witness.
@@ -79,8 +79,7 @@ proptest! {
 
     /// Soundness of *Certified*: when the analyzer certifies every
     /// reconvergent region of every lowered graph at the simulated
-    /// channel capacity, no scheduler/thread/partition combination may
-    /// deadlock.
+    /// channel capacity, no scheduler/thread combination may deadlock.
     #[test]
     fn certified_programs_never_deadlock(
         a_entries in coo_matrix(8, 8),
@@ -95,12 +94,11 @@ proptest! {
                 // covered by the hand-built witness below.
                 continue;
             }
-            for scheduler in [Scheduler::Sweep, Scheduler::Event, Scheduler::Compiled] {
-                for (threads, partitions) in [(1usize, 1usize), (2, 1), (4, 2)] {
+            for scheduler in [Scheduler::Sweep, Scheduler::Event] {
+                for threads in [1usize, 2, 4] {
                     let cfg = SimConfig {
                         channel_capacity: cap,
                         threads,
-                        partitions,
                         scheduler,
                         ..SimConfig::default()
                     };
@@ -109,7 +107,7 @@ proptest! {
                         prop_assert!(
                             !msg.contains("deadlock"),
                             "certified program deadlocked at cap {cap} under {scheduler:?} \
-                             x{threads} threads x{partitions} partitions: {msg}"
+                             x{threads} threads: {msg}"
                         );
                     }
                 }
@@ -225,7 +223,7 @@ fn witness_min_safe_capacity_is_exact() {
             assert_eq!(r.regions.flagged, 0, "cap {cap}: {}", r.render_human(&g));
             assert!(r.regions.certified >= 2, "cap {cap}: {}", r.render_human(&g));
         }
-        for scheduler in [Scheduler::Sweep, Scheduler::Event, Scheduler::Compiled] {
+        for scheduler in [Scheduler::Sweep, Scheduler::Event] {
             let cfg = SimConfig { channel_capacity: cap, scheduler, ..SimConfig::default() };
             let result = simulate(&g, &env, &cfg);
             if flagged_guaranteed {
