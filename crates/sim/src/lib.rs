@@ -33,11 +33,14 @@
 //! ```
 
 mod backend;
+mod chan;
 mod dram;
 mod engine;
+mod node;
 mod pool;
 mod rebuild;
 mod sched;
+mod shard;
 mod stats;
 
 pub use backend::TimingConfig;
