@@ -1,8 +1,9 @@
 //! Deep elementwise activation pipeline: `depth` chained unary maps over
 //! one sparse operand. Not a paper model — a scheduler microbench kernel
 //! whose fully-fused lowering is one long single-reader/single-writer
-//! chain, the regime the compiled backend's chain fusion targets (real
-//! models interleave scanners and repeats, capping chains at a few nodes).
+//! chain with every node busy every cycle — the ready-set-bound regime
+//! (real models interleave scanners and repeats, capping chains at a few
+//! nodes). The repo benchmark's `sim_dense` workload uses it.
 
 use crate::ModelInstance;
 use fuseflow_core::ir::Program;

@@ -13,7 +13,9 @@
 //! sweep harnesses in `fuseflow-bench`. Each shard runs one event-driven
 //! loop ([`Scheduler::Event`]); a dense per-cycle sweep
 //! ([`Scheduler::Sweep`]) is kept only as its differential-testing oracle.
-//! See `crates/sim/src/engine.rs` for the determinism arguments.
+//! The sources split as `node.rs` (node state machines), `chan.rs`
+//! (channels and the step context), `shard.rs` (the run loops and their
+//! determinism arguments) and `engine.rs` (`simulate` assembly).
 //!
 //! Two timing backends implement the paper's §8.2 validation methodology:
 //! [`TimingConfig::comal`] (HBM-class, fully pipelined) and

@@ -16,7 +16,7 @@
 //!   `BinaryHeap`. Per-rank earliest-timer dedup keeps spurious re-steps
 //!   bounded.
 //!
-//! Both structures are rank-indexed and shard-local; `engine.rs` owns the
+//! Both structures are rank-indexed and shard-local; `shard.rs` owns the
 //! mapping between ranks and node ids.
 
 use std::cmp::Reverse;
