@@ -953,7 +953,9 @@ fn autotune(o: Opts) -> Points {
 
 /// `samcheck`: lints every model-zoo graph with the `fuseflow-verify`
 /// static analyzer, at every fusion granularity, and writes the combined
-/// report to `results/samcheck.json`.
+/// report to `results/samcheck.json` plus the per-graph verdict counts to
+/// the tracked snapshot `results/samcheck_quick.json` (a flat map CI diffs
+/// with `scripts/check_cycle_drift.py`, so verdicts are gated like cycles).
 ///
 /// Unlike the figure experiments this is a pass/fail gate, not a
 /// measurement: it is excluded from `all` (so `BENCH_sim.json`'s tracked
@@ -976,6 +978,7 @@ fn samcheck(o: Opts) -> (Points, usize) {
     let mut points = Points::new();
     let mut errors = 0usize;
     let mut json = String::from("[");
+    let mut counts = String::from("{");
     let mut first = true;
     let rows = parallel_map(o.threads, models, |(name, m)| {
         let mut out = Vec::new();
@@ -1020,12 +1023,24 @@ fn samcheck(o: Opts) -> (Points, usize) {
                 }
                 if !first {
                     json.push(',');
+                    counts.push(',');
                 }
                 first = false;
                 let _ = write!(
                     json,
                     "{{\"model\":\"{name}\",\"fusion\":\"{fusion}\",\"region\":{i},\"report\":{}}}",
                     report.to_json(graph)
+                );
+                let key = format!("samcheck/{name}/{fusion}/r{i}");
+                let _ = write!(
+                    counts,
+                    "\n  \"{key}/errors\": {},\n  \"{key}/warnings\": {},\n  \
+                     \"{key}/certified\": {},\n  \"{key}/unknown\": {},\n  \"{key}/flagged\": {}",
+                    report.errors().count(),
+                    report.warnings().count(),
+                    report.regions.certified,
+                    report.regions.unknown,
+                    report.regions.flagged,
                 );
             }
             println!(
@@ -1038,8 +1053,10 @@ fn samcheck(o: Opts) -> (Points, usize) {
         }
     }
     json.push(']');
+    counts.push_str("\n}\n");
     std::fs::create_dir_all("results").ok();
     std::fs::write("results/samcheck.json", json).ok();
+    std::fs::write("results/samcheck_quick.json", counts).ok();
     if errors == 0 {
         println!("samcheck: model zoo clean ({} graphs linted)", points.len());
     } else {

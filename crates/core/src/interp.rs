@@ -38,9 +38,7 @@ impl Structured {
         } else if t.is_blocked() {
             let [b0, b1] = t.block();
             // Every element of a stored block is present.
-            let mut coords = vec![0u32; 2];
             let coo = structure_coo(t);
-            let _ = &mut coords;
             for (c, _) in coo {
                 for r in 0..b0 {
                     for cc in 0..b1 {
@@ -138,37 +136,45 @@ pub fn interpret(
 
         let slot_of: HashMap<IndexVar, usize> =
             all_ix.iter().enumerate().map(|(s, ix)| (*ix, s)).collect();
-        let gather = |acc: &Access, point: &[usize]| -> Vec<usize> {
-            acc.indices.iter().map(|ix| point[slot_of[ix]]).collect()
-        };
+        // Per access, the iteration-space slot of each of its indices.
+        let slots =
+            |acc: &Access| -> Vec<usize> { acc.indices.iter().map(|ix| slot_of[ix]).collect() };
+        let in_slots: Vec<Vec<usize>> = e.inputs.iter().map(slots).collect();
+        let out_slots = slots(&e.output);
+        let srcs: Vec<&Structured> = e.inputs.iter().map(|acc| &env[&acc.tensor]).collect();
 
         // Per-input structure with storage-format closure: a dense level
         // materializes every coordinate under a present parent (empty CSR
         // rows exist as fibers), so marginal prefix supports key only on
-        // the coordinates of *compressed* levels. prefixes[n][t] holds the
-        // compressed-coordinate keys supported at prefix length t+1, and
-        // closed element presence keys on all compressed levels.
-        let mut prefixes: Vec<Vec<std::collections::HashSet<Vec<usize>>>> = Vec::new();
+        // the coordinates of *compressed* levels. prefixes[n][t] is the
+        // support at prefix length t+1, a bitmap indexed row-major over
+        // `mask.shape()[..=t]`, and closed element presence keys on all
+        // compressed levels.
+        let mut prefixes: Vec<Vec<Vec<bool>>> = Vec::new();
         let mut closed: Vec<Vec<bool>> = Vec::new(); // per input: level compressed?
-        for acc in &e.inputs {
-            let s = &env[&acc.tensor];
+        for (acc, s) in e.inputs.iter().zip(&srcs) {
             let fmt = program.tensor(acc.tensor).format.clone();
             let comp: Vec<bool> = (0..fmt.order())
                 .map(|l| fmt.level(l) == fuseflow_tensor::LevelFormat::Compressed)
                 .collect();
+            let shape = s.mask.shape();
             let order = acc.indices.len();
-            let mut per_len = vec![std::collections::HashSet::new(); order];
+            let mut per_len: Vec<Vec<bool>> =
+                (0..order).map(|t| vec![false; shape[..=t].iter().product()]).collect();
             let mut idx = vec![0usize; order];
             for flat in 0..s.mask.len() {
+                if s.mask.data()[flat] == 0.0 {
+                    continue;
+                }
                 let mut rem = flat;
                 for d in (0..order).rev() {
-                    idx[d] = rem % s.mask.shape()[d];
-                    rem /= s.mask.shape()[d];
+                    idx[d] = rem % shape[d];
+                    rem /= shape[d];
                 }
-                if s.mask.data()[flat] != 0.0 {
-                    for t in 0..order {
-                        per_len[t].insert(idx[..=t].to_vec());
-                    }
+                let mut prefix = 0;
+                for t in 0..order {
+                    prefix = prefix * shape[t] + idx[t];
+                    per_len[t][prefix] = true;
                 }
             }
             prefixes.push(per_len);
@@ -181,23 +187,32 @@ pub fn interpret(
         let supported = |n: usize, t: usize, coords: &[usize]| -> bool {
             match (0..=t).rev().find(|&l| closed[n][l]) {
                 None => true,
-                Some(ts) => prefixes[n][ts].contains(&coords[..=ts]),
+                Some(ts) => coords[..=ts]
+                    .iter()
+                    .zip(srcs[n].mask.shape())
+                    .try_fold(0, |flat, (&c, &dim)| (c < dim).then_some(flat * dim + c))
+                    .is_some_and(|flat| prefixes[n][ts][flat]),
             }
         };
         let union_like = !(e.op.intersects() || e.op.arity() == Some(1));
 
+        // Buffers reused across the iteration space: each input's gathered
+        // coordinates, presence and value, and the output coordinates.
+        let mut idxs: Vec<Vec<usize>> = in_slots.iter().map(|s| vec![0; s.len()]).collect();
+        let mut out_idx = vec![0usize; out_slots.len()];
+        let mut present = vec![false; e.inputs.len()];
+        let mut vals = vec![0f32; e.inputs.len()];
         let mut point = vec![0usize; dims.len()];
         'space: loop {
             // Presence and values per input.
-            let mut present = Vec::with_capacity(e.inputs.len());
-            let mut vals = Vec::with_capacity(e.inputs.len());
-            for (n, acc) in e.inputs.iter().enumerate() {
-                let s = &env[&acc.tensor];
-                let idx = gather(acc, &point);
+            for (n, idx) in idxs.iter_mut().enumerate() {
+                for (c, &slot) in idx.iter_mut().zip(&in_slots[n]) {
+                    *c = point[slot];
+                }
                 // Closed element presence: all compressed coordinates must
                 // be stored; dense levels are materialized.
-                present.push(supported(n, acc.indices.len() - 1, &idx));
-                vals.push(s.vals.get(&idx));
+                present[n] = supported(n, idx.len() - 1, idx);
+                vals[n] = srcs[n].vals.get(idx);
             }
             let here = if !union_like {
                 present.iter().all(|p| *p)
@@ -208,11 +223,10 @@ pub fn interpret(
                 // dimensions they lack.
                 e.output.indices.iter().all(|d| {
                     e.inputs.iter().enumerate().any(|(n, acc)| {
-                        acc.indices.iter().position(|x| x == d).is_some_and(|pos_d| {
-                            let coords: Vec<usize> =
-                                acc.indices[..=pos_d].iter().map(|ix| point[slot_of[ix]]).collect();
-                            supported(n, pos_d, &coords)
-                        })
+                        acc.indices
+                            .iter()
+                            .position(|x| x == d)
+                            .is_some_and(|pos_d| supported(n, pos_d, &idxs[n][..=pos_d]))
                     })
                 })
             };
@@ -233,7 +247,9 @@ pub fn interpret(
                     OpKind::Unary(op) => op.apply_scalar(vals[0], 0.0),
                     OpKind::Id => vals[0],
                 };
-                let out_idx = gather(&e.output, &point);
+                for (c, &slot) in out_idx.iter_mut().zip(&out_slots) {
+                    *c = point[slot];
+                }
                 if out_mask.get(&out_idx) == 0.0 {
                     out_mask.set(&out_idx, 1.0);
                     out_vals.set(&out_idx, v);

@@ -150,6 +150,41 @@ pub struct SamGraph {
     edges: Vec<Edge>,
     tensors: Vec<TensorSlot>,
     outputs: Vec<OutputSlot>,
+    // Adjacency index, maintained by `connect` (the graph is append-only):
+    // per node and direction an intrusive list of edge indices in
+    // insertion order, so `in_edges`/`out_edges` cost O(degree) and
+    // allocate nothing.
+    ins: Vec<EdgeList>,
+    outs: Vec<EdgeList>,
+    next_in: Vec<usize>,
+    next_out: Vec<usize>,
+    /// Edges connected while an endpoint did not exist yet; `add_labeled_node`
+    /// files them when (if ever) the node appears.
+    early: Vec<usize>,
+}
+
+/// End of an edge list.
+const NIL: usize = usize::MAX;
+
+/// First and last edge index of one node's in- or out-list.
+#[derive(Debug, Clone, Copy)]
+struct EdgeList {
+    first: usize,
+    last: usize,
+}
+
+impl EdgeList {
+    const EMPTY: EdgeList = EdgeList { first: NIL, last: NIL };
+
+    /// Appends edge `e`, linking it through `next`.
+    fn push(&mut self, e: usize, next: &mut [usize]) {
+        if self.first == NIL {
+            self.first = e;
+        } else {
+            next[self.last] = e;
+        }
+        self.last = e;
+    }
 }
 
 impl SamGraph {
@@ -199,17 +234,40 @@ impl SamGraph {
     pub fn add_labeled_node(&mut self, kind: NodeKind, label: impl Into<String>) -> NodeId {
         self.nodes.push(kind);
         self.labels.push(label.into());
-        NodeId(self.nodes.len() - 1)
+        self.ins.push(EdgeList::EMPTY);
+        self.outs.push(EdgeList::EMPTY);
+        let id = self.nodes.len() - 1;
+        for &e in &self.early {
+            if self.edges[e].src.node.0 == id {
+                self.outs[id].push(e, &mut self.next_out);
+            }
+            if self.edges[e].dst.node.0 == id {
+                self.ins[id].push(e, &mut self.next_in);
+            }
+        }
+        NodeId(id)
     }
 
     /// Connects `src.out[src_port]` to `dst.in[dst_port]`. Output ports may
     /// fan out to multiple consumers; input ports accept one producer
     /// (checked in [`SamGraph::validate`]).
     pub fn connect(&mut self, src: NodeId, src_port: usize, dst: NodeId, dst_port: usize) {
+        let e = self.edges.len();
         self.edges.push(Edge {
             src: Port { node: src, port: src_port },
             dst: Port { node: dst, port: dst_port },
         });
+        self.next_in.push(NIL);
+        self.next_out.push(NIL);
+        if let Some(list) = self.outs.get_mut(src.0) {
+            list.push(e, &mut self.next_out);
+        }
+        if let Some(list) = self.ins.get_mut(dst.0) {
+            list.push(e, &mut self.next_in);
+        }
+        if src.0.max(dst.0) >= self.nodes.len() {
+            self.early.push(e);
+        }
     }
 
     /// The node kinds, indexed by [`NodeId`].
@@ -265,14 +323,29 @@ impl SamGraph {
         m
     }
 
-    /// Edges entering `node`, in insertion order.
+    /// Edges entering `node`, in insertion order (none for an unknown node).
     pub fn in_edges(&self, node: NodeId) -> impl Iterator<Item = &Edge> {
-        self.edges.iter().filter(move |e| e.dst.node == node)
+        self.walk(self.ins.get(node.0), &self.next_in)
     }
 
-    /// Edges leaving `node`, in insertion order.
+    /// Edges leaving `node`, in insertion order (none for an unknown node).
     pub fn out_edges(&self, node: NodeId) -> impl Iterator<Item = &Edge> {
-        self.edges.iter().filter(move |e| e.src.node == node)
+        self.walk(self.outs.get(node.0), &self.next_out)
+    }
+
+    fn walk<'a>(
+        &'a self,
+        list: Option<&EdgeList>,
+        next: &'a [usize],
+    ) -> impl Iterator<Item = &'a Edge> {
+        let some = |e: usize| (e != NIL).then_some(e);
+        std::iter::successors(list.and_then(|l| some(l.first)), move |&e| some(next[e]))
+            .map(move |e| &self.edges[e])
+    }
+
+    /// The edge into input port `(node, port)`, if connected.
+    pub fn in_edge(&self, node: NodeId, port: usize) -> Option<&Edge> {
+        self.in_edges(node).find(|e| e.dst.port == port)
     }
 
     /// A display anchor for a node: `label#id`.
@@ -298,6 +371,16 @@ impl SamGraph {
     ///
     /// Returns the first [`GraphError`] found.
     pub fn validate(&self) -> Result<(), GraphError> {
+        self.validated_order().map(drop)
+    }
+
+    /// [`SamGraph::validate`], returning the topological order its
+    /// acyclicity check computes (see [`SamGraph::topo_order`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`GraphError`] found.
+    pub fn validated_order(&self) -> Result<Vec<NodeId>, GraphError> {
         // Unique slot names (bindings are by name at simulation time;
         // duplicates would silently shadow).
         let mut seen = std::collections::HashSet::new();
@@ -353,26 +436,26 @@ impl SamGraph {
             }
         }
         // Acyclicity via Kahn's algorithm.
-        if self.topo_order().is_none() {
-            return Err(GraphError::Cyclic);
-        }
-        Ok(())
+        self.topo_order().ok_or(GraphError::Cyclic)
     }
 
-    /// A topological order of the nodes, or `None` if cyclic.
+    /// A topological order of the nodes, or `None` if cyclic: Kahn's
+    /// algorithm over a stack seeded with the in-degree-0 nodes in id order,
+    /// successors visited in edge insertion order. The simulator's rank order
+    /// (and with it every cycle count) is this order; `fuseflow-verify`'s
+    /// `oracle` tests pin it against the loop it replaced.
     pub fn topo_order(&self) -> Option<Vec<NodeId>> {
         let n = self.nodes.len();
-        let mut indeg = vec![0usize; n];
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for e in &self.edges {
-            adj[e.src.node.0].push(e.dst.node.0);
-            indeg[e.dst.node.0] += 1;
-        }
+        let mut indeg: Vec<usize> = (0..n).map(|i| self.in_edges(NodeId(i)).count()).collect();
         let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
         let mut order = Vec::with_capacity(n);
         while let Some(u) = queue.pop() {
             order.push(NodeId(u));
-            for &v in &adj[u] {
+            for e in self.out_edges(NodeId(u)) {
+                let v = e.dst.node.0;
+                if v >= n {
+                    continue; // names a missing node: `validate` reports it
+                }
                 indeg[v] -= 1;
                 if indeg[v] == 0 {
                     queue.push(v);
@@ -547,6 +630,40 @@ mod tests {
         let anchor = g.edge_anchor(e);
         assert!(anchor.contains("LS[t0.l0]#1.out1"));
         assert!(anchor.contains("Array[t0]#2.in0"));
+    }
+
+    #[test]
+    fn index_matches_an_edge_scan() {
+        let (mut g, ls, arr) = tiny_graph();
+        g.connect(ls, 0, arr, 0);
+        g.connect(arr, 0, ls, 0);
+        for i in 0..g.node_count() {
+            let n = NodeId(i);
+            let ins: Vec<Edge> = g.edges().iter().filter(|e| e.dst.node == n).copied().collect();
+            let outs: Vec<Edge> = g.edges().iter().filter(|e| e.src.node == n).copied().collect();
+            assert_eq!(g.in_edges(n).copied().collect::<Vec<_>>(), ins);
+            assert_eq!(g.out_edges(n).copied().collect::<Vec<_>>(), outs);
+        }
+        assert_eq!(g.in_edge(arr, 0).map(|e| e.src), Some(Port { node: ls, port: 1 }));
+        assert_eq!(g.in_edge(arr, 1), None);
+    }
+
+    #[test]
+    fn edge_naming_a_missing_node_is_indexed_once_the_node_exists() {
+        let (mut g, ls, _) = tiny_graph();
+        let late = NodeId(g.node_count() + 1);
+        g.connect(ls, 1, late, 0);
+        g.connect(late, 0, late, 1);
+        assert_eq!(g.in_edges(late).count(), 0);
+        assert_eq!(g.out_edges(ls).count(), 3);
+        assert!(matches!(g.validate(), Err(GraphError::BadPort { input: true, .. })));
+        assert!(g.topo_order().is_some(), "a dangling edge is ignored, not a panic");
+        g.add_node(NodeKind::Repeat);
+        assert_eq!(g.in_edges(late).count(), 0);
+        g.add_node(NodeKind::Repeat);
+        assert_eq!(g.in_edges(late).count(), 2);
+        assert_eq!(g.out_edges(late).count(), 1);
+        assert!(g.topo_order().is_none(), "the self-loop is now visible");
     }
 
     #[test]

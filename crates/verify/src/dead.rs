@@ -7,7 +7,7 @@ use fuseflow_sam::{NodeId, NodeKind, SamGraph};
 
 /// Marks nodes from which a `CrdWriter`/`ValWriter` is reachable, via a
 /// reverse-topological DP (writers are live by definition).
-pub(crate) fn live_nodes(g: &SamGraph) -> Vec<bool> {
+fn live_nodes(g: &SamGraph, order: &[NodeId]) -> Vec<bool> {
     let n = g.node_count();
     let mut live = vec![false; n];
     for (i, kind) in g.nodes().iter().enumerate() {
@@ -15,9 +15,6 @@ pub(crate) fn live_nodes(g: &SamGraph) -> Vec<bool> {
             live[i] = true;
         }
     }
-    let Some(order) = g.topo_order() else {
-        return live; // cyclic: validate reports it
-    };
     for &node in order.iter().rev() {
         if live[node.0] {
             continue;
@@ -31,8 +28,8 @@ pub(crate) fn live_nodes(g: &SamGraph) -> Vec<bool> {
 
 /// Runs the dead-code pass; returns the liveness vector for reuse by the
 /// deadlock pass.
-pub(crate) fn check_dead(g: &SamGraph, diags: &mut Vec<Diag>) -> Vec<bool> {
-    let live = live_nodes(g);
+pub(crate) fn check_dead(g: &SamGraph, order: &[NodeId], diags: &mut Vec<Diag>) -> Vec<bool> {
+    let live = live_nodes(g, order);
     for (i, alive) in live.iter().enumerate() {
         if !alive {
             diags.push(Diag::new(

@@ -54,7 +54,7 @@
 use crate::diag::{Anchor, Code, Diag, RegionSummary};
 use crate::VerifyOptions;
 use fuseflow_sam::{Edge, NodeId, NodeKind, SamGraph};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Extra fork-side tokens to allow for a cross-port (pairwise) fork: a
 /// blocked action leaves at most one already-queued token per sibling
@@ -155,24 +155,14 @@ fn step_summary(kind: &NodeKind, in_port: usize, opts: &VerifyOptions) -> Option
     })
 }
 
-/// Strict-join input-port pairs for a node kind (only pairs whose heads
-/// must be simultaneously present for the node to commit).
-fn strict_pairs(kind: &NodeKind, connected: impl Fn(usize) -> bool) -> Vec<(usize, usize)> {
+/// Input ports of a strict join: every pair of connected ones must have
+/// heads simultaneously present for the node to commit.
+pub(crate) fn strict_ports(kind: &NodeKind) -> &'static [usize] {
     match kind {
-        NodeKind::Repeat => vec![(0, 1)],
-        NodeKind::Alu { op } if op.arity() == 2 => vec![(0, 1)],
-        NodeKind::Spacc1 { .. } => vec![(0, 1)],
-        NodeKind::Intersect | NodeKind::Union | NodeKind::UnionLeft => {
-            let ports: Vec<usize> = (0..4).filter(|&p| connected(p)).collect();
-            let mut pairs = Vec::new();
-            for i in 0..ports.len() {
-                for j in i + 1..ports.len() {
-                    pairs.push((ports[i], ports[j]));
-                }
-            }
-            pairs
-        }
-        _ => vec![],
+        NodeKind::Repeat | NodeKind::Spacc1 { .. } => &[0, 1],
+        NodeKind::Alu { op } if op.arity() == 2 => &[0, 1],
+        NodeKind::Intersect | NodeKind::Union | NodeKind::UnionLeft => &[0, 1, 2, 3],
+        _ => &[],
     }
 }
 
@@ -223,19 +213,14 @@ struct PathSummary {
 
 fn summarize_path(g: &SamGraph, path: &[Edge], opts: &VerifyOptions) -> Option<PathSummary> {
     let cap = opts.channel_capacity as u64;
-    // Interior nodes with their entry ports: path[i].src entered via
-    // path[i-1].dst.port, for i >= 1.
-    let mut steps = Vec::with_capacity(path.len().saturating_sub(1));
-    for i in 1..path.len() {
-        let node = path[i].src.node;
-        let in_port = path[i - 1].dst.port;
-        steps.push(step_summary(g.node(node), in_port, opts)?);
-    }
+    // Interior node `i` is `path[i].src`, entered via `path[i-1].dst.port`.
+    let step = |i: usize| step_summary(g.node(path[i].src.node), path[i - 1].dst.port, opts);
     // Backward fold for need.
     let mut need_lo: u64 = 1;
     let mut need_hi: Option<u64> = Some(1);
     let mut precise = true;
-    for s in steps.iter().rev() {
+    for i in (1..path.len()).rev() {
+        let s = step(i)?;
         need_lo = s.r_lo.saturating_add((need_lo - 1).saturating_mul(s.m_lo));
         need_hi = match (need_hi, s.r_hi, s.m_hi) {
             (Some(n), Some(r), Some(m)) => Some(r.saturating_add((n - 1).saturating_mul(m))),
@@ -250,8 +235,8 @@ fn summarize_path(g: &SamGraph, path: &[Edge], opts: &VerifyOptions) -> Option<P
     let mut mult_lo: u64 = 1;
     let mut absorb_hi: Option<u64> = Some(cap);
     let mut mult_hi: Option<u64> = Some(1);
-    for (i, s) in steps.iter().enumerate() {
-        let _ = i;
+    for i in 1..path.len() {
+        let s = step(i)?;
         mult_lo = mult_lo.saturating_mul(s.m_lo);
         units_lo = units_lo.saturating_add(mult_lo);
         mult_hi = match (mult_hi, s.m_hi) {
@@ -269,80 +254,13 @@ fn summarize_path(g: &SamGraph, path: &[Edge], opts: &VerifyOptions) -> Option<P
     Some(PathSummary { need_lo, need_hi, absorb_units_lo: units_lo, absorb_hi, precise })
 }
 
-/// Enumerates every source-rooted simple path ending at `end` (an input
-/// port), as edge lists in source-to-join order. `None` on overflow.
-fn paths_up(
-    g: &SamGraph,
-    fanin: &HashMap<(NodeId, usize), fuseflow_sam::Port>,
-    end: (NodeId, usize),
-    max: usize,
-) -> Option<Vec<Vec<Edge>>> {
-    let mut out: Vec<Vec<Edge>> = Vec::new();
-    // Depth-first over reverse edges; `acc` holds edges join-side-first.
-    fn rec(
-        g: &SamGraph,
-        node: NodeId,
-        acc: &mut Vec<Edge>,
-        out: &mut Vec<Vec<Edge>>,
-        max: usize,
-    ) -> bool {
-        let ins: Vec<Edge> = g.in_edges(node).copied().collect();
-        if ins.is_empty() {
-            if out.len() >= max {
-                return false;
-            }
-            let mut path = acc.clone();
-            path.reverse();
-            out.push(path);
-            return true;
-        }
-        for e in ins {
-            acc.push(e);
-            let ok = rec(g, e.src.node, acc, out, max);
-            acc.pop();
-            if !ok {
-                return false;
-            }
-        }
-        true
-    }
-    let Some(src) = fanin.get(&end) else {
-        return Some(out); // unconnected port: no paths
-    };
-    let first = Edge { src: *src, dst: fuseflow_sam::Port { node: end.0, port: end.1 } };
-    let mut acc = vec![first];
-    if rec(g, src.node, &mut acc, &mut out, max) {
-        Some(out)
-    } else {
-        None
-    }
-}
-
-/// One reconvergent region instance: the suffixes of a path pair from
-/// their last common node.
-struct RegionInstance<'a> {
-    fork: NodeId,
-    path_a: &'a [Edge],
-    path_b: &'a [Edge],
-}
-
-/// Finds the closest-to-join common node of two source-rooted paths whose
-/// next edges differ; shared suffixes mean the reconvergence belongs to an
-/// earlier join and are skipped.
-fn diverge_region<'a>(pa: &'a [Edge], pb: &'a [Edge]) -> Option<RegionInstance<'a>> {
-    let pos_b: HashMap<usize, usize> =
-        pb.iter().enumerate().map(|(i, e)| (e.src.node.0, i)).collect();
-    // Walk pa from the join end towards the source.
-    for ia in (0..pa.len()).rev() {
-        let n = pa[ia].src.node;
-        if let Some(&ib) = pos_b.get(&n.0) {
-            if pa[ia] == pb[ib] {
-                return None; // identical diverging edge: shared suffix
-            }
-            return Some(RegionInstance { fork: n, path_a: &pa[ia..], path_b: &pb[ib..] });
-        }
-    }
-    None
+/// One reconvergent region instance: two internally node-disjoint paths
+/// from `fork` to two input ports of one strict join, edges in fork-to-join
+/// order.
+pub(crate) struct RegionInstance<'a> {
+    pub(crate) fork: NodeId,
+    pub(crate) path_a: &'a [Edge],
+    pub(crate) path_b: &'a [Edge],
 }
 
 /// Per-region aggregated verdict, used for the summary counts.
@@ -354,75 +272,229 @@ enum Verdict {
     Guaranteed,
 }
 
+/// A region: `(fork, join, first edge of path a, first edge of path b)`.
+type Key = (usize, usize, (usize, usize, usize, usize), (usize, usize, usize, usize));
+
+/// Verdicts merged per region. A region can have several instances (path
+/// pairs leaving the fork by the same two edges); it keeps the strongest
+/// verdict and the diagnostic of the first instance that reached it.
+#[derive(Default)]
+pub(crate) struct Regions {
+    by_key: BTreeMap<Key, (Verdict, Option<Diag>)>,
+    /// Join port pairs with more than `max_paths` source-rooted paths into
+    /// one port: counted Unknown, not analysed.
+    pub(crate) overflow_pairs: usize,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Instances analysed on this thread (the work guard in `oracle.rs`).
+    pub(crate) static ANALYZED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+impl Regions {
+    /// Analyses one instance and merges its verdict into its region.
+    pub(crate) fn analyze(
+        &mut self,
+        g: &SamGraph,
+        opts: &VerifyOptions,
+        live: &[bool],
+        join: NodeId,
+        inst: &RegionInstance<'_>,
+    ) {
+        #[cfg(test)]
+        ANALYZED.with(|n| n.set(n.get() + 1));
+        let edge_key = |e: &Edge| (e.src.node.0, e.src.port, e.dst.node.0, e.dst.port);
+        let key = (inst.fork.0, join.0, edge_key(&inst.path_a[0]), edge_key(&inst.path_b[0]));
+        let (verdict, diag) = analyze_instance(g, opts, live, join, inst);
+        let entry = self.by_key.entry(key).or_insert((Verdict::Certified, None));
+        if verdict > entry.0 {
+            *entry = (verdict, diag);
+        }
+    }
+
+    /// Counts the verdicts and emits the flagged regions' diagnostics, in
+    /// key order.
+    pub(crate) fn finish(self, diags: &mut Vec<Diag>) -> RegionSummary {
+        let mut summary = RegionSummary { unknown: self.overflow_pairs, ..Default::default() };
+        for (verdict, diag) in self.by_key.into_values() {
+            match verdict {
+                Verdict::Certified => summary.certified += 1,
+                Verdict::Unknown => summary.unknown += 1,
+                Verdict::Warned | Verdict::Guaranteed => {
+                    summary.flagged += 1;
+                    diags.extend(diag);
+                }
+            }
+        }
+        summary
+    }
+}
+
+/// The tree of upward paths from one join input port. Tree node `t` stands
+/// for the path `edge[t], edge[parent[t]], ...` down to the port, which is
+/// already in fork-to-join order; its fork is `edge[t].src.node`. Nodes
+/// are numbered in depth-first pre-order with in-edges in insertion order,
+/// the order "first instance" in [`Regions`] is defined over.
+#[derive(Default)]
+struct UpTree {
+    edge: Vec<Edge>,
+    parent: Vec<usize>,
+    /// `(fork, t)` sorted: the tree nodes of one fork are contiguous and in
+    /// pre-order.
+    by_fork: Vec<(usize, usize)>,
+}
+
+const ROOT: usize = usize::MAX;
+
+impl UpTree {
+    /// Rebuilds the tree above `last`, the edge into the join port, reusing
+    /// the buffers. Its leaves are the source-rooted paths, so the caller
+    /// bounds its size by checking the path count against `max_paths` first.
+    fn rebuild(&mut self, g: &SamGraph, last: Edge, stack: &mut Vec<(Edge, usize)>) {
+        self.edge.clear();
+        self.parent.clear();
+        self.by_fork.clear();
+        stack.push((last, ROOT));
+        while let Some((e, parent)) = stack.pop() {
+            let t = self.edge.len();
+            self.edge.push(e);
+            self.parent.push(parent);
+            self.by_fork.push((e.src.node.0, t));
+            let mark = stack.len();
+            stack.extend(g.in_edges(e.src.node).map(|up| (*up, t)));
+            stack[mark..].reverse();
+        }
+        self.by_fork.sort_unstable();
+    }
+
+    /// The tree nodes of each fork, forks ascending.
+    fn forks(&self) -> impl Iterator<Item = &[(usize, usize)]> {
+        self.by_fork.chunk_by(|x, y| x.0 == y.0)
+    }
+
+    /// The tree nodes below `t`: their edges' sources are the interior
+    /// nodes of `t`'s path.
+    fn below(&self, t: usize) -> impl Iterator<Item = usize> + '_ {
+        let some = |p: usize| (p != ROOT).then_some(p);
+        std::iter::successors(some(self.parent[t]), move |&p| some(self.parent[p]))
+    }
+
+    /// Writes `t`'s path into `out`, fork first.
+    fn path(&self, t: usize, out: &mut Vec<Edge>) {
+        out.clear();
+        out.push(self.edge[t]);
+        out.extend(self.below(t).map(|p| self.edge[p]));
+    }
+}
+
+/// Buffers the instance enumeration reuses across tree pairs.
+struct Scratch {
+    /// Interior nodes of the current a-side path carry the stamp `now`.
+    stamp: Vec<usize>,
+    now: usize,
+    path_a: Vec<Edge>,
+    path_b: Vec<Edge>,
+}
+
+/// Calls `found` on every instance between two ports' trees: the pairs of
+/// paths that start at a common fork and share no interior node, a-side
+/// path outermost, both sides in pre-order.
+fn instances(a: &UpTree, b: &UpTree, s: &mut Scratch, mut found: impl FnMut(&RegionInstance<'_>)) {
+    let mut forks_b = b.forks().peekable();
+    for of_a in a.forks() {
+        let fork = of_a[0].0;
+        while forks_b.next_if(|of_b| of_b[0].0 < fork).is_some() {}
+        let Some(of_b) = forks_b.next_if(|of_b| of_b[0].0 == fork) else {
+            continue;
+        };
+        for &(_, ta) in of_a {
+            s.now += 1;
+            for t in a.below(ta) {
+                s.stamp[a.edge[t].src.node.0] = s.now;
+            }
+            s.path_a.clear();
+            for &(_, tb) in of_b {
+                if b.below(tb).any(|t| s.stamp[b.edge[t].src.node.0] == s.now) {
+                    continue; // the paths meet again below the fork
+                }
+                if s.path_a.is_empty() {
+                    a.path(ta, &mut s.path_a);
+                }
+                b.path(tb, &mut s.path_b);
+                found(&RegionInstance { fork: NodeId(fork), path_a: &s.path_a, path_b: &s.path_b });
+            }
+        }
+    }
+}
+
 /// Runs the deadlock pass. `live[n]` marks nodes from which a writer is
 /// reachable (from the dead-code pass); guarantees are only issued for
 /// joins whose starvation actually wedges a writer.
+///
+/// Every region instance is analysed exactly once: for each pair of
+/// connected ports of a strict join, the pairs of upward paths that start
+/// at a common fork and share no interior node. (Two source-rooted paths
+/// into the two ports diverge for the last time at such a fork, and in a
+/// DAG a common prefix can be put in front of any such pair, so these are
+/// exactly the instances a source-rooted enumeration finds, each once
+/// instead of once per prefix pair.)
 pub(crate) fn check_deadlock(
     g: &SamGraph,
+    order: &[NodeId],
     opts: &VerifyOptions,
     live: &[bool],
     diags: &mut Vec<Diag>,
 ) -> RegionSummary {
-    let fanin = g.fanin();
-    let cap = opts.channel_capacity as u64;
-    // verdict + strongest diagnostic per unique (fork, join, edge_a, edge_b).
-    type Key = (usize, usize, (usize, usize, usize, usize), (usize, usize, usize, usize));
-    let mut regions: HashMap<Key, (Verdict, Option<Diag>)> = HashMap::new();
-    let mut overflow_pairs = 0usize;
+    // Source-rooted paths reaching each node, saturating: decides the
+    // `max_paths` overflow verdict without enumerating them.
+    let mut rooted = vec![0usize; g.node_count()];
+    for &n in order {
+        let from_above =
+            g.in_edges(n).fold(0usize, |sum, e| sum.saturating_add(rooted[e.src.node.0]));
+        rooted[n.0] = from_above.max(1);
+    }
 
+    let mut regions = Regions::default();
+    // One tree per connected strict port, rebuilt per join.
+    let mut trees: Vec<UpTree> = Vec::new();
+    let mut stack = Vec::new();
+    let mut last_edges = Vec::new();
+    let mut scratch =
+        Scratch { stamp: vec![0; g.node_count()], now: 0, path_a: Vec::new(), path_b: Vec::new() };
     for (j_idx, kind) in g.nodes().iter().enumerate() {
         let join = NodeId(j_idx);
-        let pairs = strict_pairs(kind, |p| fanin.contains_key(&(join, p)));
-        for (a, b) in pairs {
-            if !fanin.contains_key(&(join, a)) || !fanin.contains_key(&(join, b)) {
-                continue;
-            }
-            let (Some(paths_a), Some(paths_b)) = (
-                paths_up(g, &fanin, (join, a), opts.max_paths),
-                paths_up(g, &fanin, (join, b), opts.max_paths),
-            ) else {
-                overflow_pairs += 1;
-                continue;
-            };
-            for pa in &paths_a {
-                for pb in &paths_b {
-                    let Some(inst) = diverge_region(pa, pb) else { continue };
-                    let ea = inst.path_a[0];
-                    let eb = inst.path_b[0];
-                    let key: Key = (
-                        inst.fork.0,
-                        j_idx,
-                        (ea.src.node.0, ea.src.port, ea.dst.node.0, ea.dst.port),
-                        (eb.src.node.0, eb.src.port, eb.dst.node.0, eb.dst.port),
-                    );
-                    let (verdict, diag) = analyze_instance(g, opts, live, join, &inst, cap);
-                    let entry = regions.entry(key).or_insert((Verdict::Certified, None));
-                    if verdict > entry.0 {
-                        *entry = (verdict, diag);
-                    }
+        last_edges.clear();
+        last_edges.extend(strict_ports(kind).iter().filter_map(|&p| g.in_edge(join, p).copied()));
+        if last_edges.len() < 2 {
+            continue;
+        }
+        if trees.len() < last_edges.len() {
+            trees.resize_with(last_edges.len(), UpTree::default);
+        }
+        // `None` stands for a port with more than `max_paths` paths.
+        let built: Vec<Option<&UpTree>> = trees
+            .iter_mut()
+            .zip(&last_edges)
+            .map(|(tree, last)| {
+                (rooted[last.src.node.0] <= opts.max_paths).then(|| {
+                    tree.rebuild(g, *last, &mut stack);
+                    &*tree
+                })
+            })
+            .collect();
+        for (i, tree_a) in built.iter().enumerate() {
+            for tree_b in &built[i + 1..] {
+                match (tree_a, tree_b) {
+                    (Some(a), Some(b)) => instances(a, b, &mut scratch, |inst| {
+                        regions.analyze(g, opts, live, join, inst);
+                    }),
+                    _ => regions.overflow_pairs += 1,
                 }
             }
         }
     }
-
-    let mut summary = RegionSummary::default();
-    summary.unknown += overflow_pairs;
-    let mut keys: Vec<&Key> = regions.keys().collect();
-    keys.sort();
-    for k in keys {
-        let (verdict, diag) = &regions[k];
-        match verdict {
-            Verdict::Certified => summary.certified += 1,
-            Verdict::Unknown => summary.unknown += 1,
-            Verdict::Warned | Verdict::Guaranteed => {
-                summary.flagged += 1;
-                if let Some(d) = diag {
-                    diags.push(d.clone());
-                }
-            }
-        }
-    }
-    summary
+    regions.finish(diags)
 }
 
 fn analyze_instance(
@@ -431,8 +503,8 @@ fn analyze_instance(
     live: &[bool],
     join: NodeId,
     inst: &RegionInstance<'_>,
-    cap: u64,
 ) -> (Verdict, Option<Diag>) {
+    let cap = opts.channel_capacity as u64;
     let class = fork_class(g.node(inst.fork), inst.path_a[0].src.port, inst.path_b[0].src.port);
     if class == ForkClass::Loose {
         return (Verdict::Unknown, None);

@@ -28,12 +28,24 @@ pub enum Code {
     SA015,
     /// Output slot with no `ValWriter`: the output can never be produced.
     SA016,
+    /// The graph fails `SamGraph::validate` (cycle, edge naming a missing
+    /// node or port, double-driven or unconnected input, bad slot). The
+    /// message carries the `GraphError`; no other pass runs.
+    SA017,
 }
 
 impl Code {
     /// All known codes, in numeric order.
-    pub const ALL: [Code; 7] =
-        [Code::SA010, Code::SA011, Code::SA012, Code::SA013, Code::SA014, Code::SA015, Code::SA016];
+    pub const ALL: [Code; 8] = [
+        Code::SA010,
+        Code::SA011,
+        Code::SA012,
+        Code::SA013,
+        Code::SA014,
+        Code::SA015,
+        Code::SA016,
+        Code::SA017,
+    ];
 
     /// The stable string form, e.g. `"SA012"`.
     pub fn as_str(&self) -> &'static str {
@@ -45,6 +57,7 @@ impl Code {
             Code::SA014 => "SA014",
             Code::SA015 => "SA015",
             Code::SA016 => "SA016",
+            Code::SA017 => "SA017",
         }
     }
 
@@ -56,7 +69,7 @@ impl Code {
     /// The severity this code carries by default.
     pub fn default_severity(&self) -> Severity {
         match self {
-            Code::SA010 | Code::SA011 | Code::SA012 | Code::SA016 => Severity::Error,
+            Code::SA010 | Code::SA011 | Code::SA012 | Code::SA016 | Code::SA017 => Severity::Error,
             Code::SA013 | Code::SA014 | Code::SA015 => Severity::Warning,
         }
     }
@@ -151,14 +164,19 @@ impl Diag {
         self
     }
 
-    /// Renders `error[SA010]: message (at anchor, anchor)`.
+    /// Renders `error[SA010]: message (at anchor, anchor)`; the `(at ...)`
+    /// part is dropped for a diagnostic without anchors.
     pub fn render(&self, g: &SamGraph) -> String {
-        let at = self.anchors.iter().map(|a| a.render(g)).collect::<Vec<_>>().join(", ");
         let cap = match self.min_safe_capacity {
             Some(c) => format!(" [min safe capacity {c}]"),
             None => String::new(),
         };
-        format!("{}[{}]: {}{} (at {})", self.severity, self.code, self.message, cap, at)
+        let head = format!("{}[{}]: {}{}", self.severity, self.code, self.message, cap);
+        if self.anchors.is_empty() {
+            return head;
+        }
+        let at = self.anchors.iter().map(|a| a.render(g)).collect::<Vec<_>>().join(", ");
+        format!("{head} (at {at})")
     }
 }
 

@@ -18,14 +18,11 @@ use fuseflow_sam::{NodeId, NodeKind, SamGraph};
 use std::collections::HashMap;
 
 /// Compares `src.output_ports()[p].kind` against `dst.input_ports()[p].kind`
-/// for every edge (SA010).
+/// for every edge (SA010). Ports are in range: the graph is validated.
 pub(crate) fn check_kinds(g: &SamGraph, diags: &mut Vec<Diag>) {
     for e in g.edges() {
-        let src_sig = g.node(e.src.node).output_ports();
-        let dst_sig = g.node(e.dst.node).input_ports();
-        let (Some(s), Some(d)) = (src_sig.get(e.src.port), dst_sig.get(e.dst.port)) else {
-            continue; // out-of-range port: SamGraph::validate's BadPort territory
-        };
+        let s = g.node(e.src.node).output_ports()[e.src.port];
+        let d = g.node(e.dst.node).input_ports()[e.dst.port];
         if let (Some(sk), Some(dk)) = (s.kind, d.kind) {
             if sk != dk {
                 diags.push(Diag::new(
@@ -40,15 +37,15 @@ pub(crate) fn check_kinds(g: &SamGraph, diags: &mut Vec<Diag>) {
 
 /// Infers per-output-port stream depths and checks strict-join alignment
 /// (SA011). Returns the inferred depths for other passes and tests.
-pub(crate) fn check_depths(g: &SamGraph, diags: &mut Vec<Diag>) -> HashMap<(NodeId, usize), i64> {
+pub(crate) fn check_depths(
+    g: &SamGraph,
+    order: &[NodeId],
+    diags: &mut Vec<Diag>,
+) -> HashMap<(NodeId, usize), i64> {
     let mut depths: HashMap<(NodeId, usize), i64> = HashMap::new();
-    let fanin = g.fanin();
-    let Some(order) = g.topo_order() else {
-        return depths; // cyclic: validate reports it
-    };
     // Depth of the stream entering `(node, in_port)`, if inferred.
     let in_depth = |depths: &HashMap<(NodeId, usize), i64>, n: NodeId, p: usize| -> Option<i64> {
-        let src = fanin.get(&(n, p))?;
+        let src = g.in_edge(n, p)?.src;
         depths.get(&(src.node, src.port)).copied()
     };
     // Reports a definite depth mismatch between two input ports of `n`.
@@ -67,7 +64,7 @@ pub(crate) fn check_depths(g: &SamGraph, diags: &mut Vec<Diag>) -> HashMap<(Node
             format!("{what}: input {pa} has depth {da} but input {pb} has depth {db}"),
         ));
     }
-    for &n in &order {
+    for &n in order {
         let kind = g.node(n);
         match kind {
             NodeKind::Root => {

@@ -15,6 +15,7 @@
 //! | SA014 | warning  | dead node (no writer reachable) |
 //! | SA015 | warning  | unused tensor slot |
 //! | SA016 | error    | output slot with no value writer |
+//! | SA017 | error    | graph fails `SamGraph::validate`; carries the `GraphError` |
 //!
 //! The deadlock pass (see [`deadlock`]'s module docs for the model and the
 //! soundness argument) produces a three-valued verdict per reconvergent
@@ -47,10 +48,12 @@ mod dead;
 mod deadlock;
 mod diag;
 mod kinds;
+#[cfg(test)]
+mod oracle;
 
 pub use diag::{Anchor, Code, Diag, RegionSummary, Report, Severity};
 
-use fuseflow_sam::SamGraph;
+use fuseflow_sam::{GraphError, NodeId, SamGraph};
 
 /// Knobs for the analyzer.
 #[derive(Debug, Clone)]
@@ -136,15 +139,39 @@ impl VerifyConfig {
 
 /// Runs all passes over a graph and collects the report.
 ///
-/// The graph should already pass [`SamGraph::validate`]; structurally
-/// invalid edges are skipped rather than reported (validation owns them).
+/// The graph is validated first: one that fails [`SamGraph::validate`]
+/// (cycle, edge naming a missing node or port, double-driven input, ...)
+/// gets a single error-severity [`Code::SA017`] carrying the
+/// [`GraphError`], and no pass runs. The passes index dense per-node
+/// arrays and walk the graph upward, so they rely on that check.
+///
+/// All four passes share the graph's adjacency index and the one
+/// topological order computed here.
 pub fn verify_graph(g: &SamGraph, opts: &VerifyOptions) -> Report {
+    let order = match g.validated_order() {
+        Ok(order) => order,
+        Err(e) => return Report { diags: vec![invalid_graph(g, &e)], ..Report::default() },
+    };
     let mut diags = Vec::new();
     kinds::check_kinds(g, &mut diags);
-    kinds::check_depths(g, &mut diags);
-    let live = dead::check_dead(g, &mut diags);
-    let regions = deadlock::check_deadlock(g, opts, &live, &mut diags);
+    kinds::check_depths(g, &order, &mut diags);
+    let live = dead::check_dead(g, &order, &mut diags);
+    let regions = deadlock::check_deadlock(g, &order, opts, &live, &mut diags);
     Report { diags, regions }
+}
+
+/// The SA017 diagnostic for a graph that fails validation, anchored at the
+/// offending node when the error names one that exists.
+fn invalid_graph(g: &SamGraph, e: &GraphError) -> Diag {
+    let node = match e {
+        GraphError::BadPort { node, .. }
+        | GraphError::MultipleWriters { node, .. }
+        | GraphError::Unconnected { node, .. }
+        | GraphError::BadSlot { node } => Some(*node),
+        GraphError::Cyclic | GraphError::DuplicateSlot { .. } => None,
+    };
+    let anchors = node.filter(|&n| n < g.node_count()).map(|n| Anchor::Node(NodeId(n)));
+    Diag::new(Code::SA017, anchors.into_iter().collect(), format!("invalid graph: {e}"))
 }
 
 /// Applies a [`VerifyConfig`] to a report: allowed diagnostics are
@@ -201,7 +228,7 @@ mod tests {
     /// The reconvergent softmax-normalization shape: vals fan out to a
     /// direct ALU operand and to Reduce -> Repeat, which must absorb a
     /// whole fiber before the ALU's first commit.
-    fn reconvergent_graph() -> SamGraph {
+    pub(crate) fn reconvergent_graph() -> SamGraph {
         let mut g = SamGraph::new();
         let b = g.add_tensor("B", MemLocation::OnChip);
         let o = g.add_output("T", vec![8], Format::sparse_vec(), MemLocation::OnChip);
@@ -356,6 +383,72 @@ mod tests {
         let r = verify_graph(&g, &VerifyOptions::default());
         assert_eq!(r.with_code(Code::SA016).count(), 1);
         assert_eq!(r.with_code(Code::SA016).next().unwrap().severity, Severity::Error);
+    }
+
+    /// Every way a graph can fail `validate` is one SA017 error naming the
+    /// `GraphError`, never a panic or a stack overflow, and denies a compile.
+    #[test]
+    fn sa017_invalid_graphs_are_reported_not_crashed_on() {
+        let invalid = |g: &SamGraph, what: &str| {
+            let err = g.validate().expect_err(what);
+            let r = verify_graph(g, &VerifyOptions::default());
+            assert_eq!(r.diags.len(), 1, "{what}");
+            let d = &r.diags[0];
+            assert_eq!((d.code, d.severity), (Code::SA017, Severity::Error), "{what}");
+            assert!(d.message.contains(&err.to_string()), "{what}: {}", d.message);
+            assert_eq!(r.regions, RegionSummary::default());
+            assert!(enforce(&r, &VerifyConfig::default()).is_err(), "{what}");
+            assert!(r.render_human(g).contains("error[SA017]"));
+            assert!(r.to_json(g).contains("\"code\":\"SA017\""));
+        };
+
+        // A 2-node cycle through a binary ALU (the upward path walk of the
+        // deadlock pass would never end).
+        let mut g = clean_graph();
+        let a0 = g.add_node(NodeKind::Alu { op: AluOp::Add });
+        let a1 = g.add_node(NodeKind::Alu { op: AluOp::Add });
+        g.connect(NodeId(3), 0, a0, 0);
+        g.connect(a1, 0, a0, 1);
+        g.connect(a0, 0, a1, 0);
+        g.connect(NodeId(3), 0, a1, 1);
+        invalid(&g, "cycle");
+
+        // An edge naming a node that does not exist.
+        let mut g = clean_graph();
+        let a1 = g.add_node(NodeKind::Alu { op: AluOp::Add });
+        g.connect(NodeId(3), 0, a1, 0);
+        g.connect(NodeId(17), 0, a1, 1);
+        invalid(&g, "missing source node");
+        let mut g = clean_graph();
+        g.connect(NodeId(3), 0, NodeId(17), 0);
+        invalid(&g, "missing destination node");
+
+        // Ports out of range on either side.
+        let mut g = clean_graph();
+        let relu = g.add_node(NodeKind::Alu { op: AluOp::Relu });
+        g.connect(NodeId(3), 5, relu, 0);
+        invalid(&g, "output port out of range");
+        let mut g = clean_graph();
+        g.connect(NodeId(3), 0, NodeId(4), 3);
+        invalid(&g, "input port out of range");
+
+        // A double-driven input: anchored at the node.
+        let mut g = clean_graph();
+        g.connect(NodeId(1), 1, NodeId(3), 0);
+        invalid(&g, "double-driven input");
+        let r = verify_graph(&g, &VerifyOptions::default());
+        assert_eq!(r.diags[0].anchors, vec![Anchor::Node(NodeId(3))]);
+
+        // The rest of `GraphError`.
+        let mut g = clean_graph();
+        g.add_node(NodeKind::Alu { op: AluOp::Add });
+        invalid(&g, "unconnected required input");
+        let mut g = clean_graph();
+        g.add_node(NodeKind::Array { tensor: 9 });
+        invalid(&g, "bad slot");
+        let mut g = clean_graph();
+        g.add_tensor("B", MemLocation::OnChip);
+        invalid(&g, "duplicate slot");
     }
 
     #[test]

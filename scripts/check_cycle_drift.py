@@ -8,7 +8,13 @@ deterministic simulation results are compared, so any diff means the
 simulator's semantics changed and the snapshot must be regenerated
 deliberately (``experiments all --quick`` then copy the cycle map).
 
+Either side may also be a flat ``{"key": count}`` map, which is how the
+static-verification verdict counts are gated: ``experiments samcheck``
+rewrites the tracked ``results/samcheck_quick.json``, and CI compares it with
+the committed copy (``git show HEAD:results/samcheck_quick.json``).
+
 Usage: check_cycle_drift.py BENCH_sim.json results/quick_cycles.json
+       check_cycle_drift.py results/samcheck_quick.json committed_copy.json
 """
 
 import json
@@ -38,13 +44,13 @@ def main() -> int:
     if len(sys.argv) != 3:
         print(__doc__, file=sys.stderr)
         return 2
-    with open(sys.argv[1]) as f:
-        fresh = cycle_map(json.load(f))
-    with open(sys.argv[2]) as f:
-        snapshot = json.load(f)
-        # Accept either a raw cycle map or a full report as the snapshot.
-        if "figures" in snapshot:
-            snapshot = cycle_map(snapshot)
+    # Either side is a raw {"key": count} map or a full report.
+    sides = []
+    for path in sys.argv[1:]:
+        with open(path) as f:
+            side = json.load(f)
+        sides.append(cycle_map(side) if "figures" in side else side)
+    fresh, snapshot = sides
 
     drift = []
     for key, want in sorted(snapshot.items()):
@@ -57,16 +63,17 @@ def main() -> int:
         drift.append(f"  new point (not in snapshot): {key} = {fresh[key]}")
 
     if drift:
-        print("cycle drift against results/quick_cycles.json:")
+        print(f"drift against {sys.argv[2]}:")
         print("\n".join(drift))
         print(
             f"\n{len(drift)} drifting point(s). If this change is intended, "
             "regenerate the snapshot:\n"
             "  cargo run --release -p fuseflow-bench --bin experiments -- all --quick\n"
-            "  python3 scripts/check_cycle_drift.py --update  # or copy by hand"
+            "  python3 scripts/check_cycle_drift.py --update  # or copy by hand\n"
+            "(for results/samcheck_quick.json: commit the file `experiments samcheck` wrote)"
         )
         return 1
-    print(f"no cycle drift ({len(snapshot)} points checked)")
+    print(f"no drift ({len(snapshot)} points checked)")
     return 0
 
 
