@@ -3,13 +3,14 @@
 //! sweeps and writes the CSVs).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use fuseflow_bench::parallel_map;
 use fuseflow_core::pipeline::{compile, compile_at, run};
 use fuseflow_core::schedule::Schedule;
 use fuseflow_core::{estimate, fuse_region};
 use fuseflow_models::{
     gcn, gpt_attention, gpt_attention_blocked, graphsage, map_stack, sae, Fusion, GraphDataset,
 };
-use fuseflow_sim::{parallel_map, Scheduler, SimConfig, TimingConfig};
+use fuseflow_sim::{Scheduler, SimConfig, TimingConfig};
 use fuseflow_tensor::gen::GraphPattern;
 
 fn tiny_graph() -> GraphDataset {
@@ -164,7 +165,7 @@ fn table4_orders(c: &mut Criterion) {
 
 /// Sweep throughput: the fig12-style fusion sweep run point-by-point on
 /// one thread vs fanned out on the shared worker pool (the same
-/// `parallel_map` that backs `experiments` and the sharded engine). The
+/// `parallel_map` that backs `experiments`). The
 /// two variants compute identical cycle totals; the pooled one reports the
 /// wall-clock win of parallelizing independent model runs.
 fn sweep_throughput(c: &mut Criterion) {

@@ -12,6 +12,7 @@
 //! [`parallel_map`] worker pool; results are collected in point order, so
 //! the printed tables and CSVs are identical for any thread count.
 
+use fuseflow_bench::parallel_map;
 use fuseflow_core::estimate;
 use fuseflow_core::fuse_region;
 use fuseflow_core::pipeline::compile_with;
@@ -22,7 +23,7 @@ use fuseflow_models::{
     GraphDataset, ModelInstance, GRAPH_DATASETS, SAE_DATASETS,
 };
 use fuseflow_sam::MemLocation;
-use fuseflow_sim::{parallel_map, Scheduler, SimConfig, Stats, TimingConfig};
+use fuseflow_sim::{Scheduler, SimConfig, Stats, TimingConfig};
 use fuseflow_tensor::gen::GraphPattern;
 use fuseflow_verify::{verify_graph, VerifyConfig, VerifyOptions};
 use std::collections::HashMap;

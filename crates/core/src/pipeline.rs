@@ -237,10 +237,8 @@ pub struct RunResult {
 
 /// Executes a compiled program on the simulator.
 ///
-/// Regions run in order (later regions consume earlier regions' outputs
-/// through the environment); within each region the simulator shards the
-/// graph across [`SimConfig::threads`] workers with bit-identical results,
-/// so callers can set the knob freely without perturbing measurements.
+/// Regions run in order, on the calling thread (later regions consume
+/// earlier regions' outputs through the environment).
 ///
 /// # Errors
 ///

@@ -79,7 +79,8 @@ pub enum GraphError {
     },
     /// The graph contains a cycle (SAMML graphs are DAGs).
     Cyclic,
-    /// A node references a tensor or output slot that does not exist.
+    /// A node references a tensor or output slot that does not exist, or a
+    /// coordinate writer a level its output's format does not have.
     BadSlot {
         /// Offending node.
         node: usize,
@@ -108,7 +109,9 @@ impl std::fmt::Display for GraphError {
                 write!(f, "node {node}: required input port {port} unconnected")
             }
             GraphError::Cyclic => write!(f, "graph contains a cycle"),
-            GraphError::BadSlot { node } => write!(f, "node {node} references a missing slot"),
+            GraphError::BadSlot { node } => {
+                write!(f, "node {node} references a missing slot or output level")
+            }
             GraphError::DuplicateSlot { name, output } => {
                 let kind = if *output { "output" } else { "tensor" };
                 write!(f, "duplicate {kind} slot name '{name}'")
@@ -305,24 +308,6 @@ impl SamGraph {
         self.nodes.len()
     }
 
-    /// Consumers of each output port, keyed by `(node, out_port)`.
-    pub fn fanout(&self) -> HashMap<(NodeId, usize), Vec<Port>> {
-        let mut m: HashMap<(NodeId, usize), Vec<Port>> = HashMap::new();
-        for e in &self.edges {
-            m.entry((e.src.node, e.src.port)).or_default().push(e.dst);
-        }
-        m
-    }
-
-    /// Producer of each input port, keyed by `(node, in_port)`.
-    pub fn fanin(&self) -> HashMap<(NodeId, usize), Port> {
-        let mut m = HashMap::new();
-        for e in &self.edges {
-            m.insert((e.dst.node, e.dst.port), e.src);
-        }
-        m
-    }
-
     /// Edges entering `node`, in insertion order (none for an unknown node).
     pub fn in_edges(&self, node: NodeId) -> impl Iterator<Item = &Edge> {
         self.walk(self.ins.get(node.0), &self.next_in)
@@ -401,9 +386,10 @@ impl SamGraph {
                 NodeKind::LevelScanner { tensor, .. } | NodeKind::Array { tensor } => {
                     *tensor < self.tensors.len()
                 }
-                NodeKind::CrdWriter { output, .. } | NodeKind::ValWriter { output } => {
-                    *output < self.outputs.len()
+                NodeKind::CrdWriter { output, level } => {
+                    self.outputs.get(*output).is_some_and(|o| *level < o.format.order())
                 }
+                NodeKind::ValWriter { output } => *output < self.outputs.len(),
                 _ => true,
             };
             if !ok {
@@ -591,8 +577,19 @@ mod tests {
         // NOTE: crd into a val port would be kind-mismatched in a real
         // compile; fan-out bookkeeping is what we check here.
         g.connect(ls, 0, extra, 0);
-        let fo = g.fanout();
-        assert_eq!(fo[&(ls, 0)].len(), 2);
+        assert!(g.validate().is_ok());
+        let consumers: Vec<NodeId> =
+            g.out_edges(ls).filter(|e| e.src.port == 0).map(|e| e.dst.node).collect();
+        assert_eq!(consumers, vec![NodeId(3), extra], "port 0 fans out in insertion order");
+    }
+
+    #[test]
+    fn crd_writer_level_beyond_the_output_format_fails() {
+        let (mut g, ls, _) = tiny_graph();
+        // Output 0 is a sparse vector: one level.
+        let cw = g.add_node(NodeKind::CrdWriter { output: 0, level: 1 });
+        g.connect(ls, 0, cw, 0);
+        assert_eq!(g.validate(), Err(GraphError::BadSlot { node: cw.0 }));
     }
 
     #[test]

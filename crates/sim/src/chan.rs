@@ -14,11 +14,11 @@ pub(crate) const NO_NODE: u32 = u32::MAX;
 pub(crate) struct Chan {
     pub(crate) buf: VecDeque<Token>,
     pub(crate) cap: usize,
-    /// Local index of the node that pops this channel (wake target for
-    /// pushes), or [`NO_NODE`].
+    /// Node-table index of the node that pops this channel (wake target
+    /// for pushes), or [`NO_NODE`].
     pub(crate) reader: u32,
-    /// Local index of the node that pushes this channel (wake target for
-    /// full -> not-full transitions), or [`NO_NODE`].
+    /// Node-table index of the node that pushes this channel (wake target
+    /// for full -> not-full transitions), or [`NO_NODE`].
     pub(crate) writer: u32,
 }
 
@@ -29,8 +29,9 @@ impl Chan {
 }
 
 /// Everything a node step may read or charge that is not the node's own
-/// state: the shard's channels and DRAM slice, the read-only tensor
-/// bindings, and the shard clock plus its counters.
+/// state: the channel table (indexed by graph edge), the running shard's
+/// DRAM slice, the read-only tensor bindings, and the shard clock plus its
+/// counters.
 pub(crate) struct Ctx<'a> {
     pub(crate) chans: &'a mut [Chan],
     pub(crate) dram: &'a mut Dram,
@@ -41,7 +42,7 @@ pub(crate) struct Ctx<'a> {
     pub(crate) now: u64,
     pub(crate) flops: u64,
     pub(crate) pending_busy: u64,
-    /// Local node indices woken by channel activity during the current
+    /// Node-table indices woken by channel activity during the current
     /// step; drained by the event scheduler (ignored by the sweep).
     pub(crate) wakes: Vec<u32>,
 }

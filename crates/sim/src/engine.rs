@@ -22,31 +22,28 @@
 //! bit-identical (see the determinism notes on [`Shard::run_event`] and
 //! `crates/sim/tests/determinism.rs`).
 //!
-//! # Sharded parallel execution
+//! # Shards
 //!
-//! The graph is partitioned into its weakly-connected components
-//! ("shards"). Nodes only communicate through channels, and every channel
-//! connects two nodes of the same component, so shards share no mutable
-//! state: each shard owns its nodes, its channels, its clock, and a static
-//! 1/k slice of the configured DRAM bandwidth (so aggregate bandwidth
-//! matches the single shared channel; single-component graphs keep the
-//! full channel). A shard's simulation is therefore a pure function of
-//! the graph and the bound tensors, and shards can run on a scoped worker
-//! pool ([`SimConfig::threads`]) while staying **bit-identical** to the
-//! sequential `threads = 1` schedule: the only cross-shard interaction is
-//! the deterministic merge barrier at the end of the run (stats fold in
-//! shard order, the global cycle count is the max over shard clocks, and
-//! errors are reported for the lowest-indexed failing shard).
+//! The graph's weakly-connected components ("shards") are what the model
+//! runs side by side: every channel joins two nodes of one component, so a
+//! shard is a slice of the topological order with its own clock, its own
+//! counters and a static 1/k slice of the configured DRAM bandwidth (so
+//! aggregate bandwidth matches the single shared channel; single-component
+//! graphs keep the full channel). That concurrency lives in simulated
+//! time: [`simulate`] runs the shards one after another on the calling
+//! thread, over one node table indexed by `NodeId` and one channel table
+//! indexed by edge, and merges at the end (stats fold in shard order, the
+//! cycle count is the max over shard clocks, and the first failing shard's
+//! error is the one reported).
 
 use crate::chan::{Chan, NO_NODE};
 use crate::dram::Dram;
 use crate::node::{make_rt, State};
-use crate::pool::parallel_map;
 use crate::rebuild::assemble_output;
 use crate::shard::{Shard, Shared};
 use crate::stats::{SchedCounters, Stats};
 use crate::TimingConfig;
-use fuseflow_sam::{GraphError, MemLocation, NodeKind, SamGraph, Token};
+use fuseflow_sam::{GraphError, MemLocation, NodeId, NodeKind, SamGraph, Token};
 use fuseflow_tensor::SparseTensor;
 use std::collections::HashMap;
 
@@ -77,10 +74,6 @@ pub struct SimConfig {
     pub channel_capacity: usize,
     /// Hard cycle budget; exceeding it is an error.
     pub max_cycles: u64,
-    /// Worker threads for shard execution. `1` (the default) runs every
-    /// shard on the calling thread; larger values run weakly-connected
-    /// graph components concurrently with bit-identical results.
-    pub threads: usize,
     /// Shard execution loop; `Scheduler::Sweep` is the legacy oracle.
     pub scheduler: Scheduler,
 }
@@ -91,19 +84,12 @@ impl Default for SimConfig {
             timing: TimingConfig::comal(),
             channel_capacity: 256,
             max_cycles: 400_000_000,
-            threads: 1,
             scheduler: Scheduler::Event,
         }
     }
 }
 
 impl SimConfig {
-    /// Returns the config with the shard worker-pool size set.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
     /// Returns the config with the given shard execution loop.
     pub fn with_scheduler(mut self, scheduler: Scheduler) -> Self {
         self.scheduler = scheduler;
@@ -160,6 +146,17 @@ pub enum SimError {
     Validation(GraphError),
     /// A tensor slot had no binding in the environment.
     MissingTensor(String),
+    /// A level scanner addresses a level its bound tensor does not have.
+    LevelOutOfRange {
+        /// The scanner, as `label#id`.
+        node: String,
+        /// Name of the tensor slot it scans.
+        tensor: String,
+        /// The level the scanner addresses.
+        level: usize,
+        /// Number of levels of the bound tensor.
+        order: usize,
+    },
     /// No node could make progress before all writers finished.
     Deadlock {
         /// Cycle at which progress stopped.
@@ -181,6 +178,11 @@ impl std::fmt::Display for SimError {
             SimError::Config(m) => write!(f, "invalid simulation config: {m}"),
             SimError::Validation(e) => write!(f, "graph validation failed: {e}"),
             SimError::MissingTensor(n) => write!(f, "no binding for tensor '{n}'"),
+            SimError::LevelOutOfRange { node, tensor, level, order } => write!(
+                f,
+                "{node} scans level {level} of tensor '{tensor}', which is bound to a tensor \
+                 of {order} levels"
+            ),
             SimError::Deadlock { cycle, detail } => {
                 write!(f, "deadlock at cycle {cycle}: {detail}")
             }
@@ -245,15 +247,11 @@ fn shard_assignment(graph: &SamGraph) -> (Vec<usize>, usize) {
 
 /// Runs a SAMML graph on the given environment and configuration.
 ///
-/// The graph is partitioned into weakly-connected shards which run
-/// concurrently when `cfg.threads > 1`; see the module docs for why the
-/// result is bit-identical to the sequential schedule.
-///
 /// # Errors
 ///
 /// See [`SimError`]; notably the config and the graph must validate, every
-/// tensor slot must be bound, and the run must finish within
-/// `cfg.max_cycles`.
+/// tensor slot must be bound to a tensor with the levels its scanners
+/// address, and the run must finish within `cfg.max_cycles`.
 pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<SimResult, SimError> {
     if cfg.channel_capacity == 0 {
         return Err(SimError::Config("channel_capacity must be at least 1".into()));
@@ -262,141 +260,84 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
     if bw.is_nan() || bw <= 0.0 {
         return Err(SimError::Config(format!("dram_bytes_per_cycle must be positive, got {bw}")));
     }
-    graph.validate().map_err(SimError::Validation)?;
+    let order = graph.validated_order().map_err(SimError::Validation)?;
     let tensors: Vec<&SparseTensor> = graph
         .tensors()
         .iter()
         .map(|slot| env.get(&slot.name).ok_or_else(|| SimError::MissingTensor(slot.name.clone())))
         .collect::<Result<_, _>>()?;
-    let tensor_locs: Vec<MemLocation> = graph
-        .tensors()
-        .iter()
-        .map(|s| if cfg.timing.honor_on_chip { s.location } else { MemLocation::Dram })
-        .collect();
-    let output_locs: Vec<MemLocation> = graph
-        .outputs()
-        .iter()
-        .map(|s| if cfg.timing.honor_on_chip { s.location } else { MemLocation::Dram })
-        .collect();
+    let loc = |l: MemLocation| if cfg.timing.honor_on_chip { l } else { MemLocation::Dram };
+    let tensor_locs: Vec<MemLocation> = graph.tensors().iter().map(|s| loc(s.location)).collect();
+    let output_locs: Vec<MemLocation> = graph.outputs().iter().map(|s| loc(s.location)).collect();
 
-    // Partition nodes into weakly-connected shards. Every edge joins two
-    // nodes of the same shard, so channels are shard-local by construction.
-    // The configured DRAM bandwidth is statically partitioned across shards
-    // (each gets a 1/k channel slice; latencies are unchanged), so a
-    // multi-component graph models the same aggregate bandwidth as the
-    // single shared channel did — contention is approximated by the static
-    // split instead of request-order arbitration. Single-component graphs
-    // (the common case) keep the full channel and are unaffected.
-    let (shard_of, n_shards) = shard_assignment(graph);
-    let slice_bw = cfg.timing.dram_bytes_per_cycle / (n_shards.max(1) as f64);
-    let mut shards: Vec<Shard> = (0..n_shards)
-        .map(|_| Shard {
-            nodes: Vec::new(),
-            chans: Vec::new(),
-            order: Vec::new(),
-            dram: Dram::new(
-                slice_bw,
-                cfg.timing.dram_stream_latency,
-                cfg.timing.dram_random_latency,
-            ),
-            now: 0,
-            flops: 0,
-            sched: SchedCounters::default(),
-        })
-        .collect();
-
-    // Shard-local node indices, assigned in increasing global-id order
-    // (needed up front so channels can carry reader/writer back-pointers).
-    let mut local_of = vec![0usize; graph.node_count()];
-    let mut shard_sizes = vec![0usize; n_shards];
-    for (i, slot) in local_of.iter_mut().enumerate() {
-        *slot = shard_sizes[shard_of[i]];
-        shard_sizes[shard_of[i]] += 1;
-    }
-
-    // Channels: one per edge, ids local to the owning shard, each carrying
+    // One node table indexed by `NodeId`, one channel table indexed by edge
+    // index, wired in a single pass over the edges. Edges are visited in
+    // insertion order, so every port's fan-out order (and with it the flush
+    // order and every cycle count) is the graph's. Each channel carries
     // back-pointers to its writing (src) and reading (dst) node for the
     // event scheduler's wake lists.
-    let fanin = graph.fanin();
-    let fanout = graph.fanout();
-    let mut edge_chan: HashMap<(usize, usize, usize, usize), usize> = HashMap::new();
-    for e in graph.edges() {
-        let s = shard_of[e.src.node.0];
-        let id = shards[s].chans.len();
-        shards[s].chans.push(Chan::new(
-            cfg.channel_capacity,
-            local_of[e.src.node.0] as u32,
-            local_of[e.dst.node.0] as u32,
-        ));
-        edge_chan.insert((e.src.node.0, e.src.port, e.dst.node.0, e.dst.port), id);
-    }
-
+    let mut nodes = Vec::with_capacity(graph.node_count());
     for (i, kind) in graph.nodes().iter().enumerate() {
-        let n_in = kind.input_ports().len();
-        let n_out = kind.output_ports().len();
-        let mut in_chans = vec![None; n_in];
-        for (p, slot) in in_chans.iter_mut().enumerate() {
-            if let Some(src) = fanin.get(&(fuseflow_sam::NodeId(i), p)) {
-                *slot = Some(edge_chan[&(src.node.0, src.port, i, p)]);
+        let id = NodeId(i);
+        if let NodeKind::LevelScanner { tensor, level } = *kind {
+            let levels = tensors[tensor].order();
+            if level >= levels {
+                return Err(SimError::LevelOutOfRange {
+                    node: graph.node_anchor(id),
+                    tensor: graph.tensors()[tensor].name.clone(),
+                    level,
+                    order: levels,
+                });
             }
         }
-        let mut out_chans = vec![Vec::new(); n_out];
-        for (p, dsts_out) in out_chans.iter_mut().enumerate() {
-            if let Some(dsts) = fanout.get(&(fuseflow_sam::NodeId(i), p)) {
-                for d in dsts {
-                    dsts_out.push(edge_chan[&(i, p, d.node.0, d.port)]);
-                }
-            }
-        }
-        let shard = &mut shards[shard_of[i]];
-        debug_assert_eq!(local_of[i], shard.nodes.len());
-        shard.nodes.push(make_rt(
+        nodes.push(make_rt(
             kind.clone(),
-            graph.label(fuseflow_sam::NodeId(i)).to_string(),
-            in_chans,
-            out_chans,
+            graph.label(id).to_string(),
+            vec![None; kind.input_ports().len()],
+            vec![Vec::new(); kind.output_ports().len()],
             &cfg.timing,
         ));
     }
-
-    // Per-shard topological order (the global order filtered per shard).
-    for nid in graph.topo_order().expect("validated graphs are acyclic") {
-        let order = local_of[nid.0];
-        shards[shard_of[nid.0]].order.push(order);
+    let mut chans = Vec::with_capacity(graph.edges().len());
+    for (c, e) in graph.edges().iter().enumerate() {
+        chans.push(Chan::new(cfg.channel_capacity, e.src.node.0 as u32, e.dst.node.0 as u32));
+        nodes[e.src.node.0].out_chans[e.src.port].push(c);
+        nodes[e.dst.node.0].in_chans[e.dst.port] = Some(c);
     }
 
-    // Run every shard: sequentially, or on the scoped worker pool. Either
-    // way the reported error is the lowest-indexed failing shard's.
+    // A shard is one weakly-connected component: its slice of the
+    // topological order, its clock and counters, and a static 1/k slice of
+    // the configured DRAM bandwidth (latencies unchanged), so a
+    // multi-component graph models the same aggregate bandwidth as one
+    // shared channel would — contention is approximated by the static split
+    // instead of request-order arbitration. Single-component graphs (the
+    // common case) keep the full channel.
+    let (shard_of, n_shards) = shard_assignment(graph);
+    let slice_bw = cfg.timing.dram_bytes_per_cycle / (n_shards.max(1) as f64);
+    let mut shards: Vec<Shard> = (0..n_shards)
+        .map(|_| {
+            Shard::new(Dram::new(
+                slice_bw,
+                cfg.timing.dram_stream_latency,
+                cfg.timing.dram_random_latency,
+            ))
+        })
+        .collect();
+    for nid in order {
+        shards[shard_of[nid.0]].order.push(nid.0);
+    }
+
+    // Shards share no state, so running them one after another in shard
+    // order is the model's side-by-side execution; the first error met is
+    // the lowest-indexed failing shard's.
     let shared =
         Shared { tensors: &tensors, tensor_locs: &tensor_locs, output_locs: &output_locs, cfg };
-    if cfg.threads > 1 && shards.len() > 1 {
-        let shared_ref = &shared;
-        let ran = parallel_map(cfg.threads, shards, |mut shard| {
-            let res = shard.run(shared_ref);
-            (shard, res)
-        });
-        let mut first_err = Ok(());
-        shards = ran
-            .into_iter()
-            .map(|(shard, res)| {
-                if first_err.is_ok() {
-                    if let Err(e) = res {
-                        first_err = Err(e);
-                    }
-                }
-                shard
-            })
-            .collect();
-        first_err?;
-    } else {
-        for shard in &mut shards {
-            shard.run(&shared)?;
-        }
+    for shard in &mut shards {
+        shard.run(&mut nodes, &mut chans, &shared)?;
     }
 
-    // Merge counters deterministically (shard order). Shards model
-    // concurrently executing partitions, so wall-clock cycles are the max
-    // over shard clocks while traffic and work counters sum.
+    // Shards model concurrently executing partitions, so wall-clock cycles
+    // are the max over shard clocks while traffic and work counters sum.
     let mut stats = Stats {
         cycles: shards.iter().map(|s| s.now).max().unwrap_or(1),
         dram_read_bytes: shards.iter().map(|s| s.dram.read_bytes()).sum(),
@@ -407,32 +348,26 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
     };
     for shard in &shards {
         stats.sched.merge(&shard.sched);
-        for rt in &shard.nodes {
-            *stats.node_tokens.entry(rt.label.clone()).or_insert(0) += rt.elems;
-        }
     }
 
-    // Collect writer streams per output slot.
-    let mut outputs = HashMap::new();
-    for (oi, slot) in graph.outputs().iter().enumerate() {
-        let mut crd_streams: Vec<Option<Vec<Token>>> = vec![None; slot.format.order()];
-        let mut vals: Option<Vec<Token>> = None;
-        for rt in shards.iter().flat_map(|s| s.nodes.iter()) {
-            match &rt.kind {
-                NodeKind::CrdWriter { output, level } if *output == oi => {
-                    if let State::Writer { tokens } = &rt.state {
-                        crd_streams[*level] = Some(tokens.clone());
-                    }
-                }
-                NodeKind::ValWriter { output } if *output == oi => {
-                    if let State::Writer { tokens } = &rt.state {
-                        vals = Some(tokens.clone());
-                    }
-                }
-                _ => {}
+    // Per-label token counts and the writers' recorded streams, moved out of
+    // the nodes in one pass.
+    let mut crd_streams: Vec<Vec<Option<Vec<Token>>>> =
+        graph.outputs().iter().map(|slot| vec![None; slot.format.order()]).collect();
+    let mut val_streams: Vec<Option<Vec<Token>>> = vec![None; graph.outputs().len()];
+    for rt in nodes {
+        *stats.node_tokens.entry(rt.label).or_insert(0) += rt.elems;
+        if let State::Writer { tokens } = rt.state {
+            match rt.kind {
+                NodeKind::CrdWriter { output, level } => crd_streams[output][level] = Some(tokens),
+                NodeKind::ValWriter { output } => val_streams[output] = Some(tokens),
+                _ => unreachable!("only writers hold `State::Writer`"),
             }
         }
-        let crd_streams: Vec<Vec<Token>> = crd_streams
+    }
+    let mut outputs = HashMap::new();
+    for ((slot, crds), vals) in graph.outputs().iter().zip(crd_streams).zip(val_streams) {
+        let crds: Vec<Vec<Token>> = crds
             .into_iter()
             .enumerate()
             .map(|(l, s)| {
@@ -444,7 +379,7 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
             .collect::<Result<_, _>>()?;
         let vals =
             vals.ok_or(SimError::Rebuild(format!("output '{}' missing value writer", slot.name)))?;
-        let t = assemble_output(slot, &crd_streams, &vals).map_err(SimError::Rebuild)?;
+        let t = assemble_output(slot, &crds, &vals).map_err(SimError::Rebuild)?;
         outputs.insert(slot.name.clone(), t);
     }
 
@@ -483,14 +418,14 @@ pub fn run_node_standalone(
     }
     let mut out_chans = vec![Vec::new(); n_out];
     let mut capture = Vec::new();
-    for (p, oc) in out_chans.iter_mut().enumerate() {
+    for oc in &mut out_chans {
         // Captured by the harness: no reader node.
         chans.push(Chan::new(usize::MAX, 0, NO_NODE));
         oc.push(chans.len() - 1);
-        capture.push((p, chans.len() - 1));
+        capture.push(chans.len() - 1);
     }
 
-    let rt = make_rt(kind, "standalone".into(), in_chans, out_chans, &cfg.timing);
+    let mut rt = make_rt(kind, "standalone".into(), in_chans, out_chans, &cfg.timing);
     let tensor_refs: Vec<&SparseTensor> = tensors.iter().collect();
     let tensor_locs = vec![MemLocation::OnChip; tensors.len()];
     let output_locs = Vec::new();
@@ -500,15 +435,7 @@ pub fn run_node_standalone(
         output_locs: &output_locs,
         cfg: &cfg,
     };
-    let mut shard = Shard {
-        nodes: vec![rt],
-        chans,
-        order: vec![0],
-        dram: Dram::new(1e9, 0, 0),
-        now: 0,
-        flops: 0,
-        sched: SchedCounters::default(),
-    };
-    shard.run_standalone(&shared, 10_000_000)?;
-    Ok(capture.into_iter().map(|(_, c)| shard.chans[c].buf.iter().cloned().collect()).collect())
+    let mut shard = Shard::new(Dram::new(1e9, 0, 0));
+    shard.run_standalone(&mut rt, &mut chans, &shared, 10_000_000)?;
+    Ok(capture.into_iter().map(|c| chans[c].buf.iter().cloned().collect()).collect())
 }

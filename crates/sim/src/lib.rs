@@ -7,15 +7,15 @@
 //! ramulator-lite DRAM model supplying bandwidth/latency costs and full
 //! instrumentation (cycles, FLOPs, bytes).
 //!
-//! Graphs are partitioned into weakly-connected *shards* which can run on a
-//! scoped worker pool ([`SimConfig::threads`]) with results bit-identical
-//! to the sequential schedule; the same [`parallel_map`] pool drives the
-//! sweep harnesses in `fuseflow-bench`. Each shard runs one event-driven
-//! loop ([`Scheduler::Event`]); a dense per-cycle sweep
-//! ([`Scheduler::Sweep`]) is kept only as its differential-testing oracle.
-//! The sources split as `node.rs` (node state machines), `chan.rs`
-//! (channels and the step context), `shard.rs` (the run loops and their
-//! determinism arguments) and `engine.rs` (`simulate` assembly).
+//! One event-driven loop ([`Scheduler::Event`]) runs every graph, on the
+//! calling thread; a dense per-cycle sweep ([`Scheduler::Sweep`]) is kept
+//! only as its differential-testing oracle. A graph's weakly-connected
+//! components (*shards*) run side by side in simulated time: each has its
+//! own clock and a 1/k slice of the DRAM bandwidth, and the run's cycle
+//! count is the max over them. The sources split as `node.rs` (node state
+//! machines), `chan.rs` (channels and the step context), `shard.rs` (the
+//! run loops and their determinism arguments) and `engine.rs` (`simulate`
+//! assembly).
 //!
 //! Two timing backends implement the paper's §8.2 validation methodology:
 //! [`TimingConfig::comal`] (HBM-class, fully pipelined) and
@@ -39,7 +39,6 @@ mod chan;
 mod dram;
 mod engine;
 mod node;
-mod pool;
 mod rebuild;
 mod sched;
 mod shard;
@@ -50,6 +49,5 @@ pub use dram::{AccessKind, Dram};
 pub use engine::{
     run_node_standalone, simulate, Scheduler, SimConfig, SimError, SimResult, TensorEnv,
 };
-pub use pool::parallel_map;
 pub use rebuild::{assemble_output, streams_to_entries};
 pub use stats::{SchedCounters, Stats};

@@ -65,6 +65,10 @@ pub(crate) struct Rt {
 }
 
 impl Rt {
+    pub(crate) fn is_writer(&self) -> bool {
+        matches!(self.kind, NodeKind::CrdWriter { .. } | NodeKind::ValWriter { .. })
+    }
+
     pub(crate) fn finished(&self) -> bool {
         self.done && self.out_q.iter().all(|q| q.is_empty()) && self.pending_mem.is_empty()
     }
@@ -184,9 +188,7 @@ impl Rt {
                 break;
             }
             let (tok, _, port) = self.pending_mem.pop_front().expect("nonempty");
-            let is_writer =
-                matches!(self.kind, NodeKind::CrdWriter { .. } | NodeKind::ValWriter { .. });
-            if !is_writer {
+            if !self.is_writer() {
                 self.out_q[port].push_back(tok);
             }
             progress = true;

@@ -7,11 +7,11 @@ use crate::engine::{Scheduler, SimConfig, SimError};
 use crate::node::Rt;
 use crate::sched::{ReadySet, WakeQueue};
 use crate::stats::SchedCounters;
-use fuseflow_sam::{MemLocation, NodeKind};
+use fuseflow_sam::MemLocation;
 use fuseflow_tensor::SparseTensor;
 
-/// Read-only simulation inputs shared by every shard (and every worker
-/// thread): the bound tensors, location tables, and the config.
+/// Read-only simulation inputs shared by every shard: the bound tensors,
+/// location tables, and the config.
 pub(crate) struct Shared<'a> {
     pub(crate) tensors: &'a [&'a SparseTensor],
     pub(crate) tensor_locs: &'a [MemLocation],
@@ -19,11 +19,12 @@ pub(crate) struct Shared<'a> {
     pub(crate) cfg: &'a SimConfig,
 }
 
-/// One weakly-connected component of the graph with everything it mutates:
-/// its nodes, its channels, its clock, and its DRAM channel slice.
+/// One weakly-connected component of the graph: the nodes it runs (`order`,
+/// its slice of the topological order, as indices into the node table), its
+/// clock, its DRAM channel slice and its counters. The nodes and channels
+/// themselves live in the tables `simulate` builds; a shard only ever
+/// touches the entries its `order` names and the channels between them.
 pub(crate) struct Shard {
-    pub(crate) nodes: Vec<Rt>,
-    pub(crate) chans: Vec<Chan>,
     pub(crate) order: Vec<usize>,
     pub(crate) dram: Dram,
     pub(crate) now: u64,
@@ -52,11 +53,22 @@ fn make_ctx<'a>(
 }
 
 impl Shard {
-    /// Runs this shard to completion (all writers finished) or to an error.
-    pub(crate) fn run(&mut self, shared: &Shared<'_>) -> Result<(), SimError> {
+    /// An empty shard at cycle 0 on the given DRAM channel.
+    pub(crate) fn new(dram: Dram) -> Self {
+        Shard { order: Vec::new(), dram, now: 0, flops: 0, sched: SchedCounters::default() }
+    }
+
+    /// Runs this shard to completion (all its writers finished) or to an
+    /// error.
+    pub(crate) fn run(
+        &mut self,
+        nodes: &mut [Rt],
+        chans: &mut [Chan],
+        shared: &Shared<'_>,
+    ) -> Result<(), SimError> {
         match shared.cfg.scheduler {
-            Scheduler::Event => self.run_event(shared),
-            Scheduler::Sweep => self.run_sweep(shared),
+            Scheduler::Event => self.run_event(nodes, chans, shared),
+            Scheduler::Sweep => self.run_sweep(nodes, chans, shared),
         }
     }
 
@@ -85,19 +97,22 @@ impl Shard {
     /// sweep's idle fast-forward, without its O(nodes) `next_wake` scan.
     /// Writer completion is tracked with a `live_writers` counter instead
     /// of the sweep's O(nodes) `writers_done` rescan per cycle.
-    fn run_event(&mut self, shared: &Shared<'_>) -> Result<(), SimError> {
-        let n = self.order.len();
-        let mut rank_of = vec![0u32; n];
-        for (rank, &node) in self.order.iter().enumerate() {
+    fn run_event(
+        &mut self,
+        nodes: &mut [Rt],
+        chans: &mut [Chan],
+        shared: &Shared<'_>,
+    ) -> Result<(), SimError> {
+        let order = &self.order;
+        let n = order.len();
+        // Channel wakes name nodes; the ready sets hold this shard's ranks.
+        let mut rank_of = vec![0u32; nodes.len()];
+        for (rank, &node) in order.iter().enumerate() {
             rank_of[node] = rank as u32;
         }
-        let is_writer: Vec<bool> = self
-            .nodes
-            .iter()
-            .map(|n| matches!(n.kind, NodeKind::CrdWriter { .. } | NodeKind::ValWriter { .. }))
-            .collect();
+        // By rank: is this node a writer that has not finished yet?
         let mut writer_live: Vec<bool> =
-            self.nodes.iter().zip(&is_writer).map(|(n, &w)| w && !n.finished()).collect();
+            order.iter().map(|&i| nodes[i].is_writer() && !nodes[i].finished()).collect();
         let mut live_writers = writer_live.iter().filter(|&&w| w).count();
 
         let mut cur = ReadySet::new(n);
@@ -108,9 +123,7 @@ impl Shard {
         let mut wakes = WakeQueue::new(n);
         let mut counters = SchedCounters::default();
 
-        let order = std::mem::take(&mut self.order);
-        let nodes = &mut self.nodes;
-        let mut ctx = make_ctx(&mut self.chans, &mut self.dram, shared, self.now);
+        let mut ctx = make_ctx(chans, &mut self.dram, shared, self.now);
         let res = 'run: loop {
             // Drain this cycle's ready set in ascending rank (= sweep order).
             let mut stepped = 0u64;
@@ -141,8 +154,8 @@ impl Shard {
                     | StepOutcome::BlockedOutput
                     | StepOutcome::Finished => {}
                 }
-                if writer_live[node] && nodes[node].finished() {
-                    writer_live[node] = false;
+                if writer_live[rank] && nodes[node].finished() {
+                    writer_live[rank] = false;
                     live_writers -= 1;
                 }
             }
@@ -160,7 +173,7 @@ impl Shard {
                 match wakes.next_time(ctx.now) {
                     Some(t) => t,
                     None => {
-                        let detail = deadlock_detail(nodes, ctx.chans);
+                        let detail = deadlock_detail(order, nodes, ctx.chans);
                         break 'run Err(SimError::Deadlock { cycle: ctx.now, detail });
                     }
                 }
@@ -175,7 +188,6 @@ impl Shard {
         };
         self.now = ctx.now;
         self.flops += ctx.flops;
-        self.order = order;
         self.sched.merge(&counters);
         res
     }
@@ -183,14 +195,18 @@ impl Shard {
     /// The legacy dense sweep: every node steps at every visited cycle.
     /// Kept as the differential-testing oracle for the event scheduler
     /// ([`Scheduler::Sweep`]).
-    fn run_sweep(&mut self, shared: &Shared<'_>) -> Result<(), SimError> {
-        let order = std::mem::take(&mut self.order);
+    fn run_sweep(
+        &mut self,
+        nodes: &mut [Rt],
+        chans: &mut [Chan],
+        shared: &Shared<'_>,
+    ) -> Result<(), SimError> {
+        let order = &self.order;
         let mut counters = SchedCounters::default();
-        let nodes = &mut self.nodes;
-        let mut ctx = make_ctx(&mut self.chans, &mut self.dram, shared, self.now);
+        let mut ctx = make_ctx(chans, &mut self.dram, shared, self.now);
         let res = 'run: loop {
             let mut progress = false;
-            for &i in &order {
+            for &i in order {
                 match nodes[i].step(&mut ctx) {
                     Ok(o) => progress |= o == StepOutcome::Progressed,
                     Err(e) => break 'run Err(e),
@@ -199,10 +215,7 @@ impl Shard {
             }
             counters.events += order.len() as u64;
             counters.peak_ready = counters.peak_ready.max(order.len() as u64);
-            let writers_done = nodes.iter().all(|n| {
-                !matches!(n.kind, NodeKind::CrdWriter { .. } | NodeKind::ValWriter { .. })
-                    || n.finished()
-            });
+            let writers_done = order.iter().all(|&i| !nodes[i].is_writer() || nodes[i].finished());
             if writers_done {
                 ctx.now += 1;
                 break 'run Ok(());
@@ -213,14 +226,14 @@ impl Shard {
                 // Distinguish stalls on memory latency / initiation intervals
                 // from true deadlock: fast-forward to the next wake-up time.
                 let now = ctx.now;
-                let next_wake = nodes.iter().filter_map(|n| n.next_wake(now)).min();
+                let next_wake = order.iter().filter_map(|&i| nodes[i].next_wake(now)).min();
                 match next_wake {
                     Some(t) => {
                         counters.cycles_skipped += t - ctx.now - 1;
                         ctx.now = t;
                     }
                     None => {
-                        let detail = deadlock_detail(nodes, ctx.chans);
+                        let detail = deadlock_detail(order, nodes, ctx.chans);
                         break 'run Err(SimError::Deadlock { cycle: ctx.now, detail });
                     }
                 }
@@ -231,7 +244,6 @@ impl Shard {
         };
         self.now = ctx.now;
         self.flops += ctx.flops;
-        self.order = order;
         self.sched.merge(&counters);
         res
     }
@@ -241,13 +253,14 @@ impl Shard {
     /// loops do.
     pub(crate) fn run_standalone(
         &mut self,
+        node: &mut Rt,
+        chans: &mut [Chan],
         shared: &Shared<'_>,
         budget: u64,
     ) -> Result<(), SimError> {
-        let nodes = &mut self.nodes;
-        let mut ctx = make_ctx(&mut self.chans, &mut self.dram, shared, self.now);
+        let mut ctx = make_ctx(chans, &mut self.dram, shared, self.now);
         let res = 'run: loop {
-            match nodes[0].step(&mut ctx) {
+            match node.step(&mut ctx) {
                 Ok(StepOutcome::Progressed) => ctx.now += 1,
                 // Stalled on `busy_until` / in-flight memory, which still
                 // holds undelivered output: jump to the wake-up time.
@@ -275,9 +288,14 @@ fn peer_name(nodes: &[Rt], id: u32) -> String {
     }
 }
 
-fn deadlock_detail(nodes: &[Rt], chans: &[Chan]) -> String {
+/// Describes every unfinished node of the shard running `order`, in node-id
+/// order.
+fn deadlock_detail(order: &[usize], nodes: &[Rt], chans: &[Chan]) -> String {
+    let mut ids = order.to_vec();
+    ids.sort_unstable();
     let mut parts = Vec::new();
-    for (i, n) in nodes.iter().enumerate() {
+    for i in ids {
+        let n = &nodes[i];
         if !n.finished() {
             let ins: Vec<String> = n
                 .in_chans

@@ -51,7 +51,7 @@ pub struct Stats {
 impl Stats {
     /// The semantic counters only, with the scheduler-implementation
     /// counters cleared. Two runs of the same graph must produce equal
-    /// `semantic()` stats regardless of scheduler backend or thread count.
+    /// `semantic()` stats under either scheduler backend.
     pub fn semantic(&self) -> Stats {
         Stats { sched: SchedCounters::default(), ..self.clone() }
     }

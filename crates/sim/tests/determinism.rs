@@ -1,26 +1,16 @@
-//! Sequential/parallel and Event/Sweep engine equivalence, plus
-//! standalone-runner timing regressions.
+//! Event/Sweep engine equivalence, shard semantics on multi-component
+//! graphs, and standalone-runner timing regressions.
 //!
-//! The sharded engine must produce **bit-identical** `outputs` and `Stats`
-//! for `threads = 1` and `threads >= 2` on every graph — including graphs
-//! with several weakly-connected components, where threads > 1 actually
-//! runs shards concurrently.
+//! The event-driven loop must produce **bit-identical** `outputs` and
+//! semantic `Stats` to the dense sweep on every graph, and a graph of
+//! several weakly-connected components must equal its components simulated
+//! alone at their share of the DRAM bandwidth.
 
 use fuseflow_sam::{AluOp, Block, MemLocation, NodeKind, Payload, ReduceOp, SamGraph, Token};
-use fuseflow_sim::{run_node_standalone, simulate, Scheduler, SimConfig, SimResult, TensorEnv};
-use fuseflow_tensor::{gen, reference, Format};
-
-fn assert_bit_identical(seq: &SimResult, par: &SimResult) {
-    assert_eq!(seq.stats, par.stats, "stats must not depend on the thread count");
-    assert_eq!(
-        seq.outputs.len(),
-        par.outputs.len(),
-        "output sets must not depend on the thread count"
-    );
-    for (name, t) in &seq.outputs {
-        assert_eq!(Some(t), par.outputs.get(name), "output '{name}' diverged");
-    }
-}
+use fuseflow_sim::{
+    run_node_standalone, simulate, Scheduler, SimConfig, SimError, SimResult, Stats, TensorEnv,
+};
+use fuseflow_tensor::{gen, Format};
 
 /// Cross-scheduler comparison: outputs and *semantic* stats (cycles,
 /// FLOPs, bytes, token counts) must be bit-identical; only the
@@ -40,36 +30,13 @@ fn assert_schedulers_agree(event: &SimResult, sweep: &SimResult) {
 /// Every scheduler backend, for the differential suites.
 const ALL_SCHEDULERS: [Scheduler; 2] = [Scheduler::Event, Scheduler::Sweep];
 
-/// Runs `g` under every scheduler x thread-count combination and asserts
-/// all of them agree with the `Event`/1-thread base run, which is
-/// returned.
+/// Runs `g` under both schedulers, asserts they agree, and returns the
+/// `Event` run.
 fn assert_all_schedulers_identical(g: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> SimResult {
-    let base = simulate(g, env, &cfg.clone().with_scheduler(Scheduler::Event)).unwrap();
-    for sched in ALL_SCHEDULERS {
-        for threads in [1usize, 2, 4] {
-            let other =
-                simulate(g, env, &cfg.clone().with_scheduler(sched).with_threads(threads)).unwrap();
-            assert_eq!(
-                base.stats.semantic(),
-                other.stats.semantic(),
-                "semantic stats diverged for {sched:?} x {threads} threads"
-            );
-            for (name, t) in &base.outputs {
-                assert_eq!(
-                    Some(t),
-                    other.outputs.get(name),
-                    "output '{name}' diverged for {sched:?} x {threads} threads"
-                );
-            }
-        }
-    }
-    base
-}
-
-fn run_both(g: &SamGraph, env: &TensorEnv) -> (SimResult, SimResult) {
-    let seq = simulate(g, env, &SimConfig::default()).unwrap();
-    let par = simulate(g, env, &SimConfig::default().with_threads(4)).unwrap();
-    (seq, par)
+    let event = simulate(g, env, &cfg.clone().with_scheduler(Scheduler::Event)).unwrap();
+    let sweep = simulate(g, env, &cfg.clone().with_scheduler(Scheduler::Sweep)).unwrap();
+    assert_schedulers_agree(&event, &sweep);
+    event
 }
 
 /// Gustavson SpMM `T_ij = sum_k A_ik * X_kj` (same wiring as the graphs.rs
@@ -141,88 +108,131 @@ fn add_copy_pipeline(g: &mut SamGraph, tensor_name: &str, out_name: &str, shape:
     g.connect(arr, 0, wv, 0);
 }
 
-#[test]
-fn spmm_parallel_bit_identical_to_sequential() {
-    let a = gen::adjacency(24, 0.12, gen::GraphPattern::Uniform, 42, &Format::csr());
-    let x = gen::sparse_features(24, 16, 0.3, 7, &Format::csr());
-    let expect = reference::matmul(&a.to_dense(), &x.to_dense());
-    let mut g = SamGraph::new();
-    build_spmm(&mut g, 24, 16);
-    let mut env = TensorEnv::new();
-    env.insert("A", a);
-    env.insert("X", x);
-    let (seq, par) = run_both(&g, &env);
-    assert_bit_identical(&seq, &par);
-    assert!(seq.outputs["T"].to_dense().approx_eq(&expect));
-}
+/// One SpMM and three copy pipelines of different sizes: four components,
+/// built one at a time so that component `i` can also be built alone.
+const COMPONENTS: usize = 4;
 
-#[test]
-fn multi_shard_graph_parallel_bit_identical_to_sequential() {
-    // Four disconnected copy pipelines: the parallel engine really runs
-    // these as four concurrent shards.
-    let mut g = SamGraph::new();
-    let mut env = TensorEnv::new();
-    let mut tensors = Vec::new();
-    for i in 0..4 {
-        let name = format!("B{i}");
-        let out = format!("T{i}");
-        add_copy_pipeline(&mut g, &name, &out, [12, 12]);
-        let t = gen::sparse_features(12, 12, 0.2 + 0.1 * i as f64, 30 + i as u64, &Format::csr());
-        env.insert(name, t.clone());
-        tensors.push((out, t));
-    }
-    let (seq, par) = run_both(&g, &env);
-    assert_bit_identical(&seq, &par);
-    for (out, t) in &tensors {
-        assert_eq!(seq.outputs[out].to_dense(), t.to_dense(), "pipeline {out} copied wrong data");
-    }
-    // Shards of different sizes finish at different local times; the merged
-    // cycle count is their max, so it must dominate any single pipeline
-    // simulated alone.
-    let mut alone = SamGraph::new();
-    add_copy_pipeline(&mut alone, "B3", "T3", [12, 12]);
-    let solo = simulate(&alone, &env, &SimConfig::default()).unwrap();
-    assert!(seq.stats.cycles >= solo.stats.cycles);
-}
-
-#[test]
-fn oversubscribed_thread_pool_is_still_identical() {
-    // More threads than shards (and than host cores) must change nothing.
-    let mut g = SamGraph::new();
-    add_copy_pipeline(&mut g, "B0", "T0", [10, 10]);
-    add_copy_pipeline(&mut g, "B1", "T1", [10, 10]);
-    let mut env = TensorEnv::new();
-    env.insert("B0", gen::sparse_features(10, 10, 0.3, 1, &Format::csr()));
-    env.insert("B1", gen::sparse_features(10, 10, 0.4, 2, &Format::csr()));
-    let seq = simulate(&g, &env, &SimConfig::default()).unwrap();
-    for threads in [2, 3, 16] {
-        let par = simulate(&g, &env, &SimConfig::default().with_threads(threads)).unwrap();
-        assert_bit_identical(&seq, &par);
+fn add_component(g: &mut SamGraph, i: usize) {
+    if i == 0 {
+        build_spmm(g, 16, 8);
+    } else {
+        add_copy_pipeline(g, &format!("B{i}"), &format!("T{i}"), [12, 12]);
     }
 }
 
-#[test]
-fn parallel_error_reporting_matches_sequential() {
+fn component_alone(i: usize) -> SamGraph {
     let mut g = SamGraph::new();
-    add_copy_pipeline(&mut g, "B0", "T0", [8, 8]);
-    add_copy_pipeline(&mut g, "B1", "T1", [8, 8]);
+    add_component(&mut g, i);
+    g
+}
+
+fn components_env() -> TensorEnv {
     let mut env = TensorEnv::new();
-    env.insert("B0", gen::sparse_features(8, 8, 0.3, 3, &Format::csr()));
+    env.insert("A", gen::adjacency(16, 0.2, gen::GraphPattern::Uniform, 42, &Format::csr()));
+    env.insert("X", gen::sparse_features(16, 8, 0.3, 7, &Format::csr()));
+    for i in 1..COMPONENTS {
+        let t = gen::sparse_features(12, 12, 0.2 + 0.2 * i as f64, 30 + i as u64, &Format::csr());
+        env.insert(format!("B{i}"), t);
+    }
+    env
+}
 
-    // Missing binding: detected before any shard runs, same both ways.
-    let seq = simulate(&g, &env, &SimConfig::default()).unwrap_err();
-    let par = simulate(&g, &env, &SimConfig::default().with_threads(4)).unwrap_err();
-    assert_eq!(seq, par);
+/// What a shard *is*: a graph of `k` disjoint components equals, component
+/// by component, each component simulated alone on a `1/k` DRAM channel.
+/// The merged clock is the max over components, traffic, FLOPs and token
+/// counts sum, and the scheduler counters fold the same way (`peak_ready`
+/// is a max).
+#[test]
+fn multi_shard_graph_equals_its_components_simulated_alone() {
+    let env = components_env();
+    let mut whole = SamGraph::new();
+    for i in 0..COMPONENTS {
+        add_component(&mut whole, i);
+    }
+    // A narrow channel, so that the size of a shard's slice shows.
+    let mut base = SimConfig::default();
+    base.timing.dram_bytes_per_cycle = 4.0;
+    let mut slice = base.clone();
+    slice.timing.dram_bytes_per_cycle /= COMPONENTS as f64;
+    // Labels carry slot indices, which differ between the whole graph and a
+    // component built alone, so token counts are compared in total.
+    let tokens = |s: &Stats| s.node_tokens.values().sum::<u64>();
 
-    // Exhausted cycle budget inside the shard runner: with every shard
-    // failing, both schedules must deterministically report the error of
-    // the lowest-indexed shard.
-    env.insert("B1", gen::sparse_features(8, 8, 0.3, 4, &Format::csr()));
-    let tiny = SimConfig { max_cycles: 2, ..SimConfig::default() };
-    let seq = simulate(&g, &env, &tiny).unwrap_err();
-    let par = simulate(&g, &env, &tiny.clone().with_threads(4)).unwrap_err();
-    assert_eq!(seq, fuseflow_sim::SimError::MaxCycles(2));
-    assert_eq!(seq, par);
+    for sched in ALL_SCHEDULERS {
+        let got = simulate(&whole, &env, &base.clone().with_scheduler(sched)).unwrap();
+        let mut expect = Stats::default();
+        let mut solo_cycles = Vec::new();
+        for i in 0..COMPONENTS {
+            let g = component_alone(i);
+            let solo = simulate(&g, &env, &slice.clone().with_scheduler(sched)).unwrap();
+            for (name, t) in &solo.outputs {
+                assert_eq!(Some(t), got.outputs.get(name), "{sched:?}: output '{name}'");
+            }
+            solo_cycles.push(solo.stats.cycles);
+            // `accumulate` sums everything but `peak_ready`; cycles are
+            // put right below.
+            expect.accumulate(&solo.stats);
+        }
+        expect.cycles = *solo_cycles.iter().max().unwrap();
+        assert!(solo_cycles.iter().any(|&c| c < expect.cycles), "components should differ");
+        assert_eq!(got.outputs.len(), COMPONENTS);
+        assert_eq!(tokens(&got.stats), tokens(&expect), "{sched:?}: node tokens");
+        expect.node_tokens = got.stats.node_tokens.clone();
+        assert_eq!(got.stats, expect, "{sched:?}: merged stats");
+
+        // The bandwidth slice is part of the claim: alone on the full
+        // channel the SpMM is faster than its shard.
+        let g = component_alone(0);
+        let full = simulate(&g, &env, &base.clone().with_scheduler(sched)).unwrap();
+        assert!(full.stats.cycles < solo_cycles[0], "{sched:?}: 1/k bandwidth had no effect");
+    }
+}
+
+/// When several shards fail, the error reported is shard 0's (shards are
+/// numbered by their lowest node id and run in that order).
+#[test]
+fn first_failing_shard_reports_its_error() {
+    let env = components_env();
+    let mut whole = SamGraph::new();
+    add_component(&mut whole, 1);
+    add_component(&mut whole, 2);
+    // With no outstanding requests allowed no scanner can ever issue, so
+    // every shard starves; each deadlock report names its own shard's nodes.
+    let mut cfg = SimConfig::default();
+    cfg.timing.outstanding = 0;
+    let mut slice = cfg.clone();
+    slice.timing.dram_bytes_per_cycle /= 2.0;
+    for sched in ALL_SCHEDULERS {
+        let err = simulate(&whole, &env, &cfg.clone().with_scheduler(sched)).unwrap_err();
+        let first = component_alone(1);
+        let solo = simulate(&first, &env, &slice.clone().with_scheduler(sched)).unwrap_err();
+        let SimError::Deadlock { cycle, detail } = &err else {
+            panic!("{sched:?}: expected a deadlock, got {err}")
+        };
+        let SimError::Deadlock { cycle: solo_cycle, detail: solo_detail } = &solo else {
+            panic!("{sched:?}: expected a deadlock, got {solo}")
+        };
+        assert_eq!(cycle, solo_cycle, "{sched:?}");
+        // Slot indices in labels are the same (component 1 comes first in
+        // both graphs), so the whole report is shard 0's, word for word.
+        assert_eq!(detail, solo_detail, "{sched:?}");
+        assert!(detail.contains("#1[") && !detail.contains("#8["), "{sched:?}: {detail}");
+
+        // The second shard fails too when it is the only one.
+        let second = component_alone(2);
+        let alone = simulate(&second, &env, &slice.clone().with_scheduler(sched));
+        assert!(matches!(alone, Err(SimError::Deadlock { .. })), "{sched:?}: {alone:?}");
+    }
+
+    // A shard that fails behind one that succeeds is still reported: the
+    // budget sits between the two components' run times.
+    let ok = simulate(&whole, &env, &SimConfig::default()).unwrap();
+    let mut half = SimConfig::default();
+    half.timing.dram_bytes_per_cycle /= 2.0;
+    let short = simulate(&component_alone(1), &env, &half).unwrap().stats.cycles;
+    assert!(short < ok.stats.cycles, "component 2 should be the longer one");
+    let tight = SimConfig { max_cycles: short, ..SimConfig::default() };
+    assert_eq!(simulate(&whole, &env, &tight).unwrap_err(), SimError::MaxCycles(short));
 }
 
 /// Regression: `run_node_standalone` used to exit on the first no-progress
@@ -277,12 +287,6 @@ fn standalone_scanner_drains_pending_memory() {
     assert_eq!(out[0].last(), Some(&Token::Done));
 }
 
-#[test]
-fn threads_knob_clamps_to_one() {
-    let cfg = SimConfig::default().with_threads(0);
-    assert_eq!(cfg.threads, 1);
-}
-
 // ---------------------------------------------------------------------------
 // Scheduler oracle: event-driven vs. legacy sweep
 // ---------------------------------------------------------------------------
@@ -315,29 +319,21 @@ fn spmm_cross_scheduler_bit_identical() {
 }
 
 #[test]
-fn multi_shard_cross_scheduler_bit_identical_at_all_thread_counts() {
+fn multi_shard_cross_scheduler_bit_identical() {
     let mut g = SamGraph::new();
     let mut env = TensorEnv::new();
+    let mut tensors = Vec::new();
     for i in 0..4 {
         let name = format!("B{i}");
         let out = format!("T{i}");
         add_copy_pipeline(&mut g, &name, &out, [12, 12]);
-        env.insert(
-            name,
-            gen::sparse_features(12, 12, 0.2 + 0.1 * i as f64, 30 + i as u64, &Format::csr()),
-        );
+        let t = gen::sparse_features(12, 12, 0.2 + 0.1 * i as f64, 30 + i as u64, &Format::csr());
+        env.insert(name, t.clone());
+        tensors.push((out, t));
     }
-    let sweep = simulate(&g, &env, &SimConfig::default().with_scheduler(Scheduler::Sweep)).unwrap();
-    for sched in ALL_SCHEDULERS {
-        for threads in [1, 2, 4, 16] {
-            let other = simulate(
-                &g,
-                &env,
-                &SimConfig::default().with_scheduler(sched).with_threads(threads),
-            )
-            .unwrap();
-            assert_schedulers_agree(&other, &sweep);
-        }
+    let event = assert_all_schedulers_identical(&g, &env, &SimConfig::default());
+    for (out, t) in &tensors {
+        assert_eq!(event.outputs[out].to_dense(), t.to_dense(), "pipeline {out} copied wrong data");
     }
 }
 
@@ -376,7 +372,7 @@ fn error_paths_match_across_schedulers() {
     let tiny = SimConfig { max_cycles: 2, ..SimConfig::default() };
     for sched in ALL_SCHEDULERS {
         let err = simulate(&g, &env, &tiny.clone().with_scheduler(sched)).unwrap_err();
-        assert_eq!(err, fuseflow_sim::SimError::MaxCycles(2), "wrong error under {sched:?}");
+        assert_eq!(err, SimError::MaxCycles(2), "wrong error under {sched:?}");
     }
 
     // A run that genuinely deadlocks must report the same cycle under every
@@ -394,7 +390,7 @@ fn error_paths_match_across_schedulers() {
     let mut cycles = Vec::new();
     for sched in ALL_SCHEDULERS {
         match simulate(&g, &env, &cfg.clone().with_scheduler(sched)) {
-            Err(fuseflow_sim::SimError::Deadlock { cycle, .. }) => cycles.push(cycle),
+            Err(SimError::Deadlock { cycle, .. }) => cycles.push(cycle),
             other => panic!("expected deadlock under {sched:?}, got {other:?}"),
         }
     }
@@ -405,33 +401,26 @@ fn error_paths_match_across_schedulers() {
 // Scheduler oracle over the model zoo (full compiler pipeline)
 // ---------------------------------------------------------------------------
 
-/// Runs one model end to end (compile + simulate every region) under every
-/// scheduler x thread-count combination, fused and unfused, asserting
-/// bit-identical outputs and semantic stats throughout.
+/// Runs one model end to end (compile + simulate every region) under both
+/// schedulers, fused and unfused, asserting bit-identical outputs and
+/// semantic stats throughout.
 fn assert_model_all_schedulers_identical(m: &fuseflow_models::ModelInstance) {
     use fuseflow_core::pipeline::{compile, run};
     use fuseflow_models::Fusion;
     for fusion in [Fusion::Unfused, Fusion::Full] {
         let sched = m.schedule(fusion);
         let compiled = compile(&m.program, &sched).unwrap();
-        let base = run(&m.program, &compiled, &m.inputs, &SimConfig::default()).unwrap();
-        for scheduler in ALL_SCHEDULERS {
-            for threads in [1usize, 2, 4] {
-                let cfg = SimConfig::default().with_scheduler(scheduler).with_threads(threads);
-                let other = run(&m.program, &compiled, &m.inputs, &cfg).unwrap();
-                assert_eq!(
-                    base.stats.semantic(),
-                    other.stats.semantic(),
-                    "{}: stats diverged for {fusion} x {scheduler:?} x {threads} threads",
-                    m.name
-                );
-                assert_eq!(
-                    &base.outputs, &other.outputs,
-                    "{}: outputs diverged for {fusion} x {scheduler:?} x {threads} threads",
-                    m.name
-                );
-            }
-        }
+        let [event, sweep] = ALL_SCHEDULERS.map(|scheduler| {
+            let cfg = SimConfig::default().with_scheduler(scheduler);
+            run(&m.program, &compiled, &m.inputs, &cfg).unwrap()
+        });
+        assert_eq!(
+            event.stats.semantic(),
+            sweep.stats.semantic(),
+            "{}: stats diverged for {fusion}",
+            m.name
+        );
+        assert_eq!(&event.outputs, &sweep.outputs, "{}: outputs diverged for {fusion}", m.name);
     }
 }
 

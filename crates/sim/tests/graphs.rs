@@ -4,8 +4,8 @@
 //! (Fig 9d), elementwise addition through unions, and a data-parallel SpMM
 //! (Section 7, Parallelization).
 
-use fuseflow_sam::{AluOp, MemLocation, NodeId, NodeKind, ReduceOp, SamGraph};
-use fuseflow_sim::{simulate, SimConfig, TensorEnv};
+use fuseflow_sam::{AluOp, GraphError, MemLocation, NodeId, NodeKind, ReduceOp, SamGraph};
+use fuseflow_sim::{simulate, Scheduler, SimConfig, SimError, TensorEnv};
 use fuseflow_tensor::{gen, reference, DenseTensor, Format, SparseTensor};
 
 fn env2(a: (&str, SparseTensor), b: (&str, SparseTensor)) -> TensorEnv {
@@ -361,4 +361,119 @@ fn invalid_config_is_reported() {
     let cfg = SimConfig { channel_capacity: 0, ..SimConfig::default() };
     let err = simulate(&g, &env, &cfg).unwrap_err();
     assert!(matches!(err, fuseflow_sim::SimError::Config(_)), "zero capacity: {err}");
+}
+
+/// Every way a graph can fail `SamGraph::validate` (the shapes of the
+/// verifier's `sa017_invalid_graphs_are_reported_not_crashed_on`) comes back
+/// from `simulate` as `SimError::Validation` carrying that `GraphError`,
+/// before tensors are bound: never a panic.
+#[test]
+fn invalid_graph_is_reported() {
+    // root(0) -> scan B(1) -> crd writer(2), array(3) -> val writer(4).
+    let clean = || {
+        let mut g = SamGraph::new();
+        let b = g.add_tensor("B", MemLocation::OnChip);
+        let o = g.add_output("T", vec![4], Format::sparse_vec(), MemLocation::OnChip);
+        let root = g.add_node(NodeKind::Root);
+        let ls = g.add_node(NodeKind::LevelScanner { tensor: b, level: 0 });
+        let cw = g.add_node(NodeKind::CrdWriter { output: o, level: 0 });
+        let arr = g.add_node(NodeKind::Array { tensor: b });
+        let vw = g.add_node(NodeKind::ValWriter { output: o });
+        g.connect(root, 0, ls, 0);
+        g.connect(ls, 0, cw, 0);
+        g.connect(ls, 1, arr, 0);
+        g.connect(arr, 0, vw, 0);
+        g
+    };
+    const LS: NodeId = NodeId(1);
+    const ARR: NodeId = NodeId(3);
+    const VW: NodeId = NodeId(4);
+    const ADD: NodeKind = NodeKind::Alu { op: AluOp::Add };
+    type Break = fn(&mut SamGraph);
+    let shapes: [(&str, Break); 10] = [
+        ("cycle", |g| {
+            let a0 = g.add_node(ADD);
+            let a1 = g.add_node(ADD);
+            g.connect(ARR, 0, a0, 0);
+            g.connect(a1, 0, a0, 1);
+            g.connect(a0, 0, a1, 0);
+            g.connect(ARR, 0, a1, 1);
+        }),
+        ("missing source node", |g| {
+            let a = g.add_node(ADD);
+            g.connect(ARR, 0, a, 0);
+            g.connect(NodeId(17), 0, a, 1);
+        }),
+        ("missing destination node", |g| g.connect(ARR, 0, NodeId(17), 0)),
+        ("output port out of range", |g| {
+            let relu = g.add_node(NodeKind::Alu { op: AluOp::Relu });
+            g.connect(ARR, 5, relu, 0);
+        }),
+        ("input port out of range", |g| g.connect(ARR, 0, VW, 3)),
+        ("double-driven input", |g| g.connect(LS, 1, ARR, 0)),
+        ("unconnected required input", |g| {
+            g.add_node(ADD);
+        }),
+        ("bad slot", |g| {
+            g.add_node(NodeKind::Array { tensor: 9 });
+        }),
+        ("coordinate writer beyond its output's levels", |g| {
+            let cw = g.add_node(NodeKind::CrdWriter { output: 0, level: 1 });
+            g.connect(LS, 0, cw, 0);
+        }),
+        ("duplicate slot", |g| {
+            g.add_tensor("B", MemLocation::OnChip);
+        }),
+    ];
+    let env = TensorEnv::new();
+    for (what, break_it) in shapes {
+        let mut g = clean();
+        break_it(&mut g);
+        let expect = g.validate().expect_err(what);
+        for scheduler in [Scheduler::Event, Scheduler::Sweep] {
+            let cfg = SimConfig::default().with_scheduler(scheduler);
+            assert_eq!(
+                simulate(&g, &env, &cfg).unwrap_err(),
+                SimError::Validation(expect.clone()),
+                "{what}"
+            );
+        }
+    }
+}
+
+/// A coordinate writer naming a level its output's format does not have
+/// used to index past the collected streams at the end of the run; it fails
+/// validation as a `BadSlot` now.
+#[test]
+fn crd_writer_level_out_of_range_is_reported() {
+    let mut g = SamGraph::new();
+    build_spmv(&mut g);
+    // Output 0 is a sparse vector (one level); node 2 scans B's rows.
+    let cw = g.add_node(NodeKind::CrdWriter { output: 0, level: 1 });
+    g.connect(NodeId(2), 0, cw, 0);
+    let err = simulate(&g, &TensorEnv::new(), &SimConfig::default()).unwrap_err();
+    assert_eq!(err, SimError::Validation(GraphError::BadSlot { node: cw.0 }));
+}
+
+/// A scanner addressing a level the *bound* tensor does not have used to
+/// index past `SparseTensor::levels` on its first step. The graph alone
+/// cannot know, so it is caught where tensors are bound.
+#[test]
+fn scanner_level_beyond_bound_tensor_is_reported() {
+    let mut g = SamGraph::new();
+    build_spmv(&mut g); // scans B at levels 0 and 1
+    let one_level = SparseTensor::from_dense(
+        &DenseTensor::from_vec(vec![4], vec![1.0; 4]),
+        &Format::sparse_vec(),
+    );
+    let env = env2(("B", one_level.clone()), ("C", one_level));
+    let err = simulate(&g, &env, &SimConfig::default()).unwrap_err();
+    let expect = SimError::LevelOutOfRange {
+        node: "LS[t0.l1]#4".into(),
+        tensor: "B".into(),
+        level: 1,
+        order: 1,
+    };
+    assert_eq!(err, expect);
+    assert!(err.to_string().contains("LS[t0.l1]#4"), "{err}");
 }

@@ -17,13 +17,13 @@
 //! | SA016 | error    | output slot with no value writer |
 //! | SA017 | error    | graph fails `SamGraph::validate`; carries the `GraphError` |
 //!
-//! The deadlock pass (see [`deadlock`]'s module docs for the model and the
+//! The deadlock pass (see the `deadlock` module's docs for the model and the
 //! soundness argument) produces a three-valued verdict per reconvergent
 //! region — *Certified* / *Unknown* / *GuaranteedDeadlock* — and only the
 //! definite verdicts carry soundness claims, which the sim-backed
 //! differential suite in `tests/verify_soundness.rs` enforces: certified
-//! graphs never deadlock under any scheduler/thread/partition combination,
-//! and guaranteed-deadlock graphs always do.
+//! graphs never deadlock under either scheduler, and guaranteed-deadlock
+//! graphs always do.
 //!
 //! # Example
 //!
@@ -446,6 +446,10 @@ mod tests {
         let mut g = clean_graph();
         g.add_node(NodeKind::Array { tensor: 9 });
         invalid(&g, "bad slot");
+        let mut g = clean_graph();
+        let cw = g.add_node(NodeKind::CrdWriter { output: 0, level: 1 });
+        g.connect(NodeId(1), 0, cw, 0);
+        invalid(&g, "coordinate writer beyond its output's levels");
         let mut g = clean_graph();
         g.add_tensor("B", MemLocation::OnChip);
         invalid(&g, "duplicate slot");

@@ -5,7 +5,7 @@
 use fuseflow::core::ir::{OpKind, Program, ReduceOp};
 use fuseflow::core::pipeline::{compile, compile_run_verify, run, verify};
 use fuseflow::core::schedule::Schedule;
-use fuseflow::sim::SimConfig;
+use fuseflow::sim::{Scheduler, SimConfig, Stats};
 use fuseflow::tensor::{gen, Format, SparseTensor};
 use fuseflow_sam::AluOp;
 use std::collections::HashMap;
@@ -87,19 +87,23 @@ fn gcn_layer_fully_fused_matches_reference_and_cuts_traffic() {
 }
 
 #[test]
-fn pipeline_runs_are_bit_identical_across_thread_counts() {
+fn pipeline_runs_are_bit_identical_across_schedulers() {
     // End-to-end equivalence at the pipeline level: every fusion schedule,
-    // sequential engine vs sharded worker pool.
+    // region by region, event-driven loop vs the dense-sweep oracle.
     let (p, inputs) = gcn_layerish(16, 10, 5);
     for schedule in [Schedule::unfused(), Schedule::regions(vec![0..2]), Schedule::full()] {
-        let seq = compile_run_verify(&p, &schedule, &inputs, &SimConfig::default()).unwrap();
-        let par = compile_run_verify(&p, &schedule, &inputs, &SimConfig::default().with_threads(4))
-            .unwrap();
-        assert_eq!(seq.stats, par.stats, "stats diverged under {schedule:?}");
-        assert_eq!(seq.per_region, par.per_region, "regions diverged under {schedule:?}");
-        for (name, t) in &seq.outputs {
-            assert_eq!(Some(t), par.outputs.get(name), "output '{name}' diverged");
-        }
+        let [event, sweep] = [Scheduler::Event, Scheduler::Sweep].map(|scheduler| {
+            let cfg = SimConfig::default().with_scheduler(scheduler);
+            compile_run_verify(&p, &schedule, &inputs, &cfg).unwrap()
+        });
+        assert_eq!(event.stats.semantic(), sweep.stats.semantic(), "stats under {schedule:?}");
+        let semantic = |r: &[Stats]| r.iter().map(Stats::semantic).collect::<Vec<_>>();
+        assert_eq!(
+            semantic(&event.per_region),
+            semantic(&sweep.per_region),
+            "regions diverged under {schedule:?}"
+        );
+        assert_eq!(event.outputs, sweep.outputs, "outputs diverged under {schedule:?}");
     }
 }
 

@@ -94,10 +94,9 @@ proptest! {
 
     /// Random small programs simulate to bit-identical outputs and
     /// semantic `Stats` under the event-driven scheduler and the legacy
-    /// sweep, at every thread count (the cross-scheduler /
-    /// cross-parallelism determinism invariant).
+    /// sweep (the cross-scheduler determinism invariant).
     #[test]
-    fn schedulers_and_thread_counts_agree_on_random_graphs(
+    fn schedulers_agree_on_random_graphs(
         a_entries in coo_matrix(7, 7),
         x_entries in coo_matrix(7, 5),
         fused in any::<bool>(),
@@ -115,20 +114,11 @@ proptest! {
         let sched = if fused { Schedule::full() } else { Schedule::unfused() };
         let compiled = compile(&p, &sched).unwrap();
 
-        let base = run(&p, &compiled, &inputs, &SimConfig::default()).unwrap();
-        for scheduler in [Scheduler::Event, Scheduler::Sweep] {
-            for threads in [1usize, 2, 4] {
-                let cfg = SimConfig::default().with_scheduler(scheduler).with_threads(threads);
-                let other = run(&p, &compiled, &inputs, &cfg).unwrap();
-                prop_assert_eq!(
-                    base.stats.semantic(),
-                    other.stats.semantic(),
-                    "stats diverged for {:?} x {} threads", scheduler, threads
-                );
-                prop_assert_eq!(&base.outputs, &other.outputs,
-                    "outputs diverged for {:?} x {} threads", scheduler, threads);
-            }
-        }
+        let [event, sweep] = [Scheduler::Event, Scheduler::Sweep].map(|scheduler| {
+            run(&p, &compiled, &inputs, &SimConfig::default().with_scheduler(scheduler)).unwrap()
+        });
+        prop_assert_eq!(event.stats.semantic(), sweep.stats.semantic(), "stats diverged");
+        prop_assert_eq!(&event.outputs, &sweep.outputs, "outputs diverged");
     }
 
     /// Every order the POG enumerates respects every edge, and the exact

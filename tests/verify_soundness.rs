@@ -3,8 +3,7 @@
 //!
 //! * *Certified* is a guarantee: a graph whose reconvergent regions are
 //!   all certified deadlock-free at capacity `C` must never hit
-//!   [`SimError::Deadlock`] at that capacity — under any scheduler or
-//!   thread count.
+//!   [`SimError::Deadlock`] at that capacity — under either scheduler.
 //! * *GuaranteedDeadlock* (SA012) is also a guarantee: a flagged graph
 //!   must actually deadlock, and the reported minimum safe capacity must
 //!   be exact for the hand-built reconvergent witness.
@@ -79,7 +78,7 @@ proptest! {
 
     /// Soundness of *Certified*: when the analyzer certifies every
     /// reconvergent region of every lowered graph at the simulated
-    /// channel capacity, no scheduler/thread combination may deadlock.
+    /// channel capacity, neither scheduler may deadlock.
     #[test]
     fn certified_programs_never_deadlock(
         a_entries in coo_matrix(8, 8),
@@ -95,21 +94,13 @@ proptest! {
                 continue;
             }
             for scheduler in [Scheduler::Sweep, Scheduler::Event] {
-                for threads in [1usize, 2, 4] {
-                    let cfg = SimConfig {
-                        channel_capacity: cap,
-                        threads,
-                        scheduler,
-                        ..SimConfig::default()
-                    };
-                    if let Err(e) = run(&p, &compiled, &inputs, &cfg) {
-                        let msg = format!("{e}");
-                        prop_assert!(
-                            !msg.contains("deadlock"),
-                            "certified program deadlocked at cap {cap} under {scheduler:?} \
-                             x{threads} threads: {msg}"
-                        );
-                    }
+                let cfg = SimConfig { channel_capacity: cap, scheduler, ..SimConfig::default() };
+                if let Err(e) = run(&p, &compiled, &inputs, &cfg) {
+                    let msg = format!("{e}");
+                    prop_assert!(
+                        !msg.contains("deadlock"),
+                        "certified program deadlocked at cap {cap} under {scheduler:?}: {msg}"
+                    );
                 }
             }
         }
