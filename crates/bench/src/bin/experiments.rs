@@ -748,7 +748,7 @@ fn sched(o: Opts, rep: &mut Report) -> Points {
     far.dram_random_latency = 480;
     // Schedules: unfused = many small per-region graphs; full = one large
     // fused graph where most nodes idle at any instant (the sweep's worst
-    // case, since its whole-shard fast-forward only fires when *nothing*
+    // case, since its whole-graph fast-forward only fires when *nothing*
     // progresses).
     let wl = |name: &'static str, m: ModelInstance, sched: Schedule, cfg: SimConfig| Workload {
         name,

@@ -239,6 +239,14 @@ pub enum FuseError {
     /// A produced tensor is consumed under conflicting recomputation
     /// scopes.
     ConflictingScopes(String),
+    /// The region names expressions the program does not have (or its start
+    /// lies past its end).
+    RegionOutOfRange {
+        /// The requested region.
+        range: Range<usize>,
+        /// Number of expressions in the program.
+        exprs: usize,
+    },
 }
 
 impl std::fmt::Display for FuseError {
@@ -249,6 +257,9 @@ impl std::fmt::Display for FuseError {
             }
             FuseError::ConflictingScopes(t) => {
                 write!(f, "tensor '{t}' consumed under conflicting recomputation scopes")
+            }
+            FuseError::RegionOutOfRange { range, exprs } => {
+                write!(f, "region {range:?} is not a range of the program's {exprs} expressions")
             }
         }
     }
@@ -355,7 +366,10 @@ impl UnionFind {
 ///
 /// See [`FuseError`].
 pub fn fuse_region(program: &Program, range: Range<usize>) -> Result<FusedRegion, FuseError> {
-    let mut exprs: Vec<Einsum> = program.exprs()[range.clone()].to_vec();
+    let Some(exprs) = program.exprs().get(range.clone()) else {
+        return Err(FuseError::RegionOutOfRange { range, exprs: program.exprs().len() });
+    };
+    let mut exprs: Vec<Einsum> = exprs.to_vec();
     let mut clone_of: HashMap<TensorId, TensorId> = HashMap::new();
     let mut next_id = program.tensors().len();
 

@@ -30,9 +30,6 @@ pub struct TimingConfig {
     /// Extra initiation-interval cycles per token for each node kind
     /// (Comal: fully pipelined II=1 everywhere, so all zero).
     pub ii_extra: fn(&NodeKind) -> u64,
-    /// When `true`, tensors marked `MemLocation::OnChip` are free; when
-    /// `false`, the location flag is ignored and everything goes to DRAM.
-    pub honor_on_chip: bool,
 }
 
 fn ii_comal(_kind: &NodeKind) -> u64 {
@@ -64,7 +61,6 @@ impl TimingConfig {
             outstanding: 8,
             block_lanes_factor: 1.0,
             ii_extra: ii_comal,
-            honor_on_chip: true,
         }
     }
 
@@ -80,7 +76,6 @@ impl TimingConfig {
             outstanding: 4,
             block_lanes_factor: 0.5,
             ii_extra: ii_fpga,
-            honor_on_chip: true,
         }
     }
 }

@@ -2,7 +2,8 @@
 
 use crate::dram::Dram;
 use crate::engine::SimConfig;
-use fuseflow_sam::{MemLocation, Token};
+use crate::stats::SchedCounters;
+use fuseflow_sam::{OutputSlot, TensorSlot, Token};
 use fuseflow_tensor::SparseTensor;
 use std::collections::VecDeque;
 
@@ -28,26 +29,51 @@ impl Chan {
     }
 }
 
-/// Everything a node step may read or charge that is not the node's own
-/// state: the channel table (indexed by graph edge), the running shard's
-/// DRAM slice, the read-only tensor bindings, and the shard clock plus its
+/// The machine: everything a node step may read or charge that is not the
+/// node's own state. One channel table (indexed by graph edge), one DRAM
+/// channel, the read-only tensor bindings and slots, one clock and the run's
 /// counters.
 pub(crate) struct Ctx<'a> {
-    pub(crate) chans: &'a mut [Chan],
-    pub(crate) dram: &'a mut Dram,
-    pub(crate) tensors: &'a [&'a SparseTensor],
-    pub(crate) tensor_locs: &'a [MemLocation],
-    pub(crate) output_locs: &'a [MemLocation],
+    pub(crate) chans: Vec<Chan>,
+    pub(crate) dram: Dram,
+    pub(crate) tensors: Vec<&'a SparseTensor>,
+    pub(crate) tensor_slots: &'a [TensorSlot],
+    pub(crate) output_slots: &'a [OutputSlot],
     pub(crate) cfg: &'a SimConfig,
     pub(crate) now: u64,
     pub(crate) flops: u64,
+    pub(crate) sched: SchedCounters,
     pub(crate) pending_busy: u64,
     /// Node-table indices woken by channel activity during the current
     /// step; drained by the event scheduler (ignored by the sweep).
     pub(crate) wakes: Vec<u32>,
 }
 
-impl Ctx<'_> {
+impl<'a> Ctx<'a> {
+    /// A machine at cycle 0 with nothing counted yet.
+    pub(crate) fn new(
+        chans: Vec<Chan>,
+        dram: Dram,
+        tensors: Vec<&'a SparseTensor>,
+        tensor_slots: &'a [TensorSlot],
+        output_slots: &'a [OutputSlot],
+        cfg: &'a SimConfig,
+    ) -> Self {
+        Ctx {
+            chans,
+            dram,
+            tensors,
+            tensor_slots,
+            output_slots,
+            cfg,
+            now: 0,
+            flops: 0,
+            sched: SchedCounters::default(),
+            pending_busy: 0,
+            wakes: Vec::new(),
+        }
+    }
+
     /// Records a multi-cycle occupancy requested by the current action
     /// (block ALU contractions); committed by the action epilogue.
     pub(crate) fn busy(&mut self, cycles: u64) {

@@ -17,11 +17,11 @@
 //! Channel occupancy is tracked in integer **millibytes served** rather
 //! than a floating-point `busy_until` cycle: `busy_until: f64` accumulated
 //! one rounding error per request, which drifts over the millions of
-//! requests of a long simulation (and differs across shard bandwidth
-//! slices like `64.0 / 3`). With millibyte fixed-point every request adds
-//! `bytes * 1000` exactly, and the only rounding anywhere is the final
-//! ceiling division to a whole completion cycle — the same ceiling the
-//! float model applied.
+//! requests of a long simulation (and differs across bandwidths that are
+//! not binary fractions, like `64.0 / 3`). With millibyte fixed-point every
+//! request adds `bytes * 1000` exactly, and the only rounding anywhere is
+//! the final ceiling division to a whole completion cycle — the same
+//! ceiling the float model applied.
 
 /// Access pattern class of a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -11,43 +11,39 @@
 //! # Event-driven scheduling
 //!
 //! Nodes are *not* swept every cycle. [`Rt::step`](crate::node::Rt::step)
-//! reports a [`StepOutcome`](crate::chan::StepOutcome) and the shard loop
-//! ([`Shard::run_event`]) services a node only when a wake condition
+//! reports a [`StepOutcome`](crate::chan::StepOutcome) and the run loop
+//! ([`run_event`]) services a node only when a wake condition
 //! fires: a push into one of its input
 //! channels, a pop of one of its full output channels (channels carry
 //! reader/writer back-pointers), a registered timer (in-flight memory or
 //! busy ALU; see `sched.rs` for the calendar queue), or its own progress
 //! in the previous cycle. The legacy dense sweep is retained behind
 //! [`SimConfig::scheduler`] as a differential-testing oracle; the two are
-//! bit-identical (see the determinism notes on [`Shard::run_event`] and
+//! bit-identical (see the determinism notes on [`run_event`] and
 //! `crates/sim/tests/determinism.rs`).
 //!
-//! # Shards
+//! # One machine
 //!
-//! The graph's weakly-connected components ("shards") are what the model
-//! runs side by side: every channel joins two nodes of one component, so a
-//! shard is a slice of the topological order with its own clock, its own
-//! counters and a static 1/k slice of the configured DRAM bandwidth (so
-//! aggregate bandwidth matches the single shared channel; single-component
-//! graphs keep the full channel). That concurrency lives in simulated
-//! time: [`simulate`] runs the shards one after another on the calling
-//! thread, over one node table indexed by `NodeId` and one channel table
-//! indexed by edge, and merges at the end (stats fold in shard order, the
-//! cycle count is the max over shard clocks, and the first failing shard's
-//! error is the one reported).
+//! [`simulate`] builds one machine per graph: one node table indexed by
+//! `NodeId`, one channel table indexed by edge, one [`Dram`] channel at the
+//! configured bandwidth, one clock and one set of counters, run over the
+//! graph's one topological order. Nodes interact only through streams and
+//! through the DRAM channel, which grants requests in arrival order, so the
+//! kernels of a graph contend for memory the same way whether or not they
+//! happen to be connected.
 
-use crate::chan::{Chan, NO_NODE};
+use crate::chan::{Chan, Ctx, NO_NODE};
 use crate::dram::Dram;
 use crate::node::{make_rt, State};
 use crate::rebuild::assemble_output;
-use crate::shard::{Shard, Shared};
-use crate::stats::{SchedCounters, Stats};
+use crate::run::{run_event, run_standalone, run_sweep};
+use crate::stats::Stats;
 use crate::TimingConfig;
-use fuseflow_sam::{GraphError, MemLocation, NodeId, NodeKind, SamGraph, Token};
+use fuseflow_sam::{GraphError, MemLocation, NodeId, NodeKind, SamGraph, TensorSlot, Token};
 use fuseflow_tensor::SparseTensor;
 use std::collections::HashMap;
 
-/// Which shard execution loop [`simulate`] runs.
+/// Which execution loop [`simulate`] runs.
 ///
 /// The two schedulers are **bit-identical** on every graph: the
 /// event-driven engine performs exactly the effective (state-changing)
@@ -74,7 +70,7 @@ pub struct SimConfig {
     pub channel_capacity: usize,
     /// Hard cycle budget; exceeding it is an error.
     pub max_cycles: u64,
-    /// Shard execution loop; `Scheduler::Sweep` is the legacy oracle.
+    /// Execution loop; `Scheduler::Sweep` is the legacy oracle.
     pub scheduler: Scheduler,
 }
 
@@ -90,7 +86,7 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Returns the config with the given shard execution loop.
+    /// Returns the config with the given execution loop.
     pub fn with_scheduler(mut self, scheduler: Scheduler) -> Self {
         self.scheduler = scheduler;
         self
@@ -204,43 +200,6 @@ pub struct SimResult {
     pub stats: Stats,
 }
 
-/// Weakly-connected-component id per node, components numbered in order of
-/// their lowest node id (so shard numbering is deterministic).
-fn shard_assignment(graph: &SamGraph) -> (Vec<usize>, usize) {
-    let n = graph.node_count();
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], x: usize) -> usize {
-        let mut r = x;
-        while parent[r] != r {
-            r = parent[r];
-        }
-        let mut c = x;
-        while parent[c] != r {
-            let next = parent[c];
-            parent[c] = r;
-            c = next;
-        }
-        r
-    }
-    for e in graph.edges() {
-        let (a, b) = (find(&mut parent, e.src.node.0), find(&mut parent, e.dst.node.0));
-        if a != b {
-            parent[b] = a;
-        }
-    }
-    let mut shard_of = vec![usize::MAX; n];
-    let mut count = 0;
-    for i in 0..n {
-        let r = find(&mut parent, i);
-        if shard_of[r] == usize::MAX {
-            shard_of[r] = count;
-            count += 1;
-        }
-        shard_of[i] = shard_of[r];
-    }
-    (shard_of, count)
-}
-
 // ---------------------------------------------------------------------------
 // Entry points
 // ---------------------------------------------------------------------------
@@ -266,9 +225,6 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
         .iter()
         .map(|slot| env.get(&slot.name).ok_or_else(|| SimError::MissingTensor(slot.name.clone())))
         .collect::<Result<_, _>>()?;
-    let loc = |l: MemLocation| if cfg.timing.honor_on_chip { l } else { MemLocation::Dram };
-    let tensor_locs: Vec<MemLocation> = graph.tensors().iter().map(|s| loc(s.location)).collect();
-    let output_locs: Vec<MemLocation> = graph.outputs().iter().map(|s| loc(s.location)).collect();
 
     // One node table indexed by `NodeId`, one channel table indexed by edge
     // index, wired in a single pass over the edges. Edges are visited in
@@ -305,50 +261,22 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
         nodes[e.dst.node.0].in_chans[e.dst.port] = Some(c);
     }
 
-    // A shard is one weakly-connected component: its slice of the
-    // topological order, its clock and counters, and a static 1/k slice of
-    // the configured DRAM bandwidth (latencies unchanged), so a
-    // multi-component graph models the same aggregate bandwidth as one
-    // shared channel would — contention is approximated by the static split
-    // instead of request-order arbitration. Single-component graphs (the
-    // common case) keep the full channel.
-    let (shard_of, n_shards) = shard_assignment(graph);
-    let slice_bw = cfg.timing.dram_bytes_per_cycle / (n_shards.max(1) as f64);
-    let mut shards: Vec<Shard> = (0..n_shards)
-        .map(|_| {
-            Shard::new(Dram::new(
-                slice_bw,
-                cfg.timing.dram_stream_latency,
-                cfg.timing.dram_random_latency,
-            ))
-        })
-        .collect();
-    for nid in order {
-        shards[shard_of[nid.0]].order.push(nid.0);
+    // One machine (`Ctx`): one DRAM channel and one clock for the whole graph.
+    let t = &cfg.timing;
+    let dram = Dram::new(t.dram_bytes_per_cycle, t.dram_stream_latency, t.dram_random_latency);
+    let mut ctx = Ctx::new(chans, dram, tensors, graph.tensors(), graph.outputs(), cfg);
+    match cfg.scheduler {
+        Scheduler::Event => run_event(&order, &mut nodes, &mut ctx)?,
+        Scheduler::Sweep => run_sweep(&order, &mut nodes, &mut ctx)?,
     }
-
-    // Shards share no state, so running them one after another in shard
-    // order is the model's side-by-side execution; the first error met is
-    // the lowest-indexed failing shard's.
-    let shared =
-        Shared { tensors: &tensors, tensor_locs: &tensor_locs, output_locs: &output_locs, cfg };
-    for shard in &mut shards {
-        shard.run(&mut nodes, &mut chans, &shared)?;
-    }
-
-    // Shards model concurrently executing partitions, so wall-clock cycles
-    // are the max over shard clocks while traffic and work counters sum.
     let mut stats = Stats {
-        cycles: shards.iter().map(|s| s.now).max().unwrap_or(1),
-        dram_read_bytes: shards.iter().map(|s| s.dram.read_bytes()).sum(),
-        dram_write_bytes: shards.iter().map(|s| s.dram.write_bytes()).sum(),
-        flops: shards.iter().map(|s| s.flops).sum(),
+        cycles: ctx.now,
+        dram_read_bytes: ctx.dram.read_bytes(),
+        dram_write_bytes: ctx.dram.write_bytes(),
+        flops: ctx.flops,
         node_tokens: HashMap::new(),
-        sched: SchedCounters::default(),
+        sched: ctx.sched,
     };
-    for shard in &shards {
-        stats.sched.merge(&shard.sched);
-    }
 
     // Per-label token counts and the writers' recorded streams, moved out of
     // the nodes in one pass.
@@ -426,16 +354,12 @@ pub fn run_node_standalone(
     }
 
     let mut rt = make_rt(kind, "standalone".into(), in_chans, out_chans, &cfg.timing);
-    let tensor_refs: Vec<&SparseTensor> = tensors.iter().collect();
-    let tensor_locs = vec![MemLocation::OnChip; tensors.len()];
-    let output_locs = Vec::new();
-    let shared = Shared {
-        tensors: &tensor_refs,
-        tensor_locs: &tensor_locs,
-        output_locs: &output_locs,
-        cfg: &cfg,
-    };
-    let mut shard = Shard::new(Dram::new(1e9, 0, 0));
-    shard.run_standalone(&mut rt, &mut chans, &shared, 10_000_000)?;
-    Ok(capture.into_iter().map(|c| chans[c].buf.iter().cloned().collect()).collect())
+    // Every tensor on chip, so the DRAM channel is never asked.
+    let slots: Vec<TensorSlot> = (0..tensors.len())
+        .map(|i| TensorSlot { name: format!("t{i}"), location: MemLocation::OnChip })
+        .collect();
+    let mut ctx =
+        Ctx::new(chans, Dram::new(1e9, 0, 0), tensors.iter().collect(), &slots, &[], &cfg);
+    run_standalone(&mut rt, &mut ctx, 10_000_000)?;
+    Ok(capture.into_iter().map(|c| ctx.chans[c].buf.iter().cloned().collect()).collect())
 }

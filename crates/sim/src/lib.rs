@@ -9,13 +9,12 @@
 //!
 //! One event-driven loop ([`Scheduler::Event`]) runs every graph, on the
 //! calling thread; a dense per-cycle sweep ([`Scheduler::Sweep`]) is kept
-//! only as its differential-testing oracle. A graph's weakly-connected
-//! components (*shards*) run side by side in simulated time: each has its
-//! own clock and a 1/k slice of the DRAM bandwidth, and the run's cycle
-//! count is the max over them. The sources split as `node.rs` (node state
-//! machines), `chan.rs` (channels and the step context), `shard.rs` (the
-//! run loops and their determinism arguments) and `engine.rs` (`simulate`
-//! assembly).
+//! only as its differential-testing oracle. A graph is one machine: one
+//! clock, one DRAM channel and one set of counters, whether or not its
+//! kernels are connected to each other. The sources split as `node.rs`
+//! (node state machines), `chan.rs` (channels and the machine context a step
+//! sees), `run.rs` (the run loops and their determinism arguments) and
+//! `engine.rs` (`simulate` assembly).
 //!
 //! Two timing backends implement the paper's §8.2 validation methodology:
 //! [`TimingConfig::comal`] (HBM-class, fully pipelined) and
@@ -40,8 +39,8 @@ mod dram;
 mod engine;
 mod node;
 mod rebuild;
+mod run;
 mod sched;
-mod shard;
 mod stats;
 
 pub use backend::TimingConfig;

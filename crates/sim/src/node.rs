@@ -256,7 +256,7 @@ impl Rt {
     fn act_scan(&mut self, ctx: &mut Ctx) -> Result<bool, SimError> {
         let NodeKind::LevelScanner { tensor, level } = self.kind else { unreachable!() };
         let compressed = matches!(ctx.tensors[tensor].level(level), Level::Compressed { .. });
-        let in_dram = ctx.tensor_locs[tensor] == MemLocation::Dram;
+        let in_dram = ctx.tensor_slots[tensor].location == MemLocation::Dram;
         let outstanding = ctx.cfg.timing.outstanding;
 
         let emitting = matches!(&self.state, State::Scan(s) if s.emitting);
@@ -544,7 +544,7 @@ impl Rt {
         let Some(head) = self.peek(ctx, 0) else { return Ok(false) };
         let head = head.clone();
         let t = ctx.tensors[tensor];
-        let in_dram = ctx.tensor_locs[tensor] == MemLocation::Dram;
+        let in_dram = ctx.tensor_slots[tensor].location == MemLocation::Dram;
         match head {
             Token::Elem(Payload::Idx(r)) => {
                 self.pop(ctx, 0);
@@ -809,7 +809,7 @@ impl Rt {
             NodeKind::CrdWriter { output, .. } | NodeKind::ValWriter { output } => output,
             _ => unreachable!(),
         };
-        let in_dram = ctx.output_locs[output] == MemLocation::Dram;
+        let in_dram = ctx.output_slots[output].location == MemLocation::Dram;
         self.pop(ctx, 0);
         if let Token::Elem(p) = &head {
             let bytes = match p {

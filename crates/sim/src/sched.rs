@@ -1,11 +1,11 @@
-//! Event-driven scheduling primitives for the shard execution loop.
+//! Event-driven scheduling primitives for the execution loop.
 //!
 //! The engine used to pay O(nodes x cycles): every simulated cycle it
 //! stepped *every* node, even ones with empty inputs, full outputs, or a
 //! future wake-up time. The two structures here replace that dense sweep:
 //!
 //! * [`ReadySet`] — a dense bitset over *scheduling ranks* (a node's
-//!   position in the shard's topological order). Draining it in ascending
+//!   position in the graph's topological order). Draining it in ascending
 //!   rank replays exactly the relative step order of the legacy sweep, which
 //!   is the whole determinism argument: a cycle of the event engine performs
 //!   the same effective steps, in the same order, at the same simulated
@@ -16,8 +16,8 @@
 //!   `BinaryHeap`. Per-rank earliest-timer dedup keeps spurious re-steps
 //!   bounded.
 //!
-//! Both structures are rank-indexed and shard-local; `shard.rs` owns the
-//! mapping between ranks and node ids.
+//! Both structures are rank-indexed; `run.rs` owns the mapping between
+//! ranks and node ids.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -2,8 +2,8 @@
 
 use std::collections::HashMap;
 
-/// Scheduler-implementation counters: how much work the shard execution
-/// loop itself did. These describe the *simulator*, not the simulated
+/// Scheduler-implementation counters: how much work the execution loop
+/// itself did. These describe the *simulator*, not the simulated
 /// hardware — two scheduler backends that agree on every semantic counter
 /// will legitimately differ here (the event engine exists to make `events`
 /// small). Compare runs across backends with [`Stats::semantic`].
@@ -14,13 +14,13 @@ pub struct SchedCounters {
     /// Simulated cycles never visited because nothing was runnable
     /// (idle-gap fast-forwards).
     pub cycles_skipped: u64,
-    /// Most node steps serviced in any single simulated cycle, maxed over
-    /// shards (the high-water mark of the ready set).
+    /// Most node steps serviced in any single simulated cycle (the
+    /// high-water mark of the ready set).
     pub peak_ready: u64,
 }
 
 impl SchedCounters {
-    /// Folds another shard's (or run's) counters into this one.
+    /// Folds another run's counters into this one.
     pub fn merge(&mut self, other: &SchedCounters) {
         self.events += other.events;
         self.cycles_skipped += other.cycles_skipped;

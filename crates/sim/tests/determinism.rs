@@ -1,16 +1,16 @@
-//! Event/Sweep engine equivalence, shard semantics on multi-component
-//! graphs, and standalone-runner timing regressions.
+//! Event/Sweep engine equivalence, multi-component graphs on the one
+//! machine, and standalone-runner timing regressions.
 //!
 //! The event-driven loop must produce **bit-identical** `outputs` and
 //! semantic `Stats` to the dense sweep on every graph, and a graph of
-//! several weakly-connected components must equal its components simulated
-//! alone at their share of the DRAM bandwidth.
+//! several weakly-connected components must do the work of its components
+//! simulated alone, on one clock and one DRAM channel.
 
 use fuseflow_sam::{AluOp, Block, MemLocation, NodeKind, Payload, ReduceOp, SamGraph, Token};
 use fuseflow_sim::{
     run_node_standalone, simulate, Scheduler, SimConfig, SimError, SimResult, Stats, TensorEnv,
 };
-use fuseflow_tensor::{gen, Format};
+use fuseflow_tensor::{gen, Format, SparseTensor};
 
 /// Cross-scheduler comparison: outputs and *semantic* stats (cycles,
 /// FLOPs, bytes, token counts) must be bit-identical; only the
@@ -88,8 +88,8 @@ fn build_spmm(g: &mut SamGraph, m: usize, n: usize) {
 
 /// An identity-copy pipeline `scan -> writers` over one CSR matrix, with a
 /// caller-chosen tensor/output name. Each instance is its own
-/// weakly-connected component, so `k` instances in one graph give the
-/// parallel engine `k` shards to schedule.
+/// weakly-connected component, so `k` instances in one graph are `k`
+/// kernels that meet only at the DRAM channel.
 fn add_copy_pipeline(g: &mut SamGraph, tensor_name: &str, out_name: &str, shape: [usize; 2]) {
     let t = g.add_tensor(tensor_name, MemLocation::Dram);
     let o = g.add_output(out_name, shape.to_vec(), Format::csr(), MemLocation::Dram);
@@ -137,102 +137,137 @@ fn components_env() -> TensorEnv {
     env
 }
 
-/// What a shard *is*: a graph of `k` disjoint components equals, component
-/// by component, each component simulated alone on a `1/k` DRAM channel.
-/// The merged clock is the max over components, traffic, FLOPs and token
-/// counts sum, and the scheduler counters fold the same way (`peak_ready`
-/// is a max).
+/// A graph of `k` disjoint components does the work of its components
+/// simulated alone (outputs, traffic, FLOPs and token counts sum) on one
+/// clock and one DRAM channel: with bandwidth to spare the run is as long as
+/// its longest component, and on a starved channel the components queue
+/// behind each other, so it is longer.
 #[test]
-fn multi_shard_graph_equals_its_components_simulated_alone() {
+fn multi_component_graph_shares_one_clock_and_one_dram_channel() {
     let env = components_env();
     let mut whole = SamGraph::new();
     for i in 0..COMPONENTS {
         add_component(&mut whole, i);
     }
-    // A narrow channel, so that the size of a shard's slice shows.
-    let mut base = SimConfig::default();
-    base.timing.dram_bytes_per_cycle = 4.0;
-    let mut slice = base.clone();
-    slice.timing.dram_bytes_per_cycle /= COMPONENTS as f64;
+    let mut ample = SimConfig::default();
+    ample.timing.dram_bytes_per_cycle = 1e6;
+    let mut starved = SimConfig::default();
+    starved.timing.dram_bytes_per_cycle = 4.0;
     // Labels carry slot indices, which differ between the whole graph and a
     // component built alone, so token counts are compared in total.
     let tokens = |s: &Stats| s.node_tokens.values().sum::<u64>();
 
-    for sched in ALL_SCHEDULERS {
-        let got = simulate(&whole, &env, &base.clone().with_scheduler(sched)).unwrap();
-        let mut expect = Stats::default();
-        let mut solo_cycles = Vec::new();
-        for i in 0..COMPONENTS {
-            let g = component_alone(i);
-            let solo = simulate(&g, &env, &slice.clone().with_scheduler(sched)).unwrap();
-            for (name, t) in &solo.outputs {
-                assert_eq!(Some(t), got.outputs.get(name), "{sched:?}: output '{name}'");
+    for (cfg, contended) in [(&ample, false), (&starved, true)] {
+        let mut runs = Vec::new();
+        for sched in ALL_SCHEDULERS {
+            let cfg = cfg.clone().with_scheduler(sched);
+            let got = simulate(&whole, &env, &cfg).unwrap();
+            let mut alone = Stats::default();
+            let (mut longest, mut shortest) = (0, u64::MAX);
+            for i in 0..COMPONENTS {
+                let solo = simulate(&component_alone(i), &env, &cfg).unwrap();
+                for (name, t) in &solo.outputs {
+                    assert_eq!(Some(t), got.outputs.get(name), "{sched:?}: output '{name}'");
+                }
+                longest = longest.max(solo.stats.cycles);
+                shortest = shortest.min(solo.stats.cycles);
+                alone.accumulate(&solo.stats);
             }
-            solo_cycles.push(solo.stats.cycles);
-            // `accumulate` sums everything but `peak_ready`; cycles are
-            // put right below.
-            expect.accumulate(&solo.stats);
+            assert!(shortest < longest, "components should differ in length");
+            assert_eq!(got.outputs.len(), COMPONENTS);
+            assert_eq!(got.stats.dram_read_bytes, alone.dram_read_bytes, "{sched:?}");
+            assert_eq!(got.stats.dram_write_bytes, alone.dram_write_bytes, "{sched:?}");
+            assert_eq!(got.stats.flops, alone.flops, "{sched:?}");
+            assert_eq!(tokens(&got.stats), tokens(&alone), "{sched:?}: node tokens");
+            if contended {
+                assert!(got.stats.cycles > longest, "{sched:?}: no contention on 4 B/cycle");
+            } else {
+                assert_eq!(got.stats.cycles, longest, "{sched:?}: one clock");
+            }
+            runs.push(got);
         }
-        expect.cycles = *solo_cycles.iter().max().unwrap();
-        assert!(solo_cycles.iter().any(|&c| c < expect.cycles), "components should differ");
-        assert_eq!(got.outputs.len(), COMPONENTS);
-        assert_eq!(tokens(&got.stats), tokens(&expect), "{sched:?}: node tokens");
-        expect.node_tokens = got.stats.node_tokens.clone();
-        assert_eq!(got.stats, expect, "{sched:?}: merged stats");
-
-        // The bandwidth slice is part of the claim: alone on the full
-        // channel the SpMM is faster than its shard.
-        let g = component_alone(0);
-        let full = simulate(&g, &env, &base.clone().with_scheduler(sched)).unwrap();
-        assert!(full.stats.cycles < solo_cycles[0], "{sched:?}: 1/k bandwidth had no effect");
+        assert_schedulers_agree(&runs[0], &runs[1]);
     }
 }
 
-/// When several shards fail, the error reported is shard 0's (shards are
-/// numbered by their lowest node id and run in that order).
+/// Values fan out into an ALU operand and into `Reduce -> Repeat`, which
+/// must take in a whole 8-element fiber (and its stop) before the ALU's
+/// first commit: below capacity 9 this component never finishes.
+fn add_reconvergent_normalize(g: &mut SamGraph) {
+    let b = g.add_tensor("V", MemLocation::OnChip);
+    let o = g.add_output("S", vec![8], Format::sparse_vec(), MemLocation::OnChip);
+    let root = g.add_node(NodeKind::Root);
+    let ls = g.add_node(NodeKind::LevelScanner { tensor: b, level: 0 });
+    let arr = g.add_node(NodeKind::Array { tensor: b });
+    let red = g.add_node(NodeKind::Reduce { op: ReduceOp::Sum });
+    let rep = g.add_node(NodeKind::Repeat);
+    let div = g.add_node(NodeKind::Alu { op: AluOp::Div });
+    let cw = g.add_node(NodeKind::CrdWriter { output: o, level: 0 });
+    let vw = g.add_node(NodeKind::ValWriter { output: o });
+    g.connect(root, 0, ls, 0);
+    g.connect(ls, 0, cw, 0);
+    g.connect(ls, 0, rep, 1);
+    g.connect(ls, 1, arr, 0);
+    g.connect(arr, 0, div, 0);
+    g.connect(arr, 0, red, 0);
+    g.connect(red, 0, rep, 0);
+    g.connect(rep, 0, div, 1);
+    g.connect(div, 0, vw, 0);
+}
+
+/// A component that deadlocks beside one that finishes is still reported:
+/// the machine stops when nothing is left to run (so later than the stuck
+/// component would stop alone), and the report names the stuck component's
+/// nodes only.
 #[test]
-fn first_failing_shard_reports_its_error() {
-    let env = components_env();
-    let mut whole = SamGraph::new();
-    add_component(&mut whole, 1);
-    add_component(&mut whole, 2);
-    // With no outstanding requests allowed no scanner can ever issue, so
-    // every shard starves; each deadlock report names its own shard's nodes.
-    let mut cfg = SimConfig::default();
-    cfg.timing.outstanding = 0;
-    let mut slice = cfg.clone();
-    slice.timing.dram_bytes_per_cycle /= 2.0;
+fn partial_deadlock_is_reported() {
+    // Nodes 0..7: a copy pipeline, which finishes at any capacity. Nodes
+    // 7..15: the component that is stuck at capacity 4.
+    let mut g = SamGraph::new();
+    add_copy_pipeline(&mut g, "B1", "T1", [12, 12]);
+    add_reconvergent_normalize(&mut g);
+    let mut stuck = SamGraph::new();
+    add_reconvergent_normalize(&mut stuck);
+    let mut env = components_env();
+    let entries = (0..8).map(|i| (vec![i as u32], (i + 1) as f32)).collect();
+    env.insert("V", SparseTensor::from_coo(vec![8], entries, &Format::sparse_vec()).unwrap());
+
+    let cfg = SimConfig { channel_capacity: 4, ..SimConfig::default() };
+    let copy_alone = simulate(&component_alone(1), &env, &cfg).unwrap().stats.cycles;
+    let Err(SimError::Deadlock { cycle: stuck_alone, .. }) = simulate(&stuck, &env, &cfg) else {
+        panic!("the stuck component should deadlock alone")
+    };
+    assert!(stuck_alone < copy_alone);
+    let mut reports = Vec::new();
     for sched in ALL_SCHEDULERS {
-        let err = simulate(&whole, &env, &cfg.clone().with_scheduler(sched)).unwrap_err();
-        let first = component_alone(1);
-        let solo = simulate(&first, &env, &slice.clone().with_scheduler(sched)).unwrap_err();
-        let SimError::Deadlock { cycle, detail } = &err else {
+        let err = simulate(&g, &env, &cfg.clone().with_scheduler(sched)).unwrap_err();
+        let SimError::Deadlock { cycle, detail } = err else {
             panic!("{sched:?}: expected a deadlock, got {err}")
         };
-        let SimError::Deadlock { cycle: solo_cycle, detail: solo_detail } = &solo else {
-            panic!("{sched:?}: expected a deadlock, got {solo}")
-        };
-        assert_eq!(cycle, solo_cycle, "{sched:?}");
-        // Slot indices in labels are the same (component 1 comes first in
-        // both graphs), so the whole report is shard 0's, word for word.
-        assert_eq!(detail, solo_detail, "{sched:?}");
-        assert!(detail.contains("#1[") && !detail.contains("#8["), "{sched:?}: {detail}");
-
-        // The second shard fails too when it is the only one.
-        let second = component_alone(2);
-        let alone = simulate(&second, &env, &slice.clone().with_scheduler(sched));
-        assert!(matches!(alone, Err(SimError::Deadlock { .. })), "{sched:?}: {alone:?}");
+        // Reported once the copy pipeline has run out too, not before.
+        assert!(cycle + 1 >= copy_alone, "{sched:?}: deadlock at {cycle}, copy takes {copy_alone}");
+        for id in 0..7 {
+            assert!(!detail.contains(&format!("#{id}[")), "{sched:?}: finished node: {detail}");
+        }
+        assert!(detail.contains("Array[t1]#9["), "{sched:?}: {detail}");
+        assert!(detail.contains("full:[out0->ALU[Div]#12 at cap 4]"), "{sched:?}: {detail}");
+        reports.push((cycle, detail));
     }
+    assert_eq!(reports[0], reports[1], "event vs sweep deadlock report");
 
-    // A shard that fails behind one that succeeds is still reported: the
-    // budget sits between the two components' run times.
-    let ok = simulate(&whole, &env, &SimConfig::default()).unwrap();
-    let mut half = SimConfig::default();
-    half.timing.dram_bytes_per_cycle /= 2.0;
-    let short = simulate(&component_alone(1), &env, &half).unwrap().stats.cycles;
+    // A cycle budget that runs out behind a component that finished is
+    // reported the same way.
+    let mut two = SamGraph::new();
+    add_component(&mut two, 1);
+    add_component(&mut two, 2);
+    let ok = simulate(&two, &env, &SimConfig::default()).unwrap();
+    let short = simulate(&component_alone(1), &env, &SimConfig::default()).unwrap().stats.cycles;
     assert!(short < ok.stats.cycles, "component 2 should be the longer one");
     let tight = SimConfig { max_cycles: short, ..SimConfig::default() };
-    assert_eq!(simulate(&whole, &env, &tight).unwrap_err(), SimError::MaxCycles(short));
+    for sched in ALL_SCHEDULERS {
+        let err = simulate(&two, &env, &tight.clone().with_scheduler(sched)).unwrap_err();
+        assert_eq!(err, SimError::MaxCycles(short), "{sched:?}");
+    }
 }
 
 /// Regression: `run_node_standalone` used to exit on the first no-progress
@@ -319,7 +354,7 @@ fn spmm_cross_scheduler_bit_identical() {
 }
 
 #[test]
-fn multi_shard_cross_scheduler_bit_identical() {
+fn multi_component_cross_scheduler_bit_identical() {
     let mut g = SamGraph::new();
     let mut env = TensorEnv::new();
     let mut tensors = Vec::new();
@@ -331,10 +366,19 @@ fn multi_shard_cross_scheduler_bit_identical() {
         env.insert(name, t.clone());
         tensors.push((out, t));
     }
-    let event = assert_all_schedulers_identical(&g, &env, &SimConfig::default());
-    for (out, t) in &tensors {
-        assert_eq!(event.outputs[out].to_dense(), t.to_dense(), "pipeline {out} copied wrong data");
+    // The second config starves the DRAM channel, so the four pipelines
+    // queue behind each other's requests under both schedulers.
+    let mut starved = SimConfig::default();
+    starved.timing.dram_bytes_per_cycle = 4.0;
+    let mut cycles = Vec::new();
+    for cfg in [SimConfig::default(), starved] {
+        let event = assert_all_schedulers_identical(&g, &env, &cfg);
+        for (out, t) in &tensors {
+            assert_eq!(event.outputs[out].to_dense(), t.to_dense(), "pipeline {out}: wrong data");
+        }
+        cycles.push(event.stats.cycles);
     }
+    assert!(cycles[0] < cycles[1], "4 B/cycle should be the slower channel");
 }
 
 /// Long-latency stall coverage: block ALUs occupy the unit for many cycles

@@ -8,12 +8,17 @@ deterministic simulation results are compared, so any diff means the
 simulator's semantics changed and the snapshot must be regenerated
 deliberately (``experiments all --quick`` then copy the cycle map).
 
+Both sides may be full reports: CI also runs the full-size ``experiments all``
+and compares it with the committed ``BENCH_sim.json`` (``git show
+HEAD:BENCH_sim.json``), so the recorded full-size cycle points are gated too.
+
 Either side may also be a flat ``{"key": count}`` map, which is how the
 static-verification verdict counts are gated: ``experiments samcheck``
 rewrites the tracked ``results/samcheck_quick.json``, and CI compares it with
 the committed copy (``git show HEAD:results/samcheck_quick.json``).
 
 Usage: check_cycle_drift.py BENCH_sim.json results/quick_cycles.json
+       check_cycle_drift.py BENCH_sim.json committed_BENCH_sim.json
        check_cycle_drift.py results/samcheck_quick.json committed_copy.json
 """
 

@@ -346,3 +346,38 @@ fn verify_catches_wrong_outputs() {
     );
     assert!(verify(&p, &inputs, &bogus).is_err());
 }
+
+#[test]
+fn region_past_the_program_end_is_a_typed_error() {
+    use fuseflow::core::fusion::{fuse_region, FuseError};
+    use fuseflow::core::lower::LowerError;
+    use fuseflow::core::pipeline::PipelineError;
+    let (p, _) = gcn_layerish(8, 6, 4);
+    let n = p.exprs().len();
+    // `n + 1..n + 2` also makes `resolve_regions` fill the gap with the
+    // singleton `n..n + 1`, which is the first range refused.
+    for (bad, refused) in [(0..n + 5, 0..n + 5), (n + 1..n + 2, n..n + 1)] {
+        let res = compile(&p, &Schedule::regions(vec![bad.clone()]));
+        assert!(
+            matches!(
+                &res,
+                Err(PipelineError::Lower(LowerError::Fusion(FuseError::RegionOutOfRange {
+                    range,
+                    exprs,
+                }))) if *range == refused && *exprs == n
+            ),
+            "{bad:?}: {:?}",
+            res.err().map(|e| e.to_string())
+        );
+    }
+    // `Schedule::regions` refuses a reversed range itself; `fuse_region` is
+    // public, so it must too.
+    #[allow(clippy::reversed_empty_ranges)]
+    let reversed = 3..1;
+    assert!(matches!(
+        fuse_region(&p, reversed.clone()),
+        Err(FuseError::RegionOutOfRange { range, exprs }) if range == reversed && exprs == n
+    ));
+    // An empty region names no expression and keeps compiling.
+    assert!(compile(&p, &Schedule::regions(vec![1..1])).is_ok());
+}
