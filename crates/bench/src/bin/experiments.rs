@@ -1,7 +1,14 @@
 //! Regenerates every table and figure of the FuseFlow evaluation
 //! (Section 8). Run `experiments all` or a specific id (`fig12`,
 //! `table4`, ...). Results print as aligned text and are written as CSV
-//! under `results/`.
+//! under `results/` (`results/quick/` with `--quick`).
+//!
+//! `all` also writes every simulated cycle count as one flat, key-sorted
+//! `{"figure/label": cycles}` map ([`snapshot_json`]): the full-size run to
+//! `BENCH_sim.json`, the `--quick` run to `results/quick_cycles.json`. The
+//! files hold nothing host-dependent, so regenerating one is a no-op unless
+//! a cycle moved, and CI gates both with `git diff --exit-code`. Seconds are
+//! measured by `benchmark/` only.
 //!
 //! Flags:
 //!
@@ -10,9 +17,9 @@
 //!
 //! Independent simulation points within each sweep run on the shared
 //! [`parallel_map`] worker pool; results are collected in point order, so
-//! the printed tables and CSVs are identical for any thread count.
+//! the printed tables, CSVs and snapshots are identical for any thread count.
 
-use fuseflow_bench::parallel_map;
+use fuseflow_bench::{parallel_map, snapshot_json};
 use fuseflow_core::estimate;
 use fuseflow_core::fuse_region;
 use fuseflow_core::pipeline::compile_with;
@@ -39,112 +46,19 @@ struct Opts {
     threads: usize,
 }
 
-/// Deterministic per-point cycle counts a figure contributes to
-/// `BENCH_sim.json` (label -> simulated cycles).
+impl Opts {
+    /// Writes one figure's CSV. A `--quick` run keeps out of the full-size
+    /// run's files (`results/autotune.csv` is tracked).
+    fn save(self, name: &str, content: &str) {
+        let dir = if self.quick { "results/quick" } else { "results" };
+        std::fs::create_dir_all(dir).ok();
+        std::fs::write(format!("{dir}/{name}.csv"), content).ok();
+    }
+}
+
+/// The deterministic per-point cycle counts a figure contributes to the
+/// snapshot (label -> simulated cycles).
 type Points = Vec<(String, u64)>;
-
-/// One scheduler measurement row (the `sched` experiment): the same
-/// workload under the legacy sweep and the event-driven scheduler.
-struct SchedRow {
-    workload: String,
-    cycles: u64,
-    sweep_wall_s: f64,
-    event_wall_s: f64,
-    sweep_events: u64,
-    event_events: u64,
-    cycles_skipped: u64,
-    peak_ready: u64,
-}
-
-/// One figure entry of the machine-readable report: its deterministic
-/// cycle points plus the pool configuration that produced them.
-struct FigEntry {
-    id: String,
-    wall_s: f64,
-    /// Worker threads the figure's sweep pool ran with.
-    threads: usize,
-    points: Points,
-}
-
-/// Machine-readable run report, written to `BENCH_sim.json` at the repo
-/// root so the perf trajectory is comparable across PRs. `--quick` emits
-/// the same shape on tiny instances; CI diffs its cycle counts against
-/// `results/quick_cycles.json`.
-#[derive(Default)]
-struct Report {
-    figures: Vec<FigEntry>,
-    sched: Vec<SchedRow>,
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-impl Report {
-    fn add(&mut self, id: &str, wall_s: f64, threads: usize, points: Points) {
-        // Figures that produce no deterministic cycle points (analytical
-        // models, error tables) still print and write CSVs, but are kept
-        // out of the report: a zero-point figure is indistinguishable from
-        // a silently broken sweep, and CI's drift gate rejects it.
-        if points.is_empty() {
-            println!("  ({id}: no cycle points — figure omitted from BENCH_sim.json)");
-            return;
-        }
-        self.figures.push(FigEntry { id: id.to_string(), wall_s, threads, points });
-    }
-
-    fn to_json(&self, o: Opts, wall_s_total: f64) -> String {
-        let mut j = String::from("{\n");
-        let _ = writeln!(j, "  \"schema\": \"fuseflow-bench-sim/1\",");
-        let _ = writeln!(j, "  \"quick\": {},", o.quick);
-        let _ = writeln!(j, "  \"threads\": {},", o.threads);
-        let _ = writeln!(j, "  \"wall_s_total\": {wall_s_total:.3},");
-        let _ = writeln!(j, "  \"figures\": [");
-        for (fi, fig) in self.figures.iter().enumerate() {
-            let _ = writeln!(j, "    {{");
-            let _ = writeln!(j, "      \"id\": \"{}\",", json_escape(&fig.id));
-            let _ = writeln!(j, "      \"wall_s\": {:.3},", fig.wall_s);
-            let _ = writeln!(j, "      \"threads\": {},", fig.threads);
-            let _ = writeln!(j, "      \"points\": [");
-            for (pi, (label, cycles)) in fig.points.iter().enumerate() {
-                let comma = if pi + 1 < fig.points.len() { "," } else { "" };
-                let _ = writeln!(
-                    j,
-                    "        {{\"label\": \"{}\", \"cycles\": {cycles}}}{comma}",
-                    json_escape(label)
-                );
-            }
-            let _ = writeln!(j, "      ]");
-            let comma = if fi + 1 < self.figures.len() { "," } else { "" };
-            let _ = writeln!(j, "    }}{comma}");
-        }
-        let _ = writeln!(j, "  ],");
-        let _ = writeln!(j, "  \"sched\": [");
-        for (ri, r) in self.sched.iter().enumerate() {
-            let comma = if ri + 1 < self.sched.len() { "," } else { "" };
-            let speedup = r.sweep_wall_s / r.event_wall_s.max(1e-9);
-            let _ = writeln!(
-                j,
-                "    {{\"workload\": \"{}\", \"cycles\": {}, \
-                 \"sweep_wall_s\": {:.4}, \"event_wall_s\": {:.4}, \"speedup\": {:.2}, \
-                 \"sweep_events\": {}, \"event_events\": {}, \
-                 \"cycles_skipped\": {}, \"peak_ready\": {}}}{comma}",
-                json_escape(&r.workload),
-                r.cycles,
-                r.sweep_wall_s,
-                r.event_wall_s,
-                speedup,
-                r.sweep_events,
-                r.event_events,
-                r.cycles_skipped,
-                r.peak_ready
-            );
-        }
-        let _ = writeln!(j, "  ]");
-        j.push_str("}\n");
-        j
-    }
-}
 
 fn sim() -> SimConfig {
     SimConfig::default()
@@ -163,11 +77,6 @@ fn run_model_on_chip(m: &ModelInstance, schedule: &Schedule) -> Stats {
     run(&m.program, &compiled, &m.inputs, &sim())
         .unwrap_or_else(|e| panic!("{}: {e}", m.name))
         .stats
-}
-
-fn save(name: &str, content: &str) {
-    std::fs::create_dir_all("results").ok();
-    std::fs::write(format!("results/{name}.csv"), content).ok();
 }
 
 /// Fig 1: roofline-model GPU utilization for GCN inference (substitution:
@@ -191,7 +100,7 @@ fn fig1(o: Opts) -> Points {
         println!("  {:10} SM {:6.2}%   Mem {:6.3}%", ds.name, sm, mem);
         writeln!(csv, "{},{:.4},{:.4}", ds.name, sm, mem).unwrap();
     }
-    save("fig1", &csv);
+    o.save("fig1", &csv);
     Vec::new()
 }
 
@@ -224,7 +133,7 @@ fn fig4b(o: Opts) -> Points {
         writeln!(csv, "{},{},{:.3}", name, c, unfused as f64 / c as f64).unwrap();
         points.push((name.to_string(), c));
     }
-    save("fig4b", &csv);
+    o.save("fig4b", &csv);
     points
 }
 
@@ -276,7 +185,7 @@ fn fig12(o: Opts) -> Points {
             points.push((format!("{model}/{dsname}/{f}"), c));
         }
     }
-    save("fig12", &csv);
+    o.save("fig12", &csv);
     points
 }
 
@@ -329,7 +238,7 @@ fn fig13(o: Opts) -> Points {
         points.push((format!("{k}/fpga"), *f as u64));
     }
     writeln!(csv, "r2,{r2:.4},").unwrap();
-    save("fig13", &csv);
+    o.save("fig13", &csv);
     points
 }
 
@@ -371,7 +280,7 @@ fn fig14(o: Opts) -> Points {
                 .unwrap();
         }
     }
-    save("fig14", &csv);
+    o.save("fig14", &csv);
     points
 }
 
@@ -414,7 +323,7 @@ fn fig15(o: Opts) -> Points {
         points.push((format!("{pattern}/{sparsity}/partial"), part_c));
         points.push((format!("{pattern}/{sparsity}/full"), full_c));
     }
-    save("fig15", &csv);
+    o.save("fig15", &csv);
     points
 }
 
@@ -443,7 +352,7 @@ fn fig16(o: Opts) -> Points {
         writeln!(csv, "{factor},{c},{:.3}", base as f64 / c as f64).unwrap();
         points.push((format!("a/factor{factor}"), c));
     }
-    save("fig16a", &csv);
+    o.save("fig16a", &csv);
 
     println!("\n== Fig 16b: parallelization location sweep ==");
     // Level 1 = attention row i (legal in every kernel); level 2 = score
@@ -476,7 +385,7 @@ fn fig16(o: Opts) -> Points {
         writeln!(csv, "{loc},{factor},{c},{:.3}", base_unf as f64 / c as f64).unwrap();
         points.push((format!("b/{loc}/x{factor}"), c));
     }
-    save("fig16b", &csv);
+    o.save("fig16b", &csv);
     points
 }
 
@@ -506,7 +415,7 @@ fn fig17(o: Opts) -> Points {
         points.push((format!("block{block}/unstructured"), cu));
         points.push((format!("block{block}/blocked"), cb));
     }
-    save("fig17", &csv);
+    o.save("fig17", &csv);
     points
 }
 
@@ -610,7 +519,7 @@ fn fig18(o: Opts) -> Points {
         writeln!(csv, "{name},{c},{:.3}", worst as f64 / *c as f64).unwrap();
         points.push((name.clone(), *c));
     }
-    save("fig18", &csv);
+    o.save("fig18", &csv);
     points
 }
 
@@ -650,7 +559,7 @@ fn table3(o: Opts) -> Points {
         println!("  {:10} FLOPs {:5.1}%   bytes {:5.1}%", name, fe, be);
         writeln!(csv, "{},{:.2},{:.2}", name, fe, be).unwrap();
     }
-    save("table3", &csv);
+    o.save("table3", &csv);
     Vec::new()
 }
 
@@ -713,19 +622,18 @@ fn table4(o: Opts) -> Points {
         );
         writeln!(csv, "{name},{un},{capped},{con},{pog_fmt},{pog_full}").unwrap();
     }
-    save("table4", &csv);
+    o.save("table4", &csv);
     Vec::new()
 }
 
 /// Scheduler comparison: the same workloads simulated under the legacy
-/// dense per-cycle sweep and the event-driven calendar-queue scheduler.
-/// Semantic results are asserted bit-identical; what differs is simulator
-/// wall-clock, which this experiment records (with the event engine's
-/// counters) into `BENCH_sim.json`.
-fn sched(o: Opts, rep: &mut Report) -> Points {
-    println!("\n== Sched: sweep vs event (wall-clock) ==");
+/// dense per-cycle sweep and the event-driven scheduler. Semantic results
+/// are asserted bit-identical; the table shows how many node steps each
+/// scheduler took to get there (seconds are `benchmark/`'s business).
+fn sched(o: Opts) -> Points {
+    println!("\n== Sched: sweep vs event (node steps) ==");
     /// One sched workload: a model, its schedule, where its tensors live,
-    /// and the simulator configuration to measure it under.
+    /// and the simulator configuration to run it under.
     struct Workload {
         name: &'static str,
         m: ModelInstance,
@@ -820,12 +728,9 @@ fn sched(o: Opts, rep: &mut Report) -> Points {
     if !o.quick {
         workloads.push(wl("graphsage_fused", graphsage(&ds, 8, 4, 5), Schedule::full(), sim()));
     }
-    let mut csv = String::from(
-        "workload,cycles,sweep_wall_s,event_wall_s,speedup,sweep_events,event_events,\
-         cycles_skipped,peak_ready\n",
-    );
+    let mut csv =
+        String::from("workload,cycles,sweep_events,event_events,cycles_skipped,peak_ready\n");
     let mut points = Points::new();
-    let reps = if o.quick { 2 } else { 3 };
     for w in workloads {
         let (name, m, cfg) = (w.name, &w.m, &w.cfg);
         let compiled = if w.on_chip {
@@ -833,28 +738,16 @@ fn sched(o: Opts, rep: &mut Report) -> Points {
         } else {
             compile(&m.program, &w.sched).unwrap()
         };
-        let timed = |cfg: &SimConfig| {
-            let mut best = f64::INFINITY;
-            let mut stats = None;
-            for _ in 0..reps {
-                let t0 = Instant::now();
-                let r = run(&m.program, &compiled, &m.inputs, cfg).unwrap();
-                best = best.min(t0.elapsed().as_secs_f64());
-                stats = Some(r.stats);
-            }
-            (stats.unwrap(), best)
-        };
-        let (ev, event_wall) = timed(cfg);
-        let (sw, sweep_wall) = timed(&cfg.clone().with_scheduler(Scheduler::Sweep));
+        let ev = run(&m.program, &compiled, &m.inputs, cfg).unwrap().stats;
+        let sweep_cfg = cfg.clone().with_scheduler(Scheduler::Sweep);
+        let sw = run(&m.program, &compiled, &m.inputs, &sweep_cfg).unwrap().stats;
         assert_eq!(
             ev.semantic(),
             sw.semantic(),
             "{name}: event vs sweep diverged (this is a simulator bug)"
         );
-        let speedup = sweep_wall / event_wall.max(1e-9);
         println!(
-            "  {name:16} {:>10} cycles  sweep {sweep_wall:.4}s  event {event_wall:.4}s  \
-             {speedup:.2}x  (events {} -> {}, skipped {}, peak ready {})",
+            "  {name:16} {:>10} cycles  (events {} -> {}, skipped {}, peak ready {})",
             ev.cycles,
             sw.sched.events,
             ev.sched.events,
@@ -863,7 +756,7 @@ fn sched(o: Opts, rep: &mut Report) -> Points {
         );
         writeln!(
             csv,
-            "{name},{},{sweep_wall:.4},{event_wall:.4},{speedup:.3},{},{},{},{}",
+            "{name},{},{},{},{},{}",
             ev.cycles,
             sw.sched.events,
             ev.sched.events,
@@ -872,18 +765,8 @@ fn sched(o: Opts, rep: &mut Report) -> Points {
         )
         .unwrap();
         points.push((name.to_string(), ev.cycles));
-        rep.sched.push(SchedRow {
-            workload: name.to_string(),
-            cycles: ev.cycles,
-            sweep_wall_s: sweep_wall,
-            event_wall_s: event_wall,
-            sweep_events: sw.sched.events,
-            event_events: ev.sched.events,
-            cycles_skipped: ev.sched.cycles_skipped,
-            peak_ready: ev.sched.peak_ready,
-        });
     }
-    save("sched", &csv);
+    o.save("sched", &csv);
     points
 }
 
@@ -948,21 +831,22 @@ fn autotune(o: Opts) -> Points {
             points.push((label, c));
         }
     }
-    save("autotune", &csv);
+    o.save("autotune", &csv);
     points
 }
 
 /// `samcheck`: lints every model-zoo graph with the `fuseflow-verify`
 /// static analyzer, at every fusion granularity, and writes the combined
 /// report to `results/samcheck.json` plus the per-graph verdict counts to
-/// the tracked snapshot `results/samcheck_quick.json` (a flat map CI diffs
-/// with `scripts/check_cycle_drift.py`, so verdicts are gated like cycles).
+/// the tracked snapshot `results/samcheck_quick.json` (same writer as the
+/// cycle snapshots; CI gates it with `git diff`, so verdicts are gated like
+/// cycles). Returns the number of error-severity diagnostics.
 ///
 /// Unlike the figure experiments this is a pass/fail gate, not a
-/// measurement: it is excluded from `all` (so `BENCH_sim.json`'s tracked
-/// point set stays stable) and the process exits nonzero when any
-/// error-severity diagnostic fires. CI runs it as its own step.
-fn samcheck(o: Opts) -> (Points, usize) {
+/// measurement: it is excluded from `all`, contributes nothing to the cycle
+/// snapshot, and the process exits nonzero when any error-severity
+/// diagnostic fires. CI runs it as its own step.
+fn samcheck(o: Opts) -> usize {
     println!("\n== samcheck: static lints over the model zoo ==");
     let ds = GRAPH_DATASETS[0];
     let small = GraphDataset { nodes: ds.nodes / 4, feats: ds.feats / 4, ..ds };
@@ -976,11 +860,10 @@ fn samcheck(o: Opts) -> (Points, usize) {
         ("gpt_decoder".into(), gpt_decoder(32, 8, 8, 1)),
         ("map_stack".into(), map_stack(48, 24, 0.5, 9)),
     ];
-    let mut points = Points::new();
+    let mut graphs = 0usize;
     let mut errors = 0usize;
     let mut json = String::from("[");
-    let mut counts = String::from("{");
-    let mut first = true;
+    let mut counts = Points::new();
     let rows = parallel_map(o.threads, models, |(name, m)| {
         let mut out = Vec::new();
         for fusion in Fusion::ALL {
@@ -1022,48 +905,44 @@ fn samcheck(o: Opts) -> (Points, usize) {
                 if !report.is_clean() {
                     print!("{}", report.render_human(graph));
                 }
-                if !first {
+                if json.len() > 1 {
                     json.push(',');
-                    counts.push(',');
                 }
-                first = false;
                 let _ = write!(
                     json,
                     "{{\"model\":\"{name}\",\"fusion\":\"{fusion}\",\"region\":{i},\"report\":{}}}",
                     report.to_json(graph)
                 );
                 let key = format!("samcheck/{name}/{fusion}/r{i}");
-                let _ = write!(
-                    counts,
-                    "\n  \"{key}/errors\": {},\n  \"{key}/warnings\": {},\n  \
-                     \"{key}/certified\": {},\n  \"{key}/unknown\": {},\n  \"{key}/flagged\": {}",
-                    report.errors().count(),
-                    report.warnings().count(),
-                    report.regions.certified,
-                    report.regions.unknown,
-                    report.regions.flagged,
-                );
+                for (what, n) in [
+                    ("errors", report.errors().count()),
+                    ("warnings", report.warnings().count()),
+                    ("certified", report.regions.certified),
+                    ("unknown", report.regions.unknown),
+                    ("flagged", report.regions.flagged),
+                ] {
+                    counts.push((format!("{key}/{what}"), n as u64));
+                }
             }
             println!(
                 "samcheck {name:<28} {fusion:<8} regions {:<2} errors {errs} warnings {warns} \
                  (deadlock-free: {certified} certified, {unknown} unknown, {flagged} flagged)",
                 reports.len(),
             );
-            points.push((format!("samcheck/{name}/{fusion}"), (errs + warns) as u64));
+            graphs += 1;
             errors += errs;
         }
     }
     json.push(']');
-    counts.push_str("\n}\n");
     std::fs::create_dir_all("results").ok();
     std::fs::write("results/samcheck.json", json).ok();
-    std::fs::write("results/samcheck_quick.json", counts).ok();
+    std::fs::write("results/samcheck_quick.json", snapshot_json(counts)).ok();
     if errors == 0 {
-        println!("samcheck: model zoo clean ({} graphs linted)", points.len());
+        println!("samcheck: model zoo clean ({graphs} graphs linted)");
     } else {
         println!("samcheck: {errors} error-severity diagnostic(s)");
     }
-    (points, errors)
+    errors
 }
 
 fn main() {
@@ -1090,76 +969,46 @@ fn main() {
     let all = which.iter().any(|w| w == "all");
     let want = |id: &str| all || which.iter().any(|w| w == id);
     let t0 = Instant::now();
-    let mut report = Report::default();
-    let timed = |rep: &mut Report, id: &str, f: &mut dyn FnMut(&mut Report) -> Points| {
-        let t = Instant::now();
-        let points = f(rep);
-        rep.add(id, t.elapsed().as_secs_f64(), opts.threads, points);
-    };
-    if want("fig1") {
-        timed(&mut report, "fig1", &mut |_| fig1(opts));
+    type Figure = fn(Opts) -> Points;
+    let figures: [(&str, Figure); 13] = [
+        ("fig1", fig1),
+        ("fig4b", fig4b),
+        ("fig12", fig12),
+        ("fig13", fig13),
+        ("fig14", fig14),
+        ("fig15", fig15),
+        ("fig16", fig16),
+        ("fig17", fig17),
+        ("fig18", fig18),
+        ("table3", table3),
+        ("table4", table4),
+        ("sched", sched),
+        ("autotune", autotune),
+    ];
+    let mut cycles = Points::new();
+    for (id, figure) in figures {
+        if want(id) {
+            cycles.extend(figure(opts).into_iter().map(|(label, c)| (format!("{id}/{label}"), c)));
+        }
     }
-    if want("fig4b") {
-        timed(&mut report, "fig4b", &mut |_| fig4b(opts));
-    }
-    if want("fig12") {
-        timed(&mut report, "fig12", &mut |_| fig12(opts));
-    }
-    if want("fig13") {
-        timed(&mut report, "fig13", &mut |_| fig13(opts));
-    }
-    if want("fig14") {
-        timed(&mut report, "fig14", &mut |_| fig14(opts));
-    }
-    if want("fig15") {
-        timed(&mut report, "fig15", &mut |_| fig15(opts));
-    }
-    if want("fig16") {
-        timed(&mut report, "fig16", &mut |_| fig16(opts));
-    }
-    if want("fig17") {
-        timed(&mut report, "fig17", &mut |_| fig17(opts));
-    }
-    if want("fig18") {
-        timed(&mut report, "fig18", &mut |_| fig18(opts));
-    }
-    if want("table3") {
-        timed(&mut report, "table3", &mut |_| table3(opts));
-    }
-    if want("table4") {
-        timed(&mut report, "table4", &mut |_| table4(opts));
-    }
-    if want("sched") {
-        timed(&mut report, "sched", &mut |r| sched(opts, r));
-    }
-    if want("autotune") {
-        timed(&mut report, "autotune", &mut |_| autotune(opts));
-    }
-    // Explicit-only (not part of `all`): a lint gate, not a figure, and
-    // keeping it out of `all` keeps BENCH_sim.json's point set stable.
-    let mut samcheck_errors = 0usize;
-    if which.iter().any(|w| w == "samcheck") {
-        timed(&mut report, "samcheck", &mut |_| {
-            let (points, errs) = samcheck(opts);
-            samcheck_errors = errs;
-            points
-        });
-    }
-    let wall = t0.elapsed().as_secs_f64();
-    // Only a full `all` run refreshes the tracked cross-PR report: a
-    // filtered subset would clobber it with a partial point set that no
-    // longer matches results/quick_cycles.json.
-    let report_note = if all {
-        std::fs::write("BENCH_sim.json", report.to_json(opts, wall))
-            .expect("write BENCH_sim.json (CI's drift gate reads it)");
-        ", report in BENCH_sim.json"
+    // Explicit-only (not part of `all`): a lint gate, not a figure.
+    let samcheck_errors = if which.iter().any(|w| w == "samcheck") { samcheck(opts) } else { 0 };
+    // Only an `all` run refreshes a tracked snapshot: a filtered subset
+    // would clobber it with a partial point set.
+    let snapshot_note = if all {
+        let path = if opts.quick { "results/quick_cycles.json" } else { "BENCH_sim.json" };
+        std::fs::write(path, snapshot_json(cycles))
+            .unwrap_or_else(|e| panic!("write {path} (CI diffs it): {e}"));
+        format!(", {path} rewritten")
     } else {
-        " (subset run: BENCH_sim.json untouched)"
+        " (subset run: no snapshot written)".to_string()
     };
     println!(
-        "\nDone in {wall:.1}s ({} pool threads{}); CSVs in results/{report_note}.",
+        "\nDone in {:.1}s ({} pool threads{}); CSVs in results/{}{snapshot_note}.",
+        t0.elapsed().as_secs_f64(),
         opts.threads,
-        if opts.quick { ", --quick" } else { "" }
+        if opts.quick { ", --quick" } else { "" },
+        if opts.quick { "quick/" } else { "" },
     );
     if samcheck_errors > 0 {
         eprintln!("samcheck: failing with {samcheck_errors} error-severity diagnostic(s)");

@@ -109,7 +109,7 @@ impl<'a> Ctx<'a> {
 /// What one [`Rt::step`](crate::node::Rt::step) call did, and when the node next needs service.
 ///
 /// The event scheduler keys off this: `Progressed` re-enqueues the node for
-/// the next cycle, `SleepingUntil` registers a calendar wake, and the two
+/// the next cycle, `SleepingUntil` registers a timed wake, and the two
 /// `Blocked*` variants arm nothing — the static channel back-pointers raise
 /// the wake when a peer pushes an input or drains a full output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -16,7 +16,7 @@
 //! fires: a push into one of its input
 //! channels, a pop of one of its full output channels (channels carry
 //! reader/writer back-pointers), a registered timer (in-flight memory or
-//! busy ALU; see `sched.rs` for the calendar queue), or its own progress
+//! busy ALU; see `sched.rs` for the wake queue), or its own progress
 //! in the previous cycle. The legacy dense sweep is retained behind
 //! [`SimConfig::scheduler`] as a differential-testing oracle; the two are
 //! bit-identical (see the determinism notes on [`run_event`] and
@@ -53,7 +53,7 @@ use std::collections::HashMap;
 /// (`crates/sim/tests/determinism.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
-    /// Event-driven ready-set + calendar wake queue (the default): only
+    /// Event-driven ready-set + wake queue (the default): only
     /// nodes that can possibly progress are stepped.
     #[default]
     Event,
@@ -136,7 +136,8 @@ impl<S: Into<String>> FromIterator<(S, SparseTensor)> for TensorEnv {
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
     /// The configuration cannot describe a machine (zero-capacity channels,
-    /// non-positive DRAM bandwidth).
+    /// non-positive DRAM bandwidth or block-lane factor, no outstanding
+    /// memory requests).
     Config(String),
     /// The graph failed validation.
     Validation(GraphError),
@@ -218,6 +219,13 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
     let bw = cfg.timing.dram_bytes_per_cycle;
     if bw.is_nan() || bw <= 0.0 {
         return Err(SimError::Config(format!("dram_bytes_per_cycle must be positive, got {bw}")));
+    }
+    let lanes = cfg.timing.block_lanes_factor;
+    if lanes.is_nan() || lanes <= 0.0 {
+        return Err(SimError::Config(format!("block_lanes_factor must be positive, got {lanes}")));
+    }
+    if cfg.timing.outstanding == 0 {
+        return Err(SimError::Config("outstanding must be at least 1".into()));
     }
     let order = graph.validated_order().map_err(SimError::Validation)?;
     let tensors: Vec<&SparseTensor> = graph

@@ -9,7 +9,7 @@ use crate::sched::{ReadySet, WakeQueue};
 use fuseflow_sam::NodeId;
 
 /// The event-driven execution loop: a ready set drained in ascending
-/// topological rank plus a calendar wake queue. Runs until every writer has
+/// topological rank plus a min-heap wake queue. Runs until every writer has
 /// finished, or to an error.
 ///
 /// **Bit-identity with the sweep.** The sweep steps every node at every
@@ -94,7 +94,7 @@ pub(crate) fn run_event(order: &[NodeId], nodes: &mut [Rt], ctx: &mut Ctx) -> Re
         let t_next = if !next.is_empty() {
             ctx.now + 1
         } else {
-            match wakes.next_time(ctx.now) {
+            match wakes.next_time() {
                 Some(t) => t,
                 None => return Err(deadlock(nodes, ctx)),
             }

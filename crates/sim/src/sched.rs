@@ -10,22 +10,15 @@
 //!   is the whole determinism argument: a cycle of the event engine performs
 //!   the same effective steps, in the same order, at the same simulated
 //!   time as a sweep cycle, and skipped steps are provably no-ops.
-//! * [`WakeQueue`] — a time-indexed calendar queue for `busy_until` /
-//!   pending-memory wake-ups. Near-future wakes (within [`HORIZON`] cycles
-//!   of now) land in ring buckets; far-future wakes fall back to a
-//!   `BinaryHeap`. Per-rank earliest-timer dedup keeps spurious re-steps
-//!   bounded.
+//! * [`WakeQueue`] — a min-heap of `busy_until` / pending-memory wake-ups
+//!   keyed by absolute cycle. Per-rank earliest-timer dedup keeps spurious
+//!   re-steps bounded.
 //!
 //! Both structures are rank-indexed; `run.rs` owns the mapping between
 //! ranks and node ids.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Near-future window of the calendar queue, in cycles. DRAM latencies and
-/// ALU occupancies are tens-to-hundreds of cycles, so almost every wake
-/// lands in a ring bucket; anything farther takes the heap path.
-const HORIZON: u64 = 512;
 
 /// A dense bitset of ranks that are ready to step at one simulated cycle.
 ///
@@ -92,20 +85,10 @@ impl ReadySet {
     }
 }
 
-/// A time-indexed wake queue: ring buckets for wakes within [`HORIZON`]
-/// cycles, a min-heap for the tail.
-///
-/// Entries are `(absolute_cycle, rank)`. The engine only ever advances time
-/// to the minimum queued cycle (or to `now + 1`), so a live ring bucket
-/// holds entries of exactly one absolute cycle — two cycles `t` and
-/// `t + k * HORIZON` can never be queued simultaneously, because queueing
-/// the later one requires `now >= t`, by which point the earlier one has
-/// been drained.
+/// A time-indexed wake queue: a min-heap of `(absolute_cycle, rank)`.
 #[derive(Debug)]
 pub(crate) struct WakeQueue {
-    buckets: Vec<Vec<(u64, u32)>>,
-    bucket_len: usize,
-    far: BinaryHeap<Reverse<(u64, u32)>>,
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
     /// Earliest queued timer per rank (`u64::MAX` = none). A later timer
     /// for a rank with an earlier one queued is dropped: the earlier wake
     /// steps the node, which re-registers its then-current wake time.
@@ -115,12 +98,7 @@ pub(crate) struct WakeQueue {
 impl WakeQueue {
     /// An empty queue for `n` ranks.
     pub fn new(n: usize) -> Self {
-        WakeQueue {
-            buckets: (0..HORIZON as usize).map(|_| Vec::new()).collect(),
-            bucket_len: 0,
-            far: BinaryHeap::new(),
-            timer_at: vec![u64::MAX; n],
-        }
+        WakeQueue { heap: BinaryHeap::new(), timer_at: vec![u64::MAX; n] }
     }
 
     /// Queues a wake for `rank` at cycle `t` (must be `> now`). Deduped
@@ -131,54 +109,27 @@ impl WakeQueue {
             return;
         }
         self.timer_at[rank as usize] = t;
-        if t - now <= HORIZON {
-            self.buckets[(t % HORIZON) as usize].push((t, rank));
-            self.bucket_len += 1;
-        } else {
-            self.far.push(Reverse((t, rank)));
-        }
+        self.heap.push(Reverse((t, rank)));
     }
 
     /// True when nothing is queued.
     #[cfg(test)]
     pub fn is_empty(&self) -> bool {
-        self.bucket_len == 0 && self.far.is_empty()
+        self.heap.is_empty()
     }
 
-    /// The earliest queued cycle strictly after `now`, if any.
-    pub fn next_time(&self, now: u64) -> Option<u64> {
-        let mut best = self.far.peek().map(|Reverse((t, _))| *t);
-        if self.bucket_len > 0 {
-            for off in 1..=HORIZON {
-                let t = now + off;
-                if let Some(&(bt, _)) = self.buckets[(t % HORIZON) as usize].first() {
-                    debug_assert_eq!(bt, t, "stale calendar bucket");
-                    best = Some(best.map_or(bt, |b| b.min(bt)));
-                    break;
-                }
-            }
-        }
-        best
+    /// The earliest queued cycle, if any.
+    pub fn next_time(&self) -> Option<u64> {
+        self.heap.peek().map(|Reverse((t, _))| *t)
     }
 
-    /// Moves every wake queued for exactly cycle `t` into `ready`.
+    /// Moves every wake queued for cycle `t` (or earlier) into `ready`.
     pub fn drain_at(&mut self, t: u64, ready: &mut ReadySet) {
-        let bucket = &mut self.buckets[(t % HORIZON) as usize];
-        if !bucket.is_empty() {
-            self.bucket_len -= bucket.len();
-            for (bt, rank) in bucket.drain(..) {
-                debug_assert_eq!(bt, t, "stale calendar bucket");
-                if self.timer_at[rank as usize] == t {
-                    self.timer_at[rank as usize] = u64::MAX;
-                }
-                ready.insert(rank as usize);
-            }
-        }
-        while let Some(&Reverse((ft, rank))) = self.far.peek() {
+        while let Some(&Reverse((ft, rank))) = self.heap.peek() {
             if ft > t {
                 break;
             }
-            self.far.pop();
+            self.heap.pop();
             if self.timer_at[rank as usize] == ft {
                 self.timer_at[rank as usize] = u64::MAX;
             }
@@ -224,13 +175,13 @@ mod tests {
     fn wake_queue_near_and_far() {
         let mut q = WakeQueue::new(8);
         q.schedule(10, 12, 1);
-        q.schedule(10, 10 + HORIZON + 100, 2); // heap path
-        assert_eq!(q.next_time(10), Some(12));
+        q.schedule(10, 10 + 612, 2);
+        assert_eq!(q.next_time(), Some(12));
         let mut ready = ReadySet::new(8);
         q.drain_at(12, &mut ready);
         assert_eq!(ready.pop_ge(0), Some(1));
-        assert_eq!(q.next_time(12), Some(10 + HORIZON + 100));
-        q.drain_at(10 + HORIZON + 100, &mut ready);
+        assert_eq!(q.next_time(), Some(10 + 612));
+        q.drain_at(10 + 612, &mut ready);
         assert_eq!(ready.pop_ge(0), Some(2));
         assert!(q.is_empty());
     }
@@ -246,57 +197,20 @@ mod tests {
         assert!(q.is_empty(), "later duplicate must have been dropped");
         // After the early wake fired, a fresh timer is accepted again.
         q.schedule(5, 9, 3);
-        assert_eq!(q.next_time(5), Some(9));
+        assert_eq!(q.next_time(), Some(9));
     }
 
-    /// A node sleeping from late in a ring period to early in the next
-    /// lands in a bucket whose slot index is *below* `now % HORIZON` — the
-    /// wraparound case.
     #[test]
-    fn wake_queue_ring_wraparound_for_sleeping_unit() {
+    fn wake_queue_same_cycle_ranks_drain_together() {
         let mut q = WakeQueue::new(4);
-        let now = HORIZON - 20; // slot 492
-        let t = now + 120; // slot 100 of the next ring period: wrapped
-        assert!(t % HORIZON < now % HORIZON, "test must actually wrap the ring");
-        q.schedule(now, t, 2);
-        // A later timer for the same node is deduped away.
-        q.schedule(now, t + 40, 2);
-        assert_eq!(q.next_time(now), Some(t));
+        q.schedule(0, 7, 2);
+        q.schedule(0, 8, 3);
+        q.schedule(0, 7, 0);
         let mut ready = ReadySet::new(4);
-        q.drain_at(t, &mut ready);
+        q.drain_at(7, &mut ready);
+        assert_eq!(ready.pop_ge(0), Some(0));
         assert_eq!(ready.pop_ge(0), Some(2));
-        assert!(q.is_empty(), "wrapped bucket must drain fully");
-        // After the wake fires the node registers its next timer; the
-        // dedup slot must have been cleared.
-        q.schedule(t, t + 40, 2);
-        assert_eq!(q.next_time(t), Some(t + 40));
-    }
-
-    /// A node whose sleep is exactly `now + HORIZON` while another node
-    /// holds a far-future timer: the ring entry must win and the far entry
-    /// must survive the drain.
-    #[test]
-    fn wake_queue_unit_sleep_at_horizon_with_far_tail() {
-        let mut q = WakeQueue::new(2);
-        let now = 3 * HORIZON + 7;
-        q.schedule(now, now + HORIZON, 0); // exactly at the horizon: ring
-        q.schedule(now, now + HORIZON + 300, 1); // heap path
-        assert_eq!(q.next_time(now), Some(now + HORIZON));
-        let mut ready = ReadySet::new(2);
-        q.drain_at(now + HORIZON, &mut ready);
-        assert_eq!(ready.pop_ge(0), Some(0));
-        assert_eq!(ready.pop_ge(0), None, "far timer must not drain early");
-        assert_eq!(q.next_time(now + HORIZON), Some(now + HORIZON + 300));
-    }
-
-    #[test]
-    fn wake_queue_exact_horizon_boundary() {
-        let mut q = WakeQueue::new(2);
-        q.schedule(100, 100 + HORIZON, 0); // exactly at the horizon: bucket
-        assert_eq!(q.next_time(100), Some(100 + HORIZON));
-        let mut ready = ReadySet::new(2);
-        q.drain_at(100 + HORIZON, &mut ready);
-        assert_eq!(ready.pop_ge(0), Some(0));
-        assert!(q.is_empty());
+        assert_eq!(ready.pop_ge(0), None, "the cycle-8 wake must not drain at 7");
+        assert_eq!(q.next_time(), Some(8));
     }
 }

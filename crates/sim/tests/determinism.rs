@@ -420,17 +420,15 @@ fn error_paths_match_across_schedulers() {
     }
 
     // A run that genuinely deadlocks must report the same cycle under every
-    // scheduler: with `outstanding = 0` no node can ever issue a memory
-    // request, so after the initial token exchanges every node starves with
-    // no pending wake-up.
+    // scheduler: at capacity 4 the reconvergent component can never take in
+    // its 8-element fiber, so every node ends up blocked with no pending
+    // wake-up.
     let mut g = SamGraph::new();
-    build_spmm(&mut g, 8, 8);
+    add_reconvergent_normalize(&mut g);
     let mut env = TensorEnv::new();
-    env.insert("A", gen::adjacency(8, 0.3, gen::GraphPattern::Uniform, 5, &Format::csr()));
-    env.insert("X", gen::sparse_features(8, 8, 0.4, 6, &Format::csr()));
-    let mut timing = fuseflow_sim::TimingConfig::comal();
-    timing.outstanding = 0;
-    let cfg = SimConfig { timing, ..SimConfig::default() };
+    let entries = (0..8).map(|i| (vec![i as u32], (i + 1) as f32)).collect();
+    env.insert("V", SparseTensor::from_coo(vec![8], entries, &Format::sparse_vec()).unwrap());
+    let cfg = SimConfig { channel_capacity: 4, ..SimConfig::default() };
     let mut cycles = Vec::new();
     for sched in ALL_SCHEDULERS {
         match simulate(&g, &env, &cfg.clone().with_scheduler(sched)) {

@@ -361,6 +361,37 @@ fn invalid_config_is_reported() {
     let cfg = SimConfig { channel_capacity: 0, ..SimConfig::default() };
     let err = simulate(&g, &env, &cfg).unwrap_err();
     assert!(matches!(err, fuseflow_sim::SimError::Config(_)), "zero capacity: {err}");
+    // A zero lane factor would overflow `busy_until`, a negative or NaN one
+    // would make every tile matmul free, and with zero outstanding requests
+    // no memory node can ever issue: each is refused by name, under either
+    // scheduler.
+    for scheduler in [Scheduler::Event, Scheduler::Sweep] {
+        for lanes in [0.0, -1.0, f64::NAN] {
+            let mut timing = fuseflow_sim::TimingConfig::comal();
+            timing.block_lanes_factor = lanes;
+            let cfg = SimConfig { timing, ..SimConfig::default() }.with_scheduler(scheduler);
+            let err = simulate(&g, &env, &cfg).unwrap_err();
+            assert!(
+                matches!(&err, fuseflow_sim::SimError::Config(m) if m.contains("block_lanes_factor")),
+                "lane factor {lanes}: {err}"
+            );
+        }
+        let mut timing = fuseflow_sim::TimingConfig::comal();
+        timing.outstanding = 0;
+        let cfg = SimConfig { timing, ..SimConfig::default() }.with_scheduler(scheduler);
+        let err = simulate(&g, &env, &cfg).unwrap_err();
+        assert!(
+            matches!(&err, fuseflow_sim::SimError::Config(m) if m.contains("outstanding")),
+            "zero outstanding: {err}"
+        );
+    }
+    // The shipped configurations pass the check (an unbound tensor is the
+    // first thing wrong with this call).
+    for timing in [fuseflow_sim::TimingConfig::comal(), fuseflow_sim::TimingConfig::fpga_rtl()] {
+        let cfg = SimConfig { timing, ..SimConfig::default() };
+        let err = simulate(&g, &env, &cfg).unwrap_err();
+        assert!(matches!(err, fuseflow_sim::SimError::MissingTensor(_)), "{err}");
+    }
 }
 
 /// Every way a graph can fail `SamGraph::validate` (the shapes of the
