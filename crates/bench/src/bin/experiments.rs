@@ -1,14 +1,18 @@
 //! Regenerates every table and figure of the FuseFlow evaluation
 //! (Section 8). Run `experiments all` or a specific id (`fig12`,
-//! `table4`, ...). Results print as aligned text and are written as CSV
-//! under `results/` (`results/quick/` with `--quick`).
+//! `table4`, ...); an unknown id is refused before anything runs (exit 2,
+//! listing the valid ones). Results print as aligned text and are written as
+//! CSV under `results/` (`results/quick/` with `--quick`).
 //!
 //! `all` also writes every simulated cycle count as one flat, key-sorted
 //! `{"figure/label": cycles}` map ([`snapshot_json`]): the full-size run to
 //! `BENCH_sim.json`, the `--quick` run to `results/quick_cycles.json`. The
 //! files hold nothing host-dependent, so regenerating one is a no-op unless
-//! a cycle moved, and CI gates both with `git diff --exit-code`. Seconds are
-//! measured by `benchmark/` only.
+//! a cycle moved, and CI gates both with `git diff --exit-code`; a write that
+//! fails panics with the path. Seconds are measured by `benchmark/` only, and
+//! Event ≡ Sweep is held by `crates/sim/tests/determinism.rs`, not here.
+//!
+//! `samcheck` (explicit only, one size) is the static-lint gate over the zoo.
 //!
 //! Flags:
 //!
@@ -22,15 +26,14 @@
 use fuseflow_bench::{parallel_map, snapshot_json};
 use fuseflow_core::estimate;
 use fuseflow_core::fuse_region;
-use fuseflow_core::pipeline::compile_with;
-use fuseflow_core::pipeline::{compile, compile_at, run};
+use fuseflow_core::pipeline::{compile, compile_at, compile_with, fiber_upper_bound, run};
 use fuseflow_core::schedule::Schedule;
 use fuseflow_models::{
     gcn, gpt_attention, gpt_attention_blocked, gpt_decoder, graphsage, map_stack, sae, Fusion,
     GraphDataset, ModelInstance, GRAPH_DATASETS, SAE_DATASETS,
 };
 use fuseflow_sam::MemLocation;
-use fuseflow_sim::{Scheduler, SimConfig, Stats, TimingConfig};
+use fuseflow_sim::{SimConfig, Stats, TimingConfig};
 use fuseflow_tensor::gen::GraphPattern;
 use fuseflow_verify::{verify_graph, VerifyConfig, VerifyOptions};
 use std::collections::HashMap;
@@ -51,9 +54,18 @@ impl Opts {
     /// run's files (`results/autotune.csv` is tracked).
     fn save(self, name: &str, content: &str) {
         let dir = if self.quick { "results/quick" } else { "results" };
-        std::fs::create_dir_all(dir).ok();
-        std::fs::write(format!("{dir}/{name}.csv"), content).ok();
+        write_file(&format!("{dir}/{name}.csv"), content);
     }
+}
+
+/// Writes an output file, creating its directory. CI gates the tracked ones
+/// with `git diff`, which a write that failed quietly would pass, so any
+/// failure panics with the path.
+fn write_file(path: &str, content: &str) {
+    let dir = std::path::Path::new(path).parent().expect("output paths are relative files");
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(path, content))
+        .unwrap_or_else(|e| panic!("write {path}: {e}"));
 }
 
 /// The deterministic per-point cycle counts a figure contributes to the
@@ -459,8 +471,6 @@ fn fig18(o: Opts) -> Points {
             v.iter().map(|x| p.index_name(*x).to_string()).collect::<Vec<_>>().join("")
         };
         let label = format!("{}|{}", name(&d1), name(&d2));
-        let _ = t0;
-        let _ = t1;
         (p, label)
     };
     let mut inputs = HashMap::new();
@@ -626,150 +636,6 @@ fn table4(o: Opts) -> Points {
     Vec::new()
 }
 
-/// Scheduler comparison: the same workloads simulated under the legacy
-/// dense per-cycle sweep and the event-driven scheduler. Semantic results
-/// are asserted bit-identical; the table shows how many node steps each
-/// scheduler took to get there (seconds are `benchmark/`'s business).
-fn sched(o: Opts) -> Points {
-    println!("\n== Sched: sweep vs event (node steps) ==");
-    /// One sched workload: a model, its schedule, where its tensors live,
-    /// and the simulator configuration to run it under.
-    struct Workload {
-        name: &'static str,
-        m: ModelInstance,
-        sched: Schedule,
-        cfg: SimConfig,
-        on_chip: bool,
-    }
-    let ds = GraphDataset {
-        name: "karate",
-        nodes: if o.quick { 24 } else { 34 },
-        feats: 16,
-        density: 0.14,
-        pattern: GraphPattern::Uniform,
-    };
-    // The fig13 GCN kernel (DRAM-resident), the same kernel on a
-    // high-latency memory (the latency-dominated regime: most nodes idle
-    // at any instant), and the fig18 nested matmul.
-    let mut far = TimingConfig::comal();
-    far.dram_stream_latency = 96;
-    far.dram_random_latency = 480;
-    // Schedules: unfused = many small per-region graphs; full = one large
-    // fused graph where most nodes idle at any instant (the sweep's worst
-    // case, since its whole-graph fast-forward only fires when *nothing*
-    // progresses).
-    let wl = |name: &'static str, m: ModelInstance, sched: Schedule, cfg: SimConfig| Workload {
-        name,
-        m,
-        sched,
-        cfg,
-        on_chip: false,
-    };
-    let mut workloads: Vec<Workload> = vec![
-        wl("gcn_dram", gcn(&ds, 8, 4, 3), Schedule::unfused(), sim()),
-        wl(
-            "gcn_hbm_far",
-            gcn(&ds, 8, 4, 3),
-            Schedule::unfused(),
-            SimConfig { timing: far.clone(), ..sim() },
-        ),
-        wl("gcn_fused", gcn(&ds, 8, 4, 3), Schedule::full(), sim()),
-        wl(
-            "gcn_fused_far",
-            gcn(&ds, 8, 4, 3),
-            Schedule::full(),
-            SimConfig { timing: far, ..sim() },
-        ),
-        // The same fused GCN pinned in on-chip memory (the paper's
-        // BRAM-resident regime): no DRAM nodes at all.
-        Workload {
-            on_chip: true,
-            ..wl("gcn_fused_chip", gcn(&ds, 8, 4, 3), Schedule::full(), sim())
-        },
-        // Deep elementwise pipelines (matmul -> bias -> nonlinearity,
-        // twice): the fully-fused schedules produce long producer-consumer
-        // chains.
-        {
-            let m = if o.quick {
-                sae("sae", 24, 12, 8, 0.5, 7)
-            } else {
-                sae("sae", 48, 24, 16, 0.5, 7)
-            };
-            wl("sae_fused", m, Schedule::full(), sim())
-        },
-        {
-            let m = if o.quick { gpt_attention(24, 8, 8, 5) } else { gpt_attention(48, 8, 8, 5) };
-            wl("gpt_fused", m, Schedule::full(), sim())
-        },
-        // A pure activation pipeline: the fully-fused schedule is one long
-        // single-reader/single-writer chain (see
-        // fuseflow_models::map_stack). Simulated against a near memory (low
-        // latency, deep outstanding-request queue) so the source sustains
-        // ~1 token/cycle and the whole chain stays busy: under the default
-        // DRAM timing the random-gather source caps the pipe at
-        // ~outstanding/latency tokens per cycle and the comparison
-        // degenerates into a memory-model benchmark both schedulers pay
-        // identically.
-        {
-            let m = if o.quick { map_stack(48, 24, 0.5, 9) } else { map_stack(96, 48, 0.5, 9) };
-            let mut near = TimingConfig::comal();
-            near.dram_stream_latency = 2;
-            near.dram_random_latency = 8;
-            near.outstanding = 64;
-            wl("stack_fused", m, Schedule::full(), SimConfig { timing: near, ..sim() })
-        },
-        // The same activation pipeline pinned on-chip and scaled up: every
-        // node busy every cycle, nothing for the event engine to skip.
-        {
-            let m = if o.quick { map_stack(128, 24, 0.5, 9) } else { map_stack(256, 32, 0.5, 9) };
-            Workload { on_chip: true, ..wl("stack_fused_chip", m, Schedule::full(), sim()) }
-        },
-    ];
-    if !o.quick {
-        workloads.push(wl("graphsage_fused", graphsage(&ds, 8, 4, 5), Schedule::full(), sim()));
-    }
-    let mut csv =
-        String::from("workload,cycles,sweep_events,event_events,cycles_skipped,peak_ready\n");
-    let mut points = Points::new();
-    for w in workloads {
-        let (name, m, cfg) = (w.name, &w.m, &w.cfg);
-        let compiled = if w.on_chip {
-            compile_at(&m.program, &w.sched, MemLocation::OnChip).unwrap()
-        } else {
-            compile(&m.program, &w.sched).unwrap()
-        };
-        let ev = run(&m.program, &compiled, &m.inputs, cfg).unwrap().stats;
-        let sweep_cfg = cfg.clone().with_scheduler(Scheduler::Sweep);
-        let sw = run(&m.program, &compiled, &m.inputs, &sweep_cfg).unwrap().stats;
-        assert_eq!(
-            ev.semantic(),
-            sw.semantic(),
-            "{name}: event vs sweep diverged (this is a simulator bug)"
-        );
-        println!(
-            "  {name:16} {:>10} cycles  (events {} -> {}, skipped {}, peak ready {})",
-            ev.cycles,
-            sw.sched.events,
-            ev.sched.events,
-            ev.sched.cycles_skipped,
-            ev.sched.peak_ready,
-        );
-        writeln!(
-            csv,
-            "{name},{},{},{},{},{}",
-            ev.cycles,
-            sw.sched.events,
-            ev.sched.events,
-            ev.sched.cycles_skipped,
-            ev.sched.peak_ready,
-        )
-        .unwrap();
-        points.push((name.to_string(), ev.cycles));
-    }
-    o.save("sched", &csv);
-    points
-}
-
 /// Autotune candidates: a small schedule-space enumeration on the fig4b
 /// GCN (fusion regions x stream parallelization), scored analytically
 /// (`estimate`) and by simulation. Regenerates `results/autotune.csv` with
@@ -873,11 +739,9 @@ fn samcheck(o: Opts) -> usize {
             let compiled =
                 compile_with(&m.program, &schedule, MemLocation::Dram, &VerifyConfig::disabled())
                     .unwrap_or_else(|e| panic!("{name}: {e}"));
-            let fiber_hi =
-                m.program.tensors().iter().flat_map(|t| t.shape.iter()).max().map(|&d| d as u64);
             let opts = VerifyOptions {
                 channel_capacity: sim().channel_capacity,
-                fiber_hi,
+                fiber_hi: fiber_upper_bound(&m.program),
                 ..Default::default()
             };
             let reports: Vec<_> = compiled
@@ -934,9 +798,8 @@ fn samcheck(o: Opts) -> usize {
         }
     }
     json.push(']');
-    std::fs::create_dir_all("results").ok();
-    std::fs::write("results/samcheck.json", json).ok();
-    std::fs::write("results/samcheck_quick.json", snapshot_json(counts)).ok();
+    write_file("results/samcheck.json", &json);
+    write_file("results/samcheck_quick.json", &snapshot_json(counts));
     if errors == 0 {
         println!("samcheck: model zoo clean ({graphs} graphs linted)");
     } else {
@@ -966,11 +829,8 @@ fn main() {
     if which.is_empty() {
         which.push("all".into());
     }
-    let all = which.iter().any(|w| w == "all");
-    let want = |id: &str| all || which.iter().any(|w| w == id);
-    let t0 = Instant::now();
     type Figure = fn(Opts) -> Points;
-    let figures: [(&str, Figure); 13] = [
+    let figures: [(&str, Figure); 12] = [
         ("fig1", fig1),
         ("fig4b", fig4b),
         ("fig12", fig12),
@@ -982,9 +842,17 @@ fn main() {
         ("fig18", fig18),
         ("table3", table3),
         ("table4", table4),
-        ("sched", sched),
         ("autotune", autotune),
     ];
+    let known = |w: &str| w == "all" || w == "samcheck" || figures.iter().any(|(id, _)| *id == w);
+    if let Some(bad) = which.iter().find(|w| !known(w)) {
+        let ids: Vec<&str> = figures.iter().map(|(id, _)| *id).collect();
+        eprintln!("unknown experiment '{bad}'; valid ids: {}, all, samcheck", ids.join(", "));
+        std::process::exit(2);
+    }
+    let all = which.iter().any(|w| w == "all");
+    let want = |id: &str| all || which.iter().any(|w| w == id);
+    let t0 = Instant::now();
     let mut cycles = Points::new();
     for (id, figure) in figures {
         if want(id) {
@@ -997,8 +865,7 @@ fn main() {
     // would clobber it with a partial point set.
     let snapshot_note = if all {
         let path = if opts.quick { "results/quick_cycles.json" } else { "BENCH_sim.json" };
-        std::fs::write(path, snapshot_json(cycles))
-            .unwrap_or_else(|e| panic!("write {path} (CI diffs it): {e}"));
+        write_file(path, &snapshot_json(cycles));
         format!(", {path} rewritten")
     } else {
         " (subset run: no snapshot written)".to_string()

@@ -439,7 +439,6 @@ pub fn fuse_region(program: &Program, range: Range<usize>) -> Result<FusedRegion
         for (ci, ii) in uses {
             exprs[ci].inputs[ii].tensor = remap[&t];
         }
-        let _ = t;
         for (off, c) in clones.into_iter().enumerate() {
             exprs.insert(pi + 1 + off, c);
         }

@@ -155,14 +155,8 @@ pub fn estimate(
                 }
             }
         }
-        for e in &program.exprs()[r.clone()] {
-            let t = e.output.tensor;
-            let consumed_later =
-                program.exprs()[r.end..].iter().any(|c| c.inputs.iter().any(|a| a.tensor == t));
-            let is_output = program.outputs().contains(&t);
-            if consumed_later || is_output {
-                bytes += stats[&t].nnz * 4.0;
-            }
+        for t in program.live_outs(r) {
+            bytes += stats[&t].nnz * 4.0;
         }
     }
 

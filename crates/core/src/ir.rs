@@ -11,7 +11,8 @@
 use fuseflow_sam::AluOp;
 pub use fuseflow_sam::ReduceOp;
 use fuseflow_tensor::Format;
-use std::collections::HashMap;
+use std::collections::HashSet;
+use std::ops::Range;
 
 /// An interned index variable (e.g. `i`, `j`, `u0`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -161,7 +162,7 @@ impl Einsum {
 #[derive(Debug, Clone, Default)]
 pub struct Program {
     tensors: Vec<TensorDecl>,
-    names: HashMap<String, TensorId>,
+    names: HashSet<String>,
     exprs: Vec<Einsum>,
     index_names: Vec<String>,
     index_sizes: Vec<Option<usize>>,
@@ -230,10 +231,9 @@ impl Program {
         is_input: bool,
     ) -> TensorId {
         let name = name.into();
-        assert!(!self.names.contains_key(&name), "duplicate tensor '{name}'");
+        assert!(self.names.insert(name.clone()), "duplicate tensor '{name}'");
         assert_eq!(shape.len(), format.order(), "shape/format order mismatch for '{name}'");
         let id = TensorId(self.tensors.len());
-        self.names.insert(name.clone(), id);
         self.tensors.push(TensorDecl { name, shape, format, block, is_input });
         id
     }
@@ -416,11 +416,6 @@ impl Program {
         &self.tensors[t.0]
     }
 
-    /// Looks up a tensor by name.
-    pub fn tensor_by_name(&self, name: &str) -> Option<TensorId> {
-        self.names.get(name).copied()
-    }
-
     /// The expressions in program order.
     pub fn exprs(&self) -> &[Einsum] {
         &self.exprs
@@ -429,6 +424,19 @@ impl Program {
     /// Declared outputs.
     pub fn outputs(&self) -> &[TensorId] {
         &self.outputs
+    }
+
+    /// The tensors the region of expressions `r` must write back to memory:
+    /// produced in it and consumed by a later expression or marked a program
+    /// output, in production order.
+    pub fn live_outs(&self, r: &Range<usize>) -> Vec<TensorId> {
+        let consumed_later =
+            |t| self.exprs[r.end..].iter().any(|c| c.inputs.iter().any(|a| a.tensor == t));
+        self.exprs[r.clone()]
+            .iter()
+            .map(|e| e.output.tensor)
+            .filter(|&t| consumed_later(t) || self.outputs.contains(&t))
+            .collect()
     }
 
     /// The expression index producing tensor `t`, if any.

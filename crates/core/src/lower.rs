@@ -22,10 +22,21 @@ use crate::fusion::{FuseError, FusedExpr, FusedRegion, GlobalIx};
 use crate::ir::{OpKind, Program, TensorId};
 use crate::table::{Cell, FusionTable};
 use fuseflow_sam::{MemLocation, NodeId, NodeKind, SamGraph};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A stream handle: an output port of a graph node.
 type H = (NodeId, usize);
+
+/// Output port `p` of every node.
+fn port(nodes: &[NodeId], p: usize) -> Vec<H> {
+    nodes.iter().map(|&n| (n, p)).collect()
+}
+
+/// Broadcasts each stream to `factor` consecutive branches (fan-out
+/// duplicates tokens).
+fn replicate(streams: &[H], factor: usize) -> Vec<H> {
+    streams.iter().flat_map(|&s| std::iter::repeat(s).take(factor)).collect()
+}
 
 /// Lowering errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,7 +142,9 @@ struct Ctx<'a> {
     views: Vec<ViewRt>,
     expr_views: Vec<Vec<usize>>,
     produced: HashMap<TensorId, Produced>,
-    row_crd: HashMap<(usize, GlobalIx), Vec<H>>,
+    /// Ordered: `apply_split` emits nodes while walking it, and node ids
+    /// must not depend on a hash seed.
+    row_crd: BTreeMap<(usize, GlobalIx), Vec<H>>,
     branches: usize,
     splits: Vec<SplitRecord>,
     /// Deferred payload connections: joins created before their producer's
@@ -146,13 +159,36 @@ impl<'a> Ctx<'a> {
         &self.region.names[g.0 as usize]
     }
 
-    fn root(&mut self) -> H {
-        let n = self.graph.add_node(NodeKind::Root);
-        (n, 0)
-    }
-
     fn connect(&mut self, src: H, dst: NodeId, port: usize) {
         self.graph.connect(src.0, src.1, dst, port);
+    }
+
+    /// Adds one `kind` node per branch, `inputs[p][b]` wired to port `p` of
+    /// branch `b`'s node.
+    fn emit(&mut self, kind: NodeKind, inputs: &[&[H]]) -> Vec<NodeId> {
+        (0..self.branches)
+            .map(|b| {
+                let n = self.graph.add_node(kind.clone());
+                for (p, streams) in inputs.iter().enumerate() {
+                    self.connect(streams[b], n, p);
+                }
+                n
+            })
+            .collect()
+    }
+
+    /// One root reference stream per branch.
+    fn roots(&mut self) -> Vec<H> {
+        port(&self.emit(NodeKind::Root, &[]), 0)
+    }
+
+    /// Pass-throughs over `crd` whose payload port waits for `t`'s value
+    /// stream, so downstream nodes get a handle before `t` registers.
+    fn defer(&mut self, t: TensorId, crd: &[H]) -> Vec<H> {
+        let pass = self.emit(NodeKind::CrdDrop, &[crd]);
+        let count = self.branches;
+        self.pending.extend(pass.iter().enumerate().map(|(b, &n)| (t, n, 1, b, count)));
+        port(&pass, 1)
     }
 
     fn tensor_name(&self, t: TensorId) -> &str {
@@ -375,7 +411,7 @@ pub fn lower_region(
         views,
         expr_views,
         produced: HashMap::new(),
-        row_crd: HashMap::new(),
+        row_crd: BTreeMap::new(),
         branches: 1,
         splits: Vec::new(),
         pending: Vec::new(),
@@ -416,7 +452,7 @@ pub fn lower_region(
                 owner_row_work(&mut ctx, ei, g, ri)?;
                 repeat_row_work(&mut ctx, ei, g, ri)?;
                 if ctx.rows_of[ei].last() == Some(&g) {
-                    finish_expr(&mut ctx, ei, ri, out_cols[ei])?;
+                    finish_expr(&mut ctx, ei, out_cols[ei])?;
                 }
             }
         }
@@ -500,26 +536,15 @@ fn owner_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx, ri: usize) -> Resul
                     ));
                 }
                 if !ctx.views[vid].started {
-                    let mut roots = Vec::with_capacity(ctx.branches);
-                    for _ in 0..ctx.branches {
-                        roots.push(ctx.root());
-                    }
-                    ctx.views[vid].stream = roots;
+                    ctx.views[vid].stream = ctx.roots();
                     ctx.views[vid].started = true;
                     if ri == 0 || level == 0 {
                         let col = ctx.views[vid].col;
                         ctx.table.set(ri, col, Cell::Prim("LS(root)".into()));
                     }
                 }
-                let mut crds = Vec::with_capacity(ctx.branches);
-                let mut refs = Vec::with_capacity(ctx.branches);
-                for b in 0..ctx.branches {
-                    let ls = ctx.graph.add_node(NodeKind::LevelScanner { tensor: slot, level });
-                    let src = ctx.views[vid].stream[b];
-                    ctx.connect(src, ls, 0);
-                    crds.push((ls, 0));
-                    refs.push((ls, 1));
-                }
+                let src = ctx.views[vid].stream.clone();
+                let ls = ctx.emit(NodeKind::LevelScanner { tensor: slot, level }, &[&src]);
                 let col = ctx.views[vid].col;
                 if ctx.table.cell(ri, col) == &Cell::Empty {
                     ctx.table.set(
@@ -533,7 +558,7 @@ fn owner_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx, ri: usize) -> Resul
                     );
                 }
                 ctx.views[vid].next = level + 1;
-                contribs.push((vid, crds, Pay::Ready(refs), false));
+                contribs.push((vid, port(&ls, 0), Pay::Ready(port(&ls, 1)), false));
             }
             ViewKind::Inter => {
                 let tensor = ctx.views[vid].tensor;
@@ -609,14 +634,7 @@ fn owner_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx, ri: usize) -> Resul
             match &next.2 {
                 Pay::Ready(p) => update_view_stream(ctx, next.0, Some(p.clone()), next.3),
                 Pay::Pending(t) => {
-                    let t = *t;
-                    let mut outs = Vec::with_capacity(ctx.branches);
-                    for b in 0..ctx.branches {
-                        let pass = ctx.graph.add_node(NodeKind::CrdDrop);
-                        ctx.connect(next.1[b], pass, 0);
-                        ctx.pending.push((t, pass, 1, b, ctx.branches));
-                        outs.push((pass, 1));
-                    }
+                    let outs = ctx.defer(*t, &next.1);
                     update_view_stream(ctx, next.0, Some(outs), next.3);
                 }
                 Pay::None => {}
@@ -681,14 +699,7 @@ fn owner_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx, ri: usize) -> Resul
     match &acc.2 {
         Pay::Ready(p) => update_view_stream(ctx, acc.0, Some(p.clone()), acc.3),
         Pay::Pending(t) => {
-            let t = *t;
-            let mut outs = Vec::with_capacity(ctx.branches);
-            for b in 0..ctx.branches {
-                let pass = ctx.graph.add_node(NodeKind::CrdDrop);
-                ctx.connect(acc.1[b], pass, 0);
-                ctx.pending.push((t, pass, 1, b, ctx.branches));
-                outs.push((pass, 1));
-            }
+            let outs = ctx.defer(*t, &acc.1);
             update_view_stream(ctx, acc.0, Some(outs), acc.3);
         }
         Pay::None => {}
@@ -701,14 +712,9 @@ fn owner_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx, ri: usize) -> Resul
         let v = &ctx.views[vid];
         if let ViewKind::Input { slot } = v.kind {
             if v.started && !v.is_val && v.next == v.ixs.len() && v.ixs.last() == Some(&g) {
-                let mut vals = Vec::with_capacity(ctx.branches);
-                for b in 0..ctx.branches {
-                    let arr = ctx.graph.add_node(NodeKind::Array { tensor: slot });
-                    let src = ctx.views[vid].stream[b];
-                    ctx.connect(src, arr, 0);
-                    vals.push((arr, 0));
-                }
-                ctx.views[vid].stream = vals;
+                let src = std::mem::take(&mut ctx.views[vid].stream);
+                ctx.views[vid].stream =
+                    port(&ctx.emit(NodeKind::Array { tensor: slot }, &[&src]), 0);
                 ctx.views[vid].is_val = true;
                 let (col, val_row) = (ctx.views[vid].col, ctx.table.val_row());
                 ctx.table.set(
@@ -740,8 +746,6 @@ fn update_view_stream(ctx: &mut Ctx<'_>, vid: usize, payload: Option<Vec<H>>, no
 
 /// Splits every row-`g` owner stream across `factor` branches.
 fn apply_split(ctx: &mut Ctx<'_>, g: GlobalIx, factor: usize) -> Result<(), LowerError> {
-    let old = ctx.branches;
-    let new = old * factor;
     // Record order streams (pre-split row crds of the output-producing
     // expressions; any expression owning the row works because serializer
     // order streams only need element counts — use each expr's own).
@@ -757,31 +761,24 @@ fn apply_split(ctx: &mut Ctx<'_>, g: GlobalIx, factor: usize) -> Result<(), Lowe
     }
     ctx.splits.push(SplitRecord { row: g, factor, order_crd });
 
-    // Split per-expression row crds together with each 1:1 owner stream.
-    let mut new_row_crd: HashMap<(usize, GlobalIx), Vec<H>> = HashMap::new();
-    for ((ei, row), streams) in ctx.row_crd.clone() {
-        if row == g {
+    // A parallelizer's sub-branch `s` leaves on ports `2s` (crd) and `2s + 1`
+    // (payload).
+    let fan = |ps: &[NodeId], off: usize| -> Vec<H> {
+        ps.iter().flat_map(|&p| (0..factor).map(move |s| (p, 2 * s + off))).collect()
+    };
+
+    // Split per-expression row crds together with each 1:1 owner stream
+    // (which pairs with its expression's pre-split row crd).
+    let pre_split = std::mem::take(&mut ctx.row_crd);
+    for (&key, streams) in &pre_split {
+        let nv = if key.1 == g {
             // Split: one parallelizer per old branch carrying the row crd;
             // owner payload streams ride their own parallelizers below.
-            let mut nv = Vec::with_capacity(new);
-            for &stream in streams.iter().take(old) {
-                let p = ctx.graph.add_node(NodeKind::Parallelizer { factor });
-                ctx.connect(stream, p, 0);
-                for s in 0..factor {
-                    nv.push((p, 2 * s));
-                }
-            }
-            new_row_crd.insert((ei, row), nv);
+            fan(&ctx.emit(NodeKind::Parallelizer { factor }, &[streams]), 0)
         } else {
-            // Broadcast: replicate handles (fan-out duplicates tokens).
-            let mut nv = Vec::with_capacity(new);
-            for &stream in streams.iter().take(old) {
-                for _ in 0..factor {
-                    nv.push(stream);
-                }
-            }
-            new_row_crd.insert((ei, row), nv);
-        }
+            replicate(streams, factor)
+        };
+        ctx.row_crd.insert(key, nv);
     }
 
     // Views: owner streams at this row (touched this row, 1:1 with row
@@ -797,52 +794,24 @@ fn apply_split(ctx: &mut Ctx<'_>, g: GlobalIx, factor: usize) -> Result<(), Lowe
                 || (!ctx.views[vid].is_val
                     && ctx.views[vid].next > 0
                     && ctx.views[vid].ixs[ctx.views[vid].next - 1] == g));
-        let old_streams = ctx.views[vid].stream.clone();
-        let mut nv = Vec::with_capacity(new);
-        if one_to_one {
-            let rc = ctx.row_crd[&(v_ei, g)].clone();
-            for b in 0..old {
-                let p = ctx.graph.add_node(NodeKind::Parallelizer { factor });
-                ctx.connect(rc[b], p, 0);
-                ctx.connect(old_streams[b], p, 1);
-                for s in 0..factor {
-                    nv.push((p, 2 * s + 1));
-                }
-            }
+        let old_streams = std::mem::take(&mut ctx.views[vid].stream);
+        ctx.views[vid].stream = if one_to_one {
+            let rc = &pre_split[&(v_ei, g)];
+            fan(&ctx.emit(NodeKind::Parallelizer { factor }, &[rc, &old_streams]), 1)
         } else {
-            for &stream in old_streams.iter().take(old) {
-                for _ in 0..factor {
-                    nv.push(stream);
-                }
-            }
-        }
-        ctx.views[vid].stream = nv;
+            replicate(&old_streams, factor)
+        };
     }
-    // NOTE: `rc` above references pre-split row crds; rebuild from the
-    // original map, then install the new one.
-    ctx.row_crd = new_row_crd;
 
     // Produced intermediates: broadcast (registrations at or below this row
     // have not happened yet; see lower_region docs).
     for prod in ctx.produced.values_mut() {
         for streams in prod.crd.values_mut() {
-            let mut nv = Vec::with_capacity(new);
-            for &stream in streams.iter().take(old) {
-                for _ in 0..factor {
-                    nv.push(stream);
-                }
-            }
-            *streams = nv;
+            *streams = replicate(streams, factor);
         }
-        let mut nv = Vec::with_capacity(new);
-        for &v in prod.val.iter().take(old) {
-            for _ in 0..factor {
-                nv.push(v);
-            }
-        }
-        prod.val = nv;
+        prod.val = replicate(&prod.val, factor);
     }
-    ctx.branches = new;
+    ctx.branches *= factor;
     Ok(())
 }
 
@@ -857,11 +826,7 @@ fn repeat_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx, ri: usize) -> Resu
         match ctx.views[vid].kind {
             ViewKind::Input { .. } => {
                 if !ctx.views[vid].started {
-                    let mut roots = Vec::with_capacity(ctx.branches);
-                    for _ in 0..ctx.branches {
-                        roots.push(ctx.root());
-                    }
-                    ctx.views[vid].stream = roots;
+                    ctx.views[vid].stream = ctx.roots();
                     ctx.views[vid].started = true;
                 }
             }
@@ -903,15 +868,8 @@ fn repeat_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx, ri: usize) -> Resu
             // Stream predates a split; broadcast-replicate.
             ctx.views[vid].stream = vec![base[0]; ctx.branches];
         }
-        let base = ctx.views[vid].stream.clone();
-        let mut reps = Vec::with_capacity(ctx.branches);
-        for b in 0..ctx.branches {
-            let r = ctx.graph.add_node(NodeKind::Repeat);
-            ctx.connect(base[b], r, 0);
-            ctx.connect(rc[b], r, 1);
-            reps.push((r, 0));
-        }
-        ctx.views[vid].stream = reps;
+        let base = std::mem::take(&mut ctx.views[vid].stream);
+        ctx.views[vid].stream = port(&ctx.emit(NodeKind::Repeat, &[&base, &rc]), 0);
         let col = ctx.views[vid].col;
         ctx.table.set(ri, col, Cell::Prim(format!("Rep(·,⟨{}⟩)", ctx.name(g))));
     }
@@ -920,7 +878,7 @@ fn repeat_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx, ri: usize) -> Resu
 
 /// Builds the compute pipeline and reductions for expression `ei`, then
 /// registers its produced streams.
-fn finish_expr(ctx: &mut Ctx<'_>, ei: usize, ri: usize, out_col: usize) -> Result<(), LowerError> {
+fn finish_expr(ctx: &mut Ctx<'_>, ei: usize, out_col: usize) -> Result<(), LowerError> {
     let e = ctx.region.exprs[ei].clone();
     let view_ids = ctx.expr_views[ei].clone();
     // Ensure every view ended as a value stream.
@@ -937,13 +895,7 @@ fn finish_expr(ctx: &mut Ctx<'_>, ei: usize, ri: usize, out_col: usize) -> Resul
     let mut val: Vec<H> = ctx.views[view_ids[0]].stream.clone();
     match e.op {
         OpKind::Unary(op) => {
-            let mut outs = Vec::with_capacity(ctx.branches);
-            for &v in val.iter().take(ctx.branches) {
-                let a = ctx.graph.add_node(NodeKind::Alu { op });
-                ctx.connect(v, a, 0);
-                outs.push((a, 0));
-            }
-            val = outs;
+            val = port(&ctx.emit(NodeKind::Alu { op }, &[&val]), 0);
             ctx.table.set(ctx.table.val_row(), out_col, Cell::Prim(format!("{op:?}(val)")));
         }
         OpKind::Id => {
@@ -953,14 +905,7 @@ fn finish_expr(ctx: &mut Ctx<'_>, ei: usize, ri: usize, out_col: usize) -> Resul
             for &vid in &view_ids[1..] {
                 let rhs = ctx.views[vid].stream.clone();
                 let op = e.op.alu().expect("binary ops have an ALU");
-                let mut outs = Vec::with_capacity(ctx.branches);
-                for b in 0..ctx.branches {
-                    let a = ctx.graph.add_node(NodeKind::Alu { op });
-                    ctx.connect(val[b], a, 0);
-                    ctx.connect(rhs[b], a, 1);
-                    outs.push((a, 0));
-                }
-                val = outs;
+                val = port(&ctx.emit(NodeKind::Alu { op }, &[&val, &rhs]), 0);
             }
             ctx.table.set(ctx.table.val_row(), out_col, Cell::Prim(format!("{:?}(vals)", e.op)));
         }
@@ -980,30 +925,16 @@ fn finish_expr(ctx: &mut Ctx<'_>, ei: usize, ri: usize, out_col: usize) -> Resul
             .collect();
         if below.is_empty() {
             // Innermost reduction.
-            let mut outs = Vec::with_capacity(ctx.branches);
-            for &v in val.iter().take(ctx.branches) {
-                let r = ctx.graph.add_node(NodeKind::Reduce { op: e.reduce_op });
-                ctx.connect(v, r, 0);
-                outs.push((r, 0));
-            }
-            val = outs;
+            val = port(&ctx.emit(NodeKind::Reduce { op: e.reduce_op }, &[&val]), 0);
             let row = ctx.pos[&u];
             ctx.table.set(row, out_col, Cell::Prim(format!("Reduce_{}", ctx.name(u))));
         } else if below.len() == 1 {
             let w = below[0];
             let crd_in =
                 crd_override.get(&w).cloned().unwrap_or_else(|| ctx.row_crd[&(ei, w)].clone());
-            let mut crd_outs = Vec::with_capacity(ctx.branches);
-            let mut val_outs = Vec::with_capacity(ctx.branches);
-            for b in 0..ctx.branches {
-                let s = ctx.graph.add_node(NodeKind::Spacc1 { op: e.reduce_op });
-                ctx.connect(crd_in[b], s, 0);
-                ctx.connect(val[b], s, 1);
-                crd_outs.push((s, 0));
-                val_outs.push((s, 1));
-            }
-            crd_override.insert(w, crd_outs);
-            val = val_outs;
+            let s = ctx.emit(NodeKind::Spacc1 { op: e.reduce_op }, &[&crd_in, &val]);
+            crd_override.insert(w, port(&s, 0));
+            val = port(&s, 1);
             let row = ctx.pos[&u];
             ctx.table.set(
                 row,
@@ -1019,8 +950,6 @@ fn finish_expr(ctx: &mut Ctx<'_>, ei: usize, ri: usize, out_col: usize) -> Resul
         }
         eliminated.push(u);
     }
-    let _ = ri;
-
     // Register the produced tensor.
     let structure: Vec<GlobalIx> =
         rows.iter().filter(|r| !eliminated.contains(r)).copied().collect();

@@ -9,7 +9,7 @@
 
 use crate::fusion::{fuse_region, FusedRegion};
 use crate::interp::{interpret, InterpError};
-use crate::ir::{Program, TensorId};
+use crate::ir::Program;
 use crate::lower::{globalize_region, lower_region, LowerError, LowerOptions, Lowered};
 use crate::schedule::{IterationStyle, Schedule};
 use fuseflow_sam::MemLocation;
@@ -130,7 +130,7 @@ pub fn compile_at(
 /// The fiber-length upper bound the static analyzer sizes retention
 /// against: no fiber in any stream lowered from `program` can be longer
 /// than the largest tensor dimension.
-fn fiber_upper_bound(program: &Program) -> Option<u64> {
+pub fn fiber_upper_bound(program: &Program) -> Option<u64> {
     program.tensors().iter().flat_map(|t| t.shape.iter()).max().map(|&d| d as u64)
 }
 
@@ -162,18 +162,7 @@ pub fn compile_with(
         if schedule.iteration == IterationStyle::Global {
             region = globalize_region(&region)?;
         }
-        // Region outputs: produced tensors consumed by later expressions or
-        // marked as program outputs.
-        let produced: Vec<TensorId> =
-            program.exprs()[r.clone()].iter().map(|e| e.output.tensor).collect();
-        let mut outs = Vec::new();
-        for &t in &produced {
-            let consumed_later =
-                program.exprs()[r.end..].iter().any(|c| c.inputs.iter().any(|a| a.tensor == t));
-            if consumed_later || program.outputs().contains(&t) {
-                outs.push(t);
-            }
-        }
+        let mut outs = program.live_outs(r);
         if schedule.iteration == IterationStyle::Global {
             // The composed expression only produces the final tensor.
             outs.retain(|t| region.exprs.iter().any(|e| e.output.0 == *t));

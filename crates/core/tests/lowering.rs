@@ -6,6 +6,8 @@ use fuseflow_core::lower::{globalize_region, lower_region, LowerOptions};
 use fuseflow_core::pipeline::compile;
 use fuseflow_core::schedule::Schedule;
 use fuseflow_core::{fuse_region, Cell};
+use fuseflow_models::{gpt_attention_blocked, Fusion};
+use fuseflow_sam::{NodeId, NodeKind};
 use fuseflow_tensor::Format;
 
 fn spmm_chain() -> Program {
@@ -206,4 +208,40 @@ fn pog_edges_come_from_formats_and_schedules() {
     let (with_schedule, _) = region.pog.count_orders(1 << 30);
     assert!(with_schedule <= formats_only);
     assert_eq!(with_schedule, 1, "the explicit dataflow order pins the space");
+}
+
+/// Regression: `apply_split` emitted a parallelizer per entry of a
+/// `HashMap` as it walked it, so node ids and edge order followed the map's
+/// hash seed, which differs from one map instance to the next even within
+/// a process (about 4 and 8 distinct graphs in 16 compiles of these
+/// schedules).
+#[test]
+fn parallelized_lowering_is_the_same_graph_every_time() {
+    let m = gpt_attention_blocked(128, 16, 8, 91);
+    let i = m.program.exprs()[0].output.indices[0];
+    for (fusion, factor) in [(Fusion::Partial, 4), (Fusion::Full, 2)] {
+        let sched = m.schedule(fusion).with_parallelization(i, factor);
+        let graphs = || -> Vec<_> {
+            let compiled = compile(&m.program, &sched).unwrap();
+            compiled
+                .lowered
+                .iter()
+                .map(|l| {
+                    let g = &l.graph;
+                    let labels: Vec<String> =
+                        (0..g.node_count()).map(|n| g.label(NodeId(n)).to_string()).collect();
+                    (g.nodes().to_vec(), g.edges().to_vec(), labels)
+                })
+                .collect()
+        };
+        let first = graphs();
+        let split = |k: &NodeKind| matches!(k, NodeKind::Parallelizer { .. });
+        assert!(first.iter().any(|(nodes, ..)| nodes.iter().any(split)), "{fusion}: no split");
+        for run in 1..16 {
+            assert!(
+                graphs() == first,
+                "{fusion} x{factor}: compile {run} lowered a different graph"
+            );
+        }
+    }
 }

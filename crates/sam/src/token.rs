@@ -203,14 +203,6 @@ impl Token {
     pub fn is_elem(&self) -> bool {
         matches!(self, Token::Elem(_))
     }
-
-    /// The stop level if this is a stop token.
-    pub fn stop_level(&self) -> Option<u8> {
-        match self {
-            Token::Stop(k) => Some(*k),
-            _ => None,
-        }
-    }
 }
 
 /// The kind of data a stream carries, used for graph validation and

@@ -382,10 +382,10 @@ fn multi_component_cross_scheduler_bit_identical() {
 }
 
 /// Long-latency stall coverage: block ALUs occupy the unit for many cycles
-/// and DRAM gathers park tokens in `pending_mem`, exercising the calendar
-/// queue's timer wakes (including idle-gap jumps) on both backends. The
-/// 700-cycle random latency puts scanner wakes past the calendar horizon
-/// (heap path).
+/// and DRAM gathers park tokens in `pending_mem`, exercising the wake
+/// queue's timer wakes (including idle-gap jumps) on both backends: at a
+/// 700-cycle random latency every scanner wake lies far past the cycle that
+/// queued it.
 #[test]
 fn latency_dominated_graph_cross_scheduler_bit_identical() {
     use fuseflow_sim::TimingConfig;
@@ -398,7 +398,7 @@ fn latency_dominated_graph_cross_scheduler_bit_identical() {
     env.insert("X", x);
     let mut timing = TimingConfig::comal();
     timing.dram_stream_latency = 96;
-    timing.dram_random_latency = 700; // beyond the calendar horizon: heap path
+    timing.dram_random_latency = 700;
     timing.outstanding = 2;
     let cfg = SimConfig { timing, ..SimConfig::default() };
     let event = assert_all_schedulers_identical(&g, &env, &cfg);
@@ -444,25 +444,43 @@ fn error_paths_match_across_schedulers() {
 // ---------------------------------------------------------------------------
 
 /// Runs one model end to end (compile + simulate every region) under both
-/// schedulers, fused and unfused, asserting bit-identical outputs and
-/// semantic stats throughout.
+/// schedulers, fused (one large graph where most nodes idle at any instant)
+/// and unfused (many small per-region graphs), asserting bit-identical
+/// outputs and semantic stats throughout. Each is run in four memory regimes:
+/// the default DRAM; a far memory, where latency dominates and the event
+/// engine skips most cycles; a near memory with a deep request queue, where
+/// the source sustains about a token a cycle and a fused chain stays busy;
+/// and tensors pinned on-chip, where there are no DRAM nodes at all and
+/// nothing to skip.
 fn assert_model_all_schedulers_identical(m: &fuseflow_models::ModelInstance) {
-    use fuseflow_core::pipeline::{compile, run};
+    use fuseflow_core::pipeline::{compile_at, run};
     use fuseflow_models::Fusion;
+    use fuseflow_sim::TimingConfig;
+    let mut far = TimingConfig::comal();
+    far.dram_stream_latency = 96;
+    far.dram_random_latency = 480;
+    let mut near = TimingConfig::comal();
+    near.dram_stream_latency = 2;
+    near.dram_random_latency = 8;
+    near.outstanding = 64;
+    let regimes = [
+        ("default", TimingConfig::comal(), MemLocation::Dram),
+        ("far", far, MemLocation::Dram),
+        ("near", near, MemLocation::Dram),
+        ("on-chip", TimingConfig::comal(), MemLocation::OnChip),
+    ];
     for fusion in [Fusion::Unfused, Fusion::Full] {
         let sched = m.schedule(fusion);
-        let compiled = compile(&m.program, &sched).unwrap();
-        let [event, sweep] = ALL_SCHEDULERS.map(|scheduler| {
-            let cfg = SimConfig::default().with_scheduler(scheduler);
-            run(&m.program, &compiled, &m.inputs, &cfg).unwrap()
-        });
-        assert_eq!(
-            event.stats.semantic(),
-            sweep.stats.semantic(),
-            "{}: stats diverged for {fusion}",
-            m.name
-        );
-        assert_eq!(&event.outputs, &sweep.outputs, "{}: outputs diverged for {fusion}", m.name);
+        for (regime, timing, location) in &regimes {
+            let compiled = compile_at(&m.program, &sched, *location).unwrap();
+            let [event, sweep] = ALL_SCHEDULERS.map(|scheduler| {
+                let cfg = SimConfig { timing: timing.clone(), scheduler, ..SimConfig::default() };
+                run(&m.program, &compiled, &m.inputs, &cfg).unwrap()
+            });
+            let case = format!("{}, {fusion}, {regime} memory", m.name);
+            assert_eq!(event.stats.semantic(), sweep.stats.semantic(), "{case}: stats diverged");
+            assert_eq!(&event.outputs, &sweep.outputs, "{case}: outputs diverged");
+        }
     }
 }
 

@@ -67,13 +67,8 @@ pub fn relu(a: &DenseTensor) -> DenseTensor {
     a.map(|v| v.max(0.0))
 }
 
-/// Gaussian error linear unit (tanh approximation, as used by GPT-style
-/// models).
-pub fn gelu(a: &DenseTensor) -> DenseTensor {
-    a.map(gelu_scalar)
-}
-
-/// Scalar GELU (tanh approximation).
+/// Scalar Gaussian error linear unit (tanh approximation, as used by
+/// GPT-style models).
 pub fn gelu_scalar(v: f32) -> f32 {
     0.5 * v * (1.0 + ((0.797_884_6 * (v + 0.044_715 * v * v * v)).tanh()))
 }

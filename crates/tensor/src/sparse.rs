@@ -67,14 +67,6 @@ pub enum Level {
 }
 
 impl Level {
-    /// Coordinate-space size of this level.
-    pub fn size(&self) -> usize {
-        match self {
-            Level::Dense { size } => *size,
-            Level::Compressed { size, .. } => *size,
-        }
-    }
-
     /// Number of stored positions (children across all fibers).
     pub fn positions(&self, parent_positions: usize) -> usize {
         match self {
@@ -366,12 +358,6 @@ impl SparseTensor {
     /// The logical (element-space) shape.
     pub fn shape(&self) -> &[usize] {
         &self.shape
-    }
-
-    /// Coordinate-space size of level `lvl` (block-grid size for blocked
-    /// tensors).
-    pub fn level_size(&self, lvl: usize) -> usize {
-        self.levels[lvl].size()
     }
 
     /// The tensor's storage format.
