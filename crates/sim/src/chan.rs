@@ -2,6 +2,7 @@
 
 use crate::dram::Dram;
 use crate::engine::SimConfig;
+use crate::sched::ReadySet;
 use crate::stats::SchedCounters;
 use fuseflow_sam::{OutputSlot, TensorSlot, Token};
 use fuseflow_tensor::SparseTensor;
@@ -11,28 +12,68 @@ use std::collections::VecDeque;
 /// channels that are pre-seeded or captured externally).
 pub(crate) const NO_NODE: u32 = u32::MAX;
 
+/// A bounded stream that also holds its writer's output queue.
+///
+/// A token is written once, at the tail of `buf`, by the action that
+/// produces it. `buf[..visible]` is the channel proper: what the reader can
+/// peek and pop, and what counts against `cap`. `buf[visible..]` is *staged*:
+/// produced, not yet sent. The writer's flush publishes at most one staged
+/// token per output port per cycle by moving the `visible` mark, so the
+/// one-token-per-port-per-cycle rate is a counter and no token is moved or
+/// cloned a second time. Staged tokens do not count against `cap` (an action
+/// may produce more than a channel holds; they leave at the same rate).
 #[derive(Debug)]
 pub(crate) struct Chan {
     pub(crate) buf: VecDeque<Token>,
+    /// Length of the reader-visible prefix of `buf`.
+    pub(crate) visible: usize,
     pub(crate) cap: usize,
-    /// Node-table index of the node that pops this channel (wake target
-    /// for pushes), or [`NO_NODE`].
+    /// Rank of the node that pops this channel (woken by a publish), or
+    /// [`NO_NODE`].
     pub(crate) reader: u32,
-    /// Node-table index of the node that pushes this channel (wake target
-    /// for full -> not-full transitions), or [`NO_NODE`].
+    /// Rank of the node that writes this channel (woken by a pop that takes
+    /// it from full to not full), or [`NO_NODE`].
     pub(crate) writer: u32,
+    /// The reader looks past the head ([`reads_past_head`]), so it is woken
+    /// by every publish, not only by empty -> non-empty.
+    ///
+    /// [`reads_past_head`]: crate::node::reads_past_head
+    pub(crate) deep: bool,
 }
 
 impl Chan {
-    pub(crate) fn new(cap: usize, writer: u32, reader: u32) -> Self {
-        Chan { buf: VecDeque::new(), cap, reader, writer }
+    /// An empty channel between the nodes of rank `writer` and `reader`.
+    pub(crate) fn new(cap: usize, writer: u32, reader: u32, deep: bool) -> Self {
+        Chan { buf: VecDeque::new(), visible: 0, cap, reader, writer, deep }
+    }
+
+    /// A harness input channel (no writer node) with every token already
+    /// visible to the node of rank 0.
+    pub(crate) fn seeded(toks: impl IntoIterator<Item = Token>, deep: bool) -> Self {
+        let buf: VecDeque<Token> = toks.into_iter().collect();
+        Chan { visible: buf.len(), buf, cap: usize::MAX, reader: 0, writer: NO_NODE, deep }
+    }
+
+    /// The `idx`-th token the reader can see.
+    pub(crate) fn get(&self, idx: usize) -> Option<&Token> {
+        if idx < self.visible {
+            self.buf.get(idx)
+        } else {
+            None
+        }
+    }
+
+    /// At capacity: the writer may not publish into it this cycle.
+    pub(crate) fn is_full(&self) -> bool {
+        self.visible >= self.cap
     }
 }
 
 /// The machine: everything a node step may read or charge that is not the
 /// node's own state. One channel table (indexed by graph edge), one DRAM
-/// channel, the read-only tensor bindings and slots, one clock and the run's
-/// counters.
+/// channel, the read-only tensor bindings and slots, one clock, the run's
+/// counters, and the event loop's two ready sets (by rank; the sweep fills
+/// them and never reads them).
 pub(crate) struct Ctx<'a> {
     pub(crate) chans: Vec<Chan>,
     pub(crate) dram: Dram,
@@ -44,13 +85,17 @@ pub(crate) struct Ctx<'a> {
     pub(crate) flops: u64,
     pub(crate) sched: SchedCounters,
     pub(crate) pending_busy: u64,
-    /// Node-table indices woken by channel activity during the current
-    /// step; drained by the event scheduler (ignored by the sweep).
-    pub(crate) wakes: Vec<u32>,
+    /// Ranks to step in the current cycle. A publish wakes its reader here:
+    /// a reader is downstream of its writer, so its rank is still ahead of
+    /// the drain cursor.
+    pub(crate) cur: ReadySet,
+    /// Ranks to step in the next cycle. A pop wakes the writer here: the
+    /// drain cursor has already passed it.
+    pub(crate) next: ReadySet,
 }
 
 impl<'a> Ctx<'a> {
-    /// A machine at cycle 0 with nothing counted yet.
+    /// A machine of `ranks` nodes at cycle 0 with nothing counted yet.
     pub(crate) fn new(
         chans: Vec<Chan>,
         dram: Dram,
@@ -58,6 +103,7 @@ impl<'a> Ctx<'a> {
         tensor_slots: &'a [TensorSlot],
         output_slots: &'a [OutputSlot],
         cfg: &'a SimConfig,
+        ranks: usize,
     ) -> Self {
         Ctx {
             chans,
@@ -70,7 +116,8 @@ impl<'a> Ctx<'a> {
             flops: 0,
             sched: SchedCounters::default(),
             pending_busy: 0,
-            wakes: Vec::new(),
+            cur: ReadySet::new(ranks),
+            next: ReadySet::new(ranks),
         }
     }
 
@@ -80,27 +127,30 @@ impl<'a> Ctx<'a> {
         self.pending_busy = self.pending_busy.max(cycles);
     }
 
-    /// Pushes a token and wakes the channel's reader. Readers are woken on
-    /// *every* push, not just empty -> nonempty: consumers like `Repeat`
-    /// and `Serializer` block on the channel's *depth* (`peek_at` beyond
-    /// the head), so a push into a nonempty channel can unblock them too.
-    pub(crate) fn push_chan(&mut self, c: usize, tok: Token) {
+    /// Makes the oldest staged token of channel `c` visible to its reader,
+    /// and wakes the reader if that can unblock it: a node that reads heads
+    /// only is blocked on this channel only while it is empty, a
+    /// [`deep`](Chan::deep) reader may be waiting for any depth.
+    pub(crate) fn publish(&mut self, c: usize) {
         let ch = &mut self.chans[c];
-        ch.buf.push_back(tok);
-        if ch.reader != NO_NODE {
-            self.wakes.push(ch.reader);
+        debug_assert!(ch.visible < ch.buf.len() && !ch.is_full(), "publish needs a staged token");
+        ch.visible += 1;
+        if (ch.visible == 1 || ch.deep) && ch.reader != NO_NODE {
+            self.cur.insert(ch.reader as usize);
         }
     }
 
-    /// Pops a token; wakes the channel's writer only on the full ->
+    /// Pops the head token; wakes the channel's writer only on the full ->
     /// not-full transition (a writer can only be flush-blocked on a
     /// channel that is at capacity).
     pub(crate) fn pop_chan(&mut self, c: usize) -> Token {
         let ch = &mut self.chans[c];
-        let was_full = ch.buf.len() >= ch.cap;
-        let tok = ch.buf.pop_front().expect("pop from empty channel");
+        assert!(ch.visible > 0, "pop from empty channel");
+        let was_full = ch.is_full();
+        ch.visible -= 1;
+        let tok = ch.buf.pop_front().expect("visible <= buf.len()");
         if was_full && ch.writer != NO_NODE {
-            self.wakes.push(ch.writer);
+            self.next.insert(ch.writer as usize);
         }
         tok
     }
@@ -128,4 +178,73 @@ pub(crate) enum StepOutcome {
     SleepingUntil(u64),
     /// `done` with all queues drained: the node never acts again.
     Finished,
+}
+
+#[cfg(test)]
+impl<'a> Ctx<'a> {
+    /// A machine of `ranks` nodes over the given channels, with no tensors
+    /// and a DRAM channel nothing asks.
+    pub(crate) fn bare(chans: Vec<Chan>, cfg: &'a SimConfig, ranks: usize) -> Self {
+        Ctx::new(chans, Dram::new(1e9, 0, 0), Vec::new(), &[], &[], cfg, ranks)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn staged_token_is_not_peekable_until_published() {
+        let cfg = SimConfig::default();
+        let mut ctx = Ctx::bare(vec![Chan::new(2, 0, 1, false)], &cfg, 2);
+        ctx.chans[0].buf.extend([Token::idx(7), Token::Stop(0), Token::Done]);
+        assert_eq!(ctx.chans[0].get(0), None, "staged, not sent");
+        assert!(!ctx.chans[0].is_full(), "staged tokens do not count against the capacity");
+        ctx.publish(0);
+        assert_eq!(ctx.chans[0].get(0), Some(&Token::idx(7)));
+        assert_eq!(ctx.chans[0].get(1), None, "the stop behind it is still staged");
+        ctx.publish(0);
+        assert!(ctx.chans[0].is_full());
+        assert_eq!(ctx.pop_chan(0), Token::idx(7));
+        assert_eq!(ctx.chans[0].get(0), Some(&Token::Stop(0)));
+        assert_eq!(ctx.chans[0].get(1), None, "a pop shows no more than was published");
+        assert_eq!(ctx.chans[0].buf.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "pop from empty channel")]
+    fn pop_refuses_a_staged_token() {
+        let cfg = SimConfig::default();
+        let mut ctx = Ctx::bare(vec![Chan::new(2, 0, 1, false)], &cfg, 2);
+        ctx.chans[0].buf.push_back(Token::Done);
+        ctx.pop_chan(0);
+    }
+
+    /// The wake rule: a publish wakes the reader (this cycle) when the
+    /// channel was empty, or always if the reader looks past the head; a pop
+    /// wakes the writer (next cycle) only when the channel was full.
+    #[test]
+    fn wakes_go_straight_into_the_ready_sets() {
+        let cfg = SimConfig::default();
+        // Channel 0: rank 0 -> rank 2, heads only. Channel 1: rank 1 -> rank 3, deep.
+        let chans = vec![Chan::new(2, 0, 2, false), Chan::new(2, 1, 3, true)];
+        let mut ctx = Ctx::bare(chans, &cfg, 4);
+        for c in 0..2 {
+            ctx.chans[c].buf.extend([Token::idx(0), Token::idx(1)]);
+            ctx.publish(c);
+        }
+        assert_eq!(ctx.cur.pop_ge(0), Some(2));
+        assert_eq!(ctx.cur.pop_ge(0), Some(3));
+        for c in 0..2 {
+            ctx.publish(c);
+        }
+        assert_eq!(ctx.cur.pop_ge(0), Some(3), "only the deep reader is woken again");
+        assert_eq!(ctx.cur.pop_ge(0), None);
+        assert!(ctx.next.is_empty());
+        ctx.pop_chan(0);
+        assert_eq!(ctx.next.pop_ge(0), Some(0), "full -> not full wakes the writer");
+        ctx.pop_chan(0);
+        assert!(ctx.next.is_empty(), "the channel was not full");
+        assert!(ctx.cur.is_empty(), "a pop wakes nobody in the current cycle");
+    }
 }

@@ -8,15 +8,22 @@
 //! backpressure; a [`Dram`] model serializes bandwidth. Simulation ends
 //! when every writer has received `Done`.
 //!
+//! A token is written once. An action appends what it produces to the tail
+//! of every fan-out channel of the port, *staged* behind the channel's
+//! `visible` mark where the reader cannot see it; the flush sends a token
+//! by moving the mark (`chan.rs`). There is no per-node output queue to
+//! move tokens out of.
+//!
 //! # Event-driven scheduling
 //!
 //! Nodes are *not* swept every cycle. [`Rt::step`](crate::node::Rt::step)
 //! reports a [`StepOutcome`](crate::chan::StepOutcome) and the run loop
 //! ([`run_event`]) services a node only when a wake condition
-//! fires: a push into one of its input
-//! channels, a pop of one of its full output channels (channels carry
-//! reader/writer back-pointers), a registered timer (in-flight memory or
-//! busy ALU; see `sched.rs` for the wake queue), or its own progress
+//! fires: a token sent into one of its input channels that was empty, a pop
+//! that takes one of its output channels from full to not full (channels
+//! name their reader and writer by rank and insert them into the ready
+//! sets themselves), a registered timer (in-flight memory or busy ALU; see
+//! `sched.rs` for the wake queue), or its own progress
 //! in the previous cycle. The legacy dense sweep is retained behind
 //! [`SimConfig::scheduler`] as a differential-testing oracle; the two are
 //! bit-identical (see the determinism notes on [`run_event`] and
@@ -34,7 +41,7 @@
 
 use crate::chan::{Chan, Ctx, NO_NODE};
 use crate::dram::Dram;
-use crate::node::{make_rt, State};
+use crate::node::{make_rt, reads_past_head, State};
 use crate::rebuild::assemble_output;
 use crate::run::{run_event, run_standalone, run_sweep};
 use crate::stats::Stats;
@@ -236,10 +243,9 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
 
     // One node table indexed by `NodeId`, one channel table indexed by edge
     // index, wired in a single pass over the edges. Edges are visited in
-    // insertion order, so every port's fan-out order (and with it the flush
-    // order and every cycle count) is the graph's. Each channel carries
-    // back-pointers to its writing (src) and reading (dst) node for the
-    // event scheduler's wake lists.
+    // insertion order, so every port's fan-out order is the graph's. Each
+    // channel names its writing (src) and reading (dst) node by rank in the
+    // topological order, which is what the event loop's ready sets hold.
     let mut nodes = Vec::with_capacity(graph.node_count());
     for (i, kind) in graph.nodes().iter().enumerate() {
         let id = NodeId(i);
@@ -262,17 +268,24 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
             &cfg.timing,
         ));
     }
+    let mut rank_of = vec![0u32; order.len()];
+    for (rank, id) in order.iter().enumerate() {
+        rank_of[id.0] = rank as u32;
+    }
     let mut chans = Vec::with_capacity(graph.edges().len());
     for (c, e) in graph.edges().iter().enumerate() {
-        chans.push(Chan::new(cfg.channel_capacity, e.src.node.0 as u32, e.dst.node.0 as u32));
-        nodes[e.src.node.0].out_chans[e.src.port].push(c);
-        nodes[e.dst.node.0].in_chans[e.dst.port] = Some(c);
+        let (src, dst) = (e.src.node.0, e.dst.node.0);
+        let deep = reads_past_head(&graph.nodes()[dst], e.dst.port);
+        chans.push(Chan::new(cfg.channel_capacity, rank_of[src], rank_of[dst], deep));
+        nodes[src].outs[e.src.port].chans.push(c);
+        nodes[dst].in_chans[e.dst.port] = Some(c);
     }
 
     // One machine (`Ctx`): one DRAM channel and one clock for the whole graph.
     let t = &cfg.timing;
     let dram = Dram::new(t.dram_bytes_per_cycle, t.dram_stream_latency, t.dram_random_latency);
-    let mut ctx = Ctx::new(chans, dram, tensors, graph.tensors(), graph.outputs(), cfg);
+    let mut ctx =
+        Ctx::new(chans, dram, tensors, graph.tensors(), graph.outputs(), cfg, order.len());
     match cfg.scheduler {
         Scheduler::Event => run_event(&order, &mut nodes, &mut ctx)?,
         Scheduler::Sweep => run_sweep(&order, &mut nodes, &mut ctx)?,
@@ -345,10 +358,7 @@ pub fn run_node_standalone(
     let mut in_chans = vec![None; n_in];
     for (p, toks) in inputs.iter().enumerate() {
         if !toks.is_empty() {
-            // Pre-seeded by the harness: no writer node.
-            let mut c = Chan::new(usize::MAX, NO_NODE, 0);
-            c.buf.extend(toks.iter().cloned());
-            chans.push(c);
+            chans.push(Chan::seeded(toks.iter().cloned(), reads_past_head(&kind, p)));
             in_chans[p] = Some(chans.len() - 1);
         }
     }
@@ -356,7 +366,7 @@ pub fn run_node_standalone(
     let mut capture = Vec::new();
     for oc in &mut out_chans {
         // Captured by the harness: no reader node.
-        chans.push(Chan::new(usize::MAX, 0, NO_NODE));
+        chans.push(Chan::new(usize::MAX, 0, NO_NODE, false));
         oc.push(chans.len() - 1);
         capture.push(chans.len() - 1);
     }
@@ -367,7 +377,7 @@ pub fn run_node_standalone(
         .map(|i| TensorSlot { name: format!("t{i}"), location: MemLocation::OnChip })
         .collect();
     let mut ctx =
-        Ctx::new(chans, Dram::new(1e9, 0, 0), tensors.iter().collect(), &slots, &[], &cfg);
+        Ctx::new(chans, Dram::new(1e9, 0, 0), tensors.iter().collect(), &slots, &[], &cfg, 1);
     run_standalone(&mut rt, &mut ctx, 10_000_000)?;
     Ok(capture.into_iter().map(|c| ctx.chans[c].buf.iter().cloned().collect()).collect())
 }

@@ -9,9 +9,12 @@ use fuseflow_sam::{AluOp, Block, MemLocation, NodeKind, Payload, Token};
 use fuseflow_tensor::Level;
 use std::collections::{BTreeMap, VecDeque};
 
+/// The fiber being emitted: entries `fidx..len` of the fiber under `parent`
+/// are still to go.
 #[derive(Debug, Default)]
 pub(crate) struct ScanState {
-    fiber: Vec<(u32, usize)>,
+    parent: usize,
+    len: usize,
     fidx: usize,
     emitting: bool,
 }
@@ -50,13 +53,28 @@ pub(crate) enum State {
     Ser(SerState),
 }
 
+/// One output port.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct OutPort {
+    /// The port's fan-out channels, in the graph's edge order.
+    pub(crate) chans: Vec<usize>,
+    /// Tokens produced and not yet sent. They sit at the tail of every
+    /// fan-out channel's `buf`, past its `visible` mark (all fan-out channels
+    /// of a port hold the same staged tokens); an unconnected port has only
+    /// this count, until the next flush drops it.
+    pub(crate) staged: usize,
+}
+
 pub(crate) struct Rt {
     pub(crate) kind: NodeKind,
     pub(crate) label: String,
     pub(crate) state: State,
     pub(crate) in_chans: Vec<Option<usize>>,
-    pub(crate) out_chans: Vec<Vec<usize>>,
-    pub(crate) out_q: Vec<VecDeque<Token>>,
+    pub(crate) outs: Vec<OutPort>,
+    /// Sum of the ports' `staged`, kept by [`emit`](Self::emit) and
+    /// [`flush_phase`](Self::flush_phase): "anything staged?" is asked
+    /// three times a step and must not walk the ports.
+    n_staged: usize,
     pub(crate) pending_mem: VecDeque<(Token, u64, usize)>,
     pub(crate) busy_until: u64,
     pub(crate) ii_extra: u64,
@@ -70,7 +88,7 @@ impl Rt {
     }
 
     pub(crate) fn finished(&self) -> bool {
-        self.done && self.out_q.iter().all(|q| q.is_empty()) && self.pending_mem.is_empty()
+        self.done && self.n_staged == 0 && self.pending_mem.is_empty()
     }
 
     /// Earliest future wake-up time held by this node (pending memory
@@ -88,11 +106,20 @@ impl Rt {
     // -- channel access ----------------------------------------------------
 
     fn peek<'c>(&self, ctx: &'c Ctx, port: usize) -> Option<&'c Token> {
-        self.in_chans[port].and_then(|c| ctx.chans[c].buf.front())
+        self.in_chans[port].and_then(|c| ctx.chans[c].get(0))
     }
 
+    /// The `idx`-th visible token of an input. Looking past the head is what
+    /// [`reads_past_head`] declares: such a channel wakes this node on every
+    /// publish, any other only when it stops being empty.
     fn peek_at<'c>(&self, ctx: &'c Ctx, port: usize, idx: usize) -> Option<&'c Token> {
-        self.in_chans[port].and_then(|c| ctx.chans[c].buf.get(idx))
+        let ch = &ctx.chans[self.in_chans[port]?];
+        debug_assert!(
+            idx == 0 || ch.deep,
+            "{}: read past the head of a channel not wired deep",
+            self.label
+        );
+        ch.get(idx)
     }
 
     fn connected(&self, port: usize) -> bool {
@@ -104,9 +131,19 @@ impl Rt {
         ctx.pop_chan(c)
     }
 
-    /// Can one token be pushed to every fan-out channel of this port?
-    fn can_flush(&self, ctx: &Ctx, port: usize) -> bool {
-        self.out_chans[port].iter().all(|&c| ctx.chans[c].buf.len() < ctx.chans[c].cap)
+    /// Produces `tok` on an output port: written once per fan-out channel
+    /// (cloned into all but the last, moved into the last), staged behind the
+    /// `visible` mark until [`flush_phase`](Self::flush_phase) sends it.
+    fn emit(&mut self, ctx: &mut Ctx, port: usize, tok: Token) {
+        let out = &mut self.outs[port];
+        out.staged += 1;
+        self.n_staged += 1;
+        if let Some((&last, rest)) = out.chans.split_last() {
+            for &c in rest {
+                ctx.chans[c].buf.push_back(tok.clone());
+            }
+            ctx.chans[last].buf.push_back(tok);
+        }
     }
 
     /// Pops a coordinate-side token together with its payload companion (if
@@ -127,44 +164,50 @@ impl Rt {
 
     // -- the per-cycle step ------------------------------------------------
 
-    /// Phase 1: flush one queued token per output port. Returns
-    /// `(progress, flush_blocked)`. The token is cloned into all but the
-    /// last fan-out channel and moved into the last, so the common
-    /// fan-out-1 port never clones.
+    /// Phase 1: send one staged token per output port, to all of the port's
+    /// fan-out channels or (if any is full) to none. Returns
+    /// `(progress, flush_blocked)`. Sending moves each channel's `visible`
+    /// mark over a token that is already there.
     #[inline]
     fn flush_phase(&mut self, ctx: &mut Ctx) -> (bool, bool) {
+        if self.n_staged == 0 {
+            return (false, false);
+        }
         let mut progress = false;
         let mut flush_blocked = false;
-        for port in 0..self.out_q.len() {
-            if self.out_q[port].is_empty() {
+        for OutPort { chans: outs, staged } in &mut self.outs {
+            if *staged == 0 {
                 continue;
             }
-            let Some((&last, rest)) = self.out_chans[port].split_last() else {
-                // Unconnected port: discard.
-                self.out_q[port].clear();
+            let Some(&first) = outs.first() else {
+                // Unconnected port: discard. Until here its tokens counted as
+                // staged, so the step that produced them did not act again.
+                self.n_staged -= *staged;
+                *staged = 0;
                 continue;
             };
-            if self.can_flush(ctx, port) {
-                let tok = self.out_q[port].pop_front().expect("nonempty");
-                if tok.is_elem() {
-                    self.elems += 1;
-                }
-                for &c in rest {
-                    ctx.push_chan(c, tok.clone());
-                }
-                ctx.push_chan(last, tok);
-                progress = true;
-            } else {
+            if outs.iter().any(|&c| ctx.chans[c].is_full()) {
                 flush_blocked = true;
+                continue;
             }
+            let ch = &ctx.chans[first];
+            if ch.buf[ch.visible].is_elem() {
+                self.elems += 1;
+            }
+            for &c in outs.iter() {
+                ctx.publish(c);
+            }
+            *staged -= 1;
+            self.n_staged -= 1;
+            progress = true;
         }
         (progress, flush_blocked)
     }
 
-    /// Phase 3: one action, if not busy and output queues drained.
+    /// Phase 3: one action, if not busy and nothing is staged.
     #[inline]
     fn act_phase(&mut self, ctx: &mut Ctx) -> Result<bool, SimError> {
-        if self.done || ctx.now < self.busy_until || self.out_q.iter().any(|q| !q.is_empty()) {
+        if self.done || ctx.now < self.busy_until || self.n_staged > 0 {
             return Ok(false);
         }
         let acted = self.action(ctx)?;
@@ -178,10 +221,10 @@ impl Rt {
     }
 
     pub(crate) fn step(&mut self, ctx: &mut Ctx) -> Result<StepOutcome, SimError> {
-        // Phase 1: flush one queued token per output port.
+        // Phase 1: send one staged token per output port.
         let (mut progress, flush_blocked) = self.flush_phase(ctx);
 
-        // Phase 2: retire completed memory requests into the output queues
+        // Phase 2: retire completed memory requests onto their output ports
         // (or drop them, for writers).
         while let Some((_, ready, _)) = self.pending_mem.front() {
             if *ready > ctx.now {
@@ -189,12 +232,12 @@ impl Rt {
             }
             let (tok, _, port) = self.pending_mem.pop_front().expect("nonempty");
             if !self.is_writer() {
-                self.out_q[port].push_back(tok);
+                self.emit(ctx, port, tok);
             }
             progress = true;
         }
 
-        // Phase 3: one action, if not busy and output queues drained.
+        // Phase 3: one action, if not busy and nothing is staged.
         progress |= self.act_phase(ctx)?;
 
         // Classify. A no-progress step never mutates node or channel state
@@ -219,7 +262,7 @@ impl Rt {
 
     fn action(&mut self, ctx: &mut Ctx) -> Result<bool, SimError> {
         match &self.kind {
-            NodeKind::Root => self.act_root(),
+            NodeKind::Root => self.act_root(ctx),
             NodeKind::LevelScanner { .. } => self.act_scan(ctx),
             NodeKind::Repeat => self.act_repeat(ctx),
             NodeKind::Intersect => self.act_join(ctx, JoinMode::Intersect),
@@ -236,16 +279,16 @@ impl Rt {
         }
     }
 
-    fn act_root(&mut self) -> Result<bool, SimError> {
+    fn act_root(&mut self, ctx: &mut Ctx) -> Result<bool, SimError> {
         let State::Root { emitted } = &mut self.state else { unreachable!() };
         match *emitted {
             0 => {
                 *emitted = 1;
-                self.out_q[0].push_back(Token::idx(0));
+                self.emit(ctx, 0, Token::idx(0));
             }
             1 => {
                 *emitted = 2;
-                self.out_q[0].push_back(Token::Done);
+                self.emit(ctx, 0, Token::Done);
                 self.done = true;
             }
             _ => return Ok(false),
@@ -261,11 +304,8 @@ impl Rt {
 
         let emitting = matches!(&self.state, State::Scan(s) if s.emitting);
         if emitting {
-            let (cur, len) = match &self.state {
-                State::Scan(s) => (s.fidx, s.fiber.len()),
-                _ => unreachable!(),
-            };
-            if cur < len {
+            let State::Scan(s) = &self.state else { unreachable!() };
+            if s.fidx < s.len {
                 if self.pending_mem.len() >= outstanding {
                     return Ok(false);
                 }
@@ -275,7 +315,7 @@ impl Rt {
                     ctx.now
                 };
                 let State::Scan(s) = &mut self.state else { unreachable!() };
-                let (c, p) = s.fiber[s.fidx];
+                let (c, p) = ctx.tensors[tensor].level(level).fiber_entry(s.parent, s.fidx);
                 s.fidx += 1;
                 self.pending_mem.push_back((Token::idx(c), ready, 0));
                 self.pending_mem.push_back((Token::idx(p as u32), ready, 1));
@@ -312,19 +352,14 @@ impl Rt {
                     // pos-array read for the fiber bounds.
                     let _ = ctx.dram.request(ctx.now, 8, AccessKind::Stream, false);
                 }
-                let fiber: Vec<(u32, usize)> =
-                    ctx.tensors[tensor].level(level).fiber(r as usize).collect();
-                let State::Scan(s) = &mut self.state else { unreachable!() };
-                s.fiber = fiber;
-                s.fidx = 0;
-                s.emitting = true;
+                let parent = r as usize;
+                let len = ctx.tensors[tensor].level(level).fiber_len(parent);
+                self.state = State::Scan(ScanState { parent, len, fidx: 0, emitting: true });
             }
             Token::Elem(Payload::Empty) => {
                 self.pop(ctx, 0);
-                let State::Scan(s) = &mut self.state else { unreachable!() };
-                s.fiber = Vec::new();
-                s.fidx = 0;
-                s.emitting = true;
+                // An empty reference scans to an empty fiber.
+                self.state = State::Scan(ScanState { emitting: true, ..ScanState::default() });
             }
             Token::Elem(other) => {
                 return Err(SimError::Semantics(format!("scanner received payload {other:?}")))
@@ -371,7 +406,7 @@ impl Rt {
                 self.pop(ctx, 1);
                 let State::Repeat(r) = &self.state else { unreachable!() };
                 let p = r.cur_base.clone().expect("loaded above");
-                self.out_q[0].push_back(Token::Elem(p));
+                self.emit(ctx, 0, Token::Elem(p));
             }
             Token::Stop(k) => {
                 // Close the pairing: discard the base element for this rep
@@ -404,7 +439,7 @@ impl Rt {
                 }
                 let State::Repeat(r) = &mut self.state else { unreachable!() };
                 r.cur_base = None;
-                self.out_q[0].push_back(Token::Stop(k));
+                self.emit(ctx, 0, Token::Stop(k));
             }
             Token::Done => {
                 match self.peek(ctx, 0) {
@@ -418,7 +453,7 @@ impl Rt {
                 }
                 self.pop(ctx, 1);
                 self.pop(ctx, 0);
-                self.out_q[0].push_back(Token::Done);
+                self.emit(ctx, 0, Token::Done);
                 self.done = true;
             }
         }
@@ -439,12 +474,12 @@ impl Rt {
                 if ia == ib {
                     let pa = self.pop_side(ctx, 0, 1);
                     let pb = self.pop_side(ctx, 2, 3);
-                    self.out_q[0].push_back(Token::idx(ia));
+                    self.emit(ctx, 0, Token::idx(ia));
                     if let Some(t) = pa {
-                        self.out_q[1].push_back(t);
+                        self.emit(ctx, 1, t);
                     }
                     if let Some(t) = pb {
-                        self.out_q[2].push_back(t);
+                        self.emit(ctx, 2, t);
                     }
                 } else if ia < ib {
                     match mode {
@@ -453,11 +488,11 @@ impl Rt {
                         }
                         JoinMode::Union | JoinMode::UnionLeft => {
                             let pa = self.pop_side(ctx, 0, 1);
-                            self.out_q[0].push_back(Token::idx(ia));
+                            self.emit(ctx, 0, Token::idx(ia));
                             if let Some(t) = pa {
-                                self.out_q[1].push_back(t);
+                                self.emit(ctx, 1, t);
                             }
-                            self.out_q[2].push_back(Token::Elem(Payload::Empty));
+                            self.emit(ctx, 2, Token::Elem(Payload::Empty));
                         }
                     }
                 } else {
@@ -467,10 +502,10 @@ impl Rt {
                         }
                         JoinMode::Union => {
                             let pb = self.pop_side(ctx, 2, 3);
-                            self.out_q[0].push_back(Token::idx(ib));
-                            self.out_q[1].push_back(Token::Elem(Payload::Empty));
+                            self.emit(ctx, 0, Token::idx(ib));
+                            self.emit(ctx, 1, Token::Elem(Payload::Empty));
                             if let Some(t) = pb {
-                                self.out_q[2].push_back(t);
+                                self.emit(ctx, 2, t);
                             }
                         }
                     }
@@ -483,11 +518,11 @@ impl Rt {
                 JoinMode::Union | JoinMode::UnionLeft => {
                     let ia = ca.idx();
                     let pa = self.pop_side(ctx, 0, 1);
-                    self.out_q[0].push_back(Token::idx(ia));
+                    self.emit(ctx, 0, Token::idx(ia));
                     if let Some(t) = pa {
-                        self.out_q[1].push_back(t);
+                        self.emit(ctx, 1, t);
                     }
-                    self.out_q[2].push_back(Token::Elem(Payload::Empty));
+                    self.emit(ctx, 2, Token::Elem(Payload::Empty));
                 }
             },
             (Token::Stop(_), Token::Elem(cb)) => match mode {
@@ -497,10 +532,10 @@ impl Rt {
                 JoinMode::Union => {
                     let ib = cb.idx();
                     let pb = self.pop_side(ctx, 2, 3);
-                    self.out_q[0].push_back(Token::idx(ib));
-                    self.out_q[1].push_back(Token::Elem(Payload::Empty));
+                    self.emit(ctx, 0, Token::idx(ib));
+                    self.emit(ctx, 1, Token::Elem(Payload::Empty));
                     if let Some(t) = pb {
-                        self.out_q[2].push_back(t);
+                        self.emit(ctx, 2, t);
                     }
                 }
             },
@@ -514,15 +549,15 @@ impl Rt {
                 let k = *ka;
                 let _ = self.pop_side(ctx, 0, 1);
                 let _ = self.pop_side(ctx, 2, 3);
-                self.out_q[0].push_back(Token::Stop(k));
-                self.out_q[1].push_back(Token::Stop(k));
-                self.out_q[2].push_back(Token::Stop(k));
+                self.emit(ctx, 0, Token::Stop(k));
+                self.emit(ctx, 1, Token::Stop(k));
+                self.emit(ctx, 2, Token::Stop(k));
             }
             (Token::Done, Token::Done) => {
                 let _ = self.pop_side(ctx, 0, 1);
                 let _ = self.pop_side(ctx, 2, 3);
                 for q in 0..3 {
-                    self.out_q[q].push_back(Token::Done);
+                    self.emit(ctx, q, Token::Done);
                 }
                 self.done = true;
             }
@@ -598,15 +633,15 @@ impl Rt {
                 Token::Elem(p) => {
                     self.pop(ctx, 0);
                     let out = alu_unary(ctx, op, p);
-                    self.out_q[0].push_back(Token::Elem(out));
+                    self.emit(ctx, 0, Token::Elem(out));
                 }
                 Token::Stop(k) => {
                     self.pop(ctx, 0);
-                    self.out_q[0].push_back(Token::Stop(k));
+                    self.emit(ctx, 0, Token::Stop(k));
                 }
                 Token::Done => {
                     self.pop(ctx, 0);
-                    self.out_q[0].push_back(Token::Done);
+                    self.emit(ctx, 0, Token::Done);
                     self.done = true;
                 }
             }
@@ -620,17 +655,17 @@ impl Rt {
                     self.pop(ctx, 0);
                     self.pop(ctx, 1);
                     let out = alu_combine(ctx, op, pa, pb)?;
-                    self.out_q[0].push_back(Token::Elem(out));
+                    self.emit(ctx, 0, Token::Elem(out));
                 }
                 (Token::Stop(ka), Token::Stop(kb)) if ka == kb => {
                     self.pop(ctx, 0);
                     self.pop(ctx, 1);
-                    self.out_q[0].push_back(Token::Stop(ka));
+                    self.emit(ctx, 0, Token::Stop(ka));
                 }
                 (Token::Done, Token::Done) => {
                     self.pop(ctx, 0);
                     self.pop(ctx, 1);
-                    self.out_q[0].push_back(Token::Done);
+                    self.emit(ctx, 0, Token::Done);
                     self.done = true;
                 }
                 (x, y) => {
@@ -681,14 +716,14 @@ impl Rt {
                 self.pop(ctx, 0);
                 let State::Reduce { acc } = &mut self.state else { unreachable!() };
                 let out = acc.take().unwrap_or(Payload::F(op.identity()));
-                self.out_q[0].push_back(Token::Elem(out));
+                self.emit(ctx, 0, Token::Elem(out));
                 if k >= 1 {
-                    self.out_q[0].push_back(Token::Stop(k - 1));
+                    self.emit(ctx, 0, Token::Stop(k - 1));
                 }
             }
             Token::Done => {
                 self.pop(ctx, 0);
-                self.out_q[0].push_back(Token::Done);
+                self.emit(ctx, 0, Token::Done);
                 self.done = true;
             }
         }
@@ -744,11 +779,11 @@ impl Rt {
                     let State::Spacc { map } = &mut self.state else { unreachable!() };
                     let drained: Vec<(u32, Payload)> = std::mem::take(map).into_iter().collect();
                     for (c, v) in drained {
-                        self.out_q[0].push_back(Token::idx(c));
-                        self.out_q[1].push_back(Token::Elem(v));
+                        self.emit(ctx, 0, Token::idx(c));
+                        self.emit(ctx, 1, Token::Elem(v));
                     }
-                    self.out_q[0].push_back(Token::Stop(kc - 1));
-                    self.out_q[1].push_back(Token::Stop(kc - 1));
+                    self.emit(ctx, 0, Token::Stop(kc - 1));
+                    self.emit(ctx, 1, Token::Stop(kc - 1));
                 }
                 // Stop(0) boundaries separate the fibers being accumulated:
                 // keep accumulating.
@@ -762,8 +797,8 @@ impl Rt {
                         "spacc reached Done with unflushed state".into(),
                     ));
                 }
-                self.out_q[0].push_back(Token::Done);
-                self.out_q[1].push_back(Token::Done);
+                self.emit(ctx, 0, Token::Done);
+                self.emit(ctx, 1, Token::Done);
                 self.done = true;
             }
             (x, y) => {
@@ -789,7 +824,7 @@ impl Rt {
                     }
                 }
                 let finished = *done0 && *done1;
-                self.out_q[port].push_back(tok);
+                self.emit(ctx, port, tok);
                 if finished {
                     self.done = true;
                 }
@@ -846,10 +881,10 @@ impl Rt {
                 let State::Par { rr } = &mut self.state else { unreachable!() };
                 let b = *rr;
                 *rr = (*rr + 1) % factor;
-                self.out_q[2 * b].push_back(c);
+                self.emit(ctx, 2 * b, c);
                 if has_payload {
                     let p = self.pop(ctx, 1);
-                    self.out_q[2 * b + 1].push_back(p);
+                    self.emit(ctx, 2 * b + 1, p);
                 }
             }
             Token::Stop(k) => {
@@ -865,9 +900,9 @@ impl Rt {
                 let State::Par { rr } = &mut self.state else { unreachable!() };
                 *rr = 0;
                 for b in 0..factor {
-                    self.out_q[2 * b].push_back(Token::Stop(k));
+                    self.emit(ctx, 2 * b, Token::Stop(k));
                     if has_payload {
-                        self.out_q[2 * b + 1].push_back(Token::Stop(k));
+                        self.emit(ctx, 2 * b + 1, Token::Stop(k));
                     }
                 }
             }
@@ -877,9 +912,9 @@ impl Rt {
                     self.pop(ctx, 1);
                 }
                 for b in 0..factor {
-                    self.out_q[2 * b].push_back(Token::Done);
+                    self.emit(ctx, 2 * b, Token::Done);
                     if has_payload {
-                        self.out_q[2 * b + 1].push_back(Token::Done);
+                        self.emit(ctx, 2 * b + 1, Token::Done);
                     }
                 }
                 self.done = true;
@@ -903,7 +938,7 @@ impl Rt {
             match head {
                 Token::Elem(_) => {
                     let tok = self.pop(ctx, cur);
-                    self.out_q[0].push_back(tok);
+                    self.emit(ctx, 0, tok);
                 }
                 Token::Stop(k) if depth >= 1 && k == depth - 1 => {
                     // Ordinary unit boundary.
@@ -916,7 +951,7 @@ impl Rt {
                 Token::Stop(k) if k + 1 < depth => {
                     // Interior stop: part of this unit.
                     let tok = self.pop(ctx, cur);
-                    self.out_q[0].push_back(tok);
+                    self.emit(ctx, 0, tok);
                 }
                 Token::Stop(_) => {
                     // The unit's boundary coalesced into a barrier stop: the
@@ -940,7 +975,7 @@ impl Rt {
             Token::Elem(_) => {
                 if pending {
                     // Close the previous unit before starting the next one.
-                    self.out_q[0].push_back(Token::Stop(depth - 1));
+                    self.emit(ctx, 0, Token::Stop(depth - 1));
                     let State::Ser(st) = &mut self.state else { unreachable!() };
                     st.pending_unit = false;
                     return Ok(true);
@@ -952,7 +987,7 @@ impl Rt {
                         Token::Elem(_) => {
                             self.pop(ctx, order_port);
                             let tok = self.pop(ctx, cur);
-                            self.out_q[0].push_back(tok);
+                            self.emit(ctx, 0, tok);
                             let State::Ser(st) = &mut self.state else { unreachable!() };
                             st.cur = (st.cur + 1) % factor;
                         }
@@ -979,7 +1014,7 @@ impl Rt {
             Token::Stop(k) => {
                 // Barrier: every branch holds the corresponding deeper stop.
                 for b in 0..factor {
-                    match self.peek_at(ctx, b, 0) {
+                    match self.peek(ctx, b) {
                         Some(Token::Stop(bk)) if *bk == k + depth => {}
                         Some(other) => {
                             return Err(SimError::Semantics(format!(
@@ -994,14 +1029,14 @@ impl Rt {
                 for b in 0..factor {
                     self.pop(ctx, b);
                 }
-                self.out_q[0].push_back(Token::Stop(k + depth));
+                self.emit(ctx, 0, Token::Stop(k + depth));
                 let State::Ser(st) = &mut self.state else { unreachable!() };
                 st.pending_unit = false;
                 st.cur = 0;
             }
             Token::Done => {
                 for b in 0..factor {
-                    match self.peek_at(ctx, b, 0) {
+                    match self.peek(ctx, b) {
                         Some(Token::Done) => {}
                         Some(other) => {
                             return Err(SimError::Semantics(format!(
@@ -1015,7 +1050,7 @@ impl Rt {
                 for b in 0..factor {
                     self.pop(ctx, b);
                 }
-                self.out_q[0].push_back(Token::Done);
+                self.emit(ctx, 0, Token::Done);
                 self.done = true;
             }
         }
@@ -1116,6 +1151,17 @@ fn alu_unary(ctx: &mut Ctx, op: AluOp, a: Payload) -> Payload {
     }
 }
 
+/// Does a node of this kind look past the head of the input channel on
+/// `port` (call [`Rt::peek_at`] with `idx > 0`)? Such a reader can be blocked
+/// on a channel that is not empty, so the channel is wired [`deep`] and every
+/// publish wakes it. Today that is `Repeat`'s base port alone: closing a
+/// fiber, it needs the base element and the base stop behind it at once.
+///
+/// [`deep`]: crate::chan::Chan::deep
+pub(crate) fn reads_past_head(kind: &NodeKind, port: usize) -> bool {
+    matches!(kind, NodeKind::Repeat) && port == 0
+}
+
 pub(crate) fn make_rt(
     kind: NodeKind,
     label: String,
@@ -1139,19 +1185,155 @@ pub(crate) fn make_rt(
         NodeKind::Parallelizer { .. } => State::Par { rr: 0 },
         NodeKind::Serializer { .. } => State::Ser(SerState::default()),
     };
-    let n_out = kind.output_ports().len();
+    let outs = out_chans.into_iter().map(|chans| OutPort { chans, staged: 0 }).collect();
     let ii = (timing.ii_extra)(&kind);
     Rt {
         kind,
         label,
         state,
         in_chans,
-        out_chans,
-        out_q: vec![VecDeque::new(); n_out],
+        outs,
+        n_staged: 0,
         pending_mem: VecDeque::new(),
         busy_until: 0,
         ii_extra: ii,
         done: false,
         elems: 0,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::chan::{Chan, NO_NODE};
+    use crate::{simulate, Scheduler, SimConfig, TensorEnv};
+    use fuseflow_sam::{ReduceOp, SamGraph};
+    use fuseflow_tensor::{Format, SparseTensor};
+
+    /// `Spacc1` drains a three-entry map (and the stop behind it) in one
+    /// action into a port that fans out to two channels of capacity 1: four
+    /// tokens staged on a port whose channels hold one. They must come out in
+    /// order, at most one per cycle, and to both channels or neither, also
+    /// while one of the two readers lags.
+    #[test]
+    fn port_staging_more_than_the_capacity_delivers_in_order_one_per_cycle() {
+        let cfg = SimConfig::default();
+        let crd = vec![Token::idx(3), Token::idx(1), Token::idx(2), Token::Stop(1), Token::Done];
+        let val =
+            vec![Token::val(30.0), Token::val(10.0), Token::val(20.0), Token::Stop(1), Token::Done];
+        let out = || Chan::new(1, 0, NO_NODE, false);
+        let chans = vec![Chan::seeded(crd, false), Chan::seeded(val, false), out(), out(), out()];
+        let mut ctx = Ctx::bare(chans, &cfg, 1);
+        let mut rt = make_rt(
+            NodeKind::Spacc1 { op: ReduceOp::Sum },
+            "spacc".into(),
+            vec![Some(0), Some(1)],
+            vec![vec![2, 3], vec![4]],
+            &cfg.timing,
+        );
+
+        let mut got: [Vec<Token>; 3] = Default::default();
+        let mut most_staged = 0;
+        for cycle in 0..64 {
+            ctx.now = cycle;
+            let sent_before = got.each_ref().map(Vec::len);
+            let outcome = rt.step(&mut ctx).unwrap();
+            most_staged = most_staged.max(rt.outs[0].staged);
+            for (i, c) in (2..5).enumerate() {
+                // The slow reader of the crd port's second channel pops every
+                // other cycle; the others pop whatever they are shown.
+                if ctx.chans[c].visible == 1 && (c != 3 || cycle % 2 == 0) {
+                    got[i].push(ctx.pop_chan(c));
+                }
+                let sent = got[i].len() + ctx.chans[c].visible;
+                assert!(sent <= sent_before[i] + 1, "cycle {cycle}: two tokens into channel {c}");
+            }
+            let sent = |i: usize, c: usize| got[i].len() + ctx.chans[c].visible;
+            assert_eq!(sent(0, 2), sent(1, 3), "cycle {cycle}: fan-out channels out of step");
+            if outcome == StepOutcome::Finished {
+                break;
+            }
+        }
+        assert!(rt.finished(), "not drained in 64 cycles");
+        assert_eq!(most_staged, 4, "the drain should stage the whole map at once");
+        let crd_out =
+            vec![Token::idx(1), Token::idx(2), Token::idx(3), Token::Stop(0), Token::Done];
+        assert_eq!(got[0], crd_out);
+        assert_eq!(got[1], crd_out);
+        let val_out =
+            vec![Token::val(10.0), Token::val(20.0), Token::val(30.0), Token::Stop(0), Token::Done];
+        assert_eq!(got[2], val_out);
+    }
+
+    /// Closing an empty repeat fiber under `Stop(1)`, `Repeat` needs the base
+    /// element *and* the base stop behind it. With only the element there it
+    /// is blocked on a channel that is not empty, so the publish that
+    /// delivers the stop must wake it: the one case the empty -> non-empty
+    /// wake filter has to exempt.
+    #[test]
+    fn repeat_blocked_past_the_head_is_woken_by_a_publish_into_its_nonempty_base() {
+        let cfg = SimConfig::default();
+        assert!(reads_past_head(&NodeKind::Repeat, 0) && !reads_past_head(&NodeKind::Repeat, 1));
+        // The node under test has rank 1; rank 0 stands for the base's writer.
+        let mut base = Chan::new(8, 0, 1, reads_past_head(&NodeKind::Repeat, 0));
+        base.buf.extend([Token::val(5.0), Token::Stop(0)]);
+        let chans =
+            vec![base, Chan::seeded([Token::Stop(1)], false), Chan::new(8, 1, NO_NODE, false)];
+        let mut ctx = Ctx::bare(chans, &cfg, 2);
+        let mut rt = make_rt(
+            NodeKind::Repeat,
+            "repeat".into(),
+            vec![Some(0), Some(1)],
+            vec![vec![2]],
+            &cfg.timing,
+        );
+        ctx.publish(0);
+        assert_eq!(ctx.cur.pop_ge(0), Some(1), "empty -> non-empty");
+        assert_eq!(rt.step(&mut ctx).unwrap(), StepOutcome::BlockedInput);
+        assert_eq!(ctx.chans[0].visible, 1, "blocked on a channel that is not empty");
+        ctx.publish(0);
+        assert_eq!(ctx.cur.pop_ge(0), Some(1), "a deep reader is woken by every publish");
+        assert_eq!(rt.step(&mut ctx).unwrap(), StepOutcome::Progressed);
+        assert_eq!(ctx.chans[0].buf.len(), 0, "element and stop consumed together");
+        assert_eq!(ctx.chans[2].buf.back(), Some(&Token::Stop(1)));
+
+        // The same state reached by a whole graph. The base values leave a
+        // slow `Array` (one token every four cycles) while the repeat stream,
+        // two empty fibers, is there at once: `Repeat` blocks with the second
+        // base value in hand until the base stop arrives four cycles later.
+        let mut g = SamGraph::new();
+        let v = g.add_tensor("V", MemLocation::OnChip);
+        let e = g.add_tensor("E", MemLocation::OnChip);
+        let o = g.add_output("O", vec![2, 3], Format::csr(), MemLocation::OnChip);
+        let root_v = g.add_node(NodeKind::Root);
+        let vi = g.add_node(NodeKind::LevelScanner { tensor: v, level: 0 });
+        let arr = g.add_node(NodeKind::Array { tensor: v });
+        let root_e = g.add_node(NodeKind::Root);
+        let ei = g.add_node(NodeKind::LevelScanner { tensor: e, level: 0 });
+        let ej = g.add_node(NodeKind::LevelScanner { tensor: e, level: 1 });
+        let rep = g.add_node(NodeKind::Repeat);
+        let wc0 = g.add_node(NodeKind::CrdWriter { output: o, level: 0 });
+        let wc1 = g.add_node(NodeKind::CrdWriter { output: o, level: 1 });
+        let wv = g.add_node(NodeKind::ValWriter { output: o });
+        g.connect(root_v, 0, vi, 0);
+        g.connect(vi, 1, arr, 0);
+        g.connect(arr, 0, rep, 0);
+        g.connect(root_e, 0, ei, 0);
+        g.connect(ei, 0, wc0, 0);
+        g.connect(ei, 1, ej, 0);
+        g.connect(ej, 0, wc1, 0);
+        g.connect(ej, 0, rep, 1);
+        g.connect(rep, 0, wv, 0);
+        let mut env = TensorEnv::new();
+        let entries = vec![(vec![0], 1.0), (vec![1], 2.0)];
+        env.insert("V", SparseTensor::from_coo(vec![2], entries, &Format::dense(1)).unwrap());
+        env.insert("E", SparseTensor::from_coo(vec![2, 3], vec![], &Format::csr()).unwrap());
+        let mut cfg = SimConfig::default();
+        cfg.timing.ii_extra = |k| if matches!(k, NodeKind::Array { .. }) { 3 } else { 0 };
+        let [event, sweep] = [Scheduler::Event, Scheduler::Sweep]
+            .map(|s| simulate(&g, &env, &cfg.clone().with_scheduler(s)).unwrap());
+        assert_eq!(event.stats.semantic(), sweep.stats.semantic());
+        assert_eq!(event.outputs, sweep.outputs);
+        assert!(event.stats.cycles > 12, "the array should have paced the run");
     }
 }

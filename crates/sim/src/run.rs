@@ -5,7 +5,7 @@
 use crate::chan::{Ctx, StepOutcome};
 use crate::engine::SimError;
 use crate::node::Rt;
-use crate::sched::{ReadySet, WakeQueue};
+use crate::sched::WakeQueue;
 use fuseflow_sam::NodeId;
 
 /// The event-driven execution loop: a ready set drained in ascending
@@ -18,10 +18,16 @@ use fuseflow_sam::NodeId;
 /// whose wake conditions fired, in the same ascending-rank order, at
 /// the same cycle the sweep would have serviced them:
 ///
-/// * a push wakes the channel's reader — in the *current* cycle when
-///   the reader's rank is still ahead of the drain cursor (the sweep
-///   would reach it later this cycle), else in the next;
-/// * a pop from a full channel wakes the writer the same way;
+/// * a publish into an empty channel wakes its reader in the *current*
+///   cycle: a reader is downstream of its writer, so its rank is still
+///   ahead of the drain cursor and the sweep would reach it later this
+///   cycle. A publish into a channel that already holds a token wakes
+///   nobody: the reader's step depends on its input heads only, and that
+///   head has not changed (the one reader that looks deeper, `Repeat` on
+///   its base port, is woken by every publish;
+///   [`reads_past_head`](crate::node::reads_past_head));
+/// * a pop that takes a channel from full to not full wakes its writer in
+///   the *next* cycle: the cursor has passed it, as the sweep has;
 /// * a node that progressed re-steps next cycle (as the sweep would);
 /// * a node stalled on memory or a busy ALU registers a timer for its
 ///   exact wake cycle.
@@ -36,48 +42,31 @@ use fuseflow_sam::NodeId;
 /// of the sweep's O(nodes) `writers_done` rescan per cycle.
 pub(crate) fn run_event(order: &[NodeId], nodes: &mut [Rt], ctx: &mut Ctx) -> Result<(), SimError> {
     let n = order.len();
-    // Channel wakes name nodes; the ready sets hold ranks.
-    let mut rank_of = vec![0u32; n];
-    for (rank, id) in order.iter().enumerate() {
-        rank_of[id.0] = rank as u32;
-    }
     // By rank: is this node a writer that has not finished yet?
     let mut writer_live: Vec<bool> =
         order.iter().map(|id| nodes[id.0].is_writer() && !nodes[id.0].finished()).collect();
     let mut live_writers = writer_live.iter().filter(|&&w| w).count();
 
-    let mut cur = ReadySet::new(n);
-    let mut next = ReadySet::new(n);
+    // The channels insert their own wakes into `ctx.cur` and `ctx.next`
+    // (they name their endpoints by rank); this loop adds the stepped node.
     for rank in 0..n {
-        cur.insert(rank);
+        ctx.cur.insert(rank);
     }
-    let mut wakes = WakeQueue::new(n);
+    let mut timers = WakeQueue::new(n);
 
     loop {
         // Drain this cycle's ready set in ascending rank (= sweep order).
         let mut stepped = 0u64;
         let mut pos = 0;
-        while let Some(rank) = cur.pop_ge(pos) {
+        while let Some(rank) = ctx.cur.pop_ge(pos) {
             pos = rank;
             let node = order[rank].0;
-            let outcome = nodes[node].step(ctx)?;
-            stepped += 1;
-            // Channel wakes raised by this step: same-cycle if the
-            // target is still ahead of the drain cursor, else next.
-            for k in 0..ctx.wakes.len() {
-                let w = rank_of[ctx.wakes[k] as usize] as usize;
-                if w > rank {
-                    cur.insert(w);
-                } else {
-                    next.insert(w);
-                }
-            }
-            ctx.wakes.clear();
-            match outcome {
-                StepOutcome::Progressed => next.insert(rank),
-                StepOutcome::SleepingUntil(t) => wakes.schedule(ctx.now, t, rank as u32),
+            match nodes[node].step(ctx)? {
+                StepOutcome::Progressed => ctx.next.insert(rank),
+                StepOutcome::SleepingUntil(t) => timers.schedule(ctx.now, t, rank as u32),
                 StepOutcome::BlockedInput | StepOutcome::BlockedOutput | StepOutcome::Finished => {}
             }
+            stepped += 1;
             if writer_live[rank] && nodes[node].finished() {
                 writer_live[rank] = false;
                 live_writers -= 1;
@@ -91,12 +80,12 @@ pub(crate) fn run_event(order: &[NodeId], nodes: &mut [Rt], ctx: &mut Ctx) -> Re
             ctx.now += 1;
             return Ok(());
         }
-        let t_next = if !next.is_empty() {
+        let t_next = if !ctx.next.is_empty() {
             ctx.now + 1
         } else {
-            match wakes.next_time() {
+            match timers.next_time() {
                 Some(t) => t,
-                None => return Err(deadlock(nodes, ctx)),
+                None => return Err(deadlock(order, nodes, ctx)),
             }
         };
         ctx.sched.cycles_skipped += t_next - ctx.now - 1;
@@ -104,8 +93,8 @@ pub(crate) fn run_event(order: &[NodeId], nodes: &mut [Rt], ctx: &mut Ctx) -> Re
         if ctx.now > ctx.cfg.max_cycles {
             return Err(SimError::MaxCycles(ctx.cfg.max_cycles));
         }
-        std::mem::swap(&mut cur, &mut next);
-        wakes.drain_at(ctx.now, &mut cur);
+        std::mem::swap(&mut ctx.cur, &mut ctx.next);
+        timers.drain_at(ctx.now, &mut ctx.cur);
     }
 }
 
@@ -117,7 +106,6 @@ pub(crate) fn run_sweep(order: &[NodeId], nodes: &mut [Rt], ctx: &mut Ctx) -> Re
         let mut progress = false;
         for id in order {
             progress |= nodes[id.0].step(ctx)? == StepOutcome::Progressed;
-            ctx.wakes.clear();
         }
         ctx.sched.events += order.len() as u64;
         ctx.sched.peak_ready = ctx.sched.peak_ready.max(order.len() as u64);
@@ -136,7 +124,7 @@ pub(crate) fn run_sweep(order: &[NodeId], nodes: &mut [Rt], ctx: &mut Ctx) -> Re
                     ctx.sched.cycles_skipped += t - ctx.now - 1;
                     ctx.now = t;
                 }
-                None => return Err(deadlock(nodes, ctx)),
+                None => return Err(deadlock(order, nodes, ctx)),
             }
         }
         if ctx.now > ctx.cfg.max_cycles {
@@ -157,24 +145,17 @@ pub(crate) fn run_standalone(node: &mut Rt, ctx: &mut Ctx, budget: u64) -> Resul
             // Exhausted inputs (or finished): the stream is complete.
             _ => return Ok(()),
         }
-        ctx.wakes.clear();
         if ctx.now > budget {
             return Err(SimError::MaxCycles(budget));
         }
     }
 }
 
-/// Names a channel peer by graph label ([`NO_NODE`](crate::chan::NO_NODE) is a harness endpoint).
-fn peer_name(nodes: &[Rt], id: u32) -> String {
-    match nodes.get(id as usize) {
-        Some(n) => format!("{}#{id}", n.label),
-        None => "ext".into(),
-    }
-}
-
 /// The deadlock report at the machine's current cycle: every unfinished
-/// node, in node-id order.
-fn deadlock(nodes: &[Rt], ctx: &Ctx) -> SimError {
+/// node, in node-id order. `in:` is what each input channel shows its reader,
+/// `outq:` what each output port has staged; channels name their peers by
+/// rank, the report by node id.
+fn deadlock(order: &[NodeId], nodes: &[Rt], ctx: &Ctx) -> SimError {
     let mut parts = Vec::new();
     for (i, n) in nodes.iter().enumerate() {
         if !n.finished() {
@@ -182,28 +163,25 @@ fn deadlock(nodes: &[Rt], ctx: &Ctx) -> SimError {
                 .in_chans
                 .iter()
                 .map(|c| match c {
-                    Some(id) => format!("{}", ctx.chans[*id].buf.len()),
+                    Some(id) => format!("{}", ctx.chans[*id].visible),
                     None => "-".into(),
                 })
                 .collect();
-            let outs: Vec<String> = n.out_q.iter().map(|q| q.len().to_string()).collect();
+            let outs: Vec<String> = n.outs.iter().map(|o| o.staged.to_string()).collect();
             // Name every at-capacity output channel this node is trying to
             // flush into, so runtime reports line up with `samcheck`'s
             // static buffer-sizing diagnostics (SA012/SA013).
             let mut full = Vec::new();
-            for (p, q) in n.out_q.iter().enumerate() {
-                if q.is_empty() {
+            for (p, out) in n.outs.iter().enumerate() {
+                if out.staged == 0 {
                     continue;
                 }
-                for &c in &n.out_chans[p] {
-                    let ch = &ctx.chans[c];
-                    if ch.buf.len() >= ch.cap {
-                        full.push(format!(
-                            "out{p}->{} at cap {}",
-                            peer_name(nodes, ch.reader),
-                            ch.cap
-                        ));
-                    }
+                for ch in out.chans.iter().map(|&c| &ctx.chans[c]).filter(|ch| ch.is_full()) {
+                    let reader = order[ch.reader as usize].0;
+                    full.push(format!(
+                        "out{p}->{}#{reader} at cap {}",
+                        nodes[reader].label, ch.cap
+                    ));
                 }
             }
             let why = if full.is_empty() {

@@ -14,8 +14,9 @@
 //!   keyed by absolute cycle. Per-rank earliest-timer dedup keeps spurious
 //!   re-steps bounded.
 //!
-//! Both structures are rank-indexed; `run.rs` owns the mapping between
-//! ranks and node ids.
+//! Both structures are rank-indexed. `simulate` wires every channel with
+//! the ranks of its two endpoints, so a channel wake is an insert into one of
+//! the machine's two ready sets (`chan.rs`), with nothing to translate.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -23,8 +24,9 @@ use std::collections::BinaryHeap;
 /// A dense bitset of ranks that are ready to step at one simulated cycle.
 ///
 /// Insertions during a drain are permitted only *ahead* of the drain cursor
-/// (the engine routes behind-cursor wakes to the next cycle's set), so a
-/// single forward scan visits every ready rank in ascending order.
+/// (a reader woken by its upstream writer; wakes behind the cursor, a writer
+/// or the stepped node itself, go to the next cycle's set), so a single
+/// forward scan visits every ready rank in ascending order.
 #[derive(Debug)]
 pub(crate) struct ReadySet {
     words: Vec<u64>,

@@ -489,27 +489,20 @@ fn model_zoo_sae_cross_scheduler_bit_identical() {
     assert_model_all_schedulers_identical(&fuseflow_models::sae("sae", 16, 8, 4, 0.4, 13));
 }
 
+/// The 16-node graph dataset of the GNN zoo cases.
+fn tiny(pattern: gen::GraphPattern) -> fuseflow_models::GraphDataset {
+    fuseflow_models::GraphDataset { name: "tiny", nodes: 16, feats: 8, density: 0.15, pattern }
+}
+
 #[test]
 fn model_zoo_gcn_cross_scheduler_bit_identical() {
-    let ds = fuseflow_models::GraphDataset {
-        name: "tiny",
-        nodes: 16,
-        feats: 8,
-        density: 0.15,
-        pattern: gen::GraphPattern::PowerLaw,
-    };
+    let ds = tiny(gen::GraphPattern::PowerLaw);
     assert_model_all_schedulers_identical(&fuseflow_models::gcn(&ds, 8, 4, 17));
 }
 
 #[test]
 fn model_zoo_graphsage_cross_scheduler_bit_identical() {
-    let ds = fuseflow_models::GraphDataset {
-        name: "tiny",
-        nodes: 16,
-        feats: 8,
-        density: 0.15,
-        pattern: gen::GraphPattern::Uniform,
-    };
+    let ds = tiny(gen::GraphPattern::Uniform);
     assert_model_all_schedulers_identical(&fuseflow_models::graphsage(&ds, 8, 4, 19));
 }
 
@@ -533,9 +526,9 @@ fn model_zoo_map_stack_cross_scheduler_bit_identical() {
 /// drain rates: straight into a writer, into a deep chain of unary ALUs,
 /// and twice into a tile matmul that holds its ALU for `B` cycles per tile.
 /// At channel capacity 1 and 2 the matmul's input channels sit full while
-/// the other branches are empty, so `flush_phase` (clone into all but the
-/// last fan-out channel, move into the last) runs with one branch full and
-/// the others not; the coordinate streams fan out three ways as well. The
+/// the other branches are empty, so `flush_phase` (send to every fan-out
+/// channel of the port or to none) runs with one branch full and the others
+/// not; the coordinate streams fan out three ways as well. The
 /// chain is deep enough that holding its last tile back behind the matmul
 /// lengthens the run, which is how the test sees the backpressure.
 #[test]
@@ -599,5 +592,112 @@ fn fanout_flush_under_backpressure_cross_scheduler_bit_identical() {
             tight.stats.cycles,
             roomy.stats.cycles
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Tight-capacity timing, pinned
+// ---------------------------------------------------------------------------
+
+/// How a run ended: completed in this many cycles, or deadlocked at this
+/// cycle of the region that got stuck.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum End {
+    C(u64),
+    D(u64),
+}
+use End::{C, D};
+
+const TIGHT_CAPACITIES: [usize; 4] = [1, 2, 3, 8];
+
+/// `(model, fusion, location)` and how the run ends at each of
+/// [`TIGHT_CAPACITIES`], recorded before the output queues moved into the
+/// channels. Event ≡ Sweep cannot see a flush or backpressure bug (the two
+/// loops share `Rt::step`) and every recorded snapshot runs at capacity 256,
+/// where a channel is never full, so these rows are what holds the
+/// one-token-per-port-per-cycle, all-or-none-across-fan-out rule in place.
+/// On a mismatch the test prints the whole table as it now comes out.
+#[rustfmt::skip]
+const TIGHT_PINNED: &[(&str, &str, &str, [End; 4])] = &[
+    ("sae/sae", "unfused", "dram", [C(14908), C(12126), C(10146), C(6660)]),
+    ("sae/sae", "unfused", "onchip", [C(2265), C(1776), C(1732), C(1732)]),
+    ("sae/sae", "partial", "dram", [C(11853), C(9692), C(7826), C(4440)]),
+    ("sae/sae", "partial", "onchip", [C(1724), C(1212), C(1168), C(1168)]),
+    ("sae/sae", "full", "dram", [C(117569), C(86977), C(59621), C(33702)]),
+    ("sae/sae", "full", "onchip", [C(15267), C(10034), C(9268), C(9012)]),
+    ("gcn/tiny", "unfused", "dram", [D(269), C(45150), C(35608), C(22320)]),
+    ("gcn/tiny", "unfused", "onchip", [D(93), C(6224), C(6134), C(6014)]),
+    ("gcn/tiny", "partial", "dram", [D(269), D(2837), D(2256), C(11579)]),
+    ("gcn/tiny", "partial", "onchip", [D(93), D(355), D(331), C(3063)]),
+    ("gcn/tiny", "full", "dram", [D(273), D(47164), D(29962), C(79647)]),
+    ("gcn/tiny", "full", "onchip", [D(97), D(4606), D(4251), C(20752)]),
+    ("graphsage/tiny", "unfused", "dram", [D(272), C(67889), C(51540), C(31983)]),
+    ("graphsage/tiny", "unfused", "onchip", [D(67), C(8886), C(8741), C(8573)]),
+    ("graphsage/tiny", "partial", "dram", [D(659), D(2745), D(2732), C(11041)]),
+    ("graphsage/tiny", "partial", "onchip", [D(77), D(350), D(387), C(2928)]),
+    ("graphsage/tiny", "full", "dram", [D(665), D(45139), D(40925), C(80697)]),
+    ("graphsage/tiny", "full", "onchip", [D(83), D(4471), D(5710), C(20915)]),
+    ("bigbird-attn/b4", "unfused", "dram", [C(14170), C(11657), C(9970), C(8388)]),
+    ("bigbird-attn/b4", "unfused", "onchip", [C(2460), C(2228), C(2214), C(2214)]),
+    ("bigbird-attn/b4", "partial", "dram", [D(87), D(437), D(512), D(884)]),
+    ("bigbird-attn/b4", "partial", "onchip", [D(23), D(106), D(128), D(226)]),
+    ("bigbird-attn/b4", "full", "dram", [D(87), D(290), D(352), D(2011)]),
+    ("bigbird-attn/b4", "full", "onchip", [D(23), D(68), D(92), D(540)]),
+    ("map_stack_16x9", "unfused", "dram", [C(6507), C(6606), C(6516), C(6579)]),
+    ("map_stack_16x9", "unfused", "onchip", [C(1710), C(1710), C(1710), C(1710)]),
+    ("map_stack_16x9", "partial", "dram", [C(2175), C(2208), C(2178), C(2199)]),
+    ("map_stack_16x9", "partial", "onchip", [C(576), C(576), C(576), C(576)]),
+    ("map_stack_16x9", "full", "dram", [C(731), C(742), C(732), C(739)]),
+    ("map_stack_16x9", "full", "onchip", [C(198), C(198), C(198), C(198)]),
+];
+
+#[test]
+fn tight_capacity_cycles_and_deadlocks_are_pinned() {
+    use fuseflow_core::pipeline::{compile_at, run, PipelineError};
+    use fuseflow_models::Fusion;
+    let models = [
+        fuseflow_models::sae("sae", 16, 8, 4, 0.4, 13),
+        fuseflow_models::gcn(&tiny(gen::GraphPattern::PowerLaw), 8, 4, 17),
+        fuseflow_models::graphsage(&tiny(gen::GraphPattern::Uniform), 8, 4, 19),
+        fuseflow_models::gpt_attention(8, 4, 4, 23),
+        fuseflow_models::map_stack(16, 9, 0.3, 29),
+    ];
+    let mut got = Vec::new();
+    for m in &models {
+        for fusion in Fusion::ALL {
+            for (loc_name, location) in
+                [("dram", MemLocation::Dram), ("onchip", MemLocation::OnChip)]
+            {
+                let compiled = compile_at(&m.program, &m.schedule(fusion), location).unwrap();
+                let ends = TIGHT_CAPACITIES.map(|channel_capacity| {
+                    let [event, sweep] = ALL_SCHEDULERS.map(|scheduler| {
+                        let cfg = SimConfig { channel_capacity, scheduler, ..SimConfig::default() };
+                        match run(&m.program, &compiled, &m.inputs, &cfg) {
+                            Ok(r) => Ok((r.stats.semantic(), r.outputs)),
+                            Err(PipelineError::Sim(SimError::Deadlock { cycle, detail })) => {
+                                Err((cycle, detail))
+                            }
+                            Err(e) => panic!("{}, {fusion}, {loc_name}: {e}", m.name),
+                        }
+                    });
+                    let case =
+                        format!("{}, {fusion}, {loc_name}, capacity {channel_capacity}", m.name);
+                    assert_eq!(event, sweep, "{case}: event vs sweep");
+                    match event {
+                        Ok((stats, _)) => C(stats.cycles),
+                        Err((cycle, _)) => D(cycle),
+                    }
+                });
+                got.push((m.name.clone(), fusion.to_string(), loc_name, ends));
+            }
+        }
+    }
+    let same = got.len() == TIGHT_PINNED.len()
+        && got.iter().zip(TIGHT_PINNED).all(|(g, p)| (g.0.as_str(), g.1.as_str(), g.2, g.3) == *p);
+    if !same {
+        for (model, fusion, loc, ends) in &got {
+            println!("    ({model:?}, {fusion:?}, {loc:?}, {ends:?}),");
+        }
+        panic!("tight-capacity cycles moved; the table as it now comes out is printed above");
     }
 }

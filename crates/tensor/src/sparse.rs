@@ -93,6 +93,19 @@ impl Level {
             Level::Compressed { pos, .. } => pos[parent + 1] - pos[parent],
         }
     }
+
+    /// The `k`-th `(coordinate, child position)` pair of the fiber under
+    /// `parent`, for `k < fiber_len(parent)`: what [`fiber`](Self::fiber)
+    /// yields `k`-th, without the iterator.
+    pub fn fiber_entry(&self, parent: usize, k: usize) -> (Crd, usize) {
+        match self {
+            Level::Dense { size } => (k as Crd, parent * size + k),
+            Level::Compressed { pos, crd, .. } => {
+                let p = pos[parent] + k;
+                (crd[p], p)
+            }
+        }
+    }
 }
 
 /// Iterator over one fiber's `(coordinate, child position)` pairs.
@@ -634,6 +647,18 @@ mod tests {
         assert_eq!(row0.iter().map(|x| x.0).collect::<Vec<_>>(), vec![0, 2]);
         // Row 1 is empty.
         assert_eq!(s.level(1).fiber_len(1), 0);
+        // Indexed access agrees with iteration, on the dense and the
+        // compressed level.
+        for (lvl, parents) in [(0, 1), (1, 3)] {
+            for parent in 0..parents {
+                let level = s.level(lvl);
+                let fiber: Vec<(Crd, usize)> = level.fiber(parent).collect();
+                assert_eq!(fiber.len(), level.fiber_len(parent));
+                for (k, entry) in fiber.iter().enumerate() {
+                    assert_eq!(level.fiber_entry(parent, k), *entry, "level {lvl}, fiber {parent}");
+                }
+            }
+        }
     }
 
     #[test]
