@@ -13,6 +13,8 @@
 //! Event ≡ Sweep is held by `crates/sim/tests/determinism.rs`, not here.
 //!
 //! `samcheck` (explicit only, one size) is the static-lint gate over the zoo.
+//! A figure may also gate its own shape ([`shape_gate`], exit 1): `fig13`
+//! wants every kernel strictly slower on the FPGA backend and R² ≥ 0.95.
 //!
 //! Flags:
 //!
@@ -251,7 +253,36 @@ fn fig13(o: Opts) -> Points {
     }
     writeln!(csv, "r2,{r2:.4},").unwrap();
     o.save("fig13", &csv);
+    shape_gate("fig13", &fig13_shape(&pairs, r2));
     points
+}
+
+/// What is broken of Fig 13's shape: every kernel is strictly slower on the
+/// FPGA backend than on Comal (its `ii_extra` and slower tile ALU must cost
+/// something, or the two backends have merged), and the two agree in trend.
+fn fig13_shape(pairs: &[(f64, f64, String)], r2: f64) -> Vec<String> {
+    let mut broken: Vec<String> = pairs
+        .iter()
+        .filter(|(comal, fpga, _)| fpga <= comal)
+        .map(|(comal, fpga, k)| format!("{k}: fpga {fpga} cycles is not above comal {comal}"))
+        .collect();
+    if r2.is_nan() || r2 < 0.95 {
+        broken.push(format!("R^2 = {r2:.3} is below 0.95"));
+    }
+    broken
+}
+
+/// The figure-shape gate: a figure whose qualitative claim no longer holds
+/// ends the run (exit 1) before a snapshot is written, so that committing
+/// regenerated numbers cannot enshrine it.
+fn shape_gate(figure: &str, broken: &[String]) {
+    if broken.is_empty() {
+        return;
+    }
+    for b in broken {
+        eprintln!("{figure}: shape gate: {b}");
+    }
+    std::process::exit(1);
 }
 
 /// Fig 14: GCN FLOPs / bytes normalized to unfused + operational intensity.
@@ -880,5 +911,24 @@ fn main() {
     if samcheck_errors > 0 {
         eprintln!("samcheck: failing with {samcheck_errors} error-severity diagnostic(s)");
         std::process::exit(2);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fig13_shape;
+
+    #[test]
+    fn fig13_shape_wants_fpga_strictly_slower_and_trend_agreement() {
+        let pairs = |p: &[(f64, f64)]| -> Vec<(f64, f64, String)> {
+            p.iter().enumerate().map(|(i, &(c, f))| (c, f, format!("k{i}"))).collect()
+        };
+        assert!(fig13_shape(&pairs(&[(384.0, 419.0), (2442.0, 3604.0)]), 0.95).is_empty());
+        // Equal is merged, not slower.
+        let merged = fig13_shape(&pairs(&[(384.0, 384.0), (2442.0, 3604.0)]), 0.99);
+        assert_eq!(merged.len(), 1, "{merged:?}");
+        assert!(merged[0].starts_with("k0:"), "{merged:?}");
+        assert_eq!(fig13_shape(&pairs(&[(1.0, 2.0)]), 0.949).len(), 1);
+        assert_eq!(fig13_shape(&pairs(&[(1.0, 2.0)]), f64::NAN).len(), 1);
     }
 }

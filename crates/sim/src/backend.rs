@@ -27,8 +27,10 @@ pub struct TimingConfig {
     /// retires one elementwise tile per cycle and a tile matmul in `b`
     /// cycles).
     pub block_lanes_factor: f64,
-    /// Extra initiation-interval cycles per token for each node kind
-    /// (Comal: fully pipelined II=1 everywhere, so all zero).
+    /// Extra initiation-interval cycles per action for each node kind, on
+    /// top of the engine's II of 1 (a node that acted at cycle `t` acts
+    /// again at `t + 1 + ii_extra` at the earliest; it still sends and
+    /// retires meanwhile). Comal is fully pipelined, so all zero.
     pub ii_extra: fn(&NodeKind) -> u64,
 }
 
@@ -37,8 +39,9 @@ fn ii_comal(_kind: &NodeKind) -> u64 {
 }
 
 fn ii_fpga(kind: &NodeKind) -> u64 {
-    // Post-synthesis HLS operators are not perfectly pipelined: joiners and
-    // accumulators close timing at II 2-3, scanners at II 2.
+    // Post-synthesis HLS operators are not perfectly pipelined: joiners
+    // close timing at II 3, sparse accumulators at II 4, scanners and
+    // reducers at II 2 (one more than the extra cycles below).
     match kind {
         NodeKind::Intersect | NodeKind::Union => 2,
         NodeKind::Spacc1 { .. } => 3,

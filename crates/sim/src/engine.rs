@@ -1,12 +1,22 @@
 //! The cycle-level simulation engine (Comal analogue).
 //!
 //! Every SAMML node is a state machine; a step first *flushes* previously
-//! produced tokens (at most one per output port per cycle — the fully
-//! pipelined II=1 rate of SAM/Comal), then retires completed memory
-//! requests, then performs at most one *action* (consume input tokens,
-//! produce output tokens, issue DRAM requests). Bounded channels provide
-//! backpressure; a [`Dram`] model serializes bandwidth. Simulation ends
-//! when every writer has received `Done`.
+//! produced tokens (at most one per output port per cycle), then *retires*
+//! completed memory requests onto their output ports, then performs at most
+//! one *action* (consume input tokens, produce output tokens, issue DRAM
+//! requests). Bounded channels provide backpressure; a [`Dram`] model
+//! serializes bandwidth. Simulation ends when every writer has received
+//! `Done`.
+//!
+//! **II = 1.** A node may act when the flush left nothing staged; what the
+//! same step then retires does not hold the action back. A scanner or an
+//! array therefore sends, retires and issues in every cycle, and an on-chip
+//! pipeline moves one token per port per cycle, the fully pipelined rate of
+//! SAM/Comal. A token the flush could not send (a full channel) does hold
+//! the node, so backpressure stops it, and a backend that wants a longer
+//! initiation interval asks for it per node kind
+//! ([`TimingConfig::ii_extra`]). `crates/sim/tests/throughput.rs` holds the
+//! rate; ARCHITECTURE.md, "II = 1".
 //!
 //! A token is written once. An action appends what it produces to the tail
 //! of every fan-out channel of the port, *staged* behind the channel's

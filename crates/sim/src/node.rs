@@ -204,10 +204,11 @@ impl Rt {
         (progress, flush_blocked)
     }
 
-    /// Phase 3: one action, if not busy and nothing is staged.
+    /// Phase 3: one action, if not busy and the flush left nothing staged
+    /// (`clear`, read in [`step`](Self::step) before the retire).
     #[inline]
-    fn act_phase(&mut self, ctx: &mut Ctx) -> Result<bool, SimError> {
-        if self.done || ctx.now < self.busy_until || self.n_staged > 0 {
+    fn act_phase(&mut self, ctx: &mut Ctx, clear: bool) -> Result<bool, SimError> {
+        if self.done || ctx.now < self.busy_until || !clear {
             return Ok(false);
         }
         let acted = self.action(ctx)?;
@@ -220,12 +221,24 @@ impl Rt {
         Ok(acted)
     }
 
+    /// One cycle of this node: flush, retire, act.
+    ///
+    /// Whether the node may act is decided between the flush and the retire
+    /// (`clear`): a token the flush could not send, or more than one per port
+    /// left by an earlier action, holds the node back; what this step retires
+    /// does not. So a scanner or an array that sent last cycle's token can
+    /// retire the next one and issue a further request in the same cycle
+    /// (II = 1), while a node facing a full channel stops issuing. At most
+    /// one retire batch (bounded by `outstanding`) plus one action's output
+    /// is ever staged behind a token that cannot leave.
     pub(crate) fn step(&mut self, ctx: &mut Ctx) -> Result<StepOutcome, SimError> {
         // Phase 1: send one staged token per output port.
         let (mut progress, flush_blocked) = self.flush_phase(ctx);
+        let clear = self.n_staged == 0;
 
         // Phase 2: retire completed memory requests onto their output ports
-        // (or drop them, for writers).
+        // (or drop them, for writers). They are staged here and sent by the
+        // next step's flush.
         while let Some((_, ready, _)) = self.pending_mem.front() {
             if *ready > ctx.now {
                 break;
@@ -237,8 +250,8 @@ impl Rt {
             progress = true;
         }
 
-        // Phase 3: one action, if not busy and nothing is staged.
-        progress |= self.act_phase(ctx)?;
+        // Phase 3: one action, if not busy and the flush left nothing staged.
+        progress |= self.act_phase(ctx, clear)?;
 
         // Classify. A no-progress step never mutates node or channel state
         // (actions commit only after every precondition peek succeeds), so
@@ -306,7 +319,9 @@ impl Rt {
         if emitting {
             let State::Scan(s) = &self.state else { unreachable!() };
             if s.fidx < s.len {
-                if self.pending_mem.len() >= outstanding {
+                // One request per element; it sits in the queue as a
+                // (crd, ref) pair of entries.
+                if self.pending_mem.len() >= 2 * outstanding {
                     return Ok(false);
                 }
                 let ready = if compressed && in_dram {
