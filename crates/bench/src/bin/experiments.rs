@@ -1,31 +1,27 @@
 //! Regenerates every table and figure of the FuseFlow evaluation
 //! (Section 8). Run `experiments all` or a specific id (`fig12`,
 //! `table4`, ...); an unknown id is refused before anything runs (exit 2,
-//! listing the valid ones). Results print as aligned text and are written as
-//! CSV under `results/` (`results/quick/` with `--quick`).
+//! listing the valid ones). Every figure has one size, and a figure function
+//! only builds its models, runs them and returns its [`Table`]s: `main`
+//! prints each as aligned text, writes it as `results/<name>.csv`, checks
+//! its shape gate ([`shape_gate`], exit 1) and collects its rows' cycles.
 //!
 //! `all` also writes every simulated cycle count as one flat, key-sorted
-//! `{"figure/label": cycles}` map ([`snapshot_json`]): the full-size run to
-//! `BENCH_sim.json`, the `--quick` run to `results/quick_cycles.json`. The
-//! files hold nothing host-dependent, so regenerating one is a no-op unless
-//! a cycle moved, and CI gates both with `git diff --exit-code`; a write that
-//! fails panics with the path. Seconds are measured by `benchmark/` only, and
-//! Event ≡ Sweep is held by `crates/sim/tests/determinism.rs`, not here.
+//! `{"figure/label": cycles}` map ([`snapshot_json`]) to `BENCH_sim.json`.
+//! The file holds nothing host-dependent, so regenerating it is a no-op
+//! unless a cycle moved, and CI gates it with `git diff --exit-code`; a write
+//! that fails panics with the path. Seconds are measured by `benchmark/`
+//! only, and Event ≡ Sweep is held by `crates/sim/tests/determinism.rs`, not
+//! here.
 //!
-//! `samcheck` (explicit only, one size) is the static-lint gate over the zoo.
-//! A figure may also gate its own shape ([`shape_gate`], exit 1): `fig13`
-//! wants every kernel strictly slower on the FPGA backend and R² ≥ 0.95.
+//! `samcheck` (explicit only) is the static-lint gate over the zoo.
 //!
-//! Flags:
-//!
-//! * `--quick`   tiny instances, one point per sweep — the CI smoke mode.
-//! * `--threads N`  worker threads for the sweep pool (default: all cores).
-//!
-//! Independent simulation points within each sweep run on the shared
+//! `--threads N` sets the worker threads of the sweep pool (default: all
+//! cores). Independent simulation points within each sweep run on the shared
 //! [`parallel_map`] worker pool; results are collected in point order, so
 //! the printed tables, CSVs and snapshots are identical for any thread count.
 
-use fuseflow_bench::{parallel_map, snapshot_json};
+use fuseflow_bench::{parallel_map, snapshot_json, Table};
 use fuseflow_core::estimate;
 use fuseflow_core::fuse_region;
 use fuseflow_core::pipeline::{compile, compile_at, compile_with, fiber_upper_bound, run};
@@ -38,26 +34,15 @@ use fuseflow_sam::MemLocation;
 use fuseflow_sim::{SimConfig, Stats, TimingConfig};
 use fuseflow_tensor::gen::GraphPattern;
 use fuseflow_verify::{verify_graph, VerifyConfig, VerifyOptions};
-use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::{Display, Write as _};
 use std::time::Instant;
 
 /// Sweep-wide options parsed from the command line.
 #[derive(Debug, Clone, Copy)]
 struct Opts {
-    /// Tiny sizes, one point per sweep (CI smoke mode).
-    quick: bool,
     /// Worker threads for the sweep pool.
     threads: usize,
-}
-
-impl Opts {
-    /// Writes one figure's CSV. A `--quick` run keeps out of the full-size
-    /// run's files (`results/autotune.csv` is tracked).
-    fn save(self, name: &str, content: &str) {
-        let dir = if self.quick { "results/quick" } else { "results" };
-        write_file(&format!("{dir}/{name}.csv"), content);
-    }
 }
 
 /// Writes an output file, creating its directory. CI gates the tracked ones
@@ -70,65 +55,129 @@ fn write_file(path: &str, content: &str) {
         .unwrap_or_else(|e| panic!("write {path}: {e}"));
 }
 
-/// The deterministic per-point cycle counts a figure contributes to the
-/// snapshot (label -> simulated cycles).
-type Points = Vec<(String, u64)>;
-
 fn sim() -> SimConfig {
     SimConfig::default()
 }
 
-fn run_model(m: &ModelInstance, schedule: &Schedule) -> Stats {
-    let compiled = compile(&m.program, schedule).unwrap_or_else(|e| panic!("{}: {e}", m.name));
-    run(&m.program, &compiled, &m.inputs, &sim())
+fn run_model(m: &ModelInstance, schedule: &Schedule, location: MemLocation) -> Stats {
+    compile_at(&m.program, schedule, location)
+        .and_then(|compiled| run(&m.program, &compiled, &m.inputs, &sim()))
         .unwrap_or_else(|e| panic!("{}: {e}", m.name))
         .stats
 }
 
-fn run_model_on_chip(m: &ModelInstance, schedule: &Schedule) -> Stats {
-    let compiled = compile_at(&m.program, schedule, MemLocation::OnChip)
-        .unwrap_or_else(|e| panic!("{}: {e}", m.name));
-    run(&m.program, &compiled, &m.inputs, &sim())
-        .unwrap_or_else(|e| panic!("{}: {e}", m.name))
-        .stats
+/// `m` at each fusion granularity with its tensors in DRAM, unfused (the
+/// baseline of every ratio) first.
+fn fusion_sweep(m: &ModelInstance) -> [(Fusion, Stats); 3] {
+    Fusion::ALL.map(|f| (f, run_model(m, &m.schedule(f), MemLocation::Dram)))
+}
+
+/// The columns [`fusion_rows`] fills after a figure's own leading ones.
+/// `speedup` is unfused ÷ this row in cycles; `flops_rel` and `bytes_rel`
+/// are this row ÷ unfused.
+macro_rules! fusion_columns {
+    ($($lead:literal),*) => {
+        &[$($lead,)* "fusion", "cycles", "speedup", "flops", "dram_bytes", "flops_rel",
+          "bytes_rel", "op_intensity"]
+    };
+}
+
+/// Appends one row per granularity of `sweep`, labelled `lead/../fusion`.
+fn fusion_rows(t: &mut Table, lead: &[&dyn Display], sweep: &[(Fusion, Stats); 3]) {
+    let base = &sweep[0].1;
+    let label: String = lead.iter().map(|l| format!("{l}/")).collect();
+    for (f, s) in sweep {
+        let own: [&dyn Display; 7] = [
+            f,
+            &ratio(base.cycles, s.cycles),
+            &s.flops,
+            &s.dram_bytes(),
+            &ratio(s.flops, base.flops),
+            &ratio(s.dram_bytes(), base.dram_bytes()),
+            &format!("{:.3}", s.operational_intensity()),
+        ];
+        t.point(format!("{label}{f}"), Some(s.cycles), &[lead, &own].concat());
+    }
+}
+
+/// `a / b` as a table cell.
+fn ratio(a: u64, b: u64) -> String {
+    format!("{:.3}", a as f64 / b as f64)
+}
+
+/// `ds` with its nodes and features divided by `div`.
+fn shrunk(ds: &GraphDataset, div: usize) -> GraphDataset {
+    GraphDataset { nodes: ds.nodes / div, feats: ds.feats / div, ..*ds }
+}
+
+/// The ogbl-collab stand-in of Fig 4b, Table 3 and the autotune table.
+fn collab() -> GraphDataset {
+    GraphDataset {
+        name: "collab",
+        nodes: 96,
+        feats: 24,
+        density: 0.03,
+        pattern: GraphPattern::PowerLaw,
+    }
+}
+
+/// What is broken of "the rows labelled `labels` all ran, each in strictly
+/// more cycles than the one before it".
+fn ascending(t: &Table, labels: &[impl AsRef<str>]) -> Vec<String> {
+    let mut broken = Vec::new();
+    for pair in labels.windows(2) {
+        let (below, above) = (pair[0].as_ref(), pair[1].as_ref());
+        match (t.cycles(below), t.cycles(above)) {
+            (Some(lo), Some(hi)) if lo < hi => {}
+            (lo, hi) => {
+                broken.push(format!("{below} at {lo:?} cycles is not below {above} at {hi:?}"));
+            }
+        }
+    }
+    broken
+}
+
+/// The figure-shape gate: a table whose qualitative claim no longer holds
+/// ends the run (exit 1) before a snapshot is written, so that committing
+/// regenerated numbers cannot enshrine it.
+fn shape_gate(t: &Table) {
+    let broken = t.gate.map_or(Vec::new(), |gate| gate(t));
+    if broken.is_empty() {
+        return;
+    }
+    for b in broken {
+        eprintln!("{}: shape gate: {b}", t.name);
+    }
+    std::process::exit(1);
 }
 
 /// Fig 1: roofline-model GPU utilization for GCN inference (substitution:
 /// analytical RTX-5090-class device; ARCHITECTURE.md "Substitutions").
-fn fig1(o: Opts) -> Points {
-    println!("\n== Fig 1: GPU SM/DRAM utilization for GCN inference (roofline model) ==");
-    let mut csv = String::from("dataset,sm_util_pct,mem_util_pct\n");
+fn fig1(_: Opts) -> Vec<Table> {
+    let mut t = Table::new(
+        "fig1",
+        "Fig 1: GPU SM/DRAM utilization for GCN inference (roofline model)",
+        &["dataset", "sm_util_pct", "mem_util_pct"],
+    );
     // RTX-5090-class peaks: ~105 TFLOP/s FP32, ~1.8 TB/s DRAM, ~2.6 GHz.
     let (peak_flops, peak_bw) = (105e12, 1.79e12);
-    let datasets: Vec<_> =
-        GRAPH_DATASETS.iter().take(if o.quick { 1 } else { usize::MAX }).collect();
-    for ds in datasets {
+    for ds in &GRAPH_DATASETS {
         let m = gcn(ds, 32, 16, 42);
         let est = estimate(&m.program, &Schedule::unfused(), &m.inputs);
         // Kernel-launch-bound time: each of the model's kernels needs at
         // least one ~3us launch+sync on small sparse workloads.
         let kernels = m.program.exprs().len() as f64;
-        let t = (est.flops / peak_flops + est.bytes / peak_bw).max(kernels * 3e-6);
-        let sm = 100.0 * est.flops / (t * peak_flops);
-        let mem = 100.0 * est.bytes / (t * peak_bw);
-        println!("  {:10} SM {:6.2}%   Mem {:6.3}%", ds.name, sm, mem);
-        writeln!(csv, "{},{:.4},{:.4}", ds.name, sm, mem).unwrap();
+        let t_s = (est.flops / peak_flops + est.bytes / peak_bw).max(kernels * 3e-6);
+        let sm = 100.0 * est.flops / (t_s * peak_flops);
+        let mem = 100.0 * est.bytes / (t_s * peak_bw);
+        t.row(&[&ds.name, &format!("{sm:.4}"), &format!("{mem:.4}")]);
     }
-    o.save("fig1", &csv);
-    Vec::new()
+    vec![t]
 }
 
 /// Fig 4b / §8.4: prior-compiler comparison on GCN/collab.
-fn fig4b(o: Opts) -> Points {
-    println!("\n== Fig 4b: C+S (unfused) vs C+S (rewrite) vs FuseFlow, GCN ==");
-    let ds = GraphDataset {
-        name: "collab",
-        nodes: if o.quick { 32 } else { 96 },
-        feats: if o.quick { 8 } else { 24 },
-        density: 0.03,
-        pattern: GraphPattern::PowerLaw,
-    };
-    let m = gcn(&ds, 16, 8, 7);
+fn fig4b(o: Opts) -> Vec<Table> {
+    let m = gcn(&collab(), 16, 8, 7);
     let configs: Vec<(&str, Schedule)> = vec![
         ("C+S (unfused)", Schedule::unfused()),
         // C+S rewrite: the user hand-composes the two matmuls of each layer
@@ -137,75 +186,76 @@ fn fig4b(o: Opts) -> Points {
         ("C+S (rewrite)", Schedule::regions(vec![0..2, 4..6]).with_global_iteration()),
         ("FuseFlow", m.schedule(Fusion::Partial)),
     ];
-    let cycles =
-        parallel_map(o.threads, configs, |(name, sched)| (name, run_model(&m, &sched).cycles));
+    let cycles = parallel_map(o.threads, configs, |(name, sched)| {
+        (name, run_model(&m, &sched, MemLocation::Dram).cycles)
+    });
+    let mut t = Table::new(
+        "fig4b",
+        "Fig 4b: C+S (unfused) vs C+S (rewrite) vs FuseFlow, GCN",
+        &["config", "cycles", "speedup"],
+    );
     let unfused = cycles[0].1;
-    let mut csv = String::from("config,cycles,speedup\n");
-    let mut points = Points::new();
     for (name, c) in cycles {
-        println!("  {:15} {:>12} cycles   speedup {:.2}x", name, c, unfused as f64 / c as f64);
-        writeln!(csv, "{},{},{:.3}", name, c, unfused as f64 / c as f64).unwrap();
-        points.push((name.to_string(), c));
+        t.point(name, Some(c), &[&name, &ratio(unfused, c)]);
     }
-    o.save("fig4b", &csv);
-    points
+    t.gate = Some(fig4b_shape);
+    vec![t]
+}
+
+/// Fig 4b's claim: FuseFlow beats both prior-compiler baselines.
+fn fig4b_shape(t: &Table) -> Vec<String> {
+    let mut broken = ascending(t, &["FuseFlow", "C+S (unfused)"]);
+    broken.extend(ascending(t, &["FuseFlow", "C+S (rewrite)"]));
+    broken
 }
 
 /// Fig 12: fusion granularity sweep across the four model classes.
-fn fig12(o: Opts) -> Points {
-    println!("\n== Fig 12: fusion effect across models (speedup over unfused) ==");
-    let mut models: Vec<(String, String, ModelInstance)> = Vec::new();
-    let sae_take = if o.quick { 1 } else { 2 };
-    for (name, n_in, batch) in SAE_DATASETS.iter().take(sae_take) {
-        let scale = if o.quick { 16 } else { 8 };
-        models.push(("sae".into(), (*name).into(), sae(name, *n_in / scale, 48, *batch, 0.5, 11)));
+fn fig12(o: Opts) -> Vec<Table> {
+    let mut models: Vec<(&str, String, ModelInstance)> = Vec::new();
+    for (name, n_in, batch) in SAE_DATASETS.iter().take(2) {
+        models.push(("sae", (*name).into(), sae(name, *n_in / 8, 48, *batch, 0.5, 11)));
     }
-    let graph_take = if o.quick { 1 } else { 3 };
-    for ds in GRAPH_DATASETS.iter().take(graph_take) {
-        let div = if o.quick { 4 } else { 2 };
-        let small = GraphDataset { nodes: ds.nodes / div, feats: ds.feats / div, ..*ds };
-        models.push(("gcn".into(), ds.name.into(), gcn(&small, 16, 8, 21)));
-        if !o.quick {
-            models.push(("graphsage".into(), ds.name.into(), graphsage(&small, 16, 8, 23)));
-        }
+    for ds in GRAPH_DATASETS.iter().take(3) {
+        let small = shrunk(ds, 2);
+        models.push(("gcn", ds.name.into(), gcn(&small, 16, 8, 21)));
+        models.push(("graphsage", ds.name.into(), graphsage(&small, 16, 8, 23)));
     }
-    let blocks: &[usize] = if o.quick { &[16] } else { &[16, 32, 64] };
-    for &block in blocks {
-        let seq = if o.quick { 64 } else { 128 };
-        models.push((
-            "gpt3-bigbird".into(),
-            format!("block{block}"),
-            gpt_decoder(seq, 16, block, 31),
-        ));
+    for block in [16, 32, 64] {
+        models.push(("gpt3-bigbird", format!("block{block}"), gpt_decoder(128, 16, block, 31)));
     }
     // Each model sweeps its fusion granularities on one pool worker; model
     // sweeps are independent, so they fan out across the pool.
-    let rows = parallel_map(o.threads, models, |(model, dsname, m)| {
-        let base = run_model(&m, &m.schedule(Fusion::Unfused)).cycles;
-        let per: Vec<(Fusion, u64)> =
-            Fusion::ALL.iter().map(|&f| (f, run_model(&m, &m.schedule(f)).cycles)).collect();
-        (model, dsname, base, per)
-    });
-    let mut csv = String::from("model,dataset,fusion,cycles,speedup\n");
-    let mut points = Points::new();
-    for (model, dsname, base, per) in rows {
-        for (f, c) in per {
-            println!(
-                "  {model:10} {dsname:10} {f:8} {:>12} cycles  {:.2}x",
-                c,
-                base as f64 / c as f64
-            );
-            writeln!(csv, "{model},{dsname},{f},{c},{:.3}", base as f64 / c as f64).unwrap();
-            points.push((format!("{model}/{dsname}/{f}"), c));
-        }
+    let sweeps =
+        parallel_map(o.threads, models, |(model, dsname, m)| (model, dsname, fusion_sweep(&m)));
+    let mut t = Table::new(
+        "fig12",
+        "Fig 12: fusion effect across models (speedup over unfused)",
+        fusion_columns!("model", "dataset"),
+    );
+    for (model, dsname, sweep) in sweeps {
+        fusion_rows(&mut t, &[&model, &dsname], &sweep);
     }
-    o.save("fig12", &csv);
-    points
+    t.gate = Some(fig12_shape);
+    vec![t]
+}
+
+/// Fig 12's claims that hold today: partial fusion beats unfused on every
+/// model, and on GPT-3/BigBird full fusion beats partial. The `full` rows
+/// of the GNNs and the SAE are the recomputation cliff (ARCHITECTURE.md,
+/// "What full fusion recomputes") and are not gated until it is fixed.
+fn fig12_shape(t: &Table) -> Vec<String> {
+    let mut broken = Vec::new();
+    for point in t.rows.iter().filter_map(|r| r.label.strip_suffix("/unfused")) {
+        let [full, partial, unfused] =
+            ["full", "partial", "unfused"].map(|f| format!("{point}/{f}"));
+        let gated = if point.starts_with("gpt3-bigbird/") { 0.. } else { 1.. };
+        broken.extend(ascending(t, &[full, partial, unfused][gated]));
+    }
+    broken
 }
 
 /// Fig 13: Comal vs FPGA-RTL backend latency correlation (R^2).
-fn fig13(o: Opts) -> Points {
-    println!("\n== Fig 13: Comal vs FPGA-RTL backend trend agreement ==");
+fn fig13(o: Opts) -> Vec<Table> {
     let ds = GraphDataset {
         name: "karate",
         nodes: 34,
@@ -213,11 +263,11 @@ fn fig13(o: Opts) -> Points {
         density: 0.14,
         pattern: GraphPattern::Uniform,
     };
-    let mut kernels: Vec<(String, ModelInstance)> =
-        vec![("gcn".into(), gcn(&ds, 8, 4, 3)), ("graphsage".into(), graphsage(&ds, 8, 4, 5))];
-    if !o.quick {
-        kernels.push(("gpt3".into(), gpt_attention(32, 8, 8, 7)));
-    }
+    let kernels: Vec<(&str, ModelInstance)> = vec![
+        ("gcn", gcn(&ds, 8, 4, 3)),
+        ("graphsage", graphsage(&ds, 8, 4, 5)),
+        ("gpt3", gpt_attention(32, 8, 8, 7)),
+    ];
     let per_kernel = parallel_map(o.threads, kernels, |(name, m)| {
         // Per-kernel latency (unfused singleton regions) on both backends,
         // tensors pinned on-chip like the paper's BRAM-resident kernels.
@@ -225,252 +275,226 @@ fn fig13(o: Opts) -> Points {
         let comal = run(&m.program, &compiled, &m.inputs, &sim()).unwrap();
         let fpga_cfg = SimConfig { timing: TimingConfig::fpga_rtl(), ..sim() };
         let fpga = run(&m.program, &compiled, &m.inputs, &fpga_cfg).unwrap();
-        comal
-            .per_region
-            .iter()
-            .zip(&fpga.per_region)
-            .enumerate()
-            .map(|(i, (c, f))| (c.cycles as f64, f.cycles as f64, format!("{name}/k{i}")))
-            .collect::<Vec<_>>()
+        let regions = comal.per_region.iter().zip(&fpga.per_region).enumerate();
+        regions.map(|(i, (c, f))| (format!("{name}/k{i}"), c.cycles, f.cycles)).collect::<Vec<_>>()
     });
-    let pairs: Vec<(f64, f64, String)> = per_kernel.into_iter().flatten().collect();
-    // R^2 of log-latencies across kernels.
-    let xs: Vec<f64> = pairs.iter().map(|p| p.0.ln()).collect();
-    let ys: Vec<f64> = pairs.iter().map(|p| p.1.ln()).collect();
+    let mut t = Table::new(
+        "fig13",
+        "Fig 13: Comal vs FPGA-RTL backend trend agreement",
+        &["kernel", "backend", "cycles"],
+    );
+    for (kernel, comal, fpga) in per_kernel.into_iter().flatten() {
+        t.point(format!("{kernel}/comal"), Some(comal), &[&kernel, &"comal"]);
+        t.point(format!("{kernel}/fpga"), Some(fpga), &[&kernel, &"fpga"]);
+    }
+    let pairs = backend_pairs(&t);
+    t.notes.push(format!("{} kernels, R^2 = {:.3}", pairs.len(), log_r2(&pairs)));
+    t.gate = Some(fig13_shape);
+    vec![t]
+}
+
+/// `(kernel, comal cycles, fpga cycles)` of every kernel of Fig 13's table.
+fn backend_pairs(t: &Table) -> Vec<(String, f64, f64)> {
+    let comal_rows =
+        t.rows.iter().filter_map(|r| Some((r.label.strip_suffix("/comal")?, r.cycles?)));
+    comal_rows
+        .filter_map(|(k, comal)| {
+            Some((k.to_string(), comal as f64, t.cycles(&format!("{k}/fpga"))? as f64))
+        })
+        .collect()
+}
+
+/// R^2 of the two backends' log-latencies across kernels.
+fn log_r2(pairs: &[(String, f64, f64)]) -> f64 {
+    let xs: Vec<f64> = pairs.iter().map(|p| p.1.ln()).collect();
+    let ys: Vec<f64> = pairs.iter().map(|p| p.2.ln()).collect();
     let n = xs.len() as f64;
     let (mx, my) = (xs.iter().sum::<f64>() / n, ys.iter().sum::<f64>() / n);
     let cov: f64 = xs.iter().zip(&ys).map(|(x, y)| (x - mx) * (y - my)).sum();
     let (vx, vy): (f64, f64) =
         (xs.iter().map(|x| (x - mx).powi(2)).sum(), ys.iter().map(|y| (y - my).powi(2)).sum());
-    let r2 = (cov * cov) / (vx * vy);
-    println!("  {} kernels, R^2 = {:.3}", pairs.len(), r2);
-    let mut csv = String::from("kernel,comal_cycles,fpga_cycles\n");
-    let mut points = Points::new();
-    for (c, f, k) in &pairs {
-        writeln!(csv, "{k},{c},{f}").unwrap();
-        points.push((format!("{k}/comal"), *c as u64));
-        points.push((format!("{k}/fpga"), *f as u64));
-    }
-    writeln!(csv, "r2,{r2:.4},").unwrap();
-    o.save("fig13", &csv);
-    shape_gate("fig13", &fig13_shape(&pairs, r2));
-    points
+    (cov * cov) / (vx * vy)
 }
 
 /// What is broken of Fig 13's shape: every kernel is strictly slower on the
 /// FPGA backend than on Comal (its `ii_extra` and slower tile ALU must cost
 /// something, or the two backends have merged), and the two agree in trend.
-fn fig13_shape(pairs: &[(f64, f64, String)], r2: f64) -> Vec<String> {
+fn fig13_shape(t: &Table) -> Vec<String> {
+    let pairs = backend_pairs(t);
     let mut broken: Vec<String> = pairs
         .iter()
-        .filter(|(comal, fpga, _)| fpga <= comal)
-        .map(|(comal, fpga, k)| format!("{k}: fpga {fpga} cycles is not above comal {comal}"))
+        .filter(|(_, comal, fpga)| fpga <= comal)
+        .map(|(k, comal, fpga)| format!("{k}: fpga {fpga} cycles is not above comal {comal}"))
         .collect();
+    let r2 = log_r2(&pairs);
     if r2.is_nan() || r2 < 0.95 {
         broken.push(format!("R^2 = {r2:.3} is below 0.95"));
     }
     broken
 }
 
-/// The figure-shape gate: a figure whose qualitative claim no longer holds
-/// ends the run (exit 1) before a snapshot is written, so that committing
-/// regenerated numbers cannot enshrine it.
-fn shape_gate(figure: &str, broken: &[String]) {
-    if broken.is_empty() {
-        return;
-    }
-    for b in broken {
-        eprintln!("{figure}: shape gate: {b}");
-    }
-    std::process::exit(1);
-}
-
 /// Fig 14: GCN FLOPs / bytes normalized to unfused + operational intensity.
-fn fig14(o: Opts) -> Points {
-    println!("\n== Fig 14: GCN FLOPs & DRAM bytes normalized to unfused ==");
-    let take = if o.quick { 1 } else { 3 };
-    let datasets: Vec<GraphDataset> = GRAPH_DATASETS
-        .iter()
-        .take(take)
-        .map(|ds| {
-            let div = if o.quick { 4 } else { 2 };
-            GraphDataset { nodes: ds.nodes / div, feats: ds.feats / div, ..*ds }
-        })
-        .collect();
-    let rows = parallel_map(o.threads, datasets, |ds| {
-        let m = gcn(&ds, 16, 8, 77);
-        let base = run_model(&m, &m.schedule(Fusion::Unfused));
-        let per: Vec<(Fusion, Stats)> =
-            Fusion::ALL.iter().map(|&f| (f, run_model(&m, &m.schedule(f)))).collect();
-        (ds.name, base, per)
+fn fig14(o: Opts) -> Vec<Table> {
+    let datasets: Vec<&GraphDataset> = GRAPH_DATASETS.iter().take(3).collect();
+    let sweeps = parallel_map(o.threads, datasets, |ds| {
+        (ds.name, fusion_sweep(&gcn(&shrunk(ds, 2), 16, 8, 77)))
     });
-    let mut csv = String::from("dataset,fusion,flops_rel,bytes_rel,op_intensity\n");
-    let mut points = Points::new();
-    for (name, base, per) in rows {
-        for (f, s) in per {
-            points.push((format!("{name}/{f}"), s.cycles));
-            let fr = s.flops as f64 / base.flops as f64;
-            let br = s.dram_bytes() as f64 / base.dram_bytes() as f64;
-            println!(
-                "  {:8} {:8} flops x{:.2}  bytes x{:.2}  OI {:.3}",
-                name,
-                f,
-                fr,
-                br,
-                s.operational_intensity()
-            );
-            writeln!(csv, "{},{},{:.4},{:.4},{:.4}", name, f, fr, br, s.operational_intensity())
-                .unwrap();
-        }
+    let mut t = Table::new(
+        "fig14",
+        "Fig 14: GCN FLOPs & DRAM bytes normalized to unfused",
+        fusion_columns!("dataset"),
+    );
+    for (name, sweep) in sweeps {
+        fusion_rows(&mut t, &[&name], &sweep);
     }
-    o.save("fig14", &csv);
-    points
+    vec![t]
 }
 
 /// Fig 15: sparsity ablation on synthetic graphs.
-fn fig15(o: Opts) -> Points {
-    println!("\n== Fig 15: speedup vs sparsity (synthetic 2-layer GCN) ==");
-    let patterns: &[GraphPattern] = if o.quick {
-        &[GraphPattern::Uniform]
-    } else {
-        &[GraphPattern::Uniform, GraphPattern::PowerLaw, GraphPattern::BlockDiagonal]
-    };
-    let sparsities: &[f64] = if o.quick { &[0.9] } else { &[0.5, 0.7, 0.8, 0.9, 0.95] };
-    let mut points = Vec::new();
-    for &pattern in patterns {
-        for &sparsity in sparsities {
-            points.push((pattern, sparsity));
+fn fig15(o: Opts) -> Vec<Table> {
+    let mut graphs = Vec::new();
+    for pattern in [GraphPattern::Uniform, GraphPattern::PowerLaw, GraphPattern::BlockDiagonal] {
+        for sparsity in [0.5, 0.7, 0.8, 0.9, 0.95] {
+            graphs.push((pattern, sparsity));
         }
     }
-    let rows = parallel_map(o.threads, points, |(pattern, sparsity)| {
+    let sweeps = parallel_map(o.threads, graphs, |(pattern, sparsity)| {
         let ds = GraphDataset {
             name: "synthetic",
-            nodes: if o.quick { 40 } else { 100 },
-            feats: if o.quick { 12 } else { 24 },
+            nodes: 100,
+            feats: 24,
             density: 1.0 - sparsity,
             pattern,
         };
-        let m = gcn(&ds, 16, 8, 55);
-        let base = run_model(&m, &m.schedule(Fusion::Unfused)).cycles;
-        let part_c = run_model(&m, &m.schedule(Fusion::Partial)).cycles;
-        let full_c = run_model(&m, &m.schedule(Fusion::Full)).cycles;
-        (pattern, sparsity, base, part_c, full_c)
+        (pattern, sparsity, fusion_sweep(&gcn(&ds, 16, 8, 55)))
     });
-    let mut csv = String::from("pattern,sparsity,partial_speedup,full_speedup\n");
-    let mut points = Points::new();
-    for (pattern, sparsity, base, part_c, full_c) in rows {
-        let (part, full) = (base as f64 / part_c as f64, base as f64 / full_c as f64);
-        println!("  {pattern:10} sparsity {sparsity:.2}: partial {part:.2}x  full {full:.2}x");
-        writeln!(csv, "{pattern},{sparsity},{part:.3},{full:.3}").unwrap();
-        points.push((format!("{pattern}/{sparsity}/unfused"), base));
-        points.push((format!("{pattern}/{sparsity}/partial"), part_c));
-        points.push((format!("{pattern}/{sparsity}/full"), full_c));
+    let mut t = Table::new(
+        "fig15",
+        "Fig 15: speedup vs sparsity (synthetic 2-layer GCN)",
+        fusion_columns!("pattern", "sparsity"),
+    );
+    for (pattern, sparsity, sweep) in sweeps {
+        fusion_rows(&mut t, &[&pattern, &sparsity], &sweep);
     }
-    o.save("fig15", &csv);
-    points
+    vec![t]
 }
 
 /// Fig 16: parallelization factor and location sweeps on BigBird attention.
-fn fig16(o: Opts) -> Points {
-    println!("\n== Fig 16a: parallelization factor sweep (BigBird attention) ==");
+fn fig16(o: Opts) -> Vec<Table> {
     // The blocked pipeline parallelizes end to end (no deferred softmax
     // references crossing the split); the scalar pipeline's softmax region
     // falls back to serial lowering under a split.
-    let m = if o.quick {
-        gpt_attention_blocked(128, 16, 8, 91)
-    } else {
-        gpt_attention_blocked(1024, 64, 16, 91)
-    };
+    let m = gpt_attention_blocked(1024, 64, 16, 91);
+    let on_chip = |sched: &Schedule| run_model(&m, sched, MemLocation::OnChip).cycles;
     let i_var = m.program.exprs()[0].output.indices[0];
-    let factors: &[usize] = if o.quick { &[1, 2] } else { &[1, 2, 4, 8, 16, 32, 64] };
-    let cycles = parallel_map(o.threads, factors.to_vec(), |factor| {
-        let sched = m.schedule(Fusion::Partial).with_parallelization(i_var, factor);
-        (factor, run_model_on_chip(&m, &sched).cycles)
+    let cycles = parallel_map(o.threads, vec![1, 2, 4, 8, 16, 32, 64], |factor| {
+        (factor, on_chip(&m.schedule(Fusion::Partial).with_parallelization(i_var, factor)))
     });
-    let base = run_model_on_chip(&m, &m.schedule(Fusion::Partial)).cycles;
-    let mut csv = String::from("factor,cycles,speedup\n");
-    let mut points = Points::new();
+    let mut a = Table::new(
+        "fig16a",
+        "Fig 16a: parallelization factor sweep (BigBird attention)",
+        &["factor", "cycles", "speedup"],
+    );
+    let serial = cycles[0].1;
     for (factor, c) in cycles {
-        println!("  factor {factor:>2}: {c:>12} cycles  {:.2}x", base as f64 / c as f64);
-        writeln!(csv, "{factor},{c},{:.3}", base as f64 / c as f64).unwrap();
-        points.push((format!("a/factor{factor}"), c));
+        a.point(format!("a/factor{factor}"), Some(c), &[&factor, &ratio(serial, c)]);
     }
-    o.save("fig16a", &csv);
+    a.gate = Some(fig16a_shape);
 
-    println!("\n== Fig 16b: parallelization location sweep ==");
     // Level 1 = attention row i (legal in every kernel); level 2 = score
     // column j (legal only where it is a free non-innermost row — other
     // kernels fall back to serial lowering, so location matters).
     let j_var = m.program.exprs()[0].output.indices[1];
-    let base_unf = run_model_on_chip(&m, &m.schedule(Fusion::Unfused)).cycles;
-    let locations: Vec<(&str, Vec<_>)> = if o.quick {
-        vec![("level1", vec![i_var])]
-    } else {
-        vec![("level1", vec![i_var]), ("level2", vec![j_var]), ("both", vec![i_var, j_var])]
-    };
-    let loc_factors: &[usize] = if o.quick { &[2] } else { &[1, 2, 4] };
     let mut jobs = Vec::new();
-    for (loc, vars) in &locations {
-        for &factor in loc_factors {
-            jobs.push((*loc, vars.clone(), factor));
+    for (loc, vars) in
+        [("level1", vec![i_var]), ("level2", vec![j_var]), ("both", vec![i_var, j_var])]
+    {
+        for factor in [1, 2, 4] {
+            jobs.push((loc, vars.clone(), factor));
         }
     }
     let rows = parallel_map(o.threads, jobs, |(loc, vars, factor)| {
-        let mut sched = m.schedule(Fusion::Unfused);
-        for v in &vars {
-            sched = sched.with_parallelization(*v, factor);
-        }
-        (loc, factor, run_model_on_chip(&m, &sched).cycles)
+        let unfused = m.schedule(Fusion::Unfused);
+        let sched = vars.iter().fold(unfused, |s, v| s.with_parallelization(*v, factor));
+        (loc, factor, on_chip(&sched))
     });
-    let mut csv = String::from("location,factor,cycles,speedup\n");
+    let mut b = Table::new(
+        "fig16b",
+        "Fig 16b: parallelization location sweep",
+        &["location", "factor", "cycles", "speedup"],
+    );
+    let serial = rows[0].2;
     for (loc, factor, c) in rows {
-        println!("  {loc:6} factor {factor}: {c:>12} cycles ({:.2}x)", base_unf as f64 / c as f64);
-        writeln!(csv, "{loc},{factor},{c},{:.3}", base_unf as f64 / c as f64).unwrap();
-        points.push((format!("b/{loc}/x{factor}"), c));
+        b.point(format!("b/{loc}/x{factor}"), Some(c), &[&loc, &factor, &ratio(serial, c)]);
     }
-    o.save("fig16b", &csv);
-    points
+    vec![a, b]
+}
+
+/// Fig 16a's claim: splitting the attention rows `factor` ways keeps paying.
+/// Cycles fall strictly from each row (listed by rising factor) to the next,
+/// and every speedup over the factor-1 row is at least 0.75 x its factor.
+fn fig16a_shape(t: &Table) -> Vec<String> {
+    let by_falling_factor: Vec<&str> = t.rows.iter().rev().map(|r| r.label.as_str()).collect();
+    let mut broken = ascending(t, &by_falling_factor);
+    let serial = t.rows.first().and_then(|r| r.cycles);
+    for r in &t.rows {
+        let factor = r.label.strip_prefix("a/factor").and_then(|f| f.parse::<f64>().ok());
+        let (Some(serial), Some(factor), Some(c)) = (serial, factor, r.cycles) else {
+            broken.push(format!("{} is not a factor row that ran", r.label));
+            continue;
+        };
+        let speedup = serial as f64 / c as f64;
+        if speedup < 0.75 * factor {
+            broken.push(format!("{}: speedup {speedup:.2}x is below 0.75 x {factor}", r.label));
+        }
+    }
+    broken
 }
 
 /// Fig 17: block-sparse vs unstructured BigBird attention.
-fn fig17(o: Opts) -> Points {
-    println!("\n== Fig 17: blocked vs unstructured BigBird attention ==");
-    let blocks: &[usize] = if o.quick { &[16] } else { &[16, 32, 64] };
-    let rows = parallel_map(o.threads, blocks.to_vec(), |block| {
-        let seq = if o.quick { 64 } else { 128 };
-        let dh = if o.quick { 16 } else { 64 };
-        let un = gpt_attention(seq, dh, block, 13);
+fn fig17(o: Opts) -> Vec<Table> {
+    let rows = parallel_map(o.threads, vec![16, 32, 64], |block| {
+        let un = gpt_attention(128, 64, block, 13);
         // Unstructured arm: same mask, scalar streams, no softmax tail to
         // mirror the blocked pipeline's op set.
-        let bl = gpt_attention_blocked(seq, dh, block, 13);
-        let cu = run_model(&un, &un.schedule(Fusion::Full)).cycles;
-        let cb = run_model(&bl, &bl.schedule(Fusion::Full)).cycles;
-        (block, cu, cb)
+        let bl = gpt_attention_blocked(128, 64, block, 13);
+        let full = |m: &ModelInstance| run_model(m, &m.schedule(Fusion::Full), MemLocation::Dram);
+        (block, full(&un).cycles, full(&bl).cycles)
     });
-    let mut csv = String::from("block,unstructured_cycles,blocked_cycles,speedup\n");
-    let mut points = Points::new();
+    let mut t = Table::new(
+        "fig17",
+        "Fig 17: blocked vs unstructured BigBird attention",
+        &["block", "streams", "cycles", "speedup"],
+    );
     for (block, cu, cb) in rows {
-        println!(
-            "  block {block:>2}: unstructured {cu:>12}  blocked {cb:>10}  {:.1}x",
-            cu as f64 / cb as f64
-        );
-        writeln!(csv, "{block},{cu},{cb},{:.3}", cu as f64 / cb as f64).unwrap();
-        points.push((format!("block{block}/unstructured"), cu));
-        points.push((format!("block{block}/blocked"), cb));
+        for (streams, c) in [("unstructured", cu), ("blocked", cb)] {
+            t.point(format!("block{block}/{streams}"), Some(c), &[&block, &streams, &ratio(cu, c)]);
+        }
     }
-    o.save("fig17", &csv);
-    points
+    t.gate = Some(fig17_shape);
+    vec![t]
+}
+
+/// Fig 17's claim: at every block size the blocked pipeline beats the
+/// unstructured one.
+fn fig17_shape(t: &Table) -> Vec<String> {
+    let mut broken = Vec::new();
+    for r in &t.rows {
+        if let Some(block) = r.label.strip_suffix("/blocked") {
+            broken.extend(ascending(t, &[r.label.as_str(), &format!("{block}/unstructured")]));
+        }
+    }
+    broken
 }
 
 /// Fig 18: dataflow order sweep for a chained matmul via user dataflow
 /// schedules; discordant orders materialize permuted input copies through
-/// the POG cycle-resolution path.
-fn fig18(o: Opts) -> Points {
-    println!("\n== Fig 18: dataflow order sweep, nested matmul ==");
+/// the POG cycle-resolution path. An order pair the compiler refuses is
+/// listed with its reason in place of cycles.
+fn fig18(o: Opts) -> Vec<Table> {
     use fuseflow_core::ir::{IndexVar, Program};
     use fuseflow_tensor::{gen, Format, SparseTensor};
-    let n = if o.quick { 16 } else { 34 }; // KarateClub scale
-    let feats = if o.quick { 8 } else { 16 };
+    let (n, feats) = (34, 16); // KarateClub scale
     let build = |o1: &[usize], o2: &[usize]| -> (Program, String) {
         let mut p = Program::new();
         let (i, k, u, j) = (p.index("i"), p.index("k"), p.index("u"), p.index("j"));
@@ -515,79 +539,58 @@ fn fig18(o: Opts) -> Points {
             &Format::dense(2),
         ),
     );
-    let perms3: Vec<[usize; 3]> =
-        vec![[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
-    let cap = if o.quick { 3 } else { 12 };
+    let perms3: [[usize; 3]; 6] =
+        [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
     let mut order_pairs = Vec::new();
-    for o1 in &perms3 {
-        for o2 in &perms3 {
-            order_pairs.push((*o1, *o2));
+    for o1 in perms3 {
+        for o2 in perms3 {
+            order_pairs.push((o1, o2));
         }
     }
-    // Order pairs simulate independently, but only the first `cap` unique
-    // results (in pair order) are reported — so pairs are fanned out one
-    // pool-sized chunk at a time with an early exit, instead of simulating
-    // all 36 pairs to print 3 rows in --quick mode. Chunking in pair order
-    // keeps the output thread-count invariant.
-    let mut results: Vec<(String, u64)> = Vec::new();
-    let mut order_pairs = order_pairs.into_iter();
-    while results.len() < cap {
-        let chunk: Vec<_> = order_pairs.by_ref().take(o.threads.max(cap)).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        let sweep = parallel_map(o.threads, chunk, |(o1, o2)| {
-            let (p, label) = build(&o1, &o2);
-            let Ok(compiled) = compile(&p, &Schedule::unfused()) else { return None };
-            let Ok(res) = run(&p, &compiled, &inputs, &sim()) else { return None };
-            Some((label, res.stats.cycles))
-        });
-        for (label, cycles) in sweep.into_iter().flatten() {
-            if results.len() >= cap {
-                break;
+    let mut sweep = parallel_map(o.threads, order_pairs, |(o1, o2)| {
+        let (p, label) = build(&o1, &o2);
+        let ran = compile(&p, &Schedule::unfused()).and_then(|c| run(&p, &c, &inputs, &sim()));
+        (label, ran.map(|r| r.stats.cycles).map_err(|e| e.to_string()))
+    });
+    // Simulated orders first, in pair order; refused ones sink.
+    sweep.sort_by_key(|(_, ran)| ran.is_err());
+    let worst = sweep.iter().filter_map(|(_, ran)| ran.as_ref().ok()).max().copied().unwrap_or(1);
+    let mut t = Table::new(
+        "fig18",
+        "Fig 18: dataflow order sweep, nested matmul",
+        &["order", "cycles", "speedup_vs_worst", "refused"],
+    );
+    let mut refused: BTreeMap<String, usize> = BTreeMap::new();
+    for (label, ran) in sweep {
+        match ran {
+            Ok(c) => t.point(&label, Some(c), &[&label, &ratio(worst, c), &""]),
+            Err(reason) => {
+                t.point(&label, None, &[&label, &"-", &reason]);
+                *refused.entry(reason).or_default() += 1;
             }
-            if results.iter().any(|(l, _)| *l == label) {
-                continue;
-            }
-            results.push((label, cycles));
         }
     }
-    let worst = results.iter().map(|r| r.1).max().unwrap_or(1);
-    let mut csv = String::from("order,cycles,speedup_vs_worst\n");
-    let mut points = Points::new();
-    for (name, c) in &results {
-        println!("  {name:16} {c:>12} cycles  {:.2}x", worst as f64 / *c as f64);
-        writeln!(csv, "{name},{c},{:.3}", worst as f64 / *c as f64).unwrap();
-        points.push((name.clone(), *c));
+    for (reason, pairs) in refused {
+        t.notes.push(format!("{pairs} order pairs refused: {reason}"));
     }
-    o.save("fig18", &csv);
-    points
+    vec![t]
 }
 
 /// Table 3: heuristic FLOPs/bytes error against the simulator.
-fn table3(o: Opts) -> Points {
-    println!("\n== Table 3: heuristic avg % error (FLOPs / bytes) ==");
-    let ds = GraphDataset {
-        name: "collab",
-        nodes: if o.quick { 32 } else { 96 },
-        feats: if o.quick { 8 } else { 24 },
-        density: 0.03,
-        pattern: GraphPattern::PowerLaw,
-    };
-    let mut models: Vec<(&str, ModelInstance)> = vec![
-        ("gpt3-b16", if o.quick { gpt_decoder(32, 8, 8, 1) } else { gpt_decoder(64, 16, 16, 1) }),
+fn table3(o: Opts) -> Vec<Table> {
+    let ds = collab();
+    let models: Vec<(&str, ModelInstance)> = vec![
+        ("gpt3-b16", gpt_decoder(64, 16, 16, 1)),
         ("gcn", gcn(&ds, 16, 8, 2)),
+        ("graphsage", graphsage(&ds, 16, 8, 3)),
     ];
-    if !o.quick {
-        models.push(("graphsage", graphsage(&ds, 16, 8, 3)));
-    }
     let rows = parallel_map(o.threads, models, |(name, m)| {
         let mut fe = 0.0;
         let mut be = 0.0;
         let mut cnt = 0.0;
         for f in [Fusion::Unfused, Fusion::Partial] {
             let sched = m.schedule(f);
-            let meas = run_model(&m, &sched);
+            let meas = run_model(&m, &sched, MemLocation::Dram);
             let est = estimate(&m.program, &sched, &m.inputs);
             fe += (est.flops - meas.flops as f64).abs() / meas.flops as f64 * 100.0;
             be += (est.bytes - meas.dram_bytes() as f64).abs() / meas.dram_bytes() as f64 * 100.0;
@@ -595,28 +598,32 @@ fn table3(o: Opts) -> Points {
         }
         (name, fe / cnt, be / cnt)
     });
-    let mut csv = String::from("model,flops_err_pct,bytes_err_pct\n");
+    let mut t = Table::new(
+        "table3",
+        "Table 3: heuristic avg % error (FLOPs / bytes)",
+        &["model", "flops_err_pct", "bytes_err_pct"],
+    );
     for (name, fe, be) in rows {
-        println!("  {:10} FLOPs {:5.1}%   bytes {:5.1}%", name, fe, be);
-        writeln!(csv, "{},{:.2},{:.2}", name, fe, be).unwrap();
+        t.row(&[&name, &format!("{fe:.2}"), &format!("{be:.2}")]);
     }
-    o.save("table3", &csv);
-    Vec::new()
+    vec![t]
 }
 
 /// Table 4: design-space size with and without local (per-kernel best
 /// dataflow order) constraints, plus the POG linear-extension counts for
 /// the first fused region (exact via the frontier DP in
 /// `Pog::count_orders`, `*` marks capped entries like the paper).
-fn table4(o: Opts) -> Points {
-    println!("\n== Table 4: dataflow-order design-space size ==");
+fn table4(_: Opts) -> Vec<Table> {
     let cap: u128 = 200_000_000;
-    let mut csv =
-        String::from("model,unconstrained,capped,constrained,pog_formats_only,pog_full\n");
+    let mut t = Table::new(
+        "table4",
+        "Table 4: dataflow-order design-space size",
+        &["model", "unconstrained", "capped", "constrained", "pog_formats_only", "pog_full"],
+    );
     let ds = GraphDataset {
         name: "collab",
-        nodes: if o.quick { 24 } else { 64 },
-        feats: if o.quick { 8 } else { 16 },
+        nodes: 64,
+        feats: 16,
         density: 0.04,
         pattern: GraphPattern::PowerLaw,
     };
@@ -652,36 +659,18 @@ fn table4(o: Opts) -> Points {
             }
             Err(_) => ("-".into(), "-".into()),
         };
-        println!(
-            "  {:10} unconstrained {}{}   constrained {}   pog {} -> {}",
-            name,
-            un,
-            if capped { "*" } else { "" },
-            con,
-            pog_fmt,
-            pog_full
-        );
-        writeln!(csv, "{name},{un},{capped},{con},{pog_fmt},{pog_full}").unwrap();
+        t.row(&[&name, &un, &capped, &con, &pog_fmt, &pog_full]);
     }
-    o.save("table4", &csv);
-    Vec::new()
+    vec![t]
 }
 
 /// Autotune candidates: a small schedule-space enumeration on the fig4b
 /// GCN (fusion regions x stream parallelization), scored analytically
-/// (`estimate`) and by simulation. Regenerates `results/autotune.csv` with
-/// every `cycles` cell filled (or explicitly marked `-` when a candidate
-/// fails to compile).
-fn autotune(o: Opts) -> Points {
-    println!("\n== Autotune: schedule candidates, heuristic vs simulated ==");
-    let ds = GraphDataset {
-        name: "collab",
-        nodes: if o.quick { 32 } else { 96 },
-        feats: if o.quick { 8 } else { 24 },
-        density: 0.03,
-        pattern: GraphPattern::PowerLaw,
-    };
-    let m = gcn(&ds, 16, 8, 7);
+/// (`estimate`) and by simulation. Regenerates the tracked
+/// `results/autotune.csv` with every `cycles` cell filled (or explicitly
+/// marked `-` when a candidate fails to compile).
+fn autotune(o: Opts) -> Vec<Table> {
+    let m = gcn(&collab(), 16, 8, 7);
     let n = m.program.exprs().len();
     let i0 = m.program.exprs()[0].output.indices[0];
     let split = (n / 2).max(1);
@@ -716,20 +705,16 @@ fn autotune(o: Opts) -> Points {
     );
     // Best-first like an autotuner's report; failed candidates sink.
     rows.sort_by_key(|r| (r.4.is_none(), r.4, r.0));
-    let mut csv = String::from("index,schedule,est_flops,est_bytes,cycles\n");
-    let mut points = Points::new();
+    let mut t = Table::new(
+        "autotune",
+        "Autotune: schedule candidates, heuristic vs simulated",
+        &["index", "schedule", "est_flops", "est_bytes", "cycles"],
+    );
     for (idx, label, flops, bytes, cycles) in rows {
-        let cell = cycles.map_or("-".to_string(), |c| c.to_string());
-        println!(
-            "  [{idx}] {label:44} est_flops {flops:>10.0} est_bytes {bytes:>10.0} cycles {cell}"
-        );
-        writeln!(csv, "{idx},{label},{flops:.0},{bytes:.0},{cell}").unwrap();
-        if let Some(c) = cycles {
-            points.push((label, c));
-        }
+        let (flops, bytes) = (format!("{flops:.0}"), format!("{bytes:.0}"));
+        t.point(&label, cycles, &[&idx, &label, &flops, &bytes]);
     }
-    o.save("autotune", &csv);
-    points
+    vec![t]
 }
 
 /// `samcheck`: lints every model-zoo graph with the `fuseflow-verify`
@@ -746,7 +731,7 @@ fn autotune(o: Opts) -> Points {
 fn samcheck(o: Opts) -> usize {
     println!("\n== samcheck: static lints over the model zoo ==");
     let ds = GRAPH_DATASETS[0];
-    let small = GraphDataset { nodes: ds.nodes / 4, feats: ds.feats / 4, ..ds };
+    let small = shrunk(&ds, 4);
     let (sae_name, sae_in, sae_batch) = SAE_DATASETS[0];
     let models: Vec<(String, ModelInstance)> = vec![
         (format!("sae/{sae_name}"), sae(sae_name, sae_in / 16, 48, sae_batch, 0.5, 11)),
@@ -760,7 +745,7 @@ fn samcheck(o: Opts) -> usize {
     let mut graphs = 0usize;
     let mut errors = 0usize;
     let mut json = String::from("[");
-    let mut counts = Points::new();
+    let mut counts: Vec<(String, u64)> = Vec::new();
     let rows = parallel_map(o.threads, models, |(name, m)| {
         let mut out = Vec::new();
         for fusion in Fusion::ALL {
@@ -842,14 +827,11 @@ fn samcheck(o: Opts) -> usize {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut which: Vec<String> = Vec::new();
-    let mut opts = Opts {
-        quick: false,
-        threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-    };
+    let mut opts =
+        Opts { threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) };
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--quick" => opts.quick = true,
             "--threads" => {
                 let v = it.next().expect("--threads takes a value");
                 opts.threads = v.parse().expect("--threads takes a positive integer");
@@ -860,7 +842,7 @@ fn main() {
     if which.is_empty() {
         which.push("all".into());
     }
-    type Figure = fn(Opts) -> Points;
+    type Figure = fn(Opts) -> Vec<Table>;
     let figures: [(&str, Figure); 12] = [
         ("fig1", fig1),
         ("fig4b", fig4b),
@@ -884,29 +866,32 @@ fn main() {
     let all = which.iter().any(|w| w == "all");
     let want = |id: &str| all || which.iter().any(|w| w == id);
     let t0 = Instant::now();
-    let mut cycles = Points::new();
+    let mut cycles: Vec<(String, u64)> = Vec::new();
     for (id, figure) in figures {
-        if want(id) {
-            cycles.extend(figure(opts).into_iter().map(|(label, c)| (format!("{id}/{label}"), c)));
+        if !want(id) {
+            continue;
+        }
+        for table in figure(opts) {
+            print!("{}", table.text());
+            write_file(&format!("results/{}.csv", table.name), &table.csv());
+            shape_gate(&table);
+            cycles.extend(table.points().map(|(label, c)| (format!("{id}/{label}"), c)));
         }
     }
     // Explicit-only (not part of `all`): a lint gate, not a figure.
     let samcheck_errors = if which.iter().any(|w| w == "samcheck") { samcheck(opts) } else { 0 };
-    // Only an `all` run refreshes a tracked snapshot: a filtered subset
+    // Only an `all` run refreshes the tracked snapshot: a filtered subset
     // would clobber it with a partial point set.
     let snapshot_note = if all {
-        let path = if opts.quick { "results/quick_cycles.json" } else { "BENCH_sim.json" };
-        write_file(path, &snapshot_json(cycles));
-        format!(", {path} rewritten")
+        write_file("BENCH_sim.json", &snapshot_json(cycles));
+        ", BENCH_sim.json rewritten"
     } else {
-        " (subset run: no snapshot written)".to_string()
+        " (subset run: no snapshot written)"
     };
     println!(
-        "\nDone in {:.1}s ({} pool threads{}); CSVs in results/{}{snapshot_note}.",
+        "\nDone in {:.1}s ({} pool threads); CSVs in results/{snapshot_note}.",
         t0.elapsed().as_secs_f64(),
         opts.threads,
-        if opts.quick { ", --quick" } else { "" },
-        if opts.quick { "quick/" } else { "" },
     );
     if samcheck_errors > 0 {
         eprintln!("samcheck: failing with {samcheck_errors} error-severity diagnostic(s)");
@@ -916,19 +901,114 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::fig13_shape;
+    use super::*;
+
+    /// A table of just these points, as a gate sees one.
+    fn table(points: &[(&str, u64)]) -> Table {
+        let mut t = Table::new("test", "hand-written", &["point", "cycles"]);
+        for &(label, cycles) in points {
+            t.point(label, Some(cycles), &[&label]);
+        }
+        t
+    }
 
     #[test]
     fn fig13_shape_wants_fpga_strictly_slower_and_trend_agreement() {
-        let pairs = |p: &[(f64, f64)]| -> Vec<(f64, f64, String)> {
-            p.iter().enumerate().map(|(i, &(c, f))| (c, f, format!("k{i}"))).collect()
+        let kernels = |pairs: &[(u64, u64)]| {
+            let mut t = table(&[]);
+            for (i, &(comal, fpga)) in pairs.iter().enumerate() {
+                t.point(format!("k{i}/comal"), Some(comal), &[&"comal"]);
+                t.point(format!("k{i}/fpga"), Some(fpga), &[&"fpga"]);
+            }
+            t
         };
-        assert!(fig13_shape(&pairs(&[(384.0, 419.0), (2442.0, 3604.0)]), 0.95).is_empty());
+        assert!(fig13_shape(&kernels(&[(215, 419), (352, 933), (1251, 3604), (3675, 13330)]))
+            .is_empty());
         // Equal is merged, not slower.
-        let merged = fig13_shape(&pairs(&[(384.0, 384.0), (2442.0, 3604.0)]), 0.99);
+        let merged = fig13_shape(&kernels(&[(384, 384), (2442, 3604)]));
         assert_eq!(merged.len(), 1, "{merged:?}");
         assert!(merged[0].starts_with("k0:"), "{merged:?}");
-        assert_eq!(fig13_shape(&pairs(&[(1.0, 2.0)]), 0.949).len(), 1);
-        assert_eq!(fig13_shape(&pairs(&[(1.0, 2.0)]), f64::NAN).len(), 1);
+        // Slower everywhere, but the short kernel is the long one on the FPGA.
+        let no_trend = fig13_shape(&kernels(&[(100, 5000), (1000, 1100), (10000, 20000)]));
+        assert_eq!(no_trend.len(), 1, "{no_trend:?}");
+        assert!(no_trend[0].starts_with("R^2 = 0."), "{no_trend:?}");
+        // One kernel has no trend to agree on: R^2 is NaN.
+        assert_eq!(fig13_shape(&kernels(&[(1, 2)])).len(), 1);
+    }
+
+    #[test]
+    fn fig4b_shape_wants_fuseflow_below_both_baselines() {
+        let fig = |fuseflow| {
+            table(&[("C+S (unfused)", 403245), ("C+S (rewrite)", 684837), ("FuseFlow", fuseflow)])
+        };
+        assert!(fig4b_shape(&fig(283100)).is_empty());
+        let lost = fig4b_shape(&fig(403245));
+        assert_eq!(lost.len(), 1, "{lost:?}");
+        assert!(lost[0].contains("is not below C+S (unfused)"), "{lost:?}");
+        assert_eq!(fig4b_shape(&fig(684838)).len(), 2);
+        // A baseline that did not run is a broken figure, not a pass.
+        assert_eq!(
+            fig4b_shape(&table(&[("C+S (unfused)", 403245), ("FuseFlow", 283100)])).len(),
+            1
+        );
+    }
+
+    #[test]
+    fn fig12_shape_wants_partial_below_unfused_and_gpt_full_below_partial() {
+        let fig = |gcn_partial, gpt_full| {
+            table(&[
+                ("gcn/cora/unfused", 392103),
+                ("gcn/cora/partial", gcn_partial),
+                ("gcn/cora/full", 17203837),
+                ("gpt3-bigbird/block16/unfused", 5711111),
+                ("gpt3-bigbird/block16/partial", 3926756),
+                ("gpt3-bigbird/block16/full", gpt_full),
+            ])
+        };
+        // The GNN `full` row is the cliff, 44x over unfused: not gated.
+        assert!(fig12_shape(&fig(289068, 2988780)).is_empty());
+        let gnn = fig12_shape(&fig(392103, 2988780));
+        assert_eq!(gnn.len(), 1, "{gnn:?}");
+        assert!(gnn[0].starts_with("gcn/cora/partial at"), "{gnn:?}");
+        let gpt = fig12_shape(&fig(289068, 3926757));
+        assert_eq!(gpt.len(), 1, "{gpt:?}");
+        assert!(gpt[0].starts_with("gpt3-bigbird/block16/full at"), "{gpt:?}");
+    }
+
+    #[test]
+    fn fig16a_shape_wants_cycles_falling_and_speedup_near_the_factor() {
+        let fig = |at2, at64| {
+            table(&[
+                ("a/factor1", 282073),
+                ("a/factor2", at2),
+                ("a/factor32", 9399),
+                ("a/factor64", at64),
+            ])
+        };
+        assert!(fig16a_shape(&fig(141204, 5440)).is_empty());
+        // The floor at factor 64 is 48x: 282073 / 5876 = 48.004.
+        assert!(fig16a_shape(&fig(141204, 5876)).is_empty());
+        let slow = fig16a_shape(&fig(141204, 6000));
+        assert_eq!(slow.len(), 1, "{slow:?}");
+        assert!(slow[0].starts_with("a/factor64: speedup 47.01x"), "{slow:?}");
+        // No gain from 32 to 64 breaks both claims; 1.4x at factor 2 only the second.
+        assert_eq!(fig16a_shape(&fig(141204, 9399)).len(), 2);
+        assert_eq!(fig16a_shape(&fig(200000, 5440)).len(), 1);
+    }
+
+    #[test]
+    fn fig17_shape_wants_blocked_below_unstructured_at_every_block() {
+        let fig = |blocked64| {
+            table(&[
+                ("block16/unstructured", 8586114),
+                ("block16/blocked", 7507),
+                ("block64/unstructured", 8619587),
+                ("block64/blocked", blocked64),
+            ])
+        };
+        assert!(fig17_shape(&fig(3603)).is_empty());
+        let lost = fig17_shape(&fig(8619587));
+        assert_eq!(lost.len(), 1, "{lost:?}");
+        assert!(lost[0].starts_with("block64/blocked at"), "{lost:?}");
     }
 }
