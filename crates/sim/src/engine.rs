@@ -51,7 +51,7 @@
 
 use crate::chan::{Chan, Ctx, NO_NODE};
 use crate::dram::Dram;
-use crate::node::{make_rt, reads_past_head, State};
+use crate::node::{reads_past_head, Prim, Rt};
 use crate::rebuild::assemble_output;
 use crate::run::{run_event, run_standalone, run_sweep};
 use crate::stats::Stats;
@@ -270,8 +270,8 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
                 });
             }
         }
-        nodes.push(make_rt(
-            kind.clone(),
+        nodes.push(Rt::new(
+            kind,
             graph.label(id).to_string(),
             vec![None; kind.input_ports().len()],
             vec![Vec::new(); kind.output_ports().len()],
@@ -287,8 +287,8 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
         let (src, dst) = (e.src.node.0, e.dst.node.0);
         let deep = reads_past_head(&graph.nodes()[dst], e.dst.port);
         chans.push(Chan::new(cfg.channel_capacity, rank_of[src], rank_of[dst], deep));
-        nodes[src].outs[e.src.port].chans.push(c);
-        nodes[dst].in_chans[e.dst.port] = Some(c);
+        nodes[src].io.outs[e.src.port].chans.push(c);
+        nodes[dst].io.in_chans[e.dst.port] = Some(c);
     }
 
     // One machine (`Ctx`): one DRAM channel and one clock for the whole graph.
@@ -315,13 +315,11 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
         graph.outputs().iter().map(|slot| vec![None; slot.format.order()]).collect();
     let mut val_streams: Vec<Option<Vec<Token>>> = vec![None; graph.outputs().len()];
     for rt in nodes {
-        *stats.node_tokens.entry(rt.label).or_insert(0) += rt.elems;
-        if let State::Writer { tokens } = rt.state {
-            match rt.kind {
-                NodeKind::CrdWriter { output, level } => crd_streams[output][level] = Some(tokens),
-                NodeKind::ValWriter { output } => val_streams[output] = Some(tokens),
-                _ => unreachable!("only writers hold `State::Writer`"),
-            }
+        *stats.node_tokens.entry(rt.io.label).or_insert(0) += rt.io.elems;
+        match rt.prim {
+            Prim::CrdWriter { output, level, tokens } => crd_streams[output][level] = Some(tokens),
+            Prim::ValWriter { output, tokens } => val_streams[output] = Some(tokens),
+            _ => {}
         }
     }
     let mut outputs = HashMap::new();
@@ -381,7 +379,7 @@ pub fn run_node_standalone(
         capture.push(chans.len() - 1);
     }
 
-    let mut rt = make_rt(kind, "standalone".into(), in_chans, out_chans, &cfg.timing);
+    let mut rt = Rt::new(&kind, "standalone".into(), in_chans, out_chans, &cfg.timing);
     // Every tensor on chip, so the DRAM channel is never asked.
     let slots: Vec<TensorSlot> = (0..tensors.len())
         .map(|i| TensorSlot { name: format!("t{i}"), location: MemLocation::OnChip })

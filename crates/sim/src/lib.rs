@@ -33,6 +33,10 @@
 //! # Ok::<(), fuseflow_sim::SimError>(())
 //! ```
 
+// A stream a node cannot take is a `SimError`, never a panic: CI's clippy step
+// holds the simulator to that.
+#![deny(clippy::unreachable)]
+
 mod backend;
 mod chan;
 mod dram;

@@ -1,13 +1,19 @@
-//! Runtime node state machines: one `act_*` per SAMML primitive behind
-//! the single per-cycle [`Rt::step`].
+//! Runtime nodes. A node is its [`Prim`], what it is and holds (one variant
+//! per SAMML primitive, carrying the primitive's parameters and state), and
+//! its [`Io`], how it is wired and timed (its ports, staged and in-flight
+//! tokens, initiation interval and counters). [`Rt::step`] runs one cycle;
+//! the action it takes is an `Io::act_*` handed exactly its variant's fields.
 
 use crate::chan::{Ctx, StepOutcome};
 use crate::dram::AccessKind;
 use crate::engine::SimError;
 use crate::TimingConfig;
-use fuseflow_sam::{AluOp, Block, MemLocation, NodeKind, Payload, Token};
+use fuseflow_sam::{AluOp, Block, MemLocation, NodeKind, Payload, ReduceOp, Token};
 use fuseflow_tensor::Level;
 use std::collections::{BTreeMap, VecDeque};
+
+/// The outcome of one action: whether the node acted.
+type Act = Result<bool, SimError>;
 
 /// The fiber being emitted: entries `fidx..len` of the fiber under `parent`
 /// are still to go.
@@ -20,11 +26,6 @@ pub(crate) struct ScanState {
 }
 
 #[derive(Debug, Default)]
-pub(crate) struct RepState {
-    cur_base: Option<Payload>,
-}
-
-#[derive(Debug, Default)]
 pub(crate) struct SerState {
     cur: usize,
     pending_unit: bool,
@@ -32,25 +33,33 @@ pub(crate) struct SerState {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum JoinMode {
+pub(crate) enum JoinMode {
     Intersect,
     Union,
     UnionLeft,
 }
 
+/// What a node is and holds: one variant per SAMML primitive, with its
+/// parameters and its state, built once from the graph's [`NodeKind`]. Root
+/// counts the tokens of `[Ref(0), Done]` it has emitted, Repeat holds the
+/// loaded base element, CrdDrop which port has forwarded its `Done`, a
+/// writer the stream it received (for the output rebuild), and Par the
+/// branch the next element goes to.
 #[derive(Debug)]
-pub(crate) enum State {
+pub(crate) enum Prim {
     Root { emitted: u8 },
-    Scan(ScanState),
-    Repeat(RepState),
-    Join,
-    Alu,
-    Reduce { acc: Option<Payload> },
-    Spacc { map: BTreeMap<u32, Payload> },
-    Writer { tokens: Vec<Token> },
-    CrdDrop { done0: bool, done1: bool },
-    Par { rr: usize },
-    Ser(SerState),
+    Scan { tensor: usize, level: usize, st: ScanState },
+    Repeat { base: Option<Payload> },
+    Join(JoinMode),
+    Array { tensor: usize },
+    Alu { op: AluOp },
+    Reduce { op: ReduceOp, acc: Option<Payload> },
+    Spacc { op: ReduceOp, map: BTreeMap<u32, Payload> },
+    CrdDrop { done: [bool; 2] },
+    CrdWriter { output: usize, level: usize, tokens: Vec<Token> },
+    ValWriter { output: usize, tokens: Vec<Token> },
+    Par { factor: usize, rr: usize },
+    Ser { factor: usize, depth: u8, st: SerState },
 }
 
 /// One output port.
@@ -65,10 +74,16 @@ pub(crate) struct OutPort {
     pub(crate) staged: usize,
 }
 
+/// A runtime node: its primitive and its wiring.
 pub(crate) struct Rt {
-    pub(crate) kind: NodeKind,
+    pub(crate) prim: Prim,
+    pub(crate) io: Io,
+}
+
+/// How a node is wired and timed: everything of it but its [`Prim`]. Owns
+/// the channel helpers and the `act_*` bodies.
+pub(crate) struct Io {
     pub(crate) label: String,
-    pub(crate) state: State,
     pub(crate) in_chans: Vec<Option<usize>>,
     pub(crate) outs: Vec<OutPort>,
     /// Sum of the ports' `staged`, kept by [`emit`](Self::emit) and
@@ -77,16 +92,152 @@ pub(crate) struct Rt {
     n_staged: usize,
     pub(crate) pending_mem: VecDeque<(Token, u64, usize)>,
     pub(crate) busy_until: u64,
-    pub(crate) ii_extra: u64,
+    ii_extra: u64,
     pub(crate) done: bool,
     pub(crate) elems: u64,
 }
 
 impl Rt {
-    pub(crate) fn is_writer(&self) -> bool {
-        matches!(self.kind, NodeKind::CrdWriter { .. } | NodeKind::ValWriter { .. })
+    pub(crate) fn new(
+        kind: &NodeKind,
+        label: String,
+        in_chans: Vec<Option<usize>>,
+        out_chans: Vec<Vec<usize>>,
+        timing: &TimingConfig,
+    ) -> Rt {
+        let prim = match *kind {
+            NodeKind::Root => Prim::Root { emitted: 0 },
+            NodeKind::LevelScanner { tensor, level } => {
+                Prim::Scan { tensor, level, st: ScanState::default() }
+            }
+            NodeKind::Repeat => Prim::Repeat { base: None },
+            NodeKind::Intersect => Prim::Join(JoinMode::Intersect),
+            NodeKind::Union => Prim::Join(JoinMode::Union),
+            NodeKind::UnionLeft => Prim::Join(JoinMode::UnionLeft),
+            NodeKind::Array { tensor } => Prim::Array { tensor },
+            NodeKind::Alu { op } => Prim::Alu { op },
+            NodeKind::Reduce { op } => Prim::Reduce { op, acc: None },
+            NodeKind::Spacc1 { op } => Prim::Spacc { op, map: BTreeMap::new() },
+            NodeKind::CrdDrop => Prim::CrdDrop { done: [false; 2] },
+            NodeKind::CrdWriter { output, level } => {
+                Prim::CrdWriter { output, level, tokens: Vec::new() }
+            }
+            NodeKind::ValWriter { output } => Prim::ValWriter { output, tokens: Vec::new() },
+            NodeKind::Parallelizer { factor } => Prim::Par { factor, rr: 0 },
+            NodeKind::Serializer { factor, depth } => {
+                Prim::Ser { factor, depth, st: SerState::default() }
+            }
+        };
+        let io = Io {
+            label,
+            in_chans,
+            outs: out_chans.into_iter().map(|chans| OutPort { chans, staged: 0 }).collect(),
+            n_staged: 0,
+            pending_mem: VecDeque::new(),
+            busy_until: 0,
+            ii_extra: (timing.ii_extra)(kind),
+            done: false,
+            elems: 0,
+        };
+        Rt { prim, io }
     }
 
+    pub(crate) fn is_writer(&self) -> bool {
+        matches!(self.prim, Prim::CrdWriter { .. } | Prim::ValWriter { .. })
+    }
+
+    // -- the per-cycle step ------------------------------------------------
+
+    /// Phase 3: one action, if not busy and the flush left nothing staged
+    /// (`clear`, read in [`step`](Self::step) before the retire).
+    #[inline]
+    fn act_phase(&mut self, ctx: &mut Ctx, clear: bool) -> Act {
+        if self.io.done || ctx.now < self.io.busy_until || !clear {
+            return Ok(false);
+        }
+        let acted = self.action(ctx)?;
+        if acted {
+            let ii = self.io.ii_extra;
+            if ii > 0 {
+                self.io.busy_until = ctx.now + 1 + ii;
+            }
+        }
+        Ok(acted)
+    }
+
+    /// One cycle of this node: flush, retire, act.
+    ///
+    /// Whether the node may act is decided between the flush and the retire
+    /// (`clear`): a token the flush could not send, or more than one per port
+    /// left by an earlier action, holds the node back; what this step retires
+    /// does not. So a scanner or an array that sent last cycle's token can
+    /// retire the next one and issue a further request in the same cycle
+    /// (II = 1), while a node facing a full channel stops issuing. At most
+    /// one retire batch (bounded by `outstanding`) plus one action's output
+    /// is ever staged behind a token that cannot leave.
+    pub(crate) fn step(&mut self, ctx: &mut Ctx) -> Result<StepOutcome, SimError> {
+        // Phase 1: send one staged token per output port.
+        let (mut progress, flush_blocked) = self.io.flush_phase(ctx);
+        let clear = self.io.n_staged == 0;
+
+        // Phase 2: retire completed memory requests onto their output ports
+        // (or drop them, for writers). They are staged here and sent by the
+        // next step's flush.
+        while let Some((_, ready, _)) = self.io.pending_mem.front() {
+            if *ready > ctx.now {
+                break;
+            }
+            let (tok, _, port) = self.io.pending_mem.pop_front().expect("nonempty");
+            if !self.is_writer() {
+                self.io.emit(ctx, port, tok);
+            }
+            progress = true;
+        }
+
+        // Phase 3: one action, if not busy and the flush left nothing staged.
+        progress |= self.act_phase(ctx, clear)?;
+
+        // Classify. A no-progress step never mutates node or channel state
+        // (actions commit only after every precondition peek succeeds), so
+        // the event scheduler may skip a node until one of the reported
+        // wake conditions fires — this is the sweep-equivalence invariant.
+        if progress {
+            return Ok(StepOutcome::Progressed);
+        }
+        if self.io.finished() {
+            return Ok(StepOutcome::Finished);
+        }
+        // After phase 2, any pending-memory head is strictly in the future,
+        // so `next_wake` is exact here.
+        if let Some(t) = self.io.next_wake(ctx.now) {
+            return Ok(StepOutcome::SleepingUntil(t));
+        }
+        Ok(if flush_blocked { StepOutcome::BlockedOutput } else { StepOutcome::BlockedInput })
+    }
+
+    /// The primitive's action, given exactly its own fields.
+    fn action(&mut self, ctx: &mut Ctx) -> Act {
+        let io = &mut self.io;
+        match &mut self.prim {
+            Prim::Root { emitted } => io.act_root(ctx, emitted),
+            Prim::Scan { tensor, level, st } => io.act_scan(ctx, *tensor, *level, st),
+            Prim::Repeat { base } => io.act_repeat(ctx, base),
+            Prim::Join(mode) => io.act_join(ctx, *mode),
+            Prim::Array { tensor } => io.act_array(ctx, *tensor),
+            Prim::Alu { op } => io.act_alu(ctx, *op),
+            Prim::Reduce { op, acc } => io.act_reduce(ctx, *op, acc),
+            Prim::Spacc { op, map } => io.act_spacc(ctx, *op, map),
+            Prim::CrdDrop { done } => io.act_crddrop(ctx, done),
+            Prim::CrdWriter { output, tokens, .. } | Prim::ValWriter { output, tokens } => {
+                io.act_writer(ctx, *output, tokens)
+            }
+            Prim::Par { factor, rr } => io.act_par(ctx, *factor, rr),
+            Prim::Ser { factor, depth, st } => io.act_ser(ctx, *factor, *depth, st),
+        }
+    }
+}
+
+impl Io {
     pub(crate) fn finished(&self) -> bool {
         self.done && self.n_staged == 0 && self.pending_mem.is_empty()
     }
@@ -101,6 +252,20 @@ impl Rt {
             .chain((self.busy_until > now).then_some(self.busy_until))
             .filter(|&t| t > now)
             .min()
+    }
+
+    /// Ends the run with a stream-semantics error naming this node.
+    fn fail<T>(&self, what: impl std::fmt::Display) -> Result<T, SimError> {
+        Err(SimError::Semantics(format!("{what} at {}", self.label)))
+    }
+
+    /// The coordinate a crd-port element carries; any other payload there is
+    /// an error.
+    fn crd(&self, p: &Payload) -> Result<u32, SimError> {
+        match p {
+            Payload::Idx(i) => Ok(*i),
+            other => self.fail(format_args!("coordinate port received {other:?}")),
+        }
     }
 
     // -- channel access ----------------------------------------------------
@@ -162,8 +327,6 @@ impl Rt {
         !self.connected(pay_port) || self.peek(ctx, pay_port).is_some()
     }
 
-    // -- the per-cycle step ------------------------------------------------
-
     /// Phase 1: send one staged token per output port, to all of the port's
     /// fan-out channels or (if any is full) to none. Returns
     /// `(progress, flush_blocked)`. Sending moves each channel's `visible`
@@ -204,96 +367,9 @@ impl Rt {
         (progress, flush_blocked)
     }
 
-    /// Phase 3: one action, if not busy and the flush left nothing staged
-    /// (`clear`, read in [`step`](Self::step) before the retire).
-    #[inline]
-    fn act_phase(&mut self, ctx: &mut Ctx, clear: bool) -> Result<bool, SimError> {
-        if self.done || ctx.now < self.busy_until || !clear {
-            return Ok(false);
-        }
-        let acted = self.action(ctx)?;
-        if acted {
-            let ii = self.ii_extra;
-            if ii > 0 {
-                self.busy_until = ctx.now + 1 + ii;
-            }
-        }
-        Ok(acted)
-    }
-
-    /// One cycle of this node: flush, retire, act.
-    ///
-    /// Whether the node may act is decided between the flush and the retire
-    /// (`clear`): a token the flush could not send, or more than one per port
-    /// left by an earlier action, holds the node back; what this step retires
-    /// does not. So a scanner or an array that sent last cycle's token can
-    /// retire the next one and issue a further request in the same cycle
-    /// (II = 1), while a node facing a full channel stops issuing. At most
-    /// one retire batch (bounded by `outstanding`) plus one action's output
-    /// is ever staged behind a token that cannot leave.
-    pub(crate) fn step(&mut self, ctx: &mut Ctx) -> Result<StepOutcome, SimError> {
-        // Phase 1: send one staged token per output port.
-        let (mut progress, flush_blocked) = self.flush_phase(ctx);
-        let clear = self.n_staged == 0;
-
-        // Phase 2: retire completed memory requests onto their output ports
-        // (or drop them, for writers). They are staged here and sent by the
-        // next step's flush.
-        while let Some((_, ready, _)) = self.pending_mem.front() {
-            if *ready > ctx.now {
-                break;
-            }
-            let (tok, _, port) = self.pending_mem.pop_front().expect("nonempty");
-            if !self.is_writer() {
-                self.emit(ctx, port, tok);
-            }
-            progress = true;
-        }
-
-        // Phase 3: one action, if not busy and the flush left nothing staged.
-        progress |= self.act_phase(ctx, clear)?;
-
-        // Classify. A no-progress step never mutates node or channel state
-        // (actions commit only after every precondition peek succeeds), so
-        // the event scheduler may skip a node until one of the reported
-        // wake conditions fires — this is the sweep-equivalence invariant.
-        if progress {
-            return Ok(StepOutcome::Progressed);
-        }
-        if self.finished() {
-            return Ok(StepOutcome::Finished);
-        }
-        // After phase 2, any pending-memory head is strictly in the future,
-        // so `next_wake` is exact here.
-        if let Some(t) = self.next_wake(ctx.now) {
-            return Ok(StepOutcome::SleepingUntil(t));
-        }
-        Ok(if flush_blocked { StepOutcome::BlockedOutput } else { StepOutcome::BlockedInput })
-    }
-
     // -- individual node actions ------------------------------------------
 
-    fn action(&mut self, ctx: &mut Ctx) -> Result<bool, SimError> {
-        match &self.kind {
-            NodeKind::Root => self.act_root(ctx),
-            NodeKind::LevelScanner { .. } => self.act_scan(ctx),
-            NodeKind::Repeat => self.act_repeat(ctx),
-            NodeKind::Intersect => self.act_join(ctx, JoinMode::Intersect),
-            NodeKind::Union => self.act_join(ctx, JoinMode::Union),
-            NodeKind::UnionLeft => self.act_join(ctx, JoinMode::UnionLeft),
-            NodeKind::Array { .. } => self.act_array(ctx),
-            NodeKind::Alu { .. } => self.act_alu(ctx),
-            NodeKind::Reduce { .. } => self.act_reduce(ctx),
-            NodeKind::Spacc1 { .. } => self.act_spacc(ctx),
-            NodeKind::CrdDrop => self.act_crddrop(ctx),
-            NodeKind::CrdWriter { .. } | NodeKind::ValWriter { .. } => self.act_writer(ctx),
-            NodeKind::Parallelizer { .. } => self.act_par(ctx),
-            NodeKind::Serializer { .. } => self.act_ser(ctx),
-        }
-    }
-
-    fn act_root(&mut self, ctx: &mut Ctx) -> Result<bool, SimError> {
-        let State::Root { emitted } = &mut self.state else { unreachable!() };
+    fn act_root(&mut self, ctx: &mut Ctx, emitted: &mut u8) -> Act {
         match *emitted {
             0 => {
                 *emitted = 1;
@@ -309,15 +385,14 @@ impl Rt {
         Ok(true)
     }
 
-    fn act_scan(&mut self, ctx: &mut Ctx) -> Result<bool, SimError> {
-        let NodeKind::LevelScanner { tensor, level } = self.kind else { unreachable!() };
-        let compressed = matches!(ctx.tensors[tensor].level(level), Level::Compressed { .. });
+    fn act_scan(&mut self, ctx: &mut Ctx, tensor: usize, level: usize, s: &mut ScanState) -> Act {
+        let t = ctx.tensors[tensor];
+        let lvl = t.level(level);
+        let compressed = matches!(lvl, Level::Compressed { .. });
         let in_dram = ctx.tensor_slots[tensor].location == MemLocation::Dram;
         let outstanding = ctx.cfg.timing.outstanding;
 
-        let emitting = matches!(&self.state, State::Scan(s) if s.emitting);
-        if emitting {
-            let State::Scan(s) = &self.state else { unreachable!() };
+        if s.emitting {
             if s.fidx < s.len {
                 // One request per element; it sits in the queue as a
                 // (crd, ref) pair of entries.
@@ -329,8 +404,7 @@ impl Rt {
                 } else {
                     ctx.now
                 };
-                let State::Scan(s) = &mut self.state else { unreachable!() };
-                let (c, p) = ctx.tensors[tensor].level(level).fiber_entry(s.parent, s.fidx);
+                let (c, p) = lvl.fiber_entry(s.parent, s.fidx);
                 s.fidx += 1;
                 self.pending_mem.push_back((Token::idx(c), ready, 0));
                 self.pending_mem.push_back((Token::idx(p as u32), ready, 1));
@@ -340,7 +414,6 @@ impl Rt {
             // queue so they never overtake memory-delayed elements).
             let Some(head) = self.peek(ctx, 0) else { return Ok(false) };
             let head = head.clone();
-            let State::Scan(s) = &mut self.state else { unreachable!() };
             s.emitting = false;
             let now = ctx.now;
             match head {
@@ -362,22 +435,25 @@ impl Rt {
         let head = head.clone();
         match head {
             Token::Elem(Payload::Idx(r)) => {
+                let parent = r as usize;
+                if matches!(lvl, Level::Compressed { pos, .. } if parent + 1 >= pos.len()) {
+                    return self
+                        .fail(format_args!("reference {r} past the fibers of level {level}"));
+                }
                 self.pop(ctx, 0);
                 if compressed && in_dram {
                     // pos-array read for the fiber bounds.
                     let _ = ctx.dram.request(ctx.now, 8, AccessKind::Stream, false);
                 }
-                let parent = r as usize;
-                let len = ctx.tensors[tensor].level(level).fiber_len(parent);
-                self.state = State::Scan(ScanState { parent, len, fidx: 0, emitting: true });
+                *s = ScanState { parent, len: lvl.fiber_len(parent), fidx: 0, emitting: true };
             }
             Token::Elem(Payload::Empty) => {
                 self.pop(ctx, 0);
                 // An empty reference scans to an empty fiber.
-                self.state = State::Scan(ScanState { emitting: true, ..ScanState::default() });
+                *s = ScanState { emitting: true, ..ScanState::default() };
             }
             Token::Elem(other) => {
-                return Err(SimError::Semantics(format!("scanner received payload {other:?}")))
+                return self.fail(format_args!("scanner received payload {other:?}"))
             }
             Token::Stop(k) => {
                 self.pop(ctx, 0);
@@ -396,40 +472,37 @@ impl Rt {
         Ok(true)
     }
 
-    fn act_repeat(&mut self, ctx: &mut Ctx) -> Result<bool, SimError> {
+    fn act_repeat(&mut self, ctx: &mut Ctx, base: &mut Option<Payload>) -> Act {
         let Some(rep_head) = self.peek(ctx, 1) else { return Ok(false) };
         let rep_head = rep_head.clone();
         match rep_head {
             Token::Elem(_) => {
-                let loaded = matches!(&self.state, State::Repeat(r) if r.cur_base.is_some());
-                if !loaded {
-                    let Some(base) = self.peek(ctx, 0) else { return Ok(false) };
-                    match base {
-                        Token::Elem(p) => {
-                            let p = p.clone();
-                            self.pop(ctx, 0);
-                            let State::Repeat(r) = &mut self.state else { unreachable!() };
-                            r.cur_base = Some(p);
-                        }
-                        other => {
-                            return Err(SimError::Semantics(format!(
-                                "repeat expected base element, found {other:?}"
-                            )))
-                        }
+                let p = match base {
+                    Some(p) => p.clone(),
+                    None => {
+                        let p = match self.peek(ctx, 0) {
+                            Some(Token::Elem(p)) => p.clone(),
+                            Some(other) => {
+                                return self.fail(format_args!(
+                                    "repeat expected base element, found {other:?}"
+                                ))
+                            }
+                            None => return Ok(false),
+                        };
+                        self.pop(ctx, 0);
+                        *base = Some(p.clone());
+                        p
                     }
-                }
+                };
                 self.pop(ctx, 1);
-                let State::Repeat(r) = &self.state else { unreachable!() };
-                let p = r.cur_base.clone().expect("loaded above");
                 self.emit(ctx, 0, Token::Elem(p));
             }
             Token::Stop(k) => {
                 // Close the pairing: discard the base element for this rep
                 // fiber (it may be unloaded if the fiber was empty), then
                 // consume the aligned base stop for k >= 1.
-                let loaded = matches!(&self.state, State::Repeat(r) if r.cur_base.is_some());
                 let mut base_idx = 0usize;
-                if !loaded {
+                if base.is_none() {
                     match self.peek_at(ctx, 0, base_idx) {
                         Some(Token::Elem(_)) => base_idx += 1, // will discard
                         Some(_) => {}
@@ -440,9 +513,9 @@ impl Rt {
                     match self.peek_at(ctx, 0, base_idx) {
                         Some(Token::Stop(bk)) if *bk == k - 1 => base_idx += 1,
                         Some(other) => {
-                            return Err(SimError::Semantics(format!(
+                            return self.fail(format_args!(
                                 "repeat base misaligned: rep Stop({k}) vs base {other:?}"
-                            )))
+                            ))
                         }
                         None => return Ok(false),
                     }
@@ -452,17 +525,15 @@ impl Rt {
                 for _ in 0..base_idx {
                     self.pop(ctx, 0);
                 }
-                let State::Repeat(r) = &mut self.state else { unreachable!() };
-                r.cur_base = None;
+                *base = None;
                 self.emit(ctx, 0, Token::Stop(k));
             }
             Token::Done => {
                 match self.peek(ctx, 0) {
                     Some(Token::Done) => {}
                     Some(other) => {
-                        return Err(SimError::Semantics(format!(
-                            "repeat base should be Done, found {other:?}"
-                        )))
+                        return self
+                            .fail(format_args!("repeat base should be Done, found {other:?}"))
                     }
                     None => return Ok(false),
                 }
@@ -475,7 +546,7 @@ impl Rt {
         Ok(true)
     }
 
-    fn act_join(&mut self, ctx: &mut Ctx, mode: JoinMode) -> Result<bool, SimError> {
+    fn act_join(&mut self, ctx: &mut Ctx, mode: JoinMode) -> Act {
         let (Some(a), Some(b)) = (self.peek(ctx, 0), self.peek(ctx, 2)) else {
             return Ok(false);
         };
@@ -485,7 +556,7 @@ impl Rt {
         }
         match (&a, &b) {
             (Token::Elem(ca), Token::Elem(cb)) => {
-                let (ia, ib) = (ca.idx(), cb.idx());
+                let (ia, ib) = (self.crd(ca)?, self.crd(cb)?);
                 if ia == ib {
                     let pa = self.pop_side(ctx, 0, 1);
                     let pb = self.pop_side(ctx, 2, 3);
@@ -531,7 +602,7 @@ impl Rt {
                     let _ = self.pop_side(ctx, 0, 1);
                 }
                 JoinMode::Union | JoinMode::UnionLeft => {
-                    let ia = ca.idx();
+                    let ia = self.crd(ca)?;
                     let pa = self.pop_side(ctx, 0, 1);
                     self.emit(ctx, 0, Token::idx(ia));
                     if let Some(t) = pa {
@@ -545,7 +616,7 @@ impl Rt {
                     let _ = self.pop_side(ctx, 2, 3);
                 }
                 JoinMode::Union => {
-                    let ib = cb.idx();
+                    let ib = self.crd(cb)?;
                     let pb = self.pop_side(ctx, 2, 3);
                     self.emit(ctx, 0, Token::idx(ib));
                     self.emit(ctx, 1, Token::Elem(Payload::Empty));
@@ -556,10 +627,7 @@ impl Rt {
             },
             (Token::Stop(ka), Token::Stop(kb)) => {
                 if ka != kb {
-                    return Err(SimError::Semantics(format!(
-                        "join stop mismatch: {ka} vs {kb} at {}",
-                        self.label
-                    )));
+                    return self.fail(format_args!("join stop mismatch: {ka} vs {kb}"));
                 }
                 let k = *ka;
                 let _ = self.pop_side(ctx, 0, 1);
@@ -576,18 +644,12 @@ impl Rt {
                 }
                 self.done = true;
             }
-            (x, y) => {
-                return Err(SimError::Semantics(format!(
-                    "join token mismatch: {x:?} vs {y:?} at {}",
-                    self.label
-                )))
-            }
+            (x, y) => return self.fail(format_args!("join token mismatch: {x:?} vs {y:?}")),
         }
         Ok(true)
     }
 
-    fn act_array(&mut self, ctx: &mut Ctx) -> Result<bool, SimError> {
-        let NodeKind::Array { tensor } = self.kind else { unreachable!() };
+    fn act_array(&mut self, ctx: &mut Ctx, tensor: usize) -> Act {
         if self.pending_mem.len() >= ctx.cfg.timing.outstanding {
             return Ok(false);
         }
@@ -597,13 +659,18 @@ impl Rt {
         let in_dram = ctx.tensor_slots[tensor].location == MemLocation::Dram;
         match head {
             Token::Elem(Payload::Idx(r)) => {
+                let (r, n) = (r as usize, t.block_len());
+                let Some(vals) = t.vals().get(r * n..(r + 1) * n) else {
+                    let stored = t.stored_positions();
+                    return self
+                        .fail(format_args!("reference {r} past the {stored} stored positions"));
+                };
                 self.pop(ctx, 0);
                 let (payload, bytes) = if t.is_blocked() {
                     let [b0, b1] = t.block();
-                    let blk = Block::new(b0, b1, t.val_block(r as usize).to_vec());
-                    (Payload::Blk(blk), (b0 * b1 * 4) as u64)
+                    (Payload::Blk(Block::new(b0, b1, vals.to_vec())), (b0 * b1 * 4) as u64)
                 } else {
-                    (Payload::F(t.val(r as usize)), 4)
+                    (Payload::F(vals[0]), 4)
                 };
                 let ready = if in_dram {
                     ctx.dram.request(ctx.now, bytes, AccessKind::Random, false)
@@ -623,7 +690,7 @@ impl Rt {
                 self.pending_mem.push_back((Token::Elem(payload), ctx.now, 0));
             }
             Token::Elem(other) => {
-                return Err(SimError::Semantics(format!("array received payload {other:?}")))
+                return self.fail(format_args!("array received payload {other:?}"))
             }
             Token::Stop(k) => {
                 self.pop(ctx, 0);
@@ -638,8 +705,7 @@ impl Rt {
         Ok(true)
     }
 
-    fn act_alu(&mut self, ctx: &mut Ctx) -> Result<bool, SimError> {
-        let NodeKind::Alu { op } = self.kind else { unreachable!() };
+    fn act_alu(&mut self, ctx: &mut Ctx, op: AluOp) -> Act {
         ctx.pending_busy = 0;
         if op.arity() == 1 {
             let Some(head) = self.peek(ctx, 0) else { return Ok(false) };
@@ -647,7 +713,7 @@ impl Rt {
             match head {
                 Token::Elem(p) => {
                     self.pop(ctx, 0);
-                    let out = alu_unary(ctx, op, p);
+                    let out = alu_unary(ctx, op, p).or_else(|e| self.fail(e))?;
                     self.emit(ctx, 0, Token::Elem(out));
                 }
                 Token::Stop(k) => {
@@ -669,7 +735,7 @@ impl Rt {
                 (Token::Elem(pa), Token::Elem(pb)) => {
                     self.pop(ctx, 0);
                     self.pop(ctx, 1);
-                    let out = alu_combine(ctx, op, pa, pb)?;
+                    let out = alu_combine(ctx, op, pa, pb).or_else(|e| self.fail(e))?;
                     self.emit(ctx, 0, Token::Elem(out));
                 }
                 (Token::Stop(ka), Token::Stop(kb)) if ka == kb => {
@@ -684,10 +750,7 @@ impl Rt {
                     self.done = true;
                 }
                 (x, y) => {
-                    return Err(SimError::Semantics(format!(
-                        "alu stream misalignment: {x:?} vs {y:?} at {}",
-                        self.label
-                    )))
+                    return self.fail(format_args!("alu stream misalignment: {x:?} vs {y:?}"))
                 }
             }
         }
@@ -697,14 +760,12 @@ impl Rt {
         Ok(true)
     }
 
-    fn act_reduce(&mut self, ctx: &mut Ctx) -> Result<bool, SimError> {
-        let NodeKind::Reduce { op } = self.kind else { unreachable!() };
+    fn act_reduce(&mut self, ctx: &mut Ctx, op: ReduceOp, acc: &mut Option<Payload>) -> Act {
         let Some(head) = self.peek(ctx, 0) else { return Ok(false) };
         let head = head.clone();
         match head {
             Token::Elem(p) => {
                 self.pop(ctx, 0);
-                let State::Reduce { acc } = &mut self.state else { unreachable!() };
                 let mut extra_flops = 0u64;
                 let new = match (acc.take(), p) {
                     (None, p) => p,
@@ -721,7 +782,7 @@ impl Rt {
                         Payload::Blk(a.zip(&b, |x, y| op.apply(x, y)))
                     }
                     (Some(a), b) => {
-                        return Err(SimError::Semantics(format!("reduce operands {a:?} / {b:?}")))
+                        return self.fail(format_args!("reduce operands {a:?} / {b:?}"))
                     }
                 };
                 *acc = Some(new);
@@ -729,7 +790,6 @@ impl Rt {
             }
             Token::Stop(k) => {
                 self.pop(ctx, 0);
-                let State::Reduce { acc } = &mut self.state else { unreachable!() };
                 let out = acc.take().unwrap_or(Payload::F(op.identity()));
                 self.emit(ctx, 0, Token::Elem(out));
                 if k >= 1 {
@@ -745,19 +805,17 @@ impl Rt {
         Ok(true)
     }
 
-    fn act_spacc(&mut self, ctx: &mut Ctx) -> Result<bool, SimError> {
-        let NodeKind::Spacc1 { op } = self.kind else { unreachable!() };
+    fn act_spacc(&mut self, ctx: &mut Ctx, op: ReduceOp, map: &mut BTreeMap<u32, Payload>) -> Act {
         let (Some(c), Some(v)) = (self.peek(ctx, 0), self.peek(ctx, 1)) else {
             return Ok(false);
         };
         let (c, v) = (c.clone(), v.clone());
         match (c, v) {
             (Token::Elem(pc), Token::Elem(pv)) => {
+                let key = self.crd(&pc)?;
                 self.pop(ctx, 0);
                 self.pop(ctx, 1);
-                let key = pc.idx();
                 let mut extra_flops = 0u64;
-                let State::Spacc { map } = &mut self.state else { unreachable!() };
                 match map.entry(key) {
                     std::collections::btree_map::Entry::Vacant(e) => {
                         e.insert(pv);
@@ -774,9 +832,7 @@ impl Rt {
                             }
                             (Payload::Empty, p) | (p, Payload::Empty) => p,
                             (a, b) => {
-                                return Err(SimError::Semantics(format!(
-                                    "spacc operands {a:?} / {b:?}"
-                                )))
+                                return self.fail(format_args!("spacc operands {a:?} / {b:?}"))
                             }
                         };
                         e.insert(merged);
@@ -786,14 +842,12 @@ impl Rt {
             }
             (Token::Stop(kc), Token::Stop(kv)) => {
                 if kc != kv {
-                    return Err(SimError::Semantics(format!("spacc stop mismatch {kc} vs {kv}")));
+                    return self.fail(format_args!("spacc stop mismatch {kc} vs {kv}"));
                 }
                 self.pop(ctx, 0);
                 self.pop(ctx, 1);
                 if kc >= 1 {
-                    let State::Spacc { map } = &mut self.state else { unreachable!() };
-                    let drained: Vec<(u32, Payload)> = std::mem::take(map).into_iter().collect();
-                    for (c, v) in drained {
+                    for (c, v) in std::mem::take(map) {
                         self.emit(ctx, 0, Token::idx(c));
                         self.emit(ctx, 1, Token::Elem(v));
                     }
@@ -806,41 +860,26 @@ impl Rt {
             (Token::Done, Token::Done) => {
                 self.pop(ctx, 0);
                 self.pop(ctx, 1);
-                let State::Spacc { map } = &self.state else { unreachable!() };
                 if !map.is_empty() {
-                    return Err(SimError::Semantics(
-                        "spacc reached Done with unflushed state".into(),
-                    ));
+                    return self.fail("spacc reached Done with unflushed state");
                 }
                 self.emit(ctx, 0, Token::Done);
                 self.emit(ctx, 1, Token::Done);
                 self.done = true;
             }
-            (x, y) => {
-                return Err(SimError::Semantics(format!(
-                    "spacc stream misalignment: {x:?} vs {y:?}"
-                )))
-            }
+            (x, y) => return self.fail(format_args!("spacc stream misalignment: {x:?} vs {y:?}")),
         }
         Ok(true)
     }
 
-    fn act_crddrop(&mut self, ctx: &mut Ctx) -> Result<bool, SimError> {
+    fn act_crddrop(&mut self, ctx: &mut Ctx, done: &mut [bool; 2]) -> Act {
         let mut progress = false;
         for port in 0..2 {
             if self.peek(ctx, port).is_some() {
                 let tok = self.pop(ctx, port);
-                let State::CrdDrop { done0, done1 } = &mut self.state else { unreachable!() };
-                if tok == Token::Done {
-                    if port == 0 {
-                        *done0 = true;
-                    } else {
-                        *done1 = true;
-                    }
-                }
-                let finished = *done0 && *done1;
+                done[port] |= tok == Token::Done;
                 self.emit(ctx, port, tok);
-                if finished {
+                if done[0] && done[1] {
                     self.done = true;
                 }
                 progress = true;
@@ -849,16 +888,12 @@ impl Rt {
         Ok(progress)
     }
 
-    fn act_writer(&mut self, ctx: &mut Ctx) -> Result<bool, SimError> {
+    fn act_writer(&mut self, ctx: &mut Ctx, output: usize, tokens: &mut Vec<Token>) -> Act {
         if self.pending_mem.len() >= ctx.cfg.timing.outstanding {
             return Ok(false);
         }
         let Some(head) = self.peek(ctx, 0) else { return Ok(false) };
         let head = head.clone();
-        let output = match self.kind {
-            NodeKind::CrdWriter { output, .. } | NodeKind::ValWriter { output } => output,
-            _ => unreachable!(),
-        };
         let in_dram = ctx.output_slots[output].location == MemLocation::Dram;
         self.pop(ctx, 0);
         if let Token::Elem(p) = &head {
@@ -877,13 +912,11 @@ impl Rt {
         if head == Token::Done {
             self.done = true;
         }
-        let State::Writer { tokens } = &mut self.state else { unreachable!() };
         tokens.push(head);
         Ok(true)
     }
 
-    fn act_par(&mut self, ctx: &mut Ctx) -> Result<bool, SimError> {
-        let NodeKind::Parallelizer { factor } = self.kind else { unreachable!() };
+    fn act_par(&mut self, ctx: &mut Ctx, factor: usize, rr: &mut usize) -> Act {
         let has_payload = self.connected(1);
         let Some(head) = self.peek(ctx, 0) else { return Ok(false) };
         let head = head.clone();
@@ -893,7 +926,6 @@ impl Rt {
         match head {
             Token::Elem(_) => {
                 let c = self.pop(ctx, 0);
-                let State::Par { rr } = &mut self.state else { unreachable!() };
                 let b = *rr;
                 *rr = (*rr + 1) % factor;
                 self.emit(ctx, 2 * b, c);
@@ -907,12 +939,11 @@ impl Rt {
                 if has_payload {
                     let p = self.pop(ctx, 1);
                     if p != Token::Stop(k) {
-                        return Err(SimError::Semantics(format!(
+                        return self.fail(format_args!(
                             "parallelizer payload misaligned: {p:?} vs Stop({k})"
-                        )));
+                        ));
                     }
                 }
-                let State::Par { rr } = &mut self.state else { unreachable!() };
                 *rr = 0;
                 for b in 0..factor {
                     self.emit(ctx, 2 * b, Token::Stop(k));
@@ -938,15 +969,11 @@ impl Rt {
         Ok(true)
     }
 
-    fn act_ser(&mut self, ctx: &mut Ctx) -> Result<bool, SimError> {
-        let NodeKind::Serializer { factor, depth } = self.kind else { unreachable!() };
+    fn act_ser(&mut self, ctx: &mut Ctx, factor: usize, depth: u8, st: &mut SerState) -> Act {
         let order_port = factor;
-        let (cur, in_unit, pending) = {
-            let State::Ser(st) = &self.state else { unreachable!() };
-            (st.cur, st.in_unit, st.pending_unit)
-        };
+        let cur = st.cur;
 
-        if in_unit {
+        if st.in_unit {
             // Pull the current unit's tokens from branch `cur`.
             let Some(head) = self.peek(ctx, cur) else { return Ok(false) };
             let head = head.clone();
@@ -958,10 +985,9 @@ impl Rt {
                 Token::Stop(k) if depth >= 1 && k == depth - 1 => {
                     // Ordinary unit boundary.
                     self.pop(ctx, cur);
-                    let State::Ser(st) = &mut self.state else { unreachable!() };
                     st.in_unit = false;
                     st.pending_unit = true;
-                    st.cur = (st.cur + 1) % factor;
+                    st.cur = (cur + 1) % factor;
                 }
                 Token::Stop(k) if k + 1 < depth => {
                     // Interior stop: part of this unit.
@@ -972,14 +998,11 @@ impl Rt {
                     // The unit's boundary coalesced into a barrier stop: the
                     // unit is over, but the barrier token is consumed later
                     // by the order-stream barrier action.
-                    let State::Ser(st) = &mut self.state else { unreachable!() };
                     st.in_unit = false;
                     st.pending_unit = true;
-                    st.cur = (st.cur + 1) % factor;
+                    st.cur = (cur + 1) % factor;
                 }
-                Token::Done => {
-                    return Err(SimError::Semantics("serializer branch finished mid-unit".into()))
-                }
+                Token::Done => return self.fail("serializer branch finished mid-unit"),
             }
             return Ok(true);
         }
@@ -988,10 +1011,9 @@ impl Rt {
         let order_head = order_head.clone();
         match order_head {
             Token::Elem(_) => {
-                if pending {
+                if st.pending_unit {
                     // Close the previous unit before starting the next one.
                     self.emit(ctx, 0, Token::Stop(depth - 1));
-                    let State::Ser(st) = &mut self.state else { unreachable!() };
                     st.pending_unit = false;
                     return Ok(true);
                 }
@@ -1003,13 +1025,12 @@ impl Rt {
                             self.pop(ctx, order_port);
                             let tok = self.pop(ctx, cur);
                             self.emit(ctx, 0, tok);
-                            let State::Ser(st) = &mut self.state else { unreachable!() };
-                            st.cur = (st.cur + 1) % factor;
+                            st.cur = (cur + 1) % factor;
                         }
                         other => {
-                            return Err(SimError::Semantics(format!(
+                            return self.fail(format_args!(
                                 "serializer depth-0 expected element, found {other:?}"
-                            )))
+                            ))
                         }
                     }
                 } else {
@@ -1017,10 +1038,9 @@ impl Rt {
                     let Some(bh) = self.peek(ctx, cur) else { return Ok(false) };
                     let coalesced = matches!(bh, Token::Stop(k) if *k >= depth);
                     self.pop(ctx, order_port);
-                    let State::Ser(st) = &mut self.state else { unreachable!() };
                     if coalesced {
                         st.pending_unit = true;
-                        st.cur = (st.cur + 1) % factor;
+                        st.cur = (cur + 1) % factor;
                     } else {
                         st.in_unit = true;
                     }
@@ -1032,10 +1052,10 @@ impl Rt {
                     match self.peek(ctx, b) {
                         Some(Token::Stop(bk)) if *bk == k + depth => {}
                         Some(other) => {
-                            return Err(SimError::Semantics(format!(
+                            return self.fail(format_args!(
                                 "serializer barrier mismatch on branch {b}: {other:?} vs Stop({})",
                                 k + depth
-                            )))
+                            ))
                         }
                         None => return Ok(false),
                     }
@@ -1045,7 +1065,6 @@ impl Rt {
                     self.pop(ctx, b);
                 }
                 self.emit(ctx, 0, Token::Stop(k + depth));
-                let State::Ser(st) = &mut self.state else { unreachable!() };
                 st.pending_unit = false;
                 st.cur = 0;
             }
@@ -1054,9 +1073,9 @@ impl Rt {
                     match self.peek(ctx, b) {
                         Some(Token::Done) => {}
                         Some(other) => {
-                            return Err(SimError::Semantics(format!(
+                            return self.fail(format_args!(
                                 "serializer expected branch Done, found {other:?}"
-                            )))
+                            ))
                         }
                         None => return Ok(false),
                     }
@@ -1075,7 +1094,7 @@ impl Rt {
 
 // -- ALU payload combiners (charge FLOPs / occupancy through the context) ---
 
-fn alu_combine(ctx: &mut Ctx, op: AluOp, a: Payload, b: Payload) -> Result<Payload, SimError> {
+fn alu_combine(ctx: &mut Ctx, op: AluOp, a: Payload, b: Payload) -> Result<Payload, String> {
     let lanes = ctx.cfg.timing.block_lanes_factor;
     Ok(match (a, b) {
         (Payload::F(x), Payload::F(y)) => {
@@ -1142,12 +1161,12 @@ fn alu_combine(ctx: &mut Ctx, op: AluOp, a: Payload, b: Payload) -> Result<Paylo
                 }
             }
         }
-        (a, b) => return Err(SimError::Semantics(format!("alu operands {a:?} / {b:?}"))),
+        (a, b) => return Err(format!("alu operands {a:?} / {b:?}")),
     })
 }
 
-fn alu_unary(ctx: &mut Ctx, op: AluOp, a: Payload) -> Payload {
-    match a {
+fn alu_unary(ctx: &mut Ctx, op: AluOp, a: Payload) -> Result<Payload, String> {
+    Ok(match a {
         Payload::F(x) => {
             ctx.flops += op.flops_per_elem();
             Payload::F(op.apply_scalar(x, 0.0))
@@ -1162,12 +1181,12 @@ fn alu_unary(ctx: &mut Ctx, op: AluOp, a: Payload) -> Payload {
             };
             Payload::Blk(blk)
         }
-        Payload::Idx(_) => unreachable!("validated streams never feed crd into ALU"),
-    }
+        Payload::Idx(i) => return Err(format!("alu operand Idx({i})")),
+    })
 }
 
 /// Does a node of this kind look past the head of the input channel on
-/// `port` (call [`Rt::peek_at`] with `idx > 0`)? Such a reader can be blocked
+/// `port` (call [`Io::peek_at`] with `idx > 0`)? Such a reader can be blocked
 /// on a channel that is not empty, so the channel is wired [`deep`] and every
 /// publish wakes it. Today that is `Repeat`'s base port alone: closing a
 /// fiber, it needs the base element and the base stop behind it at once.
@@ -1177,52 +1196,12 @@ pub(crate) fn reads_past_head(kind: &NodeKind, port: usize) -> bool {
     matches!(kind, NodeKind::Repeat) && port == 0
 }
 
-pub(crate) fn make_rt(
-    kind: NodeKind,
-    label: String,
-    in_chans: Vec<Option<usize>>,
-    out_chans: Vec<Vec<usize>>,
-    timing: &TimingConfig,
-) -> Rt {
-    let state = match &kind {
-        NodeKind::Root => State::Root { emitted: 0 },
-        NodeKind::LevelScanner { .. } => State::Scan(ScanState::default()),
-        NodeKind::Repeat => State::Repeat(RepState::default()),
-        NodeKind::Intersect | NodeKind::Union | NodeKind::UnionLeft => State::Join,
-        NodeKind::Array { .. } => State::Alu,
-        NodeKind::Alu { .. } => State::Alu,
-        NodeKind::Reduce { .. } => State::Reduce { acc: None },
-        NodeKind::Spacc1 { .. } => State::Spacc { map: BTreeMap::new() },
-        NodeKind::CrdWriter { .. } | NodeKind::ValWriter { .. } => {
-            State::Writer { tokens: Vec::new() }
-        }
-        NodeKind::CrdDrop => State::CrdDrop { done0: false, done1: false },
-        NodeKind::Parallelizer { .. } => State::Par { rr: 0 },
-        NodeKind::Serializer { .. } => State::Ser(SerState::default()),
-    };
-    let outs = out_chans.into_iter().map(|chans| OutPort { chans, staged: 0 }).collect();
-    let ii = (timing.ii_extra)(&kind);
-    Rt {
-        kind,
-        label,
-        state,
-        in_chans,
-        outs,
-        n_staged: 0,
-        pending_mem: VecDeque::new(),
-        busy_until: 0,
-        ii_extra: ii,
-        done: false,
-        elems: 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chan::{Chan, NO_NODE};
     use crate::{simulate, Scheduler, SimConfig, TensorEnv};
-    use fuseflow_sam::{ReduceOp, SamGraph};
+    use fuseflow_sam::SamGraph;
     use fuseflow_tensor::{Format, SparseTensor};
 
     /// `Spacc1` drains a three-entry map (and the stop behind it) in one
@@ -1239,8 +1218,8 @@ mod tests {
         let out = || Chan::new(1, 0, NO_NODE, false);
         let chans = vec![Chan::seeded(crd, false), Chan::seeded(val, false), out(), out(), out()];
         let mut ctx = Ctx::bare(chans, &cfg, 1);
-        let mut rt = make_rt(
-            NodeKind::Spacc1 { op: ReduceOp::Sum },
+        let mut rt = Rt::new(
+            &NodeKind::Spacc1 { op: ReduceOp::Sum },
             "spacc".into(),
             vec![Some(0), Some(1)],
             vec![vec![2, 3], vec![4]],
@@ -1253,7 +1232,7 @@ mod tests {
             ctx.now = cycle;
             let sent_before = got.each_ref().map(Vec::len);
             let outcome = rt.step(&mut ctx).unwrap();
-            most_staged = most_staged.max(rt.outs[0].staged);
+            most_staged = most_staged.max(rt.io.outs[0].staged);
             for (i, c) in (2..5).enumerate() {
                 // The slow reader of the crd port's second channel pops every
                 // other cycle; the others pop whatever they are shown.
@@ -1269,7 +1248,7 @@ mod tests {
                 break;
             }
         }
-        assert!(rt.finished(), "not drained in 64 cycles");
+        assert!(rt.io.finished(), "not drained in 64 cycles");
         assert_eq!(most_staged, 4, "the drain should stage the whole map at once");
         let crd_out =
             vec![Token::idx(1), Token::idx(2), Token::idx(3), Token::Stop(0), Token::Done];
@@ -1295,8 +1274,8 @@ mod tests {
         let chans =
             vec![base, Chan::seeded([Token::Stop(1)], false), Chan::new(8, 1, NO_NODE, false)];
         let mut ctx = Ctx::bare(chans, &cfg, 2);
-        let mut rt = make_rt(
-            NodeKind::Repeat,
+        let mut rt = Rt::new(
+            &NodeKind::Repeat,
             "repeat".into(),
             vec![Some(0), Some(1)],
             vec![vec![2]],

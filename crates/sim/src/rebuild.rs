@@ -50,7 +50,7 @@ pub fn streams_to_entries(
                                 if skip[k] > 0 {
                                     skip[k] -= 1;
                                 } else {
-                                    cur[k] = Some(e.idx());
+                                    cur[k] = Some(crd(e)?);
                                 }
                             }
                             Some(_) => {} // stops of outer streams carry no extra info
@@ -59,7 +59,7 @@ pub fn streams_to_entries(
                     }
                     coords.push(cur[k].expect("populated above"));
                 }
-                coords.push(c.idx());
+                coords.push(crd(c)?);
                 out.push((coords, p.clone()));
             }
             (Token::Stop(s), Token::Stop(s2)) => {
@@ -84,6 +84,14 @@ pub fn streams_to_entries(
         }
     }
     Ok(out)
+}
+
+/// The coordinate a coordinate-stream element carries.
+fn crd(p: &Payload) -> Result<Crd, String> {
+    match p {
+        Payload::Idx(i) => Ok(*i),
+        other => Err(format!("coordinate stream carries {other:?}")),
+    }
 }
 
 /// Assembles an output tensor from writer streams according to its slot
@@ -207,6 +215,14 @@ mod tests {
         let crd0 = vec![idx(0), Token::Stop(0), Token::Done];
         let vals = vec![Token::val(1.0), Token::Done];
         assert!(streams_to_entries(&[crd0], &vals).is_err());
+    }
+
+    #[test]
+    fn values_on_a_coordinate_stream_error() {
+        let crd0 = vec![Token::val(1.0), Token::Stop(0), Token::Done];
+        let vals = vec![Token::val(1.0), Token::Stop(0), Token::Done];
+        let err = streams_to_entries(&[crd0], &vals).unwrap_err();
+        assert!(err.contains("coordinate stream carries F(1.0)"), "{err}");
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub(crate) fn run_event(order: &[NodeId], nodes: &mut [Rt], ctx: &mut Ctx) -> Re
     let n = order.len();
     // By rank: is this node a writer that has not finished yet?
     let mut writer_live: Vec<bool> =
-        order.iter().map(|id| nodes[id.0].is_writer() && !nodes[id.0].finished()).collect();
+        order.iter().map(|id| nodes[id.0].is_writer() && !nodes[id.0].io.finished()).collect();
     let mut live_writers = writer_live.iter().filter(|&&w| w).count();
 
     // The channels insert their own wakes into `ctx.cur` and `ctx.next`
@@ -67,7 +67,7 @@ pub(crate) fn run_event(order: &[NodeId], nodes: &mut [Rt], ctx: &mut Ctx) -> Re
                 StepOutcome::BlockedInput | StepOutcome::BlockedOutput | StepOutcome::Finished => {}
             }
             stepped += 1;
-            if writer_live[rank] && nodes[node].finished() {
+            if writer_live[rank] && nodes[node].io.finished() {
                 writer_live[rank] = false;
                 live_writers -= 1;
             }
@@ -109,7 +109,7 @@ pub(crate) fn run_sweep(order: &[NodeId], nodes: &mut [Rt], ctx: &mut Ctx) -> Re
         }
         ctx.sched.events += order.len() as u64;
         ctx.sched.peak_ready = ctx.sched.peak_ready.max(order.len() as u64);
-        if nodes.iter().all(|n| !n.is_writer() || n.finished()) {
+        if nodes.iter().all(|n| !n.is_writer() || n.io.finished()) {
             ctx.now += 1;
             return Ok(());
         }
@@ -119,7 +119,7 @@ pub(crate) fn run_sweep(order: &[NodeId], nodes: &mut [Rt], ctx: &mut Ctx) -> Re
             // Distinguish stalls on memory latency / initiation intervals
             // from true deadlock: fast-forward to the next wake-up time.
             let now = ctx.now;
-            match nodes.iter().filter_map(|n| n.next_wake(now)).min() {
+            match nodes.iter().filter_map(|n| n.io.next_wake(now)).min() {
                 Some(t) => {
                     ctx.sched.cycles_skipped += t - ctx.now - 1;
                     ctx.now = t;
@@ -157,7 +157,7 @@ pub(crate) fn run_standalone(node: &mut Rt, ctx: &mut Ctx, budget: u64) -> Resul
 /// rank, the report by node id.
 fn deadlock(order: &[NodeId], nodes: &[Rt], ctx: &Ctx) -> SimError {
     let mut parts = Vec::new();
-    for (i, n) in nodes.iter().enumerate() {
+    for (i, n) in nodes.iter().map(|n| &n.io).enumerate() {
         if !n.finished() {
             let ins: Vec<String> = n
                 .in_chans
@@ -180,7 +180,7 @@ fn deadlock(order: &[NodeId], nodes: &[Rt], ctx: &Ctx) -> SimError {
                     let reader = order[ch.reader as usize].0;
                     full.push(format!(
                         "out{p}->{}#{reader} at cap {}",
-                        nodes[reader].label, ch.cap
+                        nodes[reader].io.label, ch.cap
                     ));
                 }
             }

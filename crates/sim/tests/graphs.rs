@@ -508,3 +508,58 @@ fn scanner_level_beyond_bound_tensor_is_reported() {
     assert_eq!(err, expect);
     assert!(err.to_string().contains("LS[t0.l1]#4"), "{err}");
 }
+
+/// Root -> scanner over `A` (an 8-entry dense vector) -> coordinate writer of
+/// `T`, with `T`'s value writer fed by what `vals` adds behind the scanner;
+/// `B` is a 2-entry sparse vector. Such a graph passes `validate` whatever
+/// kinds `vals` connects, so `simulate` must answer with a typed error, the
+/// same one under both schedulers, which is returned.
+fn scan_dense_a(vals: fn(&mut SamGraph, NodeId) -> NodeId) -> SimError {
+    let mut g = SamGraph::new();
+    let a = g.add_tensor("A", MemLocation::OnChip);
+    g.add_tensor("B", MemLocation::OnChip);
+    let out = g.add_output("T", vec![8], Format::sparse_vec(), MemLocation::OnChip);
+    let root = g.add_node(NodeKind::Root);
+    let ls = g.add_node(NodeKind::LevelScanner { tensor: a, level: 0 });
+    let wc = g.add_node(NodeKind::CrdWriter { output: out, level: 0 });
+    let wv = g.add_node(NodeKind::ValWriter { output: out });
+    g.connect(root, 0, ls, 0);
+    g.connect(ls, 0, wc, 0);
+    let v = vals(&mut g, ls);
+    g.connect(v, 0, wv, 0);
+    assert_eq!(g.validate(), Ok(()));
+    let a = DenseTensor::from_vec(vec![8], vec![1.0; 8]);
+    let b = vec![(vec![1], 2.0), (vec![5], 3.0)];
+    let env = env2(
+        ("A", SparseTensor::from_dense(&a, &Format::dense_vec())),
+        ("B", SparseTensor::from_coo(vec![8], b, &Format::sparse_vec()).unwrap()),
+    );
+    let [event, sweep] = [Scheduler::Event, Scheduler::Sweep]
+        .map(|s| simulate(&g, &env, &SimConfig::default().with_scheduler(s)).unwrap_err());
+    assert_eq!(event, sweep);
+    event
+}
+
+/// A coordinate stream on a unary ALU's value port.
+#[test]
+fn crd_stream_into_unary_alu_is_a_typed_error() {
+    let err = scan_dense_a(|g, ls| {
+        let relu = g.add_node(NodeKind::Alu { op: AluOp::Relu });
+        g.connect(ls, 0, relu, 0);
+        relu
+    });
+    assert!(matches!(&err, SimError::Semantics(m) if m.contains("ALU[Relu]")), "{err}");
+}
+
+/// References into `A`'s eight positions, read from `B`'s two.
+#[test]
+fn reference_past_the_stored_positions_is_a_typed_error() {
+    let err = scan_dense_a(|g, ls| {
+        let arr = g.add_node(NodeKind::Array { tensor: 1 });
+        g.connect(ls, 1, arr, 0);
+        arr
+    });
+    let named =
+        |m: &str| m.contains("reference 2 past the 2 stored positions") && m.contains("Array[t1]");
+    assert!(matches!(&err, SimError::Semantics(m) if named(m)), "{err}");
+}

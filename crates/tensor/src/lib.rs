@@ -15,9 +15,8 @@
 //!   real-world datasets (Table 2), preserving shape, sparsity level and
 //!   sparsity structure (uniform, power-law, block-diagonal, BigBird masks,
 //!   magnitude-pruned weights).
-//! * [`mod@reference`] — dense reference operators (matmul, elementwise ops,
-//!   softmax, layer norm) used to functionally verify every dataflow
-//!   simulation.
+//! * [`mod@reference`] — dense `matmul`, `add` and `mul`, the expected
+//!   results of hand-built test graphs.
 //!
 //! # Example
 //!

@@ -355,6 +355,48 @@ fn random_valid_graphs() {
     assert!(with_regions >= 300, "the generator stopped producing reconvergence");
 }
 
+/// No graph that passes `validate` panics `simulate`: the 300 graphs of
+/// `random_valid_graphs`, with `B` bound to a CSR and to a three-entry DCSR
+/// matrix, each end in a typed error or in outputs, and the event engine
+/// agrees with its sweep oracle on which (the same outputs and semantic
+/// stats, or the same error). The generator attaches value writers only, so
+/// a run that gets to the end fails the output rebuild for want of a
+/// coordinate writer.
+#[test]
+fn random_valid_graphs_simulate_without_panicking() {
+    use fuseflow_sim::{simulate, Scheduler, SimConfig, SimError, TensorEnv};
+    use fuseflow_tensor::{Format, SparseTensor};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let coo = |n: u32| (0..n).map(|k| (vec![k % 8, (3 * k + 1) % 8], 1.0 + k as f32)).collect();
+    let bindings = [
+        SparseTensor::from_coo(vec![8, 8], coo(16), &Format::csr()).unwrap(),
+        SparseTensor::from_coo(vec![8, 8], coo(3), &Format::dcsr()).unwrap(),
+    ];
+    let mut rng = Lcg(13);
+    let (mut panicked, mut ran_to_end) = (Vec::new(), 0);
+    for case in 0..300 {
+        let g = random_valid_graph(&mut rng, 4 + case % 21);
+        for (b, tensor) in bindings.iter().enumerate() {
+            let env: TensorEnv = [("B", tensor.clone())].into_iter().collect();
+            let [event, sweep] = [Scheduler::Event, Scheduler::Sweep].map(|scheduler| {
+                let cfg = SimConfig { max_cycles: 200_000, scheduler, ..SimConfig::default() };
+                catch_unwind(AssertUnwindSafe(|| {
+                    simulate(&g, &env, &cfg).map(|r| (r.outputs, r.stats.semantic()))
+                }))
+            });
+            match (event, sweep) {
+                (Ok(event), Ok(sweep)) => {
+                    ran_to_end += usize::from(matches!(event, Ok(_) | Err(SimError::Rebuild(_))));
+                    assert_eq!(event, sweep, "graph {case}, binding {b}: event vs sweep");
+                }
+                _ => panicked.push((case, b)),
+            }
+        }
+    }
+    assert!(panicked.is_empty(), "{} runs panicked: {panicked:?}", panicked.len());
+    assert!(ran_to_end >= 10, "only {ran_to_end} of 600 runs got to the end");
+}
+
 #[test]
 fn property_suite_programs() {
     // The program family of `tests/property.rs` and
