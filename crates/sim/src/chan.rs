@@ -1,10 +1,15 @@
 //! Bounded token channels and the per-step context a node sees.
+//!
+//! A channel holds one-word [`Tok`]s (`tok.rs`): a peek or a pop copies
+//! eight bytes out of the buffer, and the tiles those tokens name live in
+//! the context's [`Tiles`] for the whole run.
 
 use crate::dram::Dram;
 use crate::engine::SimConfig;
 use crate::sched::ReadySet;
 use crate::stats::SchedCounters;
-use fuseflow_sam::{OutputSlot, TensorSlot, Token};
+use crate::tok::{Tiles, Tok};
+use fuseflow_sam::{OutputSlot, TensorSlot};
 use fuseflow_tensor::SparseTensor;
 use std::collections::VecDeque;
 
@@ -24,7 +29,7 @@ pub(crate) const NO_NODE: u32 = u32::MAX;
 /// may produce more than a channel holds; they leave at the same rate).
 #[derive(Debug)]
 pub(crate) struct Chan {
-    pub(crate) buf: VecDeque<Token>,
+    pub(crate) buf: VecDeque<Tok>,
     /// Length of the reader-visible prefix of `buf`.
     pub(crate) visible: usize,
     pub(crate) cap: usize,
@@ -49,15 +54,15 @@ impl Chan {
 
     /// A harness input channel (no writer node) with every token already
     /// visible to the node of rank 0.
-    pub(crate) fn seeded(toks: impl IntoIterator<Item = Token>, deep: bool) -> Self {
-        let buf: VecDeque<Token> = toks.into_iter().collect();
+    pub(crate) fn seeded(toks: impl IntoIterator<Item = Tok>, deep: bool) -> Self {
+        let buf: VecDeque<Tok> = toks.into_iter().collect();
         Chan { visible: buf.len(), buf, cap: usize::MAX, reader: 0, writer: NO_NODE, deep }
     }
 
     /// The `idx`-th token the reader can see.
-    pub(crate) fn get(&self, idx: usize) -> Option<&Token> {
+    pub(crate) fn get(&self, idx: usize) -> Option<Tok> {
         if idx < self.visible {
-            self.buf.get(idx)
+            self.buf.get(idx).copied()
         } else {
             None
         }
@@ -70,12 +75,14 @@ impl Chan {
 }
 
 /// The machine: everything a node step may read or charge that is not the
-/// node's own state. One channel table (indexed by graph edge), one DRAM
-/// channel, the read-only tensor bindings and slots, one clock, the run's
-/// counters, and the event loop's two ready sets (by rank; the sweep fills
-/// them and never reads them).
+/// node's own state. One channel table (indexed by graph edge), the run's
+/// tiles, one DRAM channel, the read-only tensor bindings and slots, one
+/// clock, the run's counters, and the event loop's two ready sets (by rank;
+/// the sweep fills them and never reads them).
 pub(crate) struct Ctx<'a> {
     pub(crate) chans: Vec<Chan>,
+    /// Every tile a token of this run has carried, by handle.
+    pub(crate) tiles: Tiles,
     pub(crate) dram: Dram,
     pub(crate) tensors: Vec<&'a SparseTensor>,
     pub(crate) tensor_slots: &'a [TensorSlot],
@@ -107,6 +114,7 @@ impl<'a> Ctx<'a> {
     ) -> Self {
         Ctx {
             chans,
+            tiles: Tiles::default(),
             dram,
             tensors,
             tensor_slots,
@@ -143,7 +151,7 @@ impl<'a> Ctx<'a> {
     /// Pops the head token; wakes the channel's writer only on the full ->
     /// not-full transition (a writer can only be flush-blocked on a
     /// channel that is at capacity).
-    pub(crate) fn pop_chan(&mut self, c: usize) -> Token {
+    pub(crate) fn pop_chan(&mut self, c: usize) -> Tok {
         let ch = &mut self.chans[c];
         assert!(ch.visible > 0, "pop from empty channel");
         let was_full = ch.is_full();
@@ -197,16 +205,16 @@ mod tests {
     fn staged_token_is_not_peekable_until_published() {
         let cfg = SimConfig::default();
         let mut ctx = Ctx::bare(vec![Chan::new(2, 0, 1, false)], &cfg, 2);
-        ctx.chans[0].buf.extend([Token::idx(7), Token::Stop(0), Token::Done]);
+        ctx.chans[0].buf.extend([Tok::idx(7), Tok::Stop(0), Tok::Done]);
         assert_eq!(ctx.chans[0].get(0), None, "staged, not sent");
         assert!(!ctx.chans[0].is_full(), "staged tokens do not count against the capacity");
         ctx.publish(0);
-        assert_eq!(ctx.chans[0].get(0), Some(&Token::idx(7)));
+        assert_eq!(ctx.chans[0].get(0), Some(Tok::idx(7)));
         assert_eq!(ctx.chans[0].get(1), None, "the stop behind it is still staged");
         ctx.publish(0);
         assert!(ctx.chans[0].is_full());
-        assert_eq!(ctx.pop_chan(0), Token::idx(7));
-        assert_eq!(ctx.chans[0].get(0), Some(&Token::Stop(0)));
+        assert_eq!(ctx.pop_chan(0), Tok::idx(7));
+        assert_eq!(ctx.chans[0].get(0), Some(Tok::Stop(0)));
         assert_eq!(ctx.chans[0].get(1), None, "a pop shows no more than was published");
         assert_eq!(ctx.chans[0].buf.len(), 2);
     }
@@ -216,7 +224,7 @@ mod tests {
     fn pop_refuses_a_staged_token() {
         let cfg = SimConfig::default();
         let mut ctx = Ctx::bare(vec![Chan::new(2, 0, 1, false)], &cfg, 2);
-        ctx.chans[0].buf.push_back(Token::Done);
+        ctx.chans[0].buf.push_back(Tok::Done);
         ctx.pop_chan(0);
     }
 
@@ -230,7 +238,7 @@ mod tests {
         let chans = vec![Chan::new(2, 0, 2, false), Chan::new(2, 1, 3, true)];
         let mut ctx = Ctx::bare(chans, &cfg, 4);
         for c in 0..2 {
-            ctx.chans[c].buf.extend([Token::idx(0), Token::idx(1)]);
+            ctx.chans[c].buf.extend([Tok::idx(0), Tok::idx(1)]);
             ctx.publish(c);
         }
         assert_eq!(ctx.cur.pop_ge(0), Some(2));

@@ -41,7 +41,8 @@ pub struct Dram {
     random_latency: u64,
     /// Channel occupancy frontier, in millibytes served since cycle 0.
     /// `u128`: `now * millibytes_per_cycle` overflows `u64` for the huge
-    /// synthetic bandwidths the test harnesses use.
+    /// synthetic bandwidths the test harnesses use; [`request`](Self::request)
+    /// computes in `u64` whenever it fits.
     busy_until_mb: u128,
     read_bytes: u64,
     write_bytes: u64,
@@ -88,7 +89,18 @@ impl Dram {
         if bytes == 0 {
             return now + latency;
         }
-        let mbpc = self.millibytes_per_cycle as u128;
+        // The same arithmetic in `u64` while everything fits, which is every
+        // request at a real bandwidth: a `u128` division is a library call.
+        let mbpc = self.millibytes_per_cycle;
+        let narrow = u64::try_from(self.busy_until_mb).ok().and_then(|busy| {
+            let start = busy.max(now.checked_mul(mbpc)?);
+            start.checked_add(bytes.checked_mul(1000)?)
+        });
+        if let Some(end) = narrow {
+            self.busy_until_mb = end as u128;
+            return end.div_ceil(mbpc) + latency;
+        }
+        let mbpc = mbpc as u128;
         let start = self.busy_until_mb.max(now as u128 * mbpc);
         self.busy_until_mb = start + bytes as u128 * 1000;
         (self.busy_until_mb.div_ceil(mbpc)) as u64 + latency
@@ -168,6 +180,25 @@ mod tests {
         assert_eq!(last, 1_000_000);
         // One more byte lands in the next cycle.
         assert_eq!(d.request(0, 1, AccessKind::Stream, false), 1_000_001);
+    }
+
+    /// At 1e15 B/cycle a cycle is 1e18 millibytes, so `now * millibytes` no
+    /// longer fits in `u64` from cycle 19 on: those requests take the `u128`
+    /// path, and must land where the exact formula says, also right after
+    /// requests that took the `u64` one.
+    #[test]
+    fn wide_path_matches_the_exact_formula() {
+        let mbpc: u128 = 1_000_000_000_000_000_000;
+        let mut d = Dram::new(1e15, 2, 0);
+        let mut frontier: u128 = 0;
+        for (now, bytes) in [(3u64, 4u64), (3, 8), (18, 1), (19, 4), (1000, 16), (1000, 16)] {
+            assert!((now as u128 * mbpc > u64::MAX as u128) == (now >= 19));
+            frontier = frontier.max(now as u128 * mbpc) + bytes as u128 * 1000;
+            let want = frontier.div_ceil(mbpc) as u64 + 2;
+            assert_eq!(d.request(now, bytes, AccessKind::Stream, false), want, "at {now}");
+        }
+        assert_eq!(d.request(1000, 0, AccessKind::Stream, false), 1002);
+        assert_eq!(d.read_bytes(), 49);
     }
 
     #[test]

@@ -41,13 +41,22 @@
 //!
 //! # One machine
 //!
-//! [`simulate`] builds one machine per graph: one node table indexed by
-//! `NodeId`, one channel table indexed by edge, one [`Dram`] channel at the
-//! configured bandwidth, one clock and one set of counters, run over the
-//! graph's one topological order. Nodes interact only through streams and
-//! through the DRAM channel, which grants requests in arrival order, so the
-//! kernels of a graph contend for memory the same way whether or not they
-//! happen to be connected.
+//! [`simulate`] builds one machine per graph: one node table in the graph's
+//! one topological order (indexed by rank, as channels and ready sets name
+//! nodes), one channel table indexed by edge, one tile table, one [`Dram`]
+//! channel at the configured bandwidth, one clock and one set of counters.
+//! Nodes interact only through streams and through the DRAM channel, which
+//! grants requests in arrival order, so the kernels of a graph contend for
+//! memory the same way whether or not they happen to be connected.
+//!
+//! # A token is a word
+//!
+//! Channels, staged tokens, in-flight memory and writer streams hold the
+//! simulator's own 8-byte `Copy` token (`tok.rs`), whose tile payload is a
+//! handle into the run's tile table; a public [`Token`] is built only when
+//! writer streams are rebuilt into outputs and at the edges of
+//! [`run_node_standalone`]. A node-level result carries its error boxed, so
+//! a step returns in two registers; [`simulate`] unboxes it.
 
 use crate::chan::{Chan, Ctx, NO_NODE};
 use crate::dram::Dram;
@@ -55,6 +64,7 @@ use crate::node::{reads_past_head, Prim, Rt};
 use crate::rebuild::assemble_output;
 use crate::run::{run_event, run_standalone, run_sweep};
 use crate::stats::Stats;
+use crate::tok::Tok;
 use crate::TimingConfig;
 use fuseflow_sam::{GraphError, MemLocation, NodeId, NodeKind, SamGraph, TensorSlot, Token};
 use fuseflow_tensor::SparseTensor;
@@ -251,12 +261,6 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
         .map(|slot| env.get(&slot.name).ok_or_else(|| SimError::MissingTensor(slot.name.clone())))
         .collect::<Result<_, _>>()?;
 
-    // One node table indexed by `NodeId`, one channel table indexed by edge
-    // index, wired in a single pass over the edges. Edges are visited in
-    // insertion order, so every port's fan-out order is the graph's. Each
-    // channel names its writing (src) and reading (dst) node by rank in the
-    // topological order, which is what the event loop's ready sets hold.
-    let mut nodes = Vec::with_capacity(graph.node_count());
     for (i, kind) in graph.nodes().iter().enumerate() {
         let id = NodeId(i);
         if let NodeKind::LevelScanner { tensor, level } = *kind {
@@ -270,25 +274,37 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
                 });
             }
         }
-        nodes.push(Rt::new(
-            kind,
-            graph.label(id).to_string(),
-            vec![None; kind.input_ports().len()],
-            vec![Vec::new(); kind.output_ports().len()],
-            &cfg.timing,
-        ));
     }
+
+    // One node table in rank order, one channel table indexed by edge index,
+    // wired in a single pass over the edges. Edges are visited in insertion
+    // order, so every port's fan-out order is the graph's. Each channel names
+    // its writing (src) and reading (dst) node by rank, which is what the node
+    // table and the event loop's ready sets are indexed by.
     let mut rank_of = vec![0u32; order.len()];
     for (rank, id) in order.iter().enumerate() {
         rank_of[id.0] = rank as u32;
     }
+    let mut nodes: Vec<Rt> = order
+        .iter()
+        .map(|&id| {
+            let kind = graph.node(id);
+            Rt::new(
+                kind,
+                graph.label(id).to_string(),
+                vec![None; kind.input_ports().len()],
+                vec![Vec::new(); kind.output_ports().len()],
+                &cfg.timing,
+            )
+        })
+        .collect();
     let mut chans = Vec::with_capacity(graph.edges().len());
     for (c, e) in graph.edges().iter().enumerate() {
-        let (src, dst) = (e.src.node.0, e.dst.node.0);
-        let deep = reads_past_head(&graph.nodes()[dst], e.dst.port);
-        chans.push(Chan::new(cfg.channel_capacity, rank_of[src], rank_of[dst], deep));
-        nodes[src].io.outs[e.src.port].chans.push(c);
-        nodes[dst].io.in_chans[e.dst.port] = Some(c);
+        let (src, dst) = (rank_of[e.src.node.0], rank_of[e.dst.node.0]);
+        let deep = reads_past_head(graph.node(e.dst.node), e.dst.port);
+        chans.push(Chan::new(cfg.channel_capacity, src, dst, deep));
+        nodes[src as usize].io.outs[e.src.port].chans.push(c);
+        nodes[dst as usize].io.in_chans[e.dst.port] = Some(c);
     }
 
     // One machine (`Ctx`): one DRAM channel and one clock for the whole graph.
@@ -297,9 +313,10 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
     let mut ctx =
         Ctx::new(chans, dram, tensors, graph.tensors(), graph.outputs(), cfg, order.len());
     match cfg.scheduler {
-        Scheduler::Event => run_event(&order, &mut nodes, &mut ctx)?,
-        Scheduler::Sweep => run_sweep(&order, &mut nodes, &mut ctx)?,
+        Scheduler::Event => run_event(&order, &mut nodes, &mut ctx),
+        Scheduler::Sweep => run_sweep(&order, &mut nodes, &mut ctx),
     }
+    .map_err(|e| *e)?;
     let mut stats = Stats {
         cycles: ctx.now,
         dram_read_bytes: ctx.dram.read_bytes(),
@@ -310,15 +327,18 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
     };
 
     // Per-label token counts and the writers' recorded streams, moved out of
-    // the nodes in one pass.
+    // the nodes in one pass; a writer's stream becomes public tokens here.
     let mut crd_streams: Vec<Vec<Option<Vec<Token>>>> =
         graph.outputs().iter().map(|slot| vec![None; slot.format.order()]).collect();
     let mut val_streams: Vec<Option<Vec<Token>>> = vec![None; graph.outputs().len()];
+    let export = |tokens: Vec<Tok>| Some(tokens.into_iter().map(|t| ctx.tiles.export(t)).collect());
     for rt in nodes {
         *stats.node_tokens.entry(rt.io.label).or_insert(0) += rt.io.elems;
         match rt.prim {
-            Prim::CrdWriter { output, level, tokens } => crd_streams[output][level] = Some(tokens),
-            Prim::ValWriter { output, tokens } => val_streams[output] = Some(tokens),
+            Prim::CrdWriter { output, level, tokens } => {
+                crd_streams[output][level] = export(tokens)
+            }
+            Prim::ValWriter { output, tokens } => val_streams[output] = export(tokens),
             _ => {}
         }
     }
@@ -362,30 +382,35 @@ pub fn run_node_standalone(
     let n_out = kind.output_ports().len();
     assert_eq!(inputs.len(), n_in, "one input stream per port (empty = unconnected)");
 
-    let mut chans = Vec::new();
+    // Every tensor on chip, so the DRAM channel is never asked.
+    let slots: Vec<TensorSlot> = (0..tensors.len())
+        .map(|i| TensorSlot { name: format!("t{i}"), location: MemLocation::OnChip })
+        .collect();
+    let mut ctx =
+        Ctx::new(Vec::new(), Dram::new(1e9, 0, 0), tensors.iter().collect(), &slots, &[], &cfg, 1);
+    // The literal streams become the run's tokens (their tiles its first
+    // tiles) on the way in, and public tokens again on the way out.
     let mut in_chans = vec![None; n_in];
     for (p, toks) in inputs.iter().enumerate() {
         if !toks.is_empty() {
-            chans.push(Chan::seeded(toks.iter().cloned(), reads_past_head(&kind, p)));
-            in_chans[p] = Some(chans.len() - 1);
+            let toks: Vec<Tok> = toks.iter().map(|t| ctx.tiles.import(t)).collect();
+            ctx.chans.push(Chan::seeded(toks, reads_past_head(&kind, p)));
+            in_chans[p] = Some(ctx.chans.len() - 1);
         }
     }
     let mut out_chans = vec![Vec::new(); n_out];
     let mut capture = Vec::new();
     for oc in &mut out_chans {
         // Captured by the harness: no reader node.
-        chans.push(Chan::new(usize::MAX, 0, NO_NODE, false));
-        oc.push(chans.len() - 1);
-        capture.push(chans.len() - 1);
+        ctx.chans.push(Chan::new(usize::MAX, 0, NO_NODE, false));
+        oc.push(ctx.chans.len() - 1);
+        capture.push(ctx.chans.len() - 1);
     }
 
     let mut rt = Rt::new(&kind, "standalone".into(), in_chans, out_chans, &cfg.timing);
-    // Every tensor on chip, so the DRAM channel is never asked.
-    let slots: Vec<TensorSlot> = (0..tensors.len())
-        .map(|i| TensorSlot { name: format!("t{i}"), location: MemLocation::OnChip })
-        .collect();
-    let mut ctx =
-        Ctx::new(chans, Dram::new(1e9, 0, 0), tensors.iter().collect(), &slots, &[], &cfg, 1);
-    run_standalone(&mut rt, &mut ctx, 10_000_000)?;
-    Ok(capture.into_iter().map(|c| ctx.chans[c].buf.iter().cloned().collect()).collect())
+    run_standalone(&mut rt, &mut ctx, 10_000_000).map_err(|e| *e)?;
+    Ok(capture
+        .into_iter()
+        .map(|c| ctx.chans[c].buf.iter().map(|&t| ctx.tiles.export(t)).collect())
+        .collect())
 }

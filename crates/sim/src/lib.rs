@@ -13,7 +13,8 @@
 //! clock, one DRAM channel and one set of counters, whether or not its
 //! kernels are connected to each other. The sources split as `node.rs`
 //! (node state machines), `chan.rs` (channels and the machine context a step
-//! sees), `run.rs` (the run loops and their determinism arguments) and
+//! sees), `tok.rs` (the one-word token the channels hold, and the run's tile
+//! table), `run.rs` (the run loops and their determinism arguments) and
 //! `engine.rs` (`simulate` assembly).
 //!
 //! Two timing backends implement the paper's §8.2 validation methodology:
@@ -46,6 +47,7 @@ mod rebuild;
 mod run;
 mod sched;
 mod stats;
+mod tok;
 
 pub use backend::TimingConfig;
 pub use dram::{AccessKind, Dram};

@@ -3,17 +3,30 @@
 //! its [`Io`], how it is wired and timed (its ports, staged and in-flight
 //! tokens, initiation interval and counters). [`Rt::step`] runs one cycle;
 //! the action it takes is an `Io::act_*` handed exactly its variant's fields.
+//!
+//! Tokens are one-word `Copy` values ([`Tok`]): an action peeks copies of its
+//! input heads, decides, then pops and emits, and a tile operand is read
+//! through its handle in `ctx.tiles`. The error path is kept off the step's
+//! return: a node-level result carries a `Box<SimError>` (16 bytes, returned
+//! in registers), built only by the cold [`Io::fail`].
 
 use crate::chan::{Ctx, StepOutcome};
 use crate::dram::AccessKind;
 use crate::engine::SimError;
+use crate::tok::{Pay, Tile, Tok};
 use crate::TimingConfig;
-use fuseflow_sam::{AluOp, Block, MemLocation, NodeKind, Payload, ReduceOp, Token};
+use fuseflow_sam::{AluOp, Block, MemLocation, NodeKind, ReduceOp};
 use fuseflow_tensor::Level;
 use std::collections::{BTreeMap, VecDeque};
 
+/// A node-level result: the error, if any, behind one pointer.
+pub(crate) type Step<T> = Result<T, Box<SimError>>;
+
 /// The outcome of one action: whether the node acted.
-type Act = Result<bool, SimError>;
+type Act = Step<bool>;
+
+const _: () =
+    assert!(std::mem::size_of::<Step<StepOutcome>>() <= 16, "a step returns in registers");
 
 /// The fiber being emitted: entries `fidx..len` of the fiber under `parent`
 /// are still to go.
@@ -42,22 +55,23 @@ pub(crate) enum JoinMode {
 /// What a node is and holds: one variant per SAMML primitive, with its
 /// parameters and its state, built once from the graph's [`NodeKind`]. Root
 /// counts the tokens of `[Ref(0), Done]` it has emitted, Repeat holds the
-/// loaded base element, CrdDrop which port has forwarded its `Done`, a
-/// writer the stream it received (for the output rebuild), and Par the
-/// branch the next element goes to.
+/// loaded base element, Array the tile it loaded for each stored position of
+/// a blocked tensor (a position read again reuses it), CrdDrop which port has
+/// forwarded its `Done`, a writer the stream it received (for the output
+/// rebuild), and Par the branch the next element goes to.
 #[derive(Debug)]
 pub(crate) enum Prim {
     Root { emitted: u8 },
     Scan { tensor: usize, level: usize, st: ScanState },
-    Repeat { base: Option<Payload> },
+    Repeat { base: Option<Pay> },
     Join(JoinMode),
-    Array { tensor: usize },
+    Array { tensor: usize, loaded: Vec<Option<Tile>> },
     Alu { op: AluOp },
-    Reduce { op: ReduceOp, acc: Option<Payload> },
-    Spacc { op: ReduceOp, map: BTreeMap<u32, Payload> },
+    Reduce { op: ReduceOp, acc: Option<Pay> },
+    Spacc { op: ReduceOp, map: BTreeMap<u32, Pay> },
     CrdDrop { done: [bool; 2] },
-    CrdWriter { output: usize, level: usize, tokens: Vec<Token> },
-    ValWriter { output: usize, tokens: Vec<Token> },
+    CrdWriter { output: usize, level: usize, tokens: Vec<Tok> },
+    ValWriter { output: usize, tokens: Vec<Tok> },
     Par { factor: usize, rr: usize },
     Ser { factor: usize, depth: u8, st: SerState },
 }
@@ -90,10 +104,12 @@ pub(crate) struct Io {
     /// [`flush_phase`](Self::flush_phase): "anything staged?" is asked
     /// three times a step and must not walk the ports.
     n_staged: usize,
-    pub(crate) pending_mem: VecDeque<(Token, u64, usize)>,
+    pub(crate) pending_mem: VecDeque<(Tok, u64, usize)>,
     pub(crate) busy_until: u64,
     ii_extra: u64,
     pub(crate) done: bool,
+    /// Elements produced on connected ports (counted by
+    /// [`emit`](Self::emit)), or taken in, for a writer.
     pub(crate) elems: u64,
 }
 
@@ -114,7 +130,7 @@ impl Rt {
             NodeKind::Intersect => Prim::Join(JoinMode::Intersect),
             NodeKind::Union => Prim::Join(JoinMode::Union),
             NodeKind::UnionLeft => Prim::Join(JoinMode::UnionLeft),
-            NodeKind::Array { tensor } => Prim::Array { tensor },
+            NodeKind::Array { tensor } => Prim::Array { tensor, loaded: Vec::new() },
             NodeKind::Alu { op } => Prim::Alu { op },
             NodeKind::Reduce { op } => Prim::Reduce { op, acc: None },
             NodeKind::Spacc1 { op } => Prim::Spacc { op, map: BTreeMap::new() },
@@ -175,7 +191,7 @@ impl Rt {
     /// (II = 1), while a node facing a full channel stops issuing. At most
     /// one retire batch (bounded by `outstanding`) plus one action's output
     /// is ever staged behind a token that cannot leave.
-    pub(crate) fn step(&mut self, ctx: &mut Ctx) -> Result<StepOutcome, SimError> {
+    pub(crate) fn step(&mut self, ctx: &mut Ctx) -> Step<StepOutcome> {
         // Phase 1: send one staged token per output port.
         let (mut progress, flush_blocked) = self.io.flush_phase(ctx);
         let clear = self.io.n_staged == 0;
@@ -223,7 +239,7 @@ impl Rt {
             Prim::Scan { tensor, level, st } => io.act_scan(ctx, *tensor, *level, st),
             Prim::Repeat { base } => io.act_repeat(ctx, base),
             Prim::Join(mode) => io.act_join(ctx, *mode),
-            Prim::Array { tensor } => io.act_array(ctx, *tensor),
+            Prim::Array { tensor, loaded } => io.act_array(ctx, *tensor, loaded),
             Prim::Alu { op } => io.act_alu(ctx, *op),
             Prim::Reduce { op, acc } => io.act_reduce(ctx, *op, acc),
             Prim::Spacc { op, map } => io.act_spacc(ctx, *op, map),
@@ -255,29 +271,38 @@ impl Io {
     }
 
     /// Ends the run with a stream-semantics error naming this node.
-    fn fail<T>(&self, what: impl std::fmt::Display) -> Result<T, SimError> {
-        Err(SimError::Semantics(format!("{what} at {}", self.label)))
+    #[cold]
+    fn fail<T>(&self, what: impl std::fmt::Display) -> Step<T> {
+        Err(Box::new(SimError::Semantics(format!("{what} at {}", self.label))))
     }
 
     /// The coordinate a crd-port element carries; any other payload there is
     /// an error.
-    fn crd(&self, p: &Payload) -> Result<u32, SimError> {
+    fn crd(&self, p: Pay) -> Step<u32> {
         match p {
-            Payload::Idx(i) => Ok(*i),
+            Pay::Idx(i) => Ok(i),
             other => self.fail(format_args!("coordinate port received {other:?}")),
+        }
+    }
+
+    /// `Stop(k + by)`, or an error if that level does not fit a stop token.
+    fn deeper(&self, k: u8, by: u8) -> Step<Tok> {
+        match k.checked_add(by) {
+            Some(k) => Ok(Tok::Stop(k)),
+            None => self.fail(format_args!("stop level {k} + {by} exceeds 255")),
         }
     }
 
     // -- channel access ----------------------------------------------------
 
-    fn peek<'c>(&self, ctx: &'c Ctx, port: usize) -> Option<&'c Token> {
+    fn peek(&self, ctx: &Ctx, port: usize) -> Option<Tok> {
         self.in_chans[port].and_then(|c| ctx.chans[c].get(0))
     }
 
     /// The `idx`-th visible token of an input. Looking past the head is what
     /// [`reads_past_head`] declares: such a channel wakes this node on every
     /// publish, any other only when it stops being empty.
-    fn peek_at<'c>(&self, ctx: &'c Ctx, port: usize, idx: usize) -> Option<&'c Token> {
+    fn peek_at(&self, ctx: &Ctx, port: usize, idx: usize) -> Option<Tok> {
         let ch = &ctx.chans[self.in_chans[port]?];
         debug_assert!(
             idx == 0 || ch.deep,
@@ -291,29 +316,31 @@ impl Io {
         self.in_chans[port].is_some()
     }
 
-    fn pop(&self, ctx: &mut Ctx, port: usize) -> Token {
+    fn pop(&self, ctx: &mut Ctx, port: usize) -> Tok {
         let c = self.in_chans[port].expect("pop from unconnected port");
         ctx.pop_chan(c)
     }
 
-    /// Produces `tok` on an output port: written once per fan-out channel
-    /// (cloned into all but the last, moved into the last), staged behind the
-    /// `visible` mark until [`flush_phase`](Self::flush_phase) sends it.
-    fn emit(&mut self, ctx: &mut Ctx, port: usize, tok: Token) {
+    /// Produces `tok` on an output port: written once into every fan-out
+    /// channel, staged behind the `visible` mark until
+    /// [`flush_phase`](Self::flush_phase) sends it. An element on a connected
+    /// port counts towards [`elems`](Self::elems) here, once, whatever the
+    /// fan-out.
+    fn emit(&mut self, ctx: &mut Ctx, port: usize, tok: Tok) {
         let out = &mut self.outs[port];
         out.staged += 1;
         self.n_staged += 1;
-        if let Some((&last, rest)) = out.chans.split_last() {
-            for &c in rest {
-                ctx.chans[c].buf.push_back(tok.clone());
-            }
-            ctx.chans[last].buf.push_back(tok);
+        if !out.chans.is_empty() && tok.is_elem() {
+            self.elems += 1;
+        }
+        for &c in &out.chans {
+            ctx.chans[c].buf.push_back(tok);
         }
     }
 
     /// Pops a coordinate-side token together with its payload companion (if
     /// the payload port is connected); returns the payload token.
-    fn pop_side(&self, ctx: &mut Ctx, crd_port: usize, pay_port: usize) -> Option<Token> {
+    fn pop_side(&self, ctx: &mut Ctx, crd_port: usize, pay_port: usize) -> Option<Tok> {
         let _crd = self.pop(ctx, crd_port);
         if self.connected(pay_port) {
             Some(self.pop(ctx, pay_port))
@@ -342,20 +369,16 @@ impl Io {
             if *staged == 0 {
                 continue;
             }
-            let Some(&first) = outs.first() else {
+            if outs.is_empty() {
                 // Unconnected port: discard. Until here its tokens counted as
                 // staged, so the step that produced them did not act again.
                 self.n_staged -= *staged;
                 *staged = 0;
                 continue;
-            };
+            }
             if outs.iter().any(|&c| ctx.chans[c].is_full()) {
                 flush_blocked = true;
                 continue;
-            }
-            let ch = &ctx.chans[first];
-            if ch.buf[ch.visible].is_elem() {
-                self.elems += 1;
             }
             for &c in outs.iter() {
                 ctx.publish(c);
@@ -373,11 +396,11 @@ impl Io {
         match *emitted {
             0 => {
                 *emitted = 1;
-                self.emit(ctx, 0, Token::idx(0));
+                self.emit(ctx, 0, Tok::idx(0));
             }
             1 => {
                 *emitted = 2;
-                self.emit(ctx, 0, Token::Done);
+                self.emit(ctx, 0, Tok::Done);
                 self.done = true;
             }
             _ => return Ok(false),
@@ -406,35 +429,32 @@ impl Io {
                 };
                 let (c, p) = lvl.fiber_entry(s.parent, s.fidx);
                 s.fidx += 1;
-                self.pending_mem.push_back((Token::idx(c), ready, 0));
-                self.pending_mem.push_back((Token::idx(p as u32), ready, 1));
+                self.pending_mem.push_back((Tok::idx(c), ready, 0));
+                self.pending_mem.push_back((Tok::idx(p as u32), ready, 1));
                 return Ok(true);
             }
             // Fiber boundary (stops flow through the in-order pending
             // queue so they never overtake memory-delayed elements).
             let Some(head) = self.peek(ctx, 0) else { return Ok(false) };
-            let head = head.clone();
+            let stop = match head {
+                Tok::Elem(_) | Tok::Done => Tok::Stop(0),
+                Tok::Stop(k) => {
+                    let stop = self.deeper(k, 1)?;
+                    self.pop(ctx, 0);
+                    stop
+                }
+            };
             s.emitting = false;
             let now = ctx.now;
-            match head {
-                Token::Elem(_) | Token::Done => {
-                    self.pending_mem.push_back((Token::Stop(0), now, 0));
-                    self.pending_mem.push_back((Token::Stop(0), now, 1));
-                }
-                Token::Stop(k) => {
-                    self.pop(ctx, 0);
-                    self.pending_mem.push_back((Token::Stop(k + 1), now, 0));
-                    self.pending_mem.push_back((Token::Stop(k + 1), now, 1));
-                }
-            }
+            self.pending_mem.push_back((stop, now, 0));
+            self.pending_mem.push_back((stop, now, 1));
             return Ok(true);
         }
 
         // Idle: load the next fiber or forward boundaries.
         let Some(head) = self.peek(ctx, 0) else { return Ok(false) };
-        let head = head.clone();
         match head {
-            Token::Elem(Payload::Idx(r)) => {
+            Tok::Elem(Pay::Idx(r)) => {
                 let parent = r as usize;
                 if matches!(lvl, Level::Compressed { pos, .. } if parent + 1 >= pos.len()) {
                     return self
@@ -447,41 +467,41 @@ impl Io {
                 }
                 *s = ScanState { parent, len: lvl.fiber_len(parent), fidx: 0, emitting: true };
             }
-            Token::Elem(Payload::Empty) => {
+            Tok::Elem(Pay::Empty) => {
                 self.pop(ctx, 0);
                 // An empty reference scans to an empty fiber.
                 *s = ScanState { emitting: true, ..ScanState::default() };
             }
-            Token::Elem(other) => {
+            Tok::Elem(other) => {
                 return self.fail(format_args!("scanner received payload {other:?}"))
             }
-            Token::Stop(k) => {
+            Tok::Stop(k) => {
+                let stop = self.deeper(k, 1)?;
                 self.pop(ctx, 0);
                 let now = ctx.now;
-                self.pending_mem.push_back((Token::Stop(k + 1), now, 0));
-                self.pending_mem.push_back((Token::Stop(k + 1), now, 1));
+                self.pending_mem.push_back((stop, now, 0));
+                self.pending_mem.push_back((stop, now, 1));
             }
-            Token::Done => {
+            Tok::Done => {
                 self.pop(ctx, 0);
                 let now = ctx.now;
-                self.pending_mem.push_back((Token::Done, now, 0));
-                self.pending_mem.push_back((Token::Done, now, 1));
+                self.pending_mem.push_back((Tok::Done, now, 0));
+                self.pending_mem.push_back((Tok::Done, now, 1));
                 self.done = true;
             }
         }
         Ok(true)
     }
 
-    fn act_repeat(&mut self, ctx: &mut Ctx, base: &mut Option<Payload>) -> Act {
+    fn act_repeat(&mut self, ctx: &mut Ctx, base: &mut Option<Pay>) -> Act {
         let Some(rep_head) = self.peek(ctx, 1) else { return Ok(false) };
-        let rep_head = rep_head.clone();
         match rep_head {
-            Token::Elem(_) => {
-                let p = match base {
-                    Some(p) => p.clone(),
+            Tok::Elem(_) => {
+                let p = match *base {
+                    Some(p) => p,
                     None => {
                         let p = match self.peek(ctx, 0) {
-                            Some(Token::Elem(p)) => p.clone(),
+                            Some(Tok::Elem(p)) => p,
                             Some(other) => {
                                 return self.fail(format_args!(
                                     "repeat expected base element, found {other:?}"
@@ -490,28 +510,28 @@ impl Io {
                             None => return Ok(false),
                         };
                         self.pop(ctx, 0);
-                        *base = Some(p.clone());
+                        *base = Some(p);
                         p
                     }
                 };
                 self.pop(ctx, 1);
-                self.emit(ctx, 0, Token::Elem(p));
+                self.emit(ctx, 0, Tok::Elem(p));
             }
-            Token::Stop(k) => {
+            Tok::Stop(k) => {
                 // Close the pairing: discard the base element for this rep
                 // fiber (it may be unloaded if the fiber was empty), then
                 // consume the aligned base stop for k >= 1.
                 let mut base_idx = 0usize;
                 if base.is_none() {
                     match self.peek_at(ctx, 0, base_idx) {
-                        Some(Token::Elem(_)) => base_idx += 1, // will discard
+                        Some(Tok::Elem(_)) => base_idx += 1, // will discard
                         Some(_) => {}
                         None => return Ok(false),
                     }
                 }
                 if k >= 1 {
                     match self.peek_at(ctx, 0, base_idx) {
-                        Some(Token::Stop(bk)) if *bk == k - 1 => base_idx += 1,
+                        Some(Tok::Stop(bk)) if bk == k - 1 => base_idx += 1,
                         Some(other) => {
                             return self.fail(format_args!(
                                 "repeat base misaligned: rep Stop({k}) vs base {other:?}"
@@ -526,11 +546,11 @@ impl Io {
                     self.pop(ctx, 0);
                 }
                 *base = None;
-                self.emit(ctx, 0, Token::Stop(k));
+                self.emit(ctx, 0, Tok::Stop(k));
             }
-            Token::Done => {
+            Tok::Done => {
                 match self.peek(ctx, 0) {
-                    Some(Token::Done) => {}
+                    Some(Tok::Done) => {}
                     Some(other) => {
                         return self
                             .fail(format_args!("repeat base should be Done, found {other:?}"))
@@ -539,7 +559,7 @@ impl Io {
                 }
                 self.pop(ctx, 1);
                 self.pop(ctx, 0);
-                self.emit(ctx, 0, Token::Done);
+                self.emit(ctx, 0, Tok::Done);
                 self.done = true;
             }
         }
@@ -550,17 +570,17 @@ impl Io {
         let (Some(a), Some(b)) = (self.peek(ctx, 0), self.peek(ctx, 2)) else {
             return Ok(false);
         };
-        let (a, b) = (a.clone(), b.clone());
         if !self.side_ready(ctx, 1) || !self.side_ready(ctx, 3) {
             return Ok(false);
         }
-        match (&a, &b) {
-            (Token::Elem(ca), Token::Elem(cb)) => {
+        let empty = Tok::Elem(Pay::Empty);
+        match (a, b) {
+            (Tok::Elem(ca), Tok::Elem(cb)) => {
                 let (ia, ib) = (self.crd(ca)?, self.crd(cb)?);
                 if ia == ib {
                     let pa = self.pop_side(ctx, 0, 1);
                     let pb = self.pop_side(ctx, 2, 3);
-                    self.emit(ctx, 0, Token::idx(ia));
+                    self.emit(ctx, 0, Tok::idx(ia));
                     if let Some(t) = pa {
                         self.emit(ctx, 1, t);
                     }
@@ -574,11 +594,11 @@ impl Io {
                         }
                         JoinMode::Union | JoinMode::UnionLeft => {
                             let pa = self.pop_side(ctx, 0, 1);
-                            self.emit(ctx, 0, Token::idx(ia));
+                            self.emit(ctx, 0, Tok::idx(ia));
                             if let Some(t) = pa {
                                 self.emit(ctx, 1, t);
                             }
-                            self.emit(ctx, 2, Token::Elem(Payload::Empty));
+                            self.emit(ctx, 2, empty);
                         }
                     }
                 } else {
@@ -588,8 +608,8 @@ impl Io {
                         }
                         JoinMode::Union => {
                             let pb = self.pop_side(ctx, 2, 3);
-                            self.emit(ctx, 0, Token::idx(ib));
-                            self.emit(ctx, 1, Token::Elem(Payload::Empty));
+                            self.emit(ctx, 0, Tok::idx(ib));
+                            self.emit(ctx, 1, empty);
                             if let Some(t) = pb {
                                 self.emit(ctx, 2, t);
                             }
@@ -597,50 +617,49 @@ impl Io {
                     }
                 }
             }
-            (Token::Elem(ca), Token::Stop(_)) => match mode {
+            (Tok::Elem(ca), Tok::Stop(_)) => match mode {
                 JoinMode::Intersect => {
                     let _ = self.pop_side(ctx, 0, 1);
                 }
                 JoinMode::Union | JoinMode::UnionLeft => {
                     let ia = self.crd(ca)?;
                     let pa = self.pop_side(ctx, 0, 1);
-                    self.emit(ctx, 0, Token::idx(ia));
+                    self.emit(ctx, 0, Tok::idx(ia));
                     if let Some(t) = pa {
                         self.emit(ctx, 1, t);
                     }
-                    self.emit(ctx, 2, Token::Elem(Payload::Empty));
+                    self.emit(ctx, 2, empty);
                 }
             },
-            (Token::Stop(_), Token::Elem(cb)) => match mode {
+            (Tok::Stop(_), Tok::Elem(cb)) => match mode {
                 JoinMode::Intersect | JoinMode::UnionLeft => {
                     let _ = self.pop_side(ctx, 2, 3);
                 }
                 JoinMode::Union => {
                     let ib = self.crd(cb)?;
                     let pb = self.pop_side(ctx, 2, 3);
-                    self.emit(ctx, 0, Token::idx(ib));
-                    self.emit(ctx, 1, Token::Elem(Payload::Empty));
+                    self.emit(ctx, 0, Tok::idx(ib));
+                    self.emit(ctx, 1, empty);
                     if let Some(t) = pb {
                         self.emit(ctx, 2, t);
                     }
                 }
             },
-            (Token::Stop(ka), Token::Stop(kb)) => {
+            (Tok::Stop(ka), Tok::Stop(kb)) => {
                 if ka != kb {
                     return self.fail(format_args!("join stop mismatch: {ka} vs {kb}"));
                 }
-                let k = *ka;
-                let _ = self.pop_side(ctx, 0, 1);
-                let _ = self.pop_side(ctx, 2, 3);
-                self.emit(ctx, 0, Token::Stop(k));
-                self.emit(ctx, 1, Token::Stop(k));
-                self.emit(ctx, 2, Token::Stop(k));
-            }
-            (Token::Done, Token::Done) => {
                 let _ = self.pop_side(ctx, 0, 1);
                 let _ = self.pop_side(ctx, 2, 3);
                 for q in 0..3 {
-                    self.emit(ctx, q, Token::Done);
+                    self.emit(ctx, q, Tok::Stop(ka));
+                }
+            }
+            (Tok::Done, Tok::Done) => {
+                let _ = self.pop_side(ctx, 0, 1);
+                let _ = self.pop_side(ctx, 2, 3);
+                for q in 0..3 {
+                    self.emit(ctx, q, Tok::Done);
                 }
                 self.done = true;
             }
@@ -649,16 +668,15 @@ impl Io {
         Ok(true)
     }
 
-    fn act_array(&mut self, ctx: &mut Ctx, tensor: usize) -> Act {
+    fn act_array(&mut self, ctx: &mut Ctx, tensor: usize, loaded: &mut Vec<Option<Tile>>) -> Act {
         if self.pending_mem.len() >= ctx.cfg.timing.outstanding {
             return Ok(false);
         }
         let Some(head) = self.peek(ctx, 0) else { return Ok(false) };
-        let head = head.clone();
         let t = ctx.tensors[tensor];
         let in_dram = ctx.tensor_slots[tensor].location == MemLocation::Dram;
         match head {
-            Token::Elem(Payload::Idx(r)) => {
+            Tok::Elem(Pay::Idx(r)) => {
                 let (r, n) = (r as usize, t.block_len());
                 let Some(vals) = t.vals().get(r * n..(r + 1) * n) else {
                     let stored = t.stored_positions();
@@ -668,37 +686,40 @@ impl Io {
                 self.pop(ctx, 0);
                 let (payload, bytes) = if t.is_blocked() {
                     let [b0, b1] = t.block();
-                    (Payload::Blk(Block::new(b0, b1, vals.to_vec())), (b0 * b1 * 4) as u64)
+                    if loaded.len() <= r {
+                        loaded.resize(r + 1, None);
+                    }
+                    let tile = *loaded[r]
+                        .get_or_insert_with(|| ctx.tiles.put(Block::new(b0, b1, vals.to_vec())));
+                    (Pay::Blk(tile), (b0 * b1 * 4) as u64)
                 } else {
-                    (Payload::F(vals[0]), 4)
+                    (Pay::F(vals[0]), 4)
                 };
                 let ready = if in_dram {
                     ctx.dram.request(ctx.now, bytes, AccessKind::Random, false)
                 } else {
                     ctx.now
                 };
-                self.pending_mem.push_back((Token::Elem(payload), ready, 0));
+                self.pending_mem.push_back((Tok::Elem(payload), ready, 0));
             }
-            Token::Elem(Payload::Empty) => {
+            Tok::Elem(Pay::Empty) => {
                 self.pop(ctx, 0);
                 let payload = if t.is_blocked() {
                     let [b0, b1] = t.block();
-                    Payload::Blk(Block::zeros(b0, b1))
+                    Pay::Blk(ctx.tiles.put(Block::zeros(b0, b1)))
                 } else {
-                    Payload::F(0.0)
+                    Pay::F(0.0)
                 };
-                self.pending_mem.push_back((Token::Elem(payload), ctx.now, 0));
+                self.pending_mem.push_back((Tok::Elem(payload), ctx.now, 0));
             }
-            Token::Elem(other) => {
-                return self.fail(format_args!("array received payload {other:?}"))
-            }
-            Token::Stop(k) => {
+            Tok::Elem(other) => return self.fail(format_args!("array received payload {other:?}")),
+            Tok::Stop(k) => {
                 self.pop(ctx, 0);
-                self.pending_mem.push_back((Token::Stop(k), ctx.now, 0));
+                self.pending_mem.push_back((Tok::Stop(k), ctx.now, 0));
             }
-            Token::Done => {
+            Tok::Done => {
                 self.pop(ctx, 0);
-                self.pending_mem.push_back((Token::Done, ctx.now, 0));
+                self.pending_mem.push_back((Tok::Done, ctx.now, 0));
                 self.done = true;
             }
         }
@@ -709,20 +730,19 @@ impl Io {
         ctx.pending_busy = 0;
         if op.arity() == 1 {
             let Some(head) = self.peek(ctx, 0) else { return Ok(false) };
-            let head = head.clone();
             match head {
-                Token::Elem(p) => {
-                    self.pop(ctx, 0);
+                Tok::Elem(p) => {
                     let out = alu_unary(ctx, op, p).or_else(|e| self.fail(e))?;
-                    self.emit(ctx, 0, Token::Elem(out));
-                }
-                Token::Stop(k) => {
                     self.pop(ctx, 0);
-                    self.emit(ctx, 0, Token::Stop(k));
+                    self.emit(ctx, 0, Tok::Elem(out));
                 }
-                Token::Done => {
+                Tok::Stop(k) => {
                     self.pop(ctx, 0);
-                    self.emit(ctx, 0, Token::Done);
+                    self.emit(ctx, 0, Tok::Stop(k));
+                }
+                Tok::Done => {
+                    self.pop(ctx, 0);
+                    self.emit(ctx, 0, Tok::Done);
                     self.done = true;
                 }
             }
@@ -730,23 +750,22 @@ impl Io {
             let (Some(a), Some(b)) = (self.peek(ctx, 0), self.peek(ctx, 1)) else {
                 return Ok(false);
             };
-            let (a, b) = (a.clone(), b.clone());
             match (a, b) {
-                (Token::Elem(pa), Token::Elem(pb)) => {
-                    self.pop(ctx, 0);
-                    self.pop(ctx, 1);
+                (Tok::Elem(pa), Tok::Elem(pb)) => {
                     let out = alu_combine(ctx, op, pa, pb).or_else(|e| self.fail(e))?;
-                    self.emit(ctx, 0, Token::Elem(out));
-                }
-                (Token::Stop(ka), Token::Stop(kb)) if ka == kb => {
                     self.pop(ctx, 0);
                     self.pop(ctx, 1);
-                    self.emit(ctx, 0, Token::Stop(ka));
+                    self.emit(ctx, 0, Tok::Elem(out));
                 }
-                (Token::Done, Token::Done) => {
+                (Tok::Stop(ka), Tok::Stop(kb)) if ka == kb => {
                     self.pop(ctx, 0);
                     self.pop(ctx, 1);
-                    self.emit(ctx, 0, Token::Done);
+                    self.emit(ctx, 0, Tok::Stop(ka));
+                }
+                (Tok::Done, Tok::Done) => {
+                    self.pop(ctx, 0);
+                    self.pop(ctx, 1);
+                    self.emit(ctx, 0, Tok::Done);
                     self.done = true;
                 }
                 (x, y) => {
@@ -760,77 +779,69 @@ impl Io {
         Ok(true)
     }
 
-    fn act_reduce(&mut self, ctx: &mut Ctx, op: ReduceOp, acc: &mut Option<Payload>) -> Act {
+    fn act_reduce(&mut self, ctx: &mut Ctx, op: ReduceOp, acc: &mut Option<Pay>) -> Act {
         let Some(head) = self.peek(ctx, 0) else { return Ok(false) };
-        let head = head.clone();
         match head {
-            Token::Elem(p) => {
-                self.pop(ctx, 0);
-                let mut extra_flops = 0u64;
-                let new = match (acc.take(), p) {
+            Tok::Elem(p) => {
+                let new = match (*acc, p) {
                     (None, p) => p,
-                    (Some(Payload::F(a)), Payload::F(b)) => {
-                        extra_flops += 1;
-                        Payload::F(op.apply(a, b))
+                    (Some(Pay::F(a)), Pay::F(b)) => {
+                        ctx.flops += 1;
+                        Pay::F(op.apply(a, b))
                     }
-                    (Some(Payload::F(a)), Payload::Empty)
-                    | (Some(Payload::Empty), Payload::F(a)) => {
-                        Payload::F(op.apply(a, op.identity()))
+                    (Some(Pay::F(a)), Pay::Empty) | (Some(Pay::Empty), Pay::F(a)) => {
+                        Pay::F(op.apply(a, op.identity()))
                     }
-                    (Some(Payload::Blk(a)), Payload::Blk(b)) => {
-                        extra_flops += a.len() as u64;
-                        Payload::Blk(a.zip(&b, |x, y| op.apply(x, y)))
+                    (Some(Pay::Blk(a)), Pay::Blk(b)) => {
+                        let out = zip_tiles(ctx, a, b, 1, |x, y| op.apply(x, y));
+                        out.or_else(|m| self.fail(format_args!("reduce: {m}")))?
                     }
                     (Some(a), b) => {
                         return self.fail(format_args!("reduce operands {a:?} / {b:?}"))
                     }
                 };
-                *acc = Some(new);
-                ctx.flops += extra_flops;
-            }
-            Token::Stop(k) => {
                 self.pop(ctx, 0);
-                let out = acc.take().unwrap_or(Payload::F(op.identity()));
-                self.emit(ctx, 0, Token::Elem(out));
+                *acc = Some(new);
+            }
+            Tok::Stop(k) => {
+                self.pop(ctx, 0);
+                let out = acc.take().unwrap_or(Pay::F(op.identity()));
+                self.emit(ctx, 0, Tok::Elem(out));
                 if k >= 1 {
-                    self.emit(ctx, 0, Token::Stop(k - 1));
+                    self.emit(ctx, 0, Tok::Stop(k - 1));
                 }
             }
-            Token::Done => {
+            Tok::Done => {
                 self.pop(ctx, 0);
-                self.emit(ctx, 0, Token::Done);
+                self.emit(ctx, 0, Tok::Done);
                 self.done = true;
             }
         }
         Ok(true)
     }
 
-    fn act_spacc(&mut self, ctx: &mut Ctx, op: ReduceOp, map: &mut BTreeMap<u32, Payload>) -> Act {
+    fn act_spacc(&mut self, ctx: &mut Ctx, op: ReduceOp, map: &mut BTreeMap<u32, Pay>) -> Act {
         let (Some(c), Some(v)) = (self.peek(ctx, 0), self.peek(ctx, 1)) else {
             return Ok(false);
         };
-        let (c, v) = (c.clone(), v.clone());
         match (c, v) {
-            (Token::Elem(pc), Token::Elem(pv)) => {
-                let key = self.crd(&pc)?;
-                self.pop(ctx, 0);
-                self.pop(ctx, 1);
-                let mut extra_flops = 0u64;
+            (Tok::Elem(pc), Tok::Elem(pv)) => {
+                let key = self.crd(pc)?;
                 match map.entry(key) {
                     std::collections::btree_map::Entry::Vacant(e) => {
                         e.insert(pv);
                     }
                     std::collections::btree_map::Entry::Occupied(mut e) => {
-                        let merged = match (e.get().clone(), pv) {
-                            (Payload::F(a), Payload::F(b)) => {
-                                extra_flops += 1;
-                                Payload::F(op.apply(a, b))
+                        let merged = match (*e.get(), pv) {
+                            (Pay::F(a), Pay::F(b)) => {
+                                ctx.flops += 1;
+                                Pay::F(op.apply(a, b))
                             }
-                            (Payload::Blk(a), Payload::Blk(b)) => {
-                                extra_flops += a.len() as u64;
-                                Payload::Blk(a.zip(&b, |x, y| op.apply(x, y)))
+                            (Pay::Blk(a), Pay::Blk(b)) => {
+                                let out = zip_tiles(ctx, a, b, 1, |x, y| op.apply(x, y));
+                                out.or_else(|m| self.fail(format_args!("spacc: {m}")))?
                             }
-                            (Payload::Empty, p) | (p, Payload::Empty) => p,
+                            (Pay::Empty, p) | (p, Pay::Empty) => p,
                             (a, b) => {
                                 return self.fail(format_args!("spacc operands {a:?} / {b:?}"))
                             }
@@ -838,9 +849,10 @@ impl Io {
                         e.insert(merged);
                     }
                 }
-                ctx.flops += extra_flops;
+                self.pop(ctx, 0);
+                self.pop(ctx, 1);
             }
-            (Token::Stop(kc), Token::Stop(kv)) => {
+            (Tok::Stop(kc), Tok::Stop(kv)) => {
                 if kc != kv {
                     return self.fail(format_args!("spacc stop mismatch {kc} vs {kv}"));
                 }
@@ -848,23 +860,23 @@ impl Io {
                 self.pop(ctx, 1);
                 if kc >= 1 {
                     for (c, v) in std::mem::take(map) {
-                        self.emit(ctx, 0, Token::idx(c));
-                        self.emit(ctx, 1, Token::Elem(v));
+                        self.emit(ctx, 0, Tok::idx(c));
+                        self.emit(ctx, 1, Tok::Elem(v));
                     }
-                    self.emit(ctx, 0, Token::Stop(kc - 1));
-                    self.emit(ctx, 1, Token::Stop(kc - 1));
+                    self.emit(ctx, 0, Tok::Stop(kc - 1));
+                    self.emit(ctx, 1, Tok::Stop(kc - 1));
                 }
                 // Stop(0) boundaries separate the fibers being accumulated:
                 // keep accumulating.
             }
-            (Token::Done, Token::Done) => {
+            (Tok::Done, Tok::Done) => {
                 self.pop(ctx, 0);
                 self.pop(ctx, 1);
                 if !map.is_empty() {
                     return self.fail("spacc reached Done with unflushed state");
                 }
-                self.emit(ctx, 0, Token::Done);
-                self.emit(ctx, 1, Token::Done);
+                self.emit(ctx, 0, Tok::Done);
+                self.emit(ctx, 1, Tok::Done);
                 self.done = true;
             }
             (x, y) => return self.fail(format_args!("spacc stream misalignment: {x:?} vs {y:?}")),
@@ -877,7 +889,7 @@ impl Io {
         for port in 0..2 {
             if self.peek(ctx, port).is_some() {
                 let tok = self.pop(ctx, port);
-                done[port] |= tok == Token::Done;
+                done[port] |= tok == Tok::Done;
                 self.emit(ctx, port, tok);
                 if done[0] && done[1] {
                     self.done = true;
@@ -888,17 +900,16 @@ impl Io {
         Ok(progress)
     }
 
-    fn act_writer(&mut self, ctx: &mut Ctx, output: usize, tokens: &mut Vec<Token>) -> Act {
+    fn act_writer(&mut self, ctx: &mut Ctx, output: usize, tokens: &mut Vec<Tok>) -> Act {
         if self.pending_mem.len() >= ctx.cfg.timing.outstanding {
             return Ok(false);
         }
         let Some(head) = self.peek(ctx, 0) else { return Ok(false) };
-        let head = head.clone();
         let in_dram = ctx.output_slots[output].location == MemLocation::Dram;
         self.pop(ctx, 0);
-        if let Token::Elem(p) = &head {
+        if let Tok::Elem(p) = head {
             let bytes = match p {
-                Payload::Blk(b) => (b.len() * 4) as u64,
+                Pay::Blk(b) => (ctx.tiles.get(b).len() * 4) as u64,
                 _ => 4,
             };
             let ready = if in_dram {
@@ -906,10 +917,10 @@ impl Io {
             } else {
                 ctx.now
             };
-            self.pending_mem.push_back((Token::Stop(0), ready, 0));
+            self.pending_mem.push_back((Tok::Stop(0), ready, 0));
             self.elems += 1;
         }
-        if head == Token::Done {
+        if head == Tok::Done {
             self.done = true;
         }
         tokens.push(head);
@@ -919,12 +930,11 @@ impl Io {
     fn act_par(&mut self, ctx: &mut Ctx, factor: usize, rr: &mut usize) -> Act {
         let has_payload = self.connected(1);
         let Some(head) = self.peek(ctx, 0) else { return Ok(false) };
-        let head = head.clone();
         if has_payload && self.peek(ctx, 1).is_none() {
             return Ok(false);
         }
         match head {
-            Token::Elem(_) => {
+            Tok::Elem(_) => {
                 let c = self.pop(ctx, 0);
                 let b = *rr;
                 *rr = (*rr + 1) % factor;
@@ -934,11 +944,11 @@ impl Io {
                     self.emit(ctx, 2 * b + 1, p);
                 }
             }
-            Token::Stop(k) => {
+            Tok::Stop(k) => {
                 self.pop(ctx, 0);
                 if has_payload {
                     let p = self.pop(ctx, 1);
-                    if p != Token::Stop(k) {
+                    if p != Tok::Stop(k) {
                         return self.fail(format_args!(
                             "parallelizer payload misaligned: {p:?} vs Stop({k})"
                         ));
@@ -946,21 +956,21 @@ impl Io {
                 }
                 *rr = 0;
                 for b in 0..factor {
-                    self.emit(ctx, 2 * b, Token::Stop(k));
+                    self.emit(ctx, 2 * b, Tok::Stop(k));
                     if has_payload {
-                        self.emit(ctx, 2 * b + 1, Token::Stop(k));
+                        self.emit(ctx, 2 * b + 1, Tok::Stop(k));
                     }
                 }
             }
-            Token::Done => {
+            Tok::Done => {
                 self.pop(ctx, 0);
                 if has_payload {
                     self.pop(ctx, 1);
                 }
                 for b in 0..factor {
-                    self.emit(ctx, 2 * b, Token::Done);
+                    self.emit(ctx, 2 * b, Tok::Done);
                     if has_payload {
-                        self.emit(ctx, 2 * b + 1, Token::Done);
+                        self.emit(ctx, 2 * b + 1, Tok::Done);
                     }
                 }
                 self.done = true;
@@ -976,25 +986,24 @@ impl Io {
         if st.in_unit {
             // Pull the current unit's tokens from branch `cur`.
             let Some(head) = self.peek(ctx, cur) else { return Ok(false) };
-            let head = head.clone();
             match head {
-                Token::Elem(_) => {
+                Tok::Elem(_) => {
                     let tok = self.pop(ctx, cur);
                     self.emit(ctx, 0, tok);
                 }
-                Token::Stop(k) if depth >= 1 && k == depth - 1 => {
+                Tok::Stop(k) if depth >= 1 && k == depth - 1 => {
                     // Ordinary unit boundary.
                     self.pop(ctx, cur);
                     st.in_unit = false;
                     st.pending_unit = true;
                     st.cur = (cur + 1) % factor;
                 }
-                Token::Stop(k) if k + 1 < depth => {
+                Tok::Stop(k) if k < depth.saturating_sub(1) => {
                     // Interior stop: part of this unit.
                     let tok = self.pop(ctx, cur);
                     self.emit(ctx, 0, tok);
                 }
-                Token::Stop(_) => {
+                Tok::Stop(_) => {
                     // The unit's boundary coalesced into a barrier stop: the
                     // unit is over, but the barrier token is consumed later
                     // by the order-stream barrier action.
@@ -1002,18 +1011,18 @@ impl Io {
                     st.pending_unit = true;
                     st.cur = (cur + 1) % factor;
                 }
-                Token::Done => return self.fail("serializer branch finished mid-unit"),
+                Tok::Done => return self.fail("serializer branch finished mid-unit"),
             }
             return Ok(true);
         }
 
         let Some(order_head) = self.peek(ctx, order_port) else { return Ok(false) };
-        let order_head = order_head.clone();
         match order_head {
-            Token::Elem(_) => {
+            Tok::Elem(_) => {
                 if st.pending_unit {
-                    // Close the previous unit before starting the next one.
-                    self.emit(ctx, 0, Token::Stop(depth - 1));
+                    // Close the previous unit before starting the next one
+                    // (a unit is pending only under `depth >= 1`).
+                    self.emit(ctx, 0, Tok::Stop(depth - 1));
                     st.pending_unit = false;
                     return Ok(true);
                 }
@@ -1021,7 +1030,7 @@ impl Io {
                     // Units are single elements.
                     let Some(bh) = self.peek(ctx, cur) else { return Ok(false) };
                     match bh {
-                        Token::Elem(_) => {
+                        Tok::Elem(_) => {
                             self.pop(ctx, order_port);
                             let tok = self.pop(ctx, cur);
                             self.emit(ctx, 0, tok);
@@ -1036,7 +1045,7 @@ impl Io {
                 } else {
                     // Check for a coalesced-empty unit before committing.
                     let Some(bh) = self.peek(ctx, cur) else { return Ok(false) };
-                    let coalesced = matches!(bh, Token::Stop(k) if *k >= depth);
+                    let coalesced = matches!(bh, Tok::Stop(k) if k >= depth);
                     self.pop(ctx, order_port);
                     if coalesced {
                         st.pending_unit = true;
@@ -1046,15 +1055,16 @@ impl Io {
                     }
                 }
             }
-            Token::Stop(k) => {
+            Tok::Stop(k) => {
                 // Barrier: every branch holds the corresponding deeper stop.
+                let barrier = self.deeper(k, depth)?;
                 for b in 0..factor {
                     match self.peek(ctx, b) {
-                        Some(Token::Stop(bk)) if *bk == k + depth => {}
+                        Some(t) if t == barrier => {}
                         Some(other) => {
                             return self.fail(format_args!(
-                                "serializer barrier mismatch on branch {b}: {other:?} vs Stop({})",
-                                k + depth
+                                "serializer barrier mismatch on branch {b}: {other:?} vs \
+                                 {barrier:?}"
                             ))
                         }
                         None => return Ok(false),
@@ -1064,14 +1074,14 @@ impl Io {
                 for b in 0..factor {
                     self.pop(ctx, b);
                 }
-                self.emit(ctx, 0, Token::Stop(k + depth));
+                self.emit(ctx, 0, barrier);
                 st.pending_unit = false;
                 st.cur = 0;
             }
-            Token::Done => {
+            Tok::Done => {
                 for b in 0..factor {
                     match self.peek(ctx, b) {
-                        Some(Token::Done) => {}
+                        Some(Tok::Done) => {}
                         Some(other) => {
                             return self.fail(format_args!(
                                 "serializer expected branch Done, found {other:?}"
@@ -1084,7 +1094,7 @@ impl Io {
                 for b in 0..factor {
                     self.pop(ctx, b);
                 }
-                self.emit(ctx, 0, Token::Done);
+                self.emit(ctx, 0, Tok::Done);
                 self.done = true;
             }
         }
@@ -1092,96 +1102,139 @@ impl Io {
     }
 }
 
-// -- ALU payload combiners (charge FLOPs / occupancy through the context) ---
+// -- Payload combiners (charge FLOPs / occupancy through the context) -------
+//
+// A tile operand is read through its handle and a tile result is stored as a
+// new tile. Every tile operation checks the shapes it needs first: two
+// blocked tensors of different tile shapes can meet in one graph that passes
+// `validate`, and `Block` asserts.
 
-fn alu_combine(ctx: &mut Ctx, op: AluOp, a: Payload, b: Payload) -> Result<Payload, String> {
+/// Names two tile shapes that do not fit `what`.
+fn misfit(what: &str, x: &Block, y: &Block) -> String {
+    format!("tiles of {}x{} and {}x{} do not fit {what}", x.rows(), x.cols(), y.rows(), y.cols())
+}
+
+/// `f` over two tiles of one shape, as a new tile, at `flops` per element.
+fn zip_tiles(
+    ctx: &mut Ctx,
+    a: Tile,
+    b: Tile,
+    flops: u64,
+    f: impl Fn(f32, f32) -> f32,
+) -> Result<Pay, String> {
+    let (x, y) = (ctx.tiles.get(a), ctx.tiles.get(b));
+    if (x.rows(), x.cols()) != (y.rows(), y.cols()) {
+        return Err(misfit("an elementwise op", x, y));
+    }
+    ctx.flops += x.len() as u64 * flops;
+    let z = x.zip(y, f);
+    Ok(Pay::Blk(ctx.tiles.put(z)))
+}
+
+fn alu_combine(ctx: &mut Ctx, op: AluOp, a: Pay, b: Pay) -> Result<Pay, String> {
     let lanes = ctx.cfg.timing.block_lanes_factor;
     Ok(match (a, b) {
-        (Payload::F(x), Payload::F(y)) => {
+        (Pay::F(x), Pay::F(y)) => {
             ctx.flops += op.flops_per_elem();
-            Payload::F(op.apply_scalar(x, y))
+            Pay::F(op.apply_scalar(x, y))
         }
-        (Payload::Empty, Payload::F(y)) => {
+        (Pay::Empty, Pay::F(y)) => {
             ctx.flops += op.flops_per_elem();
-            Payload::F(op.apply_scalar(0.0, y))
+            Pay::F(op.apply_scalar(0.0, y))
         }
-        (Payload::F(x), Payload::Empty) => {
+        (Pay::F(x), Pay::Empty) => {
             ctx.flops += op.flops_per_elem();
-            Payload::F(op.apply_scalar(x, 0.0))
+            Pay::F(op.apply_scalar(x, 0.0))
         }
-        (Payload::Empty, Payload::Empty) => Payload::F(op.apply_scalar(0.0, 0.0)),
-        (Payload::Blk(x), Payload::Blk(y)) => {
+        (Pay::Empty, Pay::Empty) => Pay::F(op.apply_scalar(0.0, 0.0)),
+        (Pay::Blk(hx), Pay::Blk(hy)) => {
+            let (x, y) = (ctx.tiles.get(hx), ctx.tiles.get(hy));
+            let mut busy = 0;
             let blk = match op {
                 AluOp::Mul => {
+                    if x.cols() != y.rows() {
+                        return Err(misfit("a matmul", x, y));
+                    }
                     // Tile contraction: b^2-lane unit retires one column
                     // per cycle.
                     ctx.flops += 2 * (x.rows() * x.cols() * y.cols()) as u64;
-                    let busy = (y.cols() as f64 / lanes).ceil() as u64;
-                    ctx.busy(busy);
-                    x.matmul(&y)
+                    busy = (y.cols() as f64 / lanes).ceil() as u64;
+                    x.matmul(y)
                 }
-                AluOp::BlockColDiv => {
+                AluOp::BlockColDiv | AluOp::BlockColSub => {
+                    if (y.rows(), y.cols()) != (x.rows(), 1) {
+                        return Err(misfit("a column broadcast", x, y));
+                    }
                     ctx.flops += x.len() as u64;
-                    x.broadcast_col(&y, |p, q| AluOp::Div.apply_scalar(p, q))
-                }
-                AluOp::BlockColSub => {
-                    ctx.flops += x.len() as u64;
-                    x.broadcast_col(&y, |p, q| p - q)
+                    if op == AluOp::BlockColDiv {
+                        x.broadcast_col(y, |p, q| AluOp::Div.apply_scalar(p, q))
+                    } else {
+                        x.broadcast_col(y, |p, q| p - q)
+                    }
                 }
                 other => {
-                    ctx.flops += x.len() as u64 * other.flops_per_elem();
-                    x.zip(&y, |p, q| other.apply_scalar(p, q))
+                    let f = other.flops_per_elem();
+                    return zip_tiles(ctx, hx, hy, f, |p, q| other.apply_scalar(p, q));
                 }
             };
-            Payload::Blk(blk)
+            ctx.busy(busy);
+            Pay::Blk(ctx.tiles.put(blk))
         }
-        (Payload::Blk(x), Payload::F(s)) => {
+        (Pay::Blk(hx), Pay::F(s)) => {
+            let x = ctx.tiles.get(hx);
             ctx.flops += x.len() as u64;
-            Payload::Blk(x.map(|v| op.apply_scalar(v, s)))
+            let blk = x.map(|v| op.apply_scalar(v, s));
+            Pay::Blk(ctx.tiles.put(blk))
         }
-        (Payload::F(s), Payload::Blk(y)) => {
+        (Pay::F(s), Pay::Blk(hy)) => {
+            let y = ctx.tiles.get(hy);
             ctx.flops += y.len() as u64;
-            Payload::Blk(y.map(|v| op.apply_scalar(s, v)))
+            let blk = y.map(|v| op.apply_scalar(s, v));
+            Pay::Blk(ctx.tiles.put(blk))
         }
-        (Payload::Empty, Payload::Blk(y)) => {
+        (Pay::Empty, Pay::Blk(hy)) => {
+            let y = ctx.tiles.get(hy);
             ctx.flops += y.len() as u64;
-            let z = Block::zeros(y.rows(), y.cols());
-            Payload::Blk(z.zip(&y, |p, q| op.apply_scalar(p, q)))
+            let blk = Block::zeros(y.rows(), y.cols()).zip(y, |p, q| op.apply_scalar(p, q));
+            Pay::Blk(ctx.tiles.put(blk))
         }
-        (Payload::Blk(x), Payload::Empty) => {
+        (Pay::Blk(hx), Pay::Empty) => {
+            let x = ctx.tiles.get(hx);
             ctx.flops += x.len() as u64;
-            match op {
+            let blk = match op {
                 AluOp::BlockColDiv | AluOp::BlockColSub => {
                     let z = Block::zeros(x.rows(), 1);
-                    Payload::Blk(x.broadcast_col(&z, |p, q| op.apply_scalar(p, q)))
+                    x.broadcast_col(&z, |p, q| op.apply_scalar(p, q))
                 }
                 _ => {
                     let z = Block::zeros(x.rows(), x.cols());
-                    Payload::Blk(x.zip(&z, |p, q| op.apply_scalar(p, q)))
+                    x.zip(&z, |p, q| op.apply_scalar(p, q))
                 }
-            }
+            };
+            Pay::Blk(ctx.tiles.put(blk))
         }
         (a, b) => return Err(format!("alu operands {a:?} / {b:?}")),
     })
 }
 
-fn alu_unary(ctx: &mut Ctx, op: AluOp, a: Payload) -> Result<Payload, String> {
+fn alu_unary(ctx: &mut Ctx, op: AluOp, a: Pay) -> Result<Pay, String> {
     Ok(match a {
-        Payload::F(x) => {
+        Pay::F(x) => {
             ctx.flops += op.flops_per_elem();
-            Payload::F(op.apply_scalar(x, 0.0))
+            Pay::F(op.apply_scalar(x, 0.0))
         }
-        Payload::Empty => Payload::F(op.apply_scalar(0.0, 0.0)),
-        Payload::Blk(x) => {
+        Pay::Empty => Pay::F(op.apply_scalar(0.0, 0.0)),
+        Pay::Blk(h) => {
+            let x = ctx.tiles.get(h);
             ctx.flops += x.len() as u64 * op.flops_per_elem();
             let blk = match op {
                 AluOp::BlockRowSum => x.row_reduce(0.0, |a, b| a + b),
                 AluOp::BlockRowMax => x.row_reduce(f32::MIN, f32::max),
                 other => x.map(|v| other.apply_scalar(v, 0.0)),
             };
-            Payload::Blk(blk)
+            Pay::Blk(ctx.tiles.put(blk))
         }
-        Payload::Idx(i) => return Err(format!("alu operand Idx({i})")),
+        Pay::Idx(i) => return Err(format!("alu operand Idx({i})")),
     })
 }
 
@@ -1204,6 +1257,10 @@ mod tests {
     use fuseflow_sam::SamGraph;
     use fuseflow_tensor::{Format, SparseTensor};
 
+    fn f(v: f32) -> Tok {
+        Tok::Elem(Pay::F(v))
+    }
+
     /// `Spacc1` drains a three-entry map (and the stop behind it) in one
     /// action into a port that fans out to two channels of capacity 1: four
     /// tokens staged on a port whose channels hold one. They must come out in
@@ -1212,9 +1269,8 @@ mod tests {
     #[test]
     fn port_staging_more_than_the_capacity_delivers_in_order_one_per_cycle() {
         let cfg = SimConfig::default();
-        let crd = vec![Token::idx(3), Token::idx(1), Token::idx(2), Token::Stop(1), Token::Done];
-        let val =
-            vec![Token::val(30.0), Token::val(10.0), Token::val(20.0), Token::Stop(1), Token::Done];
+        let crd = vec![Tok::idx(3), Tok::idx(1), Tok::idx(2), Tok::Stop(1), Tok::Done];
+        let val = vec![f(30.0), f(10.0), f(20.0), Tok::Stop(1), Tok::Done];
         let out = || Chan::new(1, 0, NO_NODE, false);
         let chans = vec![Chan::seeded(crd, false), Chan::seeded(val, false), out(), out(), out()];
         let mut ctx = Ctx::bare(chans, &cfg, 1);
@@ -1226,7 +1282,7 @@ mod tests {
             &cfg.timing,
         );
 
-        let mut got: [Vec<Token>; 3] = Default::default();
+        let mut got: [Vec<Tok>; 3] = Default::default();
         let mut most_staged = 0;
         for cycle in 0..64 {
             ctx.now = cycle;
@@ -1250,12 +1306,10 @@ mod tests {
         }
         assert!(rt.io.finished(), "not drained in 64 cycles");
         assert_eq!(most_staged, 4, "the drain should stage the whole map at once");
-        let crd_out =
-            vec![Token::idx(1), Token::idx(2), Token::idx(3), Token::Stop(0), Token::Done];
+        let crd_out = vec![Tok::idx(1), Tok::idx(2), Tok::idx(3), Tok::Stop(0), Tok::Done];
         assert_eq!(got[0], crd_out);
         assert_eq!(got[1], crd_out);
-        let val_out =
-            vec![Token::val(10.0), Token::val(20.0), Token::val(30.0), Token::Stop(0), Token::Done];
+        let val_out = vec![f(10.0), f(20.0), f(30.0), Tok::Stop(0), Tok::Done];
         assert_eq!(got[2], val_out);
     }
 
@@ -1270,9 +1324,9 @@ mod tests {
         assert!(reads_past_head(&NodeKind::Repeat, 0) && !reads_past_head(&NodeKind::Repeat, 1));
         // The node under test has rank 1; rank 0 stands for the base's writer.
         let mut base = Chan::new(8, 0, 1, reads_past_head(&NodeKind::Repeat, 0));
-        base.buf.extend([Token::val(5.0), Token::Stop(0)]);
+        base.buf.extend([f(5.0), Tok::Stop(0)]);
         let chans =
-            vec![base, Chan::seeded([Token::Stop(1)], false), Chan::new(8, 1, NO_NODE, false)];
+            vec![base, Chan::seeded([Tok::Stop(1)], false), Chan::new(8, 1, NO_NODE, false)];
         let mut ctx = Ctx::bare(chans, &cfg, 2);
         let mut rt = Rt::new(
             &NodeKind::Repeat,
@@ -1289,7 +1343,7 @@ mod tests {
         assert_eq!(ctx.cur.pop_ge(0), Some(1), "a deep reader is woken by every publish");
         assert_eq!(rt.step(&mut ctx).unwrap(), StepOutcome::Progressed);
         assert_eq!(ctx.chans[0].buf.len(), 0, "element and stop consumed together");
-        assert_eq!(ctx.chans[2].buf.back(), Some(&Token::Stop(1)));
+        assert_eq!(ctx.chans[2].buf.back(), Some(&Tok::Stop(1)));
 
         // The same state reached by a whole graph. The base values leave a
         // slow `Array` (one token every four cycles) while the repeat stream,

@@ -1,10 +1,13 @@
 //! The loops that run the machine: the event-driven production loop, the
 //! dense-sweep oracle, and the single-node standalone runner. Each drives
-//! the node table over one [`Ctx`], in the graph's topological `order`.
+//! the node table over one [`Ctx`]. The table is stored in rank order (the
+//! graph's topological `order`: `nodes[rank]` is node `order[rank]`), which is
+//! how channels and ready sets name nodes; `order` itself is read only to name
+//! nodes by id in a deadlock report.
 
 use crate::chan::{Ctx, StepOutcome};
 use crate::engine::SimError;
-use crate::node::Rt;
+use crate::node::{Rt, Step};
 use crate::sched::WakeQueue;
 use fuseflow_sam::NodeId;
 
@@ -40,11 +43,11 @@ use fuseflow_sam::NodeId;
 /// sweep's idle fast-forward, without its O(nodes) `next_wake` scan.
 /// Writer completion is tracked with a `live_writers` counter instead
 /// of the sweep's O(nodes) `writers_done` rescan per cycle.
-pub(crate) fn run_event(order: &[NodeId], nodes: &mut [Rt], ctx: &mut Ctx) -> Result<(), SimError> {
-    let n = order.len();
+pub(crate) fn run_event(order: &[NodeId], nodes: &mut [Rt], ctx: &mut Ctx) -> Step<()> {
+    let n = nodes.len();
     // By rank: is this node a writer that has not finished yet?
     let mut writer_live: Vec<bool> =
-        order.iter().map(|id| nodes[id.0].is_writer() && !nodes[id.0].io.finished()).collect();
+        nodes.iter().map(|rt| rt.is_writer() && !rt.io.finished()).collect();
     let mut live_writers = writer_live.iter().filter(|&&w| w).count();
 
     // The channels insert their own wakes into `ctx.cur` and `ctx.next`
@@ -60,14 +63,14 @@ pub(crate) fn run_event(order: &[NodeId], nodes: &mut [Rt], ctx: &mut Ctx) -> Re
         let mut pos = 0;
         while let Some(rank) = ctx.cur.pop_ge(pos) {
             pos = rank;
-            let node = order[rank].0;
-            match nodes[node].step(ctx)? {
+            let node = &mut nodes[rank];
+            match node.step(ctx)? {
                 StepOutcome::Progressed => ctx.next.insert(rank),
                 StepOutcome::SleepingUntil(t) => timers.schedule(ctx.now, t, rank as u32),
                 StepOutcome::BlockedInput | StepOutcome::BlockedOutput | StepOutcome::Finished => {}
             }
             stepped += 1;
-            if writer_live[rank] && nodes[node].io.finished() {
+            if writer_live[rank] && node.io.finished() {
                 writer_live[rank] = false;
                 live_writers -= 1;
             }
@@ -91,7 +94,7 @@ pub(crate) fn run_event(order: &[NodeId], nodes: &mut [Rt], ctx: &mut Ctx) -> Re
         ctx.sched.cycles_skipped += t_next - ctx.now - 1;
         ctx.now = t_next;
         if ctx.now > ctx.cfg.max_cycles {
-            return Err(SimError::MaxCycles(ctx.cfg.max_cycles));
+            return Err(Box::new(SimError::MaxCycles(ctx.cfg.max_cycles)));
         }
         std::mem::swap(&mut ctx.cur, &mut ctx.next);
         timers.drain_at(ctx.now, &mut ctx.cur);
@@ -101,14 +104,14 @@ pub(crate) fn run_event(order: &[NodeId], nodes: &mut [Rt], ctx: &mut Ctx) -> Re
 /// The legacy dense sweep: every node steps at every visited cycle.
 /// Kept as the differential-testing oracle for the event scheduler
 /// ([`Scheduler::Sweep`](crate::Scheduler::Sweep)).
-pub(crate) fn run_sweep(order: &[NodeId], nodes: &mut [Rt], ctx: &mut Ctx) -> Result<(), SimError> {
+pub(crate) fn run_sweep(order: &[NodeId], nodes: &mut [Rt], ctx: &mut Ctx) -> Step<()> {
     loop {
         let mut progress = false;
-        for id in order {
-            progress |= nodes[id.0].step(ctx)? == StepOutcome::Progressed;
+        for node in nodes.iter_mut() {
+            progress |= node.step(ctx)? == StepOutcome::Progressed;
         }
-        ctx.sched.events += order.len() as u64;
-        ctx.sched.peak_ready = ctx.sched.peak_ready.max(order.len() as u64);
+        ctx.sched.events += nodes.len() as u64;
+        ctx.sched.peak_ready = ctx.sched.peak_ready.max(nodes.len() as u64);
         if nodes.iter().all(|n| !n.is_writer() || n.io.finished()) {
             ctx.now += 1;
             return Ok(());
@@ -128,14 +131,14 @@ pub(crate) fn run_sweep(order: &[NodeId], nodes: &mut [Rt], ctx: &mut Ctx) -> Re
             }
         }
         if ctx.now > ctx.cfg.max_cycles {
-            return Err(SimError::MaxCycles(ctx.cfg.max_cycles));
+            return Err(Box::new(SimError::MaxCycles(ctx.cfg.max_cycles)));
         }
     }
 }
 
 /// Runs a single isolated node until it can make no further progress,
 /// fast-forwarding over busy/memory stalls exactly like the loops above do.
-pub(crate) fn run_standalone(node: &mut Rt, ctx: &mut Ctx, budget: u64) -> Result<(), SimError> {
+pub(crate) fn run_standalone(node: &mut Rt, ctx: &mut Ctx, budget: u64) -> Step<()> {
     loop {
         match node.step(ctx)? {
             StepOutcome::Progressed => ctx.now += 1,
@@ -146,18 +149,21 @@ pub(crate) fn run_standalone(node: &mut Rt, ctx: &mut Ctx, budget: u64) -> Resul
             _ => return Ok(()),
         }
         if ctx.now > budget {
-            return Err(SimError::MaxCycles(budget));
+            return Err(Box::new(SimError::MaxCycles(budget)));
         }
     }
 }
 
 /// The deadlock report at the machine's current cycle: every unfinished
 /// node, in node-id order. `in:` is what each input channel shows its reader,
-/// `outq:` what each output port has staged; channels name their peers by
-/// rank, the report by node id.
-fn deadlock(order: &[NodeId], nodes: &[Rt], ctx: &Ctx) -> SimError {
+/// `outq:` what each output port has staged; the table and the channels name
+/// nodes by rank, the report by node id.
+#[cold]
+fn deadlock(order: &[NodeId], nodes: &[Rt], ctx: &Ctx) -> Box<SimError> {
+    let mut by_id: Vec<(usize, &Rt)> = order.iter().map(|id| id.0).zip(nodes).collect();
+    by_id.sort_unstable_by_key(|&(i, _)| i);
     let mut parts = Vec::new();
-    for (i, n) in nodes.iter().map(|n| &n.io).enumerate() {
+    for (i, n) in by_id.into_iter().map(|(i, n)| (i, &n.io)) {
         if !n.finished() {
             let ins: Vec<String> = n
                 .in_chans
@@ -177,10 +183,10 @@ fn deadlock(order: &[NodeId], nodes: &[Rt], ctx: &Ctx) -> SimError {
                     continue;
                 }
                 for ch in out.chans.iter().map(|&c| &ctx.chans[c]).filter(|ch| ch.is_full()) {
-                    let reader = order[ch.reader as usize].0;
+                    let reader = ch.reader as usize;
                     full.push(format!(
-                        "out{p}->{}#{reader} at cap {}",
-                        nodes[reader].io.label, ch.cap
+                        "out{p}->{}#{} at cap {}",
+                        nodes[reader].io.label, order[reader].0, ch.cap
                     ));
                 }
             }
@@ -201,5 +207,5 @@ fn deadlock(order: &[NodeId], nodes: &[Rt], ctx: &Ctx) -> SimError {
             ));
         }
     }
-    SimError::Deadlock { cycle: ctx.now, detail: parts.join(" ") }
+    Box::new(SimError::Deadlock { cycle: ctx.now, detail: parts.join(" ") })
 }

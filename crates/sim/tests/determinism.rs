@@ -305,6 +305,33 @@ fn standalone_runner_fast_forwards_over_busy_stalls() {
     assert_eq!(p.data(), tile(1.0).matmul(&tile(3.0)).data());
 }
 
+/// `run_node_standalone` speaks public tokens at both ends: tiles go in as
+/// `Payload::Blk` and come back as `Payload::Blk` with their data, through a
+/// node that copies one token many times (`Repeat`) and one that makes new
+/// tiles (`Alu { Mul }`). The simulator's tile handles never show.
+#[test]
+fn standalone_tiles_round_trip_through_repeat_and_matmul() {
+    let tile = |seed: f32, r: usize, c: usize| {
+        Block::new(r, c, (0..r * c).map(|i| seed + i as f32).collect::<Vec<_>>())
+    };
+    let blk = |b: &Block| Token::Elem(Payload::Blk(b.clone()));
+    let (a, b) = (tile(1.0, 2, 3), tile(-2.0, 2, 3));
+    let base = vec![blk(&a), blk(&b), Token::Stop(0), Token::Done];
+    let rep = vec![Token::idx(0), Token::idx(1), Token::idx(2), Token::Stop(0), Token::idx(5)];
+    let rep = [rep, vec![Token::Stop(1), Token::Done]].concat();
+    let out = run_node_standalone(NodeKind::Repeat, vec![base, rep], vec![]).unwrap();
+    let want = [blk(&a), blk(&a), blk(&a), Token::Stop(0), blk(&b), Token::Stop(1), Token::Done];
+    assert_eq!(out[0], want);
+
+    let (c, d) = (tile(0.5, 3, 2), tile(3.0, 3, 2));
+    let lhs = vec![blk(&a), blk(&b), Token::Stop(0), Token::Done];
+    let rhs = vec![blk(&c), blk(&d), Token::Stop(0), Token::Done];
+    let out =
+        run_node_standalone(NodeKind::Alu { op: AluOp::Mul }, vec![lhs, rhs], vec![]).unwrap();
+    let want = [blk(&a.matmul(&c)), blk(&b.matmul(&d)), Token::Stop(0), Token::Done];
+    assert_eq!(out[0], want);
+}
+
 /// Regression companion: scanners park DRAM retirements in `pending_mem`;
 /// the standalone runner must drain them rather than stopping at the first
 /// stalled cycle.
@@ -656,6 +683,98 @@ const TIGHT_PINNED: &[(&str, &str, &str, [End; 4])] = &[
     ("map_stack_16x9", "full", "dram", [C(703), C(702), C(701), C(695)]),
     ("map_stack_16x9", "full", "onchip", [C(116), C(116), C(116), C(116)]),
 ];
+
+/// `(model, fusion, location)` of a zoo run at the default configuration,
+/// then its cycles, the number of labels in `Stats::node_tokens`, their
+/// token total, and an FNV-1a digest of the sorted `label=count` list.
+/// Event ≡ Sweep cannot see a token miscounted by both (the two loops share
+/// `Rt::step`, and with it where `elems` is counted), so these rows hold the
+/// per-label counts in place. On a mismatch the test prints the table as it
+/// now comes out.
+#[rustfmt::skip]
+const TOKENS_PINNED: &[(&str, &str, &str, u64, usize, u64, u64)] = &[
+    ("sae/sae", "unfused", "dram", 6257, 18, 5088, 0xb71e8ea6a6b9004a),
+    ("sae/sae", "unfused", "onchip", 997, 18, 5088, 0xb71e8ea6a6b9004a),
+    ("sae/sae", "full", "dram", 32233, 25, 30091, 0x7c9ae9f0902f5868),
+    ("sae/sae", "full", "onchip", 4933, 25, 30091, 0x7c9ae9f0902f5868),
+    ("gcn/tiny", "unfused", "dram", 20416, 22, 17740, 0xa11346a7e91874f1),
+    ("gcn/tiny", "unfused", "onchip", 3425, 22, 17740, 0xa11346a7e91874f1),
+    ("gcn/tiny", "full", "dram", 73148, 36, 101851, 0x1182a57e9c0ec463),
+    ("gcn/tiny", "full", "onchip", 11930, 36, 101851, 0x1182a57e9c0ec463),
+    ("graphsage/tiny", "unfused", "dram", 29493, 22, 26131, 0x6b04c28359099f9c),
+    ("graphsage/tiny", "unfused", "onchip", 4907, 22, 26131, 0x6b04c28359099f9c),
+    ("graphsage/tiny", "full", "dram", 73581, 40, 150642, 0x6c4eb379a2237603),
+    ("graphsage/tiny", "full", "onchip", 11869, 40, 150642, 0x6c4eb379a2237603),
+    ("bigbird-attn/b4", "unfused", "dram", 7992, 22, 6606, 0x9beaf7f02cb15011),
+    ("bigbird-attn/b4", "unfused", "onchip", 1250, 22, 6606, 0x9beaf7f02cb15011),
+    ("bigbird-attn/b4", "full", "dram", 3021, 29, 4604, 0x14f503525cae5243),
+    ("bigbird-attn/b4", "full", "onchip", 482, 29, 4604, 0x14f503525cae5243),
+    ("map_stack_16x9", "unfused", "dram", 6183, 9, 4005, 0x4b39db6532a96617),
+    ("map_stack_16x9", "unfused", "onchip", 972, 9, 4005, 0x4b39db6532a96617),
+    ("map_stack_16x9", "full", "dram", 695, 9, 973, 0xf6a648acf8b4c664),
+    ("map_stack_16x9", "full", "onchip", 116, 9, 973, 0xf6a648acf8b4c664),
+];
+
+/// FNV-1a over the sorted `label=count;` list of a run's token counts.
+fn token_digest(stats: &Stats) -> u64 {
+    let mut counts: Vec<_> = stats.node_tokens.iter().collect();
+    counts.sort();
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for (label, n) in counts {
+        for b in format!("{label}={n};").bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn node_token_counts_are_pinned() {
+    use fuseflow_core::pipeline::{compile_at, run};
+    use fuseflow_models::Fusion;
+    let models = [
+        fuseflow_models::sae("sae", 16, 8, 4, 0.4, 13),
+        fuseflow_models::gcn(&tiny(gen::GraphPattern::PowerLaw), 8, 4, 17),
+        fuseflow_models::graphsage(&tiny(gen::GraphPattern::Uniform), 8, 4, 19),
+        fuseflow_models::gpt_attention(8, 4, 4, 23),
+        fuseflow_models::map_stack(16, 9, 0.3, 29),
+    ];
+    let mut got = Vec::new();
+    for m in &models {
+        for fusion in [Fusion::Unfused, Fusion::Full] {
+            for (loc_name, location) in
+                [("dram", MemLocation::Dram), ("onchip", MemLocation::OnChip)]
+            {
+                let compiled = compile_at(&m.program, &m.schedule(fusion), location).unwrap();
+                let stats = run(&m.program, &compiled, &m.inputs, &SimConfig::default())
+                    .unwrap_or_else(|e| panic!("{}, {fusion}, {loc_name}: {e}", m.name))
+                    .stats;
+                let total = stats.node_tokens.values().sum::<u64>();
+                let (labels, digest) = (stats.node_tokens.len(), token_digest(&stats));
+                got.push((
+                    m.name.clone(),
+                    fusion.to_string(),
+                    loc_name,
+                    stats.cycles,
+                    labels,
+                    total,
+                    digest,
+                ));
+            }
+        }
+    }
+    let same = got.len() == TOKENS_PINNED.len()
+        && got
+            .iter()
+            .zip(TOKENS_PINNED)
+            .all(|(g, p)| (g.0.as_str(), g.1.as_str(), g.2, g.3, g.4, g.5, g.6) == *p);
+    if !same {
+        for (model, fusion, loc, cycles, labels, total, digest) in &got {
+            println!("    ({model:?}, {fusion:?}, {loc:?}, {cycles}, {labels}, {total}, {digest:#018x}),");
+        }
+        panic!("token counts moved; the table as it now comes out is printed above");
+    }
+}
 
 #[test]
 fn tight_capacity_cycles_and_deadlocks_are_pinned() {

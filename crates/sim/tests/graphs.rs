@@ -563,3 +563,117 @@ fn reference_past_the_stored_positions_is_a_typed_error() {
         |m: &str| m.contains("reference 2 past the 2 stored positions") && m.contains("Array[t1]");
     assert!(matches!(&err, SimError::Semantics(m) if named(m)), "{err}");
 }
+
+/// Runs `g` on `env` under both schedulers, asserts they fail alike, and
+/// returns the error.
+fn fails_alike(g: &SamGraph, env: &TensorEnv) -> SimError {
+    assert_eq!(g.validate(), Ok(()));
+    let [event, sweep] = [Scheduler::Event, Scheduler::Sweep]
+        .map(|s| simulate(g, env, &SimConfig::default().with_scheduler(s)).unwrap_err());
+    assert_eq!(event, sweep);
+    event
+}
+
+/// `A` is one 2x2 tile and `B` one 4x4 tile; both are read through `A`'s
+/// reference stream and meet in one ALU running `op`.
+fn tiles_meet(op: AluOp) -> SimError {
+    let mut g = SamGraph::new();
+    let a = g.add_tensor("A", MemLocation::OnChip);
+    let b = g.add_tensor("B", MemLocation::OnChip);
+    let o = g.add_blocked_output("T", vec![2, 2], Format::csr(), [2, 2], MemLocation::OnChip);
+    let root = g.add_node(NodeKind::Root);
+    let ai = g.add_node(NodeKind::LevelScanner { tensor: a, level: 0 });
+    let aj = g.add_node(NodeKind::LevelScanner { tensor: a, level: 1 });
+    let a_vals = g.add_node(NodeKind::Array { tensor: a });
+    let b_vals = g.add_node(NodeKind::Array { tensor: b });
+    let alu = g.add_node(NodeKind::Alu { op });
+    let wc0 = g.add_node(NodeKind::CrdWriter { output: o, level: 0 });
+    let wc1 = g.add_node(NodeKind::CrdWriter { output: o, level: 1 });
+    let wv = g.add_node(NodeKind::ValWriter { output: o });
+    g.connect(root, 0, ai, 0);
+    g.connect(ai, 0, wc0, 0);
+    g.connect(ai, 1, aj, 0);
+    g.connect(aj, 0, wc1, 0);
+    g.connect(aj, 1, a_vals, 0);
+    g.connect(aj, 1, b_vals, 0);
+    g.connect(a_vals, 0, alu, 0);
+    g.connect(b_vals, 0, alu, 1);
+    g.connect(alu, 0, wv, 0);
+    let one_tile = |n: usize| {
+        let tile = (vec![0, 0], (0..n * n).map(|i| i as f32).collect());
+        SparseTensor::from_blocks(vec![n, n], [n, n], vec![tile], &Format::csr()).unwrap()
+    };
+    fails_alike(&g, &env2(("A", one_tile(2)), ("B", one_tile(4))))
+}
+
+/// Two blocked tensors of different tile shapes pass `validate` together;
+/// where their tiles meet, the ALU names the shapes and itself instead of
+/// tripping `Block`'s shape assertions.
+#[test]
+fn tiles_of_different_shapes_in_one_alu_are_a_typed_error() {
+    for (op, what) in [
+        (AluOp::Add, "an elementwise op"),
+        (AluOp::Mul, "a matmul"),
+        (AluOp::BlockColDiv, "a column broadcast"),
+    ] {
+        let err = tiles_meet(op);
+        let named = |m: &str| {
+            m.contains(&format!("tiles of 2x2 and 4x4 do not fit {what}"))
+                && m.contains(&format!("at ALU[{op:?}]"))
+        };
+        assert!(matches!(&err, SimError::Semantics(m) if named(m)), "{op:?}: {err}");
+    }
+}
+
+/// A stop token holds a level up to 255. Each scanner in a chain over a
+/// one-element vector closes one more level, so the 256th emits `Stop(255)`
+/// and the 257th has no deeper stop to emit; a serializer of depth 255 whose
+/// order stream closes two levels at once cannot name its barrier stop.
+/// Both are typed errors naming the node.
+#[test]
+fn stop_levels_past_255_are_a_typed_error() {
+    let mut g = SamGraph::new();
+    let v = g.add_tensor("V", MemLocation::OnChip);
+    let o = g.add_output("T", vec![1], Format::sparse_vec(), MemLocation::OnChip);
+    let root = g.add_node(NodeKind::Root);
+    let wc = g.add_node(NodeKind::CrdWriter { output: o, level: 0 });
+    let wv = g.add_node(NodeKind::ValWriter { output: o });
+    let mut refs = root;
+    for i in 0..257 {
+        let ls = g.add_node(NodeKind::LevelScanner { tensor: v, level: 0 });
+        g.connect(refs, if i == 0 { 0 } else { 1 }, ls, 0);
+        if i == 0 {
+            g.connect(ls, 0, wc, 0);
+        }
+        refs = ls;
+    }
+    g.connect(refs, 0, wv, 0);
+    let one = SparseTensor::from_coo(vec![1], vec![(vec![0], 1.0)], &Format::dense_vec()).unwrap();
+    let mut env = TensorEnv::new();
+    env.insert("V", one);
+    let err = fails_alike(&g, &env);
+    let named = |m: &str| m.contains("stop level 255 + 1 exceeds 255 at LS[t0.l0]");
+    assert!(matches!(&err, SimError::Semantics(m) if named(m)), "{err}");
+
+    // One empty row: the inner scan's coordinate stream is `[Stop(1), Done]`.
+    let mut g = SamGraph::new();
+    let e = g.add_tensor("E", MemLocation::OnChip);
+    let o = g.add_output("T", vec![1], Format::sparse_vec(), MemLocation::OnChip);
+    let root = g.add_node(NodeKind::Root);
+    let ei = g.add_node(NodeKind::LevelScanner { tensor: e, level: 0 });
+    let ej = g.add_node(NodeKind::LevelScanner { tensor: e, level: 1 });
+    let ser = g.add_node(NodeKind::Serializer { factor: 1, depth: 255 });
+    let wc = g.add_node(NodeKind::CrdWriter { output: o, level: 0 });
+    let wv = g.add_node(NodeKind::ValWriter { output: o });
+    g.connect(root, 0, ei, 0);
+    g.connect(ei, 0, wc, 0);
+    g.connect(ei, 1, ej, 0);
+    g.connect(ej, 0, ser, 0);
+    g.connect(ej, 0, ser, 1);
+    g.connect(ser, 0, wv, 0);
+    let mut env = TensorEnv::new();
+    env.insert("E", SparseTensor::from_coo(vec![1, 4], vec![], &Format::csr()).unwrap());
+    let err = fails_alike(&g, &env);
+    let named = |m: &str| m.contains("stop level 1 + 255 exceeds 255 at Ser[1,d255]");
+    assert!(matches!(&err, SimError::Semantics(m) if named(m)), "{err}");
+}

@@ -1,8 +1,8 @@
 //! Unit-level semantics tests for each SAMML primitive, driven through
 //! `run_node_standalone` with literal token streams.
 
-use fuseflow_sam::{AluOp, NodeKind, Payload, ReduceOp, Token};
-use fuseflow_sim::run_node_standalone;
+use fuseflow_sam::{AluOp, Block, NodeKind, Payload, ReduceOp, Token};
+use fuseflow_sim::{run_node_standalone, SimError};
 use fuseflow_tensor::{DenseTensor, Format, SparseTensor};
 
 fn idx(i: u32) -> Token {
@@ -321,4 +321,38 @@ fn crddrop_passes_streams_through() {
         run_node_standalone(NodeKind::CrdDrop, vec![outer.clone(), inner.clone()], vec![]).unwrap();
     assert_eq!(out[0], outer);
     assert_eq!(out[1], inner);
+}
+
+/// A `Stop(255)` into a scanner has no deeper stop to become.
+#[test]
+fn scanner_stop_past_255_is_a_typed_error() {
+    let t = SparseTensor::from_dense(
+        &DenseTensor::from_vec(vec![2], vec![1., 2.]),
+        &Format::dense_vec(),
+    );
+    let refs = vec![s(255), D];
+    let err =
+        run_node_standalone(NodeKind::LevelScanner { tensor: 0, level: 0 }, vec![refs], vec![t])
+            .unwrap_err();
+    assert_eq!(err, SimError::Semantics("stop level 255 + 1 exceeds 255 at standalone".into()));
+}
+
+/// Accumulating a 4x4 tile into a 2x2 one is a typed error in both reducers.
+#[test]
+fn reducers_refuse_tiles_of_different_shapes() {
+    let tile = |n: usize| Token::Elem(Payload::Blk(Block::new(n, n, vec![1.0; n * n])));
+    let want = |who: &str| {
+        SimError::Semantics(format!(
+            "{who}: tiles of 2x2 and 4x4 do not fit an elementwise op at standalone"
+        ))
+    };
+    let v = vec![tile(2), tile(4), s(0), D];
+    let err =
+        run_node_standalone(NodeKind::Reduce { op: ReduceOp::Sum }, vec![v], vec![]).unwrap_err();
+    assert_eq!(err, want("reduce"));
+    let crd = vec![idx(3), idx(3), s(1), D];
+    let vals = vec![tile(2), tile(4), s(1), D];
+    let err = run_node_standalone(NodeKind::Spacc1 { op: ReduceOp::Sum }, vec![crd, vals], vec![])
+        .unwrap_err();
+    assert_eq!(err, want("spacc"));
 }
