@@ -24,7 +24,9 @@
 use fuseflow_bench::{parallel_map, snapshot_json, Table};
 use fuseflow_core::estimate;
 use fuseflow_core::fuse_region;
-use fuseflow_core::pipeline::{compile, compile_at, compile_with, fiber_upper_bound, run};
+use fuseflow_core::pipeline::{
+    compile, compile_at, compile_with, fiber_upper_bound, run, Compiled,
+};
 use fuseflow_core::schedule::Schedule;
 use fuseflow_models::{
     gcn, gpt_attention, gpt_attention_blocked, gpt_decoder, graphsage, map_stack, sae, Fusion,
@@ -60,10 +62,25 @@ fn sim() -> SimConfig {
 }
 
 fn run_model(m: &ModelInstance, schedule: &Schedule, location: MemLocation) -> Stats {
-    compile_at(&m.program, schedule, location)
-        .and_then(|compiled| run(&m.program, &compiled, &m.inputs, &sim()))
-        .unwrap_or_else(|e| panic!("{}: {e}", m.name))
-        .stats
+    run_refusing(m, schedule, location).0
+}
+
+/// [`run_model`], and the [`refusals`] of its compile.
+fn run_refusing(m: &ModelInstance, schedule: &Schedule, location: MemLocation) -> (Stats, String) {
+    let ran = compile_at(&m.program, schedule, location).and_then(|compiled| {
+        Ok((run(&m.program, &compiled, &m.inputs, &sim())?.stats, refusals(&compiled)))
+    });
+    ran.unwrap_or_else(|e| panic!("{}: {e}", m.name))
+}
+
+/// Every parallel directive `compiled` refused, as `r<region> row×factor:
+/// reason`, `; `-separated (a table's `refused` cell).
+fn refusals(compiled: &Compiled) -> String {
+    let per_region = compiled.lowered.iter().enumerate();
+    let refused = per_region.flat_map(|(i, l)| {
+        l.refused.iter().map(move |r| format!("r{i} {}×{}: {}", r.row, r.factor, r.reason))
+    });
+    refused.collect::<Vec<_>>().join("; ")
 }
 
 /// `m` at each fusion granularity with its tensors in DRAM, unfused (the
@@ -383,7 +400,7 @@ fn fig15(o: Opts) -> Vec<Table> {
 fn fig16(o: Opts) -> Vec<Table> {
     // The blocked pipeline parallelizes end to end (no deferred softmax
     // references crossing the split); the scalar pipeline's softmax region
-    // falls back to serial lowering under a split.
+    // refuses the split.
     let m = gpt_attention_blocked(1024, 64, 16, 91);
     let on_chip = |sched: &Schedule| run_model(&m, sched, MemLocation::OnChip).cycles;
     let i_var = m.program.exprs()[0].output.indices[0];
@@ -402,8 +419,8 @@ fn fig16(o: Opts) -> Vec<Table> {
     a.gate = Some(fig16a_shape);
 
     // Level 1 = attention row i (legal in every kernel); level 2 = score
-    // column j (legal only where it is a free non-innermost row — other
-    // kernels fall back to serial lowering, so location matters).
+    // column j (an innermost or a reduced row in every kernel, so refused;
+    // the `refused` column says where and why).
     let j_var = m.program.exprs()[0].output.indices[1];
     let mut jobs = Vec::new();
     for (loc, vars) in
@@ -416,18 +433,30 @@ fn fig16(o: Opts) -> Vec<Table> {
     let rows = parallel_map(o.threads, jobs, |(loc, vars, factor)| {
         let unfused = m.schedule(Fusion::Unfused);
         let sched = vars.iter().fold(unfused, |s, v| s.with_parallelization(*v, factor));
-        (loc, factor, on_chip(&sched))
+        let (stats, refused) = run_refusing(&m, &sched, MemLocation::OnChip);
+        (loc, factor, stats.cycles, refused)
     });
     let mut b = Table::new(
         "fig16b",
         "Fig 16b: parallelization location sweep",
-        &["location", "factor", "cycles", "speedup"],
+        &["location", "factor", "cycles", "speedup", "refused"],
     );
     let serial = rows[0].2;
-    for (loc, factor, c) in rows {
-        b.point(format!("b/{loc}/x{factor}"), Some(c), &[&loc, &factor, &ratio(serial, c)]);
+    for (loc, factor, c, refused) in rows {
+        let cells: [&dyn Display; 4] = [&loc, &factor, &ratio(serial, c), &refused];
+        b.point(format!("b/{loc}/x{factor}"), Some(c), &cells);
     }
+    b.gate = Some(fig16b_shape);
     vec![a, b]
+}
+
+/// Fig 16b's claim where the lowering makes it: splitting the attention rows
+/// (`level1`, and `both`, whose score-column split is refused) pays more
+/// with every factor. `level2` is not gated: it names only innermost and
+/// reduced rows, which are refused until reduced rows split.
+fn fig16b_shape(t: &Table) -> Vec<String> {
+    let by_falling_factor = |loc| [4, 2, 1].map(|f| format!("b/{loc}/x{f}"));
+    ["level1", "both"].into_iter().flat_map(|loc| ascending(t, &by_falling_factor(loc))).collect()
 }
 
 /// Fig 16a's claim: splitting the attention rows `factor` ways keeps paying.
@@ -696,11 +725,12 @@ fn autotune(o: Opts) -> Vec<Table> {
         candidates.into_iter().enumerate().collect(),
         |(idx, (label, sched))| {
             let est = estimate(&m.program, &sched, &m.inputs);
-            let cycles = compile(&m.program, &sched)
-                .ok()
-                .and_then(|c| run(&m.program, &c, &m.inputs, &sim()).ok())
+            let compiled = compile(&m.program, &sched).ok();
+            let cycles = (compiled.as_ref())
+                .and_then(|c| run(&m.program, c, &m.inputs, &sim()).ok())
                 .map(|r| r.stats.cycles);
-            (idx, label, est.flops, est.bytes, cycles)
+            let refused = compiled.as_ref().map_or_else(String::new, refusals);
+            (idx, label, est.flops, est.bytes, cycles, refused)
         },
     );
     // Best-first like an autotuner's report; failed candidates sink.
@@ -708,11 +738,11 @@ fn autotune(o: Opts) -> Vec<Table> {
     let mut t = Table::new(
         "autotune",
         "Autotune: schedule candidates, heuristic vs simulated",
-        &["index", "schedule", "est_flops", "est_bytes", "cycles"],
+        &["index", "schedule", "est_flops", "est_bytes", "cycles", "refused"],
     );
-    for (idx, label, flops, bytes, cycles) in rows {
+    for (idx, label, flops, bytes, cycles, refused) in rows {
         let (flops, bytes) = (format!("{flops:.0}"), format!("{bytes:.0}"));
-        t.point(&label, cycles, &[&idx, &label, &flops, &bytes]);
+        t.point(&label, cycles, &[&idx, &label, &flops, &bytes, &refused]);
     }
     vec![t]
 }
@@ -994,6 +1024,29 @@ mod tests {
         // No gain from 32 to 64 breaks both claims; 1.4x at factor 2 only the second.
         assert_eq!(fig16a_shape(&fig(141204, 9399)).len(), 2);
         assert_eq!(fig16a_shape(&fig(200000, 5440)).len(), 1);
+    }
+
+    #[test]
+    fn fig16b_shape_wants_level1_and_both_falling_with_the_factor() {
+        let fig = |both: [u64; 3]| {
+            let mut points = vec![];
+            for (loc, cycles) in [("level1", [286743, 143899, 72533]), ("level2", [286743; 3])] {
+                points.extend(
+                    [1, 2, 4].iter().zip(cycles).map(|(f, c)| (format!("b/{loc}/x{f}"), c)),
+                );
+            }
+            points.extend([1, 2, 4].iter().zip(both).map(|(f, c)| (format!("b/both/x{f}"), c)));
+            let labelled: Vec<(&str, u64)> = points.iter().map(|(l, c)| (l.as_str(), *c)).collect();
+            table(&labelled)
+        };
+        // A flat `level2` is not gated.
+        assert!(fig16b_shape(&fig([286743, 143899, 72533])).is_empty());
+        // A `both` that drops its legal split with the refused one is flat.
+        let flat = fig16b_shape(&fig([286743; 3]));
+        assert_eq!(flat.len(), 2, "{flat:?}");
+        assert!(flat[0].starts_with("b/both/x4 at Some(286743) cycles is not below b/both/x2"));
+        // A split that gains nothing past factor 2 breaks one step.
+        assert_eq!(fig16b_shape(&fig([286743, 143899, 143899])).len(), 1);
     }
 
     #[test]

@@ -315,8 +315,8 @@ impl FusedRegion {
         // A program var can occur in several expressions whose occurrence
         // classes were never unified (distinct global rows). Resolve to the
         // earliest expression's class: `global_of` is a HashMap, so taking
-        // an arbitrary entry would make compilation (and therefore whether
-        // stream parallelization applies or falls back to serial lowering)
+        // an arbitrary entry would make compilation (and therefore which
+        // row a parallel directive names, and whether it is refused)
         // nondeterministic across runs.
         self.global_of
             .iter()

@@ -67,7 +67,8 @@ impl From<FuseError> for LowerError {
 /// Options controlling one region's lowering.
 #[derive(Debug, Clone, Default)]
 pub struct LowerOptions {
-    /// Rows to parallelize, outermost first: `(global index, factor)`.
+    /// Rows to parallelize: `(global index, factor)`. Each is split or
+    /// recorded in [`Lowered::refused`]; factor 1 is a no-op.
     pub parallelize: Vec<(GlobalIx, usize)>,
     /// Memory location of region inputs and outputs.
     pub location: MemLocation,
@@ -95,6 +96,21 @@ pub struct Lowered {
     pub permuted_inputs: Vec<PermutedInput>,
     /// Output tensors written by this graph.
     pub outputs: Vec<TensorId>,
+    /// Parallel directives split, outermost first: `(row, factor)`.
+    pub applied: Vec<(GlobalIx, usize)>,
+    /// Parallel directives not split, in the order given.
+    pub refused: Vec<Refused>,
+}
+
+/// A parallel directive the lowering refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Refused {
+    /// Name of the row the directive names.
+    pub row: String,
+    /// The directive's factor.
+    pub factor: usize,
+    /// Why the row cannot be split in this region.
+    pub reason: String,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,6 +225,12 @@ impl<'a> Ctx<'a> {
     }
 }
 
+/// `name[i,j]`: the fusion-table column of a view or an output.
+fn column(region: &FusedRegion, name: &str, ixs: &[GlobalIx]) -> String {
+    let ixs: Vec<&str> = ixs.iter().map(|g| region.names[g.0 as usize].as_str()).collect();
+    format!("{name}[{}]", ixs.join(","))
+}
+
 /// Composes a region's expressions into a single multi-input product for
 /// the global-iteration (Custard/Stardust) baseline.
 ///
@@ -297,27 +319,17 @@ pub fn lower_region(
         rows_of.push(rows);
     }
 
-    // Validate parallelization rows.
-    let mut par: Vec<(GlobalIx, usize)> = opts.parallelize.clone();
-    par.sort_by_key(|(g, _)| pos[g]);
-    for (g, _) in &par {
-        for (ei, e) in region.exprs.iter().enumerate() {
-            if !rows_of[ei].contains(g) {
-                return Err(LowerError::Unsupported(format!(
-                    "parallelized row {} missing from expression {ei}",
-                    region.names[g.0 as usize]
-                )));
-            }
-            if e.reduce.contains(g) {
-                return Err(LowerError::Unsupported("cannot parallelize a reduced row".into()));
-            }
-            if rows_of[ei].last() == Some(g) {
-                return Err(LowerError::Unsupported(
-                    "cannot parallelize an expression's innermost row".into(),
-                ));
+    // Decide each parallel directive once, before any node exists.
+    let (mut applied, mut refused) = (Vec::new(), Vec::new());
+    for &(g, factor) in opts.parallelize.iter().filter(|&&(_, factor)| factor != 1) {
+        match split_refusal(region, &rows_of, &pos, &applied, g, factor) {
+            None => applied.push((g, factor)),
+            Some(reason) => {
+                refused.push(Refused { row: region.names[g.0 as usize].clone(), factor, reason })
             }
         }
     }
+    applied.sort_by_key(|(g, _)| pos[g]);
 
     let mut table =
         FusionTable::new(region.order.iter().map(|g| region.names[g.0 as usize].clone()).collect());
@@ -359,15 +371,7 @@ pub fn lower_region(
                     .or_insert_with(|| graph.add_tensor(bind_name, opts.location));
                 ViewKind::Input { slot }
             };
-            let label = format!(
-                "{}[{}]",
-                decl.name,
-                ixs.iter()
-                    .map(|g| region.names[g.0 as usize].clone())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            );
-            let col = table.add_column(label);
+            let col = table.add_column(column(region, &decl.name, ixs));
             views.push(ViewRt {
                 expr: ei,
                 tensor: *t,
@@ -384,20 +388,10 @@ pub fn lower_region(
         expr_views.push(ids);
     }
     // One output column per expression for compute/reduce cells.
-    let out_cols: Vec<usize> = region
-        .exprs
-        .iter()
+    let out_cols: Vec<usize> = (region.exprs.iter())
         .map(|e| {
-            table.add_column(format!(
-                "{}[{}]",
-                program.tensor(region.decl_id(e.output.0)).name,
-                e.output
-                    .1
-                    .iter()
-                    .map(|g| region.names[g.0 as usize].clone())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ))
+            let name = &program.tensor(region.decl_id(e.output.0)).name;
+            table.add_column(column(region, name, &e.output.1))
         })
         .collect();
 
@@ -436,10 +430,10 @@ pub fn lower_region(
                 scope_exprs.push(ei);
             }
         }
-        let split = par.iter().find(|(pg, _)| *pg == g).map(|&(_, f)| f);
+        let split = applied.iter().find(|(pg, _)| *pg == g).map(|&(_, f)| f);
         if let Some(factor) = split {
-            // Split rows may not be any expression's innermost (validated
-            // above), so no registration happens here: stage the phases.
+            // Split rows are no expression's innermost (`split_refusal`), so
+            // no registration happens here: stage the phases.
             for &ei in owner_exprs.iter().chain(&scope_exprs) {
                 owner_row_work(&mut ctx, ei, g, ri)?;
             }
@@ -478,22 +472,14 @@ pub fn lower_region(
             ));
         }
         let decl = program.tensor(t);
-        let slot = if decl.block == [1, 1] {
-            ctx.graph.add_output(
-                decl.name.clone(),
-                decl.shape.clone(),
-                decl.format.clone(),
-                opts.location,
-            )
-        } else {
-            ctx.graph.add_blocked_output(
-                decl.name.clone(),
-                decl.shape.clone(),
-                decl.format.clone(),
-                decl.block,
-                opts.location,
-            )
-        };
+        let (shape, format) = (decl.shape.clone(), decl.format.clone());
+        let slot = ctx.graph.add_blocked_output(
+            decl.name.clone(),
+            shape,
+            format,
+            decl.block,
+            opts.location,
+        );
         // Output index rows, iteration-ordered (concordant by the POG).
         let out_ixs = &region.exprs[e].output.1;
         for (lvl, ix) in out_ixs.iter().enumerate() {
@@ -508,7 +494,57 @@ pub fn lower_region(
         written.push(t);
     }
 
-    Ok(Lowered { graph: ctx.graph, table: ctx.table, permuted_inputs, outputs: written })
+    let (graph, table) = (ctx.graph, ctx.table);
+    Ok(Lowered { graph, table, permuted_inputs, outputs: written, applied, refused })
+}
+
+/// Why row `g` of `region` cannot be split `factor` ways (Section 7) after
+/// the `applied` splits, if it cannot: a split row is iterated by every
+/// expression, reduced by none and none's innermost, and lies between no
+/// deferred reference and its producer.
+fn split_refusal(
+    region: &FusedRegion,
+    rows_of: &[Vec<GlobalIx>],
+    pos: &HashMap<GlobalIx, usize>,
+    applied: &[(GlobalIx, usize)],
+    g: GlobalIx,
+    factor: usize,
+) -> Option<String> {
+    if factor == 0 {
+        return Some("a parallel factor must be at least 1".into());
+    }
+    if applied.iter().any(|&(a, _)| a == g) {
+        return Some("row already split by an earlier directive".into());
+    }
+    for (ei, e) in region.exprs.iter().enumerate() {
+        let why = if !rows_of[ei].contains(&g) {
+            format!("parallelized row {} missing from expression {ei}", region.names[g.0 as usize])
+        } else if e.reduce.contains(&g) {
+            "cannot parallelize a reduced row".into()
+        } else if rows_of[ei].last() == Some(&g) {
+            "cannot parallelize an expression's innermost row".into()
+        } else {
+            continue;
+        };
+        return Some(why);
+    }
+    // A view joins its in-region producer's values at the view's innermost
+    // row; when the producer registers later (at its last row), the join is
+    // patched branch by branch, so no split may fall in between.
+    for (ei, e) in region.exprs.iter().enumerate() {
+        for (t, ixs) in &e.inputs {
+            let Some(p) = region.exprs[..ei].iter().position(|pe| pe.output.0 == *t) else {
+                continue;
+            };
+            let (Some(inner), Some(last)) = (ixs.last(), rows_of[p].last()) else { continue };
+            if (pos[inner]..pos[last]).contains(&pos[&g]) {
+                return Some(
+                    "parallelization split between a deferred reference and its producer".into(),
+                );
+            }
+        }
+    }
+    None
 }
 
 /// Creates scanners/joins for views owning row `g` within expression `ei`.
@@ -684,13 +720,8 @@ fn owner_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx, ri: usize) -> Resul
             Some(v) => Pay::Ready(v),
             None => Pay::None,
         };
-        let jn = match kind {
-            NodeKind::Intersect => "Intersect",
-            NodeKind::Union => "Union",
-            _ => "UnionLeft",
-        };
         let col = ctx.views[acc.0].col;
-        ctx.table.set(ri, col, Cell::Prim(format!("{jn}_{}", ctx.name(g))));
+        ctx.table.set(ri, col, Cell::Prim(format!("{}_{}", kind.name(), ctx.name(g))));
         acc = (acc.0, crd_out, acc.2.clone(), false);
     }
     // Single contribution: its payload becomes the view's stream; pending
@@ -960,8 +991,8 @@ fn finish_expr(ctx: &mut Ctx<'_>, ei: usize, out_col: usize) -> Result<(), Lower
         crd.insert(*ix, streams);
     }
     // Resolve deferred payload connections now that the value stream
-    // exists (branch counts must match: splits between the deferred join
-    // and this registration are rejected at validation).
+    // exists (branch counts must match: `split_refusal` refuses a split
+    // between the deferred join and this registration).
     let t = e.output.0;
     let mut remaining = Vec::new();
     for (pt, node, port, b, count) in std::mem::take(&mut ctx.pending) {

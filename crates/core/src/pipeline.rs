@@ -7,7 +7,7 @@
 //! the fusion/reuse tradeoff the paper evaluates — and optionally verifies
 //! every program output against the structural reference interpreter.
 
-use crate::fusion::{fuse_region, FusedRegion};
+use crate::fusion::fuse_region;
 use crate::interp::{interpret, InterpError};
 use crate::ir::Program;
 use crate::lower::{globalize_region, lower_region, LowerError, LowerOptions, Lowered};
@@ -15,9 +15,8 @@ use crate::schedule::{IterationStyle, Schedule};
 use fuseflow_sam::MemLocation;
 use fuseflow_sim::{simulate, SimConfig, SimError, Stats, TensorEnv};
 use fuseflow_tensor::SparseTensor;
-use fuseflow_verify::{enforce, verify_graph, Report, VerifyConfig};
+use fuseflow_verify::{enforce, verify_graph, VerifyConfig};
 use std::collections::HashMap;
-use std::ops::Range;
 
 /// Errors from compilation or execution.
 #[derive(Debug)]
@@ -79,15 +78,8 @@ impl From<InterpError> for PipelineError {
 /// A compiled program: one lowered SAMML graph per fusion region.
 #[derive(Debug, Clone)]
 pub struct Compiled {
-    /// Region expression ranges.
-    pub ranges: Vec<Range<usize>>,
-    /// Fused-region metadata (POGs, orders, scopes).
-    pub regions: Vec<FusedRegion>,
-    /// Lowered graphs + fusion tables.
+    /// Lowered graphs + fusion tables, in region order.
     pub lowered: Vec<Lowered>,
-    /// Per-region static-analysis reports (kept diagnostics only; empty
-    /// reports when verification is disabled).
-    pub verify_reports: Vec<Report>,
 }
 
 impl Compiled {
@@ -136,8 +128,11 @@ pub fn fiber_upper_bound(program: &Program) -> Option<u64> {
 
 /// [`compile_at`] with an explicit static-analysis policy: every lowered
 /// region graph is linted by `fuseflow-verify` and diagnostics mapped to
-/// [`fuseflow_verify::Level::Deny`] abort the compile. Kept (warn-level)
-/// diagnostics land in [`Compiled::verify_reports`].
+/// [`fuseflow_verify::Level::Deny`] abort the compile; the others are
+/// dropped (lint a graph with [`verify_graph`] to read them).
+///
+/// Each region is lowered once. A parallel directive whose row cannot be
+/// split there is recorded in that region's [`Lowered::refused`].
 ///
 /// The analyzer's fiber upper bound is derived from the program's tensor
 /// shapes, so capacity-sizing advisories (SA013) reflect the actual
@@ -154,62 +149,35 @@ pub fn compile_with(
     location: MemLocation,
     verify_cfg: &VerifyConfig,
 ) -> Result<Compiled, PipelineError> {
-    let ranges = schedule.resolve_regions(program.exprs().len());
-    let mut regions = Vec::with_capacity(ranges.len());
-    let mut lowered = Vec::with_capacity(ranges.len());
-    for r in &ranges {
+    let mut lowered = Vec::new();
+    for r in schedule.resolve_regions(program.exprs().len()) {
         let mut region = fuse_region(program, r.clone()).map_err(LowerError::from)?;
+        let mut outs = program.live_outs(&r);
         if schedule.iteration == IterationStyle::Global {
             region = globalize_region(&region)?;
-        }
-        let mut outs = program.live_outs(r);
-        if schedule.iteration == IterationStyle::Global {
             // The composed expression only produces the final tensor.
             outs.retain(|t| region.exprs.iter().any(|e| e.output.0 == *t));
         }
         // Resolve parallelization onto this region's global index space.
-        let mut par = Vec::new();
-        for (var, factor) in &schedule.parallelize {
-            if let Some(g) = region.global_for_program_var(*var) {
-                par.push((g, *factor));
-            }
-        }
-        let opts = LowerOptions { parallelize: par, location };
-        let low = match lower_region(program, &region, &outs, &opts) {
-            Ok(l) => l,
-            Err(e) if !opts.parallelize.is_empty() => {
-                // Parallelization may not apply to every region (e.g. the
-                // row is reduced here); fall back to the serial lowering.
-                let serial = LowerOptions { parallelize: vec![], location };
-                lower_region(program, &region, &outs, &serial).map_err(|_| e)?
-            }
-            Err(e) => return Err(e.into()),
-        };
-        regions.push(region);
-        lowered.push(low);
+        let parallelize = (schedule.parallelize.iter())
+            .filter_map(|&(var, factor)| Some((region.global_for_program_var(var)?, factor)))
+            .collect();
+        let opts = LowerOptions { parallelize, location };
+        lowered.push(lower_region(program, &region, &outs, &opts)?);
     }
-    let mut verify_reports = Vec::with_capacity(lowered.len());
     if verify_cfg.enabled {
         let mut opts = verify_cfg.options.clone();
         if opts.fiber_hi.is_none() {
             opts.fiber_hi = fiber_upper_bound(program);
         }
-        for (i, low) in lowered.iter().enumerate() {
-            let report = verify_graph(&low.graph, &opts);
-            match enforce(&report, verify_cfg) {
-                Ok(kept) => verify_reports.push(kept),
-                Err(denied) => {
-                    return Err(PipelineError::Static {
-                        region: i,
-                        rendered: denied.render_human(&low.graph),
-                    })
-                }
+        for (region, low) in lowered.iter().enumerate() {
+            if let Err(denied) = enforce(&verify_graph(&low.graph, &opts), verify_cfg) {
+                let rendered = denied.render_human(&low.graph);
+                return Err(PipelineError::Static { region, rendered });
             }
         }
-    } else {
-        verify_reports.resize_with(lowered.len(), Report::default);
     }
-    Ok(Compiled { ranges, regions, lowered, verify_reports })
+    Ok(Compiled { lowered })
 }
 
 /// The result of executing a compiled program.

@@ -1,14 +1,20 @@
 //! Structural tests of the lowering: generated SAMML graph shapes, fusion
 //! table contents, transposition materialization, and iteration styles.
 
-use fuseflow_core::ir::{OpKind, Program, ReduceOp};
-use fuseflow_core::lower::{globalize_region, lower_region, LowerOptions};
+use fuseflow_core::fusion::{FusedRegion, GlobalIx};
+use fuseflow_core::ir::{OpKind, Program, ReduceOp, TensorId};
+use fuseflow_core::lower::{globalize_region, lower_region, LowerOptions, Refused};
 use fuseflow_core::pipeline::compile;
 use fuseflow_core::schedule::Schedule;
 use fuseflow_core::{fuse_region, Cell};
-use fuseflow_models::{gpt_attention_blocked, Fusion};
+use fuseflow_models::{
+    gcn, gpt_attention, gpt_attention_blocked, gpt_decoder, graphsage, map_stack, sae, Fusion,
+    GraphDataset, ModelInstance,
+};
 use fuseflow_sam::{NodeId, NodeKind};
+use fuseflow_tensor::gen::GraphPattern;
 use fuseflow_tensor::Format;
+use std::fmt::Write as _;
 
 fn spmm_chain() -> Program {
     let mut p = Program::new();
@@ -243,5 +249,302 @@ fn parallelized_lowering_is_the_same_graph_every_time() {
                 "{fusion} x{factor}: compile {run} lowered a different graph"
             );
         }
+    }
+}
+
+/// Lowers `region` with `directives`: `Ok` when every named row is split,
+/// else the first refusal's reason.
+fn split(
+    program: &Program,
+    region: &FusedRegion,
+    outs: &[TensorId],
+    directives: &[(GlobalIx, usize)],
+) -> Result<(), String> {
+    let opts = LowerOptions { parallelize: directives.to_vec(), ..LowerOptions::default() };
+    let low = lower_region(program, region, outs, &opts).unwrap();
+    assert_eq!(low.applied.len() + low.refused.len(), directives.len());
+    match low.refused.first() {
+        Some(refused) => Err(refused.reason.clone()),
+        None => Ok(()),
+    }
+}
+
+/// The short name of a refusal of row `row` in the pinned table below.
+fn code(reason: &str, row: &str) -> String {
+    let missing = format!("parallelized row {row} missing from expression ");
+    match reason {
+        "cannot parallelize a reduced row" => "reduced".into(),
+        "cannot parallelize an expression's innermost row" => "innermost".into(),
+        "parallelization split between a deferred reference and its producer" => "deferred".into(),
+        _ => match reason.strip_prefix(&missing) {
+            Some(e) if e.parse::<usize>().is_ok() => format!("missing:{e}"),
+            _ => panic!("unknown refusal of {row}: {reason}"),
+        },
+    }
+}
+
+/// Every model of the zoo; the graph models on a tiny graph and on the
+/// collab stand-in.
+fn zoo() -> Vec<(&'static str, ModelInstance)> {
+    let graph = |name, nodes, feats, density| GraphDataset {
+        name,
+        nodes,
+        feats,
+        density,
+        pattern: GraphPattern::PowerLaw,
+    };
+    let (tiny, collab) = (graph("tiny", 16, 8, 0.15), graph("collab", 96, 24, 0.03));
+    vec![
+        ("gcn/tiny", gcn(&tiny, 8, 4, 1)),
+        ("gcn/collab", gcn(&collab, 16, 8, 7)),
+        ("graphsage/tiny", graphsage(&tiny, 8, 4, 2)),
+        ("sae", sae("sae", 16, 8, 4, 0.4, 13)),
+        ("gpt_attention", gpt_attention(32, 8, 8, 7)),
+        ("gpt_attention_blocked", gpt_attention_blocked(128, 16, 8, 91)),
+        ("gpt_decoder", gpt_decoder(32, 8, 8, 1)),
+        ("map_stack", map_stack(48, 24, 0.5, 9)),
+    ]
+}
+
+/// Every region of the zoo at every granularity, each row split 2 ways on
+/// its own: `ok`, or why the row cannot be split (`missing:e` = not a row
+/// of expression `e`).
+const APPLICABILITY: &str = "\
+gcn/tiny/unfused/0..1: i=ok u0=reduced u1=innermost
+gcn/tiny/unfused/1..2: i=ok u0=reduced j1=innermost
+gcn/tiny/unfused/2..3: i=ok j1=innermost
+gcn/tiny/unfused/3..4: i=ok j1=innermost
+gcn/tiny/unfused/4..5: i=ok u0=reduced u2=innermost
+gcn/tiny/unfused/5..6: i=ok u0=reduced j2=innermost
+gcn/tiny/unfused/6..7: i=ok j2=innermost
+gcn/tiny/unfused/7..8: i=ok u0=reduced
+gcn/tiny/unfused/8..9: i=ok j2=innermost
+gcn/tiny/unfused/9..10: i=ok j2=innermost
+gcn/tiny/unfused/10..11: i=ok u0=reduced
+gcn/tiny/unfused/11..12: i=ok j2=innermost
+gcn/tiny/partial/0..4: i=ok u0=reduced u1=innermost j1=missing:0
+gcn/tiny/partial/4..11: i=deferred u0=reduced u2=innermost j2=missing:0
+gcn/tiny/partial/11..12: i=ok j2=innermost
+gcn/tiny/full/0..11: i=deferred i=reduced u0=reduced u1=innermost j1=missing:0 j2=missing:0
+gcn/tiny/full/11..12: i=ok j2=innermost
+gcn/collab/unfused/0..1: i=ok u0=reduced u1=innermost
+gcn/collab/unfused/1..2: i=ok u0=reduced j1=innermost
+gcn/collab/unfused/2..3: i=ok j1=innermost
+gcn/collab/unfused/3..4: i=ok j1=innermost
+gcn/collab/unfused/4..5: i=ok u0=reduced u2=innermost
+gcn/collab/unfused/5..6: i=ok u0=reduced j2=innermost
+gcn/collab/unfused/6..7: i=ok j2=innermost
+gcn/collab/unfused/7..8: i=ok u0=reduced
+gcn/collab/unfused/8..9: i=ok j2=innermost
+gcn/collab/unfused/9..10: i=ok j2=innermost
+gcn/collab/unfused/10..11: i=ok u0=reduced
+gcn/collab/unfused/11..12: i=ok j2=innermost
+gcn/collab/partial/0..4: i=ok u0=reduced u1=innermost j1=missing:0
+gcn/collab/partial/4..11: i=deferred u0=reduced u2=innermost j2=missing:0
+gcn/collab/partial/11..12: i=ok j2=innermost
+gcn/collab/full/0..11: i=deferred i=reduced u0=reduced u1=innermost j1=missing:0 j2=missing:0
+gcn/collab/full/11..12: i=ok j2=innermost
+graphsage/tiny/unfused/0..1: i=ok u0=reduced m1=innermost
+graphsage/tiny/unfused/1..2: i=ok u0=reduced u1=innermost
+graphsage/tiny/unfused/2..3: i=ok u0=reduced u1=innermost
+graphsage/tiny/unfused/3..4: i=ok u1=innermost
+graphsage/tiny/unfused/4..5: i=ok u1=innermost
+graphsage/tiny/unfused/5..6: i=ok u1=innermost
+graphsage/tiny/unfused/6..7: i=ok u0=reduced m2=innermost
+graphsage/tiny/unfused/7..8: i=ok u0=reduced u2=innermost
+graphsage/tiny/unfused/8..9: i=ok u0=reduced u2=innermost
+graphsage/tiny/unfused/9..10: i=ok u2=innermost
+graphsage/tiny/unfused/10..11: i=ok u2=innermost
+graphsage/tiny/unfused/11..12: i=ok u0=reduced
+graphsage/tiny/unfused/12..13: i=ok u2=innermost
+graphsage/tiny/unfused/13..14: i=ok u2=innermost
+graphsage/tiny/unfused/14..15: i=ok u0=reduced
+graphsage/tiny/unfused/15..16: i=ok u2=innermost
+graphsage/tiny/partial/0..6: i=ok u0=reduced m1=innermost u1=missing:0 u1=missing:0
+graphsage/tiny/partial/6..16: i=deferred u0=reduced m2=innermost u1=missing:0 u2=missing:0
+graphsage/tiny/full/0..16: i=deferred i=missing:6 u0=reduced m1=innermost u1=missing:0 u1=missing:0 u2=missing:0 m1=missing:0 u3=missing:0 u1=missing:0 u2=missing:0
+sae/unfused/0..1: h=ok u0=reduced b=innermost
+sae/unfused/1..2: h=ok b=innermost
+sae/unfused/2..3: h=ok b=innermost
+sae/unfused/3..4: o=ok u0=reduced b=innermost
+sae/unfused/4..5: o=ok b=innermost
+sae/unfused/5..6: o=ok b=innermost
+sae/partial/0..3: h=ok u0=reduced b=innermost
+sae/partial/3..6: o=ok u0=reduced b=innermost
+sae/full/0..6: o=ok h=reduced u0=reduced b=innermost
+gpt_attention/unfused/0..1: i=ok j=ok u0=reduced
+gpt_attention/unfused/1..2: i=ok j=innermost
+gpt_attention/unfused/2..3: i=ok j=innermost
+gpt_attention/unfused/3..4: i=ok u0=reduced
+gpt_attention/unfused/4..5: i=ok j=innermost
+gpt_attention/unfused/5..6: i=ok j=innermost
+gpt_attention/unfused/6..7: i=ok u0=reduced
+gpt_attention/unfused/7..8: i=ok j=innermost
+gpt_attention/unfused/8..9: i=ok u0=reduced l=innermost
+gpt_attention/partial/0..3: i=ok j=innermost u0=reduced
+gpt_attention/partial/3..9: i=deferred u0=reduced j=missing:0 l=missing:0
+gpt_attention/full/0..9: i=deferred j=innermost u0=reduced l=missing:0
+gpt_attention_blocked/unfused/0..1: i=ok u0=reduced j=innermost
+gpt_attention_blocked/unfused/1..2: i=ok j=innermost
+gpt_attention_blocked/unfused/2..3: i=ok j=innermost
+gpt_attention_blocked/unfused/3..4: i=ok u0=reduced l=innermost
+gpt_attention_blocked/partial/0..2: i=ok u0=reduced j=innermost
+gpt_attention_blocked/partial/2..4: i=ok j=innermost l=missing:0
+gpt_attention_blocked/full/0..4: i=ok u0=reduced j=innermost l=missing:0
+gpt_decoder/unfused/0..1: i=ok u0=reduced dk=innermost
+gpt_decoder/unfused/1..2: j=ok u0=reduced dk=innermost
+gpt_decoder/unfused/2..3: j=ok u0=reduced dk=innermost
+gpt_decoder/unfused/3..4: i2=ok j2=ok u0=reduced
+gpt_decoder/unfused/4..5: i2=ok j2=innermost
+gpt_decoder/unfused/5..6: i2=ok j2=innermost
+gpt_decoder/unfused/6..7: i2=ok u0=reduced
+gpt_decoder/unfused/7..8: i2=ok j2=innermost
+gpt_decoder/unfused/8..9: i2=ok j2=innermost
+gpt_decoder/unfused/9..10: i2=ok u0=reduced
+gpt_decoder/unfused/10..11: i2=ok j2=innermost
+gpt_decoder/unfused/11..12: i2=ok u0=reduced l2=innermost
+gpt_decoder/unfused/12..13: i2=ok u0=reduced d1=innermost
+gpt_decoder/unfused/13..14: i2=ok u0=reduced h1=innermost
+gpt_decoder/unfused/14..15: i2=ok h1=innermost
+gpt_decoder/unfused/15..16: i2=ok u0=reduced d3=innermost
+gpt_decoder/partial/0..3: i=missing:1 u0=reduced dk=innermost j=missing:0 u1=missing:0 dk=missing:0 j=missing:0 u2=missing:0 dk=missing:0
+gpt_decoder/partial/3..6: i2=ok j2=innermost u0=reduced
+gpt_decoder/partial/6..12: i2=deferred u0=reduced j2=missing:0 l2=missing:0
+gpt_decoder/partial/12..16: i2=ok u0=reduced d1=innermost h1=missing:0 d3=missing:0
+gpt_decoder/full/0..3: i=missing:1 u0=reduced dk=innermost j=missing:0 u1=missing:0 dk=missing:0 j=missing:0 u2=missing:0 dk=missing:0
+gpt_decoder/full/3..12: i2=deferred j2=innermost u0=reduced l2=missing:0
+gpt_decoder/full/12..16: i2=ok u0=reduced d1=innermost h1=missing:0 d3=missing:0
+map_stack/unfused/0..1: i=ok j=innermost
+map_stack/unfused/1..2: i=ok j=innermost
+map_stack/unfused/2..3: i=ok j=innermost
+map_stack/unfused/3..4: i=ok j=innermost
+map_stack/unfused/4..5: i=ok j=innermost
+map_stack/unfused/5..6: i=ok j=innermost
+map_stack/unfused/6..7: i=ok j=innermost
+map_stack/unfused/7..8: i=ok j=innermost
+map_stack/unfused/8..9: i=ok j=innermost
+map_stack/unfused/9..10: i=ok j=innermost
+map_stack/unfused/10..11: i=ok j=innermost
+map_stack/unfused/11..12: i=ok j=innermost
+map_stack/unfused/12..13: i=ok j=innermost
+map_stack/unfused/13..14: i=ok j=innermost
+map_stack/unfused/14..15: i=ok j=innermost
+map_stack/unfused/15..16: i=ok j=innermost
+map_stack/unfused/16..17: i=ok j=innermost
+map_stack/unfused/17..18: i=ok j=innermost
+map_stack/unfused/18..19: i=ok j=innermost
+map_stack/unfused/19..20: i=ok j=innermost
+map_stack/unfused/20..21: i=ok j=innermost
+map_stack/unfused/21..22: i=ok j=innermost
+map_stack/unfused/22..23: i=ok j=innermost
+map_stack/unfused/23..24: i=ok j=innermost
+map_stack/partial/0..4: i=ok j=innermost
+map_stack/partial/4..8: i=ok j=innermost
+map_stack/partial/8..12: i=ok j=innermost
+map_stack/partial/12..16: i=ok j=innermost
+map_stack/partial/16..20: i=ok j=innermost
+map_stack/partial/20..24: i=ok j=innermost
+map_stack/full/0..24: i=ok j=innermost
+";
+
+/// Which row of which region stream parallelization may split (§7): a row
+/// every expression iterates, that none reduces, that is none's innermost
+/// and that no deferred reference spans. Rows legal alone also split
+/// together.
+#[test]
+fn parallel_directives_are_applied_or_refused() {
+    let mut got = String::new();
+    for (name, m) in &zoo() {
+        for fusion in Fusion::ALL {
+            for r in m.schedule(fusion).resolve_regions(m.program.exprs().len()) {
+                let region = fuse_region(&m.program, r.clone()).unwrap();
+                let outs = m.program.live_outs(&r);
+                write!(got, "{name}/{fusion}/{r:?}:").unwrap();
+                for &g in &region.order {
+                    let row = &region.names[g.0 as usize];
+                    let verdict = split(&m.program, &region, &outs, &[(g, 2)])
+                        .map_or_else(|reason| code(&reason, row), |()| "ok".into());
+                    write!(got, " {row}={verdict}").unwrap();
+                }
+                got.push('\n');
+            }
+        }
+    }
+    for (line, (got, want)) in got.lines().zip(APPLICABILITY.lines()).enumerate() {
+        assert_eq!(got, want, "line {line}");
+    }
+    assert_eq!(got.lines().count(), APPLICABILITY.lines().count());
+
+    let zoo = zoo();
+    for (name, r, rows) in
+        [("gpt_attention", 0..1, ["i", "j"]), ("gpt_decoder", 3..4, ["i2", "j2"])]
+    {
+        let m = &zoo.iter().find(|(n, _)| *n == name).unwrap().1;
+        let region = fuse_region(&m.program, r.clone()).unwrap();
+        let row = |name| region.order.iter().copied().find(|g| region.names[g.0 as usize] == name);
+        let both = rows.map(|name| (row(name).unwrap(), 2));
+        let outs = m.program.live_outs(&r);
+        assert_eq!(split(&m.program, &region, &outs, &both), Ok(()), "{name}/{r:?}");
+    }
+}
+
+/// Directives are decided one by one: in a region where `i` splits and `j`
+/// is the innermost row, `i` is applied and `j` refused, and the graph is
+/// the one `i` alone lowers to.
+#[test]
+fn a_refused_directive_leaves_the_others_applied() {
+    let m = gpt_attention_blocked(128, 16, 8, 91);
+    let region = fuse_region(&m.program, 0..1).unwrap();
+    let row = |name| region.order.iter().copied().find(|g| region.names[g.0 as usize] == name);
+    let (i, j) = (row("i").unwrap(), row("j").unwrap());
+    let outs = m.program.live_outs(&(0..1));
+    let lower = |parallelize| {
+        let opts = LowerOptions { parallelize, ..LowerOptions::default() };
+        lower_region(&m.program, &region, &outs, &opts).unwrap()
+    };
+    let (both, alone) = (lower(vec![(j, 4), (i, 2)]), lower(vec![(i, 2)]));
+    assert_eq!(both.applied, [(i, 2)]);
+    let reason = "cannot parallelize an expression's innermost row".to_string();
+    assert_eq!(both.refused, [Refused { row: "j".into(), factor: 4, reason }]);
+    assert_eq!(
+        (both.graph.nodes(), both.graph.edges()),
+        (alone.graph.nodes(), alone.graph.edges())
+    );
+    // A second directive on a split row is refused, not silently dropped.
+    let twice = lower(vec![(i, 2), (i, 4)]);
+    assert_eq!(
+        (twice.applied, twice.refused[0].reason.as_str()),
+        (vec![(i, 2)], "row already split by an earlier directive")
+    );
+}
+
+/// `Schedule::parallelize` is a public field, so a hand-built factor 0
+/// reaches the lowering: it is refused (it used to panic dividing by zero
+/// while merging branches), and factor 1 is a no-op.
+#[test]
+fn factor_zero_is_refused_and_factor_one_is_a_no_op() {
+    let collab = GraphDataset {
+        name: "collab",
+        nodes: 96,
+        feats: 24,
+        density: 0.03,
+        pattern: GraphPattern::PowerLaw,
+    };
+    let m = gcn(&collab, 16, 8, 7);
+    let i = m.program.exprs()[0].output.indices[0];
+    let serial = compile(&m.program, &m.schedule(Fusion::Unfused)).unwrap();
+    for factor in [0, 1] {
+        let mut sched = m.schedule(Fusion::Unfused);
+        sched.parallelize.push((i, factor));
+        let compiled = compile(&m.program, &sched).unwrap();
+        for (low, serial) in compiled.lowered.iter().zip(&serial.lowered) {
+            assert!(low.applied.is_empty());
+            assert_eq!(low.graph.nodes(), serial.graph.nodes());
+        }
+        let refused: Vec<(usize, &str)> = (compiled.lowered.iter().flat_map(|l| &l.refused))
+            .map(|r| (r.factor, r.reason.as_str()))
+            .collect();
+        let every_region = vec![(0, "a parallel factor must be at least 1"); serial.lowered.len()];
+        assert_eq!(refused, if factor == 0 { every_region } else { vec![] });
     }
 }
