@@ -280,8 +280,6 @@ pub struct FusedRegion {
     pub pog_formats_only: Pog,
     /// The chosen concordant global dataflow order.
     pub order: Vec<GlobalIx>,
-    /// Extent of each global index.
-    pub sizes: Vec<usize>,
     /// Display name of each global index.
     pub names: Vec<String>,
     /// Map from (region-relative expression, program index var) to global.
@@ -300,13 +298,6 @@ impl FusedRegion {
     /// Resolves a possibly-cloned tensor id to one with a declaration.
     pub fn decl_id(&self, t: TensorId) -> TensorId {
         *self.clone_of.get(&t).unwrap_or(&t)
-    }
-}
-
-impl FusedRegion {
-    /// Position of a global index in the chosen order.
-    pub fn pos(&self, ix: GlobalIx) -> usize {
-        self.order.iter().position(|x| *x == ix).expect("index in order")
     }
 
     /// Resolves a program-level index variable to its global index, if it
@@ -480,7 +471,6 @@ pub fn fuse_region(program: &Program, range: Range<usize>) -> Result<FusedRegion
     // Compact classes into GlobalIx ids.
     let mut class_of: HashMap<u32, GlobalIx> = HashMap::new();
     let mut names: Vec<String> = Vec::new();
-    let mut sizes: Vec<usize> = Vec::new();
     let mut global_of: HashMap<(usize, IndexVar), GlobalIx> = HashMap::new();
     let mut reduction_named = Vec::new();
     for (ei, e) in exprs.iter().enumerate() {
@@ -499,7 +489,6 @@ pub fn fuse_region(program: &Program, range: Range<usize>) -> Result<FusedRegion
                     program.index_name(ix).to_string()
                 };
                 names.push(name);
-                sizes.push(program.index_size(ix));
                 g
             });
             global_of.insert((ei, ix), g);
@@ -665,7 +654,6 @@ pub fn fuse_region(program: &Program, range: Range<usize>) -> Result<FusedRegion
         pog,
         pog_formats_only,
         order,
-        sizes,
         names,
         global_of,
         scopes,

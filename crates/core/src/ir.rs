@@ -439,11 +439,6 @@ impl Program {
             .collect()
     }
 
-    /// The expression index producing tensor `t`, if any.
-    pub fn producer(&self, t: TensorId) -> Option<usize> {
-        self.exprs.iter().position(|e| e.output.tensor == t)
-    }
-
     /// Program inputs.
     pub fn inputs(&self) -> impl Iterator<Item = (TensorId, &TensorDecl)> {
         self.tensors.iter().enumerate().filter(|(_, d)| d.is_input).map(|(i, d)| (TensorId(i), d))
@@ -513,8 +508,6 @@ mod tests {
         assert_eq!(p.index_size(i), 4);
         assert_eq!(p.index_size(j), 6);
         assert_eq!(p.tensor(t).shape, vec![4, 6]);
-        assert_eq!(p.producer(d), Some(1));
-        assert_eq!(p.producer(a), None);
         assert!(p.display_expr(&p.exprs()[0]).contains("T[i,j] = A[i,k] * B[k,j]"));
     }
 

@@ -11,8 +11,8 @@
 //! 1. [`ir::Program`] — Einsum expressions with sparse formats and optional
 //!    per-expression dataflow orders (the frontend's output; models are
 //!    built with the `fuseflow-models` crate).
-//! 2. [`schedule::Schedule`] — the scheduling language: `Fuse{}` regions,
-//!    iteration style, parallelization.
+//! 2. [`schedule::Schedule`] — the scheduling language: `Fuse{}` regions
+//!    and parallelization.
 //! 3. [`fusion::fuse_region`] — cross-expression fusion with the partial
 //!    order graph (POG) and recomputation scopes (Section 5).
 //! 4. [`lower::lower_region`] — fusion-table lowering to SAMML with
@@ -63,5 +63,5 @@ pub use heuristic::{estimate, Estimate};
 pub use ir::{Access, Einsum, IndexVar, OpKind, Program, ReduceOp, TensorId};
 pub use lower::{lower_region, LowerError, LowerOptions, Lowered, Refused};
 pub use pipeline::{compile, compile_run_verify, run, verify, Compiled, PipelineError, RunResult};
-pub use schedule::{FusionGranularity, IterationStyle, Schedule};
+pub use schedule::{FusionGranularity, Schedule};
 pub use table::{Cell, FusionTable};

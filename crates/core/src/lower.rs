@@ -9,16 +9,11 @@
 //! [`FusionTable`] records the plan (rows = fused order, columns = tensor
 //! views, cells = primitives or references).
 //!
-//! The same machinery lowers the Custard/Stardust **global iteration**
-//! baseline by first composing a region into a single multi-input
-//! expression ([`globalize_region`]) whose chained reductions all sit at
-//! the bottom of one n-dimensional space.
-//!
 //! Stream parallelization (Section 7) splits a chosen free row across
 //! `factor` copies of everything below it and merges results with
 //! order-driven serializers; nested splits compose.
 
-use crate::fusion::{FuseError, FusedExpr, FusedRegion, GlobalIx};
+use crate::fusion::{FuseError, FusedRegion, GlobalIx};
 use crate::ir::{OpKind, Program, TensorId};
 use crate::table::{Cell, FusionTable};
 use fuseflow_sam::{MemLocation, NodeId, NodeKind, SamGraph};
@@ -229,58 +224,6 @@ impl<'a> Ctx<'a> {
 fn column(region: &FusedRegion, name: &str, ixs: &[GlobalIx]) -> String {
     let ixs: Vec<&str> = ixs.iter().map(|g| region.names[g.0 as usize].as_str()).collect();
     format!("{name}[{}]", ixs.join(","))
-}
-
-/// Composes a region's expressions into a single multi-input product for
-/// the global-iteration (Custard/Stardust) baseline.
-///
-/// # Errors
-///
-/// Fails for regions containing non-algebraic (non-`Mul`/`Id`) operators —
-/// exactly the operators that "break EKF" for prior compilers (Fig 4a).
-pub fn globalize_region(region: &FusedRegion) -> Result<FusedRegion, LowerError> {
-    if region.exprs.len() <= 1 {
-        // A single kernel is identical under both iteration styles; the
-        // baseline compilers support any single expression.
-        return Ok(region.clone());
-    }
-    for e in &region.exprs {
-        if !matches!(e.op, OpKind::Mul | OpKind::Id) {
-            return Err(LowerError::Unsupported(
-                "global iteration requires a pure multiply/identity region".into(),
-            ));
-        }
-    }
-    let last = region.exprs.last().expect("non-empty region");
-    let produced: Vec<TensorId> = region.exprs.iter().map(|e| e.output.0).collect();
-    let mut inputs = Vec::new();
-    for e in &region.exprs {
-        for (t, ixs) in &e.inputs {
-            if !produced.contains(t) {
-                inputs.push((*t, ixs.clone()));
-            }
-        }
-    }
-    let out_ixs = last.output.1.clone();
-    let mut reduce: Vec<GlobalIx> = Vec::new();
-    for (_, ixs) in &inputs {
-        for g in ixs {
-            if !out_ixs.contains(g) && !reduce.contains(g) {
-                reduce.push(*g);
-            }
-        }
-    }
-    let composed = FusedExpr {
-        output: (last.output.0, out_ixs),
-        inputs,
-        op: OpKind::Mul,
-        reduce,
-        reduce_op: last.reduce_op,
-    };
-    let mut r = region.clone();
-    r.exprs = vec![composed];
-    r.scopes = vec![vec![]];
-    Ok(r)
 }
 
 /// Lowers one fused region into a SAMML graph with factored iteration.

@@ -10,8 +10,8 @@
 use crate::fusion::fuse_region;
 use crate::interp::{interpret, InterpError};
 use crate::ir::Program;
-use crate::lower::{globalize_region, lower_region, LowerError, LowerOptions, Lowered};
-use crate::schedule::{IterationStyle, Schedule};
+use crate::lower::{lower_region, LowerError, LowerOptions, Lowered};
+use crate::schedule::Schedule;
 use fuseflow_sam::MemLocation;
 use fuseflow_sim::{simulate, SimConfig, SimError, Stats, TensorEnv};
 use fuseflow_tensor::SparseTensor;
@@ -151,19 +151,13 @@ pub fn compile_with(
 ) -> Result<Compiled, PipelineError> {
     let mut lowered = Vec::new();
     for r in schedule.resolve_regions(program.exprs().len()) {
-        let mut region = fuse_region(program, r.clone()).map_err(LowerError::from)?;
-        let mut outs = program.live_outs(&r);
-        if schedule.iteration == IterationStyle::Global {
-            region = globalize_region(&region)?;
-            // The composed expression only produces the final tensor.
-            outs.retain(|t| region.exprs.iter().any(|e| e.output.0 == *t));
-        }
+        let region = fuse_region(program, r.clone()).map_err(LowerError::from)?;
         // Resolve parallelization onto this region's global index space.
         let parallelize = (schedule.parallelize.iter())
             .filter_map(|&(var, factor)| Some((region.global_for_program_var(var)?, factor)))
             .collect();
         let opts = LowerOptions { parallelize, location };
-        lowered.push(lower_region(program, &region, &outs, &opts)?);
+        lowered.push(lower_region(program, &region, &program.live_outs(&r), &opts)?);
     }
     if verify_cfg.enabled {
         let mut opts = verify_cfg.options.clone();

@@ -1,9 +1,9 @@
 //! The scheduling language (Section 4.2 / Section 7).
 //!
-//! Users control fusion granularity (`Fuse{}` regions), the iteration style
-//! (FuseFlow's factored iteration vs. the Custard/Stardust global-iteration
-//! baseline), per-expression dataflow orders (attached on the [`crate::ir::Program`]
-//! directly), parallelization, and sparsity blocking.
+//! A [`Schedule`] holds fusion granularity (`Fuse{}` regions) and stream
+//! parallelization. Per-expression dataflow orders live on the
+//! [`crate::ir::Program`] (`set_dataflow`), and sparsity blocking on its
+//! tensor declarations.
 
 use crate::ir::IndexVar;
 use std::ops::Range;
@@ -19,25 +19,11 @@ pub enum FusionGranularity {
     Full,
 }
 
-/// Iteration-space style used during lowering (Section 3, Fig 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IterationStyle {
-    /// FuseFlow's factored iteration: one sub-space per expression,
-    /// interleaved reductions via sparse accumulators.
-    #[default]
-    Factored,
-    /// Prior work's globally fused iteration space (Custard/Stardust):
-    /// products distribute into one n-dimensional loop nest.
-    Global,
-}
-
 /// A complete schedule for compiling one program.
 #[derive(Debug, Clone)]
 pub struct Schedule {
     /// Fusion granularity.
     pub fusion: FusionGranularity,
-    /// Iteration style.
-    pub iteration: IterationStyle,
     /// Stream parallelization: `(index, factor)` pairs applied outermost
     /// first; indices are the program-level variables.
     pub parallelize: Vec<(IndexVar, usize)>,
@@ -46,20 +32,12 @@ pub struct Schedule {
 impl Schedule {
     /// Fully unfused schedule.
     pub fn unfused() -> Self {
-        Schedule {
-            fusion: FusionGranularity::Unfused,
-            iteration: IterationStyle::Factored,
-            parallelize: Vec::new(),
-        }
+        Schedule { fusion: FusionGranularity::Unfused, parallelize: Vec::new() }
     }
 
     /// Fully fused schedule.
     pub fn full() -> Self {
-        Schedule {
-            fusion: FusionGranularity::Full,
-            iteration: IterationStyle::Factored,
-            parallelize: Vec::new(),
-        }
+        Schedule { fusion: FusionGranularity::Full, parallelize: Vec::new() }
     }
 
     /// Explicit `Fuse{}` regions over expression indices.
@@ -73,25 +51,13 @@ impl Schedule {
             assert!(r.start >= last && r.end >= r.start, "regions must be ordered and disjoint");
             last = r.end;
         }
-        Schedule {
-            fusion: FusionGranularity::Regions(regions),
-            iteration: IterationStyle::Factored,
-            parallelize: Vec::new(),
-        }
+        Schedule { fusion: FusionGranularity::Regions(regions), parallelize: Vec::new() }
     }
 
-    /// Switches to the global-iteration (Custard/Stardust) lowering.
-    pub fn with_global_iteration(mut self) -> Self {
-        self.iteration = IterationStyle::Global;
-        self
-    }
-
-    /// Adds stream parallelization at `index` with the given factor.
+    /// Adds stream parallelization at `index` with the given factor. The
+    /// lowering decides it: factor 1 is a no-op, and factor 0 is refused.
     pub fn with_parallelization(mut self, index: IndexVar, factor: usize) -> Self {
-        assert!(factor >= 1, "parallel factor must be at least 1");
-        if factor > 1 {
-            self.parallelize.push((index, factor));
-        }
+        self.parallelize.push((index, factor));
         self
     }
 
@@ -164,10 +130,10 @@ mod tests {
     }
 
     #[test]
-    fn parallelization_of_one_is_dropped() {
-        let s = Schedule::full().with_parallelization(IndexVar(0), 1);
-        assert!(s.parallelize.is_empty());
-        let s = Schedule::full().with_parallelization(IndexVar(0), 4);
-        assert_eq!(s.parallelize, vec![(IndexVar(0), 4)]);
+    fn parallelization_is_recorded_as_given() {
+        let s = (Schedule::full().with_parallelization(IndexVar(0), 1))
+            .with_parallelization(IndexVar(1), 0)
+            .with_parallelization(IndexVar(2), 4);
+        assert_eq!(s.parallelize, vec![(IndexVar(0), 1), (IndexVar(1), 0), (IndexVar(2), 4)]);
     }
 }

@@ -1,9 +1,9 @@
 //! Structural tests of the lowering: generated SAMML graph shapes, fusion
-//! table contents, transposition materialization, and iteration styles.
+//! table contents, transposition materialization, and parallelization.
 
 use fuseflow_core::fusion::{FusedRegion, GlobalIx};
 use fuseflow_core::ir::{OpKind, Program, ReduceOp, TensorId};
-use fuseflow_core::lower::{globalize_region, lower_region, LowerOptions, Refused};
+use fuseflow_core::lower::{lower_region, LowerOptions, Refused};
 use fuseflow_core::pipeline::compile;
 use fuseflow_core::schedule::Schedule;
 use fuseflow_core::{fuse_region, Cell};
@@ -56,19 +56,31 @@ fn factored_lowering_uses_spacc_per_contraction() {
     assert!(low.graph.validate().is_ok());
 }
 
+/// `spmm_chain` as a Custard/Stardust user rewrites it: one product of A, X
+/// and W, whose single iteration space is the global one. Its two
+/// reductions lower to chained sparse accumulators.
 #[test]
-fn global_lowering_composes_into_one_pipeline() {
-    let p = spmm_chain();
-    let region = fuse_region(&p, 0..2).unwrap();
-    let global = globalize_region(&region).unwrap();
-    assert_eq!(global.exprs.len(), 1);
-    assert_eq!(global.exprs[0].inputs.len(), 3, "A, X, W compose into one product");
-    assert_eq!(global.exprs[0].reduce.len(), 2, "both contraction indices reduce");
-    let low = lower_region(&p, &global, p.outputs(), &LowerOptions::default()).unwrap();
-    let hist = low.graph.kind_histogram();
-    // Chained accumulators realize the two reductions of the global space.
-    assert_eq!(hist.get("Spacc1"), Some(&2));
-    assert!(low.graph.validate().is_ok());
+fn composed_product_lowers_to_chained_accumulators() {
+    let mut p = Program::new();
+    let (i, k, u, j) = (p.index("i"), p.index("k"), p.index("u"), p.index("j"));
+    let a = p.input("A", vec![8, 8], Format::csr());
+    let x = p.input("X", vec![8, 6], Format::csr());
+    let w = p.input("W", vec![6, 4], Format::dense(2));
+    let inputs = vec![(a, vec![i, k]), (x, vec![k, u]), (w, vec![u, j])];
+    let t1 = p.contract("T1", vec![i, j], inputs, vec![k, u], Format::csr());
+    p.mark_output(t1);
+    let region = fuse_region(&p, 0..1).unwrap();
+    let low = lower_region(&p, &region, p.outputs(), &LowerOptions::default()).unwrap();
+    let g = &low.graph;
+    let spaccs: Vec<NodeId> = (0..g.node_count())
+        .map(NodeId)
+        .filter(|&n| matches!(g.node(n), NodeKind::Spacc1 { .. }))
+        .collect();
+    let [inner, outer] = spaccs[..] else { panic!("two accumulators, got {spaccs:?}") };
+    // The outer accumulator takes both its streams from the inner one.
+    assert_eq!(g.in_edges(outer).filter(|e| e.src.node == inner).count(), 2);
+    assert!(!g.kind_histogram().contains_key("Reduce"));
+    assert!(g.validate().is_ok());
 }
 
 #[test]
@@ -518,9 +530,9 @@ fn a_refused_directive_leaves_the_others_applied() {
     );
 }
 
-/// `Schedule::parallelize` is a public field, so a hand-built factor 0
-/// reaches the lowering: it is refused (it used to panic dividing by zero
-/// while merging branches), and factor 1 is a no-op.
+/// `Schedule::with_parallelization` records any factor: the lowering
+/// refuses factor 0 in every region (it used to panic), and factor 1 is a
+/// no-op.
 #[test]
 fn factor_zero_is_refused_and_factor_one_is_a_no_op() {
     let collab = GraphDataset {
@@ -534,8 +546,7 @@ fn factor_zero_is_refused_and_factor_one_is_a_no_op() {
     let i = m.program.exprs()[0].output.indices[0];
     let serial = compile(&m.program, &m.schedule(Fusion::Unfused)).unwrap();
     for factor in [0, 1] {
-        let mut sched = m.schedule(Fusion::Unfused);
-        sched.parallelize.push((i, factor));
+        let sched = m.schedule(Fusion::Unfused).with_parallelization(i, factor);
         let compiled = compile(&m.program, &sched).unwrap();
         for (low, serial) in compiled.lowered.iter().zip(&serial.lowered) {
             assert!(low.applied.is_empty());

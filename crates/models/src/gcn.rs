@@ -3,7 +3,7 @@
 //! structure-respecting softmax closing layer 2.
 
 use crate::{GraphDataset, ModelInstance};
-use fuseflow_core::ir::{OpKind, Program, ReduceOp};
+use fuseflow_core::ir::{IndexVar, OpKind, Program, ReduceOp};
 use fuseflow_sam::AluOp;
 use fuseflow_tensor::{gen, Format, SparseTensor};
 use std::collections::HashMap;
@@ -11,6 +11,24 @@ use std::collections::HashMap;
 /// Builds a 2-layer GCN on the given dataset with hidden width `hidden`
 /// and `classes` output classes.
 pub fn gcn(ds: &GraphDataset, hidden: usize, classes: usize, seed: u64) -> ModelInstance {
+    build(ds, hidden, classes, seed, false)
+}
+
+/// [`gcn`] as a Custard/Stardust user rewrites it (Fig 4b's "C+S
+/// (rewrite)"): each layer's `Adj·X·W` is one 3-input contraction reducing
+/// both indices. One expression's iteration space is the global one, so
+/// this program compiled unfused is the global-iteration baseline.
+pub fn gcn_composed(ds: &GraphDataset, hidden: usize, classes: usize, seed: u64) -> ModelInstance {
+    build(ds, hidden, classes, seed, true)
+}
+
+fn build(
+    ds: &GraphDataset,
+    hidden: usize,
+    classes: usize,
+    seed: u64,
+    composed: bool,
+) -> ModelInstance {
     let n = ds.nodes;
     let f = ds.feats;
     let mut p = Program::new();
@@ -23,22 +41,20 @@ pub fn gcn(ds: &GraphDataset, hidden: usize, classes: usize, seed: u64) -> Model
     let w2_t = p.input("W2", vec![hidden, classes], Format::dense(2));
     let b2_t = p.input("b2", vec![classes], Format::dense_vec());
 
+    // `L = Adj·X·W`: the Adj-matmul into `T`, then the Lin-matmul; or,
+    // composed, one product reducing `k` and `u`.
+    let matmuls = |p: &mut Program, [t, l]: [&str; 2], x, w, [i, k, u, j]: [IndexVar; 4]| {
+        let (a, x, w) = ((a_t, vec![i, k]), (x, vec![k, u]), (w, vec![u, j]));
+        if composed {
+            return p.contract(l, vec![i, j], vec![a, x, w], vec![k, u], Format::csr());
+        }
+        let t = p.contract(t, vec![i, u], vec![a, x], vec![k], Format::csr());
+        p.contract(l, vec![i, j], vec![(t, vec![i, u]), w], vec![u], Format::csr())
+    };
+
     // Layer 1: Adj1 -> Lin mm1 -> Lin bias1 -> ReLU.
     let (i, k1, u1, j1) = (ix(&mut p, "i"), ix(&mut p, "k1"), ix(&mut p, "u1"), ix(&mut p, "j1"));
-    let t0 = p.contract(
-        "T0",
-        vec![i, u1],
-        vec![(a_t, vec![i, k1]), (x_t, vec![k1, u1])],
-        vec![k1],
-        Format::csr(),
-    );
-    let l1 = p.contract(
-        "L1",
-        vec![i, j1],
-        vec![(t0, vec![i, u1]), (w1_t, vec![u1, j1])],
-        vec![u1],
-        Format::csr(),
-    );
+    let l1 = matmuls(&mut p, ["T0", "L1"], x_t, w1_t, [i, k1, u1, j1]);
     let z1 = p.binary(
         "Z1",
         OpKind::Add,
@@ -48,24 +64,11 @@ pub fn gcn(ds: &GraphDataset, hidden: usize, classes: usize, seed: u64) -> Model
         Format::csr(),
     );
     let x1 = p.map("X1", AluOp::Relu, (z1, vec![i, j1]), Format::csr());
+    let layer1 = p.exprs().len();
 
     // Layer 2: Adj2 -> Lin mm2 -> Lin bias2 -> Softmax (4 kernels).
     let (k2, u2, j2) = (ix(&mut p, "k2"), ix(&mut p, "u2"), ix(&mut p, "j2"));
-    let t1 = p.contract(
-        "T1",
-        vec![i, u2],
-        vec![(a_t, vec![i, k2]), (x1, vec![k2, u2])],
-        vec![k2],
-        Format::csr(),
-    );
-    let _ = t1;
-    let l2 = p.contract(
-        "L2",
-        vec![i, j2],
-        vec![(t1, vec![i, u2]), (w2_t, vec![u2, j2])],
-        vec![u2],
-        Format::csr(),
-    );
+    let l2 = matmuls(&mut p, ["T1", "L2"], x1, w2_t, [i, k2, u2, j2]);
     let z2 = p.binary(
         "Z2",
         OpKind::Add,
@@ -79,6 +82,7 @@ pub fn gcn(ds: &GraphDataset, hidden: usize, classes: usize, seed: u64) -> Model
         p.binary("Sh", OpKind::Sub, (z2, vec![i, j2]), (m, vec![i]), vec![i, j2], Format::csr());
     let e = p.map("E", AluOp::Exp, (sh, vec![i, j2]), Format::csr());
     let d = p.reduce("D", (e, vec![i, j2]), vec![j2], ReduceOp::Sum, Format::dense_vec());
+    let layer2 = p.exprs().len();
     let out =
         p.binary("Out", OpKind::Div, (e, vec![i, j2]), (d, vec![i]), vec![i, j2], Format::csr());
     p.mark_output(out);
@@ -95,11 +99,11 @@ pub fn gcn(ds: &GraphDataset, hidden: usize, classes: usize, seed: u64) -> Model
     // layer 2's nested `Adj * X1` keeps layer 1 in its recomputation scope
     // — the degradation the paper reports for fully fused GCN.
     ModelInstance {
-        name: format!("gcn/{}", ds.name),
+        name: format!("{}/{}", if composed { "gcn_composed" } else { "gcn" }, ds.name),
         program: p,
         inputs,
-        partial_regions: vec![0..4, 4..11],
-        full_regions: vec![0..11],
+        partial_regions: vec![0..layer1, layer1..layer2],
+        full_regions: vec![0..layer2],
     }
 }
 
@@ -118,22 +122,45 @@ pub(crate) fn dense_vec(n: usize, seed: u64) -> SparseTensor {
 mod tests {
     use super::*;
     use crate::Fusion;
+    use fuseflow_core::ir::Einsum;
     use fuseflow_core::pipeline::compile_run_verify;
     use fuseflow_sim::SimConfig;
 
+    const TINY: GraphDataset = GraphDataset {
+        name: "tiny",
+        nodes: 24,
+        feats: 10,
+        density: 0.1,
+        pattern: gen::GraphPattern::Uniform,
+    };
+
     #[test]
     fn gcn_verifies_at_every_granularity() {
-        let ds = GraphDataset {
-            name: "tiny",
-            nodes: 24,
-            feats: 10,
-            density: 0.1,
-            pattern: gen::GraphPattern::Uniform,
-        };
-        let m = gcn(&ds, 8, 4, 7);
+        let m = gcn(&TINY, 8, 4, 7);
         for fusion in Fusion::ALL {
             compile_run_verify(&m.program, &m.schedule(fusion), &m.inputs, &SimConfig::default())
                 .unwrap_or_else(|e| panic!("{fusion}: {e}"));
+        }
+    }
+
+    #[test]
+    fn gcn_composed_is_gcn() {
+        let (m, c) = (gcn(&TINY, 8, 4, 7), gcn_composed(&TINY, 8, 4, 7));
+        let run = |m: &ModelInstance| {
+            let unfused = m.schedule(Fusion::Unfused);
+            compile_run_verify(&m.program, &unfused, &m.inputs, &SimConfig::default()).unwrap()
+        };
+        let (want, got) = (run(&m).outputs, run(&c).outputs);
+        assert_eq!(want.len(), got.len());
+        for (name, t) in &want {
+            assert!(got[name].to_dense().approx_eq(&t.to_dense()), "{name} differs");
+        }
+        // Each layer's two matmuls are one product reducing both indices.
+        assert_eq!(c.program.exprs().len() + 2, m.program.exprs().len());
+        for layer in ["L1", "L2"] {
+            let named = |e: &&Einsum| c.program.tensor(e.output.tensor).name == layer;
+            let e = c.program.exprs().iter().find(named).expect("layer product");
+            assert_eq!((e.inputs.len(), e.reduce.len()), (3, 2), "{layer}");
         }
     }
 }

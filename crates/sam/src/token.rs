@@ -150,33 +150,6 @@ pub enum Payload {
     Empty,
 }
 
-impl Payload {
-    /// Interprets the payload as an index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the payload is not an index.
-    pub fn idx(&self) -> u32 {
-        match self {
-            Payload::Idx(i) => *i,
-            other => panic!("expected index payload, found {other:?}"),
-        }
-    }
-
-    /// Interprets the payload as a scalar (Empty reads as 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the payload is a block or an index.
-    pub fn f(&self) -> f32 {
-        match self {
-            Payload::F(v) => *v,
-            Payload::Empty => 0.0,
-            other => panic!("expected value payload, found {other:?}"),
-        }
-    }
-}
-
 /// One token of a SAMML stream.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Token {
@@ -273,19 +246,6 @@ mod tests {
         let d = a.broadcast_col(&s, |x, y| x / y);
         assert!((d.get(0, 2) - 0.5).abs() < 1e-6);
         assert!((d.get(1, 0) - 4. / 15.).abs() < 1e-6);
-    }
-
-    #[test]
-    fn payload_accessors() {
-        assert_eq!(Payload::Idx(3).idx(), 3);
-        assert_eq!(Payload::F(2.5).f(), 2.5);
-        assert_eq!(Payload::Empty.f(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "expected index payload")]
-    fn payload_idx_on_value_panics() {
-        let _ = Payload::F(1.0).idx();
     }
 
     #[test]
