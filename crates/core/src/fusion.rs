@@ -9,7 +9,7 @@
 //! per-expression *scopes* (the outer rows under which a producer must be
 //! re-instantiated — the recomputation full fusion can introduce).
 
-use crate::ir::{Einsum, IndexVar, OpKind, Program, ReduceOp, TensorId};
+use crate::ir::{AluOp, Einsum, IndexVar, Program, ReduceOp, TensorId};
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
@@ -32,8 +32,9 @@ pub struct FusedExpr {
     pub output: (TensorId, Vec<GlobalIx>),
     /// Inputs with global indices.
     pub inputs: Vec<(TensorId, Vec<GlobalIx>)>,
-    /// Combination operator.
-    pub op: OpKind,
+    /// The ALU op combining the inputs (`None`: pass-through), as
+    /// [`Einsum::op`].
+    pub op: Option<AluOp>,
     /// Reduced global indices.
     pub reduce: Vec<GlobalIx>,
     /// Reduction operator.
@@ -602,9 +603,8 @@ pub fn fuse_region(program: &Program, range: Range<usize>) -> Result<FusedRegion
     let order = candidates
         .iter()
         .find(|o| spacc_ok(o))
+        .or(candidates.first())
         .cloned()
-        .or_else(|| candidates.first().cloned())
-        .or_else(|| pog.topo_first())
         .expect("acyclic POG has an order");
 
     // Scopes: reverse-topological pass over producers/consumers.
@@ -818,7 +818,7 @@ mod tests {
             "O",
             vec![i, j],
             vec![(m, vec![i, j]), (n, vec![j, i])],
-            OpKind::Mul,
+            Some(AluOp::Mul),
             vec![],
             ReduceOp::Sum,
             Format::dcsr(),

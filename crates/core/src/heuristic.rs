@@ -6,7 +6,7 @@
 //! schedules early; Table 3 reports its error against the simulator's
 //! instrumentation.
 
-use crate::ir::{OpKind, Program, TensorId};
+use crate::ir::{AluOp, Program, TensorId};
 use crate::schedule::Schedule;
 use fuseflow_tensor::SparseTensor;
 use std::collections::HashMap;
@@ -81,7 +81,7 @@ pub fn estimate(
         }
         let block_elems = (out_decl.block[0] * out_decl.block[1]) as f64;
         let (out_density, expr_flops) = match e.op {
-            OpKind::Mul => {
+            Some(AluOp::Mul) => {
                 let joint: f64 = in_stats.iter().map(|s| s.density).product();
                 let matched = vol * joint;
                 // Contraction: 2 flops per matched point; the output density
@@ -96,24 +96,21 @@ pub fn estimate(
                         * if block_elems > 1.0 { out_decl.block[0] as f64 } else { 1.0 },
                 )
             }
-            OpKind::MulElem => {
+            Some(AluOp::MulElem) => {
                 let joint: f64 = in_stats.iter().map(|s| s.density).product();
                 (joint, vol * joint * block_elems)
             }
-            OpKind::Add | OpKind::Sub | OpKind::Max => {
+            Some(AluOp::Add | AluOp::Sub | AluOp::Max) => {
                 let (a, b) = (in_stats[0].density, in_stats.get(1).map_or(0.0, |s| s.density));
                 let d = a + b - a * b;
                 (d, vol * d * block_elems)
             }
-            OpKind::Div | OpKind::ColDiv | OpKind::ColSub => {
-                let d = in_stats[0].density;
-                (d, vol * d * block_elems)
-            }
-            OpKind::Unary(op) => {
+            // `Div` and the unary maps keep their first input's structure.
+            Some(op) => {
                 let d = in_stats[0].density;
                 (d, vol * d * op.flops_per_elem() as f64 * block_elems)
             }
-            OpKind::Id => {
+            None => {
                 let d = in_stats[0].density;
                 let red: f64 = e.reduce.iter().map(|u| program.index_size(*u) as f64).product();
                 let out_d = 1.0 - (1.0 - d).powf(red.max(1.0));
@@ -139,10 +136,10 @@ pub fn estimate(
             for ix in e.index_set() {
                 vol *= program.index_size(ix) as f64;
             }
-            let joint: f64 = if e.op.intersects() {
-                e.inputs.iter().map(|a| stats[&a.tensor].density).product()
-            } else {
+            let joint: f64 = if e.op.is_some_and(|op| op.unions()) {
                 stats[&e.inputs[0].tensor].density
+            } else {
+                e.inputs.iter().map(|a| stats[&a.tensor].density).product()
             };
             for a in &e.inputs {
                 if !produced.contains(&a.tensor) {

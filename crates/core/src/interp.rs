@@ -9,11 +9,16 @@
 //! dense PyTorch implementation" (§8.1) while staying faithful to
 //! structure-dependent operators.
 //!
+//! Each expression's [`AluOp`] decides how its inputs merge
+//! ([`AluOp::unions`], the rule the lowering follows too). The binary ops'
+//! arithmetic is written out here rather than taken from the simulator's
+//! ALU, so the oracle does not share the code it checks.
+//!
 //! Blocked (tile-carrying) programs are verified against model-specific
 //! dense references instead (see `fuseflow-models`); this interpreter
 //! rejects them.
 
-use crate::ir::{Access, IndexVar, OpKind, Program, ReduceOp, TensorId};
+use crate::ir::{Access, AluOp, IndexVar, Program, ReduceOp, TensorId};
 use fuseflow_tensor::{DenseTensor, SparseTensor};
 use std::collections::HashMap;
 
@@ -27,25 +32,13 @@ pub struct Structured {
 }
 
 impl Structured {
-    /// Builds from a sparse tensor: structure = stored coordinates
-    /// (expanded blocks for blocked tensors; all coordinates for dense
-    /// formats).
+    /// Builds from a scalar sparse tensor: structure = stored coordinates
+    /// (all coordinates for dense formats).
     pub fn from_sparse(t: &SparseTensor) -> Self {
         let vals = t.to_dense();
         let mut mask = DenseTensor::zeros(t.shape().to_vec());
         if !t.format().has_compressed() {
             mask = mask.map(|_| 1.0);
-        } else if t.is_blocked() {
-            let [b0, b1] = t.block();
-            // Every element of a stored block is present.
-            let coo = structure_coo(t);
-            for (c, _) in coo {
-                for r in 0..b0 {
-                    for cc in 0..b1 {
-                        mask.set(&[c[0] as usize * b0 + r, c[1] as usize * b1 + cc], 1.0);
-                    }
-                }
-            }
         } else {
             for (c, _) in t.to_coo() {
                 let idx: Vec<usize> = c.iter().map(|&x| x as usize).collect();
@@ -54,31 +47,6 @@ impl Structured {
         }
         Structured { vals, mask }
     }
-}
-
-/// Stored block-grid coordinates of a blocked tensor.
-fn structure_coo(t: &SparseTensor) -> Vec<(Vec<u32>, f32)> {
-    // Walk levels directly: every stored position is structure.
-    let mut out = Vec::new();
-    fn walk(
-        t: &SparseTensor,
-        lvl: usize,
-        parent: usize,
-        coords: &mut Vec<u32>,
-        out: &mut Vec<(Vec<u32>, f32)>,
-    ) {
-        for (c, child) in t.level(lvl).fiber(parent) {
-            coords.push(c);
-            if lvl + 1 == t.order() {
-                out.push((coords.clone(), 1.0));
-            } else {
-                walk(t, lvl + 1, child, coords, out);
-            }
-            coords.pop();
-        }
-    }
-    walk(t, 0, 0, &mut Vec::new(), &mut out);
-    out
 }
 
 /// Errors from interpretation.
@@ -114,6 +82,8 @@ pub fn interpret(
     inputs: &HashMap<String, SparseTensor>,
 ) -> Result<HashMap<String, Structured>, InterpError> {
     let mut env: HashMap<TensorId, Structured> = HashMap::new();
+    // An expression is blocked only if its inputs are, so rejecting blocked
+    // program inputs rejects every blocked tensor.
     for (id, decl) in program.inputs() {
         if decl.block != [1, 1] {
             return Err(InterpError::Blocked(decl.name.clone()));
@@ -125,9 +95,6 @@ pub fn interpret(
 
     for e in program.exprs() {
         let out_decl = program.tensor(e.output.tensor);
-        if out_decl.block != [1, 1] {
-            return Err(InterpError::Blocked(out_decl.name.clone()));
-        }
         // Collect the iteration space: every index of the expression.
         let all_ix = e.index_set();
         let dims: Vec<usize> = all_ix.iter().map(|ix| program.index_size(*ix)).collect();
@@ -194,7 +161,7 @@ pub fn interpret(
                     .is_some_and(|flat| prefixes[n][ts][flat]),
             }
         };
-        let union_like = !(e.op.intersects() || e.op.arity() == Some(1));
+        let union_like = e.op.is_some_and(|op| op.unions());
 
         // Buffers reused across the iteration space: each input's gathered
         // coordinates, presence and value, and the output coordinates.
@@ -232,20 +199,19 @@ pub fn interpret(
             };
             if here {
                 let v = match e.op {
-                    OpKind::Mul | OpKind::MulElem => vals.iter().product::<f32>(),
-                    OpKind::Add => vals.iter().sum(),
-                    OpKind::Sub => vals[0] - vals[1],
-                    OpKind::Div | OpKind::ColDiv => {
+                    Some(AluOp::Mul | AluOp::MulElem) => vals.iter().product::<f32>(),
+                    Some(AluOp::Add) => vals.iter().sum(),
+                    Some(AluOp::Sub) => vals[0] - vals[1],
+                    Some(AluOp::Div) => {
                         if vals[0] == 0.0 {
                             0.0
                         } else {
                             vals[0] / vals[1]
                         }
                     }
-                    OpKind::ColSub => vals[0] - vals[1],
-                    OpKind::Max => vals[0].max(vals[1]),
-                    OpKind::Unary(op) => op.apply_scalar(vals[0], 0.0),
-                    OpKind::Id => vals[0],
+                    Some(AluOp::Max) => vals[0].max(vals[1]),
+                    Some(op) => op.apply_scalar(vals[0], 0.0),
+                    None => vals[0],
                 };
                 for (c, &slot) in out_idx.iter_mut().zip(&out_slots) {
                     *c = point[slot];
@@ -288,8 +254,6 @@ pub fn interpret(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::OpKind;
-    use fuseflow_sam::AluOp;
     use fuseflow_tensor::{gen, reference, Format};
 
     fn bind(pairs: Vec<(&str, SparseTensor)>) -> HashMap<String, SparseTensor> {
@@ -342,14 +306,8 @@ mod tests {
         let (i, j) = (p.index("i"), p.index("j"));
         let a = p.input("A", vec![2, 2], Format::dcsr());
         let b = p.input("B", vec![2, 2], Format::dcsr());
-        let c = p.binary(
-            "C",
-            OpKind::Add,
-            (a, vec![i, j]),
-            (b, vec![i, j]),
-            vec![i, j],
-            Format::dcsr(),
-        );
+        let c =
+            p.binary("C", AluOp::Add, (a, vec![i, j]), (b, vec![i, j]), vec![i, j], Format::dcsr());
         p.mark_output(c);
 
         let at =
@@ -390,7 +348,7 @@ mod tests {
         let t = p.input("T", vec![2, 2], Format::dense(2));
         let b = p.input("b", vec![2], Format::dense_vec());
         let o =
-            p.binary("O", OpKind::Add, (t, vec![i, j]), (b, vec![j]), vec![i, j], Format::dense(2));
+            p.binary("O", AluOp::Add, (t, vec![i, j]), (b, vec![j]), vec![i, j], Format::dense(2));
         p.mark_output(o);
 
         let tt = SparseTensor::from_dense(

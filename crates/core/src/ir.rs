@@ -3,13 +3,16 @@
 //! Models lower to a sequence of [`Einsum`] expressions over declared
 //! tensors: contractions, elementwise binary operations (whose sparse merge
 //! semantics are intersection for multiplication and union for
-//! addition-like operators), unary maps (including the SAMML non-linear
-//! extensions), and reductions. Sparse formats annotate every tensor
-//! (Section 4.1); optional per-expression dataflow orders and `Fuse{}`
-//! regions come from the scheduling language (`crate::schedule`).
+//! addition-like operators, [`AluOp::unions`]), unary maps (including the
+//! SAMML non-linear extensions), and reductions. An expression's operator
+//! is the SAMML [`AluOp`] its lowering emits, so the IR and the dataflow
+//! graphs share one list of operators. Sparse formats annotate every tensor
+//! (Section 4.1); a block-sparse tensor's dense block is declared on the
+//! program input and carried to every expression computed from it. Optional
+//! per-expression dataflow orders and `Fuse{}` regions come from the
+//! scheduling language (`crate::schedule`).
 
-use fuseflow_sam::AluOp;
-pub use fuseflow_sam::ReduceOp;
+pub use fuseflow_sam::{AluOp, ReduceOp};
 use fuseflow_tensor::Format;
 use std::collections::HashSet;
 use std::ops::Range;
@@ -48,66 +51,6 @@ pub struct Access {
     pub indices: Vec<IndexVar>,
 }
 
-/// How an expression combines its inputs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum OpKind {
-    /// Product of all inputs; sparse iteration intersects shared indices.
-    /// On blocked streams this is the tile contraction.
-    Mul,
-    /// Elementwise (masking) product that stays elementwise on blocks.
-    MulElem,
-    /// Sum of two inputs; sparse iteration unions shared indices.
-    Add,
-    /// Difference (union merge).
-    Sub,
-    /// Quotient (union merge; `0 / x = 0`).
-    Div,
-    /// Block-broadcast division by a column block (plain division on
-    /// scalars); the blocked softmax normalizer.
-    ColDiv,
-    /// Block-broadcast subtraction of a column block (plain subtraction on
-    /// scalars); the blocked softmax shift.
-    ColSub,
-    /// Elementwise maximum (union merge).
-    Max,
-    /// Single-input elementwise map.
-    Unary(AluOp),
-    /// Single-input passthrough (used for pure reductions/reformats).
-    Id,
-}
-
-impl OpKind {
-    /// `true` when shared sparse indices merge by intersection.
-    pub fn intersects(&self) -> bool {
-        matches!(self, OpKind::Mul | OpKind::MulElem)
-    }
-
-    /// Number of inputs this op combines (`None` = variadic `Mul`).
-    pub fn arity(&self) -> Option<usize> {
-        match self {
-            OpKind::Mul => None,
-            OpKind::Unary(_) | OpKind::Id => Some(1),
-            _ => Some(2),
-        }
-    }
-
-    /// The ALU op realizing this combine for a pair of operands.
-    pub fn alu(&self) -> Option<AluOp> {
-        match self {
-            OpKind::Mul => Some(AluOp::Mul),
-            OpKind::MulElem => Some(AluOp::MulElem),
-            OpKind::Add => Some(AluOp::Add),
-            OpKind::Sub => Some(AluOp::Sub),
-            OpKind::Div => Some(AluOp::Div),
-            OpKind::ColDiv => Some(AluOp::BlockColDiv),
-            OpKind::ColSub => Some(AluOp::BlockColSub),
-            OpKind::Max => Some(AluOp::Max),
-            OpKind::Unary(op) => Some(*op),
-            OpKind::Id => None,
-        }
-    }
-}
-
 /// One Einsum expression: `output[..] reduce_op= op(inputs...)`, reducing
 /// over `reduce`.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,8 +59,9 @@ pub struct Einsum {
     pub output: Access,
     /// Input accesses (1 for unary, 2 for binary, n for chained `Mul`).
     pub inputs: Vec<Access>,
-    /// Combination operator.
-    pub op: OpKind,
+    /// The ALU op the lowering combines the inputs with; `None` passes the
+    /// one input through (a pure reduction, built by [`Program::reduce`]).
+    pub op: Option<AluOp>,
     /// Indices reduced away (appear in inputs, not in the output).
     pub reduce: Vec<IndexVar>,
     /// Reduction operator.
@@ -148,7 +92,7 @@ impl Einsum {
 /// # Example
 ///
 /// ```
-/// use fuseflow_core::ir::{OpKind, Program};
+/// use fuseflow_core::ir::Program;
 /// use fuseflow_tensor::Format;
 ///
 /// let mut p = Program::new();
@@ -212,6 +156,11 @@ impl Program {
 
     /// Declares a block-sparse program input (`shape` is the element
     /// space; levels index the block grid).
+    ///
+    /// # Panics
+    ///
+    /// As [`Program::input`], and if a blocked level's extent is not a
+    /// multiple of its block.
     pub fn blocked_input(
         &mut self,
         name: impl Into<String>,
@@ -219,6 +168,9 @@ impl Program {
         format: Format,
         block: [usize; 2],
     ) -> TensorId {
+        let name = name.into();
+        let divides = shape.iter().zip(block).all(|(&dim, b)| dim % b == 0);
+        assert!(divides, "block {block:?} does not divide the shape {shape:?} of '{name}'");
         self.declare(name, shape, format, block, true)
     }
 
@@ -243,7 +195,7 @@ impl Program {
         assert_eq!(indices.len(), decl.shape.len(), "access arity mismatch for '{}'", decl.name);
         for (lvl, ix) in indices.iter().enumerate() {
             // Blocked tensors bind indices over the block grid.
-            let size = decl.shape[lvl] / if lvl < 2 { decl.block[lvl] } else { 1 };
+            let size = decl.shape[lvl] / decl.block.get(lvl).unwrap_or(&1);
             let slot = &mut self.index_sizes[ix.0 as usize];
             match slot {
                 None => *slot = Some(size),
@@ -256,68 +208,44 @@ impl Program {
         }
     }
 
-    /// Adds a general expression producing a fresh tensor.
+    /// Adds a general expression producing a fresh tensor. `op` combines
+    /// the inputs (`Mul` any number of them, another binary op two, a unary
+    /// op one); `None` passes one input through. The output is blocked as
+    /// its inputs are, and its shape is the extent of each output index
+    /// (over the block grid for blocked inputs) times the block.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an arity mismatch with `op`, inputs that disagree on the
+    /// block, or index extents that conflict.
     #[allow(clippy::too_many_arguments)]
     pub fn expr(
         &mut self,
         name: impl Into<String>,
         out_indices: Vec<IndexVar>,
         inputs: Vec<(TensorId, Vec<IndexVar>)>,
-        op: OpKind,
+        op: Option<AluOp>,
         reduce: Vec<IndexVar>,
         reduce_op: ReduceOp,
         format: Format,
     ) -> TensorId {
+        let name = name.into();
         assert!(!inputs.is_empty(), "expression needs at least one input");
-        if let Some(arity) = op.arity() {
-            assert_eq!(inputs.len(), arity, "operator arity mismatch");
+        match op {
+            Some(AluOp::Mul) => {}
+            Some(op) => assert_eq!(inputs.len(), op.arity(), "operator arity mismatch"),
+            None => assert_eq!(inputs.len(), 1, "operator arity mismatch"),
         }
+        let block = self.tensor(inputs[0].0).block;
         for (t, ixs) in &inputs {
+            assert_eq!(self.tensor(*t).block, block, "inputs of '{name}' disagree on the block");
             self.bind_indices(*t, ixs);
         }
-        // Infer the output shape from index extents (block-grid extents for
-        // blocked inputs produce blocked outputs; callers of blocked
-        // pipelines use `expr_blocked`).
-        let shape: Vec<usize> = out_indices.iter().map(|ix| self.index_size(*ix)).collect();
-        let out = self.declare(name, shape, format, [1, 1], false);
-        self.bind_indices(out, &out_indices);
-        self.exprs.push(Einsum {
-            output: Access { tensor: out, indices: out_indices },
-            inputs: inputs
-                .into_iter()
-                .map(|(tensor, indices)| Access { tensor, indices })
-                .collect(),
-            op,
-            reduce,
-            reduce_op,
-            dataflow: None,
-        });
-        out
-    }
-
-    /// Adds an expression whose output carries dense blocks (block-sparse
-    /// pipelines); index extents are over the block grid.
-    #[allow(clippy::too_many_arguments)]
-    pub fn expr_blocked(
-        &mut self,
-        name: impl Into<String>,
-        out_indices: Vec<IndexVar>,
-        inputs: Vec<(TensorId, Vec<IndexVar>)>,
-        op: OpKind,
-        reduce: Vec<IndexVar>,
-        reduce_op: ReduceOp,
-        format: Format,
-        block: [usize; 2],
-    ) -> TensorId {
-        for (t, ixs) in &inputs {
-            self.bind_indices(*t, ixs);
-        }
-        let shape: Vec<usize> = out_indices
-            .iter()
-            .enumerate()
-            .map(|(lvl, ix)| self.index_size(*ix) * if lvl < 2 { block[lvl] } else { 1 })
+        let shape: Vec<usize> = (out_indices.iter().enumerate())
+            .map(|(lvl, ix)| self.index_size(*ix) * block.get(lvl).unwrap_or(&1))
             .collect();
         let out = self.declare(name, shape, format, block, false);
+        self.bind_indices(out, &out_indices);
         self.exprs.push(Einsum {
             output: Access { tensor: out, indices: out_indices },
             inputs: inputs
@@ -341,20 +269,20 @@ impl Program {
         reduce: Vec<IndexVar>,
         format: Format,
     ) -> TensorId {
-        self.expr(name, out_indices, inputs, OpKind::Mul, reduce, ReduceOp::Sum, format)
+        self.expr(name, out_indices, inputs, Some(AluOp::Mul), reduce, ReduceOp::Sum, format)
     }
 
     /// Convenience: elementwise binary expression.
     pub fn binary(
         &mut self,
         name: impl Into<String>,
-        op: OpKind,
+        op: AluOp,
         lhs: (TensorId, Vec<IndexVar>),
         rhs: (TensorId, Vec<IndexVar>),
         out_indices: Vec<IndexVar>,
         format: Format,
     ) -> TensorId {
-        self.expr(name, out_indices, vec![lhs, rhs], op, vec![], ReduceOp::Sum, format)
+        self.expr(name, out_indices, vec![lhs, rhs], Some(op), vec![], ReduceOp::Sum, format)
     }
 
     /// Convenience: unary elementwise map.
@@ -366,10 +294,10 @@ impl Program {
         format: Format,
     ) -> TensorId {
         let out_indices = input.1.clone();
-        self.expr(name, out_indices, vec![input], OpKind::Unary(op), vec![], ReduceOp::Sum, format)
+        self.expr(name, out_indices, vec![input], Some(op), vec![], ReduceOp::Sum, format)
     }
 
-    /// Convenience: pure reduction (`Id` combine) over `reduce`.
+    /// Convenience: pure reduction (pass-through combine) over `reduce`.
     pub fn reduce(
         &mut self,
         name: impl Into<String>,
@@ -380,7 +308,7 @@ impl Program {
     ) -> TensorId {
         let out_indices: Vec<IndexVar> =
             input.1.iter().copied().filter(|ix| !reduce.contains(ix)).collect();
-        self.expr(name, out_indices, vec![input], OpKind::Id, reduce, reduce_op, format)
+        self.expr(name, out_indices, vec![input], None, reduce, reduce_op, format)
     }
 
     /// Sets the user dataflow order for the most recent expression.
@@ -454,11 +382,11 @@ impl Program {
             )
         };
         let rhs = e.inputs.iter().map(acc).collect::<Vec<_>>().join(match e.op {
-            OpKind::Mul | OpKind::MulElem => " * ",
-            OpKind::Add => " + ",
-            OpKind::Sub => " - ",
-            OpKind::Div => " / ",
-            OpKind::Max => " max ",
+            Some(AluOp::Mul | AluOp::MulElem) => " * ",
+            Some(AluOp::Add) => " + ",
+            Some(AluOp::Sub) => " - ",
+            Some(AluOp::Div) => " / ",
+            Some(AluOp::Max) => " max ",
             _ => " ",
         });
         let red = if e.reduce.is_empty() {
@@ -471,7 +399,7 @@ impl Program {
             )
         };
         let op_prefix = match e.op {
-            OpKind::Unary(op) => format!("{op:?} "),
+            Some(op) if op.arity() == 1 => format!("{op:?} "),
             _ => String::new(),
         };
         format!("{} = {op_prefix}{rhs}{red}", acc(&e.output))
@@ -535,7 +463,7 @@ mod tests {
         let r = p.map("R", AluOp::Relu, (a, vec![i, j]), Format::csr());
         let m = p.reduce("M", (r, vec![i, j]), vec![j], ReduceOp::Max, Format::dense_vec());
         assert_eq!(p.tensor(m).shape, vec![3]);
-        assert_eq!(p.exprs()[1].op, OpKind::Id);
+        assert_eq!(p.exprs()[1].op, None);
         assert_eq!(p.exprs()[1].reduce_op, ReduceOp::Max);
     }
 
@@ -571,17 +499,46 @@ mod tests {
         let mut p = Program::new();
         let (i, j) = (p.index("i"), p.index("j"));
         let q = p.blocked_input("Q", vec![64, 32], Format::csr(), [16, 16]);
-        let _ = p.expr_blocked(
-            "S",
-            vec![i, j],
-            vec![(q, vec![i, j])],
-            OpKind::Id,
-            vec![],
-            ReduceOp::Sum,
-            Format::csr(),
-            [16, 16],
-        );
+        let e = p.map("E", AluOp::Exp, (q, vec![i, j]), Format::csr());
         assert_eq!(p.index_size(i), 4);
         assert_eq!(p.index_size(j), 2);
+        assert_eq!((&p.tensor(e).shape, p.tensor(e).block), (&vec![64, 32], [16, 16]));
+    }
+
+    #[test]
+    #[should_panic(expected = "block [16, 16] does not divide the shape [64, 40] of 'Q'")]
+    fn blocked_input_needs_a_dividing_block() {
+        Program::new().blocked_input("Q", vec![64, 40], Format::csr(), [16, 16]);
+    }
+
+    /// A contraction of `[b, b]`-blocked inputs declares the blocked output
+    /// that block-sparse pipelines stream: the grid extents times the block.
+    #[test]
+    fn contract_of_blocked_inputs_declares_a_blocked_output() {
+        let mut p = Program::new();
+        let (i, k, j) = (p.index("i"), p.index("k"), p.index("j"));
+        let a = p.blocked_input("A", vec![32, 16], Format::dense(2), [8, 8]);
+        let b = p.blocked_input("B", vec![16, 24], Format::csr(), [8, 8]);
+        let ab = vec![(a, vec![i, k]), (b, vec![k, j])];
+        let t = p.contract("T", vec![i, j], ab, vec![k], Format::csr());
+        let want = TensorDecl {
+            name: "T".into(),
+            shape: vec![32, 24],
+            format: Format::csr(),
+            block: [8, 8],
+            is_input: false,
+        };
+        assert_eq!(p.tensor(t), &want);
+        assert_eq!((p.index_size(i), p.index_size(j)), (4, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "inputs of 'T' disagree on the block")]
+    fn inputs_disagreeing_on_the_block_panic() {
+        let mut p = Program::new();
+        let (i, j) = (p.index("i"), p.index("j"));
+        let a = p.blocked_input("A", vec![16, 16], Format::csr(), [4, 4]);
+        let b = p.input("B", vec![4, 4], Format::csr());
+        p.binary("T", AluOp::Add, (a, vec![i, j]), (b, vec![i, j]), vec![i, j], Format::csr());
     }
 }

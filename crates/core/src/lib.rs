@@ -60,7 +60,7 @@ pub mod table;
 
 pub use fusion::{fuse_region, FusedRegion, GlobalIx, Pog};
 pub use heuristic::{estimate, Estimate};
-pub use ir::{Access, Einsum, IndexVar, OpKind, Program, ReduceOp, TensorId};
+pub use ir::{Access, Einsum, IndexVar, Program, ReduceOp, TensorId};
 pub use lower::{lower_region, LowerError, LowerOptions, Lowered, Refused};
 pub use pipeline::{compile, compile_run_verify, run, verify, Compiled, PipelineError, RunResult};
 pub use schedule::{FusionGranularity, Schedule};

@@ -14,7 +14,7 @@
 //! order-driven serializers; nested splits compose.
 
 use crate::fusion::{FuseError, FusedRegion, GlobalIx};
-use crate::ir::{OpKind, Program, TensorId};
+use crate::ir::{Program, TensorId};
 use crate::table::{Cell, FusionTable};
 use fuseflow_sam::{MemLocation, NodeId, NodeKind, SamGraph};
 use std::collections::{BTreeMap, HashMap};
@@ -627,10 +627,10 @@ fn owner_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx, ri: usize) -> Resul
         }
         let kind = if acc.3 {
             NodeKind::UnionLeft
-        } else if op.intersects() || op.arity() == Some(1) {
-            NodeKind::Intersect
-        } else {
+        } else if op.is_some_and(|op| op.unions()) {
             NodeKind::Union
+        } else {
+            NodeKind::Intersect
         };
         let mut crd_out = Vec::with_capacity(ctx.branches);
         let mut pa_out = (acc.2 != Pay::None).then(|| Vec::with_capacity(ctx.branches));
@@ -868,20 +868,19 @@ fn finish_expr(ctx: &mut Ctx<'_>, ei: usize, out_col: usize) -> Result<(), Lower
     // Combine.
     let mut val: Vec<H> = ctx.views[view_ids[0]].stream.clone();
     match e.op {
-        OpKind::Unary(op) => {
+        Some(op) if op.arity() == 1 => {
             val = port(&ctx.emit(NodeKind::Alu { op }, &[&val]), 0);
             ctx.table.set(ctx.table.val_row(), out_col, Cell::Prim(format!("{op:?}(val)")));
         }
-        OpKind::Id => {
-            ctx.table.set(ctx.table.val_row(), out_col, Cell::Ref("val".into()));
-        }
-        _ => {
+        Some(op) => {
             for &vid in &view_ids[1..] {
                 let rhs = ctx.views[vid].stream.clone();
-                let op = e.op.alu().expect("binary ops have an ALU");
                 val = port(&ctx.emit(NodeKind::Alu { op }, &[&val, &rhs]), 0);
             }
-            ctx.table.set(ctx.table.val_row(), out_col, Cell::Prim(format!("{:?}(vals)", e.op)));
+            ctx.table.set(ctx.table.val_row(), out_col, Cell::Prim(format!("{op:?}(vals)")));
+        }
+        None => {
+            ctx.table.set(ctx.table.val_row(), out_col, Cell::Ref("val".into()));
         }
     }
 

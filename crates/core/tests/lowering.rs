@@ -2,14 +2,14 @@
 //! table contents, transposition materialization, and parallelization.
 
 use fuseflow_core::fusion::{FusedRegion, GlobalIx};
-use fuseflow_core::ir::{OpKind, Program, ReduceOp, TensorId};
+use fuseflow_core::ir::{AluOp, Program, ReduceOp, TensorId};
 use fuseflow_core::lower::{lower_region, LowerOptions, Refused};
 use fuseflow_core::pipeline::compile;
 use fuseflow_core::schedule::Schedule;
 use fuseflow_core::{fuse_region, Cell};
 use fuseflow_models::{
-    gcn, gpt_attention, gpt_attention_blocked, gpt_decoder, graphsage, map_stack, sae, Fusion,
-    GraphDataset, ModelInstance,
+    gcn, gcn_composed, gpt_attention, gpt_attention_blocked, gpt_decoder, graphsage, map_stack,
+    sae, Fusion, GraphDataset, ModelInstance, GRAPH_DATASETS, SAE_DATASETS,
 };
 use fuseflow_sam::{NodeId, NodeKind};
 use fuseflow_tensor::gen::GraphPattern;
@@ -115,7 +115,7 @@ fn transposed_views_request_permuted_inputs() {
         "O",
         vec![i, j],
         vec![(m, vec![i, j]), (n, vec![j, i])],
-        OpKind::Mul,
+        Some(AluOp::Mul),
         vec![],
         ReduceOp::Sum,
         Format::dcsr(),
@@ -204,7 +204,7 @@ fn view_duplication_clones_producer_chains() {
         Format::csr(),
     );
     let s =
-        p.binary("S", OpKind::Add, (t1, vec![i, j]), (t2, vec![i, j]), vec![i, j], Format::csr());
+        p.binary("S", AluOp::Add, (t1, vec![i, j]), (t2, vec![i, j]), vec![i, j], Format::csr());
     p.mark_output(s);
     let region = fuse_region(&p, 0..4).unwrap();
     assert!(!region.clone_of.is_empty(), "X1's second view needs a cloned chain");
@@ -557,5 +557,85 @@ fn factor_zero_is_refused_and_factor_one_is_a_no_op() {
             .collect();
         let every_region = vec![(0, "a parallel factor must be at least 1"); serial.lowered.len()];
         assert_eq!(refused, if factor == 0 { every_region } else { vec![] });
+    }
+}
+
+/// `(model, granularity, digest)` for the zoo at `experiments samcheck`'s
+/// sizes: an FNV-1a digest over each region's `{:?}` of the graph's nodes,
+/// edges, tensors and outputs and the region's permuted inputs, then the
+/// rendered fusion tables. A refactor that claims to leave every lowered
+/// graph as it was keeps this table as it is. On a mismatch the test prints
+/// the table as it now comes out.
+#[rustfmt::skip]
+const GRAPHS_PINNED: &[(&str, &str, u64)] = &[
+    ("sae", "unfused", 0x81396fb4ceac44b0),
+    ("sae", "partial", 0x164b8299886e83c8),
+    ("sae", "full", 0x1f1e941fcebfdf46),
+    ("gcn", "unfused", 0x09eaa4e69ed83116),
+    ("gcn", "partial", 0xc8aa357b7471ff93),
+    ("gcn", "full", 0x70de1567186d95d7),
+    ("gcn_composed", "unfused", 0x08e59052d732831d),
+    ("gcn_composed", "partial", 0x5c86679ad89280e8),
+    ("gcn_composed", "full", 0xf283dadc546e7df8),
+    ("graphsage", "unfused", 0xe6c20b432afb1b23),
+    ("graphsage", "partial", 0x3ec23b4dc4ab7496),
+    ("graphsage", "full", 0x3d683d4dffe90270),
+    ("gpt_attention", "unfused", 0x7ce9f86a5d954801),
+    ("gpt_attention", "partial", 0x876033892ac665a8),
+    ("gpt_attention", "full", 0x4112a8c2dea61b06),
+    ("gpt_attention_blocked", "unfused", 0x13d71596037744ea),
+    ("gpt_attention_blocked", "partial", 0x6da380c2d2b8b261),
+    ("gpt_attention_blocked", "full", 0x0216c7379da54da9),
+    ("gpt_decoder", "unfused", 0x6ea90c11ac274e58),
+    ("gpt_decoder", "partial", 0x9f333f96866b283d),
+    ("gpt_decoder", "full", 0x5dd7c39dd13133af),
+    ("map_stack", "unfused", 0x4824acea934085a3),
+    ("map_stack", "partial", 0xf258ff6413b595ac),
+    ("map_stack", "full", 0xeddafa93aad0daef),
+];
+
+/// FNV-1a over the bytes of `s`.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+#[test]
+fn zoo_graphs_are_pinned() {
+    let ds = GRAPH_DATASETS[0];
+    let small = GraphDataset { nodes: ds.nodes / 4, feats: ds.feats / 4, ..ds };
+    let (sae_name, sae_in, sae_batch) = SAE_DATASETS[0];
+    let models = [
+        ("sae", sae(sae_name, sae_in / 16, 48, sae_batch, 0.5, 11)),
+        ("gcn", gcn(&small, 16, 8, 21)),
+        ("gcn_composed", gcn_composed(&small, 16, 8, 21)),
+        ("graphsage", graphsage(&small, 16, 8, 23)),
+        ("gpt_attention", gpt_attention(32, 8, 8, 7)),
+        ("gpt_attention_blocked", gpt_attention_blocked(128, 16, 8, 91)),
+        ("gpt_decoder", gpt_decoder(32, 8, 8, 1)),
+        ("map_stack", map_stack(48, 24, 0.5, 9)),
+    ];
+    let mut got = Vec::new();
+    for (name, m) in &models {
+        for fusion in Fusion::ALL {
+            let compiled = compile(&m.program, &m.schedule(fusion))
+                .unwrap_or_else(|e| panic!("{name}/{fusion}: {e}"));
+            let mut text = String::new();
+            for l in &compiled.lowered {
+                let g = &l.graph;
+                write!(text, "{:?}{:?}{:?}", g.nodes(), g.edges(), g.tensors()).unwrap();
+                write!(text, "{:?}{:?}", g.outputs(), l.permuted_inputs).unwrap();
+            }
+            text.push_str(&compiled.tables());
+            got.push((*name, fusion.to_string(), fnv1a(&text)));
+        }
+    }
+    let same = got.len() == GRAPHS_PINNED.len()
+        && got.iter().zip(GRAPHS_PINNED).all(|(g, p)| (g.0, g.1.as_str(), g.2) == *p);
+    if !same {
+        for (name, fusion, digest) in &got {
+            println!("    ({name:?}, {fusion:?}, {digest:#018x}),");
+        }
+        panic!("lowered graphs moved; the table as it now comes out is printed above");
     }
 }

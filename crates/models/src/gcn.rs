@@ -3,7 +3,7 @@
 //! structure-respecting softmax closing layer 2.
 
 use crate::{GraphDataset, ModelInstance};
-use fuseflow_core::ir::{IndexVar, OpKind, Program, ReduceOp};
+use fuseflow_core::ir::{IndexVar, Program, ReduceOp};
 use fuseflow_sam::AluOp;
 use fuseflow_tensor::{gen, Format, SparseTensor};
 use std::collections::HashMap;
@@ -55,36 +55,24 @@ fn build(
     // Layer 1: Adj1 -> Lin mm1 -> Lin bias1 -> ReLU.
     let (i, k1, u1, j1) = (ix(&mut p, "i"), ix(&mut p, "k1"), ix(&mut p, "u1"), ix(&mut p, "j1"));
     let l1 = matmuls(&mut p, ["T0", "L1"], x_t, w1_t, [i, k1, u1, j1]);
-    let z1 = p.binary(
-        "Z1",
-        OpKind::Add,
-        (l1, vec![i, j1]),
-        (b1_t, vec![j1]),
-        vec![i, j1],
-        Format::csr(),
-    );
+    let z1 =
+        p.binary("Z1", AluOp::Add, (l1, vec![i, j1]), (b1_t, vec![j1]), vec![i, j1], Format::csr());
     let x1 = p.map("X1", AluOp::Relu, (z1, vec![i, j1]), Format::csr());
     let layer1 = p.exprs().len();
 
     // Layer 2: Adj2 -> Lin mm2 -> Lin bias2 -> Softmax (4 kernels).
     let (k2, u2, j2) = (ix(&mut p, "k2"), ix(&mut p, "u2"), ix(&mut p, "j2"));
     let l2 = matmuls(&mut p, ["T1", "L2"], x1, w2_t, [i, k2, u2, j2]);
-    let z2 = p.binary(
-        "Z2",
-        OpKind::Add,
-        (l2, vec![i, j2]),
-        (b2_t, vec![j2]),
-        vec![i, j2],
-        Format::csr(),
-    );
+    let z2 =
+        p.binary("Z2", AluOp::Add, (l2, vec![i, j2]), (b2_t, vec![j2]), vec![i, j2], Format::csr());
     let m = p.reduce("M", (z2, vec![i, j2]), vec![j2], ReduceOp::Max, Format::dense_vec());
     let sh =
-        p.binary("Sh", OpKind::Sub, (z2, vec![i, j2]), (m, vec![i]), vec![i, j2], Format::csr());
+        p.binary("Sh", AluOp::Sub, (z2, vec![i, j2]), (m, vec![i]), vec![i, j2], Format::csr());
     let e = p.map("E", AluOp::Exp, (sh, vec![i, j2]), Format::csr());
     let d = p.reduce("D", (e, vec![i, j2]), vec![j2], ReduceOp::Sum, Format::dense_vec());
     let layer2 = p.exprs().len();
     let out =
-        p.binary("Out", OpKind::Div, (e, vec![i, j2]), (d, vec![i]), vec![i, j2], Format::csr());
+        p.binary("Out", AluOp::Div, (e, vec![i, j2]), (d, vec![i]), vec![i, j2], Format::csr());
     p.mark_output(out);
 
     let mut inputs = HashMap::new();

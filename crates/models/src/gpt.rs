@@ -7,16 +7,21 @@
 //! * [`gpt_decoder`] / [`gpt_attention`] — scalar pipelines whose BigBird
 //!   mask (at block granularity 16/32/64) is expanded to an element-level
 //!   CSR mask; fully verifiable against the structural interpreter.
-//! * `gpt_attention` with `block > 1` tile streams — the Section 7
-//!   "sparsity blocking" path: dense `b x b` tiles stream through
-//!   `b^2`-lane ALUs (Fig 17). The blocked variant omits the softmax
-//!   normalization (kept in the scalar pipeline) so that tiles remain
-//!   uniform rank-2 streams; Fig 17's blocked-vs-unstructured comparison
-//!   uses the same pipeline on both sides.
+//!   `gpt_attention` is 9 expressions: score, mask, scale, the softmax (row
+//!   max, shift, exp, row sum, divide) and AV.
+//! * [`gpt_attention_blocked`] — the Section 7 "sparsity blocking" path:
+//!   dense `b x b` tiles stream through `b^2`-lane ALUs (Fig 17). It is 4
+//!   expressions: score, mask, exp and AV, with no scale and no softmax
+//!   normalization, so that tiles remain uniform rank-2 streams. It is built
+//!   with the scalar builders; each expression's block follows from its
+//!   `[b, b]`-blocked inputs.
+//!
+//! Fig 17 runs `gpt_attention` as its unstructured arm, so the two arms are
+//! different programs: the unstructured one also scales and normalizes.
 
 use crate::gcn::dense;
 use crate::ModelInstance;
-use fuseflow_core::ir::{OpKind, Program, ReduceOp};
+use fuseflow_core::ir::{Program, ReduceOp};
 use fuseflow_sam::AluOp;
 use fuseflow_tensor::{gen, reference, Crd, DenseTensor, Format, SparseTensor};
 use std::collections::HashMap;
@@ -54,7 +59,7 @@ pub fn gpt_attention(seq: usize, d_head: usize, block: usize, seed: u64) -> Mode
     );
     let sm = p.binary(
         "Sm",
-        OpKind::MulElem,
+        AluOp::MulElem,
         (s, vec![i, j]),
         (m_t, vec![i, j]),
         vec![i, j],
@@ -63,11 +68,10 @@ pub fn gpt_attention(seq: usize, d_head: usize, block: usize, seed: u64) -> Mode
     let sc =
         p.map("Sc", AluOp::Scale(1.0 / (d_head as f32).sqrt()), (sm, vec![i, j]), Format::csr());
     let mx = p.reduce("Mx", (sc, vec![i, j]), vec![j], ReduceOp::Max, Format::dense_vec());
-    let sh =
-        p.binary("Sh", OpKind::Sub, (sc, vec![i, j]), (mx, vec![i]), vec![i, j], Format::csr());
+    let sh = p.binary("Sh", AluOp::Sub, (sc, vec![i, j]), (mx, vec![i]), vec![i, j], Format::csr());
     let e = p.map("E", AluOp::Exp, (sh, vec![i, j]), Format::csr());
     let dn = p.reduce("Dn", (e, vec![i, j]), vec![j], ReduceOp::Sum, Format::dense_vec());
-    let pr = p.binary("P", OpKind::Div, (e, vec![i, j]), (dn, vec![i]), vec![i, j], Format::csr());
+    let pr = p.binary("P", AluOp::Div, (e, vec![i, j]), (dn, vec![i]), vec![i, j], Format::csr());
     let o = p.contract(
         "O",
         vec![i, l],
@@ -95,8 +99,11 @@ pub fn gpt_attention(seq: usize, d_head: usize, block: usize, seed: u64) -> Mode
 
 /// Builds the blocked BigBird attention pipeline (Fig 17): `b x b` tiles
 /// stream through block ALUs; masking via blocked elementwise multiply.
+///
+/// # Panics
+///
+/// Panics if `block` does not divide `seq` and `d_head`.
 pub fn gpt_attention_blocked(seq: usize, d_head: usize, block: usize, seed: u64) -> ModelInstance {
-    assert!(seq % block == 0 && d_head % block == 0, "block must divide seq and d_head");
     let b = block;
     let mut p = Program::new();
     let fmt_g = Format::dense(2);
@@ -106,45 +113,23 @@ pub fn gpt_attention_blocked(seq: usize, d_head: usize, block: usize, seed: u64)
     let m_t = p.blocked_input("Mask", vec![seq, seq], Format::csr(), [b, b]);
 
     let (i, j, kx, l) = (p.index("i"), p.index("j"), p.index("k"), p.index("l"));
-    let s = p.expr_blocked(
-        "S",
-        vec![i, j],
-        vec![(q_t, vec![i, kx]), (k_t, vec![kx, j])],
-        OpKind::Mul,
-        vec![kx],
-        ReduceOp::Sum,
-        Format::dense(2),
-        [b, b],
-    );
-    let sm = p.expr_blocked(
+    let qk = vec![(q_t, vec![i, kx]), (k_t, vec![kx, j])];
+    let s = p.contract("S", vec![i, j], qk, vec![kx], Format::dense(2));
+    let sm = p.binary(
         "Sm",
+        AluOp::MulElem,
+        (s, vec![i, j]),
+        (m_t, vec![i, j]),
         vec![i, j],
-        vec![(s, vec![i, j]), (m_t, vec![i, j])],
-        OpKind::MulElem,
-        vec![],
-        ReduceOp::Sum,
         Format::csr(),
-        [b, b],
     );
-    let e = p.expr_blocked(
-        "E",
-        vec![i, j],
-        vec![(sm, vec![i, j])],
-        OpKind::Unary(AluOp::Exp),
-        vec![],
-        ReduceOp::Sum,
-        Format::csr(),
-        [b, b],
-    );
-    let o = p.expr_blocked(
+    let e = p.map("E", AluOp::Exp, (sm, vec![i, j]), Format::csr());
+    let o = p.contract(
         "O",
         vec![i, l],
         vec![(e, vec![i, j]), (v_t, vec![j, l])],
-        OpKind::Mul,
         vec![j],
-        ReduceOp::Sum,
         Format::csr(),
-        [b, b],
     );
     p.mark_output(o);
 
@@ -231,7 +216,7 @@ pub fn gpt_decoder(seq: usize, d_model: usize, block: usize, seed: u64) -> Model
     );
     let sm = p.binary(
         "Smask",
-        OpKind::MulElem,
+        AluOp::MulElem,
         (s, vec![i2, j2]),
         (m_t, vec![i2, j2]),
         vec![i2, j2],
@@ -240,18 +225,12 @@ pub fn gpt_decoder(seq: usize, d_model: usize, block: usize, seed: u64) -> Model
     let sc =
         p.map("Sc", AluOp::Scale(1.0 / (d_model as f32).sqrt()), (sm, vec![i2, j2]), Format::csr());
     let mx = p.reduce("Mx", (sc, vec![i2, j2]), vec![j2], ReduceOp::Max, Format::dense_vec());
-    let sh = p.binary(
-        "Sh",
-        OpKind::Sub,
-        (sc, vec![i2, j2]),
-        (mx, vec![i2]),
-        vec![i2, j2],
-        Format::csr(),
-    );
+    let sh =
+        p.binary("Sh", AluOp::Sub, (sc, vec![i2, j2]), (mx, vec![i2]), vec![i2, j2], Format::csr());
     let e = p.map("Ex", AluOp::Exp, (sh, vec![i2, j2]), Format::csr());
     let dn = p.reduce("Dn", (e, vec![i2, j2]), vec![j2], ReduceOp::Sum, Format::dense_vec());
     let pr =
-        p.binary("P", OpKind::Div, (e, vec![i2, j2]), (dn, vec![i2]), vec![i2, j2], Format::csr());
+        p.binary("P", AluOp::Div, (e, vec![i2, j2]), (dn, vec![i2]), vec![i2, j2], Format::csr());
     let av = p.contract(
         "AV",
         vec![i2, l2],

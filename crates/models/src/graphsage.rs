@@ -4,7 +4,7 @@
 
 use crate::gcn::{dense, dense_vec};
 use crate::{GraphDataset, ModelInstance};
-use fuseflow_core::ir::{OpKind, Program, ReduceOp};
+use fuseflow_core::ir::{Program, ReduceOp};
 use fuseflow_sam::AluOp;
 use fuseflow_tensor::Format;
 use std::collections::HashMap;
@@ -50,14 +50,14 @@ pub fn graphsage(ds: &GraphDataset, hidden: usize, classes: usize, seed: u64) ->
     );
     let s1 = p.binary(
         "S1",
-        OpKind::Add,
+        AluOp::Add,
         (ts1, vec![i, u1]),
         (tn1, vec![i, u1]),
         vec![i, u1],
         Format::csr(),
     );
     let s1b =
-        p.binary("S1b", OpKind::Add, (s1, vec![i, u1]), (b1, vec![u1]), vec![i, u1], Format::csr());
+        p.binary("S1b", AluOp::Add, (s1, vec![i, u1]), (b1, vec![u1]), vec![i, u1], Format::csr());
     let x1 = p.map("X1", AluOp::Relu, (s1b, vec![i, u1]), Format::csr());
 
     // Layer 2 (+ softmax tail).
@@ -85,21 +85,21 @@ pub fn graphsage(ds: &GraphDataset, hidden: usize, classes: usize, seed: u64) ->
     );
     let s2 = p.binary(
         "S2",
-        OpKind::Add,
+        AluOp::Add,
         (ts2, vec![i, u2]),
         (tn2, vec![i, u2]),
         vec![i, u2],
         Format::csr(),
     );
     let s2b =
-        p.binary("S2b", OpKind::Add, (s2, vec![i, u2]), (b2, vec![u2]), vec![i, u2], Format::csr());
+        p.binary("S2b", AluOp::Add, (s2, vec![i, u2]), (b2, vec![u2]), vec![i, u2], Format::csr());
     let mx = p.reduce("Mx", (s2b, vec![i, u2]), vec![u2], ReduceOp::Max, Format::dense_vec());
     let sh =
-        p.binary("Sh", OpKind::Sub, (s2b, vec![i, u2]), (mx, vec![i]), vec![i, u2], Format::csr());
+        p.binary("Sh", AluOp::Sub, (s2b, vec![i, u2]), (mx, vec![i]), vec![i, u2], Format::csr());
     let e = p.map("E", AluOp::Exp, (sh, vec![i, u2]), Format::csr());
     let d = p.reduce("D", (e, vec![i, u2]), vec![u2], ReduceOp::Sum, Format::dense_vec());
     let out =
-        p.binary("Out", OpKind::Div, (e, vec![i, u2]), (d, vec![i]), vec![i, u2], Format::csr());
+        p.binary("Out", AluOp::Div, (e, vec![i, u2]), (d, vec![i]), vec![i, u2], Format::csr());
     p.mark_output(out);
 
     let mut inputs = HashMap::new();

@@ -4,7 +4,7 @@
 
 use crate::gcn::dense_vec;
 use crate::ModelInstance;
-use fuseflow_core::ir::{OpKind, Program};
+use fuseflow_core::ir::Program;
 use fuseflow_sam::AluOp;
 use fuseflow_tensor::{gen, Format, SparseTensor};
 use std::collections::HashMap;
@@ -36,7 +36,7 @@ pub fn sae(
         Format::csr(),
     );
     let z1b =
-        p.binary("Z1b", OpKind::Add, (z1, vec![h, b]), (b1_t, vec![h]), vec![h, b], Format::csr());
+        p.binary("Z1b", AluOp::Add, (z1, vec![h, b]), (b1_t, vec![h]), vec![h, b], Format::csr());
     let hid = p.map("H", AluOp::Relu, (z1b, vec![h, b]), Format::csr());
     let (o, h2) = (p.index("o"), p.index("h2"));
     let z2 = p.contract(
@@ -47,7 +47,7 @@ pub fn sae(
         Format::csr(),
     );
     let z2b =
-        p.binary("Z2b", OpKind::Add, (z2, vec![o, b]), (b2_t, vec![o]), vec![o, b], Format::csr());
+        p.binary("Z2b", AluOp::Add, (z2, vec![o, b]), (b2_t, vec![o]), vec![o, b], Format::csr());
     let out = p.map("Out", AluOp::Sigmoid, (z2b, vec![o, b]), Format::csr());
     p.mark_output(out);
 

@@ -31,40 +31,26 @@ pub enum AluOp {
     Gelu,
     /// Logistic sigmoid (unary).
     Sigmoid,
-    /// Negation (unary).
-    Neg,
     /// Multiply by a constant (unary).
     Scale(f32),
-    /// Add a constant (unary).
-    AddConst(f32),
-    /// Row-reduce a block to a column block with `+` (unary; identity on
-    /// scalars). Used to build blocked softmax denominators.
-    BlockRowSum,
-    /// Row-reduce a block to a column block with `max` (unary; identity on
-    /// scalars).
-    BlockRowMax,
-    /// Broadcast-divide a block by a column block (binary; plain divide on
-    /// scalars).
-    BlockColDiv,
-    /// Broadcast-subtract a column block from a block (binary; plain
-    /// subtract on scalars).
-    BlockColSub,
 }
 
 impl AluOp {
     /// Number of value operands.
     pub fn arity(&self) -> usize {
         match self {
-            AluOp::Add
-            | AluOp::Sub
-            | AluOp::Mul
-            | AluOp::MulElem
-            | AluOp::Div
-            | AluOp::Max
-            | AluOp::BlockColDiv
-            | AluOp::BlockColSub => 2,
-            _ => 1,
+            AluOp::Add | AluOp::Sub | AluOp::Mul | AluOp::MulElem | AluOp::Div | AluOp::Max => 2,
+            AluOp::Relu | AluOp::Exp | AluOp::Gelu | AluOp::Sigmoid | AluOp::Scale(_) => 1,
         }
+    }
+
+    /// `true` when the operands of this binary op merge by coordinate union,
+    /// an absent one counting as zero (`Add`, `Sub`, `Div`, `Max`); `false`
+    /// when they intersect, because a zero annihilates (`Mul`, `MulElem`),
+    /// and for unary ops. The compiler's lowering, interpreter and cost
+    /// heuristic all read the merge from here.
+    pub fn unions(&self) -> bool {
+        matches!(self, AluOp::Add | AluOp::Sub | AluOp::Div | AluOp::Max)
     }
 
     /// Applies the op to scalars.
@@ -76,9 +62,9 @@ impl AluOp {
     pub fn apply_scalar(&self, a: f32, b: f32) -> f32 {
         match self {
             AluOp::Add => a + b,
-            AluOp::Sub | AluOp::BlockColSub => a - b,
+            AluOp::Sub => a - b,
             AluOp::Mul | AluOp::MulElem => a * b,
-            AluOp::Div | AluOp::BlockColDiv => {
+            AluOp::Div => {
                 if a == 0.0 {
                     0.0
                 } else {
@@ -90,10 +76,7 @@ impl AluOp {
             AluOp::Exp => a.exp(),
             AluOp::Gelu => 0.5 * a * (1.0 + (0.797_884_6 * (a + 0.044_715 * a * a * a)).tanh()),
             AluOp::Sigmoid => 1.0 / (1.0 + (-a).exp()),
-            AluOp::Neg => -a,
             AluOp::Scale(s) => a * s,
-            AluOp::AddConst(c) => a + c,
-            AluOp::BlockRowSum | AluOp::BlockRowMax => a,
         }
     }
 
@@ -392,7 +375,7 @@ mod tests {
         assert_eq!(AluOp::Add.arity(), 2);
         assert_eq!(AluOp::Relu.arity(), 1);
         assert_eq!(AluOp::Scale(2.0).arity(), 1);
-        assert_eq!(AluOp::BlockColDiv.arity(), 2);
+        assert!(AluOp::Max.unions() && !AluOp::MulElem.unions() && !AluOp::Relu.unions());
     }
 
     #[test]

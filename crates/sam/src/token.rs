@@ -109,29 +109,6 @@ impl Block {
         }
         Block::new(r, c, out)
     }
-
-    /// Row-wise reduction to an `(rows x 1)` column block.
-    pub fn row_reduce(&self, init: f32, f: impl Fn(f32, f32) -> f32) -> Block {
-        let data = (0..self.rows())
-            .map(|i| (0..self.cols()).fold(init, |acc, j| f(acc, self.get(i, j))))
-            .collect();
-        Block::new(self.rows(), 1, data)
-    }
-
-    /// Combines with a `(rows x 1)` column block broadcast across columns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col` is not a matching column block.
-    pub fn broadcast_col(&self, col: &Block, f: impl Fn(f32, f32) -> f32) -> Block {
-        assert_eq!(col.cols(), 1, "broadcast operand must be a column block");
-        assert_eq!(col.rows(), self.rows(), "broadcast row mismatch");
-        Block::new(
-            self.rows(),
-            self.cols(),
-            (0..self.len()).map(|i| f(self.data[i], col.data[i / self.cols as usize])).collect(),
-        )
-    }
 }
 
 /// The payload of a data token.
@@ -236,16 +213,6 @@ mod tests {
         let b = Block::new(2, 2, vec![5., 6., 7., 8.]);
         let c = a.matmul(&b);
         assert_eq!(c.data(), &[19., 22., 43., 50.]);
-    }
-
-    #[test]
-    fn block_row_reduce_and_broadcast() {
-        let a = Block::new(2, 3, vec![1., 2., 3., 4., 5., 6.]);
-        let s = a.row_reduce(0.0, |x, y| x + y);
-        assert_eq!(s.data(), &[6., 15.]);
-        let d = a.broadcast_col(&s, |x, y| x / y);
-        assert!((d.get(0, 2) - 0.5).abs() < 1e-6);
-        assert!((d.get(1, 0) - 4. / 15.).abs() < 1e-6);
     }
 
     #[test]

@@ -1147,36 +1147,18 @@ fn alu_combine(ctx: &mut Ctx, op: AluOp, a: Pay, b: Pay) -> Result<Pay, String> 
             Pay::F(op.apply_scalar(x, 0.0))
         }
         (Pay::Empty, Pay::Empty) => Pay::F(op.apply_scalar(0.0, 0.0)),
+        (Pay::Blk(hx), Pay::Blk(hy)) if op != AluOp::Mul => {
+            return zip_tiles(ctx, hx, hy, op.flops_per_elem(), |p, q| op.apply_scalar(p, q));
+        }
         (Pay::Blk(hx), Pay::Blk(hy)) => {
             let (x, y) = (ctx.tiles.get(hx), ctx.tiles.get(hy));
-            let mut busy = 0;
-            let blk = match op {
-                AluOp::Mul => {
-                    if x.cols() != y.rows() {
-                        return Err(misfit("a matmul", x, y));
-                    }
-                    // Tile contraction: b^2-lane unit retires one column
-                    // per cycle.
-                    ctx.flops += 2 * (x.rows() * x.cols() * y.cols()) as u64;
-                    busy = (y.cols() as f64 / lanes).ceil() as u64;
-                    x.matmul(y)
-                }
-                AluOp::BlockColDiv | AluOp::BlockColSub => {
-                    if (y.rows(), y.cols()) != (x.rows(), 1) {
-                        return Err(misfit("a column broadcast", x, y));
-                    }
-                    ctx.flops += x.len() as u64;
-                    if op == AluOp::BlockColDiv {
-                        x.broadcast_col(y, |p, q| AluOp::Div.apply_scalar(p, q))
-                    } else {
-                        x.broadcast_col(y, |p, q| p - q)
-                    }
-                }
-                other => {
-                    let f = other.flops_per_elem();
-                    return zip_tiles(ctx, hx, hy, f, |p, q| other.apply_scalar(p, q));
-                }
-            };
+            if x.cols() != y.rows() {
+                return Err(misfit("a matmul", x, y));
+            }
+            // Tile contraction: b^2-lane unit retires one column per cycle.
+            ctx.flops += 2 * (x.rows() * x.cols() * y.cols()) as u64;
+            let busy = (y.cols() as f64 / lanes).ceil() as u64;
+            let blk = x.matmul(y);
             ctx.busy(busy);
             Pay::Blk(ctx.tiles.put(blk))
         }
@@ -1195,22 +1177,13 @@ fn alu_combine(ctx: &mut Ctx, op: AluOp, a: Pay, b: Pay) -> Result<Pay, String> 
         (Pay::Empty, Pay::Blk(hy)) => {
             let y = ctx.tiles.get(hy);
             ctx.flops += y.len() as u64;
-            let blk = Block::zeros(y.rows(), y.cols()).zip(y, |p, q| op.apply_scalar(p, q));
+            let blk = y.map(|v| op.apply_scalar(0.0, v));
             Pay::Blk(ctx.tiles.put(blk))
         }
         (Pay::Blk(hx), Pay::Empty) => {
             let x = ctx.tiles.get(hx);
             ctx.flops += x.len() as u64;
-            let blk = match op {
-                AluOp::BlockColDiv | AluOp::BlockColSub => {
-                    let z = Block::zeros(x.rows(), 1);
-                    x.broadcast_col(&z, |p, q| op.apply_scalar(p, q))
-                }
-                _ => {
-                    let z = Block::zeros(x.rows(), x.cols());
-                    x.zip(&z, |p, q| op.apply_scalar(p, q))
-                }
-            };
+            let blk = x.map(|v| op.apply_scalar(v, 0.0));
             Pay::Blk(ctx.tiles.put(blk))
         }
         (a, b) => return Err(format!("alu operands {a:?} / {b:?}")),
@@ -1227,11 +1200,7 @@ fn alu_unary(ctx: &mut Ctx, op: AluOp, a: Pay) -> Result<Pay, String> {
         Pay::Blk(h) => {
             let x = ctx.tiles.get(h);
             ctx.flops += x.len() as u64 * op.flops_per_elem();
-            let blk = match op {
-                AluOp::BlockRowSum => x.row_reduce(0.0, |a, b| a + b),
-                AluOp::BlockRowMax => x.row_reduce(f32::MIN, f32::max),
-                other => x.map(|v| other.apply_scalar(v, 0.0)),
-            };
+            let blk = x.map(|v| op.apply_scalar(v, 0.0));
             Pay::Blk(ctx.tiles.put(blk))
         }
         Pay::Idx(i) => return Err(format!("alu operand Idx({i})")),

@@ -564,7 +564,7 @@ fn model_zoo_map_stack_cross_scheduler_bit_identical() {
 #[test]
 fn fanout_flush_under_backpressure_cross_scheduler_bit_identical() {
     const B: usize = 4;
-    const CHAIN: usize = 16; // even: Neg^CHAIN is the identity
+    const CHAIN: usize = 16; // even: Scale(-1)^CHAIN is the identity
     let grid = 4u32;
     let tiles: Vec<(Vec<u32>, Vec<f32>)> = (0..grid)
         .flat_map(|i| (0..grid).map(move |j| (i, j)))
@@ -591,7 +591,7 @@ fn fanout_flush_under_backpressure_cross_scheduler_bit_identical() {
     g.connect(bj, 1, arr, 0);
     let mut chain_end = arr;
     for _ in 0..CHAIN {
-        let neg = g.add_node(NodeKind::Alu { op: AluOp::Neg });
+        let neg = g.add_node(NodeKind::Alu { op: AluOp::Scale(-1.0) });
         g.connect(chain_end, 0, neg, 0);
         chain_end = neg;
     }

@@ -611,11 +611,7 @@ fn tiles_meet(op: AluOp) -> SimError {
 /// tripping `Block`'s shape assertions.
 #[test]
 fn tiles_of_different_shapes_in_one_alu_are_a_typed_error() {
-    for (op, what) in [
-        (AluOp::Add, "an elementwise op"),
-        (AluOp::Mul, "a matmul"),
-        (AluOp::BlockColDiv, "a column broadcast"),
-    ] {
+    for (op, what) in [(AluOp::Add, "an elementwise op"), (AluOp::Mul, "a matmul")] {
         let err = tiles_meet(op);
         let named = |m: &str| {
             m.contains(&format!("tiles of 2x2 and 4x4 do not fit {what}"))

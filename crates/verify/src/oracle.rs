@@ -403,7 +403,7 @@ fn property_suite_programs() {
     // `tests/verify_soundness.rs` (SpMM + ReLU chains and elementwise
     // unions at every schedule), over random shapes, formats and
     // capacities: more than 100 (program, schedule, options) points.
-    use fuseflow_core::ir::{OpKind, Program};
+    use fuseflow_core::ir::Program;
     use fuseflow_core::schedule::Schedule;
     use fuseflow_tensor::Format;
     let mut rng = Lcg(29);
@@ -429,7 +429,7 @@ fn property_suite_programs() {
         } else {
             let a = p.input("A", vec![n, m], Format::dcsr());
             let b = p.input("B", vec![n, m], Format::dcsr());
-            let op = if rng.below(2) == 0 { OpKind::Add } else { OpKind::Max };
+            let op = if rng.below(2) == 0 { AluOp::Add } else { AluOp::Max };
             let c = p.binary("C", op, (a, vec![i, j]), (b, vec![i, j]), vec![i, j], Format::dcsr());
             p.mark_output(c);
             vec![Schedule::unfused(), Schedule::full()]

@@ -3,6 +3,11 @@
 //! Section 7 "Sparsity Blocking" and Fig 17), plus stream parallelization
 //! (Fig 16).
 //!
+//! The two arms are different programs, as in Fig 17: the unstructured one
+//! (`gpt_attention`, 9 expressions) scales the scores and normalizes them
+//! with a softmax; the blocked one (`gpt_attention_blocked`, 4 expressions)
+//! is score, mask, exp and AV only. The speedup is not like for like.
+//!
 //! Run with `cargo run --release --example attention_blocking`.
 
 use fuseflow::core::pipeline::{compile, run};

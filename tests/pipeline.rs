@@ -2,7 +2,7 @@
 //! schedule and verify simulated results against the structural reference
 //! interpreter.
 
-use fuseflow::core::ir::{OpKind, Program, ReduceOp};
+use fuseflow::core::ir::{Program, ReduceOp};
 use fuseflow::core::pipeline::{compile, compile_run_verify, run, verify};
 use fuseflow::core::schedule::Schedule;
 use fuseflow::sim::{Scheduler, SimConfig, Stats};
@@ -34,7 +34,7 @@ fn gcn_layerish(n: usize, f: usize, h: usize) -> (Program, Inputs) {
         vec![u],
         Format::csr(),
     );
-    let t2 = p.binary("T2", OpKind::Add, (t1, vec![i, j]), (b, vec![j]), vec![i, j], Format::csr());
+    let t2 = p.binary("T2", AluOp::Add, (t1, vec![i, j]), (b, vec![j]), vec![i, j], Format::csr());
     let out = p.map("Out", AluOp::Relu, (t2, vec![i, j]), Format::csr());
     p.mark_output(out);
 
@@ -168,10 +168,10 @@ fn masked_softmax_pipeline_matches_reference() {
     let (i, j) = (p.index("i"), p.index("j"));
     let s = p.input("S", vec![n, n], Format::csr());
     let m = p.reduce("M", (s, vec![i, j]), vec![j], ReduceOp::Max, Format::dense_vec());
-    let sh = p.binary("Sh", OpKind::Sub, (s, vec![i, j]), (m, vec![i]), vec![i, j], Format::csr());
+    let sh = p.binary("Sh", AluOp::Sub, (s, vec![i, j]), (m, vec![i]), vec![i, j], Format::csr());
     let e = p.map("E", AluOp::Exp, (sh, vec![i, j]), Format::csr());
     let d = p.reduce("D", (e, vec![i, j]), vec![j], ReduceOp::Sum, Format::dense_vec());
-    let o = p.binary("O", OpKind::Div, (e, vec![i, j]), (d, vec![i]), vec![i, j], Format::csr());
+    let o = p.binary("O", AluOp::Div, (e, vec![i, j]), (d, vec![i]), vec![i, j], Format::csr());
     p.mark_output(o);
 
     let mut inputs = Inputs::new();
@@ -214,7 +214,7 @@ fn union_add_of_two_matmuls_matches_reference() {
         Format::csr(),
     );
     let sum =
-        p.binary("Sum", OpKind::Add, (ts, vec![i, u]), (tn, vec![i, u]), vec![i, u], Format::csr());
+        p.binary("Sum", AluOp::Add, (ts, vec![i, u]), (tn, vec![i, u]), vec![i, u], Format::csr());
     let out = p.map("Out", AluOp::Relu, (sum, vec![i, u]), Format::csr());
     p.mark_output(out);
 

@@ -2,7 +2,7 @@
 //! format round-trips, dataflow-vs-reference equivalence for random
 //! programs, POG order validity, and stream well-formedness.
 
-use fuseflow::core::ir::{OpKind, Program};
+use fuseflow::core::ir::{AluOp, Program};
 use fuseflow::core::pipeline::{compile, compile_run_verify, run};
 use fuseflow::core::schedule::Schedule;
 use fuseflow::core::{fuse_region, GlobalIx};
@@ -83,7 +83,7 @@ proptest! {
         let (i, j) = (p.index("i"), p.index("j"));
         let a = p.input("A", vec![6, 6], Format::dcsr());
         let b = p.input("B", vec![6, 6], Format::dcsr());
-        let op = if use_add { OpKind::Add } else { OpKind::Max };
+        let op = if use_add { AluOp::Add } else { AluOp::Max };
         let c = p.binary("C", op, (a, vec![i, j]), (b, vec![i, j]), vec![i, j], Format::dcsr());
         p.mark_output(c);
         let mut inputs = std::collections::HashMap::new();
