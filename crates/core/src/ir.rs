@@ -12,6 +12,7 @@
 //! per-expression dataflow orders and `Fuse{}` regions come from the
 //! scheduling language (`crate::schedule`).
 
+use crate::pipeline::CompileMemo;
 pub use fuseflow_sam::{AluOp, ReduceOp};
 use fuseflow_tensor::Format;
 use std::collections::HashSet;
@@ -103,7 +104,7 @@ impl Einsum {
 /// p.mark_output(t);
 /// assert_eq!(p.exprs().len(), 1);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct Program {
     tensors: Vec<TensorDecl>,
     names: HashSet<String>,
@@ -111,6 +112,22 @@ pub struct Program {
     index_names: Vec<String>,
     index_sizes: Vec<Option<usize>>,
     outputs: Vec<TensorId>,
+    /// The regions `pipeline::compile_with` has compiled for this program as
+    /// it is now: emptied by every edit, not copied by `Clone`, not printed.
+    pub(crate) memo: CompileMemo,
+}
+
+impl std::fmt::Debug for Program {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Program")
+            .field("tensors", &self.tensors)
+            .field("names", &self.names)
+            .field("exprs", &self.exprs)
+            .field("index_names", &self.index_names)
+            .field("index_sizes", &self.index_sizes)
+            .field("outputs", &self.outputs)
+            .finish()
+    }
 }
 
 impl Program {
@@ -119,8 +136,17 @@ impl Program {
         Program::default()
     }
 
+    /// Every public `&mut self` method calls this first (the convenience
+    /// builders through [`Program::expr`]): an edit can change what any
+    /// region fuses or lowers to (`live_outs` reads the outputs and the later
+    /// expressions), so the compiled regions are dropped.
+    fn edit(&mut self) {
+        self.memo = CompileMemo::default();
+    }
+
     /// Interns a fresh index variable with the given display name.
     pub fn index(&mut self, name: impl Into<String>) -> IndexVar {
+        self.edit();
         self.index_names.push(name.into());
         self.index_sizes.push(None);
         IndexVar(self.index_names.len() as u32 - 1)
@@ -151,6 +177,7 @@ impl Program {
         shape: Vec<usize>,
         format: Format,
     ) -> TensorId {
+        self.edit();
         self.declare(name, shape, format, [1, 1], true)
     }
 
@@ -168,6 +195,7 @@ impl Program {
         format: Format,
         block: [usize; 2],
     ) -> TensorId {
+        self.edit();
         let name = name.into();
         let divides = shape.iter().zip(block).all(|(&dim, b)| dim % b == 0);
         assert!(divides, "block {block:?} does not divide the shape {shape:?} of '{name}'");
@@ -229,6 +257,7 @@ impl Program {
         reduce_op: ReduceOp,
         format: Format,
     ) -> TensorId {
+        self.edit();
         let name = name.into();
         assert!(!inputs.is_empty(), "expression needs at least one input");
         match op {
@@ -318,6 +347,7 @@ impl Program {
     /// Panics if no expression exists or the order is not a permutation of
     /// the expression's index set.
     pub fn set_dataflow(&mut self, order: Vec<IndexVar>) {
+        self.edit();
         let e = self.exprs.last_mut().expect("no expression to schedule");
         let mut all = e.index_set();
         all.sort();
@@ -329,6 +359,7 @@ impl Program {
 
     /// Marks a tensor as a program output.
     pub fn mark_output(&mut self, t: TensorId) {
+        self.edit();
         if !self.outputs.contains(&t) {
             self.outputs.push(t);
         }

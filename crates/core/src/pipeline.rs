@@ -6,17 +6,26 @@
 //! region-boundary intermediates through the DRAM model, which is exactly
 //! the fusion/reuse tradeoff the paper evaluates — and optionally verifies
 //! every program output against the structural reference interpreter.
+//!
+//! A region is fused, lowered and linted once per program: the schedules of
+//! a fusion-granularity search share most of their regions, and
+//! [`compile_with`] keeps each one it compiles on the [`Program`].
 
-use crate::fusion::fuse_region;
+use crate::fusion::{fuse_region, FuseError};
 use crate::interp::{interpret, InterpError};
-use crate::ir::Program;
+use crate::ir::{IndexVar, Program};
 use crate::lower::{lower_region, LowerError, LowerOptions, Lowered};
 use crate::schedule::Schedule;
 use fuseflow_sam::MemLocation;
 use fuseflow_sim::{simulate, SimConfig, SimError, Stats, TensorEnv};
 use fuseflow_tensor::SparseTensor;
-use fuseflow_verify::{enforce, verify_graph, VerifyConfig};
+use fuseflow_verify::{enforce, verify_graph, Report, VerifyConfig, VerifyOptions};
 use std::collections::HashMap;
+use std::convert::Infallible;
+use std::hash::Hash;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Errors from compilation or execution.
 #[derive(Debug)]
@@ -131,8 +140,13 @@ pub fn fiber_upper_bound(program: &Program) -> Option<u64> {
 /// [`fuseflow_verify::Level::Deny`] abort the compile; the others are
 /// dropped (lint a graph with [`verify_graph`] to read them).
 ///
-/// Each region is lowered once. A parallel directive whose row cannot be
-/// split there is recorded in that region's [`Lowered::refused`].
+/// Each region is lowered once per program, whatever schedules it appears
+/// in: a region is fused and lowered on the first compile that names it with
+/// this location and these parallel directives, linted on the first that
+/// does so with these analyzer options, and every later compile of the
+/// unchanged `program` reuses both (editing the program drops them). The
+/// lint levels are applied on every call. A parallel directive whose row
+/// cannot be split there is recorded in that region's [`Lowered::refused`].
 ///
 /// The analyzer's fiber upper bound is derived from the program's tensor
 /// shapes, so capacity-sizing advisories (SA013) reflect the actual
@@ -141,7 +155,8 @@ pub fn fiber_upper_bound(program: &Program) -> Option<u64> {
 ///
 /// # Errors
 ///
-/// Returns [`PipelineError::Lower`] when fusion or lowering fails and
+/// Returns [`PipelineError::Lower`] when a region is empty, out of order or
+/// past the program's expressions, or when fusion or lowering fails, and
 /// [`PipelineError::Static`] when a denied lint fires.
 pub fn compile_with(
     program: &Program,
@@ -149,29 +164,107 @@ pub fn compile_with(
     location: MemLocation,
     verify_cfg: &VerifyConfig,
 ) -> Result<Compiled, PipelineError> {
-    let mut lowered = Vec::new();
-    for r in schedule.resolve_regions(program.exprs().len()) {
-        let region = fuse_region(program, r.clone()).map_err(LowerError::from)?;
-        // Resolve parallelization onto this region's global index space.
-        let parallelize = (schedule.parallelize.iter())
-            .filter_map(|&(var, factor)| Some((region.global_for_program_var(var)?, factor)))
-            .collect();
-        let opts = LowerOptions { parallelize, location };
-        lowered.push(lower_region(program, &region, &program.live_outs(&r), &opts)?);
+    let regions = checked_regions(program, schedule).map_err(LowerError::from)?;
+    let memo = &program.memo;
+    let key = |r: &Range<usize>| (r.clone(), location, schedule.parallelize.clone());
+    let mut lowered = Vec::with_capacity(regions.len());
+    for r in &regions {
+        lowered.push(memoized(&memo.lowered, key(r), || {
+            memo.lowerings.fetch_add(1, Ordering::Relaxed);
+            lower_fresh(program, schedule, r, location)
+        })?);
     }
     if verify_cfg.enabled {
         let mut opts = verify_cfg.options.clone();
         if opts.fiber_hi.is_none() {
             opts.fiber_hi = fiber_upper_bound(program);
         }
-        for (region, low) in lowered.iter().enumerate() {
-            if let Err(denied) = enforce(&verify_graph(&low.graph, &opts), verify_cfg) {
+        for (region, (r, low)) in regions.iter().zip(&lowered).enumerate() {
+            let report = memoized(&memo.reports, (key(r), opts.clone()), || {
+                Ok::<_, Infallible>(verify_graph(&low.graph, &opts))
+            })
+            .unwrap_or_else(|never| match never {});
+            if let Err(denied) = enforce(&report, verify_cfg) {
                 let rendered = denied.render_human(&low.graph);
                 return Err(PipelineError::Static { region, rendered });
             }
         }
     }
     Ok(Compiled { lowered })
+}
+
+/// The schedule's regions of `program`, refusing the first one that is
+/// empty, starts before the previous one ends, or runs past the program's
+/// expressions.
+fn checked_regions(program: &Program, schedule: &Schedule) -> Result<Vec<Range<usize>>, FuseError> {
+    let exprs = program.exprs().len();
+    let regions = schedule.resolve_regions(exprs);
+    let mut next = 0;
+    for r in &regions {
+        if r.start < next || r.start >= r.end || r.end > exprs {
+            return Err(FuseError::RegionOutOfRange { range: r.clone(), exprs });
+        }
+        next = r.end;
+    }
+    Ok(regions)
+}
+
+/// Fuses and lowers region `r` of `program`, resolving the schedule's
+/// parallel directives onto its global index space.
+fn lower_fresh(
+    program: &Program,
+    schedule: &Schedule,
+    r: &Range<usize>,
+    location: MemLocation,
+) -> Result<Lowered, LowerError> {
+    let region = fuse_region(program, r.clone())?;
+    let parallelize = (schedule.parallelize.iter())
+        .filter_map(|&(var, factor)| Some((region.global_for_program_var(var)?, factor)))
+        .collect();
+    let opts = LowerOptions { parallelize, location };
+    lower_region(program, &region, &program.live_outs(r), &opts)
+}
+
+/// Everything a region's lowering reads besides the program: its
+/// expressions, where its tensors live and the schedule's parallel
+/// directives (resolved per region by [`lower_fresh`]).
+type RegionKey = (Range<usize>, MemLocation, Vec<(IndexVar, usize)>);
+
+/// The regions [`compile_with`] has compiled for one [`Program`] as it is
+/// now, held by the program and emptied by every edit of it. Only successful
+/// lowerings are kept, so a failing region fails again the same way. Per
+/// (location, directives) there are at most n(n+1)/2 lowered regions for n
+/// expressions, and one report per region and analyzer options.
+#[derive(Default)]
+pub(crate) struct CompileMemo {
+    lowered: Mutex<HashMap<RegionKey, Lowered>>,
+    reports: Mutex<HashMap<(RegionKey, VerifyOptions), Report>>,
+    /// Regions fused and lowered (misses), read by tests.
+    pub(crate) lowerings: AtomicUsize,
+}
+
+/// A copy of a program starts with nothing compiled.
+impl Clone for CompileMemo {
+    fn clone(&self) -> Self {
+        CompileMemo::default()
+    }
+}
+
+/// `map[key]` cloned, else `compute()`, kept when it is `Ok`. The lock is
+/// not held while computing, so two threads that miss on one key both
+/// compute it; compilation is deterministic, so they insert equal values.
+fn memoized<K: Hash + Eq, V: Clone, E>(
+    map: &Mutex<HashMap<K, V>>,
+    key: K,
+    compute: impl FnOnce() -> Result<V, E>,
+) -> Result<V, E> {
+    const POISONED: &str = "compile memo poisoned by a panic while its lock was held";
+    if let Some(hit) = map.lock().expect(POISONED).get(&key) {
+        return Ok(hit.clone());
+    }
+    let value = compute()?;
+    map.lock().expect(POISONED).insert(key, value.clone());
+    Ok(value)
 }
 
 /// The result of executing a compiled program.
@@ -255,14 +348,19 @@ pub fn compile_run_verify(
 ///
 /// # Errors
 ///
-/// Returns [`PipelineError::Verify`] describing the first mismatch.
+/// Returns [`PipelineError::Verify`] describing the first program output, in
+/// [`Program::outputs`] order, that is missing or diverges.
 pub fn verify(
     program: &Program,
     inputs: &HashMap<String, SparseTensor>,
     outputs: &HashMap<String, SparseTensor>,
 ) -> Result<(), PipelineError> {
     let golden = interpret(program, inputs)?;
-    for (name, t) in outputs {
+    for &out in program.outputs() {
+        let name = &program.tensor(out).name;
+        let Some(t) = outputs.get(name) else {
+            return Err(PipelineError::Verify(format!("output '{name}' never produced")));
+        };
         let Some(g) = golden.get(name) else {
             return Err(PipelineError::Verify(format!("reference never produced '{name}'")));
         };
@@ -275,4 +373,65 @@ pub fn verify(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ir::AluOp;
+    use fuseflow_tensor::Format;
+
+    /// The SAE's six expressions as `fuseflow-models` builds them (SpMM,
+    /// bias, ReLU, SpMM, bias, sigmoid); that crate's `Program` is not this
+    /// test build's.
+    fn sae_shaped() -> Program {
+        let mut p = Program::new();
+        let (h, k, b, o, h2) =
+            (p.index("h"), p.index("k"), p.index("b"), p.index("o"), p.index("h2"));
+        let w1 = p.input("W1", vec![12, 24], Format::csr());
+        let x = p.input("Xin", vec![24, 4], Format::dense(2));
+        let b1 = p.input("b1", vec![12], Format::dense_vec());
+        let w2 = p.input("W2", vec![24, 12], Format::csr());
+        let b2 = p.input("b2", vec![24], Format::dense_vec());
+        let z1 = p.contract(
+            "Z1",
+            vec![h, b],
+            vec![(w1, vec![h, k]), (x, vec![k, b])],
+            vec![k],
+            Format::csr(),
+        );
+        let z1b =
+            p.binary("Z1b", AluOp::Add, (z1, vec![h, b]), (b1, vec![h]), vec![h, b], Format::csr());
+        let hid = p.map("H", AluOp::Relu, (z1b, vec![h, b]), Format::csr());
+        let z2 = p.contract(
+            "Z2",
+            vec![o, b],
+            vec![(w2, vec![o, h2]), (hid, vec![h2, b])],
+            vec![h2],
+            Format::csr(),
+        );
+        let z2b =
+            p.binary("Z2b", AluOp::Add, (z2, vec![o, b]), (b2, vec![o]), vec![o, b], Format::csr());
+        let out = p.map("Out", AluOp::Sigmoid, (z2b, vec![o, b]), Format::csr());
+        p.mark_output(out);
+        p
+    }
+
+    /// The 32 partitions of six expressions name 21 distinct regions, and
+    /// compiling every partition twice lowers each region once.
+    #[test]
+    fn each_region_is_lowered_once_per_program() {
+        let p = sae_shaped();
+        let partition = |cuts: u32| {
+            let ends = (1..6).filter(|e| cuts & (1 << (e - 1)) != 0).chain([6]);
+            let starts = [0].into_iter().chain(ends.clone());
+            Schedule::regions(starts.zip(ends).map(|(s, e)| s..e).collect())
+        };
+        for _ in 0..2 {
+            for cuts in 0..32 {
+                compile(&p, &partition(cuts)).unwrap();
+            }
+        }
+        assert_eq!(p.memo.lowerings.load(Ordering::Relaxed), 21);
+    }
 }

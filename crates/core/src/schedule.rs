@@ -44,11 +44,14 @@ impl Schedule {
     ///
     /// # Panics
     ///
-    /// Panics if regions overlap or are out of order.
+    /// Panics if a region is empty, or regions overlap or are out of order.
     pub fn regions(regions: Vec<Range<usize>>) -> Self {
         let mut last = 0;
         for r in &regions {
-            assert!(r.start >= last && r.end >= r.start, "regions must be ordered and disjoint");
+            assert!(
+                r.start >= last && r.end > r.start,
+                "regions must be non-empty, ordered and disjoint"
+            );
             last = r.end;
         }
         Schedule { fusion: FusionGranularity::Regions(regions), parallelize: Vec::new() }
@@ -127,6 +130,12 @@ mod tests {
     #[should_panic(expected = "ordered and disjoint")]
     fn overlapping_regions_panic() {
         let _ = Schedule::regions(vec![0..3, 2..4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-empty")]
+    fn empty_region_panics() {
+        let _ = Schedule::regions(vec![0..1, 2..2]);
     }
 
     #[test]

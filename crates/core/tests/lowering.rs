@@ -4,17 +4,19 @@
 use fuseflow_core::fusion::{FusedRegion, GlobalIx};
 use fuseflow_core::ir::{AluOp, Program, ReduceOp, TensorId};
 use fuseflow_core::lower::{lower_region, LowerOptions, Refused};
-use fuseflow_core::pipeline::compile;
+use fuseflow_core::pipeline::{compile, compile_at, compile_with, Compiled, PipelineError};
 use fuseflow_core::schedule::Schedule;
 use fuseflow_core::{fuse_region, Cell};
 use fuseflow_models::{
     gcn, gcn_composed, gpt_attention, gpt_attention_blocked, gpt_decoder, graphsage, map_stack,
     sae, Fusion, GraphDataset, ModelInstance, GRAPH_DATASETS, SAE_DATASETS,
 };
-use fuseflow_sam::{NodeId, NodeKind};
+use fuseflow_sam::{MemLocation, NodeId, NodeKind};
 use fuseflow_tensor::gen::GraphPattern;
 use fuseflow_tensor::Format;
+use fuseflow_verify::{Code, Level, VerifyConfig};
 use std::fmt::Write as _;
+use std::sync::Barrier;
 
 fn spmm_chain() -> Program {
     let mut p = Program::new();
@@ -232,7 +234,7 @@ fn pog_edges_come_from_formats_and_schedules() {
 /// `HashMap` as it walked it, so node ids and edge order followed the map's
 /// hash seed, which differs from one map instance to the next even within
 /// a process (about 4 and 8 distinct graphs in 16 compiles of these
-/// schedules).
+/// schedules). Each compile is of a fresh clone, which has nothing compiled.
 #[test]
 fn parallelized_lowering_is_the_same_graph_every_time() {
     let m = gpt_attention_blocked(128, 16, 8, 91);
@@ -240,7 +242,7 @@ fn parallelized_lowering_is_the_same_graph_every_time() {
     for (fusion, factor) in [(Fusion::Partial, 4), (Fusion::Full, 2)] {
         let sched = m.schedule(fusion).with_parallelization(i, factor);
         let graphs = || -> Vec<_> {
-            let compiled = compile(&m.program, &sched).unwrap();
+            let compiled = compile(&m.program.clone(), &sched).unwrap();
             compiled
                 .lowered
                 .iter()
@@ -638,4 +640,114 @@ fn zoo_graphs_are_pinned() {
         }
         panic!("lowered graphs moved; the table as it now comes out is printed above");
     }
+}
+
+/// Each region of a compile as `{:?}` prints it: graph, fusion table,
+/// permuted inputs, outputs, applied and refused directives.
+fn regions(compiled: Compiled) -> Vec<String> {
+    compiled.lowered.iter().map(|l| format!("{l:?}")).collect()
+}
+
+/// A program keeps the regions it has compiled, and compiles as a fresh one
+/// would: every zoo granularity, with and without a parallel directive, in
+/// DRAM and on chip, compiled twice over on one program. A region compiled
+/// serially or in DRAM is not handed to a parallel or on-chip compile.
+#[test]
+fn a_warm_program_compiles_as_a_fresh_one() {
+    for (name, m) in &zoo() {
+        let i = m.program.exprs()[0].output.indices[0];
+        let mut points = Vec::new();
+        for fusion in Fusion::ALL {
+            for sched in [m.schedule(fusion), m.schedule(fusion).with_parallelization(i, 2)] {
+                for location in [MemLocation::Dram, MemLocation::OnChip] {
+                    let fresh = regions(compile_at(&m.program.clone(), &sched, location).unwrap());
+                    points.push((sched.clone(), location, fresh));
+                }
+            }
+        }
+        for round in 0..2 {
+            for (sched, location, fresh) in &points {
+                let warm = regions(compile_at(&m.program, sched, *location).unwrap());
+                assert!(warm == *fresh, "{name} round {round}: {sched:?} {location:?}");
+            }
+        }
+    }
+}
+
+/// Editing a program drops what it has compiled. `spmm_chain` under
+/// `Fuse{0..2}` takes three edits: an expression `R[u] = Σ_i T0[i,u]`
+/// reading the fused intermediate `T0` (so region `0..2` must write `T0`), a
+/// dataflow order on `R` against `T0`'s mode order (so region `2..3` reads a
+/// transposed `T0`), and an output mark on `R` (so region `2..3` must write
+/// it). After each, the edited program compiles as a freshly built one, and
+/// not as it did before the edit.
+#[test]
+fn an_edit_drops_the_compiled_regions() {
+    let edit = |p: &mut Program, step: usize| {
+        let t0 = &p.exprs()[0].output;
+        let (t0, [i, u]) = (t0.tensor, [t0.indices[0], t0.indices[1]]);
+        match step {
+            0 => drop(p.reduce("R", (t0, vec![i, u]), vec![i], ReduceOp::Sum, Format::dense_vec())),
+            1 => p.set_dataflow(vec![u, i]),
+            _ => p.mark_output(p.exprs()[2].output.tensor),
+        }
+    };
+    let sched = Schedule::regions(vec![0..2]);
+    let mut warm = spmm_chain();
+    let mut before = regions(compile(&warm, &sched).unwrap());
+    for step in 0..3 {
+        edit(&mut warm, step);
+        let mut fresh = spmm_chain();
+        (0..=step).for_each(|s| edit(&mut fresh, s));
+        let after = regions(compile(&warm, &sched).unwrap());
+        assert!(after == regions(compile(&fresh, &sched).unwrap()), "edit {step}: stale regions");
+        let moved = after.iter().zip(&before).any(|(a, b)| a != b);
+        assert!(moved, "edit {step} changed no region compiled before it");
+        before = after;
+    }
+}
+
+/// The lint levels apply on every compile, also to a report an earlier
+/// compile left: partial SAE at channel capacity 1 draws SA013, a warning
+/// by default, and denying it fails a compile after a passing one. At the
+/// default capacity it draws none, and that report is not the one reused.
+#[test]
+fn a_denied_lint_fails_a_compile_whose_report_is_cached() {
+    let m = sae("x", 24, 12, 4, 0.5, 1);
+    let sched = m.schedule(Fusion::Partial);
+    let roomy = VerifyConfig::default().with_level(Code::SA013, Level::Deny);
+    let mut deny = roomy.clone();
+    deny.options.channel_capacity = 1;
+    let warn = deny.clone().with_level(Code::SA013, Level::Warn);
+    for (cfg, passes) in
+        [(&roomy, true), (&warn, true), (&deny, false), (&roomy, true), (&deny, false)]
+    {
+        match compile_with(&m.program, &sched, MemLocation::Dram, cfg) {
+            Err(PipelineError::Static { rendered, .. }) if !passes => {
+                assert!(rendered.contains("SA013"), "{rendered}")
+            }
+            res => assert!(passes && res.is_ok(), "{res:?}"),
+        }
+    }
+}
+
+/// Two threads compiling one program at once, as `experiments autotune`'s
+/// workers share a model, both get what a fresh program compiles to.
+#[test]
+fn two_threads_compile_one_program_alike() {
+    let m = gpt_attention_blocked(128, 16, 8, 91);
+    let start = Barrier::new(2);
+    let compile_all = || -> Vec<Vec<String>> {
+        start.wait();
+        Fusion::ALL.iter().map(|&f| regions(compile(&m.program, &m.schedule(f)).unwrap())).collect()
+    };
+    let (a, b) = std::thread::scope(|s| {
+        let (a, b) = (s.spawn(compile_all), s.spawn(compile_all));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    let fresh: Vec<_> = Fusion::ALL
+        .iter()
+        .map(|&f| regions(compile(&m.program.clone(), &m.schedule(f)).unwrap()))
+        .collect();
+    assert!(a == fresh && b == fresh);
 }

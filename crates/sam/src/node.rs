@@ -122,7 +122,7 @@ impl ReduceOp {
 /// charged to the DRAM model or considered on-chip (BRAM/registers), used by
 /// the FPGA-validation backend (Section 8.2 selects kernels that "fit
 /// entirely in on-chip BRAM").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MemLocation {
     /// Off-chip DRAM: every touch is charged to the memory model.
     #[default]

@@ -56,7 +56,7 @@ pub use diag::{Anchor, Code, Diag, RegionSummary, Report, Severity};
 use fuseflow_sam::{GraphError, NodeId, SamGraph};
 
 /// Knobs for the analyzer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct VerifyOptions {
     /// Uniform bounded-channel capacity the deadlock pass sizes against
     /// (the simulator's `SimConfig::channel_capacity`).

@@ -4,7 +4,7 @@
 
 use fuseflow::core::ir::{Program, ReduceOp};
 use fuseflow::core::pipeline::{compile, compile_run_verify, run, verify};
-use fuseflow::core::schedule::Schedule;
+use fuseflow::core::schedule::{FusionGranularity, Schedule};
 use fuseflow::sim::{Scheduler, SimConfig, Stats};
 use fuseflow::tensor::{gen, Format, SparseTensor};
 use fuseflow_sam::AluOp;
@@ -340,6 +340,25 @@ fn verify_catches_wrong_outputs() {
         SparseTensor::from_dense(&gen::dense_features(8, 4, 99), &Format::csr()),
     );
     assert!(verify(&p, &inputs, &bogus).is_err());
+
+    // With two diverging outputs, the first in `Program::outputs` order is
+    // named, whatever order each freshly hashed map yields.
+    let (mut p, inputs) = gcn_layerish(8, 6, 4);
+    p.mark_output(p.exprs()[1].output.tensor);
+    let messages: Vec<String> = (0..32)
+        .map(|_| {
+            let bogus: HashMap<_, _> = ["Out", "T1"]
+                .map(|name| {
+                    let t =
+                        SparseTensor::from_dense(&gen::dense_features(8, 4, 99), &Format::csr());
+                    (name.to_string(), t)
+                })
+                .into();
+            verify(&p, &inputs, &bogus).unwrap_err().to_string()
+        })
+        .collect();
+    assert!(messages[0].contains("output 'Out' diverges"), "{}", messages[0]);
+    assert!(messages.iter().all(|m| *m == messages[0]), "{messages:?}");
 }
 
 #[test]
@@ -349,10 +368,19 @@ fn region_past_the_program_end_is_a_typed_error() {
     use fuseflow::core::pipeline::PipelineError;
     let (p, _) = gcn_layerish(8, 6, 4);
     let n = p.exprs().len();
+    let unchecked =
+        |regions| Schedule { fusion: FusionGranularity::Regions(regions), parallelize: vec![] };
     // `n + 1..n + 2` also makes `resolve_regions` fill the gap with the
-    // singleton `n..n + 1`, which is the first range refused.
-    for (bad, refused) in [(0..n + 5, 0..n + 5), (n + 1..n + 2, n..n + 1)] {
-        let res = compile(&p, &Schedule::regions(vec![bad.clone()]));
+    // singleton `n..n + 1`, which is the first range refused. An empty region
+    // and overlapping ones are refused too, also in a list that
+    // `Schedule::regions` did not check.
+    for (bad, refused) in [
+        (vec![0..n + 5], 0..n + 5),
+        (vec![n + 1..n + 2], n..n + 1),
+        (vec![1..1], 1..1),
+        (vec![0..2, 1..3], 1..3),
+    ] {
+        let res = compile(&p, &unchecked(bad.clone()));
         assert!(
             matches!(
                 &res,
@@ -373,6 +401,4 @@ fn region_past_the_program_end_is_a_typed_error() {
         fuse_region(&p, reversed.clone()),
         Err(FuseError::RegionOutOfRange { range, exprs }) if range == reversed && exprs == n
     ));
-    // An empty region names no expression and keeps compiling.
-    assert!(compile(&p, &Schedule::regions(vec![1..1])).is_ok());
 }
