@@ -551,9 +551,10 @@ pub fn fuse_region(program: &Program, range: Range<usize>) -> Result<FusedRegion
         'search: for (ei, fe) in fused.clone().iter().enumerate() {
             for (pos, (t, ixs)) in fe.inputs.iter().enumerate() {
                 if producer.contains_key(t)
+                    || program.tensor(*t).block != [1, 1]
                     || transposes.iter().any(|f| f.expr == ei && f.input == pos)
                 {
-                    continue; // only raw inputs reformat, once each
+                    continue; // only raw scalar inputs reformat, once each
                 }
                 // Rebuild without this view's edges and see if a topological
                 // order exists; derive the permutation from it.

@@ -14,9 +14,13 @@
 //! arithmetic is written out here rather than taken from the simulator's
 //! ALU, so the oracle does not share the code it checks.
 //!
-//! Blocked (tile-carrying) programs are verified against model-specific
-//! dense references instead (see `fuseflow-models`); this interpreter
-//! rejects them.
+//! A blocked program means its element-space expansion: a blocked tensor is
+//! the matrix of its logical shape, and its structure is tile-granular (a
+//! stored tile makes all of its elements present). Each index ranges over
+//! the element-space extent of the dimension it binds, so this one
+//! interpreter checks scalar and blocked programs alike. `Program::expr`
+//! admits only the blocked expressions the tile primitives compute exactly
+//! as this expansion does.
 
 use crate::ir::{Access, AluOp, IndexVar, Program, ReduceOp, TensorId};
 use fuseflow_tensor::{DenseTensor, SparseTensor};
@@ -32,19 +36,16 @@ pub struct Structured {
 }
 
 impl Structured {
-    /// Builds from a scalar sparse tensor: structure = stored coordinates
-    /// (all coordinates for dense formats).
+    /// Builds from a sparse tensor in element space: structure = stored
+    /// coordinates (all coordinates of a dense level, every element of a
+    /// stored tile).
     pub fn from_sparse(t: &SparseTensor) -> Self {
-        let vals = t.to_dense();
+        let mut vals = DenseTensor::zeros(t.shape().to_vec());
         let mut mask = DenseTensor::zeros(t.shape().to_vec());
-        if !t.format().has_compressed() {
-            mask = mask.map(|_| 1.0);
-        } else {
-            for (c, _) in t.to_coo() {
-                let idx: Vec<usize> = c.iter().map(|&x| x as usize).collect();
-                mask.set(&idx, 1.0);
-            }
-        }
+        t.for_each_stored(|idx, v| {
+            vals.set(idx, v);
+            mask.set(idx, 1.0);
+        });
         Structured { vals, mask }
     }
 }
@@ -54,17 +55,12 @@ impl Structured {
 pub enum InterpError {
     /// An input tensor had no binding.
     MissingInput(String),
-    /// The program uses blocked tensors (verified elsewhere).
-    Blocked(String),
 }
 
 impl std::fmt::Display for InterpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             InterpError::MissingInput(n) => write!(f, "missing input '{n}'"),
-            InterpError::Blocked(n) => {
-                write!(f, "tensor '{n}' is blocked; use a model-specific reference")
-            }
         }
     }
 }
@@ -76,18 +72,13 @@ impl std::error::Error for InterpError {}
 ///
 /// # Errors
 ///
-/// Returns [`InterpError`] for missing inputs or blocked tensors.
+/// Returns [`InterpError`] for missing inputs.
 pub fn interpret(
     program: &Program,
     inputs: &HashMap<String, SparseTensor>,
 ) -> Result<HashMap<String, Structured>, InterpError> {
     let mut env: HashMap<TensorId, Structured> = HashMap::new();
-    // An expression is blocked only if its inputs are, so rejecting blocked
-    // program inputs rejects every blocked tensor.
     for (id, decl) in program.inputs() {
-        if decl.block != [1, 1] {
-            return Err(InterpError::Blocked(decl.name.clone()));
-        }
         let t =
             inputs.get(&decl.name).ok_or_else(|| InterpError::MissingInput(decl.name.clone()))?;
         env.insert(id, Structured::from_sparse(t));
@@ -95,9 +86,19 @@ pub fn interpret(
 
     for e in program.exprs() {
         let out_decl = program.tensor(e.output.tensor);
-        // Collect the iteration space: every index of the expression.
+        // Collect the iteration space: every index of the expression, over
+        // the element-space extent of a dimension it binds (the block grid
+        // extent times the block for blocked tensors).
         let all_ix = e.index_set();
-        let dims: Vec<usize> = all_ix.iter().map(|ix| program.index_size(*ix)).collect();
+        let extent = |ix: &IndexVar| {
+            let mut accs = std::iter::once(&e.output).chain(&e.inputs);
+            let bound = accs.find_map(|acc| {
+                let l = acc.indices.iter().position(|x| x == ix)?;
+                Some(program.tensor(acc.tensor).shape[l])
+            });
+            bound.expect("an index of the expression is bound by one of its accesses")
+        };
+        let dims: Vec<usize> = all_ix.iter().map(extent).collect();
         let mut out_vals = DenseTensor::zeros(out_decl.shape.clone());
         let mut out_mask = DenseTensor::zeros(out_decl.shape.clone());
 
@@ -298,6 +299,39 @@ mod tests {
         assert!((out["E"].vals.get(&[0, 0]) - 2.0f32.exp()).abs() < 1e-5);
         assert_eq!(out["E"].vals.get(&[1, 1]), 0.0, "absent coordinate must stay zero");
         assert_eq!(out["E"].mask.get(&[1, 1]), 0.0);
+    }
+
+    /// Structure is what is stored, as the simulator scans it: an explicit
+    /// zero at a compressed level is present, and so is every element of a
+    /// stored tile, over the element-space extents of a blocked program.
+    #[test]
+    fn stored_zeros_and_whole_tiles_are_present() {
+        let mut p = Program::new();
+        let (i, j) = (p.index("i"), p.index("j"));
+        let a = p.input("A", vec![2, 2], Format::dcsr());
+        let e = p.map("E", AluOp::Exp, (a, vec![i, j]), Format::dcsr());
+        p.mark_output(e);
+        let entries = vec![(vec![0, 1], 0.0), (vec![1, 0], 2.0)];
+        let at = SparseTensor::from_coo(vec![2, 2], entries, &Format::dcsr()).unwrap();
+        let out = interpret(&p, &bind(vec![("A", at)])).unwrap();
+        assert_eq!((out["E"].vals.get(&[0, 1]), out["E"].mask.get(&[0, 1])), (1.0, 1.0));
+        assert_eq!(out["E"].mask.get(&[0, 0]), 0.0);
+
+        let mut p = Program::new();
+        let (i, j) = (p.index("i"), p.index("j"));
+        let b = p.blocked_input("B", vec![4, 4], Format::csr(), [2, 2]);
+        let e = p.map("E", AluOp::Exp, (b, vec![i, j]), Format::csr());
+        p.mark_output(e);
+        let tile = vec![0.0, 1.0, 2.0, 0.0];
+        let bt =
+            SparseTensor::from_blocks(vec![4, 4], [2, 2], vec![(vec![1, 0], tile)], &Format::csr())
+                .unwrap();
+        let out = interpret(&p, &bind(vec![("B", bt)])).unwrap();
+        let exp = |v: f32| v.exp();
+        let want =
+            [[0.0; 4], [0.0; 4], [exp(0.0), exp(1.0), 0.0, 0.0], [exp(2.0), exp(0.0), 0.0, 0.0]];
+        assert_eq!(out["E"].vals.data(), want.concat());
+        assert_eq!(out["E"].mask.data().iter().sum::<f32>(), 4.0);
     }
 
     #[test]

@@ -245,7 +245,12 @@ impl Program {
     /// # Panics
     ///
     /// Panics on an arity mismatch with `op`, inputs that disagree on the
-    /// block, or index extents that conflict.
+    /// block, index extents that conflict, or a blocked expression that no
+    /// tile primitive computes. A blocked `Mul` is a tile matmul, so it must
+    /// be exactly `[a, c]·[c, b] → [a, b]` reducing `[c]` over a square
+    /// block; every other blocked op works tile by tile in place, so it must
+    /// index each input exactly as its output and reduce nothing; a blocked
+    /// pass-through reduction (`op == None`) is refused.
     #[allow(clippy::too_many_arguments)]
     pub fn expr(
         &mut self,
@@ -269,6 +274,21 @@ impl Program {
         for (t, ixs) in &inputs {
             assert_eq!(self.tensor(*t).block, block, "inputs of '{name}' disagree on the block");
             self.bind_indices(*t, ixs);
+        }
+        if block != [1, 1] {
+            let ixs: Vec<&[IndexVar]> = inputs.iter().map(|(_, ixs)| ixs.as_slice()).collect();
+            let tile_op = match (op, &ixs[..], &out_indices[..], &reduce[..]) {
+                (Some(AluOp::Mul), [[a, c], [c2, b]], [a2, b2], [c3]) => {
+                    (a, b, c, c) == (a2, b2, c2, c3)
+                        && a != b
+                        && a != c
+                        && b != c
+                        && block[0] == block[1]
+                }
+                (Some(AluOp::Mul) | None, ..) => false,
+                (Some(_), ..) => reduce.is_empty() && ixs.iter().all(|x| *x == out_indices),
+            };
+            assert!(tile_op, "blocked '{name}' has no tile primitive (see `Program::expr`)");
         }
         let shape: Vec<usize> = (out_indices.iter().enumerate())
             .map(|(lvl, ix)| self.index_size(*ix) * block.get(lvl).unwrap_or(&1))
@@ -571,5 +591,67 @@ mod tests {
         let a = p.blocked_input("A", vec![16, 16], Format::csr(), [4, 4]);
         let b = p.input("B", vec![4, 4], Format::csr());
         p.binary("T", AluOp::Add, (a, vec![i, j]), (b, vec![i, j]), vec![i, j], Format::csr());
+    }
+
+    /// `S[i,j] = Σ_k Q[i,k]·K[j,k]` needs `K`'s tiles transposed, which the
+    /// tile matmul does not do: it multiplies the stored `K` tile as it is.
+    #[test]
+    #[should_panic(expected = "blocked 'S' has no tile primitive")]
+    fn blocked_contraction_against_a_transposed_view_panics() {
+        let mut p = Program::new();
+        let (i, j, k) = (p.index("i"), p.index("j"), p.index("k"));
+        let q = p.blocked_input("Q", vec![16, 8], Format::dense(2), [4, 4]);
+        let kt = p.blocked_input("K", vec![16, 8], Format::dense(2), [4, 4]);
+        let qk = vec![(q, vec![i, k]), (kt, vec![j, k])];
+        p.contract("S", vec![i, j], qk, vec![k], Format::dense(2));
+    }
+
+    /// Every other blocked op works tile by tile in place: no broadcast, no
+    /// transposed operand, no reduction, and no pass-through reduction.
+    #[test]
+    fn blocked_ops_must_work_tile_by_tile() {
+        let refused = |build: fn(&mut Program, TensorId, TensorId, [IndexVar; 2])| {
+            let mut p = Program::new();
+            let ij = [p.index("i"), p.index("j")];
+            let a = p.blocked_input("A", vec![8, 8], Format::csr(), [4, 4]);
+            let b = p.blocked_input("B", vec![8, 8], Format::csr(), [4, 4]);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                build(&mut p, a, b, ij);
+            }));
+            let msg = caught.expect_err("must be refused");
+            msg.downcast_ref::<String>().expect("formatted message").contains("no tile primitive")
+        };
+        assert!(refused(|p, a, b, [i, j]| {
+            p.binary("T", AluOp::Add, (a, vec![i, j]), (b, vec![j, i]), vec![i, j], Format::csr());
+        }));
+        assert!(refused(|p, a, b, [i, j]| {
+            p.binary(
+                "T",
+                AluOp::MulElem,
+                (a, vec![i, j]),
+                (b, vec![i, j]),
+                vec![j, i],
+                Format::csr(),
+            );
+        }));
+        assert!(refused(|p, a, b, [i, j]| {
+            p.binary("T", AluOp::Mul, (a, vec![i, j]), (b, vec![i, j]), vec![i, j], Format::csr());
+        }));
+        assert!(refused(|p, a, _, [i, j]| {
+            p.reduce("T", (a, vec![i, j]), vec![j], ReduceOp::Sum, Format::sparse_vec());
+        }));
+        // The block-sparse attention's four expressions are all tile ops.
+        let mut p = Program::new();
+        let (i, j, k, l) = (p.index("i"), p.index("j"), p.index("k"), p.index("l"));
+        let q = p.blocked_input("Q", vec![8, 8], Format::dense(2), [4, 4]);
+        let kt = p.blocked_input("K", vec![8, 8], Format::dense(2), [4, 4]);
+        let m = p.blocked_input("M", vec![8, 8], Format::csr(), [4, 4]);
+        let csr = Format::csr;
+        let s =
+            p.contract("S", vec![i, j], vec![(q, vec![i, k]), (kt, vec![k, j])], vec![k], csr());
+        let sm =
+            p.binary("Sm", AluOp::MulElem, (s, vec![i, j]), (m, vec![i, j]), vec![i, j], csr());
+        let e = p.map("E", AluOp::Exp, (sm, vec![i, j]), csr());
+        p.contract("O", vec![i, l], vec![(e, vec![i, j]), (q, vec![j, l])], vec![j], csr());
     }
 }

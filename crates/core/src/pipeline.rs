@@ -18,7 +18,7 @@ use crate::lower::{lower_region, LowerError, LowerOptions, Lowered};
 use crate::schedule::Schedule;
 use fuseflow_sam::MemLocation;
 use fuseflow_sim::{simulate, SimConfig, SimError, Stats, TensorEnv};
-use fuseflow_tensor::SparseTensor;
+use fuseflow_tensor::{approx_eq, SparseTensor};
 use fuseflow_verify::{enforce, verify_graph, Report, VerifyConfig, VerifyOptions};
 use std::collections::HashMap;
 use std::convert::Infallible;
@@ -344,7 +344,17 @@ pub fn compile_run_verify(
     Ok(result)
 }
 
+/// How far, relative to the reference output's largest magnitude, [`verify`]
+/// lets an element move.
+const NORM_EPS: f32 = 1e-5;
+
 /// Verifies simulated outputs against the reference interpreter.
+///
+/// An element matches when it is within [`fuseflow_tensor::approx_eq`] of
+/// the reference, or within 1e-5 of the reference output's largest
+/// magnitude. The second bound admits reassociated sums: a tile matmul adds
+/// its reduction tile by tile, and where large terms cancel, the rounding
+/// that moves a small element is relative to those terms, not to the element.
 ///
 /// # Errors
 ///
@@ -365,7 +375,9 @@ pub fn verify(
             return Err(PipelineError::Verify(format!("reference never produced '{name}'")));
         };
         let got = t.to_dense();
-        if !got.approx_eq(&g.vals) {
+        let floor = NORM_EPS * g.vals.data().iter().fold(0.0, |m: f32, v| m.max(v.abs()));
+        let close = |(a, b): (&f32, &f32)| approx_eq(*a, *b) || (a - b).abs() <= floor;
+        if got.shape() != g.vals.shape() || !got.data().iter().zip(g.vals.data()).all(close) {
             return Err(PipelineError::Verify(format!(
                 "output '{name}' diverges from reference (max abs diff {})",
                 got.max_abs_diff(&g.vals)

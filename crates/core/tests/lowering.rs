@@ -1,9 +1,9 @@
 //! Structural tests of the lowering: generated SAMML graph shapes, fusion
 //! table contents, transposition materialization, and parallelization.
 
-use fuseflow_core::fusion::{FusedRegion, GlobalIx};
+use fuseflow_core::fusion::{FuseError, FusedRegion, GlobalIx};
 use fuseflow_core::ir::{AluOp, Program, ReduceOp, TensorId};
-use fuseflow_core::lower::{lower_region, LowerOptions, Refused};
+use fuseflow_core::lower::{lower_region, LowerError, LowerOptions, Refused};
 use fuseflow_core::pipeline::{compile, compile_at, compile_with, Compiled, PipelineError};
 use fuseflow_core::schedule::Schedule;
 use fuseflow_core::{fuse_region, Cell};
@@ -129,6 +129,24 @@ fn transposed_views_request_permuted_inputs() {
     assert_eq!(low.permuted_inputs.len(), 1);
     assert_eq!(low.permuted_inputs[0].perm, vec![1, 0]);
     assert_eq!(low.permuted_inputs[0].base, "N");
+}
+
+/// A blocked tensor has no permuted copy (`SparseTensor::permute` refuses
+/// tiles), so cycle resolution never transposes a blocked view: an order
+/// that would need one fails to compile instead of panicking in `run`.
+#[test]
+fn a_blocked_view_is_never_transposed() {
+    let mut p = Program::new();
+    let (i, k, j) = (p.index("i"), p.index("k"), p.index("j"));
+    let a = p.blocked_input("A", vec![8, 8], Format::dense(2), [4, 4]);
+    let b = p.blocked_input("B", vec![8, 8], Format::dense(2), [4, 4]);
+    let ab = vec![(a, vec![i, k]), (b, vec![k, j])];
+    let e = p.contract("E", vec![i, j], ab, vec![k], Format::dense(2));
+    p.set_dataflow(vec![i, j, k]);
+    p.mark_output(e);
+    let err = compile(&p, &Schedule::full()).unwrap_err();
+    let cycle = LowerError::Fusion(FuseError::UnresolvableCycle);
+    assert!(matches!(&err, PipelineError::Lower(e) if *e == cycle), "{err}");
 }
 
 #[test]

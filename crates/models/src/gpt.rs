@@ -6,15 +6,18 @@
 //! Two variants:
 //! * [`gpt_decoder`] / [`gpt_attention`] — scalar pipelines whose BigBird
 //!   mask (at block granularity 16/32/64) is expanded to an element-level
-//!   CSR mask; fully verifiable against the structural interpreter.
-//!   `gpt_attention` is 9 expressions: score, mask, scale, the softmax (row
-//!   max, shift, exp, row sum, divide) and AV.
+//!   CSR mask. `gpt_attention` is 9 expressions: score, mask, scale, the
+//!   softmax (row max, shift, exp, row sum, divide) and AV.
 //! * [`gpt_attention_blocked`] — the Section 7 "sparsity blocking" path:
 //!   dense `b x b` tiles stream through `b^2`-lane ALUs (Fig 17). It is 4
 //!   expressions: score, mask, exp and AV, with no scale and no softmax
 //!   normalization, so that tiles remain uniform rank-2 streams. It is built
 //!   with the scalar builders; each expression's block follows from its
 //!   `[b, b]`-blocked inputs.
+//!
+//! Both are verified against the one structural interpreter: it evaluates
+//! the blocked pipeline in element space, where a stored tile is `b x b`
+//! present elements.
 //!
 //! Fig 17 runs `gpt_attention` as its unstructured arm, so the two arms are
 //! different programs: the unstructured one also scales and normalizes.
@@ -23,7 +26,7 @@ use crate::gcn::dense;
 use crate::ModelInstance;
 use fuseflow_core::ir::{Program, ReduceOp};
 use fuseflow_sam::AluOp;
-use fuseflow_tensor::{gen, reference, Crd, DenseTensor, Format, SparseTensor};
+use fuseflow_tensor::{gen, Crd, Format, SparseTensor};
 use std::collections::HashMap;
 
 /// Expands a BigBird block mask to an element-level CSR mask tensor.
@@ -290,32 +293,12 @@ pub fn gpt_decoder(seq: usize, d_model: usize, block: usize, seed: u64) -> Model
     }
 }
 
-/// Dense reference for blocked attention (used because the structural
-/// interpreter rejects tile streams): masked exp-score times values.
-pub fn attention_reference(
-    q: &DenseTensor,
-    kt: &DenseTensor,
-    v: &DenseTensor,
-    mask: &DenseTensor,
-) -> DenseTensor {
-    let s = reference::matmul(q, kt);
-    let sm = reference::mul(&s, mask);
-    // exp over the mask structure only.
-    let e = DenseTensor::from_fn(sm.shape().to_vec(), |ix| {
-        if mask.get(ix) != 0.0 {
-            sm.get(ix).exp()
-        } else {
-            0.0
-        }
-    });
-    reference::matmul(&e, v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Fusion;
-    use fuseflow_core::pipeline::{compile, compile_run_verify, run};
+    use fuseflow_core::pipeline::{compile, compile_at, compile_run_verify, run, verify};
+    use fuseflow_sam::MemLocation;
     use fuseflow_sim::SimConfig;
 
     #[test]
@@ -337,18 +320,41 @@ mod tests {
     }
 
     #[test]
-    fn blocked_attention_matches_dense_reference() {
+    fn blocked_attention_verifies_at_every_granularity() {
         let m = gpt_attention_blocked(16, 8, 4, 5);
-        let compiled = compile(&m.program, &m.schedule(Fusion::Full)).unwrap();
-        let res = run(&m.program, &compiled, &m.inputs, &SimConfig::default()).unwrap();
-        let got = res.outputs["O"].to_dense();
-        let expect = attention_reference(
-            &m.inputs["Q"].to_dense(),
-            &m.inputs["K"].to_dense(),
-            &m.inputs["V"].to_dense(),
-            &m.inputs["Mask"].to_dense(),
-        );
-        assert!(got.approx_eq(&expect), "max diff {}", got.max_abs_diff(&expect));
+        for fusion in Fusion::ALL {
+            compile_run_verify(&m.program, &m.schedule(fusion), &m.inputs, &SimConfig::default())
+                .unwrap_or_else(|e| panic!("{fusion}: {e}"));
+        }
+    }
+
+    /// Fig 16's configurations at two reduced sizes, each run checked
+    /// against the interpreter: every granularity, in DRAM and on chip, and
+    /// factors 1, 2 and 4 on the attention rows `i`, on the score columns
+    /// `j`, and on both.
+    #[test]
+    fn blocked_attention_verifies_in_fig16s_configurations() {
+        let sim = SimConfig::default();
+        for (seq, d_head, block) in [(16, 8, 4), (64, 16, 8)] {
+            let m = gpt_attention_blocked(seq, d_head, block, 91);
+            let score = &m.program.exprs()[0].output.indices;
+            let splits = [("i", vec![score[0]]), ("j", vec![score[1]]), ("both", score.clone())];
+            let directives = splits.iter().flat_map(|split| [1, 2, 4].map(|f| (split, f)));
+            for ((split, vars), factor) in directives {
+                for fusion in Fusion::ALL {
+                    for location in [MemLocation::Dram, MemLocation::OnChip] {
+                        let sched = (vars.iter())
+                            .fold(m.schedule(fusion), |s, v| s.with_parallelization(*v, factor));
+                        let checked = compile_at(&m.program, &sched, location)
+                            .and_then(|c| run(&m.program, &c, &m.inputs, &sim))
+                            .and_then(|r| verify(&m.program, &m.inputs, &r.outputs));
+                        if let Err(e) = checked {
+                            panic!("seq {seq}, {fusion}, {location:?}, {split} x{factor}: {e}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ mod stack;
 
 pub use datasets::{graph_dataset, GraphDataset, GRAPH_DATASETS, SAE_DATASETS};
 pub use gcn::{gcn, gcn_composed};
-pub use gpt::{attention_reference, gpt_attention, gpt_attention_blocked, gpt_decoder};
+pub use gpt::{gpt_attention, gpt_attention_blocked, gpt_decoder};
 pub use graphsage::graphsage;
 pub use sae::sae;
 pub use stack::map_stack;

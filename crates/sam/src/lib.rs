@@ -33,4 +33,4 @@ mod token;
 
 pub use graph::{Edge, GraphError, NodeId, OutputSlot, Port, SamGraph, TensorSlot};
 pub use node::{AluOp, MemLocation, NodeKind, PortSig, ReduceOp};
-pub use token::{check_well_formed, Block, Payload, StreamKind, Token};
+pub use token::{Block, Payload, StreamKind, Token};

@@ -177,32 +177,6 @@ impl std::fmt::Display for StreamKind {
     }
 }
 
-/// Parses a token stream into flat `(prefix-depth events)` COO form given
-/// companion streams; see `fuseflow-sim` for the full reconstruction.
-///
-/// Checks the well-formedness invariant used across the test suite: a
-/// stream must end with `Done`, contain no tokens after it, and stop levels
-/// must not exceed `max_level`.
-pub fn check_well_formed(tokens: &[Token], max_level: u8) -> Result<(), String> {
-    if tokens.is_empty() {
-        return Err("empty stream".into());
-    }
-    match tokens.last() {
-        Some(Token::Done) => {}
-        other => return Err(format!("stream must end with Done, found {other:?}")),
-    }
-    for (i, t) in tokens[..tokens.len() - 1].iter().enumerate() {
-        match t {
-            Token::Done => return Err(format!("interior Done at {i}")),
-            Token::Stop(k) if *k > max_level => {
-                return Err(format!("stop level {k} exceeds max {max_level} at {i}"))
-            }
-            _ => {}
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,30 +187,5 @@ mod tests {
         let b = Block::new(2, 2, vec![5., 6., 7., 8.]);
         let c = a.matmul(&b);
         assert_eq!(c.data(), &[19., 22., 43., 50.]);
-    }
-
-    #[test]
-    fn well_formedness() {
-        let good = vec![Token::idx(0), Token::Stop(0), Token::Done];
-        assert!(check_well_formed(&good, 1).is_ok());
-        let no_done = vec![Token::idx(0)];
-        assert!(check_well_formed(&no_done, 1).is_err());
-        let interior = vec![Token::Done, Token::Done];
-        assert!(check_well_formed(&interior, 1).is_err());
-        let deep = vec![Token::Stop(5), Token::Done];
-        assert!(check_well_formed(&deep, 1).is_err());
-    }
-
-    #[test]
-    fn adjacent_stops_are_legal_empty_fibers() {
-        let s = vec![
-            Token::idx(1),
-            Token::Stop(0),
-            Token::Stop(0),
-            Token::idx(2),
-            Token::Stop(1),
-            Token::Done,
-        ];
-        assert!(check_well_formed(&s, 1).is_ok());
     }
 }

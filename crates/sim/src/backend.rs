@@ -13,8 +13,6 @@ use fuseflow_sam::NodeKind;
 /// Per-backend timing parameters consumed by the simulation engine.
 #[derive(Debug, Clone)]
 pub struct TimingConfig {
-    /// Human-readable backend name.
-    pub name: &'static str,
     /// Sustained DRAM bandwidth in bytes per cycle.
     pub dram_bytes_per_cycle: f64,
     /// Latency of streamed (sequential) DRAM accesses, cycles.
@@ -57,7 +55,6 @@ impl TimingConfig {
     /// pipelined primitives.
     pub fn comal() -> Self {
         TimingConfig {
-            name: "comal",
             dram_bytes_per_cycle: 64.0,
             dram_stream_latency: 8,
             dram_random_latency: 64,
@@ -72,7 +69,6 @@ impl TimingConfig {
     /// have deeper initiation intervals, and any DRAM spill is much slower.
     pub fn fpga_rtl() -> Self {
         TimingConfig {
-            name: "fpga-rtl",
             dram_bytes_per_cycle: 16.0,
             dram_stream_latency: 24,
             dram_random_latency: 160,
@@ -97,7 +93,6 @@ mod tests {
     fn backends_differ() {
         let c = TimingConfig::comal();
         let f = TimingConfig::fpga_rtl();
-        assert_ne!(c.name, f.name);
         assert!(c.dram_bytes_per_cycle > f.dram_bytes_per_cycle);
         let isect = NodeKind::Intersect;
         assert_eq!((c.ii_extra)(&isect), 0);

@@ -46,7 +46,6 @@ pub struct Dram {
     busy_until_mb: u128,
     read_bytes: u64,
     write_bytes: u64,
-    requests: u64,
 }
 
 impl Dram {
@@ -66,7 +65,6 @@ impl Dram {
             busy_until_mb: 0,
             read_bytes: 0,
             write_bytes: 0,
-            requests: 0,
         }
     }
 
@@ -76,7 +74,6 @@ impl Dram {
     /// A zero-byte request costs only latency: it neither occupies the
     /// channel nor rounds the occupancy frontier up to `now`.
     pub fn request(&mut self, now: u64, bytes: u64, kind: AccessKind, is_write: bool) -> u64 {
-        self.requests += 1;
         if is_write {
             self.write_bytes += bytes;
         } else {
@@ -114,11 +111,6 @@ impl Dram {
     /// Total bytes written so far.
     pub fn write_bytes(&self) -> u64 {
         self.write_bytes
-    }
-
-    /// Number of requests served.
-    pub fn requests(&self) -> u64 {
-        self.requests
     }
 }
 
@@ -163,7 +155,6 @@ mod tests {
         // rounded-up frontier.
         assert_eq!(d.request(10, 4, AccessKind::Stream, false), 14);
         assert_eq!(d.read_bytes(), 4);
-        assert_eq!(d.requests(), 2);
     }
 
     #[test]
@@ -208,6 +199,5 @@ mod tests {
         d.request(0, 20, AccessKind::Stream, true);
         assert_eq!(d.read_bytes(), 12);
         assert_eq!(d.write_bytes(), 20);
-        assert_eq!(d.requests(), 2);
     }
 }

@@ -1,8 +1,8 @@
 //! Additional simulator coverage: nested-depth serialization, blocked
-//! reductions, instrumentation consistency, and stream well-formedness of
-//! writer outputs.
+//! reductions, instrumentation consistency, and the streams a scanner
+//! emits.
 
-use fuseflow_sam::{check_well_formed, AluOp, MemLocation, NodeKind, ReduceOp, SamGraph, Token};
+use fuseflow_sam::{AluOp, MemLocation, NodeKind, ReduceOp, SamGraph, Token};
 use fuseflow_sim::{run_node_standalone, simulate, SimConfig, TensorEnv};
 use fuseflow_tensor::{gen, reference, DenseTensor, Format, SparseTensor};
 
@@ -57,15 +57,32 @@ fn spacc_max_takes_elementwise_maximum() {
     assert_eq!(out[1], vec![val(7.0), s(0), Token::Done]);
 }
 
+/// A scanner emits each referenced fiber's coordinates and positions, a
+/// `Stop(0)` after every fiber but the last, whose stop closes the input's
+/// fiber too (`Stop(1)`), then `Done`.
 #[test]
-fn scanner_streams_are_well_formed() {
+fn scanner_emits_one_fiber_per_reference() {
     let d = gen::sparse_features(10, 10, 0.3, 5, &Format::csr());
-    let refs = vec![idx(0), idx(3), idx(7), s(0), Token::Done];
+    let rows = [0u32, 3, 7];
+    let refs = rows.iter().map(|&r| idx(r)).chain([s(0), Token::Done]).collect();
+    let (mut crd, mut pos) = (Vec::new(), Vec::new());
+    for (n, &r) in rows.iter().enumerate() {
+        for (c, p) in d.level(1).fiber(r as usize) {
+            crd.push(idx(c));
+            pos.push(idx(p as u32));
+        }
+        let stop = s(u8::from(n + 1 == rows.len()));
+        crd.push(stop.clone());
+        pos.push(stop);
+    }
+    crd.push(Token::Done);
+    pos.push(Token::Done);
+    assert!(crd.len() > 5, "the rows hold stored coordinates");
     let out =
         run_node_standalone(NodeKind::LevelScanner { tensor: 0, level: 1 }, vec![refs], vec![d])
             .unwrap();
-    check_well_formed(&out[0], 1).unwrap();
-    check_well_formed(&out[1], 1).unwrap();
+    assert_eq!(out[0], crd);
+    assert_eq!(out[1], pos);
 }
 
 /// Instrumentation consistency: FLOPs equal twice the matched pairs of a

@@ -175,16 +175,6 @@ impl DenseTensor {
         out
     }
 
-    /// 2-D transpose convenience (equivalent to `permute(&[1, 0])`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not 2-dimensional.
-    pub fn transpose(&self) -> Self {
-        assert_eq!(self.order(), 2, "transpose requires a matrix");
-        self.permute(&[1, 0])
-    }
-
     /// Reshapes to a new shape with the same number of elements.
     ///
     /// # Panics
@@ -243,7 +233,7 @@ mod tests {
     #[test]
     fn permute_matrix_is_transpose() {
         let t = DenseTensor::from_vec(vec![2, 3], vec![1., 2., 3., 4., 5., 6.]);
-        let tt = t.transpose();
+        let tt = t.permute(&[1, 0]);
         assert_eq!(tt.shape(), &[3, 2]);
         for i in 0..2 {
             for j in 0..3 {

@@ -209,13 +209,6 @@ pub fn block_mask_tensor(seq: usize, block: usize, kept: &[(Crd, Crd)]) -> Spars
         .expect("mask coords in grid")
 }
 
-/// The sparsity (zero fraction) of a block mask over the full `seq x seq`
-/// element space.
-pub fn block_mask_sparsity(seq: usize, block: usize, kept: &[(Crd, Crd)]) -> f64 {
-    let g = seq / block;
-    1.0 - kept.len() as f64 / (g * g) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,7 +273,7 @@ mod tests {
         for r in 0..g as Crd {
             assert!(kept.contains(&(r, r)));
         }
-        let sp = block_mask_sparsity(256, 32, &kept);
+        let sp = 1.0 - kept.len() as f64 / (g * g) as f64;
         assert!(sp > 0.3 && sp < 0.95, "mask sparsity {sp}");
     }
 

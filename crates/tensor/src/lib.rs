@@ -15,7 +15,7 @@
 //!   real-world datasets (Table 2), preserving shape, sparsity level and
 //!   sparsity structure (uniform, power-law, block-diagonal, BigBird masks,
 //!   magnitude-pruned weights).
-//! * [`mod@reference`] — dense `matmul`, `add` and `mul`, the expected
+//! * [`mod@reference`] — dense `matmul` and `add`, the expected
 //!   results of hand-built test graphs.
 //!
 //! # Example

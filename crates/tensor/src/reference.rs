@@ -1,10 +1,9 @@
 //! Dense reference operators for hand-checked results.
 //!
-//! `matmul`, `add` and `mul` over [`DenseTensor`]s: what the simulator's
-//! tests compare hand-built graphs against, and what the blocked-attention
-//! model's reference is built from. A compiled program is verified against
-//! `fuseflow_core::interp` instead (`pipeline::verify`), which runs the
-//! program itself rather than a fixed set of operators.
+//! `matmul` and `add` over [`DenseTensor`]s: what the simulator's tests
+//! compare hand-built graphs against. A compiled program, blocked or not, is
+//! verified against `fuseflow_core::interp` instead (`pipeline::verify`),
+//! which runs the program itself rather than a fixed set of operators.
 
 use crate::DenseTensor;
 
@@ -40,11 +39,6 @@ pub fn add(a: &DenseTensor, b: &DenseTensor) -> DenseTensor {
     a.zip_map(b, |x, y| x + y)
 }
 
-/// Elementwise (Hadamard) multiplication — also the masking operator.
-pub fn mul(a: &DenseTensor, b: &DenseTensor) -> DenseTensor {
-    a.zip_map(b, |x, y| x * y)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,6 +67,5 @@ mod tests {
         let a = m([1, 3], &[1., -2., 0.]);
         let b = m([1, 3], &[2., 2., 2.]);
         assert_eq!(add(&a, &b).data(), &[3., 0., 2.]);
-        assert_eq!(mul(&a, &b).data(), &[2., -4., 0.]);
     }
 }

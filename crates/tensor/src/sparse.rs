@@ -67,23 +67,10 @@ pub enum Level {
 }
 
 impl Level {
-    /// Number of stored positions (children across all fibers).
-    pub fn positions(&self, parent_positions: usize) -> usize {
-        match self {
-            Level::Dense { size } => parent_positions * size,
-            Level::Compressed { pos, .. } => *pos.last().expect("pos nonempty"),
-        }
-    }
-
     /// Iterates the `(coordinate, child position)` pairs of the fiber under
     /// `parent`.
-    pub fn fiber(&self, parent: usize) -> FiberIter<'_> {
-        match self {
-            Level::Dense { size } => FiberIter::Dense { base: parent * size, next: 0, size: *size },
-            Level::Compressed { pos, crd, .. } => {
-                FiberIter::Compressed { crd, next: pos[parent], end: pos[parent + 1] }
-            }
-        }
+    pub fn fiber(&self, parent: usize) -> impl Iterator<Item = (Crd, usize)> + '_ {
+        (0..self.fiber_len(parent)).map(move |k| self.fiber_entry(parent, k))
     }
 
     /// Number of entries in the fiber under `parent`.
@@ -95,64 +82,13 @@ impl Level {
     }
 
     /// The `k`-th `(coordinate, child position)` pair of the fiber under
-    /// `parent`, for `k < fiber_len(parent)`: what [`fiber`](Self::fiber)
-    /// yields `k`-th, without the iterator.
+    /// `parent`, for `k < fiber_len(parent)`.
     pub fn fiber_entry(&self, parent: usize, k: usize) -> (Crd, usize) {
         match self {
             Level::Dense { size } => (k as Crd, parent * size + k),
             Level::Compressed { pos, crd, .. } => {
                 let p = pos[parent] + k;
                 (crd[p], p)
-            }
-        }
-    }
-}
-
-/// Iterator over one fiber's `(coordinate, child position)` pairs.
-#[derive(Debug, Clone)]
-pub enum FiberIter<'a> {
-    /// Fiber of a dense level.
-    Dense {
-        /// First child position of the fiber.
-        base: usize,
-        /// Next coordinate to yield.
-        next: usize,
-        /// Level size.
-        size: usize,
-    },
-    /// Fiber of a compressed level.
-    Compressed {
-        /// The level's coordinate array.
-        crd: &'a [Crd],
-        /// Next stored position.
-        next: usize,
-        /// One past the last stored position.
-        end: usize,
-    },
-}
-
-impl Iterator for FiberIter<'_> {
-    type Item = (Crd, usize);
-
-    fn next(&mut self) -> Option<(Crd, usize)> {
-        match self {
-            FiberIter::Dense { base, next, size } => {
-                if *next < *size {
-                    let c = *next;
-                    *next += 1;
-                    Some((c as Crd, *base + c))
-                } else {
-                    None
-                }
-            }
-            FiberIter::Compressed { crd, next, end } => {
-                if *next < *end {
-                    let p = *next;
-                    *next += 1;
-                    Some((crd[p], p))
-                } else {
-                    None
-                }
             }
         }
     }
@@ -430,16 +366,6 @@ impl SparseTensor {
         1.0 - self.nnz() as f64 / total as f64
     }
 
-    /// The scalar value at stored position `pos` (innermost level).
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of bounds or if the tensor is blocked.
-    pub fn val(&self, pos: usize) -> f32 {
-        assert!(!self.is_blocked(), "use val_block for blocked tensors");
-        self.vals[pos]
-    }
-
     /// The tile stored at position `pos` for blocked tensors (a single
     /// element slice for scalar tensors).
     pub fn val_block(&self, pos: usize) -> &[f32] {
@@ -459,30 +385,35 @@ impl SparseTensor {
         out
     }
 
-    /// Extracts logical non-zero entries as sorted COO (expanding blocks).
-    pub fn to_coo(&self) -> Vec<CooEntry> {
-        let mut out = Vec::new();
+    /// Visits every stored element with its element-space coordinates, in
+    /// storage order: each coordinate a level stores (all of a dense level's,
+    /// explicit zeros included) and, for a blocked tensor, every element of
+    /// each stored tile, row-major.
+    pub fn for_each_stored(&self, mut f: impl FnMut(&[usize], f32)) {
         let mut coords = vec![0 as Crd; self.order()];
+        let mut elem = vec![0usize; self.order()];
         let [b0, b1] = self.block;
         self.walk(0, 0, &mut coords, &mut |coords, pos, t| {
-            if t.is_blocked() {
-                let tile = t.val_block(pos);
-                for r in 0..b0 {
-                    for c in 0..b1 {
-                        let v = tile[r * b1 + c];
-                        if v != 0.0 {
-                            out.push((
-                                vec![
-                                    coords[0] * b0 as Crd + r as Crd,
-                                    coords[1] * b1 as Crd + c as Crd,
-                                ],
-                                v,
-                            ));
-                        }
-                    }
+            for (k, &v) in t.val_block(pos).iter().enumerate() {
+                for (e, &c) in elem.iter_mut().zip(coords) {
+                    *e = c as usize;
                 }
-            } else if t.vals[pos] != 0.0 {
-                out.push((coords.to_vec(), t.vals[pos]));
+                if t.is_blocked() {
+                    elem[0] = elem[0] * b0 + k / b1;
+                    elem[1] = elem[1] * b1 + k % b1;
+                }
+                f(&elem, v);
+            }
+        });
+    }
+
+    /// Extracts logical non-zero entries as COO in storage order (sorted for
+    /// scalar tensors; tile by tile for blocked ones).
+    pub fn to_coo(&self) -> Vec<CooEntry> {
+        let mut out = Vec::new();
+        self.for_each_stored(|idx, v| {
+            if v != 0.0 {
+                out.push((idx.iter().map(|&x| x as Crd).collect(), v));
             }
         });
         out
@@ -508,10 +439,7 @@ impl SparseTensor {
     /// Converts to a dense tensor of the logical shape.
     pub fn to_dense(&self) -> DenseTensor {
         let mut out = DenseTensor::zeros(self.shape.clone());
-        for (coords, v) in self.to_coo() {
-            let idx: Vec<usize> = coords.iter().map(|&c| c as usize).collect();
-            out.set(&idx, v);
-        }
+        self.for_each_stored(|idx, v| out.set(idx, v));
         out
     }
 
@@ -601,6 +529,9 @@ mod tests {
         let d = sample_dense();
         let s = SparseTensor::from_dense(&d, &Format::dense(2));
         assert_eq!(s.vals().len(), 12);
+        let mut stored = 0;
+        s.for_each_stored(|_, _| stored += 1);
+        assert_eq!(stored, 12);
         assert_eq!(s.to_dense(), d);
     }
 
@@ -610,7 +541,7 @@ mod tests {
         let s = SparseTensor::from_dense(&d, &Format::csr());
         let t = s.permute(&[1, 0], &Format::csr());
         assert_eq!(t.shape(), &[4, 3]);
-        assert_eq!(t.to_dense(), d.transpose());
+        assert_eq!(t.to_dense(), d.permute(&[1, 0]));
     }
 
     #[test]
@@ -642,23 +573,14 @@ mod tests {
     #[test]
     fn fiber_iteration_csr() {
         let s = SparseTensor::from_dense(&sample_dense(), &Format::csr());
-        // Row 0 has entries at columns 0 and 2.
-        let row0: Vec<(Crd, usize)> = s.level(1).fiber(0).collect();
-        assert_eq!(row0.iter().map(|x| x.0).collect::<Vec<_>>(), vec![0, 2]);
-        // Row 1 is empty.
+        let fiber = |lvl: usize, parent| s.level(lvl).fiber(parent).collect::<Vec<(Crd, usize)>>();
+        // The dense row level yields every coordinate.
+        assert_eq!(fiber(0, 0), vec![(0, 0), (1, 1), (2, 2)]);
+        // Row 0 has entries at columns 0 and 2; row 1 is empty; row 2's
+        // positions follow row 0's.
+        assert_eq!(fiber(1, 0), vec![(0, 0), (2, 1)]);
         assert_eq!(s.level(1).fiber_len(1), 0);
-        // Indexed access agrees with iteration, on the dense and the
-        // compressed level.
-        for (lvl, parents) in [(0, 1), (1, 3)] {
-            for parent in 0..parents {
-                let level = s.level(lvl);
-                let fiber: Vec<(Crd, usize)> = level.fiber(parent).collect();
-                assert_eq!(fiber.len(), level.fiber_len(parent));
-                for (k, entry) in fiber.iter().enumerate() {
-                    assert_eq!(level.fiber_entry(parent, k), *entry, "level {lvl}, fiber {parent}");
-                }
-            }
-        }
+        assert_eq!(fiber(1, 2), vec![(0, 2), (3, 3)]);
     }
 
     #[test]
@@ -702,6 +624,13 @@ mod tests {
         assert_eq!(d.get(&[1, 1]), 4.0);
         assert_eq!(d.get(&[2, 3]), -1.0);
         assert_eq!(d.get(&[0, 2]), 0.0);
+        // The stored walk visits every element of both tiles, `tile_b`'s
+        // zero included; `to_coo` keeps the non-zeros.
+        let mut stored = Vec::new();
+        t.for_each_stored(|idx, v| stored.push((idx.to_vec(), v)));
+        assert_eq!(stored.len(), 8);
+        assert_eq!(stored[4], (vec![2, 2], 0.0));
+        assert_eq!(t.to_coo().len(), 7);
     }
 
     #[test]

@@ -8,11 +8,20 @@
 //! with a softmax; the blocked one (`gpt_attention_blocked`, 4 expressions)
 //! is score, mask, exp and AV only. The speedup is not like for like.
 //!
+//! Every run it prints is first verified against the reference interpreter,
+//! so a wrong answer, blocked or not, exits with an error.
+//!
 //! Run with `cargo run --release --example attention_blocking`.
 
-use fuseflow::core::pipeline::{compile, run};
-use fuseflow::models::{gpt_attention, gpt_attention_blocked, Fusion};
-use fuseflow::sim::SimConfig;
+use fuseflow::core::pipeline::compile_run_verify;
+use fuseflow::core::schedule::Schedule;
+use fuseflow::models::{gpt_attention, gpt_attention_blocked, Fusion, ModelInstance};
+use fuseflow::sim::{SimConfig, Stats};
+
+/// Compiles and simulates `m` under `sched`, and verifies its outputs.
+fn checked_run(m: &ModelInstance, sched: &Schedule) -> Result<Stats, Box<dyn std::error::Error>> {
+    Ok(compile_run_verify(&m.program, sched, &m.inputs, &SimConfig::default())?.stats)
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (seq, dh) = (128, 64);
@@ -21,14 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for block in [16usize, 32, 64] {
         let unstructured = gpt_attention(seq, dh, block, 7);
         let blocked = gpt_attention_blocked(seq, dh, block, 7);
-        let cu = {
-            let c = compile(&unstructured.program, &unstructured.schedule(Fusion::Full))?;
-            run(&unstructured.program, &c, &unstructured.inputs, &SimConfig::default())?.stats
-        };
-        let cb = {
-            let c = compile(&blocked.program, &blocked.schedule(Fusion::Full))?;
-            run(&blocked.program, &c, &blocked.inputs, &SimConfig::default())?.stats
-        };
+        let cu = checked_run(&unstructured, &unstructured.schedule(Fusion::Full))?;
+        let cb = checked_run(&blocked, &blocked.schedule(Fusion::Full))?;
         println!(
             "block {block:>2}: unstructured {:>10} cycles | blocked {:>8} cycles | speedup {:>5.1}x",
             cu.cycles,
@@ -44,8 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut base = 0u64;
     for factor in [1usize, 2, 4, 8] {
         let sched = m.schedule(Fusion::Partial).with_parallelization(i_var, factor);
-        let c = compile(&m.program, &sched)?;
-        let stats = run(&m.program, &c, &m.inputs, &SimConfig::default())?.stats;
+        let stats = checked_run(&m, &sched)?;
         if factor == 1 {
             base = stats.cycles;
         }
