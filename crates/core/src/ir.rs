@@ -245,8 +245,10 @@ impl Program {
     /// # Panics
     ///
     /// Panics on an arity mismatch with `op`, inputs that disagree on the
-    /// block, index extents that conflict, or a blocked expression that no
-    /// tile primitive computes. A blocked `Mul` is a tile matmul, so it must
+    /// block, index extents that conflict, a reduced index that indexes no
+    /// input or indexes the output, or a blocked expression that no tile
+    /// primitive computes. A reduction sums over an index the inputs range
+    /// over and the output drops. A blocked `Mul` is a tile matmul, so it must
     /// be exactly `[a, c]·[c, b] → [a, b]` reducing `[c]` over a square
     /// block; every other blocked op works tile by tile in place, so it must
     /// index each input exactly as its output and reduce nothing; a blocked
@@ -274,6 +276,14 @@ impl Program {
         for (t, ixs) in &inputs {
             assert_eq!(self.tensor(*t).block, block, "inputs of '{name}' disagree on the block");
             self.bind_indices(*t, ixs);
+        }
+        for r in &reduce {
+            let in_input = inputs.iter().any(|(_, ixs)| ixs.contains(r));
+            assert!(
+                in_input && !out_indices.contains(r),
+                "'{name}' reduces '{}', which must index an input and not the output",
+                self.index_name(*r)
+            );
         }
         if block != [1, 1] {
             let ixs: Vec<&[IndexVar]> = inputs.iter().map(|(_, ixs)| ixs.as_slice()).collect();
@@ -653,5 +663,26 @@ mod tests {
             p.binary("Sm", AluOp::MulElem, (s, vec![i, j]), (m, vec![i, j]), vec![i, j], csr());
         let e = p.map("E", AluOp::Exp, (sm, vec![i, j]), csr());
         p.contract("O", vec![i, l], vec![(e, vec![i, j]), (q, vec![j, l])], vec![j], csr());
+    }
+
+    /// `z` ranges over nothing, so there is nothing to sum over.
+    #[test]
+    #[should_panic(expected = "'T' reduces 'z', which must index an input and not the output")]
+    fn reducing_an_index_no_input_has_panics() {
+        let mut p = Program::new();
+        let (i, k, z) = (p.index("i"), p.index("k"), p.index("z"));
+        let a = p.input("A", vec![4, 4], Format::csr());
+        let (fmt, sum) = (Format::sparse_vec(), ReduceOp::Sum);
+        p.expr("T", vec![i], vec![(a, vec![i, k])], None, vec![k, z], sum, fmt);
+    }
+
+    /// `T[i,k]` keeps `k`, so it cannot also sum over it.
+    #[test]
+    #[should_panic(expected = "'T' reduces 'k', which must index an input and not the output")]
+    fn reducing_an_output_index_panics() {
+        let mut p = Program::new();
+        let (i, k) = (p.index("i"), p.index("k"));
+        let a = p.input("A", vec![4, 4], Format::csr());
+        p.expr("T", vec![i, k], vec![(a, vec![i, k])], None, vec![k], ReduceOp::Sum, Format::csr());
     }
 }

@@ -9,6 +9,11 @@
 //! [`FusionTable`] records the plan (rows = fused order, columns = tensor
 //! views, cells = primitives or references).
 //!
+//! A view that joins an intermediate above the row where it registers holds
+//! a *forward reference* to its value stream (the table's pointer to a
+//! component not created yet): its edges queue until registration wires
+//! them and replaces every reference still held. No node stands in for it.
+//!
 //! Stream parallelization (Section 7) splits a chosen free row across
 //! `factor` copies of everything below it and merges results with
 //! order-driven serializers; nested splits compose.
@@ -19,12 +24,33 @@ use crate::table::{Cell, FusionTable};
 use fuseflow_sam::{MemLocation, NodeId, NodeKind, SamGraph};
 use std::collections::{BTreeMap, HashMap};
 
-/// A stream handle: an output port of a graph node.
-type H = (NodeId, usize);
+/// A stream handle: an output port of a graph node, or a forward reference
+/// to branch `branch` of the `branches` value streams of region intermediate
+/// `tensor`, which has not registered yet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum H {
+    Port(NodeId, usize),
+    Fwd { tensor: TensorId, branch: usize, branches: usize },
+}
 
 /// Output port `p` of every node.
 fn port(nodes: &[NodeId], p: usize) -> Vec<H> {
-    nodes.iter().map(|&n| (n, p)).collect()
+    nodes.iter().map(|&n| H::Port(n, p)).collect()
+}
+
+/// Why a row between a forward reference and its producer is not split.
+const SPLIT_ACROSS_REFERENCE: &str =
+    "parallelization split between a deferred reference and its producer";
+
+/// `h`, with a forward reference to `t` replaced by its branch of `t`'s
+/// value stream `val` (`split_refusal` keeps the branch counts equal).
+fn resolve(h: H, t: TensorId, val: &[H]) -> Result<H, LowerError> {
+    match h {
+        H::Fwd { tensor, branch, branches } if tensor == t => (branches == val.len())
+            .then(|| val[branch])
+            .ok_or_else(|| LowerError::Unsupported(SPLIT_ACROSS_REFERENCE.into())),
+        _ => Ok(h),
+    }
 }
 
 /// Broadcasts each stream to `factor` consecutive branches (fan-out
@@ -93,7 +119,8 @@ pub struct Lowered {
     pub outputs: Vec<TensorId>,
     /// Parallel directives split, outermost first: `(row, factor)`.
     pub applied: Vec<(GlobalIx, usize)>,
-    /// Parallel directives not split, in the order given.
+    /// Parallel directives not split, in the order given; a compile appends
+    /// those naming a row the region does not iterate.
     pub refused: Vec<Refused>,
 }
 
@@ -158,11 +185,9 @@ struct Ctx<'a> {
     row_crd: BTreeMap<(usize, GlobalIx), Vec<H>>,
     branches: usize,
     splits: Vec<SplitRecord>,
-    /// Deferred payload connections: joins created before their producer's
-    /// value stream exists (the fusion table's not-yet-materialized
-    /// references): (tensor, node, port, branch, branch count at creation).
-    /// Patched at registration time.
-    pending: Vec<(TensorId, NodeId, usize, usize, usize)>,
+    /// Edges from forward references, `(reference, node, port)`, in the
+    /// order they were made; wired when the referenced tensor registers.
+    pending: Vec<(H, NodeId, usize)>,
 }
 
 impl<'a> Ctx<'a> {
@@ -170,8 +195,13 @@ impl<'a> Ctx<'a> {
         &self.region.names[g.0 as usize]
     }
 
+    /// Wires `src` to `port` of `dst`, or queues the edge if `src` is a
+    /// forward reference.
     fn connect(&mut self, src: H, dst: NodeId, port: usize) {
-        self.graph.connect(src.0, src.1, dst, port);
+        match src {
+            H::Port(n, p) => self.graph.connect(n, p, dst, port),
+            H::Fwd { .. } => self.pending.push((src, dst, port)),
+        }
     }
 
     /// Adds one `kind` node per branch, `inputs[p][b]` wired to port `p` of
@@ -193,13 +223,10 @@ impl<'a> Ctx<'a> {
         port(&self.emit(NodeKind::Root, &[]), 0)
     }
 
-    /// Pass-throughs over `crd` whose payload port waits for `t`'s value
-    /// stream, so downstream nodes get a handle before `t` registers.
-    fn defer(&mut self, t: TensorId, crd: &[H]) -> Vec<H> {
-        let pass = self.emit(NodeKind::CrdDrop, &[crd]);
-        let count = self.branches;
-        self.pending.extend(pass.iter().enumerate().map(|(b, &n)| (t, n, 1, b, count)));
-        port(&pass, 1)
+    /// Forward references to every branch of `tensor`'s value stream.
+    fn forward(&self, tensor: TensorId) -> Vec<H> {
+        let branches = self.branches;
+        (0..branches).map(|branch| H::Fwd { tensor, branch, branches }).collect()
     }
 
     fn tensor_name(&self, t: TensorId) -> &str {
@@ -444,7 +471,7 @@ pub fn lower_region(
 /// Why row `g` of `region` cannot be split `factor` ways (Section 7) after
 /// the `applied` splits, if it cannot: a split row is iterated by every
 /// expression, reduced by none and none's innermost, and lies between no
-/// deferred reference and its producer.
+/// forward reference and its producer.
 fn split_refusal(
     region: &FusedRegion,
     rows_of: &[Vec<GlobalIx>],
@@ -472,8 +499,8 @@ fn split_refusal(
         return Some(why);
     }
     // A view joins its in-region producer's values at the view's innermost
-    // row; when the producer registers later (at its last row), the join is
-    // patched branch by branch, so no split may fall in between.
+    // row; when the producer registers later (at its last row), the forward
+    // reference resolves branch by branch, so no split may fall in between.
     for (ei, e) in region.exprs.iter().enumerate() {
         for (t, ixs) in &e.inputs {
             let Some(p) = region.exprs[..ei].iter().position(|pe| pe.output.0 == *t) else {
@@ -481,9 +508,7 @@ fn split_refusal(
             };
             let (Some(inner), Some(last)) = (ixs.last(), rows_of[p].last()) else { continue };
             if (pos[inner]..pos[last]).contains(&pos[&g]) {
-                return Some(
-                    "parallelization split between a deferred reference and its producer".into(),
-                );
+                return Some(SPLIT_ACROSS_REFERENCE.into());
             }
         }
     }
@@ -493,14 +518,8 @@ fn split_refusal(
 /// Creates scanners/joins for views owning row `g` within expression `ei`.
 fn owner_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx, ri: usize) -> Result<(), LowerError> {
     let view_ids = ctx.expr_views[ei].clone();
-    #[derive(Clone, PartialEq)]
-    enum Pay {
-        None,
-        Ready(Vec<H>),
-        Pending(TensorId),
-    }
     // Contributions: (view id, crd streams, payload, inter-non-innermost)
-    let mut contribs: Vec<(usize, Vec<H>, Pay, bool)> = Vec::new();
+    let mut contribs = Vec::new();
     for vid in view_ids {
         let v = &ctx.views[vid];
         if !v.ixs.contains(&g) {
@@ -537,7 +556,7 @@ fn owner_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx, ri: usize) -> Resul
                     );
                 }
                 ctx.views[vid].next = level + 1;
-                contribs.push((vid, port(&ls, 0), Pay::Ready(port(&ls, 1)), false));
+                contribs.push((vid, port(&ls, 0), Some(port(&ls, 1)), false));
             }
             ViewKind::Inter => {
                 let tensor = ctx.views[vid].tensor;
@@ -552,9 +571,7 @@ fn owner_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx, ri: usize) -> Resul
                                 "intermediate joined on a non-registered row".into(),
                             ));
                         };
-                        let payload =
-                            if g == innermost { Pay::Ready(prod.val.clone()) } else { Pay::None };
-                        (crd.clone(), payload)
+                        (crd.clone(), (g == innermost).then(|| prod.val.clone()))
                     }
                     None => {
                         let prod_ei = ctx
@@ -569,9 +586,8 @@ fn owner_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx, ri: usize) -> Resul
                             ));
                         };
                         // A reduce-output consumed above its producer's
-                        // innermost row: defer the value connection.
-                        let payload = if g == innermost { Pay::Pending(tensor) } else { Pay::None };
-                        (crd.clone(), payload)
+                        // innermost row: its values are forward references.
+                        (crd.clone(), (g == innermost).then(|| ctx.forward(tensor)))
                     }
                 };
                 let non_innermost = g != innermost;
@@ -608,16 +624,8 @@ fn owner_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx, ri: usize) -> Resul
     for next in contribs {
         if acc.1 == next.1 {
             // Same stream (e.g. numerator/denominator of a softmax): no
-            // join node needed; payloads stay independent. Pending values
-            // still need a passthrough handle to defer onto.
-            match &next.2 {
-                Pay::Ready(p) => update_view_stream(ctx, next.0, Some(p.clone()), next.3),
-                Pay::Pending(t) => {
-                    let outs = ctx.defer(*t, &next.1);
-                    update_view_stream(ctx, next.0, Some(outs), next.3);
-                }
-                Pay::None => {}
-            }
+            // join node needed; payloads stay independent.
+            update_view_stream(ctx, next.0, next.2);
             continue;
         }
         let mut next = next;
@@ -633,51 +641,34 @@ fn owner_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx, ri: usize) -> Resul
             NodeKind::Intersect
         };
         let mut crd_out = Vec::with_capacity(ctx.branches);
-        let mut pa_out = (acc.2 != Pay::None).then(|| Vec::with_capacity(ctx.branches));
-        let mut pb_out = (next.2 != Pay::None).then(|| Vec::with_capacity(ctx.branches));
+        let mut pa_out = acc.2.is_some().then(|| Vec::with_capacity(ctx.branches));
+        let mut pb_out = next.2.is_some().then(|| Vec::with_capacity(ctx.branches));
         for b in 0..ctx.branches {
             let j = ctx.graph.add_node(kind.clone());
             ctx.connect(acc.1[b], j, 0);
-            match &acc.2 {
-                Pay::Ready(pa) => ctx.connect(pa[b], j, 1),
-                Pay::Pending(t) => ctx.pending.push((*t, j, 1, b, ctx.branches)),
-                Pay::None => {}
+            if let Some(pa) = &acc.2 {
+                ctx.connect(pa[b], j, 1);
             }
             ctx.connect(next.1[b], j, 2);
-            match &next.2 {
-                Pay::Ready(pb) => ctx.connect(pb[b], j, 3),
-                Pay::Pending(t) => ctx.pending.push((*t, j, 3, b, ctx.branches)),
-                Pay::None => {}
+            if let Some(pb) = &next.2 {
+                ctx.connect(pb[b], j, 3);
             }
-            crd_out.push((j, 0));
+            crd_out.push(H::Port(j, 0));
             if let Some(v) = &mut pa_out {
-                v.push((j, 1));
+                v.push(H::Port(j, 1));
             }
             if let Some(v) = &mut pb_out {
-                v.push((j, 2));
+                v.push(H::Port(j, 2));
             }
         }
-        update_view_stream(ctx, acc.0, pa_out.clone(), acc.3);
-        update_view_stream(ctx, next.0, pb_out.clone(), next.3);
-        acc.2 = match pa_out {
-            Some(v) => Pay::Ready(v),
-            None => Pay::None,
-        };
+        update_view_stream(ctx, acc.0, pa_out.clone());
+        update_view_stream(ctx, next.0, pb_out);
         let col = ctx.views[acc.0].col;
         ctx.table.set(ri, col, Cell::Prim(format!("{}_{}", kind.name(), ctx.name(g))));
-        acc = (acc.0, crd_out, acc.2.clone(), false);
+        acc = (acc.0, crd_out, pa_out, false);
     }
-    // Single contribution: its payload becomes the view's stream; pending
-    // single payloads thread through a passthrough (CrdDrop) pair so
-    // downstream nodes get a handle now.
-    match &acc.2 {
-        Pay::Ready(p) => update_view_stream(ctx, acc.0, Some(p.clone()), acc.3),
-        Pay::Pending(t) => {
-            let outs = ctx.defer(*t, &acc.1);
-            update_view_stream(ctx, acc.0, Some(outs), acc.3);
-        }
-        Pay::None => {}
-    }
+    // The folded payload becomes the view's stream.
+    update_view_stream(ctx, acc.0, acc.2);
     ctx.row_crd.insert((ei, g), acc.1);
 
     // Views that just finished their last level fetch values eagerly.
@@ -702,19 +693,13 @@ fn owner_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx, ri: usize) -> Resul
     Ok(())
 }
 
-fn update_view_stream(ctx: &mut Ctx<'_>, vid: usize, payload: Option<Vec<H>>, non_innermost: bool) {
+/// A joined payload becomes the view's stream: an input's child references,
+/// or an intermediate's values (it has a payload only at its innermost row).
+fn update_view_stream(ctx: &mut Ctx<'_>, vid: usize, payload: Option<Vec<H>>) {
     if let Some(p) = payload {
-        match ctx.views[vid].kind {
-            ViewKind::Input { .. } => {
-                ctx.views[vid].stream = p;
-            }
-            ViewKind::Inter => {
-                if !non_innermost {
-                    ctx.views[vid].stream = p;
-                    ctx.views[vid].is_val = true;
-                }
-            }
-        }
+        let v = &mut ctx.views[vid];
+        v.stream = p;
+        v.is_val |= v.kind == ViewKind::Inter;
     }
 }
 
@@ -738,7 +723,7 @@ fn apply_split(ctx: &mut Ctx<'_>, g: GlobalIx, factor: usize) -> Result<(), Lowe
     // A parallelizer's sub-branch `s` leaves on ports `2s` (crd) and `2s + 1`
     // (payload).
     let fan = |ps: &[NodeId], off: usize| -> Vec<H> {
-        ps.iter().flat_map(|&p| (0..factor).map(move |s| (p, 2 * s + off))).collect()
+        ps.iter().flat_map(|&p| (0..factor).map(move |s| H::Port(p, 2 * s + off))).collect()
     };
 
     // Split per-expression row crds together with each 1:1 owner stream
@@ -836,12 +821,8 @@ fn repeat_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx, ri: usize) -> Resu
             }
         }
         // Broadcast the current stream (refs before the first own level,
-        // refs mid-scan, or values past the last level).
-        let base = ctx.views[vid].stream.clone();
-        if base.len() != ctx.branches && base.len() == 1 {
-            // Stream predates a split; broadcast-replicate.
-            ctx.views[vid].stream = vec![base[0]; ctx.branches];
-        }
+        // refs mid-scan, or values past the last level); `apply_split` has
+        // replicated it across every split so far.
         let base = std::mem::take(&mut ctx.views[vid].stream);
         ctx.views[vid].stream = port(&ctx.emit(NodeKind::Repeat, &[&base, &rc]), 0);
         let col = ctx.views[vid].col;
@@ -932,25 +913,19 @@ fn finish_expr(ctx: &mut Ctx<'_>, ei: usize, out_col: usize) -> Result<(), Lower
             crd_override.get(ix).cloned().unwrap_or_else(|| ctx.row_crd[&(ei, *ix)].clone());
         crd.insert(*ix, streams);
     }
-    // Resolve deferred payload connections now that the value stream
-    // exists (branch counts must match: `split_refusal` refuses a split
-    // between the deferred join and this registration).
+    // Resolve the forward references to `t` now that its value stream
+    // exists: wire its queued edges in order (the others queue again), then
+    // replace every handle still held.
     let t = e.output.0;
-    let mut remaining = Vec::new();
-    for (pt, node, port, b, count) in std::mem::take(&mut ctx.pending) {
-        if pt == t {
-            if count != ctx.branches {
-                return Err(LowerError::Unsupported(
-                    "parallelization split between a deferred reference and its producer".into(),
-                ));
-            }
-            ctx.connect(val[b], node, port);
-        } else {
-            remaining.push((pt, node, port, b, count));
-        }
+    for (src, node, port) in std::mem::take(&mut ctx.pending) {
+        let src = resolve(src, t, &val)?;
+        ctx.connect(src, node, port);
     }
-    ctx.pending = remaining;
-    ctx.produced.insert(e.output.0, Produced { structure, crd, val });
+    let held = ctx.views.iter_mut().flat_map(|v| &mut v.stream);
+    for h in held.chain(ctx.produced.values_mut().flat_map(|p| &mut p.val)) {
+        *h = resolve(*h, t, &val)?;
+    }
+    ctx.produced.insert(t, Produced { structure, crd, val });
     Ok(())
 }
 
@@ -996,7 +971,7 @@ fn merge_branches(
                 ctx.connect(*h, ser, b);
             }
             ctx.connect(order_crd[gidx.min(order_crd.len() - 1)], ser, factor);
-            merged.push((ser, 0));
+            merged.push(H::Port(ser, 0));
         }
         streams = merged;
         if streams.len() == 1 {

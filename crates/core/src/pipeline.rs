@@ -14,7 +14,7 @@
 use crate::fusion::{fuse_region, FuseError};
 use crate::interp::{interpret, InterpError};
 use crate::ir::{IndexVar, Program};
-use crate::lower::{lower_region, LowerError, LowerOptions, Lowered};
+use crate::lower::{lower_region, LowerError, LowerOptions, Lowered, Refused};
 use crate::schedule::Schedule;
 use fuseflow_sam::MemLocation;
 use fuseflow_sim::{simulate, SimConfig, SimError, Stats, TensorEnv};
@@ -210,7 +210,8 @@ fn checked_regions(program: &Program, schedule: &Schedule) -> Result<Vec<Range<u
 }
 
 /// Fuses and lowers region `r` of `program`, resolving the schedule's
-/// parallel directives onto its global index space.
+/// parallel directives onto its global index space. A directive on a row the
+/// region does not iterate is refused after those the lowering decides.
 fn lower_fresh(
     program: &Program,
     schedule: &Schedule,
@@ -218,11 +219,22 @@ fn lower_fresh(
     location: MemLocation,
 ) -> Result<Lowered, LowerError> {
     let region = fuse_region(program, r.clone())?;
-    let parallelize = (schedule.parallelize.iter())
-        .filter_map(|&(var, factor)| Some((region.global_for_program_var(var)?, factor)))
-        .collect();
+    let (mut parallelize, mut absent) = (Vec::new(), Vec::new());
+    for &(var, factor) in &schedule.parallelize {
+        match region.global_for_program_var(var) {
+            Some(g) => parallelize.push((g, factor)),
+            None if factor != 1 => absent.push(Refused {
+                row: program.index_name(var).into(),
+                factor,
+                reason: "row is not iterated in this region".into(),
+            }),
+            None => {}
+        }
+    }
     let opts = LowerOptions { parallelize, location };
-    lower_region(program, &region, &program.live_outs(r), &opts)
+    let mut lowered = lower_region(program, &region, &program.live_outs(r), &opts)?;
+    lowered.refused.extend(absent);
+    Ok(lowered)
 }
 
 /// Everything a region's lowering reads besides the program: its
@@ -445,5 +457,19 @@ mod tests {
             }
         }
         assert_eq!(p.memo.lowerings.load(Ordering::Relaxed), 21);
+    }
+
+    /// Unfused, the second layer's regions iterate `o` and `h2`, not `h`: a
+    /// directive on `h` is refused there by name, not dropped.
+    #[test]
+    fn a_directive_on_a_row_a_region_does_not_iterate_is_refused() {
+        let p = sae_shaped();
+        let h = p.exprs()[0].output.indices[0];
+        let compiled = compile(&p, &Schedule::unfused().with_parallelization(h, 2)).unwrap();
+        let reason = "row is not iterated in this region".to_string();
+        let absent = Refused { row: "h".into(), factor: 2, reason };
+        for (i, low) in compiled.lowered.iter().enumerate() {
+            assert_eq!(low.refused.contains(&absent), i >= 3, "region {i}: {:?}", low.refused);
+        }
     }
 }

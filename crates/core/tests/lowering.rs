@@ -4,7 +4,9 @@
 use fuseflow_core::fusion::{FuseError, FusedRegion, GlobalIx};
 use fuseflow_core::ir::{AluOp, Program, ReduceOp, TensorId};
 use fuseflow_core::lower::{lower_region, LowerError, LowerOptions, Refused};
-use fuseflow_core::pipeline::{compile, compile_at, compile_with, Compiled, PipelineError};
+use fuseflow_core::pipeline::{
+    compile, compile_at, compile_run_verify, compile_with, Compiled, PipelineError,
+};
 use fuseflow_core::schedule::Schedule;
 use fuseflow_core::{fuse_region, Cell};
 use fuseflow_models::{
@@ -12,9 +14,11 @@ use fuseflow_models::{
     sae, Fusion, GraphDataset, ModelInstance, GRAPH_DATASETS, SAE_DATASETS,
 };
 use fuseflow_sam::{MemLocation, NodeId, NodeKind};
-use fuseflow_tensor::gen::GraphPattern;
+use fuseflow_sim::SimConfig;
+use fuseflow_tensor::gen::{adjacency, GraphPattern};
 use fuseflow_tensor::Format;
 use fuseflow_verify::{Code, Level, VerifyConfig};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Barrier;
 
@@ -190,6 +194,58 @@ fn recomputation_scope_duplicates_iteration_under_consumer_rows() {
     // intermediate against the consumer's scanner.
     let hist = low.graph.kind_histogram();
     assert!(hist.contains_key("UnionLeft"));
+}
+
+/// The softmax tail `E = exp(S); Dn[i] = Σ_j E[i,j]; P = E / Dn[i]`, fully
+/// fused: `P` joins `Dn` at row `i`, before `Dn` registers at row `j`. That
+/// forward reference is an edge, so the `Reduce` producing `Dn` feeds the
+/// `Repeat` that broadcasts it over `j` directly.
+#[test]
+fn a_forward_reference_is_an_edge_to_its_producer() {
+    let mut p = Program::new();
+    let (i, j) = (p.index("i"), p.index("j"));
+    let s = p.input("S", vec![8, 8], Format::csr());
+    let e = p.map("E", AluOp::Exp, (s, vec![i, j]), Format::csr());
+    let dn = p.reduce("Dn", (e, vec![i, j]), vec![j], ReduceOp::Sum, Format::dense_vec());
+    let pr = p.binary("P", AluOp::Div, (e, vec![i, j]), (dn, vec![i]), vec![i, j], Format::csr());
+    p.mark_output(pr);
+    let compiled = compile(&p, &Schedule::full()).unwrap();
+    let g = &compiled.lowered[0].graph;
+    let reduces: Vec<NodeId> = (0..g.node_count())
+        .map(NodeId)
+        .filter(|&n| matches!(g.node(n), NodeKind::Reduce { .. }))
+        .collect();
+    let [reduce] = reduces[..] else { panic!("one Reduce, got {reduces:?}") };
+    let fed: Vec<_> = g.out_edges(reduce).map(|e| (g.node(e.dst.node), e.dst.port)).collect();
+    assert_eq!(fed, [(&NodeKind::Repeat, 0)]);
+
+    let scores = adjacency(8, 0.4, GraphPattern::Uniform, 7, &Format::csr());
+    let inputs = HashMap::from([("S".to_string(), scores)]);
+    compile_run_verify(&p, &Schedule::full(), &inputs, &SimConfig::default()).unwrap();
+}
+
+/// `Y[i] = X[i]` passes `X`'s values through, so `Y` registers at row `i`
+/// holding forward references, before `X` registers at row `j`. They
+/// resolve too: `Y`'s writer reads `X`'s `Reduce`.
+#[test]
+fn a_forward_reference_held_by_a_registered_tensor_resolves() {
+    let mut p = Program::new();
+    let (i, j) = (p.index("i"), p.index("j"));
+    let a = p.input("A", vec![8, 8], Format::csr());
+    let x = p.reduce("X", (a, vec![i, j]), vec![j], ReduceOp::Sum, Format::dense_vec());
+    let y =
+        p.expr("Y", vec![i], vec![(x, vec![i])], None, vec![], ReduceOp::Sum, Format::dense_vec());
+    p.mark_output(y);
+    let compiled = compile(&p, &Schedule::full()).unwrap();
+    let g = &compiled.lowered[0].graph;
+    let writer =
+        (0..g.node_count()).map(NodeId).find(|&n| g.node(n) == &NodeKind::ValWriter { output: 0 });
+    let src = g.in_edge(writer.expect("Y's writer"), 0).expect("a connected writer").src.node;
+    assert!(matches!(g.node(src), NodeKind::Reduce { .. }), "{:?}", g.node(src));
+
+    let adj = adjacency(8, 0.4, GraphPattern::Uniform, 7, &Format::csr());
+    let inputs = HashMap::from([("A".to_string(), adj)]);
+    compile_run_verify(&p, &Schedule::full(), &inputs, &SimConfig::default()).unwrap();
 }
 
 #[test]
@@ -592,23 +648,23 @@ const GRAPHS_PINNED: &[(&str, &str, u64)] = &[
     ("sae", "partial", 0x164b8299886e83c8),
     ("sae", "full", 0x1f1e941fcebfdf46),
     ("gcn", "unfused", 0x09eaa4e69ed83116),
-    ("gcn", "partial", 0xc8aa357b7471ff93),
-    ("gcn", "full", 0x70de1567186d95d7),
+    ("gcn", "partial", 0xb666baee53b267e8),
+    ("gcn", "full", 0x173d861113b8a2f2),
     ("gcn_composed", "unfused", 0x08e59052d732831d),
-    ("gcn_composed", "partial", 0x5c86679ad89280e8),
-    ("gcn_composed", "full", 0xf283dadc546e7df8),
+    ("gcn_composed", "partial", 0x9e943b947af60a11),
+    ("gcn_composed", "full", 0x3afb4fa789a681c8),
     ("graphsage", "unfused", 0xe6c20b432afb1b23),
-    ("graphsage", "partial", 0x3ec23b4dc4ab7496),
-    ("graphsage", "full", 0x3d683d4dffe90270),
+    ("graphsage", "partial", 0xb8c1fd7b793a2149),
+    ("graphsage", "full", 0x74e84d0ac7309fa9),
     ("gpt_attention", "unfused", 0x7ce9f86a5d954801),
-    ("gpt_attention", "partial", 0x876033892ac665a8),
-    ("gpt_attention", "full", 0x4112a8c2dea61b06),
+    ("gpt_attention", "partial", 0xd573a7ece0a4a0db),
+    ("gpt_attention", "full", 0xa47d164cbda993bc),
     ("gpt_attention_blocked", "unfused", 0x13d71596037744ea),
     ("gpt_attention_blocked", "partial", 0x6da380c2d2b8b261),
     ("gpt_attention_blocked", "full", 0x0216c7379da54da9),
     ("gpt_decoder", "unfused", 0x6ea90c11ac274e58),
-    ("gpt_decoder", "partial", 0x9f333f96866b283d),
-    ("gpt_decoder", "full", 0x5dd7c39dd13133af),
+    ("gpt_decoder", "partial", 0xecd6482ec38044e6),
+    ("gpt_decoder", "full", 0x50b827217424ba63),
     ("map_stack", "unfused", 0x4824acea934085a3),
     ("map_stack", "partial", 0xf258ff6413b595ac),
     ("map_stack", "full", 0xeddafa93aad0daef),

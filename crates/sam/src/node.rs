@@ -208,16 +208,6 @@ pub enum NodeKind {
         /// Reduction operator.
         op: ReduceOp,
     },
-    /// Drops coordinates whose inner fiber is empty (tensor-construction
-    /// region). Functionally the writers tolerate empty fibers; this node
-    /// exists for structural fidelity and costs pipeline cycles.
-    ///
-    /// The engine forwards each port independently, so the lowering also
-    /// uses it as a latency-bearing passthrough whose port 1 carries an
-    /// arbitrary payload stream (e.g. deferred values).
-    ///
-    /// Inputs: `0: outer crd`, `1: inner payload (any kind)`. Outputs mirror the inputs.
-    CrdDrop,
     /// Writes the coordinates of one output level.
     ///
     /// Inputs: `0: crd`.
@@ -304,7 +294,6 @@ impl NodeKind {
             }
             NodeKind::Reduce { .. } => vec![req(Val)],
             NodeKind::Spacc1 { .. } => vec![req(Crd), req(Val)],
-            NodeKind::CrdDrop => vec![req(Crd), req_any()],
             NodeKind::CrdWriter { .. } => vec![req(Crd)],
             NodeKind::ValWriter { .. } => vec![req(Val)],
             NodeKind::Parallelizer { .. } => vec![req(Crd), opt_any()],
@@ -330,7 +319,6 @@ impl NodeKind {
             NodeKind::Alu { .. } => vec![req(Val)],
             NodeKind::Reduce { .. } => vec![req(Val)],
             NodeKind::Spacc1 { .. } => vec![req(Crd), req(Val)],
-            NodeKind::CrdDrop => vec![req(Crd), opt_any()],
             NodeKind::CrdWriter { .. } | NodeKind::ValWriter { .. } => vec![],
             NodeKind::Parallelizer { factor } => {
                 let mut v = Vec::new();
@@ -357,7 +345,6 @@ impl NodeKind {
             NodeKind::Alu { op } => format!("ALU[{op:?}]"),
             NodeKind::Reduce { op } => format!("Reduce[{op:?}]"),
             NodeKind::Spacc1 { op } => format!("Spacc1[{op:?}]"),
-            NodeKind::CrdDrop => "CrdDrop".into(),
             NodeKind::CrdWriter { output, level } => format!("CrdWriter[o{output}.l{level}]"),
             NodeKind::ValWriter { output } => format!("ValWriter[o{output}]"),
             NodeKind::Parallelizer { factor } => format!("Par[{factor}]"),

@@ -56,9 +56,9 @@ pub(crate) enum JoinMode {
 /// parameters and its state, built once from the graph's [`NodeKind`]. Root
 /// counts the tokens of `[Ref(0), Done]` it has emitted, Repeat holds the
 /// loaded base element, Array the tile it loaded for each stored position of
-/// a blocked tensor (a position read again reuses it), CrdDrop which port has
-/// forwarded its `Done`, a writer the stream it received (for the output
-/// rebuild), and Par the branch the next element goes to.
+/// a blocked tensor (a position read again reuses it), a writer the stream it
+/// received (for the output rebuild), and Par the branch the next element goes
+/// to.
 #[derive(Debug)]
 pub(crate) enum Prim {
     Root { emitted: u8 },
@@ -69,7 +69,6 @@ pub(crate) enum Prim {
     Alu { op: AluOp },
     Reduce { op: ReduceOp, acc: Option<Pay> },
     Spacc { op: ReduceOp, map: BTreeMap<u32, Pay> },
-    CrdDrop { done: [bool; 2] },
     CrdWriter { output: usize, level: usize, tokens: Vec<Tok> },
     ValWriter { output: usize, tokens: Vec<Tok> },
     Par { factor: usize, rr: usize },
@@ -134,7 +133,6 @@ impl Rt {
             NodeKind::Alu { op } => Prim::Alu { op },
             NodeKind::Reduce { op } => Prim::Reduce { op, acc: None },
             NodeKind::Spacc1 { op } => Prim::Spacc { op, map: BTreeMap::new() },
-            NodeKind::CrdDrop => Prim::CrdDrop { done: [false; 2] },
             NodeKind::CrdWriter { output, level } => {
                 Prim::CrdWriter { output, level, tokens: Vec::new() }
             }
@@ -243,7 +241,6 @@ impl Rt {
             Prim::Alu { op } => io.act_alu(ctx, *op),
             Prim::Reduce { op, acc } => io.act_reduce(ctx, *op, acc),
             Prim::Spacc { op, map } => io.act_spacc(ctx, *op, map),
-            Prim::CrdDrop { done } => io.act_crddrop(ctx, done),
             Prim::CrdWriter { output, tokens, .. } | Prim::ValWriter { output, tokens } => {
                 io.act_writer(ctx, *output, tokens)
             }
@@ -882,22 +879,6 @@ impl Io {
             (x, y) => return self.fail(format_args!("spacc stream misalignment: {x:?} vs {y:?}")),
         }
         Ok(true)
-    }
-
-    fn act_crddrop(&mut self, ctx: &mut Ctx, done: &mut [bool; 2]) -> Act {
-        let mut progress = false;
-        for port in 0..2 {
-            if self.peek(ctx, port).is_some() {
-                let tok = self.pop(ctx, port);
-                done[port] |= tok == Tok::Done;
-                self.emit(ctx, port, tok);
-                if done[0] && done[1] {
-                    self.done = true;
-                }
-                progress = true;
-            }
-        }
-        Ok(progress)
     }
 
     fn act_writer(&mut self, ctx: &mut Ctx, output: usize, tokens: &mut Vec<Tok>) -> Act {

@@ -660,20 +660,20 @@ const TIGHT_PINNED: &[(&str, &str, &str, [End; 4])] = &[
     ("sae/sae", "full", "onchip", [C(15267), C(8738), C(6946), C(4933)]),
     ("gcn/tiny", "unfused", "dram", [D(197), C(35627), C(30627), C(21076)]),
     ("gcn/tiny", "unfused", "onchip", [D(65), C(4714), C(4091), C(3431)]),
-    ("gcn/tiny", "partial", "dram", [D(197), D(2097), D(1612), C(11188)]),
-    ("gcn/tiny", "partial", "onchip", [D(65), D(298), D(234), C(1740)]),
-    ("gcn/tiny", "full", "dram", [D(201), D(38175), D(29430), C(76374)]),
-    ("gcn/tiny", "full", "onchip", [D(69), D(4057), D(3050), C(12010)]),
+    ("gcn/tiny", "partial", "dram", [D(197), D(2097), D(1612), C(11187)]),
+    ("gcn/tiny", "partial", "onchip", [D(65), D(298), D(234), C(1739)]),
+    ("gcn/tiny", "full", "dram", [D(201), D(38175), D(29430), C(76373)]),
+    ("gcn/tiny", "full", "onchip", [D(69), D(4057), D(3050), C(12009)]),
     ("graphsage/tiny", "unfused", "dram", [D(193), C(54758), C(46084), C(30305)]),
     ("graphsage/tiny", "unfused", "onchip", [D(51), C(6885), C(5953), C(4915)]),
-    ("graphsage/tiny", "partial", "dram", [D(657), D(2025), D(2238), C(10666)]),
-    ("graphsage/tiny", "partial", "onchip", [D(74), D(301), D(283), C(1659)]),
-    ("graphsage/tiny", "full", "dram", [D(663), D(36395), D(40290), C(76871)]),
-    ("graphsage/tiny", "full", "onchip", [D(80), D(3927), D(4114), C(11981)]),
+    ("graphsage/tiny", "partial", "dram", [D(657), D(2025), D(2238), C(10664)]),
+    ("graphsage/tiny", "partial", "onchip", [D(74), D(301), D(283), C(1657)]),
+    ("graphsage/tiny", "full", "dram", [D(663), D(36395), D(40290), C(76869)]),
+    ("graphsage/tiny", "full", "onchip", [D(80), D(3927), D(4114), C(11979)]),
     ("bigbird-attn/b4", "unfused", "dram", [C(13153), C(10729), C(9618), C(8036)]),
     ("bigbird-attn/b4", "unfused", "onchip", [C(1792), C(1427), C(1351), C(1250)]),
-    ("bigbird-attn/b4", "partial", "dram", [D(85), D(487), D(489), D(871)]),
-    ("bigbird-attn/b4", "partial", "onchip", [D(21), D(68), D(73), D(138)]),
+    ("bigbird-attn/b4", "partial", "dram", [D(85), D(487), D(489), D(870)]),
+    ("bigbird-attn/b4", "partial", "onchip", [D(21), D(68), D(73), D(137)]),
     ("bigbird-attn/b4", "full", "dram", [D(85), D(287), D(343), D(1926)]),
     ("bigbird-attn/b4", "full", "onchip", [D(21), D(53), D(56), D(302)]),
     ("map_stack_16x9", "unfused", "dram", [C(6255), C(6246), C(6237), C(6183)]),
@@ -699,16 +699,16 @@ const TOKENS_PINNED: &[(&str, &str, &str, u64, usize, u64, u64)] = &[
     ("sae/sae", "full", "onchip", 4933, 25, 30091, 0x7c9ae9f0902f5868),
     ("gcn/tiny", "unfused", "dram", 20416, 22, 17740, 0xa11346a7e91874f1),
     ("gcn/tiny", "unfused", "onchip", 3425, 22, 17740, 0xa11346a7e91874f1),
-    ("gcn/tiny", "full", "dram", 73148, 36, 101851, 0x1182a57e9c0ec463),
-    ("gcn/tiny", "full", "onchip", 11930, 36, 101851, 0x1182a57e9c0ec463),
+    ("gcn/tiny", "full", "dram", 73147, 35, 101835, 0x67fed847bee10a8e),
+    ("gcn/tiny", "full", "onchip", 11929, 35, 101835, 0x67fed847bee10a8e),
     ("graphsage/tiny", "unfused", "dram", 29493, 22, 26131, 0x6b04c28359099f9c),
     ("graphsage/tiny", "unfused", "onchip", 4907, 22, 26131, 0x6b04c28359099f9c),
-    ("graphsage/tiny", "full", "dram", 73581, 40, 150642, 0x6c4eb379a2237603),
-    ("graphsage/tiny", "full", "onchip", 11869, 40, 150642, 0x6c4eb379a2237603),
+    ("graphsage/tiny", "full", "dram", 73579, 39, 150610, 0x8073cc3d285e7b10),
+    ("graphsage/tiny", "full", "onchip", 11867, 39, 150610, 0x8073cc3d285e7b10),
     ("bigbird-attn/b4", "unfused", "dram", 7992, 22, 6606, 0x9beaf7f02cb15011),
     ("bigbird-attn/b4", "unfused", "onchip", 1250, 22, 6606, 0x9beaf7f02cb15011),
-    ("bigbird-attn/b4", "full", "dram", 3021, 29, 4604, 0x14f503525cae5243),
-    ("bigbird-attn/b4", "full", "onchip", 482, 29, 4604, 0x14f503525cae5243),
+    ("bigbird-attn/b4", "full", "dram", 3019, 28, 4588, 0x2078d1e429c0ebe4),
+    ("bigbird-attn/b4", "full", "onchip", 480, 28, 4588, 0x2078d1e429c0ebe4),
     ("map_stack_16x9", "unfused", "dram", 6183, 9, 4005, 0x4b39db6532a96617),
     ("map_stack_16x9", "unfused", "onchip", 972, 9, 4005, 0x4b39db6532a96617),
     ("map_stack_16x9", "full", "dram", 695, 9, 973, 0xf6a648acf8b4c664),

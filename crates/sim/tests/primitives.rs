@@ -313,16 +313,6 @@ fn blocked_array_and_matmul_alu() {
     assert_eq!(p.data(), &[7., 10., 15., 22.]);
 }
 
-#[test]
-fn crddrop_passes_streams_through() {
-    let outer = vec![idx(0), s(0), D];
-    let inner = vec![idx(1), idx(2), s(1), D];
-    let out =
-        run_node_standalone(NodeKind::CrdDrop, vec![outer.clone(), inner.clone()], vec![]).unwrap();
-    assert_eq!(out[0], outer);
-    assert_eq!(out[1], inner);
-}
-
 /// A `Stop(255)` into a scanner has no deeper stop to become.
 #[test]
 fn scanner_stop_past_255_is_a_typed_error() {

@@ -90,8 +90,7 @@ fn step_summary(kind: &NodeKind, in_port: usize, opts: &VerifyOptions) -> Option
     let lo = opts.fiber_lo.unwrap_or(0);
     let hi = opts.fiber_hi;
     Some(match kind {
-        NodeKind::Array { .. } | NodeKind::CrdDrop => SAME,
-        NodeKind::Alu { .. } => SAME,
+        NodeKind::Array { .. } | NodeKind::Alu { .. } => SAME,
         NodeKind::Repeat => {
             if in_port == 0 {
                 // Base side: one element fans out over a whole rep fiber.

@@ -167,18 +167,6 @@ pub(crate) fn check_depths(
                     }
                 }
             }
-            NodeKind::CrdDrop => {
-                // Per-port independent passthrough (the engine never holds
-                // one port for the other), so no cross-port depth
-                // constraint: the lowering legitimately routes a deferred
-                // payload of unrelated depth through port 1.
-                if let Some(o) = in_depth(&depths, n, 0) {
-                    depths.insert((n, 0), o);
-                }
-                if let Some(i) = in_depth(&depths, n, 1) {
-                    depths.insert((n, 1), i);
-                }
-            }
             NodeKind::CrdWriter { .. } | NodeKind::ValWriter { .. } => {}
             NodeKind::Parallelizer { factor } => {
                 let c = in_depth(&depths, n, 0);

@@ -310,7 +310,7 @@ fn random_valid_graph(rng: &mut Lcg, nodes: usize) -> SamGraph {
             0 => NodeKind::Root,
             1 | 2 => NodeKind::LevelScanner { tensor: t, level: rng.below(2) },
             3 => NodeKind::Array { tensor: t },
-            4 => NodeKind::Repeat,
+            4 | 13 => NodeKind::Repeat,
             5 => NodeKind::Intersect,
             6 => NodeKind::Union,
             7 => NodeKind::UnionLeft,
@@ -318,7 +318,6 @@ fn random_valid_graph(rng: &mut Lcg, nodes: usize) -> SamGraph {
             9 | 10 => NodeKind::Alu { op: AluOp::Add },
             11 => NodeKind::Reduce { op: ReduceOp::Sum },
             12 => NodeKind::Spacc1 { op: ReduceOp::Sum },
-            13 => NodeKind::CrdDrop,
             14 => NodeKind::Parallelizer { factor: 2 },
             _ => NodeKind::Serializer { factor: 2, depth: 0 },
         };
