@@ -246,8 +246,8 @@ impl Program {
     ///
     /// Panics on an arity mismatch with `op`, inputs that disagree on the
     /// block, index extents that conflict, a reduced index that indexes no
-    /// input or indexes the output, or a blocked expression that no tile
-    /// primitive computes. A reduction sums over an index the inputs range
+    /// input, indexes the output or is listed twice, or a blocked expression
+    /// that no tile primitive computes. A reduction sums over an index the inputs range
     /// over and the output drops. A blocked `Mul` is a tile matmul, so it must
     /// be exactly `[a, c]·[c, b] → [a, b]` reducing `[c]` over a square
     /// block; every other blocked op works tile by tile in place, so it must
@@ -277,13 +277,14 @@ impl Program {
             assert_eq!(self.tensor(*t).block, block, "inputs of '{name}' disagree on the block");
             self.bind_indices(*t, ixs);
         }
-        for r in &reduce {
+        for (n, r) in reduce.iter().enumerate() {
             let in_input = inputs.iter().any(|(_, ixs)| ixs.contains(r));
             assert!(
                 in_input && !out_indices.contains(r),
                 "'{name}' reduces '{}', which must index an input and not the output",
                 self.index_name(*r)
             );
+            assert!(!reduce[..n].contains(r), "'{name}' reduces '{}' twice", self.index_name(*r));
         }
         if block != [1, 1] {
             let ixs: Vec<&[IndexVar]> = inputs.iter().map(|(_, ixs)| ixs.as_slice()).collect();
@@ -684,5 +685,17 @@ mod tests {
         let (i, k) = (p.index("i"), p.index("k"));
         let a = p.input("A", vec![4, 4], Format::csr());
         p.expr("T", vec![i, k], vec![(a, vec![i, k])], None, vec![k], ReduceOp::Sum, Format::csr());
+    }
+
+    /// Each listed index lowers to one reducer, so `k` listed twice would
+    /// sum over `i` as well.
+    #[test]
+    #[should_panic(expected = "'T' reduces 'k' twice")]
+    fn reducing_an_index_twice_panics() {
+        let mut p = Program::new();
+        let (i, k) = (p.index("i"), p.index("k"));
+        let a = p.input("A", vec![4, 4], Format::csr());
+        let (fmt, sum) = (Format::sparse_vec(), ReduceOp::Sum);
+        p.expr("T", vec![i], vec![(a, vec![i, k])], None, vec![k, k], sum, fmt);
     }
 }

@@ -9,7 +9,8 @@
 //! factored iteration, and stream parallelizer/serializer pairs.
 //!
 //! The graphs are abstract — decoupled from any particular accelerator —
-//! and are executed by `fuseflow-sim`'s cycle-level backends.
+//! and are executed by `fuseflow-sim`'s cycle-level backends, which own the
+//! stream tokens the graphs carry at run time.
 //!
 //! # Example
 //!
@@ -29,8 +30,6 @@
 
 mod graph;
 mod node;
-mod token;
 
 pub use graph::{Edge, GraphError, NodeId, OutputSlot, Port, SamGraph, TensorSlot};
-pub use node::{AluOp, MemLocation, NodeKind, PortSig, ReduceOp};
-pub use token::{Block, Payload, StreamKind, Token};
+pub use node::{AluOp, MemLocation, NodeKind, PortSig, ReduceOp, StreamKind};

@@ -1,7 +1,5 @@
 //! SAMML dataflow node kinds and their port signatures.
 
-use crate::StreamKind;
-
 /// Scalar/block operations performed by [`NodeKind::Alu`] nodes.
 ///
 /// The first group are SAM's tensor-algebra ops; the second group are the
@@ -163,12 +161,13 @@ pub enum NodeKind {
     /// ports optional). Outputs: `0: crd`, `1: payloadA`, `2: payloadB`.
     Intersect,
     /// Coordinate union of two streams (disjunctive merge, for addition).
-    /// Missing sides produce [`crate::Payload::Empty`].
+    /// Missing sides produce the empty payload (`Payload::Empty` of
+    /// `fuseflow-sim`).
     ///
     /// Ports as [`NodeKind::Intersect`].
     Union,
     /// Left-outer coordinate merge: emits exactly the left side's
-    /// coordinates, with the right payload or [`crate::Payload::Empty`].
+    /// coordinates, with the right payload or the empty payload.
     /// Used when joining a *streamed intermediate* (left) at a
     /// non-innermost level: the intermediate's deeper fibers stay aligned
     /// while absent right-side operands contribute zeros.
@@ -250,6 +249,28 @@ pub enum NodeKind {
         /// Nesting depth of one round-robin unit.
         depth: u8,
     },
+}
+
+/// The kind of data a stream carries, used for graph validation and
+/// visualization (solid/dashed/double arrows in the paper's figures).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum StreamKind {
+    /// Coordinate stream.
+    Crd,
+    /// Reference (position) stream.
+    Ref,
+    /// Value stream.
+    Val,
+}
+
+impl std::fmt::Display for StreamKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StreamKind::Crd => write!(f, "crd"),
+            StreamKind::Ref => write!(f, "ref"),
+            StreamKind::Val => write!(f, "val"),
+        }
+    }
 }
 
 /// A port signature: stream kind plus whether connection is required.

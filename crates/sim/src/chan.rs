@@ -1,6 +1,6 @@
 //! Bounded token channels and the per-step context a node sees.
 //!
-//! A channel holds one-word [`Tok`]s (`tok.rs`): a peek or a pop copies
+//! A channel holds one-word [`Token`]s (`tok.rs`): a peek or a pop copies
 //! eight bytes out of the buffer, and the tiles those tokens name live in
 //! the context's [`Tiles`] for the whole run.
 
@@ -8,7 +8,7 @@ use crate::dram::Dram;
 use crate::engine::SimConfig;
 use crate::sched::ReadySet;
 use crate::stats::SchedCounters;
-use crate::tok::{Tiles, Tok};
+use crate::tok::{Tiles, Token};
 use fuseflow_sam::{OutputSlot, TensorSlot};
 use fuseflow_tensor::SparseTensor;
 use std::collections::VecDeque;
@@ -29,7 +29,7 @@ pub(crate) const NO_NODE: u32 = u32::MAX;
 /// may produce more than a channel holds; they leave at the same rate).
 #[derive(Debug)]
 pub(crate) struct Chan {
-    pub(crate) buf: VecDeque<Tok>,
+    pub(crate) buf: VecDeque<Token>,
     /// Length of the reader-visible prefix of `buf`.
     pub(crate) visible: usize,
     pub(crate) cap: usize,
@@ -54,13 +54,13 @@ impl Chan {
 
     /// A harness input channel (no writer node) with every token already
     /// visible to the node of rank 0.
-    pub(crate) fn seeded(toks: impl IntoIterator<Item = Tok>, deep: bool) -> Self {
-        let buf: VecDeque<Tok> = toks.into_iter().collect();
+    pub(crate) fn seeded(toks: impl IntoIterator<Item = Token>, deep: bool) -> Self {
+        let buf: VecDeque<Token> = toks.into_iter().collect();
         Chan { visible: buf.len(), buf, cap: usize::MAX, reader: 0, writer: NO_NODE, deep }
     }
 
     /// The `idx`-th token the reader can see.
-    pub(crate) fn get(&self, idx: usize) -> Option<Tok> {
+    pub(crate) fn get(&self, idx: usize) -> Option<Token> {
         if idx < self.visible {
             self.buf.get(idx).copied()
         } else {
@@ -151,7 +151,7 @@ impl<'a> Ctx<'a> {
     /// Pops the head token; wakes the channel's writer only on the full ->
     /// not-full transition (a writer can only be flush-blocked on a
     /// channel that is at capacity).
-    pub(crate) fn pop_chan(&mut self, c: usize) -> Tok {
+    pub(crate) fn pop_chan(&mut self, c: usize) -> Token {
         let ch = &mut self.chans[c];
         assert!(ch.visible > 0, "pop from empty channel");
         let was_full = ch.is_full();
@@ -205,16 +205,16 @@ mod tests {
     fn staged_token_is_not_peekable_until_published() {
         let cfg = SimConfig::default();
         let mut ctx = Ctx::bare(vec![Chan::new(2, 0, 1, false)], &cfg, 2);
-        ctx.chans[0].buf.extend([Tok::idx(7), Tok::Stop(0), Tok::Done]);
+        ctx.chans[0].buf.extend([Token::idx(7), Token::Stop(0), Token::Done]);
         assert_eq!(ctx.chans[0].get(0), None, "staged, not sent");
         assert!(!ctx.chans[0].is_full(), "staged tokens do not count against the capacity");
         ctx.publish(0);
-        assert_eq!(ctx.chans[0].get(0), Some(Tok::idx(7)));
+        assert_eq!(ctx.chans[0].get(0), Some(Token::idx(7)));
         assert_eq!(ctx.chans[0].get(1), None, "the stop behind it is still staged");
         ctx.publish(0);
         assert!(ctx.chans[0].is_full());
-        assert_eq!(ctx.pop_chan(0), Tok::idx(7));
-        assert_eq!(ctx.chans[0].get(0), Some(Tok::Stop(0)));
+        assert_eq!(ctx.pop_chan(0), Token::idx(7));
+        assert_eq!(ctx.chans[0].get(0), Some(Token::Stop(0)));
         assert_eq!(ctx.chans[0].get(1), None, "a pop shows no more than was published");
         assert_eq!(ctx.chans[0].buf.len(), 2);
     }
@@ -224,7 +224,7 @@ mod tests {
     fn pop_refuses_a_staged_token() {
         let cfg = SimConfig::default();
         let mut ctx = Ctx::bare(vec![Chan::new(2, 0, 1, false)], &cfg, 2);
-        ctx.chans[0].buf.push_back(Tok::Done);
+        ctx.chans[0].buf.push_back(Token::Done);
         ctx.pop_chan(0);
     }
 
@@ -238,7 +238,7 @@ mod tests {
         let chans = vec![Chan::new(2, 0, 2, false), Chan::new(2, 1, 3, true)];
         let mut ctx = Ctx::bare(chans, &cfg, 4);
         for c in 0..2 {
-            ctx.chans[c].buf.extend([Tok::idx(0), Tok::idx(1)]);
+            ctx.chans[c].buf.extend([Token::idx(0), Token::idx(1)]);
             ctx.publish(c);
         }
         assert_eq!(ctx.cur.pop_ge(0), Some(2));

@@ -52,10 +52,10 @@
 //! # A token is a word
 //!
 //! Channels, staged tokens, in-flight memory and writer streams hold the
-//! simulator's own 8-byte `Copy` token (`tok.rs`), whose tile payload is a
-//! handle into the run's tile table; a public [`Token`] is built only when
-//! writer streams are rebuilt into outputs and at the edges of
-//! [`run_node_standalone`]. A node-level result carries its error boxed, so
+//! 8-byte `Copy` [`Token`] (`tok.rs`), whose tile payload is a handle into
+//! the run's tile table. The writers' streams and the tile table are handed
+//! to the output rebuild as they are, and [`run_node_standalone`] takes and
+//! returns the same tokens. A node-level result carries its error boxed, so
 //! a step returns in two registers; [`simulate`] unboxes it.
 
 use crate::chan::{Chan, Ctx, NO_NODE};
@@ -64,9 +64,9 @@ use crate::node::{reads_past_head, Prim, Rt};
 use crate::rebuild::assemble_output;
 use crate::run::{run_event, run_standalone, run_sweep};
 use crate::stats::Stats;
-use crate::tok::Tok;
+use crate::tok::{Tiles, Token};
 use crate::TimingConfig;
-use fuseflow_sam::{GraphError, MemLocation, NodeId, NodeKind, SamGraph, TensorSlot, Token};
+use fuseflow_sam::{GraphError, MemLocation, NodeId, NodeKind, SamGraph, TensorSlot};
 use fuseflow_tensor::SparseTensor;
 use std::collections::HashMap;
 
@@ -327,18 +327,15 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
     };
 
     // Per-label token counts and the writers' recorded streams, moved out of
-    // the nodes in one pass; a writer's stream becomes public tokens here.
+    // the nodes in one pass.
     let mut crd_streams: Vec<Vec<Option<Vec<Token>>>> =
         graph.outputs().iter().map(|slot| vec![None; slot.format.order()]).collect();
     let mut val_streams: Vec<Option<Vec<Token>>> = vec![None; graph.outputs().len()];
-    let export = |tokens: Vec<Tok>| Some(tokens.into_iter().map(|t| ctx.tiles.export(t)).collect());
     for rt in nodes {
         *stats.node_tokens.entry(rt.io.label).or_insert(0) += rt.io.elems;
         match rt.prim {
-            Prim::CrdWriter { output, level, tokens } => {
-                crd_streams[output][level] = export(tokens)
-            }
-            Prim::ValWriter { output, tokens } => val_streams[output] = export(tokens),
+            Prim::CrdWriter { output, level, tokens } => crd_streams[output][level] = Some(tokens),
+            Prim::ValWriter { output, tokens } => val_streams[output] = Some(tokens),
             _ => {}
         }
     }
@@ -356,7 +353,7 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
             .collect::<Result<_, _>>()?;
         let vals =
             vals.ok_or(SimError::Rebuild(format!("output '{}' missing value writer", slot.name)))?;
-        let t = assemble_output(slot, &crds, &vals).map_err(SimError::Rebuild)?;
+        let t = assemble_output(slot, &crds, &vals, &ctx.tiles).map_err(SimError::Rebuild)?;
         outputs.insert(slot.name.clone(), t);
     }
 
@@ -366,21 +363,32 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
 /// Runs a single node in isolation on literal input streams. Intended for
 /// unit and property tests of primitive semantics.
 ///
-/// `inputs[p]` feeds input port `p` (empty vector = unconnected). Returns
-/// one token vector per output port.
+/// `inputs[p]` feeds input port `p` (empty vector = unconnected). A tile
+/// payload is a handle into `tiles`, and the tiles the node makes are left
+/// there. Returns one token vector per output port.
 ///
 /// # Errors
 ///
-/// Propagates [`SimError`] exactly like [`simulate`].
+/// [`SimError::Config`] if `inputs` does not hold one stream per input port
+/// or a token names a tile `tiles` does not hold; otherwise as [`simulate`].
 pub fn run_node_standalone(
     kind: NodeKind,
     inputs: Vec<Vec<Token>>,
     tensors: Vec<SparseTensor>,
+    tiles: &mut Tiles,
 ) -> Result<Vec<Vec<Token>>, SimError> {
     let cfg = SimConfig::default();
     let n_in = kind.input_ports().len();
     let n_out = kind.output_ports().len();
-    assert_eq!(inputs.len(), n_in, "one input stream per port (empty = unconnected)");
+    if inputs.len() != n_in {
+        return Err(SimError::Config(format!(
+            "{kind:?} takes {n_in} input streams (empty = unconnected), got {}",
+            inputs.len()
+        )));
+    }
+    if let Some(t) = inputs.iter().flatten().find(|&&t| !tiles.holds(t)) {
+        return Err(SimError::Config(format!("{t:?} names a tile the table does not hold")));
+    }
 
     // Every tensor on chip, so the DRAM channel is never asked.
     let slots: Vec<TensorSlot> = (0..tensors.len())
@@ -388,12 +396,10 @@ pub fn run_node_standalone(
         .collect();
     let mut ctx =
         Ctx::new(Vec::new(), Dram::new(1e9, 0, 0), tensors.iter().collect(), &slots, &[], &cfg, 1);
-    // The literal streams become the run's tokens (their tiles its first
-    // tiles) on the way in, and public tokens again on the way out.
+    ctx.tiles = std::mem::take(tiles);
     let mut in_chans = vec![None; n_in];
-    for (p, toks) in inputs.iter().enumerate() {
+    for (p, toks) in inputs.into_iter().enumerate() {
         if !toks.is_empty() {
-            let toks: Vec<Tok> = toks.iter().map(|t| ctx.tiles.import(t)).collect();
             ctx.chans.push(Chan::seeded(toks, reads_past_head(&kind, p)));
             in_chans[p] = Some(ctx.chans.len() - 1);
         }
@@ -408,9 +414,8 @@ pub fn run_node_standalone(
     }
 
     let mut rt = Rt::new(&kind, "standalone".into(), in_chans, out_chans, &cfg.timing);
-    run_standalone(&mut rt, &mut ctx, 10_000_000).map_err(|e| *e)?;
-    Ok(capture
-        .into_iter()
-        .map(|c| ctx.chans[c].buf.iter().map(|&t| ctx.tiles.export(t)).collect())
-        .collect())
+    let ran = run_standalone(&mut rt, &mut ctx, 10_000_000);
+    *tiles = std::mem::take(&mut ctx.tiles);
+    ran.map_err(|e| *e)?;
+    Ok(capture.into_iter().map(|c| ctx.chans[c].buf.iter().copied().collect()).collect())
 }

@@ -13,8 +13,9 @@
 //! clock, one DRAM channel and one set of counters, whether or not its
 //! kernels are connected to each other. The sources split as `node.rs`
 //! (node state machines), `chan.rs` (channels and the machine context a step
-//! sees), `tok.rs` (the one-word token the channels hold, and the run's tile
-//! table), `run.rs` (the run loops and their determinism arguments) and
+//! sees), `tok.rs` (the one-word stream [`Token`] that channels hold and
+//! [`run_node_standalone`] takes, and the [`Tiles`] table its tile payloads
+//! index), `run.rs` (the run loops and their determinism arguments) and
 //! `engine.rs` (`simulate` assembly).
 //!
 //! Two timing backends implement the paper's §8.2 validation methodology:
@@ -54,5 +55,5 @@ pub use dram::{AccessKind, Dram};
 pub use engine::{
     run_node_standalone, simulate, Scheduler, SimConfig, SimError, SimResult, TensorEnv,
 };
-pub use rebuild::{assemble_output, streams_to_entries};
 pub use stats::{SchedCounters, Stats};
+pub use tok::{Block, Payload, Tile, Tiles, Token};

@@ -4,7 +4,7 @@
 //! tokens, initiation interval and counters). [`Rt::step`] runs one cycle;
 //! the action it takes is an `Io::act_*` handed exactly its variant's fields.
 //!
-//! Tokens are one-word `Copy` values ([`Tok`]): an action peeks copies of its
+//! Tokens are one-word `Copy` values ([`Token`]): an action peeks copies of its
 //! input heads, decides, then pops and emits, and a tile operand is read
 //! through its handle in `ctx.tiles`. The error path is kept off the step's
 //! return: a node-level result carries a `Box<SimError>` (16 bytes, returned
@@ -13,9 +13,9 @@
 use crate::chan::{Ctx, StepOutcome};
 use crate::dram::AccessKind;
 use crate::engine::SimError;
-use crate::tok::{Pay, Tile, Tok};
+use crate::tok::{Block, Payload, Tile, Token};
 use crate::TimingConfig;
-use fuseflow_sam::{AluOp, Block, MemLocation, NodeKind, ReduceOp};
+use fuseflow_sam::{AluOp, MemLocation, NodeKind, ReduceOp};
 use fuseflow_tensor::Level;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -63,14 +63,14 @@ pub(crate) enum JoinMode {
 pub(crate) enum Prim {
     Root { emitted: u8 },
     Scan { tensor: usize, level: usize, st: ScanState },
-    Repeat { base: Option<Pay> },
+    Repeat { base: Option<Payload> },
     Join(JoinMode),
     Array { tensor: usize, loaded: Vec<Option<Tile>> },
     Alu { op: AluOp },
-    Reduce { op: ReduceOp, acc: Option<Pay> },
-    Spacc { op: ReduceOp, map: BTreeMap<u32, Pay> },
-    CrdWriter { output: usize, level: usize, tokens: Vec<Tok> },
-    ValWriter { output: usize, tokens: Vec<Tok> },
+    Reduce { op: ReduceOp, acc: Option<Payload> },
+    Spacc { op: ReduceOp, map: BTreeMap<u32, Payload> },
+    CrdWriter { output: usize, level: usize, tokens: Vec<Token> },
+    ValWriter { output: usize, tokens: Vec<Token> },
     Par { factor: usize, rr: usize },
     Ser { factor: usize, depth: u8, st: SerState },
 }
@@ -103,7 +103,7 @@ pub(crate) struct Io {
     /// [`flush_phase`](Self::flush_phase): "anything staged?" is asked
     /// three times a step and must not walk the ports.
     n_staged: usize,
-    pub(crate) pending_mem: VecDeque<(Tok, u64, usize)>,
+    pub(crate) pending_mem: VecDeque<(Token, u64, usize)>,
     pub(crate) busy_until: u64,
     ii_extra: u64,
     pub(crate) done: bool,
@@ -275,31 +275,31 @@ impl Io {
 
     /// The coordinate a crd-port element carries; any other payload there is
     /// an error.
-    fn crd(&self, p: Pay) -> Step<u32> {
+    fn crd(&self, p: Payload) -> Step<u32> {
         match p {
-            Pay::Idx(i) => Ok(i),
+            Payload::Idx(i) => Ok(i),
             other => self.fail(format_args!("coordinate port received {other:?}")),
         }
     }
 
     /// `Stop(k + by)`, or an error if that level does not fit a stop token.
-    fn deeper(&self, k: u8, by: u8) -> Step<Tok> {
+    fn deeper(&self, k: u8, by: u8) -> Step<Token> {
         match k.checked_add(by) {
-            Some(k) => Ok(Tok::Stop(k)),
+            Some(k) => Ok(Token::Stop(k)),
             None => self.fail(format_args!("stop level {k} + {by} exceeds 255")),
         }
     }
 
     // -- channel access ----------------------------------------------------
 
-    fn peek(&self, ctx: &Ctx, port: usize) -> Option<Tok> {
+    fn peek(&self, ctx: &Ctx, port: usize) -> Option<Token> {
         self.in_chans[port].and_then(|c| ctx.chans[c].get(0))
     }
 
     /// The `idx`-th visible token of an input. Looking past the head is what
     /// [`reads_past_head`] declares: such a channel wakes this node on every
     /// publish, any other only when it stops being empty.
-    fn peek_at(&self, ctx: &Ctx, port: usize, idx: usize) -> Option<Tok> {
+    fn peek_at(&self, ctx: &Ctx, port: usize, idx: usize) -> Option<Token> {
         let ch = &ctx.chans[self.in_chans[port]?];
         debug_assert!(
             idx == 0 || ch.deep,
@@ -313,7 +313,7 @@ impl Io {
         self.in_chans[port].is_some()
     }
 
-    fn pop(&self, ctx: &mut Ctx, port: usize) -> Tok {
+    fn pop(&self, ctx: &mut Ctx, port: usize) -> Token {
         let c = self.in_chans[port].expect("pop from unconnected port");
         ctx.pop_chan(c)
     }
@@ -323,7 +323,7 @@ impl Io {
     /// [`flush_phase`](Self::flush_phase) sends it. An element on a connected
     /// port counts towards [`elems`](Self::elems) here, once, whatever the
     /// fan-out.
-    fn emit(&mut self, ctx: &mut Ctx, port: usize, tok: Tok) {
+    fn emit(&mut self, ctx: &mut Ctx, port: usize, tok: Token) {
         let out = &mut self.outs[port];
         out.staged += 1;
         self.n_staged += 1;
@@ -337,7 +337,7 @@ impl Io {
 
     /// Pops a coordinate-side token together with its payload companion (if
     /// the payload port is connected); returns the payload token.
-    fn pop_side(&self, ctx: &mut Ctx, crd_port: usize, pay_port: usize) -> Option<Tok> {
+    fn pop_side(&self, ctx: &mut Ctx, crd_port: usize, pay_port: usize) -> Option<Token> {
         let _crd = self.pop(ctx, crd_port);
         if self.connected(pay_port) {
             Some(self.pop(ctx, pay_port))
@@ -393,11 +393,11 @@ impl Io {
         match *emitted {
             0 => {
                 *emitted = 1;
-                self.emit(ctx, 0, Tok::idx(0));
+                self.emit(ctx, 0, Token::idx(0));
             }
             1 => {
                 *emitted = 2;
-                self.emit(ctx, 0, Tok::Done);
+                self.emit(ctx, 0, Token::Done);
                 self.done = true;
             }
             _ => return Ok(false),
@@ -426,16 +426,16 @@ impl Io {
                 };
                 let (c, p) = lvl.fiber_entry(s.parent, s.fidx);
                 s.fidx += 1;
-                self.pending_mem.push_back((Tok::idx(c), ready, 0));
-                self.pending_mem.push_back((Tok::idx(p as u32), ready, 1));
+                self.pending_mem.push_back((Token::idx(c), ready, 0));
+                self.pending_mem.push_back((Token::idx(p as u32), ready, 1));
                 return Ok(true);
             }
             // Fiber boundary (stops flow through the in-order pending
             // queue so they never overtake memory-delayed elements).
             let Some(head) = self.peek(ctx, 0) else { return Ok(false) };
             let stop = match head {
-                Tok::Elem(_) | Tok::Done => Tok::Stop(0),
-                Tok::Stop(k) => {
+                Token::Elem(_) | Token::Done => Token::Stop(0),
+                Token::Stop(k) => {
                     let stop = self.deeper(k, 1)?;
                     self.pop(ctx, 0);
                     stop
@@ -451,7 +451,7 @@ impl Io {
         // Idle: load the next fiber or forward boundaries.
         let Some(head) = self.peek(ctx, 0) else { return Ok(false) };
         match head {
-            Tok::Elem(Pay::Idx(r)) => {
+            Token::Elem(Payload::Idx(r)) => {
                 let parent = r as usize;
                 if matches!(lvl, Level::Compressed { pos, .. } if parent + 1 >= pos.len()) {
                     return self
@@ -464,41 +464,41 @@ impl Io {
                 }
                 *s = ScanState { parent, len: lvl.fiber_len(parent), fidx: 0, emitting: true };
             }
-            Tok::Elem(Pay::Empty) => {
+            Token::Elem(Payload::Empty) => {
                 self.pop(ctx, 0);
                 // An empty reference scans to an empty fiber.
                 *s = ScanState { emitting: true, ..ScanState::default() };
             }
-            Tok::Elem(other) => {
+            Token::Elem(other) => {
                 return self.fail(format_args!("scanner received payload {other:?}"))
             }
-            Tok::Stop(k) => {
+            Token::Stop(k) => {
                 let stop = self.deeper(k, 1)?;
                 self.pop(ctx, 0);
                 let now = ctx.now;
                 self.pending_mem.push_back((stop, now, 0));
                 self.pending_mem.push_back((stop, now, 1));
             }
-            Tok::Done => {
+            Token::Done => {
                 self.pop(ctx, 0);
                 let now = ctx.now;
-                self.pending_mem.push_back((Tok::Done, now, 0));
-                self.pending_mem.push_back((Tok::Done, now, 1));
+                self.pending_mem.push_back((Token::Done, now, 0));
+                self.pending_mem.push_back((Token::Done, now, 1));
                 self.done = true;
             }
         }
         Ok(true)
     }
 
-    fn act_repeat(&mut self, ctx: &mut Ctx, base: &mut Option<Pay>) -> Act {
+    fn act_repeat(&mut self, ctx: &mut Ctx, base: &mut Option<Payload>) -> Act {
         let Some(rep_head) = self.peek(ctx, 1) else { return Ok(false) };
         match rep_head {
-            Tok::Elem(_) => {
+            Token::Elem(_) => {
                 let p = match *base {
                     Some(p) => p,
                     None => {
                         let p = match self.peek(ctx, 0) {
-                            Some(Tok::Elem(p)) => p,
+                            Some(Token::Elem(p)) => p,
                             Some(other) => {
                                 return self.fail(format_args!(
                                     "repeat expected base element, found {other:?}"
@@ -512,23 +512,23 @@ impl Io {
                     }
                 };
                 self.pop(ctx, 1);
-                self.emit(ctx, 0, Tok::Elem(p));
+                self.emit(ctx, 0, Token::Elem(p));
             }
-            Tok::Stop(k) => {
+            Token::Stop(k) => {
                 // Close the pairing: discard the base element for this rep
                 // fiber (it may be unloaded if the fiber was empty), then
                 // consume the aligned base stop for k >= 1.
                 let mut base_idx = 0usize;
                 if base.is_none() {
                     match self.peek_at(ctx, 0, base_idx) {
-                        Some(Tok::Elem(_)) => base_idx += 1, // will discard
+                        Some(Token::Elem(_)) => base_idx += 1, // will discard
                         Some(_) => {}
                         None => return Ok(false),
                     }
                 }
                 if k >= 1 {
                     match self.peek_at(ctx, 0, base_idx) {
-                        Some(Tok::Stop(bk)) if bk == k - 1 => base_idx += 1,
+                        Some(Token::Stop(bk)) if bk == k - 1 => base_idx += 1,
                         Some(other) => {
                             return self.fail(format_args!(
                                 "repeat base misaligned: rep Stop({k}) vs base {other:?}"
@@ -543,11 +543,11 @@ impl Io {
                     self.pop(ctx, 0);
                 }
                 *base = None;
-                self.emit(ctx, 0, Tok::Stop(k));
+                self.emit(ctx, 0, Token::Stop(k));
             }
-            Tok::Done => {
+            Token::Done => {
                 match self.peek(ctx, 0) {
-                    Some(Tok::Done) => {}
+                    Some(Token::Done) => {}
                     Some(other) => {
                         return self
                             .fail(format_args!("repeat base should be Done, found {other:?}"))
@@ -556,7 +556,7 @@ impl Io {
                 }
                 self.pop(ctx, 1);
                 self.pop(ctx, 0);
-                self.emit(ctx, 0, Tok::Done);
+                self.emit(ctx, 0, Token::Done);
                 self.done = true;
             }
         }
@@ -570,14 +570,14 @@ impl Io {
         if !self.side_ready(ctx, 1) || !self.side_ready(ctx, 3) {
             return Ok(false);
         }
-        let empty = Tok::Elem(Pay::Empty);
+        let empty = Token::Elem(Payload::Empty);
         match (a, b) {
-            (Tok::Elem(ca), Tok::Elem(cb)) => {
+            (Token::Elem(ca), Token::Elem(cb)) => {
                 let (ia, ib) = (self.crd(ca)?, self.crd(cb)?);
                 if ia == ib {
                     let pa = self.pop_side(ctx, 0, 1);
                     let pb = self.pop_side(ctx, 2, 3);
-                    self.emit(ctx, 0, Tok::idx(ia));
+                    self.emit(ctx, 0, Token::idx(ia));
                     if let Some(t) = pa {
                         self.emit(ctx, 1, t);
                     }
@@ -591,7 +591,7 @@ impl Io {
                         }
                         JoinMode::Union | JoinMode::UnionLeft => {
                             let pa = self.pop_side(ctx, 0, 1);
-                            self.emit(ctx, 0, Tok::idx(ia));
+                            self.emit(ctx, 0, Token::idx(ia));
                             if let Some(t) = pa {
                                 self.emit(ctx, 1, t);
                             }
@@ -605,7 +605,7 @@ impl Io {
                         }
                         JoinMode::Union => {
                             let pb = self.pop_side(ctx, 2, 3);
-                            self.emit(ctx, 0, Tok::idx(ib));
+                            self.emit(ctx, 0, Token::idx(ib));
                             self.emit(ctx, 1, empty);
                             if let Some(t) = pb {
                                 self.emit(ctx, 2, t);
@@ -614,49 +614,49 @@ impl Io {
                     }
                 }
             }
-            (Tok::Elem(ca), Tok::Stop(_)) => match mode {
+            (Token::Elem(ca), Token::Stop(_)) => match mode {
                 JoinMode::Intersect => {
                     let _ = self.pop_side(ctx, 0, 1);
                 }
                 JoinMode::Union | JoinMode::UnionLeft => {
                     let ia = self.crd(ca)?;
                     let pa = self.pop_side(ctx, 0, 1);
-                    self.emit(ctx, 0, Tok::idx(ia));
+                    self.emit(ctx, 0, Token::idx(ia));
                     if let Some(t) = pa {
                         self.emit(ctx, 1, t);
                     }
                     self.emit(ctx, 2, empty);
                 }
             },
-            (Tok::Stop(_), Tok::Elem(cb)) => match mode {
+            (Token::Stop(_), Token::Elem(cb)) => match mode {
                 JoinMode::Intersect | JoinMode::UnionLeft => {
                     let _ = self.pop_side(ctx, 2, 3);
                 }
                 JoinMode::Union => {
                     let ib = self.crd(cb)?;
                     let pb = self.pop_side(ctx, 2, 3);
-                    self.emit(ctx, 0, Tok::idx(ib));
+                    self.emit(ctx, 0, Token::idx(ib));
                     self.emit(ctx, 1, empty);
                     if let Some(t) = pb {
                         self.emit(ctx, 2, t);
                     }
                 }
             },
-            (Tok::Stop(ka), Tok::Stop(kb)) => {
+            (Token::Stop(ka), Token::Stop(kb)) => {
                 if ka != kb {
                     return self.fail(format_args!("join stop mismatch: {ka} vs {kb}"));
                 }
                 let _ = self.pop_side(ctx, 0, 1);
                 let _ = self.pop_side(ctx, 2, 3);
                 for q in 0..3 {
-                    self.emit(ctx, q, Tok::Stop(ka));
+                    self.emit(ctx, q, Token::Stop(ka));
                 }
             }
-            (Tok::Done, Tok::Done) => {
+            (Token::Done, Token::Done) => {
                 let _ = self.pop_side(ctx, 0, 1);
                 let _ = self.pop_side(ctx, 2, 3);
                 for q in 0..3 {
-                    self.emit(ctx, q, Tok::Done);
+                    self.emit(ctx, q, Token::Done);
                 }
                 self.done = true;
             }
@@ -673,7 +673,7 @@ impl Io {
         let t = ctx.tensors[tensor];
         let in_dram = ctx.tensor_slots[tensor].location == MemLocation::Dram;
         match head {
-            Tok::Elem(Pay::Idx(r)) => {
+            Token::Elem(Payload::Idx(r)) => {
                 let (r, n) = (r as usize, t.block_len());
                 let Some(vals) = t.vals().get(r * n..(r + 1) * n) else {
                     let stored = t.stored_positions();
@@ -688,35 +688,37 @@ impl Io {
                     }
                     let tile = *loaded[r]
                         .get_or_insert_with(|| ctx.tiles.put(Block::new(b0, b1, vals.to_vec())));
-                    (Pay::Blk(tile), (b0 * b1 * 4) as u64)
+                    (Payload::Blk(tile), (b0 * b1 * 4) as u64)
                 } else {
-                    (Pay::F(vals[0]), 4)
+                    (Payload::F(vals[0]), 4)
                 };
                 let ready = if in_dram {
                     ctx.dram.request(ctx.now, bytes, AccessKind::Random, false)
                 } else {
                     ctx.now
                 };
-                self.pending_mem.push_back((Tok::Elem(payload), ready, 0));
+                self.pending_mem.push_back((Token::Elem(payload), ready, 0));
             }
-            Tok::Elem(Pay::Empty) => {
+            Token::Elem(Payload::Empty) => {
                 self.pop(ctx, 0);
                 let payload = if t.is_blocked() {
                     let [b0, b1] = t.block();
-                    Pay::Blk(ctx.tiles.put(Block::zeros(b0, b1)))
+                    Payload::Blk(ctx.tiles.put(Block::new(b0, b1, vec![0.0; b0 * b1])))
                 } else {
-                    Pay::F(0.0)
+                    Payload::F(0.0)
                 };
-                self.pending_mem.push_back((Tok::Elem(payload), ctx.now, 0));
+                self.pending_mem.push_back((Token::Elem(payload), ctx.now, 0));
             }
-            Tok::Elem(other) => return self.fail(format_args!("array received payload {other:?}")),
-            Tok::Stop(k) => {
-                self.pop(ctx, 0);
-                self.pending_mem.push_back((Tok::Stop(k), ctx.now, 0));
+            Token::Elem(other) => {
+                return self.fail(format_args!("array received payload {other:?}"))
             }
-            Tok::Done => {
+            Token::Stop(k) => {
                 self.pop(ctx, 0);
-                self.pending_mem.push_back((Tok::Done, ctx.now, 0));
+                self.pending_mem.push_back((Token::Stop(k), ctx.now, 0));
+            }
+            Token::Done => {
+                self.pop(ctx, 0);
+                self.pending_mem.push_back((Token::Done, ctx.now, 0));
                 self.done = true;
             }
         }
@@ -728,18 +730,18 @@ impl Io {
         if op.arity() == 1 {
             let Some(head) = self.peek(ctx, 0) else { return Ok(false) };
             match head {
-                Tok::Elem(p) => {
+                Token::Elem(p) => {
                     let out = alu_unary(ctx, op, p).or_else(|e| self.fail(e))?;
                     self.pop(ctx, 0);
-                    self.emit(ctx, 0, Tok::Elem(out));
+                    self.emit(ctx, 0, Token::Elem(out));
                 }
-                Tok::Stop(k) => {
+                Token::Stop(k) => {
                     self.pop(ctx, 0);
-                    self.emit(ctx, 0, Tok::Stop(k));
+                    self.emit(ctx, 0, Token::Stop(k));
                 }
-                Tok::Done => {
+                Token::Done => {
                     self.pop(ctx, 0);
-                    self.emit(ctx, 0, Tok::Done);
+                    self.emit(ctx, 0, Token::Done);
                     self.done = true;
                 }
             }
@@ -748,21 +750,21 @@ impl Io {
                 return Ok(false);
             };
             match (a, b) {
-                (Tok::Elem(pa), Tok::Elem(pb)) => {
+                (Token::Elem(pa), Token::Elem(pb)) => {
                     let out = alu_combine(ctx, op, pa, pb).or_else(|e| self.fail(e))?;
                     self.pop(ctx, 0);
                     self.pop(ctx, 1);
-                    self.emit(ctx, 0, Tok::Elem(out));
+                    self.emit(ctx, 0, Token::Elem(out));
                 }
-                (Tok::Stop(ka), Tok::Stop(kb)) if ka == kb => {
+                (Token::Stop(ka), Token::Stop(kb)) if ka == kb => {
                     self.pop(ctx, 0);
                     self.pop(ctx, 1);
-                    self.emit(ctx, 0, Tok::Stop(ka));
+                    self.emit(ctx, 0, Token::Stop(ka));
                 }
-                (Tok::Done, Tok::Done) => {
+                (Token::Done, Token::Done) => {
                     self.pop(ctx, 0);
                     self.pop(ctx, 1);
-                    self.emit(ctx, 0, Tok::Done);
+                    self.emit(ctx, 0, Token::Done);
                     self.done = true;
                 }
                 (x, y) => {
@@ -776,20 +778,21 @@ impl Io {
         Ok(true)
     }
 
-    fn act_reduce(&mut self, ctx: &mut Ctx, op: ReduceOp, acc: &mut Option<Pay>) -> Act {
+    fn act_reduce(&mut self, ctx: &mut Ctx, op: ReduceOp, acc: &mut Option<Payload>) -> Act {
         let Some(head) = self.peek(ctx, 0) else { return Ok(false) };
         match head {
-            Tok::Elem(p) => {
+            Token::Elem(p) => {
                 let new = match (*acc, p) {
                     (None, p) => p,
-                    (Some(Pay::F(a)), Pay::F(b)) => {
+                    (Some(Payload::F(a)), Payload::F(b)) => {
                         ctx.flops += 1;
-                        Pay::F(op.apply(a, b))
+                        Payload::F(op.apply(a, b))
                     }
-                    (Some(Pay::F(a)), Pay::Empty) | (Some(Pay::Empty), Pay::F(a)) => {
-                        Pay::F(op.apply(a, op.identity()))
+                    (Some(Payload::F(a)), Payload::Empty)
+                    | (Some(Payload::Empty), Payload::F(a)) => {
+                        Payload::F(op.apply(a, op.identity()))
                     }
-                    (Some(Pay::Blk(a)), Pay::Blk(b)) => {
+                    (Some(Payload::Blk(a)), Payload::Blk(b)) => {
                         let out = zip_tiles(ctx, a, b, 1, |x, y| op.apply(x, y));
                         out.or_else(|m| self.fail(format_args!("reduce: {m}")))?
                     }
@@ -800,29 +803,29 @@ impl Io {
                 self.pop(ctx, 0);
                 *acc = Some(new);
             }
-            Tok::Stop(k) => {
+            Token::Stop(k) => {
                 self.pop(ctx, 0);
-                let out = acc.take().unwrap_or(Pay::F(op.identity()));
-                self.emit(ctx, 0, Tok::Elem(out));
+                let out = acc.take().unwrap_or(Payload::F(op.identity()));
+                self.emit(ctx, 0, Token::Elem(out));
                 if k >= 1 {
-                    self.emit(ctx, 0, Tok::Stop(k - 1));
+                    self.emit(ctx, 0, Token::Stop(k - 1));
                 }
             }
-            Tok::Done => {
+            Token::Done => {
                 self.pop(ctx, 0);
-                self.emit(ctx, 0, Tok::Done);
+                self.emit(ctx, 0, Token::Done);
                 self.done = true;
             }
         }
         Ok(true)
     }
 
-    fn act_spacc(&mut self, ctx: &mut Ctx, op: ReduceOp, map: &mut BTreeMap<u32, Pay>) -> Act {
+    fn act_spacc(&mut self, ctx: &mut Ctx, op: ReduceOp, map: &mut BTreeMap<u32, Payload>) -> Act {
         let (Some(c), Some(v)) = (self.peek(ctx, 0), self.peek(ctx, 1)) else {
             return Ok(false);
         };
         match (c, v) {
-            (Tok::Elem(pc), Tok::Elem(pv)) => {
+            (Token::Elem(pc), Token::Elem(pv)) => {
                 let key = self.crd(pc)?;
                 match map.entry(key) {
                     std::collections::btree_map::Entry::Vacant(e) => {
@@ -830,15 +833,15 @@ impl Io {
                     }
                     std::collections::btree_map::Entry::Occupied(mut e) => {
                         let merged = match (*e.get(), pv) {
-                            (Pay::F(a), Pay::F(b)) => {
+                            (Payload::F(a), Payload::F(b)) => {
                                 ctx.flops += 1;
-                                Pay::F(op.apply(a, b))
+                                Payload::F(op.apply(a, b))
                             }
-                            (Pay::Blk(a), Pay::Blk(b)) => {
+                            (Payload::Blk(a), Payload::Blk(b)) => {
                                 let out = zip_tiles(ctx, a, b, 1, |x, y| op.apply(x, y));
                                 out.or_else(|m| self.fail(format_args!("spacc: {m}")))?
                             }
-                            (Pay::Empty, p) | (p, Pay::Empty) => p,
+                            (Payload::Empty, p) | (p, Payload::Empty) => p,
                             (a, b) => {
                                 return self.fail(format_args!("spacc operands {a:?} / {b:?}"))
                             }
@@ -849,7 +852,7 @@ impl Io {
                 self.pop(ctx, 0);
                 self.pop(ctx, 1);
             }
-            (Tok::Stop(kc), Tok::Stop(kv)) => {
+            (Token::Stop(kc), Token::Stop(kv)) => {
                 if kc != kv {
                     return self.fail(format_args!("spacc stop mismatch {kc} vs {kv}"));
                 }
@@ -857,23 +860,23 @@ impl Io {
                 self.pop(ctx, 1);
                 if kc >= 1 {
                     for (c, v) in std::mem::take(map) {
-                        self.emit(ctx, 0, Tok::idx(c));
-                        self.emit(ctx, 1, Tok::Elem(v));
+                        self.emit(ctx, 0, Token::idx(c));
+                        self.emit(ctx, 1, Token::Elem(v));
                     }
-                    self.emit(ctx, 0, Tok::Stop(kc - 1));
-                    self.emit(ctx, 1, Tok::Stop(kc - 1));
+                    self.emit(ctx, 0, Token::Stop(kc - 1));
+                    self.emit(ctx, 1, Token::Stop(kc - 1));
                 }
                 // Stop(0) boundaries separate the fibers being accumulated:
                 // keep accumulating.
             }
-            (Tok::Done, Tok::Done) => {
+            (Token::Done, Token::Done) => {
                 self.pop(ctx, 0);
                 self.pop(ctx, 1);
                 if !map.is_empty() {
                     return self.fail("spacc reached Done with unflushed state");
                 }
-                self.emit(ctx, 0, Tok::Done);
-                self.emit(ctx, 1, Tok::Done);
+                self.emit(ctx, 0, Token::Done);
+                self.emit(ctx, 1, Token::Done);
                 self.done = true;
             }
             (x, y) => return self.fail(format_args!("spacc stream misalignment: {x:?} vs {y:?}")),
@@ -881,16 +884,16 @@ impl Io {
         Ok(true)
     }
 
-    fn act_writer(&mut self, ctx: &mut Ctx, output: usize, tokens: &mut Vec<Tok>) -> Act {
+    fn act_writer(&mut self, ctx: &mut Ctx, output: usize, tokens: &mut Vec<Token>) -> Act {
         if self.pending_mem.len() >= ctx.cfg.timing.outstanding {
             return Ok(false);
         }
         let Some(head) = self.peek(ctx, 0) else { return Ok(false) };
         let in_dram = ctx.output_slots[output].location == MemLocation::Dram;
         self.pop(ctx, 0);
-        if let Tok::Elem(p) = head {
+        if let Token::Elem(p) = head {
             let bytes = match p {
-                Pay::Blk(b) => (ctx.tiles.get(b).len() * 4) as u64,
+                Payload::Blk(b) => (ctx.tiles.get(b).len() * 4) as u64,
                 _ => 4,
             };
             let ready = if in_dram {
@@ -898,10 +901,10 @@ impl Io {
             } else {
                 ctx.now
             };
-            self.pending_mem.push_back((Tok::Stop(0), ready, 0));
+            self.pending_mem.push_back((Token::Stop(0), ready, 0));
             self.elems += 1;
         }
-        if head == Tok::Done {
+        if head == Token::Done {
             self.done = true;
         }
         tokens.push(head);
@@ -915,7 +918,7 @@ impl Io {
             return Ok(false);
         }
         match head {
-            Tok::Elem(_) => {
+            Token::Elem(_) => {
                 let c = self.pop(ctx, 0);
                 let b = *rr;
                 *rr = (*rr + 1) % factor;
@@ -925,11 +928,11 @@ impl Io {
                     self.emit(ctx, 2 * b + 1, p);
                 }
             }
-            Tok::Stop(k) => {
+            Token::Stop(k) => {
                 self.pop(ctx, 0);
                 if has_payload {
                     let p = self.pop(ctx, 1);
-                    if p != Tok::Stop(k) {
+                    if p != Token::Stop(k) {
                         return self.fail(format_args!(
                             "parallelizer payload misaligned: {p:?} vs Stop({k})"
                         ));
@@ -937,21 +940,21 @@ impl Io {
                 }
                 *rr = 0;
                 for b in 0..factor {
-                    self.emit(ctx, 2 * b, Tok::Stop(k));
+                    self.emit(ctx, 2 * b, Token::Stop(k));
                     if has_payload {
-                        self.emit(ctx, 2 * b + 1, Tok::Stop(k));
+                        self.emit(ctx, 2 * b + 1, Token::Stop(k));
                     }
                 }
             }
-            Tok::Done => {
+            Token::Done => {
                 self.pop(ctx, 0);
                 if has_payload {
                     self.pop(ctx, 1);
                 }
                 for b in 0..factor {
-                    self.emit(ctx, 2 * b, Tok::Done);
+                    self.emit(ctx, 2 * b, Token::Done);
                     if has_payload {
-                        self.emit(ctx, 2 * b + 1, Tok::Done);
+                        self.emit(ctx, 2 * b + 1, Token::Done);
                     }
                 }
                 self.done = true;
@@ -968,23 +971,23 @@ impl Io {
             // Pull the current unit's tokens from branch `cur`.
             let Some(head) = self.peek(ctx, cur) else { return Ok(false) };
             match head {
-                Tok::Elem(_) => {
+                Token::Elem(_) => {
                     let tok = self.pop(ctx, cur);
                     self.emit(ctx, 0, tok);
                 }
-                Tok::Stop(k) if depth >= 1 && k == depth - 1 => {
+                Token::Stop(k) if depth >= 1 && k == depth - 1 => {
                     // Ordinary unit boundary.
                     self.pop(ctx, cur);
                     st.in_unit = false;
                     st.pending_unit = true;
                     st.cur = (cur + 1) % factor;
                 }
-                Tok::Stop(k) if k < depth.saturating_sub(1) => {
+                Token::Stop(k) if k < depth.saturating_sub(1) => {
                     // Interior stop: part of this unit.
                     let tok = self.pop(ctx, cur);
                     self.emit(ctx, 0, tok);
                 }
-                Tok::Stop(_) => {
+                Token::Stop(_) => {
                     // The unit's boundary coalesced into a barrier stop: the
                     // unit is over, but the barrier token is consumed later
                     // by the order-stream barrier action.
@@ -992,18 +995,18 @@ impl Io {
                     st.pending_unit = true;
                     st.cur = (cur + 1) % factor;
                 }
-                Tok::Done => return self.fail("serializer branch finished mid-unit"),
+                Token::Done => return self.fail("serializer branch finished mid-unit"),
             }
             return Ok(true);
         }
 
         let Some(order_head) = self.peek(ctx, order_port) else { return Ok(false) };
         match order_head {
-            Tok::Elem(_) => {
+            Token::Elem(_) => {
                 if st.pending_unit {
                     // Close the previous unit before starting the next one
                     // (a unit is pending only under `depth >= 1`).
-                    self.emit(ctx, 0, Tok::Stop(depth - 1));
+                    self.emit(ctx, 0, Token::Stop(depth - 1));
                     st.pending_unit = false;
                     return Ok(true);
                 }
@@ -1011,7 +1014,7 @@ impl Io {
                     // Units are single elements.
                     let Some(bh) = self.peek(ctx, cur) else { return Ok(false) };
                     match bh {
-                        Tok::Elem(_) => {
+                        Token::Elem(_) => {
                             self.pop(ctx, order_port);
                             let tok = self.pop(ctx, cur);
                             self.emit(ctx, 0, tok);
@@ -1026,7 +1029,7 @@ impl Io {
                 } else {
                     // Check for a coalesced-empty unit before committing.
                     let Some(bh) = self.peek(ctx, cur) else { return Ok(false) };
-                    let coalesced = matches!(bh, Tok::Stop(k) if k >= depth);
+                    let coalesced = matches!(bh, Token::Stop(k) if k >= depth);
                     self.pop(ctx, order_port);
                     if coalesced {
                         st.pending_unit = true;
@@ -1036,7 +1039,7 @@ impl Io {
                     }
                 }
             }
-            Tok::Stop(k) => {
+            Token::Stop(k) => {
                 // Barrier: every branch holds the corresponding deeper stop.
                 let barrier = self.deeper(k, depth)?;
                 for b in 0..factor {
@@ -1059,10 +1062,10 @@ impl Io {
                 st.pending_unit = false;
                 st.cur = 0;
             }
-            Tok::Done => {
+            Token::Done => {
                 for b in 0..factor {
                     match self.peek(ctx, b) {
-                        Some(Tok::Done) => {}
+                        Some(Token::Done) => {}
                         Some(other) => {
                             return self.fail(format_args!(
                                 "serializer expected branch Done, found {other:?}"
@@ -1075,7 +1078,7 @@ impl Io {
                 for b in 0..factor {
                     self.pop(ctx, b);
                 }
-                self.emit(ctx, 0, Tok::Done);
+                self.emit(ctx, 0, Token::Done);
                 self.done = true;
             }
         }
@@ -1102,36 +1105,36 @@ fn zip_tiles(
     b: Tile,
     flops: u64,
     f: impl Fn(f32, f32) -> f32,
-) -> Result<Pay, String> {
+) -> Result<Payload, String> {
     let (x, y) = (ctx.tiles.get(a), ctx.tiles.get(b));
     if (x.rows(), x.cols()) != (y.rows(), y.cols()) {
         return Err(misfit("an elementwise op", x, y));
     }
     ctx.flops += x.len() as u64 * flops;
     let z = x.zip(y, f);
-    Ok(Pay::Blk(ctx.tiles.put(z)))
+    Ok(Payload::Blk(ctx.tiles.put(z)))
 }
 
-fn alu_combine(ctx: &mut Ctx, op: AluOp, a: Pay, b: Pay) -> Result<Pay, String> {
+fn alu_combine(ctx: &mut Ctx, op: AluOp, a: Payload, b: Payload) -> Result<Payload, String> {
     let lanes = ctx.cfg.timing.block_lanes_factor;
     Ok(match (a, b) {
-        (Pay::F(x), Pay::F(y)) => {
+        (Payload::F(x), Payload::F(y)) => {
             ctx.flops += op.flops_per_elem();
-            Pay::F(op.apply_scalar(x, y))
+            Payload::F(op.apply_scalar(x, y))
         }
-        (Pay::Empty, Pay::F(y)) => {
+        (Payload::Empty, Payload::F(y)) => {
             ctx.flops += op.flops_per_elem();
-            Pay::F(op.apply_scalar(0.0, y))
+            Payload::F(op.apply_scalar(0.0, y))
         }
-        (Pay::F(x), Pay::Empty) => {
+        (Payload::F(x), Payload::Empty) => {
             ctx.flops += op.flops_per_elem();
-            Pay::F(op.apply_scalar(x, 0.0))
+            Payload::F(op.apply_scalar(x, 0.0))
         }
-        (Pay::Empty, Pay::Empty) => Pay::F(op.apply_scalar(0.0, 0.0)),
-        (Pay::Blk(hx), Pay::Blk(hy)) if op != AluOp::Mul => {
+        (Payload::Empty, Payload::Empty) => Payload::F(op.apply_scalar(0.0, 0.0)),
+        (Payload::Blk(hx), Payload::Blk(hy)) if op != AluOp::Mul => {
             return zip_tiles(ctx, hx, hy, op.flops_per_elem(), |p, q| op.apply_scalar(p, q));
         }
-        (Pay::Blk(hx), Pay::Blk(hy)) => {
+        (Payload::Blk(hx), Payload::Blk(hy)) => {
             let (x, y) = (ctx.tiles.get(hx), ctx.tiles.get(hy));
             if x.cols() != y.rows() {
                 return Err(misfit("a matmul", x, y));
@@ -1141,50 +1144,50 @@ fn alu_combine(ctx: &mut Ctx, op: AluOp, a: Pay, b: Pay) -> Result<Pay, String> 
             let busy = (y.cols() as f64 / lanes).ceil() as u64;
             let blk = x.matmul(y);
             ctx.busy(busy);
-            Pay::Blk(ctx.tiles.put(blk))
+            Payload::Blk(ctx.tiles.put(blk))
         }
-        (Pay::Blk(hx), Pay::F(s)) => {
+        (Payload::Blk(hx), Payload::F(s)) => {
             let x = ctx.tiles.get(hx);
             ctx.flops += x.len() as u64;
             let blk = x.map(|v| op.apply_scalar(v, s));
-            Pay::Blk(ctx.tiles.put(blk))
+            Payload::Blk(ctx.tiles.put(blk))
         }
-        (Pay::F(s), Pay::Blk(hy)) => {
+        (Payload::F(s), Payload::Blk(hy)) => {
             let y = ctx.tiles.get(hy);
             ctx.flops += y.len() as u64;
             let blk = y.map(|v| op.apply_scalar(s, v));
-            Pay::Blk(ctx.tiles.put(blk))
+            Payload::Blk(ctx.tiles.put(blk))
         }
-        (Pay::Empty, Pay::Blk(hy)) => {
+        (Payload::Empty, Payload::Blk(hy)) => {
             let y = ctx.tiles.get(hy);
             ctx.flops += y.len() as u64;
             let blk = y.map(|v| op.apply_scalar(0.0, v));
-            Pay::Blk(ctx.tiles.put(blk))
+            Payload::Blk(ctx.tiles.put(blk))
         }
-        (Pay::Blk(hx), Pay::Empty) => {
+        (Payload::Blk(hx), Payload::Empty) => {
             let x = ctx.tiles.get(hx);
             ctx.flops += x.len() as u64;
             let blk = x.map(|v| op.apply_scalar(v, 0.0));
-            Pay::Blk(ctx.tiles.put(blk))
+            Payload::Blk(ctx.tiles.put(blk))
         }
         (a, b) => return Err(format!("alu operands {a:?} / {b:?}")),
     })
 }
 
-fn alu_unary(ctx: &mut Ctx, op: AluOp, a: Pay) -> Result<Pay, String> {
+fn alu_unary(ctx: &mut Ctx, op: AluOp, a: Payload) -> Result<Payload, String> {
     Ok(match a {
-        Pay::F(x) => {
+        Payload::F(x) => {
             ctx.flops += op.flops_per_elem();
-            Pay::F(op.apply_scalar(x, 0.0))
+            Payload::F(op.apply_scalar(x, 0.0))
         }
-        Pay::Empty => Pay::F(op.apply_scalar(0.0, 0.0)),
-        Pay::Blk(h) => {
+        Payload::Empty => Payload::F(op.apply_scalar(0.0, 0.0)),
+        Payload::Blk(h) => {
             let x = ctx.tiles.get(h);
             ctx.flops += x.len() as u64 * op.flops_per_elem();
             let blk = x.map(|v| op.apply_scalar(v, 0.0));
-            Pay::Blk(ctx.tiles.put(blk))
+            Payload::Blk(ctx.tiles.put(blk))
         }
-        Pay::Idx(i) => return Err(format!("alu operand Idx({i})")),
+        Payload::Idx(i) => return Err(format!("alu operand Idx({i})")),
     })
 }
 
@@ -1207,8 +1210,8 @@ mod tests {
     use fuseflow_sam::SamGraph;
     use fuseflow_tensor::{Format, SparseTensor};
 
-    fn f(v: f32) -> Tok {
-        Tok::Elem(Pay::F(v))
+    fn f(v: f32) -> Token {
+        Token::Elem(Payload::F(v))
     }
 
     /// `Spacc1` drains a three-entry map (and the stop behind it) in one
@@ -1219,8 +1222,8 @@ mod tests {
     #[test]
     fn port_staging_more_than_the_capacity_delivers_in_order_one_per_cycle() {
         let cfg = SimConfig::default();
-        let crd = vec![Tok::idx(3), Tok::idx(1), Tok::idx(2), Tok::Stop(1), Tok::Done];
-        let val = vec![f(30.0), f(10.0), f(20.0), Tok::Stop(1), Tok::Done];
+        let crd = vec![Token::idx(3), Token::idx(1), Token::idx(2), Token::Stop(1), Token::Done];
+        let val = vec![f(30.0), f(10.0), f(20.0), Token::Stop(1), Token::Done];
         let out = || Chan::new(1, 0, NO_NODE, false);
         let chans = vec![Chan::seeded(crd, false), Chan::seeded(val, false), out(), out(), out()];
         let mut ctx = Ctx::bare(chans, &cfg, 1);
@@ -1232,7 +1235,7 @@ mod tests {
             &cfg.timing,
         );
 
-        let mut got: [Vec<Tok>; 3] = Default::default();
+        let mut got: [Vec<Token>; 3] = Default::default();
         let mut most_staged = 0;
         for cycle in 0..64 {
             ctx.now = cycle;
@@ -1256,10 +1259,11 @@ mod tests {
         }
         assert!(rt.io.finished(), "not drained in 64 cycles");
         assert_eq!(most_staged, 4, "the drain should stage the whole map at once");
-        let crd_out = vec![Tok::idx(1), Tok::idx(2), Tok::idx(3), Tok::Stop(0), Tok::Done];
+        let crd_out =
+            vec![Token::idx(1), Token::idx(2), Token::idx(3), Token::Stop(0), Token::Done];
         assert_eq!(got[0], crd_out);
         assert_eq!(got[1], crd_out);
-        let val_out = vec![f(10.0), f(20.0), f(30.0), Tok::Stop(0), Tok::Done];
+        let val_out = vec![f(10.0), f(20.0), f(30.0), Token::Stop(0), Token::Done];
         assert_eq!(got[2], val_out);
     }
 
@@ -1274,9 +1278,9 @@ mod tests {
         assert!(reads_past_head(&NodeKind::Repeat, 0) && !reads_past_head(&NodeKind::Repeat, 1));
         // The node under test has rank 1; rank 0 stands for the base's writer.
         let mut base = Chan::new(8, 0, 1, reads_past_head(&NodeKind::Repeat, 0));
-        base.buf.extend([f(5.0), Tok::Stop(0)]);
+        base.buf.extend([f(5.0), Token::Stop(0)]);
         let chans =
-            vec![base, Chan::seeded([Tok::Stop(1)], false), Chan::new(8, 1, NO_NODE, false)];
+            vec![base, Chan::seeded([Token::Stop(1)], false), Chan::new(8, 1, NO_NODE, false)];
         let mut ctx = Ctx::bare(chans, &cfg, 2);
         let mut rt = Rt::new(
             &NodeKind::Repeat,
@@ -1293,7 +1297,7 @@ mod tests {
         assert_eq!(ctx.cur.pop_ge(0), Some(1), "a deep reader is woken by every publish");
         assert_eq!(rt.step(&mut ctx).unwrap(), StepOutcome::Progressed);
         assert_eq!(ctx.chans[0].buf.len(), 0, "element and stop consumed together");
-        assert_eq!(ctx.chans[2].buf.back(), Some(&Tok::Stop(1)));
+        assert_eq!(ctx.chans[2].buf.back(), Some(&Token::Stop(1)));
 
         // The same state reached by a whole graph. The base values leave a
         // slow `Array` (one token every four cycles) while the repeat stream,

@@ -2,12 +2,14 @@
 //!
 //! The tensor-construction region of a SAMML graph sends one coordinate
 //! stream per output level plus a value stream to writers. This module
-//! replays those streams into COO entries and assembles the output
-//! [`SparseTensor`]. Empty fibers (bare stop tokens) simply skip their
-//! parent coordinate, which is how this reproduction realizes the paper's
+//! replays the tokens the writers recorded into COO entries and assembles
+//! the output [`SparseTensor`], reading each tile payload from the run's
+//! [`Tiles`]. Empty fibers (bare stop tokens) simply skip their parent
+//! coordinate, which is how this reproduction realizes the paper's
 //! coordinate-dropper semantics at the writer.
 
-use fuseflow_sam::{OutputSlot, Payload, Token};
+use crate::tok::{Payload, Tiles, Token};
+use fuseflow_sam::OutputSlot;
 use fuseflow_tensor::{Crd, SparseTensor};
 
 /// Replays the writer streams of an `order`-level output into
@@ -20,7 +22,7 @@ use fuseflow_tensor::{Crd, SparseTensor};
 ///
 /// Returns a description of the first structural mismatch (streams are
 /// produced by the simulator, so a failure indicates a compiler bug).
-pub fn streams_to_entries(
+pub(crate) fn streams_to_entries(
     crd_streams: &[Vec<Token>],
     vals: &[Token],
 ) -> Result<Vec<(Vec<Crd>, Payload)>, String> {
@@ -38,15 +40,15 @@ pub fn streams_to_entries(
     let mut out = Vec::new();
 
     let mut vi = vals.iter();
-    for tok in inner {
-        let vtok = vi.next().ok_or("value stream shorter than inner coordinate stream")?;
+    for &tok in inner {
+        let &vtok = vi.next().ok_or("value stream shorter than inner coordinate stream")?;
         match (tok, vtok) {
             (Token::Elem(c), Token::Elem(p)) => {
                 let mut coords = Vec::with_capacity(order);
                 for k in 0..n_outer {
                     while cur[k].is_none() {
                         match iters[k].next() {
-                            Some(Token::Elem(e)) => {
+                            Some(&Token::Elem(e)) => {
                                 if skip[k] > 0 {
                                     skip[k] -= 1;
                                 } else {
@@ -60,7 +62,7 @@ pub fn streams_to_entries(
                     coords.push(cur[k].expect("populated above"));
                 }
                 coords.push(crd(c)?);
-                out.push((coords, p.clone()));
+                out.push((coords, p));
             }
             (Token::Stop(s), Token::Stop(s2)) => {
                 if s != s2 {
@@ -68,7 +70,7 @@ pub fn streams_to_entries(
                 }
                 // Stop(s) closes the innermost fiber plus `s` enclosing
                 // levels: invalidate the parents of each closed fiber.
-                for j in 0..=(*s as usize) {
+                for j in 0..=(s as usize) {
                     if j < n_outer {
                         let k = n_outer - 1 - j;
                         if cur[k].is_some() {
@@ -87,24 +89,26 @@ pub fn streams_to_entries(
 }
 
 /// The coordinate a coordinate-stream element carries.
-fn crd(p: &Payload) -> Result<Crd, String> {
+fn crd(p: Payload) -> Result<Crd, String> {
     match p {
-        Payload::Idx(i) => Ok(*i),
+        Payload::Idx(i) => Ok(i),
         other => Err(format!("coordinate stream carries {other:?}")),
     }
 }
 
 /// Assembles an output tensor from writer streams according to its slot
-/// description (format, shape, optional block).
+/// description (format, shape, optional block); a tile payload is read from
+/// `tiles`.
 ///
 /// # Errors
 ///
 /// Propagates structural errors from [`streams_to_entries`] and payload or
 /// bound mismatches.
-pub fn assemble_output(
+pub(crate) fn assemble_output(
     slot: &OutputSlot,
     crd_streams: &[Vec<Token>],
     vals: &[Token],
+    tiles: &Tiles,
 ) -> Result<SparseTensor, String> {
     let entries = streams_to_entries(crd_streams, vals)?;
     if slot.block == [1, 1] {
@@ -118,14 +122,14 @@ pub fn assemble_output(
             .collect::<Result<_, String>>()?;
         SparseTensor::from_coo(slot.shape.clone(), coo, &slot.format).map_err(|e| e.to_string())
     } else {
-        let tiles: Vec<(Vec<Crd>, Vec<f32>)> = entries
+        let blocks: Vec<(Vec<Crd>, Vec<f32>)> = entries
             .into_iter()
             .map(|(c, p)| match p {
-                Payload::Blk(b) => Ok((c, b.data().to_vec())),
+                Payload::Blk(b) => Ok((c, tiles.get(b).data().to_vec())),
                 other => Err(format!("blocked output received payload {other:?}")),
             })
             .collect::<Result<_, String>>()?;
-        SparseTensor::from_blocks(slot.shape.clone(), slot.block, tiles, &slot.format)
+        SparseTensor::from_blocks(slot.shape.clone(), slot.block, blocks, &slot.format)
             .map_err(|e| e.to_string())
     }
 }
@@ -133,6 +137,7 @@ pub fn assemble_output(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tok::Block;
     use fuseflow_sam::MemLocation;
     use fuseflow_tensor::Format;
 
@@ -140,19 +145,16 @@ mod tests {
         Token::idx(i)
     }
 
+    fn val(v: f32) -> Token {
+        Token::Elem(Payload::F(v))
+    }
+
     #[test]
     fn two_level_reconstruction() {
         // Matrix rows: i0 -> {j0, j2}, i1 -> {j1}.
         let crd0 = vec![idx(0), idx(1), Token::Stop(0), Token::Done];
         let crd1 = vec![idx(0), idx(2), Token::Stop(0), idx(1), Token::Stop(1), Token::Done];
-        let vals = vec![
-            Token::val(1.0),
-            Token::val(2.0),
-            Token::Stop(0),
-            Token::val(3.0),
-            Token::Stop(1),
-            Token::Done,
-        ];
+        let vals = vec![val(1.0), val(2.0), Token::Stop(0), val(3.0), Token::Stop(1), Token::Done];
         let e = streams_to_entries(&[crd0, crd1], &vals).unwrap();
         assert_eq!(e.len(), 3);
         assert_eq!(e[0].0, vec![0, 0]);
@@ -166,7 +168,7 @@ mod tests {
         // i0 has an empty j-fiber (adjacent stops), i1 holds one element.
         let crd0 = vec![idx(0), idx(1), Token::Stop(0), Token::Done];
         let crd1 = vec![Token::Stop(0), idx(4), Token::Stop(1), Token::Done];
-        let vals = vec![Token::Stop(0), Token::val(9.0), Token::Stop(1), Token::Done];
+        let vals = vec![Token::Stop(0), val(9.0), Token::Stop(1), Token::Done];
         let e = streams_to_entries(&[crd0, crd1], &vals).unwrap();
         assert_eq!(e, vec![(vec![1, 4], Payload::F(9.0))]);
     }
@@ -174,7 +176,7 @@ mod tests {
     #[test]
     fn vector_output() {
         let crd0 = vec![idx(2), idx(5), Token::Stop(0), Token::Done];
-        let vals = vec![Token::val(1.5), Token::val(2.5), Token::Stop(0), Token::Done];
+        let vals = vec![val(1.5), val(2.5), Token::Stop(0), Token::Done];
         let e = streams_to_entries(&[crd0], &vals).unwrap();
         assert_eq!(e.len(), 2);
         assert_eq!(e[1], (vec![5], Payload::F(2.5)));
@@ -195,11 +197,11 @@ mod tests {
             Token::Done,
         ];
         let vals = vec![
-            Token::val(1.0),
+            val(1.0),
             Token::Stop(0),
-            Token::val(2.0),
+            val(2.0),
             Token::Stop(1),
-            Token::val(3.0),
+            val(3.0),
             Token::Stop(2),
             Token::Done,
         ];
@@ -213,14 +215,14 @@ mod tests {
     #[test]
     fn mismatched_streams_error() {
         let crd0 = vec![idx(0), Token::Stop(0), Token::Done];
-        let vals = vec![Token::val(1.0), Token::Done];
+        let vals = vec![val(1.0), Token::Done];
         assert!(streams_to_entries(&[crd0], &vals).is_err());
     }
 
     #[test]
     fn values_on_a_coordinate_stream_error() {
-        let crd0 = vec![Token::val(1.0), Token::Stop(0), Token::Done];
-        let vals = vec![Token::val(1.0), Token::Stop(0), Token::Done];
+        let crd0 = vec![val(1.0), Token::Stop(0), Token::Done];
+        let vals = vec![val(1.0), Token::Stop(0), Token::Done];
         let err = streams_to_entries(&[crd0], &vals).unwrap_err();
         assert!(err.contains("coordinate stream carries F(1.0)"), "{err}");
     }
@@ -236,10 +238,39 @@ mod tests {
         };
         let crd0 = vec![idx(0), idx(1), Token::Stop(0), Token::Done];
         let crd1 = vec![idx(1), Token::Stop(0), idx(2), Token::Stop(1), Token::Done];
-        let vals =
-            vec![Token::val(7.0), Token::Stop(0), Token::val(8.0), Token::Stop(1), Token::Done];
-        let t = assemble_output(&slot, &[crd0, crd1], &vals).unwrap();
+        let vals = vec![val(7.0), Token::Stop(0), val(8.0), Token::Stop(1), Token::Done];
+        let t = assemble_output(&slot, &[crd0, crd1], &vals, &Tiles::default()).unwrap();
         assert_eq!(t.to_dense().get(&[0, 1]), 7.0);
         assert_eq!(t.to_dense().get(&[1, 2]), 8.0);
+    }
+
+    /// A 4x4 output of 2x2 tiles, stored at tile coordinates (0, 1) and
+    /// (1, 0): the value stream carries handles, and the data comes from the
+    /// table.
+    #[test]
+    fn assemble_blocked_output() {
+        let slot = OutputSlot {
+            name: "T".into(),
+            shape: vec![4, 4],
+            format: Format::csr(),
+            block: [2, 2],
+            location: MemLocation::Dram,
+        };
+        let mut tiles = Tiles::default();
+        let mut tile =
+            |v: [f32; 4]| Token::Elem(Payload::Blk(tiles.put(Block::new(2, 2, v.into()))));
+        let vals = vec![tile([1., 2., 3., 4.]), Token::Stop(0), tile([5., 6., 7., 8.])];
+        let vals = [vals, vec![Token::Stop(1), Token::Done]].concat();
+        let crd0 = vec![idx(0), idx(1), Token::Stop(0), Token::Done];
+        let crd1 = vec![idx(1), Token::Stop(0), idx(0), Token::Stop(1), Token::Done];
+        let t = assemble_output(&slot, &[crd0, crd1], &vals, &tiles).unwrap().to_dense();
+        #[rustfmt::skip]
+        let want = [
+            0., 0., 1., 2.,
+            0., 0., 3., 4.,
+            5., 6., 0., 0.,
+            7., 8., 0., 0.,
+        ];
+        assert_eq!(t.data(), &want);
     }
 }

@@ -6,9 +6,10 @@
 //! several weakly-connected components must do the work of its components
 //! simulated alone, on one clock and one DRAM channel.
 
-use fuseflow_sam::{AluOp, Block, MemLocation, NodeKind, Payload, ReduceOp, SamGraph, Token};
+use fuseflow_sam::{AluOp, MemLocation, NodeKind, ReduceOp, SamGraph};
 use fuseflow_sim::{
-    run_node_standalone, simulate, Scheduler, SimConfig, SimError, SimResult, Stats, TensorEnv,
+    run_node_standalone, simulate, Block, Payload, Scheduler, SimConfig, SimError, SimResult,
+    Stats, TensorEnv, Tiles, Token,
 };
 use fuseflow_tensor::{gen, Format, SparseTensor};
 
@@ -280,20 +281,12 @@ fn standalone_runner_fast_forwards_over_busy_stalls() {
     let b = 4; // busy = b cycles per tile under the Comal backend (1 lane)
     let tile =
         |seed: f32| Block::new(b, b, (0..b * b).map(|i| seed + i as f32).collect::<Vec<_>>());
-    let lhs = vec![
-        Token::Elem(Payload::Blk(tile(1.0))),
-        Token::Elem(Payload::Blk(tile(2.0))),
-        Token::Stop(0),
-        Token::Done,
-    ];
-    let rhs = vec![
-        Token::Elem(Payload::Blk(tile(3.0))),
-        Token::Elem(Payload::Blk(tile(4.0))),
-        Token::Stop(0),
-        Token::Done,
-    ];
-    let out =
-        run_node_standalone(NodeKind::Alu { op: AluOp::Mul }, vec![lhs, rhs], vec![]).unwrap();
+    let mut tiles = Tiles::default();
+    let mut blk = |seed: f32| Token::Elem(Payload::Blk(tiles.put(tile(seed))));
+    let lhs = vec![blk(1.0), blk(2.0), Token::Stop(0), Token::Done];
+    let rhs = vec![blk(3.0), blk(4.0), Token::Stop(0), Token::Done];
+    let mul = NodeKind::Alu { op: AluOp::Mul };
+    let out = run_node_standalone(mul, vec![lhs, rhs], vec![], &mut tiles).unwrap();
     // Both products, the stop, and Done must all come through.
     assert_eq!(out[0].len(), 4, "busy stalls truncated the stream: {:?}", out[0]);
     assert!(matches!(out[0][0], Token::Elem(Payload::Blk(_))));
@@ -301,35 +294,45 @@ fn standalone_runner_fast_forwards_over_busy_stalls() {
     assert_eq!(out[0][2], Token::Stop(0));
     assert_eq!(out[0][3], Token::Done);
     // And the first product is the actual tile matmul.
-    let Token::Elem(Payload::Blk(p)) = &out[0][0] else { unreachable!() };
-    assert_eq!(p.data(), tile(1.0).matmul(&tile(3.0)).data());
+    let Token::Elem(Payload::Blk(p)) = out[0][0] else { unreachable!() };
+    assert_eq!(tiles.get(p), &tile(1.0).matmul(&tile(3.0)));
 }
 
-/// `run_node_standalone` speaks public tokens at both ends: tiles go in as
-/// `Payload::Blk` and come back as `Payload::Blk` with their data, through a
-/// node that copies one token many times (`Repeat`) and one that makes new
-/// tiles (`Alu { Mul }`). The simulator's tile handles never show.
+/// `run_node_standalone` takes tiles by handle into the table it is given
+/// and leaves the tiles it makes there. A node that copies one token many
+/// times (`Repeat`) passes the input handles through unchanged; one that
+/// makes new tiles (`Alu { Mul }`) returns new handles into the same table,
+/// whose tiles are the products.
 #[test]
 fn standalone_tiles_round_trip_through_repeat_and_matmul() {
     let tile = |seed: f32, r: usize, c: usize| {
         Block::new(r, c, (0..r * c).map(|i| seed + i as f32).collect::<Vec<_>>())
     };
-    let blk = |b: &Block| Token::Elem(Payload::Blk(b.clone()));
-    let (a, b) = (tile(1.0, 2, 3), tile(-2.0, 2, 3));
-    let base = vec![blk(&a), blk(&b), Token::Stop(0), Token::Done];
+    let (a, b, c, d) = (tile(1.0, 2, 3), tile(-2.0, 2, 3), tile(0.5, 3, 2), tile(3.0, 3, 2));
+    let mut tiles = Tiles::default();
+    let [ta, tb, tc, td] =
+        [&a, &b, &c, &d].map(|x| Token::Elem(Payload::Blk(tiles.put(x.clone()))));
+
+    let base = vec![ta, tb, Token::Stop(0), Token::Done];
     let rep = vec![Token::idx(0), Token::idx(1), Token::idx(2), Token::Stop(0), Token::idx(5)];
     let rep = [rep, vec![Token::Stop(1), Token::Done]].concat();
-    let out = run_node_standalone(NodeKind::Repeat, vec![base, rep], vec![]).unwrap();
-    let want = [blk(&a), blk(&a), blk(&a), Token::Stop(0), blk(&b), Token::Stop(1), Token::Done];
-    assert_eq!(out[0], want);
+    let out = run_node_standalone(NodeKind::Repeat, vec![base, rep], vec![], &mut tiles).unwrap();
+    assert_eq!(out[0], [ta, ta, ta, Token::Stop(0), tb, Token::Stop(1), Token::Done]);
 
-    let (c, d) = (tile(0.5, 3, 2), tile(3.0, 3, 2));
-    let lhs = vec![blk(&a), blk(&b), Token::Stop(0), Token::Done];
-    let rhs = vec![blk(&c), blk(&d), Token::Stop(0), Token::Done];
-    let out =
-        run_node_standalone(NodeKind::Alu { op: AluOp::Mul }, vec![lhs, rhs], vec![]).unwrap();
-    let want = [blk(&a.matmul(&c)), blk(&b.matmul(&d)), Token::Stop(0), Token::Done];
-    assert_eq!(out[0], want);
+    let lhs = vec![ta, tb, Token::Stop(0), Token::Done];
+    let rhs = vec![tc, td, Token::Stop(0), Token::Done];
+    let mul = NodeKind::Alu { op: AluOp::Mul };
+    let out = run_node_standalone(mul, vec![lhs, rhs], vec![], &mut tiles).unwrap();
+    let [Token::Elem(Payload::Blk(p)), Token::Elem(Payload::Blk(q)), Token::Stop(0), Token::Done] =
+        out[0][..]
+    else {
+        panic!("two tiles, a stop and done expected: {:?}", out[0]);
+    };
+    assert_eq!(tiles.get(p), &a.matmul(&c));
+    assert_eq!(tiles.get(q), &b.matmul(&d));
+    // The inputs are still in the table under their own handles.
+    let Token::Elem(Payload::Blk(h)) = ta else { unreachable!() };
+    assert_eq!(tiles.get(h), &a);
 }
 
 /// Regression companion: scanners park DRAM retirements in `pending_mem`;
@@ -340,9 +343,8 @@ fn standalone_scanner_drains_pending_memory() {
     let d = gen::sparse_features(10, 10, 0.3, 5, &Format::csr());
     let nnz_row0: usize = d.to_dense().data()[0..10].iter().filter(|v| **v != 0.0).count();
     let refs = vec![Token::idx(0), Token::Stop(0), Token::Done];
-    let out =
-        run_node_standalone(NodeKind::LevelScanner { tensor: 0, level: 1 }, vec![refs], vec![d])
-            .unwrap();
+    let scan = NodeKind::LevelScanner { tensor: 0, level: 1 };
+    let out = run_node_standalone(scan, vec![refs], vec![d], &mut Tiles::default()).unwrap();
     // crd port: nnz elements, then Stop(1) (outer stop bumped), then Done.
     let elems = out[0].iter().filter(|t| t.is_elem()).count();
     assert_eq!(elems, nnz_row0);

@@ -2,16 +2,27 @@
 //! reductions, instrumentation consistency, and the streams a scanner
 //! emits.
 
-use fuseflow_sam::{AluOp, MemLocation, NodeKind, ReduceOp, SamGraph, Token};
-use fuseflow_sim::{run_node_standalone, simulate, SimConfig, TensorEnv};
+use fuseflow_sam::{AluOp, MemLocation, NodeKind, ReduceOp, SamGraph};
+use fuseflow_sim::{
+    run_node_standalone, simulate, Block, Payload, SimConfig, SimError, TensorEnv, Tiles, Token,
+};
 use fuseflow_tensor::{gen, reference, DenseTensor, Format, SparseTensor};
+
+/// Runs `kind` on streams that carry no tile.
+fn standalone(
+    kind: NodeKind,
+    inputs: Vec<Vec<Token>>,
+    tensors: Vec<SparseTensor>,
+) -> Result<Vec<Vec<Token>>, SimError> {
+    run_node_standalone(kind, inputs, tensors, &mut Tiles::default())
+}
 
 fn idx(i: u32) -> Token {
     Token::idx(i)
 }
 
 fn val(v: f32) -> Token {
-    Token::val(v)
+    Token::Elem(Payload::F(v))
 }
 
 fn s(k: u8) -> Token {
@@ -24,36 +35,28 @@ fn serializer_depth2_merges_two_level_units() {
     let b0 = vec![val(1.0), s(0), val(2.0), s(2), Token::Done];
     let b1 = vec![val(3.0), val(4.0), s(1), s(2), Token::Done];
     let order = vec![idx(0), idx(1), s(0), Token::Done];
-    let out = run_node_standalone(
-        NodeKind::Serializer { factor: 2, depth: 2 },
-        vec![b0, b1, order],
-        vec![],
-    )
-    .unwrap();
+    let out = standalone(NodeKind::Serializer { factor: 2, depth: 2 }, vec![b0, b1, order], vec![])
+        .unwrap();
     // The last unit's fiber boundary coalesces into the global stop.
     assert_eq!(out[0], vec![val(1.0), s(0), val(2.0), s(1), val(3.0), val(4.0), s(2), Token::Done]);
 }
 
 #[test]
 fn blocked_reduce_accumulates_tiles_elementwise() {
-    let b = fuseflow_sam::Block::new(2, 2, vec![1., 2., 3., 4.]);
-    let v = vec![
-        Token::Elem(fuseflow_sam::Payload::Blk(b.clone())),
-        Token::Elem(fuseflow_sam::Payload::Blk(b)),
-        s(1),
-        Token::Done,
-    ];
-    let out = run_node_standalone(NodeKind::Reduce { op: ReduceOp::Sum }, vec![v], vec![]).unwrap();
-    let Token::Elem(fuseflow_sam::Payload::Blk(r)) = &out[0][0] else { panic!("block expected") };
-    assert_eq!(r.data(), &[2., 4., 6., 8.]);
+    let mut tiles = Tiles::default();
+    let b = Token::Elem(Payload::Blk(tiles.put(Block::new(2, 2, vec![1., 2., 3., 4.]))));
+    let v = vec![b, b, s(1), Token::Done];
+    let reduce = NodeKind::Reduce { op: ReduceOp::Sum };
+    let out = run_node_standalone(reduce, vec![v], vec![], &mut tiles).unwrap();
+    let Token::Elem(Payload::Blk(r)) = out[0][0] else { panic!("block expected") };
+    assert_eq!(tiles.get(r).data(), &[2., 4., 6., 8.]);
 }
 
 #[test]
 fn spacc_max_takes_elementwise_maximum() {
     let crd = vec![idx(0), s(0), idx(0), s(1), Token::Done];
     let vals = vec![val(3.0), s(0), val(7.0), s(1), Token::Done];
-    let out = run_node_standalone(NodeKind::Spacc1 { op: ReduceOp::Max }, vec![crd, vals], vec![])
-        .unwrap();
+    let out = standalone(NodeKind::Spacc1 { op: ReduceOp::Max }, vec![crd, vals], vec![]).unwrap();
     assert_eq!(out[1], vec![val(7.0), s(0), Token::Done]);
 }
 
@@ -72,15 +75,14 @@ fn scanner_emits_one_fiber_per_reference() {
             pos.push(idx(p as u32));
         }
         let stop = s(u8::from(n + 1 == rows.len()));
-        crd.push(stop.clone());
+        crd.push(stop);
         pos.push(stop);
     }
     crd.push(Token::Done);
     pos.push(Token::Done);
     assert!(crd.len() > 5, "the rows hold stored coordinates");
     let out =
-        run_node_standalone(NodeKind::LevelScanner { tensor: 0, level: 1 }, vec![refs], vec![d])
-            .unwrap();
+        standalone(NodeKind::LevelScanner { tensor: 0, level: 1 }, vec![refs], vec![d]).unwrap();
     assert_eq!(out[0], crd);
     assert_eq!(out[1], pos);
 }

@@ -1,16 +1,25 @@
 //! Unit-level semantics tests for each SAMML primitive, driven through
 //! `run_node_standalone` with literal token streams.
 
-use fuseflow_sam::{AluOp, Block, NodeKind, Payload, ReduceOp, Token};
-use fuseflow_sim::{run_node_standalone, SimError};
+use fuseflow_sam::{AluOp, NodeKind, ReduceOp};
+use fuseflow_sim::{run_node_standalone, Block, Payload, SimError, Tiles, Token};
 use fuseflow_tensor::{DenseTensor, Format, SparseTensor};
+
+/// Runs `kind` on streams that carry no tile.
+fn standalone(
+    kind: NodeKind,
+    inputs: Vec<Vec<Token>>,
+    tensors: Vec<SparseTensor>,
+) -> Result<Vec<Vec<Token>>, SimError> {
+    run_node_standalone(kind, inputs, tensors, &mut Tiles::default())
+}
 
 fn idx(i: u32) -> Token {
     Token::idx(i)
 }
 
 fn val(v: f32) -> Token {
-    Token::val(v)
+    Token::Elem(Payload::F(v))
 }
 
 fn s(k: u8) -> Token {
@@ -21,7 +30,7 @@ const D: Token = Token::Done;
 
 #[test]
 fn root_emits_reference_and_done() {
-    let out = run_node_standalone(NodeKind::Root, vec![], vec![]).unwrap();
+    let out = standalone(NodeKind::Root, vec![], vec![]).unwrap();
     assert_eq!(out[0], vec![idx(0), D]);
 }
 
@@ -32,12 +41,9 @@ fn scanner_csr_outer_level() {
         DenseTensor::from_vec(vec![3, 4], vec![1., 0., 2., 0., 0., 0., 0., 0., 0., 0., 0., 3.]);
     let t = SparseTensor::from_dense(&dense, &Format::csr());
     // Dense outer level scanned from root.
-    let out = run_node_standalone(
-        NodeKind::LevelScanner { tensor: 0, level: 0 },
-        vec![vec![idx(0), D]],
-        vec![t],
-    )
-    .unwrap();
+    let out =
+        standalone(NodeKind::LevelScanner { tensor: 0, level: 0 }, vec![vec![idx(0), D]], vec![t])
+            .unwrap();
     assert_eq!(out[0], vec![idx(0), idx(1), idx(2), s(0), D]);
     assert_eq!(out[1], vec![idx(0), idx(1), idx(2), s(0), D]);
 }
@@ -49,8 +55,7 @@ fn scanner_csr_inner_level_nests_stops() {
     let t = SparseTensor::from_dense(&dense, &Format::csr());
     let refs = vec![idx(0), idx(1), idx(2), s(0), D];
     let out =
-        run_node_standalone(NodeKind::LevelScanner { tensor: 0, level: 1 }, vec![refs], vec![t])
-            .unwrap();
+        standalone(NodeKind::LevelScanner { tensor: 0, level: 1 }, vec![refs], vec![t]).unwrap();
     // Row 1 is empty: bare stop (adjacent stops convention).
     assert_eq!(out[0], vec![idx(0), idx(2), s(0), s(0), idx(3), s(1), D]);
     // References address the stored positions 0..3.
@@ -63,8 +68,7 @@ fn scanner_forwards_empty_payloads_as_empty_fibers() {
     let t = SparseTensor::from_dense(&dense, &Format::csr());
     let refs = vec![Token::Elem(Payload::Empty), idx(1), s(0), D];
     let out =
-        run_node_standalone(NodeKind::LevelScanner { tensor: 0, level: 1 }, vec![refs], vec![t])
-            .unwrap();
+        standalone(NodeKind::LevelScanner { tensor: 0, level: 1 }, vec![refs], vec![t]).unwrap();
     assert_eq!(out[0], vec![s(0), idx(0), idx(1), s(1), D]);
 }
 
@@ -73,7 +77,7 @@ fn repeat_root_per_coordinate() {
     // Repeat X's root reference once per i coordinate.
     let base = vec![idx(0), D];
     let rep = vec![idx(3), idx(7), s(0), D];
-    let out = run_node_standalone(NodeKind::Repeat, vec![base, rep], vec![]).unwrap();
+    let out = standalone(NodeKind::Repeat, vec![base, rep], vec![]).unwrap();
     assert_eq!(out[0], vec![idx(0), idx(0), s(0), D]);
 }
 
@@ -82,7 +86,7 @@ fn repeat_values_across_inner_fibers() {
     // Base values per (i,k); rep stream is the j-coordinate stream.
     let base = vec![val(10.0), val(20.0), s(0), val(30.0), s(1), D];
     let rep = vec![idx(0), idx(1), s(0), idx(2), s(1), idx(0), s(2), D];
-    let out = run_node_standalone(NodeKind::Repeat, vec![base, rep], vec![]).unwrap();
+    let out = standalone(NodeKind::Repeat, vec![base, rep], vec![]).unwrap();
     assert_eq!(out[0], vec![val(10.0), val(10.0), s(0), val(20.0), s(1), val(30.0), s(2), D]);
 }
 
@@ -90,7 +94,7 @@ fn repeat_values_across_inner_fibers() {
 fn repeat_discards_base_for_empty_rep_fiber() {
     let base = vec![val(1.0), val(2.0), s(0), D];
     let rep = vec![s(0), idx(5), s(1), D]; // first fiber empty
-    let out = run_node_standalone(NodeKind::Repeat, vec![base, rep], vec![]).unwrap();
+    let out = standalone(NodeKind::Repeat, vec![base, rep], vec![]).unwrap();
     assert_eq!(out[0], vec![s(0), val(2.0), s(1), D]);
 }
 
@@ -100,7 +104,7 @@ fn intersect_matches_coordinates() {
     let pa = vec![idx(10), idx(12), idx(15), s(0), D];
     let cb = vec![idx(2), idx(3), idx(5), s(0), D];
     let pb = vec![idx(22), idx(23), idx(25), s(0), D];
-    let out = run_node_standalone(NodeKind::Intersect, vec![ca, pa, cb, pb], vec![]).unwrap();
+    let out = standalone(NodeKind::Intersect, vec![ca, pa, cb, pb], vec![]).unwrap();
     assert_eq!(out[0], vec![idx(2), idx(5), s(0), D]);
     assert_eq!(out[1], vec![idx(12), idx(15), s(0), D]);
     assert_eq!(out[2], vec![idx(22), idx(25), s(0), D]);
@@ -112,7 +116,7 @@ fn intersect_handles_disjoint_fibers() {
     let pa = vec![idx(0), s(0), idx(1), s(1), D];
     let cb = vec![idx(1), s(0), idx(1), s(1), D];
     let pb = vec![idx(9), s(0), idx(9), s(1), D];
-    let out = run_node_standalone(NodeKind::Intersect, vec![ca, pa, cb, pb], vec![]).unwrap();
+    let out = standalone(NodeKind::Intersect, vec![ca, pa, cb, pb], vec![]).unwrap();
     assert_eq!(out[0], vec![s(0), idx(1), s(1), D]);
 }
 
@@ -122,7 +126,7 @@ fn union_emits_empty_placeholders() {
     let pa = vec![idx(10), idx(12), s(0), D];
     let cb = vec![idx(1), idx(2), s(0), D];
     let pb = vec![idx(21), idx(22), s(0), D];
-    let out = run_node_standalone(NodeKind::Union, vec![ca, pa, cb, pb], vec![]).unwrap();
+    let out = standalone(NodeKind::Union, vec![ca, pa, cb, pb], vec![]).unwrap();
     assert_eq!(out[0], vec![idx(0), idx(1), idx(2), s(0), D]);
     assert_eq!(out[1], vec![idx(10), Token::Elem(Payload::Empty), idx(12), s(0), D]);
     assert_eq!(out[2], vec![Token::Elem(Payload::Empty), idx(21), idx(22), s(0), D]);
@@ -134,7 +138,7 @@ fn union_drains_longer_side_after_stop() {
     let pa = vec![idx(10), s(0), D];
     let cb = vec![idx(0), idx(4), idx(6), s(0), D];
     let pb = vec![idx(20), idx(24), idx(26), s(0), D];
-    let out = run_node_standalone(NodeKind::Union, vec![ca, pa, cb, pb], vec![]).unwrap();
+    let out = standalone(NodeKind::Union, vec![ca, pa, cb, pb], vec![]).unwrap();
     assert_eq!(out[0], vec![idx(0), idx(4), idx(6), s(0), D]);
 }
 
@@ -142,7 +146,7 @@ fn union_drains_longer_side_after_stop() {
 fn alu_binary_add() {
     let a = vec![val(1.0), val(2.0), s(0), D];
     let b = vec![val(10.0), val(20.0), s(0), D];
-    let out = run_node_standalone(NodeKind::Alu { op: AluOp::Add }, vec![a, b], vec![]).unwrap();
+    let out = standalone(NodeKind::Alu { op: AluOp::Add }, vec![a, b], vec![]).unwrap();
     assert_eq!(out[0], vec![val(11.0), val(22.0), s(0), D]);
 }
 
@@ -150,35 +154,35 @@ fn alu_binary_add() {
 fn alu_add_treats_empty_as_zero() {
     let a = vec![Token::Elem(Payload::Empty), val(2.0), s(0), D];
     let b = vec![val(10.0), Token::Elem(Payload::Empty), s(0), D];
-    let out = run_node_standalone(NodeKind::Alu { op: AluOp::Add }, vec![a, b], vec![]).unwrap();
+    let out = standalone(NodeKind::Alu { op: AluOp::Add }, vec![a, b], vec![]).unwrap();
     assert_eq!(out[0], vec![val(10.0), val(2.0), s(0), D]);
 }
 
 #[test]
 fn alu_unary_relu() {
     let a = vec![val(-1.0), val(3.0), s(0), D];
-    let out = run_node_standalone(NodeKind::Alu { op: AluOp::Relu }, vec![a], vec![]).unwrap();
+    let out = standalone(NodeKind::Alu { op: AluOp::Relu }, vec![a], vec![]).unwrap();
     assert_eq!(out[0], vec![val(0.0), val(3.0), s(0), D]);
 }
 
 #[test]
 fn reduce_sums_inner_fibers() {
     let v = vec![val(1.0), val(2.0), s(0), val(5.0), s(1), D];
-    let out = run_node_standalone(NodeKind::Reduce { op: ReduceOp::Sum }, vec![v], vec![]).unwrap();
+    let out = standalone(NodeKind::Reduce { op: ReduceOp::Sum }, vec![v], vec![]).unwrap();
     assert_eq!(out[0], vec![val(3.0), val(5.0), s(0), D]);
 }
 
 #[test]
 fn reduce_emits_identity_for_empty_fiber() {
     let v = vec![s(0), val(4.0), s(1), D];
-    let out = run_node_standalone(NodeKind::Reduce { op: ReduceOp::Sum }, vec![v], vec![]).unwrap();
+    let out = standalone(NodeKind::Reduce { op: ReduceOp::Sum }, vec![v], vec![]).unwrap();
     assert_eq!(out[0], vec![val(0.0), val(4.0), s(0), D]);
 }
 
 #[test]
 fn reduce_max() {
     let v = vec![val(1.0), val(7.0), val(3.0), s(1), D];
-    let out = run_node_standalone(NodeKind::Reduce { op: ReduceOp::Max }, vec![v], vec![]).unwrap();
+    let out = standalone(NodeKind::Reduce { op: ReduceOp::Max }, vec![v], vec![]).unwrap();
     assert_eq!(out[0], vec![val(7.0), s(0), D]);
 }
 
@@ -187,8 +191,7 @@ fn spacc_accumulates_across_inner_boundaries() {
     // Two k-fibers for i0: {j0: 1, j2: 2} then {j0: 10, j1: 20}; one for i1.
     let crd = vec![idx(0), idx(2), s(0), idx(0), idx(1), s(1), idx(3), s(2), D];
     let vals = vec![val(1.), val(2.), s(0), val(10.), val(20.), s(1), val(3.), s(2), D];
-    let out = run_node_standalone(NodeKind::Spacc1 { op: ReduceOp::Sum }, vec![crd, vals], vec![])
-        .unwrap();
+    let out = standalone(NodeKind::Spacc1 { op: ReduceOp::Sum }, vec![crd, vals], vec![]).unwrap();
     assert_eq!(out[0], vec![idx(0), idx(1), idx(2), s(0), idx(3), s(1), D]);
     assert_eq!(out[1], vec![val(11.0), val(20.0), val(2.0), s(0), val(3.0), s(1), D]);
 }
@@ -197,8 +200,7 @@ fn spacc_accumulates_across_inner_boundaries() {
 fn spacc_flushes_empty_fiber_for_empty_accumulation() {
     let crd = vec![s(1), idx(2), s(2), D];
     let vals = vec![s(1), val(5.0), s(2), D];
-    let out = run_node_standalone(NodeKind::Spacc1 { op: ReduceOp::Sum }, vec![crd, vals], vec![])
-        .unwrap();
+    let out = standalone(NodeKind::Spacc1 { op: ReduceOp::Sum }, vec![crd, vals], vec![]).unwrap();
     assert_eq!(out[0], vec![s(0), idx(2), s(1), D]);
     assert_eq!(out[1], vec![s(0), val(5.0), s(1), D]);
 }
@@ -207,8 +209,7 @@ fn spacc_flushes_empty_fiber_for_empty_accumulation() {
 fn parallelizer_round_robins_elements_and_broadcasts_stops() {
     let crd = vec![idx(0), idx(1), idx(2), s(0), D];
     let refs = vec![idx(10), idx(11), idx(12), s(0), D];
-    let out =
-        run_node_standalone(NodeKind::Parallelizer { factor: 2 }, vec![crd, refs], vec![]).unwrap();
+    let out = standalone(NodeKind::Parallelizer { factor: 2 }, vec![crd, refs], vec![]).unwrap();
     assert_eq!(out[0], vec![idx(0), idx(2), s(0), D]); // branch 0 crd
     assert_eq!(out[1], vec![idx(10), idx(12), s(0), D]); // branch 0 ref
     assert_eq!(out[2], vec![idx(1), s(0), D]); // branch 1 crd
@@ -220,12 +221,8 @@ fn serializer_merges_depth0_elements() {
     let b0 = vec![idx(0), idx(2), s(0), D];
     let b1 = vec![idx(1), s(0), D];
     let order = vec![idx(0), idx(1), idx(2), s(0), D];
-    let out = run_node_standalone(
-        NodeKind::Serializer { factor: 2, depth: 0 },
-        vec![b0, b1, order],
-        vec![],
-    )
-    .unwrap();
+    let out = standalone(NodeKind::Serializer { factor: 2, depth: 0 }, vec![b0, b1, order], vec![])
+        .unwrap();
     assert_eq!(out[0], vec![idx(0), idx(1), idx(2), s(0), D]);
 }
 
@@ -235,12 +232,8 @@ fn serializer_merges_depth1_fibers() {
     let b0 = vec![val(1.0), val(2.0), s(0), val(5.0), s(1), D];
     let b1 = vec![val(3.0), s(0), val(7.0), val(8.0), s(1), D];
     let order = vec![idx(0), idx(1), idx(2), idx(3), s(0), D];
-    let out = run_node_standalone(
-        NodeKind::Serializer { factor: 2, depth: 1 },
-        vec![b0, b1, order],
-        vec![],
-    )
-    .unwrap();
+    let out = standalone(NodeKind::Serializer { factor: 2, depth: 1 }, vec![b0, b1, order], vec![])
+        .unwrap();
     assert_eq!(
         out[0],
         vec![val(1.0), val(2.0), s(0), val(3.0), s(0), val(5.0), s(0), val(7.0), val(8.0), s(1), D]
@@ -254,12 +247,8 @@ fn serializer_handles_empty_coalesced_unit() {
     let b0 = vec![val(1.0), s(0), s(1), D];
     let b1 = vec![val(3.0), s(0), val(7.0), s(1), D];
     let order = vec![idx(0), idx(1), idx(2), idx(3), s(0), D];
-    let out = run_node_standalone(
-        NodeKind::Serializer { factor: 2, depth: 1 },
-        vec![b0, b1, order],
-        vec![],
-    )
-    .unwrap();
+    let out = standalone(NodeKind::Serializer { factor: 2, depth: 1 }, vec![b0, b1, order], vec![])
+        .unwrap();
     assert_eq!(out[0], vec![val(1.0), s(0), val(3.0), s(0), s(0), val(7.0), s(1), D]);
 }
 
@@ -272,7 +261,7 @@ fn serializer_handles_starved_branch() {
     let b2 = vec![val(3.0), s(1), D];
     let b3 = vec![s(1), D];
     let order = vec![idx(0), idx(1), idx(2), s(0), D];
-    let out = run_node_standalone(
+    let out = standalone(
         NodeKind::Serializer { factor: 4, depth: 1 },
         vec![b0, b1, b2, b3, order],
         vec![],
@@ -286,7 +275,7 @@ fn array_reads_values_and_zeros_for_empty() {
     let dense = DenseTensor::from_vec(vec![4], vec![5., 6., 7., 8.]);
     let t = SparseTensor::from_dense(&dense, &Format::dense_vec());
     let refs = vec![idx(2), Token::Elem(Payload::Empty), idx(0), s(0), D];
-    let out = run_node_standalone(NodeKind::Array { tensor: 0 }, vec![refs], vec![t]).unwrap();
+    let out = standalone(NodeKind::Array { tensor: 0 }, vec![refs], vec![t]).unwrap();
     assert_eq!(out[0], vec![val(7.0), val(0.0), val(5.0), s(0), D]);
 }
 
@@ -299,18 +288,20 @@ fn blocked_array_and_matmul_alu() {
         &Format::csr(),
     )
     .unwrap();
+    let mut tiles = Tiles::default();
     let refs = vec![idx(0), s(0), D];
-    let out = run_node_standalone(NodeKind::Array { tensor: 0 }, vec![refs], vec![a]).unwrap();
-    let Token::Elem(Payload::Blk(b)) = &out[0][0] else { panic!("expected block") };
-    assert_eq!(b.data(), &[1., 2., 3., 4.]);
+    let array = NodeKind::Array { tensor: 0 };
+    let out = run_node_standalone(array, vec![refs], vec![a], &mut tiles).unwrap();
+    let Token::Elem(Payload::Blk(b)) = out[0][0] else { panic!("expected block") };
+    assert_eq!(tiles.get(b).data(), &[1., 2., 3., 4.]);
 
-    // Tile contraction through the Mul ALU.
-    let lhs = vec![out[0][0].clone(), s(0), D];
-    let rhs = vec![out[0][0].clone(), s(0), D];
-    let prod =
-        run_node_standalone(NodeKind::Alu { op: AluOp::Mul }, vec![lhs, rhs], vec![]).unwrap();
-    let Token::Elem(Payload::Blk(p)) = &prod[0][0] else { panic!("expected block") };
-    assert_eq!(p.data(), &[7., 10., 15., 22.]);
+    // Tile contraction through the Mul ALU, on the tile the array left in
+    // the table.
+    let lhs = vec![out[0][0], s(0), D];
+    let mul = NodeKind::Alu { op: AluOp::Mul };
+    let prod = run_node_standalone(mul, vec![lhs.clone(), lhs], vec![], &mut tiles).unwrap();
+    let Token::Elem(Payload::Blk(p)) = prod[0][0] else { panic!("expected block") };
+    assert_eq!(tiles.get(p).data(), &[7., 10., 15., 22.]);
 }
 
 /// A `Stop(255)` into a scanner has no deeper stop to become.
@@ -321,28 +312,61 @@ fn scanner_stop_past_255_is_a_typed_error() {
         &Format::dense_vec(),
     );
     let refs = vec![s(255), D];
-    let err =
-        run_node_standalone(NodeKind::LevelScanner { tensor: 0, level: 0 }, vec![refs], vec![t])
-            .unwrap_err();
+    let err = standalone(NodeKind::LevelScanner { tensor: 0, level: 0 }, vec![refs], vec![t])
+        .unwrap_err();
     assert_eq!(err, SimError::Semantics("stop level 255 + 1 exceeds 255 at standalone".into()));
 }
 
 /// Accumulating a 4x4 tile into a 2x2 one is a typed error in both reducers.
 #[test]
 fn reducers_refuse_tiles_of_different_shapes() {
-    let tile = |n: usize| Token::Elem(Payload::Blk(Block::new(n, n, vec![1.0; n * n])));
+    let mut tiles = Tiles::default();
+    let mut tile =
+        |n: usize| Token::Elem(Payload::Blk(tiles.put(Block::new(n, n, vec![1.0; n * n]))));
+    let v = vec![tile(2), tile(4), s(0), D];
+    let vals = vec![tile(2), tile(4), s(1), D];
     let want = |who: &str| {
         SimError::Semantics(format!(
             "{who}: tiles of 2x2 and 4x4 do not fit an elementwise op at standalone"
         ))
     };
-    let v = vec![tile(2), tile(4), s(0), D];
-    let err =
-        run_node_standalone(NodeKind::Reduce { op: ReduceOp::Sum }, vec![v], vec![]).unwrap_err();
+    let reduce = NodeKind::Reduce { op: ReduceOp::Sum };
+    let err = run_node_standalone(reduce, vec![v], vec![], &mut tiles).unwrap_err();
     assert_eq!(err, want("reduce"));
     let crd = vec![idx(3), idx(3), s(1), D];
-    let vals = vec![tile(2), tile(4), s(1), D];
-    let err = run_node_standalone(NodeKind::Spacc1 { op: ReduceOp::Sum }, vec![crd, vals], vec![])
-        .unwrap_err();
+    let spacc = NodeKind::Spacc1 { op: ReduceOp::Sum };
+    let err = run_node_standalone(spacc, vec![crd, vals], vec![], &mut tiles).unwrap_err();
     assert_eq!(err, want("spacc"));
+}
+
+/// A tile keeps dimensions past `u16::MAX`: a 65537x1 tile and a 1x1 tile
+/// in one elementwise ALU are a shape mismatch, not a 1x1 sum.
+#[test]
+fn a_tile_of_65537_rows_keeps_its_shape() {
+    let tall = Block::new(65537, 1, vec![1.0; 65537]);
+    assert_eq!((tall.rows(), tall.cols()), (65537, 1));
+    let mut tiles = Tiles::default();
+    let a = vec![Token::Elem(Payload::Blk(tiles.put(tall))), s(0), D];
+    let b = vec![Token::Elem(Payload::Blk(tiles.put(Block::new(1, 1, vec![1.0])))), s(0), D];
+    let add = NodeKind::Alu { op: AluOp::Add };
+    let err = run_node_standalone(add, vec![a, b], vec![], &mut tiles).unwrap_err();
+    let want = "tiles of 65537x1 and 1x1 do not fit an elementwise op at standalone";
+    assert_eq!(err, SimError::Semantics(want.into()));
+}
+
+/// The standalone runner checks what it is given: a stream count that is
+/// not the node's port count, or a tile handle from another table, is a
+/// typed error.
+#[test]
+fn standalone_refuses_a_wrong_stream_count_and_a_tile_it_does_not_hold() {
+    let add = NodeKind::Alu { op: AluOp::Add };
+    let err = standalone(add, vec![vec![val(1.0), D]], vec![]).unwrap_err();
+    let want = "Alu { op: Add } takes 2 input streams (empty = unconnected), got 1";
+    assert_eq!(err, SimError::Config(want.into()));
+
+    let mut other = Tiles::default();
+    let foreign = Token::Elem(Payload::Blk(other.put(Block::new(1, 1, vec![1.0]))));
+    let err = standalone(NodeKind::Alu { op: AluOp::Relu }, vec![vec![foreign, D]], vec![]);
+    let want = "Elem(Blk(Tile(0))) names a tile the table does not hold";
+    assert_eq!(err.unwrap_err(), SimError::Config(want.into()));
 }
