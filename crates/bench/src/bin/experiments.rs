@@ -799,7 +799,6 @@ fn samcheck(o: Opts) -> usize {
             let opts = VerifyOptions {
                 channel_capacity: sim().channel_capacity,
                 fiber_hi: fiber_upper_bound(&m.program),
-                ..Default::default()
             };
             let reports: Vec<_> = compiled
                 .lowered

@@ -150,8 +150,8 @@ pub fn fiber_upper_bound(program: &Program) -> Option<u64> {
 ///
 /// The analyzer's fiber upper bound is derived from the program's tensor
 /// shapes, so capacity-sizing advisories (SA013) reflect the actual
-/// problem dimensions; no fiber lower bound is assumed, so compile-time
-/// verification never claims a *guaranteed* deadlock (SA012).
+/// problem dimensions. The analyzer takes no fiber lower bound, so it never
+/// proves a deadlock: a region is certified, flagged SA013 or Unknown.
 ///
 /// # Errors
 ///

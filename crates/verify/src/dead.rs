@@ -26,11 +26,9 @@ fn live_nodes(g: &SamGraph, order: &[NodeId]) -> Vec<bool> {
     live
 }
 
-/// Runs the dead-code pass; returns the liveness vector for reuse by the
-/// deadlock pass.
-pub(crate) fn check_dead(g: &SamGraph, order: &[NodeId], diags: &mut Vec<Diag>) -> Vec<bool> {
-    let live = live_nodes(g, order);
-    for (i, alive) in live.iter().enumerate() {
+/// Runs the dead-code pass.
+pub(crate) fn check_dead(g: &SamGraph, order: &[NodeId], diags: &mut Vec<Diag>) {
+    for (i, alive) in live_nodes(g, order).iter().enumerate() {
         if !alive {
             diags.push(Diag::new(
                 Code::SA014,
@@ -81,5 +79,4 @@ pub(crate) fn check_dead(g: &SamGraph, order: &[NodeId], diags: &mut Vec<Diag>) 
             ));
         }
     }
-    live
 }

@@ -14,42 +14,40 @@
 //! `need` tokens (e.g. a `Reduce` absorbs a whole fiber before its first
 //! emission) while the sibling path can only buffer `absorb < need`
 //! tokens, `F` blocks on the sibling, the retaining path starves, and the
-//! join never commits.
+//! join never commits. The one exception reads two tokens deep: a `Repeat`
+//! closing an empty fiber needs its base element and base stop at once, so
+//! at capacity 1 it starves with no reconvergence at all ([`base_starved`]).
 //!
 //! # Algebra
 //!
 //! Every node kind is summarized, per (input-port -> output-port) traversal,
-//! by interval bounds parameterized on the fiber-length assumption
-//! (`VerifyOptions::fiber_lo`/`fiber_hi`):
+//! by bounds parameterized on the fiber-length upper bound
+//! (`VerifyOptions::fiber_hi`):
 //!
-//! * `r` — tokens it must receive before its first emission (`Reduce`:
-//!   a whole fiber plus its terminator, `L + 1`; 1:1 nodes: 1);
-//! * `m` — marginal tokens consumed per additional emission.
+//! * `r_hi` — the most tokens it can need before its first emission
+//!   (`Reduce`: a whole fiber plus its terminator, `L + 1`; 1:1 nodes: 1);
+//! * `m_lo`/`m_hi` — marginal tokens consumed per additional emission.
 //!
-//! Folding `r`/`m` backward along a path yields `need`, the tokens the
-//! fork must emit into the path before the join's first commit; folding
-//! `m` forward over the path's edges yields `absorb`, the fork-token
-//! capacity of the path (`sum of cap * product of upstream m`).
+//! Folding `r_hi`/`m_hi` backward along a path yields `need_hi`, the most
+//! tokens the fork may have to emit into the path before the join's first
+//! commit; folding `m_lo` forward over the path's edges yields the fork-token
+//! capacity the path surely has (`sum of cap * product of upstream m_lo`).
 //!
-//! # Verdicts (three-valued, per region)
+//! # Verdicts (per region)
 //!
-//! * **Certified** — `need_hi + slack <= absorb_lo` in both directions:
-//!   the region cannot deadlock at this capacity.
-//! * **GuaranteedDeadlock** (SA012, error) — `need_lo > absorb_hi + slack`
-//!   in some direction *and* the caller promised non-trivial fibers
-//!   (`fiber_lo >= 1`) *and* the join feeds a writer: the join's first
-//!   commit can never happen, and the starved writers deadlock the
-//!   simulation. Reports the minimum safe uniform capacity.
+//! * **Certified** — `need_hi + slack <= absorb` in both directions: the
+//!   region cannot deadlock at this capacity.
+//! * **SA013** (warning) — on a path whose retention is structural
+//!   (`precise`, data-independent up to fiber length), `need_hi` exceeds
+//!   the sibling's buffering: "your capacity is too small if fibers reach
+//!   length L". Reports the minimum safe uniform capacity.
 //! * **Unknown** — the algebra could not bound the region (unbounded or
-//!   data-dependent retention, path overflow, non-lockstep fork). No
-//!   diagnostic is emitted: soundness claims attach only to the two
-//!   definite verdicts.
+//!   data-dependent retention, path overflow, non-lockstep fork, a starved
+//!   `Repeat` base). No diagnostic is emitted.
 //!
-//! Between Certified and Guaranteed lies SA013 (warning): the retention
-//! *upper* bound exceeds the sibling's buffering on a path whose retention
-//! is structural (`precise`, data-independent given the fiber promise), but
-//! the lower bound cannot prove the deadlock. This is the "your capacity is
-//! too small if fibers reach length L" advisory.
+//! Only *Certified* carries a soundness claim. No verdict proves a deadlock:
+//! that would need a promise that fibers are non-empty, which no compile
+//! can make (the retired SA012 took one).
 
 use crate::diag::{Anchor, Code, Diag, RegionSummary};
 use crate::VerifyOptions;
@@ -62,96 +60,81 @@ use std::collections::BTreeMap;
 /// simulator; see `tests/verify_soundness.rs`).
 const CROSS_PORT_SLACK: u64 = 1;
 
-/// Internal buffering of a 1:1 path node beyond its input channel (held
-/// element plus output queue), counted only on the *absorb-hi* side where
-/// overestimating is conservative.
-const NODE_SLACK: u64 = 2;
+/// Source-rooted paths into one join input port beyond which a port pair is
+/// counted Unknown rather than analysed.
+pub(crate) const MAX_PATHS: usize = 64;
 
 /// Per-node path-traversal summary (see module docs).
 #[derive(Debug, Clone, Copy)]
 struct StepSummary {
-    r_lo: u64,
     r_hi: Option<u64>,
     m_lo: u64,
     m_hi: Option<u64>,
-    /// Retention bounds are structural (data-independent given the fiber
-    /// promise), so the hi bound is a meaningful "will retain this much"
+    /// Retention bounds are structural (data-independent up to fiber
+    /// length), so the hi bound is a meaningful "will retain this much"
     /// statement, not just a worst case.
     precise: bool,
 }
 
-const SAME: StepSummary =
-    StepSummary { r_lo: 1, r_hi: Some(1), m_lo: 1, m_hi: Some(1), precise: true };
+const SAME: StepSummary = StepSummary { r_hi: Some(1), m_lo: 1, m_hi: Some(1), precise: true };
+
+/// A node whose first output needs one input and whose later outputs may
+/// need none.
+const EXPANDS: StepSummary = StepSummary { m_lo: 0, ..SAME };
 
 /// Summarizes traversing `kind` entering at `in_port`. `None` means the
 /// node cannot be bounded (e.g. `Serializer` barriers) and poisons the
 /// region to Unknown.
 fn step_summary(kind: &NodeKind, in_port: usize, opts: &VerifyOptions) -> Option<StepSummary> {
-    let lo = opts.fiber_lo.unwrap_or(0);
     let hi = opts.fiber_hi;
     Some(match kind {
         NodeKind::Array { .. } | NodeKind::Alu { .. } => SAME,
-        NodeKind::Repeat => {
-            if in_port == 0 {
-                // Base side: one element fans out over a whole rep fiber.
-                StepSummary { r_lo: 1, r_hi: Some(1), m_lo: 0, m_hi: Some(1), precise: true }
-            } else {
-                // Rep side: one output token per rep token.
-                SAME
-            }
-        }
-        NodeKind::LevelScanner { .. } => {
-            // One reference expands to a fiber: first output after one
-            // input, later outputs may need no further input.
-            StepSummary { r_lo: 1, r_hi: Some(1), m_lo: 0, m_hi: Some(1), precise: true }
-        }
+        // Base side: one element fans out over a whole rep fiber.
+        NodeKind::Repeat if in_port == 0 => EXPANDS,
+        // Rep side: one output token per rep token.
+        NodeKind::Repeat => SAME,
+        // One reference expands to a fiber.
+        NodeKind::LevelScanner { .. } => EXPANDS,
         NodeKind::Reduce { .. } => {
             // Absorbs a whole inner fiber plus its terminating stop before
-            // each emission.
-            StepSummary {
-                r_lo: lo + 1,
-                r_hi: hi.map(|h| h + 1),
-                m_lo: lo + 1,
-                m_hi: hi.map(|h| h + 1),
-                precise: true,
-            }
+            // each emission: at least the stop, at most `h + 1` tokens.
+            let fiber = hi.map(|h| h + 1);
+            StepSummary { r_hi: fiber, m_lo: 1, m_hi: fiber, precise: true }
         }
         NodeKind::Spacc1 { .. } => {
             // Accumulates across Stop(0) boundaries, flushing on Stop(>=1):
             // retains up to a whole outer fiber (h fibers of h elements).
             let outer = hi.map(|h| h.saturating_mul(h + 1).saturating_add(1));
-            StepSummary { r_lo: 1, r_hi: outer, m_lo: 1, m_hi: outer, precise: false }
+            StepSummary { r_hi: outer, m_lo: 1, m_hi: outer, precise: false }
         }
         NodeKind::UnionLeft if in_port <= 1 => SAME, // left side passes through 1:1
-        NodeKind::Union => {
-            // Every head makes progress once both sides are present.
-            StepSummary { r_lo: 1, r_hi: Some(1), m_lo: 0, m_hi: Some(1), precise: true }
-        }
+        // Every head makes progress once both sides are present.
+        NodeKind::Union => EXPANDS,
         NodeKind::Intersect | NodeKind::UnionLeft => {
             // Data-dependent: may skip a whole fiber before first emission.
-            StepSummary {
-                r_lo: 1,
-                r_hi: hi.map(|h| h + 1),
-                m_lo: 0,
-                m_hi: hi.map(|h| h + 1),
-                precise: false,
-            }
+            let fiber = hi.map(|h| h + 1);
+            StepSummary { r_hi: fiber, m_lo: 0, m_hi: fiber, precise: false }
         }
         NodeKind::Parallelizer { factor } => {
             // Round-robin: a branch sees every `factor`-th element, stops
             // broadcast.
-            let f = *factor as u64;
-            StepSummary {
-                r_lo: 1,
-                r_hi: Some(f.max(1)),
-                m_lo: 0,
-                m_hi: Some(f.max(1)),
-                precise: false,
-            }
+            let f = Some((*factor as u64).max(1));
+            StepSummary { r_hi: f, m_lo: 0, m_hi: f, precise: false }
         }
         NodeKind::Serializer { .. } => return None, // barrier over whole units: unbounded
         NodeKind::Root | NodeKind::CrdWriter { .. } | NodeKind::ValWriter { .. } => return None,
     })
+}
+
+/// Is `join` a `Repeat` whose base channel is too small for it, whatever
+/// runs upstream? Closing an empty rep fiber under `Stop(k >= 1)`, a
+/// `Repeat` needs the base element and the base stop behind it at once: two
+/// tokens, which a capacity-1 channel cannot hold. A base straight from a
+/// `Root` carries no stop. Such a join's port pair is counted Unknown.
+pub(crate) fn base_starved(g: &SamGraph, join: NodeId, opts: &VerifyOptions) -> bool {
+    opts.channel_capacity < 2
+        && matches!(g.node(join), NodeKind::Repeat)
+        && g.in_edge(join, 0).is_some_and(|e| !matches!(g.node(e.src.node), NodeKind::Root))
 }
 
 /// Input ports of a strict join: every pair of connected ones must have
@@ -197,30 +180,24 @@ fn fork_class(kind: &NodeKind, port_a: usize, port_b: usize) -> ForkClass {
 /// interior nodes are everything strictly between).
 #[derive(Debug, Clone)]
 struct PathSummary {
-    /// Fork tokens the path must receive before the join's first commit.
-    need_lo: u64,
+    /// Most fork tokens the path may need before the join's first commit
+    /// (None when unbounded).
     need_hi: Option<u64>,
     /// Fork-token buffering of the path per unit of channel capacity
     /// (`sum over edges of product of upstream m_lo`); always >= 1.
     absorb_units_lo: u64,
-    /// Upper bound on fork tokens the path can absorb, including node
-    /// slack (None when unbounded).
-    absorb_hi: Option<u64>,
     /// All interior retention is structural.
     precise: bool,
 }
 
 fn summarize_path(g: &SamGraph, path: &[Edge], opts: &VerifyOptions) -> Option<PathSummary> {
-    let cap = opts.channel_capacity as u64;
     // Interior node `i` is `path[i].src`, entered via `path[i-1].dst.port`.
     let step = |i: usize| step_summary(g.node(path[i].src.node), path[i - 1].dst.port, opts);
     // Backward fold for need.
-    let mut need_lo: u64 = 1;
     let mut need_hi: Option<u64> = Some(1);
     let mut precise = true;
     for i in (1..path.len()).rev() {
         let s = step(i)?;
-        need_lo = s.r_lo.saturating_add((need_lo - 1).saturating_mul(s.m_lo));
         need_hi = match (need_hi, s.r_hi, s.m_hi) {
             (Some(n), Some(r), Some(m)) => Some(r.saturating_add((n - 1).saturating_mul(m))),
             _ => None,
@@ -228,29 +205,14 @@ fn summarize_path(g: &SamGraph, path: &[Edge], opts: &VerifyOptions) -> Option<P
         precise &= s.precise;
     }
     // Forward fold for absorb: each edge buffers `cap` local tokens, each
-    // worth `product of upstream m` fork tokens; interior nodes add their
-    // own retention plus queue slack on the hi side.
+    // worth at least `product of upstream m_lo` fork tokens.
     let mut units_lo: u64 = 1; // first edge, product over zero nodes
     let mut mult_lo: u64 = 1;
-    let mut absorb_hi: Option<u64> = Some(cap);
-    let mut mult_hi: Option<u64> = Some(1);
     for i in 1..path.len() {
-        let s = step(i)?;
-        mult_lo = mult_lo.saturating_mul(s.m_lo);
+        mult_lo = mult_lo.saturating_mul(step(i)?.m_lo);
         units_lo = units_lo.saturating_add(mult_lo);
-        mult_hi = match (mult_hi, s.m_hi) {
-            (Some(a), Some(m)) => Some(a.saturating_mul(m)),
-            _ => None,
-        };
-        absorb_hi = match (absorb_hi, mult_hi, s.r_hi) {
-            (Some(a), Some(mh), Some(r)) => Some(
-                a.saturating_add(mh.saturating_mul(cap))
-                    .saturating_add((r - 1 + NODE_SLACK).saturating_mul(mh)),
-            ),
-            _ => None,
-        };
     }
-    Some(PathSummary { need_lo, need_hi, absorb_units_lo: units_lo, absorb_hi, precise })
+    Some(PathSummary { need_hi, absorb_units_lo: units_lo, precise })
 }
 
 /// One reconvergent region instance: two internally node-disjoint paths
@@ -268,7 +230,6 @@ enum Verdict {
     Certified,
     Unknown,
     Warned,
-    Guaranteed,
 }
 
 /// A region: `(fork, join, first edge of path a, first edge of path b)`.
@@ -280,9 +241,10 @@ type Key = (usize, usize, (usize, usize, usize, usize), (usize, usize, usize, us
 #[derive(Default)]
 pub(crate) struct Regions {
     by_key: BTreeMap<Key, (Verdict, Option<Diag>)>,
-    /// Join port pairs with more than `max_paths` source-rooted paths into
-    /// one port: counted Unknown, not analysed.
-    pub(crate) overflow_pairs: usize,
+    /// Join port pairs counted Unknown, not analysed: more than
+    /// `MAX_PATHS` source-rooted paths into one port, or a starved `Repeat`
+    /// base ([`base_starved`]).
+    pub(crate) unanalysed_pairs: usize,
 }
 
 #[cfg(test)]
@@ -297,7 +259,6 @@ impl Regions {
         &mut self,
         g: &SamGraph,
         opts: &VerifyOptions,
-        live: &[bool],
         join: NodeId,
         inst: &RegionInstance<'_>,
     ) {
@@ -305,7 +266,7 @@ impl Regions {
         ANALYZED.with(|n| n.set(n.get() + 1));
         let edge_key = |e: &Edge| (e.src.node.0, e.src.port, e.dst.node.0, e.dst.port);
         let key = (inst.fork.0, join.0, edge_key(&inst.path_a[0]), edge_key(&inst.path_b[0]));
-        let (verdict, diag) = analyze_instance(g, opts, live, join, inst);
+        let (verdict, diag) = analyze_instance(g, opts, join, inst);
         let entry = self.by_key.entry(key).or_insert((Verdict::Certified, None));
         if verdict > entry.0 {
             *entry = (verdict, diag);
@@ -315,12 +276,12 @@ impl Regions {
     /// Counts the verdicts and emits the flagged regions' diagnostics, in
     /// key order.
     pub(crate) fn finish(self, diags: &mut Vec<Diag>) -> RegionSummary {
-        let mut summary = RegionSummary { unknown: self.overflow_pairs, ..Default::default() };
+        let mut summary = RegionSummary { unknown: self.unanalysed_pairs, ..Default::default() };
         for (verdict, diag) in self.by_key.into_values() {
             match verdict {
                 Verdict::Certified => summary.certified += 1,
                 Verdict::Unknown => summary.unknown += 1,
-                Verdict::Warned | Verdict::Guaranteed => {
+                Verdict::Warned => {
                     summary.flagged += 1;
                     diags.extend(diag);
                 }
@@ -349,7 +310,7 @@ const ROOT: usize = usize::MAX;
 impl UpTree {
     /// Rebuilds the tree above `last`, the edge into the join port, reusing
     /// the buffers. Its leaves are the source-rooted paths, so the caller
-    /// bounds its size by checking the path count against `max_paths` first.
+    /// bounds its size by checking the path count against `MAX_PATHS` first.
     fn rebuild(&mut self, g: &SamGraph, last: Edge, stack: &mut Vec<(Edge, usize)>) {
         self.edge.clear();
         self.parent.clear();
@@ -427,9 +388,7 @@ fn instances(a: &UpTree, b: &UpTree, s: &mut Scratch, mut found: impl FnMut(&Reg
     }
 }
 
-/// Runs the deadlock pass. `live[n]` marks nodes from which a writer is
-/// reachable (from the dead-code pass); guarantees are only issued for
-/// joins whose starvation actually wedges a writer.
+/// Runs the deadlock pass.
 ///
 /// Every region instance is analysed exactly once: for each pair of
 /// connected ports of a strict join, the pairs of upward paths that start
@@ -442,11 +401,10 @@ pub(crate) fn check_deadlock(
     g: &SamGraph,
     order: &[NodeId],
     opts: &VerifyOptions,
-    live: &[bool],
     diags: &mut Vec<Diag>,
 ) -> RegionSummary {
     // Source-rooted paths reaching each node, saturating: decides the
-    // `max_paths` overflow verdict without enumerating them.
+    // `MAX_PATHS` overflow verdict without enumerating them.
     let mut rooted = vec![0usize; g.node_count()];
     for &n in order {
         let from_above =
@@ -468,15 +426,19 @@ pub(crate) fn check_deadlock(
         if last_edges.len() < 2 {
             continue;
         }
+        if base_starved(g, join, opts) {
+            regions.unanalysed_pairs += 1;
+            continue;
+        }
         if trees.len() < last_edges.len() {
             trees.resize_with(last_edges.len(), UpTree::default);
         }
-        // `None` stands for a port with more than `max_paths` paths.
+        // `None` stands for a port with more than `MAX_PATHS` paths.
         let built: Vec<Option<&UpTree>> = trees
             .iter_mut()
             .zip(&last_edges)
             .map(|(tree, last)| {
-                (rooted[last.src.node.0] <= opts.max_paths).then(|| {
+                (rooted[last.src.node.0] <= MAX_PATHS).then(|| {
                     tree.rebuild(g, *last, &mut stack);
                     &*tree
                 })
@@ -486,9 +448,9 @@ pub(crate) fn check_deadlock(
             for tree_b in &built[i + 1..] {
                 match (tree_a, tree_b) {
                     (Some(a), Some(b)) => instances(a, b, &mut scratch, |inst| {
-                        regions.analyze(g, opts, live, join, inst);
+                        regions.analyze(g, opts, join, inst);
                     }),
-                    _ => regions.overflow_pairs += 1,
+                    _ => regions.unanalysed_pairs += 1,
                 }
             }
         }
@@ -499,7 +461,6 @@ pub(crate) fn check_deadlock(
 fn analyze_instance(
     g: &SamGraph,
     opts: &VerifyOptions,
-    live: &[bool],
     join: NodeId,
     inst: &RegionInstance<'_>,
 ) -> (Verdict, Option<Diag>) {
@@ -539,49 +500,16 @@ fn analyze_instance(
         _ => None,
     };
 
-    let anchors = |retaining: &[Edge]| -> Vec<Anchor> {
-        let mut v = vec![Anchor::Node(join), Anchor::Node(inst.fork)];
-        v.extend(retaining.iter().map(|e| Anchor::Edge(*e)));
-        v
-    };
-
-    // Guaranteed: the retaining path's lower-bound need exceeds what the
-    // sibling can possibly absorb, fibers are promised non-trivial, and
-    // the join feeds a writer.
-    let guaranteed = |retain: &PathSummary, sib: &PathSummary| -> bool {
-        opts.fiber_lo.unwrap_or(0) >= 1
-            && live.get(join.0).copied().unwrap_or(false)
-            && sib.absorb_hi.map(|ab| retain.need_lo > ab.saturating_add(slack)).unwrap_or(false)
-    };
-    for (retain, sib, path) in [(&sb, &sa, inst.path_b), (&sa, &sb, inst.path_a)] {
-        if guaranteed(retain, sib) {
-            let mut d = Diag::new(
-                Code::SA012,
-                anchors(path),
-                format!(
-                    "guaranteed deadlock: path from {} to {} must retain at least {} tokens \
-                     before the join can commit, but its sibling buffers at most {}",
-                    g.node_anchor(inst.fork),
-                    g.node_anchor(join),
-                    retain.need_lo,
-                    sib.absorb_hi.unwrap_or(u64::MAX).saturating_add(slack),
-                ),
-            );
-            if let Some(c) = min_safe {
-                d = d.with_min_safe_capacity(c);
-            }
-            return (Verdict::Guaranteed, Some(d));
-        }
-    }
-
-    // Possible deadlock: structural retention exceeds the sibling's
-    // certified buffering, but the lower bound cannot prove it.
+    // Possible deadlock: structural retention may exceed the sibling's
+    // certified buffering.
     for (retain, sib, path) in [(&sb, &sa, inst.path_b), (&sa, &sb, inst.path_a)] {
         if let Some(n) = retain.need_hi {
             if retain.precise && n.saturating_add(slack) > cap.saturating_mul(sib.absorb_units_lo) {
+                let mut anchors = vec![Anchor::Node(join), Anchor::Node(inst.fork)];
+                anchors.extend(path.iter().map(|e| Anchor::Edge(*e)));
                 let mut d = Diag::new(
                     Code::SA013,
-                    anchors(path),
+                    anchors,
                     format!(
                         "possible deadlock: path from {} to {} may retain up to {} tokens \
                          before the join can commit, exceeding its sibling's buffering of {}",

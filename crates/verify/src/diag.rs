@@ -4,7 +4,9 @@
 use fuseflow_sam::{Edge, NodeId, SamGraph};
 
 /// Stable lint codes emitted by the analyzer. The numeric part never
-/// changes meaning across releases; retired codes are not reused.
+/// changes meaning across releases; retired codes are not reused. SA012
+/// (a guaranteed deadlock, proven from a promised fiber lower bound) is
+/// retired: no compile could make that promise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Code {
     /// Stream-kind mismatch across an edge (e.g. a `crd` output feeding a
@@ -13,13 +15,9 @@ pub enum Code {
     /// Stream nesting-depth mismatch at a strict join (the runtime
     /// manifestation is a `Semantics` stream-misalignment error).
     SA011,
-    /// Guaranteed capacity-induced deadlock on a reconvergent fan-out
-    /// region: the retention lower bound of one path exceeds the total
-    /// buffering of its sibling.
-    SA012,
-    /// Possible capacity-induced deadlock: the retention *upper* bound
-    /// exceeds the sibling's buffering, but the lower bound does not prove
-    /// it. Reports the minimum safe uniform capacity.
+    /// Possible capacity-induced deadlock on a reconvergent fan-out region:
+    /// the retention *upper* bound of one path exceeds the buffering of its
+    /// sibling. Reports the minimum safe uniform capacity.
     SA013,
     /// Dead node: no `CrdWriter`/`ValWriter` is reachable from it, so it
     /// can never influence an output.
@@ -36,23 +34,14 @@ pub enum Code {
 
 impl Code {
     /// All known codes, in numeric order.
-    pub const ALL: [Code; 8] = [
-        Code::SA010,
-        Code::SA011,
-        Code::SA012,
-        Code::SA013,
-        Code::SA014,
-        Code::SA015,
-        Code::SA016,
-        Code::SA017,
-    ];
+    pub const ALL: [Code; 7] =
+        [Code::SA010, Code::SA011, Code::SA013, Code::SA014, Code::SA015, Code::SA016, Code::SA017];
 
-    /// The stable string form, e.g. `"SA012"`.
+    /// The stable string form, e.g. `"SA013"`.
     pub fn as_str(&self) -> &'static str {
         match self {
             Code::SA010 => "SA010",
             Code::SA011 => "SA011",
-            Code::SA012 => "SA012",
             Code::SA013 => "SA013",
             Code::SA014 => "SA014",
             Code::SA015 => "SA015",
@@ -69,7 +58,7 @@ impl Code {
     /// The severity this code carries by default.
     pub fn default_severity(&self) -> Severity {
         match self {
-            Code::SA010 | Code::SA011 | Code::SA012 | Code::SA016 | Code::SA017 => Severity::Error,
+            Code::SA010 | Code::SA011 | Code::SA016 | Code::SA017 => Severity::Error,
             Code::SA013 | Code::SA014 | Code::SA015 => Severity::Warning,
         }
     }
@@ -141,7 +130,7 @@ pub struct Diag {
     pub anchors: Vec<Anchor>,
     /// Human-readable description.
     pub message: String,
-    /// For SA012/SA013: the smallest uniform channel capacity under which
+    /// For SA013: the smallest uniform channel capacity under which
     /// the flagged region cannot deadlock.
     pub min_safe_capacity: Option<u64>,
 }
@@ -158,7 +147,7 @@ impl Diag {
         }
     }
 
-    /// Attaches a minimum safe capacity (SA012/SA013).
+    /// Attaches a minimum safe capacity (SA013).
     pub fn with_min_safe_capacity(mut self, cap: u64) -> Self {
         self.min_safe_capacity = Some(cap);
         self
@@ -187,7 +176,8 @@ pub struct RegionSummary {
     pub certified: usize,
     /// Regions the lag algebra could not bound (no diagnostic emitted).
     pub unknown: usize,
-    /// Regions flagged SA012 or SA013.
+    /// Regions flagged SA013: a possible deadlock at this capacity, never a
+    /// proven one.
     pub flagged: usize,
 }
 

@@ -36,12 +36,8 @@ pub(crate) fn check_kinds(g: &SamGraph, diags: &mut Vec<Diag>) {
 }
 
 /// Infers per-output-port stream depths and checks strict-join alignment
-/// (SA011). Returns the inferred depths for other passes and tests.
-pub(crate) fn check_depths(
-    g: &SamGraph,
-    order: &[NodeId],
-    diags: &mut Vec<Diag>,
-) -> HashMap<(NodeId, usize), i64> {
+/// (SA011).
+pub(crate) fn check_depths(g: &SamGraph, order: &[NodeId], diags: &mut Vec<Diag>) {
     let mut depths: HashMap<(NodeId, usize), i64> = HashMap::new();
     // Depth of the stream entering `(node, in_port)`, if inferred.
     let in_depth = |depths: &HashMap<(NodeId, usize), i64>, n: NodeId, p: usize| -> Option<i64> {
@@ -215,5 +211,4 @@ pub(crate) fn check_depths(
             }
         }
     }
-    depths
 }

@@ -10,7 +10,7 @@
 //! |-------|----------|------|
 //! | SA010 | error    | stream-kind mismatch across an edge |
 //! | SA011 | error    | stream nesting-depth mismatch at a strict join |
-//! | SA012 | error    | guaranteed capacity-induced deadlock (reconvergent fan-out) |
+//! | SA012 | —        | retired (guaranteed deadlock); the number is not reused |
 //! | SA013 | warning  | possible deadlock; reports the minimum safe capacity |
 //! | SA014 | warning  | dead node (no writer reachable) |
 //! | SA015 | warning  | unused tensor slot |
@@ -18,12 +18,11 @@
 //! | SA017 | error    | graph fails `SamGraph::validate`; carries the `GraphError` |
 //!
 //! The deadlock pass (see the `deadlock` module's docs for the model and the
-//! soundness argument) produces a three-valued verdict per reconvergent
-//! region — *Certified* / *Unknown* / *GuaranteedDeadlock* — and only the
-//! definite verdicts carry soundness claims, which the sim-backed
-//! differential suite in `tests/verify_soundness.rs` enforces: certified
-//! graphs never deadlock under either scheduler, and guaranteed-deadlock
-//! graphs always do.
+//! soundness argument) gives each reconvergent region one verdict —
+//! *Certified*, *SA013* or *Unknown* — and only *Certified* carries a
+//! soundness claim, which the sim-backed differential suite in
+//! `tests/verify_soundness.rs` enforces: certified graphs never deadlock
+//! under either scheduler.
 //!
 //! # Example
 //!
@@ -61,22 +60,15 @@ pub struct VerifyOptions {
     /// Uniform bounded-channel capacity the deadlock pass sizes against
     /// (the simulator's `SimConfig::channel_capacity`).
     pub channel_capacity: usize,
-    /// Promise that every fiber in every stream carries at least this many
-    /// elements. Enables *GuaranteedDeadlock* verdicts (SA012); without it
-    /// retention lower bounds collapse and the pass reports at most SA013.
-    pub fiber_lo: Option<u64>,
     /// Upper bound on fiber length (e.g. the largest program dimension).
     /// Enables *Certified* verdicts and SA013 advisories; without it,
     /// retention-bearing regions stay Unknown.
     pub fiber_hi: Option<u64>,
-    /// Cap on source-rooted paths enumerated per join input; overflowing
-    /// pairs are counted Unknown rather than analyzed partially.
-    pub max_paths: usize,
 }
 
 impl Default for VerifyOptions {
     fn default() -> Self {
-        VerifyOptions { channel_capacity: 256, fiber_lo: None, fiber_hi: None, max_paths: 64 }
+        VerifyOptions { channel_capacity: 256, fiber_hi: None }
     }
 }
 
@@ -155,8 +147,8 @@ pub fn verify_graph(g: &SamGraph, opts: &VerifyOptions) -> Report {
     let mut diags = Vec::new();
     kinds::check_kinds(g, &mut diags);
     kinds::check_depths(g, &order, &mut diags);
-    let live = dead::check_dead(g, &order, &mut diags);
-    let regions = deadlock::check_deadlock(g, &order, opts, &live, &mut diags);
+    dead::check_dead(g, &order, &mut diags);
+    let regions = deadlock::check_deadlock(g, &order, opts, &mut diags);
     Report { diags, regions }
 }
 
@@ -306,49 +298,21 @@ mod tests {
     }
 
     #[test]
-    fn sa012_guaranteed_deadlock_with_min_safe_capacity() {
+    fn reconvergent_graph_certifies_at_adequate_capacity() {
+        // Fibers of up to 8 elements: capacity 9 holds the 9 tokens (8
+        // elems + stop) the Reduce path retains.
         let g = reconvergent_graph();
-        assert!(g.validate().is_ok());
-        // Fibers of exactly 8 elements; capacity 4 cannot hold the 9
-        // tokens (8 elems + stop) the Reduce path retains.
-        let opts = VerifyOptions {
-            channel_capacity: 4,
-            fiber_lo: Some(8),
-            fiber_hi: Some(8),
-            ..Default::default()
-        };
+        let opts = VerifyOptions { channel_capacity: 9, fiber_hi: Some(8) };
         let r = verify_graph(&g, &opts);
-        assert!(r.with_code(Code::SA012).count() >= 1, "report:\n{}", r.render_human(&g));
-        let min = r.with_code(Code::SA012).filter_map(|d| d.min_safe_capacity).max();
-        assert_eq!(min, Some(9));
+        assert!(r.is_clean(), "report:\n{}", r.render_human(&g));
+        assert_eq!((r.regions.certified, r.regions.flagged, r.regions.unknown), (3, 0, 0));
     }
 
     #[test]
-    fn sa012_absent_at_adequate_capacity() {
+    fn sa013_possible_deadlock_with_min_safe_capacity() {
         let g = reconvergent_graph();
-        let opts = VerifyOptions {
-            channel_capacity: 9,
-            fiber_lo: Some(8),
-            fiber_hi: Some(8),
-            ..Default::default()
-        };
+        let opts = VerifyOptions { channel_capacity: 4, fiber_hi: Some(8) };
         let r = verify_graph(&g, &opts);
-        assert_eq!(r.with_code(Code::SA012).count(), 0, "report:\n{}", r.render_human(&g));
-        assert!(r.regions.certified >= 1);
-    }
-
-    #[test]
-    fn sa013_possible_deadlock_without_lower_bound() {
-        let g = reconvergent_graph();
-        // Upper bound only: flagged as possible, not guaranteed.
-        let opts = VerifyOptions {
-            channel_capacity: 4,
-            fiber_lo: None,
-            fiber_hi: Some(8),
-            ..Default::default()
-        };
-        let r = verify_graph(&g, &opts);
-        assert_eq!(r.with_code(Code::SA012).count(), 0, "report:\n{}", r.render_human(&g));
         assert!(r.with_code(Code::SA013).count() >= 1, "report:\n{}", r.render_human(&g));
         let d = r.with_code(Code::SA013).next().unwrap();
         assert_eq!(d.severity, Severity::Warning);
@@ -458,15 +422,10 @@ mod tests {
     #[test]
     fn json_rendering_is_structured() {
         let g = reconvergent_graph();
-        let opts = VerifyOptions {
-            channel_capacity: 4,
-            fiber_lo: Some(8),
-            fiber_hi: Some(8),
-            ..Default::default()
-        };
+        let opts = VerifyOptions { channel_capacity: 4, fiber_hi: Some(8) };
         let r = verify_graph(&g, &opts);
         let json = r.to_json(&g);
-        assert!(json.contains("\"code\":\"SA012\""));
+        assert!(json.contains("\"code\":\"SA013\""));
         assert!(json.contains("\"min_safe_capacity\":9"));
         assert!(json.contains("\"regions\":"));
     }

@@ -8,7 +8,7 @@
 //! `Regions::analyze`, so the reports must be equal and the pass's work must
 //! equal the oracle's number of *distinct* instances.
 
-use crate::deadlock::{strict_ports, RegionInstance, Regions, ANALYZED};
+use crate::deadlock::{base_starved, strict_ports, RegionInstance, Regions, ANALYZED, MAX_PATHS};
 use crate::{dead, kinds, verify_graph, Report, VerifyOptions};
 use fuseflow_sam::{AluOp, Edge, MemLocation, NodeId, NodeKind, ReduceOp, SamGraph};
 use std::collections::{HashMap, HashSet};
@@ -69,7 +69,7 @@ fn oracle_report(g: &SamGraph, opts: &VerifyOptions) -> (Report, Work) {
     let mut diags = Vec::new();
     kinds::check_kinds(g, &mut diags);
     kinds::check_depths(g, &order, &mut diags);
-    let live = dead::check_dead(g, &order, &mut diags);
+    dead::check_dead(g, &order, &mut diags);
 
     let mut regions = Regions::default();
     let mut work = Work::default();
@@ -84,12 +84,16 @@ fn oracle_report(g: &SamGraph, opts: &VerifyOptions) -> (Report, Work) {
             .filter_map(|&p| g.edges().iter().find(|e| e.dst.node == join && e.dst.port == p))
             .copied()
             .collect();
+        if base_starved(g, join, opts) {
+            regions.unanalysed_pairs += 1;
+            continue;
+        }
         for (i, &ea) in last_edges.iter().enumerate() {
             for &eb in &last_edges[i + 1..] {
                 let (Some(paths_a), Some(paths_b)) =
-                    (paths_up(g, ea, opts.max_paths), paths_up(g, eb, opts.max_paths))
+                    (paths_up(g, ea, MAX_PATHS), paths_up(g, eb, MAX_PATHS))
                 else {
-                    regions.overflow_pairs += 1;
+                    regions.unanalysed_pairs += 1;
                     continue;
                 };
                 for pa in &paths_a {
@@ -97,7 +101,7 @@ fn oracle_report(g: &SamGraph, opts: &VerifyOptions) -> (Report, Work) {
                         let Some(inst) = diverge_region(pa, pb) else { continue };
                         work.pairs += 1;
                         seen.insert((j, ids(inst.path_a), ids(inst.path_b)));
-                        regions.analyze(g, opts, &live, join, &inst);
+                        regions.analyze(g, opts, join, &inst);
                     }
                 }
             }
@@ -147,16 +151,15 @@ fn assert_agrees(g: &SamGraph, opts: &VerifyOptions, what: &str) -> (usize, Work
 }
 
 /// The option sets of the suite: the default, samcheck's shape (an upper
-/// fiber bound), a tight capacity with and without the lower bound, and a
-/// small `max_paths` so overflow happens on ordinary graphs.
+/// fiber bound), and three tight capacities, where most bounded regions
+/// flag SA013.
 fn option_sets() -> Vec<VerifyOptions> {
-    let base = VerifyOptions::default();
     vec![
-        base.clone(),
-        VerifyOptions { fiber_hi: Some(64), ..base.clone() },
-        VerifyOptions { channel_capacity: 4, fiber_hi: Some(8), ..base.clone() },
-        VerifyOptions { channel_capacity: 4, fiber_lo: Some(8), fiber_hi: Some(8), ..base.clone() },
-        VerifyOptions { channel_capacity: 2, fiber_lo: Some(3), fiber_hi: Some(5), max_paths: 3 },
+        VerifyOptions::default(),
+        VerifyOptions { fiber_hi: Some(64), ..VerifyOptions::default() },
+        VerifyOptions { channel_capacity: 4, fiber_hi: Some(8) },
+        VerifyOptions { channel_capacity: 2, fiber_hi: Some(5) },
+        VerifyOptions { channel_capacity: 1, fiber_hi: Some(8) },
     ]
 }
 
@@ -223,16 +226,9 @@ fn fully_fused_graphs_analyse_each_instance_once() {
 #[test]
 fn reconvergent_witness() {
     let g = crate::tests::reconvergent_graph();
-    for channel_capacity in [4, 9] {
-        for fiber_lo in [None, Some(8)] {
-            let opts = VerifyOptions {
-                channel_capacity,
-                fiber_lo,
-                fiber_hi: Some(8),
-                ..Default::default()
-            };
-            assert_agrees(&g, &opts, &format!("witness {opts:?}"));
-        }
+    for channel_capacity in [1, 4, 9] {
+        let opts = VerifyOptions { channel_capacity, fiber_hi: Some(8) };
+        assert_agrees(&g, &opts, &format!("witness {opts:?}"));
     }
 }
 
@@ -270,9 +266,10 @@ fn diamond_ladder(stages: usize) -> SamGraph {
 }
 
 #[test]
-fn more_than_max_paths_into_one_port_is_unknown() {
+fn more_than_64_paths_into_one_port_is_unknown() {
     // 2^7 = 128 > 64 paths into the final add's port 0: that pair is not
     // analysed. The stage adds below it stay within 64 per port and are.
+    assert_eq!(MAX_PATHS, 64);
     let g = diamond_ladder(7);
     let opts = VerifyOptions::default();
     let (_, work) = assert_agrees(&g, &opts, "ladder");
@@ -435,9 +432,7 @@ fn property_suite_programs() {
         };
         let opts = VerifyOptions {
             channel_capacity: 2 + rng.below(46),
-            fiber_lo: [None, Some(1), Some(n as u64)][rng.below(3)],
             fiber_hi: Some(n.max(m).max(k) as u64),
-            ..Default::default()
         };
         for schedule in &schedules {
             for g in lowered_graphs(&p, schedule) {
