@@ -5,6 +5,8 @@
 //! only builds its models, runs them and returns its [`Table`]s: `main`
 //! prints each as aligned text, writes it as `results/<name>.csv`, checks
 //! its shape gate ([`shape_gate`], exit 1) and collects its rows' cycles.
+//! Every run that goes through [`run_model`] is checked against the
+//! reference interpreter; a wrong output panics with the model's name.
 //!
 //! `all` also writes every simulated cycle count as one flat, key-sorted
 //! `{"figure/label": cycles}` map ([`snapshot_json`]) to `BENCH_sim.json`.
@@ -25,7 +27,7 @@ use fuseflow_bench::{parallel_map, snapshot_json, Table};
 use fuseflow_core::estimate;
 use fuseflow_core::fuse_region;
 use fuseflow_core::pipeline::{
-    compile, compile_at, compile_with, fiber_upper_bound, run, Compiled,
+    compile, compile_at, compile_with, fiber_upper_bound, run, verify, Compiled,
 };
 use fuseflow_core::schedule::Schedule;
 use fuseflow_models::{
@@ -65,10 +67,15 @@ fn run_model(m: &ModelInstance, schedule: &Schedule, location: MemLocation) -> S
     run_refusing(m, schedule, location).0
 }
 
-/// [`run_model`], and the [`refusals`] of its compile.
+/// [`run_model`], and the [`refusals`] of its compile. Every output is
+/// checked against the reference interpreter, which runs once per model
+/// instance (`verify` keeps its outputs on the program), and a wrong one
+/// panics with the model's name.
 fn run_refusing(m: &ModelInstance, schedule: &Schedule, location: MemLocation) -> (Stats, String) {
     let ran = compile_at(&m.program, schedule, location).and_then(|compiled| {
-        Ok((run(&m.program, &compiled, &m.inputs, &sim())?.stats, refusals(&compiled)))
+        let result = run(&m.program, &compiled, &m.inputs, &sim())?;
+        verify(&m.program, &m.inputs, &result.outputs)?;
+        Ok((result.stats, refusals(&compiled)))
     });
     ran.unwrap_or_else(|e| panic!("{}: {e}", m.name))
 }

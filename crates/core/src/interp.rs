@@ -55,12 +55,27 @@ impl Structured {
 pub enum InterpError {
     /// An input tensor had no binding.
     MissingInput(String),
+    /// An input was bound at an element-space shape or block other than its
+    /// declaration's; each side is `(shape, block)`.
+    InputShape {
+        /// The input's name.
+        name: String,
+        /// The declared shape and block.
+        declared: (Vec<usize>, [usize; 2]),
+        /// The bound tensor's shape and block.
+        bound: (Vec<usize>, [usize; 2]),
+    },
 }
 
 impl std::fmt::Display for InterpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             InterpError::MissingInput(n) => write!(f, "missing input '{n}'"),
+            InterpError::InputShape { name, declared, bound } => write!(
+                f,
+                "input '{name}' is declared {:?} in {:?} blocks but bound at {:?} in {:?} blocks",
+                declared.0, declared.1, bound.0, bound.1
+            ),
         }
     }
 }
@@ -70,9 +85,15 @@ impl std::error::Error for InterpError {}
 /// Evaluates every expression of `program` on `inputs`, returning all
 /// produced tensors (keyed by name) with structural sparse semantics.
 ///
+/// Uncached: this is the oracle, and `pipeline::verify` keeps what it
+/// returns.
+///
 /// # Errors
 ///
-/// Returns [`InterpError`] for missing inputs.
+/// Returns [`InterpError::MissingInput`] for a missing input and
+/// [`InterpError::InputShape`] for one bound at another element-space shape
+/// or block than its declaration's (its elements would be read at the wrong
+/// coordinates).
 pub fn interpret(
     program: &Program,
     inputs: &HashMap<String, SparseTensor>,
@@ -81,6 +102,13 @@ pub fn interpret(
     for (id, decl) in program.inputs() {
         let t =
             inputs.get(&decl.name).ok_or_else(|| InterpError::MissingInput(decl.name.clone()))?;
+        if t.shape() != decl.shape || t.block() != decl.block {
+            return Err(InterpError::InputShape {
+                name: decl.name.clone(),
+                declared: (decl.shape.clone(), decl.block),
+                bound: (t.shape().to_vec(), t.block()),
+            });
+        }
         env.insert(id, Structured::from_sparse(t));
     }
 
@@ -405,5 +433,33 @@ mod tests {
         let _ = p.map("R", AluOp::Relu, (a, vec![i, j]), Format::csr());
         let err = interpret(&p, &HashMap::new()).unwrap_err();
         assert_eq!(err, InterpError::MissingInput("A".into()));
+    }
+
+    /// A `[2, 4]` input bound to a `[4, 2]` tensor used to be read at the
+    /// declared extents over the bound data: a release build returned
+    /// `E = [1, 2, 3, 4, 3, 4, 5, 6]`, a debug build tripped a bounds
+    /// assertion. It is refused before anything is evaluated.
+    #[test]
+    fn an_input_bound_at_another_shape_is_refused() {
+        let mut p = Program::new();
+        let (i, j) = (p.index("i"), p.index("j"));
+        let a = p.input("A", vec![2, 4], Format::dense(2));
+        let e = p.map("E", AluOp::Relu, (a, vec![i, j]), Format::dense(2));
+        p.mark_output(e);
+        let data = (1..=8).map(|v| v as f32).collect();
+        let at =
+            SparseTensor::from_dense(&DenseTensor::from_vec(vec![4, 2], data), &Format::dense(2));
+        let err = interpret(&p, &bind(vec![("A", at)])).unwrap_err();
+        let (declared, bound) = ((vec![2, 4], [1, 1]), (vec![4, 2], [1, 1]));
+        assert_eq!(err, InterpError::InputShape { name: "A".into(), declared, bound });
+
+        let mut p = Program::new();
+        let (i, j) = (p.index("i"), p.index("j"));
+        let b = p.blocked_input("B", vec![4, 4], Format::csr(), [2, 2]);
+        let e = p.map("E", AluOp::Exp, (b, vec![i, j]), Format::csr());
+        p.mark_output(e);
+        let bt = SparseTensor::from_blocks(vec![4, 4], [4, 4], vec![], &Format::csr()).unwrap();
+        let err = interpret(&p, &bind(vec![("B", bt)])).unwrap_err();
+        assert!(matches!(err, InterpError::InputShape { bound: (_, [4, 4]), .. }), "{err}");
     }
 }

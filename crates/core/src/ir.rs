@@ -12,7 +12,7 @@
 //! per-expression dataflow orders and `Fuse{}` regions come from the
 //! scheduling language (`crate::schedule`).
 
-use crate::pipeline::CompileMemo;
+use crate::pipeline::ProgramMemo;
 pub use fuseflow_sam::{AluOp, ReduceOp};
 use fuseflow_tensor::Format;
 use std::collections::HashSet;
@@ -113,8 +113,9 @@ pub struct Program {
     index_sizes: Vec<Option<usize>>,
     outputs: Vec<TensorId>,
     /// The regions `pipeline::compile_with` has compiled for this program as
-    /// it is now: emptied by every edit, not copied by `Clone`, not printed.
-    pub(crate) memo: CompileMemo,
+    /// it is now, and the reference `pipeline::verify` last compared
+    /// against: emptied by every edit, not copied by `Clone`, not printed.
+    pub(crate) memo: ProgramMemo,
 }
 
 impl std::fmt::Debug for Program {
@@ -139,9 +140,11 @@ impl Program {
     /// Every public `&mut self` method calls this first (the convenience
     /// builders through [`Program::expr`]): an edit can change what any
     /// region fuses or lowers to (`live_outs` reads the outputs and the later
-    /// expressions), so the compiled regions are dropped.
+    /// expressions), so the compiled regions are dropped. So are the
+    /// reference outputs `verify` keeps: an edit can change what an output
+    /// holds, or which tensors are outputs.
     fn edit(&mut self) {
-        self.memo = CompileMemo::default();
+        self.memo = ProgramMemo::default();
     }
 
     /// Interns a fresh index variable with the given display name.

@@ -9,7 +9,10 @@
 //!
 //! A region is fused, lowered and linted once per program: the schedules of
 //! a fusion-granularity search share most of their regions, and
-//! [`compile_with`] keeps each one it compiles on the [`Program`].
+//! [`compile_with`] keeps each one it compiles on the [`Program`]. Those
+//! schedules are all checked on one input set, so [`verify`] keeps the
+//! reference outputs of the last input set it interpreted there too, and
+//! interprets again only when the inputs change.
 
 use crate::fusion::{fuse_region, FuseError};
 use crate::interp::{interpret, InterpError};
@@ -18,14 +21,14 @@ use crate::lower::{lower_region, LowerError, LowerOptions, Lowered, Refused};
 use crate::schedule::Schedule;
 use fuseflow_sam::MemLocation;
 use fuseflow_sim::{simulate, SimConfig, SimError, Stats, TensorEnv};
-use fuseflow_tensor::{approx_eq, SparseTensor};
+use fuseflow_tensor::{approx_eq, DenseTensor, SparseTensor};
 use fuseflow_verify::{enforce, verify_graph, Report, VerifyConfig, VerifyOptions};
 use std::collections::HashMap;
 use std::convert::Infallible;
 use std::hash::Hash;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Errors from compilation or execution.
 #[derive(Debug)]
@@ -242,25 +245,33 @@ fn lower_fresh(
 /// directives (resolved per region by [`lower_fresh`]).
 type RegionKey = (Range<usize>, MemLocation, Vec<(IndexVar, usize)>);
 
-/// The regions [`compile_with`] has compiled for one [`Program`] as it is
-/// now, held by the program and emptied by every edit of it. Only successful
-/// lowerings are kept, so a failing region fails again the same way. Per
+/// What this module has computed for one [`Program`] as it is now, held by
+/// the program and emptied by every edit of it: the regions
+/// [`compile_with`] has compiled, and the reference [`verify`] last
+/// compared against. Only successful lowerings and interpretations are
+/// kept, so a failing region or input set fails again the same way. Per
 /// (location, directives) there are at most n(n+1)/2 lowered regions for n
-/// expressions, and one report per region and analyzer options.
+/// expressions, one report per region and analyzer options, and one
+/// reference.
 #[derive(Default)]
-pub(crate) struct CompileMemo {
+pub(crate) struct ProgramMemo {
     lowered: Mutex<HashMap<RegionKey, Lowered>>,
     reports: Mutex<HashMap<(RegionKey, VerifyOptions), Report>>,
+    reference: Mutex<Option<Arc<Reference>>>,
     /// Regions fused and lowered (misses), read by tests.
     pub(crate) lowerings: AtomicUsize,
+    /// Calls of [`interpret`] by [`verify`] (misses), read by tests.
+    pub(crate) interpretations: AtomicUsize,
 }
 
-/// A copy of a program starts with nothing compiled.
-impl Clone for CompileMemo {
+/// A copy of a program starts with nothing compiled or interpreted.
+impl Clone for ProgramMemo {
     fn clone(&self) -> Self {
-        CompileMemo::default()
+        ProgramMemo::default()
     }
 }
+
+const POISONED: &str = "program memo poisoned by a panic while its lock was held";
 
 /// `map[key]` cloned, else `compute()`, kept when it is `Ok`. The lock is
 /// not held while computing, so two threads that miss on one key both
@@ -270,7 +281,6 @@ fn memoized<K: Hash + Eq, V: Clone, E>(
     key: K,
     compute: impl FnOnce() -> Result<V, E>,
 ) -> Result<V, E> {
-    const POISONED: &str = "compile memo poisoned by a panic while its lock was held";
     if let Some(hit) = map.lock().expect(POISONED).get(&key) {
         return Ok(hit.clone());
     }
@@ -360,6 +370,49 @@ pub fn compile_run_verify(
 /// lets an element move.
 const NORM_EPS: f32 = 1e-5;
 
+/// The reference outputs of a program on one input set: what [`verify`]
+/// compares against, kept in the program's memo until its inputs change.
+struct Reference {
+    /// The bound inputs, in [`Program::inputs`] order.
+    inputs: Vec<SparseTensor>,
+    /// Per program output the reference has, its values and the [`NORM_EPS`]
+    /// floor (`NORM_EPS` times their largest magnitude).
+    outputs: HashMap<String, (DenseTensor, f32)>,
+}
+
+/// The reference of `program` on `inputs`: the memo's when it was made from
+/// inputs `==` to these (no hash, so a collision cannot skip a check), else
+/// [`interpret`]ed (outside the lock) and kept in place of the memo's.
+fn reference(
+    program: &Program,
+    inputs: &HashMap<String, SparseTensor>,
+) -> Result<Arc<Reference>, InterpError> {
+    let mut bound = Vec::new();
+    for (_, decl) in program.inputs() {
+        bound.push(
+            inputs.get(&decl.name).ok_or_else(|| InterpError::MissingInput(decl.name.clone()))?,
+        );
+    }
+    let memo = &program.memo;
+    let held = memo.reference.lock().expect(POISONED).clone();
+    if let Some(hit) = held.filter(|r| r.inputs.iter().eq(bound.iter().copied())) {
+        return Ok(hit);
+    }
+    memo.interpretations.fetch_add(1, Ordering::Relaxed);
+    let mut golden = interpret(program, inputs)?;
+    let mut outputs = HashMap::new();
+    for &out in program.outputs() {
+        let name = &program.tensor(out).name;
+        if let Some(s) = golden.remove(name) {
+            let floor = NORM_EPS * s.vals.data().iter().fold(0.0, |m: f32, v| m.max(v.abs()));
+            outputs.insert(name.clone(), (s.vals, floor));
+        }
+    }
+    let fresh = Arc::new(Reference { inputs: bound.into_iter().cloned().collect(), outputs });
+    *memo.reference.lock().expect(POISONED) = Some(Arc::clone(&fresh));
+    Ok(fresh)
+}
+
 /// Verifies simulated outputs against the reference interpreter.
 ///
 /// An element matches when it is within [`fuseflow_tensor::approx_eq`] of
@@ -368,31 +421,47 @@ const NORM_EPS: f32 = 1e-5;
 /// its reduction tile by tile, and where large terms cancel, the rounding
 /// that moves a small element is relative to those terms, not to the element.
 ///
+/// The reference is interpreted once per program and input set: the
+/// program keeps the outputs of the last input set it was verified on,
+/// keyed by those inputs (compared in full, not by hash), and a call on
+/// equal inputs compares against them. Every output is compared on every
+/// call. An edit of the program drops the reference, and a clone starts
+/// without one.
+///
 /// # Errors
 ///
-/// Returns [`PipelineError::Verify`] describing the first program output, in
-/// [`Program::outputs`] order, that is missing or diverges.
+/// Returns [`PipelineError::Interp`] when an input is missing or bound at
+/// another shape than its declaration's ([`interpret`]'s errors), and
+/// [`PipelineError::Verify`] describing the first program output, in
+/// [`Program::outputs`] order, that is missing, has another shape than the
+/// reference's, or diverges.
 pub fn verify(
     program: &Program,
     inputs: &HashMap<String, SparseTensor>,
     outputs: &HashMap<String, SparseTensor>,
 ) -> Result<(), PipelineError> {
-    let golden = interpret(program, inputs)?;
+    let reference = reference(program, inputs)?;
     for &out in program.outputs() {
         let name = &program.tensor(out).name;
         let Some(t) = outputs.get(name) else {
             return Err(PipelineError::Verify(format!("output '{name}' never produced")));
         };
-        let Some(g) = golden.get(name) else {
+        let Some((want, floor)) = reference.outputs.get(name) else {
             return Err(PipelineError::Verify(format!("reference never produced '{name}'")));
         };
         let got = t.to_dense();
-        let floor = NORM_EPS * g.vals.data().iter().fold(0.0, |m: f32, v| m.max(v.abs()));
-        let close = |(a, b): (&f32, &f32)| approx_eq(*a, *b) || (a - b).abs() <= floor;
-        if got.shape() != g.vals.shape() || !got.data().iter().zip(g.vals.data()).all(close) {
+        if got.shape() != want.shape() {
+            return Err(PipelineError::Verify(format!(
+                "output '{name}' has shape {:?}, the reference {:?}",
+                got.shape(),
+                want.shape()
+            )));
+        }
+        let close = |(a, b): (&f32, &f32)| approx_eq(*a, *b) || (a - b).abs() <= *floor;
+        if !got.data().iter().zip(want.data()).all(close) {
             return Err(PipelineError::Verify(format!(
                 "output '{name}' diverges from reference (max abs diff {})",
-                got.max_abs_diff(&g.vals)
+                got.max_abs_diff(want)
             )));
         }
     }
@@ -403,7 +472,7 @@ pub fn verify(
 mod tests {
     use super::*;
     use crate::ir::AluOp;
-    use fuseflow_tensor::Format;
+    use fuseflow_tensor::{gen, Format};
 
     /// The SAE's six expressions as `fuseflow-models` builds them (SpMM,
     /// bias, ReLU, SpMM, bias, sigmoid); that crate's `Program` is not this
@@ -457,6 +526,138 @@ mod tests {
             }
         }
         assert_eq!(p.memo.lowerings.load(Ordering::Relaxed), 21);
+    }
+
+    /// Inputs for [`sae_shaped`], with `shift` added to `b2[0]`.
+    fn sae_inputs(shift: f32) -> HashMap<String, SparseTensor> {
+        let vector = |n: usize, seed: u64, shift: f32| {
+            let mut v = gen::dense_features(1, n, seed).data().to_vec();
+            v[0] += shift;
+            SparseTensor::from_dense(&DenseTensor::from_vec(vec![n], v), &Format::dense_vec())
+        };
+        let x = gen::dense_features(24, 4, 2);
+        [
+            ("W1", gen::sparse_features(12, 24, 0.5, 1, &Format::csr())),
+            ("Xin", SparseTensor::from_dense(&x, &Format::dense(2))),
+            ("b1", vector(12, 3, 0.0)),
+            ("W2", gen::sparse_features(24, 12, 0.9, 4, &Format::csr())),
+            ("b2", vector(24, 5, shift)),
+        ]
+        .into_iter()
+        .map(|(name, t)| (name.to_string(), t))
+        .collect()
+    }
+
+    /// The program's outputs under `schedule`, simulated.
+    fn outputs_of(
+        p: &Program,
+        schedule: &Schedule,
+        inputs: &HashMap<String, SparseTensor>,
+    ) -> HashMap<String, SparseTensor> {
+        run(p, &compile(p, schedule).unwrap(), inputs, &SimConfig::default()).unwrap().outputs
+    }
+
+    fn interpretations(p: &Program) -> usize {
+        p.memo.interpretations.load(Ordering::Relaxed)
+    }
+
+    /// The reference is interpreted once per program and input set: three
+    /// granularities share one interpretation, new inputs or an edit of the
+    /// program take a fresh one, and every output is compared on every call.
+    #[test]
+    fn verify_interprets_once_per_program_and_input_set() {
+        let mut p = sae_shaped();
+        let inputs = sae_inputs(0.0);
+        let schedules =
+            [Schedule::unfused(), Schedule::regions(vec![0..3, 3..6]), Schedule::full()];
+        for schedule in &schedules {
+            verify(&p, &inputs, &outputs_of(&p, schedule, &inputs)).unwrap();
+        }
+        assert_eq!(interpretations(&p), 1);
+
+        let old = outputs_of(&p, &Schedule::unfused(), &inputs);
+        let shifted = sae_inputs(0.5);
+        let err = verify(&p, &shifted, &old).unwrap_err().to_string();
+        assert!(err.contains("output 'Out' diverges"), "{err}");
+        let current = outputs_of(&p, &Schedule::unfused(), &shifted);
+        verify(&p, &shifted, &current).unwrap();
+        assert_eq!(interpretations(&p), 2);
+
+        let hidden = p.exprs()[2].output.tensor;
+        p.mark_output(hidden);
+        let err = verify(&p, &shifted, &current).unwrap_err().to_string();
+        assert!(err.contains("output 'H' never produced"), "{err}");
+        // Full fusion refuses `H` as a region output under a recomputation scope.
+        for schedule in &schedules[..2] {
+            verify(&p, &shifted, &outputs_of(&p, schedule, &shifted)).unwrap();
+        }
+        // The edit emptied the memo, its counters with it: the third
+        // interpretation is the first since.
+        assert_eq!(interpretations(&p), 1);
+    }
+
+    /// A hit compares as a miss does: a moved element is caught against the
+    /// kept reference.
+    #[test]
+    fn a_corrupted_output_is_caught_on_a_hit() {
+        let p = sae_shaped();
+        let inputs = sae_inputs(0.0);
+        let mut outputs = outputs_of(&p, &Schedule::unfused(), &inputs);
+        verify(&p, &inputs, &outputs).unwrap();
+        let out = outputs["Out"].to_dense();
+        let mut data = out.data().to_vec();
+        data[5] += 0.25;
+        let corrupted = DenseTensor::from_vec(out.shape().to_vec(), data);
+        outputs.insert("Out".into(), SparseTensor::from_dense(&corrupted, &Format::csr()));
+        let err = verify(&p, &inputs, &outputs).unwrap_err().to_string();
+        assert!(err.contains("output 'Out' diverges"), "{err}");
+        assert_eq!(interpretations(&p), 1);
+    }
+
+    /// An output of another shape than the reference's is a `Verify` error
+    /// naming both shapes, not a panic in the element comparison.
+    #[test]
+    fn a_wrong_shaped_output_is_a_verify_error() {
+        let mut p = Program::new();
+        let (i, j) = (p.index("i"), p.index("j"));
+        let a = p.input("A", vec![2, 4], Format::dense(2));
+        let e = p.map("E", AluOp::Relu, (a, vec![i, j]), Format::dense(2));
+        p.mark_output(e);
+        let dense = |shape: Vec<usize>| {
+            let data = (1..=8).map(|v| v as f32).collect();
+            SparseTensor::from_dense(&DenseTensor::from_vec(shape, data), &Format::dense(2))
+        };
+        let inputs = HashMap::from([("A".to_string(), dense(vec![2, 4]))]);
+        let outputs = HashMap::from([("E".to_string(), dense(vec![4, 2]))]);
+        let err = verify(&p, &inputs, &outputs).unwrap_err();
+        assert!(matches!(err, PipelineError::Verify(_)), "{err:?}");
+        assert_eq!(
+            err.to_string(),
+            "verification failed: output 'E' has shape [4, 2], the reference [2, 4]"
+        );
+    }
+
+    /// Two threads verifying one program on two input sets keep replacing
+    /// each other's reference; each is still held to its own inputs.
+    #[test]
+    fn two_threads_verify_one_program_against_their_own_inputs() {
+        let p = sae_shaped();
+        let sets = [sae_inputs(0.0), sae_inputs(0.5)];
+        let outs =
+            sets.each_ref().map(|inputs| outputs_of(&p.clone(), &Schedule::unfused(), inputs));
+        let start = std::sync::Barrier::new(2);
+        let check = |own: usize| {
+            start.wait();
+            for _ in 0..20 {
+                verify(&p, &sets[own], &outs[own]).unwrap();
+                assert!(verify(&p, &sets[own], &outs[1 - own]).is_err());
+            }
+        };
+        std::thread::scope(|s| {
+            let (a, b) = (s.spawn(|| check(0)), s.spawn(|| check(1)));
+            a.join().unwrap();
+            b.join().unwrap();
+        });
     }
 
     /// Unfused, the second layer's regions iterate `o` and `h2`, not `h`: a
