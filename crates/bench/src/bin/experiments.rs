@@ -5,8 +5,9 @@
 //! only builds its models, runs them and returns its [`Table`]s: `main`
 //! prints each as aligned text, writes it as `results/<name>.csv`, checks
 //! its shape gate ([`shape_gate`], exit 1) and collects its rows' cycles.
-//! Every run that goes through [`run_model`] is checked against the
-//! reference interpreter; a wrong output panics with the model's name.
+//! Every simulated run is checked against the reference interpreter, and a
+//! wrong output panics: with the model's name through [`run_model`], with
+//! the figure and the point's label through [`verified`].
 //!
 //! `all` also writes every simulated cycle count as one flat, key-sorted
 //! `{"figure/label": cycles}` map ([`snapshot_json`]) to `BENCH_sim.json`.
@@ -26,8 +27,9 @@
 use fuseflow_bench::{parallel_map, snapshot_json, Table};
 use fuseflow_core::estimate;
 use fuseflow_core::fuse_region;
+use fuseflow_core::ir::Program;
 use fuseflow_core::pipeline::{
-    compile, compile_at, compile_with, fiber_upper_bound, run, verify, Compiled,
+    compile, compile_at, compile_with, fiber_upper_bound, run, verify, Compiled, RunResult,
 };
 use fuseflow_core::schedule::Schedule;
 use fuseflow_models::{
@@ -37,6 +39,7 @@ use fuseflow_models::{
 use fuseflow_sam::MemLocation;
 use fuseflow_sim::{SimConfig, Stats, TimingConfig};
 use fuseflow_tensor::gen::GraphPattern;
+use fuseflow_tensor::SparseTensor;
 use fuseflow_verify::{verify_graph, VerifyConfig, VerifyOptions};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::{Display, Write as _};
@@ -78,6 +81,20 @@ fn run_refusing(m: &ModelInstance, schedule: &Schedule, location: MemLocation) -
         Ok((result.stats, refusals(&compiled)))
     });
     ran.unwrap_or_else(|e| panic!("{}: {e}", m.name))
+}
+
+/// `result`, after checking its outputs against the reference interpreter
+/// for `program` on `inputs`; a wrong output panics with the figure and the
+/// point's label. For the runs that do not go through [`run_model`].
+fn verified(
+    figure: &str,
+    label: &str,
+    program: &Program,
+    inputs: &HashMap<String, SparseTensor>,
+    result: RunResult,
+) -> RunResult {
+    verify(program, inputs, &result.outputs).unwrap_or_else(|e| panic!("{figure} {label}: {e}"));
+    result
 }
 
 /// Every parallel directive `compiled` refused, as `r<region> row×factor:
@@ -296,9 +313,11 @@ fn fig13(o: Opts) -> Vec<Table> {
         // Per-kernel latency (unfused singleton regions) on both backends,
         // tensors pinned on-chip like the paper's BRAM-resident kernels.
         let compiled = compile_at(&m.program, &Schedule::unfused(), MemLocation::OnChip).unwrap();
-        let comal = run(&m.program, &compiled, &m.inputs, &sim()).unwrap();
         let fpga_cfg = SimConfig { timing: TimingConfig::fpga_rtl(), ..sim() };
-        let fpga = run(&m.program, &compiled, &m.inputs, &fpga_cfg).unwrap();
+        let [comal, fpga] = [("comal", sim()), ("fpga", fpga_cfg)].map(|(backend, cfg)| {
+            let result = run(&m.program, &compiled, &m.inputs, &cfg).unwrap();
+            verified("fig13", &format!("{name}/{backend}"), &m.program, &m.inputs, result)
+        });
         let regions = comal.per_region.iter().zip(&fpga.per_region).enumerate();
         regions.map(|(i, (c, f))| (format!("{name}/k{i}"), c.cycles, f.cycles)).collect::<Vec<_>>()
     });
@@ -539,8 +558,8 @@ fn fig17_shape(t: &Table) -> Vec<String> {
 /// the POG cycle-resolution path. An order pair the compiler refuses is
 /// listed with its reason in place of cycles.
 fn fig18(o: Opts) -> Vec<Table> {
-    use fuseflow_core::ir::{IndexVar, Program};
-    use fuseflow_tensor::{gen, Format, SparseTensor};
+    use fuseflow_core::ir::IndexVar;
+    use fuseflow_tensor::{gen, Format};
     let (n, feats) = (34, 16); // KarateClub scale
     let build = |o1: &[usize], o2: &[usize]| -> (Program, String) {
         let mut p = Program::new();
@@ -597,7 +616,8 @@ fn fig18(o: Opts) -> Vec<Table> {
     let mut sweep = parallel_map(o.threads, order_pairs, |(o1, o2)| {
         let (p, label) = build(&o1, &o2);
         let ran = compile(&p, &Schedule::unfused()).and_then(|c| run(&p, &c, &inputs, &sim()));
-        (label, ran.map(|r| r.stats.cycles).map_err(|e| e.to_string()))
+        let cycles = ran.map(|r| verified("fig18", &label, &p, &inputs, r).stats.cycles);
+        (label, cycles.map_err(|e| e.to_string()))
     });
     // Simulated orders first, in pair order; refused ones sink.
     sweep.sort_by_key(|(_, ran)| ran.is_err());
@@ -715,7 +735,8 @@ fn table4(_: Opts) -> Vec<Table> {
 /// GCN (fusion regions x stream parallelization), scored analytically
 /// (`estimate`) and by simulation. Regenerates the tracked
 /// `results/autotune.csv` with every `cycles` cell filled (or explicitly
-/// marked `-` when a candidate fails to compile).
+/// marked `-` when a candidate fails to compile). Every candidate that
+/// compiles is run and verified, and a failed run or a wrong output panics.
 fn autotune(o: Opts) -> Vec<Table> {
     let m = gcn(&collab(), 16, 8, 7);
     let n = m.program.exprs().len();
@@ -744,9 +765,11 @@ fn autotune(o: Opts) -> Vec<Table> {
         |(idx, (label, sched))| {
             let est = estimate(&m.program, &sched, &m.inputs);
             let compiled = compile(&m.program, &sched).ok();
-            let cycles = (compiled.as_ref())
-                .and_then(|c| run(&m.program, c, &m.inputs, &sim()).ok())
-                .map(|r| r.stats.cycles);
+            let cycles = compiled.as_ref().map(|c| {
+                let result = run(&m.program, c, &m.inputs, &sim())
+                    .unwrap_or_else(|e| panic!("autotune {label}: {e}"));
+                verified("autotune", &label, &m.program, &m.inputs, result).stats.cycles
+            });
             let refused = compiled.as_ref().map_or_else(String::new, refusals);
             (idx, label, est.flops, est.bytes, cycles, refused)
         },

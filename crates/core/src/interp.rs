@@ -1,8 +1,8 @@
 //! Structural reference interpreter for Einsum programs.
 //!
-//! Evaluates a [`Program`] densely while tracking each tensor's *structure*
-//! (which coordinates exist), exactly mirroring streaming-sparse semantics:
-//! unary non-linearities apply only to present coordinates (sparse softmax
+//! Evaluates a [`Program`] while tracking each tensor's *structure* (which
+//! coordinates exist), exactly mirroring streaming-sparse semantics: unary
+//! non-linearities apply only to present coordinates (sparse softmax
 //! operates over the nonzero structure), intersections require all
 //! operands present, unions any. This is the oracle every compiled dataflow
 //! graph is verified against, mirroring the paper's verification "against a
@@ -14,6 +14,30 @@
 //! arithmetic is written out here rather than taken from the simulator's
 //! ALU, so the oracle does not share the code it checks.
 //!
+//! Each expression is one loop nest over its indices, each over its dense
+//! extent, that skips what cannot exist, as the Sparse Abstract Machine
+//! co-iterates only the coordinates an intersection can contain:
+//!
+//! - **Order.** An expression whose inputs intersect walks the prefix of its
+//!   sparsest input (its indices up to its last compressed level) first,
+//!   then the rest of [`Einsum::index_set`] in order, as long as that keeps
+//!   the indices the output drops in their `index_set` order. Otherwise,
+//!   and for unions, it walks `index_set` itself.
+//! - **Pruning.** An intersecting input is present at a point when its
+//!   coordinates up to its last compressed level select a stored element.
+//!   That is decided once, at the depth where those coordinates are all
+//!   bound, and an absent prefix skips the subtree under it. A union decides
+//!   presence at each point of the full walk.
+//! - **Offsets.** Each input's value, each presence check's prefix and the
+//!   output are read at a row-major offset accumulated depth by depth, so
+//!   the innermost loop is a flat scan.
+//!
+//! The result is what a walk over every point gives, bit for bit: a
+//! skipped point has an absent input, so it contributes nothing, and each
+//! output element takes its contributions in the order of the indices the
+//! output drops, which the walk order keeps. So every sum and maximum adds
+//! the same terms in the same sequence.
+//!
 //! A blocked program means its element-space expansion: a blocked tensor is
 //! the matrix of its logical shape, and its structure is tile-granular (a
 //! stored tile makes all of its elements present). Each index ranges over
@@ -22,8 +46,8 @@
 //! admits only the blocked expressions the tile primitives compute exactly
 //! as this expansion does.
 
-use crate::ir::{Access, AluOp, IndexVar, Program, ReduceOp, TensorId};
-use fuseflow_tensor::{DenseTensor, SparseTensor};
+use crate::ir::{Access, AluOp, Einsum, IndexVar, Program, ReduceOp, TensorId};
+use fuseflow_tensor::{DenseTensor, LevelFormat, SparseTensor};
 use std::collections::HashMap;
 
 /// A dense value tensor plus its 0/1 structure mask.
@@ -113,11 +137,110 @@ pub fn interpret(
     }
 
     for e in program.exprs() {
-        let out_decl = program.tensor(e.output.tensor);
-        // Collect the iteration space: every index of the expression, over
-        // the element-space extent of a dimension it binds (the block grid
-        // extent times the block for blocked tensors).
-        let all_ix = e.index_set();
+        let srcs: Vec<&Structured> = e.inputs.iter().map(|acc| &env[&acc.tensor]).collect();
+        let out = Nest::new(program, e, &srcs).eval();
+        env.insert(e.output.tensor, out);
+    }
+
+    Ok(env.into_iter().map(|(id, s)| (program.tensor(id).name.clone(), s)).collect())
+}
+
+/// A presence check: whether input `input`'s coordinates up to `level`, a
+/// compressed level, select a stored element.
+struct Check {
+    /// The input, by position in the expression.
+    input: usize,
+    /// The last level of the prefix.
+    level: usize,
+    /// Per prefix, row-major over the input's `shape[..=level]`: does any
+    /// present element start with it?
+    present: Vec<bool>,
+}
+
+/// One expression as a loop nest: one depth per index, in walk order, and
+/// per point a row of offsets: each input's value offset (`0..inputs`),
+/// each check's prefix offset (`inputs..inputs + checks`) and the output
+/// offset (last). Each offset is a sum of a coefficient times the
+/// coordinate at each depth.
+struct Nest<'a> {
+    /// The operator that combines the inputs.
+    op: Option<AluOp>,
+    /// A second contribution to an output element takes its maximum (a
+    /// `Max` reduction), otherwise it adds.
+    max_merge: bool,
+    /// Each input's values, row-major.
+    vals: Vec<&'a [f32]>,
+    /// The presence checks the walk makes.
+    checks: Vec<Check>,
+    /// Per depth, the extent of its index.
+    dims: Vec<usize>,
+    /// Offsets per point.
+    width: usize,
+    /// `coef[d * width + k]`: what offset `k` grows by per step at depth `d`.
+    coef: Vec<usize>,
+    /// Per depth, the checks whose prefix is bound there: an intersecting
+    /// input, absent under any point that fails one.
+    prune: Vec<Vec<usize>>,
+    /// A union's presence, decided at every point: per output index, the
+    /// checks any one of which covers it.
+    clauses: Vec<Vec<usize>>,
+    /// The output's shape.
+    out_shape: Vec<usize>,
+}
+
+impl<'a> Nest<'a> {
+    /// Plans `e` over its inputs' evaluated tensors `srcs`.
+    fn new(program: &Program, e: &Einsum, srcs: &[&'a Structured]) -> Self {
+        // Per-input structure with storage-format closure: a dense level
+        // materializes every coordinate under a present parent (empty CSR
+        // rows exist as fibers), so presence keys only on coordinates up to
+        // the *last compressed level* at or above the one asked about, and
+        // an input with no compressed level there is always present.
+        let last_compressed = |n: usize, upto: usize| {
+            let fmt = &program.tensor(e.inputs[n].tensor).format;
+            (0..=upto).rev().find(|&l| fmt.level(l) == LevelFormat::Compressed)
+        };
+        let mut checks: Vec<Check> = Vec::new();
+        let mut check = |input: usize, level: usize| -> usize {
+            let known = checks.iter().position(|c| (c.input, c.level) == (input, level));
+            known.unwrap_or_else(|| {
+                let present = prefix_support(&srcs[input].mask, level);
+                checks.push(Check { input, level, present });
+                checks.len() - 1
+            })
+        };
+        let unions = e.op.is_some_and(|op| op.unions());
+        let (mut intersect, mut clauses) = (Vec::new(), Vec::new());
+        if unions {
+            // A point exists iff every output index is covered by some
+            // owning input's marginal support: broadcast inputs do not
+            // extend structure along dimensions they lack.
+            for d in &e.output.indices {
+                let owners = e
+                    .inputs
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(n, acc)| Some((n, acc.indices.iter().position(|x| x == d)?)));
+                let levels: Option<Vec<(usize, usize)>> =
+                    owners.map(|(n, pos)| Some((n, last_compressed(n, pos)?))).collect();
+                // `None`: an owner with no compressed level covers `d` everywhere.
+                if let Some(levels) = levels {
+                    clauses.push(levels.into_iter().map(|(n, l)| check(n, l)).collect());
+                }
+            }
+        } else {
+            for (n, acc) in e.inputs.iter().enumerate() {
+                if let Some(l) = last_compressed(n, acc.indices.len() - 1) {
+                    intersect.push(check(n, l));
+                }
+            }
+        }
+
+        let order = walk_order(e, &checks, &intersect);
+        let depth = |ix: &IndexVar| order.iter().position(|x| x == ix).expect("a walked index");
+        // Every index ranges over the element-space extent of a dimension it
+        // binds (the block grid extent times the block for blocked tensors);
+        // `Program::expr` binds each index at one extent.
         let extent = |ix: &IndexVar| {
             let mut accs = std::iter::once(&e.output).chain(&e.inputs);
             let bound = accs.find_map(|acc| {
@@ -126,158 +249,184 @@ pub fn interpret(
             });
             bound.expect("an index of the expression is bound by one of its accesses")
         };
-        let dims: Vec<usize> = all_ix.iter().map(extent).collect();
-        let mut out_vals = DenseTensor::zeros(out_decl.shape.clone());
-        let mut out_mask = DenseTensor::zeros(out_decl.shape.clone());
+        let dims: Vec<usize> = order.iter().map(extent).collect();
 
-        let slot_of: HashMap<IndexVar, usize> =
-            all_ix.iter().enumerate().map(|(s, ix)| (*ix, s)).collect();
-        // Per access, the iteration-space slot of each of its indices.
-        let slots =
-            |acc: &Access| -> Vec<usize> { acc.indices.iter().map(|ix| slot_of[ix]).collect() };
-        let in_slots: Vec<Vec<usize>> = e.inputs.iter().map(slots).collect();
-        let out_slots = slots(&e.output);
-        let srcs: Vec<&Structured> = e.inputs.iter().map(|acc| &env[&acc.tensor]).collect();
-
-        // Per-input structure with storage-format closure: a dense level
-        // materializes every coordinate under a present parent (empty CSR
-        // rows exist as fibers), so marginal prefix supports key only on
-        // the coordinates of *compressed* levels. prefixes[n][t] is the
-        // support at prefix length t+1, a bitmap indexed row-major over
-        // `mask.shape()[..=t]`, and closed element presence keys on all
-        // compressed levels.
-        let mut prefixes: Vec<Vec<Vec<bool>>> = Vec::new();
-        let mut closed: Vec<Vec<bool>> = Vec::new(); // per input: level compressed?
-        for (acc, s) in e.inputs.iter().zip(&srcs) {
-            let fmt = program.tensor(acc.tensor).format.clone();
-            let comp: Vec<bool> = (0..fmt.order())
-                .map(|l| fmt.level(l) == fuseflow_tensor::LevelFormat::Compressed)
-                .collect();
-            let shape = s.mask.shape();
-            let order = acc.indices.len();
-            let mut per_len: Vec<Vec<bool>> =
-                (0..order).map(|t| vec![false; shape[..=t].iter().product()]).collect();
-            let mut idx = vec![0usize; order];
-            for flat in 0..s.mask.len() {
-                if s.mask.data()[flat] == 0.0 {
-                    continue;
-                }
-                let mut rem = flat;
-                for d in (0..order).rev() {
-                    idx[d] = rem % shape[d];
-                    rem /= shape[d];
-                }
-                let mut prefix = 0;
-                for t in 0..order {
-                    prefix = prefix * shape[t] + idx[t];
-                    per_len[t][prefix] = true;
-                }
-            }
-            prefixes.push(per_len);
-            closed.push(comp);
-        }
-        // A prefix is supported when its coordinates up to the *last
-        // compressed level* match a stored element: trailing dense levels
-        // are materialized under any present parent (a CSR's empty rows
-        // exist as fibers), but interior coordinates still select fibers.
-        let supported = |n: usize, t: usize, coords: &[usize]| -> bool {
-            match (0..=t).rev().find(|&l| closed[n][l]) {
-                None => true,
-                Some(ts) => coords[..=ts]
-                    .iter()
-                    .zip(srcs[n].mask.shape())
-                    .try_fold(0, |flat, (&c, &dim)| (c < dim).then_some(flat * dim + c))
-                    .is_some_and(|flat| prefixes[n][ts][flat]),
+        let out_shape = program.tensor(e.output.tensor).shape.clone();
+        let width = e.inputs.len() + checks.len() + 1;
+        let mut coef = vec![0; dims.len() * width];
+        let mut add = |k: usize, acc: &Access, shape: &[usize]| {
+            for ((ix, &dim), stride) in acc.indices.iter().zip(shape).zip(row_major(shape)) {
+                assert_eq!(dim, dims[depth(ix)], "an index spans one extent in every access");
+                coef[depth(ix) * width + k] += stride;
             }
         };
-        let union_like = e.op.is_some_and(|op| op.unions());
-
-        // Buffers reused across the iteration space: each input's gathered
-        // coordinates, presence and value, and the output coordinates.
-        let mut idxs: Vec<Vec<usize>> = in_slots.iter().map(|s| vec![0; s.len()]).collect();
-        let mut out_idx = vec![0usize; out_slots.len()];
-        let mut present = vec![false; e.inputs.len()];
-        let mut vals = vec![0f32; e.inputs.len()];
-        let mut point = vec![0usize; dims.len()];
-        'space: loop {
-            // Presence and values per input.
-            for (n, idx) in idxs.iter_mut().enumerate() {
-                for (c, &slot) in idx.iter_mut().zip(&in_slots[n]) {
-                    *c = point[slot];
-                }
-                // Closed element presence: all compressed coordinates must
-                // be stored; dense levels are materialized.
-                present[n] = supported(n, idx.len() - 1, idx);
-                vals[n] = srcs[n].vals.get(idx);
-            }
-            let here = if !union_like {
-                present.iter().all(|p| *p)
-            } else {
-                // A point exists iff every output index is covered by some
-                // owning input's (format-closed) marginal support:
-                // broadcast inputs do not extend structure along
-                // dimensions they lack.
-                e.output.indices.iter().all(|d| {
-                    e.inputs.iter().enumerate().any(|(n, acc)| {
-                        acc.indices
-                            .iter()
-                            .position(|x| x == d)
-                            .is_some_and(|pos_d| supported(n, pos_d, &idxs[n][..=pos_d]))
-                    })
-                })
-            };
-            if here {
-                let v = match e.op {
-                    Some(AluOp::Mul | AluOp::MulElem) => vals.iter().product::<f32>(),
-                    Some(AluOp::Add) => vals.iter().sum(),
-                    Some(AluOp::Sub) => vals[0] - vals[1],
-                    Some(AluOp::Div) => {
-                        if vals[0] == 0.0 {
-                            0.0
-                        } else {
-                            vals[0] / vals[1]
-                        }
-                    }
-                    Some(AluOp::Max) => vals[0].max(vals[1]),
-                    Some(op) => op.apply_scalar(vals[0], 0.0),
-                    None => vals[0],
-                };
-                for (c, &slot) in out_idx.iter_mut().zip(&out_slots) {
-                    *c = point[slot];
-                }
-                if out_mask.get(&out_idx) == 0.0 {
-                    out_mask.set(&out_idx, 1.0);
-                    out_vals.set(&out_idx, v);
-                } else {
-                    let cur = out_vals.get(&out_idx);
-                    let merged = if e.reduce.is_empty() {
-                        // Multiple contributions without a reduction cannot
-                        // happen for well-formed expressions; sum keeps the
-                        // semantics of duplicate coordinates.
-                        cur + v
-                    } else {
-                        match e.reduce_op {
-                            ReduceOp::Sum => cur + v,
-                            ReduceOp::Max => cur.max(v),
-                        }
-                    };
-                    out_vals.set(&out_idx, merged);
-                }
-            }
-            // Advance the iteration point.
-            for d in (0..dims.len()).rev() {
-                point[d] += 1;
-                if point[d] < dims[d] {
-                    continue 'space;
-                }
-                point[d] = 0;
-            }
-            break;
+        for (n, acc) in e.inputs.iter().enumerate() {
+            add(n, acc, srcs[n].vals.shape());
         }
-        env.insert(e.output.tensor, Structured { vals: out_vals, mask: out_mask });
+        for (q, c) in checks.iter().enumerate() {
+            add(e.inputs.len() + q, &e.inputs[c.input], &srcs[c.input].mask.shape()[..=c.level]);
+        }
+        add(width - 1, &e.output, &out_shape);
+        let mut prune = vec![Vec::new(); dims.len()];
+        for &q in &intersect {
+            let c = &checks[q];
+            let bound = e.inputs[c.input].indices[..=c.level].iter().map(depth).max();
+            prune[bound.expect("a prefix has a level")].push(q);
+        }
+        Nest {
+            op: e.op,
+            max_merge: !e.reduce.is_empty() && e.reduce_op == ReduceOp::Max,
+            vals: srcs.iter().map(|s| s.vals.data()).collect(),
+            checks,
+            dims,
+            width,
+            coef,
+            prune,
+            clauses,
+            out_shape,
+        }
     }
 
-    Ok(env.into_iter().map(|(id, s)| (program.tensor(id).name.clone(), s)).collect())
+    /// Walks the nest, returning the expression's output.
+    fn eval(&self) -> Structured {
+        let mut vals = DenseTensor::zeros(self.out_shape.clone());
+        let mut mask = DenseTensor::zeros(self.out_shape.clone());
+        // Row `d`: the offsets accumulated over the depths above `d`.
+        let mut rows = vec![0; self.dims.len() * self.width];
+        let mut operands = vec![0f32; self.vals.len()];
+        let out = (vals.data_mut(), mask.data_mut());
+        self.descend(0, &mut rows, &mut operands, out);
+        Structured { vals, mask }
+    }
+
+    /// Is check `q` passed at the prefix offset in `row`, plus `c` steps at
+    /// the depth of `coef`?
+    fn passes(&self, q: usize, row: &[usize], coef: &[usize], c: usize) -> bool {
+        let k = self.vals.len() + q;
+        self.checks[q].present[row[k] + coef[k] * c]
+    }
+
+    /// Walks depth `d` and everything under it; `rows` starts with depth
+    /// `d`'s row.
+    fn descend(
+        &self,
+        d: usize,
+        rows: &mut [usize],
+        operands: &mut [f32],
+        out: (&mut [f32], &mut [f32]),
+    ) {
+        let w = self.width;
+        let coef = &self.coef[d * w..(d + 1) * w];
+        if d + 1 < self.dims.len() {
+            let (row, below) = rows.split_at_mut(w);
+            let row = &*row;
+            for c in 0..self.dims[d] {
+                if self.prune[d].iter().all(|&q| self.passes(q, row, coef, c)) {
+                    for ((next, &base), &step) in below[..w].iter_mut().zip(row).zip(coef) {
+                        *next = base + step * c;
+                    }
+                    self.descend(d + 1, below, operands, (&mut *out.0, &mut *out.1));
+                }
+            }
+            return;
+        }
+        // The innermost depth: one flat scan.
+        let row = &rows[..w];
+        let (out_vals, out_mask) = out;
+        for c in 0..self.dims[d] {
+            let present = |q: &usize| self.passes(*q, row, coef, c);
+            if !self.prune[d].iter().all(present)
+                || !self.clauses.iter().all(|cl| cl.iter().any(present))
+            {
+                continue;
+            }
+            for ((v, data), (&base, &step)) in
+                operands.iter_mut().zip(&self.vals).zip(row.iter().zip(coef))
+            {
+                *v = data[base + step * c];
+            }
+            let v = combine(self.op, operands);
+            let o = row[w - 1] + coef[w - 1] * c;
+            if out_mask[o] == 0.0 {
+                out_mask[o] = 1.0;
+                out_vals[o] = v;
+            } else if self.max_merge {
+                out_vals[o] = out_vals[o].max(v);
+            } else {
+                // A `Sum` reduction; several contributions without one
+                // cannot happen for well-formed expressions, and a sum keeps
+                // the semantics of duplicate coordinates.
+                out_vals[o] += v;
+            }
+        }
+    }
+}
+
+/// The order `e` is walked in. An intersection walks the prefix of its
+/// sparsest checked input first (`intersect` holds one check per input with
+/// a compressed level), if the indices the output drops keep their
+/// [`Einsum::index_set`] order; any other expression walks `index_set`.
+fn walk_order(e: &Einsum, checks: &[Check], intersect: &[usize]) -> Vec<IndexVar> {
+    let all = e.index_set();
+    let density = |q: &usize| {
+        let present = &checks[*q].present;
+        present.iter().filter(|p| **p).count() as f64 / present.len() as f64
+    };
+    let sparsest = intersect.iter().min_by(|a, b| density(a).total_cmp(&density(b)));
+    let Some(c) = sparsest.map(|&q| &checks[q]) else { return all };
+    let mut order: Vec<IndexVar> = Vec::new();
+    for ix in e.inputs[c.input].indices[..=c.level].iter().chain(&all) {
+        if !order.contains(ix) {
+            order.push(*ix);
+        }
+    }
+    let dropped = |o: &[IndexVar]| -> Vec<IndexVar> {
+        o.iter().filter(|ix| !e.output.indices.contains(ix)).copied().collect()
+    };
+    if dropped(&order) == dropped(&all) {
+        order
+    } else {
+        all
+    }
+}
+
+/// Per prefix of `mask` up to `level`, row-major over `shape[..=level]`:
+/// does any present element start with it? Each shorter prefix ORs chunks
+/// of the one below it.
+fn prefix_support(mask: &DenseTensor, level: usize) -> Vec<bool> {
+    let mut present: Vec<bool> = mask.data().iter().map(|&m| m != 0.0).collect();
+    for &dim in mask.shape()[level + 1..].iter().rev() {
+        present = present.chunks(dim).map(|c| c.contains(&true)).collect();
+    }
+    present
+}
+
+/// The row-major strides of `shape`.
+fn row_major(shape: &[usize]) -> Vec<usize> {
+    let mut strides = vec![1; shape.len()];
+    for l in (0..shape.len().saturating_sub(1)).rev() {
+        strides[l] = strides[l + 1] * shape[l + 1];
+    }
+    strides
+}
+
+/// `op` applied to one point's operands.
+fn combine(op: Option<AluOp>, vals: &[f32]) -> f32 {
+    match op {
+        Some(AluOp::Mul | AluOp::MulElem) => vals.iter().product::<f32>(),
+        Some(AluOp::Add) => vals.iter().sum(),
+        Some(AluOp::Sub) => vals[0] - vals[1],
+        Some(AluOp::Div) => {
+            if vals[0] == 0.0 {
+                0.0
+            } else {
+                vals[0] / vals[1]
+            }
+        }
+        Some(AluOp::Max) => vals[0].max(vals[1]),
+        Some(op) => op.apply_scalar(vals[0], 0.0),
+        None => vals[0],
+    }
 }
 
 #[cfg(test)]
@@ -423,6 +572,48 @@ mod tests {
         );
         let out = interpret(&p, &bind(vec![("T", tt), ("b", bt)])).unwrap();
         assert_eq!(out["O"].vals.data(), &[11., 22., 13., 24.]);
+    }
+
+    /// `L[i,j] = A[i,k]·X[k,u]·W[u,j]` reduces two indices, and each output
+    /// element adds its terms in `index_set()` order, `k` outer and `u`
+    /// inner. Row 0's terms are `4, 1e8, 4, -1e8` (times `W[u,j]`): in that
+    /// order each 4 is rounded away against 1e8 and the sum is 0, while `u`
+    /// outer adds the two 4s first and gives 8 (16 for `j = 1`). Row 1 of
+    /// the CSR `A` is empty, so it is absent.
+    #[test]
+    fn a_two_index_contraction_sums_in_index_set_order() {
+        let mut p = Program::new();
+        let (i, k, u, j) = (p.index("i"), p.index("k"), p.index("u"), p.index("j"));
+        let a = p.input("A", vec![2, 2], Format::csr());
+        let x = p.input("X", vec![2, 2], Format::dense(2));
+        let w = p.input("W", vec![2, 2], Format::dense(2));
+        let l = p.contract(
+            "L",
+            vec![i, j],
+            vec![(a, vec![i, k]), (x, vec![k, u]), (w, vec![u, j])],
+            vec![k, u],
+            Format::dense(2),
+        );
+        p.mark_output(l);
+        assert_eq!(p.exprs()[0].index_set(), vec![i, j, k, u]);
+
+        let at = SparseTensor::from_coo(
+            vec![2, 2],
+            vec![(vec![0, 0], 1.0), (vec![0, 1], 1.0)],
+            &Format::csr(),
+        )
+        .unwrap();
+        let dense = |data: Vec<f32>| {
+            SparseTensor::from_dense(&DenseTensor::from_vec(vec![2, 2], data), &Format::dense(2))
+        };
+        let (xt, wt) = (dense(vec![4.0, 1e8, 4.0, -1e8]), dense(vec![1.0, 2.0, 1.0, 2.0]));
+        let out = interpret(&p, &bind(vec![("A", at), ("X", xt), ("W", wt)])).unwrap();
+        let bits = |t: &DenseTensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out["L"].vals), bits(&DenseTensor::from_vec(vec![2, 2], vec![0.0; 4])));
+        assert_eq!(out["L"].mask.data(), &[1.0, 1.0, 0.0, 0.0]);
+        // The same terms with `u` outer: the order the sum must not take.
+        let u_outer = |wu: f32| (4.0 * wu + 4.0 * wu + 1e8 * wu) + -1e8 * wu;
+        assert_eq!((u_outer(1.0), u_outer(2.0)), (8.0, 16.0));
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! table contents, transposition materialization, and parallelization.
 
 use fuseflow_core::fusion::{FuseError, FusedRegion, GlobalIx};
+use fuseflow_core::interp::interpret;
 use fuseflow_core::ir::{AluOp, Program, ReduceOp, TensorId};
 use fuseflow_core::lower::{lower_region, LowerError, LowerOptions, Refused};
 use fuseflow_core::pipeline::{
@@ -16,7 +17,7 @@ use fuseflow_models::{
 use fuseflow_sam::{MemLocation, NodeId, NodeKind};
 use fuseflow_sim::SimConfig;
 use fuseflow_tensor::gen::{adjacency, GraphPattern};
-use fuseflow_tensor::Format;
+use fuseflow_tensor::{DenseTensor, Format};
 use fuseflow_verify::{Code, Level, VerifyConfig};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -670,18 +671,23 @@ const GRAPHS_PINNED: &[(&str, &str, u64)] = &[
     ("map_stack", "full", 0xeddafa93aad0daef),
 ];
 
-/// FNV-1a over the bytes of `s`.
-fn fnv1a(s: &str) -> u64 {
-    s.bytes()
+/// FNV-1a over `bytes`.
+fn fnv1a_bytes(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    (bytes.into_iter())
         .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
-#[test]
-fn zoo_graphs_are_pinned() {
+/// FNV-1a over the bytes of `s`.
+fn fnv1a(s: &str) -> u64 {
+    fnv1a_bytes(s.bytes())
+}
+
+/// The zoo at `experiments samcheck`'s sizes, as both pinned tables use it.
+fn samcheck_zoo() -> [(&'static str, ModelInstance); 8] {
     let ds = GRAPH_DATASETS[0];
     let small = GraphDataset { nodes: ds.nodes / 4, feats: ds.feats / 4, ..ds };
     let (sae_name, sae_in, sae_batch) = SAE_DATASETS[0];
-    let models = [
+    [
         ("sae", sae(sae_name, sae_in / 16, 48, sae_batch, 0.5, 11)),
         ("gcn", gcn(&small, 16, 8, 21)),
         ("gcn_composed", gcn_composed(&small, 16, 8, 21)),
@@ -690,9 +696,13 @@ fn zoo_graphs_are_pinned() {
         ("gpt_attention_blocked", gpt_attention_blocked(128, 16, 8, 91)),
         ("gpt_decoder", gpt_decoder(32, 8, 8, 1)),
         ("map_stack", map_stack(48, 24, 0.5, 9)),
-    ];
+    ]
+}
+
+#[test]
+fn zoo_graphs_are_pinned() {
     let mut got = Vec::new();
-    for (name, m) in &models {
+    for (name, m) in &samcheck_zoo() {
         for fusion in Fusion::ALL {
             let compiled = compile(&m.program, &m.schedule(fusion))
                 .unwrap_or_else(|e| panic!("{name}/{fusion}: {e}"));
@@ -713,6 +723,48 @@ fn zoo_graphs_are_pinned() {
             println!("    ({name:?}, {fusion:?}, {digest:#018x}),");
         }
         panic!("lowered graphs moved; the table as it now comes out is printed above");
+    }
+}
+
+/// `(model, digest)` for the zoo at `experiments samcheck`'s sizes: an
+/// FNV-1a digest over every tensor `interpret` returns, sorted by name: the
+/// name, then the bits of its `vals`, then the bits of its `mask`. A change
+/// to the interpreter that claims the same outputs bit for bit keeps this
+/// table as it is (a reassociated sum or a skipped present point moves it).
+/// On a mismatch the test prints the table as it now comes out.
+#[rustfmt::skip]
+const REFERENCES_PINNED: &[(&str, u64)] = &[
+    ("sae", 0xdaab0c22d459b201),
+    ("gcn", 0x27b6a9dfa0164ba5),
+    ("gcn_composed", 0x853e85fcaf8a6cea),
+    ("graphsage", 0xa54ec1597f4affff),
+    ("gpt_attention", 0x73fb520c24e1f675),
+    ("gpt_attention_blocked", 0x0ec33c8102e82eb9),
+    ("gpt_decoder", 0x097ff0d9a87fe8d5),
+    ("map_stack", 0x56fa5a04d0a05702),
+];
+
+#[test]
+fn zoo_references_are_pinned() {
+    let bits = |t: &DenseTensor| -> Vec<u8> {
+        t.data().iter().flat_map(|v| v.to_bits().to_le_bytes()).collect()
+    };
+    let mut got = Vec::new();
+    for (name, m) in &samcheck_zoo() {
+        let out = interpret(&m.program, &m.inputs).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let mut tensors: Vec<_> = out.iter().collect();
+        tensors.sort_by(|a, b| a.0.cmp(b.0));
+        let bytes = tensors.into_iter().flat_map(|(tensor, s)| {
+            let name = tensor.bytes().collect::<Vec<_>>();
+            [name, bits(&s.vals), bits(&s.mask)].concat()
+        });
+        got.push((*name, fnv1a_bytes(bytes)));
+    }
+    if got != REFERENCES_PINNED {
+        for (name, digest) in &got {
+            println!("    ({name:?}, {digest:#018x}),");
+        }
+        panic!("reference outputs moved; the table as it now comes out is printed above");
     }
 }
 

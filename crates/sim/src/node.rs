@@ -805,7 +805,10 @@ impl Io {
             }
             Token::Stop(k) => {
                 self.pop(ctx, 0);
-                let out = acc.take().unwrap_or(Payload::F(op.identity()));
+                // A fiber with nothing in it reduces to 0 under every op,
+                // the absent coordinate the interpreter reads; `Max`'s
+                // identity would write `f32::MIN` into a dense output.
+                let out = acc.take().unwrap_or(Payload::F(0.0));
                 self.emit(ctx, 0, Token::Elem(out));
                 if k >= 1 {
                     self.emit(ctx, 0, Token::Stop(k - 1));

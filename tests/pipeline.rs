@@ -3,11 +3,11 @@
 //! interpreter.
 
 use fuseflow::core::ir::{Program, ReduceOp};
-use fuseflow::core::pipeline::{compile, compile_run_verify, run, verify};
+use fuseflow::core::pipeline::{compile, compile_at, compile_run_verify, run, verify};
 use fuseflow::core::schedule::{FusionGranularity, Schedule};
 use fuseflow::sim::{Scheduler, SimConfig, Stats};
 use fuseflow::tensor::{gen, Format, SparseTensor};
-use fuseflow_sam::AluOp;
+use fuseflow_sam::{AluOp, MemLocation};
 use std::collections::HashMap;
 
 type Inputs = HashMap<String, SparseTensor>;
@@ -104,6 +104,33 @@ fn pipeline_runs_are_bit_identical_across_schedulers() {
             "regions diverged under {schedule:?}"
         );
         assert_eq!(event.outputs, sweep.outputs, "outputs diverged under {schedule:?}");
+    }
+}
+
+/// A row reduction over a row with no stored element writes 0 into a dense
+/// output, as the interpreter reads the absent coordinate. A `Max` used to
+/// write its identity there (`f32::MIN`), which `verify` refused.
+#[test]
+fn an_empty_fiber_reduces_to_zero() {
+    let entries = vec![(vec![0, 1], -2.0), (vec![2, 3], -5.0)];
+    let at = SparseTensor::from_coo(vec![3, 4], entries, &Format::csr()).unwrap();
+    let inputs: Inputs = [("A".to_string(), at)].into();
+    for op in [ReduceOp::Sum, ReduceOp::Max] {
+        let mut p = Program::new();
+        let (i, j) = (p.index("i"), p.index("j"));
+        let a = p.input("A", vec![3, 4], Format::csr());
+        let m = p.reduce("M", (a, vec![i, j]), vec![j], op, Format::dense_vec());
+        p.mark_output(m);
+        for location in [MemLocation::Dram, MemLocation::OnChip] {
+            let compiled = compile_at(&p, &Schedule::unfused(), location).unwrap();
+            for scheduler in [Scheduler::Event, Scheduler::Sweep] {
+                let cfg = SimConfig::default().with_scheduler(scheduler);
+                let r = run(&p, &compiled, &inputs, &cfg).unwrap();
+                let point = format!("{op:?} {location:?} {scheduler:?}");
+                verify(&p, &inputs, &r.outputs).unwrap_or_else(|e| panic!("{point}: {e}"));
+                assert_eq!(r.outputs["M"].to_dense().data(), &[-2.0, 0.0, -5.0], "{point}");
+            }
+        }
     }
 }
 
