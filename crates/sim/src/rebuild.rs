@@ -2,11 +2,14 @@
 //!
 //! The tensor-construction region of a SAMML graph sends one coordinate
 //! stream per output level plus a value stream to writers. This module
-//! replays the tokens the writers recorded into COO entries and assembles
-//! the output [`SparseTensor`], reading each tile payload from the run's
+//! replays the tokens the writers recorded into COO entries and hands them,
+//! scalar or tile alike, to the one fibertree builder
+//! ([`SparseTensor::from_blocks`]), reading each tile payload from the run's
 //! [`Tiles`]. Empty fibers (bare stop tokens) simply skip their parent
 //! coordinate, which is how this reproduction realizes the paper's
-//! coordinate-dropper semantics at the writer.
+//! coordinate-dropper semantics at the writer. A position the output format
+//! stores and no writer sent (under a dense level) is zero, a zero tile when
+//! blocked; a coordinate sent twice sums.
 
 use crate::tok::{Payload, Tiles, Token};
 use fuseflow_sam::OutputSlot;
@@ -97,8 +100,10 @@ fn crd(p: Payload) -> Result<Crd, String> {
 }
 
 /// Assembles an output tensor from writer streams according to its slot
-/// description (format, shape, optional block); a tile payload is read from
-/// `tiles`.
+/// description (format, shape, block): each payload becomes a tile, of one
+/// value for a scalar output (an empty one is zero), read from `tiles` for a
+/// blocked one, and the entries go to the one fibertree builder,
+/// [`SparseTensor::from_blocks`].
 ///
 /// # Errors
 ///
@@ -110,28 +115,17 @@ pub(crate) fn assemble_output(
     vals: &[Token],
     tiles: &Tiles,
 ) -> Result<SparseTensor, String> {
-    let entries = streams_to_entries(crd_streams, vals)?;
-    if slot.block == [1, 1] {
-        let coo: Vec<(Vec<Crd>, f32)> = entries
-            .into_iter()
-            .map(|(c, p)| match p {
-                Payload::F(v) => Ok((c, v)),
-                Payload::Empty => Ok((c, 0.0)),
-                other => Err(format!("scalar output received payload {other:?}")),
-            })
-            .collect::<Result<_, String>>()?;
-        SparseTensor::from_coo(slot.shape.clone(), coo, &slot.format).map_err(|e| e.to_string())
-    } else {
-        let blocks: Vec<(Vec<Crd>, Vec<f32>)> = entries
-            .into_iter()
-            .map(|(c, p)| match p {
-                Payload::Blk(b) => Ok((c, tiles.get(b).data().to_vec())),
-                other => Err(format!("blocked output received payload {other:?}")),
-            })
-            .collect::<Result<_, String>>()?;
-        SparseTensor::from_blocks(slot.shape.clone(), slot.block, blocks, &slot.format)
-            .map_err(|e| e.to_string())
-    }
+    let entries = streams_to_entries(crd_streams, vals)?
+        .into_iter()
+        .map(|(c, p)| match p {
+            Payload::F(v) => Ok((c, vec![v])),
+            Payload::Empty => Ok((c, vec![0.0; slot.block[0] * slot.block[1]])),
+            Payload::Blk(b) => Ok((c, tiles.get(b).data().to_vec())),
+            other @ Payload::Idx(_) => Err(format!("output received payload {other:?}")),
+        })
+        .collect::<Result<_, String>>()?;
+    SparseTensor::from_blocks(slot.shape.clone(), slot.block, entries, &slot.format)
+        .map_err(|e| e.to_string())
 }
 
 #[cfg(test)]

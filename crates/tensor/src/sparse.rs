@@ -1,4 +1,9 @@
 //! Fibertree-structured sparse tensors.
+//!
+//! One builder makes every tensor; a stored value is a scalar or a row-major
+//! tile, and `from_coo` and `from_blocks` differ only in that and in checking
+//! that the block divides the shape. A position only a dense level stores
+//! holds zero (a zero tile), and duplicate coordinates sum (tiles elementwise).
 
 use crate::{Crd, DenseTensor, Format, LevelFormat};
 
@@ -26,6 +31,25 @@ pub enum TensorError {
         /// Dimension with the mismatch.
         dim: usize,
     },
+    /// The shape's order was not the format's.
+    OrderMismatch {
+        /// Order of the shape.
+        shape: usize,
+        /// Order of the format.
+        format: usize,
+    },
+    /// A blocked tensor was given a shape that is not a matrix.
+    NotAMatrix {
+        /// Order of the shape.
+        order: usize,
+    },
+    /// A tile did not hold `block[0] * block[1]` values.
+    TileSize {
+        /// Values in one tile.
+        expected: usize,
+        /// Values found.
+        found: usize,
+    },
 }
 
 impl std::fmt::Display for TensorError {
@@ -39,6 +63,15 @@ impl std::fmt::Display for TensorError {
             }
             TensorError::BlockMismatch { dim } => {
                 write!(f, "shape of dimension {dim} is not divisible by its block size")
+            }
+            TensorError::OrderMismatch { shape, format } => {
+                write!(f, "shape has order {shape}, format has order {format}")
+            }
+            TensorError::NotAMatrix { order } => {
+                write!(f, "blocked tensors are matrices, shape has order {order}")
+            }
+            TensorError::TileSize { expected, found } => {
+                write!(f, "tile holds {found} values, block holds {expected}")
             }
         }
     }
@@ -133,100 +166,62 @@ impl SparseTensor {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError`] if an entry has the wrong arity or an
-    /// out-of-bounds coordinate.
+    /// Returns [`TensorError`] if the shape's order is not the format's, or
+    /// if an entry has the wrong arity or an out-of-bounds coordinate.
     pub fn from_coo(
         shape: Vec<usize>,
-        mut entries: Vec<CooEntry>,
+        entries: Vec<CooEntry>,
         format: &Format,
     ) -> Result<Self, TensorError> {
-        assert_eq!(shape.len(), format.order(), "shape/format order mismatch");
-        for (coords, _) in &entries {
-            if coords.len() != shape.len() {
-                return Err(TensorError::WrongArity { expected: shape.len(), found: coords.len() });
-            }
-            for (lvl, (&c, &sz)) in coords.iter().zip(&shape).enumerate() {
-                if c as usize >= sz {
-                    return Err(TensorError::CoordOutOfBounds { level: lvl, crd: c, size: sz });
-                }
-            }
-        }
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        // Sum duplicates.
-        let mut dedup: Vec<CooEntry> = Vec::with_capacity(entries.len());
-        for (coords, v) in entries {
-            match dedup.last_mut() {
-                Some((last, lv)) if *last == coords => *lv += v,
-                _ => dedup.push((coords, v)),
-            }
-        }
-        Ok(Self::from_sorted_coo(shape, &dedup, format, [1, 1]))
+        let grid = shape.clone();
+        let entries = entries.into_iter().map(|(c, v)| (c, [v])).collect();
+        Self::from_entries(shape, &grid, [1, 1], entries, format)
     }
 
     /// Builds a block-sparse matrix from block-grid COO entries, each
-    /// carrying a row-major `block[0] * block[1]` tile.
+    /// carrying a row-major `block[0] * block[1]` tile; duplicate tiles are
+    /// summed element by element, as [`SparseTensor::from_coo`] sums
+    /// duplicate scalars.
     ///
     /// `shape` is the logical (element) shape; the stored levels index the
-    /// block grid.
+    /// block grid. With `block` `[1, 1]` each tile is one value, and the
+    /// tensor, of any order, is the one `from_coo` builds.
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::BlockMismatch`] if the shape is not divisible
-    /// by the block, and coordinate errors as in [`SparseTensor::from_coo`].
+    /// Returns [`TensorError::NotAMatrix`] if a block other than `[1, 1]`
+    /// is given a shape of another order than 2,
+    /// [`TensorError::BlockMismatch`] if the shape is not divisible by the
+    /// block, [`TensorError::TileSize`] if a tile does not hold
+    /// `block[0] * block[1]` values, and the errors of
+    /// [`SparseTensor::from_coo`] over the block grid.
     pub fn from_blocks(
         shape: Vec<usize>,
         block: [usize; 2],
-        mut entries: Vec<(Vec<Crd>, Vec<f32>)>,
+        entries: Vec<(Vec<Crd>, Vec<f32>)>,
         format: &Format,
     ) -> Result<Self, TensorError> {
-        assert_eq!(shape.len(), 2, "blocked tensors are matrices");
-        assert_eq!(format.order(), 2, "blocked tensors are matrices");
-        for (d, &b) in block.iter().enumerate() {
-            if b == 0 || shape[d] % b != 0 {
-                return Err(TensorError::BlockMismatch { dim: d });
-            }
+        if block != [1, 1] && shape.len() != 2 {
+            return Err(TensorError::NotAMatrix { order: shape.len() });
         }
-        let grid = [shape[0] / block[0], shape[1] / block[1]];
-        for (coords, tile) in &entries {
-            if coords.len() != 2 {
-                return Err(TensorError::WrongArity { expected: 2, found: coords.len() });
+        let mut grid = shape.clone();
+        for (dim, (size, &b)) in grid.iter_mut().zip(&block).enumerate() {
+            if b == 0 || *size % b != 0 {
+                return Err(TensorError::BlockMismatch { dim });
             }
-            assert_eq!(tile.len(), block[0] * block[1], "tile size mismatch");
-            for (lvl, &c) in coords.iter().enumerate() {
-                if c as usize >= grid[lvl] {
-                    return Err(TensorError::CoordOutOfBounds {
-                        level: lvl,
-                        crd: c,
-                        size: grid[lvl],
-                    });
-                }
-            }
+            *size /= b;
         }
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        entries.dedup_by(|a, b| a.0 == b.0);
-        let marker: Vec<CooEntry> = entries.iter().map(|(c, _)| (c.clone(), 1.0)).collect();
-        let grid_shape = vec![grid[0], grid[1]];
-        let mut t = Self::from_sorted_coo(grid_shape, &marker, format, block);
-        // Overwrite marker values with the actual tiles in stored order.
-        let blen = block[0] * block[1];
-        let coo = t.grid_coo();
-        let mut vals = vec![0.0; coo.len() * blen];
-        let by_coord: std::collections::BTreeMap<Vec<Crd>, &Vec<f32>> =
-            entries.iter().map(|(c, v)| (c.clone(), v)).collect();
-        for (i, (coords, _)) in coo.iter().enumerate() {
-            let tile = by_coord[coords];
-            vals[i * blen..(i + 1) * blen].copy_from_slice(tile);
-        }
-        t.vals = vals;
-        t.shape = shape;
-        Ok(t)
+        Self::from_entries(shape, &grid, block, entries, format)
     }
 
     /// Converts a dense tensor into the given format (zeros are dropped from
     /// compressed levels and kept in dense levels).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tensor's order is not the format's.
     pub fn from_dense(dense: &DenseTensor, format: &Format) -> Self {
-        assert_eq!(dense.order(), format.order(), "dense/format order mismatch");
-        let mut entries: Vec<CooEntry> = Vec::new();
+        let mut entries = Vec::new();
         let shape = dense.shape().to_vec();
         let mut idx = vec![0usize; shape.len()];
         for flat in 0..dense.len() {
@@ -237,71 +232,91 @@ impl SparseTensor {
             }
             let v = dense.data()[flat];
             if v != 0.0 {
-                entries.push((idx.iter().map(|&x| x as Crd).collect(), v));
+                entries.push((idx.iter().map(|&x| x as Crd).collect(), [v]));
+            }
+        }
+        Self::from_entries(shape.clone(), &shape, [1, 1], entries, format)
+            .expect("dense/format order mismatch")
+    }
+
+    /// The one builder: checks `entries` against `grid`, the stored shape
+    /// (the block grid of a blocked tensor), sorts them and builds the
+    /// levels. A position only a dense level stores holds zero (a zero tile
+    /// when blocked); duplicate coordinates sum in input order.
+    fn from_entries<V: AsRef<[f32]>>(
+        shape: Vec<usize>,
+        grid: &[usize],
+        block: [usize; 2],
+        mut entries: Vec<(Vec<Crd>, V)>,
+        format: &Format,
+    ) -> Result<Self, TensorError> {
+        if grid.len() != format.order() {
+            return Err(TensorError::OrderMismatch { shape: grid.len(), format: format.order() });
+        }
+        let blen = block[0] * block[1];
+        for (coords, v) in &entries {
+            if coords.len() != grid.len() {
+                return Err(TensorError::WrongArity { expected: grid.len(), found: coords.len() });
+            }
+            for (level, (&crd, &size)) in coords.iter().zip(grid).enumerate() {
+                if crd as usize >= size {
+                    return Err(TensorError::CoordOutOfBounds { level, crd, size });
+                }
+            }
+            if v.as_ref().len() != blen {
+                return Err(TensorError::TileSize { expected: blen, found: v.as_ref().len() });
             }
         }
         entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Self::from_sorted_coo(shape, &entries, format, [1, 1])
-    }
-
-    /// Core constructor: `entries` sorted, deduplicated, in-bounds.
-    fn from_sorted_coo(
-        shape: Vec<usize>,
-        entries: &[CooEntry],
-        format: &Format,
-        block: [usize; 2],
-    ) -> Self {
-        let order = shape.len();
-        let mut levels = Vec::with_capacity(order);
-        // Fiber ranges over `entries` aligned with positions of the previous
-        // level. Empty ranges occur under dense levels.
-        let mut ranges: Vec<(usize, usize)> = vec![(0, entries.len())];
-        for (lvl, &size) in shape.iter().enumerate().take(order) {
-            let mut next_ranges = Vec::new();
-            match format.level(lvl) {
-                LevelFormat::Dense => {
-                    for &(start, end) in &ranges {
-                        let mut cursor = start;
-                        for c in 0..size as Crd {
-                            let sub_start = cursor;
-                            while cursor < end && entries[cursor].0[lvl] == c {
-                                cursor += 1;
-                            }
-                            next_ranges.push((sub_start, cursor));
-                        }
-                        debug_assert_eq!(cursor, end, "entries not sorted at level {lvl}");
+        let mut levels = Vec::with_capacity(grid.len());
+        // The entries under each position of the previous level: a dense
+        // level gives every coordinate a range, empty where no entry is.
+        let mut ranges = vec![(0, entries.len())];
+        for (lvl, &size) in grid.iter().enumerate() {
+            let dense = format.level(lvl) == LevelFormat::Dense;
+            let (mut next, mut pos, mut crd) = (Vec::new(), vec![0], Vec::new());
+            for &(start, end) in &ranges {
+                // `filled`: the coordinates of a dense fiber given a range.
+                let (mut at, mut filled) = (start, 0);
+                for group in entries[start..end].chunk_by(|a, b| a.0[lvl] == b.0[lvl]) {
+                    let c = group[0].0[lvl];
+                    if dense {
+                        next.resize(next.len() + c as usize - filled, (at, at));
+                        filled = c as usize + 1;
+                    } else {
+                        crd.push(c);
                     }
-                    levels.push(Level::Dense { size });
+                    next.push((at, at + group.len()));
+                    at += group.len();
                 }
-                LevelFormat::Compressed => {
-                    let mut pos = Vec::with_capacity(ranges.len() + 1);
-                    let mut crd = Vec::new();
-                    pos.push(0usize);
-                    for &(start, end) in &ranges {
-                        let mut cursor = start;
-                        while cursor < end {
-                            let c = entries[cursor].0[lvl];
-                            let sub_start = cursor;
-                            while cursor < end && entries[cursor].0[lvl] == c {
-                                cursor += 1;
-                            }
-                            crd.push(c);
-                            next_ranges.push((sub_start, cursor));
-                        }
-                        pos.push(crd.len());
-                    }
-                    levels.push(Level::Compressed { pos, crd, size });
+                if dense {
+                    next.resize(next.len() + size - filled, (end, end));
+                } else {
+                    pos.push(crd.len());
                 }
             }
-            ranges = next_ranges;
+            levels.push(if dense {
+                Level::Dense { size }
+            } else {
+                Level::Compressed { pos, crd, size }
+            });
+            ranges = next;
         }
-        // Each final range holds at most one entry (coordinates are unique).
-        let mut vals = Vec::with_capacity(ranges.len());
+        // Each final range holds the entries of one stored position.
+        let mut vals = Vec::with_capacity(ranges.len() * blen);
         for &(start, end) in &ranges {
-            debug_assert!(end - start <= 1, "duplicate coordinates survived dedup");
-            vals.push(if start < end { entries[start].1 } else { 0.0 });
+            let at = vals.len();
+            match entries[start..end].split_first() {
+                None => vals.resize(at + blen, 0.0),
+                Some(((_, first), dups)) => {
+                    vals.extend_from_slice(first.as_ref());
+                    for (_, v) in dups {
+                        vals[at..].iter_mut().zip(v.as_ref()).for_each(|(acc, x)| *acc += x);
+                    }
+                }
+            }
         }
-        SparseTensor { shape, format: format.clone(), levels, vals, block }
+        Ok(SparseTensor { shape, format: format.clone(), levels, vals, block })
     }
 
     /// The logical (element-space) shape.
@@ -371,18 +386,6 @@ impl SparseTensor {
     pub fn val_block(&self, pos: usize) -> &[f32] {
         let b = self.block_len();
         &self.vals[pos * b..(pos + 1) * b]
-    }
-
-    /// Extracts the stored entries as sorted COO over the *level*
-    /// coordinate space (block grid for blocked tensors), including
-    /// explicit zeros under dense levels.
-    fn grid_coo(&self) -> Vec<CooEntry> {
-        let mut out = Vec::new();
-        let mut coords = vec![0 as Crd; self.order()];
-        self.walk(0, 0, &mut coords, &mut |coords, pos, t| {
-            out.push((coords.to_vec(), if t.is_blocked() { 1.0 } else { t.vals[pos] }));
-        });
-        out
     }
 
     /// Visits every stored element with its element-space coordinates, in
@@ -638,6 +641,66 @@ mod tests {
         let err =
             SparseTensor::from_blocks(vec![5, 4], [2, 2], vec![], &Format::csr()).unwrap_err();
         assert_eq!(err, TensorError::BlockMismatch { dim: 0 });
+    }
+
+    #[test]
+    fn from_coo_rejects_an_order_the_format_lacks() {
+        let err = SparseTensor::from_coo(vec![2, 2], vec![], &Format::csf(3)).unwrap_err();
+        assert_eq!(err, TensorError::OrderMismatch { shape: 2, format: 3 });
+    }
+
+    #[test]
+    fn blocked_rejects_a_tensor_that_is_not_a_matrix() {
+        let err =
+            SparseTensor::from_blocks(vec![4, 4, 4], [2, 2], vec![], &Format::csf(3)).unwrap_err();
+        assert_eq!(err, TensorError::NotAMatrix { order: 3 });
+    }
+
+    #[test]
+    fn blocked_rejects_a_tile_of_the_wrong_size() {
+        let entries = vec![(vec![0, 0], vec![1.0; 3])];
+        let err =
+            SparseTensor::from_blocks(vec![4, 4], [2, 2], entries, &Format::csr()).unwrap_err();
+        assert_eq!(err, TensorError::TileSize { expected: 4, found: 3 });
+    }
+
+    /// A dense format stores every tile of the grid; the absent ones are
+    /// zero tiles, as a dense scalar format stores zeros.
+    #[test]
+    fn dense_blocked_format_stores_zero_tiles() {
+        let tile = vec![1.0, 2.0, 3.0, 4.0];
+        let entries = vec![(vec![1, 0], tile.clone())];
+        let t = SparseTensor::from_blocks(vec![4, 4], [2, 2], entries, &Format::dense(2)).unwrap();
+        assert_eq!(t.stored_positions(), 4);
+        assert_eq!(t.vals(), [[0.0; 4], [0.0; 4], [1.0, 2.0, 3.0, 4.0], [0.0; 4]].concat());
+        assert_eq!(t.to_dense().get(&[3, 1]), 4.0);
+    }
+
+    #[test]
+    fn duplicate_tiles_sum_like_duplicate_scalars() {
+        let entries = vec![
+            (vec![0, 1], vec![1.0, 2.0, 3.0, 4.0]),
+            (vec![1, 1], vec![9.0; 4]),
+            (vec![0, 1], vec![10.0, 20.0, 30.0, 40.0]),
+        ];
+        let t = SparseTensor::from_blocks(vec![4, 4], [2, 2], entries, &Format::dcsr()).unwrap();
+        assert_eq!(t.stored_positions(), 2);
+        assert_eq!(t.val_block(0), &[11.0, 22.0, 33.0, 44.0]);
+        assert_eq!(t.val_block(1), &[9.0; 4]);
+    }
+
+    /// With a `[1, 1]` block a tile is one value: `from_blocks` builds what
+    /// `from_coo` builds, at any order.
+    #[test]
+    fn unit_blocks_build_the_scalar_tensor() {
+        let coo = vec![(vec![1, 0, 2], 5.0), (vec![0, 1, 1], -1.0), (vec![1, 0, 2], 0.5)];
+        let tiles = coo.iter().map(|(c, v)| (c.clone(), vec![*v])).collect();
+        let fmt =
+            Format::new(vec![LevelFormat::Dense, LevelFormat::Compressed, LevelFormat::Dense]);
+        let scalar = SparseTensor::from_coo(vec![2, 2, 3], coo, &fmt).unwrap();
+        let unit = SparseTensor::from_blocks(vec![2, 2, 3], [1, 1], tiles, &fmt).unwrap();
+        assert_eq!(unit, scalar);
+        assert_eq!(scalar.to_dense().get(&[1, 0, 2]), 5.5);
     }
 
     #[test]

@@ -429,3 +429,37 @@ fn region_past_the_program_end_is_a_typed_error() {
         Err(FuseError::RegionOutOfRange { range, exprs }) if range == reversed && exprs == n
     ));
 }
+
+/// A blocked-CSR input holding one tile, mapped into a dense output. The
+/// dense output stores every tile of its grid, so the rebuild writes a zero
+/// tile where the writers sent none; it used to look each stored position
+/// up among the sent tiles and panic on the first absent one.
+#[test]
+fn a_blocked_map_into_a_dense_output_stores_zero_tiles() {
+    let tile = vec![1.0, -2.0, 0.0, 3.0];
+    let at =
+        SparseTensor::from_blocks(vec![4, 4], [2, 2], vec![(vec![0, 1], tile)], &Format::csr())
+            .unwrap();
+    let inputs: Inputs = [("A".to_string(), at)].into();
+    let mut p = Program::new();
+    let (i, j) = (p.index("i"), p.index("j"));
+    let a = p.blocked_input("A", vec![4, 4], Format::csr(), [2, 2]);
+    let r = p.map("R", AluOp::Relu, (a, vec![i, j]), Format::dense(2));
+    p.mark_output(r);
+    let compiled = compile(&p, &Schedule::unfused()).unwrap();
+    for scheduler in [Scheduler::Event, Scheduler::Sweep] {
+        let cfg = SimConfig::default().with_scheduler(scheduler);
+        let r = run(&p, &compiled, &inputs, &cfg).unwrap();
+        verify(&p, &inputs, &r.outputs).unwrap_or_else(|e| panic!("{scheduler:?}: {e}"));
+        let out = &r.outputs["R"];
+        assert_eq!(out.stored_positions(), 4, "{scheduler:?}");
+        #[rustfmt::skip]
+        let want = [
+            0., 0., 1., 0.,
+            0., 0., 0., 3.,
+            0., 0., 0., 0.,
+            0., 0., 0., 0.,
+        ];
+        assert_eq!(out.to_dense().data(), &want, "{scheduler:?}");
+    }
+}
