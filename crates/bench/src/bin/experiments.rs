@@ -42,7 +42,7 @@ use fuseflow_tensor::gen::GraphPattern;
 use fuseflow_tensor::SparseTensor;
 use fuseflow_verify::{verify_graph, VerifyConfig, VerifyOptions};
 use std::collections::{BTreeMap, HashMap};
-use std::fmt::{Display, Write as _};
+use std::fmt::Display;
 use std::time::Instant;
 
 /// Sweep-wide options parsed from the command line.
@@ -789,10 +789,10 @@ fn autotune(o: Opts) -> Vec<Table> {
 }
 
 /// `samcheck`: lints every model-zoo graph with the `fuseflow-verify`
-/// static analyzer, at every fusion granularity, and writes the combined
-/// report to `results/samcheck.json` plus the per-graph verdict counts to
-/// the tracked snapshot `results/samcheck_quick.json` (same writer as the
-/// cycle snapshots; CI gates it with `git diff`, so verdicts are gated like
+/// static analyzer, at every fusion granularity, prints every diagnostic and
+/// a line per graph, and writes the per-graph verdict counts to the tracked
+/// snapshot `results/samcheck_quick.json` (same writer as the cycle
+/// snapshots; CI gates it with `git diff`, so verdicts are gated like
 /// cycles). Returns the number of error-severity diagnostics.
 ///
 /// Unlike the figure experiments this is a pass/fail gate, not a
@@ -815,14 +815,14 @@ fn samcheck(o: Opts) -> usize {
     ];
     let mut graphs = 0usize;
     let mut errors = 0usize;
-    let mut json = String::from("[");
     let mut counts: Vec<(String, u64)> = Vec::new();
     let rows = parallel_map(o.threads, models, |(name, m)| {
         let mut out = Vec::new();
         for fusion in Fusion::ALL {
             let schedule = m.schedule(fusion);
-            // Compile with enforcement off: samcheck reports every
-            // diagnostic itself instead of aborting at the first denial.
+            // Compile with verification off: samcheck lints every region
+            // itself and prints its warnings too, instead of stopping at the
+            // first region an error refuses.
             let compiled =
                 compile_with(&m.program, &schedule, MemLocation::Dram, &VerifyConfig::disabled())
                     .unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -855,14 +855,6 @@ fn samcheck(o: Opts) -> usize {
                 if !report.is_clean() {
                     print!("{}", report.render_human(graph));
                 }
-                if json.len() > 1 {
-                    json.push(',');
-                }
-                let _ = write!(
-                    json,
-                    "{{\"model\":\"{name}\",\"fusion\":\"{fusion}\",\"region\":{i},\"report\":{}}}",
-                    report.to_json(graph)
-                );
                 let key = format!("samcheck/{name}/{fusion}/r{i}");
                 for (what, n) in [
                     ("errors", report.errors().count()),
@@ -883,8 +875,6 @@ fn samcheck(o: Opts) -> usize {
             errors += errs;
         }
     }
-    json.push(']');
-    write_file("results/samcheck.json", &json);
     write_file("results/samcheck_quick.json", &snapshot_json(counts));
     if errors == 0 {
         println!("samcheck: model zoo clean ({graphs} graphs linted)");

@@ -19,10 +19,10 @@ use crate::interp::{interpret, InterpError};
 use crate::ir::{IndexVar, Program};
 use crate::lower::{lower_region, LowerError, LowerOptions, Lowered, Refused};
 use crate::schedule::Schedule;
-use fuseflow_sam::MemLocation;
+use fuseflow_sam::{MemLocation, SamGraph};
 use fuseflow_sim::{simulate, SimConfig, SimError, Stats, TensorEnv};
 use fuseflow_tensor::{approx_eq, DenseTensor, SparseTensor};
-use fuseflow_verify::{enforce, verify_graph, Report, VerifyConfig, VerifyOptions};
+use fuseflow_verify::{verify_graph, Report, VerifyConfig, VerifyOptions};
 use std::collections::HashMap;
 use std::convert::Infallible;
 use std::hash::Hash;
@@ -41,11 +41,12 @@ pub enum PipelineError {
     Interp(InterpError),
     /// Verification mismatch.
     Verify(String),
-    /// Static analysis denied the compile (`fuseflow-verify` lints).
+    /// Static analysis refused the compile (`fuseflow-verify` lints).
     Static {
         /// Fusion-region index whose lowered graph was rejected.
         region: usize,
-        /// The denied diagnostics, rendered against the region graph.
+        /// The error-severity diagnostics, one per line, rendered against
+        /// the region graph.
         rendered: String,
     },
     /// Missing input binding.
@@ -138,18 +139,19 @@ pub fn fiber_upper_bound(program: &Program) -> Option<u64> {
     program.tensors().iter().flat_map(|t| t.shape.iter()).max().map(|&d| d as u64)
 }
 
-/// [`compile_at`] with an explicit static-analysis policy: every lowered
-/// region graph is linted by `fuseflow-verify` and diagnostics mapped to
-/// [`fuseflow_verify::Level::Deny`] abort the compile; the others are
-/// dropped (lint a graph with [`verify_graph`] to read them).
+/// [`compile_at`] with explicit static-analysis settings: unless
+/// `verify_cfg` is disabled, every lowered region graph is linted by
+/// `fuseflow-verify`, and an error-severity diagnostic (SA010, SA011, SA016,
+/// SA017) refuses the compile. Warnings are dropped (lint a graph with
+/// [`verify_graph`] to read them).
 ///
 /// Each region is lowered once per program, whatever schedules it appears
 /// in: a region is fused and lowered on the first compile that names it with
 /// this location and these parallel directives, linted on the first that
 /// does so with these analyzer options, and every later compile of the
-/// unchanged `program` reuses both (editing the program drops them). The
-/// lint levels are applied on every call. A parallel directive whose row
-/// cannot be split there is recorded in that region's [`Lowered::refused`].
+/// unchanged `program` reuses both (editing the program drops them). A
+/// parallel directive whose row cannot be split there is recorded in that
+/// region's [`Lowered::refused`].
 ///
 /// The analyzer's fiber upper bound is derived from the program's tensor
 /// shapes, so capacity-sizing advisories (SA013) reflect the actual
@@ -160,7 +162,7 @@ pub fn fiber_upper_bound(program: &Program) -> Option<u64> {
 ///
 /// Returns [`PipelineError::Lower`] when a region is empty, out of order or
 /// past the program's expressions, or when fusion or lowering fails, and
-/// [`PipelineError::Static`] when a denied lint fires.
+/// [`PipelineError::Static`] when a lint of error severity fires.
 pub fn compile_with(
     program: &Program,
     schedule: &Schedule,
@@ -187,13 +189,20 @@ pub fn compile_with(
                 Ok::<_, Infallible>(verify_graph(&low.graph, &opts))
             })
             .unwrap_or_else(|never| match never {});
-            if let Err(denied) = enforce(&report, verify_cfg) {
-                let rendered = denied.render_human(&low.graph);
-                return Err(PipelineError::Static { region, rendered });
-            }
+            refuse_errors(region, &report, &low.graph)?;
         }
     }
     Ok(Compiled { lowered })
+}
+
+/// Refuses region `region` when its lint report holds an error-severity
+/// diagnostic, rendering only those against its graph.
+fn refuse_errors(region: usize, report: &Report, graph: &SamGraph) -> Result<(), PipelineError> {
+    let rendered: String = report.errors().map(|d| d.render(graph) + "\n").collect();
+    if rendered.is_empty() {
+        return Ok(());
+    }
+    Err(PipelineError::Static { region, rendered })
 }
 
 /// The schedule's regions of `program`, refusing the first one that is
@@ -672,5 +681,46 @@ mod tests {
         for (i, low) in compiled.lowered.iter().enumerate() {
             assert_eq!(low.refused.contains(&absent), i >= 3, "region {i}: {:?}", low.refused);
         }
+    }
+
+    /// A compile refuses a region for its error-severity diagnostics and
+    /// names only those: a graph with one SA010 and one SA015 (a warning) is
+    /// refused for the SA010 alone, and passes once the SA010 is fixed.
+    #[test]
+    fn a_region_is_refused_for_its_errors_and_names_no_warning() {
+        use fuseflow_sam::NodeKind;
+        use fuseflow_verify::Code;
+        let graph = |crd_into_ref: bool| {
+            let mut g = SamGraph::new();
+            let b = g.add_tensor("B", MemLocation::OnChip);
+            g.add_tensor("C", MemLocation::OnChip); // unused: SA015
+            let o = g.add_output("T", vec![4], Format::sparse_vec(), MemLocation::OnChip);
+            let root = g.add_node(NodeKind::Root);
+            let ls = g.add_node(NodeKind::LevelScanner { tensor: b, level: 0 });
+            let cw = g.add_node(NodeKind::CrdWriter { output: o, level: 0 });
+            let arr = g.add_node(NodeKind::Array { tensor: b });
+            let vw = g.add_node(NodeKind::ValWriter { output: o });
+            g.connect(root, 0, ls, 0);
+            g.connect(ls, 0, cw, 0);
+            g.connect(ls, if crd_into_ref { 0 } else { 1 }, arr, 0); // crd into ref: SA010
+            g.connect(arr, 0, vw, 0);
+            g
+        };
+        let lint = |g: &SamGraph| verify_graph(g, &VerifyOptions::default());
+        let bad = graph(true);
+        let report = lint(&bad);
+        let codes: Vec<Code> = report.diags.iter().map(|d| d.code).collect();
+        assert_eq!(codes, [Code::SA010, Code::SA015], "{}", report.render_human(&bad));
+        match refuse_errors(3, &report, &bad) {
+            Err(PipelineError::Static { region: 3, rendered }) => {
+                assert!(rendered.contains("error[SA010]"), "{rendered}");
+                assert!(!rendered.contains("SA015"), "{rendered}");
+            }
+            res => panic!("not refused: {res:?}"),
+        }
+        let good = graph(false);
+        let report = lint(&good);
+        assert_eq!(report.diags.iter().map(|d| d.code).collect::<Vec<_>>(), [Code::SA015]);
+        assert!(refuse_errors(3, &report, &good).is_ok());
     }
 }

@@ -5,9 +5,7 @@ use fuseflow_core::fusion::{FuseError, FusedRegion, GlobalIx};
 use fuseflow_core::interp::interpret;
 use fuseflow_core::ir::{AluOp, Program, ReduceOp, TensorId};
 use fuseflow_core::lower::{lower_region, LowerError, LowerOptions, Refused};
-use fuseflow_core::pipeline::{
-    compile, compile_at, compile_run_verify, compile_with, Compiled, PipelineError,
-};
+use fuseflow_core::pipeline::{compile, compile_at, compile_run_verify, Compiled, PipelineError};
 use fuseflow_core::schedule::Schedule;
 use fuseflow_core::{fuse_region, Cell};
 use fuseflow_models::{
@@ -18,7 +16,6 @@ use fuseflow_sam::{MemLocation, NodeId, NodeKind};
 use fuseflow_sim::SimConfig;
 use fuseflow_tensor::gen::{adjacency, GraphPattern};
 use fuseflow_tensor::{DenseTensor, Format};
-use fuseflow_verify::{Code, Level, VerifyConfig};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Barrier;
@@ -830,30 +827,6 @@ fn an_edit_drops_the_compiled_regions() {
         let moved = after.iter().zip(&before).any(|(a, b)| a != b);
         assert!(moved, "edit {step} changed no region compiled before it");
         before = after;
-    }
-}
-
-/// The lint levels apply on every compile, also to a report an earlier
-/// compile left: partial SAE at channel capacity 1 draws SA013, a warning
-/// by default, and denying it fails a compile after a passing one. At the
-/// default capacity it draws none, and that report is not the one reused.
-#[test]
-fn a_denied_lint_fails_a_compile_whose_report_is_cached() {
-    let m = sae("x", 24, 12, 4, 0.5, 1);
-    let sched = m.schedule(Fusion::Partial);
-    let roomy = VerifyConfig::default().with_level(Code::SA013, Level::Deny);
-    let mut deny = roomy.clone();
-    deny.options.channel_capacity = 1;
-    let warn = deny.clone().with_level(Code::SA013, Level::Warn);
-    for (cfg, passes) in
-        [(&roomy, true), (&warn, true), (&deny, false), (&roomy, true), (&deny, false)]
-    {
-        match compile_with(&m.program, &sched, MemLocation::Dram, cfg) {
-            Err(PipelineError::Static { rendered, .. }) if !passes => {
-                assert!(rendered.contains("SA013"), "{rendered}")
-            }
-            res => assert!(passes && res.is_ok(), "{res:?}"),
-        }
     }
 }
 

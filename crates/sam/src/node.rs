@@ -94,7 +94,7 @@ impl AluOp {
 pub enum ReduceOp {
     /// Sum-reduction (identity 0).
     Sum,
-    /// Max-reduction (identity -inf).
+    /// Max-reduction (identity `f32::MIN`, the most negative finite `f32`).
     Max,
 }
 

@@ -369,8 +369,13 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
 ///
 /// # Errors
 ///
-/// [`SimError::Config`] if `inputs` does not hold one stream per input port
-/// or a token names a tile `tiles` does not hold; otherwise as [`simulate`].
+/// [`SimError::Config`] if `inputs` does not hold one stream per input port,
+/// a token names a tile `tiles` does not hold, or `kind` is a writer (it
+/// writes an output and has no stream to return);
+/// [`SimError::MissingTensor`] for an `Array` or `LevelScanner` whose tensor
+/// `tensors` lacks (slot `i` is named `t{i}`) and
+/// [`SimError::LevelOutOfRange`] for a `LevelScanner` past its tensor's
+/// levels; otherwise as [`simulate`].
 pub fn run_node_standalone(
     kind: NodeKind,
     inputs: Vec<Vec<Token>>,
@@ -388,6 +393,25 @@ pub fn run_node_standalone(
     }
     if let Some(t) = inputs.iter().flatten().find(|&&t| !tiles.holds(t)) {
         return Err(SimError::Config(format!("{t:?} names a tile the table does not hold")));
+    }
+    match kind {
+        NodeKind::CrdWriter { .. } | NodeKind::ValWriter { .. } => {
+            return Err(SimError::Config(format!("{kind:?} writes an output, not a stream")));
+        }
+        NodeKind::Array { tensor } | NodeKind::LevelScanner { tensor, .. }
+            if tensor >= tensors.len() =>
+        {
+            return Err(SimError::MissingTensor(format!("t{tensor}")));
+        }
+        NodeKind::LevelScanner { tensor, level } if level >= tensors[tensor].order() => {
+            return Err(SimError::LevelOutOfRange {
+                node: "standalone".into(),
+                tensor: format!("t{tensor}"),
+                level,
+                order: tensors[tensor].order(),
+            });
+        }
+        _ => {}
     }
 
     // Every tensor on chip, so the DRAM channel is never asked.

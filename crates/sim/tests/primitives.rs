@@ -370,3 +370,51 @@ fn standalone_refuses_a_wrong_stream_count_and_a_tile_it_does_not_hold() {
     let want = "Elem(Blk(Tile(0))) names a tile the table does not hold";
     assert_eq!(err.unwrap_err(), SimError::Config(want.into()));
 }
+
+/// A writer writes an output and has no stream to return: refused before it
+/// runs, whatever its input.
+#[test]
+fn standalone_refuses_a_writer() {
+    let writer = NodeKind::ValWriter { output: 0 };
+    let err = standalone(writer, vec![vec![val(1.0), D]], vec![]).unwrap_err();
+    let want = "ValWriter { output: 0 } writes an output, not a stream";
+    assert_eq!(err, SimError::Config(want.into()));
+    let writer = NodeKind::CrdWriter { output: 0, level: 0 };
+    let err = standalone(writer, vec![vec![idx(0), D]], vec![]).unwrap_err();
+    assert!(matches!(err, SimError::Config(_)), "{err:?}");
+}
+
+/// An `Array` or `LevelScanner` naming a tensor it was not given is a
+/// `MissingTensor`, as in `simulate`.
+#[test]
+fn standalone_refuses_a_tensor_it_was_not_given() {
+    let refs = vec![idx(0), D];
+    let err = standalone(NodeKind::Array { tensor: 0 }, vec![refs.clone()], vec![]).unwrap_err();
+    assert_eq!(err, SimError::MissingTensor("t0".into()));
+    let a = SparseTensor::from_dense(
+        &DenseTensor::from_vec(vec![2], vec![1.0, 2.0]),
+        &Format::sparse_vec(),
+    );
+    let scan = NodeKind::LevelScanner { tensor: 1, level: 0 };
+    let err = standalone(scan, vec![refs], vec![a]).unwrap_err();
+    assert_eq!(err, SimError::MissingTensor("t1".into()));
+}
+
+/// A `LevelScanner` past its tensor's levels is a `LevelOutOfRange`, as in
+/// `simulate`.
+#[test]
+fn standalone_refuses_a_level_its_tensor_lacks() {
+    let a = SparseTensor::from_dense(
+        &DenseTensor::from_vec(vec![2], vec![1.0, 2.0]),
+        &Format::sparse_vec(),
+    );
+    let scan = NodeKind::LevelScanner { tensor: 0, level: 1 };
+    let err = standalone(scan, vec![vec![idx(0), D]], vec![a]).unwrap_err();
+    let want = SimError::LevelOutOfRange {
+        node: "standalone".into(),
+        tensor: "t0".into(),
+        level: 1,
+        order: 1,
+    };
+    assert_eq!(err, want);
+}

@@ -98,13 +98,13 @@ fn step_summary(kind: &NodeKind, in_port: usize, opts: &VerifyOptions) -> Option
         NodeKind::Reduce { .. } => {
             // Absorbs a whole inner fiber plus its terminating stop before
             // each emission: at least the stop, at most `h + 1` tokens.
-            let fiber = hi.map(|h| h + 1);
+            let fiber = hi.map(|h| h.saturating_add(1));
             StepSummary { r_hi: fiber, m_lo: 1, m_hi: fiber, precise: true }
         }
         NodeKind::Spacc1 { .. } => {
             // Accumulates across Stop(0) boundaries, flushing on Stop(>=1):
             // retains up to a whole outer fiber (h fibers of h elements).
-            let outer = hi.map(|h| h.saturating_mul(h + 1).saturating_add(1));
+            let outer = hi.map(|h| h.saturating_mul(h.saturating_add(1)).saturating_add(1));
             StepSummary { r_hi: outer, m_lo: 1, m_hi: outer, precise: false }
         }
         NodeKind::UnionLeft if in_port <= 1 => SAME, // left side passes through 1:1
@@ -112,7 +112,7 @@ fn step_summary(kind: &NodeKind, in_port: usize, opts: &VerifyOptions) -> Option
         NodeKind::Union => EXPANDS,
         NodeKind::Intersect | NodeKind::UnionLeft => {
             // Data-dependent: may skip a whole fiber before first emission.
-            let fiber = hi.map(|h| h + 1);
+            let fiber = hi.map(|h| h.saturating_add(1));
             StepSummary { r_hi: fiber, m_lo: 0, m_hi: fiber, precise: false }
         }
         NodeKind::Parallelizer { factor } => {

@@ -1,5 +1,5 @@
-//! Structured diagnostics: stable lint codes, severities, anchors, and
-//! human/JSON rendering.
+//! Structured diagnostics: stable lint codes, their severities, anchors,
+//! and human-readable rendering.
 
 use fuseflow_sam::{Edge, NodeId, SamGraph};
 
@@ -33,30 +33,8 @@ pub enum Code {
 }
 
 impl Code {
-    /// All known codes, in numeric order.
-    pub const ALL: [Code; 7] =
-        [Code::SA010, Code::SA011, Code::SA013, Code::SA014, Code::SA015, Code::SA016, Code::SA017];
-
-    /// The stable string form, e.g. `"SA013"`.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Code::SA010 => "SA010",
-            Code::SA011 => "SA011",
-            Code::SA013 => "SA013",
-            Code::SA014 => "SA014",
-            Code::SA015 => "SA015",
-            Code::SA016 => "SA016",
-            Code::SA017 => "SA017",
-        }
-    }
-
-    /// Parses a code from its string form.
-    pub fn parse(s: &str) -> Option<Code> {
-        Code::ALL.iter().copied().find(|c| c.as_str() == s)
-    }
-
-    /// The severity this code carries by default.
-    pub fn default_severity(&self) -> Severity {
+    /// The severity every diagnostic of this code carries.
+    pub fn severity(&self) -> Severity {
         match self {
             Code::SA010 | Code::SA011 | Code::SA016 | Code::SA017 => Severity::Error,
             Code::SA013 | Code::SA014 | Code::SA015 => Severity::Warning,
@@ -64,9 +42,10 @@ impl Code {
     }
 }
 
+/// The stable string form, e.g. `SA013`: the variant's name.
 impl std::fmt::Display for Code {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
+        std::fmt::Debug::fmt(self, f)
     }
 }
 
@@ -124,8 +103,6 @@ impl Anchor {
 pub struct Diag {
     /// Stable lint code.
     pub code: Code,
-    /// Severity (the code's default unless a config overrides rendering).
-    pub severity: Severity,
     /// What the diagnostic points at; the first anchor is primary.
     pub anchors: Vec<Anchor>,
     /// Human-readable description.
@@ -136,15 +113,14 @@ pub struct Diag {
 }
 
 impl Diag {
-    /// Builds a diagnostic with the code's default severity.
+    /// Builds a diagnostic.
     pub fn new(code: Code, anchors: Vec<Anchor>, message: impl Into<String>) -> Self {
-        Diag {
-            code,
-            severity: code.default_severity(),
-            anchors,
-            message: message.into(),
-            min_safe_capacity: None,
-        }
+        Diag { code, anchors, message: message.into(), min_safe_capacity: None }
+    }
+
+    /// The severity of the diagnostic's code.
+    pub fn severity(&self) -> Severity {
+        self.code.severity()
     }
 
     /// Attaches a minimum safe capacity (SA013).
@@ -160,7 +136,7 @@ impl Diag {
             Some(c) => format!(" [min safe capacity {c}]"),
             None => String::new(),
         };
-        let head = format!("{}[{}]: {}{}", self.severity, self.code, self.message, cap);
+        let head = format!("{}[{}]: {}{}", self.severity(), self.code, self.message, cap);
         if self.anchors.is_empty() {
             return head;
         }
@@ -193,12 +169,12 @@ pub struct Report {
 impl Report {
     /// Diagnostics with `Error` severity.
     pub fn errors(&self) -> impl Iterator<Item = &Diag> {
-        self.diags.iter().filter(|d| d.severity == Severity::Error)
+        self.diags.iter().filter(|d| d.severity() == Severity::Error)
     }
 
     /// Diagnostics with `Warning` severity.
     pub fn warnings(&self) -> impl Iterator<Item = &Diag> {
-        self.diags.iter().filter(|d| d.severity == Severity::Warning)
+        self.diags.iter().filter(|d| d.severity() == Severity::Warning)
     }
 
     /// True when no diagnostics at all were emitted.
@@ -228,75 +204,5 @@ impl Report {
             self.regions.flagged,
         ));
         s
-    }
-
-    /// Renders the report as a JSON object (no external dependencies; the
-    /// build environment is offline).
-    pub fn to_json(&self, g: &SamGraph) -> String {
-        let mut s = String::from("{\"diagnostics\":[");
-        for (i, d) in self.diags.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"code\":\"{}\",\"severity\":\"{}\",\"message\":{},\"anchors\":[",
-                d.code,
-                d.severity,
-                json_str(&d.message)
-            ));
-            for (j, a) in d.anchors.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&json_str(&a.render(g)));
-            }
-            s.push(']');
-            if let Some(c) = d.min_safe_capacity {
-                s.push_str(&format!(",\"min_safe_capacity\":{c}"));
-            }
-            s.push('}');
-        }
-        s.push_str(&format!(
-            "],\"regions\":{{\"certified\":{},\"unknown\":{},\"flagged\":{}}}}}",
-            self.regions.certified, self.regions.unknown, self.regions.flagged
-        ));
-        s
-    }
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn code_roundtrip() {
-        for c in Code::ALL {
-            assert_eq!(Code::parse(c.as_str()), Some(c));
-        }
-        assert_eq!(Code::parse("SA999"), None);
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 }

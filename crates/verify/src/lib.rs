@@ -17,6 +17,10 @@
 //! | SA016 | error    | output slot with no value writer |
 //! | SA017 | error    | graph fails `SamGraph::validate`; carries the `GraphError` |
 //!
+//! A code's severity is fixed. A compile (`VerifyConfig`) refuses a region
+//! whose report holds an error and drops the warnings; [`verify_graph`]
+//! returns every diagnostic, warnings included.
+//!
 //! The deadlock pass (see the `deadlock` module's docs for the model and the
 //! soundness argument) gives each reconvergent region one verdict —
 //! *Certified*, *SA013* or *Unknown* — and only *Certified* carries a
@@ -72,33 +76,19 @@ impl Default for VerifyOptions {
     }
 }
 
-/// What to do with a diagnostic code during compilation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Level {
-    /// Drop the diagnostic entirely.
-    Allow,
-    /// Keep it in the report; do not fail the compile.
-    Warn,
-    /// Fail the compile.
-    Deny,
-}
-
-/// Per-code policy for wiring the analyzer into a compile pipeline:
-/// error-severity codes deny by default, warnings warn; both can be
-/// overridden per code.
+/// How a compile pipeline runs the analyzer: `compile_with` refuses a region
+/// whose report holds an error-severity diagnostic, and keeps no warning.
 #[derive(Debug, Clone)]
 pub struct VerifyConfig {
     /// Master switch; `false` skips verification entirely.
     pub enabled: bool,
     /// Analyzer knobs.
     pub options: VerifyOptions,
-    /// Per-code overrides of the default level.
-    pub overrides: Vec<(Code, Level)>,
 }
 
 impl Default for VerifyConfig {
     fn default() -> Self {
-        VerifyConfig { enabled: true, options: VerifyOptions::default(), overrides: Vec::new() }
+        VerifyConfig { enabled: true, options: VerifyOptions::default() }
     }
 }
 
@@ -106,26 +96,6 @@ impl VerifyConfig {
     /// A config that skips verification.
     pub fn disabled() -> Self {
         VerifyConfig { enabled: false, ..Default::default() }
-    }
-
-    /// The effective level for a code.
-    pub fn level(&self, code: Code) -> Level {
-        for (c, l) in &self.overrides {
-            if *c == code {
-                return *l;
-            }
-        }
-        match code.default_severity() {
-            Severity::Error => Level::Deny,
-            Severity::Warning => Level::Warn,
-        }
-    }
-
-    /// Overrides one code's level (builder style).
-    pub fn with_level(mut self, code: Code, level: Level) -> Self {
-        self.overrides.retain(|(c, _)| *c != code);
-        self.overrides.push((code, level));
-        self
     }
 }
 
@@ -164,33 +134,6 @@ fn invalid_graph(g: &SamGraph, e: &GraphError) -> Diag {
     };
     let anchors = node.filter(|&n| n < g.node_count()).map(|n| Anchor::Node(NodeId(n)));
     Diag::new(Code::SA017, anchors.into_iter().collect(), format!("invalid graph: {e}"))
-}
-
-/// Applies a [`VerifyConfig`] to a report: allowed diagnostics are
-/// dropped, and the denied subset (if any) is returned as `Err`.
-///
-/// # Errors
-///
-/// Returns the denied diagnostics when any diagnostic maps to
-/// [`Level::Deny`].
-pub fn enforce(report: &Report, cfg: &VerifyConfig) -> Result<Report, Report> {
-    let mut kept = Report { diags: Vec::new(), regions: report.regions };
-    let mut denied = false;
-    for d in &report.diags {
-        match cfg.level(d.code) {
-            Level::Allow => {}
-            Level::Warn => kept.diags.push(d.clone()),
-            Level::Deny => {
-                kept.diags.push(d.clone());
-                denied = true;
-            }
-        }
-    }
-    if denied {
-        Err(kept)
-    } else {
-        Ok(kept)
-    }
 }
 
 #[cfg(test)]
@@ -262,7 +205,7 @@ mod tests {
         let r = verify_graph(&g, &VerifyOptions::default());
         assert_eq!(r.with_code(Code::SA010).count(), 1);
         let d = r.with_code(Code::SA010).next().unwrap();
-        assert_eq!(d.severity, Severity::Error);
+        assert_eq!(d.severity(), Severity::Error);
         assert!(d.render(&g).contains("crd"));
     }
 
@@ -315,7 +258,7 @@ mod tests {
         let r = verify_graph(&g, &opts);
         assert!(r.with_code(Code::SA013).count() >= 1, "report:\n{}", r.render_human(&g));
         let d = r.with_code(Code::SA013).next().unwrap();
-        assert_eq!(d.severity, Severity::Warning);
+        assert_eq!(d.severity(), Severity::Warning);
         // Two reconvergent regions are flagged; the binding one (the cloned
         // Array fan-out) needs capacity 9 to hold a full fiber plus stop.
         let min = r.with_code(Code::SA013).filter_map(|d| d.min_safe_capacity).max();
@@ -346,7 +289,7 @@ mod tests {
         g.add_output("U", vec![4], Format::sparse_vec(), MemLocation::OnChip);
         let r = verify_graph(&g, &VerifyOptions::default());
         assert_eq!(r.with_code(Code::SA016).count(), 1);
-        assert_eq!(r.with_code(Code::SA016).next().unwrap().severity, Severity::Error);
+        assert_eq!(r.with_code(Code::SA016).next().unwrap().severity(), Severity::Error);
     }
 
     /// Every way a graph can fail `validate` is one SA017 error naming the
@@ -358,12 +301,10 @@ mod tests {
             let r = verify_graph(g, &VerifyOptions::default());
             assert_eq!(r.diags.len(), 1, "{what}");
             let d = &r.diags[0];
-            assert_eq!((d.code, d.severity), (Code::SA017, Severity::Error), "{what}");
+            assert_eq!((d.code, d.severity()), (Code::SA017, Severity::Error), "{what}");
             assert!(d.message.contains(&err.to_string()), "{what}: {}", d.message);
             assert_eq!(r.regions, RegionSummary::default());
-            assert!(enforce(&r, &VerifyConfig::default()).is_err(), "{what}");
             assert!(r.render_human(g).contains("error[SA017]"));
-            assert!(r.to_json(g).contains("\"code\":\"SA017\""));
         };
 
         // A 2-node cycle through a binary ALU (the upward path walk of the
@@ -419,31 +360,20 @@ mod tests {
         invalid(&g, "duplicate slot");
     }
 
+    /// The widest fiber bound saturates instead of overflowing, and a
+    /// looser bound never certifies a region a tighter one does not.
     #[test]
-    fn json_rendering_is_structured() {
+    fn an_unbounded_fiber_hi_certifies_no_more_than_a_small_one() {
         let g = reconvergent_graph();
-        let opts = VerifyOptions { channel_capacity: 4, fiber_hi: Some(8) };
-        let r = verify_graph(&g, &opts);
-        let json = r.to_json(&g);
-        assert!(json.contains("\"code\":\"SA013\""));
-        assert!(json.contains("\"min_safe_capacity\":9"));
-        assert!(json.contains("\"regions\":"));
-    }
-
-    #[test]
-    fn enforce_levels() {
-        let mut g = clean_graph();
-        g.add_tensor("C", MemLocation::OnChip); // SA015 warning
-        let r = verify_graph(&g, &VerifyOptions::default());
-        // Default: warning kept, compile proceeds.
-        assert!(enforce(&r, &VerifyConfig::default()).is_ok());
-        // Denied: compile fails.
-        let deny = VerifyConfig::default().with_level(Code::SA015, Level::Deny);
-        assert!(enforce(&r, &deny).is_err());
-        // Allowed: dropped entirely.
-        let allow = VerifyConfig::default().with_level(Code::SA015, Level::Allow);
-        assert!(enforce(&r, &allow).unwrap().is_clean());
-        // Disabled config still enforces nothing when used by callers.
-        assert!(!VerifyConfig::disabled().enabled);
+        for channel_capacity in [1, 2, 4, 9, 256] {
+            let at = |fiber_hi| verify_graph(&g, &VerifyOptions { channel_capacity, fiber_hi });
+            let (small, huge) = (at(Some(8)), at(Some(u64::MAX)));
+            assert!(
+                huge.regions.certified <= small.regions.certified,
+                "capacity {channel_capacity}: {:?} at u64::MAX, {:?} at 8",
+                huge.regions,
+                small.regions
+            );
+        }
     }
 }
