@@ -37,7 +37,7 @@ use fuseflow_models::{
     sae, Fusion, GraphDataset, ModelInstance, GRAPH_DATASETS, SAE_DATASETS,
 };
 use fuseflow_sam::MemLocation;
-use fuseflow_sim::{SimConfig, Stats, TimingConfig};
+use fuseflow_sim::{SimConfig, Stats};
 use fuseflow_tensor::gen::GraphPattern;
 use fuseflow_tensor::SparseTensor;
 use fuseflow_verify::{verify_graph, VerifyConfig, VerifyOptions};
@@ -192,30 +192,6 @@ fn shape_gate(t: &Table) {
     std::process::exit(1);
 }
 
-/// Fig 1: roofline-model GPU utilization for GCN inference (substitution:
-/// analytical RTX-5090-class device; ARCHITECTURE.md "Substitutions").
-fn fig1(_: Opts) -> Vec<Table> {
-    let mut t = Table::new(
-        "fig1",
-        "Fig 1: GPU SM/DRAM utilization for GCN inference (roofline model)",
-        &["dataset", "sm_util_pct", "mem_util_pct"],
-    );
-    // RTX-5090-class peaks: ~105 TFLOP/s FP32, ~1.8 TB/s DRAM, ~2.6 GHz.
-    let (peak_flops, peak_bw) = (105e12, 1.79e12);
-    for ds in &GRAPH_DATASETS {
-        let m = gcn(ds, 32, 16, 42);
-        let est = estimate(&m.program, &Schedule::unfused(), &m.inputs);
-        // Kernel-launch-bound time: each of the model's kernels needs at
-        // least one ~3us launch+sync on small sparse workloads.
-        let kernels = m.program.exprs().len() as f64;
-        let t_s = (est.flops / peak_flops + est.bytes / peak_bw).max(kernels * 3e-6);
-        let sm = 100.0 * est.flops / (t_s * peak_flops);
-        let mem = 100.0 * est.bytes / (t_s * peak_bw);
-        t.row(&[&ds.name, &format!("{sm:.4}"), &format!("{mem:.4}")]);
-    }
-    vec![t]
-}
-
 /// Fig 4b / §8.4: prior-compiler comparison on GCN/collab.
 fn fig4b(o: Opts) -> Vec<Table> {
     let (m, composed) = (gcn(&collab(), 16, 8, 7), gcn_composed(&collab(), 16, 8, 7));
@@ -291,87 +267,6 @@ fn fig12_shape(t: &Table) -> Vec<String> {
             ["full", "partial", "unfused"].map(|f| format!("{point}/{f}"));
         let gated = if point.starts_with("gpt3-bigbird/") { 0.. } else { 1.. };
         broken.extend(ascending(t, &[full, partial, unfused][gated]));
-    }
-    broken
-}
-
-/// Fig 13: Comal vs FPGA-RTL backend latency correlation (R^2).
-fn fig13(o: Opts) -> Vec<Table> {
-    let ds = GraphDataset {
-        name: "karate",
-        nodes: 34,
-        feats: 16,
-        density: 0.14,
-        pattern: GraphPattern::Uniform,
-    };
-    let kernels: Vec<(&str, ModelInstance)> = vec![
-        ("gcn", gcn(&ds, 8, 4, 3)),
-        ("graphsage", graphsage(&ds, 8, 4, 5)),
-        ("gpt3", gpt_attention(32, 8, 8, 7)),
-    ];
-    let per_kernel = parallel_map(o.threads, kernels, |(name, m)| {
-        // Per-kernel latency (unfused singleton regions) on both backends,
-        // tensors pinned on-chip like the paper's BRAM-resident kernels.
-        let compiled = compile_at(&m.program, &Schedule::unfused(), MemLocation::OnChip).unwrap();
-        let fpga_cfg = SimConfig { timing: TimingConfig::fpga_rtl(), ..sim() };
-        let [comal, fpga] = [("comal", sim()), ("fpga", fpga_cfg)].map(|(backend, cfg)| {
-            let result = run(&m.program, &compiled, &m.inputs, &cfg).unwrap();
-            verified("fig13", &format!("{name}/{backend}"), &m.program, &m.inputs, result)
-        });
-        let regions = comal.per_region.iter().zip(&fpga.per_region).enumerate();
-        regions.map(|(i, (c, f))| (format!("{name}/k{i}"), c.cycles, f.cycles)).collect::<Vec<_>>()
-    });
-    let mut t = Table::new(
-        "fig13",
-        "Fig 13: Comal vs FPGA-RTL backend trend agreement",
-        &["kernel", "backend", "cycles"],
-    );
-    for (kernel, comal, fpga) in per_kernel.into_iter().flatten() {
-        t.point(format!("{kernel}/comal"), Some(comal), &[&kernel, &"comal"]);
-        t.point(format!("{kernel}/fpga"), Some(fpga), &[&kernel, &"fpga"]);
-    }
-    let pairs = backend_pairs(&t);
-    t.notes.push(format!("{} kernels, R^2 = {:.3}", pairs.len(), log_r2(&pairs)));
-    t.gate = Some(fig13_shape);
-    vec![t]
-}
-
-/// `(kernel, comal cycles, fpga cycles)` of every kernel of Fig 13's table.
-fn backend_pairs(t: &Table) -> Vec<(String, f64, f64)> {
-    let comal_rows =
-        t.rows.iter().filter_map(|r| Some((r.label.strip_suffix("/comal")?, r.cycles?)));
-    comal_rows
-        .filter_map(|(k, comal)| {
-            Some((k.to_string(), comal as f64, t.cycles(&format!("{k}/fpga"))? as f64))
-        })
-        .collect()
-}
-
-/// R^2 of the two backends' log-latencies across kernels.
-fn log_r2(pairs: &[(String, f64, f64)]) -> f64 {
-    let xs: Vec<f64> = pairs.iter().map(|p| p.1.ln()).collect();
-    let ys: Vec<f64> = pairs.iter().map(|p| p.2.ln()).collect();
-    let n = xs.len() as f64;
-    let (mx, my) = (xs.iter().sum::<f64>() / n, ys.iter().sum::<f64>() / n);
-    let cov: f64 = xs.iter().zip(&ys).map(|(x, y)| (x - mx) * (y - my)).sum();
-    let (vx, vy): (f64, f64) =
-        (xs.iter().map(|x| (x - mx).powi(2)).sum(), ys.iter().map(|y| (y - my).powi(2)).sum());
-    (cov * cov) / (vx * vy)
-}
-
-/// What is broken of Fig 13's shape: every kernel is strictly slower on the
-/// FPGA backend than on Comal (its `ii_extra` and slower tile ALU must cost
-/// something, or the two backends have merged), and the two agree in trend.
-fn fig13_shape(t: &Table) -> Vec<String> {
-    let pairs = backend_pairs(t);
-    let mut broken: Vec<String> = pairs
-        .iter()
-        .filter(|(_, comal, fpga)| fpga <= comal)
-        .map(|(k, comal, fpga)| format!("{k}: fpga {fpga} cycles is not above comal {comal}"))
-        .collect();
-    let r2 = log_r2(&pairs);
-    if r2.is_nan() || r2 < 0.95 {
-        broken.push(format!("R^2 = {r2:.3} is below 0.95"));
     }
     broken
 }
@@ -903,11 +798,9 @@ fn main() {
         which.push("all".into());
     }
     type Figure = fn(Opts) -> Vec<Table>;
-    let figures: [(&str, Figure); 12] = [
-        ("fig1", fig1),
+    let figures: [(&str, Figure); 10] = [
         ("fig4b", fig4b),
         ("fig12", fig12),
-        ("fig13", fig13),
         ("fig14", fig14),
         ("fig15", fig15),
         ("fig16", fig16),
@@ -970,30 +863,6 @@ mod tests {
             t.point(label, Some(cycles), &[&label]);
         }
         t
-    }
-
-    #[test]
-    fn fig13_shape_wants_fpga_strictly_slower_and_trend_agreement() {
-        let kernels = |pairs: &[(u64, u64)]| {
-            let mut t = table(&[]);
-            for (i, &(comal, fpga)) in pairs.iter().enumerate() {
-                t.point(format!("k{i}/comal"), Some(comal), &[&"comal"]);
-                t.point(format!("k{i}/fpga"), Some(fpga), &[&"fpga"]);
-            }
-            t
-        };
-        assert!(fig13_shape(&kernels(&[(215, 419), (352, 933), (1251, 3604), (3675, 13330)]))
-            .is_empty());
-        // Equal is merged, not slower.
-        let merged = fig13_shape(&kernels(&[(384, 384), (2442, 3604)]));
-        assert_eq!(merged.len(), 1, "{merged:?}");
-        assert!(merged[0].starts_with("k0:"), "{merged:?}");
-        // Slower everywhere, but the short kernel is the long one on the FPGA.
-        let no_trend = fig13_shape(&kernels(&[(100, 5000), (1000, 1100), (10000, 20000)]));
-        assert_eq!(no_trend.len(), 1, "{no_trend:?}");
-        assert!(no_trend[0].starts_with("R^2 = 0."), "{no_trend:?}");
-        // One kernel has no trend to agree on: R^2 is NaN.
-        assert_eq!(fig13_shape(&kernels(&[(1, 2)])).len(), 1);
     }
 
     #[test]

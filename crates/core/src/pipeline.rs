@@ -122,8 +122,8 @@ pub fn compile(program: &Program, schedule: &Schedule) -> Result<Compiled, Pipel
     compile_at(program, schedule, MemLocation::Dram)
 }
 
-/// [`compile`] with an explicit memory location for tensors (the FPGA
-/// validation pins kernels in on-chip BRAM).
+/// [`compile`] with an explicit memory location for region inputs and
+/// outputs ([`MemLocation::OnChip`] keeps them out of the DRAM model).
 pub fn compile_at(
     program: &Program,
     schedule: &Schedule,

@@ -92,21 +92,13 @@ impl AluOp {
 /// Reduction operators for [`NodeKind::Reduce`] and [`NodeKind::Spacc1`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {
-    /// Sum-reduction (identity 0).
+    /// Sum-reduction.
     Sum,
-    /// Max-reduction (identity `f32::MIN`, the most negative finite `f32`).
+    /// Max-reduction (`f32::max`: a NaN loses to any number).
     Max,
 }
 
 impl ReduceOp {
-    /// The identity element.
-    pub fn identity(&self) -> f32 {
-        match self {
-            ReduceOp::Sum => 0.0,
-            ReduceOp::Max => f32::MIN,
-        }
-    }
-
     /// Applies the reduction to scalars.
     pub fn apply(&self, a: f32, b: f32) -> f32 {
         match self {
@@ -117,9 +109,7 @@ impl ReduceOp {
 }
 
 /// Where a tensor lives during execution; controls whether touches are
-/// charged to the DRAM model or considered on-chip (BRAM/registers), used by
-/// the FPGA-validation backend (Section 8.2 selects kernels that "fit
-/// entirely in on-chip BRAM").
+/// charged to the DRAM model or considered on-chip (BRAM/registers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MemLocation {
     /// Off-chip DRAM: every touch is charged to the memory model.
@@ -396,9 +386,7 @@ mod tests {
     }
 
     #[test]
-    fn reduce_identities() {
-        assert_eq!(ReduceOp::Sum.identity(), 0.0);
-        assert_eq!(ReduceOp::Max.identity(), f32::MIN);
+    fn reduce_semantics() {
         assert_eq!(ReduceOp::Sum.apply(2.0, 3.0), 5.0);
         assert_eq!(ReduceOp::Max.apply(2.0, 3.0), 3.0);
     }

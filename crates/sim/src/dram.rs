@@ -72,7 +72,9 @@ impl Dram {
     /// which it completes (bandwidth serialization plus latency).
     ///
     /// A zero-byte request costs only latency: it neither occupies the
-    /// channel nor rounds the occupancy frontier up to `now`.
+    /// channel nor rounds the occupancy frontier up to `now`. A completion
+    /// cycle past `u64::MAX` saturates there: the request never completes
+    /// and the run ends in `SimError::MaxCycles`.
     pub fn request(&mut self, now: u64, bytes: u64, kind: AccessKind, is_write: bool) -> u64 {
         if is_write {
             self.write_bytes += bytes;
@@ -84,7 +86,7 @@ impl Dram {
             AccessKind::Random => self.random_latency,
         };
         if bytes == 0 {
-            return now + latency;
+            return now.saturating_add(latency);
         }
         // The same arithmetic in `u64` while everything fits, which is every
         // request at a real bandwidth: a `u128` division is a library call.
@@ -95,12 +97,13 @@ impl Dram {
         });
         if let Some(end) = narrow {
             self.busy_until_mb = end as u128;
-            return end.div_ceil(mbpc) + latency;
+            return end.div_ceil(mbpc).saturating_add(latency);
         }
         let mbpc = mbpc as u128;
         let start = self.busy_until_mb.max(now as u128 * mbpc);
         self.busy_until_mb = start + bytes as u128 * 1000;
-        (self.busy_until_mb.div_ceil(mbpc)) as u64 + latency
+        let done = u64::try_from(self.busy_until_mb.div_ceil(mbpc)).unwrap_or(u64::MAX);
+        done.saturating_add(latency)
     }
 
     /// Total bytes read so far.

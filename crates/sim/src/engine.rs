@@ -13,10 +13,8 @@
 //! array therefore sends, retires and issues in every cycle, and an on-chip
 //! pipeline moves one token per port per cycle, the fully pipelined rate of
 //! SAM/Comal. A token the flush could not send (a full channel) does hold
-//! the node, so backpressure stops it, and a backend that wants a longer
-//! initiation interval asks for it per node kind
-//! ([`TimingConfig::ii_extra`]). `crates/sim/tests/throughput.rs` holds the
-//! rate; ARCHITECTURE.md, "II = 1".
+//! the node, so backpressure stops it. `crates/sim/tests/throughput.rs`
+//! holds the rate; ARCHITECTURE.md, "II = 1".
 //!
 //! A token is written once. An action appends what it produces to the tail
 //! of every fan-out channel of the port, *staged* behind the channel's
@@ -91,7 +89,7 @@ pub enum Scheduler {
 /// Simulation parameters.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Timing backend (Comal or FPGA-RTL flavoured).
+    /// Timing parameters (Comal's by default).
     pub timing: TimingConfig,
     /// Capacity of every stream channel, in tokens.
     pub channel_capacity: usize,
@@ -163,8 +161,7 @@ impl<S: Into<String>> FromIterator<(S, SparseTensor)> for TensorEnv {
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
     /// The configuration cannot describe a machine (zero-capacity channels,
-    /// non-positive DRAM bandwidth or block-lane factor, no outstanding
-    /// memory requests).
+    /// non-positive DRAM bandwidth, no outstanding memory requests).
     Config(String),
     /// The graph failed validation.
     Validation(GraphError),
@@ -247,10 +244,6 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
     if bw.is_nan() || bw <= 0.0 {
         return Err(SimError::Config(format!("dram_bytes_per_cycle must be positive, got {bw}")));
     }
-    let lanes = cfg.timing.block_lanes_factor;
-    if lanes.is_nan() || lanes <= 0.0 {
-        return Err(SimError::Config(format!("block_lanes_factor must be positive, got {lanes}")));
-    }
     if cfg.timing.outstanding == 0 {
         return Err(SimError::Config("outstanding must be at least 1".into()));
     }
@@ -294,7 +287,6 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
                 graph.label(id).to_string(),
                 vec![None; kind.input_ports().len()],
                 vec![Vec::new(); kind.output_ports().len()],
-                &cfg.timing,
             )
         })
         .collect();
@@ -437,7 +429,7 @@ pub fn run_node_standalone(
         capture.push(ctx.chans.len() - 1);
     }
 
-    let mut rt = Rt::new(&kind, "standalone".into(), in_chans, out_chans, &cfg.timing);
+    let mut rt = Rt::new(&kind, "standalone".into(), in_chans, out_chans);
     let ran = run_standalone(&mut rt, &mut ctx, 10_000_000);
     *tiles = std::mem::take(&mut ctx.tiles);
     ran.map_err(|e| *e)?;

@@ -18,9 +18,8 @@
 //! index), `run.rs` (the run loops and their determinism arguments) and
 //! `engine.rs` (`simulate` assembly).
 //!
-//! Two timing backends implement the paper's §8.2 validation methodology:
-//! [`TimingConfig::comal`] (HBM-class, fully pipelined) and
-//! [`TimingConfig::fpga_rtl`] (BRAM-resident, deeper IIs).
+//! One timing model, [`TimingConfig::comal`] (HBM-class memory, fully
+//! pipelined primitives), times every run.
 //!
 //! # Example
 //!

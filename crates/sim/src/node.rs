@@ -14,7 +14,6 @@ use crate::chan::{Ctx, StepOutcome};
 use crate::dram::AccessKind;
 use crate::engine::SimError;
 use crate::tok::{Block, Payload, Tile, Token};
-use crate::TimingConfig;
 use fuseflow_sam::{AluOp, MemLocation, NodeKind, ReduceOp};
 use fuseflow_tensor::Level;
 use std::collections::{BTreeMap, VecDeque};
@@ -105,7 +104,6 @@ pub(crate) struct Io {
     n_staged: usize,
     pub(crate) pending_mem: VecDeque<(Token, u64, usize)>,
     pub(crate) busy_until: u64,
-    ii_extra: u64,
     pub(crate) done: bool,
     /// Elements produced on connected ports (counted by
     /// [`emit`](Self::emit)), or taken in, for a writer.
@@ -118,7 +116,6 @@ impl Rt {
         label: String,
         in_chans: Vec<Option<usize>>,
         out_chans: Vec<Vec<usize>>,
-        timing: &TimingConfig,
     ) -> Rt {
         let prim = match *kind {
             NodeKind::Root => Prim::Root { emitted: 0 },
@@ -149,7 +146,6 @@ impl Rt {
             n_staged: 0,
             pending_mem: VecDeque::new(),
             busy_until: 0,
-            ii_extra: (timing.ii_extra)(kind),
             done: false,
             elems: 0,
         };
@@ -169,14 +165,7 @@ impl Rt {
         if self.io.done || ctx.now < self.io.busy_until || !clear {
             return Ok(false);
         }
-        let acted = self.action(ctx)?;
-        if acted {
-            let ii = self.io.ii_extra;
-            if ii > 0 {
-                self.io.busy_until = ctx.now + 1 + ii;
-            }
-        }
-        Ok(acted)
+        self.action(ctx)
     }
 
     /// One cycle of this node: flush, retire, act.
@@ -788,10 +777,9 @@ impl Io {
                         ctx.flops += 1;
                         Payload::F(op.apply(a, b))
                     }
+                    // An absent operand adds nothing: `a` passes as it is.
                     (Some(Payload::F(a)), Payload::Empty)
-                    | (Some(Payload::Empty), Payload::F(a)) => {
-                        Payload::F(op.apply(a, op.identity()))
-                    }
+                    | (Some(Payload::Empty), Payload::F(a)) => Payload::F(a),
                     (Some(Payload::Blk(a)), Payload::Blk(b)) => {
                         let out = zip_tiles(ctx, a, b, 1, |x, y| op.apply(x, y));
                         out.or_else(|m| self.fail(format_args!("reduce: {m}")))?
@@ -806,8 +794,7 @@ impl Io {
             Token::Stop(k) => {
                 self.pop(ctx, 0);
                 // A fiber with nothing in it reduces to 0 under every op,
-                // the absent coordinate the interpreter reads; `Max`'s
-                // identity would write `f32::MIN` into a dense output.
+                // the absent coordinate the interpreter reads.
                 let out = acc.take().unwrap_or(Payload::F(0.0));
                 self.emit(ctx, 0, Token::Elem(out));
                 if k >= 1 {
@@ -1119,7 +1106,6 @@ fn zip_tiles(
 }
 
 fn alu_combine(ctx: &mut Ctx, op: AluOp, a: Payload, b: Payload) -> Result<Payload, String> {
-    let lanes = ctx.cfg.timing.block_lanes_factor;
     Ok(match (a, b) {
         (Payload::F(x), Payload::F(y)) => {
             ctx.flops += op.flops_per_elem();
@@ -1144,7 +1130,7 @@ fn alu_combine(ctx: &mut Ctx, op: AluOp, a: Payload, b: Payload) -> Result<Paylo
             }
             // Tile contraction: b^2-lane unit retires one column per cycle.
             ctx.flops += 2 * (x.rows() * x.cols() * y.cols()) as u64;
-            let busy = (y.cols() as f64 / lanes).ceil() as u64;
+            let busy = y.cols() as u64;
             let blk = x.matmul(y);
             ctx.busy(busy);
             Payload::Blk(ctx.tiles.put(blk))
@@ -1235,7 +1221,6 @@ mod tests {
             "spacc".into(),
             vec![Some(0), Some(1)],
             vec![vec![2, 3], vec![4]],
-            &cfg.timing,
         );
 
         let mut got: [Vec<Token>; 3] = Default::default();
@@ -1285,13 +1270,8 @@ mod tests {
         let chans =
             vec![base, Chan::seeded([Token::Stop(1)], false), Chan::new(8, 1, NO_NODE, false)];
         let mut ctx = Ctx::bare(chans, &cfg, 2);
-        let mut rt = Rt::new(
-            &NodeKind::Repeat,
-            "repeat".into(),
-            vec![Some(0), Some(1)],
-            vec![vec![2]],
-            &cfg.timing,
-        );
+        let mut rt =
+            Rt::new(&NodeKind::Repeat, "repeat".into(), vec![Some(0), Some(1)], vec![vec![2]]);
         ctx.publish(0);
         assert_eq!(ctx.cur.pop_ge(0), Some(1), "empty -> non-empty");
         assert_eq!(rt.step(&mut ctx).unwrap(), StepOutcome::BlockedInput);
@@ -1303,11 +1283,14 @@ mod tests {
         assert_eq!(ctx.chans[2].buf.back(), Some(&Token::Stop(1)));
 
         // The same state reached by a whole graph. The base values leave a
-        // slow `Array` (one token every four cycles) while the repeat stream,
-        // two empty fibers, is there at once: `Repeat` blocks with the second
-        // base value in hand until the base stop arrives four cycles later.
+        // slow `Array`, which gathers them from DRAM one at a time
+        // (`outstanding` = 1, a random-access latency apart), while the
+        // repeat stream, two empty fibers, is there at once: `Repeat` closes
+        // the first fiber, idles, then blocks with the second base value in
+        // hand until the base stop arrives a cycle behind it. Only the
+        // stop's publish can wake it then.
         let mut g = SamGraph::new();
-        let v = g.add_tensor("V", MemLocation::OnChip);
+        let v = g.add_tensor("V", MemLocation::Dram);
         let e = g.add_tensor("E", MemLocation::OnChip);
         let o = g.add_output("O", vec![2, 3], Format::csr(), MemLocation::OnChip);
         let root_v = g.add_node(NodeKind::Root);
@@ -1334,11 +1317,12 @@ mod tests {
         env.insert("V", SparseTensor::from_coo(vec![2], entries, &Format::dense(1)).unwrap());
         env.insert("E", SparseTensor::from_coo(vec![2, 3], vec![], &Format::csr()).unwrap());
         let mut cfg = SimConfig::default();
-        cfg.timing.ii_extra = |k| if matches!(k, NodeKind::Array { .. }) { 3 } else { 0 };
+        cfg.timing.outstanding = 1;
         let [event, sweep] = [Scheduler::Event, Scheduler::Sweep]
             .map(|s| simulate(&g, &env, &cfg.clone().with_scheduler(s)).unwrap());
         assert_eq!(event.stats.semantic(), sweep.stats.semantic());
         assert_eq!(event.outputs, sweep.outputs);
-        assert!(event.stats.cycles > 12, "the array should have paced the run");
+        let latency = cfg.timing.dram_random_latency;
+        assert!(event.stats.cycles > 2 * latency, "the gathers should have paced the run");
     }
 }

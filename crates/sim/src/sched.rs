@@ -104,13 +104,16 @@ impl WakeQueue {
     }
 
     /// Queues a wake for `rank` at cycle `t` (must be `> now`). Deduped
-    /// against an earlier-or-equal timer already queued for the rank.
+    /// against an earlier-or-equal timer already queued for the rank. A wake
+    /// at `u64::MAX` (a DRAM completion that saturated there) is queued
+    /// too, so the run ends on its cycle budget as the sweep's does.
     pub fn schedule(&mut self, now: u64, t: u64, rank: u32) {
         debug_assert!(t > now, "wakes must be in the future");
-        if self.timer_at[rank as usize] <= t {
+        let at = &mut self.timer_at[rank as usize];
+        if *at <= t && *at != u64::MAX {
             return;
         }
-        self.timer_at[rank as usize] = t;
+        *at = t;
         self.heap.push(Reverse((t, rank)));
     }
 

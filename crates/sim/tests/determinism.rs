@@ -273,12 +273,12 @@ fn partial_deadlock_is_reported() {
 
 /// Regression: `run_node_standalone` used to exit on the first no-progress
 /// cycle, truncating the output of any node that stalls on `busy_until` or
-/// in-flight memory. A blocked tile matmul occupies the ALU for
-/// `cols / lanes` cycles per tile, so the second input pair (and the
-/// trailing `Done`) arrived while the node was "busy" and got dropped.
+/// in-flight memory. A blocked tile matmul occupies the ALU for `cols`
+/// cycles per tile, so the second input pair (and the trailing `Done`)
+/// arrived while the node was "busy" and got dropped.
 #[test]
 fn standalone_runner_fast_forwards_over_busy_stalls() {
-    let b = 4; // busy = b cycles per tile under the Comal backend (1 lane)
+    let b = 4; // busy = b cycles per tile matmul
     let tile =
         |seed: f32| Block::new(b, b, (0..b * b).map(|i| seed + i as f32).collect::<Vec<_>>());
     let mut tiles = Tiles::default();
@@ -480,9 +480,10 @@ fn error_paths_match_across_schedulers() {
 /// engine skips most cycles; a near memory with a deep request queue, where
 /// the source sustains about a token a cycle and a fused chain stays busy;
 /// and tensors pinned on-chip, where there are no DRAM nodes at all and
-/// nothing to skip.
+/// nothing to skip. Every run's outputs are also verified against the
+/// reference interpreter.
 fn assert_model_all_schedulers_identical(m: &fuseflow_models::ModelInstance) {
-    use fuseflow_core::pipeline::{compile_at, run};
+    use fuseflow_core::pipeline::{compile_at, run, verify};
     use fuseflow_models::Fusion;
     use fuseflow_sim::TimingConfig;
     let mut far = TimingConfig::comal();
@@ -509,6 +510,7 @@ fn assert_model_all_schedulers_identical(m: &fuseflow_models::ModelInstance) {
             let case = format!("{}, {fusion}, {regime} memory", m.name);
             assert_eq!(event.stats.semantic(), sweep.stats.semantic(), "{case}: stats diverged");
             assert_eq!(&event.outputs, &sweep.outputs, "{case}: outputs diverged");
+            verify(&m.program, &m.inputs, &event.outputs).unwrap_or_else(|e| panic!("{case}: {e}"));
         }
     }
 }
@@ -553,10 +555,10 @@ fn model_zoo_map_stack_cross_scheduler_bit_identical() {
 
 /// A blocked copy whose value stream fans out four ways at very different
 /// drain rates: straight into a writer, into a deep chain of unary ALUs,
-/// and twice into a tile matmul slowed to a quarter lane (`4 * B` = 16
-/// cycles per tile, against the 8 per tile that `Array` sustains from DRAM),
-/// so the matmul is what the run waits for. At channel capacity 1 and 2 the
-/// matmul's input channels sit full while the other branches are empty, so
+/// and twice into a tile matmul (`B` = 4 cycles per tile). `Array` gathers
+/// from DRAM, and its first `outstanding` tiles arrive in a burst, faster
+/// than the matmul takes them. At channel capacity 1 and 2 the matmul's
+/// input channels sit full while the other branches are empty, so
 /// `flush_phase` (send to every fan-out channel of the port or to none) runs
 /// with one branch full and the others not; the coordinate streams fan out
 /// three ways as well. `Array` issues no request while it holds a tile it
@@ -611,13 +613,11 @@ fn fanout_flush_under_backpressure_cross_scheduler_bit_identical() {
 
     let mut env = TensorEnv::new();
     env.insert("B", t.clone());
-    let mut slow = SimConfig::default();
-    slow.timing.block_lanes_factor = 0.25;
-    let roomy = simulate(&g, &env, &slow).unwrap();
+    let roomy = simulate(&g, &env, &SimConfig::default()).unwrap();
     assert_eq!(roomy.outputs["copy"], t);
     assert_eq!(roomy.outputs["chain"], t);
     for cap in [1usize, 2] {
-        let cfg = SimConfig { channel_capacity: cap, ..slow.clone() };
+        let cfg = SimConfig { channel_capacity: cap, ..SimConfig::default() };
         let tight = assert_all_schedulers_identical(&g, &env, &cfg);
         assert_eq!(tight.outputs, roomy.outputs, "capacity {cap} changed the data");
         assert!(

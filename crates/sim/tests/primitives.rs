@@ -186,6 +186,24 @@ fn reduce_max() {
     assert_eq!(out[0], vec![val(7.0), s(0), D]);
 }
 
+/// An absent operand (`Empty`) beside a value adds nothing, in either
+/// order: the value passes with its bits, a NaN under `Max` and a `-0.0`
+/// under `Sum` included, as the interpreter skips an absent coordinate.
+#[test]
+fn reduce_passes_a_value_beside_an_absent_one_as_it_is() {
+    let empty = Token::Elem(Payload::Empty);
+    for (op, v) in [(ReduceOp::Max, f32::NAN), (ReduceOp::Sum, -0.0)] {
+        for fiber in [[val(v), empty], [empty, val(v)]] {
+            let stream = [fiber.as_slice(), &[s(0), D]].concat();
+            let out = standalone(NodeKind::Reduce { op }, vec![stream], vec![]).unwrap();
+            let [Token::Elem(Payload::F(got)), Token::Done] = out[0][..] else {
+                panic!("{op:?}: {:?}", out[0]);
+            };
+            assert_eq!(got.to_bits(), v.to_bits(), "{op:?} over {fiber:?}");
+        }
+    }
+}
+
 #[test]
 fn spacc_accumulates_across_inner_boundaries() {
     // Two k-fibers for i0: {j0: 1, j2: 2} then {j0: 10, j1: 20}; one for i1.

@@ -4,8 +4,7 @@
 //! recorded snapshots only say that cycles did not move. These micro-graphs
 //! hold the rate itself: a scanner or an array that retires a memory request
 //! and acts in the same cycle streams a CSR matrix at one stored element per
-//! cycle on chip, a backend that asks for `ii_extra` gets exactly that much
-//! more, and from DRAM the gather at `Array` is bound by
+//! cycle on chip, and from DRAM the gather at `Array` is bound by
 //! `dram_random_latency / outstanding`.
 
 use fuseflow_sam::{MemLocation, NodeId, NodeKind, ReduceOp, SamGraph};
@@ -74,16 +73,10 @@ fn on_chip_pipelines_move_one_element_per_cycle() {
     let b = gen::sparse_features(N, N, 0.5, 11, &Format::csr());
     assert!(b.nnz() > 25_000, "fibers long enough that the per-row stops are a few per cent");
 
-    let on_chip = copy(MemLocation::OnChip);
-    let per = cycles_per_element(&on_chip, &b, TimingConfig::comal());
+    let per = cycles_per_element(&copy(MemLocation::OnChip), &b, TimingConfig::comal());
     assert!(per <= 1.05, "on-chip copy: {per:.3} cycles per element, II = 1 is at most 1.05");
     let per = cycles_per_element(&row_sum(), &b, TimingConfig::comal());
     assert!(per <= 1.05, "on-chip row sum: {per:.3} cycles per element, II = 1 is at most 1.05");
-
-    // The FPGA backend's scanners ask for one extra cycle per token, and get
-    // exactly that: twice Comal's count, not the same.
-    let per = cycles_per_element(&on_chip, &b, TimingConfig::fpga_rtl());
-    assert!(per >= 2.0, "fpga-rtl copy: {per:.3} cycles per element, scanner II 2 is at least 2");
 }
 
 #[test]

@@ -2,6 +2,7 @@
 //! schedule and verify simulated results against the structural reference
 //! interpreter.
 
+use fuseflow::core::interp::interpret;
 use fuseflow::core::ir::{Program, ReduceOp};
 use fuseflow::core::pipeline::{compile, compile_at, compile_run_verify, run, verify};
 use fuseflow::core::schedule::{FusionGranularity, Schedule};
@@ -129,6 +130,40 @@ fn an_empty_fiber_reduces_to_zero() {
                 let point = format!("{op:?} {location:?} {scheduler:?}");
                 verify(&p, &inputs, &r.outputs).unwrap_or_else(|e| panic!("{point}: {e}"));
                 assert_eq!(r.outputs["M"].to_dense().data(), &[-2.0, 0.0, -5.0], "{point}");
+            }
+        }
+    }
+}
+
+/// A NaN under `Max` and a `-0.0` under `Sum` reduce to the interpreter's
+/// bits, end to end. `verify` compares with a tolerance that cannot tell the
+/// two zeros apart and refuses a NaN, so the bits are compared against
+/// `interpret` as well.
+#[test]
+fn a_nan_max_and_a_negative_zero_sum_keep_the_interpreters_bits() {
+    let rows = |v: f32| vec![(vec![0, 1], v), (vec![1, 0], v), (vec![1, 2], 2.0 * v)];
+    for (op, v) in [(ReduceOp::Max, f32::NAN), (ReduceOp::Sum, -0.0)] {
+        let at = SparseTensor::from_coo(vec![3, 4], rows(v), &Format::csr()).unwrap();
+        let inputs: Inputs = [("A".to_string(), at)].into();
+        let mut p = Program::new();
+        let (i, j) = (p.index("i"), p.index("j"));
+        let a = p.input("A", vec![3, 4], Format::csr());
+        let m = p.reduce("M", (a, vec![i, j]), vec![j], op, Format::dense_vec());
+        p.mark_output(m);
+        let want = interpret(&p, &inputs).unwrap()["M"].vals.data().to_vec();
+        assert_eq!(want[0].to_bits(), v.to_bits(), "{op:?}: a lone value passes as it is");
+        for location in [MemLocation::Dram, MemLocation::OnChip] {
+            let compiled = compile_at(&p, &Schedule::unfused(), location).unwrap();
+            for scheduler in [Scheduler::Event, Scheduler::Sweep] {
+                let cfg = SimConfig::default().with_scheduler(scheduler);
+                let r = run(&p, &compiled, &inputs, &cfg).unwrap();
+                let point = format!("{op:?} {location:?} {scheduler:?}");
+                let got = r.outputs["M"].to_dense();
+                let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got.data()), bits(&want), "{point}");
+                if !v.is_nan() {
+                    verify(&p, &inputs, &r.outputs).unwrap_or_else(|e| panic!("{point}: {e}"));
+                }
             }
         }
     }
