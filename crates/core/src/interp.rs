@@ -123,16 +123,7 @@ pub fn interpret(
     inputs: &HashMap<String, SparseTensor>,
 ) -> Result<HashMap<String, Structured>, InterpError> {
     let mut env: HashMap<TensorId, Structured> = HashMap::new();
-    for (id, decl) in program.inputs() {
-        let t =
-            inputs.get(&decl.name).ok_or_else(|| InterpError::MissingInput(decl.name.clone()))?;
-        if t.shape() != decl.shape || t.block() != decl.block {
-            return Err(InterpError::InputShape {
-                name: decl.name.clone(),
-                declared: (decl.shape.clone(), decl.block),
-                bound: (t.shape().to_vec(), t.block()),
-            });
-        }
+    for (id, t) in bind_inputs(program, inputs)? {
         env.insert(id, Structured::from_sparse(t));
     }
 
@@ -143,6 +134,35 @@ pub fn interpret(
     }
 
     Ok(env.into_iter().map(|(id, s)| (program.tensor(id).name.clone(), s)).collect())
+}
+
+/// Each input of `program` with the tensor `inputs` binds to its name, in
+/// [`Program::inputs`] order: the one binding check of [`interpret`] and
+/// `pipeline::run`.
+///
+/// # Errors
+///
+/// Returns [`InterpError::MissingInput`] for a missing input and
+/// [`InterpError::InputShape`] for one bound at another element-space shape
+/// or block than its declaration's.
+pub(crate) fn bind_inputs<'a>(
+    program: &Program,
+    inputs: &'a HashMap<String, SparseTensor>,
+) -> Result<Vec<(TensorId, &'a SparseTensor)>, InterpError> {
+    let mut bound = Vec::new();
+    for (id, decl) in program.inputs() {
+        let t =
+            inputs.get(&decl.name).ok_or_else(|| InterpError::MissingInput(decl.name.clone()))?;
+        if t.shape() != decl.shape || t.block() != decl.block {
+            return Err(InterpError::InputShape {
+                name: decl.name.clone(),
+                declared: (decl.shape.clone(), decl.block),
+                bound: (t.shape().to_vec(), t.block()),
+            });
+        }
+        bound.push((id, t));
+    }
+    Ok(bound)
 }
 
 /// A presence check: whether input `input`'s coordinates up to `level`, a

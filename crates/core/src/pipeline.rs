@@ -7,25 +7,23 @@
 //! the fusion/reuse tradeoff the paper evaluates — and optionally verifies
 //! every program output against the structural reference interpreter.
 //!
-//! A region is fused, lowered and linted once per program: the schedules of
-//! a fusion-granularity search share most of their regions, and
-//! [`compile_with`] keeps each one it compiles on the [`Program`]. Those
+//! A region is fused, lowered and checked for errors once per program: the
+//! schedules of a fusion-granularity search share most of their regions,
+//! and [`compile_with`] keeps each one it compiles on the [`Program`]. Those
 //! schedules are all checked on one input set, so [`verify`] keeps the
 //! reference outputs of the last input set it interpreted there too, and
 //! interprets again only when the inputs change.
 
 use crate::fusion::{fuse_region, FuseError};
-use crate::interp::{interpret, InterpError};
+use crate::interp::{bind_inputs, interpret, InterpError};
 use crate::ir::{IndexVar, Program};
 use crate::lower::{lower_region, LowerError, LowerOptions, Lowered, Refused};
 use crate::schedule::Schedule;
 use fuseflow_sam::{MemLocation, SamGraph};
 use fuseflow_sim::{simulate, SimConfig, SimError, Stats, TensorEnv};
 use fuseflow_tensor::{approx_eq, DenseTensor, SparseTensor};
-use fuseflow_verify::{verify_graph, Report, VerifyConfig, VerifyOptions};
+use fuseflow_verify::{graph_errors, VerifyConfig};
 use std::collections::HashMap;
-use std::convert::Infallible;
-use std::hash::Hash;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -37,7 +35,8 @@ pub enum PipelineError {
     Lower(LowerError),
     /// Simulation failure.
     Sim(SimError),
-    /// Reference interpretation failure.
+    /// An input is missing or bound at another shape or block than its
+    /// declaration's (from [`run`] or [`verify`]).
     Interp(InterpError),
     /// Verification mismatch.
     Verify(String),
@@ -49,8 +48,6 @@ pub enum PipelineError {
         /// the region graph.
         rendered: String,
     },
-    /// Missing input binding.
-    MissingInput(String),
 }
 
 impl std::fmt::Display for PipelineError {
@@ -58,12 +55,11 @@ impl std::fmt::Display for PipelineError {
         match self {
             PipelineError::Lower(e) => write!(f, "lowering failed: {e}"),
             PipelineError::Sim(e) => write!(f, "simulation failed: {e}"),
-            PipelineError::Interp(e) => write!(f, "reference failed: {e}"),
+            PipelineError::Interp(e) => write!(f, "bad input binding: {e}"),
             PipelineError::Verify(m) => write!(f, "verification failed: {m}"),
             PipelineError::Static { region, rendered } => {
                 write!(f, "static analysis rejected region {region}:\n{rendered}")
             }
-            PipelineError::MissingInput(n) => write!(f, "missing input '{n}'"),
         }
     }
 }
@@ -132,37 +128,33 @@ pub fn compile_at(
     compile_with(program, schedule, location, &VerifyConfig::default())
 }
 
-/// The fiber-length upper bound the static analyzer sizes retention
-/// against: no fiber in any stream lowered from `program` can be longer
-/// than the largest tensor dimension.
+/// The fiber-length upper bound to lint a compiled program's graphs under
+/// (`VerifyOptions::fiber_hi` of [`fuseflow_verify::verify_graph`]): no
+/// fiber in any stream lowered from `program` can be longer than the largest
+/// tensor dimension. A compile runs no pass that reads it.
 pub fn fiber_upper_bound(program: &Program) -> Option<u64> {
     program.tensors().iter().flat_map(|t| t.shape.iter()).max().map(|&d| d as u64)
 }
 
-/// [`compile_at`] with explicit static-analysis settings: unless
-/// `verify_cfg` is disabled, every lowered region graph is linted by
-/// `fuseflow-verify`, and an error-severity diagnostic (SA010, SA011, SA016,
-/// SA017) refuses the compile. Warnings are dropped (lint a graph with
-/// [`verify_graph`] to read them).
+/// [`compile_at`] with an explicit static-analysis switch: unless
+/// `verify_cfg` is disabled, a lowered region graph that draws an
+/// error-severity diagnostic of [`graph_errors`] (SA010, SA011, SA016,
+/// SA017) refuses the compile. No warning pass runs, and no analyzer option
+/// is read.
 ///
-/// Each region is lowered once per program, whatever schedules it appears
-/// in: a region is fused and lowered on the first compile that names it with
-/// this location and these parallel directives, linted on the first that
-/// does so with these analyzer options, and every later compile of the
-/// unchanged `program` reuses both (editing the program drops them). A
-/// parallel directive whose row cannot be split there is recorded in that
-/// region's [`Lowered::refused`].
-///
-/// The analyzer's fiber upper bound is derived from the program's tensor
-/// shapes, so capacity-sizing advisories (SA013) reflect the actual
-/// problem dimensions. The analyzer takes no fiber lower bound, so it never
-/// proves a deadlock: a region is certified, flagged SA013 or Unknown.
+/// Each region is lowered and checked once per program, whatever schedules
+/// it appears in: a region is fused, lowered and checked on the first
+/// compile that names it with this location and these parallel directives,
+/// and every later compile of the unchanged `program` reuses both (editing
+/// the program drops them). A parallel directive whose row cannot be split
+/// there is recorded in that region's [`Lowered::refused`].
 ///
 /// # Errors
 ///
 /// Returns [`PipelineError::Lower`] when a region is empty, out of order or
 /// past the program's expressions, or when fusion or lowering fails, and
-/// [`PipelineError::Static`] when a lint of error severity fires.
+/// otherwise [`PipelineError::Static`] naming the first region an error
+/// lint refuses.
 pub fn compile_with(
     program: &Program,
     schedule: &Schedule,
@@ -171,38 +163,39 @@ pub fn compile_with(
 ) -> Result<Compiled, PipelineError> {
     let regions = checked_regions(program, schedule).map_err(LowerError::from)?;
     let memo = &program.memo;
-    let key = |r: &Range<usize>| (r.clone(), location, schedule.parallelize.clone());
     let mut lowered = Vec::with_capacity(regions.len());
-    for r in &regions {
-        lowered.push(memoized(&memo.lowered, key(r), || {
-            memo.lowerings.fetch_add(1, Ordering::Relaxed);
-            lower_fresh(program, schedule, r, location)
-        })?);
-    }
-    if verify_cfg.enabled {
-        let mut opts = verify_cfg.options.clone();
-        if opts.fiber_hi.is_none() {
-            opts.fiber_hi = fiber_upper_bound(program);
+    let mut refused = None;
+    for (region, r) in regions.iter().enumerate() {
+        let key = (r.clone(), location, schedule.parallelize.clone());
+        let hit = memo.regions.lock().expect(POISONED).get(&key).cloned();
+        let (low, rendered) = match hit {
+            Some(hit) => hit,
+            None => {
+                // The lock is not held while compiling, so two threads that
+                // miss on one region both compute it, to equal values.
+                memo.lowerings.fetch_add(1, Ordering::Relaxed);
+                let low = lower_fresh(program, schedule, r, location)?;
+                let rendered = refusal(&low.graph);
+                let fresh = (low, rendered);
+                memo.regions.lock().expect(POISONED).insert(key, fresh.clone());
+                fresh
+            }
+        };
+        if verify_cfg.enabled && !rendered.is_empty() && refused.is_none() {
+            refused = Some(PipelineError::Static { region, rendered });
         }
-        for (region, (r, low)) in regions.iter().zip(&lowered).enumerate() {
-            let report = memoized(&memo.reports, (key(r), opts.clone()), || {
-                Ok::<_, Infallible>(verify_graph(&low.graph, &opts))
-            })
-            .unwrap_or_else(|never| match never {});
-            refuse_errors(region, &report, &low.graph)?;
-        }
+        lowered.push(low);
     }
-    Ok(Compiled { lowered })
+    match refused {
+        Some(e) => Err(e),
+        None => Ok(Compiled { lowered }),
+    }
 }
 
-/// Refuses region `region` when its lint report holds an error-severity
-/// diagnostic, rendering only those against its graph.
-fn refuse_errors(region: usize, report: &Report, graph: &SamGraph) -> Result<(), PipelineError> {
-    let rendered: String = report.errors().map(|d| d.render(graph) + "\n").collect();
-    if rendered.is_empty() {
-        return Ok(());
-    }
-    Err(PipelineError::Static { region, rendered })
+/// The error-severity diagnostics of `graph`, one per line, rendered against
+/// it: empty when nothing refuses it.
+fn refusal(graph: &SamGraph) -> String {
+    graph_errors(graph).iter().map(|d| d.render(graph) + "\n").collect()
 }
 
 /// The schedule's regions of `program`, refusing the first one that is
@@ -255,17 +248,15 @@ fn lower_fresh(
 type RegionKey = (Range<usize>, MemLocation, Vec<(IndexVar, usize)>);
 
 /// What this module has computed for one [`Program`] as it is now, held by
-/// the program and emptied by every edit of it: the regions
-/// [`compile_with`] has compiled, and the reference [`verify`] last
-/// compared against. Only successful lowerings and interpretations are
-/// kept, so a failing region or input set fails again the same way. Per
-/// (location, directives) there are at most n(n+1)/2 lowered regions for n
-/// expressions, one report per region and analyzer options, and one
-/// reference.
+/// the program and emptied by every edit of it: each region [`compile_with`]
+/// has lowered, with its rendered refusal (empty for a region no error lint
+/// flags), and the reference [`verify`] last compared against. Only
+/// successful lowerings and interpretations are kept, so a failing region or
+/// input set fails again the same way. Per (location, directives) there are
+/// at most n(n+1)/2 regions for n expressions, and there is one reference.
 #[derive(Default)]
 pub(crate) struct ProgramMemo {
-    lowered: Mutex<HashMap<RegionKey, Lowered>>,
-    reports: Mutex<HashMap<(RegionKey, VerifyOptions), Report>>,
+    regions: Mutex<HashMap<RegionKey, (Lowered, String)>>,
     reference: Mutex<Option<Arc<Reference>>>,
     /// Regions fused and lowered (misses), read by tests.
     pub(crate) lowerings: AtomicUsize,
@@ -281,22 +272,6 @@ impl Clone for ProgramMemo {
 }
 
 const POISONED: &str = "program memo poisoned by a panic while its lock was held";
-
-/// `map[key]` cloned, else `compute()`, kept when it is `Ok`. The lock is
-/// not held while computing, so two threads that miss on one key both
-/// compute it; compilation is deterministic, so they insert equal values.
-fn memoized<K: Hash + Eq, V: Clone, E>(
-    map: &Mutex<HashMap<K, V>>,
-    key: K,
-    compute: impl FnOnce() -> Result<V, E>,
-) -> Result<V, E> {
-    if let Some(hit) = map.lock().expect(POISONED).get(&key) {
-        return Ok(hit.clone());
-    }
-    let value = compute()?;
-    map.lock().expect(POISONED).insert(key, value.clone());
-    Ok(value)
-}
 
 /// The result of executing a compiled program.
 #[derive(Debug, Clone)]
@@ -317,7 +292,9 @@ pub struct RunResult {
 ///
 /// # Errors
 ///
-/// See [`PipelineError`].
+/// Returns [`PipelineError::Interp`] when an input is missing or bound at
+/// another shape or block than its declaration's (the binding check
+/// [`interpret`] makes), and otherwise see [`PipelineError`].
 pub fn run(
     program: &Program,
     compiled: &Compiled,
@@ -325,17 +302,16 @@ pub fn run(
     sim: &SimConfig,
 ) -> Result<RunResult, PipelineError> {
     let mut env = TensorEnv::new();
-    for (_, decl) in program.inputs() {
-        let t =
-            inputs.get(&decl.name).ok_or_else(|| PipelineError::MissingInput(decl.name.clone()))?;
-        env.insert(decl.name.clone(), t.clone());
+    for (id, t) in bind_inputs(program, inputs)? {
+        env.insert(program.tensor(id).name.clone(), t.clone());
     }
     let mut total = Stats::default();
     let mut per_region = Vec::new();
     for low in &compiled.lowered {
         for p in &low.permuted_inputs {
-            let base =
-                env.get(&p.base).ok_or_else(|| PipelineError::MissingInput(p.base.clone()))?;
+            let base = env
+                .get(&p.base)
+                .ok_or_else(|| PipelineError::Interp(InterpError::MissingInput(p.base.clone())))?;
             let permuted = base.permute(&p.perm, base.format());
             env.insert(p.derived.clone(), permuted);
         }
@@ -396,12 +372,8 @@ fn reference(
     program: &Program,
     inputs: &HashMap<String, SparseTensor>,
 ) -> Result<Arc<Reference>, InterpError> {
-    let mut bound = Vec::new();
-    for (_, decl) in program.inputs() {
-        bound.push(
-            inputs.get(&decl.name).ok_or_else(|| InterpError::MissingInput(decl.name.clone()))?,
-        );
-    }
+    let bound: Vec<&SparseTensor> =
+        bind_inputs(program, inputs)?.into_iter().map(|(_, t)| t).collect();
     let memo = &program.memo;
     let held = memo.reference.lock().expect(POISONED).clone();
     if let Some(hit) = held.filter(|r| r.inputs.iter().eq(bound.iter().copied())) {
@@ -684,12 +656,15 @@ mod tests {
     }
 
     /// A compile refuses a region for its error-severity diagnostics and
-    /// names only those: a graph with one SA010 and one SA015 (a warning) is
-    /// refused for the SA010 alone, and passes once the SA010 is fixed.
+    /// names only those: a region whose graph has one SA010 and one SA015 (a
+    /// warning) is refused for the SA010 alone, the first such region is the
+    /// one named, a disabled config refuses nothing, and the region passes
+    /// once the SA010 is fixed. The graphs are planted in the memo, where a
+    /// compile finds a region's graph and refusal.
     #[test]
     fn a_region_is_refused_for_its_errors_and_names_no_warning() {
         use fuseflow_sam::NodeKind;
-        use fuseflow_verify::Code;
+        use fuseflow_verify::{verify_graph, Code, VerifyOptions};
         let graph = |crd_into_ref: bool| {
             let mut g = SamGraph::new();
             let b = g.add_tensor("B", MemLocation::OnChip);
@@ -706,21 +681,36 @@ mod tests {
             g.connect(arr, 0, vw, 0);
             g
         };
-        let lint = |g: &SamGraph| verify_graph(g, &VerifyOptions::default());
-        let bad = graph(true);
-        let report = lint(&bad);
-        let codes: Vec<Code> = report.diags.iter().map(|d| d.code).collect();
-        assert_eq!(codes, [Code::SA010, Code::SA015], "{}", report.render_human(&bad));
-        match refuse_errors(3, &report, &bad) {
+        let codes = |g: &SamGraph| -> Vec<Code> {
+            verify_graph(g, &VerifyOptions::default()).diags.iter().map(|d| d.code).collect()
+        };
+        let (bad, good) = (graph(true), graph(false));
+        assert_eq!(codes(&bad), [Code::SA010, Code::SA015]);
+        assert_eq!(codes(&good), [Code::SA015]);
+
+        let p = sae_shaped();
+        let unfused = Schedule::unfused();
+        compile(&p, &unfused).unwrap();
+        let plant = |region: usize, g: &SamGraph| {
+            let mut regions = p.memo.regions.lock().unwrap();
+            let (low, rendered) =
+                regions.get_mut(&(region..region + 1, MemLocation::Dram, vec![])).unwrap();
+            (low.graph, *rendered) = (g.clone(), refusal(g));
+        };
+        plant(3, &bad);
+        plant(4, &bad);
+        match compile(&p, &unfused) {
             Err(PipelineError::Static { region: 3, rendered }) => {
                 assert!(rendered.contains("error[SA010]"), "{rendered}");
                 assert!(!rendered.contains("SA015"), "{rendered}");
             }
-            res => panic!("not refused: {res:?}"),
+            res => panic!("not refused at region 3: {res:?}"),
         }
-        let good = graph(false);
-        let report = lint(&good);
-        assert_eq!(report.diags.iter().map(|d| d.code).collect::<Vec<_>>(), [Code::SA015]);
-        assert!(refuse_errors(3, &report, &good).is_ok());
+        compile_with(&p, &unfused, MemLocation::Dram, &VerifyConfig::disabled()).unwrap();
+        plant(3, &good);
+        assert!(matches!(compile(&p, &unfused), Err(PipelineError::Static { region: 4, .. })));
+        plant(4, &good);
+        compile(&p, &unfused).unwrap();
+        assert_eq!(p.memo.lowerings.load(Ordering::Relaxed), 6);
     }
 }

@@ -2,20 +2,23 @@
 //! table contents, transposition materialization, and parallelization.
 
 use fuseflow_core::fusion::{FuseError, FusedRegion, GlobalIx};
-use fuseflow_core::interp::interpret;
+use fuseflow_core::interp::{interpret, InterpError};
 use fuseflow_core::ir::{AluOp, Program, ReduceOp, TensorId};
 use fuseflow_core::lower::{lower_region, LowerError, LowerOptions, Refused};
-use fuseflow_core::pipeline::{compile, compile_at, compile_run_verify, Compiled, PipelineError};
+use fuseflow_core::pipeline::{
+    compile, compile_at, compile_run_verify, compile_with, run, verify, Compiled, PipelineError,
+};
 use fuseflow_core::schedule::Schedule;
 use fuseflow_core::{fuse_region, Cell};
 use fuseflow_models::{
     gcn, gcn_composed, gpt_attention, gpt_attention_blocked, gpt_decoder, graphsage, map_stack,
     sae, Fusion, GraphDataset, ModelInstance, GRAPH_DATASETS, SAE_DATASETS,
 };
-use fuseflow_sam::{MemLocation, NodeId, NodeKind};
+use fuseflow_sam::{MemLocation, NodeId, NodeKind, SamGraph};
 use fuseflow_sim::SimConfig;
 use fuseflow_tensor::gen::{adjacency, GraphPattern};
-use fuseflow_tensor::{DenseTensor, Format};
+use fuseflow_tensor::{DenseTensor, Format, SparseTensor};
+use fuseflow_verify::{graph_errors, verify_graph, Diag, VerifyConfig, VerifyOptions};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Barrier;
@@ -107,10 +110,10 @@ fn fusion_table_rows_follow_the_chosen_order() {
     assert!(has_ref, "fusion tables memoize intermediate streams as references");
 }
 
-#[test]
-fn transposed_views_request_permuted_inputs() {
-    // M (i->j mode order) element-multiplied with N accessed (j, i):
-    // concordant traversal is impossible without reformatting one view.
+/// `O[i,j] = M[i,j] * N[j,i]` over 6×6 DCSR matrices: M (i->j mode order)
+/// element-multiplied with N accessed (j, i), so concordant traversal is
+/// impossible without reformatting one view.
+fn transposed_product() -> Program {
     let mut p = Program::new();
     let (i, j) = (p.index("i"), p.index("j"));
     let m = p.input("M", vec![6, 6], Format::dcsr());
@@ -125,12 +128,57 @@ fn transposed_views_request_permuted_inputs() {
         Format::dcsr(),
     );
     p.mark_output(o);
+    p
+}
+
+#[test]
+fn transposed_views_request_permuted_inputs() {
+    let p = transposed_product();
     let region = fuse_region(&p, 0..1).unwrap();
     assert_eq!(region.transposes.len(), 1);
     let low = lower_region(&p, &region, p.outputs(), &LowerOptions::default()).unwrap();
     assert_eq!(low.permuted_inputs.len(), 1);
     assert_eq!(low.permuted_inputs[0].perm, vec![1, 0]);
     assert_eq!(low.permuted_inputs[0].base, "N");
+}
+
+/// `run` binds its inputs through `interpret`'s check: an `N` bound at
+/// another order, in blocks or at another size is an error naming `N`, not a
+/// panic in the permute that transposes it, nor a simulation of the wrong
+/// matrix.
+#[test]
+fn a_misbound_input_is_an_error_naming_it() {
+    let p = transposed_product();
+    let compiled = compile(&p, &Schedule::full()).unwrap();
+    let dense = |shape: Vec<usize>, format: &Format| {
+        let data = (0..shape.iter().product()).map(|v| (v % 5) as f32).collect();
+        SparseTensor::from_dense(&DenseTensor::from_vec(shape, data), format)
+    };
+    let blocked = SparseTensor::from_blocks(
+        vec![6, 6],
+        [2, 2],
+        vec![(vec![0, 1], vec![1.0; 4])],
+        &Format::dcsr(),
+    )
+    .unwrap();
+    let bind = |n: SparseTensor| {
+        HashMap::from([("M".to_string(), dense(vec![6, 6], &Format::dcsr())), ("N".to_string(), n)])
+    };
+    let sim = SimConfig::default();
+    let good = bind(dense(vec![6, 6], &Format::dcsr()));
+    verify(&p, &good, &run(&p, &compiled, &good, &sim).unwrap().outputs).unwrap();
+    for (what, n) in [
+        ("6x6x2", dense(vec![6, 6, 2], &Format::csf(3))),
+        ("2x2 blocks", blocked),
+        ("9x9", dense(vec![9, 9], &Format::dcsr())),
+    ] {
+        match run(&p, &compiled, &bind(n), &sim) {
+            Err(PipelineError::Interp(InterpError::InputShape { name, .. })) => {
+                assert_eq!(name, "N", "{what}")
+            }
+            res => panic!("{what}: {:?}", res.map(|r| r.stats)),
+        }
+    }
 }
 
 /// A blocked tensor has no permuted copy (`SparseTensor::permute` refuses
@@ -720,6 +768,73 @@ fn zoo_graphs_are_pinned() {
             println!("    ({name:?}, {fusion:?}, {digest:#018x}),");
         }
         panic!("lowered graphs moved; the table as it now comes out is printed above");
+    }
+}
+
+/// `graph` with one of four defects: an unwritten output (SA016), an unread
+/// tensor slot (SA015, a warning), a scanner's coordinates fed into a value
+/// port of a new dead node (SA010 and SA014), or a node driving itself
+/// (SA017).
+fn with_defect(graph: &SamGraph, defect: usize) -> SamGraph {
+    let mut g = graph.clone();
+    match defect {
+        0 => drop(g.add_output("Unwritten", vec![4], Format::sparse_vec(), MemLocation::OnChip)),
+        1 => drop(g.add_tensor("Unread", MemLocation::OnChip)),
+        2 => {
+            let scan = (0..g.node_count())
+                .map(NodeId)
+                .find(|&n| matches!(g.node(n), NodeKind::LevelScanner { .. }));
+            let relu = g.add_node(NodeKind::Alu { op: AluOp::Relu });
+            g.connect(scan.expect("a scanner"), 0, relu, 0);
+        }
+        _ => {
+            let add = g.add_node(NodeKind::Alu { op: AluOp::Add });
+            g.connect(add, 0, add, 0);
+            g.connect(add, 0, add, 1);
+        }
+    }
+    g
+}
+
+/// A compile checks only what can refuse a region and reads no analyzer
+/// option: on every zoo graph, and on each with a defect, `graph_errors` is
+/// `verify_graph`'s errors under every option set, and a compile under
+/// extreme analyzer options gives the same regions or refusal as the
+/// default.
+#[test]
+fn compile_checks_errors_alone_and_reads_no_analyzer_option() {
+    let option_sets = [
+        VerifyOptions::default(),
+        VerifyOptions { channel_capacity: 1, fiber_hi: Some(0) },
+        VerifyOptions { channel_capacity: 2, fiber_hi: Some(8) },
+        VerifyOptions { channel_capacity: 256, fiber_hi: Some(u64::MAX) },
+    ];
+    let extreme = VerifyConfig {
+        enabled: true,
+        options: VerifyOptions { channel_capacity: 1, fiber_hi: Some(0) },
+    };
+    let outcome =
+        |res: Result<Compiled, PipelineError>| res.map(regions).map_err(|e| e.to_string());
+    for (name, m) in &samcheck_zoo() {
+        for fusion in Fusion::ALL {
+            let sched = m.schedule(fusion);
+            let by_default = compile(&m.program, &sched);
+            let extremely = compile_with(&m.program.clone(), &sched, MemLocation::Dram, &extreme);
+            let compiled = by_default.as_ref().map(|c| c.lowered.clone()).unwrap_or_default();
+            assert!(outcome(by_default) == outcome(extremely), "{name}/{fusion}");
+            for graph in compiled.iter().map(|l| &l.graph) {
+                for defect in [None, Some(0), Some(1), Some(2), Some(3)] {
+                    let g = defect.map_or_else(|| graph.clone(), |d| with_defect(graph, d));
+                    let errors = graph_errors(&g);
+                    let at = format!("{name}/{fusion} with defect {defect:?}");
+                    assert_eq!(errors.is_empty(), matches!(defect, None | Some(1)), "{at}");
+                    for opts in &option_sets {
+                        let want: Vec<Diag> = verify_graph(&g, opts).errors().cloned().collect();
+                        assert_eq!(errors, want, "{at} under {opts:?}");
+                    }
+                }
+            }
+        }
     }
 }
 

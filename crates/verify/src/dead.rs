@@ -1,6 +1,6 @@
-//! Pass 3: dead-code detection — nodes that cannot influence any output
-//! (SA014), tensor slots nothing reads (SA015), and output slots nothing
-//! writes (SA016).
+//! Pass 3: dead-code detection — output slots nothing writes (SA016, one of
+//! the error passes), nodes that cannot influence any output (SA014) and
+//! tensor slots nothing reads (SA015).
 
 use crate::diag::{Anchor, Code, Diag};
 use fuseflow_sam::{NodeId, NodeKind, SamGraph};
@@ -26,45 +26,14 @@ fn live_nodes(g: &SamGraph, order: &[NodeId]) -> Vec<bool> {
     live
 }
 
-/// Runs the dead-code pass.
-pub(crate) fn check_dead(g: &SamGraph, order: &[NodeId], diags: &mut Vec<Diag>) {
-    for (i, alive) in live_nodes(g, order).iter().enumerate() {
-        if !alive {
-            diags.push(Diag::new(
-                Code::SA014,
-                vec![Anchor::Node(NodeId(i))],
-                "dead node: no output writer is reachable from it",
-            ));
-        }
-    }
-    // Tensor slots nothing scans or fetches.
-    let mut tensor_used = vec![false; g.tensors().len()];
+/// Flags every output slot no `ValWriter` writes (SA016).
+pub(crate) fn check_outputs(g: &SamGraph, diags: &mut Vec<Diag>) {
     let mut output_written = vec![false; g.outputs().len()];
     for kind in g.nodes() {
-        match kind {
-            NodeKind::LevelScanner { tensor, .. } | NodeKind::Array { tensor } => {
-                if let Some(u) = tensor_used.get_mut(*tensor) {
-                    *u = true;
-                }
+        if let NodeKind::ValWriter { output } = kind {
+            if let Some(w) = output_written.get_mut(*output) {
+                *w = true;
             }
-            NodeKind::ValWriter { output } => {
-                if let Some(w) = output_written.get_mut(*output) {
-                    *w = true;
-                }
-            }
-            _ => {}
-        }
-    }
-    for (i, used) in tensor_used.iter().enumerate() {
-        if !used {
-            diags.push(Diag::new(
-                Code::SA015,
-                vec![Anchor::TensorSlot(i)],
-                format!(
-                    "unused tensor slot '{}': no scanner or array reads it",
-                    g.tensors()[i].name
-                ),
-            ));
         }
     }
     for (i, written) in output_written.iter().enumerate() {
@@ -75,6 +44,40 @@ pub(crate) fn check_dead(g: &SamGraph, order: &[NodeId], diags: &mut Vec<Diag>) 
                 format!(
                     "output '{}' has no value writer and can never be produced",
                     g.outputs()[i].name
+                ),
+            ));
+        }
+    }
+}
+
+/// Flags dead nodes (SA014) and tensor slots nothing scans or fetches
+/// (SA015).
+pub(crate) fn check_dead(g: &SamGraph, order: &[NodeId], diags: &mut Vec<Diag>) {
+    for (i, alive) in live_nodes(g, order).iter().enumerate() {
+        if !alive {
+            diags.push(Diag::new(
+                Code::SA014,
+                vec![Anchor::Node(NodeId(i))],
+                "dead node: no output writer is reachable from it",
+            ));
+        }
+    }
+    let mut tensor_used = vec![false; g.tensors().len()];
+    for kind in g.nodes() {
+        if let NodeKind::LevelScanner { tensor, .. } | NodeKind::Array { tensor } = kind {
+            if let Some(u) = tensor_used.get_mut(*tensor) {
+                *u = true;
+            }
+        }
+    }
+    for (i, used) in tensor_used.iter().enumerate() {
+        if !used {
+            diags.push(Diag::new(
+                Code::SA015,
+                vec![Anchor::TensorSlot(i)],
+                format!(
+                    "unused tensor slot '{}': no scanner or array reads it",
+                    g.tensors()[i].name
                 ),
             ));
         }

@@ -17,9 +17,10 @@
 //! | SA016 | error    | output slot with no value writer |
 //! | SA017 | error    | graph fails `SamGraph::validate`; carries the `GraphError` |
 //!
-//! A code's severity is fixed. A compile (`VerifyConfig`) refuses a region
-//! whose report holds an error and drops the warnings; [`verify_graph`]
-//! returns every diagnostic, warnings included.
+//! A code's severity is fixed. [`graph_errors`] runs only the passes that
+//! emit errors (SA017, then SA010, SA011 and SA016): a compile refuses a
+//! region it flags, and runs nothing else. [`verify_graph`] runs those passes
+//! and then the warning passes, and returns every diagnostic.
 //!
 //! The deadlock pass (see the `deadlock` module's docs for the model and the
 //! soundness argument) gives each reconvergent region one verdict —
@@ -58,8 +59,8 @@ pub use diag::{Anchor, Code, Diag, RegionSummary, Report, Severity};
 
 use fuseflow_sam::{GraphError, NodeId, SamGraph};
 
-/// Knobs for the analyzer.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Knobs for the deadlock pass of [`verify_graph`].
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyOptions {
     /// Uniform bounded-channel capacity the deadlock pass sizes against
     /// (the simulator's `SimConfig::channel_capacity`).
@@ -76,13 +77,15 @@ impl Default for VerifyOptions {
     }
 }
 
-/// How a compile pipeline runs the analyzer: `compile_with` refuses a region
-/// whose report holds an error-severity diagnostic, and keeps no warning.
+/// Whether a compile pipeline refuses a region for its [`graph_errors`].
+/// A compile reads `enabled` alone.
 #[derive(Debug, Clone)]
 pub struct VerifyConfig {
-    /// Master switch; `false` skips verification entirely.
+    /// Master switch; `false` refuses nothing.
     pub enabled: bool,
-    /// Analyzer knobs.
+    /// Analyzer knobs for a caller that lints a compiled graph with
+    /// [`verify_graph`]; a compile ignores them, since no error pass reads
+    /// them.
     pub options: VerifyOptions,
 }
 
@@ -93,9 +96,19 @@ impl Default for VerifyConfig {
 }
 
 impl VerifyConfig {
-    /// A config that skips verification.
+    /// A config that refuses nothing.
     pub fn disabled() -> Self {
         VerifyConfig { enabled: false, ..Default::default() }
+    }
+}
+
+/// The error-severity diagnostics of a graph: exactly
+/// `verify_graph(g, opts).errors()`, for any `opts`, without running the
+/// warning passes.
+pub fn graph_errors(g: &SamGraph) -> Vec<Diag> {
+    match error_passes(g) {
+        Ok((_, diags)) => diags,
+        Err(invalid) => vec![invalid],
     }
 }
 
@@ -107,19 +120,30 @@ impl VerifyConfig {
 /// [`GraphError`], and no pass runs. The passes index dense per-node
 /// arrays and walk the graph upward, so they rely on that check.
 ///
-/// All four passes share the graph's adjacency index and the one
-/// topological order computed here.
+/// The error passes of [`graph_errors`] run first, then the dead-code
+/// warnings and the deadlock pass; all share the graph's adjacency index and
+/// the one topological order computed here.
 pub fn verify_graph(g: &SamGraph, opts: &VerifyOptions) -> Report {
-    let order = match g.validated_order() {
-        Ok(order) => order,
-        Err(e) => return Report { diags: vec![invalid_graph(g, &e)], ..Report::default() },
+    let (order, mut diags) = match error_passes(g) {
+        Ok(passed) => passed,
+        Err(invalid) => return Report { diags: vec![invalid], ..Report::default() },
     };
-    let mut diags = Vec::new();
-    kinds::check_kinds(g, &mut diags);
-    kinds::check_depths(g, &order, &mut diags);
     dead::check_dead(g, &order, &mut diags);
     let regions = deadlock::check_deadlock(g, &order, opts, &mut diags);
     Report { diags, regions }
+}
+
+/// The passes that emit errors, in order: validation (SA017, an `Err` that
+/// stops the rest), stream kinds (SA010), nesting depths (SA011) and
+/// unwritten outputs (SA016). Returns the topological order with their
+/// diagnostics.
+fn error_passes(g: &SamGraph) -> Result<(Vec<NodeId>, Vec<Diag>), Diag> {
+    let order = g.validated_order().map_err(|e| invalid_graph(g, &e))?;
+    let mut diags = Vec::new();
+    kinds::check_kinds(g, &mut diags);
+    kinds::check_depths(g, &order, &mut diags);
+    dead::check_outputs(g, &mut diags);
+    Ok((order, diags))
 }
 
 /// The SA017 diagnostic for a graph that fails validation, anchored at the
@@ -293,11 +317,20 @@ mod tests {
     }
 
     /// Every way a graph can fail `validate` is one SA017 error naming the
-    /// `GraphError`, never a panic or a stack overflow, and denies a compile.
+    /// `GraphError`, never a panic or a stack overflow, and denies a compile:
+    /// [`graph_errors`] gives that error alone, under any options.
     #[test]
     fn sa017_invalid_graphs_are_reported_not_crashed_on() {
         let invalid = |g: &SamGraph, what: &str| {
             let err = g.validate().expect_err(what);
+            for opts in [
+                VerifyOptions::default(),
+                VerifyOptions { channel_capacity: 1, fiber_hi: Some(0) },
+                VerifyOptions { channel_capacity: 4, fiber_hi: Some(u64::MAX) },
+            ] {
+                let errors: Vec<Diag> = verify_graph(g, &opts).errors().cloned().collect();
+                assert_eq!(graph_errors(g), errors, "{what} under {opts:?}");
+            }
             let r = verify_graph(g, &VerifyOptions::default());
             assert_eq!(r.diags.len(), 1, "{what}");
             let d = &r.diags[0];

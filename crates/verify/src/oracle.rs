@@ -9,7 +9,7 @@
 //! equal the oracle's number of *distinct* instances.
 
 use crate::deadlock::{base_starved, strict_ports, RegionInstance, Regions, ANALYZED, MAX_PATHS};
-use crate::{dead, kinds, verify_graph, Report, VerifyOptions};
+use crate::{dead, error_passes, verify_graph, Report, VerifyOptions};
 use fuseflow_sam::{AluOp, Edge, MemLocation, NodeId, NodeKind, ReduceOp, SamGraph};
 use std::collections::{HashMap, HashSet};
 
@@ -65,10 +65,7 @@ struct Work {
 }
 
 fn oracle_report(g: &SamGraph, opts: &VerifyOptions) -> (Report, Work) {
-    let order = g.validated_order().expect("the oracle takes valid graphs");
-    let mut diags = Vec::new();
-    kinds::check_kinds(g, &mut diags);
-    kinds::check_depths(g, &order, &mut diags);
+    let (order, mut diags) = error_passes(g).expect("the oracle takes valid graphs");
     dead::check_dead(g, &order, &mut diags);
 
     let mut regions = Regions::default();
