@@ -160,6 +160,11 @@ impl Program {
         &self.index_names[ix.0 as usize]
     }
 
+    /// Display name of `ix`, if this program declared it.
+    pub(crate) fn declared_index_name(&self, ix: IndexVar) -> Option<&str> {
+        self.index_names.get(ix.0 as usize).map(String::as_str)
+    }
+
     /// The extent (dimension size) bound to an index variable.
     ///
     /// # Panics

@@ -56,7 +56,6 @@ pub mod ir;
 pub mod lower;
 pub mod pipeline;
 pub mod schedule;
-pub mod table;
 
 pub use fusion::{fuse_region, FusedRegion, GlobalIx, Pog};
 pub use heuristic::{estimate, Estimate};
@@ -64,4 +63,3 @@ pub use ir::{Access, Einsum, IndexVar, Program, ReduceOp, TensorId};
 pub use lower::{lower_region, LowerError, LowerOptions, Lowered, Refused};
 pub use pipeline::{compile, compile_run_verify, run, verify, Compiled, PipelineError, RunResult};
 pub use schedule::{FusionGranularity, Schedule};
-pub use table::{Cell, FusionTable};

@@ -1,18 +1,25 @@
 //! Lowering fused regions to SAMML dataflow graphs (Section 6, Algorithm 2).
 //!
+//! Algorithm 2's fusion table is the lowering's own state (`Ctx`), not a
+//! record kept beside the graph. Its rows are the region's fused order
+//! (`FusedRegion::order`); its columns are the tensor views (`ViewRt`) and
+//! the expression outputs (`Produced`); its cells are the streams held for
+//! them — each expression's row coordinate streams (`row_crd`) and each
+//! view's reference or value stream. A cell that points at a component not
+//! created yet is a forward reference (`H::Fwd`). The emitted graph is the
+//! only output.
+//!
 //! The lowering walks the fused iteration order row by row (top-down),
 //! building for every expression its interleaved input-iteration and
 //! compute pipelines — **factored iteration**: each expression keeps its own
 //! sub-space, non-innermost reductions become `Spacc1` sparse accumulators
 //! whose output coordinate streams feed the next expression's joins, and
-//! shared rows become reference cells instead of re-iterated loops. A
-//! [`FusionTable`] records the plan (rows = fused order, columns = tensor
-//! views, cells = primitives or references).
+//! shared rows reuse the streams already built instead of re-iterating loops.
 //!
 //! A view that joins an intermediate above the row where it registers holds
-//! a *forward reference* to its value stream (the table's pointer to a
-//! component not created yet): its edges queue until registration wires
-//! them and replaces every reference still held. No node stands in for it.
+//! a forward reference to its value stream: its edges queue until
+//! registration wires them and replaces every reference still held. No node
+//! stands in for it.
 //!
 //! Stream parallelization (Section 7) splits a chosen free row across
 //! `factor` copies of everything below it and merges results with
@@ -20,7 +27,6 @@
 
 use crate::fusion::{FuseError, FusedRegion, GlobalIx};
 use crate::ir::{Program, TensorId};
-use crate::table::{Cell, FusionTable};
 use fuseflow_sam::{MemLocation, NodeId, NodeKind, SamGraph};
 use std::collections::{BTreeMap, HashMap};
 
@@ -111,12 +117,8 @@ pub struct PermutedInput {
 pub struct Lowered {
     /// The SAMML dataflow graph.
     pub graph: SamGraph,
-    /// The fusion table recorded during lowering.
-    pub table: FusionTable,
     /// Permuted input copies the runtime must materialize.
     pub permuted_inputs: Vec<PermutedInput>,
-    /// Output tensors written by this graph.
-    pub outputs: Vec<TensorId>,
     /// Parallel directives split, outermost first: `(row, factor)`.
     pub applied: Vec<(GlobalIx, usize)>,
     /// Parallel directives not split, in the order given; a compile appends
@@ -127,7 +129,8 @@ pub struct Lowered {
 /// A parallel directive the lowering refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Refused {
-    /// Name of the row the directive names.
+    /// Name of the row the directive names (`IndexVar(n)` for a variable the
+    /// program never declared).
     pub row: String,
     /// The directive's factor.
     pub factor: usize,
@@ -151,7 +154,6 @@ struct ViewRt {
     /// Per-branch ref stream while scanning, then value stream.
     stream: Vec<H>,
     is_val: bool,
-    col: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -174,7 +176,6 @@ struct Ctx<'a> {
     program: &'a Program,
     region: &'a FusedRegion,
     graph: SamGraph,
-    table: FusionTable,
     pos: HashMap<GlobalIx, usize>,
     rows_of: Vec<Vec<GlobalIx>>,
     views: Vec<ViewRt>,
@@ -247,12 +248,6 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// `name[i,j]`: the fusion-table column of a view or an output.
-fn column(region: &FusedRegion, name: &str, ixs: &[GlobalIx]) -> String {
-    let ixs: Vec<&str> = ixs.iter().map(|g| region.names[g.0 as usize].as_str()).collect();
-    format!("{name}[{}]", ixs.join(","))
-}
-
 /// Lowers one fused region into a SAMML graph with factored iteration.
 ///
 /// `outputs` lists the tensors this region must write back to memory
@@ -301,9 +296,6 @@ pub fn lower_region(
     }
     applied.sort_by_key(|(g, _)| pos[g]);
 
-    let mut table =
-        FusionTable::new(region.order.iter().map(|g| region.names[g.0 as usize].clone()).collect());
-
     let mut graph = SamGraph::new();
     let mut slot_of_tensor: HashMap<TensorId, usize> = HashMap::new();
     let mut permuted_inputs = Vec::new();
@@ -341,7 +333,6 @@ pub fn lower_region(
                     .or_insert_with(|| graph.add_tensor(bind_name, opts.location));
                 ViewKind::Input { slot }
             };
-            let col = table.add_column(column(region, &decl.name, ixs));
             views.push(ViewRt {
                 expr: ei,
                 tensor: *t,
@@ -351,25 +342,15 @@ pub fn lower_region(
                 next: 0,
                 stream: Vec::new(),
                 is_val: false,
-                col,
             });
             ids.push(views.len() - 1);
         }
         expr_views.push(ids);
     }
-    // One output column per expression for compute/reduce cells.
-    let out_cols: Vec<usize> = (region.exprs.iter())
-        .map(|e| {
-            let name = &program.tensor(region.decl_id(e.output.0)).name;
-            table.add_column(column(region, name, &e.output.1))
-        })
-        .collect();
-
     let mut ctx = Ctx {
         program,
         region,
         graph,
-        table,
         pos,
         rows_of,
         views,
@@ -382,7 +363,7 @@ pub fn lower_region(
     };
 
     // ---- Row-major construction -----------------------------------------
-    for (ri, &g) in region.order.iter().enumerate() {
+    for &g in &region.order {
         // Expressions owning this row (some view accesses it) come first so
         // that scope rows can reference their consumers' streams; within a
         // group, program order keeps producer registrations ahead of
@@ -405,25 +386,24 @@ pub fn lower_region(
             // Split rows are no expression's innermost (`split_refusal`), so
             // no registration happens here: stage the phases.
             for &ei in owner_exprs.iter().chain(&scope_exprs) {
-                owner_row_work(&mut ctx, ei, g, ri)?;
+                owner_row_work(&mut ctx, ei, g)?;
             }
             apply_split(&mut ctx, g, factor)?;
             for &ei in owner_exprs.iter().chain(&scope_exprs) {
-                repeat_row_work(&mut ctx, ei, g, ri)?;
+                repeat_row_work(&mut ctx, ei, g)?;
             }
         } else {
             for &ei in owner_exprs.iter().chain(&scope_exprs) {
-                owner_row_work(&mut ctx, ei, g, ri)?;
-                repeat_row_work(&mut ctx, ei, g, ri)?;
+                owner_row_work(&mut ctx, ei, g)?;
+                repeat_row_work(&mut ctx, ei, g)?;
                 if ctx.rows_of[ei].last() == Some(&g) {
-                    finish_expr(&mut ctx, ei, out_cols[ei])?;
+                    finish_expr(&mut ctx, ei)?;
                 }
             }
         }
     }
 
     // ---- Writers ---------------------------------------------------------
-    let mut written = Vec::new();
     for &t in outputs {
         let Some(prod) = ctx.produced.get(&t).cloned() else {
             return Err(LowerError::Unsupported(format!(
@@ -461,11 +441,9 @@ pub fn lower_region(
         let merged_val = merge_branches(&mut ctx, prod.val.clone(), &prod.structure, inner)?;
         let w = ctx.graph.add_node(NodeKind::ValWriter { output: slot });
         ctx.connect(merged_val, w, 0);
-        written.push(t);
     }
 
-    let (graph, table) = (ctx.graph, ctx.table);
-    Ok(Lowered { graph, table, permuted_inputs, outputs: written, applied, refused })
+    Ok(Lowered { graph: ctx.graph, permuted_inputs, applied, refused })
 }
 
 /// Why row `g` of `region` cannot be split `factor` ways (Section 7) after
@@ -516,7 +494,7 @@ fn split_refusal(
 }
 
 /// Creates scanners/joins for views owning row `g` within expression `ei`.
-fn owner_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx, ri: usize) -> Result<(), LowerError> {
+fn owner_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx) -> Result<(), LowerError> {
     let view_ids = ctx.expr_views[ei].clone();
     // Contributions: (view id, crd streams, payload, inter-non-innermost)
     let mut contribs = Vec::new();
@@ -536,25 +514,9 @@ fn owner_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx, ri: usize) -> Resul
                 if !ctx.views[vid].started {
                     ctx.views[vid].stream = ctx.roots();
                     ctx.views[vid].started = true;
-                    if ri == 0 || level == 0 {
-                        let col = ctx.views[vid].col;
-                        ctx.table.set(ri, col, Cell::Prim("LS(root)".into()));
-                    }
                 }
                 let src = ctx.views[vid].stream.clone();
                 let ls = ctx.emit(NodeKind::LevelScanner { tensor: slot, level }, &[&src]);
-                let col = ctx.views[vid].col;
-                if ctx.table.cell(ri, col) == &Cell::Empty {
-                    ctx.table.set(
-                        ri,
-                        col,
-                        Cell::Prim(format!(
-                            "LS(⟨{}_{}⟩)",
-                            ctx.tensor_name(ctx.views[vid].tensor),
-                            ctx.name(g)
-                        )),
-                    );
-                }
                 ctx.views[vid].next = level + 1;
                 contribs.push((vid, port(&ls, 0), Some(port(&ls, 1)), false));
             }
@@ -590,18 +552,7 @@ fn owner_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx, ri: usize) -> Resul
                         (crd.clone(), (g == innermost).then(|| ctx.forward(tensor)))
                     }
                 };
-                let non_innermost = g != innermost;
-                let col = ctx.views[vid].col;
-                ctx.table.set(
-                    ri,
-                    col,
-                    Cell::Ref(format!(
-                        "{}_{}",
-                        ctx.tensor_name(ctx.views[vid].tensor),
-                        ctx.name(g)
-                    )),
-                );
-                contribs.push((vid, crd, payload, non_innermost));
+                contribs.push((vid, crd, payload, g != innermost));
             }
         }
     }
@@ -617,8 +568,7 @@ fn owner_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx, ri: usize) -> Resul
         return Ok(());
     }
 
-    // Fold contributions with joins. Identical handles short-circuit into
-    // reference cells.
+    // Fold contributions with joins. Identical handles share one stream.
     let op = ctx.region.exprs[ei].op;
     let mut acc = contribs.remove(0);
     for next in contribs {
@@ -663,8 +613,6 @@ fn owner_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx, ri: usize) -> Resul
         }
         update_view_stream(ctx, acc.0, pa_out.clone());
         update_view_stream(ctx, next.0, pb_out);
-        let col = ctx.views[acc.0].col;
-        ctx.table.set(ri, col, Cell::Prim(format!("{}_{}", kind.name(), ctx.name(g))));
         acc = (acc.0, crd_out, pa_out, false);
     }
     // The folded payload becomes the view's stream.
@@ -681,12 +629,6 @@ fn owner_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx, ri: usize) -> Resul
                 ctx.views[vid].stream =
                     port(&ctx.emit(NodeKind::Array { tensor: slot }, &[&src]), 0);
                 ctx.views[vid].is_val = true;
-                let (col, val_row) = (ctx.views[vid].col, ctx.table.val_row());
-                ctx.table.set(
-                    val_row,
-                    col,
-                    Cell::Prim(format!("Val(⟨{}⟩)", ctx.tensor_name(ctx.views[vid].tensor))),
-                );
             }
         }
     }
@@ -775,7 +717,7 @@ fn apply_split(ctx: &mut Ctx<'_>, g: GlobalIx, factor: usize) -> Result<(), Lowe
 }
 
 /// Broadcasts non-owner views across row `g` via repeat nodes.
-fn repeat_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx, ri: usize) -> Result<(), LowerError> {
+fn repeat_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx) -> Result<(), LowerError> {
     let rc = ctx.row_crd[&(ei, g)].clone();
     let view_ids = ctx.expr_views[ei].clone();
     for vid in view_ids {
@@ -825,15 +767,13 @@ fn repeat_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx, ri: usize) -> Resu
         // replicated it across every split so far.
         let base = std::mem::take(&mut ctx.views[vid].stream);
         ctx.views[vid].stream = port(&ctx.emit(NodeKind::Repeat, &[&base, &rc]), 0);
-        let col = ctx.views[vid].col;
-        ctx.table.set(ri, col, Cell::Prim(format!("Rep(·,⟨{}⟩)", ctx.name(g))));
     }
     Ok(())
 }
 
 /// Builds the compute pipeline and reductions for expression `ei`, then
 /// registers its produced streams.
-fn finish_expr(ctx: &mut Ctx<'_>, ei: usize, out_col: usize) -> Result<(), LowerError> {
+fn finish_expr(ctx: &mut Ctx<'_>, ei: usize) -> Result<(), LowerError> {
     let e = ctx.region.exprs[ei].clone();
     let view_ids = ctx.expr_views[ei].clone();
     // Ensure every view ended as a value stream.
@@ -849,20 +789,14 @@ fn finish_expr(ctx: &mut Ctx<'_>, ei: usize, out_col: usize) -> Result<(), Lower
     // Combine.
     let mut val: Vec<H> = ctx.views[view_ids[0]].stream.clone();
     match e.op {
-        Some(op) if op.arity() == 1 => {
-            val = port(&ctx.emit(NodeKind::Alu { op }, &[&val]), 0);
-            ctx.table.set(ctx.table.val_row(), out_col, Cell::Prim(format!("{op:?}(val)")));
-        }
+        Some(op) if op.arity() == 1 => val = port(&ctx.emit(NodeKind::Alu { op }, &[&val]), 0),
         Some(op) => {
             for &vid in &view_ids[1..] {
                 let rhs = ctx.views[vid].stream.clone();
                 val = port(&ctx.emit(NodeKind::Alu { op }, &[&val, &rhs]), 0);
             }
-            ctx.table.set(ctx.table.val_row(), out_col, Cell::Prim(format!("{op:?}(vals)")));
         }
-        None => {
-            ctx.table.set(ctx.table.val_row(), out_col, Cell::Ref("val".into()));
-        }
+        None => {}
     }
 
     // Reductions, innermost outward; track the surviving inner crd stream.
@@ -880,8 +814,6 @@ fn finish_expr(ctx: &mut Ctx<'_>, ei: usize, out_col: usize) -> Result<(), Lower
         if below.is_empty() {
             // Innermost reduction.
             val = port(&ctx.emit(NodeKind::Reduce { op: e.reduce_op }, &[&val]), 0);
-            let row = ctx.pos[&u];
-            ctx.table.set(row, out_col, Cell::Prim(format!("Reduce_{}", ctx.name(u))));
         } else if below.len() == 1 {
             let w = below[0];
             let crd_in =
@@ -889,12 +821,6 @@ fn finish_expr(ctx: &mut Ctx<'_>, ei: usize, out_col: usize) -> Result<(), Lower
             let s = ctx.emit(NodeKind::Spacc1 { op: e.reduce_op }, &[&crd_in, &val]);
             crd_override.insert(w, port(&s, 0));
             val = port(&s, 1);
-            let row = ctx.pos[&u];
-            ctx.table.set(
-                row,
-                out_col,
-                Cell::Prim(format!("Spacc1_{}[{}]", ctx.name(u), ctx.name(w))),
-            );
         } else {
             return Err(LowerError::Unsupported(format!(
                 "reduction over '{}' has {} free rows below it (needs a deeper accumulator)",

@@ -87,7 +87,7 @@ impl From<InterpError> for PipelineError {
 /// A compiled program: one lowered SAMML graph per fusion region.
 #[derive(Debug, Clone)]
 pub struct Compiled {
-    /// Lowered graphs + fusion tables, in region order.
+    /// Lowered graphs, in region order.
     pub lowered: Vec<Lowered>,
 }
 
@@ -96,20 +96,10 @@ impl Compiled {
     pub fn node_count(&self) -> usize {
         self.lowered.iter().map(|l| l.graph.node_count()).sum()
     }
-
-    /// Renders every fusion table.
-    pub fn tables(&self) -> String {
-        self.lowered
-            .iter()
-            .enumerate()
-            .map(|(i, l)| format!("== region {i} ==\n{}", l.table))
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
 }
 
 /// Compiles `program` under `schedule` (Fig 6's flow: Einsum expressions →
-/// cross-expression fusion → fusion tables → SAMML graphs).
+/// cross-expression fusion → fusion-table lowering → SAMML graphs).
 ///
 /// # Errors
 ///
@@ -216,7 +206,8 @@ fn checked_regions(program: &Program, schedule: &Schedule) -> Result<Vec<Range<u
 
 /// Fuses and lowers region `r` of `program`, resolving the schedule's
 /// parallel directives onto its global index space. A directive on a row the
-/// region does not iterate is refused after those the lowering decides.
+/// region does not iterate, or on a variable the program never declared, is
+/// refused after those the lowering decides.
 fn lower_fresh(
     program: &Program,
     schedule: &Schedule,
@@ -228,11 +219,13 @@ fn lower_fresh(
     for &(var, factor) in &schedule.parallelize {
         match region.global_for_program_var(var) {
             Some(g) => parallelize.push((g, factor)),
-            None if factor != 1 => absent.push(Refused {
-                row: program.index_name(var).into(),
-                factor,
-                reason: "row is not iterated in this region".into(),
-            }),
+            None if factor != 1 => {
+                let (row, reason) = match program.declared_index_name(var) {
+                    Some(name) => (name.to_string(), "row is not iterated in this region"),
+                    None => (format!("{var:?}"), "not an index variable of this program"),
+                };
+                absent.push(Refused { row, factor, reason: reason.into() });
+            }
             None => {}
         }
     }

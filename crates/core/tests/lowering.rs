@@ -1,15 +1,15 @@
-//! Structural tests of the lowering: generated SAMML graph shapes, fusion
-//! table contents, transposition materialization, and parallelization.
+//! Structural tests of the lowering: generated SAMML graph shapes, fused
+//! iteration orders, transposition materialization, and parallelization.
 
+use fuseflow_core::fuse_region;
 use fuseflow_core::fusion::{FuseError, FusedRegion, GlobalIx};
 use fuseflow_core::interp::{interpret, InterpError};
-use fuseflow_core::ir::{AluOp, Program, ReduceOp, TensorId};
+use fuseflow_core::ir::{AluOp, IndexVar, Program, ReduceOp, TensorId};
 use fuseflow_core::lower::{lower_region, LowerError, LowerOptions, Refused};
 use fuseflow_core::pipeline::{
     compile, compile_at, compile_run_verify, compile_with, run, verify, Compiled, PipelineError,
 };
 use fuseflow_core::schedule::Schedule;
-use fuseflow_core::{fuse_region, Cell};
 use fuseflow_models::{
     gcn, gcn_composed, gpt_attention, gpt_attention_blocked, gpt_decoder, graphsage, map_stack,
     sae, Fusion, GraphDataset, ModelInstance, GRAPH_DATASETS, SAE_DATASETS,
@@ -90,24 +90,21 @@ fn composed_product_lowers_to_chained_accumulators() {
     assert!(g.validate().is_ok());
 }
 
+/// The fused region iterates `i, k, u, j`, with `k` renamed `u0`, and the
+/// fully fused graph streams the intermediate `T0`: it neither reads
+/// nor writes a tensor of that name.
 #[test]
-fn fusion_table_rows_follow_the_chosen_order() {
+fn a_fused_chain_streams_its_intermediate_in_the_chosen_order() {
     let p = spmm_chain();
+    let region = fuse_region(&p, 0..2).unwrap();
+    let order: Vec<&str> =
+        region.order.iter().map(|g| region.names[g.0 as usize].as_str()).collect();
+    assert_eq!(order, ["i", "u0", "u", "j"]);
     let compiled = compile(&p, &Schedule::full()).unwrap();
-    let table = &compiled.lowered[0].table;
-    assert_eq!(table.rows().last().map(String::as_str), Some("val"));
-    assert_eq!(table.row_count(), 5, "i, u0(k), u1, j + val");
-    assert!(table.filled_cells() > 6);
-    // At least one reference cell points at the streamed intermediate.
-    let mut has_ref = false;
-    for r in 0..table.row_count() {
-        for c in 0..table.column_count() {
-            if matches!(table.cell(r, c), Cell::Ref(_)) {
-                has_ref = true;
-            }
-        }
-    }
-    assert!(has_ref, "fusion tables memoize intermediate streams as references");
+    assert!(compiled.node_count() > 10);
+    let g = &compiled.lowered[0].graph;
+    assert!(g.tensors().iter().all(|t| t.name != "T0"), "{:?}", g.tensors());
+    assert!(g.outputs().iter().all(|o| o.name != "T0"), "{:?}", g.outputs());
 }
 
 /// `O[i,j] = M[i,j] * N[j,i]` over 6×6 DCSR matrices: M (i->j mode order)
@@ -205,9 +202,9 @@ fn unfused_compilation_produces_one_graph_per_expression() {
     let compiled = compile(&p, &Schedule::unfused()).unwrap();
     assert_eq!(compiled.lowered.len(), 2);
     // The intermediate T0 crosses the region boundary: written by region 0.
-    let region0_outputs = &compiled.lowered[0].outputs;
-    assert_eq!(region0_outputs.len(), 1);
-    assert_eq!(p.tensor(region0_outputs[0]).name, "T0");
+    let region0_outputs: Vec<&str> =
+        compiled.lowered[0].graph.outputs().iter().map(|o| o.name.as_str()).collect();
+    assert_eq!(region0_outputs, ["T0"]);
 }
 
 #[test]
@@ -682,38 +679,50 @@ fn factor_zero_is_refused_and_factor_one_is_a_no_op() {
     }
 }
 
+/// A parallel directive on a variable the program never declared is refused,
+/// naming the variable by number; `compile` used to panic looking up its name.
+#[test]
+fn a_directive_on_an_undeclared_index_is_refused() {
+    let p = transposed_product();
+    let sched = Schedule::unfused().with_parallelization(IndexVar(7), 2);
+    let compiled = compile(&p, &sched).unwrap();
+    let [low] = &compiled.lowered[..] else { panic!("one region") };
+    assert!(low.applied.is_empty());
+    let reason = "not an index variable of this program".to_string();
+    assert_eq!(low.refused, [Refused { row: "IndexVar(7)".into(), factor: 2, reason }]);
+}
+
 /// `(model, granularity, digest)` for the zoo at `experiments samcheck`'s
 /// sizes: an FNV-1a digest over each region's `{:?}` of the graph's nodes,
-/// edges, tensors and outputs and the region's permuted inputs, then the
-/// rendered fusion tables. A refactor that claims to leave every lowered
-/// graph as it was keeps this table as it is. On a mismatch the test prints
-/// the table as it now comes out.
+/// edges, tensors and outputs and the region's permuted inputs. A refactor
+/// that claims to leave every lowered graph as it was keeps this table as it
+/// is. On a mismatch the test prints the table as it now comes out.
 #[rustfmt::skip]
 const GRAPHS_PINNED: &[(&str, &str, u64)] = &[
-    ("sae", "unfused", 0x81396fb4ceac44b0),
-    ("sae", "partial", 0x164b8299886e83c8),
-    ("sae", "full", 0x1f1e941fcebfdf46),
-    ("gcn", "unfused", 0x09eaa4e69ed83116),
-    ("gcn", "partial", 0xb666baee53b267e8),
-    ("gcn", "full", 0x173d861113b8a2f2),
-    ("gcn_composed", "unfused", 0x08e59052d732831d),
-    ("gcn_composed", "partial", 0x9e943b947af60a11),
-    ("gcn_composed", "full", 0x3afb4fa789a681c8),
-    ("graphsage", "unfused", 0xe6c20b432afb1b23),
-    ("graphsage", "partial", 0xb8c1fd7b793a2149),
-    ("graphsage", "full", 0x74e84d0ac7309fa9),
-    ("gpt_attention", "unfused", 0x7ce9f86a5d954801),
-    ("gpt_attention", "partial", 0xd573a7ece0a4a0db),
-    ("gpt_attention", "full", 0xa47d164cbda993bc),
-    ("gpt_attention_blocked", "unfused", 0x13d71596037744ea),
-    ("gpt_attention_blocked", "partial", 0x6da380c2d2b8b261),
-    ("gpt_attention_blocked", "full", 0x0216c7379da54da9),
-    ("gpt_decoder", "unfused", 0x6ea90c11ac274e58),
-    ("gpt_decoder", "partial", 0xecd6482ec38044e6),
-    ("gpt_decoder", "full", 0x50b827217424ba63),
-    ("map_stack", "unfused", 0x4824acea934085a3),
-    ("map_stack", "partial", 0xf258ff6413b595ac),
-    ("map_stack", "full", 0xeddafa93aad0daef),
+    ("sae", "unfused", 0xcf4ee2c0178bf9f9),
+    ("sae", "partial", 0xde22061fe8ded507),
+    ("sae", "full", 0xe24467ae93d6aa5e),
+    ("gcn", "unfused", 0x28f0732ab9ac1d0c),
+    ("gcn", "partial", 0xa1eee4c644f32aa9),
+    ("gcn", "full", 0xc162fc905918bf80),
+    ("gcn_composed", "unfused", 0x76dfb110dfe96c82),
+    ("gcn_composed", "partial", 0xf9378c164b27fe71),
+    ("gcn_composed", "full", 0xeb9ce2163d1abe9e),
+    ("graphsage", "unfused", 0x8dbbacfc4a33e401),
+    ("graphsage", "partial", 0xdff603db6920850a),
+    ("graphsage", "full", 0xf4f35f02dddec555),
+    ("gpt_attention", "unfused", 0x28c64edd6ca1c7b2),
+    ("gpt_attention", "partial", 0xa76b8ca35abd7b09),
+    ("gpt_attention", "full", 0x8617965d5aabbafa),
+    ("gpt_attention_blocked", "unfused", 0xb0bdca6be4b5a885),
+    ("gpt_attention_blocked", "partial", 0x56cfceea6adb3893),
+    ("gpt_attention_blocked", "full", 0xdb36b48be50d55e8),
+    ("gpt_decoder", "unfused", 0x14f68e7a704ab405),
+    ("gpt_decoder", "partial", 0xc973e2ab7de5fd9b),
+    ("gpt_decoder", "full", 0x3fe5e153111cdde0),
+    ("map_stack", "unfused", 0x063f1543bbc94d1d),
+    ("map_stack", "partial", 0x875f54d47dd16e9d),
+    ("map_stack", "full", 0xdb2910e7b38ce87a),
 ];
 
 /// FNV-1a over `bytes`.
@@ -757,7 +766,6 @@ fn zoo_graphs_are_pinned() {
                 write!(text, "{:?}{:?}{:?}", g.nodes(), g.edges(), g.tensors()).unwrap();
                 write!(text, "{:?}{:?}", g.outputs(), l.permuted_inputs).unwrap();
             }
-            text.push_str(&compiled.tables());
             got.push((*name, fusion.to_string(), fnv1a(&text)));
         }
     }
@@ -880,8 +888,8 @@ fn zoo_references_are_pinned() {
     }
 }
 
-/// Each region of a compile as `{:?}` prints it: graph, fusion table,
-/// permuted inputs, outputs, applied and refused directives.
+/// Each region of a compile as `{:?}` prints it: graph, permuted inputs,
+/// applied and refused directives.
 fn regions(compiled: Compiled) -> Vec<String> {
     compiled.lowered.iter().map(|l| format!("{l:?}")).collect()
 }

@@ -58,7 +58,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             compiled.node_count(),
         );
         if name == "fused" {
-            println!("\nFusion table of the fused region:\n{}", compiled.tables());
+            let mut kinds: Vec<_> =
+                compiled.lowered[0].graph.kind_histogram().into_iter().collect();
+            kinds.sort();
+            println!("\nPrimitives of the fused region:");
+            for (kind, count) in kinds {
+                println!("  {kind:12} {count}");
+            }
         }
     }
     Ok(())

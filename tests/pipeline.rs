@@ -5,7 +5,7 @@
 use fuseflow::core::interp::interpret;
 use fuseflow::core::ir::{Program, ReduceOp};
 use fuseflow::core::pipeline::{compile, compile_at, compile_run_verify, run, verify};
-use fuseflow::core::schedule::{FusionGranularity, Schedule};
+use fuseflow::core::schedule::Schedule;
 use fuseflow::sim::{Scheduler, SimConfig, Stats};
 use fuseflow::tensor::{gen, Format, SparseTensor};
 use fuseflow_sam::{AluOp, MemLocation};
@@ -376,16 +376,6 @@ fn parallelized_fused_matmul_matches_and_speeds_up() {
 }
 
 #[test]
-fn fusion_tables_render() {
-    let (p, _) = gcn_layerish(8, 6, 4);
-    let compiled = compile(&p, &Schedule::full()).unwrap();
-    let tables = compiled.tables();
-    assert!(tables.contains("val"));
-    assert!(tables.contains("Intersect") || tables.contains("LS"));
-    assert!(compiled.node_count() > 10);
-}
-
-#[test]
 fn run_without_required_input_errors() {
     let (p, _) = gcn_layerish(8, 6, 4);
     let compiled = compile(&p, &Schedule::unfused()).unwrap();
@@ -430,19 +420,16 @@ fn region_past_the_program_end_is_a_typed_error() {
     use fuseflow::core::pipeline::PipelineError;
     let (p, _) = gcn_layerish(8, 6, 4);
     let n = p.exprs().len();
-    let unchecked =
-        |regions| Schedule { fusion: FusionGranularity::Regions(regions), parallelize: vec![] };
     // `n + 1..n + 2` also makes `resolve_regions` fill the gap with the
     // singleton `n..n + 1`, which is the first range refused. An empty region
-    // and overlapping ones are refused too, also in a list that
-    // `Schedule::regions` did not check.
+    // and overlapping ones are refused too.
     for (bad, refused) in [
         (vec![0..n + 5], 0..n + 5),
         (vec![n + 1..n + 2], n..n + 1),
         (vec![1..1], 1..1),
         (vec![0..2, 1..3], 1..3),
     ] {
-        let res = compile(&p, &unchecked(bad.clone()));
+        let res = compile(&p, &Schedule::regions(bad.clone()));
         assert!(
             matches!(
                 &res,
@@ -455,8 +442,7 @@ fn region_past_the_program_end_is_a_typed_error() {
             res.err().map(|e| e.to_string())
         );
     }
-    // `Schedule::regions` refuses a reversed range itself; `fuse_region` is
-    // public, so it must too.
+    // `fuse_region` is public, so it refuses a reversed range itself.
     #[allow(clippy::reversed_empty_ranges)]
     let reversed = 3..1;
     assert!(matches!(
