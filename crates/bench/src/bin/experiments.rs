@@ -5,9 +5,9 @@
 //! only builds its models, runs them and returns its [`Table`]s: `main`
 //! prints each as aligned text, writes it as `results/<name>.csv`, checks
 //! its shape gate ([`shape_gate`], exit 1) and collects its rows' cycles.
-//! Every simulated run is checked against the reference interpreter, and a
-//! wrong output panics: with the model's name through [`run_model`], with
-//! the figure and the point's label through [`verified`].
+//! Every point compiles, runs and is checked against the reference
+//! interpreter through one helper, [`run_point`]: a failed run or a wrong
+//! output panics naming the point.
 //!
 //! `all` also writes every simulated cycle count as one flat, key-sorted
 //! `{"figure/label": cycles}` map ([`snapshot_json`]) to `BENCH_sim.json`.
@@ -19,17 +19,17 @@
 //!
 //! `samcheck` (explicit only) is the static-lint gate over the zoo.
 //!
-//! `--threads N` sets the worker threads of the sweep pool (default: all
-//! cores). Independent simulation points within each sweep run on the shared
-//! [`parallel_map`] worker pool; results are collected in point order, so
-//! the printed tables, CSVs and snapshots are identical for any thread count.
+//! Independent simulation points within each sweep run on the shared
+//! [`parallel_map`] worker pool, one worker per core the platform reports;
+//! results are collected in point order, so the printed tables, CSVs and
+//! snapshots do not depend on the core count.
 
 use fuseflow_bench::{parallel_map, snapshot_json, Table};
 use fuseflow_core::estimate;
 use fuseflow_core::fuse_region;
 use fuseflow_core::ir::Program;
 use fuseflow_core::pipeline::{
-    compile, compile_at, compile_with, fiber_upper_bound, run, verify, Compiled, RunResult,
+    compile_at, compile_with, fiber_upper_bound, run, verify, Compiled, PipelineError,
 };
 use fuseflow_core::schedule::Schedule;
 use fuseflow_models::{
@@ -45,11 +45,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt::Display;
 use std::time::Instant;
 
-/// Sweep-wide options parsed from the command line.
-#[derive(Debug, Clone, Copy)]
-struct Opts {
-    /// Worker threads for the sweep pool.
-    threads: usize,
+/// Worker threads of the sweep pool: one per core the platform reports.
+fn threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Writes an output file, creating its directory. CI gates the tracked ones
@@ -62,39 +60,27 @@ fn write_file(path: &str, content: &str) {
         .unwrap_or_else(|e| panic!("write {path}: {e}"));
 }
 
-fn sim() -> SimConfig {
-    SimConfig::default()
-}
-
-fn run_model(m: &ModelInstance, schedule: &Schedule, location: MemLocation) -> Stats {
-    run_refusing(m, schedule, location).0
-}
-
-/// [`run_model`], and the [`refusals`] of its compile. Every output is
-/// checked against the reference interpreter, which runs once per model
-/// instance (`verify` keeps its outputs on the program), and a wrong one
-/// panics with the model's name.
-fn run_refusing(m: &ModelInstance, schedule: &Schedule, location: MemLocation) -> (Stats, String) {
-    let ran = compile_at(&m.program, schedule, location).and_then(|compiled| {
-        let result = run(&m.program, &compiled, &m.inputs, &sim())?;
-        verify(&m.program, &m.inputs, &result.outputs)?;
-        Ok((result.stats, refusals(&compiled)))
-    });
-    ran.unwrap_or_else(|e| panic!("{}: {e}", m.name))
-}
-
-/// `result`, after checking its outputs against the reference interpreter
-/// for `program` on `inputs`; a wrong output panics with the figure and the
-/// point's label. For the runs that do not go through [`run_model`].
-fn verified(
-    figure: &str,
-    label: &str,
+/// Compiles `program` under `schedule` with its tensors at `location`, runs
+/// it on `inputs` and checks the outputs against the reference interpreter
+/// (which runs once per input set: `verify` keeps its outputs on the
+/// program). Returns the run's stats and the [`refusals`] of its compile, or
+/// the compile error, which a caller may record as a refused point.
+///
+/// # Panics
+///
+/// When the run fails or an output is wrong, naming the point `at`.
+fn run_point(
+    at: &str,
     program: &Program,
     inputs: &HashMap<String, SparseTensor>,
-    result: RunResult,
-) -> RunResult {
-    verify(program, inputs, &result.outputs).unwrap_or_else(|e| panic!("{figure} {label}: {e}"));
-    result
+    schedule: &Schedule,
+    location: MemLocation,
+) -> Result<(Stats, String), PipelineError> {
+    let compiled = compile_at(program, schedule, location)?;
+    let ran = run(program, &compiled, inputs, &SimConfig::default())
+        .and_then(|result| verify(program, inputs, &result.outputs).map(|()| result.stats));
+    let stats = ran.unwrap_or_else(|e| panic!("{at}: {e}"));
+    Ok((stats, refusals(&compiled)))
 }
 
 /// Every parallel directive `compiled` refused, as `r<region> row×factor:
@@ -110,7 +96,10 @@ fn refusals(compiled: &Compiled) -> String {
 /// `m` at each fusion granularity with its tensors in DRAM, unfused (the
 /// baseline of every ratio) first.
 fn fusion_sweep(m: &ModelInstance) -> [(Fusion, Stats); 3] {
-    Fusion::ALL.map(|f| (f, run_model(m, &m.schedule(f), MemLocation::Dram)))
+    Fusion::ALL.map(|f| {
+        let ran = run_point(&m.name, &m.program, &m.inputs, &m.schedule(f), MemLocation::Dram);
+        (f, ran.unwrap_or_else(|e| panic!("{}: {e}", m.name)).0)
+    })
 }
 
 /// The columns [`fusion_rows`] fills after a figure's own leading ones.
@@ -193,7 +182,7 @@ fn shape_gate(t: &Table) {
 }
 
 /// Fig 4b / §8.4: prior-compiler comparison on GCN/collab.
-fn fig4b(o: Opts) -> Vec<Table> {
+fn fig4b() -> Vec<Table> {
     let (m, composed) = (gcn(&collab(), 16, 8, 7), gcn_composed(&collab(), 16, 8, 7));
     let configs: Vec<(&str, &ModelInstance, Schedule)> = vec![
         ("C+S (unfused)", &m, Schedule::unfused()),
@@ -203,8 +192,9 @@ fn fig4b(o: Opts) -> Vec<Table> {
         ("C+S (rewrite)", &composed, Schedule::unfused()),
         ("FuseFlow", &m, m.schedule(Fusion::Partial)),
     ];
-    let cycles = parallel_map(o.threads, configs, |(name, m, sched)| {
-        (name, run_model(m, &sched, MemLocation::Dram).cycles)
+    let cycles = parallel_map(threads(), configs, |(name, m, sched)| {
+        let ran = run_point(name, &m.program, &m.inputs, &sched, MemLocation::Dram);
+        (name, ran.unwrap_or_else(|e| panic!("{name}: {e}")).0.cycles)
     });
     let mut t = Table::new(
         "fig4b",
@@ -226,8 +216,9 @@ fn fig4b_shape(t: &Table) -> Vec<String> {
     broken
 }
 
-/// Fig 12: fusion granularity sweep across the four model classes.
-fn fig12(o: Opts) -> Vec<Table> {
+/// Fig 12: fusion granularity sweep across the four model classes, and
+/// Fig 14, read off its GCN rows.
+fn fig12() -> Vec<Table> {
     let mut models: Vec<(&str, String, ModelInstance)> = Vec::new();
     for (name, n_in, batch) in SAE_DATASETS.iter().take(2) {
         models.push(("sae", (*name).into(), sae(name, *n_in / 8, 48, *batch, 0.5, 11)));
@@ -243,7 +234,7 @@ fn fig12(o: Opts) -> Vec<Table> {
     // Each model sweeps its fusion granularities on one pool worker; model
     // sweeps are independent, so they fan out across the pool.
     let sweeps =
-        parallel_map(o.threads, models, |(model, dsname, m)| (model, dsname, fusion_sweep(&m)));
+        parallel_map(threads(), models, |(model, dsname, m)| (model, dsname, fusion_sweep(&m)));
     let mut t = Table::new(
         "fig12",
         "Fig 12: fusion effect across models (speedup over unfused)",
@@ -253,7 +244,8 @@ fn fig12(o: Opts) -> Vec<Table> {
         fusion_rows(&mut t, &[&model, &dsname], &sweep);
     }
     t.gate = Some(fig12_shape);
-    vec![t]
+    let fig14 = fig14_from(&t);
+    vec![t, fig14]
 }
 
 /// Fig 12's claims that hold today: partial fusion beats unfused on every
@@ -271,32 +263,31 @@ fn fig12_shape(t: &Table) -> Vec<String> {
     broken
 }
 
-/// Fig 14: GCN FLOPs / bytes normalized to unfused + operational intensity.
-fn fig14(o: Opts) -> Vec<Table> {
-    let datasets: Vec<&GraphDataset> = GRAPH_DATASETS.iter().take(3).collect();
-    let sweeps = parallel_map(o.threads, datasets, |ds| {
-        (ds.name, fusion_sweep(&gcn(&shrunk(ds, 2), 16, 8, 77)))
-    });
+/// Fig 14: GCN FLOPs and DRAM bytes normalized to unfused, and operational
+/// intensity: the GCN rows of `fig12` without `model`, `cycles` and
+/// `speedup`. Plain rows, since `fig12/gcn/*` already records the cycles.
+fn fig14_from(fig12: &Table) -> Table {
     let mut t = Table::new(
         "fig14",
         "Fig 14: GCN FLOPs & DRAM bytes normalized to unfused",
-        fusion_columns!("dataset"),
+        &["dataset", "fusion", "flops", "dram_bytes", "flops_rel", "bytes_rel", "op_intensity"],
     );
-    for (name, sweep) in sweeps {
-        fusion_rows(&mut t, &[&name], &sweep);
+    for r in fig12.rows.iter().filter(|r| r.cells[0] == "gcn") {
+        let c = &r.cells;
+        t.row(&[&c[1], &c[2], &c[4], &c[5], &c[6], &c[7], &c[8]]);
     }
-    vec![t]
+    t
 }
 
 /// Fig 15: sparsity ablation on synthetic graphs.
-fn fig15(o: Opts) -> Vec<Table> {
+fn fig15() -> Vec<Table> {
     let mut graphs = Vec::new();
     for pattern in [GraphPattern::Uniform, GraphPattern::PowerLaw, GraphPattern::BlockDiagonal] {
         for sparsity in [0.5, 0.7, 0.8, 0.9, 0.95] {
             graphs.push((pattern, sparsity));
         }
     }
-    let sweeps = parallel_map(o.threads, graphs, |(pattern, sparsity)| {
+    let sweeps = parallel_map(threads(), graphs, |(pattern, sparsity)| {
         let ds = GraphDataset {
             name: "synthetic",
             nodes: 100,
@@ -318,15 +309,19 @@ fn fig15(o: Opts) -> Vec<Table> {
 }
 
 /// Fig 16: parallelization factor and location sweeps on BigBird attention.
-fn fig16(o: Opts) -> Vec<Table> {
+fn fig16() -> Vec<Table> {
     // The blocked pipeline parallelizes end to end (no deferred softmax
     // references crossing the split); the scalar pipeline's softmax region
     // refuses the split.
     let m = gpt_attention_blocked(1024, 64, 16, 91);
-    let on_chip = |sched: &Schedule| run_model(&m, sched, MemLocation::OnChip).cycles;
+    let on_chip = |at: &str, sched: &Schedule| {
+        let ran = run_point(at, &m.program, &m.inputs, sched, MemLocation::OnChip);
+        ran.unwrap_or_else(|e| panic!("{at}: {e}"))
+    };
     let i_var = m.program.exprs()[0].output.indices[0];
-    let cycles = parallel_map(o.threads, vec![1, 2, 4, 8, 16, 32, 64], |factor| {
-        (factor, on_chip(&m.schedule(Fusion::Partial).with_parallelization(i_var, factor)))
+    let cycles = parallel_map(threads(), vec![1, 2, 4, 8, 16, 32, 64], |factor| {
+        let sched = m.schedule(Fusion::Partial).with_parallelization(i_var, factor);
+        (factor, on_chip(&format!("fig16a factor {factor}"), &sched).0.cycles)
     });
     let mut a = Table::new(
         "fig16a",
@@ -351,10 +346,10 @@ fn fig16(o: Opts) -> Vec<Table> {
             jobs.push((loc, vars.clone(), factor));
         }
     }
-    let rows = parallel_map(o.threads, jobs, |(loc, vars, factor)| {
+    let rows = parallel_map(threads(), jobs, |(loc, vars, factor)| {
         let unfused = m.schedule(Fusion::Unfused);
         let sched = vars.iter().fold(unfused, |s, v| s.with_parallelization(*v, factor));
-        let (stats, refused) = run_refusing(&m, &sched, MemLocation::OnChip);
+        let (stats, refused) = on_chip(&format!("fig16b {loc} x{factor}"), &sched);
         (loc, factor, stats.cycles, refused)
     });
     let mut b = Table::new(
@@ -403,14 +398,18 @@ fn fig16a_shape(t: &Table) -> Vec<String> {
 
 /// Fig 17: block-sparse vs unstructured BigBird attention. The arms are
 /// different programs: the unstructured one also scales and normalizes.
-fn fig17(o: Opts) -> Vec<Table> {
-    let rows = parallel_map(o.threads, vec![16, 32, 64], |block| {
+fn fig17() -> Vec<Table> {
+    let rows = parallel_map(threads(), vec![16, 32, 64], |block| {
         // Unstructured arm: same mask on scalar streams, plus the scale and
         // the softmax normalization that the blocked pipeline leaves out.
         let un = gpt_attention(128, 64, block, 13);
         let bl = gpt_attention_blocked(128, 64, block, 13);
-        let full = |m: &ModelInstance| run_model(m, &m.schedule(Fusion::Full), MemLocation::Dram);
-        (block, full(&un).cycles, full(&bl).cycles)
+        let full = |m: &ModelInstance| {
+            let sched = m.schedule(Fusion::Full);
+            let ran = run_point(&m.name, &m.program, &m.inputs, &sched, MemLocation::Dram);
+            ran.unwrap_or_else(|e| panic!("{}: {e}", m.name)).0.cycles
+        };
+        (block, full(&un), full(&bl))
     });
     let mut t = Table::new(
         "fig17",
@@ -452,7 +451,7 @@ fn fig17_shape(t: &Table) -> Vec<String> {
 /// schedules; discordant orders materialize permuted input copies through
 /// the POG cycle-resolution path. An order pair the compiler refuses is
 /// listed with its reason in place of cycles.
-fn fig18(o: Opts) -> Vec<Table> {
+fn fig18() -> Vec<Table> {
     use fuseflow_core::ir::IndexVar;
     use fuseflow_tensor::{gen, Format};
     let (n, feats) = (34, 16); // KarateClub scale
@@ -502,17 +501,12 @@ fn fig18(o: Opts) -> Vec<Table> {
     );
     let perms3: [[usize; 3]; 6] =
         [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
-    let mut order_pairs = Vec::new();
-    for o1 in perms3 {
-        for o2 in perms3 {
-            order_pairs.push((o1, o2));
-        }
-    }
-    let mut sweep = parallel_map(o.threads, order_pairs, |(o1, o2)| {
+    let order_pairs = perms3.iter().flat_map(|&o1| perms3.map(|o2| (o1, o2))).collect();
+    let mut sweep = parallel_map(threads(), order_pairs, |(o1, o2)| {
         let (p, label) = build(&o1, &o2);
-        let ran = compile(&p, &Schedule::unfused()).and_then(|c| run(&p, &c, &inputs, &sim()));
-        let cycles = ran.map(|r| verified("fig18", &label, &p, &inputs, r).stats.cycles);
-        (label, cycles.map_err(|e| e.to_string()))
+        let at = format!("fig18 {label}");
+        let ran = run_point(&at, &p, &inputs, &Schedule::unfused(), MemLocation::Dram);
+        (label, ran.map(|(stats, _)| stats.cycles).map_err(|e| e.to_string()))
     });
     // Simulated orders first, in pair order; refused ones sink.
     sweep.sort_by_key(|(_, ran)| ran.is_err());
@@ -539,26 +533,25 @@ fn fig18(o: Opts) -> Vec<Table> {
 }
 
 /// Table 3: heuristic FLOPs/bytes error against the simulator.
-fn table3(o: Opts) -> Vec<Table> {
+fn table3() -> Vec<Table> {
     let ds = collab();
     let models: Vec<(&str, ModelInstance)> = vec![
         ("gpt3-b16", gpt_decoder(64, 16, 16, 1)),
         ("gcn", gcn(&ds, 16, 8, 2)),
         ("graphsage", graphsage(&ds, 16, 8, 3)),
     ];
-    let rows = parallel_map(o.threads, models, |(name, m)| {
-        let mut fe = 0.0;
-        let mut be = 0.0;
-        let mut cnt = 0.0;
-        for f in [Fusion::Unfused, Fusion::Partial] {
+    let pct = |est: f64, meas: u64| (est - meas as f64).abs() / meas as f64 * 100.0;
+    let rows = parallel_map(threads(), models, |(name, m)| {
+        // Percent errors of the FLOPs and bytes estimates at granularity `f`.
+        let err = |f| {
             let sched = m.schedule(f);
-            let meas = run_model(&m, &sched, MemLocation::Dram);
+            let ran = run_point(&m.name, &m.program, &m.inputs, &sched, MemLocation::Dram);
+            let meas = ran.unwrap_or_else(|e| panic!("{}: {e}", m.name)).0;
             let est = estimate(&m.program, &sched, &m.inputs);
-            fe += (est.flops - meas.flops as f64).abs() / meas.flops as f64 * 100.0;
-            be += (est.bytes - meas.dram_bytes() as f64).abs() / meas.dram_bytes() as f64 * 100.0;
-            cnt += 1.0;
-        }
-        (name, fe / cnt, be / cnt)
+            [pct(est.flops, meas.flops), pct(est.bytes, meas.dram_bytes())]
+        };
+        let (u, p) = (err(Fusion::Unfused), err(Fusion::Partial));
+        (name, (u[0] + p[0]) / 2.0, (u[1] + p[1]) / 2.0)
     });
     let mut t = Table::new(
         "table3",
@@ -575,7 +568,7 @@ fn table3(o: Opts) -> Vec<Table> {
 /// dataflow order) constraints, plus the POG linear-extension counts for
 /// the first fused region (exact via the frontier DP in
 /// `Pog::count_orders`, `*` marks capped entries like the paper).
-fn table4(_: Opts) -> Vec<Table> {
+fn table4() -> Vec<Table> {
     let cap: u128 = 200_000_000;
     let mut t = Table::new(
         "table4",
@@ -632,7 +625,7 @@ fn table4(_: Opts) -> Vec<Table> {
 /// `results/autotune.csv` with every `cycles` cell filled (or explicitly
 /// marked `-` when a candidate fails to compile). Every candidate that
 /// compiles is run and verified, and a failed run or a wrong output panics.
-fn autotune(o: Opts) -> Vec<Table> {
+fn autotune() -> Vec<Table> {
     let m = gcn(&collab(), 16, 8, 7);
     let n = m.program.exprs().len();
     let i0 = m.program.exprs()[0].output.indices[0];
@@ -654,21 +647,14 @@ fn autotune(o: Opts) -> Vec<Table> {
             Schedule::regions(vec![0..n]).with_parallelization(i0, 2),
         ),
     ];
-    let mut rows = parallel_map(
-        o.threads,
-        candidates.into_iter().enumerate().collect(),
-        |(idx, (label, sched))| {
-            let est = estimate(&m.program, &sched, &m.inputs);
-            let compiled = compile(&m.program, &sched).ok();
-            let cycles = compiled.as_ref().map(|c| {
-                let result = run(&m.program, c, &m.inputs, &sim())
-                    .unwrap_or_else(|e| panic!("autotune {label}: {e}"));
-                verified("autotune", &label, &m.program, &m.inputs, result).stats.cycles
-            });
-            let refused = compiled.as_ref().map_or_else(String::new, refusals);
-            (idx, label, est.flops, est.bytes, cycles, refused)
-        },
-    );
+    let candidates = candidates.into_iter().enumerate().collect();
+    let mut rows = parallel_map(threads(), candidates, |(idx, (label, sched))| {
+        let est = estimate(&m.program, &sched, &m.inputs);
+        let at = format!("autotune {label}");
+        let ran = run_point(&at, &m.program, &m.inputs, &sched, MemLocation::Dram).ok();
+        let (cycles, refused) = ran.map_or((None, String::new()), |(s, r)| (Some(s.cycles), r));
+        (idx, label, est.flops, est.bytes, cycles, refused)
+    });
     // Best-first like an autotuner's report; failed candidates sink.
     rows.sort_by_key(|r| (r.4.is_none(), r.4, r.0));
     let mut t = Table::new(
@@ -694,7 +680,7 @@ fn autotune(o: Opts) -> Vec<Table> {
 /// measurement: it is excluded from `all`, contributes nothing to the cycle
 /// snapshot, and the process exits nonzero when any error-severity
 /// diagnostic fires. CI runs it as its own step.
-fn samcheck(o: Opts) -> usize {
+fn samcheck() -> usize {
     println!("\n== samcheck: static lints over the model zoo ==");
     let ds = GRAPH_DATASETS[0];
     let small = shrunk(&ds, 4);
@@ -711,7 +697,7 @@ fn samcheck(o: Opts) -> usize {
     let mut graphs = 0usize;
     let mut errors = 0usize;
     let mut counts: Vec<(String, u64)> = Vec::new();
-    let rows = parallel_map(o.threads, models, |(name, m)| {
+    let rows = parallel_map(threads(), models, |(name, m)| {
         let mut out = Vec::new();
         for fusion in Fusion::ALL {
             let schedule = m.schedule(fusion);
@@ -722,7 +708,7 @@ fn samcheck(o: Opts) -> usize {
                 compile_with(&m.program, &schedule, MemLocation::Dram, &VerifyConfig::disabled())
                     .unwrap_or_else(|e| panic!("{name}: {e}"));
             let opts = VerifyOptions {
-                channel_capacity: sim().channel_capacity,
+                channel_capacity: SimConfig::default().channel_capacity,
                 fiber_hi: fiber_upper_bound(&m.program),
             };
             let reports: Vec<_> = compiled
@@ -736,31 +722,25 @@ fn samcheck(o: Opts) -> usize {
     });
     for per_model in rows {
         for (name, fusion, reports) in per_model {
-            let mut errs = 0;
-            let mut warns = 0;
-            let mut certified = 0;
-            let mut unknown = 0;
-            let mut flagged = 0;
+            let mut total = [0; 5];
             for (i, (report, graph)) in reports.iter().enumerate() {
-                errs += report.errors().count();
-                warns += report.warnings().count();
-                certified += report.regions.certified;
-                unknown += report.regions.unknown;
-                flagged += report.regions.flagged;
                 if !report.is_clean() {
                     print!("{}", report.render_human(graph));
                 }
-                let key = format!("samcheck/{name}/{fusion}/r{i}");
-                for (what, n) in [
+                let r = &report.regions;
+                let counted = [
                     ("errors", report.errors().count()),
                     ("warnings", report.warnings().count()),
-                    ("certified", report.regions.certified),
-                    ("unknown", report.regions.unknown),
-                    ("flagged", report.regions.flagged),
-                ] {
-                    counts.push((format!("{key}/{what}"), n as u64));
+                    ("certified", r.certified),
+                    ("unknown", r.unknown),
+                    ("flagged", r.flagged),
+                ];
+                for (k, (what, n)) in counted.into_iter().enumerate() {
+                    counts.push((format!("samcheck/{name}/{fusion}/r{i}/{what}"), n as u64));
+                    total[k] += n;
                 }
             }
+            let [errs, warns, certified, unknown, flagged] = total;
             println!(
                 "samcheck {name:<28} {fusion:<8} regions {:<2} errors {errs} warnings {warns} \
                  (deadlock-free: {certified} certified, {unknown} unknown, {flagged} flagged)",
@@ -780,28 +760,14 @@ fn samcheck(o: Opts) -> usize {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut which: Vec<String> = Vec::new();
-    let mut opts =
-        Opts { threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) };
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--threads" => {
-                let v = it.next().expect("--threads takes a value");
-                opts.threads = v.parse().expect("--threads takes a positive integer");
-            }
-            _ => which.push(a),
-        }
-    }
+    let mut which: Vec<String> = std::env::args().skip(1).collect();
     if which.is_empty() {
         which.push("all".into());
     }
-    type Figure = fn(Opts) -> Vec<Table>;
-    let figures: [(&str, Figure); 10] = [
+    type Figure = fn() -> Vec<Table>;
+    let figures: [(&str, Figure); 9] = [
         ("fig4b", fig4b),
         ("fig12", fig12),
-        ("fig14", fig14),
         ("fig15", fig15),
         ("fig16", fig16),
         ("fig17", fig17),
@@ -824,7 +790,7 @@ fn main() {
         if !want(id) {
             continue;
         }
-        for table in figure(opts) {
+        for table in figure() {
             print!("{}", table.text());
             write_file(&format!("results/{}.csv", table.name), &table.csv());
             shape_gate(&table);
@@ -832,7 +798,7 @@ fn main() {
         }
     }
     // Explicit-only (not part of `all`): a lint gate, not a figure.
-    let samcheck_errors = if which.iter().any(|w| w == "samcheck") { samcheck(opts) } else { 0 };
+    let samcheck_errors = if which.iter().any(|w| w == "samcheck") { samcheck() } else { 0 };
     // Only an `all` run refreshes the tracked snapshot: a filtered subset
     // would clobber it with a partial point set.
     let snapshot_note = if all {
@@ -844,7 +810,7 @@ fn main() {
     println!(
         "\nDone in {:.1}s ({} pool threads); CSVs in results/{snapshot_note}.",
         t0.elapsed().as_secs_f64(),
-        opts.threads,
+        threads(),
     );
     if samcheck_errors > 0 {
         eprintln!("samcheck: failing with {samcheck_errors} error-severity diagnostic(s)");
@@ -902,6 +868,44 @@ mod tests {
         let gpt = fig12_shape(&fig(289068, 3926757));
         assert_eq!(gpt.len(), 1, "{gpt:?}");
         assert!(gpt[0].starts_with("gpt3-bigbird/block16/full at"), "{gpt:?}");
+    }
+
+    /// Fig 14 is Fig 12's GCN rows: the same traffic cells, no other
+    /// model's rows, and no snapshot point of its own.
+    #[test]
+    fn fig14_reads_the_gcn_rows_of_fig12() {
+        let stats = |cycles, flops, bytes| Stats {
+            cycles,
+            flops,
+            dram_read_bytes: bytes,
+            dram_write_bytes: 8,
+            ..Stats::default()
+        };
+        let sweep = |k: u64| {
+            [
+                (Fusion::Unfused, stats(k, 10 * k, 100 * k)),
+                (Fusion::Partial, stats(2 * k, 10 * k, 60 * k)),
+                (Fusion::Full, stats(40 * k, 500 * k, 2000 * k)),
+            ]
+        };
+        let mut fig12 = Table::new("fig12", "made up", fusion_columns!("model", "dataset"));
+        fusion_rows(&mut fig12, &[&"sae", &"mnist"], &sweep(7));
+        for (dataset, scale) in [("cora", 1), ("cora_ml", 2), ("dblp", 3)] {
+            fusion_rows(&mut fig12, &[&"gcn", &dataset], &sweep(scale));
+        }
+        let fig14 = fig14_from(&fig12);
+        assert_eq!(fig14.points().count(), 0);
+        let gcn: Vec<_> = fig12.rows.iter().filter(|r| r.label.starts_with("gcn/")).collect();
+        assert_eq!(fig14.rows.len(), gcn.len());
+        for (got, want) in fig14.rows.iter().zip(gcn) {
+            let (dataset, fusion) = want.label["gcn/".len()..].split_once('/').unwrap();
+            let traffic = &want.cells[want.cells.len() - 5..];
+            assert_eq!(got.cells, [&[dataset.to_string(), fusion.to_string()], traffic].concat());
+        }
+        assert_eq!(
+            fig14.rows[5].cells,
+            ["cora_ml", "full", "1000", "4008", "50.000", "19.269", "0.250"]
+        );
     }
 
     #[test]

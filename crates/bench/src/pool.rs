@@ -1,25 +1,21 @@
 //! A dependency-free scoped worker pool.
 //!
-//! `std::thread::scope` workers pull items off a shared atomic cursor
-//! (work-stealing by index), so load imbalance between items — the common
-//! case for simulation sweeps, where one schedule point can run 10x longer
-//! than the next — does not serialize the batch. Results land in their
-//! item's slot, so the output order (and therefore anything computed from
+//! `std::thread::scope` workers pull `(index, item)` pairs off one shared
+//! iterator, so load imbalance between items — the common case for
+//! simulation sweeps, where one schedule point can run 10x longer than the
+//! next — does not serialize the batch. Each result is put back at its
+//! item's index, so the output order (and therefore anything computed from
 //! it) is deterministic regardless of thread interleaving.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Applies `f` to every item on up to `threads` scoped worker threads and
-/// returns the results in item order.
-///
-/// With `threads <= 1` (or a single item) this degrades to a plain
-/// sequential map with no thread or synchronization overhead, which keeps
-/// the sequential path byte-for-byte identical to a `for` loop.
+/// Applies `f` to every item on up to `threads` scoped worker threads (at
+/// least one) and returns the results in item order.
 ///
 /// # Panics
 ///
-/// Propagates the first panic raised by `f` on any worker.
+/// Re-raises the panic of the first worker (in spawn order) whose `f`
+/// panicked, with its original payload.
 pub fn parallel_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -27,46 +23,30 @@ where
     F: Fn(T) -> R + Sync,
 {
     let n = items.len();
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    // Items move to workers through per-slot mutexes (claimed exactly once
-    // via the cursor, so the locks are never contended).
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let cursor = AtomicUsize::new(0);
-    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    let queue = Mutex::new(items.into_iter().enumerate());
+    // The lock is held for the claim only, never across `f`.
+    let claim = || queue.lock().expect("claims never panic").next();
+    let mut done = Vec::with_capacity(n);
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            handles.push(scope.spawn(|| {
-                let mut produced = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let item =
-                        slots[i].lock().expect("uncontended slot").take().expect("unclaimed");
-                    produced.push((i, f(item)));
-                }
-                produced
-            }));
-        }
-        for h in handles {
-            match h.join() {
-                Ok(produced) => {
-                    for (i, r) in produced {
-                        out[i] = Some(r);
-                    }
-                }
+        let work = || {
+            let mut produced = Vec::new();
+            while let Some((i, item)) = claim() {
+                produced.push((i, f(item)));
+            }
+            produced
+        };
+        let workers: Vec<_> = (0..threads.clamp(1, n.max(1))).map(|_| scope.spawn(work)).collect();
+        for worker in workers {
+            match worker.join() {
+                Ok(produced) => done.extend(produced),
                 // Re-raise with the worker's original payload so callers
                 // (and test harnesses) see the real panic message.
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
     });
-    out.into_iter().map(|r| r.expect("every slot claimed")).collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]

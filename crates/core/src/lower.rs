@@ -287,7 +287,7 @@ pub fn lower_region(
     // Decide each parallel directive once, before any node exists.
     let (mut applied, mut refused) = (Vec::new(), Vec::new());
     for &(g, factor) in opts.parallelize.iter().filter(|&&(_, factor)| factor != 1) {
-        match split_refusal(region, &rows_of, &pos, &applied, g, factor) {
+        match split_refusal(program, region, &rows_of, &pos, &applied, g, factor) {
             None => applied.push((g, factor)),
             Some(reason) => {
                 refused.push(Refused { row: region.names[g.0 as usize].clone(), factor, reason })
@@ -448,9 +448,11 @@ pub fn lower_region(
 
 /// Why row `g` of `region` cannot be split `factor` ways (Section 7) after
 /// the `applied` splits, if it cannot: a split row is iterated by every
-/// expression, reduced by none and none's innermost, and lies between no
-/// forward reference and its producer.
+/// expression, reduced by none and none's innermost, lies between no
+/// forward reference and its producer, and has at least `factor`
+/// coordinates, so that every lane can receive one.
 fn split_refusal(
+    program: &Program,
     region: &FusedRegion,
     rows_of: &[Vec<GlobalIx>],
     pos: &HashMap<GlobalIx, usize>,
@@ -490,7 +492,11 @@ fn split_refusal(
             }
         }
     }
-    None
+    // Every variable unified into the row has its extent (over the block
+    // grid when blocked).
+    let var = region.global_of.iter().find(|(_, &row)| row == g).map(|(&(_, var), _)| var);
+    let extent = program.index_size(var.expect("every row comes from a program variable"));
+    (factor > extent).then(|| format!("factor {factor} exceeds the row's extent {extent}"))
 }
 
 /// Creates scanners/joins for views owning row `g` within expression `ei`.

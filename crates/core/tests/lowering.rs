@@ -679,6 +679,32 @@ fn factor_zero_is_refused_and_factor_one_is_a_no_op() {
     }
 }
 
+/// A factor above the row's extent is refused: it used to be honoured with
+/// lanes that never receive a coordinate, a graph that grows with the factor
+/// (45,066 nodes at 4096 for an 8-row SpMM).
+#[test]
+fn a_factor_above_the_rows_extent_is_refused() {
+    let mut p = Program::new();
+    let (i, k, j) = (p.index("i"), p.index("k"), p.index("j"));
+    let a = p.input("A", vec![8, 8], Format::csr());
+    let b = p.input("B", vec![8, 4], Format::dense(2));
+    let c =
+        p.contract("C", vec![i, j], vec![(a, vec![i, k]), (b, vec![k, j])], vec![k], Format::csr());
+    p.mark_output(c);
+    let serial = compile(&p, &Schedule::unfused()).unwrap();
+    let compiled = compile(&p, &Schedule::unfused().with_parallelization(i, 4096)).unwrap();
+    let ([low], [serial]) = (&compiled.lowered[..], &serial.lowered[..]) else {
+        panic!("one region")
+    };
+    assert!(low.applied.is_empty());
+    let reason = "factor 4096 exceeds the row's extent 8".to_string();
+    assert_eq!(low.refused, [Refused { row: "i".into(), factor: 4096, reason }]);
+    assert_eq!(
+        (low.graph.nodes(), low.graph.edges()),
+        (serial.graph.nodes(), serial.graph.edges())
+    );
+}
+
 /// A parallel directive on a variable the program never declared is refused,
 /// naming the variable by number; `compile` used to panic looking up its name.
 #[test]

@@ -2,8 +2,8 @@
 //!
 //! Real datasets are substituted by generators preserving shape ratios,
 //! sparsity level, and sparsity structure (power-law for citation/collab
-//! graphs), scaled down for simulation feasibility. Scale factors are
-//! recorded in `EXPERIMENTS.md`.
+//! graphs), scaled down for simulation feasibility. ARCHITECTURE.md,
+//! "Substitutions", says which properties the stand-ins keep.
 
 use fuseflow_tensor::{gen, Format, SparseTensor};
 

@@ -149,7 +149,6 @@ impl std::error::Error for GraphError {}
 #[derive(Debug, Clone, Default)]
 pub struct SamGraph {
     nodes: Vec<NodeKind>,
-    labels: Vec<String>,
     edges: Vec<Edge>,
     tensors: Vec<TensorSlot>,
     outputs: Vec<OutputSlot>,
@@ -161,8 +160,8 @@ pub struct SamGraph {
     outs: Vec<EdgeList>,
     next_in: Vec<usize>,
     next_out: Vec<usize>,
-    /// Edges connected while an endpoint did not exist yet; `add_labeled_node`
-    /// files them when (if ever) the node appears.
+    /// Edges connected while an endpoint did not exist yet; `add_node` files
+    /// them when (if ever) the node appears.
     early: Vec<usize>,
 }
 
@@ -229,14 +228,7 @@ impl SamGraph {
 
     /// Adds a node, returning its id.
     pub fn add_node(&mut self, kind: NodeKind) -> NodeId {
-        let label = kind.name();
-        self.add_labeled_node(kind, label)
-    }
-
-    /// Adds a node with an explicit display label.
-    pub fn add_labeled_node(&mut self, kind: NodeKind, label: impl Into<String>) -> NodeId {
         self.nodes.push(kind);
-        self.labels.push(label.into());
         self.ins.push(EdgeList::EMPTY);
         self.outs.push(EdgeList::EMPTY);
         let id = self.nodes.len() - 1;
@@ -283,9 +275,9 @@ impl SamGraph {
         &self.nodes[id.0]
     }
 
-    /// Display label for a node.
-    pub fn label(&self, id: NodeId) -> &str {
-        &self.labels[id.0]
+    /// Display label for a node: its kind's name.
+    pub fn label(&self, id: NodeId) -> String {
+        self.nodes[id.0].name()
     }
 
     /// All edges.
@@ -335,7 +327,7 @@ impl SamGraph {
 
     /// A display anchor for a node: `label#id`.
     pub fn node_anchor(&self, id: NodeId) -> String {
-        format!("{}#{}", self.labels[id.0], id.0)
+        format!("{}#{}", self.label(id), id.0)
     }
 
     /// A display anchor for an edge: `label#id.outP -> label#id.inQ`.
@@ -475,8 +467,8 @@ impl SamGraph {
     /// Renders the graph in Graphviz DOT format.
     pub fn to_dot(&self) -> String {
         let mut s = String::from("digraph samml {\n  rankdir=TB;\n  node [shape=box];\n");
-        for (i, _) in self.nodes.iter().enumerate() {
-            s.push_str(&format!("  n{} [label=\"{}\"];\n", i, self.labels[i]));
+        for (i, kind) in self.nodes.iter().enumerate() {
+            s.push_str(&format!("  n{} [label=\"{}\"];\n", i, kind.name()));
         }
         for e in &self.edges {
             s.push_str(&format!(

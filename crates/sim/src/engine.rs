@@ -284,7 +284,7 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
             let kind = graph.node(id);
             Rt::new(
                 kind,
-                graph.label(id).to_string(),
+                graph.label(id),
                 vec![None; kind.input_ports().len()],
                 vec![Vec::new(); kind.output_ports().len()],
             )
