@@ -118,14 +118,6 @@ pub fn compile_at(
     compile_with(program, schedule, location, &VerifyConfig::default())
 }
 
-/// The fiber-length upper bound to lint a compiled program's graphs under
-/// (`VerifyOptions::fiber_hi` of [`fuseflow_verify::verify_graph`]): no
-/// fiber in any stream lowered from `program` can be longer than the largest
-/// tensor dimension. A compile runs no pass that reads it.
-pub fn fiber_upper_bound(program: &Program) -> Option<u64> {
-    program.tensors().iter().flat_map(|t| t.shape.iter()).max().map(|&d| d as u64)
-}
-
 /// [`compile_at`] with an explicit static-analysis switch: unless
 /// `verify_cfg` is disabled, a lowered region graph that draws an
 /// error-severity diagnostic of [`graph_errors`] (SA010, SA011, SA016,

@@ -420,8 +420,9 @@ impl SamGraph {
     /// A topological order of the nodes, or `None` if cyclic: Kahn's
     /// algorithm over a stack seeded with the in-degree-0 nodes in id order,
     /// successors visited in edge insertion order. The simulator's rank order
-    /// (and with it every cycle count) is this order; `fuseflow-verify`'s
-    /// `oracle` tests pin it against the loop it replaced.
+    /// (and with it every cycle count) is this order;
+    /// `crates/sim/tests/random_graphs.rs` pins it against the loop it
+    /// replaced.
     pub fn topo_order(&self) -> Option<Vec<NodeId>> {
         let n = self.nodes.len();
         let mut indeg: Vec<usize> = (0..n).map(|i| self.in_edges(NodeId(i)).count()).collect();

@@ -175,8 +175,7 @@ fn deadlock(order: &[NodeId], nodes: &[Rt], ctx: &Ctx) -> Box<SimError> {
                 .collect();
             let outs: Vec<String> = n.outs.iter().map(|o| o.staged.to_string()).collect();
             // Name every at-capacity output channel this node is trying to
-            // flush into, so runtime reports line up with `samcheck`'s
-            // static buffer-sizing diagnostics (SA013).
+            // flush into: the channel whose capacity the deadlock is about.
             let mut full = Vec::new();
             for (p, out) in n.outs.iter().enumerate() {
                 if out.staged == 0 {

@@ -271,6 +271,52 @@ fn partial_deadlock_is_reported() {
     }
 }
 
+/// The reconvergent normalization alone, over a dense length-8 vector: every
+/// fiber carries exactly 8 elements.
+fn reconvergent_witness() -> (SamGraph, TensorEnv) {
+    let mut g = SamGraph::new();
+    add_reconvergent_normalize(&mut g);
+    let entries: Vec<_> = (0..8).map(|i| (vec![i as u32], (i + 1) as f32)).collect();
+    let mut env = TensorEnv::new();
+    env.insert("V", SparseTensor::from_coo(vec![8], entries, &Format::sparse_vec()).unwrap());
+    (g, env)
+}
+
+/// The witness deadlocks under both schedulers at every capacity that cannot
+/// hold a whole fiber and its stop (below 9), and completes at every one
+/// that can.
+#[test]
+fn reconvergent_witness_deadlocks_exactly_below_capacity_9() {
+    let (g, env) = reconvergent_witness();
+    for cap in 2..=12 {
+        for scheduler in ALL_SCHEDULERS {
+            let cfg = SimConfig { channel_capacity: cap, scheduler, ..SimConfig::default() };
+            let result = simulate(&g, &env, &cfg);
+            if cap < 9 {
+                assert!(
+                    matches!(result, Err(SimError::Deadlock { .. })),
+                    "cap {cap}: {scheduler:?} did not deadlock: {result:?}"
+                );
+            } else {
+                assert!(result.is_ok(), "cap {cap}: {scheduler:?} failed: {result:?}");
+            }
+        }
+    }
+}
+
+/// The deadlock detail names the blocked nodes by label and the at-capacity
+/// channel.
+#[test]
+fn deadlock_detail_names_blocked_nodes_and_channels() {
+    let (g, env) = reconvergent_witness();
+    let cfg = SimConfig { channel_capacity: 4, ..SimConfig::default() };
+    let err = simulate(&g, &env, &cfg).unwrap_err();
+    let SimError::Deadlock { detail, .. } = err else { panic!("expected deadlock: {err}") };
+    assert!(detail.contains("at cap 4"), "detail: {detail}");
+    assert!(detail.contains("full:[out0->ALU[Div]#5 at cap 4]"), "detail: {detail}");
+    assert!(detail.contains("Array[t0]#2"), "detail: {detail}");
+}
+
 /// Regression: `run_node_standalone` used to exit on the first no-progress
 /// cycle, truncating the output of any node that stalls on `busy_until` or
 /// in-flight memory. A blocked tile matmul occupies the ALU for `cols`

@@ -1,4 +1,4 @@
-//! Pass 3: dead-code detection — output slots nothing writes (SA016, one of
+//! Pass 2: dead-code detection — output slots nothing writes (SA016, one of
 //! the error passes), nodes that cannot influence any output (SA014) and
 //! tensor slots nothing reads (SA015).
 

@@ -6,7 +6,9 @@ use fuseflow_sam::{Edge, NodeId, SamGraph};
 /// Stable lint codes emitted by the analyzer. The numeric part never
 /// changes meaning across releases; retired codes are not reused. SA012
 /// (a guaranteed deadlock, proven from a promised fiber lower bound) is
-/// retired: no compile could make that promise.
+/// retired: no compile could make that promise. SA013 (a possible
+/// deadlock, with the minimum safe channel capacity) is retired: no run read
+/// it, and the simulator reports a deadlock as a typed error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Code {
     /// Stream-kind mismatch across an edge (e.g. a `crd` output feeding a
@@ -15,10 +17,6 @@ pub enum Code {
     /// Stream nesting-depth mismatch at a strict join (the runtime
     /// manifestation is a `Semantics` stream-misalignment error).
     SA011,
-    /// Possible capacity-induced deadlock on a reconvergent fan-out region:
-    /// the retention *upper* bound of one path exceeds the buffering of its
-    /// sibling. Reports the minimum safe uniform capacity.
-    SA013,
     /// Dead node: no `CrdWriter`/`ValWriter` is reachable from it, so it
     /// can never influence an output.
     SA014,
@@ -37,12 +35,12 @@ impl Code {
     pub fn severity(&self) -> Severity {
         match self {
             Code::SA010 | Code::SA011 | Code::SA016 | Code::SA017 => Severity::Error,
-            Code::SA013 | Code::SA014 | Code::SA015 => Severity::Warning,
+            Code::SA014 | Code::SA015 => Severity::Warning,
         }
     }
 }
 
-/// The stable string form, e.g. `SA013`: the variant's name.
+/// The stable string form, e.g. `SA010`: the variant's name.
 impl std::fmt::Display for Code {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         std::fmt::Debug::fmt(self, f)
@@ -107,15 +105,12 @@ pub struct Diag {
     pub anchors: Vec<Anchor>,
     /// Human-readable description.
     pub message: String,
-    /// For SA013: the smallest uniform channel capacity under which
-    /// the flagged region cannot deadlock.
-    pub min_safe_capacity: Option<u64>,
 }
 
 impl Diag {
     /// Builds a diagnostic.
     pub fn new(code: Code, anchors: Vec<Anchor>, message: impl Into<String>) -> Self {
-        Diag { code, anchors, message: message.into(), min_safe_capacity: None }
+        Diag { code, anchors, message: message.into() }
     }
 
     /// The severity of the diagnostic's code.
@@ -123,20 +118,10 @@ impl Diag {
         self.code.severity()
     }
 
-    /// Attaches a minimum safe capacity (SA013).
-    pub fn with_min_safe_capacity(mut self, cap: u64) -> Self {
-        self.min_safe_capacity = Some(cap);
-        self
-    }
-
     /// Renders `error[SA010]: message (at anchor, anchor)`; the `(at ...)`
     /// part is dropped for a diagnostic without anchors.
     pub fn render(&self, g: &SamGraph) -> String {
-        let cap = match self.min_safe_capacity {
-            Some(c) => format!(" [min safe capacity {c}]"),
-            None => String::new(),
-        };
-        let head = format!("{}[{}]: {}{}", self.severity(), self.code, self.message, cap);
+        let head = format!("{}[{}]: {}", self.severity(), self.code, self.message);
         if self.anchors.is_empty() {
             return head;
         }
@@ -145,25 +130,11 @@ impl Diag {
     }
 }
 
-/// Summary of the deadlock pass's reconvergent-region verdicts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RegionSummary {
-    /// Regions proven deadlock-free at the given capacity.
-    pub certified: usize,
-    /// Regions the lag algebra could not bound (no diagnostic emitted).
-    pub unknown: usize,
-    /// Regions flagged SA013: a possible deadlock at this capacity, never a
-    /// proven one.
-    pub flagged: usize,
-}
-
 /// The analyzer's full result for one graph.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Report {
     /// All diagnostics, in pass order.
     pub diags: Vec<Diag>,
-    /// Deadlock-pass region verdict counts.
-    pub regions: RegionSummary,
 }
 
 impl Report {
@@ -188,7 +159,7 @@ impl Report {
     }
 
     /// Renders a human-readable report, one diagnostic per line, followed
-    /// by the region-verdict summary.
+    /// by the counts.
     pub fn render_human(&self, g: &SamGraph) -> String {
         let mut s = String::new();
         for d in &self.diags {
@@ -196,12 +167,9 @@ impl Report {
             s.push('\n');
         }
         s.push_str(&format!(
-            "{} error(s), {} warning(s); regions: {} certified, {} unknown, {} flagged\n",
+            "{} error(s), {} warning(s)\n",
             self.errors().count(),
-            self.warnings().count(),
-            self.regions.certified,
-            self.regions.unknown,
-            self.regions.flagged,
+            self.warnings().count()
         ));
         s
     }

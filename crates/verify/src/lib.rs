@@ -1,9 +1,8 @@
 //! Static verification and lint passes over SAMML dataflow graphs.
 //!
-//! The simulator only discovers stream-kind mismatches, capacity-induced
-//! deadlocks, and dead subgraphs at runtime — as a `Semantics` error, a
-//! `SimError::Deadlock` at cycle N, or silently wasted hardware. This crate
-//! moves those checks before simulation: a multi-pass analyzer over
+//! The simulator only discovers stream-kind mismatches and dead subgraphs at
+//! runtime — as a `Semantics` error or as silently wasted hardware. This
+//! crate moves those checks before simulation: an analyzer over
 //! [`SamGraph`] emitting structured diagnostics with stable lint codes.
 //!
 //! | code  | severity | pass |
@@ -11,7 +10,7 @@
 //! | SA010 | error    | stream-kind mismatch across an edge |
 //! | SA011 | error    | stream nesting-depth mismatch at a strict join |
 //! | SA012 | —        | retired (guaranteed deadlock); the number is not reused |
-//! | SA013 | warning  | possible deadlock; reports the minimum safe capacity |
+//! | SA013 | —        | retired (possible deadlock); the number is not reused |
 //! | SA014 | warning  | dead node (no writer reachable) |
 //! | SA015 | warning  | unused tensor slot |
 //! | SA016 | error    | output slot with no value writer |
@@ -20,14 +19,9 @@
 //! A code's severity is fixed. [`graph_errors`] runs only the passes that
 //! emit errors (SA017, then SA010, SA011 and SA016): a compile refuses a
 //! region it flags, and runs nothing else. [`verify_graph`] runs those passes
-//! and then the warning passes, and returns every diagnostic.
-//!
-//! The deadlock pass (see the `deadlock` module's docs for the model and the
-//! soundness argument) gives each reconvergent region one verdict —
-//! *Certified*, *SA013* or *Unknown* — and only *Certified* carries a
-//! soundness claim, which the sim-backed differential suite in
-//! `tests/verify_soundness.rs` enforces: certified graphs never deadlock
-//! under either scheduler.
+//! and then the dead-code warnings, and returns every diagnostic. A
+//! capacity-induced deadlock is the simulator's to report, as a typed
+//! `SimError::Deadlock` naming the blocked nodes and full channels.
 //!
 //! # Example
 //!
@@ -49,25 +43,21 @@
 //! ```
 
 mod dead;
-mod deadlock;
 mod diag;
 mod kinds;
-#[cfg(test)]
-mod oracle;
 
-pub use diag::{Anchor, Code, Diag, RegionSummary, Report, Severity};
+pub use diag::{Anchor, Code, Diag, Report, Severity};
 
 use fuseflow_sam::{GraphError, NodeId, SamGraph};
 
-/// Knobs for the deadlock pass of [`verify_graph`].
+/// The run a graph is linted for, as [`verify_graph`] takes it. No pass reads
+/// either field: every diagnostic depends on the graph alone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyOptions {
-    /// Uniform bounded-channel capacity the deadlock pass sizes against
-    /// (the simulator's `SimConfig::channel_capacity`).
+    /// The simulator's `SimConfig::channel_capacity`. Read by no pass.
     pub channel_capacity: usize,
-    /// Upper bound on fiber length (e.g. the largest program dimension).
-    /// Enables *Certified* verdicts and SA013 advisories; without it,
-    /// retention-bearing regions stay Unknown.
+    /// An upper bound on fiber length (e.g. the largest program dimension).
+    /// Read by no pass.
     pub fiber_hi: Option<u64>,
 }
 
@@ -83,9 +73,8 @@ impl Default for VerifyOptions {
 pub struct VerifyConfig {
     /// Master switch; `false` refuses nothing.
     pub enabled: bool,
-    /// Analyzer knobs for a caller that lints a compiled graph with
-    /// [`verify_graph`]; a compile ignores them, since no error pass reads
-    /// them.
+    /// The options a caller passes to [`verify_graph`] when it lints a
+    /// compiled graph; no pass reads them.
     pub options: VerifyOptions,
 }
 
@@ -121,16 +110,15 @@ pub fn graph_errors(g: &SamGraph) -> Vec<Diag> {
 /// arrays and walk the graph upward, so they rely on that check.
 ///
 /// The error passes of [`graph_errors`] run first, then the dead-code
-/// warnings and the deadlock pass; all share the graph's adjacency index and
-/// the one topological order computed here.
-pub fn verify_graph(g: &SamGraph, opts: &VerifyOptions) -> Report {
+/// warnings (SA014, SA015); all share the graph's adjacency index and the
+/// one topological order computed here. No pass reads `_opts`.
+pub fn verify_graph(g: &SamGraph, _opts: &VerifyOptions) -> Report {
     let (order, mut diags) = match error_passes(g) {
         Ok(passed) => passed,
-        Err(invalid) => return Report { diags: vec![invalid], ..Report::default() },
+        Err(invalid) => return Report { diags: vec![invalid] },
     };
     dead::check_dead(g, &order, &mut diags);
-    let regions = deadlock::check_deadlock(g, &order, opts, &mut diags);
-    Report { diags, regions }
+    Report { diags }
 }
 
 /// The passes that emit errors, in order: validation (SA017, an `Err` that
@@ -185,9 +173,9 @@ mod tests {
     }
 
     /// The reconvergent softmax-normalization shape: vals fan out to a
-    /// direct ALU operand and to Reduce -> Repeat, which must absorb a
-    /// whole fiber before the ALU's first commit.
-    pub(crate) fn reconvergent_graph() -> SamGraph {
+    /// direct ALU operand and to Reduce -> Repeat, whose sides sit at equal
+    /// depth at the ALU.
+    fn reconvergent_graph() -> SamGraph {
         let mut g = SamGraph::new();
         let b = g.add_tensor("B", MemLocation::OnChip);
         let o = g.add_output("T", vec![8], Format::sparse_vec(), MemLocation::OnChip);
@@ -217,7 +205,6 @@ mod tests {
         assert!(g.validate().is_ok());
         let r = verify_graph(&g, &VerifyOptions::default());
         assert!(r.is_clean(), "unexpected diagnostics:\n{}", r.render_human(&g));
-        assert!(r.regions.flagged == 0);
     }
 
     #[test]
@@ -262,31 +249,6 @@ mod tests {
         let g = reconvergent_graph();
         let r = verify_graph(&g, &VerifyOptions::default());
         assert_eq!(r.with_code(Code::SA011).count(), 0, "report:\n{}", r.render_human(&g));
-    }
-
-    #[test]
-    fn reconvergent_graph_certifies_at_adequate_capacity() {
-        // Fibers of up to 8 elements: capacity 9 holds the 9 tokens (8
-        // elems + stop) the Reduce path retains.
-        let g = reconvergent_graph();
-        let opts = VerifyOptions { channel_capacity: 9, fiber_hi: Some(8) };
-        let r = verify_graph(&g, &opts);
-        assert!(r.is_clean(), "report:\n{}", r.render_human(&g));
-        assert_eq!((r.regions.certified, r.regions.flagged, r.regions.unknown), (3, 0, 0));
-    }
-
-    #[test]
-    fn sa013_possible_deadlock_with_min_safe_capacity() {
-        let g = reconvergent_graph();
-        let opts = VerifyOptions { channel_capacity: 4, fiber_hi: Some(8) };
-        let r = verify_graph(&g, &opts);
-        assert!(r.with_code(Code::SA013).count() >= 1, "report:\n{}", r.render_human(&g));
-        let d = r.with_code(Code::SA013).next().unwrap();
-        assert_eq!(d.severity(), Severity::Warning);
-        // Two reconvergent regions are flagged; the binding one (the cloned
-        // Array fan-out) needs capacity 9 to hold a full fiber plus stop.
-        let min = r.with_code(Code::SA013).filter_map(|d| d.min_safe_capacity).max();
-        assert_eq!(min, Some(9));
     }
 
     #[test]
@@ -336,12 +298,11 @@ mod tests {
             let d = &r.diags[0];
             assert_eq!((d.code, d.severity()), (Code::SA017, Severity::Error), "{what}");
             assert!(d.message.contains(&err.to_string()), "{what}: {}", d.message);
-            assert_eq!(r.regions, RegionSummary::default());
             assert!(r.render_human(g).contains("error[SA017]"));
         };
 
-        // A 2-node cycle through a binary ALU (the upward path walk of the
-        // deadlock pass would never end).
+        // A 2-node cycle through a binary ALU (an upward walk from the ALU
+        // would never end).
         let mut g = clean_graph();
         let a0 = g.add_node(NodeKind::Alu { op: AluOp::Add });
         let a1 = g.add_node(NodeKind::Alu { op: AluOp::Add });
@@ -391,22 +352,5 @@ mod tests {
         let mut g = clean_graph();
         g.add_tensor("B", MemLocation::OnChip);
         invalid(&g, "duplicate slot");
-    }
-
-    /// The widest fiber bound saturates instead of overflowing, and a
-    /// looser bound never certifies a region a tighter one does not.
-    #[test]
-    fn an_unbounded_fiber_hi_certifies_no_more_than_a_small_one() {
-        let g = reconvergent_graph();
-        for channel_capacity in [1, 2, 4, 9, 256] {
-            let at = |fiber_hi| verify_graph(&g, &VerifyOptions { channel_capacity, fiber_hi });
-            let (small, huge) = (at(Some(8)), at(Some(u64::MAX)));
-            assert!(
-                huge.regions.certified <= small.regions.certified,
-                "capacity {channel_capacity}: {:?} at u64::MAX, {:?} at 8",
-                huge.regions,
-                small.regions
-            );
-        }
     }
 }
