@@ -39,7 +39,7 @@ use fuseflow_sim::{SimConfig, Stats};
 use fuseflow_tensor::gen::GraphPattern;
 use fuseflow_tensor::SparseTensor;
 use fuseflow_verify::{verify_graph, VerifyConfig, VerifyOptions};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Display;
 use std::time::Instant;
 
@@ -530,7 +530,31 @@ fn fig18() -> Vec<Table> {
     for (reason, pairs) in refused {
         t.notes.push(format!("{pairs} order pairs refused: {reason}"));
     }
+    t.gate = Some(fig18_shape);
     vec![t]
+}
+
+/// The fewest order pairs Fig 18 may simulate: the count today, which only
+/// rises as the lowering admits more orders.
+const FIG18_MIN_SIMULATED: usize = 4;
+
+/// Fig 18's claim: the dataflow order moves the cycles. At least
+/// [`FIG18_MIN_SIMULATED`] order pairs simulate (each verified by
+/// [`run_point`]), and they take at least two distinct cycle counts.
+fn fig18_shape(t: &Table) -> Vec<String> {
+    let simulated: Vec<u64> = t.rows.iter().filter_map(|r| r.cycles).collect();
+    let mut broken = Vec::new();
+    if simulated.len() < FIG18_MIN_SIMULATED {
+        broken.push(format!(
+            "{} order pairs simulated, fewer than {FIG18_MIN_SIMULATED}",
+            simulated.len()
+        ));
+    }
+    let distinct: BTreeSet<u64> = simulated.into_iter().collect();
+    if distinct.len() < 2 {
+        broken.push(format!("the simulated order pairs take one cycle count: {distinct:?}"));
+    }
+    broken
 }
 
 /// Table 3: heuristic FLOPs/bytes error against the simulator.
@@ -593,7 +617,7 @@ fn table3_shape(t: &Table) -> Vec<String> {
 }
 
 /// Table 4: design-space size with and without local (per-kernel best
-/// dataflow order) constraints, plus the POG linear-extension counts for
+/// dataflow order) constraints, plus the POG linear-extension count for
 /// the first fused region (exact via the frontier DP in
 /// `Pog::count_orders`, `*` marks capped entries like the paper).
 fn table4() -> Vec<Table> {
@@ -601,7 +625,7 @@ fn table4() -> Vec<Table> {
     let mut t = Table::new(
         "table4",
         "Table 4: dataflow-order design-space size",
-        &["model", "unconstrained", "capped", "constrained", "pog_formats_only", "pog_full"],
+        &["model", "unconstrained", "capped", "constrained", "pog_full"],
     );
     let ds = GraphDataset {
         name: "collab",
@@ -628,21 +652,17 @@ fn table4() -> Vec<Table> {
                 con = con.saturating_mul(fact(n)).min(cap);
             }
         }
-        // POG-level counts for the leading fused region: mode orders alone
-        // vs mode orders + user dataflow constraints.
+        // POG-level count for the leading fused region: mode orders and
+        // user dataflow constraints.
         let region_len = m.program.exprs().len().min(2);
-        let (pog_fmt, pog_full) = match fuse_region(&m.program, 0..region_len) {
+        let pog_full = match fuse_region(&m.program, 0..region_len) {
             Ok(region) => {
-                let fmt = region.pog_formats_only.count_orders(cap);
-                let full = region.pog.count_orders(cap);
-                (
-                    format!("{}{}", fmt.0, if fmt.1 { "*" } else { "" }),
-                    format!("{}{}", full.0, if full.1 { "*" } else { "" }),
-                )
+                let (full, capped) = region.pog.count_orders(cap);
+                format!("{full}{}", if capped { "*" } else { "" })
             }
-            Err(_) => ("-".into(), "-".into()),
+            Err(_) => "-".into(),
         };
-        t.row(&[&name, &un, &capped, &con, &pog_fmt, &pog_full]);
+        t.row(&[&name, &un, &capped, &con, &pog_full]);
     }
     vec![t]
 }
@@ -1016,6 +1036,24 @@ mod tests {
         assert!(flat[0].starts_with("b/both/x4 at Some(286743) cycles is not below b/both/x2"));
         // A split that gains nothing past factor 2 breaks one step.
         assert_eq!(fig16b_shape(&fig([286743, 143899, 143899])).len(), 1);
+    }
+
+    #[test]
+    fn fig18_shape_wants_four_simulated_pairs_and_two_cycle_counts() {
+        let fig = |cycles: &[u64]| {
+            let labels = ["iku|iuj", "iku|iju", "iuk|iuj", "iuk|iju"];
+            let mut t =
+                table(&labels.iter().copied().zip(cycles.iter().copied()).collect::<Vec<_>>());
+            t.point("kiu|jiu", None, &[&"kiu|jiu"]);
+            t
+        };
+        assert!(fig18_shape(&fig(&[36630, 46883, 36630, 46883])).is_empty());
+        let flat = fig18_shape(&fig(&[36630; 4]));
+        assert_eq!(flat, ["the simulated order pairs take one cycle count: {36630}"]);
+        let fewer = fig18_shape(&fig(&[36630, 46883, 36630]));
+        assert_eq!(fewer, ["3 order pairs simulated, fewer than 4"]);
+        // The refused row counts for neither; one pair that ran breaks both.
+        assert_eq!(fig18_shape(&fig(&[36630])).len(), 2);
     }
 
     #[test]

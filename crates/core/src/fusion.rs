@@ -10,6 +10,7 @@
 //! re-instantiated — the recomputation full fusion can introduce).
 
 use crate::ir::{AluOp, Einsum, IndexVar, Program, ReduceOp, TensorId};
+use fuseflow_sam::MAX_SPACC_ORDER;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
@@ -276,9 +277,6 @@ pub struct FusedRegion {
     pub exprs: Vec<FusedExpr>,
     /// POG with all constraints (mode orders + user dataflow orders).
     pub pog: Pog,
-    /// POG with only format/mode-order constraints (Table 4's
-    /// "unconstrained" count).
-    pub pog_formats_only: Pog,
     /// The chosen concordant global dataflow order.
     pub order: Vec<GlobalIx>,
     /// Display name of each global index.
@@ -520,7 +518,7 @@ pub fn fuse_region(program: &Program, range: Range<usize>) -> Result<FusedRegion
     // the "local constraint" edges of Table 4.
     let n_global = names.len();
     let mut transposes: Vec<TransposeFix> = Vec::new();
-    let build_pogs = |fused: &[FusedExpr], with_dataflow: bool| {
+    let build_pog = |fused: &[FusedExpr]| {
         let mut pog = Pog::new(n_global);
         for (ei, fe) in fused.iter().enumerate() {
             for (_, ixs) in fe.inputs.iter().chain(std::iter::once(&fe.output)) {
@@ -528,18 +526,16 @@ pub fn fuse_region(program: &Program, range: Range<usize>) -> Result<FusedRegion
                     pog.add_edge(w[0], w[1]);
                 }
             }
-            if with_dataflow {
-                if let Some(order) = &exprs[ei].dataflow {
-                    let g = order.iter().map(|ix| global_of[&(ei, *ix)]).collect::<Vec<_>>();
-                    for w in g.windows(2) {
-                        pog.add_edge(w[0], w[1]);
-                    }
+            if let Some(order) = &exprs[ei].dataflow {
+                let g = order.iter().map(|ix| global_of[&(ei, *ix)]).collect::<Vec<_>>();
+                for w in g.windows(2) {
+                    pog.add_edge(w[0], w[1]);
                 }
             }
         }
         pog
     };
-    let mut pog = build_pogs(&fused, true);
+    let mut pog = build_pog(&fused);
 
     // Step 4: cycle resolution by materializing permuted copies of input
     // views (higher-order transposes), up to four fixes.
@@ -560,7 +556,7 @@ pub fn fuse_region(program: &Program, range: Range<usize>) -> Result<FusedRegion
                 // order exists; derive the permutation from it.
                 let mut trial = fused.clone();
                 trial[ei].inputs[pos].1 = vec![]; // drop its constraints
-                let pog_wo = build_pogs(&trial, true);
+                let pog_wo = build_pog(&trial);
                 if let Some(order) = pog_wo.topo_first() {
                     let posn: HashMap<GlobalIx, usize> =
                         order.iter().enumerate().map(|(p, g)| (*g, p)).collect();
@@ -577,16 +573,16 @@ pub fn fuse_region(program: &Program, range: Range<usize>) -> Result<FusedRegion
         if !fixed {
             return Err(FuseError::UnresolvableCycle);
         }
-        pog = build_pogs(&fused, true);
+        pog = build_pog(&fused);
     }
     if pog.is_cyclic() {
         return Err(FuseError::UnresolvableCycle);
     }
-    let pog_formats_only = build_pogs(&fused, false);
 
     // Choose a concordant order, preferring one where every reduction is
-    // realizable with a one-level sparse accumulator (the reduced index
-    // directly above at most one deeper free index per expression).
+    // realizable with an accumulator the lowering has (the reduced index
+    // directly above at most `MAX_SPACC_ORDER` deeper free indices per
+    // expression).
     let candidates = pog.all_orders(512);
     let spacc_ok = |order: &[GlobalIx]| {
         let posn: HashMap<GlobalIx, usize> =
@@ -597,7 +593,7 @@ pub fn fuse_region(program: &Program, range: Range<usize>) -> Result<FusedRegion
             fe.reduce.iter().all(|u| {
                 let up = rows.iter().position(|r| r == u).expect("reduce in rows");
                 let below = &rows[up + 1..];
-                below.len() <= 1 && below.iter().all(|b| !fe.reduce.contains(b))
+                below.len() <= MAX_SPACC_ORDER && below.iter().all(|b| !fe.reduce.contains(b))
             })
         })
     };
@@ -650,17 +646,7 @@ pub fn fuse_region(program: &Program, range: Range<usize>) -> Result<FusedRegion
     }
     let scopes: Vec<Vec<GlobalIx>> = scopes.into_iter().map(|s| s.expect("filled")).collect();
 
-    Ok(FusedRegion {
-        exprs: fused,
-        pog,
-        pog_formats_only,
-        order,
-        names,
-        global_of,
-        scopes,
-        transposes,
-        clone_of,
-    })
+    Ok(FusedRegion { exprs: fused, pog, order, names, global_of, scopes, transposes, clone_of })
 }
 
 #[cfg(test)]
@@ -795,14 +781,25 @@ mod tests {
         assert!(f.scopes[1].is_empty());
     }
 
+    /// `S[i] = Σ_{k,l} A[i,k]·B[i,l]`: the formats leave `k` and `l`
+    /// unordered, and a dataflow order `i, l, k` picks one of the two.
     #[test]
     fn user_dataflow_constrains_order_count() {
-        let (p, r) = gcn_like();
-        let f = fuse_region(&p, r.clone()).unwrap();
-        let (unconstrained, _) = f.pog_formats_only.count_orders(1 << 40);
-        let (constrained, _) = f.pog.count_orders(1 << 40);
-        assert!(constrained <= unconstrained);
-        assert!(unconstrained >= 1);
+        let fused = |dataflow: bool| {
+            let mut p = Program::new();
+            let (i, k, l) = (p.index("i"), p.index("k"), p.index("l"));
+            let a = p.input("A", vec![4, 4], Format::csr());
+            let b = p.input("B", vec![4, 4], Format::csr());
+            let ins = vec![(a, vec![i, k]), (b, vec![i, l])];
+            let s = p.contract("S", vec![i], ins, vec![k, l], Format::sparse_vec());
+            if dataflow {
+                p.set_dataflow(vec![i, l, k]);
+            }
+            p.mark_output(s);
+            fuse_region(&p, 0..1).unwrap()
+        };
+        assert_eq!(fused(false).pog.count_orders(1 << 40), (2, false));
+        assert_eq!(fused(true).pog.count_orders(1 << 40), (1, false));
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! 3. [`fusion::fuse_region`] — cross-expression fusion with the partial
 //!    order graph (POG) and recomputation scopes (Section 5).
 //! 4. [`lower::lower_region`] — fusion-table lowering to SAMML with
-//!    factored iteration and interleaved `Spacc1` reductions (Section 6).
+//!    factored iteration and interleaved `Spacc` accumulator reductions
+//!    (Section 6).
 //! 5. [`pipeline::run`] — cycle-level execution on `fuseflow-sim`, with
 //!    [`pipeline::verify`] against the structural reference interpreter.
 //!

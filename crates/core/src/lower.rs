@@ -12,7 +12,7 @@
 //! The lowering walks the fused iteration order row by row (top-down),
 //! building for every expression its interleaved input-iteration and
 //! compute pipelines — **factored iteration**: each expression keeps its own
-//! sub-space, non-innermost reductions become `Spacc1` sparse accumulators
+//! sub-space, non-innermost reductions become order-1 `Spacc` sparse accumulators
 //! whose output coordinate streams feed the next expression's joins, and
 //! shared rows reuse the streams already built instead of re-iterating loops.
 //!
@@ -27,7 +27,7 @@
 
 use crate::fusion::{FuseError, FusedRegion, GlobalIx};
 use crate::ir::{Program, TensorId};
-use fuseflow_sam::{MemLocation, NodeId, NodeKind, SamGraph};
+use fuseflow_sam::{MemLocation, NodeId, NodeKind, SamGraph, MAX_SPACC_ORDER};
 use std::collections::{BTreeMap, HashMap};
 
 /// A stream handle: an output port of a graph node, or a forward reference
@@ -817,23 +817,24 @@ fn finish_expr(ctx: &mut Ctx<'_>, ei: usize) -> Result<(), LowerError> {
             .filter(|r| ctx.pos[r] > ctx.pos[&u] && !eliminated.contains(r))
             .copied()
             .collect();
-        if below.is_empty() {
-            // Innermost reduction.
-            val = port(&ctx.emit(NodeKind::Reduce { op: e.reduce_op }, &[&val]), 0);
-        } else if below.len() == 1 {
-            let w = below[0];
-            let crd_in =
-                crd_override.get(&w).cloned().unwrap_or_else(|| ctx.row_crd[&(ei, w)].clone());
-            let s = ctx.emit(NodeKind::Spacc1 { op: e.reduce_op }, &[&crd_in, &val]);
-            crd_override.insert(w, port(&s, 0));
-            val = port(&s, 1);
-        } else {
+        if below.len() > MAX_SPACC_ORDER {
             return Err(LowerError::Unsupported(format!(
                 "reduction over '{}' has {} free rows below it (needs a deeper accumulator)",
                 ctx.name(u),
                 below.len()
             )));
         }
+        // One accumulator keyed by the free rows below `u`: their crd
+        // streams, then the values, in and out.
+        let crds: Vec<Vec<H>> = (below.iter())
+            .map(|w| crd_override.get(w).cloned().unwrap_or_else(|| ctx.row_crd[&(ei, *w)].clone()))
+            .collect();
+        let ins: Vec<&[H]> = crds.iter().map(Vec::as_slice).chain([val.as_slice()]).collect();
+        let s = ctx.emit(NodeKind::Spacc { order: below.len(), op: e.reduce_op }, &ins);
+        for (p, w) in below.iter().enumerate() {
+            crd_override.insert(*w, port(&s, p));
+        }
+        val = port(&s, below.len());
         eliminated.push(u);
     }
     // Register the produced tensor.

@@ -81,7 +81,7 @@ fn composed_product_lowers_to_chained_accumulators() {
     let g = &low.graph;
     let spaccs: Vec<NodeId> = (0..g.node_count())
         .map(NodeId)
-        .filter(|&n| matches!(g.node(n), NodeKind::Spacc1 { .. }))
+        .filter(|&n| matches!(g.node(n), NodeKind::Spacc { order: 1, .. }))
         .collect();
     let [inner, outer] = spaccs[..] else { panic!("two accumulators, got {spaccs:?}") };
     // The outer accumulator takes both its streams from the inner one.
@@ -256,7 +256,7 @@ fn a_forward_reference_is_an_edge_to_its_producer() {
     let g = &compiled.lowered[0].graph;
     let reduces: Vec<NodeId> = (0..g.node_count())
         .map(NodeId)
-        .filter(|&n| matches!(g.node(n), NodeKind::Reduce { .. }))
+        .filter(|&n| matches!(g.node(n), NodeKind::Spacc { order: 0, .. }))
         .collect();
     let [reduce] = reduces[..] else { panic!("one Reduce, got {reduces:?}") };
     let fed: Vec<_> = g.out_edges(reduce).map(|e| (g.node(e.dst.node), e.dst.port)).collect();
@@ -284,7 +284,7 @@ fn a_forward_reference_held_by_a_registered_tensor_resolves() {
     let writer =
         (0..g.node_count()).map(NodeId).find(|&n| g.node(n) == &NodeKind::ValWriter { output: 0 });
     let src = g.in_edge(writer.expect("Y's writer"), 0).expect("a connected writer").src.node;
-    assert!(matches!(g.node(src), NodeKind::Reduce { .. }), "{:?}", g.node(src));
+    assert!(matches!(g.node(src), NodeKind::Spacc { order: 0, .. }), "{:?}", g.node(src));
 
     let adj = adjacency(8, 0.4, GraphPattern::Uniform, 7, &Format::csr());
     let inputs = HashMap::from([("A".to_string(), adj)]);
@@ -330,21 +330,38 @@ fn view_duplication_clones_producer_chains() {
     assert!(region.exprs.len() > 4, "the clone adds expressions to the region");
 }
 
+/// `S[i] = Σ_{k,l} A[i,k]·B[i,l]` fused with and without its dataflow
+/// order `i, l, k`: the POG holds each view's mode order, `i → k` and
+/// `i → l`, and the schedule adds `l → k`, which pins the space. Fusion
+/// names the reduced `k` and `l` `u0` and `u1`.
 #[test]
 fn pog_edges_come_from_formats_and_schedules() {
-    let mut p = Program::new();
-    let (i, k, j) = (p.index("i"), p.index("k"), p.index("j"));
-    let a = p.input("A", vec![4, 4], Format::csr());
-    let b = p.input("B", vec![4, 4], Format::csr());
-    let t =
-        p.contract("T", vec![i, j], vec![(a, vec![i, k]), (b, vec![k, j])], vec![k], Format::csr());
-    p.set_dataflow(vec![i, k, j]);
-    p.mark_output(t);
-    let region = fuse_region(&p, 0..1).unwrap();
-    let (formats_only, _) = region.pog_formats_only.count_orders(1 << 30);
-    let (with_schedule, _) = region.pog.count_orders(1 << 30);
-    assert!(with_schedule <= formats_only);
-    assert_eq!(with_schedule, 1, "the explicit dataflow order pins the space");
+    let fused = |dataflow: bool| {
+        let mut p = Program::new();
+        let (i, k, l) = (p.index("i"), p.index("k"), p.index("l"));
+        let a = p.input("A", vec![4, 4], Format::csr());
+        let b = p.input("B", vec![4, 4], Format::csr());
+        let ins = vec![(a, vec![i, k]), (b, vec![i, l])];
+        let s = p.contract("S", vec![i], ins, vec![k, l], Format::sparse_vec());
+        if dataflow {
+            p.set_dataflow(vec![i, l, k]);
+        }
+        p.mark_output(s);
+        let region = fuse_region(&p, 0..1).unwrap();
+        let name = |g: GlobalIx| region.names[g.0 as usize].clone();
+        let mut edges: Vec<(String, String)> =
+            region.pog.edges().map(|(a, b)| (name(a), name(b))).collect();
+        edges.sort();
+        (edges, region.pog.count_orders(1 << 30))
+    };
+    let (formats, formats_count) = fused(false);
+    let (scheduled, scheduled_count) = fused(true);
+    let named = |pairs: &[(&str, &str)]| -> Vec<(String, String)> {
+        pairs.iter().map(|&(a, b)| (a.to_string(), b.to_string())).collect()
+    };
+    assert_eq!(formats, named(&[("i", "u0"), ("i", "u1")]));
+    assert_eq!(scheduled, named(&[("i", "u0"), ("i", "u1"), ("u1", "u0")]));
+    assert_eq!((formats_count, scheduled_count), ((2, false), (1, false)));
 }
 
 /// Regression: `apply_split` emitted a parallelizer per entry of a

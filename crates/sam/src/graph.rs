@@ -449,15 +449,7 @@ impl SamGraph {
         let mut h = HashMap::new();
         for kind in &self.nodes {
             let key = match kind {
-                NodeKind::LevelScanner { .. } => "LevelScanner".to_string(),
-                NodeKind::Array { .. } => "Array".to_string(),
-                NodeKind::Alu { .. } => "Alu".to_string(),
-                NodeKind::Reduce { .. } => "Reduce".to_string(),
-                NodeKind::Spacc1 { .. } => "Spacc1".to_string(),
-                NodeKind::CrdWriter { .. } => "CrdWriter".to_string(),
-                NodeKind::ValWriter { .. } => "ValWriter".to_string(),
-                NodeKind::Parallelizer { .. } => "Parallelizer".to_string(),
-                NodeKind::Serializer { .. } => "Serializer".to_string(),
+                NodeKind::Spacc { order, .. } => crate::node::spacc_name(*order),
                 other => format!("{other:?}").split_whitespace().next().unwrap().to_string(),
             };
             *h.entry(key).or_insert(0) += 1;

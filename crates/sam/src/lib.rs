@@ -32,4 +32,4 @@ mod graph;
 mod node;
 
 pub use graph::{Edge, GraphError, NodeId, OutputSlot, Port, SamGraph, TensorSlot};
-pub use node::{AluOp, MemLocation, NodeKind, PortSig, ReduceOp, StreamKind};
+pub use node::{AluOp, MemLocation, NodeKind, PortSig, ReduceOp, StreamKind, MAX_SPACC_ORDER};

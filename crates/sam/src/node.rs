@@ -89,7 +89,7 @@ impl AluOp {
     }
 }
 
-/// Reduction operators for [`NodeKind::Reduce`] and [`NodeKind::Spacc1`].
+/// Reduction operators of [`NodeKind::Spacc`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {
     /// Sum-reduction.
@@ -107,6 +107,11 @@ impl ReduceOp {
         }
     }
 }
+
+/// The deepest [`NodeKind::Spacc`] order: how many free rows a reduction may
+/// have below it. The lowering refuses a reduction with more ("needs a
+/// deeper accumulator"), and fusion prefers an order where none has more.
+pub const MAX_SPACC_ORDER: usize = 1;
 
 /// Where a tensor lives during execution; controls whether touches are
 /// charged to the DRAM model or considered on-chip (BRAM/registers).
@@ -179,21 +184,20 @@ pub enum NodeKind {
         /// Operation performed.
         op: AluOp,
     },
-    /// Innermost reduction: collapses each inner fiber of the value stream
-    /// to one value; output is one stop-level shallower.
+    /// Sparse accumulator of order `order` (SAM's reducer family; the
+    /// interleaved reduction of Section 6 that enables factored iteration).
+    /// It merges each value into a map keyed by the coordinates of the
+    /// `order` free levels below the reduced one, across the `Stop(k <
+    /// order)` boundaries between the fibers it reduces, and flushes the map
+    /// as one sorted fiber on `Stop(k >= order)`; the output is one
+    /// stop-level shallower. Order 0 (`Reduce`) collapses each innermost
+    /// fiber to one value; order 1 (`Spacc1`, the "Vector (1) Reducer")
+    /// accumulates `(crd, val)` fibers. At most [`MAX_SPACC_ORDER`].
     ///
-    /// Inputs: `0: val`. Outputs: `0: val`.
-    Reduce {
-        /// Reduction operator.
-        op: ReduceOp,
-    },
-    /// Higher-order sparse accumulator ("Vector (1) Reducer", the
-    /// interleaved reduction of Section 6 enabling factored iteration):
-    /// accumulates `(crd, val)` fibers across `Stop(0)` boundaries, flushes
-    /// a merged sorted fiber on `Stop(k >= 1)`.
-    ///
-    /// Inputs: `0: crd`, `1: val`. Outputs: `0: crd`, `1: val`.
-    Spacc1 {
+    /// Inputs and outputs: `0..order: crd`, `order: val`.
+    Spacc {
+        /// Number of free levels below the reduced one.
+        order: usize,
         /// Reduction operator.
         op: ReduceOp,
     },
@@ -241,6 +245,16 @@ pub enum NodeKind {
     },
 }
 
+/// A [`NodeKind::Spacc`]'s name by its order: `Reduce` at 0, `Spacc<order>`
+/// above.
+pub(crate) fn spacc_name(order: usize) -> String {
+    if order == 0 {
+        "Reduce".into()
+    } else {
+        format!("Spacc{order}")
+    }
+}
+
 /// The kind of data a stream carries, used for graph validation and
 /// visualization (solid/dashed/double arrows in the paper's figures).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -284,6 +298,13 @@ const fn req_any() -> PortSig {
     PortSig { kind: None, required: true }
 }
 
+/// A [`NodeKind::Spacc`]'s ports, in and out: `order` crd, then one val.
+fn spacc_ports(order: usize) -> Vec<PortSig> {
+    let mut v = vec![req(StreamKind::Crd); order];
+    v.push(req(StreamKind::Val));
+    v
+}
+
 impl NodeKind {
     /// Input port signatures.
     pub fn input_ports(&self) -> Vec<PortSig> {
@@ -303,8 +324,7 @@ impl NodeKind {
                     vec![req(Val)]
                 }
             }
-            NodeKind::Reduce { .. } => vec![req(Val)],
-            NodeKind::Spacc1 { .. } => vec![req(Crd), req(Val)],
+            NodeKind::Spacc { order, .. } => spacc_ports(*order),
             NodeKind::CrdWriter { .. } => vec![req(Crd)],
             NodeKind::ValWriter { .. } => vec![req(Val)],
             NodeKind::Parallelizer { .. } => vec![req(Crd), opt_any()],
@@ -328,8 +348,7 @@ impl NodeKind {
             }
             NodeKind::Array { .. } => vec![req(Val)],
             NodeKind::Alu { .. } => vec![req(Val)],
-            NodeKind::Reduce { .. } => vec![req(Val)],
-            NodeKind::Spacc1 { .. } => vec![req(Crd), req(Val)],
+            NodeKind::Spacc { order, .. } => spacc_ports(*order),
             NodeKind::CrdWriter { .. } | NodeKind::ValWriter { .. } => vec![],
             NodeKind::Parallelizer { factor } => {
                 let mut v = Vec::new();
@@ -354,8 +373,7 @@ impl NodeKind {
             NodeKind::UnionLeft => "UnionLeft".into(),
             NodeKind::Array { tensor } => format!("Array[t{tensor}]"),
             NodeKind::Alu { op } => format!("ALU[{op:?}]"),
-            NodeKind::Reduce { op } => format!("Reduce[{op:?}]"),
-            NodeKind::Spacc1 { op } => format!("Spacc1[{op:?}]"),
+            NodeKind::Spacc { order, op } => format!("{}[{op:?}]", spacc_name(*order)),
             NodeKind::CrdWriter { output, level } => format!("CrdWriter[o{output}.l{level}]"),
             NodeKind::ValWriter { output } => format!("ValWriter[o{output}]"),
             NodeKind::Parallelizer { factor } => format!("Par[{factor}]"),
@@ -403,5 +421,14 @@ mod tests {
         assert_eq!(par.output_ports().len(), 8);
         let ser = NodeKind::Serializer { factor: 4, depth: 1 };
         assert_eq!(ser.input_ports().len(), 5);
+        for (order, name) in [(0, "Reduce[Max]"), (1, "Spacc1[Max]")] {
+            let spacc = NodeKind::Spacc { order, op: ReduceOp::Max };
+            let kinds: Vec<_> = spacc.input_ports().iter().map(|p| p.kind).collect();
+            assert_eq!(kinds.len(), order + 1);
+            assert!(kinds[..order].iter().all(|&k| k == Some(StreamKind::Crd)));
+            assert_eq!(kinds[order], Some(StreamKind::Val));
+            assert_eq!(spacc.output_ports(), spacc.input_ports());
+            assert_eq!(spacc.name(), name);
+        }
     }
 }

@@ -14,7 +14,7 @@ use crate::chan::{Ctx, StepOutcome};
 use crate::dram::AccessKind;
 use crate::engine::SimError;
 use crate::tok::{Block, Payload, Tile, Token};
-use fuseflow_sam::{AluOp, MemLocation, NodeKind, ReduceOp};
+use fuseflow_sam::{AluOp, MemLocation, NodeKind, ReduceOp, MAX_SPACC_ORDER};
 use fuseflow_tensor::Level;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -55,9 +55,10 @@ pub(crate) enum JoinMode {
 /// parameters and its state, built once from the graph's [`NodeKind`]. Root
 /// counts the tokens of `[Ref(0), Done]` it has emitted, Repeat holds the
 /// loaded base element, Array the tile it loaded for each stored position of
-/// a blocked tensor (a position read again reuses it), a writer the stream it
-/// received (for the output rebuild), and Par the branch the next element goes
-/// to.
+/// a blocked tensor (a position read again reuses it), Spacc the values
+/// accumulated so far by coordinate (all under 0 at order 0), a writer the
+/// stream it received (for the output rebuild), and Par the branch the next
+/// element goes to.
 #[derive(Debug)]
 pub(crate) enum Prim {
     Root { emitted: u8 },
@@ -66,8 +67,7 @@ pub(crate) enum Prim {
     Join(JoinMode),
     Array { tensor: usize, loaded: Vec<Option<Tile>> },
     Alu { op: AluOp },
-    Reduce { op: ReduceOp, acc: Option<Payload> },
-    Spacc { op: ReduceOp, map: BTreeMap<u32, Payload> },
+    Spacc { order: usize, op: ReduceOp, map: BTreeMap<u32, Payload> },
     CrdWriter { output: usize, level: usize, tokens: Vec<Token> },
     ValWriter { output: usize, tokens: Vec<Token> },
     Par { factor: usize, rr: usize },
@@ -128,8 +128,7 @@ impl Rt {
             NodeKind::UnionLeft => Prim::Join(JoinMode::UnionLeft),
             NodeKind::Array { tensor } => Prim::Array { tensor, loaded: Vec::new() },
             NodeKind::Alu { op } => Prim::Alu { op },
-            NodeKind::Reduce { op } => Prim::Reduce { op, acc: None },
-            NodeKind::Spacc1 { op } => Prim::Spacc { op, map: BTreeMap::new() },
+            NodeKind::Spacc { order, op } => Prim::Spacc { order, op, map: BTreeMap::new() },
             NodeKind::CrdWriter { output, level } => {
                 Prim::CrdWriter { output, level, tokens: Vec::new() }
             }
@@ -228,8 +227,7 @@ impl Rt {
             Prim::Join(mode) => io.act_join(ctx, *mode),
             Prim::Array { tensor, loaded } => io.act_array(ctx, *tensor, loaded),
             Prim::Alu { op } => io.act_alu(ctx, *op),
-            Prim::Reduce { op, acc } => io.act_reduce(ctx, *op, acc),
-            Prim::Spacc { op, map } => io.act_spacc(ctx, *op, map),
+            Prim::Spacc { order, op, map } => io.act_spacc(ctx, *order, *op, map),
             Prim::CrdWriter { output, tokens, .. } | Prim::ValWriter { output, tokens } => {
                 io.act_writer(ctx, *output, tokens)
             }
@@ -767,109 +765,88 @@ impl Io {
         Ok(true)
     }
 
-    fn act_reduce(&mut self, ctx: &mut Ctx, op: ReduceOp, acc: &mut Option<Payload>) -> Act {
-        let Some(head) = self.peek(ctx, 0) else { return Ok(false) };
-        match head {
-            Token::Elem(p) => {
-                let new = match (*acc, p) {
-                    (None, p) => p,
-                    (Some(Payload::F(a)), Payload::F(b)) => {
-                        ctx.flops += 1;
-                        Payload::F(op.apply(a, b))
-                    }
-                    // An absent operand adds nothing: `a` passes as it is.
-                    (Some(Payload::F(a)), Payload::Empty)
-                    | (Some(Payload::Empty), Payload::F(a)) => Payload::F(a),
-                    (Some(Payload::Blk(a)), Payload::Blk(b)) => {
-                        let out = zip_tiles(ctx, a, b, 1, |x, y| op.apply(x, y));
-                        out.or_else(|m| self.fail(format_args!("reduce: {m}")))?
-                    }
-                    (Some(a), b) => {
-                        return self.fail(format_args!("reduce operands {a:?} / {b:?}"))
-                    }
-                };
-                self.pop(ctx, 0);
-                *acc = Some(new);
+    /// A sparse accumulator of order `order`: ports `0..order` carry the
+    /// coordinates of the free levels below the reduced one, port `order`
+    /// the values. Each value merges into `map` under its coordinate (all
+    /// under 0 at order 0); an absent operand adds nothing. `Stop(k)` with
+    /// `k < order` only separates the fibers being accumulated. `Stop(k >=
+    /// order)` flushes the map in coordinate order, then emits `Stop(k - 1)`
+    /// on every port if `k >= 1`. An empty flush at order 0 emits 0: it has
+    /// no coordinate to leave out, and a fiber with nothing in it reduces to
+    /// 0 under every op, the absent coordinate the interpreter reads.
+    fn act_spacc(
+        &mut self,
+        ctx: &mut Ctx,
+        order: usize,
+        op: ReduceOp,
+        map: &mut BTreeMap<u32, Payload>,
+    ) -> Act {
+        if order > MAX_SPACC_ORDER {
+            return self.fail(format_args!("no accumulator of order {order}"));
+        }
+        let Some(v) = self.peek(ctx, order) else { return Ok(false) };
+        let mut key = 0;
+        for port in 0..order {
+            let Some(c) = self.peek(ctx, port) else { return Ok(false) };
+            match (c, v) {
+                (Token::Elem(pc), Token::Elem(_)) => key = self.crd(pc)?,
+                (c, v) if c == v => {}
+                (c, v) => {
+                    return self.fail(format_args!("spacc stream misalignment: {c:?} vs {v:?}"))
+                }
             }
+        }
+        match v {
+            Token::Elem(pv) => match map.entry(key) {
+                std::collections::btree_map::Entry::Vacant(e) => {
+                    e.insert(pv);
+                }
+                std::collections::btree_map::Entry::Occupied(mut e) => {
+                    let merged = match (*e.get(), pv) {
+                        (Payload::F(a), Payload::F(b)) => {
+                            ctx.flops += 1;
+                            Payload::F(op.apply(a, b))
+                        }
+                        (Payload::Blk(a), Payload::Blk(b)) => {
+                            let out = zip_tiles(ctx, a, b, 1, |x, y| op.apply(x, y));
+                            out.or_else(|m| self.fail(format_args!("spacc: {m}")))?
+                        }
+                        (Payload::Empty, p) | (p, Payload::Empty) => p,
+                        (a, b) => return self.fail(format_args!("spacc operands {a:?} / {b:?}")),
+                    };
+                    e.insert(merged);
+                }
+            },
             Token::Stop(k) => {
-                self.pop(ctx, 0);
-                // A fiber with nothing in it reduces to 0 under every op,
-                // the absent coordinate the interpreter reads.
-                let out = acc.take().unwrap_or(Payload::F(0.0));
-                self.emit(ctx, 0, Token::Elem(out));
-                if k >= 1 {
-                    self.emit(ctx, 0, Token::Stop(k - 1));
+                if usize::from(k) >= order {
+                    if order == 0 && map.is_empty() {
+                        map.insert(0, Payload::F(0.0));
+                    }
+                    while let Some((c, v)) = map.pop_first() {
+                        for port in 0..order {
+                            self.emit(ctx, port, Token::idx(c));
+                        }
+                        self.emit(ctx, order, Token::Elem(v));
+                    }
+                    if k >= 1 {
+                        for port in 0..=order {
+                            self.emit(ctx, port, Token::Stop(k - 1));
+                        }
+                    }
                 }
             }
             Token::Done => {
-                self.pop(ctx, 0);
-                self.emit(ctx, 0, Token::Done);
-                self.done = true;
-            }
-        }
-        Ok(true)
-    }
-
-    fn act_spacc(&mut self, ctx: &mut Ctx, op: ReduceOp, map: &mut BTreeMap<u32, Payload>) -> Act {
-        let (Some(c), Some(v)) = (self.peek(ctx, 0), self.peek(ctx, 1)) else {
-            return Ok(false);
-        };
-        match (c, v) {
-            (Token::Elem(pc), Token::Elem(pv)) => {
-                let key = self.crd(pc)?;
-                match map.entry(key) {
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        e.insert(pv);
-                    }
-                    std::collections::btree_map::Entry::Occupied(mut e) => {
-                        let merged = match (*e.get(), pv) {
-                            (Payload::F(a), Payload::F(b)) => {
-                                ctx.flops += 1;
-                                Payload::F(op.apply(a, b))
-                            }
-                            (Payload::Blk(a), Payload::Blk(b)) => {
-                                let out = zip_tiles(ctx, a, b, 1, |x, y| op.apply(x, y));
-                                out.or_else(|m| self.fail(format_args!("spacc: {m}")))?
-                            }
-                            (Payload::Empty, p) | (p, Payload::Empty) => p,
-                            (a, b) => {
-                                return self.fail(format_args!("spacc operands {a:?} / {b:?}"))
-                            }
-                        };
-                        e.insert(merged);
-                    }
-                }
-                self.pop(ctx, 0);
-                self.pop(ctx, 1);
-            }
-            (Token::Stop(kc), Token::Stop(kv)) => {
-                if kc != kv {
-                    return self.fail(format_args!("spacc stop mismatch {kc} vs {kv}"));
-                }
-                self.pop(ctx, 0);
-                self.pop(ctx, 1);
-                if kc >= 1 {
-                    for (c, v) in std::mem::take(map) {
-                        self.emit(ctx, 0, Token::idx(c));
-                        self.emit(ctx, 1, Token::Elem(v));
-                    }
-                    self.emit(ctx, 0, Token::Stop(kc - 1));
-                    self.emit(ctx, 1, Token::Stop(kc - 1));
-                }
-                // Stop(0) boundaries separate the fibers being accumulated:
-                // keep accumulating.
-            }
-            (Token::Done, Token::Done) => {
-                self.pop(ctx, 0);
-                self.pop(ctx, 1);
                 if !map.is_empty() {
                     return self.fail("spacc reached Done with unflushed state");
                 }
-                self.emit(ctx, 0, Token::Done);
-                self.emit(ctx, 1, Token::Done);
+                for port in 0..=order {
+                    self.emit(ctx, port, Token::Done);
+                }
                 self.done = true;
             }
-            (x, y) => return self.fail(format_args!("spacc stream misalignment: {x:?} vs {y:?}")),
+        }
+        for port in 0..=order {
+            self.pop(ctx, port);
         }
         Ok(true)
     }
@@ -1203,7 +1180,7 @@ mod tests {
         Token::Elem(Payload::F(v))
     }
 
-    /// `Spacc1` drains a three-entry map (and the stop behind it) in one
+    /// An order-1 `Spacc` drains a three-entry map (and the stop behind it) in one
     /// action into a port that fans out to two channels of capacity 1: four
     /// tokens staged on a port whose channels hold one. They must come out in
     /// order, at most one per cycle, and to both channels or neither, also
@@ -1217,7 +1194,7 @@ mod tests {
         let chans = vec![Chan::seeded(crd, false), Chan::seeded(val, false), out(), out(), out()];
         let mut ctx = Ctx::bare(chans, &cfg, 1);
         let mut rt = Rt::new(
-            &NodeKind::Spacc1 { op: ReduceOp::Sum },
+            &NodeKind::Spacc { order: 1, op: ReduceOp::Sum },
             "spacc".into(),
             vec![Some(0), Some(1)],
             vec![vec![2, 3], vec![4]],

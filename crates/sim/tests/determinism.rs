@@ -59,7 +59,7 @@ fn build_spmm(g: &mut SamGraph, m: usize, n: usize) {
     let rep_a = g.add_node(NodeKind::Repeat);
     let x_vals = g.add_node(NodeKind::Array { tensor: x });
     let mul = g.add_node(NodeKind::Alu { op: AluOp::Mul });
-    let spacc = g.add_node(NodeKind::Spacc1 { op: ReduceOp::Sum });
+    let spacc = g.add_node(NodeKind::Spacc { order: 1, op: ReduceOp::Sum });
     let wc0 = g.add_node(NodeKind::CrdWriter { output: out, level: 0 });
     let wc1 = g.add_node(NodeKind::CrdWriter { output: out, level: 1 });
     let wv = g.add_node(NodeKind::ValWriter { output: out });
@@ -200,7 +200,7 @@ fn add_reconvergent_normalize(g: &mut SamGraph) {
     let root = g.add_node(NodeKind::Root);
     let ls = g.add_node(NodeKind::LevelScanner { tensor: b, level: 0 });
     let arr = g.add_node(NodeKind::Array { tensor: b });
-    let red = g.add_node(NodeKind::Reduce { op: ReduceOp::Sum });
+    let red = g.add_node(NodeKind::Spacc { order: 0, op: ReduceOp::Sum });
     let rep = g.add_node(NodeKind::Repeat);
     let div = g.add_node(NodeKind::Alu { op: AluOp::Div });
     let cw = g.add_node(NodeKind::CrdWriter { output: o, level: 0 });

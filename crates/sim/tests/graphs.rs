@@ -31,7 +31,7 @@ fn build_spmv(g: &mut SamGraph) {
     let b_vals = g.add_node(NodeKind::Array { tensor: b });
     let c_vals = g.add_node(NodeKind::Array { tensor: c });
     let mul = g.add_node(NodeKind::Alu { op: AluOp::Mul });
-    let red = g.add_node(NodeKind::Reduce { op: ReduceOp::Sum });
+    let red = g.add_node(NodeKind::Spacc { order: 0, op: ReduceOp::Sum });
     let wc = g.add_node(NodeKind::CrdWriter { output: out, level: 0 });
     let wv = g.add_node(NodeKind::ValWriter { output: out });
 
@@ -102,7 +102,7 @@ fn build_spmm(g: &mut SamGraph, m: usize, n: usize) -> (NodeId, NodeId) {
     let rep_a = g.add_node(NodeKind::Repeat);
     let x_vals = g.add_node(NodeKind::Array { tensor: x });
     let mul = g.add_node(NodeKind::Alu { op: AluOp::Mul });
-    let spacc = g.add_node(NodeKind::Spacc1 { op: ReduceOp::Sum });
+    let spacc = g.add_node(NodeKind::Spacc { order: 1, op: ReduceOp::Sum });
     let wc0 = g.add_node(NodeKind::CrdWriter { output: out, level: 0 });
     let wc1 = g.add_node(NodeKind::CrdWriter { output: out, level: 1 });
     let wv = g.add_node(NodeKind::ValWriter { output: out });
@@ -263,7 +263,7 @@ fn build_parallel_spmm(g: &mut SamGraph, m: usize, n: usize, factor: usize) {
         let rep_a = g.add_node(NodeKind::Repeat);
         let x_vals = g.add_node(NodeKind::Array { tensor: x });
         let mul = g.add_node(NodeKind::Alu { op: AluOp::Mul });
-        let spacc = g.add_node(NodeKind::Spacc1 { op: ReduceOp::Sum });
+        let spacc = g.add_node(NodeKind::Spacc { order: 1, op: ReduceOp::Sum });
 
         g.connect(par, 2 * b, rep_x, 1); // branch i coords drive X repetition
         g.connect(root_x, 0, rep_x, 0);

@@ -46,7 +46,7 @@ fn blocked_reduce_accumulates_tiles_elementwise() {
     let mut tiles = Tiles::default();
     let b = Token::Elem(Payload::Blk(tiles.put(Block::new(2, 2, vec![1., 2., 3., 4.]))));
     let v = vec![b, b, s(1), Token::Done];
-    let reduce = NodeKind::Reduce { op: ReduceOp::Sum };
+    let reduce = NodeKind::Spacc { order: 0, op: ReduceOp::Sum };
     let out = run_node_standalone(reduce, vec![v], vec![], &mut tiles).unwrap();
     let Token::Elem(Payload::Blk(r)) = out[0][0] else { panic!("block expected") };
     assert_eq!(tiles.get(r).data(), &[2., 4., 6., 8.]);
@@ -56,7 +56,8 @@ fn blocked_reduce_accumulates_tiles_elementwise() {
 fn spacc_max_takes_elementwise_maximum() {
     let crd = vec![idx(0), s(0), idx(0), s(1), Token::Done];
     let vals = vec![val(3.0), s(0), val(7.0), s(1), Token::Done];
-    let out = standalone(NodeKind::Spacc1 { op: ReduceOp::Max }, vec![crd, vals], vec![]).unwrap();
+    let out = standalone(NodeKind::Spacc { order: 1, op: ReduceOp::Max }, vec![crd, vals], vec![])
+        .unwrap();
     assert_eq!(out[1], vec![val(7.0), s(0), Token::Done]);
 }
 
@@ -112,7 +113,7 @@ fn flops_count_matches_matched_pairs() {
     let rep_a = g.add_node(NodeKind::Repeat);
     let x_vals = g.add_node(NodeKind::Array { tensor: xt });
     let mul = g.add_node(NodeKind::Alu { op: AluOp::Mul });
-    let spacc = g.add_node(NodeKind::Spacc1 { op: ReduceOp::Sum });
+    let spacc = g.add_node(NodeKind::Spacc { order: 1, op: ReduceOp::Sum });
     let wc0 = g.add_node(NodeKind::CrdWriter { output: out, level: 0 });
     let wc1 = g.add_node(NodeKind::CrdWriter { output: out, level: 1 });
     let wv = g.add_node(NodeKind::ValWriter { output: out });

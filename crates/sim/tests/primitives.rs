@@ -1,7 +1,7 @@
 //! Unit-level semantics tests for each SAMML primitive, driven through
 //! `run_node_standalone` with literal token streams.
 
-use fuseflow_sam::{AluOp, NodeKind, ReduceOp};
+use fuseflow_sam::{AluOp, NodeKind, ReduceOp, MAX_SPACC_ORDER};
 use fuseflow_sim::{run_node_standalone, Block, Payload, SimError, Tiles, Token};
 use fuseflow_tensor::{DenseTensor, Format, SparseTensor};
 
@@ -168,39 +168,48 @@ fn alu_unary_relu() {
 #[test]
 fn reduce_sums_inner_fibers() {
     let v = vec![val(1.0), val(2.0), s(0), val(5.0), s(1), D];
-    let out = standalone(NodeKind::Reduce { op: ReduceOp::Sum }, vec![v], vec![]).unwrap();
+    let out = standalone(NodeKind::Spacc { order: 0, op: ReduceOp::Sum }, vec![v], vec![]).unwrap();
     assert_eq!(out[0], vec![val(3.0), val(5.0), s(0), D]);
 }
 
 #[test]
 fn reduce_emits_identity_for_empty_fiber() {
     let v = vec![s(0), val(4.0), s(1), D];
-    let out = standalone(NodeKind::Reduce { op: ReduceOp::Sum }, vec![v], vec![]).unwrap();
+    let out = standalone(NodeKind::Spacc { order: 0, op: ReduceOp::Sum }, vec![v], vec![]).unwrap();
     assert_eq!(out[0], vec![val(0.0), val(4.0), s(0), D]);
 }
 
 #[test]
 fn reduce_max() {
     let v = vec![val(1.0), val(7.0), val(3.0), s(1), D];
-    let out = standalone(NodeKind::Reduce { op: ReduceOp::Max }, vec![v], vec![]).unwrap();
+    let out = standalone(NodeKind::Spacc { order: 0, op: ReduceOp::Max }, vec![v], vec![]).unwrap();
     assert_eq!(out[0], vec![val(7.0), s(0), D]);
 }
 
 /// An absent operand (`Empty`) beside a value adds nothing, in either
 /// order: the value passes with its bits, a NaN under `Max` and a `-0.0`
-/// under `Sum` included, as the interpreter skips an absent coordinate.
+/// under `Sum` included, as the interpreter skips an absent coordinate. A
+/// tile passes as the same tile.
 #[test]
 fn reduce_passes_a_value_beside_an_absent_one_as_it_is() {
     let empty = Token::Elem(Payload::Empty);
     for (op, v) in [(ReduceOp::Max, f32::NAN), (ReduceOp::Sum, -0.0)] {
         for fiber in [[val(v), empty], [empty, val(v)]] {
             let stream = [fiber.as_slice(), &[s(0), D]].concat();
-            let out = standalone(NodeKind::Reduce { op }, vec![stream], vec![]).unwrap();
+            let out = standalone(NodeKind::Spacc { order: 0, op }, vec![stream], vec![]).unwrap();
             let [Token::Elem(Payload::F(got)), Token::Done] = out[0][..] else {
                 panic!("{op:?}: {:?}", out[0]);
             };
             assert_eq!(got.to_bits(), v.to_bits(), "{op:?} over {fiber:?}");
         }
+    }
+    let mut tiles = Tiles::default();
+    let tile = Token::Elem(Payload::Blk(tiles.put(Block::new(2, 2, vec![1.0; 4]))));
+    for fiber in [[tile, empty], [empty, tile]] {
+        let stream = [fiber.as_slice(), &[s(0), D]].concat();
+        let reduce = NodeKind::Spacc { order: 0, op: ReduceOp::Sum };
+        let out = run_node_standalone(reduce, vec![stream], vec![], &mut tiles);
+        assert_eq!(out, Ok(vec![vec![tile, D]]), "over {fiber:?}");
     }
 }
 
@@ -209,7 +218,8 @@ fn spacc_accumulates_across_inner_boundaries() {
     // Two k-fibers for i0: {j0: 1, j2: 2} then {j0: 10, j1: 20}; one for i1.
     let crd = vec![idx(0), idx(2), s(0), idx(0), idx(1), s(1), idx(3), s(2), D];
     let vals = vec![val(1.), val(2.), s(0), val(10.), val(20.), s(1), val(3.), s(2), D];
-    let out = standalone(NodeKind::Spacc1 { op: ReduceOp::Sum }, vec![crd, vals], vec![]).unwrap();
+    let out = standalone(NodeKind::Spacc { order: 1, op: ReduceOp::Sum }, vec![crd, vals], vec![])
+        .unwrap();
     assert_eq!(out[0], vec![idx(0), idx(1), idx(2), s(0), idx(3), s(1), D]);
     assert_eq!(out[1], vec![val(11.0), val(20.0), val(2.0), s(0), val(3.0), s(1), D]);
 }
@@ -218,9 +228,29 @@ fn spacc_accumulates_across_inner_boundaries() {
 fn spacc_flushes_empty_fiber_for_empty_accumulation() {
     let crd = vec![s(1), idx(2), s(2), D];
     let vals = vec![s(1), val(5.0), s(2), D];
-    let out = standalone(NodeKind::Spacc1 { op: ReduceOp::Sum }, vec![crd, vals], vec![]).unwrap();
+    let out = standalone(NodeKind::Spacc { order: 1, op: ReduceOp::Sum }, vec![crd, vals], vec![])
+        .unwrap();
     assert_eq!(out[0], vec![s(0), idx(2), s(1), D]);
     assert_eq!(out[1], vec![s(0), val(5.0), s(1), D]);
+}
+
+/// `Done` with values still in the map is an error at every order (order
+/// 0 used to drop them), and an order past `MAX_SPACC_ORDER` is refused.
+#[test]
+fn spacc_refuses_unflushed_state_at_done_and_an_order_it_lacks() {
+    let unflushed = |order: usize| {
+        let ins = [vec![idx(1), D], vec![val(1.0), D]];
+        let kind = NodeKind::Spacc { order, op: ReduceOp::Sum };
+        standalone(kind, ins[1 - order..].to_vec(), vec![]).unwrap_err()
+    };
+    for order in [0, 1] {
+        let want = "spacc reached Done with unflushed state at standalone";
+        assert_eq!(unflushed(order), SimError::Semantics(want.into()), "order {order}");
+    }
+    let deep = NodeKind::Spacc { order: MAX_SPACC_ORDER + 1, op: ReduceOp::Sum };
+    let err = standalone(deep, vec![vec![s(0), D]; MAX_SPACC_ORDER + 2], vec![]).unwrap_err();
+    let want = format!("no accumulator of order {} at standalone", MAX_SPACC_ORDER + 1);
+    assert_eq!(err, SimError::Semantics(want));
 }
 
 #[test]
@@ -335,7 +365,8 @@ fn scanner_stop_past_255_is_a_typed_error() {
     assert_eq!(err, SimError::Semantics("stop level 255 + 1 exceeds 255 at standalone".into()));
 }
 
-/// Accumulating a 4x4 tile into a 2x2 one is a typed error in both reducers.
+/// Accumulating a 4x4 tile into a 2x2 one is a typed error at both
+/// accumulator orders.
 #[test]
 fn reducers_refuse_tiles_of_different_shapes() {
     let mut tiles = Tiles::default();
@@ -343,18 +374,16 @@ fn reducers_refuse_tiles_of_different_shapes() {
         |n: usize| Token::Elem(Payload::Blk(tiles.put(Block::new(n, n, vec![1.0; n * n]))));
     let v = vec![tile(2), tile(4), s(0), D];
     let vals = vec![tile(2), tile(4), s(1), D];
-    let want = |who: &str| {
-        SimError::Semantics(format!(
-            "{who}: tiles of 2x2 and 4x4 do not fit an elementwise op at standalone"
-        ))
-    };
-    let reduce = NodeKind::Reduce { op: ReduceOp::Sum };
+    let want = SimError::Semantics(
+        "spacc: tiles of 2x2 and 4x4 do not fit an elementwise op at standalone".into(),
+    );
+    let reduce = NodeKind::Spacc { order: 0, op: ReduceOp::Sum };
     let err = run_node_standalone(reduce, vec![v], vec![], &mut tiles).unwrap_err();
-    assert_eq!(err, want("reduce"));
+    assert_eq!(err, want);
     let crd = vec![idx(3), idx(3), s(1), D];
-    let spacc = NodeKind::Spacc1 { op: ReduceOp::Sum };
+    let spacc = NodeKind::Spacc { order: 1, op: ReduceOp::Sum };
     let err = run_node_standalone(spacc, vec![crd, vals], vec![], &mut tiles).unwrap_err();
-    assert_eq!(err, want("spacc"));
+    assert_eq!(err, want);
 }
 
 /// A tile keeps dimensions past `u16::MAX`: a 65537x1 tile and a 1x1 tile

@@ -46,8 +46,8 @@ fn random_valid_graph(rng: &mut Lcg, nodes: usize) -> SamGraph {
             7 => NodeKind::UnionLeft,
             8 => NodeKind::Alu { op: AluOp::Relu },
             9 | 10 => NodeKind::Alu { op: AluOp::Add },
-            11 => NodeKind::Reduce { op: ReduceOp::Sum },
-            12 => NodeKind::Spacc1 { op: ReduceOp::Sum },
+            11 => NodeKind::Spacc { order: 0, op: ReduceOp::Sum },
+            12 => NodeKind::Spacc { order: 1, op: ReduceOp::Sum },
             14 => NodeKind::Parallelizer { factor: 2 },
             _ => NodeKind::Serializer { factor: 2, depth: 0 },
         };

@@ -46,7 +46,7 @@ fn row_sum() -> SamGraph {
     let mut g = SamGraph::new();
     let [bi, _, arr] = scan_values(&mut g, MemLocation::OnChip);
     let o = g.add_output("T", vec![N], Format::sparse_vec(), MemLocation::OnChip);
-    let red = g.add_node(NodeKind::Reduce { op: ReduceOp::Sum });
+    let red = g.add_node(NodeKind::Spacc { order: 0, op: ReduceOp::Sum });
     let wc0 = g.add_node(NodeKind::CrdWriter { output: o, level: 0 });
     let wv = g.add_node(NodeKind::ValWriter { output: o });
     g.connect(bi, 0, wc0, 0);

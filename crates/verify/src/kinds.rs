@@ -7,7 +7,7 @@
 //! Depths are inferred forward in topological order. The *depth* of a
 //! stream is its number of fiber-nesting levels: the root reference stream
 //! `[Elem, Done]` has depth 0, a scanner adds one level (`Stop(k)` becomes
-//! `Stop(k+1)`), `Reduce`/`Spacc1` remove one. Strict joins require their
+//! `Stop(k+1)`), an accumulator (`Spacc`) removes one. Strict joins require their
 //! sides to sit at equal depth — a mismatch manifests at runtime as a
 //! `Semantics` stream-misalignment error, so a *definite* static mismatch
 //! (both depths known, unequal) is an error. Unknown depths propagate
@@ -16,6 +16,7 @@
 use crate::diag::{Anchor, Code, Diag};
 use fuseflow_sam::{NodeId, NodeKind, SamGraph};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Compares `src.output_ports()[p].kind` against `dst.input_ports()[p].kind`
 /// for every edge (SA010). Ports are in range: the graph is validated.
@@ -60,6 +61,26 @@ pub(crate) fn check_depths(g: &SamGraph, order: &[NodeId], diags: &mut Vec<Diag>
             format!("{what}: input {pa} has depth {da} but input {pb} has depth {db}"),
         ));
     }
+    // The depth the inputs `ports` of `n` agree on: the first one known.
+    // Each known depth that differs from it is a mismatch, reported as
+    // `what`.
+    let agreed = |depths: &HashMap<(NodeId, usize), i64>,
+                  diags: &mut Vec<Diag>,
+                  n: NodeId,
+                  ports: Range<usize>,
+                  what: &str|
+     -> Option<i64> {
+        let mut known: Option<(usize, i64)> = None;
+        for p in ports {
+            let Some(d) = in_depth(depths, n, p) else { continue };
+            match known {
+                None => known = Some((p, d)),
+                Some((p0, d0)) if d0 != d => mismatch(diags, n, p0, d0, p, d, what),
+                Some(_) => {}
+            }
+        }
+        known.map(|(_, d)| d)
+    };
     for &n in order {
         let kind = g.node(n);
         match kind {
@@ -129,38 +150,19 @@ pub(crate) fn check_depths(g: &SamGraph, order: &[NodeId], diags: &mut Vec<Diag>
                     depths.insert((n, 0), d);
                 }
             }
-            NodeKind::Reduce { .. } => {
-                if let Some(d) = in_depth(&depths, n, 0) {
-                    if d == 0 {
-                        diags.push(Diag::new(
-                            Code::SA011,
-                            vec![Anchor::Node(n)],
-                            "reduce applied to a depth-0 stream (no fiber to collapse)",
-                        ));
-                    } else {
-                        depths.insert((n, 0), d - 1);
+            NodeKind::Spacc { order, .. } => {
+                match agreed(&depths, diags, n, 0..order + 1, "spacc ports misaligned") {
+                    Some(0) => diags.push(Diag::new(
+                        Code::SA011,
+                        vec![Anchor::Node(n)],
+                        "accumulator applied to a depth-0 stream (no fiber to reduce)",
+                    )),
+                    Some(d) => {
+                        for p in 0..=*order {
+                            depths.insert((n, p), d - 1);
+                        }
                     }
-                }
-            }
-            NodeKind::Spacc1 { .. } => {
-                let c = in_depth(&depths, n, 0);
-                let v = in_depth(&depths, n, 1);
-                if let (Some(dc), Some(dv)) = (c, v) {
-                    if dc != dv {
-                        mismatch(diags, n, 0, dc, 1, dv, "spacc crd/val misaligned");
-                    }
-                }
-                if let Some(d) = c.or(v) {
-                    if d == 0 {
-                        diags.push(Diag::new(
-                            Code::SA011,
-                            vec![Anchor::Node(n)],
-                            "spacc applied to a depth-0 stream (no fiber to accumulate)",
-                        ));
-                    } else {
-                        depths.insert((n, 0), d - 1);
-                        depths.insert((n, 1), d - 1);
-                    }
+                    None => {}
                 }
             }
             NodeKind::CrdWriter { .. } | NodeKind::ValWriter { .. } => {}
@@ -193,19 +195,9 @@ pub(crate) fn check_depths(g: &SamGraph, order: &[NodeId], diags: &mut Vec<Diag>
                 // Branch streams must agree in depth; the barrier/order port
                 // is intentionally unconstrained (its depth is shallower by
                 // construction and disambiguates unit grouping).
-                let mut known: Option<(usize, i64)> = None;
-                for b in 0..*factor {
-                    if let Some(d) = in_depth(&depths, n, b) {
-                        match known {
-                            None => known = Some((b, d)),
-                            Some((b0, d0)) if d0 != d => {
-                                mismatch(diags, n, b0, d0, b, d, "serializer branches misaligned");
-                            }
-                            Some(_) => {}
-                        }
-                    }
-                }
-                if let Some((_, d)) = known {
+                if let Some(d) =
+                    agreed(&depths, diags, n, 0..*factor, "serializer branches misaligned")
+                {
                     depths.insert((n, 0), d);
                 }
             }

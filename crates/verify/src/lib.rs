@@ -182,7 +182,7 @@ mod tests {
         let root = g.add_node(NodeKind::Root);
         let ls = g.add_node(NodeKind::LevelScanner { tensor: b, level: 0 });
         let arr = g.add_node(NodeKind::Array { tensor: b });
-        let red = g.add_node(NodeKind::Reduce { op: ReduceOp::Sum });
+        let red = g.add_node(NodeKind::Spacc { order: 0, op: ReduceOp::Sum });
         let rep = g.add_node(NodeKind::Repeat);
         let div = g.add_node(NodeKind::Alu { op: AluOp::Div });
         let cw = g.add_node(NodeKind::CrdWriter { output: o, level: 0 });
