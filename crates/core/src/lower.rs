@@ -12,9 +12,10 @@
 //! The lowering walks the fused iteration order row by row (top-down),
 //! building for every expression its interleaved input-iteration and
 //! compute pipelines — **factored iteration**: each expression keeps its own
-//! sub-space, non-innermost reductions become order-1 `Spacc` sparse accumulators
-//! whose output coordinate streams feed the next expression's joins, and
-//! shared rows reuse the streams already built instead of re-iterating loops.
+//! sub-space, non-innermost reductions become order-1 `Spacc` sparse
+//! accumulators whose output coordinate streams feed the next expression's
+//! joins, and shared rows reuse the streams already built instead of
+//! re-iterating loops.
 //!
 //! A view that joins an intermediate above the row where it registers holds
 //! a forward reference to its value stream: its edges queue until

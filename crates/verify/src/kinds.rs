@@ -7,8 +7,8 @@
 //! Depths are inferred forward in topological order. The *depth* of a
 //! stream is its number of fiber-nesting levels: the root reference stream
 //! `[Elem, Done]` has depth 0, a scanner adds one level (`Stop(k)` becomes
-//! `Stop(k+1)`), an accumulator (`Spacc`) removes one. Strict joins require their
-//! sides to sit at equal depth — a mismatch manifests at runtime as a
+//! `Stop(k+1)`), an accumulator (`Spacc`) removes one. Strict joins require
+//! their sides to sit at equal depth — a mismatch manifests at runtime as a
 //! `Semantics` stream-misalignment error, so a *definite* static mismatch
 //! (both depths known, unequal) is an error. Unknown depths propagate
 //! silently: the pass only reports what it can prove.

@@ -251,6 +251,32 @@ mod tests {
         assert_eq!(r.with_code(Code::SA011).count(), 0, "report:\n{}", r.render_human(&g));
     }
 
+    /// The one accumulator depth rule at orders 1 and 0: the ports must
+    /// agree, and a depth-0 stream has no fiber to reduce.
+    #[test]
+    fn sa011_accumulator_ports_and_depth() {
+        let mut g = SamGraph::new();
+        let b = g.add_tensor("B", MemLocation::OnChip);
+        let root = g.add_node(NodeKind::Root);
+        let ls0 = g.add_node(NodeKind::LevelScanner { tensor: b, level: 0 });
+        let ls1 = g.add_node(NodeKind::LevelScanner { tensor: b, level: 1 });
+        let a1 = g.add_node(NodeKind::Array { tensor: b });
+        let spacc = g.add_node(NodeKind::Spacc { order: 1, op: ReduceOp::Sum });
+        let reduce = g.add_node(NodeKind::Spacc { order: 0, op: ReduceOp::Sum });
+        g.connect(root, 0, ls0, 0);
+        g.connect(ls0, 1, ls1, 0);
+        g.connect(ls1, 1, a1, 0);
+        g.connect(ls0, 0, spacc, 0); // depth 1 coordinates
+        g.connect(a1, 0, spacc, 1); // depth 2 values
+        g.connect(root, 0, reduce, 0); // depth 0
+        let r = verify_graph(&g, &VerifyOptions::default());
+        let depth: Vec<String> = r.with_code(Code::SA011).map(|d| d.render(&g)).collect();
+        assert_eq!(depth.len(), 2, "{depth:?}");
+        let misaligned = "spacc ports misaligned: input 0 has depth 1 but input 1 has depth 2";
+        assert!(depth.iter().any(|d| d.contains(misaligned)), "{depth:?}");
+        assert!(depth.iter().any(|d| d.contains("depth-0 stream")), "{depth:?}");
+    }
+
     #[test]
     fn sa014_dead_node() {
         let mut g = clean_graph();
