@@ -17,8 +17,6 @@
 //! only, and Event ≡ Sweep is held by `crates/sim/tests/determinism.rs`, not
 //! here.
 //!
-//! `samcheck` (explicit only) is the static-lint gate over the zoo.
-//!
 //! Independent simulation points within each sweep run on the shared
 //! [`parallel_map`] worker pool, one worker per core the platform reports;
 //! results are collected in point order, so the printed tables, CSVs and
@@ -28,17 +26,16 @@ use fuseflow_bench::{parallel_map, snapshot_json, Table};
 use fuseflow_core::estimate;
 use fuseflow_core::fuse_region;
 use fuseflow_core::ir::Program;
-use fuseflow_core::pipeline::{compile_at, compile_with, run, verify, Compiled, PipelineError};
+use fuseflow_core::pipeline::{compile_at, run, verify, Compiled, PipelineError};
 use fuseflow_core::schedule::Schedule;
 use fuseflow_models::{
-    gcn, gcn_composed, gpt_attention, gpt_attention_blocked, gpt_decoder, graphsage, map_stack,
-    sae, Fusion, GraphDataset, ModelInstance, GRAPH_DATASETS, SAE_DATASETS,
+    gcn, gcn_composed, gpt_attention, gpt_attention_blocked, gpt_decoder, graphsage, sae, Fusion,
+    GraphDataset, ModelInstance, GRAPH_DATASETS, SAE_DATASETS,
 };
 use fuseflow_sam::MemLocation;
 use fuseflow_sim::{SimConfig, Stats};
 use fuseflow_tensor::gen::GraphPattern;
 use fuseflow_tensor::SparseTensor;
-use fuseflow_verify::{verify_graph, VerifyConfig, VerifyOptions};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Display;
 use std::time::Instant;
@@ -717,86 +714,6 @@ fn autotune() -> Vec<Table> {
     vec![t]
 }
 
-/// `samcheck`: lints every model-zoo graph with the `fuseflow-verify`
-/// static analyzer, at every fusion granularity, prints every diagnostic and
-/// a line per graph, and writes each region's error and warning counts to
-/// the tracked snapshot `results/samcheck_quick.json` (same writer as the
-/// cycle snapshots; CI gates it with `git diff`, so lint counts are gated
-/// like cycles). Returns the number of error-severity diagnostics.
-///
-/// Unlike the figure experiments this is a pass/fail gate, not a
-/// measurement: it is excluded from `all`, contributes nothing to the cycle
-/// snapshot, and the process exits nonzero when any error-severity
-/// diagnostic fires. CI runs it as its own step.
-fn samcheck() -> usize {
-    println!("\n== samcheck: static lints over the model zoo ==");
-    let ds = GRAPH_DATASETS[0];
-    let small = shrunk(&ds, 4);
-    let (sae_name, sae_in, sae_batch) = SAE_DATASETS[0];
-    let models: Vec<(String, ModelInstance)> = vec![
-        (format!("sae/{sae_name}"), sae(sae_name, sae_in / 16, 48, sae_batch, 0.5, 11)),
-        (format!("gcn/{}", ds.name), gcn(&small, 16, 8, 21)),
-        (format!("graphsage/{}", ds.name), graphsage(&small, 16, 8, 23)),
-        ("gpt_attention".into(), gpt_attention(32, 8, 8, 7)),
-        ("gpt_attention_blocked".into(), gpt_attention_blocked(128, 16, 8, 91)),
-        ("gpt_decoder".into(), gpt_decoder(32, 8, 8, 1)),
-        ("map_stack".into(), map_stack(48, 24, 0.5, 9)),
-    ];
-    let mut graphs = 0usize;
-    let mut errors = 0usize;
-    let mut counts: Vec<(String, u64)> = Vec::new();
-    let rows = parallel_map(threads(), models, |(name, m)| {
-        let mut out = Vec::new();
-        for fusion in Fusion::ALL {
-            let schedule = m.schedule(fusion);
-            // Compile with verification off: samcheck lints every region
-            // itself and prints its warnings too, instead of stopping at the
-            // first region an error refuses.
-            let compiled =
-                compile_with(&m.program, &schedule, MemLocation::Dram, &VerifyConfig::disabled())
-                    .unwrap_or_else(|e| panic!("{name}: {e}"));
-            let opts = VerifyOptions::default();
-            let reports: Vec<_> = compiled
-                .lowered
-                .into_iter()
-                .map(|l| (verify_graph(&l.graph, &opts), l.graph))
-                .collect();
-            out.push((name.clone(), fusion, reports));
-        }
-        out
-    });
-    for per_model in rows {
-        for (name, fusion, reports) in per_model {
-            let mut total = [0; 2];
-            for (i, (report, graph)) in reports.iter().enumerate() {
-                if !report.is_clean() {
-                    print!("{}", report.render_human(graph));
-                }
-                let counted =
-                    [("errors", report.errors().count()), ("warnings", report.warnings().count())];
-                for (k, (what, n)) in counted.into_iter().enumerate() {
-                    counts.push((format!("samcheck/{name}/{fusion}/r{i}/{what}"), n as u64));
-                    total[k] += n;
-                }
-            }
-            let [errs, warns] = total;
-            println!(
-                "samcheck {name:<28} {fusion:<8} regions {:<2} errors {errs} warnings {warns}",
-                reports.len(),
-            );
-            graphs += 1;
-            errors += errs;
-        }
-    }
-    write_file("results/samcheck_quick.json", &snapshot_json(counts));
-    if errors == 0 {
-        println!("samcheck: model zoo clean ({graphs} graphs linted)");
-    } else {
-        println!("samcheck: {errors} error-severity diagnostic(s)");
-    }
-    errors
-}
-
 fn main() {
     let mut which: Vec<String> = std::env::args().skip(1).collect();
     if which.is_empty() {
@@ -814,10 +731,10 @@ fn main() {
         ("table4", table4),
         ("autotune", autotune),
     ];
-    let known = |w: &str| w == "all" || w == "samcheck" || figures.iter().any(|(id, _)| *id == w);
+    let known = |w: &str| w == "all" || figures.iter().any(|(id, _)| *id == w);
     if let Some(bad) = which.iter().find(|w| !known(w)) {
         let ids: Vec<&str> = figures.iter().map(|(id, _)| *id).collect();
-        eprintln!("unknown experiment '{bad}'; valid ids: {}, all, samcheck", ids.join(", "));
+        eprintln!("unknown experiment '{bad}'; valid ids: {}, all", ids.join(", "));
         std::process::exit(2);
     }
     let all = which.iter().any(|w| w == "all");
@@ -835,8 +752,6 @@ fn main() {
             cycles.extend(table.points().map(|(label, c)| (format!("{id}/{label}"), c)));
         }
     }
-    // Explicit-only (not part of `all`): a lint gate, not a figure.
-    let samcheck_errors = if which.iter().any(|w| w == "samcheck") { samcheck() } else { 0 };
     // Only an `all` run refreshes the tracked snapshot: a filtered subset
     // would clobber it with a partial point set.
     let snapshot_note = if all {
@@ -850,10 +765,6 @@ fn main() {
         t0.elapsed().as_secs_f64(),
         threads(),
     );
-    if samcheck_errors > 0 {
-        eprintln!("samcheck: failing with {samcheck_errors} error-severity diagnostic(s)");
-        std::process::exit(2);
-    }
 }
 
 #[cfg(test)]

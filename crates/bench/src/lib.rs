@@ -1,8 +1,7 @@
 //! Support for the `experiments` binary: the [`parallel_map`] worker pool
 //! it spreads independent sweep points over, [`Table`], the one shape every
-//! figure is returned in and rendered from, and [`snapshot_json`], the one
-//! writer of the tracked `{"key": count}` snapshots (`BENCH_sim.json`,
-//! `results/samcheck_quick.json`).
+//! figure is returned in and rendered from, and [`snapshot_json`], the
+//! writer of the tracked `{"key": count}` cycle snapshot, `BENCH_sim.json`.
 
 mod pool;
 
@@ -133,9 +132,9 @@ impl Table {
 /// Renders `points` as a flat JSON object, keys sorted bytewise, 2-space
 /// indent, trailing newline: byte for byte what Python's
 /// `json.dump(points, f, indent=2, sort_keys=True)` plus `"\n"` writes for
-/// a non-empty map with keys of printable ASCII. The text depends on the key/value set only, so
-/// a snapshot regenerates identically on any host and CI gates it with
-/// `git diff`.
+/// a non-empty map with keys of printable ASCII. The text depends on the
+/// key/value set only, so `BENCH_sim.json` regenerates identically on any
+/// host and CI gates it with `git diff`.
 ///
 /// # Panics
 ///

@@ -41,6 +41,10 @@ struct TStat {
 /// Estimates FLOPs and bytes for `program` under `schedule` given the
 /// actual input tensors (their dimensions and sparsity levels — the
 /// heuristic's user inputs in the paper).
+///
+/// `estimate` does not validate `schedule`; `compile` does, and refuses a
+/// bad one with a typed error. Here a region that reaches past the
+/// program's expressions adds no bytes.
 pub fn estimate(
     program: &Program,
     schedule: &Schedule,
@@ -129,9 +133,9 @@ pub fn estimate(
     // expression (streams re-scan operand fibers under every outer loop),
     // floored by the stored footprint.
     for r in &regions {
-        let produced: Vec<TensorId> =
-            program.exprs()[r.clone()].iter().map(|e| e.output.tensor).collect();
-        for e in &program.exprs()[r.clone()] {
+        let Some(exprs) = program.exprs().get(r.clone()) else { continue };
+        let produced: Vec<TensorId> = exprs.iter().map(|e| e.output.tensor).collect();
+        for e in exprs {
             let mut vol = 1.0;
             for ix in e.index_set() {
                 vol *= program.index_size(ix) as f64;

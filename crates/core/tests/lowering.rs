@@ -735,13 +735,12 @@ fn a_directive_on_an_undeclared_index_is_refused() {
     assert_eq!(low.refused, [Refused { row: "IndexVar(7)".into(), factor: 2, reason }]);
 }
 
-/// `(model, granularity, digest)` for the zoo at `experiments samcheck`'s
-/// sizes: an FNV-1a digest over each region's node names (`NodeKind::name`
-/// prints every field of a node, and renaming a variant moves no digest) and
-/// `{:?}` of the graph's edges, tensors and outputs and the region's permuted
-/// inputs. A refactor that claims to leave every lowered graph as it was
-/// keeps this table as it is. On a mismatch the test prints the table as it
-/// now comes out.
+/// `(model, granularity, digest)` for [`pinned_zoo`]: an FNV-1a digest over
+/// each region's node names (`NodeKind::name` prints every field of a node,
+/// and renaming a variant moves no digest) and `{:?}` of the graph's edges,
+/// tensors and outputs and the region's permuted inputs. A refactor that
+/// claims to leave every lowered graph as it was keeps this table as it is.
+/// On a mismatch the test prints the table as it now comes out.
 #[rustfmt::skip]
 const GRAPHS_PINNED: &[(&str, &str, u64)] = &[
     ("sae", "unfused", 0x64890b27d7682cff),
@@ -781,8 +780,8 @@ fn fnv1a(s: &str) -> u64 {
     fnv1a_bytes(s.bytes())
 }
 
-/// The zoo at `experiments samcheck`'s sizes, as both pinned tables use it.
-fn samcheck_zoo() -> [(&'static str, ModelInstance); 8] {
+/// The model zoo at small sizes, as both pinned tables use it.
+fn pinned_zoo() -> [(&'static str, ModelInstance); 8] {
     let ds = GRAPH_DATASETS[0];
     let small = GraphDataset { nodes: ds.nodes / 4, feats: ds.feats / 4, ..ds };
     let (sae_name, sae_in, sae_batch) = SAE_DATASETS[0];
@@ -798,16 +797,24 @@ fn samcheck_zoo() -> [(&'static str, ModelInstance); 8] {
     ]
 }
 
+/// Every region graph of [`pinned_zoo`], at every granularity, matches its
+/// digest in [`GRAPHS_PINNED`] and draws no diagnostic from `verify_graph`,
+/// warnings included. A compile refuses only on an error, so this is the
+/// test that catches a lowering change that leaves dead nodes or unread
+/// tensors (SA014, SA015) in the zoo's graphs; a failure prints the
+/// diagnostics.
 #[test]
 fn zoo_graphs_are_pinned() {
     let mut got = Vec::new();
-    for (name, m) in &samcheck_zoo() {
+    for (name, m) in &pinned_zoo() {
         for fusion in Fusion::ALL {
             let compiled = compile(&m.program, &m.schedule(fusion))
                 .unwrap_or_else(|e| panic!("{name}/{fusion}: {e}"));
             let mut text = String::new();
-            for l in &compiled.lowered {
+            for (i, l) in compiled.lowered.iter().enumerate() {
                 let g = &l.graph;
+                let report = verify_graph(g, &VerifyOptions::default());
+                assert!(report.is_clean(), "{name}/{fusion} r{i}:\n{}", report.render_human(g));
                 let names: Vec<String> = g.nodes().iter().map(NodeKind::name).collect();
                 write!(text, "{names:?}{:?}{:?}", g.edges(), g.tensors()).unwrap();
                 write!(text, "{:?}{:?}", g.outputs(), l.permuted_inputs).unwrap();
@@ -869,7 +876,7 @@ fn compile_checks_errors_alone_and_reads_no_analyzer_option() {
     };
     let outcome =
         |res: Result<Compiled, PipelineError>| res.map(regions).map_err(|e| e.to_string());
-    for (name, m) in &samcheck_zoo() {
+    for (name, m) in &pinned_zoo() {
         for fusion in Fusion::ALL {
             let sched = m.schedule(fusion);
             let by_default = compile(&m.program, &sched);
@@ -892,11 +899,11 @@ fn compile_checks_errors_alone_and_reads_no_analyzer_option() {
     }
 }
 
-/// `(model, digest)` for the zoo at `experiments samcheck`'s sizes: an
-/// FNV-1a digest over every tensor `interpret` returns, sorted by name: the
-/// name, then the bits of its `vals`, then the bits of its `mask`. A change
-/// to the interpreter that claims the same outputs bit for bit keeps this
-/// table as it is (a reassociated sum or a skipped present point moves it).
+/// `(model, digest)` for [`pinned_zoo`]: an FNV-1a digest over every tensor
+/// `interpret` returns, sorted by name: the name, then the bits of its
+/// `vals`, then the bits of its `mask`. A change to the interpreter that
+/// claims the same outputs bit for bit keeps this table as it is (a
+/// reassociated sum or a skipped present point moves it).
 /// On a mismatch the test prints the table as it now comes out.
 #[rustfmt::skip]
 const REFERENCES_PINNED: &[(&str, u64)] = &[
@@ -916,7 +923,7 @@ fn zoo_references_are_pinned() {
         t.data().iter().flat_map(|v| v.to_bits().to_le_bytes()).collect()
     };
     let mut got = Vec::new();
-    for (name, m) in &samcheck_zoo() {
+    for (name, m) in &pinned_zoo() {
         let out = interpret(&m.program, &m.inputs).unwrap_or_else(|e| panic!("{name}: {e}"));
         let mut tensors: Vec<_> = out.iter().collect();
         tensors.sort_by(|a, b| a.0.cmp(b.0));

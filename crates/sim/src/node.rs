@@ -1083,19 +1083,14 @@ fn zip_tiles(
 }
 
 fn alu_combine(ctx: &mut Ctx, op: AluOp, a: Payload, b: Payload) -> Result<Payload, String> {
+    // A scalar operand; an absent one reads as zero.
+    let scalar = |p| match p {
+        Payload::F(v) => Some(v),
+        Payload::Empty => Some(0.0),
+        _ => None,
+    };
+    let unfit = || Err(format!("alu operands {a:?} / {b:?}"));
     Ok(match (a, b) {
-        (Payload::F(x), Payload::F(y)) => {
-            ctx.flops += op.flops_per_elem();
-            Payload::F(op.apply_scalar(x, y))
-        }
-        (Payload::Empty, Payload::F(y)) => {
-            ctx.flops += op.flops_per_elem();
-            Payload::F(op.apply_scalar(0.0, y))
-        }
-        (Payload::F(x), Payload::Empty) => {
-            ctx.flops += op.flops_per_elem();
-            Payload::F(op.apply_scalar(x, 0.0))
-        }
         (Payload::Empty, Payload::Empty) => Payload::F(op.apply_scalar(0.0, 0.0)),
         (Payload::Blk(hx), Payload::Blk(hy)) if op != AluOp::Mul => {
             return zip_tiles(ctx, hx, hy, op.flops_per_elem(), |p, q| op.apply_scalar(p, q));
@@ -1112,31 +1107,23 @@ fn alu_combine(ctx: &mut Ctx, op: AluOp, a: Payload, b: Payload) -> Result<Paylo
             ctx.busy(busy);
             Payload::Blk(ctx.tiles.put(blk))
         }
-        (Payload::Blk(hx), Payload::F(s)) => {
-            let x = ctx.tiles.get(hx);
+        // A tile beside a scalar: the scalar meets every element, on its side.
+        (Payload::Blk(h), other) | (other, Payload::Blk(h)) => {
+            let Some(s) = scalar(other) else { return unfit() };
+            let tile_first = matches!(a, Payload::Blk(_));
+            let x = ctx.tiles.get(h);
             ctx.flops += x.len() as u64;
-            let blk = x.map(|v| op.apply_scalar(v, s));
+            let blk =
+                x.map(|v| if tile_first { op.apply_scalar(v, s) } else { op.apply_scalar(s, v) });
             Payload::Blk(ctx.tiles.put(blk))
         }
-        (Payload::F(s), Payload::Blk(hy)) => {
-            let y = ctx.tiles.get(hy);
-            ctx.flops += y.len() as u64;
-            let blk = y.map(|v| op.apply_scalar(s, v));
-            Payload::Blk(ctx.tiles.put(blk))
-        }
-        (Payload::Empty, Payload::Blk(hy)) => {
-            let y = ctx.tiles.get(hy);
-            ctx.flops += y.len() as u64;
-            let blk = y.map(|v| op.apply_scalar(0.0, v));
-            Payload::Blk(ctx.tiles.put(blk))
-        }
-        (Payload::Blk(hx), Payload::Empty) => {
-            let x = ctx.tiles.get(hx);
-            ctx.flops += x.len() as u64;
-            let blk = x.map(|v| op.apply_scalar(v, 0.0));
-            Payload::Blk(ctx.tiles.put(blk))
-        }
-        (a, b) => return Err(format!("alu operands {a:?} / {b:?}")),
+        _ => match (scalar(a), scalar(b)) {
+            (Some(x), Some(y)) => {
+                ctx.flops += op.flops_per_elem();
+                Payload::F(op.apply_scalar(x, y))
+            }
+            _ => return unfit(),
+        },
     })
 }
 

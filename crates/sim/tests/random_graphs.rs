@@ -136,7 +136,8 @@ fn reference_topo_order(g: &SamGraph) -> Option<Vec<NodeId>> {
     (order.len() == n).then_some(order)
 }
 
-/// `experiments samcheck`'s model list.
+/// The model zoo at the sizes `zoo_graphs_are_pinned`
+/// (`crates/core/tests/lowering.rs`) pins, less `gcn_composed`.
 fn zoo() -> Vec<ModelInstance> {
     let ds = GRAPH_DATASETS[0];
     let small = GraphDataset { nodes: ds.nodes / 4, feats: ds.feats / 4, ..ds };

@@ -415,10 +415,11 @@ fn verify_catches_wrong_outputs() {
 
 #[test]
 fn region_past_the_program_end_is_a_typed_error() {
+    use fuseflow::core::estimate;
     use fuseflow::core::fusion::{fuse_region, FuseError};
     use fuseflow::core::lower::LowerError;
     use fuseflow::core::pipeline::PipelineError;
-    let (p, _) = gcn_layerish(8, 6, 4);
+    let (p, inputs) = gcn_layerish(8, 6, 4);
     let n = p.exprs().len();
     // `n + 1..n + 2` also makes `resolve_regions` fill the gap with the
     // singleton `n..n + 1`, which is the first range refused. An empty region
@@ -441,6 +442,9 @@ fn region_past_the_program_end_is_a_typed_error() {
             "{bad:?}: {:?}",
             res.err().map(|e| e.to_string())
         );
+        // The heuristic takes the same schedule without validating it, and
+        // must not panic on it either.
+        estimate(&p, &Schedule::regions(bad), &inputs);
     }
     // `fuse_region` is public, so it refuses a reversed range itself.
     #[allow(clippy::reversed_empty_ranges)]
@@ -449,6 +453,51 @@ fn region_past_the_program_end_is_a_typed_error() {
         fuse_region(&p, reversed.clone()),
         Err(FuseError::RegionOutOfRange { range, exprs }) if range == reversed && exprs == n
     ));
+}
+
+/// A blocked union, `T = 2A op 2B`, over 4×4 CSR inputs in 2×2 tiles: `A`
+/// holds tiles (0,0) and (1,1), `B` holds (0,0) and (0,1). Unfused, the
+/// union reads `2A` and `2B` back through arrays, which fill a zero tile for
+/// the absent side. Fully fused, the scaled tiles meet in the union itself,
+/// so the ALU sees a tile beside an absent operand, on the right at (1,1) and
+/// on the left at (0,1), and must keep each on its side (for `Sub`, tile
+/// (0,1) of `T` is `-2B`, which `verify` checks). Either way each of the 4
+/// input tiles and the 3 stored tiles of `T` charges one FLOP per element:
+/// 28.
+#[test]
+fn a_blocked_union_keeps_a_lone_tile_on_its_side() {
+    let blocks = |tiles: Vec<(Vec<u32>, Vec<f32>)>| {
+        SparseTensor::from_blocks(vec![4, 4], [2, 2], tiles, &Format::csr()).unwrap()
+    };
+    let a = blocks(vec![
+        (vec![0, 0], vec![1.0, -2.0, 0.5, 3.0]),
+        (vec![1, 1], vec![4.0, 0.0, -1.0, 2.0]),
+    ]);
+    let b = blocks(vec![
+        (vec![0, 0], vec![2.0, 2.0, -3.0, 1.0]),
+        (vec![0, 1], vec![-1.0, 5.0, 0.5, -4.0]),
+    ]);
+    let inputs: Inputs = [("A".to_string(), a), ("B".to_string(), b)].into();
+    for op in [AluOp::Sub, AluOp::Add, AluOp::Max] {
+        let mut p = Program::new();
+        let (i, j) = (p.index("i"), p.index("j"));
+        let a = p.blocked_input("A", vec![4, 4], Format::csr(), [2, 2]);
+        let b = p.blocked_input("B", vec![4, 4], Format::csr(), [2, 2]);
+        let a2 = p.map("A2", AluOp::Scale(2.0), (a, vec![i, j]), Format::csr());
+        let b2 = p.map("B2", AluOp::Scale(2.0), (b, vec![i, j]), Format::csr());
+        let t = p.binary("T", op, (a2, vec![i, j]), (b2, vec![i, j]), vec![i, j], Format::csr());
+        p.mark_output(t);
+        for sched in [Schedule::unfused(), Schedule::full()] {
+            let compiled = compile(&p, &sched).unwrap();
+            for scheduler in [Scheduler::Event, Scheduler::Sweep] {
+                let at = format!("{op:?} {sched:?} {scheduler:?}");
+                let cfg = SimConfig::default().with_scheduler(scheduler);
+                let r = run(&p, &compiled, &inputs, &cfg).unwrap_or_else(|e| panic!("{at}: {e}"));
+                verify(&p, &inputs, &r.outputs).unwrap_or_else(|e| panic!("{at}: {e}"));
+                assert_eq!(r.stats.flops, 28, "{at}");
+            }
+        }
+    }
 }
 
 /// A blocked-CSR input holding one tile, mapped into a dense output. The
