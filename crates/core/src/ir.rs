@@ -426,11 +426,16 @@ impl Program {
 
     /// The tensors the region of expressions `r` must write back to memory:
     /// produced in it and consumed by a later expression or marked a program
-    /// output, in production order.
+    /// output, in production order. A range that is not inside the
+    /// expressions (past the end, or reversed) produces nothing and gets an
+    /// empty list, as `estimate` skips such a region; compiling it is a
+    /// `FuseError::RegionOutOfRange`.
     pub fn live_outs(&self, r: &Range<usize>) -> Vec<TensorId> {
-        let consumed_later =
-            |t| self.exprs[r.end..].iter().any(|c| c.inputs.iter().any(|a| a.tensor == t));
-        self.exprs[r.clone()]
+        let Some(region) = self.exprs.get(r.clone()) else { return Vec::new() };
+        // In bounds: `get` succeeded, so `r.end <= exprs.len()`.
+        let later = &self.exprs[r.end..];
+        let consumed_later = |t| later.iter().any(|c| c.inputs.iter().any(|a| a.tensor == t));
+        region
             .iter()
             .map(|e| e.output.tensor)
             .filter(|&t| consumed_later(t) || self.outputs.contains(&t))

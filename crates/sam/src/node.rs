@@ -147,6 +147,13 @@ pub enum NodeKind {
     /// Repeats each base element once per element of the corresponding
     /// repeat-signal fiber (SAM's `RepSigGen` + `Repeat` merged).
     ///
+    /// A base element is consumed when the first element of its rep fiber
+    /// arrives. An empty rep fiber repeats nothing: its base element, never
+    /// loaded, is consumed when the fiber's closing `Stop(k)` is at the rep
+    /// head and that element is at the base head, and for `k ≥ 1` the base
+    /// `Stop(k - 1)` behind it is consumed once it reaches the head. Like
+    /// every primitive, it reads only the heads of its inputs.
+    ///
     /// Inputs: `0: base (any payload)`, `1: rep (crd)`. Outputs: `0: repeated base`.
     Repeat,
     /// Coordinate intersection of two streams (conjunctive merge, for

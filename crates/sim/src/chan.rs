@@ -39,24 +39,19 @@ pub(crate) struct Chan {
     /// Rank of the node that writes this channel (woken by a pop that takes
     /// it from full to not full), or [`NO_NODE`].
     pub(crate) writer: u32,
-    /// The reader looks past the head ([`reads_past_head`]), so it is woken
-    /// by every publish, not only by empty -> non-empty.
-    ///
-    /// [`reads_past_head`]: crate::node::reads_past_head
-    pub(crate) deep: bool,
 }
 
 impl Chan {
     /// An empty channel between the nodes of rank `writer` and `reader`.
-    pub(crate) fn new(cap: usize, writer: u32, reader: u32, deep: bool) -> Self {
-        Chan { buf: VecDeque::new(), visible: 0, cap, reader, writer, deep }
+    pub(crate) fn new(cap: usize, writer: u32, reader: u32) -> Self {
+        Chan { buf: VecDeque::new(), visible: 0, cap, reader, writer }
     }
 
     /// A harness input channel (no writer node) with every token already
     /// visible to the node of rank 0.
-    pub(crate) fn seeded(toks: impl IntoIterator<Item = Token>, deep: bool) -> Self {
+    pub(crate) fn seeded(toks: impl IntoIterator<Item = Token>) -> Self {
         let buf: VecDeque<Token> = toks.into_iter().collect();
-        Chan { visible: buf.len(), buf, cap: usize::MAX, reader: 0, writer: NO_NODE, deep }
+        Chan { visible: buf.len(), buf, cap: usize::MAX, reader: 0, writer: NO_NODE }
     }
 
     /// The `idx`-th token the reader can see.
@@ -136,14 +131,14 @@ impl<'a> Ctx<'a> {
     }
 
     /// Makes the oldest staged token of channel `c` visible to its reader,
-    /// and wakes the reader if that can unblock it: a node that reads heads
-    /// only is blocked on this channel only while it is empty, a
-    /// [`deep`](Chan::deep) reader may be waiting for any depth.
+    /// and wakes the reader only on the empty -> non-empty transition: every
+    /// node reads its input heads only, so a publish behind a head changes
+    /// nothing the reader's step can see.
     pub(crate) fn publish(&mut self, c: usize) {
         let ch = &mut self.chans[c];
         debug_assert!(ch.visible < ch.buf.len() && !ch.is_full(), "publish needs a staged token");
         ch.visible += 1;
-        if (ch.visible == 1 || ch.deep) && ch.reader != NO_NODE {
+        if ch.visible == 1 && ch.reader != NO_NODE {
             self.cur.insert(ch.reader as usize);
         }
     }
@@ -204,7 +199,7 @@ mod tests {
     #[test]
     fn staged_token_is_not_peekable_until_published() {
         let cfg = SimConfig::default();
-        let mut ctx = Ctx::bare(vec![Chan::new(2, 0, 1, false)], &cfg, 2);
+        let mut ctx = Ctx::bare(vec![Chan::new(2, 0, 1)], &cfg, 2);
         ctx.chans[0].buf.extend([Token::idx(7), Token::Stop(0), Token::Done]);
         assert_eq!(ctx.chans[0].get(0), None, "staged, not sent");
         assert!(!ctx.chans[0].is_full(), "staged tokens do not count against the capacity");
@@ -223,36 +218,31 @@ mod tests {
     #[should_panic(expected = "pop from empty channel")]
     fn pop_refuses_a_staged_token() {
         let cfg = SimConfig::default();
-        let mut ctx = Ctx::bare(vec![Chan::new(2, 0, 1, false)], &cfg, 2);
+        let mut ctx = Ctx::bare(vec![Chan::new(2, 0, 1)], &cfg, 2);
         ctx.chans[0].buf.push_back(Token::Done);
         ctx.pop_chan(0);
     }
 
-    /// The wake rule: a publish wakes the reader (this cycle) when the
-    /// channel was empty, or always if the reader looks past the head; a pop
-    /// wakes the writer (next cycle) only when the channel was full.
+    /// The wake rule: a publish wakes the reader (this cycle) only when the
+    /// channel was empty; a pop wakes the writer (next cycle) only when the
+    /// channel was full.
     #[test]
     fn wakes_go_straight_into_the_ready_sets() {
         let cfg = SimConfig::default();
-        // Channel 0: rank 0 -> rank 2, heads only. Channel 1: rank 1 -> rank 3, deep.
-        let chans = vec![Chan::new(2, 0, 2, false), Chan::new(2, 1, 3, true)];
-        let mut ctx = Ctx::bare(chans, &cfg, 4);
-        for c in 0..2 {
-            ctx.chans[c].buf.extend([Token::idx(0), Token::idx(1)]);
-            ctx.publish(c);
-        }
-        assert_eq!(ctx.cur.pop_ge(0), Some(2));
-        assert_eq!(ctx.cur.pop_ge(0), Some(3));
-        for c in 0..2 {
-            ctx.publish(c);
-        }
-        assert_eq!(ctx.cur.pop_ge(0), Some(3), "only the deep reader is woken again");
-        assert_eq!(ctx.cur.pop_ge(0), None);
+        // Rank 0 writes, rank 2 reads; rank 1 is a bystander.
+        let mut ctx = Ctx::bare(vec![Chan::new(2, 0, 2)], &cfg, 3);
+        ctx.chans[0].buf.extend([Token::idx(0), Token::idx(1), Token::Done]);
+        ctx.publish(0);
+        assert_eq!(ctx.cur.pop_ge(0), Some(2), "empty -> non-empty wakes the reader");
+        ctx.publish(0);
+        assert!(ctx.cur.is_empty(), "a publish behind the head wakes nobody");
         assert!(ctx.next.is_empty());
         ctx.pop_chan(0);
         assert_eq!(ctx.next.pop_ge(0), Some(0), "full -> not full wakes the writer");
         ctx.pop_chan(0);
         assert!(ctx.next.is_empty(), "the channel was not full");
         assert!(ctx.cur.is_empty(), "a pop wakes nobody in the current cycle");
+        ctx.publish(0);
+        assert_eq!(ctx.cur.pop_ge(0), Some(2), "emptied, then published into: woken again");
     }
 }

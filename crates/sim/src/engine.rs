@@ -58,7 +58,7 @@
 
 use crate::chan::{Chan, Ctx, NO_NODE};
 use crate::dram::Dram;
-use crate::node::{reads_past_head, Prim, Rt};
+use crate::node::{Prim, Rt};
 use crate::rebuild::assemble_output;
 use crate::run::{run_event, run_standalone, run_sweep};
 use crate::stats::Stats;
@@ -293,8 +293,7 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
     let mut chans = Vec::with_capacity(graph.edges().len());
     for (c, e) in graph.edges().iter().enumerate() {
         let (src, dst) = (rank_of[e.src.node.0], rank_of[e.dst.node.0]);
-        let deep = reads_past_head(graph.node(e.dst.node), e.dst.port);
-        chans.push(Chan::new(cfg.channel_capacity, src, dst, deep));
+        chans.push(Chan::new(cfg.channel_capacity, src, dst));
         nodes[src as usize].io.outs[e.src.port].chans.push(c);
         nodes[dst as usize].io.in_chans[e.dst.port] = Some(c);
     }
@@ -416,7 +415,7 @@ pub fn run_node_standalone(
     let mut in_chans = vec![None; n_in];
     for (p, toks) in inputs.into_iter().enumerate() {
         if !toks.is_empty() {
-            ctx.chans.push(Chan::seeded(toks, reads_past_head(&kind, p)));
+            ctx.chans.push(Chan::seeded(toks));
             in_chans[p] = Some(ctx.chans.len() - 1);
         }
     }
@@ -424,7 +423,7 @@ pub fn run_node_standalone(
     let mut capture = Vec::new();
     for oc in &mut out_chans {
         // Captured by the harness: no reader node.
-        ctx.chans.push(Chan::new(usize::MAX, 0, NO_NODE, false));
+        ctx.chans.push(Chan::new(usize::MAX, 0, NO_NODE));
         oc.push(ctx.chans.len() - 1);
         capture.push(ctx.chans.len() - 1);
     }

@@ -16,6 +16,7 @@ use crate::engine::SimError;
 use crate::tok::{Block, Payload, Tile, Token};
 use fuseflow_sam::{AluOp, MemLocation, NodeKind, ReduceOp, MAX_SPACC_ORDER};
 use fuseflow_tensor::Level;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, VecDeque};
 
 /// A node-level result: the error, if any, behind one pointer.
@@ -283,19 +284,6 @@ impl Io {
         self.in_chans[port].and_then(|c| ctx.chans[c].get(0))
     }
 
-    /// The `idx`-th visible token of an input. Looking past the head is what
-    /// [`reads_past_head`] declares: such a channel wakes this node on every
-    /// publish, any other only when it stops being empty.
-    fn peek_at(&self, ctx: &Ctx, port: usize, idx: usize) -> Option<Token> {
-        let ch = &ctx.chans[self.in_chans[port]?];
-        debug_assert!(
-            idx == 0 || ch.deep,
-            "{}: read past the head of a channel not wired deep",
-            self.label
-        );
-        ch.get(idx)
-    }
-
     fn connected(&self, port: usize) -> bool {
         self.in_chans[port].is_some()
     }
@@ -502,33 +490,36 @@ impl Io {
                 self.emit(ctx, 0, Token::Elem(p));
             }
             Token::Stop(k) => {
-                // Close the pairing: discard the base element for this rep
-                // fiber (it may be unloaded if the fiber was empty), then
-                // consume the aligned base stop for k >= 1.
-                let mut base_idx = 0usize;
+                // Close the pairing. The base element of an empty rep fiber
+                // was never loaded: take it as soon as it is at the head (that
+                // alone is progress), then for k >= 1 wait for the aligned
+                // base stop to reach the head.
+                let mut took = false;
                 if base.is_none() {
-                    match self.peek_at(ctx, 0, base_idx) {
-                        Some(Token::Elem(_)) => base_idx += 1, // will discard
+                    match self.peek(ctx, 0) {
+                        Some(Token::Elem(p)) => {
+                            self.pop(ctx, 0);
+                            *base = Some(p);
+                            took = true;
+                        }
                         Some(_) => {}
                         None => return Ok(false),
                     }
                 }
                 if k >= 1 {
-                    match self.peek_at(ctx, 0, base_idx) {
-                        Some(Token::Stop(bk)) if bk == k - 1 => base_idx += 1,
+                    match self.peek(ctx, 0) {
+                        Some(Token::Stop(bk)) if bk == k - 1 => {
+                            self.pop(ctx, 0);
+                        }
                         Some(other) => {
                             return self.fail(format_args!(
                                 "repeat base misaligned: rep Stop({k}) vs base {other:?}"
                             ))
                         }
-                        None => return Ok(false),
+                        None => return Ok(took),
                     }
                 }
-                // Commit.
                 self.pop(ctx, 1);
-                for _ in 0..base_idx {
-                    self.pop(ctx, 0);
-                }
                 *base = None;
                 self.emit(ctx, 0, Token::Stop(k));
             }
@@ -557,98 +548,60 @@ impl Io {
         if !self.side_ready(ctx, 1) || !self.side_ready(ctx, 3) {
             return Ok(false);
         }
-        let empty = Token::Elem(Payload::Empty);
-        match (a, b) {
-            (Token::Elem(ca), Token::Elem(cb)) => {
-                let (ia, ib) = (self.crd(ca)?, self.crd(cb)?);
-                if ia == ib {
+        // The side whose head is an element the other side lacks (0 = `a`,
+        // 1 = `b`): the smaller coordinate, or the element facing a stop.
+        let (side, crd) = match (a, b) {
+            (Token::Elem(ca), Token::Elem(cb)) => match self.crd(ca)?.cmp(&self.crd(cb)?) {
+                Ordering::Less => (0, ca),
+                Ordering::Greater => (1, cb),
+                Ordering::Equal => {
                     let pa = self.pop_side(ctx, 0, 1);
                     let pb = self.pop_side(ctx, 2, 3);
-                    self.emit(ctx, 0, Token::idx(ia));
+                    self.emit(ctx, 0, a);
                     if let Some(t) = pa {
                         self.emit(ctx, 1, t);
                     }
                     if let Some(t) = pb {
                         self.emit(ctx, 2, t);
                     }
-                } else if ia < ib {
-                    match mode {
-                        JoinMode::Intersect => {
-                            let _ = self.pop_side(ctx, 0, 1);
-                        }
-                        JoinMode::Union | JoinMode::UnionLeft => {
-                            let pa = self.pop_side(ctx, 0, 1);
-                            self.emit(ctx, 0, Token::idx(ia));
-                            if let Some(t) = pa {
-                                self.emit(ctx, 1, t);
-                            }
-                            self.emit(ctx, 2, empty);
-                        }
-                    }
-                } else {
-                    match mode {
-                        JoinMode::Intersect | JoinMode::UnionLeft => {
-                            let _ = self.pop_side(ctx, 2, 3);
-                        }
-                        JoinMode::Union => {
-                            let pb = self.pop_side(ctx, 2, 3);
-                            self.emit(ctx, 0, Token::idx(ib));
-                            self.emit(ctx, 1, empty);
-                            if let Some(t) = pb {
-                                self.emit(ctx, 2, t);
-                            }
-                        }
-                    }
+                    return Ok(true);
                 }
+            },
+            (Token::Elem(ca), Token::Stop(_)) => (0, ca),
+            (Token::Stop(_), Token::Elem(cb)) => (1, cb),
+            (Token::Stop(ka), Token::Stop(kb)) if ka != kb => {
+                return self.fail(format_args!("join stop mismatch: {ka} vs {kb}"))
             }
-            (Token::Elem(ca), Token::Stop(_)) => match mode {
-                JoinMode::Intersect => {
-                    let _ = self.pop_side(ctx, 0, 1);
-                }
-                JoinMode::Union | JoinMode::UnionLeft => {
-                    let ia = self.crd(ca)?;
-                    let pa = self.pop_side(ctx, 0, 1);
-                    self.emit(ctx, 0, Token::idx(ia));
-                    if let Some(t) = pa {
-                        self.emit(ctx, 1, t);
-                    }
-                    self.emit(ctx, 2, empty);
-                }
-            },
-            (Token::Stop(_), Token::Elem(cb)) => match mode {
-                JoinMode::Intersect | JoinMode::UnionLeft => {
-                    let _ = self.pop_side(ctx, 2, 3);
-                }
-                JoinMode::Union => {
-                    let ib = self.crd(cb)?;
-                    let pb = self.pop_side(ctx, 2, 3);
-                    self.emit(ctx, 0, Token::idx(ib));
-                    self.emit(ctx, 1, empty);
-                    if let Some(t) = pb {
-                        self.emit(ctx, 2, t);
-                    }
-                }
-            },
-            (Token::Stop(ka), Token::Stop(kb)) => {
-                if ka != kb {
-                    return self.fail(format_args!("join stop mismatch: {ka} vs {kb}"));
-                }
+            (Token::Stop(_), Token::Stop(_)) | (Token::Done, Token::Done) => {
                 let _ = self.pop_side(ctx, 0, 1);
                 let _ = self.pop_side(ctx, 2, 3);
                 for q in 0..3 {
-                    self.emit(ctx, q, Token::Stop(ka));
+                    self.emit(ctx, q, a);
                 }
-            }
-            (Token::Done, Token::Done) => {
-                let _ = self.pop_side(ctx, 0, 1);
-                let _ = self.pop_side(ctx, 2, 3);
-                for q in 0..3 {
-                    self.emit(ctx, q, Token::Done);
-                }
-                self.done = true;
+                self.done = a == Token::Done;
+                return Ok(true);
             }
             (x, y) => return self.fail(format_args!("join token mismatch: {x:?} vs {y:?}")),
+        };
+        // Dropped without reading its coordinate, or kept with an empty
+        // payload for the other side.
+        let (crd_port, pay_port) = (2 * side, 2 * side + 1);
+        let keep = match mode {
+            JoinMode::Intersect => false,
+            JoinMode::Union => true,
+            JoinMode::UnionLeft => side == 0,
+        };
+        if !keep {
+            let _ = self.pop_side(ctx, crd_port, pay_port);
+            return Ok(true);
         }
+        let i = self.crd(crd)?;
+        let pay = self.pop_side(ctx, crd_port, pay_port);
+        self.emit(ctx, 0, Token::idx(i));
+        if let Some(t) = pay {
+            self.emit(ctx, 1 + side, t);
+        }
+        self.emit(ctx, 2 - side, Token::Elem(Payload::Empty));
         Ok(true)
     }
 
@@ -1144,17 +1097,6 @@ fn alu_unary(ctx: &mut Ctx, op: AluOp, a: Payload) -> Result<Payload, String> {
     })
 }
 
-/// Does a node of this kind look past the head of the input channel on
-/// `port` (call [`Io::peek_at`] with `idx > 0`)? Such a reader can be blocked
-/// on a channel that is not empty, so the channel is wired [`deep`] and every
-/// publish wakes it. Today that is `Repeat`'s base port alone: closing a
-/// fiber, it needs the base element and the base stop behind it at once.
-///
-/// [`deep`]: crate::chan::Chan::deep
-pub(crate) fn reads_past_head(kind: &NodeKind, port: usize) -> bool {
-    matches!(kind, NodeKind::Repeat) && port == 0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1177,8 +1119,8 @@ mod tests {
         let cfg = SimConfig::default();
         let crd = vec![Token::idx(3), Token::idx(1), Token::idx(2), Token::Stop(1), Token::Done];
         let val = vec![f(30.0), f(10.0), f(20.0), Token::Stop(1), Token::Done];
-        let out = || Chan::new(1, 0, NO_NODE, false);
-        let chans = vec![Chan::seeded(crd, false), Chan::seeded(val, false), out(), out(), out()];
+        let out = || Chan::new(1, 0, NO_NODE);
+        let chans = vec![Chan::seeded(crd), Chan::seeded(val), out(), out(), out()];
         let mut ctx = Ctx::bare(chans, &cfg, 1);
         let mut rt = Rt::new(
             &NodeKind::Spacc { order: 1, op: ReduceOp::Sum },
@@ -1219,40 +1161,40 @@ mod tests {
         assert_eq!(got[2], val_out);
     }
 
-    /// Closing an empty repeat fiber under `Stop(1)`, `Repeat` needs the base
-    /// element *and* the base stop behind it. With only the element there it
-    /// is blocked on a channel that is not empty, so the publish that
-    /// delivers the stop must wake it: the one case the empty -> non-empty
-    /// wake filter has to exempt.
+    /// Closing an empty repeat fiber under `Stop(1)`, `Repeat` takes the base
+    /// element it never loaded as soon as that element is at the head, then
+    /// waits for the base stop to reach the head. It reads heads only, so the
+    /// stop's publish lands in an empty channel and wakes it like any reader.
     #[test]
-    fn repeat_blocked_past_the_head_is_woken_by_a_publish_into_its_nonempty_base() {
+    fn repeat_takes_an_unloaded_base_element_before_its_stop_arrives() {
         let cfg = SimConfig::default();
-        assert!(reads_past_head(&NodeKind::Repeat, 0) && !reads_past_head(&NodeKind::Repeat, 1));
         // The node under test has rank 1; rank 0 stands for the base's writer.
-        let mut base = Chan::new(8, 0, 1, reads_past_head(&NodeKind::Repeat, 0));
+        let mut base = Chan::new(8, 0, 1);
         base.buf.extend([f(5.0), Token::Stop(0)]);
-        let chans =
-            vec![base, Chan::seeded([Token::Stop(1)], false), Chan::new(8, 1, NO_NODE, false)];
+        let chans = vec![base, Chan::seeded([Token::Stop(1)]), Chan::new(8, 1, NO_NODE)];
         let mut ctx = Ctx::bare(chans, &cfg, 2);
         let mut rt =
             Rt::new(&NodeKind::Repeat, "repeat".into(), vec![Some(0), Some(1)], vec![vec![2]]);
         ctx.publish(0);
         assert_eq!(ctx.cur.pop_ge(0), Some(1), "empty -> non-empty");
-        assert_eq!(rt.step(&mut ctx).unwrap(), StepOutcome::BlockedInput);
-        assert_eq!(ctx.chans[0].visible, 1, "blocked on a channel that is not empty");
+        assert_eq!(rt.step(&mut ctx).unwrap(), StepOutcome::Progressed, "took the element");
+        assert!(matches!(rt.prim, Prim::Repeat { base: Some(Payload::F(5.0)) }));
+        assert_eq!(ctx.chans[0].visible, 0);
+        assert!(ctx.chans[2].buf.is_empty(), "the fiber is not closed yet");
+        assert_eq!(rt.step(&mut ctx).unwrap(), StepOutcome::BlockedInput, "on an empty base");
         ctx.publish(0);
-        assert_eq!(ctx.cur.pop_ge(0), Some(1), "a deep reader is woken by every publish");
+        assert_eq!(ctx.cur.pop_ge(0), Some(1), "the stop lands in an empty channel");
         assert_eq!(rt.step(&mut ctx).unwrap(), StepOutcome::Progressed);
-        assert_eq!(ctx.chans[0].buf.len(), 0, "element and stop consumed together");
+        assert!(matches!(rt.prim, Prim::Repeat { base: None }));
+        assert_eq!(ctx.chans[0].buf.len(), 0, "element and stop both consumed");
         assert_eq!(ctx.chans[2].buf.back(), Some(&Token::Stop(1)));
 
         // The same state reached by a whole graph. The base values leave a
         // slow `Array`, which gathers them from DRAM one at a time
         // (`outstanding` = 1, a random-access latency apart), while the
         // repeat stream, two empty fibers, is there at once: `Repeat` closes
-        // the first fiber, idles, then blocks with the second base value in
-        // hand until the base stop arrives a cycle behind it. Only the
-        // stop's publish can wake it then.
+        // the first fiber, idles, then takes the second base value a cycle
+        // before the base stop arrives behind it.
         let mut g = SamGraph::new();
         let v = g.add_tensor("V", MemLocation::Dram);
         let e = g.add_tensor("E", MemLocation::OnChip);
@@ -1288,5 +1230,6 @@ mod tests {
         assert_eq!(event.outputs, sweep.outputs);
         let latency = cfg.timing.dram_random_latency;
         assert!(event.stats.cycles > 2 * latency, "the gathers should have paced the run");
+        assert_eq!(event.stats.cycles, 139);
     }
 }

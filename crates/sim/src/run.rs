@@ -25,10 +25,8 @@ use fuseflow_sam::NodeId;
 ///   cycle: a reader is downstream of its writer, so its rank is still
 ///   ahead of the drain cursor and the sweep would reach it later this
 ///   cycle. A publish into a channel that already holds a token wakes
-///   nobody: the reader's step depends on its input heads only, and that
-///   head has not changed (the one reader that looks deeper, `Repeat` on
-///   its base port, is woken by every publish;
-///   [`reads_past_head`](crate::node::reads_past_head));
+///   nobody: every node's step depends on its input heads only, and that
+///   head has not changed;
 /// * a pop that takes a channel from full to not full wakes its writer in
 ///   the *next* cycle: the cursor has passed it, as the sweep has;
 /// * a node that progressed re-steps next cycle (as the sweep would);

@@ -695,9 +695,10 @@ const TIGHT_CAPACITIES: [usize; 4] = [1, 2, 3, 8];
 /// (the two loops share `Rt::step`) and every recorded snapshot runs at
 /// capacity 256, where a channel is never full, so these rows are what holds
 /// the one-token-per-port-per-cycle, all-or-none-across-fan-out rule in
-/// place. On a mismatch the test prints the whole table as it now comes out;
-/// an intended timing change re-pins from that, and a `C` that became a `D`
-/// (or the reverse) is a change of behaviour, not a re-pin.
+/// place. Every completed run is also checked against the reference
+/// interpreter. On a mismatch the test prints the whole table as it now
+/// comes out; an intended timing change re-pins from that, and a `C` that
+/// became a `D` (or the reverse) is a change of behaviour, not a re-pin.
 #[rustfmt::skip]
 const TIGHT_PINNED: &[(&str, &str, &str, [End; 4])] = &[
     ("sae/sae", "unfused", "dram", [C(13481), C(9798), C(8555), C(6420)]),
@@ -706,18 +707,18 @@ const TIGHT_PINNED: &[(&str, &str, &str, [End; 4])] = &[
     ("sae/sae", "partial", "onchip", [C(1721), C(1051), C(881), C(675)]),
     ("sae/sae", "full", "dram", [C(117569), C(77304), C(58803), C(32889)]),
     ("sae/sae", "full", "onchip", [C(15267), C(8738), C(6946), C(4933)]),
-    ("gcn/tiny", "unfused", "dram", [D(197), C(35627), C(30627), C(21076)]),
-    ("gcn/tiny", "unfused", "onchip", [D(65), C(4714), C(4091), C(3431)]),
-    ("gcn/tiny", "partial", "dram", [D(197), D(2097), D(1612), C(11187)]),
-    ("gcn/tiny", "partial", "onchip", [D(65), D(298), D(234), C(1739)]),
-    ("gcn/tiny", "full", "dram", [D(201), D(38175), D(29430), C(76373)]),
-    ("gcn/tiny", "full", "onchip", [D(69), D(4057), D(3050), C(12009)]),
-    ("graphsage/tiny", "unfused", "dram", [D(193), C(54758), C(46084), C(30305)]),
-    ("graphsage/tiny", "unfused", "onchip", [D(51), C(6885), C(5953), C(4915)]),
-    ("graphsage/tiny", "partial", "dram", [D(657), D(2025), D(2238), C(10664)]),
-    ("graphsage/tiny", "partial", "onchip", [D(74), D(301), D(283), C(1657)]),
-    ("graphsage/tiny", "full", "dram", [D(663), D(36395), D(40290), C(76869)]),
-    ("graphsage/tiny", "full", "onchip", [D(80), D(3927), D(4114), C(11979)]),
+    ("gcn/tiny", "unfused", "dram", [C(51078), C(35627), C(30627), C(21076)]),
+    ("gcn/tiny", "unfused", "onchip", [C(7115), C(4714), C(4091), C(3431)]),
+    ("gcn/tiny", "partial", "dram", [D(1641), D(2097), D(1612), C(11187)]),
+    ("gcn/tiny", "partial", "onchip", [D(261), D(298), D(234), C(1739)]),
+    ("gcn/tiny", "full", "dram", [D(44321), D(38175), D(29430), C(76373)]),
+    ("gcn/tiny", "full", "onchip", [D(4678), D(4057), D(3050), C(12009)]),
+    ("graphsage/tiny", "unfused", "dram", [C(80125), C(54758), C(46084), C(30305)]),
+    ("graphsage/tiny", "unfused", "onchip", [C(10463), C(6885), C(5953), C(4915)]),
+    ("graphsage/tiny", "partial", "dram", [D(2982), D(2025), D(2238), C(10664)]),
+    ("graphsage/tiny", "partial", "onchip", [D(554), D(301), D(283), C(1657)]),
+    ("graphsage/tiny", "full", "dram", [D(63544), D(36395), D(40290), C(76869)]),
+    ("graphsage/tiny", "full", "onchip", [D(6626), D(3927), D(4114), C(11979)]),
     ("bigbird-attn/b4", "unfused", "dram", [C(13153), C(10729), C(9618), C(8036)]),
     ("bigbird-attn/b4", "unfused", "onchip", [C(1792), C(1427), C(1351), C(1250)]),
     ("bigbird-attn/b4", "partial", "dram", [D(85), D(487), D(489), D(870)]),
@@ -826,7 +827,7 @@ fn node_token_counts_are_pinned() {
 
 #[test]
 fn tight_capacity_cycles_and_deadlocks_are_pinned() {
-    use fuseflow_core::pipeline::{compile_at, run, PipelineError};
+    use fuseflow_core::pipeline::{compile_at, run, verify, PipelineError};
     use fuseflow_models::Fusion;
     let models = [
         fuseflow_models::sae("sae", 16, 8, 4, 0.4, 13),
@@ -857,7 +858,11 @@ fn tight_capacity_cycles_and_deadlocks_are_pinned() {
                         format!("{}, {fusion}, {loc_name}, capacity {channel_capacity}", m.name);
                     assert_eq!(event, sweep, "{case}: event vs sweep");
                     match event {
-                        Ok((stats, _)) => C(stats.cycles),
+                        Ok((stats, outputs)) => {
+                            verify(&m.program, &m.inputs, &outputs)
+                                .unwrap_or_else(|e| panic!("{case}: {e}"));
+                            C(stats.cycles)
+                        }
                         Err((cycle, _)) => D(cycle),
                     }
                 });

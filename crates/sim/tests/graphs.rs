@@ -661,3 +661,51 @@ fn stop_levels_past_255_are_a_typed_error() {
     let named = |m: &str| m.contains("stop level 1 + 255 exceeds 255 at Ser[1,d255]");
     assert!(matches!(&err, SimError::Semantics(m) if named(m)), "{err}");
 }
+
+/// `O_ij = V_i` over an `E` with two empty rows, at channel capacity 1. The
+/// repeat stream is `[Stop(0), Stop(1), Done]` and the base stream
+/// `[V_0, V_1, Stop(0), Done]`, so `Repeat` closes the second fiber under
+/// `Stop(1)` with its base element never loaded. Reading heads only, it takes
+/// that element as soon as it reaches the head and the base stop behind it
+/// after; a primitive that needed both visible at once could never close the
+/// fiber in a channel that holds one token.
+#[test]
+fn repeat_closes_an_empty_fiber_at_capacity_1() {
+    let mut g = SamGraph::new();
+    let v = g.add_tensor("V", MemLocation::Dram);
+    let e = g.add_tensor("E", MemLocation::OnChip);
+    let o = g.add_output("O", vec![2, 3], Format::csr(), MemLocation::OnChip);
+    let root_v = g.add_node(NodeKind::Root);
+    let vi = g.add_node(NodeKind::LevelScanner { tensor: v, level: 0 });
+    let arr = g.add_node(NodeKind::Array { tensor: v });
+    let root_e = g.add_node(NodeKind::Root);
+    let ei = g.add_node(NodeKind::LevelScanner { tensor: e, level: 0 });
+    let ej = g.add_node(NodeKind::LevelScanner { tensor: e, level: 1 });
+    let rep = g.add_node(NodeKind::Repeat);
+    let wc0 = g.add_node(NodeKind::CrdWriter { output: o, level: 0 });
+    let wc1 = g.add_node(NodeKind::CrdWriter { output: o, level: 1 });
+    let wv = g.add_node(NodeKind::ValWriter { output: o });
+    g.connect(root_v, 0, vi, 0);
+    g.connect(vi, 1, arr, 0);
+    g.connect(arr, 0, rep, 0);
+    g.connect(root_e, 0, ei, 0);
+    g.connect(ei, 0, wc0, 0);
+    g.connect(ei, 1, ej, 0);
+    g.connect(ej, 0, wc1, 0);
+    g.connect(ej, 0, rep, 1);
+    g.connect(rep, 0, wv, 0);
+    let entries = vec![(vec![0], 1.0), (vec![1], 2.0)];
+    let env = env2(
+        ("V", SparseTensor::from_coo(vec![2], entries, &Format::dense(1)).unwrap()),
+        ("E", SparseTensor::from_coo(vec![2, 3], vec![], &Format::csr()).unwrap()),
+    );
+    let cfg = SimConfig { channel_capacity: 1, ..SimConfig::default() };
+    let [event, sweep] = [Scheduler::Event, Scheduler::Sweep].map(|s| {
+        simulate(&g, &env, &cfg.clone().with_scheduler(s)).unwrap_or_else(|e| panic!("{s:?}: {e}"))
+    });
+    assert_eq!(event.stats.semantic(), sweep.stats.semantic());
+    assert_eq!(event.outputs, sweep.outputs);
+    assert_eq!(event.stats.cycles, 75);
+    let zeros = DenseTensor::from_fn(vec![2, 3], |_| 0.0);
+    assert!(event.outputs["O"].to_dense().approx_eq(&zeros));
+}

@@ -98,6 +98,22 @@ fn repeat_discards_base_for_empty_rep_fiber() {
     assert_eq!(out[0], vec![s(0), val(2.0), s(1), D]);
 }
 
+/// The second rep fiber is empty and closed under `Stop(1)`: its base
+/// element was never loaded, and goes with the base stop behind it.
+#[test]
+fn repeat_closes_an_empty_fiber_under_stop_1_with_an_unloaded_base() {
+    let base = vec![val(1.0), val(2.0), s(0), D];
+    let rep = vec![idx(5), s(0), s(1), D];
+    let out = standalone(NodeKind::Repeat, vec![base, rep], vec![]).unwrap();
+    assert_eq!(out[0], vec![val(1.0), s(0), s(1), D]);
+
+    // A base element where the base stop belongs is still misaligned.
+    let base = vec![val(1.0), val(2.0), D];
+    let err = standalone(NodeKind::Repeat, vec![base, vec![s(1), D]], vec![]).unwrap_err();
+    let named = |m: &str| m.contains("repeat base misaligned: rep Stop(1) vs base Elem(F(2.0))");
+    assert!(matches!(&err, SimError::Semantics(m) if named(m)), "{err}");
+}
+
 #[test]
 fn intersect_matches_coordinates() {
     let ca = vec![idx(0), idx(2), idx(5), s(0), D];
@@ -140,6 +156,76 @@ fn union_drains_longer_side_after_stop() {
     let pb = vec![idx(20), idx(24), idx(26), s(0), D];
     let out = standalone(NodeKind::Union, vec![ca, pa, cb, pb], vec![]).unwrap();
     assert_eq!(out[0], vec![idx(0), idx(4), idx(6), s(0), D]);
+}
+
+/// Every join mode against the four ways one side's head is an element the
+/// other side lacks: a smaller coordinate on either side, or an element
+/// facing a stop on either side. `Intersect` drops the lone element, `Union`
+/// keeps it with an empty payload on the other side, and `UnionLeft` keeps
+/// it only from the left (`a`). Payload streams are the coordinates + 10
+/// (`a`) and + 20 (`b`).
+#[test]
+fn joins_keep_or_drop_a_lone_element_by_mode_and_side() {
+    let e = Token::Elem(Payload::Empty);
+    let pay = |c: &[Token], by: u32| -> Vec<Token> {
+        c.iter()
+            .map(|&t| if let Token::Elem(Payload::Idx(i)) = t { idx(i + by) } else { t })
+            .collect()
+    };
+    let cases: [(&str, Vec<Token>, Vec<Token>); 4] = [
+        ("a < b", vec![idx(1), idx(2), s(0), D], vec![idx(2), s(0), D]),
+        ("a > b", vec![idx(2), s(0), D], vec![idx(1), idx(2), s(0), D]),
+        ("(elem, stop)", vec![idx(1), s(0), D], vec![s(0), D]),
+        ("(stop, elem)", vec![s(0), D], vec![idx(1), s(0), D]),
+    ];
+    let stops = vec![s(0), D];
+    #[rustfmt::skip]
+    let want: [(NodeKind, [[Vec<Token>; 3]; 4]); 3] = [
+        (NodeKind::Intersect, [
+            [vec![idx(2), s(0), D], vec![idx(12), s(0), D], vec![idx(22), s(0), D]],
+            [vec![idx(2), s(0), D], vec![idx(12), s(0), D], vec![idx(22), s(0), D]],
+            [stops.clone(), stops.clone(), stops.clone()],
+            [stops.clone(), stops.clone(), stops.clone()],
+        ]),
+        (NodeKind::Union, [
+            [vec![idx(1), idx(2), s(0), D], vec![idx(11), idx(12), s(0), D], vec![e, idx(22), s(0), D]],
+            [vec![idx(1), idx(2), s(0), D], vec![e, idx(12), s(0), D], vec![idx(21), idx(22), s(0), D]],
+            [vec![idx(1), s(0), D], vec![idx(11), s(0), D], vec![e, s(0), D]],
+            [vec![idx(1), s(0), D], vec![e, s(0), D], vec![idx(21), s(0), D]],
+        ]),
+        (NodeKind::UnionLeft, [
+            [vec![idx(1), idx(2), s(0), D], vec![idx(11), idx(12), s(0), D], vec![e, idx(22), s(0), D]],
+            [vec![idx(2), s(0), D], vec![idx(12), s(0), D], vec![idx(22), s(0), D]],
+            [vec![idx(1), s(0), D], vec![idx(11), s(0), D], vec![e, s(0), D]],
+            [stops.clone(), stops.clone(), stops.clone()],
+        ]),
+    ];
+    for (kind, outs) in want {
+        for ((case, ca, cb), want) in cases.iter().zip(outs) {
+            let ins = vec![ca.clone(), pay(ca, 10), cb.clone(), pay(cb, 20)];
+            let out = standalone(kind.clone(), ins, vec![]).unwrap();
+            assert_eq!(out, want, "{kind:?}, {case}");
+        }
+    }
+
+    // A dropped lone element is never read as a coordinate; a kept one is.
+    let v = val(9.0);
+    for (kind, ca, cb, kept) in [
+        (NodeKind::Intersect, vec![v, s(0), D], vec![s(0), D], false),
+        (NodeKind::Intersect, vec![s(0), D], vec![v, s(0), D], false),
+        (NodeKind::UnionLeft, vec![s(0), D], vec![v, s(0), D], false),
+        (NodeKind::UnionLeft, vec![v, s(0), D], vec![s(0), D], true),
+        (NodeKind::Union, vec![s(0), D], vec![v, s(0), D], true),
+    ] {
+        let ran = standalone(kind.clone(), vec![ca.clone(), ca, cb.clone(), cb], vec![]);
+        match ran {
+            Ok(out) => assert!(!kept && out[0] == stops, "{kind:?}: {out:?}"),
+            Err(SimError::Semantics(m)) => {
+                assert!(kept && m.contains("coordinate port received F(9.0)"), "{kind:?}: {m}")
+            }
+            Err(e) => panic!("{kind:?}: {e}"),
+        }
+    }
 }
 
 #[test]

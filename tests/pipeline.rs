@@ -443,7 +443,12 @@ fn region_past_the_program_end_is_a_typed_error() {
             res.err().map(|e| e.to_string())
         );
         // The heuristic takes the same schedule without validating it, and
-        // must not panic on it either.
+        // must not panic on it either; nor must `live_outs`, which has
+        // nothing to write back for a range outside the expressions.
+        for r in &bad {
+            let outs = p.live_outs(r);
+            assert!(r.end <= n || outs.is_empty(), "{r:?}: {outs:?}");
+        }
         estimate(&p, &Schedule::regions(bad), &inputs);
     }
     // `fuse_region` is public, so it refuses a reversed range itself.
@@ -453,6 +458,7 @@ fn region_past_the_program_end_is_a_typed_error() {
         fuse_region(&p, reversed.clone()),
         Err(FuseError::RegionOutOfRange { range, exprs }) if range == reversed && exprs == n
     ));
+    assert!(p.live_outs(&reversed).is_empty());
 }
 
 /// A blocked union, `T = 2A op 2B`, over 4×4 CSR inputs in 2×2 tiles: `A`
