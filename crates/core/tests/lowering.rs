@@ -14,7 +14,7 @@ use fuseflow_models::{
     gcn, gcn_composed, gpt_attention, gpt_attention_blocked, gpt_decoder, graphsage, map_stack,
     sae, Fusion, GraphDataset, ModelInstance, GRAPH_DATASETS, SAE_DATASETS,
 };
-use fuseflow_sam::{MemLocation, NodeId, NodeKind, SamGraph};
+use fuseflow_sam::{MemLocation, NodeId, NodeKind, Port, SamGraph};
 use fuseflow_sim::SimConfig;
 use fuseflow_tensor::gen::{adjacency, GraphPattern};
 use fuseflow_tensor::{DenseTensor, Format, SparseTensor};
@@ -85,7 +85,7 @@ fn composed_product_lowers_to_chained_accumulators() {
         .collect();
     let [inner, outer] = spaccs[..] else { panic!("two accumulators, got {spaccs:?}") };
     // The outer accumulator takes both its streams from the inner one.
-    assert_eq!(g.in_edges(outer).filter(|e| e.src.node == inner).count(), 2);
+    assert_eq!(g.edges().iter().filter(|e| e.src.node == inner && e.dst.node == outer).count(), 2);
     assert!(!g.kind_histogram().contains_key("Reduce"));
     assert!(g.validate().is_ok());
 }
@@ -259,7 +259,12 @@ fn a_forward_reference_is_an_edge_to_its_producer() {
         .filter(|&n| matches!(g.node(n), NodeKind::Spacc { order: 0, .. }))
         .collect();
     let [reduce] = reduces[..] else { panic!("one Reduce, got {reduces:?}") };
-    let fed: Vec<_> = g.out_edges(reduce).map(|e| (g.node(e.dst.node), e.dst.port)).collect();
+    let fed: Vec<_> = g
+        .edges()
+        .iter()
+        .filter(|e| e.src.node == reduce)
+        .map(|e| (g.node(e.dst.node), e.dst.port))
+        .collect();
     assert_eq!(fed, [(&NodeKind::Repeat, 0)]);
 
     let scores = adjacency(8, 0.4, GraphPattern::Uniform, 7, &Format::csr());
@@ -283,7 +288,8 @@ fn a_forward_reference_held_by_a_registered_tensor_resolves() {
     let g = &compiled.lowered[0].graph;
     let writer =
         (0..g.node_count()).map(NodeId).find(|&n| g.node(n) == &NodeKind::ValWriter { output: 0 });
-    let src = g.in_edge(writer.expect("Y's writer"), 0).expect("a connected writer").src.node;
+    let into = Port { node: writer.expect("Y's writer"), port: 0 };
+    let src = g.edges().iter().find(|e| e.dst == into).expect("a connected writer").src.node;
     assert!(matches!(g.node(src), NodeKind::Spacc { order: 0, .. }), "{:?}", g.node(src));
 
     let adj = adjacency(8, 0.4, GraphPattern::Uniform, 7, &Format::csr());

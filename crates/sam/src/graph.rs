@@ -93,6 +93,12 @@ pub enum GraphError {
         /// `true` for output slots, `false` for tensor slots.
         output: bool,
     },
+    /// A `Parallelizer` or `Serializer` with `factor: 0`: it has no branch
+    /// to deal a token to or take one from.
+    ZeroFactor {
+        /// Offending node.
+        node: usize,
+    },
 }
 
 impl std::fmt::Display for GraphError {
@@ -116,6 +122,7 @@ impl std::fmt::Display for GraphError {
                 let kind = if *output { "output" } else { "tensor" };
                 write!(f, "duplicate {kind} slot name '{name}'")
             }
+            GraphError::ZeroFactor { node } => write!(f, "node {node} has a branch factor of 0"),
         }
     }
 }
@@ -124,6 +131,9 @@ impl std::error::Error for GraphError {}
 
 /// A SAMML dataflow graph (Fig 2 / Fig 10 of the paper): an acyclic network
 /// of streaming primitives plus tensor and output bindings.
+///
+/// It is its nodes, edges (in insertion order) and slots, and keeps no
+/// adjacency index: a pass that needs one builds it from [`SamGraph::edges`].
 ///
 /// # Example
 ///
@@ -152,41 +162,6 @@ pub struct SamGraph {
     edges: Vec<Edge>,
     tensors: Vec<TensorSlot>,
     outputs: Vec<OutputSlot>,
-    // Adjacency index, maintained by `connect` (the graph is append-only):
-    // per node and direction an intrusive list of edge indices in
-    // insertion order, so `in_edges`/`out_edges` cost O(degree) and
-    // allocate nothing.
-    ins: Vec<EdgeList>,
-    outs: Vec<EdgeList>,
-    next_in: Vec<usize>,
-    next_out: Vec<usize>,
-    /// Edges connected while an endpoint did not exist yet; `add_node` files
-    /// them when (if ever) the node appears.
-    early: Vec<usize>,
-}
-
-/// End of an edge list.
-const NIL: usize = usize::MAX;
-
-/// First and last edge index of one node's in- or out-list.
-#[derive(Debug, Clone, Copy)]
-struct EdgeList {
-    first: usize,
-    last: usize,
-}
-
-impl EdgeList {
-    const EMPTY: EdgeList = EdgeList { first: NIL, last: NIL };
-
-    /// Appends edge `e`, linking it through `next`.
-    fn push(&mut self, e: usize, next: &mut [usize]) {
-        if self.first == NIL {
-            self.first = e;
-        } else {
-            next[self.last] = e;
-        }
-        self.last = e;
-    }
 }
 
 impl SamGraph {
@@ -229,40 +204,17 @@ impl SamGraph {
     /// Adds a node, returning its id.
     pub fn add_node(&mut self, kind: NodeKind) -> NodeId {
         self.nodes.push(kind);
-        self.ins.push(EdgeList::EMPTY);
-        self.outs.push(EdgeList::EMPTY);
-        let id = self.nodes.len() - 1;
-        for &e in &self.early {
-            if self.edges[e].src.node.0 == id {
-                self.outs[id].push(e, &mut self.next_out);
-            }
-            if self.edges[e].dst.node.0 == id {
-                self.ins[id].push(e, &mut self.next_in);
-            }
-        }
-        NodeId(id)
+        NodeId(self.nodes.len() - 1)
     }
 
     /// Connects `src.out[src_port]` to `dst.in[dst_port]`. Output ports may
     /// fan out to multiple consumers; input ports accept one producer
     /// (checked in [`SamGraph::validate`]).
     pub fn connect(&mut self, src: NodeId, src_port: usize, dst: NodeId, dst_port: usize) {
-        let e = self.edges.len();
         self.edges.push(Edge {
             src: Port { node: src, port: src_port },
             dst: Port { node: dst, port: dst_port },
         });
-        self.next_in.push(NIL);
-        self.next_out.push(NIL);
-        if let Some(list) = self.outs.get_mut(src.0) {
-            list.push(e, &mut self.next_out);
-        }
-        if let Some(list) = self.ins.get_mut(dst.0) {
-            list.push(e, &mut self.next_in);
-        }
-        if src.0.max(dst.0) >= self.nodes.len() {
-            self.early.push(e);
-        }
     }
 
     /// The node kinds, indexed by [`NodeId`].
@@ -300,31 +252,6 @@ impl SamGraph {
         self.nodes.len()
     }
 
-    /// Edges entering `node`, in insertion order (none for an unknown node).
-    pub fn in_edges(&self, node: NodeId) -> impl Iterator<Item = &Edge> {
-        self.walk(self.ins.get(node.0), &self.next_in)
-    }
-
-    /// Edges leaving `node`, in insertion order (none for an unknown node).
-    pub fn out_edges(&self, node: NodeId) -> impl Iterator<Item = &Edge> {
-        self.walk(self.outs.get(node.0), &self.next_out)
-    }
-
-    fn walk<'a>(
-        &'a self,
-        list: Option<&EdgeList>,
-        next: &'a [usize],
-    ) -> impl Iterator<Item = &'a Edge> {
-        let some = |e: usize| (e != NIL).then_some(e);
-        std::iter::successors(list.and_then(|l| some(l.first)), move |&e| some(next[e]))
-            .map(move |e| &self.edges[e])
-    }
-
-    /// The edge into input port `(node, port)`, if connected.
-    pub fn in_edge(&self, node: NodeId, port: usize) -> Option<&Edge> {
-        self.in_edges(node).find(|e| e.dst.port == port)
-    }
-
     /// A display anchor for a node: `label#id`.
     pub fn node_anchor(&self, id: NodeId) -> String {
         format!("{}#{}", self.label(id), id.0)
@@ -342,7 +269,7 @@ impl SamGraph {
     }
 
     /// Validates port ranges, single-writer inputs, required connections,
-    /// slot references, and acyclicity.
+    /// slot references, branch factors, and acyclicity.
     ///
     /// # Errors
     ///
@@ -372,7 +299,7 @@ impl SamGraph {
                 return Err(GraphError::DuplicateSlot { name: o.name.clone(), output: true });
             }
         }
-        // Slot references.
+        // Slot references and branch factors.
         for (i, kind) in self.nodes.iter().enumerate() {
             let ok = match kind {
                 NodeKind::LevelScanner { tensor, .. } | NodeKind::Array { tensor } => {
@@ -382,6 +309,9 @@ impl SamGraph {
                     self.outputs.get(*output).is_some_and(|o| *level < o.format.order())
                 }
                 NodeKind::ValWriter { output } => *output < self.outputs.len(),
+                NodeKind::Parallelizer { factor: 0 } | NodeKind::Serializer { factor: 0, .. } => {
+                    return Err(GraphError::ZeroFactor { node: i })
+                }
                 _ => true,
             };
             if !ok {
@@ -421,23 +351,28 @@ impl SamGraph {
     /// algorithm over a stack seeded with the in-degree-0 nodes in id order,
     /// successors visited in edge insertion order. The simulator's rank order
     /// (and with it every cycle count) is this order;
-    /// `crates/sim/tests/random_graphs.rs` pins it against the loop it
-    /// replaced.
+    /// `crates/sim/tests/random_graphs.rs` pins it against a reference copy
+    /// of the loop. An edge into an existing node counts toward its
+    /// in-degree even when its source is missing; an edge naming a missing
+    /// node adds no successor (`validate` reports it).
     pub fn topo_order(&self) -> Option<Vec<NodeId>> {
         let n = self.nodes.len();
-        let mut indeg: Vec<usize> = (0..n).map(|i| self.in_edges(NodeId(i)).count()).collect();
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+        let mut indeg = vec![0usize; n];
+        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for e in self.edges.iter().filter(|e| e.dst.node.0 < n) {
+            indeg[e.dst.node.0] += 1;
+            if let Some(next) = succ.get_mut(e.src.node.0) {
+                next.push(e.dst.node.0);
+            }
+        }
+        let mut stack: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
         let mut order = Vec::with_capacity(n);
-        while let Some(u) = queue.pop() {
+        while let Some(u) = stack.pop() {
             order.push(NodeId(u));
-            for e in self.out_edges(NodeId(u)) {
-                let v = e.dst.node.0;
-                if v >= n {
-                    continue; // names a missing node: `validate` reports it
-                }
+            for &v in &succ[u] {
                 indeg[v] -= 1;
                 if indeg[v] == 0 {
-                    queue.push(v);
+                    stack.push(v);
                 }
             }
         }
@@ -563,8 +498,12 @@ mod tests {
         // compile; fan-out bookkeeping is what we check here.
         g.connect(ls, 0, extra, 0);
         assert!(g.validate().is_ok());
-        let consumers: Vec<NodeId> =
-            g.out_edges(ls).filter(|e| e.src.port == 0).map(|e| e.dst.node).collect();
+        let consumers: Vec<NodeId> = g
+            .edges()
+            .iter()
+            .filter(|e| e.src == Port { node: ls, port: 0 })
+            .map(|e| e.dst.node)
+            .collect();
         assert_eq!(consumers, vec![NodeId(3), extra], "port 0 fans out in insertion order");
     }
 
@@ -606,46 +545,37 @@ mod tests {
     #[test]
     fn edge_iterators_and_anchors() {
         let (g, ls, arr) = tiny_graph();
-        assert_eq!(g.out_edges(ls).count(), 2);
-        assert_eq!(g.in_edges(arr).count(), 1);
-        let e = g.in_edges(arr).next().unwrap();
-        let anchor = g.edge_anchor(e);
+        assert_eq!(g.edges().iter().filter(|e| e.src.node == ls).count(), 2);
+        let ins: Vec<&Edge> = g.edges().iter().filter(|e| e.dst.node == arr).collect();
+        assert_eq!(ins.len(), 1);
+        let anchor = g.edge_anchor(ins[0]);
         assert!(anchor.contains("LS[t0.l0]#1.out1"));
         assert!(anchor.contains("Array[t0]#2.in0"));
     }
 
     #[test]
-    fn index_matches_an_edge_scan() {
-        let (mut g, ls, arr) = tiny_graph();
-        g.connect(ls, 0, arr, 0);
-        g.connect(arr, 0, ls, 0);
-        for i in 0..g.node_count() {
-            let n = NodeId(i);
-            let ins: Vec<Edge> = g.edges().iter().filter(|e| e.dst.node == n).copied().collect();
-            let outs: Vec<Edge> = g.edges().iter().filter(|e| e.src.node == n).copied().collect();
-            assert_eq!(g.in_edges(n).copied().collect::<Vec<_>>(), ins);
-            assert_eq!(g.out_edges(n).copied().collect::<Vec<_>>(), outs);
-        }
-        assert_eq!(g.in_edge(arr, 0).map(|e| e.src), Some(Port { node: ls, port: 1 }));
-        assert_eq!(g.in_edge(arr, 1), None);
-    }
-
-    #[test]
-    fn edge_naming_a_missing_node_is_indexed_once_the_node_exists() {
+    fn edge_naming_a_missing_node_is_ignored_until_the_node_exists() {
         let (mut g, ls, _) = tiny_graph();
         let late = NodeId(g.node_count() + 1);
         g.connect(ls, 1, late, 0);
         g.connect(late, 0, late, 1);
-        assert_eq!(g.in_edges(late).count(), 0);
-        assert_eq!(g.out_edges(ls).count(), 3);
         assert!(matches!(g.validate(), Err(GraphError::BadPort { input: true, .. })));
         assert!(g.topo_order().is_some(), "a dangling edge is ignored, not a panic");
         g.add_node(NodeKind::Repeat);
-        assert_eq!(g.in_edges(late).count(), 0);
+        assert!(g.topo_order().is_some(), "the self-loop still names a missing node");
         g.add_node(NodeKind::Repeat);
-        assert_eq!(g.in_edges(late).count(), 2);
-        assert_eq!(g.out_edges(late).count(), 1);
         assert!(g.topo_order().is_none(), "the self-loop is now visible");
+    }
+
+    #[test]
+    fn zero_branch_factor_fails() {
+        for kind in
+            [NodeKind::Parallelizer { factor: 0 }, NodeKind::Serializer { factor: 0, depth: 1 }]
+        {
+            let (mut g, _, _) = tiny_graph();
+            let n = g.add_node(kind);
+            assert_eq!(g.validate(), Err(GraphError::ZeroFactor { node: n.0 }));
+        }
     }
 
     #[test]

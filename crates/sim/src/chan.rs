@@ -54,10 +54,10 @@ impl Chan {
         Chan { visible: buf.len(), buf, cap: usize::MAX, reader: 0, writer: NO_NODE }
     }
 
-    /// The `idx`-th token the reader can see.
-    pub(crate) fn get(&self, idx: usize) -> Option<Token> {
-        if idx < self.visible {
-            self.buf.get(idx).copied()
+    /// The token at the head, if the reader can see it.
+    pub(crate) fn head(&self) -> Option<Token> {
+        if self.visible > 0 {
+            self.buf.front().copied()
         } else {
             None
         }
@@ -201,17 +201,17 @@ mod tests {
         let cfg = SimConfig::default();
         let mut ctx = Ctx::bare(vec![Chan::new(2, 0, 1)], &cfg, 2);
         ctx.chans[0].buf.extend([Token::idx(7), Token::Stop(0), Token::Done]);
-        assert_eq!(ctx.chans[0].get(0), None, "staged, not sent");
+        assert_eq!(ctx.chans[0].head(), None, "staged, not sent");
         assert!(!ctx.chans[0].is_full(), "staged tokens do not count against the capacity");
         ctx.publish(0);
-        assert_eq!(ctx.chans[0].get(0), Some(Token::idx(7)));
-        assert_eq!(ctx.chans[0].get(1), None, "the stop behind it is still staged");
+        assert_eq!(ctx.chans[0].head(), Some(Token::idx(7)));
+        assert_eq!((ctx.chans[0].visible, ctx.chans[0].buf.len()), (1, 3), "the stop is staged");
         ctx.publish(0);
         assert!(ctx.chans[0].is_full());
         assert_eq!(ctx.pop_chan(0), Token::idx(7));
-        assert_eq!(ctx.chans[0].get(0), Some(Token::Stop(0)));
-        assert_eq!(ctx.chans[0].get(1), None, "a pop shows no more than was published");
-        assert_eq!(ctx.chans[0].buf.len(), 2);
+        assert_eq!(ctx.chans[0].head(), Some(Token::Stop(0)));
+        let (visible, len) = (ctx.chans[0].visible, ctx.chans[0].buf.len());
+        assert_eq!((visible, len), (1, 2), "a pop shows no more than was published");
     }
 
     #[test]

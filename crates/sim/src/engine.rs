@@ -361,8 +361,9 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
 /// # Errors
 ///
 /// [`SimError::Config`] if `inputs` does not hold one stream per input port,
-/// a token names a tile `tiles` does not hold, or `kind` is a writer (it
-/// writes an output and has no stream to return);
+/// a token names a tile `tiles` does not hold, `kind` is a writer (it
+/// writes an output and has no stream to return), or `kind` is a
+/// `Parallelizer` or `Serializer` with no branch (`factor: 0`);
 /// [`SimError::MissingTensor`] for an `Array` or `LevelScanner` whose tensor
 /// `tensors` lacks (slot `i` is named `t{i}`) and
 /// [`SimError::LevelOutOfRange`] for a `LevelScanner` past its tensor's
@@ -388,6 +389,9 @@ pub fn run_node_standalone(
     match kind {
         NodeKind::CrdWriter { .. } | NodeKind::ValWriter { .. } => {
             return Err(SimError::Config(format!("{kind:?} writes an output, not a stream")));
+        }
+        NodeKind::Parallelizer { factor: 0 } | NodeKind::Serializer { factor: 0, .. } => {
+            return Err(SimError::Config(format!("{kind:?} has a branch factor of 0")));
         }
         NodeKind::Array { tensor } | NodeKind::LevelScanner { tensor, .. }
             if tensor >= tensors.len() =>

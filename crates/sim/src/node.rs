@@ -281,7 +281,7 @@ impl Io {
     // -- channel access ----------------------------------------------------
 
     fn peek(&self, ctx: &Ctx, port: usize) -> Option<Token> {
-        self.in_chans[port].and_then(|c| ctx.chans[c].get(0))
+        self.in_chans[port].and_then(|c| ctx.chans[c].head())
     }
 
     fn connected(&self, port: usize) -> bool {

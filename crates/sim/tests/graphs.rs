@@ -409,7 +409,7 @@ fn invalid_graph_is_reported() {
     const VW: NodeId = NodeId(4);
     const ADD: NodeKind = NodeKind::Alu { op: AluOp::Add };
     type Break = fn(&mut SamGraph);
-    let shapes: [(&str, Break); 10] = [
+    let shapes: [(&str, Break); 11] = [
         ("cycle", |g| {
             let a0 = g.add_node(ADD);
             let a1 = g.add_node(ADD);
@@ -443,6 +443,10 @@ fn invalid_graph_is_reported() {
         ("duplicate slot", |g| {
             g.add_tensor("B", MemLocation::OnChip);
         }),
+        ("zero branch factor", |g| {
+            let par = g.add_node(NodeKind::Parallelizer { factor: 0 });
+            g.connect(LS, 0, par, 0);
+        }),
     ];
     let env = TensorEnv::new();
     for (what, break_it) in shapes {
@@ -456,6 +460,37 @@ fn invalid_graph_is_reported() {
                 SimError::Validation(expect.clone()),
                 "{what}"
             );
+        }
+    }
+}
+
+/// A `Parallelizer` or `Serializer` with no branch has no output port to
+/// misconnect, so it passes every port check; on the first element it deals
+/// or merges it would divide by zero. `simulate` refuses it as a `GraphError`.
+#[test]
+fn zero_branch_factor_is_refused_before_it_runs() {
+    let b = DenseTensor::from_vec(vec![4], vec![1.0, 0.0, 2.0, 0.0]);
+    let mut env = TensorEnv::new();
+    env.insert("B", SparseTensor::from_dense(&b, &Format::sparse_vec()));
+    for kind in [NodeKind::Parallelizer { factor: 0 }, NodeKind::Serializer { factor: 0, depth: 0 }]
+    {
+        // root -> scan B -> (array -> val writer, crd -> the branchless node).
+        let mut g = SamGraph::new();
+        let t = g.add_tensor("B", MemLocation::OnChip);
+        let o = g.add_output("T", vec![4], Format::sparse_vec(), MemLocation::OnChip);
+        let root = g.add_node(NodeKind::Root);
+        let ls = g.add_node(NodeKind::LevelScanner { tensor: t, level: 0 });
+        let arr = g.add_node(NodeKind::Array { tensor: t });
+        let vw = g.add_node(NodeKind::ValWriter { output: o });
+        let split = g.add_node(kind);
+        g.connect(root, 0, ls, 0);
+        g.connect(ls, 1, arr, 0);
+        g.connect(arr, 0, vw, 0);
+        g.connect(ls, 0, split, 0);
+        for scheduler in [Scheduler::Event, Scheduler::Sweep] {
+            let cfg = SimConfig::default().with_scheduler(scheduler);
+            let err = simulate(&g, &env, &cfg).unwrap_err();
+            assert_eq!(err, SimError::Validation(GraphError::ZeroFactor { node: split.0 }));
         }
     }
 }

@@ -517,6 +517,19 @@ fn standalone_refuses_a_writer() {
     assert!(matches!(err, SimError::Config(_)), "{err:?}");
 }
 
+/// A `Parallelizer` or `Serializer` with no branch is refused before it runs:
+/// dealing elements to, or merging them from, zero branches divides by zero.
+#[test]
+fn standalone_refuses_a_zero_branch_factor() {
+    let crd = vec![idx(0), idx(1), s(0), D];
+    for kind in [NodeKind::Parallelizer { factor: 0 }, NodeKind::Serializer { factor: 0, depth: 0 }]
+    {
+        let inputs = vec![crd.clone(); kind.input_ports().len()];
+        let err = standalone(kind.clone(), inputs, vec![]).unwrap_err();
+        assert_eq!(err, SimError::Config(format!("{kind:?} has a branch factor of 0")));
+    }
+}
+
 /// An `Array` or `LevelScanner` naming a tensor it was not given is a
 /// `MissingTensor`, as in `simulate`.
 #[test]

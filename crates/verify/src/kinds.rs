@@ -14,7 +14,7 @@
 //! silently: the pass only reports what it can prove.
 
 use crate::diag::{Anchor, Code, Diag};
-use fuseflow_sam::{NodeId, NodeKind, SamGraph};
+use fuseflow_sam::{NodeId, NodeKind, Port, SamGraph};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -40,9 +40,11 @@ pub(crate) fn check_kinds(g: &SamGraph, diags: &mut Vec<Diag>) {
 /// (SA011).
 pub(crate) fn check_depths(g: &SamGraph, order: &[NodeId], diags: &mut Vec<Diag>) {
     let mut depths: HashMap<(NodeId, usize), i64> = HashMap::new();
+    // The output port driving each input port (one, the graph is validated).
+    let driver: HashMap<Port, Port> = g.edges().iter().map(|e| (e.dst, e.src)).collect();
     // Depth of the stream entering `(node, in_port)`, if inferred.
     let in_depth = |depths: &HashMap<(NodeId, usize), i64>, n: NodeId, p: usize| -> Option<i64> {
-        let src = g.in_edge(n, p)?.src;
+        let src = driver.get(&Port { node: n, port: p })?;
         depths.get(&(src.node, src.port)).copied()
     };
     // Reports a definite depth mismatch between two input ports of `n`.

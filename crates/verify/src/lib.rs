@@ -110,8 +110,9 @@ pub fn graph_errors(g: &SamGraph) -> Vec<Diag> {
 /// arrays and walk the graph upward, so they rely on that check.
 ///
 /// The error passes of [`graph_errors`] run first, then the dead-code
-/// warnings (SA014, SA015); all share the graph's adjacency index and the
-/// one topological order computed here. No pass reads `_opts`.
+/// warnings (SA014, SA015). They share the one topological order computed
+/// here; a pass that needs adjacency builds its own table from the graph's
+/// edges in one pass. No pass reads `_opts`.
 pub fn verify_graph(g: &SamGraph, _opts: &VerifyOptions) -> Report {
     let (order, mut diags) = match error_passes(g) {
         Ok(passed) => passed,
@@ -141,7 +142,8 @@ fn invalid_graph(g: &SamGraph, e: &GraphError) -> Diag {
         GraphError::BadPort { node, .. }
         | GraphError::MultipleWriters { node, .. }
         | GraphError::Unconnected { node, .. }
-        | GraphError::BadSlot { node } => Some(*node),
+        | GraphError::BadSlot { node }
+        | GraphError::ZeroFactor { node } => Some(*node),
         GraphError::Cyclic | GraphError::DuplicateSlot { .. } => None,
     };
     let anchors = node.filter(|&n| n < g.node_count()).map(|n| Anchor::Node(NodeId(n)));
@@ -286,6 +288,40 @@ mod tests {
         assert_eq!(r.with_code(Code::SA014).count(), 1);
     }
 
+    /// A live chain of five hops and a dead chain of two, nodes added
+    /// writer-first (ids against topological order) and the edges connected
+    /// both writer-first and source-first: a single pass over the edges in
+    /// either insertion order would leave part of the live chain dead.
+    #[test]
+    fn sa014_flags_exactly_the_dead_chain_in_any_connection_order() {
+        for writer_first in [true, false] {
+            let mut g = SamGraph::new();
+            let b = g.add_tensor("B", MemLocation::OnChip);
+            let o = g.add_output("T", vec![4], Format::sparse_vec(), MemLocation::OnChip);
+            let vw = g.add_node(NodeKind::ValWriter { output: o });
+            let r2 = g.add_node(NodeKind::Alu { op: AluOp::Relu });
+            let r1 = g.add_node(NodeKind::Alu { op: AluOp::Relu });
+            let arr = g.add_node(NodeKind::Array { tensor: b });
+            let ls = g.add_node(NodeKind::LevelScanner { tensor: b, level: 0 });
+            let root = g.add_node(NodeKind::Root);
+            let d2 = g.add_node(NodeKind::Alu { op: AluOp::Relu });
+            let d1 = g.add_node(NodeKind::Alu { op: AluOp::Relu });
+            let mut edges =
+                vec![(root, 0, ls), (ls, 1, arr), (arr, 0, d1), (d1, 0, d2), (arr, 0, r1)];
+            edges.extend([(r1, 0, r2), (r2, 0, vw)]);
+            if writer_first {
+                edges.reverse();
+            }
+            for (s, p, d) in edges {
+                g.connect(s, p, d, 0);
+            }
+            let r = verify_graph(&g, &VerifyOptions::default());
+            let dead: Vec<&Anchor> = r.with_code(Code::SA014).flat_map(|d| &d.anchors).collect();
+            assert_eq!(dead, [&Anchor::Node(d2), &Anchor::Node(d1)], "{}", r.render_human(&g));
+            assert_eq!(r.diags.len(), 2, "writer_first={writer_first}: {}", r.render_human(&g));
+        }
+    }
+
     #[test]
     fn sa015_unused_tensor_slot() {
         let mut g = clean_graph();
@@ -378,5 +414,11 @@ mod tests {
         let mut g = clean_graph();
         g.add_tensor("B", MemLocation::OnChip);
         invalid(&g, "duplicate slot");
+        let mut g = clean_graph();
+        let par = g.add_node(NodeKind::Parallelizer { factor: 0 });
+        g.connect(NodeId(1), 0, par, 0);
+        invalid(&g, "zero branch factor");
+        let r = verify_graph(&g, &VerifyOptions::default());
+        assert_eq!(r.diags[0].anchors, vec![Anchor::Node(par)]);
     }
 }
