@@ -10,7 +10,6 @@
 //! re-instantiated — the recomputation full fusion can introduce).
 
 use crate::ir::{AluOp, Einsum, IndexVar, Program, ReduceOp, TensorId};
-use fuseflow_sam::MAX_SPACC_ORDER;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
@@ -102,20 +101,15 @@ impl Pog {
         self.edges.iter().map(|&(a, b)| (GlobalIx(a), GlobalIx(b)))
     }
 
-    fn adjacency(&self) -> (Vec<Vec<usize>>, Vec<usize>) {
+    /// A deterministic topological order (smallest available id first), or
+    /// `None` if the graph is cyclic.
+    pub fn topo_first(&self) -> Option<Vec<GlobalIx>> {
         let mut adj = vec![Vec::new(); self.n];
         let mut indeg = vec![0usize; self.n];
         for &(a, b) in &self.edges {
             adj[a as usize].push(b as usize);
             indeg[b as usize] += 1;
         }
-        (adj, indeg)
-    }
-
-    /// A deterministic topological order (smallest available id first), or
-    /// `None` if the graph is cyclic.
-    pub fn topo_first(&self) -> Option<Vec<GlobalIx>> {
-        let (adj, mut indeg) = self.adjacency();
         let mut avail: std::collections::BTreeSet<usize> =
             (0..self.n).filter(|&i| indeg[i] == 0).collect();
         let mut order = Vec::with_capacity(self.n);
@@ -135,48 +129,6 @@ impl Pog {
     /// `true` if the constraints admit no valid order.
     pub fn is_cyclic(&self) -> bool {
         self.topo_first().is_none()
-    }
-
-    /// Enumerates topological orders (up to `limit`) by backtracking.
-    pub fn all_orders(&self, limit: usize) -> Vec<Vec<GlobalIx>> {
-        let (adj, mut indeg) = self.adjacency();
-        let mut out = Vec::new();
-        let mut cur = Vec::with_capacity(self.n);
-        let mut used = vec![false; self.n];
-        fn rec(
-            n: usize,
-            adj: &[Vec<usize>],
-            indeg: &mut [usize],
-            used: &mut [bool],
-            cur: &mut Vec<GlobalIx>,
-            out: &mut Vec<Vec<GlobalIx>>,
-            limit: usize,
-        ) {
-            if out.len() >= limit {
-                return;
-            }
-            if cur.len() == n {
-                out.push(cur.clone());
-                return;
-            }
-            for u in 0..n {
-                if !used[u] && indeg[u] == 0 {
-                    used[u] = true;
-                    for &v in &adj[u] {
-                        indeg[v] -= 1;
-                    }
-                    cur.push(GlobalIx(u as u32));
-                    rec(n, adj, indeg, used, cur, out, limit);
-                    cur.pop();
-                    for &v in &adj[u] {
-                        indeg[v] += 1;
-                    }
-                    used[u] = false;
-                }
-            }
-        }
-        rec(self.n, &adj, &mut indeg, &mut used, &mut cur, &mut out, limit);
-        out
     }
 
     /// Counts linear extensions (the number of valid dataflow orders,
@@ -575,34 +527,10 @@ pub fn fuse_region(program: &Program, range: Range<usize>) -> Result<FusedRegion
         }
         pog = build_pog(&fused);
     }
-    if pog.is_cyclic() {
-        return Err(FuseError::UnresolvableCycle);
-    }
-
-    // Choose a concordant order, preferring one where every reduction is
-    // realizable with an accumulator the lowering has (the reduced index
-    // directly above at most `MAX_SPACC_ORDER` deeper free indices per
-    // expression).
-    let candidates = pog.all_orders(512);
-    let spacc_ok = |order: &[GlobalIx]| {
-        let posn: HashMap<GlobalIx, usize> =
-            order.iter().enumerate().map(|(p, g)| (*g, p)).collect();
-        fused.iter().all(|fe| {
-            let mut rows: Vec<GlobalIx> = fe.index_set();
-            rows.sort_by_key(|g| posn[g]);
-            fe.reduce.iter().all(|u| {
-                let up = rows.iter().position(|r| r == u).expect("reduce in rows");
-                let below = &rows[up + 1..];
-                below.len() <= MAX_SPACC_ORDER && below.iter().all(|b| !fe.reduce.contains(b))
-            })
-        })
-    };
-    let order = candidates
-        .iter()
-        .find(|o| spacc_ok(o))
-        .or(candidates.first())
-        .cloned()
-        .expect("acyclic POG has an order");
+    // The region's order is the POG's first concordant order (smallest
+    // available index at each row). The lowering refuses a reduction that
+    // this order leaves needing a deeper accumulator than it has.
+    let order = pog.topo_first().ok_or(FuseError::UnresolvableCycle)?;
 
     // Scopes: reverse-topological pass over producers/consumers.
     let posn: HashMap<GlobalIx, usize> = order.iter().enumerate().map(|(p, g)| (*g, p)).collect();
@@ -703,7 +631,6 @@ mod tests {
         pog.add_edge(GlobalIx(0), GlobalIx(1));
         // 0 before 1; 2 free => 3 orders.
         assert_eq!(pog.count_orders(u128::MAX >> 1), (3, false));
-        assert_eq!(pog.all_orders(100).len(), 3);
         pog.add_edge(GlobalIx(1), GlobalIx(2));
         assert_eq!(pog.count_orders(u128::MAX >> 1), (1, false));
     }
@@ -743,7 +670,7 @@ mod tests {
         pog.add_edge(GlobalIx(0), GlobalIx(1));
         pog.add_edge(GlobalIx(1), GlobalIx(0));
         assert!(pog.is_cyclic());
-        assert!(pog.all_orders(10).is_empty());
+        assert_eq!(pog.count_orders(u128::MAX >> 1), (0, false));
     }
 
     #[test]

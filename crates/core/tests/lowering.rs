@@ -196,6 +196,30 @@ fn a_blocked_view_is_never_transposed() {
     assert!(matches!(&err, PipelineError::Lower(e) if *e == cycle), "{err}");
 }
 
+/// `T[i,j] = Σ_k A[k,i]·B[k,j]` with both inputs stored k-major: the one
+/// concordant order puts `k` above both free rows, which needs a deeper
+/// accumulator than the simulator has. Fusion takes that order anyway; the
+/// lowering is where the accumulator's depth is checked, and it refuses.
+#[test]
+fn a_reduction_above_two_free_rows_is_refused_by_the_lowering() {
+    let mut p = Program::new();
+    let (i, k, j) = (p.index("i"), p.index("k"), p.index("j"));
+    let a = p.input("A", vec![6, 5], Format::csr());
+    let b = p.input("B", vec![6, 4], Format::csr());
+    let ab = vec![(a, vec![k, i]), (b, vec![k, j])];
+    let t = p.contract("T", vec![i, j], ab, vec![k], Format::csr());
+    p.mark_output(t);
+    let region = fuse_region(&p, 0..1).unwrap();
+    let names: Vec<&str> =
+        region.order.iter().map(|g| region.names[g.0 as usize].as_str()).collect();
+    assert_eq!(names, ["u0", "i", "j"]);
+    let err = compile(&p, &Schedule::full()).unwrap_err();
+    assert!(
+        matches!(&err, PipelineError::Lower(LowerError::Unsupported(m)) if m.contains("needs a deeper accumulator")),
+        "{err}"
+    );
+}
+
 #[test]
 fn unfused_compilation_produces_one_graph_per_expression() {
     let p = spmm_chain();

@@ -358,18 +358,15 @@ impl SamGraph {
     pub fn topo_order(&self) -> Option<Vec<NodeId>> {
         let n = self.nodes.len();
         let mut indeg = vec![0usize; n];
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
         for e in self.edges.iter().filter(|e| e.dst.node.0 < n) {
             indeg[e.dst.node.0] += 1;
-            if let Some(next) = succ.get_mut(e.src.node.0) {
-                next.push(e.dst.node.0);
-            }
         }
+        let (offsets, targets) = self.successors();
         let mut stack: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
         let mut order = Vec::with_capacity(n);
         while let Some(u) = stack.pop() {
             order.push(NodeId(u));
-            for &v in &succ[u] {
+            for &v in &targets[offsets[u]..offsets[u + 1]] {
                 indeg[v] -= 1;
                 if indeg[v] == 0 {
                     stack.push(v);
@@ -377,6 +374,32 @@ impl SamGraph {
             }
         }
         (order.len() == n).then_some(order)
+    }
+
+    /// Every node's successors as flat arrays `(offsets, targets)`: node
+    /// `u`'s successors are `targets[offsets[u]..offsets[u + 1]]`, in edge
+    /// insertion order. An edge naming a missing node is left out.
+    pub fn successors(&self) -> (Vec<usize>, Vec<usize>) {
+        let n = self.nodes.len();
+        let inside = |e: &&Edge| e.src.node.0 < n && e.dst.node.0 < n;
+        // Count each node's out-edges, then sum them so that `offsets[u]` is
+        // the end of `u`'s run; filling from the last edge back moves it to
+        // the start.
+        let mut offsets = vec![0usize; n + 1];
+        for e in self.edges.iter().filter(inside) {
+            offsets[e.src.node.0] += 1;
+        }
+        let mut end = 0;
+        for o in &mut offsets {
+            end += *o;
+            *o = end;
+        }
+        let mut targets = vec![0usize; end];
+        for e in self.edges.iter().rev().filter(inside) {
+            offsets[e.src.node.0] -= 1;
+            targets[offsets[e.src.node.0]] = e.dst.node.0;
+        }
+        (offsets, targets)
     }
 
     /// Counts of each node kind (for compile statistics and tests).

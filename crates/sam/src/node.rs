@@ -109,8 +109,9 @@ impl ReduceOp {
 }
 
 /// The deepest [`NodeKind::Spacc`] order: how many free rows a reduction may
-/// have below it. The lowering refuses a reduction with more ("needs a
-/// deeper accumulator"), and fusion prefers an order where none has more.
+/// have below it. In the compiler the lowering is its only reader: it
+/// refuses a reduction with more ("needs a deeper accumulator"), and fusion
+/// picks its order without it. The simulator refuses a deeper `Spacc`.
 pub const MAX_SPACC_ORDER: usize = 1;
 
 /// Where a tensor lives during execution; controls whether touches are

@@ -9,7 +9,9 @@
 /// Timing parameters consumed by the simulation engine.
 #[derive(Debug, Clone)]
 pub struct TimingConfig {
-    /// Sustained DRAM bandwidth in bytes per cycle.
+    /// Sustained DRAM bandwidth in bytes per cycle, at a resolution of
+    /// 0.001 B/cycle: `simulate` refuses a smaller value, and rounds a
+    /// larger one to whole millibytes per cycle.
     pub dram_bytes_per_cycle: f64,
     /// Latency of streamed (sequential) DRAM accesses, cycles.
     pub dram_stream_latency: u64,

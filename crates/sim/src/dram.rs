@@ -32,6 +32,9 @@ pub enum AccessKind {
     Random,
 }
 
+/// The smallest bandwidth the model represents: one millibyte per cycle.
+pub(crate) const MIN_BYTES_PER_CYCLE: f64 = 0.001;
+
 /// A single-channel DRAM model.
 #[derive(Debug, Clone)]
 pub struct Dram {
@@ -51,15 +54,16 @@ pub struct Dram {
 impl Dram {
     /// Creates a model with the given sustained bandwidth and latencies.
     /// Bandwidth is quantized to whole millibytes per cycle at
-    /// construction; all per-request accounting is exact after that.
+    /// construction, so the model's resolution is 0.001 B/cycle; all
+    /// per-request accounting is exact after that.
     ///
     /// # Panics
     ///
-    /// Panics if `bytes_per_cycle` is not positive.
+    /// Panics if `bytes_per_cycle` is below the resolution (or NaN).
     pub fn new(bytes_per_cycle: f64, stream_latency: u64, random_latency: u64) -> Self {
-        assert!(bytes_per_cycle > 0.0, "bandwidth must be positive");
+        assert!(bytes_per_cycle >= MIN_BYTES_PER_CYCLE, "bandwidth below 0.001 B/cycle");
         Dram {
-            millibytes_per_cycle: ((bytes_per_cycle * 1000.0).round() as u64).max(1),
+            millibytes_per_cycle: (bytes_per_cycle * 1000.0).round() as u64,
             stream_latency,
             random_latency,
             busy_until_mb: 0,

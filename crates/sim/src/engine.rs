@@ -57,7 +57,7 @@
 //! a step returns in two registers; [`simulate`] unboxes it.
 
 use crate::chan::{Chan, Ctx, NO_NODE};
-use crate::dram::Dram;
+use crate::dram::{Dram, MIN_BYTES_PER_CYCLE};
 use crate::node::{Prim, Rt};
 use crate::rebuild::assemble_output;
 use crate::run::{run_event, run_standalone, run_sweep};
@@ -241,8 +241,11 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
         return Err(SimError::Config("channel_capacity must be at least 1".into()));
     }
     let bw = cfg.timing.dram_bytes_per_cycle;
-    if bw.is_nan() || bw <= 0.0 {
-        return Err(SimError::Config(format!("dram_bytes_per_cycle must be positive, got {bw}")));
+    if bw.is_nan() || bw < MIN_BYTES_PER_CYCLE {
+        return Err(SimError::Config(format!(
+            "dram_bytes_per_cycle must be at least the DRAM model's resolution, \
+             {MIN_BYTES_PER_CYCLE} B/cycle, got {bw}"
+        )));
     }
     if cfg.timing.outstanding == 0 {
         return Err(SimError::Config("outstanding must be at least 1".into()));

@@ -332,12 +332,15 @@ fn invalid_config_is_reported() {
     build_spmv(&mut g);
     // Rejected before tensor binding: an empty environment is enough.
     let env = TensorEnv::new();
-    for bw in [0.0, -1.0, f64::NAN] {
+    for bw in [0.0, -1.0, f64::NAN, 1e-12, 4e-4] {
         let mut timing = fuseflow_sim::TimingConfig::comal();
         timing.dram_bytes_per_cycle = bw;
         let cfg = SimConfig { timing, ..SimConfig::default() };
         let err = simulate(&g, &env, &cfg).unwrap_err();
-        assert!(matches!(err, fuseflow_sim::SimError::Config(_)), "bandwidth {bw}: {err}");
+        assert!(
+            matches!(&err, fuseflow_sim::SimError::Config(m) if m.contains("resolution")),
+            "bandwidth {bw}: {err}"
+        );
     }
     let cfg = SimConfig { channel_capacity: 0, ..SimConfig::default() };
     let err = simulate(&g, &env, &cfg).unwrap_err();

@@ -6,8 +6,8 @@ use crate::diag::{Anchor, Code, Diag};
 use fuseflow_sam::{NodeId, NodeKind, SamGraph};
 
 /// Marks nodes from which a `CrdWriter`/`ValWriter` is reachable, via a
-/// reverse-topological DP over a successor list built from the edges
-/// (writers are live by definition).
+/// reverse-topological DP over the graph's flat successor arrays (writers
+/// are live by definition).
 fn live_nodes(g: &SamGraph, order: &[NodeId]) -> Vec<bool> {
     let n = g.node_count();
     let mut live = vec![false; n];
@@ -16,12 +16,9 @@ fn live_nodes(g: &SamGraph, order: &[NodeId]) -> Vec<bool> {
             live[i] = true;
         }
     }
-    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for e in g.edges() {
-        succ[e.src.node.0].push(e.dst.node.0);
-    }
-    for &node in order.iter().rev() {
-        live[node.0] = live[node.0] || succ[node.0].iter().any(|&d| live[d]);
+    let (offsets, targets) = g.successors();
+    for &NodeId(u) in order.iter().rev() {
+        live[u] = live[u] || targets[offsets[u]..offsets[u + 1]].iter().any(|&d| live[d]);
     }
     live
 }
