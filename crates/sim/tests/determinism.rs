@@ -777,19 +777,25 @@ fn token_digest(stats: &Stats) -> u64 {
     h
 }
 
-#[test]
-fn node_token_counts_are_pinned() {
-    use fuseflow_core::pipeline::{compile_at, run};
-    use fuseflow_models::Fusion;
-    let models = [
+/// The zoo models of the pinned tables.
+fn pinned_models() -> [fuseflow_models::ModelInstance; 5] {
+    [
         fuseflow_models::sae("sae", 16, 8, 4, 0.4, 13),
         fuseflow_models::gcn(&tiny(gen::GraphPattern::PowerLaw), 8, 4, 17),
         fuseflow_models::graphsage(&tiny(gen::GraphPattern::Uniform), 8, 4, 19),
         fuseflow_models::gpt_attention(8, 4, 4, 23),
         fuseflow_models::map_stack(16, 9, 0.3, 29),
-    ];
+    ]
+}
+
+/// The 20 default-configuration zoo runs of [`TOKENS_PINNED`] and
+/// [`SCHED_PINNED`]: each model unfused and fully fused, in DRAM and on chip,
+/// as `(model, fusion, location, stats)`.
+fn default_zoo_runs() -> Vec<(String, String, &'static str, Stats)> {
+    use fuseflow_core::pipeline::{compile_at, run};
+    use fuseflow_models::Fusion;
     let mut got = Vec::new();
-    for m in &models {
+    for m in &pinned_models() {
         for fusion in [Fusion::Unfused, Fusion::Full] {
             for (loc_name, location) in
                 [("dram", MemLocation::Dram), ("onchip", MemLocation::OnChip)]
@@ -798,20 +804,23 @@ fn node_token_counts_are_pinned() {
                 let stats = run(&m.program, &compiled, &m.inputs, &SimConfig::default())
                     .unwrap_or_else(|e| panic!("{}, {fusion}, {loc_name}: {e}", m.name))
                     .stats;
-                let total = stats.node_tokens.values().sum::<u64>();
-                let (labels, digest) = (stats.node_tokens.len(), token_digest(&stats));
-                got.push((
-                    m.name.clone(),
-                    fusion.to_string(),
-                    loc_name,
-                    stats.cycles,
-                    labels,
-                    total,
-                    digest,
-                ));
+                got.push((m.name.clone(), fusion.to_string(), loc_name, stats));
             }
         }
     }
+    got
+}
+
+#[test]
+fn node_token_counts_are_pinned() {
+    let got: Vec<_> = default_zoo_runs()
+        .into_iter()
+        .map(|(model, fusion, loc, stats)| {
+            let total = stats.node_tokens.values().sum::<u64>();
+            let (labels, digest) = (stats.node_tokens.len(), token_digest(&stats));
+            (model, fusion, loc, stats.cycles, labels, total, digest)
+        })
+        .collect();
     let same = got.len() == TOKENS_PINNED.len()
         && got
             .iter()
@@ -825,19 +834,63 @@ fn node_token_counts_are_pinned() {
     }
 }
 
+/// `(model, fusion, location)` of the same 20 runs, then the event engine's
+/// own counters: steps (`sched.events`), skipped cycles and the ready set's
+/// high-water mark. They describe the simulator, not the machine, so no
+/// semantic comparison sees them: a change to the engine's layout leaves
+/// them as they are, and one that adds or drops steps moves them. On a
+/// mismatch the test prints the table as it now comes out.
+#[rustfmt::skip]
+const SCHED_PINNED: &[(&str, &str, &str, u64, u64, u64)] = &[
+    ("sae/sae", "unfused", "dram", 7929, 3480, 16),
+    ("sae/sae", "unfused", "onchip", 6530, 0, 16),
+    ("sae/sae", "full", "dram", 53639, 21231, 41),
+    ("sae/sae", "full", "onchip", 42265, 0, 41),
+    ("gcn/tiny", "unfused", "dram", 29138, 11294, 16),
+    ("gcn/tiny", "unfused", "onchip", 21272, 0, 16),
+    ("gcn/tiny", "full", "dram", 183867, 34812, 66),
+    ("gcn/tiny", "full", "onchip", 131857, 0, 66),
+    ("graphsage/tiny", "unfused", "dram", 41974, 16477, 16),
+    ("graphsage/tiny", "unfused", "onchip", 30828, 0, 16),
+    ("graphsage/tiny", "full", "dram", 253301, 29167, 141),
+    ("graphsage/tiny", "full", "onchip", 187562, 0, 141),
+    ("bigbird-attn/b4", "unfused", "dram", 9961, 4602, 16),
+    ("bigbird-attn/b4", "unfused", "onchip", 8029, 0, 16),
+    ("bigbird-attn/b4", "full", "dram", 7089, 1322, 40),
+    ("bigbird-attn/b4", "full", "onchip", 6209, 0, 40),
+    ("map_stack_16x9", "unfused", "dram", 6669, 3303, 8),
+    ("map_stack_16x9", "unfused", "onchip", 4959, 0, 8),
+    ("map_stack_16x9", "full", "dram", 1749, 303, 16),
+    ("map_stack_16x9", "full", "onchip", 1359, 0, 16),
+];
+
+#[test]
+fn scheduler_counters_are_pinned() {
+    let got: Vec<_> = default_zoo_runs()
+        .into_iter()
+        .map(|(model, fusion, loc, s)| {
+            (model, fusion, loc, s.sched.events, s.sched.cycles_skipped, s.sched.peak_ready)
+        })
+        .collect();
+    let same = got.len() == SCHED_PINNED.len()
+        && got
+            .iter()
+            .zip(SCHED_PINNED)
+            .all(|(g, p)| (g.0.as_str(), g.1.as_str(), g.2, g.3, g.4, g.5) == *p);
+    if !same {
+        for (model, fusion, loc, events, skipped, peak) in &got {
+            println!("    ({model:?}, {fusion:?}, {loc:?}, {events}, {skipped}, {peak}),");
+        }
+        panic!("scheduler counters moved; the table as it now comes out is printed above");
+    }
+}
+
 #[test]
 fn tight_capacity_cycles_and_deadlocks_are_pinned() {
     use fuseflow_core::pipeline::{compile_at, run, verify, PipelineError};
     use fuseflow_models::Fusion;
-    let models = [
-        fuseflow_models::sae("sae", 16, 8, 4, 0.4, 13),
-        fuseflow_models::gcn(&tiny(gen::GraphPattern::PowerLaw), 8, 4, 17),
-        fuseflow_models::graphsage(&tiny(gen::GraphPattern::Uniform), 8, 4, 19),
-        fuseflow_models::gpt_attention(8, 4, 4, 23),
-        fuseflow_models::map_stack(16, 9, 0.3, 29),
-    ];
     let mut got = Vec::new();
-    for m in &models {
+    for m in &pinned_models() {
         for fusion in Fusion::ALL {
             for (loc_name, location) in
                 [("dram", MemLocation::Dram), ("onchip", MemLocation::OnChip)]
