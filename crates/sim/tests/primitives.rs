@@ -339,6 +339,164 @@ fn spacc_refuses_unflushed_state_at_done_and_an_order_it_lacks() {
     assert_eq!(err, SimError::Semantics(want));
 }
 
+/// A value as a test compares it: tiles by their elements, floats by bits.
+#[derive(Debug, Clone, PartialEq)]
+enum Seen {
+    Idx(u32),
+    F(u32),
+    Blk(Vec<u32>),
+    Empty,
+    Stop(u8),
+    Done,
+}
+
+fn seen(tok: Token, tiles: &Tiles) -> Seen {
+    match tok {
+        Token::Elem(Payload::Idx(i)) => Seen::Idx(i),
+        Token::Elem(Payload::F(v)) => Seen::F(v.to_bits()),
+        Token::Elem(Payload::Blk(b)) => {
+            Seen::Blk(tiles.get(b).data().iter().map(|v| v.to_bits()).collect())
+        }
+        Token::Elem(Payload::Empty) => Seen::Empty,
+        Token::Stop(k) => Seen::Stop(k),
+        Token::Done => Seen::Done,
+    }
+}
+
+/// An accumulator value of the model: a scalar, a tile's elements, or absent.
+#[derive(Debug, Clone)]
+enum ModelVal {
+    F(f32),
+    Blk(Vec<f32>),
+    Empty,
+}
+
+impl ModelVal {
+    fn merge(self, other: ModelVal, op: ReduceOp) -> ModelVal {
+        match (self, other) {
+            (ModelVal::F(a), ModelVal::F(b)) => ModelVal::F(op.apply(a, b)),
+            (ModelVal::Blk(a), ModelVal::Blk(b)) => {
+                ModelVal::Blk(a.iter().zip(&b).map(|(&x, &y)| op.apply(x, y)).collect())
+            }
+            (ModelVal::Empty, p) | (p, ModelVal::Empty) => p,
+            (a, b) => panic!("the generator mixed {a:?} and {b:?}"),
+        }
+    }
+
+    fn seen(&self) -> Seen {
+        match self {
+            ModelVal::F(v) => Seen::F(v.to_bits()),
+            ModelVal::Blk(d) => Seen::Blk(d.iter().map(|v| v.to_bits()).collect()),
+            ModelVal::Empty => Seen::Empty,
+        }
+    }
+}
+
+/// A small deterministic generator (xorshift64*), so the test needs no
+/// random-number crate and every failure is reproducible from its seed.
+struct Gen(u64);
+
+impl Gen {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) % n
+    }
+}
+
+/// The `Spacc` of order 0 and 1 against a `BTreeMap` model, through
+/// `run_node_standalone`. Each case is a few output rows (flushed by a stop
+/// of level `order` or above), each made of fibers whose coordinates
+/// ascend, with coordinates revisited out of order from one fiber to the
+/// next (and, now and then, a fiber in descending order), under `Sum` and
+/// `Max`, with scalar or 2x2 tile payloads and some `Empty` operands.
+#[test]
+fn spacc_matches_a_btreemap_model() {
+    for seed in 1..=200u64 {
+        let mut g = Gen(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+        let order = (seed % 2) as usize;
+        let op = if seed % 4 < 2 { ReduceOp::Sum } else { ReduceOp::Max };
+        let tiled = seed % 8 >= 4;
+        let mut tiles = Tiles::default();
+        let (mut crd_in, mut val_in) = (Vec::new(), Vec::new());
+        let (mut crd_want, mut val_want) = (Vec::new(), Vec::new());
+        let rows = 1 + g.below(4);
+        for row in 0..rows {
+            let mut model: std::collections::BTreeMap<u32, ModelVal> = Default::default();
+            // At order 0 every stop flushes, so a row is one fiber.
+            let fibers = if order == 0 { 1 } else { 1 + g.below(4) };
+            for fiber in 0..fibers {
+                let mut crds: Vec<u32> = (0..8).filter(|_| g.below(3) == 0).collect();
+                if order == 0 {
+                    crds.truncate(g.below(4) as usize);
+                    crds.iter_mut().for_each(|c| *c = 0);
+                } else if g.below(6) == 0 {
+                    crds.reverse();
+                }
+                for c in crds {
+                    let v = if g.below(6) == 0 {
+                        ModelVal::Empty
+                    } else if tiled {
+                        ModelVal::Blk((0..4).map(|_| g.below(9) as f32 - 4.0).collect())
+                    } else {
+                        ModelVal::F(g.below(9) as f32 - 4.0)
+                    };
+                    let payload = match &v {
+                        ModelVal::F(x) => Payload::F(*x),
+                        ModelVal::Blk(d) => Payload::Blk(tiles.put(Block::new(2, 2, d.clone()))),
+                        ModelVal::Empty => Payload::Empty,
+                    };
+                    crd_in.push(idx(c));
+                    val_in.push(Token::Elem(payload));
+                    let merged = match model.remove(&c) {
+                        Some(old) => old.merge(v, op),
+                        None => v,
+                    };
+                    model.insert(c, merged);
+                }
+                // Stops below `order` separate fibers; the row's last closes it.
+                let last_row = row + 1 == rows;
+                let k = match (fiber + 1 == fibers, last_row) {
+                    (false, _) => 0,
+                    (true, false) => order as u8,
+                    (true, true) => order as u8 + 1,
+                };
+                crd_in.push(s(k));
+                val_in.push(s(k));
+            }
+            if order == 0 && model.is_empty() {
+                model.insert(0, ModelVal::F(0.0));
+            }
+            for (c, v) in model {
+                crd_want.push(Seen::Idx(c));
+                val_want.push(v.seen());
+            }
+            let k = if row + 1 == rows { order as u8 + 1 } else { order as u8 };
+            if k >= 1 {
+                crd_want.push(Seen::Stop(k - 1));
+                val_want.push(Seen::Stop(k - 1));
+            }
+        }
+        crd_in.push(D);
+        val_in.push(D);
+        crd_want.push(Seen::Done);
+        val_want.push(Seen::Done);
+
+        let kind = NodeKind::Spacc { order, op };
+        let ins = if order == 0 { vec![val_in] } else { vec![crd_in, val_in] };
+        let out = run_node_standalone(kind, ins, vec![], &mut tiles)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let got: Vec<Vec<Seen>> =
+            out.iter().map(|p| p.iter().map(|&t| seen(t, &tiles)).collect()).collect();
+        let case = format!("seed {seed}, order {order}, {op:?}, tiled {tiled}");
+        if order == 1 {
+            assert_eq!(got[0], crd_want, "{case}: coordinates");
+        }
+        assert_eq!(got[order], val_want, "{case}: values");
+    }
+}
+
 #[test]
 fn parallelizer_round_robins_elements_and_broadcasts_stops() {
     let crd = vec![idx(0), idx(1), idx(2), s(0), D];
