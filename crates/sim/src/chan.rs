@@ -2,7 +2,8 @@
 //!
 //! A channel holds one-word [`Token`]s (`tok.rs`): a peek or a pop copies
 //! eight bytes out of the buffer, and the tiles those tokens name live in
-//! the context's [`Tiles`] for the whole run.
+//! the context's [`Tiles`] for the whole run. A channel's buffer and a
+//! node's in-flight memory are each a [`Ring`].
 
 use crate::dram::Dram;
 use crate::engine::SimConfig;
@@ -11,11 +12,105 @@ use crate::stats::SchedCounters;
 use crate::tok::{Tiles, Token};
 use fuseflow_sam::{OutputSlot, TensorSlot};
 use fuseflow_tensor::SparseTensor;
-use std::collections::VecDeque;
 
 /// Sentinel for a channel endpoint with no node attached (test harness
 /// channels that are pre-seeded or captured externally).
 pub(crate) const NO_NODE: u32 = u32::MAX;
+
+/// Sentinel for an unconnected input port in a node's channel table.
+pub(crate) const NO_CHAN: u32 = u32::MAX;
+
+/// A first-in first-out queue of `Copy` values in a power-of-two buffer:
+/// a push or a pop is a masked index, and the buffer only grows (doubling,
+/// never shrinking). Every slot holds a value, so no slot is ever read
+/// uninitialised; the slots outside `head..head + len` are stale copies.
+#[derive(Debug, Clone)]
+pub(crate) struct Ring<T: Copy> {
+    buf: Box<[T]>,
+    /// Index of the oldest value.
+    head: usize,
+    len: usize,
+}
+
+impl<T: Copy> Default for Ring<T> {
+    fn default() -> Self {
+        Ring { buf: Box::default(), head: 0, len: 0 }
+    }
+}
+
+impl<T: Copy> Ring<T> {
+    /// Number of values held.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The oldest value.
+    #[inline]
+    pub(crate) fn front(&self) -> Option<&T> {
+        (self.len > 0).then(|| &self.buf[self.head])
+    }
+
+    /// Appends `x` after the newest value.
+    #[inline]
+    pub(crate) fn push_back(&mut self, x: T) {
+        if self.len == self.buf.len() {
+            self.grow(x);
+        }
+        let i = (self.head + self.len) & (self.buf.len() - 1);
+        self.buf[i] = x;
+        self.len += 1;
+    }
+
+    /// Removes and returns the oldest value.
+    #[inline]
+    pub(crate) fn pop_front(&mut self) -> Option<T> {
+        if self.len == 0 {
+            return None;
+        }
+        let x = self.buf[self.head];
+        self.head = (self.head + 1) & (self.buf.len() - 1);
+        self.len -= 1;
+        Some(x)
+    }
+
+    /// The values, oldest first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> + '_ {
+        let mask = self.buf.len().wrapping_sub(1);
+        (0..self.len).map(move |i| &self.buf[(self.head + i) & mask])
+    }
+
+    /// Doubles the buffer (at least 4 slots), the values kept in order from
+    /// slot 0; `fill` fills the new slots past them.
+    #[cold]
+    fn grow(&mut self, fill: T) {
+        let cap = (2 * self.buf.len()).max(4);
+        let mut buf = Vec::with_capacity(cap);
+        buf.extend(self.iter().copied());
+        buf.resize(cap, fill);
+        self.buf = buf.into_boxed_slice();
+        self.head = 0;
+    }
+}
+
+impl<T: Copy> Extend<T> for Ring<T> {
+    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
+        for x in iter {
+            self.push_back(x);
+        }
+    }
+}
+
+impl<T: Copy> FromIterator<T> for Ring<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut ring = Ring::default();
+        ring.extend(iter);
+        ring
+    }
+}
 
 /// A bounded stream that also holds its writer's output queue.
 ///
@@ -27,9 +122,11 @@ pub(crate) const NO_NODE: u32 = u32::MAX;
 /// one-token-per-port-per-cycle rate is a counter and no token is moved or
 /// cloned a second time. Staged tokens do not count against `cap` (an action
 /// may produce more than a channel holds; they leave at the same rate).
+/// `buf` is a [`Ring`]: the reader pops at its head while the writer appends
+/// at its tail, and neither moves the other's tokens.
 #[derive(Debug)]
 pub(crate) struct Chan {
-    pub(crate) buf: VecDeque<Token>,
+    pub(crate) buf: Ring<Token>,
     /// Length of the reader-visible prefix of `buf`.
     pub(crate) visible: usize,
     pub(crate) cap: usize,
@@ -44,20 +141,21 @@ pub(crate) struct Chan {
 impl Chan {
     /// An empty channel between the nodes of rank `writer` and `reader`.
     pub(crate) fn new(cap: usize, writer: u32, reader: u32) -> Self {
-        Chan { buf: VecDeque::new(), visible: 0, cap, reader, writer }
+        Chan { buf: Ring::default(), visible: 0, cap, reader, writer }
     }
 
     /// A harness input channel (no writer node) with every token already
     /// visible to the node of rank 0.
     pub(crate) fn seeded(toks: impl IntoIterator<Item = Token>) -> Self {
-        let buf: VecDeque<Token> = toks.into_iter().collect();
+        let buf: Ring<Token> = toks.into_iter().collect();
         Chan { visible: buf.len(), buf, cap: usize::MAX, reader: 0, writer: NO_NODE }
     }
 
-    /// The token at the head, if the reader can see it.
+    /// The token at the head, if the reader can see it. A visible token is
+    /// in the ring, so its head slot is read without asking the ring again.
     pub(crate) fn head(&self) -> Option<Token> {
         if self.visible > 0 {
-            self.buf.front().copied()
+            Some(self.buf.buf[self.buf.head])
         } else {
             None
         }
@@ -221,6 +319,68 @@ mod tests {
         let mut ctx = Ctx::bare(vec![Chan::new(2, 0, 1)], &cfg, 2);
         ctx.chans[0].buf.push_back(Token::Done);
         ctx.pop_chan(0);
+    }
+
+    /// First in, first out, across the wrap at the buffer's end and across
+    /// a growth that happens while the oldest value sits past slot 0.
+    #[test]
+    fn ring_is_fifo_across_wraps_and_growth() {
+        let mut ring = Ring::default();
+        let mut model = std::collections::VecDeque::new();
+        let mut next = 0u32;
+        // Each round pushes one more than it pops, so the buffer fills with
+        // its head moved off slot 0 and grows from there (4 -> 8 -> 16 ...).
+        for round in 0..40 {
+            for _ in 0..(round % 5 + 1) {
+                ring.push_back(next);
+                model.push_back(next);
+                next += 1;
+            }
+            for _ in 0..(round % 5) {
+                assert_eq!(ring.pop_front(), model.pop_front());
+            }
+            assert_eq!(ring.len(), model.len());
+            assert_eq!(ring.front(), model.front());
+            assert!(ring.iter().eq(model.iter()), "round {round}");
+        }
+        while let Some(x) = model.pop_front() {
+            assert_eq!(ring.pop_front(), Some(x));
+        }
+        assert!(ring.is_empty());
+        assert_eq!((ring.pop_front(), ring.front()), (None, None));
+    }
+
+    /// A channel whose buffer grows while its writer has tokens staged and
+    /// its reader has popped (so its ring's head is off slot 0) keeps the
+    /// visible prefix and the staged tail as they were.
+    #[test]
+    fn a_channel_grows_with_tokens_staged() {
+        let cfg = SimConfig::default();
+        let mut ctx = Ctx::bare(vec![Chan::new(3, 0, 1)], &cfg, 2);
+        ctx.chans[0].buf.extend((0..4).map(Token::idx));
+        ctx.publish(0);
+        ctx.publish(0);
+        assert_eq!(ctx.pop_chan(0), Token::idx(0));
+        // One visible, two staged, the buffer's four slots full after this.
+        ctx.chans[0].buf.push_back(Token::idx(4));
+        assert_eq!((ctx.chans[0].visible, ctx.chans[0].buf.len()), (1, 4));
+        // Grows: the head is at slot 1.
+        ctx.chans[0].buf.extend([Token::idx(5), Token::Done]);
+        assert_eq!((ctx.chans[0].visible, ctx.chans[0].buf.len()), (1, 6));
+        assert_eq!(ctx.chans[0].head(), Some(Token::idx(1)));
+        ctx.publish(0);
+        ctx.publish(0);
+        assert!(ctx.chans[0].is_full(), "three visible at capacity 3; three still staged");
+        let mut got = Vec::new();
+        while ctx.chans[0].visible > 0 {
+            got.push(ctx.pop_chan(0));
+            if ctx.chans[0].visible < ctx.chans[0].buf.len() {
+                ctx.publish(0);
+            }
+        }
+        let want: Vec<Token> = (1..6).map(Token::idx).chain([Token::Done]).collect();
+        assert_eq!(got, want);
+        assert!(ctx.chans[0].buf.is_empty());
     }
 
     /// The wake rule: a publish wakes the reader (this cycle) only when the

@@ -10,14 +10,13 @@
 //! return: a node-level result carries a `Box<SimError>` (16 bytes, returned
 //! in registers), built only by the cold [`Io::fail`].
 
-use crate::chan::{Ctx, StepOutcome};
+use crate::chan::{Ctx, Ring, StepOutcome, NO_CHAN};
 use crate::dram::AccessKind;
 use crate::engine::SimError;
 use crate::tok::{Block, Payload, Tile, Token};
 use fuseflow_sam::{AluOp, MemLocation, NodeKind, ReduceOp, MAX_SPACC_ORDER};
 use fuseflow_tensor::Level;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, VecDeque};
 
 /// A node-level result: the error, if any, behind one pointer.
 pub(crate) type Step<T> = Result<T, Box<SimError>>;
@@ -45,6 +44,36 @@ pub(crate) struct SerState {
     in_unit: bool,
 }
 
+/// An accumulator's values, sorted by coordinate, and the slot to try
+/// first: the one after the slot the last value went to. A fiber's
+/// coordinates ascend, so within a fiber that slot is the next value's (an
+/// append, while the first fiber of a row is read); a coordinate revisited
+/// out of order is found by binary search. A stop puts the cursor back to
+/// the first slot, and a flush drains the values in coordinate order.
+#[derive(Debug, Default)]
+pub(crate) struct SortedRun {
+    entries: Vec<(u32, Payload)>,
+    cursor: usize,
+}
+
+impl SortedRun {
+    /// The slot that holds `key` (`Ok`), or where it goes (`Err`).
+    fn slot(&self, key: u32) -> Result<usize, usize> {
+        let e = &self.entries;
+        // Past the slot touched last: nothing before the cursor can match.
+        let lo = if self.cursor == 0 || e[self.cursor - 1].0 < key { self.cursor } else { 0 };
+        match e.get(lo) {
+            None => Err(lo),
+            Some(&(k, _)) if k == key => Ok(lo),
+            Some(&(k, _)) if k > key => Err(lo),
+            Some(_) => match e[lo + 1..].binary_search_by_key(&key, |&(k, _)| k) {
+                Ok(i) => Ok(lo + 1 + i),
+                Err(i) => Err(lo + 1 + i),
+            },
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum JoinMode {
     Intersect,
@@ -57,7 +86,8 @@ pub(crate) enum JoinMode {
 /// counts the tokens of `[Ref(0), Done]` it has emitted, Repeat holds the
 /// loaded base element, Array the tile it loaded for each stored position of
 /// a blocked tensor (a position read again reuses it), Spacc the values
-/// accumulated so far by coordinate (all under 0 at order 0), a writer the
+/// accumulated so far as a run sorted by coordinate (one value under 0 at
+/// order 0; see [`SortedRun`]), a writer the
 /// stream it received (for the output rebuild), and Par the branch the next
 /// element goes to.
 #[derive(Debug)]
@@ -68,7 +98,7 @@ pub(crate) enum Prim {
     Join(JoinMode),
     Array { tensor: usize, loaded: Vec<Option<Tile>> },
     Alu { op: AluOp },
-    Spacc { order: usize, op: ReduceOp, map: BTreeMap<u32, Payload> },
+    Spacc { order: usize, op: ReduceOp, acc: SortedRun },
     CrdWriter { output: usize, level: usize, tokens: Vec<Token> },
     ValWriter { output: usize, tokens: Vec<Token> },
     Par { factor: usize, rr: usize },
@@ -79,7 +109,7 @@ pub(crate) enum Prim {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct OutPort {
     /// The port's fan-out channels, in the graph's edge order.
-    pub(crate) chans: Vec<usize>,
+    pub(crate) chans: Vec<u32>,
     /// Tokens produced and not yet sent. They sit at the tail of every
     /// fan-out channel's `buf`, past its `visible` mark (all fan-out channels
     /// of a port hold the same staged tokens); an unconnected port has only
@@ -93,17 +123,26 @@ pub(crate) struct Rt {
     pub(crate) io: Io,
 }
 
+/// One memory request in flight: the cycle it completes, the token it then
+/// puts on output port 0, and the one it puts on port 1 (a scanner's
+/// reference beside its coordinate, or the same stop or `Done` on both).
+/// A writer's entry holds only its timing; its token is dropped.
+pub(crate) type InFlight = (u64, Token, Option<Token>);
+
 /// How a node is wired and timed: everything of it but its [`Prim`]. Owns
 /// the channel helpers and the `act_*` bodies.
 pub(crate) struct Io {
     pub(crate) label: String,
-    pub(crate) in_chans: Vec<Option<usize>>,
+    /// The channel of each input port, or [`NO_CHAN`].
+    pub(crate) in_chans: Vec<u32>,
     pub(crate) outs: Vec<OutPort>,
     /// Sum of the ports' `staged`, kept by [`emit`](Self::emit) and
     /// [`flush_phase`](Self::flush_phase): "anything staged?" is asked
     /// three times a step and must not walk the ports.
     n_staged: usize,
-    pub(crate) pending_mem: VecDeque<(Token, u64, usize)>,
+    /// Requests in flight, in issue order: they complete in order, so no
+    /// token overtakes one issued before it.
+    pub(crate) pending_mem: Ring<InFlight>,
     pub(crate) busy_until: u64,
     pub(crate) done: bool,
     /// Elements produced on connected ports (counted by
@@ -115,8 +154,8 @@ impl Rt {
     pub(crate) fn new(
         kind: &NodeKind,
         label: String,
-        in_chans: Vec<Option<usize>>,
-        out_chans: Vec<Vec<usize>>,
+        in_chans: Vec<u32>,
+        out_chans: Vec<Vec<u32>>,
     ) -> Rt {
         let prim = match *kind {
             NodeKind::Root => Prim::Root { emitted: 0 },
@@ -129,7 +168,7 @@ impl Rt {
             NodeKind::UnionLeft => Prim::Join(JoinMode::UnionLeft),
             NodeKind::Array { tensor } => Prim::Array { tensor, loaded: Vec::new() },
             NodeKind::Alu { op } => Prim::Alu { op },
-            NodeKind::Spacc { order, op } => Prim::Spacc { order, op, map: BTreeMap::new() },
+            NodeKind::Spacc { order, op } => Prim::Spacc { order, op, acc: SortedRun::default() },
             NodeKind::CrdWriter { output, level } => {
                 Prim::CrdWriter { output, level, tokens: Vec::new() }
             }
@@ -144,7 +183,7 @@ impl Rt {
             in_chans,
             outs: out_chans.into_iter().map(|chans| OutPort { chans, staged: 0 }).collect(),
             n_staged: 0,
-            pending_mem: VecDeque::new(),
+            pending_mem: Ring::default(),
             busy_until: 0,
             done: false,
             elems: 0,
@@ -186,13 +225,16 @@ impl Rt {
         // Phase 2: retire completed memory requests onto their output ports
         // (or drop them, for writers). They are staged here and sent by the
         // next step's flush.
-        while let Some((_, ready, _)) = self.io.pending_mem.front() {
-            if *ready > ctx.now {
+        while let Some(&(ready, tok, tok1)) = self.io.pending_mem.front() {
+            if ready > ctx.now {
                 break;
             }
-            let (tok, _, port) = self.io.pending_mem.pop_front().expect("nonempty");
+            self.io.pending_mem.pop_front();
             if !self.is_writer() {
-                self.io.emit(ctx, port, tok);
+                self.io.emit(ctx, 0, tok);
+                if let Some(tok1) = tok1 {
+                    self.io.emit(ctx, 1, tok1);
+                }
             }
             progress = true;
         }
@@ -228,7 +270,7 @@ impl Rt {
             Prim::Join(mode) => io.act_join(ctx, *mode),
             Prim::Array { tensor, loaded } => io.act_array(ctx, *tensor, loaded),
             Prim::Alu { op } => io.act_alu(ctx, *op),
-            Prim::Spacc { order, op, map } => io.act_spacc(ctx, *order, *op, map),
+            Prim::Spacc { order, op, acc } => io.act_spacc(ctx, *order, *op, acc),
             Prim::CrdWriter { output, tokens, .. } | Prim::ValWriter { output, tokens } => {
                 io.act_writer(ctx, *output, tokens)
             }
@@ -248,7 +290,7 @@ impl Io {
     pub(crate) fn next_wake(&self, now: u64) -> Option<u64> {
         self.pending_mem
             .front()
-            .map(|x| x.1)
+            .map(|x| x.0)
             .into_iter()
             .chain((self.busy_until > now).then_some(self.busy_until))
             .filter(|&t| t > now)
@@ -281,16 +323,20 @@ impl Io {
     // -- channel access ----------------------------------------------------
 
     fn peek(&self, ctx: &Ctx, port: usize) -> Option<Token> {
-        self.in_chans[port].and_then(|c| ctx.chans[c].head())
+        match self.in_chans[port] {
+            NO_CHAN => None,
+            c => ctx.chans[c as usize].head(),
+        }
     }
 
     fn connected(&self, port: usize) -> bool {
-        self.in_chans[port].is_some()
+        self.in_chans[port] != NO_CHAN
     }
 
     fn pop(&self, ctx: &mut Ctx, port: usize) -> Token {
-        let c = self.in_chans[port].expect("pop from unconnected port");
-        ctx.pop_chan(c)
+        let c = self.in_chans[port];
+        assert!(c != NO_CHAN, "pop from unconnected port");
+        ctx.pop_chan(c as usize)
     }
 
     /// Produces `tok` on an output port: written once into every fan-out
@@ -306,7 +352,7 @@ impl Io {
             self.elems += 1;
         }
         for &c in &out.chans {
-            ctx.chans[c].buf.push_back(tok);
+            ctx.chans[c as usize].buf.push_back(tok);
         }
     }
 
@@ -348,12 +394,12 @@ impl Io {
                 *staged = 0;
                 continue;
             }
-            if outs.iter().any(|&c| ctx.chans[c].is_full()) {
+            if outs.iter().any(|&c| ctx.chans[c as usize].is_full()) {
                 flush_blocked = true;
                 continue;
             }
             for &c in outs.iter() {
-                ctx.publish(c);
+                ctx.publish(c as usize);
             }
             *staged -= 1;
             self.n_staged -= 1;
@@ -389,9 +435,8 @@ impl Io {
 
         if s.emitting {
             if s.fidx < s.len {
-                // One request per element; it sits in the queue as a
-                // (crd, ref) pair of entries.
-                if self.pending_mem.len() >= 2 * outstanding {
+                // One request per element: one entry, its (crd, ref) pair.
+                if self.pending_mem.len() >= outstanding {
                     return Ok(false);
                 }
                 let ready = if compressed && in_dram {
@@ -401,8 +446,7 @@ impl Io {
                 };
                 let (c, p) = lvl.fiber_entry(s.parent, s.fidx);
                 s.fidx += 1;
-                self.pending_mem.push_back((Token::idx(c), ready, 0));
-                self.pending_mem.push_back((Token::idx(p as u32), ready, 1));
+                self.pending_mem.push_back((ready, Token::idx(c), Some(Token::idx(p as u32))));
                 return Ok(true);
             }
             // Fiber boundary (stops flow through the in-order pending
@@ -417,9 +461,7 @@ impl Io {
                 }
             };
             s.emitting = false;
-            let now = ctx.now;
-            self.pending_mem.push_back((stop, now, 0));
-            self.pending_mem.push_back((stop, now, 1));
+            self.pending_mem.push_back((ctx.now, stop, Some(stop)));
             return Ok(true);
         }
 
@@ -450,15 +492,11 @@ impl Io {
             Token::Stop(k) => {
                 let stop = self.deeper(k, 1)?;
                 self.pop(ctx, 0);
-                let now = ctx.now;
-                self.pending_mem.push_back((stop, now, 0));
-                self.pending_mem.push_back((stop, now, 1));
+                self.pending_mem.push_back((ctx.now, stop, Some(stop)));
             }
             Token::Done => {
                 self.pop(ctx, 0);
-                let now = ctx.now;
-                self.pending_mem.push_back((Token::Done, now, 0));
-                self.pending_mem.push_back((Token::Done, now, 1));
+                self.pending_mem.push_back((ctx.now, Token::Done, Some(Token::Done)));
                 self.done = true;
             }
         }
@@ -637,7 +675,7 @@ impl Io {
                 } else {
                     ctx.now
                 };
-                self.pending_mem.push_back((Token::Elem(payload), ready, 0));
+                self.pending_mem.push_back((ready, Token::Elem(payload), None));
             }
             Token::Elem(Payload::Empty) => {
                 self.pop(ctx, 0);
@@ -647,18 +685,18 @@ impl Io {
                 } else {
                     Payload::F(0.0)
                 };
-                self.pending_mem.push_back((Token::Elem(payload), ctx.now, 0));
+                self.pending_mem.push_back((ctx.now, Token::Elem(payload), None));
             }
             Token::Elem(other) => {
                 return self.fail(format_args!("array received payload {other:?}"))
             }
             Token::Stop(k) => {
                 self.pop(ctx, 0);
-                self.pending_mem.push_back((Token::Stop(k), ctx.now, 0));
+                self.pending_mem.push_back((ctx.now, Token::Stop(k), None));
             }
             Token::Done => {
                 self.pop(ctx, 0);
-                self.pending_mem.push_back((Token::Done, ctx.now, 0));
+                self.pending_mem.push_back((ctx.now, Token::Done, None));
                 self.done = true;
             }
         }
@@ -718,22 +756,16 @@ impl Io {
         Ok(true)
     }
 
-    /// A sparse accumulator of order `order`: ports `0..order` carry the
-    /// coordinates of the free levels below the reduced one, port `order`
-    /// the values. Each value merges into `map` under its coordinate (all
-    /// under 0 at order 0); an absent operand adds nothing. `Stop(k)` with
-    /// `k < order` only separates the fibers being accumulated. `Stop(k >=
-    /// order)` flushes the map in coordinate order, then emits `Stop(k - 1)`
-    /// on every port if `k >= 1`. An empty flush at order 0 emits 0: it has
-    /// no coordinate to leave out, and a fiber with nothing in it reduces to
-    /// 0 under every op, the absent coordinate the interpreter reads.
-    fn act_spacc(
-        &mut self,
-        ctx: &mut Ctx,
-        order: usize,
-        op: ReduceOp,
-        map: &mut BTreeMap<u32, Payload>,
-    ) -> Act {
+    /// A sparse accumulator of order `order`: ports `0..order` carry the coordinates of
+    /// the free levels below the reduced one, port `order` the values. Each
+    /// value merges into `acc` under its coordinate (all under 0 at order
+    /// 0); an absent operand adds nothing. `Stop(k)` with `k < order` only
+    /// separates the fibers being accumulated. `Stop(k >= order)` flushes
+    /// `acc` in coordinate order, then emits `Stop(k - 1)` on every port if
+    /// `k >= 1`. An empty flush at order 0 emits 0: it has no coordinate to
+    /// leave out, and a fiber with nothing in it reduces to 0 under every
+    /// op, the absent coordinate the interpreter reads.
+    fn act_spacc(&mut self, ctx: &mut Ctx, order: usize, op: ReduceOp, acc: &mut SortedRun) -> Act {
         if order > MAX_SPACC_ORDER {
             return self.fail(format_args!("no accumulator of order {order}"));
         }
@@ -750,12 +782,13 @@ impl Io {
             }
         }
         match v {
-            Token::Elem(pv) => match map.entry(key) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(pv);
+            Token::Elem(pv) => match acc.slot(key) {
+                Err(i) => {
+                    acc.entries.insert(i, (key, pv));
+                    acc.cursor = i + 1;
                 }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    let merged = match (*e.get(), pv) {
+                Ok(i) => {
+                    let merged = match (acc.entries[i].1, pv) {
                         (Payload::F(a), Payload::F(b)) => {
                             ctx.flops += 1;
                             Payload::F(op.apply(a, b))
@@ -767,15 +800,17 @@ impl Io {
                         (Payload::Empty, p) | (p, Payload::Empty) => p,
                         (a, b) => return self.fail(format_args!("spacc operands {a:?} / {b:?}")),
                     };
-                    e.insert(merged);
+                    acc.entries[i].1 = merged;
+                    acc.cursor = i + 1;
                 }
             },
             Token::Stop(k) => {
+                acc.cursor = 0;
                 if usize::from(k) >= order {
-                    if order == 0 && map.is_empty() {
-                        map.insert(0, Payload::F(0.0));
+                    if order == 0 && acc.entries.is_empty() {
+                        acc.entries.push((0, Payload::F(0.0)));
                     }
-                    while let Some((c, v)) = map.pop_first() {
+                    for (c, v) in acc.entries.drain(..) {
                         for port in 0..order {
                             self.emit(ctx, port, Token::idx(c));
                         }
@@ -789,7 +824,7 @@ impl Io {
                 }
             }
             Token::Done => {
-                if !map.is_empty() {
+                if !acc.entries.is_empty() {
                     return self.fail("spacc reached Done with unflushed state");
                 }
                 for port in 0..=order {
@@ -821,7 +856,7 @@ impl Io {
             } else {
                 ctx.now
             };
-            self.pending_mem.push_back((Token::Stop(0), ready, 0));
+            self.pending_mem.push_back((ready, Token::Stop(0), None));
             self.elems += 1;
         }
         if head == Token::Done {
@@ -1125,7 +1160,7 @@ mod tests {
         let mut rt = Rt::new(
             &NodeKind::Spacc { order: 1, op: ReduceOp::Sum },
             "spacc".into(),
-            vec![Some(0), Some(1)],
+            vec![0, 1],
             vec![vec![2, 3], vec![4]],
         );
 
@@ -1173,8 +1208,7 @@ mod tests {
         base.buf.extend([f(5.0), Token::Stop(0)]);
         let chans = vec![base, Chan::seeded([Token::Stop(1)]), Chan::new(8, 1, NO_NODE)];
         let mut ctx = Ctx::bare(chans, &cfg, 2);
-        let mut rt =
-            Rt::new(&NodeKind::Repeat, "repeat".into(), vec![Some(0), Some(1)], vec![vec![2]]);
+        let mut rt = Rt::new(&NodeKind::Repeat, "repeat".into(), vec![0, 1], vec![vec![2]]);
         ctx.publish(0);
         assert_eq!(ctx.cur.pop_ge(0), Some(1), "empty -> non-empty");
         assert_eq!(rt.step(&mut ctx).unwrap(), StepOutcome::Progressed, "took the element");
@@ -1187,7 +1221,7 @@ mod tests {
         assert_eq!(rt.step(&mut ctx).unwrap(), StepOutcome::Progressed);
         assert!(matches!(rt.prim, Prim::Repeat { base: None }));
         assert_eq!(ctx.chans[0].buf.len(), 0, "element and stop both consumed");
-        assert_eq!(ctx.chans[2].buf.back(), Some(&Token::Stop(1)));
+        assert_eq!(ctx.chans[2].buf.iter().last(), Some(&Token::Stop(1)));
 
         // The same state reached by a whole graph. The base values leave a
         // slow `Array`, which gathers them from DRAM one at a time

@@ -5,7 +5,7 @@
 //! how channels and ready sets name nodes; `order` itself is read only to name
 //! nodes by id in a deadlock report.
 
-use crate::chan::{Ctx, StepOutcome};
+use crate::chan::{Ctx, StepOutcome, NO_CHAN};
 use crate::engine::SimError;
 use crate::node::{Rt, Step};
 use crate::sched::WakeQueue;
@@ -154,8 +154,9 @@ pub(crate) fn run_standalone(node: &mut Rt, ctx: &mut Ctx, budget: u64) -> Step<
 
 /// The deadlock report at the machine's current cycle: every unfinished
 /// node, in node-id order. `in:` is what each input channel shows its reader,
-/// `outq:` what each output port has staged; the table and the channels name
-/// nodes by rank, the report by node id.
+/// `outq:` what each output port has staged, `pend:` the tokens its requests
+/// in flight will put out (a scanner's entry carries two); the table and the
+/// channels name nodes by rank, the report by node id.
 #[cold]
 fn deadlock(order: &[NodeId], nodes: &[Rt], ctx: &Ctx) -> Box<SimError> {
     let mut by_id: Vec<(usize, &Rt)> = order.iter().map(|id| id.0).zip(nodes).collect();
@@ -166,9 +167,9 @@ fn deadlock(order: &[NodeId], nodes: &[Rt], ctx: &Ctx) -> Box<SimError> {
             let ins: Vec<String> = n
                 .in_chans
                 .iter()
-                .map(|c| match c {
-                    Some(id) => format!("{}", ctx.chans[*id].visible),
-                    None => "-".into(),
+                .map(|&c| match c {
+                    NO_CHAN => "-".into(),
+                    c => format!("{}", ctx.chans[c as usize].visible),
                 })
                 .collect();
             let outs: Vec<String> = n.outs.iter().map(|o| o.staged.to_string()).collect();
@@ -179,7 +180,9 @@ fn deadlock(order: &[NodeId], nodes: &[Rt], ctx: &Ctx) -> Box<SimError> {
                 if out.staged == 0 {
                     continue;
                 }
-                for ch in out.chans.iter().map(|&c| &ctx.chans[c]).filter(|ch| ch.is_full()) {
+                for ch in
+                    out.chans.iter().map(|&c| &ctx.chans[c as usize]).filter(|ch| ch.is_full())
+                {
                     let reader = ch.reader as usize;
                     full.push(format!(
                         "out{p}->{}#{} at cap {}",
@@ -197,7 +200,7 @@ fn deadlock(order: &[NodeId], nodes: &[Rt], ctx: &Ctx) -> Box<SimError> {
                 n.label,
                 ins.join(","),
                 outs.join(","),
-                n.pending_mem.len(),
+                n.pending_mem.iter().map(|e| 1 + usize::from(e.2.is_some())).sum::<usize>(),
                 n.done,
                 n.busy_until,
                 why
