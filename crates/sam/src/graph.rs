@@ -1,6 +1,6 @@
 //! The SAMML dataflow graph: nodes, streams, tensor/output bindings.
 
-use crate::{MemLocation, NodeKind};
+use crate::{MemLocation, NodeKind, MAX_SPACC_ORDER};
 use fuseflow_tensor::Format;
 use std::collections::HashMap;
 
@@ -99,6 +99,14 @@ pub enum GraphError {
         /// Offending node.
         node: usize,
     },
+    /// A `Spacc` deeper than [`MAX_SPACC_ORDER`]: no accumulator of that
+    /// order exists.
+    DeepAccumulator {
+        /// Offending node.
+        node: usize,
+        /// Its order.
+        order: usize,
+    },
 }
 
 impl std::fmt::Display for GraphError {
@@ -123,6 +131,11 @@ impl std::fmt::Display for GraphError {
                 write!(f, "duplicate {kind} slot name '{name}'")
             }
             GraphError::ZeroFactor { node } => write!(f, "node {node} has a branch factor of 0"),
+            GraphError::DeepAccumulator { node, order } => write!(
+                f,
+                "node {node} is an accumulator of order {order}, past the deepest \
+                 ({MAX_SPACC_ORDER})"
+            ),
         }
     }
 }
@@ -269,7 +282,7 @@ impl SamGraph {
     }
 
     /// Validates port ranges, single-writer inputs, required connections,
-    /// slot references, branch factors, and acyclicity.
+    /// slot references, branch factors, accumulator orders, and acyclicity.
     ///
     /// # Errors
     ///
@@ -311,6 +324,9 @@ impl SamGraph {
                 NodeKind::ValWriter { output } => *output < self.outputs.len(),
                 NodeKind::Parallelizer { factor: 0 } | NodeKind::Serializer { factor: 0, .. } => {
                     return Err(GraphError::ZeroFactor { node: i })
+                }
+                NodeKind::Spacc { order, .. } if *order > MAX_SPACC_ORDER => {
+                    return Err(GraphError::DeepAccumulator { node: i, order: *order })
                 }
                 _ => true,
             };
@@ -448,7 +464,7 @@ impl std::fmt::Display for SamGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AluOp;
+    use crate::{AluOp, ReduceOp};
 
     fn tiny_graph() -> (SamGraph, NodeId, NodeId) {
         let mut g = SamGraph::new();
@@ -599,6 +615,16 @@ mod tests {
             let n = g.add_node(kind);
             assert_eq!(g.validate(), Err(GraphError::ZeroFactor { node: n.0 }));
         }
+    }
+
+    #[test]
+    fn accumulator_past_the_deepest_order_fails() {
+        let (mut g, _, _) = tiny_graph();
+        let order = MAX_SPACC_ORDER + 1;
+        let n = g.add_node(NodeKind::Spacc { order, op: ReduceOp::Sum });
+        assert_eq!(g.validate(), Err(GraphError::DeepAccumulator { node: n.0, order }));
+        let err = g.validate().unwrap_err().to_string();
+        assert!(err.contains(&format!("order {order}")), "{err}");
     }
 
     #[test]

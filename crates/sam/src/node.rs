@@ -111,7 +111,8 @@ impl ReduceOp {
 /// The deepest [`NodeKind::Spacc`] order: how many free rows a reduction may
 /// have below it. In the compiler the lowering is its only reader: it
 /// refuses a reduction with more ("needs a deeper accumulator"), and fusion
-/// picks its order without it. The simulator refuses a deeper `Spacc`.
+/// picks its order without it. [`SamGraph::validate`](crate::SamGraph::validate)
+/// refuses a deeper `Spacc` ([`GraphError::DeepAccumulator`](crate::GraphError::DeepAccumulator)).
 pub const MAX_SPACC_ORDER: usize = 1;
 
 /// Where a tensor lives during execution; controls whether touches are
@@ -200,7 +201,8 @@ pub enum NodeKind {
     /// as one sorted fiber on `Stop(k >= order)`; the output is one
     /// stop-level shallower. Order 0 (`Reduce`) collapses each innermost
     /// fiber to one value; order 1 (`Spacc1`, the "Vector (1) Reducer")
-    /// accumulates `(crd, val)` fibers. At most [`MAX_SPACC_ORDER`].
+    /// accumulates `(crd, val)` fibers. At most [`MAX_SPACC_ORDER`]
+    /// (`validate` refuses a deeper one).
     ///
     /// Inputs and outputs: `0..order: crd`, `order: val`.
     Spacc {

@@ -64,7 +64,9 @@ use crate::run::{run_event, run_standalone, run_sweep};
 use crate::stats::Stats;
 use crate::tok::{Tiles, Token};
 use crate::TimingConfig;
-use fuseflow_sam::{GraphError, MemLocation, NodeId, NodeKind, SamGraph, TensorSlot};
+use fuseflow_sam::{
+    GraphError, MemLocation, NodeId, NodeKind, SamGraph, TensorSlot, MAX_SPACC_ORDER,
+};
 use fuseflow_tensor::SparseTensor;
 use std::collections::HashMap;
 
@@ -365,8 +367,9 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
 ///
 /// [`SimError::Config`] if `inputs` does not hold one stream per input port,
 /// a token names a tile `tiles` does not hold, `kind` is a writer (it
-/// writes an output and has no stream to return), or `kind` is a
-/// `Parallelizer` or `Serializer` with no branch (`factor: 0`);
+/// writes an output and has no stream to return), `kind` is a
+/// `Parallelizer` or `Serializer` with no branch (`factor: 0`), or a `Spacc`
+/// deeper than [`MAX_SPACC_ORDER`];
 /// [`SimError::MissingTensor`] for an `Array` or `LevelScanner` whose tensor
 /// `tensors` lacks (slot `i` is named `t{i}`) and
 /// [`SimError::LevelOutOfRange`] for a `LevelScanner` past its tensor's
@@ -395,6 +398,11 @@ pub fn run_node_standalone(
         }
         NodeKind::Parallelizer { factor: 0 } | NodeKind::Serializer { factor: 0, .. } => {
             return Err(SimError::Config(format!("{kind:?} has a branch factor of 0")));
+        }
+        NodeKind::Spacc { order, .. } if order > MAX_SPACC_ORDER => {
+            return Err(SimError::Config(format!(
+                "{kind:?}: no accumulator is deeper than order {MAX_SPACC_ORDER}"
+            )));
         }
         NodeKind::Array { tensor } | NodeKind::LevelScanner { tensor, .. }
             if tensor >= tensors.len() =>

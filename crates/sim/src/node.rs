@@ -14,7 +14,7 @@ use crate::chan::{Ctx, Ring, StepOutcome, NO_CHAN};
 use crate::dram::AccessKind;
 use crate::engine::SimError;
 use crate::tok::{Block, Payload, Tile, Token};
-use fuseflow_sam::{AluOp, MemLocation, NodeKind, ReduceOp, MAX_SPACC_ORDER};
+use fuseflow_sam::{AluOp, MemLocation, NodeKind, ReduceOp};
 use fuseflow_tensor::Level;
 use std::cmp::Ordering;
 
@@ -756,7 +756,8 @@ impl Io {
         Ok(true)
     }
 
-    /// A sparse accumulator of order `order`: ports `0..order` carry the coordinates of
+    /// A sparse accumulator of order `order` (at most `MAX_SPACC_ORDER`,
+    /// which `validate` holds): ports `0..order` carry the coordinates of
     /// the free levels below the reduced one, port `order` the values. Each
     /// value merges into `acc` under its coordinate (all under 0 at order
     /// 0); an absent operand adds nothing. `Stop(k)` with `k < order` only
@@ -766,9 +767,6 @@ impl Io {
     /// leave out, and a fiber with nothing in it reduces to 0 under every
     /// op, the absent coordinate the interpreter reads.
     fn act_spacc(&mut self, ctx: &mut Ctx, order: usize, op: ReduceOp, acc: &mut SortedRun) -> Act {
-        if order > MAX_SPACC_ORDER {
-            return self.fail(format_args!("no accumulator of order {order}"));
-        }
         let Some(v) = self.peek(ctx, order) else { return Ok(false) };
         let mut key = 0;
         for port in 0..order {

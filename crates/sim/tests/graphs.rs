@@ -4,7 +4,9 @@
 //! (Fig 9d), elementwise addition through unions, and a data-parallel SpMM
 //! (Section 7, Parallelization).
 
-use fuseflow_sam::{AluOp, GraphError, MemLocation, NodeId, NodeKind, ReduceOp, SamGraph};
+use fuseflow_sam::{
+    AluOp, GraphError, MemLocation, NodeId, NodeKind, ReduceOp, SamGraph, MAX_SPACC_ORDER,
+};
 use fuseflow_sim::{simulate, Scheduler, SimConfig, SimError, TensorEnv};
 use fuseflow_tensor::{gen, reference, DenseTensor, Format, SparseTensor};
 
@@ -412,7 +414,7 @@ fn invalid_graph_is_reported() {
     const VW: NodeId = NodeId(4);
     const ADD: NodeKind = NodeKind::Alu { op: AluOp::Add };
     type Break = fn(&mut SamGraph);
-    let shapes: [(&str, Break); 11] = [
+    let shapes: [(&str, Break); 12] = [
         ("cycle", |g| {
             let a0 = g.add_node(ADD);
             let a1 = g.add_node(ADD);
@@ -449,6 +451,11 @@ fn invalid_graph_is_reported() {
         ("zero branch factor", |g| {
             let par = g.add_node(NodeKind::Parallelizer { factor: 0 });
             g.connect(LS, 0, par, 0);
+        }),
+        ("accumulator deeper than MAX_SPACC_ORDER", |g| {
+            let order = MAX_SPACC_ORDER + 1;
+            let deep = g.add_node(NodeKind::Spacc { order, op: ReduceOp::Sum });
+            g.connect(LS, 0, deep, 0);
         }),
     ];
     let env = TensorEnv::new();

@@ -321,7 +321,8 @@ fn spacc_flushes_empty_fiber_for_empty_accumulation() {
 }
 
 /// `Done` with values still in the map is an error at every order (order
-/// 0 used to drop them), and an order past `MAX_SPACC_ORDER` is refused.
+/// 0 used to drop them), and an order past `MAX_SPACC_ORDER` is refused
+/// before the run, as `validate` refuses it in a graph.
 #[test]
 fn spacc_refuses_unflushed_state_at_done_and_an_order_it_lacks() {
     let unflushed = |order: usize| {
@@ -334,9 +335,10 @@ fn spacc_refuses_unflushed_state_at_done_and_an_order_it_lacks() {
         assert_eq!(unflushed(order), SimError::Semantics(want.into()), "order {order}");
     }
     let deep = NodeKind::Spacc { order: MAX_SPACC_ORDER + 1, op: ReduceOp::Sum };
-    let err = standalone(deep, vec![vec![s(0), D]; MAX_SPACC_ORDER + 2], vec![]).unwrap_err();
-    let want = format!("no accumulator of order {} at standalone", MAX_SPACC_ORDER + 1);
-    assert_eq!(err, SimError::Semantics(want));
+    let err =
+        standalone(deep.clone(), vec![vec![s(0), D]; MAX_SPACC_ORDER + 2], vec![]).unwrap_err();
+    let want = format!("{deep:?}: no accumulator is deeper than order {MAX_SPACC_ORDER}");
+    assert_eq!(err, SimError::Config(want));
 }
 
 /// A value as a test compares it: tiles by their elements, floats by bits.

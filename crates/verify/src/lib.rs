@@ -143,7 +143,8 @@ fn invalid_graph(g: &SamGraph, e: &GraphError) -> Diag {
         | GraphError::MultipleWriters { node, .. }
         | GraphError::Unconnected { node, .. }
         | GraphError::BadSlot { node }
-        | GraphError::ZeroFactor { node } => Some(*node),
+        | GraphError::ZeroFactor { node }
+        | GraphError::DeepAccumulator { node, .. } => Some(*node),
         GraphError::Cyclic | GraphError::DuplicateSlot { .. } => None,
     };
     let anchors = node.filter(|&n| n < g.node_count()).map(|n| Anchor::Node(NodeId(n)));
@@ -153,7 +154,7 @@ fn invalid_graph(g: &SamGraph, e: &GraphError) -> Diag {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fuseflow_sam::{AluOp, MemLocation, NodeId, NodeKind, ReduceOp, SamGraph};
+    use fuseflow_sam::{AluOp, MemLocation, NodeId, NodeKind, ReduceOp, SamGraph, MAX_SPACC_ORDER};
     use fuseflow_tensor::Format;
 
     /// A minimal clean graph: root -> scan -> (crd writer, array -> val
@@ -420,5 +421,12 @@ mod tests {
         invalid(&g, "zero branch factor");
         let r = verify_graph(&g, &VerifyOptions::default());
         assert_eq!(r.diags[0].anchors, vec![Anchor::Node(par)]);
+        let mut g = clean_graph();
+        let order = MAX_SPACC_ORDER + 1;
+        let deep = g.add_node(NodeKind::Spacc { order, op: ReduceOp::Sum });
+        g.connect(NodeId(1), 0, deep, 0);
+        invalid(&g, "accumulator deeper than MAX_SPACC_ORDER");
+        let r = verify_graph(&g, &VerifyOptions::default());
+        assert_eq!(r.diags[0].anchors, vec![Anchor::Node(deep)]);
     }
 }
