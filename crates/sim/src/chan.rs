@@ -17,9 +17,6 @@ use fuseflow_tensor::SparseTensor;
 /// channels that are pre-seeded or captured externally).
 pub(crate) const NO_NODE: u32 = u32::MAX;
 
-/// Sentinel for an unconnected input port in a node's channel table.
-pub(crate) const NO_CHAN: u32 = u32::MAX;
-
 /// A first-in first-out queue of `Copy` values in a power-of-two buffer:
 /// a push or a pop is a masked index, and the buffer only grows (doubling,
 /// never shrinking). Every slot holds a value, so no slot is ever read

@@ -56,7 +56,7 @@
 //! returns the same tokens. A node-level result carries its error boxed, so
 //! a step returns in two registers; [`simulate`] unboxes it.
 
-use crate::chan::{Chan, Ctx, NO_CHAN, NO_NODE};
+use crate::chan::{Chan, Ctx, NO_NODE};
 use crate::dram::{Dram, MIN_BYTES_PER_CYCLE};
 use crate::node::{Prim, Rt};
 use crate::rebuild::assemble_output;
@@ -290,7 +290,7 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
             Rt::new(
                 kind,
                 graph.label(id),
-                vec![NO_CHAN; kind.input_ports().len()],
+                vec![None; kind.input_ports().len()],
                 vec![Vec::new(); kind.output_ports().len()],
             )
         })
@@ -299,8 +299,8 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
     for (c, e) in graph.edges().iter().enumerate() {
         let (src, dst) = (rank_of[e.src.node.0], rank_of[e.dst.node.0]);
         chans.push(Chan::new(cfg.channel_capacity, src, dst));
-        nodes[src as usize].io.outs[e.src.port].chans.push(c as u32);
-        nodes[dst as usize].io.in_chans[e.dst.port] = c as u32;
+        nodes[src as usize].io.outs[e.src.port].chans.push(c);
+        nodes[dst as usize].io.in_chans[e.dst.port] = Some(c);
     }
 
     // One machine (`Ctx`): one DRAM channel and one clock for the whole graph.
@@ -427,20 +427,20 @@ pub fn run_node_standalone(
     let mut ctx =
         Ctx::new(Vec::new(), Dram::new(1e9, 0, 0), tensors.iter().collect(), &slots, &[], &cfg, 1);
     ctx.tiles = std::mem::take(tiles);
-    let mut in_chans = vec![NO_CHAN; n_in];
+    let mut in_chans = vec![None; n_in];
     for (p, toks) in inputs.into_iter().enumerate() {
         if !toks.is_empty() {
-            in_chans[p] = ctx.chans.len() as u32;
             ctx.chans.push(Chan::seeded(toks));
+            in_chans[p] = Some(ctx.chans.len() - 1);
         }
     }
     let mut out_chans = vec![Vec::new(); n_out];
     let mut capture = Vec::new();
     for oc in &mut out_chans {
         // Captured by the harness: no reader node.
-        oc.push(ctx.chans.len() as u32);
-        capture.push(ctx.chans.len());
         ctx.chans.push(Chan::new(usize::MAX, 0, NO_NODE));
+        oc.push(ctx.chans.len() - 1);
+        capture.push(ctx.chans.len() - 1);
     }
 
     let mut rt = Rt::new(&kind, "standalone".into(), in_chans, out_chans);

@@ -10,7 +10,7 @@
 //! return: a node-level result carries a `Box<SimError>` (16 bytes, returned
 //! in registers), built only by the cold [`Io::fail`].
 
-use crate::chan::{Ctx, Ring, StepOutcome, NO_CHAN};
+use crate::chan::{Ctx, Ring, StepOutcome};
 use crate::dram::AccessKind;
 use crate::engine::SimError;
 use crate::tok::{Block, Payload, Tile, Token};
@@ -109,7 +109,7 @@ pub(crate) enum Prim {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct OutPort {
     /// The port's fan-out channels, in the graph's edge order.
-    pub(crate) chans: Vec<u32>,
+    pub(crate) chans: Vec<usize>,
     /// Tokens produced and not yet sent. They sit at the tail of every
     /// fan-out channel's `buf`, past its `visible` mark (all fan-out channels
     /// of a port hold the same staged tokens); an unconnected port has only
@@ -133,8 +133,7 @@ pub(crate) type InFlight = (u64, Token, Option<Token>);
 /// the channel helpers and the `act_*` bodies.
 pub(crate) struct Io {
     pub(crate) label: String,
-    /// The channel of each input port, or [`NO_CHAN`].
-    pub(crate) in_chans: Vec<u32>,
+    pub(crate) in_chans: Vec<Option<usize>>,
     pub(crate) outs: Vec<OutPort>,
     /// Sum of the ports' `staged`, kept by [`emit`](Self::emit) and
     /// [`flush_phase`](Self::flush_phase): "anything staged?" is asked
@@ -154,8 +153,8 @@ impl Rt {
     pub(crate) fn new(
         kind: &NodeKind,
         label: String,
-        in_chans: Vec<u32>,
-        out_chans: Vec<Vec<u32>>,
+        in_chans: Vec<Option<usize>>,
+        out_chans: Vec<Vec<usize>>,
     ) -> Rt {
         let prim = match *kind {
             NodeKind::Root => Prim::Root { emitted: 0 },
@@ -323,20 +322,16 @@ impl Io {
     // -- channel access ----------------------------------------------------
 
     fn peek(&self, ctx: &Ctx, port: usize) -> Option<Token> {
-        match self.in_chans[port] {
-            NO_CHAN => None,
-            c => ctx.chans[c as usize].head(),
-        }
+        self.in_chans[port].and_then(|c| ctx.chans[c].head())
     }
 
     fn connected(&self, port: usize) -> bool {
-        self.in_chans[port] != NO_CHAN
+        self.in_chans[port].is_some()
     }
 
     fn pop(&self, ctx: &mut Ctx, port: usize) -> Token {
-        let c = self.in_chans[port];
-        assert!(c != NO_CHAN, "pop from unconnected port");
-        ctx.pop_chan(c as usize)
+        let c = self.in_chans[port].expect("pop from unconnected port");
+        ctx.pop_chan(c)
     }
 
     /// Produces `tok` on an output port: written once into every fan-out
@@ -352,7 +347,7 @@ impl Io {
             self.elems += 1;
         }
         for &c in &out.chans {
-            ctx.chans[c as usize].buf.push_back(tok);
+            ctx.chans[c].buf.push_back(tok);
         }
     }
 
@@ -394,12 +389,12 @@ impl Io {
                 *staged = 0;
                 continue;
             }
-            if outs.iter().any(|&c| ctx.chans[c as usize].is_full()) {
+            if outs.iter().any(|&c| ctx.chans[c].is_full()) {
                 flush_blocked = true;
                 continue;
             }
             for &c in outs.iter() {
-                ctx.publish(c as usize);
+                ctx.publish(c);
             }
             *staged -= 1;
             self.n_staged -= 1;
@@ -1158,7 +1153,7 @@ mod tests {
         let mut rt = Rt::new(
             &NodeKind::Spacc { order: 1, op: ReduceOp::Sum },
             "spacc".into(),
-            vec![0, 1],
+            vec![Some(0), Some(1)],
             vec![vec![2, 3], vec![4]],
         );
 
@@ -1206,7 +1201,8 @@ mod tests {
         base.buf.extend([f(5.0), Token::Stop(0)]);
         let chans = vec![base, Chan::seeded([Token::Stop(1)]), Chan::new(8, 1, NO_NODE)];
         let mut ctx = Ctx::bare(chans, &cfg, 2);
-        let mut rt = Rt::new(&NodeKind::Repeat, "repeat".into(), vec![0, 1], vec![vec![2]]);
+        let mut rt =
+            Rt::new(&NodeKind::Repeat, "repeat".into(), vec![Some(0), Some(1)], vec![vec![2]]);
         ctx.publish(0);
         assert_eq!(ctx.cur.pop_ge(0), Some(1), "empty -> non-empty");
         assert_eq!(rt.step(&mut ctx).unwrap(), StepOutcome::Progressed, "took the element");

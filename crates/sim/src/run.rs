@@ -5,7 +5,7 @@
 //! how channels and ready sets name nodes; `order` itself is read only to name
 //! nodes by id in a deadlock report.
 
-use crate::chan::{Ctx, StepOutcome, NO_CHAN};
+use crate::chan::{Ctx, StepOutcome};
 use crate::engine::SimError;
 use crate::node::{Rt, Step};
 use crate::sched::WakeQueue;
@@ -167,9 +167,9 @@ fn deadlock(order: &[NodeId], nodes: &[Rt], ctx: &Ctx) -> Box<SimError> {
             let ins: Vec<String> = n
                 .in_chans
                 .iter()
-                .map(|&c| match c {
-                    NO_CHAN => "-".into(),
-                    c => format!("{}", ctx.chans[c as usize].visible),
+                .map(|c| match c {
+                    Some(id) => format!("{}", ctx.chans[*id].visible),
+                    None => "-".into(),
                 })
                 .collect();
             let outs: Vec<String> = n.outs.iter().map(|o| o.staged.to_string()).collect();
@@ -180,9 +180,7 @@ fn deadlock(order: &[NodeId], nodes: &[Rt], ctx: &Ctx) -> Box<SimError> {
                 if out.staged == 0 {
                     continue;
                 }
-                for ch in
-                    out.chans.iter().map(|&c| &ctx.chans[c as usize]).filter(|ch| ch.is_full())
-                {
+                for ch in out.chans.iter().map(|&c| &ctx.chans[c]).filter(|ch| ch.is_full()) {
                     let reader = ch.reader as usize;
                     full.push(format!(
                         "out{p}->{}#{} at cap {}",
