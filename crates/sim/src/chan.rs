@@ -21,7 +21,7 @@ pub(crate) const NO_NODE: u32 = u32::MAX;
 /// a push or a pop is a masked index, and the buffer only grows (doubling,
 /// never shrinking). Every slot holds a value, so no slot is ever read
 /// uninitialised; the slots outside `head..head + len` are stale copies.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Ring<T: Copy> {
     buf: Box<[T]>,
     /// Index of the oldest value.

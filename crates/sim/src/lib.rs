@@ -12,8 +12,9 @@
 //! only as its differential-testing oracle. A graph is one machine: one
 //! clock, one DRAM channel and one set of counters, whether or not its
 //! kernels are connected to each other. The sources split as `node.rs`
-//! (node state machines), `chan.rs` (channels and the machine context a step
-//! sees), `tok.rs` (the one-word stream [`Token`] that channels hold and
+//! (node state machines), `chan.rs` (channels, the ring buffer that they
+//! and in-flight memory use, and the machine context a step sees), `tok.rs`
+//! (the one-word stream [`Token`] that channels hold and
 //! [`run_node_standalone`] takes, and the [`Tiles`] table its tile payloads
 //! index), `run.rs` (the run loops and their determinism arguments) and
 //! `engine.rs` (`simulate` assembly).
