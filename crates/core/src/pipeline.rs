@@ -120,8 +120,8 @@ pub fn compile_at(
 
 /// [`compile_at`] with an explicit static-analysis switch: unless
 /// `verify_cfg` is disabled, a lowered region graph that draws an
-/// error-severity diagnostic of [`graph_errors`] (SA010, SA011, SA016,
-/// SA017) refuses the compile. No warning pass runs, and no analyzer option
+/// error-severity diagnostic of [`graph_errors`] (SA010, SA011, SA017)
+/// refuses the compile. No warning pass runs, and no analyzer option
 /// is read.
 ///
 /// Each region is lowered and checked once per program, whatever schedules
@@ -697,5 +697,61 @@ mod tests {
         plant(4, &good);
         compile(&p, &unfused).unwrap();
         assert_eq!(p.memo.lowerings.load(Ordering::Relaxed), 6);
+    }
+
+    /// A region graph whose output has two value writers, two coordinate
+    /// writers on one level, or a level with none, is refused as
+    /// `PipelineError::Static`: one SA017 at the output slot.
+    #[test]
+    fn a_region_without_one_writer_per_output_stream_is_refused() {
+        use fuseflow_sam::{NodeId, NodeKind};
+        type Break = fn(&mut SamGraph, NodeId, NodeId);
+        let shapes: [(&str, Break); 3] = [
+            ("two value writers on one output", |g, _, arr| {
+                let vw = g.add_node(NodeKind::ValWriter { output: 0 });
+                g.connect(arr, 0, vw, 0);
+            }),
+            ("two coordinate writers on one level", |g, ls, _| {
+                let cw = g.add_node(NodeKind::CrdWriter { output: 0, level: 0 });
+                g.connect(ls, 0, cw, 0);
+            }),
+            ("an output level with no coordinate writer", |g, _, arr| {
+                let u = g.add_output("U", vec![4], Format::sparse_vec(), MemLocation::OnChip);
+                let vw = g.add_node(NodeKind::ValWriter { output: u });
+                g.connect(arr, 0, vw, 0);
+            }),
+        ];
+        let p = sae_shaped();
+        let unfused = Schedule::unfused();
+        compile(&p, &unfused).unwrap();
+        for (what, break_it) in shapes {
+            // root -> scan B -> (crd writer, array -> val writer), then broken.
+            let mut g = SamGraph::new();
+            let b = g.add_tensor("B", MemLocation::OnChip);
+            let o = g.add_output("T", vec![4], Format::sparse_vec(), MemLocation::OnChip);
+            let root = g.add_node(NodeKind::Root);
+            let ls = g.add_node(NodeKind::LevelScanner { tensor: b, level: 0 });
+            let cw = g.add_node(NodeKind::CrdWriter { output: o, level: 0 });
+            let arr = g.add_node(NodeKind::Array { tensor: b });
+            let vw = g.add_node(NodeKind::ValWriter { output: o });
+            g.connect(root, 0, ls, 0);
+            g.connect(ls, 0, cw, 0);
+            g.connect(ls, 1, arr, 0);
+            g.connect(arr, 0, vw, 0);
+            break_it(&mut g, ls, arr);
+            {
+                let mut regions = p.memo.regions.lock().unwrap();
+                let (low, rendered) = regions.get_mut(&(3..4, MemLocation::Dram, vec![])).unwrap();
+                (low.graph, *rendered) = (g.clone(), refusal(&g));
+            }
+            match compile_with(&p, &unfused, MemLocation::Dram, &VerifyConfig::default()) {
+                Err(PipelineError::Static { region: 3, rendered }) => {
+                    assert_eq!(rendered.lines().count(), 1, "{what}: {rendered}");
+                    assert!(rendered.starts_with("error[SA017]"), "{what}: {rendered}");
+                    assert!(rendered.contains("(at output '"), "{what}: {rendered}");
+                }
+                res => panic!("{what}: not refused at region 3: {res:?}"),
+            }
+        }
     }
 }

@@ -862,7 +862,8 @@ fn zoo_graphs_are_pinned() {
     }
 }
 
-/// `graph` with one of four defects: an unwritten output (SA016), an unread
+/// `graph` with one of four defects: an output with no writers (SA017, as
+/// `validate` holds each output to one writer per stream), an unread
 /// tensor slot (SA015, a warning), a scanner's coordinates fed into a value
 /// port of a new dead node (SA010 and SA014), or a node driving itself
 /// (SA017).
@@ -896,14 +897,11 @@ fn with_defect(graph: &SamGraph, defect: usize) -> SamGraph {
 fn compile_checks_errors_alone_and_reads_no_analyzer_option() {
     let option_sets = [
         VerifyOptions::default(),
-        VerifyOptions { channel_capacity: 1, fiber_hi: Some(0) },
-        VerifyOptions { channel_capacity: 2, fiber_hi: Some(8) },
-        VerifyOptions { channel_capacity: 256, fiber_hi: Some(u64::MAX) },
+        VerifyOptions { fiber_hi: Some(0) },
+        VerifyOptions { fiber_hi: Some(8) },
+        VerifyOptions { fiber_hi: Some(u64::MAX) },
     ];
-    let extreme = VerifyConfig {
-        enabled: true,
-        options: VerifyOptions { channel_capacity: 1, fiber_hi: Some(0) },
-    };
+    let extreme = VerifyConfig { enabled: true, options: VerifyOptions { fiber_hi: Some(0) } };
     let outcome =
         |res: Result<Compiled, PipelineError>| res.map(regions).map_err(|e| e.to_string());
     for (name, m) in &pinned_zoo() {

@@ -51,7 +51,8 @@ pub struct OutputSlot {
     pub location: MemLocation,
 }
 
-/// Errors reported by [`SamGraph::validate`].
+/// Errors reported by [`SamGraph::validate`]: one variant per structural
+/// rule of a graph, each stated there alone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphError {
     /// A port index was out of range for its node.
@@ -107,6 +108,18 @@ pub enum GraphError {
         /// Its order.
         order: usize,
     },
+    /// An output slot without exactly one writer for one of its streams:
+    /// each output is built by one `CrdWriter` per level of its format and
+    /// one `ValWriter`.
+    OutputWriters {
+        /// Offending output slot.
+        output: usize,
+        /// The level whose `CrdWriter`s are counted, or `None` for the
+        /// `ValWriter`s.
+        level: Option<usize>,
+        /// How many there are (0 or more than 1).
+        writers: usize,
+    },
 }
 
 impl std::fmt::Display for GraphError {
@@ -136,6 +149,13 @@ impl std::fmt::Display for GraphError {
                 "node {node} is an accumulator of order {order}, past the deepest \
                  ({MAX_SPACC_ORDER})"
             ),
+            GraphError::OutputWriters { output, level, writers } => {
+                let stream = match level {
+                    Some(l) => format!("level {l} coordinate"),
+                    None => "value".into(),
+                };
+                write!(f, "output {output} has {writers} {stream} writers, not exactly one")
+            }
         }
     }
 }
@@ -281,8 +301,11 @@ impl SamGraph {
         )
     }
 
-    /// Validates port ranges, single-writer inputs, required connections,
-    /// slot references, branch factors, accumulator orders, and acyclicity.
+    /// Validates every structural rule of a graph: unique slot names, each
+    /// node's own rules ([`SamGraph::check_node`]), exactly one `CrdWriter`
+    /// per level and one `ValWriter` per output slot, port ranges,
+    /// single-writer inputs, required connections, and acyclicity. No other
+    /// layer restates these rules: the simulator and the analyzer call this.
     ///
     /// # Errors
     ///
@@ -312,26 +335,24 @@ impl SamGraph {
                 return Err(GraphError::DuplicateSlot { name: o.name.clone(), output: true });
             }
         }
-        // Slot references and branch factors.
+        // Each node's own rules, counting the writers of each output's
+        // streams: its levels', then its values' (the last count).
+        let mut writers: Vec<Vec<usize>> =
+            self.outputs.iter().map(|o| vec![0; o.format.order() + 1]).collect();
         for (i, kind) in self.nodes.iter().enumerate() {
-            let ok = match kind {
-                NodeKind::LevelScanner { tensor, .. } | NodeKind::Array { tensor } => {
-                    *tensor < self.tensors.len()
+            self.check_node(NodeId(i))?;
+            match *kind {
+                NodeKind::CrdWriter { output, level } => writers[output][level] += 1,
+                NodeKind::ValWriter { output } => {
+                    writers[output][self.outputs[output].format.order()] += 1
                 }
-                NodeKind::CrdWriter { output, level } => {
-                    self.outputs.get(*output).is_some_and(|o| *level < o.format.order())
-                }
-                NodeKind::ValWriter { output } => *output < self.outputs.len(),
-                NodeKind::Parallelizer { factor: 0 } | NodeKind::Serializer { factor: 0, .. } => {
-                    return Err(GraphError::ZeroFactor { node: i })
-                }
-                NodeKind::Spacc { order, .. } if *order > MAX_SPACC_ORDER => {
-                    return Err(GraphError::DeepAccumulator { node: i, order: *order })
-                }
-                _ => true,
-            };
-            if !ok {
-                return Err(GraphError::BadSlot { node: i });
+                _ => {}
+            }
+        }
+        for (output, counts) in writers.iter().enumerate() {
+            if let Some((l, &n)) = counts.iter().enumerate().find(|&(_, &n)| n != 1) {
+                let level = (l + 1 < counts.len()).then_some(l);
+                return Err(GraphError::OutputWriters { output, level, writers: n });
             }
         }
         // Port ranges and single writers.
@@ -361,6 +382,37 @@ impl SamGraph {
         }
         // Acyclicity via Kahn's algorithm.
         self.topo_order().ok_or(GraphError::Cyclic)
+    }
+
+    /// The rules a node keeps whatever it is wired to: the slot it names
+    /// exists (for a `CrdWriter`, with the level), a `Parallelizer` or
+    /// `Serializer` has a branch, and a `Spacc` is no deeper than
+    /// [`MAX_SPACC_ORDER`]. [`SamGraph::validate`] checks them for every
+    /// node; the simulator's one-node harness checks them for its node.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::BadSlot`], [`GraphError::ZeroFactor`] or
+    /// [`GraphError::DeepAccumulator`] naming `id`.
+    pub fn check_node(&self, id: NodeId) -> Result<(), GraphError> {
+        let node = id.0;
+        let ok = match self.nodes[node] {
+            NodeKind::LevelScanner { tensor, .. } | NodeKind::Array { tensor } => {
+                tensor < self.tensors.len()
+            }
+            NodeKind::CrdWriter { output, level } => {
+                self.outputs.get(output).is_some_and(|o| level < o.format.order())
+            }
+            NodeKind::ValWriter { output } => output < self.outputs.len(),
+            NodeKind::Parallelizer { factor: 0 } | NodeKind::Serializer { factor: 0, .. } => {
+                return Err(GraphError::ZeroFactor { node })
+            }
+            NodeKind::Spacc { order, .. } if order > MAX_SPACC_ORDER => {
+                return Err(GraphError::DeepAccumulator { node, order })
+            }
+            _ => true,
+        };
+        ok.then_some(()).ok_or(GraphError::BadSlot { node })
     }
 
     /// A topological order of the nodes, or `None` if cyclic: Kahn's
@@ -429,22 +481,6 @@ impl SamGraph {
             *h.entry(key).or_insert(0) += 1;
         }
         h
-    }
-
-    /// Renders the graph in Graphviz DOT format.
-    pub fn to_dot(&self) -> String {
-        let mut s = String::from("digraph samml {\n  rankdir=TB;\n  node [shape=box];\n");
-        for (i, kind) in self.nodes.iter().enumerate() {
-            s.push_str(&format!("  n{} [label=\"{}\"];\n", i, kind.name()));
-        }
-        for e in &self.edges {
-            s.push_str(&format!(
-                "  n{} -> n{} [label=\"{}→{}\"];\n",
-                e.src.node.0, e.dst.node.0, e.src.port, e.dst.port
-            ));
-        }
-        s.push_str("}\n");
-        s
     }
 }
 
@@ -555,13 +591,28 @@ mod tests {
         assert_eq!(g.validate(), Err(GraphError::BadSlot { node: cw.0 }));
     }
 
+    /// Each output is built by one `CrdWriter` per level and one
+    /// `ValWriter`: a second writer of a stream, or none, is refused.
     #[test]
-    fn dot_contains_nodes() {
-        let (g, _, _) = tiny_graph();
-        let dot = g.to_dot();
-        assert!(dot.contains("digraph samml"));
-        assert!(dot.contains("Root"));
-        assert!(dot.contains("->"));
+    fn each_output_stream_has_exactly_one_writer() {
+        let writers = |output, level, writers| GraphError::OutputWriters { output, level, writers };
+        let (mut g, _, arr) = tiny_graph();
+        let vw = g.add_node(NodeKind::ValWriter { output: 0 });
+        g.connect(arr, 0, vw, 0);
+        assert_eq!(g.validate(), Err(writers(0, None, 2)), "two value writers");
+        let (mut g, ls, _) = tiny_graph();
+        let cw = g.add_node(NodeKind::CrdWriter { output: 0, level: 0 });
+        g.connect(ls, 0, cw, 0);
+        assert_eq!(g.validate(), Err(writers(0, Some(0), 2)), "two level-0 writers");
+        let (mut g, ls, arr) = tiny_graph();
+        let u = g.add_output("U", vec![4, 4], Format::csr(), MemLocation::Dram);
+        let cw = g.add_node(NodeKind::CrdWriter { output: u, level: 0 });
+        let vw = g.add_node(NodeKind::ValWriter { output: u });
+        g.connect(ls, 0, cw, 0);
+        g.connect(arr, 0, vw, 0);
+        assert_eq!(g.validate(), Err(writers(u, Some(1), 0)), "no level-1 writer");
+        let err = g.validate().unwrap_err().to_string();
+        assert_eq!(err, "output 1 has 0 level 1 coordinate writers, not exactly one");
     }
 
     #[test]

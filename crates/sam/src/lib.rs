@@ -25,8 +25,11 @@
 //! let scan = g.add_node(NodeKind::LevelScanner { tensor: b, level: 0 });
 //! g.connect(root, 0, scan, 0);
 //! assert!(g.validate().is_ok());
-//! println!("{}", g.to_dot());
 //! ```
+
+// A graph this crate cannot take is a `GraphError`, never a panic: CI's
+// clippy step holds the admission layer to that.
+#![deny(clippy::unreachable)]
 
 mod graph;
 mod node;

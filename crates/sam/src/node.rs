@@ -372,7 +372,7 @@ impl NodeKind {
         }
     }
 
-    /// Short display name used in DOT output and error messages.
+    /// Short display name used in node labels, anchors and error messages.
     pub fn name(&self) -> String {
         match self {
             NodeKind::Root => "Root".into(),

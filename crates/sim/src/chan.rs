@@ -257,25 +257,21 @@ impl<'a> Ctx<'a> {
 /// What one [`Rt::step`](crate::node::Rt::step) call did, and when the node next needs service.
 ///
 /// The event scheduler keys off this: `Progressed` re-enqueues the node for
-/// the next cycle, `SleepingUntil` registers a timed wake, and the two
-/// `Blocked*` variants arm nothing — the static channel back-pointers raise
-/// the wake when a peer pushes an input or drains a full output.
+/// the next cycle, `SleepingUntil` registers a timed wake, and `Idle` arms
+/// nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum StepOutcome {
     /// The step changed state (flushed, retired, or acted); step again next
     /// cycle.
     Progressed,
-    /// Waiting on input tokens; a push into any input channel re-arms it.
-    BlockedInput,
-    /// Flush-blocked: some output channel is at capacity; a pop of it
-    /// re-arms the node (which channel is recorded by the channel's own
-    /// writer back-pointer, so the scheduler needs no id here).
-    BlockedOutput,
     /// Nothing runnable before the given cycle (in-flight memory at the
     /// head of `pending_mem`, or a busy ALU).
     SleepingUntil(u64),
-    /// `done` with all queues drained: the node never acts again.
-    Finished,
+    /// No progress and no timer: the node waits on an input token or on a
+    /// full output channel, or it is finished. The static channel
+    /// back-pointers raise the wake when a peer pushes an input or drains a
+    /// full output; a finished node never acts again.
+    Idle,
 }
 
 #[cfg(test)]

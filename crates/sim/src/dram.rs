@@ -25,7 +25,7 @@
 
 /// Access pattern class of a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessKind {
+pub(crate) enum AccessKind {
     /// Sequential/prefetchable (pos/crd scans, result writes).
     Stream,
     /// Data-dependent gather (value array reads through references).
@@ -37,7 +37,7 @@ pub(crate) const MIN_BYTES_PER_CYCLE: f64 = 0.001;
 
 /// A single-channel DRAM model.
 #[derive(Debug, Clone)]
-pub struct Dram {
+pub(crate) struct Dram {
     /// Sustained bandwidth in millibytes per cycle (fixed-point).
     millibytes_per_cycle: u64,
     stream_latency: u64,

@@ -64,9 +64,7 @@ use crate::run::{run_event, run_standalone, run_sweep};
 use crate::stats::Stats;
 use crate::tok::{Tiles, Token};
 use crate::TimingConfig;
-use fuseflow_sam::{
-    GraphError, MemLocation, NodeId, NodeKind, SamGraph, TensorSlot, MAX_SPACC_ORDER,
-};
+use fuseflow_sam::{GraphError, MemLocation, NodeId, NodeKind, SamGraph};
 use fuseflow_tensor::SparseTensor;
 use std::collections::HashMap;
 
@@ -189,7 +187,10 @@ pub enum SimError {
     },
     /// The cycle budget was exhausted.
     MaxCycles(u64),
-    /// Output stream reconstruction failed.
+    /// The writers' streams do not assemble into their output (mismatched
+    /// coordinate and value streams, or a payload the output cannot hold).
+    /// `validate` gives every output stream exactly one writer, so a stream
+    /// is never missing here.
     Rebuild(String),
     /// Streams violated SAMML semantics (compiler bug).
     Semantics(String),
@@ -253,26 +254,7 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
         return Err(SimError::Config("outstanding must be at least 1".into()));
     }
     let order = graph.validated_order().map_err(SimError::Validation)?;
-    let tensors: Vec<&SparseTensor> = graph
-        .tensors()
-        .iter()
-        .map(|slot| env.get(&slot.name).ok_or_else(|| SimError::MissingTensor(slot.name.clone())))
-        .collect::<Result<_, _>>()?;
-
-    for (i, kind) in graph.nodes().iter().enumerate() {
-        let id = NodeId(i);
-        if let NodeKind::LevelScanner { tensor, level } = *kind {
-            let levels = tensors[tensor].order();
-            if level >= levels {
-                return Err(SimError::LevelOutOfRange {
-                    node: graph.node_anchor(id),
-                    tensor: graph.tensors()[tensor].name.clone(),
-                    level,
-                    order: levels,
-                });
-            }
-        }
-    }
+    let tensors = bind(graph, env)?;
 
     // One node table in rank order, one channel table indexed by edge index,
     // wired in a single pass over the edges. Edges are visited in insertion
@@ -323,37 +305,54 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
     };
 
     // Per-label token counts and the writers' recorded streams, moved out of
-    // the nodes in one pass.
-    let mut crd_streams: Vec<Vec<Option<Vec<Token>>>> =
-        graph.outputs().iter().map(|slot| vec![None; slot.format.order()]).collect();
-    let mut val_streams: Vec<Option<Vec<Token>>> = vec![None; graph.outputs().len()];
+    // the nodes in one pass. `validate` gave each stream exactly one writer.
+    let mut crd_streams: Vec<Vec<Vec<Token>>> =
+        graph.outputs().iter().map(|slot| vec![Vec::new(); slot.format.order()]).collect();
+    let mut val_streams = vec![Vec::new(); graph.outputs().len()];
     for rt in nodes {
         *stats.node_tokens.entry(rt.io.label).or_insert(0) += rt.io.elems;
         match rt.prim {
-            Prim::CrdWriter { output, level, tokens } => crd_streams[output][level] = Some(tokens),
-            Prim::ValWriter { output, tokens } => val_streams[output] = Some(tokens),
+            Prim::CrdWriter { output, level, tokens } => crd_streams[output][level] = tokens,
+            Prim::ValWriter { output, tokens } => val_streams[output] = tokens,
             _ => {}
         }
     }
     let mut outputs = HashMap::new();
     for ((slot, crds), vals) in graph.outputs().iter().zip(crd_streams).zip(val_streams) {
-        let crds: Vec<Vec<Token>> = crds
-            .into_iter()
-            .enumerate()
-            .map(|(l, s)| {
-                s.ok_or(SimError::Rebuild(format!(
-                    "output '{}' missing level {l} writer",
-                    slot.name
-                )))
-            })
-            .collect::<Result<_, _>>()?;
-        let vals =
-            vals.ok_or(SimError::Rebuild(format!("output '{}' missing value writer", slot.name)))?;
         let t = assemble_output(slot, &crds, &vals, &ctx.tiles).map_err(SimError::Rebuild)?;
         outputs.insert(slot.name.clone(), t);
     }
 
     Ok(SimResult { outputs, stats })
+}
+
+/// The tensors `env` binds to `graph`'s slots, in slot order.
+///
+/// # Errors
+///
+/// [`SimError::MissingTensor`] for a slot `env` does not bind, and
+/// [`SimError::LevelOutOfRange`] for a level scanner past its tensor's
+/// levels.
+fn bind<'t>(graph: &SamGraph, env: &'t TensorEnv) -> Result<Vec<&'t SparseTensor>, SimError> {
+    let tensors: Vec<&SparseTensor> = graph
+        .tensors()
+        .iter()
+        .map(|slot| env.get(&slot.name).ok_or_else(|| SimError::MissingTensor(slot.name.clone())))
+        .collect::<Result<_, _>>()?;
+    for (i, kind) in graph.nodes().iter().enumerate() {
+        if let NodeKind::LevelScanner { tensor, level } = *kind {
+            let levels = tensors[tensor].order();
+            if level >= levels {
+                return Err(SimError::LevelOutOfRange {
+                    node: graph.node_anchor(NodeId(i)),
+                    tensor: graph.tensors()[tensor].name.clone(),
+                    level,
+                    order: levels,
+                });
+            }
+        }
+    }
+    Ok(tensors)
 }
 
 /// Runs a single node in isolation on literal input streams. Intended for
@@ -363,17 +362,19 @@ pub fn simulate(graph: &SamGraph, env: &TensorEnv, cfg: &SimConfig) -> Result<Si
 /// payload is a handle into `tiles`, and the tiles the node makes are left
 /// there. Returns one token vector per output port.
 ///
+/// The node is checked as `simulate` checks it, in a one-node graph whose
+/// tensor slot `i` is named `t{i}` and bound to `tensors[i]`, every one on
+/// chip.
+///
 /// # Errors
 ///
 /// [`SimError::Config`] if `inputs` does not hold one stream per input port,
-/// a token names a tile `tiles` does not hold, `kind` is a writer (it
-/// writes an output and has no stream to return), `kind` is a
-/// `Parallelizer` or `Serializer` with no branch (`factor: 0`), or a `Spacc`
-/// deeper than [`MAX_SPACC_ORDER`];
-/// [`SimError::MissingTensor`] for an `Array` or `LevelScanner` whose tensor
-/// `tensors` lacks (slot `i` is named `t{i}`) and
-/// [`SimError::LevelOutOfRange`] for a `LevelScanner` past its tensor's
-/// levels; otherwise as [`simulate`].
+/// a token names a tile `tiles` does not hold, or `kind` is a writer (it
+/// writes an output and has no stream to return);
+/// [`SimError::Validation`] if the node breaks a rule of
+/// [`SamGraph::check_node`] (a tensor slot `tensors` lacks, no branch, an
+/// accumulator too deep); [`SimError::LevelOutOfRange`] for a
+/// `LevelScanner` past its tensor's levels; otherwise as [`simulate`].
 pub fn run_node_standalone(
     kind: NodeKind,
     inputs: Vec<Vec<Token>>,
@@ -392,40 +393,21 @@ pub fn run_node_standalone(
     if let Some(t) = inputs.iter().flatten().find(|&&t| !tiles.holds(t)) {
         return Err(SimError::Config(format!("{t:?} names a tile the table does not hold")));
     }
-    match kind {
-        NodeKind::CrdWriter { .. } | NodeKind::ValWriter { .. } => {
-            return Err(SimError::Config(format!("{kind:?} writes an output, not a stream")));
-        }
-        NodeKind::Parallelizer { factor: 0 } | NodeKind::Serializer { factor: 0, .. } => {
-            return Err(SimError::Config(format!("{kind:?} has a branch factor of 0")));
-        }
-        NodeKind::Spacc { order, .. } if order > MAX_SPACC_ORDER => {
-            return Err(SimError::Config(format!(
-                "{kind:?}: no accumulator is deeper than order {MAX_SPACC_ORDER}"
-            )));
-        }
-        NodeKind::Array { tensor } | NodeKind::LevelScanner { tensor, .. }
-            if tensor >= tensors.len() =>
-        {
-            return Err(SimError::MissingTensor(format!("t{tensor}")));
-        }
-        NodeKind::LevelScanner { tensor, level } if level >= tensors[tensor].order() => {
-            return Err(SimError::LevelOutOfRange {
-                node: "standalone".into(),
-                tensor: format!("t{tensor}"),
-                level,
-                order: tensors[tensor].order(),
-            });
-        }
-        _ => {}
+    if let NodeKind::CrdWriter { .. } | NodeKind::ValWriter { .. } = kind {
+        return Err(SimError::Config(format!("{kind:?} writes an output, not a stream")));
     }
-
     // Every tensor on chip, so the DRAM channel is never asked.
-    let slots: Vec<TensorSlot> = (0..tensors.len())
-        .map(|i| TensorSlot { name: format!("t{i}"), location: MemLocation::OnChip })
-        .collect();
+    let (mut graph, mut env) = (SamGraph::new(), TensorEnv::new());
+    for (i, tensor) in tensors.into_iter().enumerate() {
+        graph.add_tensor(format!("t{i}"), MemLocation::OnChip);
+        env.insert(format!("t{i}"), tensor);
+    }
+    let id = graph.add_node(kind);
+    graph.check_node(id).map_err(SimError::Validation)?;
+    let tensors = bind(&graph, &env)?;
+
     let mut ctx =
-        Ctx::new(Vec::new(), Dram::new(1e9, 0, 0), tensors.iter().collect(), &slots, &[], &cfg, 1);
+        Ctx::new(Vec::new(), Dram::new(1e9, 0, 0), tensors, graph.tensors(), &[], &cfg, 1);
     ctx.tiles = std::mem::take(tiles);
     let mut in_chans = vec![None; n_in];
     for (p, toks) in inputs.into_iter().enumerate() {
@@ -443,7 +425,7 @@ pub fn run_node_standalone(
         capture.push(ctx.chans.len() - 1);
     }
 
-    let mut rt = Rt::new(&kind, "standalone".into(), in_chans, out_chans);
+    let mut rt = Rt::new(graph.node(id), "standalone".into(), in_chans, out_chans);
     let ran = run_standalone(&mut rt, &mut ctx, 10_000_000);
     *tiles = std::mem::take(&mut ctx.tiles);
     ran.map_err(|e| *e)?;

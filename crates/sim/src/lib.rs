@@ -51,7 +51,6 @@ mod stats;
 mod tok;
 
 pub use backend::TimingConfig;
-pub use dram::{AccessKind, Dram};
 pub use engine::{
     run_node_standalone, simulate, Scheduler, SimConfig, SimError, SimResult, TensorEnv,
 };

@@ -218,7 +218,7 @@ impl Rt {
     /// is ever staged behind a token that cannot leave.
     pub(crate) fn step(&mut self, ctx: &mut Ctx) -> Step<StepOutcome> {
         // Phase 1: send one staged token per output port.
-        let (mut progress, flush_blocked) = self.io.flush_phase(ctx);
+        let mut progress = self.io.flush_phase(ctx);
         let clear = self.io.n_staged == 0;
 
         // Phase 2: retire completed memory requests onto their output ports
@@ -248,15 +248,12 @@ impl Rt {
         if progress {
             return Ok(StepOutcome::Progressed);
         }
+        // A finished node arms no timer. After phase 2, any pending-memory
+        // head is strictly in the future, so `next_wake` is exact here.
         if self.io.finished() {
-            return Ok(StepOutcome::Finished);
+            return Ok(StepOutcome::Idle);
         }
-        // After phase 2, any pending-memory head is strictly in the future,
-        // so `next_wake` is exact here.
-        if let Some(t) = self.io.next_wake(ctx.now) {
-            return Ok(StepOutcome::SleepingUntil(t));
-        }
-        Ok(if flush_blocked { StepOutcome::BlockedOutput } else { StepOutcome::BlockedInput })
+        Ok(self.io.next_wake(ctx.now).map_or(StepOutcome::Idle, StepOutcome::SleepingUntil))
     }
 
     /// The primitive's action, given exactly its own fields.
@@ -368,16 +365,15 @@ impl Io {
     }
 
     /// Phase 1: send one staged token per output port, to all of the port's
-    /// fan-out channels or (if any is full) to none. Returns
-    /// `(progress, flush_blocked)`. Sending moves each channel's `visible`
-    /// mark over a token that is already there.
+    /// fan-out channels or (if any is full) to none. Returns whether it sent
+    /// or discarded any. Sending moves each channel's `visible` mark over a
+    /// token that is already there.
     #[inline]
-    fn flush_phase(&mut self, ctx: &mut Ctx) -> (bool, bool) {
+    fn flush_phase(&mut self, ctx: &mut Ctx) -> bool {
         if self.n_staged == 0 {
-            return (false, false);
+            return false;
         }
         let mut progress = false;
-        let mut flush_blocked = false;
         for OutPort { chans: outs, staged } in &mut self.outs {
             if *staged == 0 {
                 continue;
@@ -390,7 +386,6 @@ impl Io {
                 continue;
             }
             if outs.iter().any(|&c| ctx.chans[c].is_full()) {
-                flush_blocked = true;
                 continue;
             }
             for &c in outs.iter() {
@@ -400,7 +395,7 @@ impl Io {
             self.n_staged -= 1;
             progress = true;
         }
-        (progress, flush_blocked)
+        progress
     }
 
     // -- individual node actions ------------------------------------------
@@ -1175,7 +1170,7 @@ mod tests {
             }
             let sent = |i: usize, c: usize| got[i].len() + ctx.chans[c].visible;
             assert_eq!(sent(0, 2), sent(1, 3), "cycle {cycle}: fan-out channels out of step");
-            if outcome == StepOutcome::Finished {
+            if outcome == StepOutcome::Idle && rt.io.finished() {
                 break;
             }
         }
@@ -1209,7 +1204,7 @@ mod tests {
         assert!(matches!(rt.prim, Prim::Repeat { base: Some(Payload::F(5.0)) }));
         assert_eq!(ctx.chans[0].visible, 0);
         assert!(ctx.chans[2].buf.is_empty(), "the fiber is not closed yet");
-        assert_eq!(rt.step(&mut ctx).unwrap(), StepOutcome::BlockedInput, "on an empty base");
+        assert_eq!(rt.step(&mut ctx).unwrap(), StepOutcome::Idle, "on an empty base");
         ctx.publish(0);
         assert_eq!(ctx.cur.pop_ge(0), Some(1), "the stop lands in an empty channel");
         assert_eq!(rt.step(&mut ctx).unwrap(), StepOutcome::Progressed);

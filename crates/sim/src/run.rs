@@ -65,7 +65,7 @@ pub(crate) fn run_event(order: &[NodeId], nodes: &mut [Rt], ctx: &mut Ctx) -> St
             match node.step(ctx)? {
                 StepOutcome::Progressed => ctx.next.insert(rank),
                 StepOutcome::SleepingUntil(t) => timers.schedule(ctx.now, t, rank as u32),
-                StepOutcome::BlockedInput | StepOutcome::BlockedOutput | StepOutcome::Finished => {}
+                StepOutcome::Idle => {}
             }
             stepped += 1;
             if writer_live[rank] && node.io.finished() {
@@ -144,7 +144,7 @@ pub(crate) fn run_standalone(node: &mut Rt, ctx: &mut Ctx, budget: u64) -> Step<
             // holds undelivered output: jump to the wake-up time.
             StepOutcome::SleepingUntil(t) => ctx.now = t,
             // Exhausted inputs (or finished): the stream is complete.
-            _ => return Ok(()),
+            StepOutcome::Idle => return Ok(()),
         }
         if ctx.now > budget {
             return Err(Box::new(SimError::MaxCycles(budget)));

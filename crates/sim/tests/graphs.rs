@@ -390,7 +390,8 @@ fn invalid_config_is_reported() {
 /// Every way a graph can fail `SamGraph::validate` (the shapes of the
 /// verifier's `sa017_invalid_graphs_are_reported_not_crashed_on`) comes back
 /// from `simulate` as `SimError::Validation` carrying that `GraphError`,
-/// before tensors are bound: never a panic.
+/// before tensors are bound and before cycle 0, whether or not `B` is bound:
+/// never a panic, a dropped writer stream or a late `Rebuild` error.
 #[test]
 fn invalid_graph_is_reported() {
     // root(0) -> scan B(1) -> crd writer(2), array(3) -> val writer(4).
@@ -414,7 +415,7 @@ fn invalid_graph_is_reported() {
     const VW: NodeId = NodeId(4);
     const ADD: NodeKind = NodeKind::Alu { op: AluOp::Add };
     type Break = fn(&mut SamGraph);
-    let shapes: [(&str, Break); 12] = [
+    let shapes: [(&str, Break); 15] = [
         ("cycle", |g| {
             let a0 = g.add_node(ADD);
             let a1 = g.add_node(ADD);
@@ -457,19 +458,38 @@ fn invalid_graph_is_reported() {
             let deep = g.add_node(NodeKind::Spacc { order, op: ReduceOp::Sum });
             g.connect(LS, 0, deep, 0);
         }),
+        ("two value writers on one output", |g| {
+            let scale = g.add_node(NodeKind::Alu { op: AluOp::Scale(2.0) });
+            let vw = g.add_node(NodeKind::ValWriter { output: 0 });
+            g.connect(ARR, 0, scale, 0);
+            g.connect(scale, 0, vw, 0);
+        }),
+        ("two coordinate writers on one level", |g| {
+            let cw = g.add_node(NodeKind::CrdWriter { output: 0, level: 0 });
+            g.connect(LS, 0, cw, 0);
+        }),
+        ("an output level with no coordinate writer", |g| {
+            let u = g.add_output("U", vec![4], Format::sparse_vec(), MemLocation::OnChip);
+            let vw = g.add_node(NodeKind::ValWriter { output: u });
+            g.connect(ARR, 0, vw, 0);
+        }),
     ];
-    let env = TensorEnv::new();
+    let b = DenseTensor::from_vec(vec![4], vec![1.0, 0.0, 2.0, 0.0]);
+    let bound: TensorEnv =
+        [("B", SparseTensor::from_dense(&b, &Format::sparse_vec()))].into_iter().collect();
     for (what, break_it) in shapes {
         let mut g = clean();
         break_it(&mut g);
         let expect = g.validate().expect_err(what);
-        for scheduler in [Scheduler::Event, Scheduler::Sweep] {
-            let cfg = SimConfig::default().with_scheduler(scheduler);
-            assert_eq!(
-                simulate(&g, &env, &cfg).unwrap_err(),
-                SimError::Validation(expect.clone()),
-                "{what}"
-            );
+        for env in [&TensorEnv::new(), &bound] {
+            for scheduler in [Scheduler::Event, Scheduler::Sweep] {
+                let cfg = SimConfig::default().with_scheduler(scheduler);
+                assert_eq!(
+                    simulate(&g, env, &cfg).unwrap_err(),
+                    SimError::Validation(expect.clone()),
+                    "{what}"
+                );
+            }
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Unit-level semantics tests for each SAMML primitive, driven through
 //! `run_node_standalone` with literal token streams.
 
-use fuseflow_sam::{AluOp, NodeKind, ReduceOp, MAX_SPACC_ORDER};
+use fuseflow_sam::{AluOp, GraphError, NodeKind, ReduceOp, MAX_SPACC_ORDER};
 use fuseflow_sim::{run_node_standalone, Block, Payload, SimError, Tiles, Token};
 use fuseflow_tensor::{DenseTensor, Format, SparseTensor};
 
@@ -334,11 +334,10 @@ fn spacc_refuses_unflushed_state_at_done_and_an_order_it_lacks() {
         let want = "spacc reached Done with unflushed state at standalone";
         assert_eq!(unflushed(order), SimError::Semantics(want.into()), "order {order}");
     }
-    let deep = NodeKind::Spacc { order: MAX_SPACC_ORDER + 1, op: ReduceOp::Sum };
-    let err =
-        standalone(deep.clone(), vec![vec![s(0), D]; MAX_SPACC_ORDER + 2], vec![]).unwrap_err();
-    let want = format!("{deep:?}: no accumulator is deeper than order {MAX_SPACC_ORDER}");
-    assert_eq!(err, SimError::Config(want));
+    let order = MAX_SPACC_ORDER + 1;
+    let deep = NodeKind::Spacc { order, op: ReduceOp::Sum };
+    let err = standalone(deep, vec![vec![s(0), D]; MAX_SPACC_ORDER + 2], vec![]).unwrap_err();
+    assert_eq!(err, SimError::Validation(GraphError::DeepAccumulator { node: 0, order }));
 }
 
 /// A value as a test compares it: tiles by their elements, floats by bits.
@@ -677,37 +676,39 @@ fn standalone_refuses_a_writer() {
     assert!(matches!(err, SimError::Config(_)), "{err:?}");
 }
 
-/// A `Parallelizer` or `Serializer` with no branch is refused before it runs:
-/// dealing elements to, or merging them from, zero branches divides by zero.
+/// A `Parallelizer` or `Serializer` with no branch is refused before it runs,
+/// as `validate` refuses it in a graph: dealing elements to, or merging them
+/// from, zero branches divides by zero.
 #[test]
 fn standalone_refuses_a_zero_branch_factor() {
     let crd = vec![idx(0), idx(1), s(0), D];
     for kind in [NodeKind::Parallelizer { factor: 0 }, NodeKind::Serializer { factor: 0, depth: 0 }]
     {
         let inputs = vec![crd.clone(); kind.input_ports().len()];
-        let err = standalone(kind.clone(), inputs, vec![]).unwrap_err();
-        assert_eq!(err, SimError::Config(format!("{kind:?} has a branch factor of 0")));
+        let err = standalone(kind, inputs, vec![]).unwrap_err();
+        assert_eq!(err, SimError::Validation(GraphError::ZeroFactor { node: 0 }));
     }
 }
 
-/// An `Array` or `LevelScanner` naming a tensor it was not given is a
-/// `MissingTensor`, as in `simulate`.
+/// An `Array` or `LevelScanner` naming a tensor it was not given names a
+/// slot its one-node graph lacks: a `BadSlot`, as `validate` refuses it.
 #[test]
 fn standalone_refuses_a_tensor_it_was_not_given() {
     let refs = vec![idx(0), D];
+    let bad_slot = SimError::Validation(GraphError::BadSlot { node: 0 });
     let err = standalone(NodeKind::Array { tensor: 0 }, vec![refs.clone()], vec![]).unwrap_err();
-    assert_eq!(err, SimError::MissingTensor("t0".into()));
+    assert_eq!(err, bad_slot);
     let a = SparseTensor::from_dense(
         &DenseTensor::from_vec(vec![2], vec![1.0, 2.0]),
         &Format::sparse_vec(),
     );
     let scan = NodeKind::LevelScanner { tensor: 1, level: 0 };
     let err = standalone(scan, vec![refs], vec![a]).unwrap_err();
-    assert_eq!(err, SimError::MissingTensor("t1".into()));
+    assert_eq!(err, bad_slot);
 }
 
-/// A `LevelScanner` past its tensor's levels is a `LevelOutOfRange`, as in
-/// `simulate`.
+/// A `LevelScanner` past its tensor's levels is a `LevelOutOfRange` naming
+/// the scanner by its anchor, as in `simulate`.
 #[test]
 fn standalone_refuses_a_level_its_tensor_lacks() {
     let a = SparseTensor::from_dense(
@@ -717,7 +718,7 @@ fn standalone_refuses_a_level_its_tensor_lacks() {
     let scan = NodeKind::LevelScanner { tensor: 0, level: 1 };
     let err = standalone(scan, vec![vec![idx(0), D]], vec![a]).unwrap_err();
     let want = SimError::LevelOutOfRange {
-        node: "standalone".into(),
+        node: "LS[t0.l1]#0".into(),
         tensor: "t0".into(),
         level: 1,
         order: 1,

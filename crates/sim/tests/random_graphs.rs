@@ -10,7 +10,7 @@ use fuseflow_models::{
     gcn, gpt_attention, gpt_attention_blocked, gpt_decoder, graphsage, map_stack, sae, Fusion,
     GraphDataset, ModelInstance, GRAPH_DATASETS, SAE_DATASETS,
 };
-use fuseflow_sam::{AluOp, MemLocation, NodeId, NodeKind, ReduceOp, SamGraph};
+use fuseflow_sam::{AluOp, MemLocation, NodeId, NodeKind, Port, ReduceOp, SamGraph, StreamKind};
 use fuseflow_sim::{simulate, Scheduler, SimConfig, SimError, TensorEnv};
 use fuseflow_tensor::{Format, SparseTensor};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -25,16 +25,27 @@ impl Lcg {
     }
 }
 
+/// A random earlier output port of kind `want`, or of any kind if there is
+/// none (or `want` is any).
+fn pick(rng: &mut Lcg, g: &SamGraph, outs: &[Port], want: Option<StreamKind>) -> Port {
+    let kind = |o: &&Port| want.is_some() && g.node(o.node).output_ports()[o.port].kind == want;
+    let fits: Vec<Port> = outs.iter().filter(kind).copied().collect();
+    let from = if fits.is_empty() { outs } else { &fits };
+    from[rng.below(from.len())]
+}
+
 /// A random graph that passes `validate`: nodes are added in topological
-/// order and every input port takes one random earlier output port (kinds
-/// may mismatch; that is SA010's business, not validation's), so fan-out,
-/// reconvergence and four-port joins are dense.
+/// order and every input port takes one random earlier output port of its
+/// kind where there is one, so fan-out, reconvergence and four-port joins
+/// are dense. Kinds still mismatch through ports of any kind and where no
+/// port fits, and depths mismatch freely (SA010's and SA011's business, not
+/// validation's). Three outputs each get a coordinate and a value writer
+/// picked the same way, so some joins are live and some dead.
 fn random_valid_graph(rng: &mut Lcg, nodes: usize) -> SamGraph {
     let mut g = SamGraph::new();
     let t = g.add_tensor("B", MemLocation::OnChip);
-    let o = g.add_output("T", vec![8], Format::sparse_vec(), MemLocation::OnChip);
     let root = g.add_node(NodeKind::Root);
-    let mut outs: Vec<(NodeId, usize)> = vec![(root, 0)];
+    let mut outs = vec![Port { node: root, port: 0 }];
     for _ in 0..nodes {
         let kind = match rng.below(16) {
             0 => NodeKind::Root,
@@ -54,17 +65,19 @@ fn random_valid_graph(rng: &mut Lcg, nodes: usize) -> SamGraph {
         let id = g.add_node(kind.clone());
         for (p, sig) in kind.input_ports().iter().enumerate() {
             if sig.required || rng.below(2) == 0 {
-                let (src, sp) = outs[rng.below(outs.len())];
-                g.connect(src, sp, id, p);
+                let src = pick(rng, &g, &outs, sig.kind);
+                g.connect(src.node, src.port, id, p);
             }
         }
-        outs.extend((0..kind.output_ports().len()).map(|p| (id, p)));
+        outs.extend((0..kind.output_ports().len()).map(|port| Port { node: id, port }));
     }
-    // Writers on a few streams, so some joins are live and some dead.
-    for _ in 0..3 {
-        let w = g.add_node(NodeKind::ValWriter { output: o });
-        let (src, sp) = outs[rng.below(outs.len())];
-        g.connect(src, sp, w, 0);
+    for name in ["T0", "T1", "T2"] {
+        let o = g.add_output(name, vec![8], Format::sparse_vec(), MemLocation::OnChip);
+        for w in [NodeKind::CrdWriter { output: o, level: 0 }, NodeKind::ValWriter { output: o }] {
+            let src = pick(rng, &g, &outs, w.input_ports()[0].kind);
+            let w = g.add_node(w);
+            g.connect(src.node, src.port, w, 0);
+        }
     }
     g
 }
@@ -79,8 +92,8 @@ fn random_valid_graphs() -> impl Iterator<Item = SamGraph> {
 /// graphs, with `B` bound to a CSR and to a three-entry DCSR matrix, each
 /// end in a typed error or in outputs, and the event engine agrees with its
 /// sweep oracle on which (the same outputs and semantic stats, or the same
-/// error). The generator attaches value writers only, so a run that gets to
-/// the end fails the output rebuild for want of a coordinate writer.
+/// error). Each output's writers take random streams of their kinds, so a
+/// run that gets to the end may still fail the output rebuild.
 #[test]
 fn random_valid_graphs_simulate_without_panicking() {
     let coo = |n: u32| (0..n).map(|k| (vec![k % 8, (3 * k + 1) % 8], 1.0 + k as f32)).collect();

@@ -1,6 +1,5 @@
-//! Pass 2: dead-code detection — output slots nothing writes (SA016, one of
-//! the error passes), nodes that cannot influence any output (SA014) and
-//! tensor slots nothing reads (SA015).
+//! Pass 2: dead-code detection — nodes that cannot influence any output
+//! (SA014) and tensor slots nothing reads (SA015).
 
 use crate::diag::{Anchor, Code, Diag};
 use fuseflow_sam::{NodeId, NodeKind, SamGraph};
@@ -21,30 +20,6 @@ fn live_nodes(g: &SamGraph, order: &[NodeId]) -> Vec<bool> {
         live[u] = live[u] || targets[offsets[u]..offsets[u + 1]].iter().any(|&d| live[d]);
     }
     live
-}
-
-/// Flags every output slot no `ValWriter` writes (SA016).
-pub(crate) fn check_outputs(g: &SamGraph, diags: &mut Vec<Diag>) {
-    let mut output_written = vec![false; g.outputs().len()];
-    for kind in g.nodes() {
-        if let NodeKind::ValWriter { output } = kind {
-            if let Some(w) = output_written.get_mut(*output) {
-                *w = true;
-            }
-        }
-    }
-    for (i, written) in output_written.iter().enumerate() {
-        if !written {
-            diags.push(Diag::new(
-                Code::SA016,
-                vec![Anchor::OutputSlot(i)],
-                format!(
-                    "output '{}' has no value writer and can never be produced",
-                    g.outputs()[i].name
-                ),
-            ));
-        }
-    }
 }
 
 /// Flags dead nodes (SA014) and tensor slots nothing scans or fetches

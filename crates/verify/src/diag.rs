@@ -8,7 +8,10 @@ use fuseflow_sam::{Edge, NodeId, SamGraph};
 /// (a guaranteed deadlock, proven from a promised fiber lower bound) is
 /// retired: no compile could make that promise. SA013 (a possible
 /// deadlock, with the minimum safe channel capacity) is retired: no run read
-/// it, and the simulator reports a deadlock as a typed error.
+/// it, and the simulator reports a deadlock as a typed error. The code for
+/// an output with no value writer is retired: `SamGraph::validate` holds
+/// every output to exactly one writer per stream, so such a graph is an
+/// SA017.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Code {
     /// Stream-kind mismatch across an edge (e.g. a `crd` output feeding a
@@ -22,11 +25,10 @@ pub enum Code {
     SA014,
     /// Unused tensor slot: no `LevelScanner`/`Array` references it.
     SA015,
-    /// Output slot with no `ValWriter`: the output can never be produced.
-    SA016,
     /// The graph fails `SamGraph::validate` (cycle, edge naming a missing
-    /// node or port, double-driven or unconnected input, bad slot). The
-    /// message carries the `GraphError`; no other pass runs.
+    /// node or port, double-driven or unconnected input, bad slot, an output
+    /// stream without exactly one writer). The message carries the
+    /// `GraphError`; no other pass runs.
     SA017,
 }
 
@@ -34,7 +36,7 @@ impl Code {
     /// The severity every diagnostic of this code carries.
     pub fn severity(&self) -> Severity {
         match self {
-            Code::SA010 | Code::SA011 | Code::SA016 | Code::SA017 => Severity::Error,
+            Code::SA010 | Code::SA011 | Code::SA017 => Severity::Error,
             Code::SA014 | Code::SA015 => Severity::Warning,
         }
     }

@@ -13,11 +13,15 @@
 //! | SA013 | —        | retired (possible deadlock); the number is not reused |
 //! | SA014 | warning  | dead node (no writer reachable) |
 //! | SA015 | warning  | unused tensor slot |
-//! | SA016 | error    | output slot with no value writer |
+//! | SA016 | —        | retired (output with no value writer; now SA017); the number is not reused |
 //! | SA017 | error    | graph fails `SamGraph::validate`; carries the `GraphError` |
 //!
+//! The graph's structural rules, the output writers among them (one
+//! `CrdWriter` per level and one `ValWriter` per output), are
+//! `SamGraph::validate`'s alone; this crate reports them as SA017.
+//!
 //! A code's severity is fixed. [`graph_errors`] runs only the passes that
-//! emit errors (SA017, then SA010, SA011 and SA016): a compile refuses a
+//! emit errors (SA017, then SA010 and SA011): a compile refuses a
 //! region it flags, and runs nothing else. [`verify_graph`] runs those passes
 //! and then the dead-code warnings, and returns every diagnostic. A
 //! capacity-induced deadlock is the simulator's to report, as a typed
@@ -35,12 +39,18 @@
 //! let o = g.add_output("T", vec![4], fuseflow_tensor::Format::sparse_vec(), MemLocation::OnChip);
 //! let root = g.add_node(NodeKind::Root);
 //! let ls = g.add_node(NodeKind::LevelScanner { tensor: b, level: 0 });
+//! let cw = g.add_node(NodeKind::CrdWriter { output: o, level: 0 });
 //! let vw = g.add_node(NodeKind::ValWriter { output: o });
 //! g.connect(root, 0, ls, 0);
+//! g.connect(ls, 0, cw, 0);
 //! g.connect(ls, 0, vw, 0); // crd -> val input
 //! let report = verify_graph(&g, &VerifyOptions::default());
 //! assert!(report.with_code(Code::SA010).count() == 1);
 //! ```
+
+// A graph this crate cannot take is a diagnostic, never a panic: CI's
+// clippy step holds the admission layer to that.
+#![deny(clippy::unreachable)]
 
 mod dead;
 mod diag;
@@ -51,20 +61,12 @@ pub use diag::{Anchor, Code, Diag, Report, Severity};
 use fuseflow_sam::{GraphError, NodeId, SamGraph};
 
 /// The run a graph is linted for, as [`verify_graph`] takes it. No pass reads
-/// either field: every diagnostic depends on the graph alone.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// it: every diagnostic depends on the graph alone.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VerifyOptions {
-    /// The simulator's `SimConfig::channel_capacity`. Read by no pass.
-    pub channel_capacity: usize,
     /// An upper bound on fiber length (e.g. the largest program dimension).
     /// Read by no pass.
     pub fiber_hi: Option<u64>,
-}
-
-impl Default for VerifyOptions {
-    fn default() -> Self {
-        VerifyOptions { channel_capacity: 256, fiber_hi: None }
-    }
 }
 
 /// Whether a compile pipeline refuses a region for its [`graph_errors`].
@@ -123,32 +125,33 @@ pub fn verify_graph(g: &SamGraph, _opts: &VerifyOptions) -> Report {
 }
 
 /// The passes that emit errors, in order: validation (SA017, an `Err` that
-/// stops the rest), stream kinds (SA010), nesting depths (SA011) and
-/// unwritten outputs (SA016). Returns the topological order with their
-/// diagnostics.
+/// stops the rest), stream kinds (SA010) and nesting depths (SA011).
+/// Returns the topological order with their diagnostics.
 fn error_passes(g: &SamGraph) -> Result<(Vec<NodeId>, Vec<Diag>), Diag> {
     let order = g.validated_order().map_err(|e| invalid_graph(g, &e))?;
     let mut diags = Vec::new();
     kinds::check_kinds(g, &mut diags);
     kinds::check_depths(g, &order, &mut diags);
-    dead::check_outputs(g, &mut diags);
     Ok((order, diags))
 }
 
 /// The SA017 diagnostic for a graph that fails validation, anchored at the
-/// offending node when the error names one that exists.
+/// offending node when the error names one that exists, or at the output
+/// slot whose writers are wrong.
 fn invalid_graph(g: &SamGraph, e: &GraphError) -> Diag {
-    let node = match e {
+    let anchor = match *e {
         GraphError::BadPort { node, .. }
         | GraphError::MultipleWriters { node, .. }
         | GraphError::Unconnected { node, .. }
         | GraphError::BadSlot { node }
         | GraphError::ZeroFactor { node }
-        | GraphError::DeepAccumulator { node, .. } => Some(*node),
+        | GraphError::DeepAccumulator { node, .. } => {
+            (node < g.node_count()).then_some(Anchor::Node(NodeId(node)))
+        }
+        GraphError::OutputWriters { output, .. } => Some(Anchor::OutputSlot(output)),
         GraphError::Cyclic | GraphError::DuplicateSlot { .. } => None,
     };
-    let anchors = node.filter(|&n| n < g.node_count()).map(|n| Anchor::Node(NodeId(n)));
-    Diag::new(Code::SA017, anchors.into_iter().collect(), format!("invalid graph: {e}"))
+    Diag::new(Code::SA017, anchor.into_iter().collect(), format!("invalid graph: {e}"))
 }
 
 #[cfg(test)]
@@ -235,8 +238,10 @@ mod tests {
         let a0 = g.add_node(NodeKind::Array { tensor: b });
         let a1 = g.add_node(NodeKind::Array { tensor: b });
         let alu = g.add_node(NodeKind::Alu { op: AluOp::Add });
+        let cw = g.add_node(NodeKind::CrdWriter { output: o, level: 0 });
         let vw = g.add_node(NodeKind::ValWriter { output: o });
         g.connect(root, 0, ls0, 0);
+        g.connect(ls0, 0, cw, 0);
         g.connect(ls0, 1, ls1, 0); // depth 2 below
         g.connect(ls0, 1, a0, 0); // depth 1 vals
         g.connect(ls1, 1, a1, 0); // depth 2 vals
@@ -300,6 +305,7 @@ mod tests {
             let b = g.add_tensor("B", MemLocation::OnChip);
             let o = g.add_output("T", vec![4], Format::sparse_vec(), MemLocation::OnChip);
             let vw = g.add_node(NodeKind::ValWriter { output: o });
+            let cw = g.add_node(NodeKind::CrdWriter { output: o, level: 0 });
             let r2 = g.add_node(NodeKind::Alu { op: AluOp::Relu });
             let r1 = g.add_node(NodeKind::Alu { op: AluOp::Relu });
             let arr = g.add_node(NodeKind::Array { tensor: b });
@@ -309,7 +315,7 @@ mod tests {
             let d1 = g.add_node(NodeKind::Alu { op: AluOp::Relu });
             let mut edges =
                 vec![(root, 0, ls), (ls, 1, arr), (arr, 0, d1), (d1, 0, d2), (arr, 0, r1)];
-            edges.extend([(r1, 0, r2), (r2, 0, vw)]);
+            edges.extend([(r1, 0, r2), (r2, 0, vw), (ls, 0, cw)]);
             if writer_first {
                 edges.reverse();
             }
@@ -332,13 +338,22 @@ mod tests {
         assert!(r.with_code(Code::SA015).next().unwrap().render(&g).contains("'C'"));
     }
 
+    /// An output its coordinates are written to but its values are not is
+    /// one SA017 error at the output slot.
     #[test]
-    fn sa016_output_without_value_writer() {
+    fn sa017_output_without_value_writer() {
         let mut g = clean_graph();
-        g.add_output("U", vec![4], Format::sparse_vec(), MemLocation::OnChip);
+        let u = g.add_output("U", vec![4], Format::sparse_vec(), MemLocation::OnChip);
+        let cw = g.add_node(NodeKind::CrdWriter { output: u, level: 0 });
+        g.connect(NodeId(1), 0, cw, 0);
+        let want = GraphError::OutputWriters { output: u, level: None, writers: 0 };
+        assert_eq!(g.validate(), Err(want));
         let r = verify_graph(&g, &VerifyOptions::default());
-        assert_eq!(r.with_code(Code::SA016).count(), 1);
-        assert_eq!(r.with_code(Code::SA016).next().unwrap().severity(), Severity::Error);
+        assert_eq!(r.diags.len(), 1, "{}", r.render_human(&g));
+        let d = &r.diags[0];
+        assert_eq!((d.code, d.severity()), (Code::SA017, Severity::Error));
+        assert_eq!(d.anchors, vec![Anchor::OutputSlot(u)]);
+        assert!(d.render(&g).contains("output 'U'"), "{}", d.render(&g));
     }
 
     /// Every way a graph can fail `validate` is one SA017 error naming the
@@ -350,8 +365,8 @@ mod tests {
             let err = g.validate().expect_err(what);
             for opts in [
                 VerifyOptions::default(),
-                VerifyOptions { channel_capacity: 1, fiber_hi: Some(0) },
-                VerifyOptions { channel_capacity: 4, fiber_hi: Some(u64::MAX) },
+                VerifyOptions { fiber_hi: Some(0) },
+                VerifyOptions { fiber_hi: Some(u64::MAX) },
             ] {
                 let errors: Vec<Diag> = verify_graph(g, &opts).errors().cloned().collect();
                 assert_eq!(graph_errors(g), errors, "{what} under {opts:?}");
@@ -428,5 +443,31 @@ mod tests {
         invalid(&g, "accumulator deeper than MAX_SPACC_ORDER");
         let r = verify_graph(&g, &VerifyOptions::default());
         assert_eq!(r.diags[0].anchors, vec![Anchor::Node(deep)]);
+
+        // An output stream without exactly one writer: anchored at the
+        // output slot.
+        let writers = |g: &SamGraph, what: &str, want: GraphError| {
+            invalid(g, what);
+            assert_eq!(g.validate(), Err(want.clone()), "{what}");
+            let GraphError::OutputWriters { output, .. } = want else { panic!("{what}") };
+            let r = verify_graph(g, &VerifyOptions::default());
+            assert_eq!(r.diags[0].anchors, vec![Anchor::OutputSlot(output)], "{what}");
+        };
+        let mut g = clean_graph();
+        let vw = g.add_node(NodeKind::ValWriter { output: 0 });
+        g.connect(NodeId(3), 0, vw, 0);
+        let want = GraphError::OutputWriters { output: 0, level: None, writers: 2 };
+        writers(&g, "two value writers on one output", want);
+        let mut g = clean_graph();
+        let cw = g.add_node(NodeKind::CrdWriter { output: 0, level: 0 });
+        g.connect(NodeId(1), 0, cw, 0);
+        let want = GraphError::OutputWriters { output: 0, level: Some(0), writers: 2 };
+        writers(&g, "two coordinate writers on one level", want);
+        let mut g = clean_graph();
+        let u = g.add_output("U", vec![4], Format::sparse_vec(), MemLocation::OnChip);
+        let vw = g.add_node(NodeKind::ValWriter { output: u });
+        g.connect(NodeId(3), 0, vw, 0);
+        let want = GraphError::OutputWriters { output: u, level: Some(0), writers: 0 };
+        writers(&g, "an output level with no coordinate writer", want);
     }
 }
