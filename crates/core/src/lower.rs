@@ -176,6 +176,8 @@ struct SplitRecord {
 struct Ctx<'a> {
     program: &'a Program,
     region: &'a FusedRegion,
+    /// The tensors the region writes back: never filtered by a consumer.
+    outputs: &'a [TensorId],
     graph: SamGraph,
     pos: HashMap<GlobalIx, usize>,
     rows_of: Vec<Vec<GlobalIx>>,
@@ -351,6 +353,7 @@ pub fn lower_region(
     let mut ctx = Ctx {
         program,
         region,
+        outputs,
         graph,
         pos,
         rows_of,
@@ -513,6 +516,11 @@ fn owner_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx) -> Result<(), Lower
         match v.kind {
             ViewKind::Input { slot } => {
                 let level = ctx.views[vid].ixs.iter().position(|x| *x == g).expect("owner");
+                if level < ctx.views[vid].next {
+                    // Scanned by a producer's `intersect_with_consumer`: the
+                    // intermediate's coordinates are already this view's.
+                    continue;
+                }
                 if level != ctx.views[vid].next {
                     return Err(LowerError::Unsupported(
                         "discordant traversal slipped past the POG".into(),
@@ -575,6 +583,11 @@ fn owner_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx) -> Result<(), Lower
         return Ok(());
     }
 
+    let sole_scan = match contribs[..] {
+        [(vid, ..)] if ctx.views[vid].kind != ViewKind::Inter => Some(vid),
+        _ => None,
+    };
+
     // Fold contributions with joins. Identical handles share one stream.
     let op = ctx.region.exprs[ei].op;
     let mut acc = contribs.remove(0);
@@ -625,6 +638,9 @@ fn owner_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx) -> Result<(), Lower
     // The folded payload becomes the view's stream.
     update_view_stream(ctx, acc.0, acc.2);
     ctx.row_crd.insert((ei, g), acc.1);
+    if let Some(vid) = sole_scan {
+        intersect_with_consumer(ctx, ei, vid, g);
+    }
 
     // Views that just finished their last level fetch values eagerly.
     let view_ids = ctx.expr_views[ei].clone();
@@ -640,6 +656,67 @@ fn owner_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx) -> Result<(), Lower
         }
     }
     Ok(())
+}
+
+/// The input view whose row-`g` coordinates filter expression `ei`'s output
+/// there, if any: `ei`'s output passes through single-use intermediates,
+/// each joined at `g` only with inputs and above its innermost row (so the
+/// joins keep its coordinates), into a binary, non-union consumer whose
+/// other operand is an input that has not scanned `g` yet. A link whose
+/// other views skip `g` (a contraction over another row) passes it on.
+fn filtering_operand(ctx: &Ctx<'_>, ei: usize, g: GlobalIx) -> Option<usize> {
+    let mut t = ctx.region.exprs[ei].output.0;
+    for _ in 0..ctx.region.exprs.len() {
+        if ctx.outputs.contains(&t) {
+            return None;
+        }
+        let mut uses = (0..ctx.views.len())
+            .filter(|&v| ctx.views[v].kind == ViewKind::Inter && ctx.views[v].tensor == t);
+        let (Some(vid), None) = (uses.next(), uses.next()) else { return None };
+        let view = &ctx.views[vid];
+        if !view.ixs.contains(&g) || view.ixs.last() == Some(&g) {
+            return None;
+        }
+        let others: Vec<usize> = (ctx.expr_views[view.expr].iter().copied())
+            .filter(|&o| o != vid && ctx.views[o].ixs.contains(&g))
+            .collect();
+        let e = &ctx.region.exprs[view.expr];
+        match others[..] {
+            [] => {}
+            [o] if ctx.views[o].kind == ViewKind::Inter => return None,
+            [_] if e.op.is_some_and(|op| op.unions()) => {}
+            [o] if e.inputs.len() == 2 && e.op.is_some() => {
+                let level = ctx.views[o].ixs.iter().position(|x| *x == g);
+                return (level == Some(ctx.views[o].next)).then_some(o);
+            }
+            _ => return None,
+        }
+        t = e.output.0;
+    }
+    None
+}
+
+/// Intersects expression `ei`'s sole row-`g` scan, view `vid`, with the
+/// operand that filters its output ([`filtering_operand`]): the producer
+/// then runs only at coordinates its consumer keeps, and the intersection's
+/// reference outputs drive both views' next levels, as an intersecter's do
+/// in SAM. The consumer finds that operand scanned.
+fn intersect_with_consumer(ctx: &mut Ctx<'_>, ei: usize, vid: usize, g: GlobalIx) {
+    let Some(o) = filtering_operand(ctx, ei, g) else { return };
+    let ViewKind::Input { slot } = ctx.views[o].kind else { return };
+    if !ctx.views[o].started {
+        ctx.views[o].stream = ctx.roots();
+        ctx.views[o].started = true;
+    }
+    let level = ctx.views[o].next;
+    let src = ctx.views[o].stream.clone();
+    let ls = ctx.emit(NodeKind::LevelScanner { tensor: slot, level }, &[&src]);
+    let (crd, refs) = (ctx.row_crd[&(ei, g)].clone(), ctx.views[vid].stream.clone());
+    let j = ctx.emit(NodeKind::Intersect, &[&crd, &refs, &port(&ls, 0), &port(&ls, 1)]);
+    ctx.row_crd.insert((ei, g), port(&j, 0));
+    ctx.views[vid].stream = port(&j, 1);
+    ctx.views[o].stream = port(&j, 2);
+    ctx.views[o].next = level + 1;
 }
 
 /// A joined payload becomes the view's stream: an input's child references,

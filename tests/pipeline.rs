@@ -7,7 +7,7 @@ use fuseflow::core::ir::{Program, ReduceOp};
 use fuseflow::core::pipeline::{compile, compile_at, compile_run_verify, run, verify};
 use fuseflow::core::schedule::Schedule;
 use fuseflow::sim::{Scheduler, SimConfig, Stats};
-use fuseflow::tensor::{gen, Format, SparseTensor};
+use fuseflow::tensor::{gen, DenseTensor, Format, SparseTensor};
 use fuseflow_sam::{AluOp, MemLocation};
 use std::collections::HashMap;
 
@@ -537,5 +537,118 @@ fn a_blocked_map_into_a_dense_output_stores_zero_tiles() {
             0., 0., 0., 0.,
         ];
         assert_eq!(out.to_dense().data(), &want, "{scheduler:?}");
+    }
+}
+
+/// `H = relu(B)`, `T = Σ_k A[i,k]·H[k,j]` and, with `union`, `U = T + c[i]`.
+/// `A`'s row 1 is empty, and row 2 misses `B`'s rows 0 and 2: where `A` has
+/// no `k`, the fused product has no term, so `T` (and `U`, which takes its
+/// `j` from `T`) has no coordinate there.
+fn relu_product(union: bool) -> (Program, Inputs) {
+    let mut p = Program::new();
+    let (i, k, j) = (p.index("i"), p.index("k"), p.index("j"));
+    let a = p.input("A", vec![3, 3], Format::csr());
+    let b = p.input("B", vec![3, 2], Format::csr());
+    let c = p.input("c", vec![3], Format::dense_vec());
+    let h = p.map("H", AluOp::Relu, (b, vec![k, j]), Format::csr());
+    let t =
+        p.contract("T", vec![i, j], vec![(a, vec![i, k]), (h, vec![k, j])], vec![k], Format::csr());
+    if union {
+        let u = p.binary("U", AluOp::Add, (t, vec![i, j]), (c, vec![i]), vec![i, j], Format::csr());
+        p.mark_output(u);
+    } else {
+        p.mark_output(t);
+    }
+    let matrix = |shape: Vec<usize>, data: Vec<f32>| {
+        SparseTensor::from_dense(&DenseTensor::from_vec(shape, data), &Format::csr())
+    };
+    let c = DenseTensor::from_vec(vec![3], vec![10.0, 20.0, 30.0]);
+    let inputs = [
+        ("A", matrix(vec![3, 3], vec![1.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 3.0, 0.0])),
+        ("B", matrix(vec![3, 2], vec![1.0, -2.0, 0.0, 4.0, 5.0, 0.0])),
+        ("c", SparseTensor::from_dense(&c, &Format::dense_vec())),
+    ];
+    (p, inputs.into_iter().map(|(n, t)| (n.to_string(), t)).collect())
+}
+
+/// The three schedules of [`relu_product`]: unfused, `H·T` fused, and full.
+fn relu_product_schedules(p: &Program) -> [Schedule; 3] {
+    let n = p.exprs().len();
+    [Schedule::unfused(), Schedule::regions(vec![0..2, 2..n]), Schedule::full()]
+}
+
+/// Fused, the producer `H` is intersected with `A`'s `k` before it runs: no
+/// phantom zero reaches the union with `c`, at any granularity.
+#[test]
+fn a_fused_producer_feeds_only_its_consumers_coordinates() {
+    let (p, inputs) = relu_product(true);
+    for schedule in relu_product_schedules(&p) {
+        compile_run_verify(&p, &schedule, &inputs, &SimConfig::default())
+            .unwrap_or_else(|e| panic!("{schedule:?}: {e}"));
+    }
+}
+
+/// With `T` the output (no union after it), full fusion stores exactly the
+/// coordinates unfused stores: a phantom would be an explicit zero that a
+/// value comparison alone accepts.
+#[test]
+fn a_fused_product_stores_no_coordinate_its_operands_lack() {
+    let (p, inputs) = relu_product(false);
+    let stored = |schedule: &Schedule| {
+        let r = compile_run_verify(&p, schedule, &inputs, &SimConfig::default())
+            .unwrap_or_else(|e| panic!("{schedule:?}: {e}"));
+        let mut coords = Vec::new();
+        r.outputs["T"].for_each_stored(|idx, _| coords.push(idx.to_vec()));
+        coords
+    };
+    let unfused = stored(&Schedule::unfused());
+    assert_eq!(unfused, [[0, 0], [0, 1], [2, 1]]);
+    assert_eq!(stored(&Schedule::full()), unfused);
+}
+
+/// The SAE's second layer reads the hidden layer at `W2`'s stored `h` only;
+/// these seeds gave phantom zeros that the `+ b2` union made wrong values.
+#[test]
+fn the_tiny_sae_verifies_fully_fused_on_every_seed() {
+    use fuseflow::models::{sae, Fusion};
+    for seed in 0..40 {
+        let m = sae("tiny", 10, 5, 2, 0.5, seed);
+        for fusion in Fusion::ALL {
+            compile_run_verify(&m.program, &m.schedule(fusion), &m.inputs, &SimConfig::default())
+                .unwrap_or_else(|e| panic!("seed {seed}, {fusion}: {e}"));
+        }
+    }
+}
+
+/// With `A` the identity, fully fused `T = A·relu(B)` runs `relu` once per
+/// row of `B`, as unfused does: the producer runs at `A`'s stored `k`, not
+/// at every `k` under every `i`.
+#[test]
+fn a_fused_producer_under_an_identity_does_the_unfused_flops() {
+    for n in [8, 16, 32] {
+        let mut p = Program::new();
+        let (i, k, j) = (p.index("i"), p.index("k"), p.index("j"));
+        let a = p.input("A", vec![n, n], Format::csr());
+        let b = p.input("B", vec![n, 4], Format::csr());
+        let h = p.map("H", AluOp::Relu, (b, vec![k, j]), Format::csr());
+        let ah = vec![(a, vec![i, k]), (h, vec![k, j])];
+        let t = p.contract("T", vec![i, j], ah, vec![k], Format::csr());
+        p.mark_output(t);
+        let identity = DenseTensor::from_fn(vec![n, n], |ix| f32::from(u8::from(ix[0] == ix[1])));
+        let inputs: Inputs = [
+            ("A".to_string(), SparseTensor::from_dense(&identity, &Format::csr())),
+            (
+                "B".to_string(),
+                SparseTensor::from_dense(&gen::dense_features(n, 4, 7), &Format::csr()),
+            ),
+        ]
+        .into();
+        let flops = |schedule: &Schedule| {
+            compile_run_verify(&p, schedule, &inputs, &SimConfig::default())
+                .unwrap_or_else(|e| panic!("n = {n}, {schedule:?}: {e}"))
+                .stats
+                .flops
+        };
+        assert_eq!(flops(&Schedule::full()), flops(&Schedule::unfused()), "n = {n}");
     }
 }
