@@ -705,14 +705,14 @@ const TIGHT_PINNED: &[(&str, &str, &str, [End; 4])] = &[
     ("sae/sae", "unfused", "onchip", [C(2069), C(1375), C(1205), C(999)]),
     ("sae/sae", "partial", "dram", [C(11100), C(7594), C(6416), C(4328)]),
     ("sae/sae", "partial", "onchip", [C(1721), C(1051), C(881), C(675)]),
-    ("sae/sae", "full", "dram", [C(117569), C(77304), C(58803), C(32889)]),
-    ("sae/sae", "full", "onchip", [C(15267), C(8738), C(6946), C(4933)]),
+    ("sae/sae", "full", "dram", [C(46585), C(30663), C(23315), C(13070)]),
+    ("sae/sae", "full", "onchip", [C(6072), C(3474), C(2773), C(1977)]),
     ("gcn/tiny", "unfused", "dram", [C(51078), C(35627), C(30627), C(21076)]),
     ("gcn/tiny", "unfused", "onchip", [C(7115), C(4714), C(4091), C(3431)]),
     ("gcn/tiny", "partial", "dram", [D(1641), D(2097), D(1612), C(11187)]),
     ("gcn/tiny", "partial", "onchip", [D(261), D(298), D(234), C(1739)]),
-    ("gcn/tiny", "full", "dram", [D(44321), D(38175), D(29430), C(76373)]),
-    ("gcn/tiny", "full", "onchip", [D(4678), D(4057), D(3050), C(12009)]),
+    ("gcn/tiny", "full", "dram", [D(7437), D(9279), D(7204), C(15271)]),
+    ("gcn/tiny", "full", "onchip", [D(830), D(1007), D(786), C(2432)]),
     ("graphsage/tiny", "unfused", "dram", [C(80125), C(54758), C(46084), C(30305)]),
     ("graphsage/tiny", "unfused", "onchip", [C(10463), C(6885), C(5953), C(4915)]),
     ("graphsage/tiny", "partial", "dram", [D(2982), D(2025), D(2238), C(10664)]),
@@ -721,10 +721,10 @@ const TIGHT_PINNED: &[(&str, &str, &str, [End; 4])] = &[
     ("graphsage/tiny", "full", "onchip", [D(6626), D(3927), D(4114), C(11979)]),
     ("bigbird-attn/b4", "unfused", "dram", [C(13153), C(10729), C(9618), C(8036)]),
     ("bigbird-attn/b4", "unfused", "onchip", [C(1792), C(1427), C(1351), C(1250)]),
-    ("bigbird-attn/b4", "partial", "dram", [D(85), D(487), D(489), D(870)]),
-    ("bigbird-attn/b4", "partial", "onchip", [D(21), D(68), D(73), D(137)]),
-    ("bigbird-attn/b4", "full", "dram", [D(85), D(287), D(343), D(1926)]),
-    ("bigbird-attn/b4", "full", "onchip", [D(21), D(53), D(56), D(302)]),
+    ("bigbird-attn/b4", "partial", "dram", [D(86), D(487), D(489), D(870)]),
+    ("bigbird-attn/b4", "partial", "onchip", [D(22), D(68), D(73), D(137)]),
+    ("bigbird-attn/b4", "full", "dram", [D(86), D(288), D(344), D(1927)]),
+    ("bigbird-attn/b4", "full", "onchip", [D(22), D(54), D(57), D(303)]),
     ("map_stack_16x9", "unfused", "dram", [C(6255), C(6246), C(6237), C(6183)]),
     ("map_stack_16x9", "unfused", "onchip", [C(972), C(972), C(972), C(972)]),
     ("map_stack_16x9", "partial", "dram", [C(2091), C(2088), C(2085), C(2067)]),
@@ -744,20 +744,20 @@ const TIGHT_PINNED: &[(&str, &str, &str, [End; 4])] = &[
 const TOKENS_PINNED: &[(&str, &str, &str, u64, usize, u64, u64)] = &[
     ("sae/sae", "unfused", "dram", 6257, 18, 5088, 0xb71e8ea6a6b9004a),
     ("sae/sae", "unfused", "onchip", 997, 18, 5088, 0xb71e8ea6a6b9004a),
-    ("sae/sae", "full", "dram", 32233, 25, 30091, 0x7c9ae9f0902f5868),
-    ("sae/sae", "full", "onchip", 4933, 25, 30091, 0x7c9ae9f0902f5868),
+    ("sae/sae", "full", "dram", 12806, 25, 12735, 0xdd1478ada7efb6c1),
+    ("sae/sae", "full", "onchip", 1977, 25, 12735, 0xdd1478ada7efb6c1),
     ("gcn/tiny", "unfused", "dram", 20416, 22, 17740, 0xa11346a7e91874f1),
     ("gcn/tiny", "unfused", "onchip", 3425, 22, 17740, 0xa11346a7e91874f1),
-    ("gcn/tiny", "full", "dram", 73147, 35, 101835, 0x67fed847bee10a8e),
-    ("gcn/tiny", "full", "onchip", 11929, 35, 101835, 0x67fed847bee10a8e),
+    ("gcn/tiny", "full", "dram", 14664, 34, 23898, 0xf7213ea890fc6a3c),
+    ("gcn/tiny", "full", "onchip", 2417, 34, 23898, 0xf7213ea890fc6a3c),
     ("graphsage/tiny", "unfused", "dram", 29493, 22, 26131, 0x6b04c28359099f9c),
     ("graphsage/tiny", "unfused", "onchip", 4907, 22, 26131, 0x6b04c28359099f9c),
     ("graphsage/tiny", "full", "dram", 73579, 39, 150610, 0x8073cc3d285e7b10),
     ("graphsage/tiny", "full", "onchip", 11867, 39, 150610, 0x8073cc3d285e7b10),
     ("bigbird-attn/b4", "unfused", "dram", 7992, 22, 6606, 0x9beaf7f02cb15011),
     ("bigbird-attn/b4", "unfused", "onchip", 1250, 22, 6606, 0x9beaf7f02cb15011),
-    ("bigbird-attn/b4", "full", "dram", 3019, 28, 4588, 0x2078d1e429c0ebe4),
-    ("bigbird-attn/b4", "full", "onchip", 480, 28, 4588, 0x2078d1e429c0ebe4),
+    ("bigbird-attn/b4", "full", "dram", 3020, 27, 4596, 0xde193ec2e7771e35),
+    ("bigbird-attn/b4", "full", "onchip", 481, 27, 4596, 0xde193ec2e7771e35),
     ("map_stack_16x9", "unfused", "dram", 6183, 9, 4005, 0x4b39db6532a96617),
     ("map_stack_16x9", "unfused", "onchip", 972, 9, 4005, 0x4b39db6532a96617),
     ("map_stack_16x9", "full", "dram", 695, 9, 973, 0xf6a648acf8b4c664),
@@ -844,12 +844,12 @@ fn node_token_counts_are_pinned() {
 const SCHED_PINNED: &[(&str, &str, &str, u64, u64, u64)] = &[
     ("sae/sae", "unfused", "dram", 7929, 3480, 16),
     ("sae/sae", "unfused", "onchip", 6530, 0, 16),
-    ("sae/sae", "full", "dram", 53639, 21231, 41),
-    ("sae/sae", "full", "onchip", 42265, 0, 41),
+    ("sae/sae", "full", "dram", 20686, 7995, 41),
+    ("sae/sae", "full", "onchip", 17086, 0, 41),
     ("gcn/tiny", "unfused", "dram", 29138, 11294, 16),
     ("gcn/tiny", "unfused", "onchip", 21272, 0, 16),
-    ("gcn/tiny", "full", "dram", 183867, 34812, 66),
-    ("gcn/tiny", "full", "onchip", 131857, 0, 66),
+    ("gcn/tiny", "full", "dram", 39535, 5776, 66),
+    ("gcn/tiny", "full", "onchip", 30163, 0, 66),
     ("graphsage/tiny", "unfused", "dram", 41974, 16477, 16),
     ("graphsage/tiny", "unfused", "onchip", 30828, 0, 16),
     ("graphsage/tiny", "full", "dram", 253301, 29167, 141),
@@ -857,7 +857,7 @@ const SCHED_PINNED: &[(&str, &str, &str, u64, u64, u64)] = &[
     ("bigbird-attn/b4", "unfused", "dram", 9961, 4602, 16),
     ("bigbird-attn/b4", "unfused", "onchip", 8029, 0, 16),
     ("bigbird-attn/b4", "full", "dram", 7089, 1322, 40),
-    ("bigbird-attn/b4", "full", "onchip", 6209, 0, 40),
+    ("bigbird-attn/b4", "full", "onchip", 6210, 0, 40),
     ("map_stack_16x9", "unfused", "dram", 6669, 3303, 8),
     ("map_stack_16x9", "unfused", "onchip", 4959, 0, 8),
     ("map_stack_16x9", "full", "dram", 1749, 303, 16),
