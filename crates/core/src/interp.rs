@@ -413,7 +413,7 @@ fn walk_order(e: &Einsum, checks: &[Check], intersect: &[usize]) -> Vec<IndexVar
 /// Per prefix of `mask` up to `level`, row-major over `shape[..=level]`:
 /// does any present element start with it? Each shorter prefix ORs chunks
 /// of the one below it.
-fn prefix_support(mask: &DenseTensor, level: usize) -> Vec<bool> {
+pub(crate) fn prefix_support(mask: &DenseTensor, level: usize) -> Vec<bool> {
     let mut present: Vec<bool> = mask.data().iter().map(|&m| m != 0.0).collect();
     for &dim in mask.shape()[level + 1..].iter().rev() {
         present = present.chunks(dim).map(|c| c.contains(&true)).collect();

@@ -15,13 +15,13 @@
 //! interprets again only when the inputs change.
 
 use crate::fusion::{fuse_region, FuseError};
-use crate::interp::{bind_inputs, interpret, InterpError};
+use crate::interp::{bind_inputs, interpret, prefix_support, InterpError, Structured};
 use crate::ir::{IndexVar, Program};
 use crate::lower::{lower_region, LowerError, LowerOptions, Lowered, Refused};
 use crate::schedule::Schedule;
 use fuseflow_sam::{MemLocation, SamGraph};
 use fuseflow_sim::{simulate, SimConfig, SimError, Stats, TensorEnv};
-use fuseflow_tensor::{approx_eq, DenseTensor, SparseTensor};
+use fuseflow_tensor::{approx_eq, DenseTensor, Level, SparseTensor};
 use fuseflow_verify::{graph_errors, VerifyConfig};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -345,9 +345,9 @@ const NORM_EPS: f32 = 1e-5;
 struct Reference {
     /// The bound inputs, in [`Program::inputs`] order.
     inputs: Vec<SparseTensor>,
-    /// Per program output the reference has, its values and the [`NORM_EPS`]
-    /// floor (`NORM_EPS` times their largest magnitude).
-    outputs: HashMap<String, (DenseTensor, f32)>,
+    /// Per program output the reference has, its values and structure and
+    /// the [`NORM_EPS`] floor (`NORM_EPS` times their largest magnitude).
+    outputs: HashMap<String, (Structured, f32)>,
 }
 
 /// The reference of `program` on `inputs`: the memo's when it was made from
@@ -371,7 +371,7 @@ fn reference(
         let name = &program.tensor(out).name;
         if let Some(s) = golden.remove(name) {
             let floor = NORM_EPS * s.vals.data().iter().fold(0.0, |m: f32, v| m.max(v.abs()));
-            outputs.insert(name.clone(), (s.vals, floor));
+            outputs.insert(name.clone(), (s, floor));
         }
     }
     let fresh = Arc::new(Reference { inputs: bound.into_iter().cloned().collect(), outputs });
@@ -386,6 +386,10 @@ fn reference(
 /// magnitude. The second bound admits reassociated sums: a tile matmul adds
 /// its reduction tile by tile, and where large terms cancel, the rounding
 /// that moves a small element is relative to those terms, not to the element.
+/// Values alone would accept an explicit zero where the reference has no
+/// entry, so the stored coordinates are compared too: at every compressed
+/// level of the output, tile by tile for a blocked one, exactly the
+/// coordinates the reference's structure has (a dense level stores all).
 ///
 /// The reference is interpreted once per program and input set: the
 /// program keeps the outputs of the last input set it was verified on,
@@ -400,7 +404,8 @@ fn reference(
 /// another shape than its declaration's ([`interpret`]'s errors), and
 /// [`PipelineError::Verify`] describing the first program output, in
 /// [`Program::outputs`] order, that is missing, has another shape than the
-/// reference's, or diverges.
+/// reference's, diverges, or stores other coordinates (naming the first
+/// extra or missing one).
 pub fn verify(
     program: &Program,
     inputs: &HashMap<String, SparseTensor>,
@@ -416,22 +421,84 @@ pub fn verify(
             return Err(PipelineError::Verify(format!("reference never produced '{name}'")));
         };
         let got = t.to_dense();
-        if got.shape() != want.shape() {
+        if got.shape() != want.vals.shape() {
             return Err(PipelineError::Verify(format!(
                 "output '{name}' has shape {:?}, the reference {:?}",
                 got.shape(),
-                want.shape()
+                want.vals.shape()
             )));
         }
         let close = |(a, b): (&f32, &f32)| approx_eq(*a, *b) || (a - b).abs() <= *floor;
-        if !got.data().iter().zip(want.data()).all(close) {
+        if !got.data().iter().zip(want.vals.data()).all(close) {
             return Err(PipelineError::Verify(format!(
                 "output '{name}' diverges from reference (max abs diff {})",
-                got.max_abs_diff(want)
+                got.max_abs_diff(&want.vals)
             )));
+        }
+        if let Some(why) = structure_mismatch(t, &want.mask) {
+            return Err(PipelineError::Verify(format!("output '{name}' {why}")));
         }
     }
     Ok(())
+}
+
+/// How `got`'s stored coordinates first differ from the reference structure
+/// `mask` (of the same element-space shape), if they do: at each compressed
+/// level, outermost first, a coordinate prefix is stored exactly when the
+/// reference has an element under it. A dense level stores every
+/// coordinate, so it is not compared. A blocked output is compared tile by
+/// tile on its block grid, a tile being present when any of its elements
+/// is.
+fn structure_mismatch(got: &SparseTensor, mask: &DenseTensor) -> Option<String> {
+    let grid: Vec<usize> = (got.levels().iter())
+        .map(|l| match l {
+            Level::Dense { size } | Level::Compressed { size, .. } => *size,
+        })
+        .collect();
+    let tiles;
+    let mask = if got.is_blocked() {
+        let [b0, b1] = got.block();
+        let present = |r: usize, c: usize| mask.get(&[r, c]) != 0.0;
+        tiles = DenseTensor::from_fn(grid.clone(), |t| {
+            let (rows, cols) = (t[0] * b0..(t[0] + 1) * b0, t[1] * b1..(t[1] + 1) * b1);
+            let any = rows.into_iter().any(|r| cols.clone().any(|c| present(r, c)));
+            f32::from(u8::from(any))
+        });
+        &tiles
+    } else {
+        mask
+    };
+    // `(position, row-major prefix index)` of every stored coordinate of the
+    // level walked so far, in storage order (ascending prefix index).
+    let mut stored = vec![(0, 0)];
+    for (l, level) in got.levels().iter().enumerate() {
+        stored = (stored.iter())
+            .flat_map(|&(pos, flat)| level.fiber(pos).map(move |(c, child)| (child, flat, c)))
+            .map(|(child, flat, c)| (child, flat * grid[l] + c as usize))
+            .collect();
+        if matches!(level, Level::Dense { .. }) {
+            continue;
+        }
+        let want = prefix_support(mask, l);
+        let mut held = stored.iter().map(|&(_, flat)| flat).peekable();
+        let first = (0..want.len())
+            .find(|&flat| held.next_if_eq(&flat).is_some() != want[flat])
+            .map(|flat| (flat, want[flat]))
+            .or_else(|| held.next().map(|repeated| (repeated, false)));
+        let Some((flat, lacking)) = first else { continue };
+        let mut coord = vec![0; l + 1];
+        let mut rest = flat;
+        for (d, x) in coord.iter_mut().enumerate().rev() {
+            (*x, rest) = (rest % grid[d], rest / grid[d]);
+        }
+        let what = if got.is_blocked() { "tile" } else { "coordinate" };
+        return Some(if lacking {
+            format!("lacks {what} {coord:?} at level {l}, which the reference stores")
+        } else {
+            format!("stores {what} {coord:?} at level {l}, where the reference has none")
+        });
+    }
+    None
 }
 
 #[cfg(test)]
@@ -600,6 +667,74 @@ mod tests {
         assert_eq!(
             err.to_string(),
             "verification failed: output 'E' has shape [4, 2], the reference [2, 4]"
+        );
+    }
+
+    /// An output with every value right but one coordinate too many or too
+    /// few is refused, naming that coordinate; a dense output is not held to
+    /// the reference's structure, because a dense level stores every
+    /// coordinate.
+    #[test]
+    fn verify_names_the_first_extra_or_missing_coordinate() {
+        let mut p = Program::new();
+        let (i, j) = (p.index("i"), p.index("j"));
+        let a = p.input("A", vec![2, 3], Format::csr());
+        let e = p.map("E", AluOp::Relu, (a, vec![i, j]), Format::csr());
+        let d = p.map("D", AluOp::Relu, (a, vec![i, j]), Format::dense(2));
+        p.mark_output(e);
+        p.mark_output(d);
+        let csr = |entries: &[([u32; 2], f32)]| {
+            let coo = entries.iter().map(|(c, v)| (c.to_vec(), *v)).collect();
+            SparseTensor::from_coo(vec![2, 3], coo, &Format::csr()).unwrap()
+        };
+        let a_in = csr(&[([0, 0], 1.0), ([0, 2], -2.0)]);
+        let inputs = HashMap::from([("A".to_string(), a_in)]);
+        let dense = SparseTensor::from_dense(
+            &DenseTensor::from_vec(vec![2, 3], vec![1.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+            &Format::dense(2),
+        );
+        let check = |e: SparseTensor| {
+            let outputs = HashMap::from([("E".to_string(), e), ("D".to_string(), dense.clone())]);
+            verify(&p, &inputs, &outputs).map_err(|e| e.to_string())
+        };
+        // `relu(-2)` is an explicit zero the reference stores.
+        check(csr(&[([0, 0], 1.0), ([0, 2], 0.0)])).unwrap();
+        assert_eq!(
+            check(csr(&[([0, 0], 1.0), ([0, 2], 0.0), ([1, 1], 0.0)])).unwrap_err(),
+            "verification failed: output 'E' stores coordinate [1, 1] at level 1, \
+             where the reference has none"
+        );
+        assert_eq!(
+            check(csr(&[([0, 0], 1.0)])).unwrap_err(),
+            "verification failed: output 'E' lacks coordinate [0, 2] at level 1, \
+             which the reference stores"
+        );
+    }
+
+    /// A blocked output is compared on its block grid: a stored all-zero
+    /// tile where the reference has no element is an extra tile.
+    #[test]
+    fn verify_compares_a_blocked_output_tile_by_tile() {
+        let mut p = Program::new();
+        let (i, j) = (p.index("i"), p.index("j"));
+        let a = p.blocked_input("A", vec![4, 4], Format::csr(), [2, 2]);
+        let r = p.map("R", AluOp::Relu, (a, vec![i, j]), Format::csr());
+        p.mark_output(r);
+        let blocks = |tiles: Vec<(Vec<u32>, Vec<f32>)>| {
+            SparseTensor::from_blocks(vec![4, 4], [2, 2], tiles, &Format::csr()).unwrap()
+        };
+        let tile = vec![1.0, -2.0, 0.0, 3.0];
+        let inputs = HashMap::from([("A".to_string(), blocks(vec![(vec![0, 1], tile)]))]);
+        let relu = vec![1.0, 0.0, 0.0, 3.0];
+        let check = |tiles| {
+            let outputs = HashMap::from([("R".to_string(), blocks(tiles))]);
+            verify(&p, &inputs, &outputs).map_err(|e| e.to_string())
+        };
+        check(vec![(vec![0, 1], relu.clone())]).unwrap();
+        assert_eq!(
+            check(vec![(vec![0, 1], relu), (vec![1, 0], vec![0.0; 4])]).unwrap_err(),
+            "verification failed: output 'R' stores tile [1, 0] at level 1, \
+             where the reference has none"
         );
     }
 
