@@ -17,6 +17,11 @@
 //! joins, and shared rows reuse the streams already built instead of
 //! re-iterating loops.
 //!
+//! A producer that runs under its consumer's rows is intersected, at the row
+//! where the two meet, with the consumer's operand there
+//! (`intersect_with_consumer`), so it runs only at the coordinates the
+//! consumer keeps.
+//!
 //! A view that joins an intermediate above the row where it registers holds
 //! a forward reference to its value stream: its edges queue until
 //! registration wires them and replaces every reference still held. No node
@@ -658,13 +663,15 @@ fn owner_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx) -> Result<(), Lower
     Ok(())
 }
 
-/// The input view whose row-`g` coordinates filter expression `ei`'s output
-/// there, if any: `ei`'s output passes through single-use intermediates,
-/// each joined at `g` only with inputs and above its innermost row (so the
-/// joins keep its coordinates), into a binary, non-union consumer whose
-/// other operand is an input that has not scanned `g` yet. A link whose
-/// other views skip `g` (a contraction over another row) passes it on.
-fn filtering_operand(ctx: &Ctx<'_>, ei: usize, g: GlobalIx) -> Option<usize> {
+/// The input view, and its tensor slot, whose row-`g` coordinates filter
+/// expression `ei`'s output there, if any. `ei`'s output passes through
+/// single-use intermediates that the region does not write back, each read
+/// above its innermost row and either joined at `g` with one input by a
+/// union (a `UnionLeft`, which keeps the intermediate's coordinates) or not
+/// joined at `g` at all (a contraction over another row). It ends at a
+/// binary, non-union consumer whose other operand is an input that has not
+/// scanned `g` yet.
+fn filtering_operand(ctx: &Ctx<'_>, ei: usize, g: GlobalIx) -> Option<(usize, usize)> {
     let mut t = ctx.region.exprs[ei].output.0;
     for _ in 0..ctx.region.exprs.len() {
         if ctx.outputs.contains(&t) {
@@ -683,11 +690,13 @@ fn filtering_operand(ctx: &Ctx<'_>, ei: usize, g: GlobalIx) -> Option<usize> {
         let e = &ctx.region.exprs[view.expr];
         match others[..] {
             [] => {}
-            [o] if ctx.views[o].kind == ViewKind::Inter => return None,
-            [_] if e.op.is_some_and(|op| op.unions()) => {}
-            [o] if e.inputs.len() == 2 && e.op.is_some() => {
-                let level = ctx.views[o].ixs.iter().position(|x| *x == g);
-                return (level == Some(ctx.views[o].next)).then_some(o);
+            [o] => {
+                let ViewKind::Input { slot } = ctx.views[o].kind else { return None };
+                if !e.op.is_some_and(|op| op.unions()) {
+                    let level = ctx.views[o].ixs.iter().position(|x| *x == g);
+                    let open = e.inputs.len() == 2 && level == Some(ctx.views[o].next);
+                    return open.then_some((o, slot));
+                }
             }
             _ => return None,
         }
@@ -702,8 +711,7 @@ fn filtering_operand(ctx: &Ctx<'_>, ei: usize, g: GlobalIx) -> Option<usize> {
 /// reference outputs drive both views' next levels, as an intersecter's do
 /// in SAM. The consumer finds that operand scanned.
 fn intersect_with_consumer(ctx: &mut Ctx<'_>, ei: usize, vid: usize, g: GlobalIx) {
-    let Some(o) = filtering_operand(ctx, ei, g) else { return };
-    let ViewKind::Input { slot } = ctx.views[o].kind else { return };
+    let Some((o, slot)) = filtering_operand(ctx, ei, g) else { return };
     if !ctx.views[o].started {
         ctx.views[o].stream = ctx.roots();
         ctx.views[o].started = true;
