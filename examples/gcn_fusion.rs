@@ -48,6 +48,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!("\nAs in the paper, partial (per-layer) fusion wins for GCN: full fusion");
-    println!("recomputes layer 1 under layer 2's row loop.");
+    println!("recomputes layer 1 once per stored element of layer 2's adjacency.");
     Ok(())
 }
