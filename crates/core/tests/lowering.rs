@@ -276,6 +276,52 @@ fn recomputation_scope_duplicates_iteration_under_consumer_rows() {
     assert!(!g.kind_histogram().contains_key("UnionLeft"));
 }
 
+/// Fully fused GraphSAGE recomputes layer 1 under `T1 = Σ_l Adj[i,l]·X1[l,m]`
+/// at `T1`'s reduced row `l`, and `X1` is `relu(Ts1 + Tn1 + b1)`. Both leaves
+/// of that union at `l` (`T0`'s scan of `Adj` and `Ts1`'s scan of `X`, each
+/// at level 0) feed an `Intersect` with their own level-1 scan of `Adj`, read
+/// from `T1`'s row-`i` references. `T1` still scans `Adj` at `l` itself and
+/// joins it with `X1`.
+#[test]
+fn both_leaves_of_graphsages_union_intersect_with_the_consumers_adjacency() {
+    let tiny = GraphDataset {
+        name: "tiny",
+        nodes: 20,
+        feats: 8,
+        density: 0.12,
+        pattern: GraphPattern::Uniform,
+    };
+    let m = graphsage(&tiny, 6, 4, 17);
+    let compiled = compile(&m.program, &m.schedule(Fusion::Full)).unwrap();
+    let g = &compiled.lowered[0].graph;
+    let slot = |name| g.tensors().iter().position(|t| t.name == name).unwrap();
+    let (adj, x) = (slot("Adj"), slot("X"));
+    let source = |j: NodeId, port: usize| {
+        g.edges().iter().find(|e| e.dst == Port { node: j, port }).expect("wired").src
+    };
+    let scans = |n: NodeId, tensor, level| *g.node(n) == NodeKind::LevelScanner { tensor, level };
+    // The row-`i` reference stream each level-1 scan of `Adj` reads, per join
+    // kind and per tensor whose level-0 scan is the join's left side.
+    let mut reads = Vec::new();
+    let joins = (0..g.node_count()).map(NodeId);
+    for j in joins.filter(|&j| matches!(g.node(j), NodeKind::Intersect | NodeKind::UnionLeft)) {
+        let right = source(j, 2).node;
+        if !scans(right, adj, 1) {
+            continue;
+        }
+        let left = source(j, 0).node;
+        let leaf = [adj, x].into_iter().find(|&t| scans(left, t, 0));
+        reads.push((g.node(j).clone(), leaf, source(right, 0)));
+    }
+    let find = |kind: NodeKind, leaf| -> Vec<Port> {
+        reads.iter().filter(|r| r.0 == kind && r.1 == leaf).map(|r| r.2).collect()
+    };
+    let own = find(NodeKind::UnionLeft, None);
+    assert_eq!(own.len(), 1, "{reads:?}");
+    assert_eq!(find(NodeKind::Intersect, Some(adj)), own, "{reads:?}");
+    assert_eq!(find(NodeKind::Intersect, Some(x)), own, "{reads:?}");
+}
+
 /// The softmax tail `E = exp(S); Dn[i] = Σ_j E[i,j]; P = E / Dn[i]`, fully
 /// fused: `P` joins `Dn` at row `i`, before `Dn` registers at row `j`. That
 /// forward reference is an edge, so the `Reduce` producing `Dn` feeds the

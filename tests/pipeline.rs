@@ -6,6 +6,7 @@ use fuseflow::core::interp::interpret;
 use fuseflow::core::ir::{Program, ReduceOp};
 use fuseflow::core::pipeline::{compile, compile_at, compile_run_verify, run, verify};
 use fuseflow::core::schedule::Schedule;
+use fuseflow::models::{graphsage, Fusion, GraphDataset};
 use fuseflow::sim::{Scheduler, SimConfig, Stats};
 use fuseflow::tensor::{gen, DenseTensor, Format, SparseTensor};
 use fuseflow_sam::{AluOp, MemLocation};
@@ -605,7 +606,7 @@ fn a_fused_product_stores_no_coordinate_its_operands_lack() {
 /// these seeds gave phantom zeros that the `+ b2` union made wrong values.
 #[test]
 fn the_tiny_sae_verifies_fully_fused_on_every_seed() {
-    use fuseflow::models::{sae, Fusion};
+    use fuseflow::models::sae;
     for seed in 0..40 {
         let m = sae("tiny", 10, 5, 2, 0.5, seed);
         for fusion in Fusion::ALL {
@@ -645,5 +646,102 @@ fn a_fused_producer_under_an_identity_does_the_unfused_flops() {
                 .flops
         };
         assert_eq!(flops(&Schedule::full()), flops(&Schedule::unfused()), "n = {n}");
+    }
+}
+
+/// A 20-node, 8-feature graph of `density` in `pattern`.
+fn tiny_graph(density: f64, pattern: gen::GraphPattern) -> GraphDataset {
+    GraphDataset { name: "tiny", nodes: 20, feats: 8, density, pattern }
+}
+
+/// Fully fused GraphSAGE recomputes its first layer under the second's rows.
+/// Both leaves of `S1 = Ts1 + Tn1` (the scans of `X` and `Adj` at the
+/// recomputed node) are intersected with the consumer's `Adj` row, so layer
+/// 1 runs once per edge, not at every node under every node.
+#[test]
+fn fully_fused_graphsage_recomputes_layer_one_only_at_the_neighbours() {
+    let karate = GraphDataset {
+        name: "karate",
+        nodes: 34,
+        feats: 16,
+        density: 0.135,
+        pattern: gen::GraphPattern::Uniform,
+    };
+    for ds in [karate, tiny_graph(0.12, gen::GraphPattern::Uniform)] {
+        let m = graphsage(&ds, 8, 4, 1);
+        let flops = |fusion| {
+            compile_run_verify(&m.program, &m.schedule(fusion), &m.inputs, &SimConfig::default())
+                .unwrap_or_else(|e| panic!("{}, {fusion}: {e}", ds.name))
+                .stats
+                .flops
+        };
+        let (full, unfused) = (flops(Fusion::Full), flops(Fusion::Unfused));
+        assert!(full <= 4 * unfused, "{}: full {full} FLOPs, unfused {unfused}", ds.name);
+    }
+}
+
+/// Every granularity of a tiny GraphSAGE matches the reference, values and
+/// stored coordinates, on 40 seeds of three graphs.
+#[test]
+fn the_tiny_graphsage_verifies_at_every_granularity_on_every_seed() {
+    let graphs = [
+        tiny_graph(0.12, gen::GraphPattern::Uniform),
+        tiny_graph(0.4, gen::GraphPattern::Uniform),
+        tiny_graph(0.1, gen::GraphPattern::PowerLaw),
+    ];
+    for ds in &graphs {
+        for seed in 0..40 {
+            let m = graphsage(ds, 6, 4, seed);
+            for fusion in Fusion::ALL {
+                let (schedule, config) = (m.schedule(fusion), SimConfig::default());
+                compile_run_verify(&m.program, &schedule, &m.inputs, &config).unwrap_or_else(|e| {
+                    panic!("{:?} {}, seed {seed}, {fusion}: {e}", ds.pattern, ds.density)
+                });
+            }
+        }
+    }
+}
+
+/// `U = Σ_k A[i,k]·(P + Q)[k,j] + b[j]` with `P = relu(B)`, a sole scan of
+/// `B` at `k`, and `Q = C ⊙ D`, which joins two inputs at `k`. Only `P`'s
+/// leaf could take `A`'s filter, and the union would then pair `P`'s filtered
+/// rows with all of `Q`'s; so neither leaf takes it, and the product's join
+/// keeps every `k` of `P + Q`, as it did before the filter crossed unions.
+/// The product then stores a zero where `A` lacks the `k` (ROADMAP item 1(b));
+/// `+ b[j]` stores every `(i, j)` either way, as GraphSAGE's bias adds do.
+#[test]
+fn a_union_with_one_filterable_leaf_verifies_fully_fused() {
+    let n = 10;
+    let mut p = Program::new();
+    let (i, k, j) = (p.index("i"), p.index("k"), p.index("j"));
+    let a = p.input("A", vec![n, n], Format::csr());
+    let [b, c, d] = ["B", "C", "D"].map(|name| p.input(name, vec![n, 6], Format::csr()));
+    let bias = p.input("b", vec![6], Format::dense_vec());
+    let relu = p.map("P", AluOp::Relu, (b, vec![k, j]), Format::csr());
+    let prod =
+        p.binary("Q", AluOp::Mul, (c, vec![k, j]), (d, vec![k, j]), vec![k, j], Format::csr());
+    let sum = p.binary(
+        "S",
+        AluOp::Add,
+        (relu, vec![k, j]),
+        (prod, vec![k, j]),
+        vec![k, j],
+        Format::csr(),
+    );
+    let ak = vec![(a, vec![i, k]), (sum, vec![k, j])];
+    let t = p.contract("T", vec![i, j], ak, vec![k], Format::csr());
+    let u = p.binary("U", AluOp::Add, (t, vec![i, j]), (bias, vec![j]), vec![i, j], Format::csr());
+    p.mark_output(u);
+    let mut inputs = Inputs::new();
+    let a_in = gen::adjacency(n, 0.2, gen::GraphPattern::Uniform, 5, &Format::csr());
+    inputs.insert("A".into(), a_in);
+    for (name, seed) in [("B", 6), ("C", 7), ("D", 8)] {
+        inputs.insert(name.into(), gen::sparse_features(n, 6, 0.5, seed, &Format::csr()));
+    }
+    let b_in = gen::dense_features(1, 6, 9).reshape(vec![6]);
+    inputs.insert("b".into(), SparseTensor::from_dense(&b_in, &Format::dense_vec()));
+    for schedule in [Schedule::unfused(), Schedule::full()] {
+        compile_run_verify(&p, &schedule, &inputs, &SimConfig::default())
+            .unwrap_or_else(|e| panic!("{schedule:?}: {e}"));
     }
 }
