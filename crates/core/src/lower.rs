@@ -663,44 +663,94 @@ fn owner_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx) -> Result<(), Lower
     Ok(())
 }
 
-/// The input view, and its tensor slot, whose row-`g` coordinates filter
-/// expression `ei`'s output there, if any. `ei`'s output passes through
-/// single-use intermediates that the region does not write back, each read
-/// above its innermost row and either joined at `g` with one input by a
-/// union (a `UnionLeft`, which keeps the intermediate's coordinates) or not
-/// joined at `g` at all (a contraction over another row). It ends at a
-/// binary, non-union consumer whose other operand is an input that has not
-/// scanned `g` yet.
-fn filtering_operand(ctx: &Ctx<'_>, ei: usize, g: GlobalIx) -> Option<(usize, usize)> {
-    let mut t = ctx.region.exprs[ei].output.0;
-    for _ in 0..ctx.region.exprs.len() {
-        if ctx.outputs.contains(&t) {
-            return None;
-        }
-        let mut uses = (0..ctx.views.len())
-            .filter(|&v| ctx.views[v].kind == ViewKind::Inter && ctx.views[v].tensor == t);
-        let (Some(vid), None) = (uses.next(), uses.next()) else { return None };
-        let view = &ctx.views[vid];
-        if !view.ixs.contains(&g) || view.ixs.last() == Some(&g) {
-            return None;
-        }
-        let others: Vec<usize> = (ctx.expr_views[view.expr].iter().copied())
-            .filter(|&o| o != vid && ctx.views[o].ixs.contains(&g))
-            .collect();
-        let e = &ctx.region.exprs[view.expr];
-        match others[..] {
-            [] => {}
-            [o] => {
-                let ViewKind::Input { slot } = ctx.views[o].kind else { return None };
-                if !e.op.is_some_and(|op| op.unions()) {
-                    let level = ctx.views[o].ixs.iter().position(|x| *x == g);
-                    let open = e.inputs.len() == 2 && level == Some(ctx.views[o].next);
-                    return open.then_some((o, slot));
-                }
+/// Where a single-use region intermediate goes at row `g`, one expression
+/// down ([`link`]).
+enum Link {
+    /// Into `next`, which joins it at `g` not at all (a contraction over
+    /// another row) or with one input by a union (a `UnionLeft`, which keeps
+    /// the intermediate's coordinates).
+    Pass(TensorId),
+    /// Into `next`, a union with `sibling`, another intermediate.
+    Union { sibling: TensorId, next: TensorId },
+    /// Into a binary, non-union consumer whose other operand is input view
+    /// `o` (tensor slot `slot`), not yet scanned at `g`.
+    Consumer { o: usize, slot: usize },
+}
+
+/// The link from intermediate `t` at row `g`, if `t` is not written back,
+/// has one use, and that use reads it above its innermost row.
+fn link(ctx: &Ctx<'_>, t: TensorId, g: GlobalIx) -> Option<Link> {
+    if ctx.outputs.contains(&t) {
+        return None;
+    }
+    let mut uses = (0..ctx.views.len())
+        .filter(|&v| ctx.views[v].kind == ViewKind::Inter && ctx.views[v].tensor == t);
+    let (Some(vid), None) = (uses.next(), uses.next()) else { return None };
+    let view = &ctx.views[vid];
+    if !view.ixs.contains(&g) || view.ixs.last() == Some(&g) {
+        return None;
+    }
+    let others: Vec<usize> = (ctx.expr_views[view.expr].iter().copied())
+        .filter(|&o| o != vid && ctx.views[o].ixs.contains(&g))
+        .collect();
+    let e = &ctx.region.exprs[view.expr];
+    let (next, unions) = (e.output.0, e.op.is_some_and(|op| op.unions()));
+    match others[..] {
+        [] => Some(Link::Pass(next)),
+        [o] => match ctx.views[o].kind {
+            ViewKind::Input { .. } if unions => Some(Link::Pass(next)),
+            ViewKind::Input { slot } => {
+                let level = ctx.views[o].ixs.iter().position(|x| *x == g);
+                let open = e.inputs.len() == 2 && level == Some(ctx.views[o].next);
+                open.then_some(Link::Consumer { o, slot })
             }
-            _ => return None,
+            ViewKind::Inter if unions => Some(Link::Union { sibling: ctx.views[o].tensor, next }),
+            ViewKind::Inter => None,
+        },
+        _ => None,
+    }
+}
+
+/// Whether every leaf under intermediate `t` at row `g` folds `g` with a
+/// sole input scan and reaches `t` over [`link`]s that pass `g` on: each such
+/// leaf then takes the filter that `t`'s consumer puts on `t`.
+fn leaves_take_filter(ctx: &Ctx<'_>, t: TensorId, g: GlobalIx) -> bool {
+    let Some(p) = ctx.region.exprs.iter().position(|e| e.output.0 == t) else { return false };
+    let at_g: Vec<&ViewRt> =
+        ctx.expr_views[p].iter().map(|&v| &ctx.views[v]).filter(|v| v.ixs.contains(&g)).collect();
+    if let [v] = at_g[..] {
+        if v.kind != ViewKind::Inter {
+            return true;
         }
-        t = e.output.0;
+    }
+    let mut inters = at_g.iter().filter(|v| v.kind == ViewKind::Inter).peekable();
+    inters.peek().is_some()
+        && inters.all(|v| {
+            matches!(link(ctx, v.tensor, g),
+                Some(Link::Pass(n) | Link::Union { next: n, .. }) if n == t)
+                && leaves_take_filter(ctx, v.tensor, g)
+        })
+}
+
+/// The input view, and its tensor slot, whose row-`g` coordinates filter
+/// expression `ei`'s output there, if any, and whether the walk to it crossed
+/// a union. The walk follows [`link`]s from `ei`'s output. It crosses a union
+/// of two intermediates only when every leaf under the other one takes the
+/// filter too ([`leaves_take_filter`]): the union then pairs rows that every
+/// side filtered alike. It visits each expression at most once.
+fn filtering_operand(ctx: &Ctx<'_>, ei: usize, g: GlobalIx) -> Option<(usize, usize, bool)> {
+    let (mut t, mut crossed) = (ctx.region.exprs[ei].output.0, false);
+    for _ in 0..ctx.region.exprs.len() {
+        match link(ctx, t, g)? {
+            Link::Pass(next) => t = next,
+            Link::Union { sibling, next } => {
+                if !leaves_take_filter(ctx, sibling, g) {
+                    return None;
+                }
+                (t, crossed) = (next, true);
+            }
+            Link::Consumer { o, slot } => return Some((o, slot, crossed)),
+        }
     }
     None
 }
@@ -710,8 +760,13 @@ fn filtering_operand(ctx: &Ctx<'_>, ei: usize, g: GlobalIx) -> Option<(usize, us
 /// then runs only at coordinates its consumer keeps, and the intersection's
 /// reference outputs drive both views' next levels, as an intersecter's do
 /// in SAM. The consumer finds that operand scanned.
+///
+/// Past a union, each leaf scans the operand into its own scanner and keeps
+/// only its own references. The operand is left unscanned, so the consumer
+/// still scans and joins it, and its `UnionLeft` sees only the operand's
+/// coordinates.
 fn intersect_with_consumer(ctx: &mut Ctx<'_>, ei: usize, vid: usize, g: GlobalIx) {
-    let Some((o, slot)) = filtering_operand(ctx, ei, g) else { return };
+    let Some((o, slot, crossed)) = filtering_operand(ctx, ei, g) else { return };
     if !ctx.views[o].started {
         ctx.views[o].stream = ctx.roots();
         ctx.views[o].started = true;
@@ -723,8 +778,10 @@ fn intersect_with_consumer(ctx: &mut Ctx<'_>, ei: usize, vid: usize, g: GlobalIx
     let j = ctx.emit(NodeKind::Intersect, &[&crd, &refs, &port(&ls, 0), &port(&ls, 1)]);
     ctx.row_crd.insert((ei, g), port(&j, 0));
     ctx.views[vid].stream = port(&j, 1);
-    ctx.views[o].stream = port(&j, 2);
-    ctx.views[o].next = level + 1;
+    if !crossed {
+        ctx.views[o].stream = port(&j, 2);
+        ctx.views[o].next = level + 1;
+    }
 }
 
 /// A joined payload becomes the view's stream: an input's child references,
