@@ -843,7 +843,7 @@ const GRAPHS_PINNED: &[(&str, &str, u64)] = &[
     ("gcn_composed", "full", 0x239865b69dee205d),
     ("graphsage", "unfused", 0x5d139fea661a58d9),
     ("graphsage", "partial", 0x0a45477ed5ee98bc),
-    ("graphsage", "full", 0x118670e1fd5a224e),
+    ("graphsage", "full", 0xb1e773fe172ed3c8),
     ("gpt_attention", "unfused", 0xf148f5683cee6a6b),
     ("gpt_attention", "partial", 0x6a545a2dad4e440c),
     ("gpt_attention", "full", 0x60e331200ffaf871),

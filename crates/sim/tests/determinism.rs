@@ -717,8 +717,8 @@ const TIGHT_PINNED: &[(&str, &str, &str, [End; 4])] = &[
     ("graphsage/tiny", "unfused", "onchip", [C(10463), C(6885), C(5953), C(4915)]),
     ("graphsage/tiny", "partial", "dram", [D(2982), D(2025), D(2238), C(10664)]),
     ("graphsage/tiny", "partial", "onchip", [D(554), D(301), D(283), C(1657)]),
-    ("graphsage/tiny", "full", "dram", [D(63544), D(36395), D(40290), C(76869)]),
-    ("graphsage/tiny", "full", "onchip", [D(6626), D(3927), D(4114), C(11979)]),
+    ("graphsage/tiny", "full", "dram", [D(18838), D(10816), D(10212), C(15589)]),
+    ("graphsage/tiny", "full", "onchip", [D(1979), D(1210), D(1071), C(2465)]),
     ("bigbird-attn/b4", "unfused", "dram", [C(13153), C(10729), C(9618), C(8036)]),
     ("bigbird-attn/b4", "unfused", "onchip", [C(1792), C(1427), C(1351), C(1250)]),
     ("bigbird-attn/b4", "partial", "dram", [D(86), D(487), D(489), D(870)]),
@@ -752,8 +752,8 @@ const TOKENS_PINNED: &[(&str, &str, &str, u64, usize, u64, u64)] = &[
     ("gcn/tiny", "full", "onchip", 2417, 34, 23898, 0xf7213ea890fc6a3c),
     ("graphsage/tiny", "unfused", "dram", 29493, 22, 26131, 0x6b04c28359099f9c),
     ("graphsage/tiny", "unfused", "onchip", 4907, 22, 26131, 0x6b04c28359099f9c),
-    ("graphsage/tiny", "full", "dram", 73579, 39, 150610, 0x8073cc3d285e7b10),
-    ("graphsage/tiny", "full", "onchip", 11867, 39, 150610, 0x8073cc3d285e7b10),
+    ("graphsage/tiny", "full", "dram", 14936, 39, 43561, 0x35217711304832af),
+    ("graphsage/tiny", "full", "onchip", 2437, 39, 43561, 0x35217711304832af),
     ("bigbird-attn/b4", "unfused", "dram", 7992, 22, 6606, 0x9beaf7f02cb15011),
     ("bigbird-attn/b4", "unfused", "onchip", 1250, 22, 6606, 0x9beaf7f02cb15011),
     ("bigbird-attn/b4", "full", "dram", 3020, 27, 4596, 0xde193ec2e7771e35),
@@ -852,8 +852,8 @@ const SCHED_PINNED: &[(&str, &str, &str, u64, u64, u64)] = &[
     ("gcn/tiny", "full", "onchip", 30163, 0, 66),
     ("graphsage/tiny", "unfused", "dram", 41974, 16477, 16),
     ("graphsage/tiny", "unfused", "onchip", 30828, 0, 16),
-    ("graphsage/tiny", "full", "dram", 253301, 29167, 141),
-    ("graphsage/tiny", "full", "onchip", 187562, 0, 141),
+    ("graphsage/tiny", "full", "dram", 69654, 4937, 145),
+    ("graphsage/tiny", "full", "onchip", 53144, 0, 145),
     ("bigbird-attn/b4", "unfused", "dram", 9961, 4602, 16),
     ("bigbird-attn/b4", "unfused", "onchip", 8029, 0, 16),
     ("bigbird-attn/b4", "full", "dram", 7089, 1322, 40),
