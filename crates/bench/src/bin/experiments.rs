@@ -247,9 +247,10 @@ fn fig12() -> Vec<Table> {
 /// relative to unfused, and whether they must also take fewer cycles than
 /// unfused. Each recomputes its first layer under the second's rows, but only
 /// at the adjacency's stored coordinates (ARCHITECTURE.md, "What full fusion
-/// recomputes"). GraphSAGE also recomputes its self branch there, and so does
-/// more, but it stays faster than unfused on every dataset; GCN's `full` row
-/// is slower than unfused on cora (0.964x), so only its FLOPs are gated.
+/// recomputes"). GraphSAGE also runs layer 1 once per node for its second
+/// self branch, so it does more, but it stays faster than unfused on every
+/// dataset; GCN's `full` row is slower than unfused on cora (0.964x), so only
+/// its FLOPs are gated.
 const GNN_FULL_GATES: [(&str, f64, bool); 2] = [("gcn/", 2.0, false), ("graphsage/", 2.5, true)];
 
 /// Fig 12's claims that hold today: partial fusion beats unfused on every
