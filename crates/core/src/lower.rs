@@ -719,17 +719,18 @@ fn leaves_take_filter(ctx: &Ctx<'_>, t: TensorId, g: GlobalIx) -> bool {
     let at_g: Vec<&ViewRt> =
         ctx.expr_views[p].iter().map(|&v| &ctx.views[v]).filter(|v| v.ixs.contains(&g)).collect();
     if let [v] = at_g[..] {
-        if v.kind != ViewKind::Inter {
-            return true;
-        }
+        return v.kind != ViewKind::Inter || passes(ctx, v.tensor, t, g);
     }
-    let mut inters = at_g.iter().filter(|v| v.kind == ViewKind::Inter).peekable();
-    inters.peek().is_some()
-        && inters.all(|v| {
-            matches!(link(ctx, v.tensor, g),
-                Some(Link::Pass(n) | Link::Union { next: n, .. }) if n == t)
-                && leaves_take_filter(ctx, v.tensor, g)
-        })
+    let inters: Vec<TensorId> =
+        at_g.iter().filter(|v| v.kind == ViewKind::Inter).map(|v| v.tensor).collect();
+    !inters.is_empty() && inters.iter().all(|&i| passes(ctx, i, t, g))
+}
+
+/// Whether intermediate `i` links into `t` at row `g` without being filtered
+/// there, and every leaf under it takes the filter ([`leaves_take_filter`]).
+fn passes(ctx: &Ctx<'_>, i: TensorId, t: TensorId, g: GlobalIx) -> bool {
+    matches!(link(ctx, i, g), Some(Link::Pass(n) | Link::Union { next: n, .. }) if n == t)
+        && leaves_take_filter(ctx, i, g)
 }
 
 /// The input view, and its tensor slot, whose row-`g` coordinates filter
