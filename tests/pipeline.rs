@@ -706,9 +706,9 @@ fn the_tiny_graphsage_verifies_at_every_granularity_on_every_seed() {
 /// `B` at `k`, and `Q = C ⊙ D`, which joins two inputs at `k`. Only `P`'s
 /// leaf could take `A`'s filter, and the union would then pair `P`'s filtered
 /// rows with all of `Q`'s; so neither leaf takes it, and the product's join
-/// keeps every `k` of `P + Q`, as it did before the filter crossed unions.
-/// The product then stores a zero where `A` lacks the `k` (ROADMAP item 1(b));
-/// `+ b[j]` stores every `(i, j)` either way, as GraphSAGE's bias adds do.
+/// keeps every `k` of `P + Q`. The product then stores a zero at an `(i, j)`
+/// that only a `k` outside `A`'s row reaches (ROADMAP item 1(b)); `+ b[j]`
+/// stores every `(i, j)` either way, as GraphSAGE's bias adds do.
 #[test]
 fn a_union_with_one_filterable_leaf_verifies_fully_fused() {
     let n = 10;
