@@ -711,41 +711,39 @@ fn link(ctx: &Ctx<'_>, t: TensorId, g: GlobalIx) -> Option<Link> {
     }
 }
 
-/// Whether every leaf under intermediate `t` at row `g` folds `g` with a
-/// sole input scan and reaches `t` over [`link`]s that pass `g` on: each such
-/// leaf then takes the filter that `t`'s consumer puts on `t`.
-fn leaves_take_filter(ctx: &Ctx<'_>, t: TensorId, g: GlobalIx) -> bool {
-    let Some(p) = ctx.region.exprs.iter().position(|e| e.output.0 == t) else { return false };
+/// Whether intermediate `i` links into `t` at row `g` without being filtered
+/// there, and every leaf under `i` takes the filter that `t`'s consumer puts
+/// on `t`: each leaf folds `g` with a sole input scan and reaches `i` over
+/// intermediates that pass too.
+fn passes(ctx: &Ctx<'_>, i: TensorId, t: TensorId, g: GlobalIx) -> bool {
+    if !matches!(link(ctx, i, g), Some(Link::Pass(n) | Link::Union { next: n, .. }) if n == t) {
+        return false;
+    }
+    let Some(p) = ctx.region.exprs.iter().position(|e| e.output.0 == i) else { return false };
     let at_g: Vec<&ViewRt> =
         ctx.expr_views[p].iter().map(|&v| &ctx.views[v]).filter(|v| v.ixs.contains(&g)).collect();
     if let [v] = at_g[..] {
-        return v.kind != ViewKind::Inter || passes(ctx, v.tensor, t, g);
+        return v.kind != ViewKind::Inter || passes(ctx, v.tensor, i, g);
     }
     let inters: Vec<TensorId> =
         at_g.iter().filter(|v| v.kind == ViewKind::Inter).map(|v| v.tensor).collect();
-    !inters.is_empty() && inters.iter().all(|&i| passes(ctx, i, t, g))
-}
-
-/// Whether intermediate `i` links into `t` at row `g` without being filtered
-/// there, and every leaf under it takes the filter ([`leaves_take_filter`]).
-fn passes(ctx: &Ctx<'_>, i: TensorId, t: TensorId, g: GlobalIx) -> bool {
-    matches!(link(ctx, i, g), Some(Link::Pass(n) | Link::Union { next: n, .. }) if n == t)
-        && leaves_take_filter(ctx, i, g)
+    !inters.is_empty() && inters.iter().all(|&x| passes(ctx, x, i, g))
 }
 
 /// The input view, and its tensor slot, whose row-`g` coordinates filter
 /// expression `ei`'s output there, if any, and whether the walk to it crossed
 /// a union. The walk follows [`link`]s from `ei`'s output. It crosses a union
-/// of two intermediates only when every leaf under the other one takes the
-/// filter too ([`leaves_take_filter`]): the union then pairs rows that every
-/// side filtered alike. It visits each expression at most once.
+/// of two intermediates only when the other one [`passes`] into the same
+/// union: its own walk then goes on to the same consumer, and every leaf under
+/// it takes the filter, so the union pairs rows that both sides filtered
+/// alike. It visits each expression at most once.
 fn filtering_operand(ctx: &Ctx<'_>, ei: usize, g: GlobalIx) -> Option<(usize, usize, bool)> {
     let (mut t, mut crossed) = (ctx.region.exprs[ei].output.0, false);
     for _ in 0..ctx.region.exprs.len() {
         match link(ctx, t, g)? {
             Link::Pass(next) => t = next,
             Link::Union { sibling, next } => {
-                if !leaves_take_filter(ctx, sibling, g) {
+                if !passes(ctx, sibling, next, g) {
                     return None;
                 }
                 (t, crossed) = (next, true);

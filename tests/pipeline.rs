@@ -745,3 +745,70 @@ fn a_union_with_one_filterable_leaf_verifies_fully_fused() {
             .unwrap_or_else(|e| panic!("{schedule:?}: {e}"));
     }
 }
+
+/// `T = A ⊙ (P + Q)` with `P = relu(B)` and `Q = relu(D)`, each a sole scan
+/// at `k`, and `A` compressed at `k`. The region writes `Q` back, or reads it
+/// a second time in `V = Q + C`, so `Q`'s own walk to `A` stops at `Q` and its
+/// leaf keeps every row. `P`'s leaf must then not take `A`'s filter either:
+/// the union would pair `P`'s filtered rows with all of `Q`'s, and fail with a
+/// join stop mismatch.
+#[test]
+fn a_union_whose_other_side_stops_the_walk_verifies_fully_fused() {
+    let n = 10;
+    for read_twice in [false, true] {
+        let mut p = Program::new();
+        let (k, j) = (p.index("k"), p.index("j"));
+        let a = p.input("A", vec![n, 6], Format::dcsr());
+        let [b, c, d] = ["B", "C", "D"].map(|name| p.input(name, vec![n, 6], Format::csr()));
+        let relu_b = p.map("P", AluOp::Relu, (b, vec![k, j]), Format::csr());
+        let q = p.map("Q", AluOp::Relu, (d, vec![k, j]), Format::csr());
+        if read_twice {
+            let v = p.binary(
+                "V",
+                AluOp::Add,
+                (q, vec![k, j]),
+                (c, vec![k, j]),
+                vec![k, j],
+                Format::csr(),
+            );
+            p.mark_output(v);
+        } else {
+            p.mark_output(q);
+        }
+        let sum = p.binary(
+            "S",
+            AluOp::Add,
+            (relu_b, vec![k, j]),
+            (q, vec![k, j]),
+            vec![k, j],
+            Format::csr(),
+        );
+        let t = p.binary(
+            "T",
+            AluOp::Mul,
+            (a, vec![k, j]),
+            (sum, vec![k, j]),
+            vec![k, j],
+            Format::csr(),
+        );
+        p.mark_output(t);
+        for seed in 0..8 {
+            let mut inputs = Inputs::new();
+            for (name, density, format) in [
+                ("A", 0.3, Format::dcsr()),
+                ("B", 0.15, Format::csr()),
+                ("C", 0.5, Format::csr()),
+                ("D", 0.5, Format::csr()),
+            ] {
+                let features =
+                    gen::sparse_features(n, 6, density, 10 * seed + name.len() as u64, &format);
+                inputs.insert(name.into(), features);
+            }
+            for schedule in [Schedule::unfused(), Schedule::full()] {
+                compile_run_verify(&p, &schedule, &inputs, &SimConfig::default()).unwrap_or_else(
+                    |e| panic!("read twice {read_twice}, seed {seed}, {schedule:?}: {e}"),
+                );
+            }
+        }
+    }
+}
