@@ -658,6 +658,14 @@ fn tiny_graph(density: f64, pattern: gen::GraphPattern) -> GraphDataset {
 /// Both leaves of `S1 = Ts1 + Tn1` (the scans of `X` and `Adj` at the
 /// recomputed node) are intersected with the consumer's `Adj` row, so layer
 /// 1 runs once per edge, not at every node under every node.
+///
+/// Layer 1's work is row-local, so node `r`'s row then runs once per stored
+/// `Adj[i, r]` (for `T1`) and once more under `i = r` (for `Ts2`'s own copy of
+/// `X1`), and layer 2 runs once. Full fusion therefore does at most `1 + d`
+/// times the unfused FLOPs, where `d` is `Adj`'s largest column count: 11x on
+/// the karate-sized graph and 6x on the tiny one, where it does 3.9x and 2.2x.
+/// Recomputing layer 1 at every node under every node does 20x and 9x,
+/// above both bounds.
 #[test]
 fn fully_fused_graphsage_recomputes_layer_one_only_at_the_neighbours() {
     let karate = GraphDataset {
@@ -675,8 +683,15 @@ fn fully_fused_graphsage_recomputes_layer_one_only_at_the_neighbours() {
                 .stats
                 .flops
         };
+        let mut in_degree = vec![0; ds.nodes];
+        m.inputs["Adj"].for_each_stored(|crd, _| in_degree[crd[1]] += 1);
+        let runs_per_row = 1 + in_degree.into_iter().max().unwrap_or(0);
         let (full, unfused) = (flops(Fusion::Full), flops(Fusion::Unfused));
-        assert!(full <= 4 * unfused, "{}: full {full} FLOPs, unfused {unfused}", ds.name);
+        assert!(
+            full <= runs_per_row * unfused,
+            "{}: full {full} FLOPs, unfused {unfused}, layer-1 rows run at most {runs_per_row} times",
+            ds.name
+        );
     }
 }
 
