@@ -322,6 +322,70 @@ fn both_leaves_of_graphsages_union_intersect_with_the_consumers_adjacency() {
     assert_eq!(find(NodeKind::Intersect, Some(x)), own, "{reads:?}");
 }
 
+/// Fully fused attention scores are a sampled product. `S = Σ_k Q[i,k]·K[j,k]`
+/// folds `j` with its level-0 scan of `K`, and that scan (coordinates and
+/// references) meets `Sm`'s level-1 scan of `Mask` in the one join that reads
+/// `Mask` there, an `Intersect`, before the `k` loop. `Sm = S ⊙ Mask` joins
+/// nothing at `j`: its product reads `S`'s reduction and `Mask`'s values
+/// fetched through the intersection's references.
+#[test]
+fn the_attention_score_intersects_its_keys_with_the_mask_before_the_dot_product() {
+    let m = gpt_attention(32, 8, 8, 7);
+    let compiled = compile(&m.program, &m.schedule(Fusion::Full)).unwrap();
+    let g = &compiled.lowered[0].graph;
+    let slot = |name| g.tensors().iter().position(|t| t.name == name).unwrap();
+    let nodes = || (0..g.node_count()).map(NodeId);
+    let source = |n: NodeId, port: usize| {
+        g.edges().iter().find(|e| e.dst == Port { node: n, port }).expect("wired").src
+    };
+    let only = |kind: NodeKind| {
+        let found: Vec<NodeId> = nodes().filter(|&n| *g.node(n) == kind).collect();
+        assert_eq!(found.len(), 1, "{kind:?}: {:?}", g.kind_histogram());
+        found[0]
+    };
+    let keys = only(NodeKind::LevelScanner { tensor: slot("K"), level: 0 });
+    let mask = only(NodeKind::LevelScanner { tensor: slot("Mask"), level: 1 });
+    let is_join =
+        |n| matches!(g.node(n), NodeKind::Intersect | NodeKind::Union | NodeKind::UnionLeft);
+    let joins: Vec<NodeId> = (nodes().filter(|&n| is_join(n)))
+        .filter(|&n| g.edges().iter().any(|e| e.dst.node == n && e.src.node == mask))
+        .collect();
+    assert_eq!(joins.len(), 1, "{joins:?}");
+    let join = joins[0];
+    assert_eq!(*g.node(join), NodeKind::Intersect);
+    let sides =
+        [(keys, 0), (keys, 1), (mask, 0), (mask, 1)].map(|(node, port)| Port { node, port });
+    assert_eq!([0, 1, 2, 3].map(|p| source(join, p)), sides);
+    let product = only(NodeKind::Alu { op: AluOp::MulElem });
+    assert!(matches!(g.node(source(product, 0).node), NodeKind::Spacc { order: 0, .. }));
+    let values = source(product, 1).node;
+    assert_eq!(*g.node(values), NodeKind::Array { tensor: slot("Mask") });
+    assert_eq!(source(values, 0), Port { node: join, port: 2 });
+}
+
+/// `O = A ⊙ B ⊙ C` joins three scans at `i`. Folding them pairwise filters
+/// only the accumulated view and the newest one at the second join, so `B`'s
+/// references would keep rows `C` lacks and misalign the product at run time;
+/// the lowering refuses it, naming the row.
+#[test]
+fn three_streams_joined_at_one_row_are_refused() {
+    let mut p = Program::new();
+    let (i, j) = (p.index("i"), p.index("j"));
+    let [a, b, c] = ["A", "B", "C"].map(|name| p.input(name, vec![8, 8], Format::csr()));
+    let abc = vec![(a, vec![i, j]), (b, vec![i, j]), (c, vec![i, j])];
+    let o = p.contract("O", vec![i, j], abc, vec![], Format::csr());
+    p.mark_output(o);
+    for schedule in [Schedule::unfused(), Schedule::full()] {
+        let res = compile(&p, &schedule);
+        assert!(
+            matches!(&res, Err(PipelineError::Lower(LowerError::Unsupported(m)))
+                if m == "three streams joined at row i"),
+            "{schedule:?}: {:?}",
+            res.err().map(|e| e.to_string())
+        );
+    }
+}
+
 /// The softmax tail `E = exp(S); Dn[i] = Σ_j E[i,j]; P = E / Dn[i]`, fully
 /// fused: `P` joins `Dn` at row `i`, before `Dn` registers at row `j`. That
 /// forward reference is an edge, so the `Reduce` producing `Dn` feeds the

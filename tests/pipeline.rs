@@ -827,3 +827,71 @@ fn a_union_whose_other_side_stops_the_walk_verifies_fully_fused() {
         }
     }
 }
+
+/// `S = Σ_k Q[i,k]·K[j,k]` and `Sm = S ⊙ M`: dense `n × d` queries and keys,
+/// and `M` a band of half-width `w` with nonzero values drawn from `seed`.
+fn masked_scores(n: usize, d: usize, w: usize, seed: u64) -> (Program, Inputs) {
+    let mut p = Program::new();
+    let (i, j, k) = (p.index("i"), p.index("j"), p.index("k"));
+    let q = p.input("Q", vec![n, d], Format::dense(2));
+    let key = p.input("K", vec![n, d], Format::dense(2));
+    let m = p.input("M", vec![n, n], Format::csr());
+    let qk = vec![(q, vec![i, k]), (key, vec![j, k])];
+    let s = p.contract("S", vec![i, j], qk, vec![k], Format::dense(2));
+    let sm =
+        p.binary("Sm", AluOp::MulElem, (s, vec![i, j]), (m, vec![i, j]), vec![i, j], Format::csr());
+    p.mark_output(sm);
+    let band = gen::dense_features(n, n, seed);
+    let band = DenseTensor::from_fn(vec![n, n], |ix| {
+        if ix[0].abs_diff(ix[1]) <= w {
+            1.0 + band.get(ix).abs()
+        } else {
+            0.0
+        }
+    });
+    let inputs = [
+        ("Q", SparseTensor::from_dense(&gen::dense_features(n, d, seed + 1), &Format::dense(2))),
+        ("K", SparseTensor::from_dense(&gen::dense_features(n, d, seed + 2), &Format::dense(2))),
+        ("M", SparseTensor::from_dense(&band, &Format::csr())),
+    ];
+    (p, inputs.into_iter().map(|(name, t)| (name.to_string(), t)).collect())
+}
+
+/// Fully fused, the masked score is a sampled product: `S`'s `j` is
+/// intersected with `M`'s before the `k` loop, so `S` runs one `d`-long dot
+/// product (`d` multiplies and `d - 1` adds) per stored mask element, and
+/// `Sm` one multiply. Unfused, `S` runs at every `(i, j)`.
+#[test]
+fn a_masked_score_runs_one_dot_product_per_stored_mask_element() {
+    let (n, d) = (12, 4);
+    for seed in 0..6 {
+        let (p, inputs) = masked_scores(n, d, seed as usize % 3, seed);
+        let stats = |schedule: &Schedule| {
+            compile_run_verify(&p, schedule, &inputs, &SimConfig::default())
+                .unwrap_or_else(|e| panic!("seed {seed}, {schedule:?}: {e}"))
+                .stats
+        };
+        stats(&Schedule::unfused());
+        let stored = inputs["M"].stored_positions() as u64;
+        let dot = 2 * d as u64 - 1;
+        assert_eq!(stats(&Schedule::full()).flops, stored * dot + stored, "seed {seed}");
+    }
+}
+
+/// The decoder's FFN reads `OP = Σ_f AV·Wo` in `F1 = Σ_d OP·Wf1`: `OP`'s
+/// reduced row `f` sits above `d`, so `F1`'s operand cannot filter `OP` at
+/// `d`, and the fully fused decoder must still compile lint-clean and verify.
+#[test]
+fn the_fully_fused_decoder_compiles_lint_clean_and_verifies() {
+    use fuseflow::models::gpt_decoder;
+    use fuseflow::verify::{verify_graph, VerifyOptions};
+    let m = gpt_decoder(32, 8, 8, 1);
+    let schedule = m.schedule(Fusion::Full);
+    let compiled = compile(&m.program, &schedule).unwrap_or_else(|e| panic!("{e}"));
+    for (r, lowered) in compiled.lowered.iter().enumerate() {
+        let report = verify_graph(&lowered.graph, &VerifyOptions::default());
+        assert!(report.is_clean(), "r{r}:\n{}", report.render_human(&lowered.graph));
+    }
+    compile_run_verify(&m.program, &schedule, &m.inputs, &SimConfig::default())
+        .unwrap_or_else(|e| panic!("{e}"));
+}
