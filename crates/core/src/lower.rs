@@ -596,12 +596,22 @@ fn owner_row_work(ctx: &mut Ctx<'_>, ei: usize, g: GlobalIx) -> Result<(), Lower
     // Fold contributions with joins. Identical handles share one stream.
     let op = ctx.region.exprs[ei].op;
     let mut acc = contribs.remove(0);
+    let mut joined = false;
     for next in contribs {
         if acc.1 == next.1 {
             // Same stream (e.g. numerator/denominator of a softmax): no
             // join node needed; payloads stay independent.
             update_view_stream(ctx, next.0, next.2);
             continue;
+        }
+        if std::mem::replace(&mut joined, true) {
+            // A second join would update only the first view's references
+            // and the newest view's: the second view's would keep
+            // coordinates the newest one lacks.
+            return Err(LowerError::Unsupported(format!(
+                "three streams joined at row {}",
+                ctx.name(g)
+            )));
         }
         let mut next = next;
         if next.3 && !acc.3 {
@@ -677,8 +687,17 @@ enum Link {
     Consumer { o: usize, slot: usize },
 }
 
-/// The link from intermediate `t` at row `g`, if `t` is not written back,
-/// has one use, and that use reads it above its innermost row.
+/// The link from intermediate `t` at row `g`, if `t` is not written back and
+/// has one use, which reads it at `g`.
+///
+/// At the use's innermost row only a [`Link::Consumer`] is taken, and only
+/// when every row of `t`'s producer above `g` is one of the use's indices.
+/// The producer is then a sampled product: it runs at the operand's stored
+/// coordinates, before its own rows below `g`. A row it reduces above `g`
+/// (the decoder FFN's `OP = Σ_f AV·Wo`, read by `F1 = Σ_d OP·Wf1`) nests its
+/// scan at `g` one level deeper than the operand's, so the join's sides
+/// would misalign; a recomputation-scope row, which the use lacks too, stays
+/// out of the rule as well.
 fn link(ctx: &Ctx<'_>, t: TensorId, g: GlobalIx) -> Option<Link> {
     if ctx.outputs.contains(&t) {
         return None;
@@ -687,7 +706,7 @@ fn link(ctx: &Ctx<'_>, t: TensorId, g: GlobalIx) -> Option<Link> {
         .filter(|&v| ctx.views[v].kind == ViewKind::Inter && ctx.views[v].tensor == t);
     let (Some(vid), None) = (uses.next(), uses.next()) else { return None };
     let view = &ctx.views[vid];
-    if !view.ixs.contains(&g) || view.ixs.last() == Some(&g) {
+    if !view.ixs.contains(&g) {
         return None;
     }
     let others: Vec<usize> = (ctx.expr_views[view.expr].iter().copied())
@@ -695,8 +714,16 @@ fn link(ctx: &Ctx<'_>, t: TensorId, g: GlobalIx) -> Option<Link> {
         .collect();
     let e = &ctx.region.exprs[view.expr];
     let (next, unions) = (e.output.0, e.op.is_some_and(|op| op.unions()));
+    let innermost = view.ixs.last() == Some(&g);
+    if innermost {
+        let p = ctx.region.exprs.iter().position(|e| e.output.0 == t)?;
+        let mut above = ctx.rows_of[p].iter().filter(|r| ctx.pos[r] < ctx.pos[&g]);
+        if unions || above.any(|r| !view.ixs.contains(r)) {
+            return None;
+        }
+    }
     match others[..] {
-        [] => Some(Link::Pass(next)),
+        [] if !innermost => Some(Link::Pass(next)),
         [o] => match ctx.views[o].kind {
             ViewKind::Input { .. } if unions => Some(Link::Pass(next)),
             ViewKind::Input { slot } => {
