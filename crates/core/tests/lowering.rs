@@ -909,14 +909,14 @@ const GRAPHS_PINNED: &[(&str, &str, u64)] = &[
     ("graphsage", "partial", 0x0a45477ed5ee98bc),
     ("graphsage", "full", 0xb1e773fe172ed3c8),
     ("gpt_attention", "unfused", 0xf148f5683cee6a6b),
-    ("gpt_attention", "partial", 0x6a545a2dad4e440c),
-    ("gpt_attention", "full", 0x60e331200ffaf871),
+    ("gpt_attention", "partial", 0xcb8b80e9b997baa0),
+    ("gpt_attention", "full", 0xbb2b611106ff3a06),
     ("gpt_attention_blocked", "unfused", 0xcffcccbc40c20076),
-    ("gpt_attention_blocked", "partial", 0x8de1a88a915c4ec0),
+    ("gpt_attention_blocked", "partial", 0x2a583e17c57b86f6),
     ("gpt_attention_blocked", "full", 0xa842740aa0f9bd82),
     ("gpt_decoder", "unfused", 0x641d509c42d8f8ae),
-    ("gpt_decoder", "partial", 0xc280e2822597a3dd),
-    ("gpt_decoder", "full", 0x6a90471e584f9512),
+    ("gpt_decoder", "partial", 0xa619f98d3d66c309),
+    ("gpt_decoder", "full", 0x2213f422d63ae6a5),
     ("map_stack", "unfused", 0x2d628a3e9d67cb6d),
     ("map_stack", "partial", 0xd166c57a500e6653),
     ("map_stack", "full", 0xd6daf8db416933d1),

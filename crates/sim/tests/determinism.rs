@@ -721,10 +721,10 @@ const TIGHT_PINNED: &[(&str, &str, &str, [End; 4])] = &[
     ("graphsage/tiny", "full", "onchip", [D(1979), D(1210), D(1071), C(2465)]),
     ("bigbird-attn/b4", "unfused", "dram", [C(13153), C(10729), C(9618), C(8036)]),
     ("bigbird-attn/b4", "unfused", "onchip", [C(1792), C(1427), C(1351), C(1250)]),
-    ("bigbird-attn/b4", "partial", "dram", [D(86), D(487), D(489), D(870)]),
-    ("bigbird-attn/b4", "partial", "onchip", [D(22), D(68), D(73), D(137)]),
-    ("bigbird-attn/b4", "full", "dram", [D(86), D(288), D(344), D(1927)]),
-    ("bigbird-attn/b4", "full", "onchip", [D(22), D(54), D(57), D(303)]),
+    ("bigbird-attn/b4", "partial", "dram", [D(300), D(487), D(489), D(870)]),
+    ("bigbird-attn/b4", "partial", "onchip", [D(43), D(68), D(73), D(137)]),
+    ("bigbird-attn/b4", "full", "dram", [D(94), D(155), D(161), D(1011)]),
+    ("bigbird-attn/b4", "full", "onchip", [D(23), D(28), D(34), D(180)]),
     ("map_stack_16x9", "unfused", "dram", [C(6255), C(6246), C(6237), C(6183)]),
     ("map_stack_16x9", "unfused", "onchip", [C(972), C(972), C(972), C(972)]),
     ("map_stack_16x9", "partial", "dram", [C(2091), C(2088), C(2085), C(2067)]),
@@ -756,8 +756,8 @@ const TOKENS_PINNED: &[(&str, &str, &str, u64, usize, u64, u64)] = &[
     ("graphsage/tiny", "full", "onchip", 2437, 39, 43561, 0x35217711304832af),
     ("bigbird-attn/b4", "unfused", "dram", 7992, 22, 6606, 0x9beaf7f02cb15011),
     ("bigbird-attn/b4", "unfused", "onchip", 1250, 22, 6606, 0x9beaf7f02cb15011),
-    ("bigbird-attn/b4", "full", "dram", 3020, 27, 4596, 0xde193ec2e7771e35),
-    ("bigbird-attn/b4", "full", "onchip", 481, 27, 4596, 0xde193ec2e7771e35),
+    ("bigbird-attn/b4", "full", "dram", 2363, 27, 3988, 0x97013a4ad2935f35),
+    ("bigbird-attn/b4", "full", "onchip", 383, 27, 3988, 0x97013a4ad2935f35),
     ("map_stack_16x9", "unfused", "dram", 6183, 9, 4005, 0x4b39db6532a96617),
     ("map_stack_16x9", "unfused", "onchip", 972, 9, 4005, 0x4b39db6532a96617),
     ("map_stack_16x9", "full", "dram", 695, 9, 973, 0xf6a648acf8b4c664),
@@ -856,8 +856,8 @@ const SCHED_PINNED: &[(&str, &str, &str, u64, u64, u64)] = &[
     ("graphsage/tiny", "full", "onchip", 53144, 0, 145),
     ("bigbird-attn/b4", "unfused", "dram", 9961, 4602, 16),
     ("bigbird-attn/b4", "unfused", "onchip", 8029, 0, 16),
-    ("bigbird-attn/b4", "full", "dram", 7089, 1322, 40),
-    ("bigbird-attn/b4", "full", "onchip", 6210, 0, 40),
+    ("bigbird-attn/b4", "full", "dram", 5945, 940, 40),
+    ("bigbird-attn/b4", "full", "onchip", 5172, 0, 40),
     ("map_stack_16x9", "unfused", "dram", 6669, 3303, 8),
     ("map_stack_16x9", "unfused", "onchip", 4959, 0, 8),
     ("map_stack_16x9", "full", "dram", 1749, 303, 16),
