@@ -644,7 +644,7 @@ fn table3() -> Vec<Table> {
 /// Table 3's ceilings, `(model, FLOPs, bytes)` average percent errors: the
 /// errors the heuristic has today. They only ever fall.
 const TABLE3_CEILINGS: [(&str, f64, f64); 3] =
-    [("gpt3-b16", 14.33, 47.79), ("gcn", 1.58, 32.13), ("graphsage", 6.12, 58.64)];
+    [("gpt3-b16", 2.42, 35.10), ("gcn", 1.58, 32.13), ("graphsage", 6.12, 58.64)];
 
 /// Table 3's claim: no model's heuristic error rises above its ceiling. A
 /// model without a row, or with an error that is not a number, breaks it.
@@ -980,7 +980,7 @@ mod tests {
             t
         };
         let today = [
-            ["gpt3-b16", "14.33", "47.79"],
+            ["gpt3-b16", "2.42", "35.10"],
             ["gcn", "1.58", "32.13"],
             ["graphsage", "6.12", "58.64"],
         ];

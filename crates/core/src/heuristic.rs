@@ -6,10 +6,11 @@
 //! schedules early; Table 3 reports its error against the simulator's
 //! instrumentation.
 
-use crate::ir::{AluOp, Program, TensorId};
+use crate::ir::{Access, AluOp, Program, TensorId};
 use crate::schedule::Schedule;
 use fuseflow_tensor::SparseTensor;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// An analytic cost estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,7 +75,7 @@ pub fn estimate(
     let mut bytes = 0.0;
 
     // Propagate densities through every expression and count compute.
-    for e in program.exprs() {
+    for (x, e) in program.exprs().iter().enumerate() {
         let out_decl = program.tensor(e.output.tensor);
         let out_total: f64 = out_decl.shape.iter().product::<usize>() as f64;
         let in_stats: Vec<TStat> = e.inputs.iter().map(|a| stats[&a.tensor]).collect();
@@ -87,7 +88,7 @@ pub fn estimate(
         let (out_density, expr_flops) = match e.op {
             Some(AluOp::Mul) => {
                 let joint: f64 = in_stats.iter().map(|s| s.density).product();
-                let matched = vol * joint;
+                let matched = vol * joint * sampled_density(program, &regions, x, &stats);
                 // Contraction: 2 flops per matched point; the output density
                 // follows 1 - (1 - p)^K over the reduced extent.
                 let reduce_vol: f64 =
@@ -105,8 +106,15 @@ pub fn estimate(
                 (joint, vol * joint * block_elems)
             }
             Some(AluOp::Add | AluOp::Sub | AluOp::Max) => {
-                let (a, b) = (in_stats[0].density, in_stats.get(1).map_or(0.0, |s| s.density));
-                let d = a + b - a * b;
+                // An operand missing one of the output's indices is repeated
+                // along it, never joined there, so it does not widen the
+                // union.
+                let covers = |a: &Access| e.output.indices.iter().all(|ix| a.indices.contains(ix));
+                let absent: f64 = (e.inputs.iter().zip(&in_stats))
+                    .filter(|(a, _)| covers(a))
+                    .map(|(_, s)| 1.0 - s.density)
+                    .product();
+                let d = 1.0 - absent;
                 (d, vol * d * block_elems)
             }
             // `Div` and the unary maps keep their first input's structure.
@@ -135,7 +143,7 @@ pub fn estimate(
     for r in &regions {
         let Some(exprs) = program.exprs().get(r.clone()) else { continue };
         let produced: Vec<TensorId> = exprs.iter().map(|e| e.output.tensor).collect();
-        for e in exprs {
+        for (x, e) in r.clone().zip(exprs) {
             let mut vol = 1.0;
             for ix in e.index_set() {
                 vol *= program.index_size(ix) as f64;
@@ -143,7 +151,8 @@ pub fn estimate(
             let joint: f64 = if e.op.is_some_and(|op| op.unions()) {
                 stats[&e.inputs[0].tensor].density
             } else {
-                e.inputs.iter().map(|a| stats[&a.tensor].density).product()
+                let sampled = sampled_density(program, &regions, x, &stats);
+                e.inputs.iter().map(|a| stats[&a.tensor].density).product::<f64>() * sampled
             };
             for a in &e.inputs {
                 if !produced.contains(&a.tensor) {
@@ -162,6 +171,41 @@ pub fn estimate(
     }
 
     Estimate { flops, bytes }
+}
+
+/// The share of expression `x`'s iteration that runs when its region samples
+/// it, 1 when it does not. A contraction whose output stays inside its region,
+/// and whose one use is an intersecting elementwise product with an operand
+/// from outside the region over the same indices, is intersected with that
+/// operand before its reduction loop (`lower`'s consumer intersection at the
+/// product's innermost row): it runs only at the operand's stored
+/// coordinates, as a sampled dense-dense product does.
+fn sampled_density(
+    program: &Program,
+    regions: &[Range<usize>],
+    x: usize,
+    stats: &HashMap<TensorId, TStat>,
+) -> f64 {
+    let e = &program.exprs()[x];
+    let t = e.output.tensor;
+    let Some(r) = regions.iter().find(|r| r.contains(&x)) else { return 1.0 };
+    let Some(region) = program.exprs().get(r.clone()) else { return 1.0 };
+    if e.op != Some(AluOp::Mul) || e.reduce.is_empty() || program.live_outs(r).contains(&t) {
+        return 1.0;
+    }
+    let mut uses = program.exprs().iter().filter(|c| c.inputs.iter().any(|a| a.tensor == t));
+    let (Some(c), None) = (uses.next(), uses.next()) else { return 1.0 };
+    let [a, b] = &c.inputs[..] else { return 1.0 };
+    let intersects = c.reduce.is_empty() && c.op.is_some_and(|op| !op.unions());
+    let (view, operand) = if a.tensor == t { (a, b) } else { (b, a) };
+    let outside = !region.iter().any(|p| p.output.tensor == operand.tensor);
+    let same_indices = operand.indices.len() == view.indices.len()
+        && operand.indices.iter().all(|ix| view.indices.contains(ix));
+    if intersects && outside && same_indices {
+        stats[&operand.tensor].density
+    } else {
+        1.0
+    }
 }
 
 #[cfg(test)]
@@ -234,5 +278,47 @@ mod tests {
         let dense = estimate(&p, &Schedule::unfused(), &inputs);
         assert!(dense.flops > sparse.flops);
         assert!(dense.bytes > sparse.bytes);
+    }
+
+    /// `S = Σ_k Q[i,k]·K[j,k]`, `Sm = S ⊙ M` and `Sh = Sm - mx[i]`, with `Q`
+    /// and `K` dense `n × d` and `M` an `n × n` adjacency. Fused, `S` is
+    /// sampled at `M`'s stored elements; unfused it runs at every `(i, j)`.
+    /// Either way `Sh` keeps `Sm`'s structure: `mx[i]` lacks `j`, so it does
+    /// not widen the union.
+    #[test]
+    fn a_masked_score_is_counted_at_the_masks_density_when_fused() {
+        let (n, d) = (32, 4);
+        let mut p = Program::new();
+        let (i, j, k) = (p.index("i"), p.index("j"), p.index("k"));
+        let q = p.input("Q", vec![n, d], Format::dense(2));
+        let key = p.input("K", vec![n, d], Format::dense(2));
+        let m = p.input("M", vec![n, n], Format::csr());
+        let mx = p.input("mx", vec![n], Format::dense_vec());
+        let qk = vec![(q, vec![i, k]), (key, vec![j, k])];
+        let s = p.contract("S", vec![i, j], qk, vec![k], Format::dense(2));
+        let sm = p.binary(
+            "Sm",
+            AluOp::MulElem,
+            (s, vec![i, j]),
+            (m, vec![i, j]),
+            vec![i, j],
+            Format::csr(),
+        );
+        let sh =
+            p.binary("Sh", AluOp::Sub, (sm, vec![i, j]), (mx, vec![i]), vec![i, j], Format::csr());
+        p.mark_output(sh);
+        let mask = gen::adjacency(n, 0.2, gen::GraphPattern::Uniform, 4, &Format::csr());
+        let stored = mask.stored_positions() as f64;
+        let mut inputs = HashMap::from([("M".to_string(), mask)]);
+        for (name, seed) in [("Q", 5), ("K", 6)] {
+            let dense =
+                SparseTensor::from_dense(&gen::dense_features(n, d, seed), &Format::dense(2));
+            inputs.insert(name.into(), dense);
+        }
+        let (n, d) = (n as f64, d as f64);
+        let fused = estimate(&p, &Schedule::full(), &inputs);
+        assert!((fused.flops - (2.0 * d + 2.0) * stored).abs() < 1e-6, "{fused:?}");
+        let unfused = estimate(&p, &Schedule::unfused(), &inputs);
+        assert!((unfused.flops - (2.0 * n * n * d + 2.0 * stored)).abs() < 1e-6, "{unfused:?}");
     }
 }
