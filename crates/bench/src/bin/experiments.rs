@@ -908,7 +908,9 @@ mod tests {
         assert_eq!(gnn.len(), 1, "{gnn:?}");
         assert!(gnn[0].starts_with("gcn/cora/partial at"), "{gnn:?}");
         let gpt = fig12_shape(&fig(289068, 2000001));
-        assert_eq!(gpt, ["gpt3-bigbird/block16/full at Some(2000001) cycles is not below gpt3-bigbird/block16/partial at Some(2000000)"]);
+        let below = "gpt3-bigbird/block16/full at Some(2000001) cycles is not below \
+                     gpt3-bigbird/block16/partial at Some(2000000)";
+        assert_eq!(gpt, [below]);
     }
 
     /// GPT-3/BigBird's fused rows do fewer FLOPs than unfused, and `full`

@@ -714,16 +714,8 @@ fn link(ctx: &Ctx<'_>, t: TensorId, g: GlobalIx) -> Option<Link> {
         .collect();
     let e = &ctx.region.exprs[view.expr];
     let (next, unions) = (e.output.0, e.op.is_some_and(|op| op.unions()));
-    let innermost = view.ixs.last() == Some(&g);
-    if innermost {
-        let p = ctx.region.exprs.iter().position(|e| e.output.0 == t)?;
-        let mut above = ctx.rows_of[p].iter().filter(|r| ctx.pos[r] < ctx.pos[&g]);
-        if unions || above.any(|r| !view.ixs.contains(r)) {
-            return None;
-        }
-    }
-    match others[..] {
-        [] if !innermost => Some(Link::Pass(next)),
+    let link = match others[..] {
+        [] => Some(Link::Pass(next)),
         [o] => match ctx.views[o].kind {
             ViewKind::Input { .. } if unions => Some(Link::Pass(next)),
             ViewKind::Input { slot } => {
@@ -735,7 +727,14 @@ fn link(ctx: &Ctx<'_>, t: TensorId, g: GlobalIx) -> Option<Link> {
             ViewKind::Inter => None,
         },
         _ => None,
+    };
+    if view.ixs.last() != Some(&g) {
+        return link;
     }
+    let p = ctx.region.exprs.iter().position(|e| e.output.0 == t)?;
+    let mut above = ctx.rows_of[p].iter().filter(|r| ctx.pos[r] < ctx.pos[&g]);
+    let nested = above.all(|r| view.ixs.contains(r));
+    link.filter(|l| nested && matches!(l, Link::Consumer { .. }))
 }
 
 /// Whether intermediate `i` links into `t` at row `g` without being filtered
