@@ -73,12 +73,15 @@ pub fn estimate(
     let regions = schedule.resolve_regions(program.exprs().len());
     let mut flops = 0.0;
     let mut bytes = 0.0;
+    // Per expression, the share of its iteration its region runs.
+    let mut sampled = Vec::with_capacity(program.exprs().len());
 
     // Propagate densities through every expression and count compute.
     for (x, e) in program.exprs().iter().enumerate() {
         let out_decl = program.tensor(e.output.tensor);
         let out_total: f64 = out_decl.shape.iter().product::<usize>() as f64;
         let in_stats: Vec<TStat> = e.inputs.iter().map(|a| stats[&a.tensor]).collect();
+        sampled.push(sampled_density(program, &regions, x, &stats));
         // Iteration volume: product of every index extent in the expression.
         let mut vol = 1.0;
         for ix in e.index_set() {
@@ -88,7 +91,7 @@ pub fn estimate(
         let (out_density, expr_flops) = match e.op {
             Some(AluOp::Mul) => {
                 let joint: f64 = in_stats.iter().map(|s| s.density).product();
-                let matched = vol * joint * sampled_density(program, &regions, x, &stats);
+                let matched = vol * joint * sampled[x];
                 // Contraction: 2 flops per matched point; the output density
                 // follows 1 - (1 - p)^K over the reduced extent.
                 let reduce_vol: f64 =
@@ -151,8 +154,7 @@ pub fn estimate(
             let joint: f64 = if e.op.is_some_and(|op| op.unions()) {
                 stats[&e.inputs[0].tensor].density
             } else {
-                let sampled = sampled_density(program, &regions, x, &stats);
-                e.inputs.iter().map(|a| stats[&a.tensor].density).product::<f64>() * sampled
+                e.inputs.iter().map(|a| stats[&a.tensor].density).product::<f64>() * sampled[x]
             };
             for a in &e.inputs {
                 if !produced.contains(&a.tensor) {
@@ -188,20 +190,21 @@ fn sampled_density(
 ) -> f64 {
     let e = &program.exprs()[x];
     let t = e.output.tensor;
-    let Some(r) = regions.iter().find(|r| r.contains(&x)) else { return 1.0 };
-    let Some(region) = program.exprs().get(r.clone()) else { return 1.0 };
-    if e.op != Some(AluOp::Mul) || e.reduce.is_empty() || program.live_outs(r).contains(&t) {
+    if e.op != Some(AluOp::Mul) || e.reduce.is_empty() || program.outputs().contains(&t) {
         return 1.0;
     }
-    let mut uses = program.exprs().iter().filter(|c| c.inputs.iter().any(|a| a.tensor == t));
-    let (Some(c), None) = (uses.next(), uses.next()) else { return 1.0 };
+    let Some(r) = regions.iter().find(|r| r.contains(&x)) else { return 1.0 };
+    let Some(region) = program.exprs().get(r.clone()) else { return 1.0 };
+    let mut uses = (program.exprs().iter().enumerate())
+        .filter(|(_, c)| c.inputs.iter().any(|a| a.tensor == t));
+    let (Some((u, c)), None) = (uses.next(), uses.next()) else { return 1.0 };
     let [a, b] = &c.inputs[..] else { return 1.0 };
     let intersects = c.reduce.is_empty() && c.op.is_some_and(|op| !op.unions());
     let (view, operand) = if a.tensor == t { (a, b) } else { (b, a) };
     let outside = !region.iter().any(|p| p.output.tensor == operand.tensor);
     let same_indices = operand.indices.len() == view.indices.len()
         && operand.indices.iter().all(|ix| view.indices.contains(ix));
-    if intersects && outside && same_indices {
+    if r.contains(&u) && intersects && outside && same_indices {
         stats[&operand.tensor].density
     } else {
         1.0
