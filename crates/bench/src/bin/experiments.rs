@@ -279,7 +279,8 @@ fn fig12_shape(t: &Table) -> Vec<String> {
                 broken.extend(ascending(t, &[&full, &unfused]));
             }
         }
-        if point.starts_with("gpt3-bigbird/") {
+        let gpt = point.starts_with("gpt3-bigbird/");
+        if gpt {
             for fused in [&partial, &full] {
                 broken.extend(flops_rel_breaks(t, fused, |rel| rel < 1.0, "not below 1"));
             }
@@ -290,7 +291,7 @@ fn fig12_shape(t: &Table) -> Vec<String> {
                 )),
             }
         }
-        let gated = if point.starts_with("gpt3-bigbird/") { 0.. } else { 1.. };
+        let gated = if gpt { 0.. } else { 1.. };
         broken.extend(ascending(t, &[full, partial, unfused][gated]));
     }
     broken
